@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check test test-short race cover bench bench-check ci
+.PHONY: all build vet fmt-check doc-check gob-check test test-short race cover bench bench-check ci
 
 all: ci
 
@@ -26,6 +26,20 @@ doc-check: fmt-check vet
 	@bad=$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/...); \
 	if [ -n "$$bad" ]; then echo "missing package comment:" >&2; echo "$$bad" >&2; exit 1; fi
 	$(GO) run ./cmd/doc-link-check README.md ARCHITECTURE.md DESIGN.md
+
+# One wire codec: encoding/gob stays off every per-message path. It may
+# appear only where a cold artefact is persisted or crosses real TCP
+# (core/checkpoint.go manifests, internal/sched, internal/exp, cmd/) and in
+# tests. internal/wiretest holds the size reference the codec is compared
+# against, so nothing but tests may import it.
+GOB_FREE = internal/smartsockets internal/ipl internal/core internal/phys internal/wire
+gob-check:
+	@bad=$$(find $(GOB_FREE) -name '*.go' ! -name '*_test.go' ! -path internal/core/checkpoint.go \
+	  -exec grep -l '"encoding/gob"' {} +); \
+	if [ -n "$$bad" ]; then echo "encoding/gob on a per-message path:" >&2; echo "$$bad" >&2; exit 1; fi
+	@bad=$$(find cmd internal examples -name '*.go' ! -name '*_test.go' \
+	  -exec grep -l '"jungle/internal/wiretest"' {} +); \
+	if [ -n "$$bad" ]; then echo "internal/wiretest imported outside tests:" >&2; echo "$$bad" >&2; exit 1; fi
 
 # Fast suite: unit + protocol + reduced-scale integration (seconds).
 test-short:
@@ -57,13 +71,21 @@ cover:
 	done
 
 # The paper's evaluation tables/figures plus substrate micro-benchmarks.
-# The run is recorded as a machine-readable perf trajectory in BENCH_10.json
+# The run is recorded as a machine-readable perf trajectory in $(BENCH_OUT)
 # (benchmark name -> metric -> value, including the virtual-time metrics
 # and the session/ensemble makespans); the raw output still prints via
-# benchjson's tee.
+# benchjson's tee. A PR that re-baselines names its own file:
+# make bench BENCH_OUT=BENCH_<pr>.json.
+#
+# -cpu 1 pins GOMAXPROCS: go test appends "-N" to every benchmark name on
+# an N-core host, and every committed BENCH_*.json was recorded on one P,
+# so without the pin bench-check finds no common names on a larger host
+# and passes without comparing anything.
+BENCH_OUT ?= BENCH_13.json
+BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 .
 bench:
-	@$(GO) test -run XXX -bench . -benchmem . > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
-	@$(GO) run ./cmd/benchjson -o BENCH_10.json < bench.out
+	@$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
+	@$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 
 # Perf regression gate: rerun the benchmarks and compare the deterministic
@@ -73,11 +95,11 @@ bench-check:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
 	if [ -z "$$base" ]; then echo "bench-check: no BENCH_*.json baseline" >&2; exit 1; fi; \
 	echo "bench-check: baseline $$base"; \
-	$(GO) test -run XXX -bench . -benchmem . > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
+	$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -o bench-check.json -against $$base \
 	  -match 'PipelinedKick|DirectVsHairpin|ShardedKick|CheckpointRecovery|StripedTransfer|ConcurrentSessions|ElasticGang|Ensemble' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
 
 # Tier-1 gate: everything a PR must keep green, in one command.
-ci: build vet doc-check test-short race cover
+ci: build vet doc-check gob-check test-short race cover

@@ -16,6 +16,7 @@ import (
 	"jungle/internal/trace"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
+	"jungle/internal/wire"
 )
 
 // Simulation is the coupler: the Go equivalent of an AMUSE Python script's
@@ -636,7 +637,7 @@ func (m *modelProxy) sessionCtx(ctx context.Context) context.Context {
 // sugar over: the AMUSE asynchronous function-call pattern
 // (call.result() ⇔ Call.Wait + Call.Decode).
 func (m *modelProxy) Go(method string, args any) *Call {
-	return m.goRaw(method, encode(args), nil)
+	return m.goRaw(method, kernel.Encode(args), nil)
 }
 
 // goRaw issues a call with pre-encoded args and an optional result hook.
@@ -845,7 +846,7 @@ func (m *modelProxy) replace() error {
 		}
 	}
 	if state != nil && (snap == nil || stateSeq > snapSeq) {
-		if err := m.replay("set_particles", encode(*state)); err != nil {
+		if err := m.replay("set_particles", kernel.Encode(*state)); err != nil {
 			return err
 		}
 	}
@@ -919,7 +920,7 @@ func (m *modelProxy) encodedSetupLocked() []byte {
 	if m.setupRaw != nil {
 		return m.setupRaw
 	}
-	return encode(m.setupArgs)
+	return kernel.Encode(m.setupArgs)
 }
 
 // Common Dynamics plumbing shared by Gravity and Hydro.
@@ -979,7 +980,7 @@ func defaultStateAttrs(attrs []string) []string {
 // goGetState issues a batched columnar read; the hook receives the
 // decoded payload.
 func (m *modelProxy) goGetState(attrs []string, into func(*kernel.StatePayload) error) *Call {
-	buf := kernel.GetBuf()
+	buf := wire.GetBuf()
 	args := kernel.AppendStateRequest(*buf, &kernel.StateRequest{Attrs: attrs})
 	return m.goPooled("get_state", args, buf, func(raw []byte) error {
 		st, err := kernel.UnmarshalState(raw)
@@ -998,7 +999,7 @@ func (m *modelProxy) goPooled(method string, args []byte, buf *[]byte, after fun
 	c.seq = m.seq.Add(1)
 	c.release = func() {
 		*buf = args[:0]
-		kernel.PutBuf(buf)
+		wire.PutBuf(buf)
 	}
 	m.startCall(c, method, args, true)
 	return c
@@ -1025,18 +1026,18 @@ func (m *modelProxy) GetState(ctx context.Context, attrs ...string) (*kernel.Sta
 // anyone waits on it — an abandoned-but-applied write must still replay
 // onto a replacement worker.
 func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
-	buf := kernel.GetBuf()
+	buf := wire.GetBuf()
 	args, err := kernel.AppendState(*buf, st)
 	if err != nil {
 		*buf = args[:0]
-		kernel.PutBuf(buf)
+		wire.PutBuf(buf)
 		return failedCall(m.kind, "set_state", err)
 	}
 	c := newCall(m.kind, "set_state", nil)
 	c.seq = m.seq.Add(1)
 	c.release = func() {
 		*buf = args[:0]
-		kernel.PutBuf(buf)
+		wire.PutBuf(buf)
 	}
 	c.success = func([]byte) { m.mergeCachedState(st, c.seq) }
 	m.startCall(c, "set_state", args, true)
@@ -1398,7 +1399,7 @@ type Model struct {
 }
 
 // NewModel starts a worker of the given kind and performs its "setup"
-// call with the provided (gob-encodable) arguments.
+// call with the provided arguments (a plain struct, see kernel.Encode).
 func (s *Simulation) NewModel(ctx context.Context, kind Kind, spec WorkerSpec, setup any) (*Model, error) {
 	m, err := s.newModel(ctx, kind, spec, setup)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"jungle/internal/core/kernel"
 	"jungle/internal/phys/bridge"
 )
 
@@ -135,7 +136,7 @@ func (c *Call) Err() error {
 }
 
 // Decode decodes the completed call's result into reply (which must be a
-// pointer to a gob-decodable value). It returns ErrInFlight before
+// pointer to a plain struct, see kernel.Decode). It returns ErrInFlight before
 // completion and the call's error after a failure.
 func (c *Call) Decode(reply any) error {
 	select {
@@ -149,7 +150,7 @@ func (c *Call) Decode(reply any) error {
 	if reply == nil {
 		return nil
 	}
-	return decode(c.result, reply)
+	return kernel.Decode(c.result, reply)
 }
 
 // Gather waits for every call (fan-in for pipelined fan-out) and joins

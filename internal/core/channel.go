@@ -7,6 +7,7 @@ import (
 
 	"jungle/internal/core/kernel"
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // completion receives the outcome of one started call, exactly once: a
@@ -215,11 +216,11 @@ func (c *connChannel) start(req request, done completion) {
 	c.pending[req.ID] = done
 	c.mu.Unlock()
 
-	buf := kernel.GetBuf()
+	buf := wire.GetBuf()
 	frame := kernel.AppendRequest(*buf, &req)
 	_, sendErr := c.conn.Send(frame, req.SentAt)
 	*buf = frame[:0]
-	kernel.PutBuf(buf)
+	wire.PutBuf(buf)
 	if sendErr != nil {
 		// The read loop may have raced us to the pending entry (it fails
 		// everything when the conn dies); only deliver if we still own it.
@@ -272,11 +273,11 @@ func serveConn(conn *vnet.Conn, svc service) {
 			resp.Code = kernel.ClassifyErr(derr)
 			resp.Err = derr.Error()
 		}
-		buf := kernel.GetBuf()
+		buf := wire.GetBuf()
 		frame := kernel.AppendResponse(*buf, &resp)
 		_, sendErr := conn.Send(frame, doneAt)
 		*buf = frame[:0]
-		kernel.PutBuf(buf)
+		wire.PutBuf(buf)
 		if sendErr != nil {
 			return
 		}

@@ -97,14 +97,8 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 			base := m.lastBlobRef
 			m.mu.Unlock()
 			p.direct = true
-			// Legacy args shape when the knobs are off, so default-path
-			// checkpoints stay wire-identical (gob transmits field names).
-			var args any = kernel.OfferCheckpointArgs{ID: p.id, Peer: daddr.String()}
-			if stripes > 1 || codec != kernel.CodecRaw {
-				args = kernel.OfferCheckpointTuned{ID: p.id, Peer: daddr.String(),
-					Stripes: stripes, Codec: codec, Base: base}
-			}
-			p.c = m.goNoReplace(kernel.MethodOfferCheckpoint, args)
+			p.c = m.goNoReplace(kernel.MethodOfferCheckpoint, kernel.OfferCheckpointArgs{
+				ID: p.id, Peer: daddr.String(), Stripes: stripes, Codec: codec, Base: base})
 		} else {
 			s.countTransfer(func(t *TransferStats) { t.Hairpin++ })
 			p.c = m.goCheckpointPull(&p.blob)

@@ -441,7 +441,7 @@ func TestDaemonRejectsUnknownWorkerID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req := request{ID: reqIDs.Add(1), Worker: 999, Method: "evolve", Args: encode(kernel.EvolveArgs{})}
+	req := request{ID: reqIDs.Add(1), Worker: 999, Method: "evolve", Args: kernel.Encode(kernel.EvolveArgs{})}
 	if _, err := conn.Send(kernel.AppendRequest(nil, &req), 0); err != nil {
 		t.Fatal(err)
 	}

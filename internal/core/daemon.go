@@ -15,6 +15,7 @@ import (
 	"jungle/internal/ipl"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // Daemon is the per-user Ibis daemon of Fig. 5: it runs on the user's
@@ -495,11 +496,11 @@ func (d *Daemon) serveCoupler(conn *vnet.Conn) {
 // reply sends a coded error response back to a coupler connection.
 func (d *Daemon) reply(conn *vnet.Conn, id uint64, at time.Duration, code kernel.Code, errStr string) {
 	resp := &response{ID: id, Code: code, Err: errStr, DoneAt: at}
-	buf := kernel.GetBuf()
+	buf := wire.GetBuf()
 	frame := kernel.AppendResponse(*buf, resp)
 	conn.Send(frame, at)
 	*buf = frame[:0]
-	kernel.PutBuf(buf)
+	wire.PutBuf(buf)
 }
 
 // onResponse handles a proxy's response (or ready announcement).

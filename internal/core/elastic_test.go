@@ -392,13 +392,17 @@ func TestKillRankMidMigration(t *testing.T) {
 		}
 	}()
 
+	// The new worker ids stay visible after Migrate returns, so a watcher
+	// whose poll missed the replay window still lands its kill just after
+	// it; stopping the watcher first would make the test depend on how
+	// long the replay takes in wall time.
 	migErr := g.Migrate(nil, tb.Spare)
-	close(stop)
 	select {
 	case <-killed:
 	case <-time.After(time.Second):
 		t.Fatal("watcher never saw the new gang (migration did not start?)")
 	}
+	close(stop)
 	if migErr != nil && !errors.Is(migErr, ErrMigration) {
 		t.Fatalf("migration failure not structured: %v", migErr)
 	}

@@ -219,7 +219,7 @@ func (g *gangChannel) wireGang(ctx context.Context, s *Simulation) error {
 	var wg sync.WaitGroup
 	g.issueMu.Lock()
 	for rank := range g.members {
-		args := encode(kernel.GangInitArgs{ID: gangID, Rank: rank, Size: k, Peers: peers})
+		args := kernel.Encode(kernel.GangInitArgs{ID: gangID, Rank: rank, Size: k, Peers: peers})
 		req := request{
 			ID: reqIDs.Add(1), Worker: workers[rank],
 			Method: kernel.MethodGangInit, Args: args, SentAt: s.clock.Now(),
@@ -321,7 +321,7 @@ func (m *modelProxy) replaceGangRanks() error {
 		return fmt.Errorf("core: gang restore: %w", err)
 	}
 	if state != nil && stateSeq > snapSeq {
-		if err := m.replay("set_particles", encode(*state)); err != nil {
+		if err := m.replay("set_particles", kernel.Encode(*state)); err != nil {
 			return fmt.Errorf("core: gang state overlay: %w", err)
 		}
 	}

@@ -2,7 +2,10 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"time"
+
+	"jungle/internal/wire"
 )
 
 // Checkpoint/restore: a worker can externalize its complete model state as
@@ -16,7 +19,7 @@ import (
 // Two ordinary dispatch methods carry the capability over every channel:
 //
 //   - "checkpoint" (no args): marshal a Snapshot of the worker's state.
-//     The result is the raw snapshot frame, not a gob payload, so the
+//     The result is the raw snapshot frame, not a typed payload, so the
 //     coupler can store and re-send it without ever decoding the columns.
 //   - "restore" (args: a snapshot frame): replace the worker's model state
 //     with the snapshot's. Restore is only meaningful after "setup" has
@@ -55,7 +58,8 @@ type Snapshot struct {
 	// State carries the phase-space columns (nil for kinds whose dynamic
 	// state is fully in Extra).
 	State *StatePayload
-	// Extra is a kind-private gob blob for non-columnar state.
+	// Extra is a kind-private blob (kernel.Encode of a kind-private
+	// struct) for non-columnar state.
 	Extra []byte
 }
 
@@ -107,21 +111,7 @@ func (s *Snapshot) CheckKind(kind string) error {
 
 // OfferCheckpointArgs asks a worker's proxy to snapshot its service and
 // stream the frame to a peer listener (the daemon's checkpoint store).
-// Like OfferStateArgs it must keep its legacy shape — gob transmits field
-// names — so default-path checkpoints stay wire-identical; tuned offers
-// send OfferCheckpointTuned instead.
 type OfferCheckpointArgs struct {
-	// ID names the stream; the store files the blob under it.
-	ID uint64
-	// Peer is the destination listener's address ("host:port" in the
-	// SmartSockets address space).
-	Peer string
-}
-
-// OfferCheckpointTuned is OfferCheckpointArgs plus the bandwidth-aware
-// data-plane knobs; sent in place of OfferCheckpointArgs when any knob is
-// non-zero. The proxy decodes both shapes into this superset.
-type OfferCheckpointTuned struct {
 	// ID names the stream; the store files the blob under it.
 	ID uint64
 	// Peer is the destination listener's address ("host:port" in the
@@ -146,10 +136,10 @@ type OfferCheckpointTuned struct {
 // AppendSnapshot marshals s into dst and returns the extended slice.
 func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	dst = append(dst, tagSnapshot)
-	dst = appendString16(dst, s.Kind)
-	dst = appendU64(dst, floatBits(s.Model))
-	dst = appendU64(dst, uint64(s.Steps))
-	dst = appendU64(dst, uint64(s.VTime))
+	dst = wire.AppendString16(dst, s.Kind)
+	dst = wire.AppendU64(dst, math.Float64bits(s.Model))
+	dst = wire.AppendU64(dst, uint64(s.Steps))
+	dst = wire.AppendU64(dst, uint64(s.VTime))
 	if s.State != nil {
 		var err error
 		dst = append(dst, 1)
@@ -159,7 +149,7 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	} else {
 		dst = append(dst, 0)
 	}
-	return appendBytes32(dst, s.Extra), nil
+	return wire.AppendBytes32(dst, s.Extra), nil
 }
 
 // MarshalSnapshot marshals s into a fresh slice.
@@ -170,19 +160,19 @@ func MarshalSnapshot(s *Snapshot) ([]byte, error) {
 // UnmarshalSnapshot parses a frame produced by AppendSnapshot. The state
 // columns and Extra alias b.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagSnapshot {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagSnapshot {
 		return nil, fmt.Errorf("kernel: not a snapshot frame (tag 0x%02x)", tag)
 	}
 	s := &Snapshot{
-		Kind:  r.string16("kind"),
-		Model: floatFromBits(r.u64("model clock")),
-		Steps: int(r.u64("steps")),
-		VTime: time.Duration(r.u64("vtime")),
+		Kind:  r.String16("kind"),
+		Model: math.Float64frombits(r.U64("model clock")),
+		Steps: int(r.U64("steps")),
+		VTime: time.Duration(r.U64("vtime")),
 	}
-	if r.u8("stateflag") == 1 {
-		if r.err != nil {
-			return nil, r.err
+	if r.U8("stateflag") == 1 {
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		// readState leaves the reader just past the embedded frame, so the
 		// snapshot codec never re-derives the state frame's length.
@@ -192,9 +182,9 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 		}
 		s.State = st
 	}
-	s.Extra = r.bytes32("extra")
-	if r.err != nil {
-		return nil, r.err
+	s.Extra = r.Bytes32("extra")
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return s, nil
 }

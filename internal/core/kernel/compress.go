@@ -5,6 +5,8 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+
+	"jungle/internal/wire"
 )
 
 // Columnar wire compression for state and snapshot frames.
@@ -216,8 +218,8 @@ func CompressState(frame []byte) []byte {
 	}
 	out := make([]byte, 0, 11+len(comp))
 	out = append(out, tagStateZ, CodecDeltaFlate, xform)
-	out = appendU32(out, uint32(len(frame)))
-	return appendBytes32(out, comp)
+	out = wire.AppendU32(out, uint32(len(frame)))
+	return wire.AppendBytes32(out, comp)
 }
 
 // CompressStateRef encodes a raw frame with CodecRefDelta against a base
@@ -245,10 +247,10 @@ func CompressStateRef(frame, base []byte, baseRef uint64) []byte {
 	}
 	out := make([]byte, 0, 27+len(comp))
 	out = append(out, tagStateZ, CodecRefDelta)
-	out = appendU64(out, baseRef)
-	out = appendU64(out, Digest64(base))
-	out = appendU32(out, uint32(len(frame)))
-	return appendBytes32(out, comp)
+	out = wire.AppendU64(out, baseRef)
+	out = wire.AppendU64(out, Digest64(base))
+	out = wire.AppendU32(out, uint32(len(frame)))
+	return wire.AppendBytes32(out, comp)
 }
 
 // IsCompressedState reports whether a frame is a tagStateZ wrapper.
@@ -260,8 +262,8 @@ func CompressedBaseRef(b []byte) (uint64, bool) {
 	if len(b) < 18 || b[0] != tagStateZ || b[1] != CodecRefDelta {
 		return 0, false
 	}
-	r := reader{b: b, off: 2}
-	return r.u64("base ref"), r.err == nil
+	r := wire.Reader{B: b, Off: 2}
+	return r.U64("base ref"), r.Err == nil
 }
 
 // MaybeDecompressState restores the raw frame behind b. Raw frames (any
@@ -273,14 +275,14 @@ func MaybeDecompressState(b []byte, baseLookup func(ref uint64) ([]byte, bool)) 
 	if !IsCompressedState(b) {
 		return b, nil
 	}
-	r := reader{b: b, off: 1}
-	switch codec := r.u8("codec"); codec {
+	r := wire.Reader{B: b, Off: 1}
+	switch codec := r.U8("codec"); codec {
 	case CodecDeltaFlate:
-		xform := r.u8("xform")
-		rawLen := int(r.u32("raw len"))
-		comp := r.bytes32("compressed")
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCompressed, r.err)
+		xform := r.U8("xform")
+		rawLen := int(r.U32("raw len"))
+		comp := r.Bytes32("compressed")
+		if r.Err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadCompressed, r.Err)
 		}
 		raw, err := inflateBytes(comp, rawLen)
 		if err != nil {
@@ -298,12 +300,12 @@ func MaybeDecompressState(b []byte, baseLookup func(ref uint64) ([]byte, bool)) 
 		}
 		return raw, nil
 	case CodecRefDelta:
-		ref := r.u64("base ref")
-		digest := r.u64("base digest")
-		rawLen := int(r.u32("raw len"))
-		comp := r.bytes32("compressed")
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCompressed, r.err)
+		ref := r.U64("base ref")
+		digest := r.U64("base digest")
+		rawLen := int(r.U32("raw len"))
+		comp := r.Bytes32("compressed")
+		if r.Err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadCompressed, r.Err)
 		}
 		if baseLookup == nil {
 			return nil, fmt.Errorf("%w: ref-delta frame without base lookup", ErrBadCompressed)

@@ -12,6 +12,7 @@ import (
 	"jungle/internal/amuse/data"
 	"jungle/internal/deploy"
 	"jungle/internal/vtime"
+	"jungle/internal/wire"
 )
 
 type nopService struct{}
@@ -209,7 +210,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	// A corrupt header claiming a huge key column must error out, not
 	// attempt a multi-gigabyte allocation.
 	huge := []byte{tagState}
-	huge = appendU32(huge, 1<<31-1)
+	huge = wire.AppendU32(huge, 1<<31-1)
 	huge = append(huge, 1) // keyflag
 	if _, err := UnmarshalState(huge); err == nil {
 		t.Fatal("truncated huge key column accepted")

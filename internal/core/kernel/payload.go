@@ -1,32 +1,27 @@
 package kernel
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"jungle/internal/amuse/data"
+	"jungle/internal/wire"
 )
 
 // Typed argument/result payloads. One struct per method keeps the wire
-// format explicit and versionable. These travel gob-encoded inside
-// Request.Args / Response.Result; the bulk state path (StatePayload) has
-// its own hand-rolled codec because it dominates coupled-step traffic.
+// format explicit. These travel inside Request.Args / Response.Result in
+// internal/wire's positional struct codec: exported fields in declaration
+// order, floats in their trimmed form. A payload struct may therefore only
+// grow fields at its end (see the codec's append-only rule). The bulk
+// state path (StatePayload) has its own fixed-width column codec because
+// it dominates coupled-step traffic.
 
-// Encode gob-encodes a payload value (panics on unencodable types: all
-// protocol types are gob-safe by construction).
-func Encode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("kernel: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
+// Encode marshals a payload value — a struct or a pointer to one — into a
+// fresh slice (it panics on a type with no wire form: pointers, maps,
+// interfaces).
+func Encode(v any) []byte { return wire.Marshal(v) }
 
-// Decode gob-decodes a payload produced by Encode.
-func Decode(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
+// Decode unmarshals a payload produced by Encode into the struct v points
+// to. Input that ends early at a field boundary leaves the remaining
+// fields zero.
+func Decode(b []byte, v any) error { return wire.Unmarshal(b, v) }
 
 type SetupGravityArgs struct {
 	Kernel string // "phigrape-cpu" | "phigrape-gpu"

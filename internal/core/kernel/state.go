@@ -4,13 +4,15 @@ import (
 	"fmt"
 
 	"jungle/internal/amuse/data"
+	"jungle/internal/wire"
 )
 
 // StatePayload is the batched columnar state transfer: whole attribute
 // columns move in one RPC instead of one call per particle (or per
 // attribute). It is the argument of "set_state" and the result of
-// "get_state", and always travels through the hand-rolled codec below —
-// never through gob.
+// "get_state", and always travels through the fixed-width column codec
+// below (raw little-endian IEEE bits, 8 bytes per float) — never through
+// the struct codec the small typed payloads use.
 //
 // Columns are positional: index i in every column refers to the same
 // particle, in the order the worker's set_particles call established.
@@ -86,24 +88,24 @@ func AppendState(dst []byte, s *StatePayload) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, tagState)
-	dst = appendU32(dst, uint32(s.N))
+	dst = wire.AppendU32(dst, uint32(s.N))
 	if len(s.Key) > 0 {
 		dst = append(dst, 1)
 		for _, k := range s.Key {
-			dst = appendU64(dst, k)
+			dst = wire.AppendU64(dst, k)
 		}
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = appendU16(dst, uint16(len(s.FloatAttrs)))
+	dst = wire.AppendU16(dst, uint16(len(s.FloatAttrs)))
 	for i, a := range s.FloatAttrs {
-		dst = appendString16(dst, a)
-		dst = appendFloats(dst, s.FloatCols[i])
+		dst = wire.AppendString16(dst, a)
+		dst = wire.AppendFloats(dst, s.FloatCols[i])
 	}
-	dst = appendU16(dst, uint16(len(s.VecAttrs)))
+	dst = wire.AppendU16(dst, uint16(len(s.VecAttrs)))
 	for i, a := range s.VecAttrs {
-		dst = appendString16(dst, a)
-		dst = appendVecs(dst, s.VecCols[i])
+		dst = wire.AppendString16(dst, a)
+		dst = wire.AppendVecs(dst, s.VecCols[i])
 	}
 	return dst, nil
 }
@@ -122,40 +124,40 @@ func MarshalState(s *StatePayload) ([]byte, error) {
 
 // UnmarshalState parses a frame produced by AppendState.
 func UnmarshalState(b []byte) (*StatePayload, error) {
-	r := reader{b: b}
+	r := wire.Reader{B: b}
 	return readState(&r)
 }
 
 // readState parses a state frame at the reader's offset, leaving the
 // offset just past it — embedding frames (snapshots) parse the state
 // and continue without re-deriving its encoded length.
-func readState(r *reader) (*StatePayload, error) {
-	if tag := r.u8("tag"); r.err == nil && tag != tagState {
+func readState(r *wire.Reader) (*StatePayload, error) {
+	if tag := r.U8("tag"); r.Err == nil && tag != tagState {
 		return nil, fmt.Errorf("kernel: not a state frame (tag 0x%02x)", tag)
 	}
-	s := &StatePayload{N: int(r.u32("n"))}
-	if r.u8("keyflag") == 1 {
-		if r.err == nil && r.off+8*s.N > len(r.b) {
-			r.fail("key column")
-			return nil, r.err
+	s := &StatePayload{N: int(r.U32("n"))}
+	if r.U8("keyflag") == 1 {
+		if r.Err == nil && r.Off+8*s.N > len(r.B) {
+			r.Fail("key column")
+			return nil, r.Err
 		}
 		s.Key = make([]uint64, s.N)
 		for i := range s.Key {
-			s.Key[i] = r.u64("key")
+			s.Key[i] = r.U64("key")
 		}
 	}
-	nf := int(r.u16("nfloat"))
-	for i := 0; i < nf && r.err == nil; i++ {
-		s.FloatAttrs = append(s.FloatAttrs, r.string16("float attr"))
-		s.FloatCols = append(s.FloatCols, r.floats(s.N, "float col"))
+	nf := int(r.U16("nfloat"))
+	for i := 0; i < nf && r.Err == nil; i++ {
+		s.FloatAttrs = append(s.FloatAttrs, r.String16("float attr"))
+		s.FloatCols = append(s.FloatCols, r.Floats(s.N, "float col"))
 	}
-	nv := int(r.u16("nvec"))
-	for i := 0; i < nv && r.err == nil; i++ {
-		s.VecAttrs = append(s.VecAttrs, r.string16("vec attr"))
-		s.VecCols = append(s.VecCols, r.vecs(s.N, "vec col"))
+	nv := int(r.U16("nvec"))
+	for i := 0; i < nv && r.Err == nil; i++ {
+		s.VecAttrs = append(s.VecAttrs, r.String16("vec attr"))
+		s.VecCols = append(s.VecCols, wire.Vecs[data.Vec3](r, s.N, "vec col"))
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return s, nil
 }
@@ -168,26 +170,26 @@ type StateRequest struct {
 // AppendStateRequest marshals q into dst.
 func AppendStateRequest(dst []byte, q *StateRequest) []byte {
 	dst = append(dst, tagStateReq)
-	dst = appendU16(dst, uint16(len(q.Attrs)))
+	dst = wire.AppendU16(dst, uint16(len(q.Attrs)))
 	for _, a := range q.Attrs {
-		dst = appendString16(dst, a)
+		dst = wire.AppendString16(dst, a)
 	}
 	return dst
 }
 
 // UnmarshalStateRequest parses a frame produced by AppendStateRequest.
 func UnmarshalStateRequest(b []byte) (*StateRequest, error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagStateReq {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagStateReq {
 		return nil, fmt.Errorf("kernel: not a state request frame (tag 0x%02x)", tag)
 	}
 	q := &StateRequest{}
-	n := int(r.u16("nattrs"))
-	for i := 0; i < n && r.err == nil; i++ {
-		q.Attrs = append(q.Attrs, r.string16("attr"))
+	n := int(r.U16("nattrs"))
+	for i := 0; i < n && r.Err == nil; i++ {
+		q.Attrs = append(q.Attrs, r.String16("attr"))
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return q, nil
 }

@@ -1,6 +1,10 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+
+	"jungle/internal/wire"
+)
 
 // Striped transfers split one encoded payload frame across N parallel peer
 // connections, GridFTP-style: a single WAN stream often cannot fill a fat
@@ -63,33 +67,33 @@ func SplitStripes(total, n int) []int {
 // AppendManifest marshals a stripe manifest.
 func AppendManifest(dst []byte, m *StripeManifest) []byte {
 	dst = append(dst, tagManifest)
-	dst = appendU64(dst, m.ID)
+	dst = wire.AppendU64(dst, m.ID)
 	dst = append(dst, m.Codec)
-	dst = appendU32(dst, m.Total)
-	dst = appendU16(dst, uint16(len(m.Stripes)))
+	dst = wire.AppendU32(dst, m.Total)
+	dst = wire.AppendU16(dst, uint16(len(m.Stripes)))
 	for _, s := range m.Stripes {
-		dst = appendU32(dst, s.Offset)
-		dst = appendU32(dst, s.Length)
-		dst = appendU64(dst, s.Digest)
+		dst = wire.AppendU32(dst, s.Offset)
+		dst = wire.AppendU32(dst, s.Length)
+		dst = wire.AppendU64(dst, s.Digest)
 	}
 	return dst
 }
 
 // UnmarshalManifest parses a frame produced by AppendManifest.
 func UnmarshalManifest(b []byte) (*StripeManifest, error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagManifest {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagManifest {
 		return nil, fmt.Errorf("kernel: not a manifest frame (tag 0x%02x)", tag)
 	}
-	m := &StripeManifest{ID: r.u64("id"), Codec: r.u8("codec"), Total: r.u32("total")}
-	count := int(r.u16("count"))
-	for i := 0; i < count && r.err == nil; i++ {
+	m := &StripeManifest{ID: r.U64("id"), Codec: r.U8("codec"), Total: r.U32("total")}
+	count := int(r.U16("count"))
+	for i := 0; i < count && r.Err == nil; i++ {
 		m.Stripes = append(m.Stripes, StripeInfo{
-			Offset: r.u32("offset"), Length: r.u32("length"), Digest: r.u64("digest"),
+			Offset: r.U32("offset"), Length: r.U32("length"), Digest: r.U64("digest"),
 		})
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return m, nil
 }
@@ -103,19 +107,19 @@ func IsStripe(b []byte) bool { return FrameTag(b) == tagStripe }
 // AppendStripe marshals one stripe: transfer id, stripe index, bytes.
 func AppendStripe(dst []byte, id uint64, index int, data []byte) []byte {
 	dst = append(dst, tagStripe)
-	dst = appendU64(dst, id)
-	dst = appendU16(dst, uint16(index))
-	return appendBytes32(dst, data)
+	dst = wire.AppendU64(dst, id)
+	dst = wire.AppendU16(dst, uint16(index))
+	return wire.AppendBytes32(dst, data)
 }
 
 // UnmarshalStripe parses a frame produced by AppendStripe. data aliases b.
 func UnmarshalStripe(b []byte) (id uint64, index int, data []byte, err error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagStripe {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagStripe {
 		return 0, 0, nil, fmt.Errorf("kernel: not a stripe frame (tag 0x%02x)", tag)
 	}
-	id = r.u64("id")
-	index = int(r.u16("index"))
-	data = r.bytes32("data")
-	return id, index, data, r.err
+	id = r.U64("id")
+	index = int(r.U16("index"))
+	data = r.Bytes32("data")
+	return id, index, data, r.Err
 }

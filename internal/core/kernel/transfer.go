@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+
+	"jungle/internal/wire"
 )
 
 // Third-party state transfer: the coupler orchestrates by RPC, the column
@@ -32,26 +34,7 @@ const (
 const MethodApplyState = "set_state"
 
 // OfferStateArgs asks a worker to stream state columns to a peer.
-// It is the default-path args shape and must not grow fields: gob writes
-// every field name of a transmitted struct into the stream (even for zero
-// values), so adding a field would change the wire bytes of sessions that
-// never touch the bandwidth-aware knobs. Tuned offers send OfferStateTuned
-// instead; the proxy decodes both into the superset (gob matches struct
-// fields by name, not by type name).
 type OfferStateArgs struct {
-	// ID names the transfer; the accepting peer matches streams by it.
-	ID uint64
-	// Attrs selects the columns (get_state semantics).
-	Attrs []string
-	// Peer is the destination worker's peer-listener address
-	// ("host:port" in the SmartSockets address space).
-	Peer string
-}
-
-// OfferStateTuned is OfferStateArgs plus the bandwidth-aware data-plane
-// knobs; the coupler sends it in place of OfferStateArgs when any knob is
-// non-zero.
-type OfferStateTuned struct {
 	// ID names the transfer; the accepting peer matches streams by it.
 	ID uint64
 	// Attrs selects the columns (get_state semantics).
@@ -106,9 +89,9 @@ type AcceptStateArgs struct {
 // by an unmodified StatePayload frame.
 func AppendTransfer(dst []byte, id uint64, state []byte) []byte {
 	dst = append(dst, tagTransfer)
-	dst = appendU64(dst, id)
+	dst = wire.AppendU64(dst, id)
 	dst = append(dst, 0) // data, not abort
-	return appendBytes32(dst, state)
+	return wire.AppendBytes32(dst, state)
 }
 
 // AppendTransferAbort frames an abort marker for a transfer id: the peer
@@ -117,38 +100,38 @@ func AppendTransfer(dst []byte, id uint64, state []byte) []byte {
 // accepting worker does not wait out its timeout).
 func AppendTransferAbort(dst []byte, id uint64) []byte {
 	dst = append(dst, tagTransfer)
-	dst = appendU64(dst, id)
+	dst = wire.AppendU64(dst, id)
 	dst = append(dst, 1) // abort
-	return appendU32(dst, 0)
+	return wire.AppendU32(dst, 0)
 }
 
 // UnmarshalTransfer parses a frame produced by AppendTransfer or
 // AppendTransferAbort. state aliases b.
 func UnmarshalTransfer(b []byte) (id uint64, state []byte, abort bool, err error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagTransfer {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagTransfer {
 		return 0, nil, false, fmt.Errorf("kernel: not a transfer frame (tag 0x%02x)", tag)
 	}
-	id = r.u64("id")
-	abort = r.u8("abort") == 1
-	state = r.bytes32("state")
-	return id, state, abort, r.err
+	id = r.U64("id")
+	abort = r.U8("abort") == 1
+	state = r.Bytes32("state")
+	return id, state, abort, r.Err
 }
 
 // AppendTransferAck frames the receiving peer's acknowledgement.
 func AppendTransferAck(dst []byte, id uint64) []byte {
 	dst = append(dst, tagTransferAck)
-	return appendU64(dst, id)
+	return wire.AppendU64(dst, id)
 }
 
 // UnmarshalTransferAck parses a frame produced by AppendTransferAck.
 func UnmarshalTransferAck(b []byte) (uint64, error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagTransferAck {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagTransferAck {
 		return 0, fmt.Errorf("kernel: not a transfer ack frame (tag 0x%02x)", tag)
 	}
-	id := r.u64("id")
-	return id, r.err
+	id := r.U64("id")
+	return id, r.Err
 }
 
 // Gang link handshake (worker-to-worker peer connections). Lower ranks
@@ -161,36 +144,36 @@ func UnmarshalTransferAck(b []byte) (uint64, error) {
 // AppendGangHello frames a gang link handshake.
 func AppendGangHello(dst []byte, gangID uint64, fromRank int) []byte {
 	dst = append(dst, tagGangHello)
-	dst = appendU64(dst, gangID)
-	return appendU32(dst, uint32(fromRank))
+	dst = wire.AppendU64(dst, gangID)
+	return wire.AppendU32(dst, uint32(fromRank))
 }
 
 // UnmarshalGangHello parses a frame produced by AppendGangHello.
 func UnmarshalGangHello(b []byte) (gangID uint64, fromRank int, err error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagGangHello {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagGangHello {
 		return 0, 0, fmt.Errorf("kernel: not a gang hello frame (tag 0x%02x)", tag)
 	}
-	gangID = r.u64("gang id")
-	fromRank = int(r.u32("from rank"))
-	return gangID, fromRank, r.err
+	gangID = r.U64("gang id")
+	fromRank = int(r.U32("from rank"))
+	return gangID, fromRank, r.Err
 }
 
 // AppendStaged wraps a StatePayload frame with its staging slot for the
 // stage_* apply methods (field workers hold several staged inputs at once).
 func AppendStaged(dst []byte, slot uint64, state []byte) []byte {
 	dst = append(dst, tagStaged)
-	dst = appendU64(dst, slot)
-	return appendBytes32(dst, state)
+	dst = wire.AppendU64(dst, slot)
+	return wire.AppendBytes32(dst, state)
 }
 
 // UnmarshalStaged parses a frame produced by AppendStaged. state aliases b.
 func UnmarshalStaged(b []byte) (slot uint64, state []byte, err error) {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagStaged {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagStaged {
 		return 0, nil, fmt.Errorf("kernel: not a staged frame (tag 0x%02x)", tag)
 	}
-	slot = r.u64("slot")
-	state = r.bytes32("state")
-	return slot, state, r.err
+	slot = r.U64("slot")
+	state = r.Bytes32("state")
+	return slot, state, r.Err
 }

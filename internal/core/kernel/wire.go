@@ -1,14 +1,11 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"sync"
 	"time"
 
-	"jungle/internal/amuse/data"
+	"jungle/internal/wire"
 )
 
 // Request is one RPC over any channel.
@@ -125,11 +122,12 @@ func ResponseError(resp *Response) error {
 	return &WireError{Code: resp.Code, Msg: resp.Err}
 }
 
-// Wire framing: a hand-rolled little-endian binary codec. Every RPC on
-// the sockets and ibis channels (and through the daemon proxy) crosses
-// this codec twice, so it avoids per-call encoder allocation entirely:
-// marshalling appends into a caller-provided buffer (see GetBuf/PutBuf)
-// and unmarshalling aliases sub-slices of the received frame.
+// Wire framing: fixed little-endian layouts over internal/wire's append
+// helpers and Reader. Every RPC on the sockets and ibis channels (and
+// through the daemon proxy) crosses this codec twice, so it avoids
+// per-call encoder allocation entirely: marshalling appends into a
+// caller-provided buffer (see wire.GetBuf/PutBuf) and unmarshalling
+// aliases sub-slices of the received frame.
 const (
 	tagRequest     = 0x52 // 'R'
 	tagResponse    = 0x50 // 'P'
@@ -145,9 +143,6 @@ const (
 	tagStateZ      = 0x5A // 'Z' — compressed state/snapshot frame (compress.go)
 )
 
-func floatBits(x float64) uint64     { return math.Float64bits(x) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
-
 // FrameTag returns the leading tag byte of a wire frame (0 for an empty
 // frame). Peer listeners use it to route an inbound connection's first
 // frame: transfer streams, aborts and gang hellos all arrive on the same
@@ -162,201 +157,52 @@ func FrameTag(b []byte) byte {
 // IsGangHello reports whether a frame is a gang link handshake.
 func IsGangHello(b []byte) bool { return FrameTag(b) == tagGangHello }
 
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// GetBuf borrows a reusable marshal buffer (length 0).
-func GetBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuf returns a buffer obtained from GetBuf. The caller must not hold
-// on to slices derived from it.
-func PutBuf(b *[]byte) { bufPool.Put(b) }
-
-func appendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
-func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-
-func appendBytes32(dst, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-func appendString16(dst []byte, s string) []byte {
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func appendFloats(dst []byte, xs []float64) []byte {
-	for _, x := range xs {
-		dst = appendU64(dst, math.Float64bits(x))
-	}
-	return dst
-}
-
-func appendVecs(dst []byte, vs []data.Vec3) []byte {
-	for _, v := range vs {
-		dst = appendU64(dst, math.Float64bits(v[0]))
-		dst = appendU64(dst, math.Float64bits(v[1]))
-		dst = appendU64(dst, math.Float64bits(v[2]))
-	}
-	return dst
-}
-
-// reader walks a received frame.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("kernel: truncated frame reading %s at offset %d/%d", what, r.off, len(r.b))
-	}
-}
-
-func (r *reader) u8(what string) byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16(what string) uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) bytes32(what string) []byte {
-	n := int(r.u32(what))
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail(what)
-		return nil
-	}
-	v := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *reader) string16(what string) string {
-	n := int(r.u16(what))
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail(what)
-		return ""
-	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
-	return v
-}
-
-func (r *reader) floats(n int, what string) []float64 {
-	if r.err != nil || r.off+8*n > len(r.b) {
-		r.fail(what)
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
-	}
-	return out
-}
-
-func (r *reader) vecs(n int, what string) []data.Vec3 {
-	if r.err != nil || r.off+24*n > len(r.b) {
-		r.fail(what)
-		return nil
-	}
-	out := make([]data.Vec3, n)
-	for i := range out {
-		out[i][0] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-		out[i][1] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+8:]))
-		out[i][2] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+16:]))
-		r.off += 24
-	}
-	return out
-}
-
 // AppendRequest marshals req into dst and returns the extended slice.
 func AppendRequest(dst []byte, req *Request) []byte {
 	dst = append(dst, tagRequest)
-	dst = appendU64(dst, req.ID)
-	dst = appendU64(dst, uint64(req.Worker))
-	dst = appendU64(dst, uint64(req.SentAt))
-	dst = appendString16(dst, req.Method)
-	return appendBytes32(dst, req.Args)
+	dst = wire.AppendU64(dst, req.ID)
+	dst = wire.AppendU64(dst, uint64(req.Worker))
+	dst = wire.AppendU64(dst, uint64(req.SentAt))
+	dst = wire.AppendString16(dst, req.Method)
+	return wire.AppendBytes32(dst, req.Args)
 }
 
 // UnmarshalRequest parses a frame produced by AppendRequest. req.Args
 // aliases b.
 func UnmarshalRequest(b []byte, req *Request) error {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagRequest {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagRequest {
 		return fmt.Errorf("kernel: not a request frame (tag 0x%02x)", tag)
 	}
-	req.ID = r.u64("id")
-	req.Worker = int(r.u64("worker"))
-	req.SentAt = time.Duration(r.u64("sentAt"))
-	req.Method = r.string16("method")
-	req.Args = r.bytes32("args")
-	return r.err
+	req.ID = r.U64("id")
+	req.Worker = int(r.U64("worker"))
+	req.SentAt = time.Duration(r.U64("sentAt"))
+	req.Method = r.String16("method")
+	req.Args = r.Bytes32("args")
+	return r.Err
 }
 
 // AppendResponse marshals resp into dst and returns the extended slice.
 func AppendResponse(dst []byte, resp *Response) []byte {
 	dst = append(dst, tagResponse)
-	dst = appendU64(dst, resp.ID)
+	dst = wire.AppendU64(dst, resp.ID)
 	dst = append(dst, byte(resp.Code))
-	dst = appendU64(dst, uint64(resp.DoneAt))
-	dst = appendString16(dst, resp.Err)
-	return appendBytes32(dst, resp.Result)
+	dst = wire.AppendU64(dst, uint64(resp.DoneAt))
+	dst = wire.AppendString16(dst, resp.Err)
+	return wire.AppendBytes32(dst, resp.Result)
 }
 
 // UnmarshalResponse parses a frame produced by AppendResponse. resp.Result
 // aliases b.
 func UnmarshalResponse(b []byte, resp *Response) error {
-	r := reader{b: b}
-	if tag := r.u8("tag"); r.err == nil && tag != tagResponse {
+	r := wire.Reader{B: b}
+	if tag := r.U8("tag"); r.Err == nil && tag != tagResponse {
 		return fmt.Errorf("kernel: not a response frame (tag 0x%02x)", tag)
 	}
-	resp.ID = r.u64("id")
-	resp.Code = Code(r.u8("code"))
-	resp.DoneAt = time.Duration(r.u64("doneAt"))
-	resp.Err = r.string16("err")
-	resp.Result = r.bytes32("result")
-	return r.err
+	resp.ID = r.U64("id")
+	resp.Code = Code(r.U8("code"))
+	resp.DoneAt = time.Duration(r.U64("doneAt"))
+	resp.Err = r.String16("err")
+	resp.Result = r.Bytes32("result")
+	return r.Err
 }

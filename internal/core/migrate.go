@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"jungle/internal/core/kernel"
 	"jungle/internal/trace"
 )
 
@@ -172,7 +173,7 @@ func (m *modelProxy) rebuildEndpoint(ctx context.Context, reason, target string,
 		return fmt.Errorf("%w: %s restore on %s: %w", ErrMigration, reason, target, err)
 	}
 	if state != nil && stateSeq > snapSeq {
-		if err := m.replay("set_particles", encode(*state)); err != nil {
+		if err := m.replay("set_particles", kernel.Encode(*state)); err != nil {
 			return fmt.Errorf("%w: %s state overlay on %s: %w", ErrMigration, reason, target, err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"jungle/internal/mpisim"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // The worker side of the direct data plane. Each ibis worker's proxy owns
@@ -423,7 +424,7 @@ func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc serv
 		return &response{ID: req.ID, Code: code, Err: err.Error(), DoneAt: arrival}
 	}
 	var a kernel.GangInitArgs
-	if err := decode(req.Args, &a); err != nil {
+	if err := kernel.Decode(req.Args, &a); err != nil {
 		return fail(kernel.CodeWorkerFault, err)
 	}
 	sh, ok := svc.(kernel.Shardable)
@@ -502,23 +503,20 @@ func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vn
 	}
 	switch req.Method {
 	case kernel.MethodOfferState:
-		// Decode into the tuned superset: gob matches fields by name, so a
-		// legacy OfferStateArgs payload fills the first three fields and
-		// leaves the knobs zero.
-		var a kernel.OfferStateTuned
-		if err := decode(req.Args, &a); err != nil {
+		var a kernel.OfferStateArgs
+		if err := kernel.Decode(req.Args, &a); err != nil {
 			return fail(kernel.CodeWorkerFault, err)
 		}
 		return p.offer(req.ID, &a, arrival, loop)
 	case kernel.MethodAcceptState:
 		var a kernel.AcceptStateArgs
-		if err := decode(req.Args, &a); err != nil {
+		if err := kernel.Decode(req.Args, &a); err != nil {
 			return fail(kernel.CodeWorkerFault, err)
 		}
 		return p.accept(req.ID, &a, arrival, loop)
 	case kernel.MethodOfferCheckpoint:
-		var a kernel.OfferCheckpointTuned
-		if err := decode(req.Args, &a); err != nil {
+		var a kernel.OfferCheckpointArgs
+		if err := kernel.Decode(req.Args, &a); err != nil {
 			return fail(kernel.CodeWorkerFault, err)
 		}
 		return p.offerCheckpoint(req.ID, &a, arrival, loop)
@@ -531,11 +529,11 @@ func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vn
 // proxy's loopback connection. The relay loop is single-threaded, so the
 // loopback never has more than one call in flight.
 func loopCall(loop *vnet.Conn, id uint64, method string, args []byte, at time.Duration) (*response, error) {
-	buf := kernel.GetBuf()
+	buf := wire.GetBuf()
 	frame := kernel.AppendRequest(*buf, &request{ID: id, Method: method, Args: args, SentAt: at})
 	_, err := loop.Send(frame, at)
 	*buf = frame[:0]
-	kernel.PutBuf(buf)
+	wire.PutBuf(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -555,15 +553,15 @@ func loopCall(loop *vnet.Conn, id uint64, method string, args []byte, at time.Du
 // the peer, waiting for the receipt ack. Any failure on the peer path is
 // a transport fault — the coupler uses the classification to fall back to
 // its hairpin.
-func (p *peerPlane) offer(reqID uint64, a *kernel.OfferStateTuned, arrival time.Duration, loop *vnet.Conn) *response {
+func (p *peerPlane) offer(reqID uint64, a *kernel.OfferStateArgs, arrival time.Duration, loop *vnet.Conn) *response {
 	fail := func(code kernel.Code, err error) *response {
 		return &response{ID: reqID, Code: code, Err: err.Error(), DoneAt: arrival}
 	}
-	stBuf := kernel.GetBuf()
+	stBuf := wire.GetBuf()
 	stArgs := kernel.AppendStateRequest(*stBuf, &kernel.StateRequest{Attrs: a.Attrs})
 	got, err := loopCall(loop, reqID, "get_state", stArgs, arrival)
 	*stBuf = stArgs[:0]
-	kernel.PutBuf(stBuf)
+	wire.PutBuf(stBuf)
 	if err != nil {
 		return fail(kernel.CodeTransport, fmt.Errorf("core: offer %d: read state: %w", a.ID, err))
 	}
@@ -584,7 +582,7 @@ func (p *peerPlane) offer(reqID uint64, a *kernel.OfferStateTuned, arrival time.
 	// a build without it (the coupler treats no report as single-stream).
 	var result []byte
 	if a.Stripes > 1 || a.Codec != kernel.CodecRaw {
-		result = encode(report)
+		result = kernel.Encode(report)
 	}
 	return &response{ID: reqID, Result: result, DoneAt: ackAt}
 }
@@ -738,7 +736,7 @@ func (p *peerPlane) streamToPeer(peer string, id uint64, payload []byte, at time
 // streams the frame to the checkpoint store's peer listener. Any failure
 // on the peer path is a transport fault — the coupler falls back to
 // pulling the snapshot over the RPC plane.
-func (p *peerPlane) offerCheckpoint(reqID uint64, a *kernel.OfferCheckpointTuned, arrival time.Duration, loop *vnet.Conn) *response {
+func (p *peerPlane) offerCheckpoint(reqID uint64, a *kernel.OfferCheckpointArgs, arrival time.Duration, loop *vnet.Conn) *response {
 	fail := func(code kernel.Code, err error) *response {
 		return &response{ID: reqID, Code: code, Err: err.Error(), DoneAt: arrival}
 	}
@@ -784,7 +782,7 @@ func (p *peerPlane) offerCheckpoint(reqID uint64, a *kernel.OfferCheckpointTuned
 	// for striping or compression, keeping default streams byte-equal.
 	var result []byte
 	if a.Stripes > 1 || a.Codec != kernel.CodecRaw {
-		result = encode(report)
+		result = kernel.Encode(report)
 	}
 	return &response{ID: reqID, Result: result, DoneAt: ackAt}
 }

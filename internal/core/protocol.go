@@ -105,7 +105,7 @@ type SessionHeartbeatReply struct{ State string }
 
 // SessionRunArgs submits one unit of work to a session. Payload is opaque
 // to the protocol — the control plane's configured run handler interprets
-// it (jungled: a gob-encoded experiment workload).
+// it (jungled: a gob-encoded experiment workload, which crosses real TCP).
 type SessionRunArgs struct {
 	Session string
 	Payload []byte
@@ -156,12 +156,9 @@ const (
 )
 
 // request/response are the RPC frames moved by every channel; the framing
-// codec is hand-rolled in the kernel package (no per-call gob encoders on
-// the hot path).
+// and the typed payloads inside it are both internal/wire layouts (no
+// per-call encoder state anywhere on the path).
 type (
 	request  = kernel.Request
 	response = kernel.Response
 )
-
-func encode(v any) []byte          { return kernel.Encode(v) }
-func decode(b []byte, v any) error { return kernel.Decode(b, v) }

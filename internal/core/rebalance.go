@@ -261,7 +261,7 @@ func (m *modelProxy) measureRankLoads() ([]kernel.RankLoadResult, error) {
 		rank := rank
 		req := request{
 			ID: reqIDs.Add(1), Method: kernel.MethodRankLoad,
-			Args: encode(kernel.Empty{}), SentAt: s.clock.Now(),
+			Args: kernel.Encode(kernel.Empty{}), SentAt: s.clock.Now(),
 		}
 		gch.startRank(rank, req, func(resp response, arrival time.Duration, err error) {
 			if err == nil {
@@ -269,7 +269,7 @@ func (m *modelProxy) measureRankLoads() ([]kernel.RankLoadResult, error) {
 				if werr := kernel.ResponseError(&resp); werr != nil {
 					err = werr
 				} else {
-					err = decode(resp.Result, &loads[rank])
+					err = kernel.Decode(resp.Result, &loads[rank])
 				}
 			}
 			errs[rank] = err

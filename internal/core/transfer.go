@@ -12,6 +12,7 @@ import (
 	"jungle/internal/phys/bridge"
 	"jungle/internal/smartsockets"
 	"jungle/internal/trace"
+	"jungle/internal/wire"
 )
 
 // Third-party state transfer: the coupler orchestrates ("send your columns
@@ -148,15 +149,8 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	// a failed op falls back to the hairpin instead (which replays on the
 	// replacement as usual).
 	accept := dst.goNoReplace(kernel.MethodAcceptState, kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot})
-	// With the knobs off the offer carries the legacy args shape, keeping a
-	// default session's RPC bytes identical to a build without the
-	// bandwidth-aware plane (gob transmits field names).
-	var offerArgs any = kernel.OfferStateArgs{ID: id, Attrs: attrs, Peer: dstPeer.String()}
-	if stripes > 1 || codec != kernel.CodecRaw {
-		offerArgs = kernel.OfferStateTuned{
-			ID: id, Attrs: attrs, Peer: dstPeer.String(), Stripes: stripes, Codec: codec}
-	}
-	offer := src.goNoReplace(kernel.MethodOfferState, offerArgs)
+	offer := src.goNoReplace(kernel.MethodOfferState, kernel.OfferStateArgs{
+		ID: id, Attrs: attrs, Peer: dstPeer.String(), Stripes: stripes, Codec: codec})
 	go func() {
 		err := offer.Wait(s.ctx)
 		if err != nil {
@@ -271,7 +265,7 @@ func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slo
 // columns it relays).
 func (m *modelProxy) getStateRaw(ctx context.Context, attrs []string) ([]byte, error) {
 	var raw []byte
-	buf := kernel.GetBuf()
+	buf := wire.GetBuf()
 	args := kernel.AppendStateRequest(*buf, &kernel.StateRequest{Attrs: attrs})
 	c := m.goPooled("get_state", args, buf, func(b []byte) error {
 		raw = append([]byte(nil), b...)
@@ -288,7 +282,7 @@ func (m *modelProxy) getStateRaw(ctx context.Context, attrs []string) ([]byte, e
 func (m *modelProxy) goNoReplace(method string, args any) *Call {
 	c := newCall(m.kind, method, nil)
 	c.seq = m.seq.Add(1)
-	m.startCall(c, method, encode(args), false)
+	m.startCall(c, method, kernel.Encode(args), false)
 	return c
 }
 

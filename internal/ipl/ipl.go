@@ -14,11 +14,11 @@
 package ipl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
+
+	"jungle/internal/wire"
 )
 
 // Errors returned by the package.
@@ -114,7 +114,8 @@ func (t PortType) String() string {
 	}
 }
 
-// regMsg is the registry wire protocol.
+// regMsg is the registry wire protocol, in internal/wire's positional
+// struct codec.
 type regMsg struct {
 	Kind     byte
 	Event    byte // EventKind for rEvent messages
@@ -134,17 +135,11 @@ const (
 	rElectRes             // registry -> member
 )
 
-func encodeReg(m *regMsg) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic(fmt.Sprintf("ipl: encode registry message: %v", err)) // all fields are gob-safe
-	}
-	return buf.Bytes()
-}
+func encodeReg(m *regMsg) []byte { return wire.Marshal(m) }
 
 func decodeReg(data []byte) (*regMsg, error) {
 	m := new(regMsg)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(m); err != nil {
+	if err := wire.Unmarshal(data, m); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -157,17 +152,11 @@ type dataHeader struct {
 	From     Identifier
 }
 
-func encodeHeader(h *dataHeader) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		panic(fmt.Sprintf("ipl: encode data header: %v", err))
-	}
-	return buf.Bytes()
-}
+func encodeHeader(h *dataHeader) []byte { return wire.Marshal(h) }
 
 func decodeHeader(data []byte) (*dataHeader, error) {
 	h := new(dataHeader)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(h); err != nil {
+	if err := wire.Unmarshal(data, h); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -229,17 +229,13 @@ func TestSendReceiveUpcall(t *testing.T) {
 	if err := sp.Connect(b.Identifier(), "up", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.WriteValue("hello upcall", 0); err != nil {
+	if err := sp.Write([]byte("hello upcall"), 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-got:
-		var s string
-		if err := m.Decode(&s); err != nil {
-			t.Fatal(err)
-		}
-		if s != "hello upcall" {
-			t.Fatalf("decoded %q", s)
+		if s := string(m.Data); s != "hello upcall" {
+			t.Fatalf("received %q", s)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("upcall never fired")
@@ -260,7 +256,7 @@ func TestManyToOne(t *testing.T) {
 		if err := sp.Connect(recv.Identifier(), "funnel", 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.WriteValue(i, 0); err != nil {
+		if err := sp.Write([]byte{byte(i)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,11 +266,10 @@ func TestManyToOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v int
-		if err := m.Decode(&v); err != nil {
-			t.Fatal(err)
+		if len(m.Data) != 1 {
+			t.Fatalf("received %d bytes, want 1", len(m.Data))
 		}
-		seen[v] = true
+		seen[int(m.Data[0])] = true
 	}
 	if !seen[0] || !seen[1] {
 		t.Fatalf("seen %v", seen)
@@ -408,19 +403,15 @@ func TestMalleabilityJoinLater(t *testing.T) {
 		if err := sp.Connect(a.Identifier(), "in", 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.WriteValue(i, 0); err != nil {
+		if err := sp.Write([]byte{byte(i)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		m, err := rp.Receive()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v int
-		if err := m.Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-		if v != i {
-			t.Fatalf("late joiner %d delivered %d", i, v)
+		if len(m.Data) != 1 || int(m.Data[0]) != i {
+			t.Fatalf("late joiner %d delivered %v", i, m.Data)
 		}
 	}
 }
@@ -462,5 +453,76 @@ func TestPeerListenAndDial(t *testing.T) {
 	}
 	if msg.Arrival <= time.Second {
 		t.Fatalf("arrival %v not after virtual send time", msg.Arrival)
+	}
+}
+
+// TestJoinLeaveHammer: many members join and leave one pool at once while
+// a resident member watches. A joiner becomes visible to other members'
+// broadcasts the moment the registry lists it, so its join ack has to be
+// on its connection before that moment: an event overtaking the ack used
+// to fail Create with "ipl: bad join ack" about one run in ten under
+// concurrent worker starts.
+func TestJoinLeaveHammer(t *testing.T) {
+	const joiners, rounds = 32, 3
+	tp := newTestPool(t, joiners+1)
+	resident, err := Create(tp.net, Config{
+		Pool: "amuse", Host: tp.hosts[0], BasePort: 20000, HubHost: tp.hub,
+		Registry: tp.registry.Addr(), EventBuffer: 4 * joiners * rounds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(resident.End)
+
+	var wg sync.WaitGroup
+	for i := 1; i <= joiners; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ib, err := Create(tp.net, Config{
+					Pool: "amuse", Host: tp.hosts[i], BasePort: 20000,
+					HubHost: tp.hub, Registry: tp.registry.Addr(),
+				})
+				if err != nil {
+					t.Errorf("joiner %d round %d: %v", i, r, err)
+					return
+				}
+				if len(ib.Members()) == 0 {
+					t.Errorf("joiner %d round %d: empty join snapshot", i, r)
+				}
+				ib.End()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Every join and every leave reaches the resident, and its view of the
+	// pool converges on itself alone.
+	joined, left := 0, 0
+	deadline := time.After(10 * time.Second)
+	for joined < joiners*rounds || left < joiners*rounds {
+		select {
+		case ev := <-resident.Events():
+			switch ev.Kind {
+			case Joined:
+				joined++
+			case Left:
+				left++
+			case Died:
+				t.Fatalf("member %v reported dead: it left gracefully", ev.Member)
+			}
+		case <-deadline:
+			t.Fatalf("resident saw %d joins and %d leaves, want %d of each", joined, left, joiners*rounds)
+		}
+	}
+	if m := resident.Members(); len(m) != 1 || m[0] != resident.Identifier() {
+		t.Fatalf("resident's pool view after the storm: %v", m)
+	}
+	if m := tp.registry.Members("amuse"); len(m) != 1 {
+		t.Fatalf("registry's pool after the storm: %v", m)
 	}
 }

@@ -1,8 +1,6 @@
 package ipl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -49,11 +47,6 @@ type ReadMessage struct {
 	From    Identifier
 	Data    []byte
 	Arrival time.Duration
-}
-
-// Decode gob-decodes the payload into v.
-func (m ReadMessage) Decode(v any) error {
-	return gob.NewDecoder(bytes.NewReader(m.Data)).Decode(v)
 }
 
 // CreateSendPort creates a named send port.
@@ -121,15 +114,6 @@ func (sp *SendPort) Write(data []byte, sentAt time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// WriteValue gob-encodes v and sends it.
-func (sp *SendPort) WriteValue(v any, sentAt time.Duration) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return err
-	}
-	return sp.Write(buf.Bytes(), sentAt)
 }
 
 // Close disconnects the send port.

@@ -155,10 +155,13 @@ func (r *Registry) serve(conn *smartsockets.VirtualConn) {
 			snapshot = append(snapshot, mm.id)
 		}
 	}
+	// The ack is queued while the lock is still held: once it is released
+	// a concurrent broadcast can list this member, and an event overtaking
+	// the ack on the new conn would fail the joiner's Create. Send only
+	// enqueues, so nothing blocks under the lock.
+	err = conn.Send(encodeReg(&regMsg{Kind: rJoinAck, Member: id, Members: snapshot}), msg.Arrival)
 	r.mu.Unlock()
-
-	ack := encodeReg(&regMsg{Kind: rJoinAck, Member: id, Members: snapshot})
-	if err := conn.Send(ack, msg.Arrival); err != nil {
+	if err != nil {
 		r.drop(id, true)
 		return
 	}

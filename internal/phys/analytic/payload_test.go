@@ -1,0 +1,16 @@
+package analytic
+
+import (
+	"testing"
+
+	"jungle/internal/wiretest"
+)
+
+// The kind-private payloads this package sends through kernel.Encode (setup
+// and method args, the snapshot's Extra blob) keep the wire properties
+// every payload must have.
+func TestPayloadsOnTheWire(t *testing.T) {
+	for _, zero := range []any{SetupArgs{}} {
+		wiretest.Check(t, zero)
+	}
+}

@@ -117,10 +117,8 @@ func (e *routedEnd) send(data []byte, sentAt time.Duration) error {
 		return vnet.ErrClosed
 	}
 	e.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	return sendFrame(e.factory.hubConn, &frame{
-		Kind: kCircuitData, Circuit: e.key, Payload: cp, SentAt: sentAt,
+		Kind: kCircuitData, Circuit: e.key, Payload: data, sentAt: sentAt,
 	})
 }
 

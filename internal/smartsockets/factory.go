@@ -209,7 +209,7 @@ func (f *Factory) hubReadLoop() {
 			end := f.circuits[fr.Circuit]
 			f.mu.Unlock()
 			if end != nil {
-				end.push(vnet.Message{Data: fr.Payload, Arrival: fr.SentAt})
+				end.push(vnet.Message{Data: fr.Payload, Arrival: fr.sentAt})
 			}
 		case kCircuitClose:
 			f.mu.Lock()
@@ -260,7 +260,7 @@ func (f *Factory) handleReverseReq(fr *frame) {
 	f.mu.Unlock()
 	nak := &frame{
 		Kind: kCircuitNak, Src: fr.Src, Dst: fr.Dst, ReqID: fr.ReqID,
-		Path: fr.Path, SentAt: fr.SentAt + hubProcessing,
+		Path: fr.Path, sentAt: fr.sentAt + hubProcessing,
 	}
 	if l == nil {
 		sendFrame(f.hubConn, nak)
@@ -273,12 +273,12 @@ func (f *Factory) handleReverseReq(fr *frame) {
 		return
 	}
 	conn.SetClass("hub") // control plane until the application re-tags it
-	ok := &frame{Kind: kDialbackOK, ReqID: fr.ReqID, SentAt: fr.SentAt + hubProcessing}
+	ok := &frame{Kind: kDialbackOK, ReqID: fr.ReqID, sentAt: fr.sentAt + hubProcessing}
 	if err := sendFrame(conn, ok); err != nil {
 		conn.Close()
 		return
 	}
-	vc := &VirtualConn{typ: Reverse, raw: conn, remote: fr.Src, established: ok.SentAt}
+	vc := &VirtualConn{typ: Reverse, raw: conn, remote: fr.Src, established: ok.sentAt}
 	if !l.push(vc) {
 		conn.Close()
 	}
@@ -300,11 +300,11 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	}
 	reply := &frame{
 		Kind: kind, Src: fr.Src, Dst: fr.Dst, Circuit: fr.Circuit,
-		Path: fr.Path, Route: fr.Path, SentAt: fr.SentAt + hubProcessing,
+		Path: fr.Path, Route: fr.Path, sentAt: fr.sentAt + hubProcessing,
 	}
 	sendFrame(f.hubConn, reply)
 	if end != nil {
-		vc := &VirtualConn{typ: Routed, end: end, remote: fr.Src, established: fr.SentAt, route: fr.Path}
+		vc := &VirtualConn{typ: Routed, end: end, remote: fr.Src, established: fr.sentAt, route: fr.Path}
 		if !l.push(vc) {
 			end.close()
 		}
@@ -388,7 +388,7 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 
 	req := &frame{
 		Kind: kReverseReq, Src: f.Addr(), Dst: target,
-		ReqID: id, ReplyPort: replyPort, SentAt: sentAt,
+		ReqID: id, ReplyPort: replyPort, sentAt: sentAt,
 	}
 	if err := sendFrame(f.hubConn, req); err != nil {
 		return nil, err
@@ -406,7 +406,7 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 			conn.Close()
 			return
 		}
-		accepted <- revResult{conn: conn, established: fr.SentAt}
+		accepted <- revResult{conn: conn, established: fr.sentAt}
 	}()
 
 	select {
@@ -432,7 +432,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration, class stri
 	f.circuits[key] = end
 	f.mu.Unlock()
 
-	open := &frame{Kind: kCircuitOpen, Src: f.Addr(), Dst: target, Circuit: key, SentAt: sentAt, Class: class}
+	open := &frame{Kind: kCircuitOpen, Src: f.Addr(), Dst: target, Circuit: key, sentAt: sentAt, Class: class}
 	if err := sendFrame(f.hubConn, open); err != nil {
 		f.dropCircuit(key)
 		return nil, err

@@ -22,6 +22,7 @@ type Hub struct {
 	conns      map[string]*vnet.Conn // identity -> primary conn ("h:<host>" or "c#<n>")
 	allConns   []*vnet.Conn          // every conn with a readLoop, incl. non-primary duplicates
 	edges      map[string]EdgeType   // peer hub host -> edge type
+	dialed     map[string]bool       // peer hub hosts this hub has dialed itself
 	known      map[string]bool       // gossiped hub hosts
 	clients    map[Address]string    // registered service address -> client identity
 	hosts      map[string]bool       // hosts with at least one registered client
@@ -45,7 +46,7 @@ type circuit struct {
 // uncorrelated with modelled link latency, so first-arrival selection
 // could relay bulk data over a transatlantic detour two sites never
 // needed. The hub lets the copies settle briefly and delivers the
-// earliest-SentAt one.
+// earliest-arriving one.
 type pendingOpen struct {
 	dstID string
 	best  frame
@@ -75,6 +76,7 @@ func NewHub(network *vnet.Network, host string) (*Hub, error) {
 		net:      network,
 		conns:    make(map[string]*vnet.Conn),
 		edges:    make(map[string]EdgeType),
+		dialed:   make(map[string]bool),
 		known:    map[string]bool{host: true},
 		clients:  make(map[Address]string),
 		hosts:    make(map[string]bool),
@@ -120,9 +122,12 @@ func (h *Hub) Stop() {
 // ConnectTo attempts to establish an overlay link to a peer hub: first a
 // direct dial to the hub port, then an SSH tunnel via the peer's front-end
 // sshd. If neither works the peer may still connect to us (a one-way link).
+// A link the peer dialed does not stand in for our own attempt: both
+// directions are always tried, so the edge types the overlay reports do not
+// depend on whether the peer's hello was processed before this call.
 func (h *Hub) ConnectTo(peerHost string) error {
 	h.mu.Lock()
-	if _, ok := h.conns["h:"+peerHost]; ok || peerHost == h.host {
+	if h.dialed[peerHost] || peerHost == h.host {
 		h.mu.Unlock()
 		return nil
 	}
@@ -149,6 +154,9 @@ func (h *Hub) ConnectTo(peerHost string) error {
 		conn.Close()
 		return err
 	}
+	h.mu.Lock()
+	h.dialed[peerHost] = true
+	h.mu.Unlock()
 	h.addPeer(peerHost, conn, edge)
 	return nil
 }
@@ -267,7 +275,7 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		h.clients[Address{f.Host, f.Port}] = id
 		h.hosts[f.Host] = true
 		h.mu.Unlock()
-		sendFrame(conn, &frame{Kind: kRegisterAck, Host: f.Host, Port: f.Port, SentAt: f.SentAt + hubProcessing})
+		sendFrame(conn, &frame{Kind: kRegisterAck, Host: f.Host, Port: f.Port, sentAt: f.sentAt + hubProcessing})
 		h.wg.Add(1)
 		go h.readLoop(id, conn, true)
 	default:
@@ -312,7 +320,16 @@ func (h *Hub) mergeHubs(hubs []string) {
 func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 	defer h.wg.Done()
 	for {
-		f, err := recvFrame(conn)
+		msg, err := conn.Recv()
+		if err != nil {
+			h.dropConn(id, conn, primary)
+			return
+		}
+		if kind, circuit, ok := circuitOf(msg.Data); ok && kind == kCircuitData {
+			h.relayData(id, circuit, msg)
+			continue
+		}
+		f, err := decodeFrame(msg)
 		if err != nil {
 			h.dropConn(id, conn, primary)
 			return
@@ -346,7 +363,7 @@ func (h *Hub) handleFrame(origin string, f *frame) {
 		h.clients[Address{f.Host, f.Port}] = origin
 		h.hosts[f.Host] = true
 		h.mu.Unlock()
-		h.sendTo(origin, &frame{Kind: kRegisterAck, Host: f.Host, Port: f.Port, SentAt: f.SentAt + hubProcessing})
+		h.sendTo(origin, &frame{Kind: kRegisterAck, Host: f.Host, Port: f.Port, sentAt: f.sentAt + hubProcessing})
 	case kUnregister:
 		h.mu.Lock()
 		if h.clients[Address{f.Host, f.Port}] == origin {
@@ -357,8 +374,8 @@ func (h *Hub) handleFrame(origin string, f *frame) {
 		h.handleFlood(origin, f)
 	case kCircuitAck, kCircuitNak:
 		h.handleBacktrack(origin, f)
-	case kCircuitData, kCircuitClose:
-		h.relayCircuit(origin, f)
+	case kCircuitClose:
+		h.relayClose(origin, f)
 	}
 }
 
@@ -384,7 +401,7 @@ func (h *Hub) handleFlood(origin string, f *frame) {
 	path := append(append([]string(nil), f.Path...), h.host)
 	fwd := *f
 	fwd.Path = path
-	fwd.SentAt = f.SentAt + hubProcessing
+	fwd.sentAt = f.sentAt + hubProcessing
 	if f.Class != "" {
 		// Class-tagged opens are routed by bandwidth: fold the bandwidth
 		// of the hop this frame just crossed into the bottleneck estimate.
@@ -420,7 +437,7 @@ func (h *Hub) handleFlood(origin string, f *frame) {
 		// registered: refuse so the caller can fail fast.
 		h.handleBacktrack(origin, &frame{
 			Kind: kCircuitNak, Src: f.Src, Dst: f.Dst, Circuit: f.Circuit,
-			ReqID: f.ReqID, Path: path, SentAt: fwd.SentAt,
+			ReqID: f.ReqID, Path: path, sentAt: fwd.sentAt,
 		})
 		return
 	}
@@ -458,7 +475,7 @@ func (h *Hub) linkLatency(cid string) time.Duration {
 }
 
 // collectOpen records one flooded copy of a circuit open addressed to a
-// local client, keeping the copy with the earliest virtual SentAt. The
+// local client, keeping the copy with the earliest virtual arrival. The
 // first copy arms a short real-time settle timer; when it fires the best
 // copy — the lowest-virtual-latency hub path — is delivered.
 func (h *Hub) collectOpen(dstID string, fwd *frame) {
@@ -507,7 +524,7 @@ func betterOpen(cur, cand *frame) bool {
 	if cand.Class == "bulk" && cand.MinBW != cur.MinBW {
 		return cand.MinBW > cur.MinBW
 	}
-	return cand.SentAt < cur.SentAt
+	return cand.sentAt < cur.sentAt
 }
 
 // handleBacktrack walks an ack or nak backwards along the recorded path,
@@ -518,7 +535,7 @@ func (h *Hub) handleBacktrack(origin string, f *frame) {
 	}
 	back := *f
 	back.Path = f.Path[:len(f.Path)-1]
-	back.SentAt = f.SentAt + hubProcessing
+	back.sentAt = f.sentAt + hubProcessing
 
 	var nextID string
 	if len(back.Path) == 0 {
@@ -539,24 +556,43 @@ func (h *Hub) handleBacktrack(origin string, f *frame) {
 	h.sendTo(nextID, &back)
 }
 
-// relayCircuit forwards data/close frames along an established circuit.
-func (h *Hub) relayCircuit(origin string, f *frame) {
+// next returns the neighbor a circuit frame arriving from origin is
+// forwarded to.
+func (c *circuit) next(origin string) string {
+	if origin == c.aID {
+		return c.bID
+	}
+	return c.aID
+}
+
+// relayData forwards one circuit data message along an established
+// circuit as it came: the hub reads the circuit key and never rebuilds the
+// frame around the payload.
+func (h *Hub) relayData(origin string, circuit []byte, msg vnet.Message) {
+	h.mu.Lock()
+	c := h.circuits[string(circuit)]
+	var conn *vnet.Conn
+	if c != nil {
+		conn = h.conns[c.next(origin)]
+	}
+	h.mu.Unlock()
+	if conn != nil {
+		conn.Send(msg.Data, msg.Arrival+hubProcessing) // best effort, as sendTo
+	}
+}
+
+// relayClose forwards a close frame along a circuit, dismantling it.
+func (h *Hub) relayClose(origin string, f *frame) {
 	h.mu.Lock()
 	c := h.circuits[f.Circuit]
-	if c != nil && f.Kind == kCircuitClose {
-		delete(h.circuits, f.Circuit)
-	}
+	delete(h.circuits, f.Circuit)
 	h.mu.Unlock()
 	if c == nil {
 		return
 	}
-	next := c.aID
-	if origin == c.aID {
-		next = c.bID
-	}
 	fwd := *f
-	fwd.SentAt = f.SentAt + hubProcessing
-	h.sendTo(next, &fwd)
+	fwd.sentAt = f.sentAt + hubProcessing
+	h.sendTo(c.next(origin), &fwd)
 }
 
 func (h *Hub) sendTo(id string, f *frame) {

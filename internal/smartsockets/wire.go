@@ -1,17 +1,21 @@
 package smartsockets
 
 import (
-	"bytes"
-	"encoding/gob"
 	"time"
 
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // frame is the single wire format used on hub-hub and client-hub
-// connections. Kind selects which fields are meaningful.
+// connections, in internal/wire's positional struct codec. Kind selects
+// which fields are meaningful; unused fields cross as one zero byte each.
+// Kind and Circuit lead so that a hub relaying circuit data reads those two
+// and forwards the message as it came (see circuitOf).
 type frame struct {
-	Kind byte
+	Kind    byte
+	Circuit string
+	Payload []byte
 
 	// Hub protocol.
 	Hub  string   // sender hub (hello/gossip)
@@ -24,9 +28,7 @@ type frame struct {
 	// Overlay routing (flooded frames carry the path of hubs visited; acks
 	// and closes follow the recorded path backwards).
 	Src, Dst Address
-	Circuit  string
 	Path     []string
-	Payload  []byte
 	// Route is the full hub path of an established circuit, copied into
 	// the kCircuitAck by the accepting factory. Unlike Path it is not
 	// consumed by the backtrack, so the dialer learns which hubs relay
@@ -41,14 +43,15 @@ type frame struct {
 	// by lowest virtual latency). Bulk-class opens are routed by bottleneck
 	// bandwidth instead: each hub folds the bandwidth of the hop the frame
 	// just crossed into MinBW, and the destination hub picks the copy with
-	// the widest bottleneck. Both fields are zero on default-class frames,
-	// so gob's zero-field omission keeps the wire bytes unchanged.
+	// the widest bottleneck.
 	Class string
 	MinBW float64
 
-	// Virtual clock of the sender when the frame was emitted; relays
-	// re-stamp with their arrival time plus processing delay.
-	SentAt time.Duration
+	// sentAt is the virtual clock of the sender when the frame is emitted
+	// and, on a received frame, its virtual arrival time; relays re-stamp
+	// with arrival plus processing delay. It is the send time handed to
+	// vnet, not a wire field (the codec skips unexported fields).
+	sentAt time.Duration
 }
 
 const (
@@ -70,43 +73,41 @@ const (
 // relaying a frame.
 const hubProcessing = 200 * time.Microsecond
 
-func encodeFrame(f *frame) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeFrame(data []byte) (*frame, error) {
-	f := new(frame)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// sendFrame encodes and transmits f over c.
+// sendFrame encodes f into a pooled buffer (vnet copies what it queues)
+// and transmits it over c at f.sentAt.
 func sendFrame(c *vnet.Conn, f *frame) error {
-	data, err := encodeFrame(f)
-	if err != nil {
-		return err
-	}
-	_, err = c.Send(data, f.SentAt)
+	buf := wire.GetBuf()
+	*buf = wire.Append(*buf, f)
+	_, err := c.Send(*buf, f.sentAt)
+	wire.PutBuf(buf)
 	return err
 }
 
-// recvFrame receives and decodes one frame; the frame's SentAt is replaced
-// by its virtual arrival time so handlers can re-stamp relayed copies.
+// decodeFrame decodes one received message; the frame's sentAt is its
+// virtual arrival time so handlers can re-stamp relayed copies. Payload
+// aliases the message.
+func decodeFrame(msg vnet.Message) (*frame, error) {
+	f := new(frame)
+	if err := wire.Unmarshal(msg.Data, f); err != nil {
+		return nil, err
+	}
+	f.sentAt = msg.Arrival
+	return f, nil
+}
+
+// recvFrame receives and decodes one frame.
 func recvFrame(c *vnet.Conn) (*frame, error) {
 	msg, err := c.Recv()
 	if err != nil {
 		return nil, err
 	}
-	f, err := decodeFrame(msg.Data)
-	if err != nil {
-		return nil, err
-	}
-	f.SentAt = msg.Arrival
-	return f, nil
+	return decodeFrame(msg)
+}
+
+// circuitOf reads the two leading fields of an encoded frame: its kind
+// and, aliasing data, its circuit key. ok is false on a malformed head.
+func circuitOf(data []byte) (kind byte, circuit []byte, ok bool) {
+	r := wire.Reader{B: data}
+	kind, circuit = r.U8("kind"), r.Bytes("circuit")
+	return kind, circuit, r.Err == nil
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check gob-check test test-short race cover bench bench-check ci
+.PHONY: all build vet fmt-check doc-check gob-check test test-short race leak-check cover bench bench-check ci
 
 all: ci
 
@@ -54,6 +54,15 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# Buffer-ownership gate (DESIGN.md § Buffer ownership): the tests that pin
+# "Send takes the slice, the transport forgets what it delivered, ports
+# close with their owner" — retention, ownership at every cloning site,
+# goroutine/table leaks and the allocation gates — three times over under
+# the race detector, where a buffer two owners share shows up as a race.
+LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core
+leak-check:
+	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate' $(LEAK_PKGS)
+
 # Coverage gates: internal/trace is the one package every layer records
 # into, and internal/ensemble is the sweep engine whose accounting the
 # campaign reports are trusted on — each holds a >= 90% statement-
@@ -81,7 +90,7 @@ cover:
 # an N-core host, and every committed BENCH_*.json was recorded on one P,
 # so without the pin bench-check finds no common names on a larger host
 # and passes without comparing anything.
-BENCH_OUT ?= BENCH_13.json
+BENCH_OUT ?= BENCH_14.json
 BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 .
 bench:
 	@$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
@@ -102,4 +111,4 @@ bench-check:
 	rm -f bench.out bench-check.json; exit $$st
 
 # Tier-1 gate: everything a PR must keep green, in one command.
-ci: build vet doc-check gob-check test-short race cover
+ci: build vet doc-check gob-check test-short race leak-check cover

@@ -16,7 +16,6 @@ import (
 	"jungle/internal/trace"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
-	"jungle/internal/wire"
 )
 
 // Simulation is the coupler: the Go equivalent of an AMUSE Python script's
@@ -821,6 +820,7 @@ func (m *modelProxy) replace() error {
 	if oldCh != nil {
 		oldCh.close()
 	}
+	m.sim.daemon.StopWorker(oldWorker) // retire the dead worker's handle
 	// Re-select the resource: the failed one may be gone.
 	spec.Resource = ""
 	resource, err := m.sim.place(spec)
@@ -980,29 +980,14 @@ func defaultStateAttrs(attrs []string) []string {
 // goGetState issues a batched columnar read; the hook receives the
 // decoded payload.
 func (m *modelProxy) goGetState(attrs []string, into func(*kernel.StatePayload) error) *Call {
-	buf := wire.GetBuf()
-	args := kernel.AppendStateRequest(*buf, &kernel.StateRequest{Attrs: attrs})
-	return m.goPooled("get_state", args, buf, func(raw []byte) error {
+	args := kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs})
+	return m.goRaw("get_state", args, func(raw []byte) error {
 		st, err := kernel.UnmarshalState(raw)
 		if err != nil {
 			return err
 		}
 		return into(st)
 	})
-}
-
-// goPooled is goRaw for args marshalled into a pooled buffer: the buffer
-// is pinned for the call's whole lifetime (replacement retries re-send
-// the args) and returned to the pool when the call finishes.
-func (m *modelProxy) goPooled(method string, args []byte, buf *[]byte, after func([]byte) error) *Call {
-	c := newCall(m.kind, method, after)
-	c.seq = m.seq.Add(1)
-	c.release = func() {
-		*buf = args[:0]
-		wire.PutBuf(buf)
-	}
-	m.startCall(c, method, args, true)
-	return c
 }
 
 // GetState pulls whole attribute columns from the worker in one round
@@ -1026,19 +1011,12 @@ func (m *modelProxy) GetState(ctx context.Context, attrs ...string) (*kernel.Sta
 // anyone waits on it — an abandoned-but-applied write must still replay
 // onto a replacement worker.
 func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
-	buf := wire.GetBuf()
-	args, err := kernel.AppendState(*buf, st)
+	args, err := kernel.MarshalState(st)
 	if err != nil {
-		*buf = args[:0]
-		wire.PutBuf(buf)
 		return failedCall(m.kind, "set_state", err)
 	}
 	c := newCall(m.kind, "set_state", nil)
 	c.seq = m.seq.Add(1)
-	c.release = func() {
-		*buf = args[:0]
-		wire.PutBuf(buf)
-	}
 	c.success = func([]byte) { m.mergeCachedState(st, c.seq) }
 	m.startCall(c, "set_state", args, true)
 	return c

@@ -49,9 +49,6 @@ type Call struct {
 	// particle set) the first time the outcome is observed.
 	after     func([]byte) error
 	afterOnce sync.Once
-	// release frees resources pinned for the call's lifetime (pooled args
-	// buffers, which must survive replacement retries); runs at finish.
-	release func()
 	// success runs at finish on a successful outcome, even if the call is
 	// never observed — proxy-side bookkeeping (replacement-cache merges)
 	// that must not depend on the caller waiting. It must not block.
@@ -73,9 +70,6 @@ func failedCall(kind Kind, method string, err error) *Call {
 // finish completes the call exactly once.
 func (c *Call) finish(result []byte, err error) {
 	c.finishOnce.Do(func() {
-		if c.release != nil {
-			c.release()
-		}
 		if err == nil && c.success != nil {
 			c.success(result)
 		}

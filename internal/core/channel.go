@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"jungle/internal/core/kernel"
+	"jungle/internal/fifo"
 	"jungle/internal/vnet"
-	"jungle/internal/wire"
 )
 
 // completion receives the outcome of one started call, exactly once: a
@@ -51,12 +51,7 @@ type localChannel struct {
 	svc     service
 	latency time.Duration
 	obs     *chanObs
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []localSubmission
-	closed bool
-
+	queue   fifo.Queue[localSubmission]
 	stopped chan struct{}
 }
 
@@ -70,7 +65,6 @@ const mpiMessageLatency = 5 * time.Microsecond
 
 func newLocalChannel(svc service, obs *chanObs) *localChannel {
 	c := &localChannel{svc: svc, latency: mpiMessageLatency, obs: obs, stopped: make(chan struct{})}
-	c.cond = sync.NewCond(&c.mu)
 	go c.serve()
 	return c
 }
@@ -79,35 +73,22 @@ func (c *localChannel) name() string { return ChannelMPI }
 
 func (c *localChannel) start(req request, done completion) {
 	done = c.obs.observe(req.Method, req.SentAt, done)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.queue.Push(localSubmission{req: req, done: done}) {
 		done(response{}, 0, ErrChannelClosed)
-		return
 	}
-	c.queue = append(c.queue, localSubmission{req: req, done: done})
-	c.cond.Signal()
-	c.mu.Unlock()
 }
 
-// serve is the worker loop: pop one submission, dispatch, deliver.
+// serve is the worker loop: pop one submission, dispatch, deliver. Once
+// the channel is closed, what is still queued fails instead of running.
 func (c *localChannel) serve() {
 	defer close(c.stopped)
 	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.closed {
-			c.mu.Unlock()
+		sub, ok := c.queue.Pop()
+		if !ok {
 			c.svc.Close()
 			return
 		}
-		sub := c.queue[0]
-		c.queue = c.queue[1:]
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
+		if c.queue.Closed() {
 			sub.done(response{}, 0, ErrChannelClosed)
 			continue
 		}
@@ -122,12 +103,7 @@ func (c *localChannel) serve() {
 }
 
 func (c *localChannel) close() error {
-	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	if !already {
+	if c.queue.Close() {
 		// Wait for the serve loop to finish its in-flight dispatch, fail
 		// anything still queued and release the service.
 		<-c.stopped
@@ -216,12 +192,7 @@ func (c *connChannel) start(req request, done completion) {
 	c.pending[req.ID] = done
 	c.mu.Unlock()
 
-	buf := wire.GetBuf()
-	frame := kernel.AppendRequest(*buf, &req)
-	_, sendErr := c.conn.Send(frame, req.SentAt)
-	*buf = frame[:0]
-	wire.PutBuf(buf)
-	if sendErr != nil {
+	if _, sendErr := c.conn.Send(kernel.AppendRequest(nil, &req), req.SentAt); sendErr != nil {
 		// The read loop may have raced us to the pending entry (it fails
 		// everything when the conn dies); only deliver if we still own it.
 		c.mu.Lock()
@@ -273,12 +244,7 @@ func serveConn(conn *vnet.Conn, svc service) {
 			resp.Code = kernel.ClassifyErr(derr)
 			resp.Err = derr.Error()
 		}
-		buf := wire.GetBuf()
-		frame := kernel.AppendResponse(*buf, &resp)
-		_, sendErr := conn.Send(frame, doneAt)
-		*buf = frame[:0]
-		wire.PutBuf(buf)
-		if sendErr != nil {
+		if _, err := conn.Send(kernel.AppendResponse(nil, &resp), doneAt); err != nil {
 			return
 		}
 	}

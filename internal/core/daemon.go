@@ -15,7 +15,6 @@ import (
 	"jungle/internal/ipl"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
-	"jungle/internal/wire"
 )
 
 // Daemon is the per-user Ibis daemon of Fig. 5: it runs on the user's
@@ -75,8 +74,9 @@ type Daemon struct {
 	// worker to announce itself.
 	ReadyTimeout time.Duration
 
-	// OnWorkerDied is invoked (if set) when the pool reports a worker
-	// death; used for monitoring and by the replacement logic.
+	// OnWorkerDied is invoked (if set) when a worker is found dead — the
+	// pool reports it, or its request port broke; used for monitoring and
+	// by the replacement logic.
 	OnWorkerDied func(id int)
 
 	wg sync.WaitGroup
@@ -94,6 +94,7 @@ type workerHandle struct {
 	mu       sync.Mutex
 	member   ipl.Identifier
 	sendPort *ipl.SendPort
+	recvPort *ipl.ReceivePort      // the worker's response port; closed with the worker
 	pending  map[uint64]*vnet.Conn // request id -> coupler conn awaiting reply
 	dead     bool
 	// Capacity accounting: the nodes this worker committed on its
@@ -218,13 +219,10 @@ func (d *Daemon) Close() {
 	}
 	d.mu.Unlock()
 	for _, wh := range handles {
+		wh.closePorts()
 		wh.mu.Lock()
-		sp := wh.sendPort
 		job := wh.job
 		wh.mu.Unlock()
-		if sp != nil {
-			sp.Close()
-		}
 		if job != nil {
 			job.Cancel()
 		}
@@ -301,11 +299,8 @@ func (d *Daemon) storeCheckpointWire(id uint64, wire []byte) bool {
 	if err != nil {
 		return false
 	}
-	if !kernel.IsCompressedState(wire) {
-		// The raw payload aliases the stream's message buffer; the store
-		// outlives the stream. (Decompressed payloads are already fresh.)
-		raw = append([]byte(nil), raw...)
-	}
+	// A raw payload aliases the stream's message, which became this
+	// receiver's alone when it was sent: the store keeps it as it is.
 	d.ckptMu.Lock()
 	d.ckptBlobs[id] = raw
 	d.ckptWire[id] = len(wire)
@@ -485,22 +480,18 @@ func (d *Daemon) serveCoupler(conn *vnet.Conn) {
 			continue
 		}
 		if err := sp.Write(msg.Data, msg.Arrival); err != nil {
-			wh.mu.Lock()
-			delete(wh.pending, req.ID)
-			wh.mu.Unlock()
-			d.reply(conn, req.ID, msg.Arrival, kernel.CodeWorkerDied, ErrWorkerDied.Error())
+			// The proxy closed its request port: the worker is gone, and
+			// the daemon knows it before the pool's Died event says so.
+			// Failing it here (this call included) keeps WorkerAlive in
+			// step with what callers have already been told.
+			d.failWorker(wh)
 		}
 	}
 }
 
 // reply sends a coded error response back to a coupler connection.
 func (d *Daemon) reply(conn *vnet.Conn, id uint64, at time.Duration, code kernel.Code, errStr string) {
-	resp := &response{ID: id, Code: code, Err: errStr, DoneAt: at}
-	buf := wire.GetBuf()
-	frame := kernel.AppendResponse(*buf, resp)
-	conn.Send(frame, at)
-	*buf = frame[:0]
-	wire.PutBuf(buf)
+	conn.Send(kernel.AppendResponse(nil, &response{ID: id, Code: code, Err: errStr, DoneAt: at}), at)
 }
 
 // onResponse handles a proxy's response (or ready announcement).
@@ -535,35 +526,50 @@ func (d *Daemon) eventLoop() {
 		}
 		d.mu.Lock()
 		wh := d.byMember[ev.Member.String()]
-		hook := d.OnWorkerDied
 		d.mu.Unlock()
-		if wh == nil {
-			continue
-		}
-		if newly := d.failWorker(wh); newly && hook != nil {
-			hook(wh.id)
+		if wh != nil {
+			d.failWorker(wh)
 		}
 	}
 }
 
-// failWorker marks a worker dead and fails all pending calls. It reports
-// whether the worker was newly failed (false for expected stops).
-func (d *Daemon) failWorker(wh *workerHandle) bool {
+// closePorts closes the worker's request and response ports, and with
+// them the connections and the reader goroutine behind the response port.
+func (wh *workerHandle) closePorts() {
+	wh.mu.Lock()
+	sp, rp := wh.sendPort, wh.recvPort
+	wh.mu.Unlock()
+	if sp != nil {
+		sp.Close()
+	}
+	if rp != nil {
+		rp.Close()
+	}
+}
+
+// failWorker marks a worker dead, fails all pending calls and, unless the
+// worker was already dead or stopped, reports the death to OnWorkerDied.
+// The handle stays in the table, so calls still addressed to the worker
+// keep failing as worker deaths, until its owner retires it with
+// StopWorker.
+func (d *Daemon) failWorker(wh *workerHandle) {
 	wh.mu.Lock()
 	newly := !wh.dead
 	wh.dead = true
 	pend := wh.pending
 	wh.pending = make(map[uint64]*vnet.Conn)
-	sp := wh.sendPort
 	wh.mu.Unlock()
-	if sp != nil {
-		sp.Close()
-	}
+	wh.closePorts()
 	for id, conn := range pend {
 		d.reply(conn, id, 0, kernel.CodeWorkerDied, ErrWorkerDied.Error())
 	}
 	d.releaseWorkerCapacity(wh)
-	return newly
+	d.mu.Lock()
+	hook := d.OnWorkerDied
+	d.mu.Unlock()
+	if newly && hook != nil {
+		hook(wh.id)
+	}
 }
 
 // nextWorkerIDLocked allocates a worker id. The default session ("") uses
@@ -713,8 +719,10 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	// observes the death.
 	d.deployment.CommitNodes(resource, spec.Session, spec.Nodes)
 	wh.capNodes = spec.Nodes
+	// A failed start is a stop: the job (if submitted) is canceled, the
+	// response port closes, the id leaves the table, the nodes are freed.
 	fail := func(err error) (int, error) {
-		d.releaseWorkerCapacity(wh)
+		d.StopWorker(id)
 		return 0, err
 	}
 
@@ -748,7 +756,9 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	if err != nil {
 		return fail(err)
 	}
-	_ = rp
+	wh.mu.Lock()
+	wh.recvPort = rp
+	wh.mu.Unlock()
 	job, err := d.deployment.Submit(resource, desc)
 	if err != nil {
 		return fail(err)
@@ -761,7 +771,7 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	case member := <-wh.ready:
 		sp := d.ibis.CreateSendPort(ipl.OneToOne, reqPortName(id))
 		if err := sp.Connect(member, reqPortName(id), 0); err != nil {
-			job.Cancel()
+			sp.Close()
 			return fail(fmt.Errorf("core: connect to worker %d: %w", id, err))
 		}
 		wh.mu.Lock()
@@ -779,31 +789,30 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 		}
 		return fail(fmt.Errorf("core: worker %d failed to start: %w", id, err))
 	case <-ctx.Done():
-		job.Cancel()
 		return fail(fmt.Errorf("core: worker %d start: %w", id, ctx.Err()))
 	case <-time.After(d.ReadyTimeout):
-		job.Cancel()
 		return fail(fmt.Errorf("core: worker %d did not announce within %v", id, d.ReadyTimeout))
 	}
 }
 
 // StopWorker shuts one worker down gracefully (its ports close, the job
-// finishes).
+// finishes) and forgets it: the id leaves the worker table.
 func (d *Daemon) StopWorker(id int) {
 	d.mu.Lock()
 	wh := d.workers[id]
+	delete(d.workers, id)
 	d.mu.Unlock()
 	if wh == nil {
 		return
 	}
 	wh.mu.Lock()
-	sp := wh.sendPort
-	job := wh.job
+	job, member := wh.job, wh.member
 	wh.dead = true
 	wh.mu.Unlock()
-	if sp != nil {
-		sp.Close()
-	}
+	d.mu.Lock()
+	delete(d.byMember, member.String())
+	d.mu.Unlock()
+	wh.closePorts()
 	if job != nil {
 		job.Cancel() // the proxy observes Cancel and tears itself down
 	}

@@ -295,6 +295,7 @@ func (m *modelProxy) replaceGangRanks() error {
 			return fmt.Errorf("core: gang rank %d replacement: %w", r, err)
 		}
 		s.trace("gang rank %d (worker %d) died; replacement worker %d started", r, id, newID)
+		s.daemon.StopWorker(id) // retire the dead rank's handle
 		ids[r] = newID
 		replaced++
 	}

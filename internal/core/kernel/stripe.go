@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"jungle/internal/wire"
 )
@@ -106,6 +107,7 @@ func IsStripe(b []byte) bool { return FrameTag(b) == tagStripe }
 
 // AppendStripe marshals one stripe: transfer id, stripe index, bytes.
 func AppendStripe(dst []byte, id uint64, index int, data []byte) []byte {
+	dst = slices.Grow(dst, 1+8+2+4+len(data))
 	dst = append(dst, tagStripe)
 	dst = wire.AppendU64(dst, id)
 	dst = wire.AppendU16(dst, uint16(index))

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"jungle/internal/wire"
 )
@@ -88,6 +89,7 @@ type AcceptStateArgs struct {
 // AppendTransfer frames one state stream message: the transfer id followed
 // by an unmodified StatePayload frame.
 func AppendTransfer(dst []byte, id uint64, state []byte) []byte {
+	dst = slices.Grow(dst, 1+8+1+4+len(state))
 	dst = append(dst, tagTransfer)
 	dst = wire.AppendU64(dst, id)
 	dst = append(dst, 0) // data, not abort
@@ -162,6 +164,7 @@ func UnmarshalGangHello(b []byte) (gangID uint64, fromRank int, err error) {
 // AppendStaged wraps a StatePayload frame with its staging slot for the
 // stage_* apply methods (field workers hold several staged inputs at once).
 func AppendStaged(dst []byte, slot uint64, state []byte) []byte {
+	dst = slices.Grow(dst, 1+8+4+len(state))
 	dst = append(dst, tagStaged)
 	dst = wire.AppendU64(dst, slot)
 	return wire.AppendBytes32(dst, state)

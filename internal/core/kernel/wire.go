@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"jungle/internal/wire"
@@ -125,9 +126,10 @@ func ResponseError(resp *Response) error {
 // Wire framing: fixed little-endian layouts over internal/wire's append
 // helpers and Reader. Every RPC on the sockets and ibis channels (and
 // through the daemon proxy) crosses this codec twice, so it avoids
-// per-call encoder allocation entirely: marshalling appends into a
-// caller-provided buffer (see wire.GetBuf/PutBuf) and unmarshalling
-// aliases sub-slices of the received frame.
+// per-call encoder allocation entirely: every Append* sizes dst for the
+// whole frame first, so appending to nil costs the one allocation the
+// transport then owns; relays forward that slice untouched, and
+// unmarshalling aliases sub-slices of the received frame.
 const (
 	tagRequest     = 0x52 // 'R'
 	tagResponse    = 0x50 // 'P'
@@ -159,6 +161,7 @@ func IsGangHello(b []byte) bool { return FrameTag(b) == tagGangHello }
 
 // AppendRequest marshals req into dst and returns the extended slice.
 func AppendRequest(dst []byte, req *Request) []byte {
+	dst = slices.Grow(dst, 1+8+8+8+2+len(req.Method)+4+len(req.Args))
 	dst = append(dst, tagRequest)
 	dst = wire.AppendU64(dst, req.ID)
 	dst = wire.AppendU64(dst, uint64(req.Worker))
@@ -184,6 +187,7 @@ func UnmarshalRequest(b []byte, req *Request) error {
 
 // AppendResponse marshals resp into dst and returns the extended slice.
 func AppendResponse(dst []byte, resp *Response) []byte {
+	dst = slices.Grow(dst, 1+8+1+8+2+len(resp.Err)+4+len(resp.Result))
 	dst = append(dst, tagResponse)
 	dst = wire.AppendU64(dst, resp.ID)
 	dst = append(dst, byte(resp.Code))

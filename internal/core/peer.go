@@ -11,7 +11,6 @@ import (
 	"jungle/internal/mpisim"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
-	"jungle/internal/wire"
 )
 
 // The worker side of the direct data plane. Each ibis worker's proxy owns
@@ -529,12 +528,8 @@ func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vn
 // proxy's loopback connection. The relay loop is single-threaded, so the
 // loopback never has more than one call in flight.
 func loopCall(loop *vnet.Conn, id uint64, method string, args []byte, at time.Duration) (*response, error) {
-	buf := wire.GetBuf()
-	frame := kernel.AppendRequest(*buf, &request{ID: id, Method: method, Args: args, SentAt: at})
-	_, err := loop.Send(frame, at)
-	*buf = frame[:0]
-	wire.PutBuf(buf)
-	if err != nil {
+	frame := kernel.AppendRequest(nil, &request{ID: id, Method: method, Args: args, SentAt: at})
+	if _, err := loop.Send(frame, at); err != nil {
 		return nil, err
 	}
 	reply, err := loop.Recv()
@@ -557,11 +552,8 @@ func (p *peerPlane) offer(reqID uint64, a *kernel.OfferStateArgs, arrival time.D
 	fail := func(code kernel.Code, err error) *response {
 		return &response{ID: reqID, Code: code, Err: err.Error(), DoneAt: arrival}
 	}
-	stBuf := wire.GetBuf()
-	stArgs := kernel.AppendStateRequest(*stBuf, &kernel.StateRequest{Attrs: a.Attrs})
+	stArgs := kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: a.Attrs})
 	got, err := loopCall(loop, reqID, "get_state", stArgs, arrival)
-	*stBuf = stArgs[:0]
-	wire.PutBuf(stBuf)
 	if err != nil {
 		return fail(kernel.CodeTransport, fmt.Errorf("core: offer %d: read state: %w", a.ID, err))
 	}
@@ -774,7 +766,7 @@ func (p *peerPlane) offerCheckpoint(reqID uint64, a *kernel.OfferCheckpointArgs,
 		// The store now holds this snapshot raw under a.ID: it is the next
 		// checkpoint's ref-delta base.
 		p.ckptMu.Lock()
-		p.ckptBase = append([]byte(nil), raw...)
+		p.ckptBase = raw // the loopback reply is the proxy's alone
 		p.ckptRef = a.ID
 		p.ckptMu.Unlock()
 	}

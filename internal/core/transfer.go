@@ -12,7 +12,6 @@ import (
 	"jungle/internal/phys/bridge"
 	"jungle/internal/smartsockets"
 	"jungle/internal/trace"
-	"jungle/internal/wire"
 )
 
 // Third-party state transfer: the coupler orchestrates ("send your columns
@@ -264,17 +263,13 @@ func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slo
 // (the hairpin forwards it verbatim, so the coupler never decodes the
 // columns it relays).
 func (m *modelProxy) getStateRaw(ctx context.Context, attrs []string) ([]byte, error) {
-	var raw []byte
-	buf := wire.GetBuf()
-	args := kernel.AppendStateRequest(*buf, &kernel.StateRequest{Attrs: attrs})
-	c := m.goPooled("get_state", args, buf, func(b []byte) error {
-		raw = append([]byte(nil), b...)
-		return nil
-	})
+	c := m.goRaw("get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs}), nil)
 	if err := c.Wait(m.sessionCtx(ctx)); err != nil {
 		return nil, err
 	}
-	return raw, nil
+	// The result aliases the response frame, which the channel handed to
+	// this call alone: the hairpin forwards it without a copy.
+	return c.result, nil
 }
 
 // goNoReplace issues one RPC that must not be replayed on a replacement

@@ -23,6 +23,7 @@ type Ibis struct {
 	elections map[string]Identifier
 	electWait map[string][]chan Identifier
 	recvPorts map[string]*ReceivePort
+	sendPorts map[*SendPort]struct{} // open send ports, closed with the instance
 	events    chan Event
 	closed    bool
 
@@ -59,6 +60,7 @@ func Create(network *vnet.Network, cfg Config) (*Ibis, error) {
 		elections: make(map[string]Identifier),
 		electWait: make(map[string][]chan Identifier),
 		recvPorts: make(map[string]*ReceivePort),
+		sendPorts: make(map[*SendPort]struct{}),
 		events:    make(chan Event, cfg.EventBuffer),
 	}
 
@@ -180,48 +182,49 @@ func (ib *Ibis) Elect(name string) (Identifier, error) {
 
 // End leaves the pool gracefully and releases resources.
 func (ib *Ibis) End() {
-	ib.mu.Lock()
-	if ib.closed {
-		ib.mu.Unlock()
-		return
+	if ib.shutdown(true) {
+		ib.wg.Wait()
 	}
-	ib.closed = true
-	ports := make([]*ReceivePort, 0, len(ib.recvPorts))
-	for _, p := range ib.recvPorts {
-		ports = append(ports, p)
-	}
-	ib.mu.Unlock()
-	ib.regConn.Send(encodeReg(&regMsg{Kind: rLeave}), 0)
-	ib.regConn.Close()
-	for _, p := range ports {
-		p.Close()
-	}
-	ib.dataListener.Close()
-	ib.factory.Close()
-	ib.wg.Wait()
 }
 
 // Kill simulates a crash: everything is torn down without a registry leave,
 // so the pool observes a Died event. Used for fault-injection tests and the
 // paper's "reservation ended, worker killed by the scheduler" scenario.
-func (ib *Ibis) Kill() {
+func (ib *Ibis) Kill() { ib.shutdown(false) }
+
+// shutdown closes the registry connection (after a leave message when
+// leave is set), every port the instance created — a process that is gone
+// neither receives nor holds connections open — the data listener and the
+// factory. It reports false if the instance was already shut down.
+func (ib *Ibis) shutdown(leave bool) bool {
 	ib.mu.Lock()
 	if ib.closed {
 		ib.mu.Unlock()
-		return
+		return false
 	}
 	ib.closed = true
-	ports := make([]*ReceivePort, 0, len(ib.recvPorts))
+	recv := make([]*ReceivePort, 0, len(ib.recvPorts))
 	for _, p := range ib.recvPorts {
-		ports = append(ports, p)
+		recv = append(recv, p)
+	}
+	send := make([]*SendPort, 0, len(ib.sendPorts))
+	for p := range ib.sendPorts {
+		send = append(send, p)
 	}
 	ib.mu.Unlock()
-	ib.regConn.Close() // abrupt: no leave message
-	for _, p := range ports {
-		p.Close() // a crashed process's receivers stop existing too
+	if leave {
+		ib.regConn.Send(encodeReg(&regMsg{Kind: rLeave}), 0)
+	}
+	ib.regConn.Close()
+	for _, p := range recv {
+		p.Close()
+	}
+	for _, p := range send {
+		p.Close()
 	}
 	ib.dataListener.Close()
 	ib.factory.Close()
+	return true
 }
 
 func (ib *Ibis) registryLoop() {

@@ -526,3 +526,133 @@ func TestJoinLeaveHammer(t *testing.T) {
 		t.Fatalf("registry's pool after the storm: %v", m)
 	}
 }
+
+// TestOwnershipWriteFanOut: a send port connected to N receive ports hands
+// every connection a slice of its own, so a receiver that scribbles over
+// the message it was given (it owns it) cannot change what another
+// receiver reads.
+func TestOwnershipWriteFanOut(t *testing.T) {
+	tp := newTestPool(t, 4)
+	src := tp.join(t, 0, "amuse")
+	sp := src.CreateSendPort(OneToMany, "bcast")
+	var rps []*ReceivePort
+	for i := 1; i < 4; i++ {
+		r := tp.join(t, i, "amuse")
+		rp, err := r.CreateReceivePort(OneToOne, "bc", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Connect(r.Identifier(), "bc", 0); err != nil {
+			t.Fatal(err)
+		}
+		rps = append(rps, rp)
+	}
+	if err := sp.Write([]byte("to every port"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, rp := range rps {
+		m, err := rp.Receive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(m.Data) != "to every port" {
+			t.Fatalf("receiver %d read %q: it shares its message with an earlier receiver", i, m.Data)
+		}
+		for j := range m.Data {
+			m.Data[j] = '#'
+		}
+	}
+}
+
+// TestOwnershipRegistryBroadcast: a membership event is encoded once and
+// sent to every member; each member's connection gets its own clone.
+func TestOwnershipRegistryBroadcast(t *testing.T) {
+	tp := newTestPool(t, 4)
+	f, err := smartsockets.NewFactory(tp.net, tp.hosts[0], 30000, tp.hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Three members that speak the registry protocol by hand, so the test
+	// holds the raw event messages.
+	var raw []*smartsockets.VirtualConn
+	for i := 0; i < 3; i++ {
+		conn, err := f.Connect(tp.registry.Addr(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		join := Identifier{Pool: "amuse", Host: tp.hosts[0], Port: 31000 + i}
+		if err := conn.Send(encodeReg(&regMsg{Kind: rJoin, Member: join}), 0); err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := conn.Recv(); err != nil {
+			t.Fatal(err)
+		} else if ack, err := decodeReg(msg.Data); err != nil || ack.Kind != rJoinAck {
+			t.Fatalf("join ack: %+v, %v", ack, err)
+		}
+		for _, earlier := range raw { // drain this member's Joined event
+			if _, err := earlier.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw = append(raw, conn)
+	}
+	late := tp.join(t, 1, "amuse")
+	for i, conn := range raw {
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := decodeReg(msg.Data)
+		if err != nil || ev.Kind != rEvent || EventKind(ev.Event) != Joined || ev.Member != late.Identifier() {
+			t.Fatalf("member %d read %+v (%v): it shares the event with an earlier member", i, ev, err)
+		}
+		for j := range msg.Data {
+			msg.Data[j] = 0xFF
+		}
+	}
+}
+
+// TestLeakPortsCloseWithTheirOwner: a receive port owns the connections
+// attached to it and an instance owns the send ports it created, so
+// closing the owner closes the connection — and ends the reader goroutine
+// parked on it at the other side.
+func TestLeakPortsCloseWithTheirOwner(t *testing.T) {
+	tp := newTestPool(t, 2)
+	a, b := tp.join(t, 0, "amuse"), tp.join(t, 1, "amuse")
+	attached := func(rp *ReceivePort) int {
+		rp.mu.Lock()
+		defer rp.mu.Unlock()
+		return len(rp.conns)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	connect := func(name string) (*SendPort, *ReceivePort) {
+		t.Helper()
+		rp, err := b.CreateReceivePort(OneToOne, name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := a.CreateSendPort(OneToOne, name)
+		if err := sp.Connect(b.Identifier(), name, 0); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("the connection to attach", func() bool { return attached(rp) == 1 })
+		return sp, rp
+	}
+
+	sp, rp := connect("closed-by-receiver")
+	rp.Close()
+	waitFor("the sender to see its connection closed", func() bool { return sp.Write([]byte("x"), 0) != nil })
+
+	_, rp = connect("closed-by-sender-exit")
+	a.End() // never closed the send port itself
+	waitFor("the reader of the ended sender's connection to exit", func() bool { return attached(rp) == 0 })
+}

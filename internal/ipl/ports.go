@@ -1,10 +1,12 @@
 package ipl
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
 
+	"jungle/internal/fifo"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
 )
@@ -27,18 +29,18 @@ type portConn struct {
 
 // ReceivePort is the receiving end. Messages from all connected senders are
 // merged into one ordered stream; an optional upcall handler may be set
-// instead of explicit Receive calls.
+// instead of explicit Receive calls. The port owns the connections
+// attached to it: Close closes them, which ends their readers.
 type ReceivePort struct {
-	ibis *Ibis
-	typ  PortType
-	name string
+	ibis   *Ibis
+	typ    PortType
+	name   string
+	upcall func(ReadMessage)
+	queue  fifo.Queue[ReadMessage] // explicit-receive mode
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []ReadMessage
-	conns  int
+	conns  map[*smartsockets.VirtualConn]struct{}
 	closed bool
-	upcall func(ReadMessage)
 }
 
 // ReadMessage is one received message with its origin and virtual arrival
@@ -51,15 +53,19 @@ type ReadMessage struct {
 
 // CreateSendPort creates a named send port.
 func (ib *Ibis) CreateSendPort(typ PortType, name string) *SendPort {
-	return &SendPort{ibis: ib, typ: typ, name: name}
+	sp := &SendPort{ibis: ib, typ: typ, name: name}
+	ib.mu.Lock()
+	ib.sendPorts[sp] = struct{}{}
+	ib.mu.Unlock()
+	return sp
 }
 
 // CreateReceivePort creates and enables a named receive port. If upcall is
 // non-nil it is invoked (sequentially) for each message; otherwise use
 // Receive.
 func (ib *Ibis) CreateReceivePort(typ PortType, name string, upcall func(ReadMessage)) (*ReceivePort, error) {
-	rp := &ReceivePort{ibis: ib, typ: typ, name: name, upcall: upcall}
-	rp.cond = sync.NewCond(&rp.mu)
+	rp := &ReceivePort{ibis: ib, typ: typ, name: name, upcall: upcall,
+		conns: make(map[*smartsockets.VirtualConn]struct{})}
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	if ib.closed {
@@ -99,17 +105,22 @@ func (sp *SendPort) Connect(to Identifier, portName string, sentAt time.Duration
 }
 
 // Write sends a raw payload to all connected receive ports (one for
-// one-to-one ports). It returns an error if any connection failed.
+// one-to-one ports). It returns an error if any connection failed. Write
+// takes ownership of data, as the connections underneath do: the last
+// connection gets the slice itself, every other one its own clone.
 func (sp *SendPort) Write(data []byte, sentAt time.Duration) error {
 	sp.mu.Lock()
-	conns := make([]*portConn, len(sp.conns))
-	copy(conns, sp.conns)
+	conns := sp.conns[:len(sp.conns):len(sp.conns)] // Connect only appends
 	sp.mu.Unlock()
 	if len(conns) == 0 {
 		return fmt.Errorf("ipl: send port %q not connected", sp.name)
 	}
-	for _, pc := range conns {
-		if err := pc.conn.Send(data, sentAt); err != nil {
+	for i, pc := range conns {
+		msg := data
+		if i < len(conns)-1 {
+			msg = bytes.Clone(data)
+		}
+		if err := pc.conn.Send(msg, sentAt); err != nil {
 			return fmt.Errorf("ipl: write to %s: %w", pc.to, err)
 		}
 	}
@@ -125,10 +136,14 @@ func (sp *SendPort) Close() {
 	for _, pc := range conns {
 		pc.conn.Close()
 	}
+	sp.ibis.mu.Lock()
+	delete(sp.ibis.sendPorts, sp)
+	sp.ibis.mu.Unlock()
 }
 
 // attach wires an accepted connection into the receive port and starts its
-// reader.
+// reader, which runs until the connection closes — by the sender, or by
+// the port's Close.
 func (rp *ReceivePort) attach(from Identifier, conn *smartsockets.VirtualConn) {
 	rp.mu.Lock()
 	if rp.closed {
@@ -136,7 +151,7 @@ func (rp *ReceivePort) attach(from Identifier, conn *smartsockets.VirtualConn) {
 		conn.Close()
 		return
 	}
-	rp.conns++
+	rp.conns[conn] = struct{}{}
 	rp.mu.Unlock()
 	go func() {
 		defer conn.Close()
@@ -144,20 +159,15 @@ func (rp *ReceivePort) attach(from Identifier, conn *smartsockets.VirtualConn) {
 			msg, err := conn.Recv()
 			if err != nil {
 				rp.mu.Lock()
-				rp.conns--
+				delete(rp.conns, conn)
 				rp.mu.Unlock()
 				return
 			}
 			rm := ReadMessage{From: from, Data: msg.Data, Arrival: msg.Arrival}
-			rp.mu.Lock()
-			up := rp.upcall
-			if up == nil {
-				rp.queue = append(rp.queue, rm)
-				rp.cond.Signal()
-			}
-			rp.mu.Unlock()
-			if up != nil {
-				up(rm)
+			if rp.upcall != nil {
+				rp.upcall(rm)
+			} else {
+				rp.queue.Push(rm)
 			}
 		}
 	}()
@@ -165,20 +175,15 @@ func (rp *ReceivePort) attach(from Identifier, conn *smartsockets.VirtualConn) {
 
 // Receive blocks for the next message (explicit receive mode).
 func (rp *ReceivePort) Receive() (ReadMessage, error) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for len(rp.queue) == 0 && !rp.closed {
-		rp.cond.Wait()
-	}
-	if len(rp.queue) == 0 {
+	m, ok := rp.queue.Pop()
+	if !ok {
 		return ReadMessage{}, ErrClosed
 	}
-	m := rp.queue[0]
-	rp.queue = rp.queue[1:]
 	return m, nil
 }
 
-// Close disables the port and unblocks receivers.
+// Close disables the port, unblocks receivers and closes the attached
+// connections.
 func (rp *ReceivePort) Close() {
 	rp.mu.Lock()
 	if rp.closed {
@@ -186,8 +191,13 @@ func (rp *ReceivePort) Close() {
 		return
 	}
 	rp.closed = true
-	rp.cond.Broadcast()
+	conns := rp.conns
+	rp.conns = nil
 	rp.mu.Unlock()
+	rp.queue.Close()
+	for conn := range conns {
+		conn.Close()
+	}
 	ib := rp.ibis
 	ib.mu.Lock()
 	delete(ib.recvPorts, rp.name)

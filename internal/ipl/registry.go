@@ -1,6 +1,7 @@
 package ipl
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -246,6 +247,7 @@ func (r *Registry) broadcast(poolName string, m *regMsg, skipID int) {
 	r.mu.Unlock()
 	data := encodeReg(m)
 	for _, c := range conns {
-		c.Send(data, 0) // control-plane events: virtual cost negligible
+		// Send takes its slice; every member gets a clone of the one encoding.
+		c.Send(bytes.Clone(data), 0) // control-plane events: virtual cost negligible
 	}
 }

@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -30,7 +31,9 @@ type Comm interface {
 	// Clock returns the member's virtual clock (sends are stamped with it,
 	// receives advance it).
 	Clock() *vtime.Clock
-	// Send transmits data to a peer rank.
+	// Send transmits data to a peer rank. Like the connection underneath
+	// it takes ownership of data: a collective that sends one buffer to
+	// several ranks, or hands it back to its caller, sends clones.
 	Send(to int, data []byte) error
 	// Recv blocks for the next message from a peer rank.
 	Recv(from int) ([]byte, error)
@@ -84,6 +87,8 @@ func Barrier(c Comm) error {
 
 // Bcast distributes root's buffer to every rank; non-root ranks pass nil (or
 // anything — their argument is ignored) and receive the broadcast value.
+// Root keeps data (it is also root's return value), so every rank is sent
+// a clone.
 func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 	if c.Size() == 1 {
 		return data, nil
@@ -93,7 +98,7 @@ func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 			if p == root {
 				continue
 			}
-			if err := c.Send(p, data); err != nil {
+			if err := c.Send(p, bytes.Clone(data)); err != nil {
 				return nil, fmt.Errorf("mpisim: bcast to %d: %w", p, err)
 			}
 		}
@@ -219,7 +224,8 @@ func AllgatherFloats(c Comm, x []float64) ([]float64, error) {
 // AllgatherBytes gathers every rank's opaque blob; all ranks receive the
 // full rank-ordered set. This is the halo-exchange primitive of sharded
 // kernels: each rank's blob is its boundary columns encoded with the
-// columnar state codec, and the collective never inspects the bytes.
+// columnar state codec, and the collective never inspects the bytes. b is
+// consumed: it is sent to root, or comes back as root's own part.
 func AllgatherBytes(c Comm, b []byte) ([][]byte, error) {
 	const root = 0
 	if c.Size() == 1 {
@@ -237,7 +243,11 @@ func AllgatherBytes(c Comm, b []byte) ([][]byte, error) {
 		}
 		packed := packBlobs(parts)
 		for p := 1; p < c.Size(); p++ {
-			if err := c.Send(p, packed); err != nil {
+			msg := packed
+			if p < c.Size()-1 {
+				msg = bytes.Clone(packed) // the last rank gets the original
+			}
+			if err := c.Send(p, msg); err != nil {
 				return nil, fmt.Errorf("mpisim: allgather bcast to %d: %w", p, err)
 			}
 		}
@@ -293,6 +303,7 @@ func unpackBlobs(b []byte) ([][]byte, error) {
 
 // SendRecv exchanges buffers with a partner rank (both sides must call it
 // with each other's rank). Deadlock is avoided by ordering on rank number.
+// data is consumed.
 func SendRecv(c Comm, peer int, data []byte) ([]byte, error) {
 	if peer == c.ID() {
 		cp := make([]byte, len(data))

@@ -22,6 +22,7 @@ var ErrGangBroken = errors.New("mpisim: gang broken")
 // in-memory links.
 type Link interface {
 	// Send transmits one message stamped with the sender's virtual time.
+	// It takes ownership of data (the vnet.Conn.Send contract).
 	Send(data []byte, sentAt time.Duration) error
 	// Recv blocks for the next message and returns it with its virtual
 	// arrival time.
@@ -227,8 +228,7 @@ func (l *localLink) Send(data []byte, sentAt time.Duration) error {
 	if closed {
 		return errors.New("mpisim: local link closed")
 	}
-	cp := append([]byte(nil), data...)
-	l.out <- localMsg{data: cp, arrival: sentAt + l.latency}
+	l.out <- localMsg{data: data, arrival: sentAt + l.latency}
 	return nil
 }
 

@@ -87,3 +87,53 @@ func TestGangValidation(t *testing.T) {
 		t.Fatal("bad link table accepted")
 	}
 }
+
+// TestOwnershipCollectiveFanOut: links hand the receiver the very slice
+// that was sent, so a collective that sends one buffer to several ranks
+// (Bcast, the packed allgather result) must give each its own clone, and
+// Bcast must leave root's buffer root's. Every rank scribbles over what it
+// received while the others are still reading theirs; a shared buffer
+// shows up as wrong bytes here and as a data race under -race.
+func TestOwnershipCollectiveFanOut(t *testing.T) {
+	const size = 4
+	gangs := LocalGangs(size, 0) // in-memory links: no copy anywhere below the collective
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xFF
+		}
+	}
+	err := runGangs(gangs, func(g *Gang) error {
+		for round := 0; round < 50; round++ {
+			var mine []byte
+			if g.ID() == 0 {
+				mine = []byte{1, 2, 3, byte(round)}
+			}
+			got, err := Bcast(g, 0, mine)
+			if err != nil {
+				return err
+			}
+			if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != byte(round) {
+				t.Errorf("rank %d round %d: bcast delivered %v", g.ID(), round, got)
+			}
+			if g.ID() != 0 {
+				scribble(got)
+			}
+			blobs, err := AllgatherBytes(g, []byte{byte(g.ID()), byte(round)})
+			if err != nil {
+				return err
+			}
+			for p, b := range blobs {
+				if len(b) != 2 || b[0] != byte(p) || b[1] != byte(round) {
+					t.Errorf("rank %d round %d: blob %d = %v", g.ID(), round, p, b)
+				}
+			}
+			for _, b := range blobs {
+				scribble(b)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,10 +1,11 @@
 package smartsockets
 
 import (
-	"sync"
 	"time"
 
+	"jungle/internal/fifo"
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // VirtualConn is a bidirectional message connection established by a
@@ -44,7 +45,8 @@ func (c *VirtualConn) SetClass(class string) {
 	}
 }
 
-// Send transmits data at the sender's virtual time sentAt.
+// Send transmits data at the sender's virtual time sentAt. Like
+// vnet.Conn.Send it takes ownership of data.
 func (c *VirtualConn) Send(data []byte, sentAt time.Duration) error {
 	if c.raw != nil {
 		_, err := c.raw.Send(data, sentAt)
@@ -70,75 +72,40 @@ func (c *VirtualConn) Close() error {
 	return c.end.closeBoth()
 }
 
-// routedEnd is a factory-local endpoint of a routed circuit.
+// routedEnd is a factory-local endpoint of a routed circuit. Closing q is
+// what closes the end: frames arriving afterwards are dropped.
 type routedEnd struct {
 	factory *Factory
 	key     string
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []vnet.Message
-	closed bool
-}
-
-func newRoutedEnd(f *Factory, key string) *routedEnd {
-	e := &routedEnd{factory: f, key: key}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
-
-func (e *routedEnd) push(m vnet.Message) {
-	e.mu.Lock()
-	if !e.closed {
-		e.q = append(e.q, m)
-		e.cond.Signal()
-	}
-	e.mu.Unlock()
+	q       fifo.Queue[vnet.Message]
 }
 
 func (e *routedEnd) recv() (vnet.Message, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.q) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.q) == 0 {
+	m, ok := e.q.Pop()
+	if !ok {
 		return vnet.Message{}, vnet.ErrClosed
 	}
-	m := e.q[0]
-	e.q = e.q[1:]
 	return m, nil
 }
 
+// send encodes the circuit-data frame around data straight into a slice
+// presized for it — the frame's one allocation, no pooled scratch — and
+// hands it to the hub connection.
 func (e *routedEnd) send(data []byte, sentAt time.Duration) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.q.Closed() {
 		return vnet.ErrClosed
 	}
-	e.mu.Unlock()
-	return sendFrame(e.factory.hubConn, &frame{
-		Kind: kCircuitData, Circuit: e.key, Payload: data, sentAt: sentAt,
-	})
-}
-
-func (e *routedEnd) close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	b := make([]byte, 0, len(e.key)+len(data)+frameOverhead)
+	b = wire.Append(b, &frame{Kind: kCircuitData, Circuit: e.key, Payload: data})
+	_, err := e.factory.hubConn.Send(b, sentAt)
+	return err
 }
 
 // closeBoth closes the local end and asks the circuit to dismantle.
 func (e *routedEnd) closeBoth() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if !e.q.Close() {
 		return nil
 	}
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
 	f := e.factory
 	f.mu.Lock()
 	delete(f.circuits, e.key)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"jungle/internal/fifo"
 	"jungle/internal/vnet"
 )
 
@@ -164,7 +165,7 @@ func (f *Factory) Close() {
 		l.Close()
 	}
 	for _, e := range ends {
-		e.close()
+		e.q.Close()
 	}
 	f.hubConn.Close()
 	f.wg.Wait()
@@ -209,7 +210,7 @@ func (f *Factory) hubReadLoop() {
 			end := f.circuits[fr.Circuit]
 			f.mu.Unlock()
 			if end != nil {
-				end.push(vnet.Message{Data: fr.Payload, Arrival: fr.sentAt})
+				end.q.Push(vnet.Message{Data: fr.Payload, Arrival: fr.sentAt})
 			}
 		case kCircuitClose:
 			f.mu.Lock()
@@ -217,7 +218,7 @@ func (f *Factory) hubReadLoop() {
 			delete(f.circuits, fr.Circuit)
 			f.mu.Unlock()
 			if end != nil {
-				end.close()
+				end.q.Close()
 			}
 		case kRegisterAck:
 			f.mu.Lock()
@@ -279,7 +280,7 @@ func (f *Factory) handleReverseReq(fr *frame) {
 		return
 	}
 	vc := &VirtualConn{typ: Reverse, raw: conn, remote: fr.Src, established: ok.sentAt}
-	if !l.push(vc) {
+	if !l.backlog.Push(vc) {
 		conn.Close()
 	}
 }
@@ -290,7 +291,7 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	l := f.listeners[fr.Dst.Port]
 	var end *routedEnd
 	if l != nil && !f.closed {
-		end = newRoutedEnd(f, fr.Circuit)
+		end = &routedEnd{factory: f, key: fr.Circuit}
 		f.circuits[fr.Circuit] = end
 	}
 	f.mu.Unlock()
@@ -305,8 +306,8 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	sendFrame(f.hubConn, reply)
 	if end != nil {
 		vc := &VirtualConn{typ: Routed, end: end, remote: fr.Src, established: fr.sentAt, route: fr.Path}
-		if !l.push(vc) {
-			end.close()
+		if !l.backlog.Push(vc) {
+			end.q.Close()
 		}
 	}
 }
@@ -428,7 +429,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration, class stri
 	key := fmt.Sprintf("%s/%d", f.Addr(), f.nextCircuit)
 	ch := make(chan openResult, 1)
 	f.pendingOpen[key] = ch
-	end := newRoutedEnd(f, key)
+	end := &routedEnd{factory: f, key: key}
 	f.circuits[key] = end
 	f.mu.Unlock()
 
@@ -465,7 +466,6 @@ func (f *Factory) Listen(port int) (*Listener, error) {
 		return nil, err
 	}
 	l := &Listener{factory: f, port: port, raw: raw}
-	l.cond = sync.NewCond(&l.mu)
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -487,7 +487,7 @@ func (f *Factory) Listen(port int) (*Listener, error) {
 				return
 			}
 			vc := &VirtualConn{typ: Direct, raw: conn, remote: Address{conn.RemoteHost(), 0}}
-			if !l.push(vc) {
+			if !l.backlog.Push(vc) {
 				conn.Close()
 			}
 		}
@@ -500,52 +500,26 @@ type Listener struct {
 	factory *Factory
 	port    int
 	raw     *vnet.Listener
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	backlog []*VirtualConn
-	closed  bool
+	backlog fifo.Queue[*VirtualConn]
 }
 
 // Addr returns the listener's virtual address.
 func (l *Listener) Addr() Address { return Address{Host: l.factory.host, Port: l.port} }
 
-func (l *Listener) push(vc *VirtualConn) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return false
-	}
-	l.backlog = append(l.backlog, vc)
-	l.cond.Signal()
-	return true
-}
-
 // Accept blocks for the next inbound connection.
 func (l *Listener) Accept() (*VirtualConn, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.backlog) == 0 && !l.closed {
-		l.cond.Wait()
-	}
-	if len(l.backlog) == 0 {
+	vc, ok := l.backlog.Pop()
+	if !ok {
 		return nil, ErrFactoryClosed
 	}
-	vc := l.backlog[0]
-	l.backlog = l.backlog[1:]
 	return vc, nil
 }
 
 // Close stops the listener.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !l.backlog.Close() {
 		return nil
 	}
-	l.closed = true
-	l.cond.Broadcast()
-	l.mu.Unlock()
 	l.raw.Close()
 	f := l.factory
 	f.mu.Lock()

@@ -19,13 +19,13 @@ type Hub struct {
 	net  *vnet.Network
 
 	mu         sync.Mutex
-	conns      map[string]*vnet.Conn // identity -> primary conn ("h:<host>" or "c#<n>")
-	allConns   []*vnet.Conn          // every conn with a readLoop, incl. non-primary duplicates
-	edges      map[string]EdgeType   // peer hub host -> edge type
-	dialed     map[string]bool       // peer hub hosts this hub has dialed itself
-	known      map[string]bool       // gossiped hub hosts
-	clients    map[Address]string    // registered service address -> client identity
-	hosts      map[string]bool       // hosts with at least one registered client
+	conns      map[string]*vnet.Conn   // identity -> primary conn ("h:<host>" or "c#<n>")
+	allConns   map[*vnet.Conn]struct{} // every conn with a live readLoop, incl. non-primary duplicates
+	edges      map[string]EdgeType     // peer hub host -> edge type
+	dialed     map[string]bool         // peer hub hosts this hub has dialed itself
+	known      map[string]bool         // gossiped hub hosts
+	clients    map[Address]string      // registered service address -> client identity
+	hosts      map[string]bool         // hosts with at least one registered client
 	circuits   map[string]*circuit
 	seen       map[string]bool         // flood dedup
 	opens      map[string]*pendingOpen // circuit opens settling at this (destination) hub
@@ -75,6 +75,7 @@ func NewHub(network *vnet.Network, host string) (*Hub, error) {
 		host:     host,
 		net:      network,
 		conns:    make(map[string]*vnet.Conn),
+		allConns: make(map[*vnet.Conn]struct{}),
 		edges:    make(map[string]EdgeType),
 		dialed:   make(map[string]bool),
 		known:    map[string]bool{host: true},
@@ -108,12 +109,13 @@ func (h *Hub) Stop() {
 		return
 	}
 	h.closed = true
-	conns := append([]*vnet.Conn(nil), h.allConns...)
+	conns := h.allConns
+	h.allConns = nil // readers exiting from here on find nothing to forget
 	h.mu.Unlock()
 	for _, l := range h.listeners {
 		l.Close()
 	}
-	for _, c := range conns {
+	for c := range conns {
 		c.Close()
 	}
 	h.wg.Wait()
@@ -187,7 +189,7 @@ func (h *Hub) addPeer(peerHost string, conn *vnet.Conn, edge EdgeType) {
 		h.conns[id] = conn
 		primary = true
 	}
-	h.allConns = append(h.allConns, conn)
+	h.allConns[conn] = struct{}{}
 	// Parallel connection attempts in both directions race; keep the
 	// strongest edge classification (direct > ssh > one-way) rather than
 	// letting the last arrival downgrade an established tunnel.
@@ -271,7 +273,7 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		h.nextClient++
 		id := fmt.Sprintf("c#%d", h.nextClient)
 		h.conns[id] = conn
-		h.allConns = append(h.allConns, conn)
+		h.allConns[conn] = struct{}{}
 		h.clients[Address{f.Host, f.Port}] = id
 		h.hosts[f.Host] = true
 		h.mu.Unlock()
@@ -341,6 +343,7 @@ func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 func (h *Hub) dropConn(id string, conn *vnet.Conn, primary bool) {
 	conn.Close()
 	h.mu.Lock()
+	delete(h.allConns, conn)
 	if primary && h.conns[id] == conn {
 		delete(h.conns, id)
 		if strings.HasPrefix(id, "c#") {

@@ -189,6 +189,7 @@ func (f *Factory) probe(target Address, sentAt time.Duration) (float64, time.Dur
 	conn.SetClass("probe")
 
 	small, large := appendProbeData(probePayload(probeSmall)), appendProbeData(probePayload(probeLarge))
+	extra := len(large) - len(small)
 	t0 := conn.EstablishedAt()
 	t1, err := f.probeRound(conn, small, t0)
 	if err != nil {
@@ -206,7 +207,7 @@ func (f *Factory) probe(target Address, sentAt time.Duration) (float64, time.Dur
 	if delta <= 0 {
 		return 0, sentAt, fmt.Errorf("%w: non-positive timing delta", ErrProbeFailed)
 	}
-	perByte := delta.Seconds() / float64(len(large)-len(small))
+	perByte := delta.Seconds() / float64(extra)
 	// A routed circuit whose endpoint is colocated with its hub attaches
 	// over a loopback leg; its store-and-forward cost is modeled IPC, not
 	// network. Discount the legs the factory can identify from the route, so
@@ -232,6 +233,7 @@ func (f *Factory) probe(target Address, sentAt time.Duration) (float64, time.Dur
 // probeRound sends one data frame at the given virtual time and returns the
 // virtual arrival of its verified ack.
 func (f *Factory) probeRound(conn *VirtualConn, data []byte, at time.Duration) (time.Duration, error) {
+	digest := binary.BigEndian.Uint64(data[2:]) // read before Send takes data
 	if err := conn.Send(data, at); err != nil {
 		return 0, err
 	}
@@ -240,7 +242,7 @@ func (f *Factory) probeRound(conn *VirtualConn, data []byte, at time.Duration) (
 		return 0, err
 	}
 	if len(msg.Data) != 10 || msg.Data[0] != ProbeFrameTag || msg.Data[1] != probeAck ||
-		binary.BigEndian.Uint64(msg.Data[2:]) != binary.BigEndian.Uint64(data[2:]) {
+		binary.BigEndian.Uint64(msg.Data[2:]) != digest {
 		return 0, fmt.Errorf("%w: bad ack", ErrProbeFailed)
 	}
 	return msg.Arrival, nil

@@ -73,13 +73,18 @@ const (
 // relaying a frame.
 const hubProcessing = 200 * time.Microsecond
 
-// sendFrame encodes f into a pooled buffer (vnet copies what it queues)
-// and transmits it over c at f.sentAt.
+// frameOverhead bounds what a frame carrying only Circuit and Payload
+// encodes to beyond those two: kind, two length prefixes of at most 9
+// bytes, and one zero byte per unused scalar. routedEnd.send presizes with
+// it; an estimate that fell short would cost a second allocation, not a
+// wrong frame (TestRoutedSendAllocGate).
+const frameOverhead = 64
+
+// sendFrame transmits f over c at f.sentAt. wire.Marshal encodes into
+// pooled scratch and clones the result, so what vnet takes is the
+// frame's own exactly sized slice.
 func sendFrame(c *vnet.Conn, f *frame) error {
-	buf := wire.GetBuf()
-	*buf = wire.Append(*buf, f)
-	_, err := c.Send(*buf, f.sentAt)
-	wire.PutBuf(buf)
+	_, err := c.Send(wire.Marshal(f), f.sentAt)
 	return err
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"jungle/internal/fifo"
 )
 
 // Message is a datagram delivered over a Conn, stamped with the virtual time
@@ -24,59 +26,12 @@ type Conn struct {
 	class         string
 	net           *Network
 
-	out  *msgQueue
-	in   *msgQueue
+	out  *fifo.Queue[Message]
+	in   *fifo.Queue[Message]
 	peer *Conn
 
 	mu     sync.Mutex
 	closed bool
-}
-
-// msgQueue is an unbounded ordered message queue usable by one producer and
-// many consumers.
-type msgQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []Message
-	closed bool
-}
-
-func newMsgQueue() *msgQueue {
-	m := &msgQueue{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *msgQueue) push(msg Message) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.q = append(m.q, msg)
-	m.cond.Signal()
-	return nil
-}
-
-func (m *msgQueue) pop() (Message, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.q) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.q) == 0 {
-		return Message{}, ErrClosed
-	}
-	msg := m.q[0]
-	m.q = m.q[1:]
-	return msg, nil
-}
-
-func (m *msgQueue) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // LocalHost returns the host name of this endpoint.
@@ -97,15 +52,16 @@ func (c *Conn) SetClass(class string) {
 	c.mu.Lock()
 	c.class = class
 	c.mu.Unlock()
-	if c.peer != nil {
-		c.peer.mu.Lock()
-		c.peer.class = class
-		c.peer.mu.Unlock()
-	}
+	c.peer.mu.Lock()
+	c.peer.class = class
+	c.peer.mu.Unlock()
 }
 
 // Send transmits data; sentAt is the sender's virtual time. It returns the
-// virtual arrival time at the receiver.
+// virtual arrival time at the receiver. Send takes ownership of data: the
+// slice itself is what the receiver gets, so the caller must neither read
+// nor write it afterwards (a caller that keeps or fans out a buffer sends
+// a clone).
 func (c *Conn) Send(data []byte, sentAt time.Duration) (time.Duration, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -115,10 +71,8 @@ func (c *Conn) Send(data []byte, sentAt time.Duration) (time.Duration, error) {
 	class := c.class
 	c.mu.Unlock()
 	arrival := sentAt + c.path.TransferTime(len(data))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	if err := c.out.push(Message{Data: cp, Arrival: arrival}); err != nil {
-		return 0, err
+	if !c.out.Push(Message{Data: data, Arrival: arrival}) {
+		return 0, ErrClosed
 	}
 	c.net.record(c.local, c.remote, class, len(data))
 	return arrival, nil
@@ -128,10 +82,15 @@ func (c *Conn) Send(data []byte, sentAt time.Duration) (time.Duration, error) {
 // returns it. The caller is responsible for advancing its clock to
 // msg.Arrival.
 func (c *Conn) Recv() (Message, error) {
-	return c.in.pop()
+	msg, ok := c.in.Pop()
+	if !ok {
+		return Message{}, ErrClosed
+	}
+	return msg, nil
 }
 
-// Close tears down both endpoints.
+// Close tears down both endpoints and drops the pair from the network's
+// live-connection index.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -140,13 +99,12 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.in.close()
-	c.out.close()
-	if c.peer != nil {
-		c.peer.mu.Lock()
-		c.peer.closed = true
-		c.peer.mu.Unlock()
-	}
+	c.in.Close()
+	c.out.Close()
+	c.peer.mu.Lock()
+	c.peer.closed = true
+	c.peer.mu.Unlock()
+	c.net.untrackConn(c)
 	return nil
 }
 
@@ -156,14 +114,10 @@ func (c *Conn) String() string {
 
 // Listener accepts inbound virtual connections on a host port.
 type Listener struct {
-	host *Host
-	port int
-	net  *Network
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	backlog []*Conn
-	closed  bool
+	host    *Host
+	port    int
+	net     *Network
+	backlog fifo.Queue[*Conn]
 }
 
 // Listen opens a listener on host:port.
@@ -181,36 +135,24 @@ func (n *Network) Listen(host string, port int) (*Listener, error) {
 		return nil, fmt.Errorf("%w: %s:%d", ErrPortInUse, host, port)
 	}
 	l := &Listener{host: h, port: port, net: n}
-	l.cond = sync.NewCond(&l.mu)
 	h.listeners[port] = l
 	return l, nil
 }
 
 // Accept blocks until an inbound connection arrives.
 func (l *Listener) Accept() (*Conn, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.backlog) == 0 && !l.closed {
-		l.cond.Wait()
-	}
-	if len(l.backlog) == 0 {
+	c, ok := l.backlog.Pop()
+	if !ok {
 		return nil, errListenerDone
 	}
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
 	return c, nil
 }
 
 // Close stops the listener and releases the port.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !l.backlog.Close() {
 		return nil
 	}
-	l.closed = true
-	l.cond.Broadcast()
-	l.mu.Unlock()
 	l.host.mu.Lock()
 	delete(l.host.listeners, l.port)
 	l.host.mu.Unlock()
@@ -253,19 +195,14 @@ func (n *Network) Dial(from, to string, port int) (*Conn, error) {
 		return nil, fmt.Errorf("%w: %s:%d", ErrRefused, to, port)
 	}
 
-	aToB, bToA := newMsgQueue(), newMsgQueue()
+	aToB, bToA := new(fifo.Queue[Message]), new(fifo.Queue[Message])
 	local := &Conn{local: from, remote: to, port: port, path: fwd, net: n, out: aToB, in: bToA}
 	remote := &Conn{local: to, remote: from, port: port, path: rev, net: n, out: bToA, in: aToB}
 	local.peer, remote.peer = remote, local
 	n.trackConn(local)
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !l.backlog.Push(remote) {
+		n.untrackConn(local)
 		return nil, fmt.Errorf("%w: %s:%d", ErrRefused, to, port)
 	}
-	l.backlog = append(l.backlog, remote)
-	l.cond.Signal()
-	l.mu.Unlock()
 	return local, nil
 }

@@ -134,8 +134,8 @@ type Network struct {
 	mu       sync.RWMutex
 	hosts    map[string]*Host
 	adj      map[string][]Link
-	routes   map[[2]string]Path // cache, invalidated on topology change
-	conns    map[string][]*Conn // live conns by endpoint host (for CrashHost)
+	routes   map[[2]string]Path            // cache, invalidated on topology change
+	conns    map[string]map[*Conn]struct{} // live dialer-side conns by endpoint host (for CrashHost)
 	recorder TrafficRecorder
 }
 
@@ -145,7 +145,7 @@ func New() *Network {
 		hosts:  make(map[string]*Host),
 		adj:    make(map[string][]Link),
 		routes: make(map[[2]string]Path),
-		conns:  make(map[string][]*Conn),
+		conns:  make(map[string]map[*Conn]struct{}),
 	}
 }
 
@@ -303,19 +303,32 @@ func (n *Network) CrashHost(name string) error {
 	conns := n.conns[name]
 	delete(n.conns, name)
 	n.mu.Unlock()
-	for _, c := range conns {
+	for c := range conns {
 		c.Close()
 	}
 	return nil
 }
 
-// trackConn registers a live connection for CrashHost; closed conns are
-// pruned lazily on the next crash of either endpoint.
+// trackConn indexes a dialed connection under both endpoint hosts for
+// CrashHost, until either end closes it.
 func (n *Network) trackConn(c *Conn) {
 	n.mu.Lock()
-	n.conns[c.local] = append(n.conns[c.local], c)
-	if c.remote != c.local {
-		n.conns[c.remote] = append(n.conns[c.remote], c)
+	for _, host := range [2]string{c.local, c.remote} {
+		if n.conns[host] == nil {
+			n.conns[host] = make(map[*Conn]struct{})
+		}
+		n.conns[host][c] = struct{}{}
+	}
+	n.mu.Unlock()
+}
+
+// untrackConn forgets a closed connection, whichever end closed it (only
+// the dialer side is indexed; deleting the other is a no-op).
+func (n *Network) untrackConn(c *Conn) {
+	n.mu.Lock()
+	for _, host := range [2]string{c.local, c.remote} {
+		delete(n.conns[host], c)
+		delete(n.conns[host], c.peer)
 	}
 	n.mu.Unlock()
 }

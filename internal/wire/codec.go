@@ -2,7 +2,10 @@ package wire
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -131,12 +134,29 @@ func Append(dst []byte, v any) []byte {
 	return p.encode(dst, rv)
 }
 
-// Marshal encodes v into a fresh, exactly sized slice.
+// scratch is what Marshal encodes into before cloning the result: small
+// control messages only. A bulk frame is built once at its exact size and
+// handed to the transport, so a buffer that grew past maxPooled is never
+// parked (to be regrown by append-doubling after the next collection
+// empties the pool): Marshal hands it out as the message instead.
+var scratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
+
+const maxPooled = 64 << 10
+
+// Marshal encodes v into a slice of its own: a clone, exactly sized, of
+// the pooled scratch it was encoded in — or, for a message that outgrew
+// what the pool keeps, the scratch itself.
 func Marshal(v any) []byte {
-	buf := GetBuf()
-	*buf = Append(*buf, v)
+	buf := scratch.Get().(*[]byte)
+	*buf = Append((*buf)[:0], v)
+	if cap(*buf) > maxPooled {
+		return *buf
+	}
 	out := append([]byte(nil), *buf...)
-	PutBuf(buf)
+	scratch.Put(buf)
 	return out
 }
 
@@ -163,7 +183,11 @@ func (p *plan) encode(dst []byte, v reflect.Value) []byte {
 		case p.elem.kind == reflect.Uint8:
 			return append(dst, v.Bytes()...)
 		case p.elem.floats > 0:
-			for _, f := range flatFloats(v, n*p.elem.floats) {
+			fs := flatFloats(v, n*p.elem.floats)
+			if 9*len(fs) > cap(dst)-len(dst) {
+				dst = slices.Grow(dst, floatsLen(fs)) // one exact growth per column, not one per doubling
+			}
+			for _, f := range fs {
 				dst = AppendFloat(dst, f)
 			}
 			return dst
@@ -181,6 +205,17 @@ func (p *plan) encode(dst []byte, v reflect.Value) []byte {
 		}
 	}
 	return dst
+}
+
+// floatsLen is the number of bytes AppendFloat writes for all of fs.
+func floatsLen(fs []float64) int {
+	n := len(fs)
+	for _, f := range fs {
+		if x := bits.ReverseBytes64(math.Float64bits(f)); x >= 0x80 {
+			n += (bits.Len64(x) + 7) / 8
+		}
+	}
+	return n
 }
 
 // flatFloats views the n float64 words behind a slice whose elements

@@ -1,9 +1,9 @@
 // Package wire is the jungle's one wire codec: every per-message encode
 // and decode on the RPC, SmartSockets and IPL paths goes through it.
 //
-// It has two layers. The fixed-width layer — little-endian append helpers,
-// a pool of marshal buffers and the bounds-checked Reader — frames
-// requests, responses and the bulk state columns (internal/core/kernel).
+// It has two layers. The fixed-width layer — little-endian append helpers
+// and the bounds-checked Reader — frames requests, responses and the bulk
+// state columns (internal/core/kernel).
 // The struct codec (codec.go: Append, Marshal, Unmarshal) carries the typed
 // argument/result payloads, the SmartSockets frame and the IPL registry
 // messages: exported fields in declaration order, no names and no type
@@ -21,24 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
-
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// GetBuf borrows a reusable marshal buffer (length 0).
-func GetBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuf returns a buffer obtained from GetBuf. The caller must not hold
-// on to slices derived from it.
-func PutBuf(b *[]byte) { bufPool.Put(b) }
 
 func AppendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
 func AppendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }

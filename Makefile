@@ -59,7 +59,10 @@ race:
 # close with their owner" — retention, ownership at every cloning site,
 # goroutine/table leaks and the allocation gates — three times over under
 # the race detector, where a buffer two owners share shows up as a race.
-LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core
+# The physics packages are here for their allocation gates (DESIGN.md §
+# Hot loops): a step allocates its working set once, not per cell or node.
+LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core \
+	./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
 leak-check:
 	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate' $(LEAK_PKGS)
 
@@ -90,8 +93,12 @@ cover:
 # an N-core host, and every committed BENCH_*.json was recorded on one P,
 # so without the pin bench-check finds no common names on a larger host
 # and passes without comparing anything.
-BENCH_OUT ?= BENCH_14.json
-BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 .
+#
+# The scenario benchmarks live in the root package; a layer's own benchmarks
+# live with the layer (BENCH_PKGS).
+BENCH_OUT ?= BENCH_15.json
+BENCH_PKGS = . ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
+BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 $(BENCH_PKGS)
 bench:
 	@$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
 	@$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
@@ -99,7 +106,8 @@ bench:
 
 # Perf regression gate: rerun the benchmarks and compare the deterministic
 # virtual-* metrics against the newest committed BENCH_*.json, failing on
-# any >15% regression. Wall-clock ns/op is not gated (host-dependent).
+# any >15% regression, and allocs/op at +2% on the single-process benchmarks
+# whose count repeats exactly. Wall-clock ns/op is not gated (host-dependent).
 bench-check:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
 	if [ -z "$$base" ]; then echo "bench-check: no BENCH_*.json baseline" >&2; exit 1; fi; \
@@ -107,6 +115,7 @@ bench-check:
 	$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -o bench-check.json -against $$base \
 	  -match 'PipelinedKick|DirectVsHairpin|ShardedKick|CheckpointRecovery|StripedTransfer|ConcurrentSessions|ElasticGang|Ensemble' \
+	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
 

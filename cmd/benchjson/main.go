@@ -9,14 +9,19 @@
 //
 // With -against it additionally compares the run to an earlier JSON file
 // and exits 1 when any shared virtual-time metric regressed by more than
-// -tolerance (default 15%). Only virtual-* metrics are gated — wall-clock
-// ns/op varies with the host and would flake — and -match restricts the
-// gate to benchmarks whose name matches a regexp (`make bench-check`
-// scopes it to the headline benchmarks: a few scenario metrics, E2SC11's
-// transfer-fallback mix in particular, are timing-dependent and not
-// deterministic enough to gate):
+// -tolerance (default 15%). Wall-clock ns/op varies with the host and would
+// flake, so it is never gated, and -match restricts the gate to benchmarks
+// whose name matches a regexp (`make bench-check` scopes it to the headline
+// benchmarks: a few scenario metrics, E2SC11's transfer-fallback mix in
+// particular, are timing-dependent and not deterministic enough to gate):
 //
 //	go test -bench . | benchjson -o BENCH_8.json -against BENCH_7.json
+//
+// -allocs-match names the benchmarks whose allocs/op is gated too, at
+// allocsTolerance: single-process benchmarks whose allocation count repeats
+// exactly from run to run, so any growth is a change in the code. Like
+// -match it exists for one caller, `make bench-check`, which holds the list
+// of names; the tool stays ignorant of which benchmarks the repo has.
 package main
 
 import (
@@ -53,14 +58,21 @@ func parseMetrics(rest string) map[string]float64 {
 	return m
 }
 
+// allocsTolerance is the allowed fractional growth of a gated allocs/op:
+// the gated benchmarks repeat their count exactly, the margin only absorbs
+// the odd allocation a runtime timer or a grown map adds to a long run.
+const allocsTolerance = 0.02
+
 // compare checks cur against base: every benchmark/metric pair present in
 // both, whose unit names a deterministic virtual-time quantity, must not
-// exceed the baseline by more than tol (fractional). It returns one line
-// per regression; an empty slice means the gate passes. Benchmarks or
-// metrics present on only one side are ignored — adding a benchmark must
-// not fail the gate, and neither must retiring one.
-// A nil match gates every benchmark; otherwise only matching names are.
-func compare(cur, base map[string]map[string]float64, tol float64, match *regexp.Regexp) []string {
+// exceed the baseline by more than tol (fractional), and neither must
+// allocs/op, by more than allocsTolerance, on the benchmarks allocs names.
+// It returns one line per regression; an empty slice means the gate passes.
+// Benchmarks or metrics present on only one side are ignored — adding a
+// benchmark must not fail the gate, and neither must retiring one.
+// A nil match gates the virtual metrics of every benchmark, otherwise only
+// of matching names; a nil allocs gates no allocation count.
+func compare(cur, base map[string]map[string]float64, tol float64, match, allocs *regexp.Regexp) []string {
 	var regressions []string
 	names := make([]string, 0, len(cur))
 	for name := range cur {
@@ -72,16 +84,18 @@ func compare(cur, base map[string]map[string]float64, tol float64, match *regexp
 		if !ok {
 			continue
 		}
-		if match != nil && !match.MatchString(name) {
-			continue
-		}
 		metrics := make([]string, 0, len(cur[name]))
 		for unit := range cur[name] {
 			metrics = append(metrics, unit)
 		}
 		sort.Strings(metrics)
 		for _, unit := range metrics {
-			if !strings.HasPrefix(unit, "virtual-") {
+			limit := tol
+			switch {
+			case strings.HasPrefix(unit, "virtual-") && (match == nil || match.MatchString(name)):
+			case unit == "allocs/op" && allocs != nil && allocs.MatchString(name):
+				limit = allocsTolerance
+			default:
 				continue
 			}
 			was, ok := old[unit]
@@ -89,10 +103,10 @@ func compare(cur, base map[string]map[string]float64, tol float64, match *regexp
 				continue
 			}
 			now := cur[name][unit]
-			if now > was*(1+tol) {
+			if now > was*(1+limit) {
 				regressions = append(regressions, fmt.Sprintf(
 					"%s %s: %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
-					name, unit, was, now, (now/was-1)*100, tol*100))
+					name, unit, was, now, (now/was-1)*100, limit*100))
 			}
 		}
 	}
@@ -104,6 +118,7 @@ func main() {
 	against := flag.String("against", "", "baseline JSON file to gate regressions against")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression for virtual-* metrics")
 	matchExpr := flag.String("match", "", "regexp limiting the gate to matching benchmark names (empty gates all)")
+	allocsExpr := flag.String("allocs-match", "", "regexp naming the benchmarks whose allocs/op is gated as well (empty gates none)")
 	flag.Parse()
 
 	results := map[string]map[string]float64{}
@@ -159,20 +174,26 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", *against, err)
 			os.Exit(1)
 		}
-		var match *regexp.Regexp
+		var match, allocs *regexp.Regexp
 		if *matchExpr != "" {
 			if match, err = regexp.Compile(*matchExpr); err != nil {
 				fmt.Fprintf(os.Stderr, "benchjson: -match: %v\n", err)
 				os.Exit(1)
 			}
 		}
-		if regressions := compare(results, base, *tolerance, match); len(regressions) > 0 {
+		if *allocsExpr != "" {
+			if allocs, err = regexp.Compile(*allocsExpr); err != nil {
+				fmt.Fprintf(os.Stderr, "benchjson: -allocs-match: %v\n", err)
+				os.Exit(1)
+			}
+		}
+		if regressions := compare(results, base, *tolerance, match, allocs); len(regressions) > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) vs %s:\n", len(regressions), *against)
 			for _, r := range regressions {
 				fmt.Fprintf(os.Stderr, "  %s\n", r)
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: no virtual-metric regressions vs %s\n", *against)
+		fmt.Fprintf(os.Stderr, "benchjson: no gated regressions vs %s\n", *against)
 	}
 }

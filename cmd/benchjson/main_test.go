@@ -30,11 +30,11 @@ func TestCompareGatesVirtualMetrics(t *testing.T) {
 		"BenchmarkB":   {"virtual-us/step": 80},                  // +60%: regression
 		"BenchmarkNew": {"virtual-us/step": 1e9},                 // no baseline: ignored
 	}
-	regs := compare(cur, base, 0.15, nil)
+	regs := compare(cur, base, 0.15, nil, nil)
 	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkB") {
 		t.Fatalf("compare = %v, want exactly the BenchmarkB regression", regs)
 	}
-	if regs := compare(cur, base, 0.65, nil); len(regs) != 0 {
+	if regs := compare(cur, base, 0.65, nil, nil); len(regs) != 0 {
 		t.Fatalf("tolerance 65%%: compare = %v, want none", regs)
 	}
 }
@@ -43,7 +43,7 @@ func TestCompareGatesVirtualMetrics(t *testing.T) {
 func TestCompareImprovementPasses(t *testing.T) {
 	base := map[string]map[string]float64{"BenchmarkA": {"virtual-us/step": 100}}
 	cur := map[string]map[string]float64{"BenchmarkA": {"virtual-us/step": 30}}
-	if regs := compare(cur, base, 0.15, nil); len(regs) != 0 {
+	if regs := compare(cur, base, 0.15, nil, nil); len(regs) != 0 {
 		t.Fatalf("improvement flagged: %v", regs)
 	}
 }
@@ -59,8 +59,32 @@ func TestCompareMatchScopesGate(t *testing.T) {
 		"BenchmarkNoisy":    {"virtual-s/iter": 1.2}, // +33%, out of scope
 		"BenchmarkHeadline": {"virtual-us/step": 130},
 	}
-	regs := compare(cur, base, 0.15, regexp.MustCompile("Headline"))
+	regs := compare(cur, base, 0.15, regexp.MustCompile("Headline"), nil)
 	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkHeadline") {
 		t.Fatalf("compare = %v, want only the in-scope regression", regs)
+	}
+}
+
+// TestCompareGatesAllocs: allocs/op is gated at 2% on the benchmarks
+// -allocs-match names and nowhere else, whatever -match scopes the virtual
+// metrics to; B/op and ns/op stay ungated.
+func TestCompareGatesAllocs(t *testing.T) {
+	base := map[string]map[string]float64{
+		"BenchmarkSPHStep":     {"allocs/op": 100, "B/op": 1000, "ns/op": 1000},
+		"BenchmarkHermiteStep": {"allocs/op": 100},
+		"BenchmarkConcurrent":  {"allocs/op": 100, "virtual-us/step": 100},
+	}
+	cur := map[string]map[string]float64{
+		"BenchmarkSPHStep":     {"allocs/op": 103, "B/op": 9999, "ns/op": 9999}, // +3%: regression
+		"BenchmarkHermiteStep": {"allocs/op": 102},                              // +2%: at the tolerance
+		"BenchmarkConcurrent":  {"allocs/op": 150, "virtual-us/step": 100},      // not named: wanders, ungated
+	}
+	allocs := regexp.MustCompile("SPHStep|HermiteStep")
+	regs := compare(cur, base, 0.15, regexp.MustCompile("Concurrent"), allocs)
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkSPHStep allocs/op") {
+		t.Fatalf("compare = %v, want exactly the SPHStep allocs/op regression", regs)
+	}
+	if regs := compare(cur, base, 0.15, nil, nil); len(regs) != 0 {
+		t.Fatalf("no -allocs-match: compare = %v, want none", regs)
 	}
 }

@@ -42,6 +42,15 @@ type conformKind struct {
 	digest func(t *testing.T, m *Model) uint64
 }
 
+// Gravity legs end at i/64. The long leg the fault suite kills a rank
+// inside of ends at conformLongEnd; conformPostLeg is the first leg the
+// suite runs after it, and has to end later because the model clock only
+// moves forward.
+const (
+	conformLongEnd = 2.0
+	conformPostLeg = 136 // 136/64 = 2.125 > conformLongEnd
+)
+
 var abmConformParams = abm.Params{W: 48, H: 48, D: 0.2, R: 0.8, B: 0.4, DT: 0.01}
 
 // abmConformBias is the fixed potential the conformance colonies evolve
@@ -74,7 +83,12 @@ func conformKinds() []conformKind {
 				t.Fatal(err)
 			}
 		},
-		goLong: func(m *Model) Waiter { return m.AsGravity().GoEvolveTo(1.0 / 8) },
+		// 127 legs' worth of steps: at N=96 a gang step is a few pair
+		// sweeps between collectives, so the leg's wall time (~270 ms, 18x
+		// the fault suite's pre-kill sleep) is set by the number of
+		// collectives, not by how fast the force kernel is. At 1/8 the
+		// PR 15 kernel finished the leg before the kill landed.
+		goLong: func(m *Model) Waiter { return m.AsGravity().GoEvolveTo(conformLongEnd) },
 		digest: func(t *testing.T, m *Model) uint64 {
 			st, err := m.GetState(nil, data.AttrPos, data.AttrVel)
 			if err != nil {
@@ -243,7 +257,9 @@ func TestKindConformanceRankDeathRecovery(t *testing.T) {
 			died := make(chan int, 4)
 			tb.Daemon.OnWorkerDied = func(id int) { died <- id }
 			call := k.goLong(gang)
-			time.Sleep(15 * time.Millisecond) // let the ranks get into the collective
+			// Let the ranks get into the collective. Every kind's long leg
+			// has to outlast this sleep by a wide margin on any host.
+			time.Sleep(15 * time.Millisecond)
 			victim := before[1]
 			tb.Daemon.KillWorker(victim)
 			select {
@@ -267,10 +283,10 @@ func TestKindConformanceRankDeathRecovery(t *testing.T) {
 				t.Fatalf("post-recovery digest %x != solo baseline %x", got, want)
 			}
 
-			// The recovered gang keeps working bit-compatibly. (Leg 12 —
-			// past the long leg's end time for monotonic-clock kinds.)
-			k.leg(t, base, 12)
-			k.leg(t, gang, 12)
+			// The recovered gang keeps working bit-compatibly, on a leg
+			// past the long leg's end time for monotonic-clock kinds.
+			k.leg(t, base, conformPostLeg)
+			k.leg(t, gang, conformPostLeg)
 			if got, want := k.digest(t, gang), k.digest(t, base); got != want {
 				t.Fatalf("post-recovery leg digest %x != baseline %x", got, want)
 			}

@@ -46,16 +46,26 @@ func ComputeFlops(c Comm, dev *vtime.Device, flops float64, n int) {
 	c.Clock().Advance(dev.Time(flops, n))
 }
 
-func sendFloats(c Comm, to int, x []float64) error {
-	return c.Send(to, floatsToBytes(x))
-}
-
-func recvFloats(c Comm, from int) ([]float64, error) {
-	b, err := c.Recv(from)
-	if err != nil {
-		return nil, err
+// fanOut sends msg from root to every other rank and consumes it: the last
+// receiver gets msg itself, the others a clone each (Send takes ownership).
+func fanOut(c Comm, root int, msg []byte, what string) error {
+	last := c.Size() - 1
+	if last == root {
+		last--
 	}
-	return bytesToFloats(b)
+	for p := 0; p <= last; p++ {
+		if p == root {
+			continue
+		}
+		out := msg
+		if p != last {
+			out = bytes.Clone(msg)
+		}
+		if err := c.Send(p, out); err != nil {
+			return fmt.Errorf("mpisim: %s to %d: %w", what, p, err)
+		}
+	}
+	return nil
 }
 
 // Barrier blocks until all ranks arrive. Clocks: all ranks leave the barrier
@@ -87,22 +97,14 @@ func Barrier(c Comm) error {
 
 // Bcast distributes root's buffer to every rank; non-root ranks pass nil (or
 // anything — their argument is ignored) and receive the broadcast value.
-// Root keeps data (it is also root's return value), so every rank is sent
-// a clone.
+// Root keeps data (it is also root's return value), so what goes out is one
+// clone of it, fanned out.
 func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 	if c.Size() == 1 {
 		return data, nil
 	}
 	if c.ID() == root {
-		for p := 0; p < c.Size(); p++ {
-			if p == root {
-				continue
-			}
-			if err := c.Send(p, bytes.Clone(data)); err != nil {
-				return nil, fmt.Errorf("mpisim: bcast to %d: %w", p, err)
-			}
-		}
-		return data, nil
+		return data, fanOut(c, root, bytes.Clone(data), "bcast")
 	}
 	return c.Recv(root)
 }
@@ -113,112 +115,98 @@ func BcastFloats(c Comm, root int, x []float64) ([]float64, error) {
 		return x, nil
 	}
 	if c.ID() == root {
-		_, err := Bcast(c, root, floatsToBytes(x))
-		return x, err
+		return x, fanOut(c, root, floatsToBytes(x), "bcast")
 	}
-	b, err := Bcast(c, root, nil)
+	b, err := c.Recv(root)
 	if err != nil {
 		return nil, err
 	}
-	return bytesToFloats(b)
+	return appendFloats(nil, b)
 }
 
-// AllreduceSum element-wise sums x across ranks; every rank receives the
-// total. Implemented as reduce-to-0 + bcast. The summation order is fixed by
-// rank, so the result is bitwise deterministic.
-func AllreduceSum(c Comm, x []float64) ([]float64, error) {
+// allreduce folds every rank's x into rank 0's copy, part by part in rank
+// order (so the result is bitwise deterministic), and broadcasts the result.
+// fold combines one rank's encoded part into the accumulator.
+func allreduce(c Comm, x []float64, fold func(acc []float64, part []byte)) ([]float64, error) {
 	const root = 0
 	if c.Size() == 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out, nil
+		return append([]float64(nil), x...), nil
 	}
 	if c.ID() == root {
-		sum := make([]float64, len(x))
-		copy(sum, x)
+		acc := append([]float64(nil), x...)
 		for p := 1; p < c.Size(); p++ {
-			part, err := recvFloats(c, p)
+			part, err := c.Recv(p)
 			if err != nil {
 				return nil, fmt.Errorf("mpisim: allreduce gather from %d: %w", p, err)
 			}
-			if len(part) != len(sum) {
-				return nil, fmt.Errorf("mpisim: allreduce length mismatch: rank %d sent %d, want %d", p, len(part), len(sum))
+			if len(part) != 8*len(acc) {
+				return nil, fmt.Errorf("mpisim: allreduce length mismatch: rank %d sent %d bytes, want %d", p, len(part), 8*len(acc))
 			}
-			for i := range sum {
-				sum[i] += part[i]
-			}
+			fold(acc, part)
 		}
-		return BcastFloats(c, root, sum)
+		return BcastFloats(c, root, acc)
 	}
-	if err := sendFloats(c, root, x); err != nil {
+	if err := c.Send(root, floatsToBytes(x)); err != nil {
 		return nil, err
 	}
 	return BcastFloats(c, root, nil)
+}
+
+// AllreduceSum element-wise sums x across ranks; every rank receives the
+// total. Implemented as reduce-to-0 + bcast.
+func AllreduceSum(c Comm, x []float64) ([]float64, error) {
+	return allreduce(c, x, func(acc []float64, part []byte) {
+		for i := range acc {
+			acc[i] += floatAt(part, i)
+		}
+	})
 }
 
 // AllreduceMax element-wise maximizes x across ranks.
 func AllreduceMax(c Comm, x []float64) ([]float64, error) {
-	const root = 0
-	if c.Size() == 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out, nil
-	}
-	if c.ID() == root {
-		acc := make([]float64, len(x))
-		copy(acc, x)
-		for p := 1; p < c.Size(); p++ {
-			part, err := recvFloats(c, p)
-			if err != nil {
-				return nil, err
-			}
-			if len(part) != len(acc) {
-				return nil, fmt.Errorf("mpisim: allreduce length mismatch: rank %d sent %d, want %d", p, len(part), len(acc))
-			}
-			for i := range acc {
-				if part[i] > acc[i] {
-					acc[i] = part[i]
-				}
+	return allreduce(c, x, func(acc []float64, part []byte) {
+		for i := range acc {
+			if v := floatAt(part, i); v > acc[i] {
+				acc[i] = v
 			}
 		}
-		return BcastFloats(c, root, acc)
-	}
-	if err := sendFloats(c, root, x); err != nil {
-		return nil, err
-	}
-	return BcastFloats(c, root, nil)
+	})
 }
 
 // AllgatherFloats concatenates every rank's slice in rank order; all ranks
 // receive the full concatenation. Slices may have different lengths (the
-// slab decomposition's remainder blocks differ by one).
-func AllgatherFloats(c Comm, x []float64) ([]float64, error) {
+// slab decomposition's remainder blocks differ by one). The result is
+// appended to dst[:0] and returned, so a caller that passes room for the
+// whole gather gets it decoded in place and compares the returned length
+// with what it expected. x may be a part of dst: it is encoded (or, on the
+// root, moved to the front) before anything is written.
+func AllgatherFloats(c Comm, x, dst []float64) ([]float64, error) {
 	const root = 0
+	dst = dst[:0]
 	if c.Size() == 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out, nil
+		return append(dst, x...), nil
 	}
 	if c.ID() == root {
-		parts := make([][]float64, c.Size())
-		parts[root] = x
+		dst = append(dst, x...)
 		for p := 1; p < c.Size(); p++ {
-			part, err := recvFloats(c, p)
+			part, err := c.Recv(p)
 			if err != nil {
 				return nil, fmt.Errorf("mpisim: allgather from %d: %w", p, err)
 			}
-			parts[p] = part
+			if dst, err = appendFloats(dst, part); err != nil {
+				return nil, err
+			}
 		}
-		var all []float64
-		for _, part := range parts {
-			all = append(all, part...)
-		}
-		return BcastFloats(c, root, all)
+		return dst, fanOut(c, root, floatsToBytes(dst), "allgather bcast")
 	}
-	if err := sendFloats(c, root, x); err != nil {
+	if err := c.Send(root, floatsToBytes(x)); err != nil {
 		return nil, err
 	}
-	return BcastFloats(c, root, nil)
+	all, err := c.Recv(root)
+	if err != nil {
+		return nil, err
+	}
+	return appendFloats(dst, all)
 }
 
 // AllgatherBytes gathers every rank's opaque blob; all ranks receive the
@@ -241,17 +229,7 @@ func AllgatherBytes(c Comm, b []byte) ([][]byte, error) {
 			}
 			parts[p] = part
 		}
-		packed := packBlobs(parts)
-		for p := 1; p < c.Size(); p++ {
-			msg := packed
-			if p < c.Size()-1 {
-				msg = bytes.Clone(packed) // the last rank gets the original
-			}
-			if err := c.Send(p, msg); err != nil {
-				return nil, fmt.Errorf("mpisim: allgather bcast to %d: %w", p, err)
-			}
-		}
-		return parts, nil
+		return parts, fanOut(c, root, packBlobs(parts), "allgather bcast")
 	}
 	if err := c.Send(root, b); err != nil {
 		return nil, err
@@ -344,8 +322,9 @@ func (r *Rank) AllreduceSum(x []float64) ([]float64, error) { return AllreduceSu
 // AllreduceMax element-wise maximizes x across ranks.
 func (r *Rank) AllreduceMax(x []float64) ([]float64, error) { return AllreduceMax(r, x) }
 
-// AllgatherFloats concatenates every rank's slice in rank order.
-func (r *Rank) AllgatherFloats(x []float64) ([]float64, error) { return AllgatherFloats(r, x) }
+// AllgatherFloats concatenates every rank's slice in rank order into a new
+// slice.
+func (r *Rank) AllgatherFloats(x []float64) ([]float64, error) { return AllgatherFloats(r, x, nil) }
 
 // SendRecv exchanges buffers with a partner rank.
 func (r *Rank) SendRecv(peer int, data []byte) ([]byte, error) { return SendRecv(r, peer, data) }

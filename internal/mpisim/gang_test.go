@@ -2,6 +2,8 @@ package mpisim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -130,10 +132,111 @@ func TestOwnershipCollectiveFanOut(t *testing.T) {
 			for _, b := range blobs {
 				scribble(b)
 			}
+			// Every receiver scribbled before it entered the allgather.
+			if g.ID() == 0 && (mine[0] != 1 || mine[1] != 2 || mine[2] != 3 || mine[3] != byte(round)) {
+				t.Errorf("round %d: root's bcast buffer came back as %v", round, mine)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAllgatherFloatsInPlace: every rank holds the full array with only its
+// own slab current, passes the slab as x and the array as dst, and ends with
+// the whole array current in the same memory — for uneven and empty slabs.
+func TestAllgatherFloatsInPlace(t *testing.T) {
+	for _, cuts := range [][]int{{0, 3, 5, 7}, {0, 0, 4, 4, 9}, {0, 1, 2, 3, 4, 5, 6, 7, 1000}} {
+		size, n := len(cuts)-1, cuts[len(cuts)-1]
+		err := runGangs(LocalGangs(size, 0), func(g *Gang) error {
+			lo, hi := CutRange(cuts, g.ID(), n, size)
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = -1 // stale
+			}
+			for i := lo; i < hi; i++ {
+				a[i] = float64(i) * 0.5
+			}
+			for round := 0; round < 3; round++ {
+				full, err := AllgatherFloats(g, a[lo:hi], a)
+				if err != nil {
+					return err
+				}
+				if len(full) != n || (n > 0 && &full[0] != &a[0]) {
+					t.Errorf("cuts %v rank %d: gathered %d floats in place %v, want %d in the caller's array",
+						cuts, g.ID(), len(full), n > 0 && &full[0] == &a[0], n)
+					return nil
+				}
+				for i, v := range a {
+					if v != float64(i)*0.5 {
+						t.Errorf("cuts %v rank %d: element %d = %v", cuts, g.ID(), i, v)
+						return nil
+					}
+				}
+			}
+			// Without room the result is a new slice and dst is not grown into.
+			full, err := AllgatherFloats(g, a[lo:hi], nil)
+			if err != nil {
+				return err
+			}
+			if len(full) != n {
+				t.Errorf("cuts %v rank %d: gathered %d floats into nil, want %d", cuts, g.ID(), len(full), n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// gatherRounds runs rounds in-place allgathers of n floats on every rank of
+// an 8-rank gang over in-memory links and returns the allocations per
+// collective, summed over the ranks.
+func gatherRounds(tb testing.TB, n, rounds int) float64 {
+	const size = 8
+	gangs := LocalGangs(size, 0)
+	arrays := make([][]float64, size)
+	for i := range arrays {
+		arrays[i] = make([]float64, n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := runGangs(gangs, func(g *Gang) error {
+		a := arrays[g.ID()]
+		lo, hi := Slab(n, g.ID(), size)
+		for round := 0; round < rounds; round++ {
+			full, err := AllgatherFloats(g, a[lo:hi], a)
+			if err != nil {
+				return err
+			}
+			if len(full) != n {
+				return fmt.Errorf("rank %d gathered %d floats, want %d", g.ID(), len(full), n)
+			}
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(rounds)
+}
+
+// TestAllgatherAllocGate: an in-place allgather over 8 ranks allocates the
+// messages and nothing else — seven encoded slabs, the encoded result and
+// its six clones (every receiver owns what it is sent). It used to decode
+// every part and the result into fresh slices on top of that.
+func TestAllgatherAllocGate(t *testing.T) {
+	const want = 7 + 1 + 6
+	if got := gatherRounds(t, 1000, 200); got > want+1 { // +1: the rank goroutines, amortised
+		t.Fatalf("8-rank AllgatherFloats: %.2f allocations per collective, want %d", got, want)
+	}
+}
+
+func BenchmarkAllgatherFloats(b *testing.B) {
+	b.ReportAllocs()
+	gatherRounds(b, 1000, b.N)
 }

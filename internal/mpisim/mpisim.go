@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,7 +316,7 @@ func (r *Rank) RecvFloats(from int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bytesToFloats(b)
+	return appendFloats(nil, b)
 }
 
 func floatsToBytes(x []float64) []byte {
@@ -326,15 +327,23 @@ func floatsToBytes(x []float64) []byte {
 	return b
 }
 
-func bytesToFloats(b []byte) ([]float64, error) {
+// floatAt decodes the i-th float of a little-endian payload.
+func floatAt(b []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+}
+
+// appendFloats decodes a little-endian payload onto the end of dst, which
+// grows only when it has no room.
+func appendFloats(dst []float64, b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("mpisim: float payload length %d not a multiple of 8", len(b))
 	}
-	x := make([]float64, len(b)/8)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	at := len(dst)
+	dst = slices.Grow(dst, len(b)/8)[:at+len(b)/8]
+	for i := range dst[at:] {
+		dst[at+i] = floatAt(b, i)
 	}
-	return x, nil
+	return dst, nil
 }
 
 // Slab returns this rank's half-open index range [lo, hi) of an n-element

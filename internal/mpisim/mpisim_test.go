@@ -391,7 +391,7 @@ func TestAllreduceDeterministic(t *testing.T) {
 
 func TestFloatsRoundTrip(t *testing.T) {
 	f := func(x []float64) bool {
-		y, err := bytesToFloats(floatsToBytes(x))
+		y, err := appendFloats(nil, floatsToBytes(x))
 		if err != nil || len(y) != len(x) {
 			return false
 		}
@@ -405,7 +405,7 @@ func TestFloatsRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bytesToFloats(make([]byte, 7)); err == nil {
+	if _, err := appendFloats(nil, make([]byte, 7)); err == nil {
 		t.Fatal("odd-length payload decoded")
 	}
 }

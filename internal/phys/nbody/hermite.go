@@ -10,10 +10,6 @@ import (
 	"jungle/internal/amuse/data"
 )
 
-// sqrt is split out so kernels share one call site (keeps CPU/GPU arithmetic
-// visibly identical).
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-
 // ErrNoParticles is returned when evolving an empty system.
 var ErrNoParticles = errors.New("nbody: no particles")
 

@@ -15,6 +15,7 @@
 package nbody
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
@@ -64,29 +65,57 @@ type Kernel interface {
 	ForcesSlab(mass []float64, pos, vel []data.Vec3, eps2 float64, lo, hi int, out *Forces) float64
 }
 
-// pairInteraction accumulates the contribution of particle j on particle i.
-// Shared by both kernels so their arithmetic is identical by construction;
-// what differs between them is traversal structure and the device model.
-func pairInteraction(mj float64, dp, dv data.Vec3, eps2 float64,
-	acc, jerk *data.Vec3, pot *float64) {
-	r2 := dp.Norm2() + eps2
-	// r^-3 via sqrt; identical instruction sequence in both kernels.
-	r1 := sqrt(r2)
-	rinv := 1 / r1
-	rinv2 := rinv * rinv
-	rinv3 := rinv * rinv2
-	mrinv3 := mj * rinv3
+// rowSums is one particle's running acceleration, jerk and potential.
+type rowSums struct {
+	ax, ay, az float64
+	jx, jy, jz float64
+	pot        float64
+}
 
-	acc[0] += mrinv3 * dp[0]
-	acc[1] += mrinv3 * dp[1]
-	acc[2] += mrinv3 * dp[2]
+// pairRow adds to s the contributions of particles [j0, j1), in ascending
+// order and skipping i itself, on particle i. Shared by both kernels so their
+// arithmetic is identical by construction; what differs between them is
+// traversal structure and the device model. The sums stay in locals across
+// the range and the caller stores them once per row.
+func pairRow(mass []float64, pos, vel []data.Vec3, eps2 float64, i, j0, j1 int, s rowSums) rowSums {
+	pix, piy, piz := pos[i][0], pos[i][1], pos[i][2]
+	vix, viy, viz := vel[i][0], vel[i][1], vel[i][2]
+	ax, ay, az := s.ax, s.ay, s.az
+	jx, jy, jz := s.jx, s.jy, s.jz
+	pot := s.pot
+	for j := j0; j < j1; j++ {
+		if j == i {
+			continue
+		}
+		pj, vj, mj := &pos[j], &vel[j], mass[j]
+		dx, dy, dz := pj[0]-pix, pj[1]-piy, pj[2]-piz
+		dvx, dvy, dvz := vj[0]-vix, vj[1]-viy, vj[2]-viz
+		r2 := dx*dx + dy*dy + dz*dz + eps2
+		r1 := math.Sqrt(r2)
+		rinv := 1 / r1
+		rinv2 := rinv * rinv
+		rinv3 := rinv * rinv2
+		mrinv3 := mj * rinv3
 
-	rv := dp.Dot(dv) * rinv2 * 3
-	jerk[0] += mrinv3 * (dv[0] - rv*dp[0])
-	jerk[1] += mrinv3 * (dv[1] - rv*dp[1])
-	jerk[2] += mrinv3 * (dv[2] - rv*dp[2])
+		ax += mrinv3 * dx
+		ay += mrinv3 * dy
+		az += mrinv3 * dz
 
-	*pot -= mj * rinv
+		rv := (dx*dvx + dy*dvy + dz*dvz) * rinv2 * 3
+		jx += mrinv3 * (dvx - rv*dx)
+		jy += mrinv3 * (dvy - rv*dy)
+		jz += mrinv3 * (dvz - rv*dz)
+
+		pot -= mj * rinv
+	}
+	return rowSums{ax, ay, az, jx, jy, jz, pot}
+}
+
+// store writes a finished row into out.
+func (s rowSums) store(out *Forces, i int) {
+	out.Acc[i] = data.Vec3{s.ax, s.ay, s.az}
+	out.Jerk[i] = data.Vec3{s.jx, s.jy, s.jz}
+	out.Pot[i] = s.pot
 }
 
 // CPUKernel is the PhiGRAPE CPU variant: rows of the interaction matrix are
@@ -146,20 +175,7 @@ func (k *CPUKernel) ForcesSlab(mass []float64, pos, vel []data.Vec3, eps2 float6
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				var acc, jerk data.Vec3
-				var pot float64
-				pi, vi := pos[i], vel[i]
-				for j := 0; j < n; j++ {
-					if j == i {
-						continue
-					}
-					dp := pos[j].Sub(pi)
-					dv := vel[j].Sub(vi)
-					pairInteraction(mass[j], dp, dv, eps2, &acc, &jerk, &pot)
-				}
-				out.Acc[i] = acc
-				out.Jerk[i] = jerk
-				out.Pot[i] = pot
+				pairRow(mass, pos, vel, eps2, i, 0, n, rowSums{}).store(out, i)
 			}
 		}(wlo, whi)
 	}
@@ -223,26 +239,15 @@ func (k *GPUKernel) ForcesSlab(mass []float64, pos, vel []data.Vec3, eps2 float6
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				var acc, jerk data.Vec3
-				var pot float64
-				pi, vi := pos[i], vel[i]
+				var s rowSums
 				for t0 := 0; t0 < n; t0 += gpuTile {
 					t1 := t0 + gpuTile
 					if t1 > n {
 						t1 = n
 					}
-					for j := t0; j < t1; j++ {
-						if j == i {
-							continue
-						}
-						dp := pos[j].Sub(pi)
-						dv := vel[j].Sub(vi)
-						pairInteraction(mass[j], dp, dv, eps2, &acc, &jerk, &pot)
-					}
+					s = pairRow(mass, pos, vel, eps2, i, t0, t1, s)
 				}
-				out.Acc[i] = acc
-				out.Jerk[i] = jerk
-				out.Pot[i] = pot
+				s.store(out, i)
 			}
 		}(wlo, whi)
 	}

@@ -318,17 +318,6 @@ func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.D
 	if n == 0 {
 		return ErrNoGas
 	}
-	// Rank-local working copies (identical across ranks after exchanges).
-	pos := append([]data.Vec3(nil), g.pos...)
-	vel := append([]data.Vec3(nil), g.vel...)
-	u := append([]float64(nil), g.u...)
-	h := append([]float64(nil), g.h...)
-	rho := make([]float64, n)
-	prs := make([]float64, n)
-	cs := make([]float64, n)
-	acc := make([]data.Vec3, n)
-	dudt := make([]float64, n)
-
 	lo, hi := 0, n
 	if r != nil {
 		lo, hi = mpisim.CutRange(g.cutsFor(r.Size()), r.ID(), n, r.Size())
@@ -338,15 +327,16 @@ func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.D
 	steps := 0
 	var flops float64
 
-	st := &state{g: g, pos: pos, vel: vel, u: u, h: h, rho: rho, prs: prs, cs: cs, acc: acc, dudt: dudt}
+	st := newState(g, lo, hi, r != nil)
+	pos, vel, u, acc, dudt := st.pos, st.vel, st.u, st.acc, st.dudt
 
 	// Prime density and forces.
 	f := st.density(lo, hi)
-	if err := exchangeScalars(r, lo, hi, rho, prs, cs, h); err != nil {
+	if err := st.exchangeScalars(r, lo, hi); err != nil {
 		return err
 	}
 	f += st.forces(lo, hi)
-	if err := exchangeForces(r, lo, hi, acc, dudt); err != nil {
+	if err := st.exchangeForces(r, lo, hi); err != nil {
 		return err
 	}
 	account(r, dev, f)
@@ -380,17 +370,17 @@ func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.D
 			u[i] = math.Max(u[i]+dudt[i]*dt/2, 1e-12)
 			pos[i] = pos[i].Add(vel[i].Scale(dt))
 		}
-		if err := exchangeVectors(r, lo, hi, pos, vel, u); err != nil {
+		if err := st.exchangeVectors(r, lo, hi); err != nil {
 			return err
 		}
 
 		// New densities and forces at the drifted state.
 		f = st.density(lo, hi)
-		if err := exchangeScalars(r, lo, hi, rho, prs, cs, h); err != nil {
+		if err := st.exchangeScalars(r, lo, hi); err != nil {
 			return err
 		}
 		f += st.forces(lo, hi)
-		if err := exchangeForces(r, lo, hi, acc, dudt); err != nil {
+		if err := st.exchangeForces(r, lo, hi); err != nil {
 			return err
 		}
 
@@ -399,7 +389,7 @@ func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.D
 			vel[i] = vel[i].Add(acc[i].Scale(dt / 2))
 			u[i] = math.Max(u[i]+dudt[i]*dt/2, 1e-12)
 		}
-		if err := exchangeVectors(r, lo, hi, pos, vel, u); err != nil {
+		if err := st.exchangeVectors(r, lo, hi); err != nil {
 			return err
 		}
 		account(r, dev, f)
@@ -414,10 +404,10 @@ func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.D
 		copy(g.pos, pos)
 		copy(g.vel, vel)
 		copy(g.u, u)
-		copy(g.h, h)
-		copy(g.rho, rho)
-		copy(g.prs, prs)
-		copy(g.cs, cs)
+		copy(g.h, st.h)
+		copy(g.rho, st.rho)
+		copy(g.prs, st.prs)
+		copy(g.cs, st.cs)
 		g.time = time
 		g.steps += steps
 		g.flops += flops * flopScale(r)
@@ -450,17 +440,50 @@ func account(r mpisim.Comm, dev *vtime.Device, flops float64) {
 	}
 }
 
-// state bundles working slices for the physics loops.
+// state bundles one evolve call's working slices for the physics loops.
 type state struct {
-	g          *Gas
-	pos, vel   []data.Vec3
-	u, h       []float64
-	rho, prs   []float64
-	cs         []float64
-	acc        []data.Vec3
-	dudt       []float64
-	cachedGrid *grid
+	g        *Gas
+	pos, vel []data.Vec3
+	u, h     []float64
+	rho, prs []float64
+	cs       []float64
+	acc      []data.Vec3
+	dudt     []float64
+	cells    cellList    // built by density, reused by forces
+	gacc     []data.Vec3 // the slab's self-gravity
+	gpot     []float64
+	slab     []float64 // exchange buffers: this rank's packed rows,
+	full     []float64 // and every rank's
 }
+
+// newState allocates everything one evolve call over the rows [lo,hi) needs
+// — rank-local working copies (identical across ranks after exchanges), the
+// cell list, the slab's self-gravity and, for a rank, the exchange buffers —
+// once; it all dies with the call.
+func newState(g *Gas, lo, hi int, exchange bool) *state {
+	n := len(g.mass)
+	st := &state{g: g,
+		pos: append([]data.Vec3(nil), g.pos...), vel: append([]data.Vec3(nil), g.vel...),
+		u: append([]float64(nil), g.u...), h: append([]float64(nil), g.h...),
+		rho: make([]float64, n), prs: make([]float64, n), cs: make([]float64, n),
+		acc: make([]data.Vec3, n), dudt: make([]float64, n),
+		cells: newCellList(n)}
+	if g.SelfGravity {
+		st.gacc = make([]data.Vec3, hi-lo)
+		st.gpot = make([]float64, hi-lo)
+	}
+	if exchange {
+		st.slab = make([]float64, 7*(hi-lo))
+		st.full = make([]float64, 7*n)
+	}
+	return st
+}
+
+// The two pair loops below walk each particle's 27 cells directly, keep
+// their sums in locals and store once per particle, and take the square
+// root only of candidates rejectAbove cannot rule out. The candidates, their
+// order and every floating-point expression are those of the loops in
+// oracle_test.go, which the results are held to bit for bit.
 
 // density computes rho, P, cs and updates h for indices [lo,hi).
 func (st *state) density(lo, hi int) float64 {
@@ -471,21 +494,32 @@ func (st *state) density(lo, hi int) float64 {
 			hmax = hh
 		}
 	}
-	gr := buildGrid(st.pos, 2*hmax)
-	st.cachedGrid = gr
+	cl := &st.cells
+	cl.build(st.pos, 2*hmax)
+	pos, mass := st.pos, g.mass
+	var runs [27][]int32
 	pairs := 0
 	for i := lo; i < hi; i++ {
 		var sum float64
 		count := 0
-		pi := st.pos[i]
+		pix, piy, piz := pos[i][0], pos[i][1], pos[i][2]
 		hh := st.h[i]
-		gr.forNeighbors(pi, func(j int32) {
-			rij := st.pos[j].Sub(pi).Norm()
-			if rij < 2*hh {
-				sum += g.mass[j] * W(rij, hh)
-				count++
+		support := 2 * hh
+		far := rejectAbove(support)
+		for _, run := range cl.around(cl.key(pos[i]), &runs) {
+			for _, j := range run {
+				pj := &pos[j]
+				x, y, z := pj[0]-pix, pj[1]-piy, pj[2]-piz
+				r2 := x*x + y*y + z*z
+				if r2 > far {
+					continue
+				}
+				if rij := math.Sqrt(r2); rij < support {
+					sum += mass[j] * W(rij, hh)
+					count++
+				}
 			}
-		})
+		}
 		pairs += count
 		st.rho[i] = sum
 		if st.rho[i] <= 0 {
@@ -504,53 +538,68 @@ func (st *state) density(lo, hi int) float64 {
 // viscosity, plus optional tree self-gravity.
 func (st *state) forces(lo, hi int) float64 {
 	g := st.g
-	gr := st.cachedGrid
+	cl := &st.cells
+	pos, vel, mass := st.pos, st.vel, g.mass
+	h, rho, prs, cs := st.h, st.rho, st.prs, st.cs
+	alpha, beta := g.Alpha, g.Beta
+	var runs [27][]int32
 	pairs := 0
 	for i := lo; i < hi; i++ {
-		var a data.Vec3
-		var du float64
-		pi, vi := st.pos[i], st.vel[i]
-		rhoi, prsi, csi, hsml := st.rho[i], st.prs[i], st.cs[i], st.h[i]
-		gr.forNeighbors(pi, func(j int32) {
-			if int(j) == i {
-				return
-			}
-			dp := pi.Sub(st.pos[j])
-			rij := dp.Norm()
-			hm := 0.5 * (hsml + st.h[j])
-			if rij >= 2*hm || rij == 0 {
-				return
-			}
-			dv := vi.Sub(st.vel[j])
-			dw := DW(rij, hm)
-			gradW := dp.Scale(dw / rij)
+		var ax, ay, az, du float64
+		pix, piy, piz := pos[i][0], pos[i][1], pos[i][2]
+		vix, viy, viz := vel[i][0], vel[i][1], vel[i][2]
+		rhoi, csi, hsml := rho[i], cs[i], h[i]
+		pterm := prs[i] / (rhoi * rhoi)
+		for _, run := range cl.around(cl.key(pos[i]), &runs) {
+			for _, j := range run {
+				if int(j) == i {
+					continue
+				}
+				pj := &pos[j]
+				x, y, z := pix-pj[0], piy-pj[1], piz-pj[2]
+				r2 := x*x + y*y + z*z
+				hm := 0.5 * (hsml + h[j])
+				support := 2 * hm
+				if r2 > rejectAbove(support) {
+					continue
+				}
+				rij := math.Sqrt(r2)
+				if rij >= support || rij == 0 {
+					continue
+				}
+				vj := &vel[j]
+				dvx, dvy, dvz := vix-vj[0], viy-vj[1], viz-vj[2]
+				s := DW(rij, hm) / rij
+				gx, gy, gz := s*x, s*y, s*z // gradW
 
-			// Monaghan viscosity for approaching pairs.
-			var visc float64
-			vr := dv.Dot(dp)
-			if vr < 0 {
-				mu := hm * vr / (rij*rij + 0.01*hm*hm)
-				cm := 0.5 * (csi + st.cs[j])
-				rm := 0.5 * (rhoi + st.rho[j])
-				visc = (-g.Alpha*cm*mu + g.Beta*mu*mu) / rm
+				// Monaghan viscosity for approaching pairs.
+				var visc float64
+				vr := dvx*x + dvy*y + dvz*z
+				if vr < 0 {
+					mu := hm * vr / (rij*rij + 0.01*hm*hm)
+					cm := 0.5 * (csi + cs[j])
+					rm := 0.5 * (rhoi + rho[j])
+					visc = (-alpha*cm*mu + beta*mu*mu) / rm
+				}
+				common := pterm + prs[j]/(rho[j]*rho[j]) + visc
+				m := mass[j] * common
+				ax -= m * gx
+				ay -= m * gy
+				az -= m * gz
+				du += 0.5 * mass[j] * common * (dvx*gx + dvy*gy + dvz*gz)
+				pairs++
 			}
-			common := prsi/(rhoi*rhoi) + st.prs[j]/(st.rho[j]*st.rho[j]) + visc
-			a = a.Sub(gradW.Scale(g.mass[j] * common))
-			du += 0.5 * g.mass[j] * common * dv.Dot(gradW)
-			pairs++
-		})
-		st.acc[i] = a
+		}
+		st.acc[i] = data.Vec3{ax, ay, az}
 		st.dudt[i] = du
 	}
 	flops := flopsPerForcePair * float64(pairs)
 
 	if g.SelfGravity && len(g.mass) > 1 {
 		tr := tree.Build(g.mass, st.pos)
-		gacc := make([]data.Vec3, hi-lo)
-		gpot := make([]float64, hi-lo)
-		flops += tr.Accel(st.pos[lo:hi], g.EpsGrav, g.Theta, gacc, gpot)
+		flops += tr.Accel(st.pos[lo:hi], g.EpsGrav, g.Theta, st.gacc, st.gpot)
 		for i := lo; i < hi; i++ {
-			st.acc[i] = st.acc[i].Add(gacc[i-lo])
+			st.acc[i] = st.acc[i].Add(st.gacc[i-lo])
 		}
 	}
 	return flops
@@ -588,35 +637,51 @@ func clamp(x, lo, hi float64) float64 {
 }
 
 // Exchange helpers: allgather the rank's slab so every rank holds the full
-// updated arrays. nil rank = serial no-op.
+// updated arrays. nil rank = serial no-op. Every rank must contribute the
+// rows the others expect of it: a gather that comes to anything but n rows
+// (a rank holding other cuts, a short message) is an error, not state.
 
-func exchangeScalars(r mpisim.Comm, lo, hi int, arrays ...[]float64) error {
-	if r == nil {
-		return nil
+// gather allgathers this rank's rows into dst and checks that every rank's
+// together come to the whole of it.
+func gather(r mpisim.Comm, what string, slab, dst []float64) error {
+	full, err := mpisim.AllgatherFloats(r, slab, dst)
+	if err != nil {
+		return fmt.Errorf("sph: %s exchange: %w", what, err)
 	}
-	for _, a := range arrays {
-		full, err := mpisim.AllgatherFloats(r, a[lo:hi])
-		if err != nil {
-			return err
-		}
-		copy(a, full)
+	if len(full) != len(dst) {
+		return fmt.Errorf("sph: %s exchange gathered %d values, want %d: ranks disagree on the slab cuts or a message was cut short",
+			what, len(full), len(dst))
 	}
 	return nil
 }
 
-func exchangeVectors(r mpisim.Comm, lo, hi int, pos, vel []data.Vec3, u []float64) error {
+// exchangeScalars gathers rho, P, cs and h, each straight into its array.
+func (st *state) exchangeScalars(r mpisim.Comm, lo, hi int) error {
 	if r == nil {
 		return nil
 	}
-	buf := make([]float64, 0, (hi-lo)*7)
-	for i := lo; i < hi; i++ {
-		buf = append(buf, pos[i][0], pos[i][1], pos[i][2], vel[i][0], vel[i][1], vel[i][2], u[i])
+	for _, a := range [...][]float64{st.rho, st.prs, st.cs, st.h} {
+		if err := gather(r, "scalar", a[lo:hi], a); err != nil {
+			return err
+		}
 	}
-	full, err := mpisim.AllgatherFloats(r, buf)
-	if err != nil {
+	return nil
+}
+
+func (st *state) exchangeVectors(r mpisim.Comm, lo, hi int) error {
+	if r == nil {
+		return nil
+	}
+	pos, vel, u := st.pos, st.vel, st.u
+	slab := st.slab[:0]
+	for i := lo; i < hi; i++ {
+		slab = append(slab, pos[i][0], pos[i][1], pos[i][2], vel[i][0], vel[i][1], vel[i][2], u[i])
+	}
+	full := st.full[:7*len(pos)]
+	if err := gather(r, "state", slab, full); err != nil {
 		return err
 	}
-	for i := 0; i*7+6 < len(full); i++ {
+	for i := range pos {
 		pos[i] = data.Vec3{full[i*7], full[i*7+1], full[i*7+2]}
 		vel[i] = data.Vec3{full[i*7+3], full[i*7+4], full[i*7+5]}
 		u[i] = full[i*7+6]
@@ -624,19 +689,20 @@ func exchangeVectors(r mpisim.Comm, lo, hi int, pos, vel []data.Vec3, u []float6
 	return nil
 }
 
-func exchangeForces(r mpisim.Comm, lo, hi int, acc []data.Vec3, dudt []float64) error {
+func (st *state) exchangeForces(r mpisim.Comm, lo, hi int) error {
 	if r == nil {
 		return nil
 	}
-	buf := make([]float64, 0, (hi-lo)*4)
+	acc, dudt := st.acc, st.dudt
+	slab := st.slab[:0]
 	for i := lo; i < hi; i++ {
-		buf = append(buf, acc[i][0], acc[i][1], acc[i][2], dudt[i])
+		slab = append(slab, acc[i][0], acc[i][1], acc[i][2], dudt[i])
 	}
-	full, err := mpisim.AllgatherFloats(r, buf)
-	if err != nil {
+	full := st.full[:4*len(acc)]
+	if err := gather(r, "force", slab, full); err != nil {
 		return err
 	}
-	for i := 0; i*4+3 < len(full); i++ {
+	for i := range acc {
 		acc[i] = data.Vec3{full[i*4], full[i*4+1], full[i*4+2]}
 		dudt[i] = full[i*4+3]
 	}

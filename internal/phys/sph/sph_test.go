@@ -59,10 +59,16 @@ func TestKernelProperties(t *testing.T) {
 func TestGridFindsAllNeighbors(t *testing.T) {
 	p := ic.Plummer(300, 9)
 	radius := 0.3
-	g := buildGrid(p.Pos, radius)
+	g := newCellList(p.Len())
+	g.build(p.Pos, radius)
+	var runs [27][]int32
 	for i := 0; i < 20; i++ {
 		found := map[int32]bool{}
-		g.forNeighbors(p.Pos[i], func(j int32) { found[j] = true })
+		for _, run := range g.around(g.key(p.Pos[i]), &runs) {
+			for _, j := range run {
+				found[j] = true
+			}
+		}
 		for j := range p.Pos {
 			if p.Pos[j].Sub(p.Pos[i]).Norm() < radius && !found[int32(j)] {
 				t.Fatalf("grid missed neighbor %d of %d", j, i)
@@ -95,14 +101,12 @@ func TestDensityUniformLattice(t *testing.T) {
 	if err := g.SetParticles(p); err != nil {
 		t.Fatal(err)
 	}
-	st := &state{g: g, pos: g.pos, vel: g.vel, u: g.u,
-		h: g.h, rho: g.rho, prs: g.prs, cs: g.cs,
-		acc: make([]data.Vec3, n), dudt: make([]float64, n)}
+	st := newState(g, 0, n, false)
 	st.density(0, n)
 	// Center particle index: (5,5,5).
 	ci := 5*side*side + 5*side + 5
-	if math.Abs(g.rho[ci]-1) > 0.1 {
-		t.Fatalf("lattice center density = %v, want ~1", g.rho[ci])
+	if math.Abs(st.rho[ci]-1) > 0.1 {
+		t.Fatalf("lattice center density = %v, want ~1", st.rho[ci])
 	}
 }
 

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check gob-check test test-short race leak-check cover bench bench-check ci
+.PHONY: all build vet fmt-check doc-check gob-check timer-check test test-short race leak-check stress cover bench bench-check ci
 
 all: ci
 
@@ -41,6 +41,18 @@ gob-check:
 	  -exec grep -l '"jungle/internal/wiretest"' {} +); \
 	if [ -n "$$bad" ]; then echo "internal/wiretest imported outside tests:" >&2; echo "$$bad" >&2; exit 1; fi
 
+# No timer picks a route: in the transport packages the host's clock may
+# only be a watchdog — a timer that turns a hang into a structured error and
+# decides nothing else. Every time.Sleep/After/AfterFunc/NewTimer/Tick there
+# carries a "// watchdog:" comment on its line saying which hang it turns
+# into which error; DESIGN.md § Overlay routing classifies the timers the
+# packages above them still have.
+TIMER_FREE = internal/vnet internal/smartsockets internal/ipl internal/mpisim internal/fifo internal/wire
+timer-check:
+	@bad=$$(find $(TIMER_FREE) -name '*.go' ! -name '*_test.go' \
+	  -exec grep -nE 'time\.(Sleep|After|AfterFunc|NewTimer|Tick)\b' {} + | grep -v '// watchdog:'); \
+	if [ -n "$$bad" ]; then echo "wall-clock timer without a // watchdog: comment:" >&2; echo "$$bad" >&2; exit 1; fi
+
 # Fast suite: unit + protocol + reduced-scale integration (seconds).
 test-short:
 	$(GO) test -short ./...
@@ -65,6 +77,15 @@ LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/i
 	./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
 leak-check:
 	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate' $(LEAK_PKGS)
+
+# Determinism under load: the tests that hold virtual time, route choice
+# and the wire to a pure function of the inputs, twenty times over under
+# the race detector (which reshuffles goroutine interleavings the way a
+# loaded host does). Slow (~20 min); not part of ci.
+stress:
+	$(GO) test -race -count=20 -run 'TestRouteChoiceIsAPureFunction|TestRouteTieBreaks|TestConnectUnknownHostFailsFast|TestRetentionHubForgetsClosedCircuits' ./internal/smartsockets
+	$(GO) test -race -count=20 -run 'TestCoupledStepVirtualTimeRepeats' ./internal/exp
+	$(GO) test -race -count=20 -run 'TestPlaneByteIdentity' .
 
 # Coverage gates: internal/trace is the one package every layer records
 # into, and internal/ensemble is the sweep engine whose accounting the
@@ -96,7 +117,7 @@ cover:
 #
 # The scenario benchmarks live in the root package; a layer's own benchmarks
 # live with the layer (BENCH_PKGS).
-BENCH_OUT ?= BENCH_15.json
+BENCH_OUT ?= BENCH_16.json
 BENCH_PKGS = . ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
 BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 $(BENCH_PKGS)
 bench:
@@ -104,20 +125,24 @@ bench:
 	@$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 
-# Perf regression gate: rerun the benchmarks and compare the deterministic
-# virtual-* metrics against the newest committed BENCH_*.json, failing on
-# any >15% regression, and allocs/op at +2% on the single-process benchmarks
-# whose count repeats exactly. Wall-clock ns/op is not gated (host-dependent).
+# Perf regression gate: rerun the benchmarks and compare the virtual-*
+# metrics against the newest committed BENCH_*.json. Virtual time is a
+# function of the inputs, so every entry is gated exactly (any rise fails)
+# except the ones -loose-match names, which keep 15%: there several sessions
+# or ensemble members run concurrently, and the order in which the scheduler
+# admits them — goroutine interleaving — is part of their virtual makespan.
+# allocs/op is gated at +2% on the single-process benchmarks whose count
+# repeats exactly. Wall-clock ns/op is not gated (host-dependent).
 bench-check:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
 	if [ -z "$$base" ]; then echo "bench-check: no BENCH_*.json baseline" >&2; exit 1; fi; \
 	echo "bench-check: baseline $$base"; \
 	$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -o bench-check.json -against $$base \
-	  -match 'PipelinedKick|DirectVsHairpin|ShardedKick|CheckpointRecovery|StripedTransfer|ConcurrentSessions|ElasticGang|Ensemble' \
+	  -loose-match 'ConcurrentSessions|Ensemble' \
 	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
 
 # Tier-1 gate: everything a PR must keep green, in one command.
-ci: build vet doc-check gob-check test-short race leak-check cover
+ci: build vet doc-check gob-check timer-check test-short race leak-check cover

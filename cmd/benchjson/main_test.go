@@ -18,7 +18,8 @@ func TestParseMetrics(t *testing.T) {
 
 // TestCompareGatesVirtualMetrics: only virtual-* metrics are gated;
 // wall-clock ns/op may regress freely (host-dependent), and benchmarks or
-// metrics present on one side only are ignored.
+// metrics present on one side only are ignored. (Every name is in the loose
+// class here; TestCompareGatesExactly covers the other.)
 func TestCompareGatesVirtualMetrics(t *testing.T) {
 	base := map[string]map[string]float64{
 		"BenchmarkA":    {"virtual-us/step": 100, "ns/op": 1000},
@@ -30,11 +31,12 @@ func TestCompareGatesVirtualMetrics(t *testing.T) {
 		"BenchmarkB":   {"virtual-us/step": 80},                  // +60%: regression
 		"BenchmarkNew": {"virtual-us/step": 1e9},                 // no baseline: ignored
 	}
-	regs := compare(cur, base, 0.15, nil, nil)
+	all := regexp.MustCompile(".")
+	regs := compare(cur, base, 0.15, all, nil)
 	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkB") {
 		t.Fatalf("compare = %v, want exactly the BenchmarkB regression", regs)
 	}
-	if regs := compare(cur, base, 0.65, nil, nil); len(regs) != 0 {
+	if regs := compare(cur, base, 0.65, all, nil); len(regs) != 0 {
 		t.Fatalf("tolerance 65%%: compare = %v, want none", regs)
 	}
 }
@@ -48,26 +50,38 @@ func TestCompareImprovementPasses(t *testing.T) {
 	}
 }
 
-// TestCompareMatchScopesGate: -match limits the gate to headline
-// benchmarks, so known timing-dependent scenario metrics cannot flake it.
-func TestCompareMatchScopesGate(t *testing.T) {
+// TestCompareGatesExactly: a virtual metric is a function of the inputs,
+// so outside the -loose-match class the smallest rise is a regression;
+// inside it the tolerance applies. The two classes do not leak into each
+// other, and a fall passes in both.
+func TestCompareGatesExactly(t *testing.T) {
 	base := map[string]map[string]float64{
-		"BenchmarkNoisy":    {"virtual-s/iter": 0.9},
-		"BenchmarkHeadline": {"virtual-us/step": 100},
+		"BenchmarkE2SC11":             {"virtual-s/iter": 0.4203},
+		"BenchmarkE8ScaleUp/nodes-4":  {"virtual-s/iter": 1.5, "ns/op": 1000},
+		"BenchmarkPipelinedKick":      {"virtual-us/step": 100},
+		"BenchmarkConcurrentSessions": {"virtual-ms/makespan": 100},
+		"BenchmarkEnsemble/fanout":    {"virtual-ms/makespan": 100},
 	}
 	cur := map[string]map[string]float64{
-		"BenchmarkNoisy":    {"virtual-s/iter": 1.2}, // +33%, out of scope
-		"BenchmarkHeadline": {"virtual-us/step": 130},
+		"BenchmarkE2SC11":             {"virtual-s/iter": 0.4204},             // +0.02%: exact class, regression
+		"BenchmarkE8ScaleUp/nodes-4":  {"virtual-s/iter": 1.5, "ns/op": 9999}, // equal
+		"BenchmarkPipelinedKick":      {"virtual-us/step": 99},                // fell
+		"BenchmarkConcurrentSessions": {"virtual-ms/makespan": 110},           // +10%: loose class, within tolerance
+		"BenchmarkEnsemble/fanout":    {"virtual-ms/makespan": 120},           // +20%: loose class, regression
 	}
-	regs := compare(cur, base, 0.15, regexp.MustCompile("Headline"), nil)
-	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkHeadline") {
-		t.Fatalf("compare = %v, want only the in-scope regression", regs)
+	loose := regexp.MustCompile("ConcurrentSessions|Ensemble")
+	regs := compare(cur, base, 0.15, loose, nil)
+	if len(regs) != 2 || !strings.Contains(regs[0], "BenchmarkE2SC11") || !strings.Contains(regs[1], "BenchmarkEnsemble/fanout") {
+		t.Fatalf("compare = %v, want the E2SC11 and Ensemble regressions", regs)
+	}
+	if regs := compare(cur, base, 0.15, nil, nil); len(regs) != 3 {
+		t.Fatalf("no -loose-match: compare = %v, want every rise flagged", regs)
 	}
 }
 
 // TestCompareGatesAllocs: allocs/op is gated at 2% on the benchmarks
-// -allocs-match names and nowhere else, whatever -match scopes the virtual
-// metrics to; B/op and ns/op stay ungated.
+// -allocs-match names and nowhere else, whatever class their virtual
+// metrics are in; B/op and ns/op stay ungated.
 func TestCompareGatesAllocs(t *testing.T) {
 	base := map[string]map[string]float64{
 		"BenchmarkSPHStep":     {"allocs/op": 100, "B/op": 1000, "ns/op": 1000},

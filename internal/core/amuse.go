@@ -641,7 +641,13 @@ func (m *modelProxy) Go(method string, args any) *Call {
 
 // goRaw issues a call with pre-encoded args and an optional result hook.
 func (m *modelProxy) goRaw(method string, args []byte, after func([]byte) error) *Call {
-	c := newCall(m.kind, method, after)
+	return m.goRawAt(m.sim.clock.Now(), method, args, after)
+}
+
+// goRawAt is goRaw stamped with the virtual time at, for a continuation
+// issuing at the time the calls it awaited completed (Call.await).
+func (m *modelProxy) goRawAt(at time.Duration, method string, args []byte, after func([]byte) error) *Call {
+	c := newCall(m.sim.clock, m.kind, method, after)
 	c.seq = m.seq.Add(1)
 	if method == "evolve" {
 		if e := m.elasticState(); e != nil {
@@ -651,7 +657,7 @@ func (m *modelProxy) goRaw(method string, args []byte, after func([]byte) error)
 			c.success = func([]byte) { e.evolveDone() }
 		}
 	}
-	m.startCall(c, method, args, true)
+	m.startCall(c, method, args, true, at)
 	return c
 }
 
@@ -662,12 +668,13 @@ func (m *modelProxy) elasticState() *elasticGang {
 	return m.elastic
 }
 
-// startCall issues one attempt of a call. On worker death with
-// replacement enabled it restarts the worker once and re-issues.
-func (m *modelProxy) startCall(c *Call, method string, args []byte, mayReplace bool) {
+// startCall issues one attempt of a call, stamped with the virtual time
+// at. On worker death with replacement enabled it restarts the worker once
+// and re-issues.
+func (m *modelProxy) startCall(c *Call, method string, args []byte, mayReplace bool, at time.Duration) {
 	ch, worker, gen := m.endpoint()
 	if ch == nil {
-		c.finish(nil, fmt.Errorf("core: %s.%s: %w", m.kind, method, ErrChannelClosed))
+		c.finish(nil, fmt.Errorf("core: %s.%s: %w", m.kind, method, ErrChannelClosed), at)
 		return
 	}
 	m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
@@ -675,17 +682,18 @@ func (m *modelProxy) startCall(c *Call, method string, args []byte, mayReplace b
 	})
 	req := request{
 		ID: reqIDs.Add(1), Worker: worker, Method: method,
-		Args: args, SentAt: m.sim.clock.Now(),
+		Args: args, SentAt: at,
 	}
 	ch.start(req, func(resp response, arrival time.Duration, err error) {
+		doneAt := at // a call that got no response ends when it was issued
 		if err == nil {
 			// A response arrived (success or structured failure): its
 			// travel time is real either way.
-			m.sim.clock.AdvanceTo(arrival)
+			doneAt = arrival
 			if werr := kernel.ResponseError(&resp); werr != nil {
 				err = werr
 			} else {
-				c.finish(resp.Result, nil)
+				c.finish(resp.Result, nil, doneAt)
 				return
 			}
 		}
@@ -702,7 +710,7 @@ func (m *modelProxy) startCall(c *Call, method string, args []byte, mayReplace b
 			return
 		}
 		m.setErr(err)
-		c.finish(nil, err)
+		c.finish(nil, err, doneAt)
 	})
 }
 
@@ -754,10 +762,10 @@ func (m *modelProxy) drainRetries() {
 		for _, it := range batch {
 			if rerr != nil {
 				m.setErr(rerr)
-				it.c.finish(nil, fmt.Errorf("core: replacement failed: %w (after %v)", rerr, it.cause))
+				it.c.finish(nil, fmt.Errorf("core: replacement failed: %w (after %v)", rerr, it.cause), 0)
 				continue
 			}
-			m.startCall(it.c, it.method, it.args, false)
+			m.startCall(it.c, it.method, it.args, false, m.sim.clock.Now())
 		}
 	}
 }
@@ -860,9 +868,9 @@ func (m *modelProxy) replace() error {
 // replay runs one non-replaceable call to completion (replacement and
 // resume plumbing).
 func (m *modelProxy) replay(method string, args []byte) error {
-	c := newCall(m.kind, method, nil)
+	c := newCall(m.sim.clock, m.kind, method, nil)
 	c.seq = m.seq.Add(1)
-	m.startCall(c, method, args, false)
+	m.startCall(c, method, args, false, m.sim.clock.Now())
 	return c.Wait(m.sim.ctx)
 }
 
@@ -1015,10 +1023,10 @@ func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
 	if err != nil {
 		return failedCall(m.kind, "set_state", err)
 	}
-	c := newCall(m.kind, "set_state", nil)
+	c := newCall(m.sim.clock, m.kind, "set_state", nil)
 	c.seq = m.seq.Add(1)
 	c.success = func([]byte) { m.mergeCachedState(st, c.seq) }
-	m.startCall(c, "set_state", args, true)
+	m.startCall(c, "set_state", args, true, m.sim.clock.Now())
 	return c
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"jungle/internal/core/kernel"
 	"jungle/internal/phys/bridge"
+	"jungle/internal/vtime"
 )
 
 // Waiter is the minimal future interface — an alias of bridge.Waiter, so
@@ -27,10 +29,16 @@ var ErrInFlight = errors.New("core: call still in flight")
 // communication: N calls over one slow link cost about one round trip,
 // not N.
 //
+// The coupler's virtual clock advances when the script observes a call's
+// outcome (Wait, Err, Decode), to the time the response reached it — not
+// when the response happens to be delivered. A call is stamped with the
+// clock at issue, so what a script reads from the clock depends only on
+// what it has waited for, never on how far the goroutines carrying other
+// responses have got.
+//
 // A Call is safe for concurrent use. Abandoning a Call (cancelling every
 // Wait, or never waiting) does not disturb the worker or the channel: the
-// response is still received, accounted on the virtual clock, and
-// discarded.
+// response is still received and discarded, and costs the script no time.
 type Call struct {
 	kind   Kind
 	method string
@@ -39,10 +47,15 @@ type Call struct {
 	seq uint64
 
 	done chan struct{}
-	// result and err are written exactly once, before done is closed;
-	// closing the channel publishes them.
+	// result, err and doneAt (the virtual time the outcome reached the
+	// coupler) are written exactly once, before done is closed; closing
+	// the channel publishes them.
 	result []byte
 	err    error
+	doneAt time.Duration
+	// clock is the coupler's clock, advanced to doneAt when the outcome is
+	// observed; nil for a call that failed before it was issued.
+	clock *vtime.Clock
 
 	finishOnce sync.Once
 	// after post-processes the raw result (decode, scatter into a
@@ -55,25 +68,26 @@ type Call struct {
 	success func([]byte)
 }
 
-func newCall(kind Kind, method string, after func([]byte) error) *Call {
-	return &Call{kind: kind, method: method, done: make(chan struct{}), after: after}
+func newCall(clock *vtime.Clock, kind Kind, method string, after func([]byte) error) *Call {
+	return &Call{clock: clock, kind: kind, method: method, done: make(chan struct{}), after: after}
 }
 
 // failedCall returns an already-completed Call carrying err (used when a
 // call cannot even be issued).
 func failedCall(kind Kind, method string, err error) *Call {
-	c := newCall(kind, method, nil)
-	c.finish(nil, err)
+	c := newCall(nil, kind, method, nil)
+	c.finish(nil, err, 0)
 	return c
 }
 
-// finish completes the call exactly once.
-func (c *Call) finish(result []byte, err error) {
+// finish completes the call exactly once; at is the virtual time the
+// outcome reached the coupler.
+func (c *Call) finish(result []byte, err error, at time.Duration) {
 	c.finishOnce.Do(func() {
 		if err == nil && c.success != nil {
 			c.success(result)
 		}
-		c.result, c.err = result, err
+		c.result, c.err, c.doneAt = result, err, at
 		close(c.done)
 	})
 }
@@ -87,6 +101,29 @@ func (c *Call) outcome() error {
 		}
 	})
 	return c.err
+}
+
+// observe is outcome for the script: seeing the outcome is what costs the
+// coupler the call's time.
+func (c *Call) observe() error {
+	if c.clock != nil {
+		c.clock.AdvanceTo(c.doneAt)
+	}
+	return c.outcome()
+}
+
+// await is Wait for a continuation — a goroutine that finishes one
+// operation's calls and issues the next on the script's behalf. It leaves
+// the clock alone and returns the time the outcome arrived, which the
+// continuation stamps on what it issues next: the script pays when it
+// observes the operation's last call.
+func (c *Call) await(ctx context.Context) (time.Duration, error) {
+	select {
+	case <-c.done:
+		return c.doneAt, c.outcome()
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
 }
 
 // Method returns the RPC method this call performs.
@@ -104,7 +141,7 @@ func (c *Call) Done() <-chan struct{} { return c.done }
 func (c *Call) Wait(ctx context.Context) error {
 	select {
 	case <-c.done:
-		return c.outcome()
+		return c.observe()
 	default:
 	}
 	if ctx == nil {
@@ -112,7 +149,7 @@ func (c *Call) Wait(ctx context.Context) error {
 	}
 	select {
 	case <-c.done:
-		return c.outcome()
+		return c.observe()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -123,7 +160,7 @@ func (c *Call) Wait(ctx context.Context) error {
 func (c *Call) Err() error {
 	select {
 	case <-c.done:
-		return c.outcome()
+		return c.observe()
 	default:
 		return ErrInFlight
 	}
@@ -138,7 +175,7 @@ func (c *Call) Decode(reply any) error {
 	default:
 		return ErrInFlight
 	}
-	if err := c.outcome(); err != nil {
+	if err := c.observe(); err != nil {
 		return err
 	}
 	if reply == nil {

@@ -88,7 +88,7 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 	stripes, codec := s.checkpointTuning()
 	pends := make([]*pending, 0, len(models))
 	for _, m := range models {
-		p := &pending{m: m, id: transferIDs.Add(1)}
+		p := &pending{m: m, id: s.daemon.ids.Add(1)}
 		if _, ok := m.peerAddr(); ok && storeOK {
 			// Peer path: the proxy snapshots and streams straight to the
 			// daemon's store; the blob never rides the RPC plane. Base names
@@ -97,7 +97,7 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 			base := m.lastBlobRef
 			m.mu.Unlock()
 			p.direct = true
-			p.c = m.goNoReplace(kernel.MethodOfferCheckpoint, kernel.OfferCheckpointArgs{
+			p.c = m.goNoReplace(s.clock.Now(), kernel.MethodOfferCheckpoint, kernel.OfferCheckpointArgs{
 				ID: p.id, Peer: daddr.String(), Stripes: stripes, Codec: codec, Base: base})
 		} else {
 			s.countTransfer(func(t *TransferStats) { t.Hairpin++ })
@@ -198,12 +198,12 @@ func (m *modelProxy) goCheckpointPull(out *[]byte) *Call {
 // queuing it for the retry drainer would deadlock, since the drainer's
 // replacement path blocks on migMu itself.
 func (m *modelProxy) goCheckpointPullOpt(out *[]byte, mayReplace bool) *Call {
-	c := newCall(m.kind, kernel.MethodCheckpoint, func(raw []byte) error {
+	c := newCall(m.sim.clock, m.kind, kernel.MethodCheckpoint, func(raw []byte) error {
 		*out = append([]byte(nil), raw...)
 		return nil
 	})
 	c.seq = m.seq.Add(1)
-	m.startCall(c, kernel.MethodCheckpoint, nil, mayReplace)
+	m.startCall(c, kernel.MethodCheckpoint, nil, mayReplace, m.sim.clock.Now())
 	return c
 }
 

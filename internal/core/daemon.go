@@ -30,6 +30,13 @@ type Daemon struct {
 	ibis       *ipl.Ibis
 	listener   *vnet.Listener
 
+	// ids allocates transfer stream ids, staging slots, gang ids and
+	// checkpoint blob refs: tokens that must be unique among this daemon's
+	// workers and in its store. They cross the wire in a variable-width
+	// encoding, so a per-daemon sequence keeps a fresh testbed's virtual
+	// time independent of what the process ran before.
+	ids atomic.Uint64
+
 	mu       sync.Mutex
 	workers  map[int]*workerHandle
 	byMember map[string]*workerHandle // member identifier string -> handle

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,10 +20,6 @@ import (
 // halos over their own peer links), reads are answered by rank 0, and the
 // merged completion carries the latest rank's clock so the coupler pays
 // for the slowest rank, exactly as it would for one big worker.
-
-// gangIDs allocates gang identifiers (shared with transfer ids: both are
-// just process-unique tokens on the peer plane).
-func newGangID() uint64 { return transferIDs.Add(1) }
 
 // gangFanout reports whether a method must reach every rank. State reads
 // and proxy-level transfer ops are served by rank 0 alone: ranks hold
@@ -214,22 +211,26 @@ func (g *gangChannel) wireGang(ctx context.Context, s *Simulation) error {
 		}
 		peers[rank] = addr.String()
 	}
-	gangID := newGangID()
+	gangID := s.daemon.ids.Add(1) // shared with transfer ids: both are just tokens on the peer plane
 	errs := make([]error, k)
+	// Every rank's request carries the one issue time, and the clock moves
+	// when all have answered: a rank that answers while the next one's
+	// request is being issued must not change what that request says.
+	at, arrivals := s.clock.Now(), make([]time.Duration, k)
 	var wg sync.WaitGroup
 	g.issueMu.Lock()
 	for rank := range g.members {
 		args := kernel.Encode(kernel.GangInitArgs{ID: gangID, Rank: rank, Size: k, Peers: peers})
 		req := request{
 			ID: reqIDs.Add(1), Worker: workers[rank],
-			Method: kernel.MethodGangInit, Args: args, SentAt: s.clock.Now(),
+			Method: kernel.MethodGangInit, Args: args, SentAt: at,
 		}
 		wg.Add(1)
 		rank := rank
 		g.members[rank].start(req, func(resp response, arrival time.Duration, err error) {
 			defer wg.Done()
 			if err == nil {
-				s.clock.AdvanceTo(arrival)
+				arrivals[rank] = arrival
 				err = kernel.ResponseError(&resp)
 			}
 			if err != nil {
@@ -245,6 +246,7 @@ func (g *gangChannel) wireGang(ctx context.Context, s *Simulation) error {
 	}()
 	select {
 	case <-wired:
+		s.clock.AdvanceTo(slices.Max(arrivals))
 		return errors.Join(errs...)
 	case <-ctx.Done():
 		return fmt.Errorf("core: gang wiring: %w", ctx.Err())

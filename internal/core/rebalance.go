@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -257,15 +258,16 @@ func (m *modelProxy) measureRankLoads() ([]kernel.RankLoadResult, error) {
 	loads := make([]kernel.RankLoadResult, k)
 	errs := make([]error, k)
 	done := make(chan int, k)
+	at, arrivals := s.clock.Now(), make([]time.Duration, k) // one issue time; the clock moves when all have answered
 	for rank := 0; rank < k; rank++ {
 		rank := rank
 		req := request{
 			ID: reqIDs.Add(1), Method: kernel.MethodRankLoad,
-			Args: kernel.Encode(kernel.Empty{}), SentAt: s.clock.Now(),
+			Args: kernel.Encode(kernel.Empty{}), SentAt: at,
 		}
 		gch.startRank(rank, req, func(resp response, arrival time.Duration, err error) {
 			if err == nil {
-				s.clock.AdvanceTo(arrival)
+				arrivals[rank] = arrival
 				if werr := kernel.ResponseError(&resp); werr != nil {
 					err = werr
 				} else {
@@ -283,5 +285,6 @@ func (m *modelProxy) measureRankLoads() ([]kernel.RankLoadResult, error) {
 			return nil, s.ctx.Err()
 		}
 	}
+	s.clock.AdvanceTo(slices.Max(arrivals))
 	return loads, errors.Join(errs...)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/core/kernel"
@@ -26,15 +27,14 @@ import (
 // fallback is classified under ErrTransport/ErrWorkerDied and reported
 // through OnTransferFallback.
 
-// transferIDs allocates transfer stream ids and staging slots,
-// process-wide so concurrent simulations on one daemon cannot collide.
-var transferIDs atomic.Uint64
+// storeRefs allocates NewStoreRef's ids.
+var storeRefs atomic.Uint64
 
-// NewStoreRef allocates a fresh process-unique id from the transfer-id
-// space, for callers (the ensemble layer) that stage their own blobs in
-// a daemon's checkpoint store and must not collide with checkpoint or
-// transfer ids.
-func NewStoreRef() uint64 { return transferIDs.Add(1) }
+// NewStoreRef allocates a fresh process-unique id for callers (the
+// ensemble layer) that stage their own blobs in a daemon's checkpoint
+// store. The top bit keeps it clear of the ids daemons allocate themselves
+// (Daemon.ids); it never crosses the wire.
+func NewStoreRef() uint64 { return 1<<63 | storeRefs.Add(1) }
 
 // StateEndpoint is any coupler-side model handle whose worker holds
 // particle state — Gravity, Hydro, FieldModel, StellarModel and the
@@ -116,10 +116,13 @@ func isPeerPathErr(err error) bool {
 
 // goTransfer is the general transfer: apply names the method the
 // destination applies the payload with (set_state, or a staging method
-// tagged by slot).
+// tagged by slot). The returned call completes, in virtual time, when the
+// later of its RPCs does; the continuation that finishes it awaits them
+// without touching the clock (Call.await).
 func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64, attrs []string) *Call {
 	attrs = defaultStateAttrs(attrs)
-	c := newCall("transfer", "transfer_state", nil)
+	c := newCall(s.clock, "transfer", "transfer_state", nil)
+	at := s.clock.Now()
 	dstPeer, dstOK := dst.peerAddr()
 	_, srcOK := src.peerAddr()
 	// A gang destination takes the hairpin: its ranks hold replicated
@@ -136,39 +139,43 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	if !srcOK || !dstOK || src == dst {
 		s.countTransfer(func(t *TransferStats) { t.Hairpin++ })
 		s.linkTransfer(src.peerHost(), dst.peerHost(), trace.LinkHairpin)
-		go s.runHairpin(c, src, dst, apply, slot, attrs)
+		go s.runHairpin(c, src, dst, apply, slot, attrs, at)
 		return c
 	}
 
-	id := transferIDs.Add(1)
+	id := s.daemon.ids.Add(1)
 	stripes, codec := s.transferTuning()
 	// Both control RPCs are pipelined; their big cousin — the column
 	// payload — never touches this machine. Transfer ops bypass worker
 	// replacement: a replacement worker has a different peer identity, so
 	// a failed op falls back to the hairpin instead (which replays on the
 	// replacement as usual).
-	accept := dst.goNoReplace(kernel.MethodAcceptState, kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot})
-	offer := src.goNoReplace(kernel.MethodOfferState, kernel.OfferStateArgs{
+	accept := dst.goNoReplace(at, kernel.MethodAcceptState, kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot})
+	offer := src.goNoReplace(at, kernel.MethodOfferState, kernel.OfferStateArgs{
 		ID: id, Attrs: attrs, Peer: dstPeer.String(), Stripes: stripes, Codec: codec})
 	go func() {
-		err := offer.Wait(s.ctx)
+		at, err := offer.await(s.ctx)
 		if err != nil {
 			// No stream is coming whatever the failure class (a worker
 			// fault like an unknown attribute included): unblock the
 			// accept so it does not hold the destination's relay loop —
 			// and every RPC queued behind it — for the accept timeout.
 			s.daemon.AbortTransfer(dstPeer, id)
-		} else if err = accept.Wait(s.ctx); err != nil && isPeerPathErr(err) {
-			// The accept may still be parked (its stream died en route).
-			s.daemon.AbortTransfer(dstPeer, id)
+		} else {
+			var accepted time.Duration
+			if accepted, err = accept.await(s.ctx); err != nil && isPeerPathErr(err) {
+				// The accept may still be parked (its stream died en route).
+				s.daemon.AbortTransfer(dstPeer, id)
+			}
+			at = max(at, accepted)
 		}
 		if err == nil {
 			s.recordTransferReport(offer, id, src.peerHost(), dstPeer.Host)
-			c.finish(nil, nil)
+			c.finish(nil, nil, at)
 			return
 		}
 		if !isPeerPathErr(err) {
-			c.finish(nil, err)
+			c.finish(nil, err, at)
 			return
 		}
 		// Direct path failed: carry the columns over the coupler instead.
@@ -178,7 +185,7 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 		if hook := s.onTransferFallback(); hook != nil {
 			hook(err)
 		}
-		s.runHairpin(c, src, dst, apply, slot, attrs)
+		s.runHairpin(c, src, dst, apply, slot, attrs, at)
 	}()
 	return c
 }
@@ -211,7 +218,7 @@ func (s *Simulation) checkpointTuning() (stripes int, codec byte) {
 // observer as hairpin fallbacks).
 func (s *Simulation) recordTransferReport(offer *Call, id uint64, from, to string) {
 	var rep kernel.TransferReport
-	if err := offer.Decode(&rep); err != nil {
+	if err := kernel.Decode(offer.result, &rep); err != nil {
 		rep = kernel.TransferReport{Streams: 1}
 	}
 	s.countTransfer(func(t *TransferStats) {
@@ -242,42 +249,35 @@ func (s *Simulation) recordTransferReport(offer *Call, id uint64, from, to strin
 	}
 }
 
-// runHairpin carries the columns through the coupler: one batched read
-// from src, one batched apply on dst — the pre-direct-plane data path,
-// kept as the universal fallback. It finishes c.
-func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slot uint64, attrs []string) {
-	raw, err := src.getStateRaw(s.ctx, attrs)
+// runHairpin carries the columns through the coupler from virtual time at:
+// one batched read from src as an unparsed StatePayload frame, one batched
+// apply of it on dst — the pre-direct-plane data path, kept as the
+// universal fallback. The coupler never decodes the columns it relays. It
+// finishes c.
+func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slot uint64, attrs []string, at time.Duration) {
+	get := src.goRawAt(at, "get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs}), nil)
+	at, err := get.await(s.ctx)
 	if err != nil {
-		c.finish(nil, err)
+		c.finish(nil, err, at)
 		return
-	}
-	args := raw
-	if slot != 0 {
-		args = kernel.AppendStaged(nil, slot, raw)
-	}
-	ac := dst.goRaw(apply, args, nil)
-	c.finish(nil, ac.Wait(s.ctx))
-}
-
-// getStateRaw fetches the named columns as an unparsed StatePayload frame
-// (the hairpin forwards it verbatim, so the coupler never decodes the
-// columns it relays).
-func (m *modelProxy) getStateRaw(ctx context.Context, attrs []string) ([]byte, error) {
-	c := m.goRaw("get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs}), nil)
-	if err := c.Wait(m.sessionCtx(ctx)); err != nil {
-		return nil, err
 	}
 	// The result aliases the response frame, which the channel handed to
 	// this call alone: the hairpin forwards it without a copy.
-	return c.result, nil
+	args := get.result
+	if slot != 0 {
+		args = kernel.AppendStaged(nil, slot, args)
+	}
+	at, err = dst.goRawAt(at, apply, args, nil).await(s.ctx)
+	c.finish(nil, err, at)
 }
 
-// goNoReplace issues one RPC that must not be replayed on a replacement
-// worker (transfer ops are bound to a specific peer identity).
-func (m *modelProxy) goNoReplace(method string, args any) *Call {
-	c := newCall(m.kind, method, nil)
+// goNoReplace issues, at virtual time at, one RPC that must not be
+// replayed on a replacement worker (transfer ops are bound to a specific
+// peer identity).
+func (m *modelProxy) goNoReplace(at time.Duration, method string, args any) *Call {
+	c := newCall(m.sim.clock, m.kind, method, nil)
 	c.seq = m.seq.Add(1)
-	m.startCall(c, method, kernel.Encode(args), false)
+	m.startCall(c, method, kernel.Encode(args), false, at)
 	return c
 }
 
@@ -317,20 +317,30 @@ func (f *FieldModel) GoFieldDirect(src, tgt bridge.Dynamics) bridge.FieldCall {
 	return f.goFieldSampled(src, tgt)
 }
 
-// goFieldStaged moves both inputs worker-to-worker and issues the staged
-// evaluation once their applications are queued on the field worker.
+// goFieldStaged moves both inputs worker-to-worker; the staged evaluation
+// is issued once their applications are queued on the field worker, by the
+// script itself when it first waits for the result. A continuation issuing
+// it the moment the staging finished would race the calls the script
+// issues next — the other direction's accepts go to the same worker, which
+// serves its queue in arrival order — and the order is part of the
+// result's virtual time. The evaluation is stamped with the time the
+// staging completed, so waiting for the script costs it nothing.
 func (f *FieldModel) goFieldStaged(src, tgt *modelProxy, n int) bridge.FieldCall {
 	s := f.sim
-	slot := transferIDs.Add(1)
+	slot := s.daemon.ids.Add(1)
 	t1 := s.goTransfer(src, f.modelProxy, "stage_sources", slot,
 		[]string{data.AttrMass, data.AttrPos})
 	t2 := s.goTransfer(tgt, f.modelProxy, "stage_targets", slot,
 		[]string{data.AttrPos})
 	dc := &directFieldCall{n: n, done: make(chan struct{})}
+	var at1, at2 time.Duration
+	var err1, err2 error
 	go func() {
 		defer close(dc.done)
-		err1 := t1.Wait(s.ctx)
-		err2 := t2.Wait(s.ctx)
+		at1, err1 = t1.await(s.ctx)
+		at2, err2 = t2.await(s.ctx)
+	}()
+	dc.issue = func() {
 		if err1 != nil || err2 != nil {
 			// The evaluation that would consume the slot will never be
 			// issued; release whatever half was staged so the field
@@ -345,8 +355,8 @@ func (f *FieldModel) goFieldStaged(src, tgt *modelProxy, n int) bridge.FieldCall
 		}
 		// Both stage applications are queued on the field worker (FIFO),
 		// so the evaluation issued now runs against this slot's state.
-		dc.call = f.Go("field_staged", kernel.FieldStagedArgs{Slot: slot})
-	}()
+		dc.call = f.goRawAt(max(at1, at2), "field_staged", kernel.Encode(kernel.FieldStagedArgs{Slot: slot}), nil)
+	}
 	return dc
 }
 
@@ -382,6 +392,10 @@ type directFieldCall struct {
 	done chan struct{}
 	err  error
 	call *Call
+	// issue, when set, is what sets err or call: run once, after done, by
+	// the first Wait.
+	issue func()
+	once  sync.Once
 }
 
 // Wait implements bridge.FieldCall.
@@ -396,6 +410,9 @@ func (dc *directFieldCall) Wait(ctx context.Context) ([]data.Vec3, []float64, fl
 	case <-dc.done:
 	case <-ctx.Done():
 		return zeros(ctx.Err())
+	}
+	if dc.issue != nil {
+		dc.once.Do(dc.issue)
 	}
 	if dc.err != nil {
 		return zeros(dc.err)

@@ -117,6 +117,7 @@ func workerMain(env *Env, ctx *gat.Context) error {
 	ib, err := ipl.Create(env.Net, ipl.Config{
 		Pool: env.Pool, Host: host, BasePort: workerBasePort(id),
 		HubHost: res.HubHost, Registry: env.Registry,
+		EventBuffer: 1, // a worker never reads its event stream: no 128-event buffer per start
 	})
 	if err != nil {
 		return fmt.Errorf("core: proxy join: %w", err)

@@ -72,6 +72,9 @@ func Create(network *vnet.Network, cfg Config) (*Ibis, error) {
 	}
 	conn.SetClass("ipl")
 	join := Identifier{Pool: cfg.Pool, Host: cfg.Host, Port: cfg.BasePort}
+	if cfg.HubHost != cfg.Host {
+		join.Hub = cfg.HubHost
+	}
 	if err := conn.Send(encodeReg(&regMsg{Kind: rJoin, Member: join}), 0); err != nil {
 		f.Close()
 		return nil, err
@@ -116,7 +119,7 @@ func (ib *Ibis) Factory() *smartsockets.Factory { return ib.factory }
 // PeerAddr returns the peer-stream address of a pool member: where its
 // ListenPeer listener accepts direct worker-to-worker transfers.
 func PeerAddr(id Identifier) smartsockets.Address {
-	return smartsockets.Address{Host: id.Host, Port: id.Port + PeerPortOffset}
+	return smartsockets.Address{Host: id.Host, Port: id.Port + PeerPortOffset, Hub: id.hub()}
 }
 
 // ListenPeer opens this instance's peer-stream listener (PeerAddr of its
@@ -175,7 +178,7 @@ func (ib *Ibis) Elect(name string) (Identifier, error) {
 	select {
 	case w := <-ch:
 		return w, nil
-	case <-time.After(5 * time.Second):
+	case <-time.After(5 * time.Second): // watchdog: the registry died before answering -> election timed out
 		return Identifier{}, fmt.Errorf("ipl: election %q timed out", name)
 	}
 }

@@ -14,6 +14,7 @@
 package ipl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -35,7 +36,14 @@ type Identifier struct {
 	ID   int    // registry-assigned sequence number
 	Host string // host the instance runs on
 	Port int    // smartsockets factory identity port
+	// Hub is the hub the instance's factory registered with — part of every
+	// address derived from the identity. It is left empty, on the wire too,
+	// when that hub runs on the instance's own host.
+	Hub string
 }
+
+// hub returns the host of the instance's hub.
+func (id Identifier) hub() string { return cmp.Or(id.Hub, id.Host) }
 
 // String renders "pool/id@host".
 func (id Identifier) String() string { return fmt.Sprintf("%s/%d@%s", id.Pool, id.ID, id.Host) }

@@ -429,7 +429,7 @@ func TestPeerListenAndDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := PeerAddr(a.Identifier())
-	if want := (smartsockets.Address{Host: tp.hosts[0], Port: 20000 + PeerPortOffset}); addr != want {
+	if want := (smartsockets.Address{Host: tp.hosts[0], Port: 20000 + PeerPortOffset, Hub: tp.hub}); addr != want {
 		t.Fatalf("peer addr %v, want %v", addr, want)
 	}
 	conn, err := b.DialPeer(addr, time.Second)

@@ -87,7 +87,7 @@ func (sp *SendPort) Connect(to Identifier, portName string, sentAt time.Duration
 		return fmt.Errorf("ipl: one-to-one send port %q already connected", sp.name)
 	}
 	sp.mu.Unlock()
-	addr := smartsockets.Address{Host: to.Host, Port: to.Port + 1}
+	addr := smartsockets.Address{Host: to.Host, Port: to.Port + 1, Hub: to.hub()}
 	conn, err := sp.ibis.factory.Connect(addr, sentAt)
 	if err != nil {
 		return fmt.Errorf("ipl: connect %s to %s:%s: %w", sp.name, to, portName, err)

@@ -159,14 +159,17 @@ func (r *Registry) serve(conn *smartsockets.VirtualConn) {
 	// The ack is queued while the lock is still held: once it is released
 	// a concurrent broadcast can list this member, and an event overtaking
 	// the ack on the new conn would fail the joiner's Create. Send only
-	// enqueues, so nothing blocks under the lock.
+	// enqueues, so nothing blocks under the lock. Who hears of the join is
+	// settled under the same lock: the members of this moment, not whoever
+	// else has joined by the time this goroutine gets to tell them.
 	err = conn.Send(encodeReg(&regMsg{Kind: rJoinAck, Member: id, Members: snapshot}), msg.Arrival)
+	others := p.conns(id.ID)
 	r.mu.Unlock()
 	if err != nil {
 		r.drop(id, true)
 		return
 	}
-	r.broadcast(id.Pool, &regMsg{Kind: rEvent, Event: byte(Joined), Member: id}, id.ID)
+	sendAll(others, &regMsg{Kind: rEvent, Event: byte(Joined), Member: id})
 
 	left := false
 	for {
@@ -226,25 +229,38 @@ func (r *Registry) drop(id Identifier, died bool) {
 	if died {
 		kind = Died
 	}
-	r.broadcast(id.Pool, &regMsg{Kind: rEvent, Event: byte(kind), Member: id}, id.ID)
+	// The hook runs first: whoever sees the Died event may rely on it.
 	if died && hook != nil {
 		hook(id)
 	}
+	r.broadcast(id.Pool, &regMsg{Kind: rEvent, Event: byte(kind), Member: id}, id.ID)
 }
 
 // broadcast pushes an event message to every member of a pool except skipID.
 func (r *Registry) broadcast(poolName string, m *regMsg, skipID int) {
 	r.mu.Lock()
-	p := r.pools[poolName]
 	var conns []*smartsockets.VirtualConn
-	if p != nil {
-		for mid, mc := range p.members {
-			if mid != skipID {
-				conns = append(conns, mc.conn)
-			}
-		}
+	if p := r.pools[poolName]; p != nil {
+		conns = p.conns(skipID)
 	}
 	r.mu.Unlock()
+	sendAll(conns, m)
+}
+
+// conns returns the connections of every member except skipID; the caller
+// holds the registry lock.
+func (p *pool) conns(skipID int) []*smartsockets.VirtualConn {
+	var conns []*smartsockets.VirtualConn
+	for mid, mc := range p.members {
+		if mid != skipID {
+			conns = append(conns, mc.conn)
+		}
+	}
+	return conns
+}
+
+// sendAll pushes one event message to each connection.
+func sendAll(conns []*smartsockets.VirtualConn, m *regMsg) {
 	data := encodeReg(m)
 	for _, c := range conns {
 		// Send takes its slice; every member gets a clone of the one encoding.

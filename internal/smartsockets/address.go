@@ -15,6 +15,11 @@
 // established in one direction are tracked as such — these are exactly the
 // red lines and arrows of Fig. 10 in the paper.
 //
+// Hubs gossip their link state, and the hub a dialer is registered with
+// routes one copy of a reverse request or a circuit open along the path it
+// computes from that graph: the route is a pure function of the graph, no
+// timer and no goroutine race decides it. See DESIGN.md §"Overlay routing".
+//
 // The overlay is bandwidth-aware: Factory.Goodput measures achievable
 // bandwidth to a peer with netio-style sized-payload probes (cached per
 // peer, reported to the network's link-health recorder), and routed
@@ -30,27 +35,36 @@ import (
 	"strings"
 )
 
-// Address identifies a virtual socket endpoint: a host plus a port in the
-// factory's port space.
+// Address identifies a virtual socket endpoint: a host, a port in the
+// factory's port space, and — as in SmartSockets itself — the hub the
+// endpoint's factory registered with, so a dialer's hub can route to the
+// destination's hub without looking anything up.
 type Address struct {
 	Host string
 	Port int
+	Hub  string
 }
 
-// String renders "host:port".
-func (a Address) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
+// String renders "host:port@hub" ("host:port" when no hub is named).
+func (a Address) String() string {
+	if a.Hub == "" {
+		return fmt.Sprintf("%s:%d", a.Host, a.Port)
+	}
+	return fmt.Sprintf("%s:%d@%s", a.Host, a.Port, a.Hub)
+}
 
-// ParseAddress parses "host:port".
+// ParseAddress parses "host:port@hub" or "host:port".
 func ParseAddress(s string) (Address, error) {
-	i := strings.LastIndexByte(s, ':')
+	addr, hub, _ := strings.Cut(s, "@")
+	i := strings.LastIndexByte(addr, ':')
 	if i < 0 {
 		return Address{}, fmt.Errorf("smartsockets: address %q missing port", s)
 	}
-	port, err := strconv.Atoi(s[i+1:])
+	port, err := strconv.Atoi(addr[i+1:])
 	if err != nil {
 		return Address{}, fmt.Errorf("smartsockets: bad port in %q: %v", s, err)
 	}
-	return Address{Host: s[:i], Port: port}, nil
+	return Address{Host: addr[:i], Port: port, Hub: hub}, nil
 }
 
 // ConnType classifies how a virtual connection was established.

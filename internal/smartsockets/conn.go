@@ -1,6 +1,7 @@
 package smartsockets
 
 import (
+	"sync/atomic"
 	"time"
 
 	"jungle/internal/fifo"
@@ -74,10 +75,17 @@ func (c *VirtualConn) Close() error {
 
 // routedEnd is a factory-local endpoint of a routed circuit. Closing q is
 // what closes the end: frames arriving afterwards are dropped.
+//
+// A circuit is dismantled by a two-way handshake: each end sends exactly
+// one kCircuitClose — when its application closes it, or in answer to the
+// peer's — and every hub forgets the circuit once it has relayed both. (An
+// end sending one only if the peer's had not arrived yet put a different
+// number of frames on the wire from run to run.)
 type routedEnd struct {
-	factory *Factory
-	key     string
-	q       fifo.Queue[vnet.Message]
+	factory   *Factory
+	key       string
+	q         fifo.Queue[vnet.Message]
+	closeSent atomic.Bool
 }
 
 func (e *routedEnd) recv() (vnet.Message, error) {
@@ -101,14 +109,16 @@ func (e *routedEnd) send(data []byte, sentAt time.Duration) error {
 	return err
 }
 
-// closeBoth closes the local end and asks the circuit to dismantle.
+// closeBoth closes the local end and sends this end's close, unless it
+// went out already.
 func (e *routedEnd) closeBoth() error {
-	if !e.q.Close() {
-		return nil
-	}
+	e.q.Close()
 	f := e.factory
 	f.mu.Lock()
 	delete(f.circuits, e.key)
 	f.mu.Unlock()
+	if !e.closeSent.CompareAndSwap(false, true) {
+		return nil
+	}
 	return sendFrame(f.hubConn, &frame{Kind: kCircuitClose, Circuit: e.key})
 }

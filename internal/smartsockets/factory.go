@@ -3,6 +3,7 @@ package smartsockets
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 var (
 	ErrConnectFailed = errors.New("smartsockets: all connection strategies failed")
 	ErrNoListener    = errors.New("smartsockets: destination port not listening")
+	ErrNoRoute       = errors.New("smartsockets: no hub route to the destination's hub")
 	ErrTimeout       = errors.New("smartsockets: connection attempt timed out")
 	ErrFactoryClosed = errors.New("smartsockets: factory closed")
 )
@@ -29,14 +31,14 @@ type Stats struct {
 type Factory struct {
 	net     *vnet.Network
 	host    string
-	base    int // identity port; Address{host, base} names this factory
+	base    int // identity port; Address{host, base, hubHost} names this factory
 	hubHost string
 	hubConn *vnet.Conn
 
 	mu          sync.Mutex
 	listeners   map[int]*Listener
 	pendingRev  map[uint64]chan revResult
-	pendingOpen map[string]chan openResult
+	pendingCirc map[string]chan openResult
 	pendingReg  map[Address]chan struct{}
 	circuits    map[string]*routedEnd
 	nextPort    int
@@ -46,8 +48,9 @@ type Factory struct {
 	goodput     map[Address]goodputEntry
 	closed      bool
 
-	// Timeout is the real-time budget for overlay round trips during
-	// Connect (reverse and routed attempts). Virtual time is unaffected.
+	// Timeout is the real-time watchdog on an overlay round trip. Every
+	// outcome — ack, nak, dial-back — arrives as a frame; the watchdog only
+	// turns a hub that died mid-exchange into ErrTimeout.
 	Timeout time.Duration
 
 	// ProbeTTL is the virtual-time staleness bound for cached goodput
@@ -90,7 +93,7 @@ func NewFactory(network *vnet.Network, host string, base int, hubHost string) (*
 		net: network, host: host, base: base, hubHost: hubHost, hubConn: conn,
 		listeners:   make(map[int]*Listener),
 		pendingRev:  make(map[uint64]chan revResult),
-		pendingOpen: make(map[string]chan openResult),
+		pendingCirc: make(map[string]chan openResult),
 		pendingReg:  make(map[Address]chan struct{}),
 		circuits:    make(map[string]*routedEnd),
 		goodput:     make(map[Address]goodputEntry),
@@ -100,17 +103,19 @@ func NewFactory(network *vnet.Network, host string, base int, hubHost string) (*
 	}
 	f.wg.Add(1)
 	go f.hubReadLoop()
-	if err := f.register(Address{Host: host, Port: base}); err != nil {
+	if err := f.register(f.Addr()); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("smartsockets: factory %s register with hub %s: %w", host, hubHost, err)
 	}
 	return f, nil
 }
 
-// register claims (host, port) at the hub and waits for the hub's ack, so
-// that once register returns, reverse requests and routed opens flooded to
-// the hub will find the registration (no lost-registration race).
+// register claims a at the hub and waits for the hub's ack, so that once
+// register returns, reverse requests and routed opens reaching the hub
+// will find the registration (no lost-registration race). Registration
+// frames leave the hub's name out: it is the hub they are sent to.
 func (f *Factory) register(a Address) error {
+	a.Hub = ""
 	ch := make(chan struct{}, 1)
 	f.mu.Lock()
 	f.pendingReg[a] = ch
@@ -120,19 +125,19 @@ func (f *Factory) register(a Address) error {
 		delete(f.pendingReg, a)
 		f.mu.Unlock()
 	}()
-	if err := sendFrame(f.hubConn, &frame{Kind: kRegister, Host: a.Host, Port: a.Port}); err != nil {
+	if err := sendFrame(f.hubConn, &frame{Kind: kRegister, Src: a}); err != nil {
 		return err
 	}
 	select {
 	case <-ch:
 		return nil
-	case <-time.After(f.Timeout):
+	case <-time.After(f.Timeout): // watchdog: hub died before acking the registration -> ErrTimeout
 		return ErrTimeout
 	}
 }
 
 // Addr returns the factory's identity address.
-func (f *Factory) Addr() Address { return Address{Host: f.host, Port: f.base} }
+func (f *Factory) Addr() Address { return Address{Host: f.host, Port: f.base, Hub: f.hubHost} }
 
 // Host returns the host the factory runs on.
 func (f *Factory) Host() string { return f.host }
@@ -199,11 +204,15 @@ func (f *Factory) hubReadLoop() {
 		case kCircuitAck:
 			f.completeOpen(fr.Circuit, openResult{route: fr.Route})
 		case kCircuitNak:
+			err := ErrNoListener
+			if fr.Reason == nakNoRoute {
+				err = ErrNoRoute
+			}
 			if fr.Circuit != "" {
-				f.completeOpen(fr.Circuit, openResult{err: ErrNoListener})
+				f.completeOpen(fr.Circuit, openResult{err: err})
 			}
 			if fr.ReqID != 0 {
-				f.completeRev(fr.ReqID, revResult{err: ErrNoListener})
+				f.completeRev(fr.ReqID, revResult{err: err})
 			}
 		case kCircuitData:
 			f.mu.Lock()
@@ -215,14 +224,13 @@ func (f *Factory) hubReadLoop() {
 		case kCircuitClose:
 			f.mu.Lock()
 			end := f.circuits[fr.Circuit]
-			delete(f.circuits, fr.Circuit)
 			f.mu.Unlock()
 			if end != nil {
-				end.q.Close()
+				end.closeBoth() // the peer closed: answer with this end's close
 			}
 		case kRegisterAck:
 			f.mu.Lock()
-			ch := f.pendingReg[Address{fr.Host, fr.Port}]
+			ch := f.pendingReg[fr.Src]
 			f.mu.Unlock()
 			if ch != nil {
 				select {
@@ -236,8 +244,8 @@ func (f *Factory) hubReadLoop() {
 
 func (f *Factory) completeOpen(circuit string, r openResult) {
 	f.mu.Lock()
-	ch := f.pendingOpen[circuit]
-	delete(f.pendingOpen, circuit)
+	ch := f.pendingCirc[circuit]
+	delete(f.pendingCirc, circuit)
 	f.mu.Unlock()
 	if ch != nil {
 		ch <- r
@@ -261,7 +269,7 @@ func (f *Factory) handleReverseReq(fr *frame) {
 	f.mu.Unlock()
 	nak := &frame{
 		Kind: kCircuitNak, Src: fr.Src, Dst: fr.Dst, ReqID: fr.ReqID,
-		Path: fr.Path, sentAt: fr.sentAt + hubProcessing,
+		Route: fr.Route, Hop: fr.Hop, sentAt: fr.sentAt + hubProcessing,
 	}
 	if l == nil {
 		sendFrame(f.hubConn, nak)
@@ -301,11 +309,11 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	}
 	reply := &frame{
 		Kind: kind, Src: fr.Src, Dst: fr.Dst, Circuit: fr.Circuit,
-		Path: fr.Path, Route: fr.Path, sentAt: fr.sentAt + hubProcessing,
+		Route: fr.Route, Hop: fr.Hop, sentAt: fr.sentAt + hubProcessing,
 	}
 	sendFrame(f.hubConn, reply)
 	if end != nil {
-		vc := &VirtualConn{typ: Routed, end: end, remote: fr.Src, established: fr.sentAt, route: fr.Path}
+		vc := &VirtualConn{typ: Routed, end: end, remote: fr.Src, established: fr.sentAt, route: fr.Route}
 		if !l.backlog.Push(vc) {
 			end.q.Close()
 		}
@@ -363,7 +371,7 @@ func (f *Factory) connect(target Address, sentAt time.Duration, class string) (*
 	// 3: routed through the hubs.
 	vc, err := f.connectRouted(target, sentAt, class)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s (%v)", ErrConnectFailed, target, err)
+		return nil, fmt.Errorf("%w: %s (%w)", ErrConnectFailed, target, err)
 	}
 	f.mu.Lock()
 	f.stats.Routed++
@@ -418,7 +426,7 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 			r.err = ErrConnectFailed
 		}
 		return nil, r.err
-	case <-time.After(f.Timeout):
+	case <-time.After(f.Timeout): // watchdog: a hub on the route died with the request in hand -> ErrTimeout
 		return nil, ErrTimeout
 	}
 }
@@ -426,9 +434,9 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 func (f *Factory) connectRouted(target Address, sentAt time.Duration, class string) (*VirtualConn, error) {
 	f.mu.Lock()
 	f.nextCircuit++
-	key := fmt.Sprintf("%s/%d", f.Addr(), f.nextCircuit)
+	key := fmt.Sprintf("%s:%d/%s", f.host, f.base, strconv.FormatUint(f.nextCircuit, 36)) // on every data frame: no hub name, a dense count
 	ch := make(chan openResult, 1)
-	f.pendingOpen[key] = ch
+	f.pendingCirc[key] = ch
 	end := &routedEnd{factory: f, key: key}
 	f.circuits[key] = end
 	f.mu.Unlock()
@@ -445,7 +453,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration, class stri
 			return nil, r.err
 		}
 		return &VirtualConn{typ: Routed, end: end, remote: target, established: sentAt, route: r.route}, nil
-	case <-time.After(f.Timeout):
+	case <-time.After(f.Timeout): // watchdog: a hub on the route died with the open in hand -> ErrTimeout
 		f.dropCircuit(key)
 		return nil, ErrTimeout
 	}
@@ -453,7 +461,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration, class stri
 
 func (f *Factory) dropCircuit(key string) {
 	f.mu.Lock()
-	delete(f.pendingOpen, key)
+	delete(f.pendingCirc, key)
 	delete(f.circuits, key)
 	f.mu.Unlock()
 }
@@ -474,7 +482,7 @@ func (f *Factory) Listen(port int) (*Listener, error) {
 	}
 	f.listeners[port] = l
 	f.mu.Unlock()
-	if err := f.register(Address{Host: f.host, Port: port}); err != nil {
+	if err := f.register(l.Addr()); err != nil {
 		l.Close()
 		return nil, err
 	}
@@ -486,7 +494,7 @@ func (f *Factory) Listen(port int) (*Listener, error) {
 			if err != nil {
 				return
 			}
-			vc := &VirtualConn{typ: Direct, raw: conn, remote: Address{conn.RemoteHost(), 0}}
+			vc := &VirtualConn{typ: Direct, raw: conn, remote: Address{Host: conn.RemoteHost()}}
 			if !l.backlog.Push(vc) {
 				conn.Close()
 			}
@@ -504,7 +512,9 @@ type Listener struct {
 }
 
 // Addr returns the listener's virtual address.
-func (l *Listener) Addr() Address { return Address{Host: l.factory.host, Port: l.port} }
+func (l *Listener) Addr() Address {
+	return Address{Host: l.factory.host, Port: l.port, Hub: l.factory.hubHost}
+}
 
 // Accept blocks for the next inbound connection.
 func (l *Listener) Accept() (*VirtualConn, error) {
@@ -527,7 +537,7 @@ func (l *Listener) Close() error {
 	closed := f.closed
 	f.mu.Unlock()
 	if !closed {
-		sendFrame(f.hubConn, &frame{Kind: kUnregister, Host: f.host, Port: l.port})
+		sendFrame(f.hubConn, &frame{Kind: kUnregister, Src: Address{Host: f.host, Port: l.port}})
 	}
 	return nil
 }

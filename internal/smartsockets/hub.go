@@ -1,7 +1,10 @@
 package smartsockets
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,19 +20,20 @@ import (
 type Hub struct {
 	host string
 	net  *vnet.Network
+	// changed, when set by the Overlay that started this hub, gets a token
+	// after every change to the state Overlay.converged reads.
+	changed chan<- struct{}
 
 	mu         sync.Mutex
 	conns      map[string]*vnet.Conn   // identity -> primary conn ("h:<host>" or "c#<n>")
 	allConns   map[*vnet.Conn]struct{} // every conn with a live readLoop, incl. non-primary duplicates
 	edges      map[string]EdgeType     // peer hub host -> edge type
-	dialed     map[string]bool         // peer hub hosts this hub has dialed itself
-	known      map[string]bool         // gossiped hub hosts
+	dialed     map[string]bool         // peer hub hosts this hub has dialed (or is dialing) itself
+	adverts    map[string]advert       // hub host -> newest advertisement received, this hub's own included
 	clients    map[Address]string      // registered service address -> client identity
-	hosts      map[string]bool         // hosts with at least one registered client
 	circuits   map[string]*circuit
-	seen       map[string]bool         // flood dedup
-	opens      map[string]*pendingOpen // circuit opens settling at this (destination) hub
 	nextClient int
+	busy       int // merges in progress (busyAdd)
 	closed     bool
 
 	listeners []*vnet.Listener
@@ -38,29 +42,8 @@ type Hub struct {
 
 type circuit struct {
 	aID, bID string // identities of the two neighbors of this hub on the circuit
+	closedBy string // the neighbor whose end's close came through already
 }
-
-// pendingOpen collects the flooded copies of one circuit open at the
-// destination hub. Copies arrive in real time, but the path that matters
-// is the lowest *virtual* latency one — real goroutine scheduling is
-// uncorrelated with modelled link latency, so first-arrival selection
-// could relay bulk data over a transatlantic detour two sites never
-// needed. The hub lets the copies settle briefly and delivers the
-// earliest-arriving one.
-type pendingOpen struct {
-	dstID string
-	best  frame
-	// delivered tombstones the entry once the settle timer fired: a copy
-	// straggling in on a long path must not open the circuit a second
-	// time (a duplicate open would replace the factory's circuit end and
-	// orphan frames already in flight on the first).
-	delivered bool
-}
-
-// openSettle is the real-time window the destination hub waits for
-// flooded circuit-open copies before picking the lowest-virtual-latency
-// path.
-const openSettle = 2 * time.Millisecond
 
 // HubEdge describes one overlay link as seen from a hub.
 type HubEdge struct {
@@ -71,19 +54,21 @@ type HubEdge struct {
 // NewHub creates a hub on the given host and starts its listeners (the hub
 // port and, to emulate tunnelling via sshd, the SSH port).
 func NewHub(network *vnet.Network, host string) (*Hub, error) {
+	return newHub(network, host, nil)
+}
+
+func newHub(network *vnet.Network, host string, changed chan<- struct{}) (*Hub, error) {
 	h := &Hub{
 		host:     host,
 		net:      network,
+		changed:  changed,
 		conns:    make(map[string]*vnet.Conn),
 		allConns: make(map[*vnet.Conn]struct{}),
 		edges:    make(map[string]EdgeType),
 		dialed:   make(map[string]bool),
-		known:    map[string]bool{host: true},
+		adverts:  map[string]advert{host: {Hub: host, Seq: 1}},
 		clients:  make(map[Address]string),
-		hosts:    make(map[string]bool),
 		circuits: make(map[string]*circuit),
-		seen:     make(map[string]bool),
-		opens:    make(map[string]*pendingOpen),
 	}
 	for _, port := range []int{HubPort, vnet.SSHPort} {
 		l, err := network.Listen(host, port)
@@ -121,18 +106,33 @@ func (h *Hub) Stop() {
 	h.wg.Wait()
 }
 
+// busyAdd brackets (+1, -1) a handler that has link state left to spread —
+// a merge may dial hubs, change the database and gossip it: an overlay is
+// not converged while one runs.
+func (h *Hub) busyAdd(d int) {
+	h.mu.Lock()
+	h.busy += d
+	h.mu.Unlock()
+	select {
+	case h.changed <- struct{}{}:
+	default: // a token is waiting already, or nobody listens
+	}
+}
+
 // ConnectTo attempts to establish an overlay link to a peer hub: first a
 // direct dial to the hub port, then an SSH tunnel via the peer's front-end
 // sshd. If neither works the peer may still connect to us (a one-way link).
 // A link the peer dialed does not stand in for our own attempt: both
 // directions are always tried, so the edge types the overlay reports do not
-// depend on whether the peer's hello was processed before this call.
+// depend on whether the peer's hello was processed before this call. The
+// peer registers the link before it answers, so on return both hubs hold it.
 func (h *Hub) ConnectTo(peerHost string) error {
 	h.mu.Lock()
-	if h.dialed[peerHost] || peerHost == h.host {
+	if h.dialed[peerHost] || peerHost == h.host || h.closed {
 		h.mu.Unlock()
 		return nil
 	}
+	h.dialed[peerHost] = true // claimed before the dial: gossip arriving meanwhile must not dial again
 	h.mu.Unlock()
 
 	conn, err := h.net.Dial(h.host, peerHost, HubPort)
@@ -141,77 +141,99 @@ func (h *Hub) ConnectTo(peerHost string) error {
 		conn, err = h.net.Dial(h.host, peerHost, vnet.SSHPort)
 		edge = EdgeSSH
 	}
+	var reply *frame
+	if err == nil {
+		conn.SetClass("hub")
+		if err = sendFrame(conn, &frame{Kind: kHello, Hub: h.host, Adverts: h.database()}); err == nil {
+			reply, err = recvFrame(conn)
+		}
+		if err != nil {
+			conn.Close()
+		}
+	}
 	if err != nil {
+		h.mu.Lock()
+		delete(h.dialed, peerHost)
+		h.mu.Unlock()
 		return fmt.Errorf("smartsockets: hub %s cannot reach hub %s: %w", h.host, peerHost, err)
 	}
-	conn.SetClass("hub")
 	if edge == EdgeDirect {
 		// If the peer could not have dialed us, the link is one-way.
 		if ok, _ := h.net.AllowsInboundFrom(h.host, peerHost, HubPort); !ok {
 			edge = EdgeOneWay
 		}
 	}
-	hello := &frame{Kind: kHello, Hub: h.host, Hubs: h.knownHubs()}
-	if err := sendFrame(conn, hello); err != nil {
-		conn.Close()
-		return err
-	}
-	h.mu.Lock()
-	h.dialed[peerHost] = true
-	h.mu.Unlock()
-	h.addPeer(peerHost, conn, edge)
+	h.merge(reply.Adverts, h.addPeer(peerHost, conn, edge))
 	return nil
 }
 
-func (h *Hub) knownHubs() []string {
+// database returns every advertisement this hub holds.
+func (h *Hub) database() []advert {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.known))
-	for k := range h.known {
-		out = append(out, k)
+	return slices.Collect(maps.Values(h.adverts))
+}
+
+// hubPeer returns the hub host behind a neighbor identity.
+func hubPeer(id string) (string, bool) { return strings.CutPrefix(id, "h:") }
+
+// advertiseLocked rebuilds this hub's own advertisement from its live hub
+// links, under the next Seq.
+func (h *Hub) advertiseLocked() {
+	ad := advert{Hub: h.host, Seq: h.adverts[h.host].Seq + 1}
+	for id := range h.conns {
+		peer, ok := hubPeer(id)
+		if !ok {
+			continue
+		}
+		if p, err := h.net.Route(h.host, peer); err == nil {
+			ad.Links = append(ad.Links, link{Peer: peer, Latency: p.Latency, Bandwidth: p.Bandwidth})
+		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Slice(ad.Links, func(i, j int) bool { return ad.Links[i].Peer < ad.Links[j].Peer })
+	h.adverts[h.host] = ad
+}
+
+// gossip pushes this hub's database to every hub neighbor.
+func (h *Hub) gossip() {
+	h.mu.Lock()
+	g := &frame{Kind: kGossip, Hub: h.host, Adverts: slices.Collect(maps.Values(h.adverts))}
+	links := h.adverts[h.host].Links
+	h.mu.Unlock()
+	for _, l := range links {
+		h.sendTo("h:"+l.Peer, g)
+	}
 }
 
 // addPeer records a hub-hub connection and starts its reader. The first
-// connection per peer becomes the primary used for sending.
-func (h *Hub) addPeer(peerHost string, conn *vnet.Conn, edge EdgeType) {
+// connection per peer becomes the primary used for sending: it is a new
+// link, so the hub's own advertisement changes, which addPeer reports for
+// the caller to gossip.
+func (h *Hub) addPeer(peerHost string, conn *vnet.Conn, edge EdgeType) (fresh bool) {
 	id := "h:" + peerHost
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		conn.Close()
-		return
+		return false
 	}
-	primary := false
-	if _, ok := h.conns[id]; !ok {
+	_, dup := h.conns[id]
+	if !dup {
 		h.conns[id] = conn
-		primary = true
+		h.advertiseLocked()
 	}
 	h.allConns[conn] = struct{}{}
 	// Parallel connection attempts in both directions race; keep the
-	// strongest edge classification (direct > ssh > one-way) rather than
-	// letting the last arrival downgrade an established tunnel.
-	if cur, ok := h.edges[peerHost]; !ok || edgeRank(edge) > edgeRank(cur) {
+	// strongest edge classification (direct > ssh > one-way, the order the
+	// types are declared in) rather than letting the last arrival
+	// downgrade an established tunnel.
+	if cur, ok := h.edges[peerHost]; !ok || edge < cur {
 		h.edges[peerHost] = edge
 	}
-	h.known[peerHost] = true
 	h.mu.Unlock()
 	h.wg.Add(1)
-	go h.readLoop(id, conn, primary)
-}
-
-// edgeRank orders edge types by connectivity strength.
-func edgeRank(t EdgeType) int {
-	switch t {
-	case EdgeDirect:
-		return 2
-	case EdgeSSH:
-		return 1
-	default:
-		return 0
-	}
+	go h.readLoop(id, conn, !dup)
+	return !dup
 }
 
 // Edges returns this hub's overlay links, sorted by peer.
@@ -226,8 +248,13 @@ func (h *Hub) Edges() []HubEdge {
 	return out
 }
 
-// KnownHubs returns the gossiped set of hub hosts (including this one).
-func (h *Hub) KnownHubs() []string { return h.knownHubs() }
+// KnownHubs returns the hub hosts whose advertisement this hub holds
+// (including its own), sorted.
+func (h *Hub) KnownHubs() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Sorted(maps.Keys(h.adverts))
+}
 
 func (h *Hub) acceptLoop(l *vnet.Listener, port int) {
 	defer h.wg.Done()
@@ -259,10 +286,13 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		} else if ok, _ := h.net.AllowsInboundFrom(f.Hub, h.host, HubPort); !ok {
 			edge = EdgeOneWay
 		}
-		h.addPeer(f.Hub, conn, edge) // reader started inside
-		h.mergeHubs(f.Hubs)
-		// Share our own view with the newcomer so gossip flows both ways.
-		h.sendTo("h:"+f.Hub, &frame{Kind: kGossip, Hub: h.host, Hubs: h.knownHubs()})
+		h.busyAdd(1)                          // until the new link is gossiped: the dialer may spread it first
+		fresh := h.addPeer(f.Hub, conn, edge) // reader started inside
+		// The answer, on the connection the hello came in on, tells the
+		// dialer the link is registered here and shares our view with it.
+		sendFrame(conn, &frame{Kind: kGossip, Hub: h.host, Adverts: h.database()})
+		h.merge(f.Adverts, fresh)
+		h.busyAdd(-1)
 	case kRegister:
 		h.mu.Lock()
 		if h.closed {
@@ -274,10 +304,8 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		id := fmt.Sprintf("c#%d", h.nextClient)
 		h.conns[id] = conn
 		h.allConns[conn] = struct{}{}
-		h.clients[Address{f.Host, f.Port}] = id
-		h.hosts[f.Host] = true
 		h.mu.Unlock()
-		sendFrame(conn, &frame{Kind: kRegisterAck, Host: f.Host, Port: f.Port, sentAt: f.sentAt + hubProcessing})
+		h.handleFrame(id, f) // stores the registration and acks it
 		h.wg.Add(1)
 		go h.readLoop(id, conn, true)
 	default:
@@ -285,36 +313,32 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 	}
 }
 
-// mergeHubs learns new hub hosts from gossip, tries to link to them, and —
-// when the view grew — pushes the enlarged view to all hub neighbors. The
-// push only happens on growth, so gossip converges and then goes quiet.
-func (h *Hub) mergeHubs(hubs []string) {
+// merge stores every advertisement newer than the one held, links to hubs
+// heard of for the first time, and — when the database changed, here or
+// (changed) in the caller — pushes it to all hub neighbors. A push only
+// follows a change, so gossip converges and then goes quiet.
+func (h *Hub) merge(ads []advert, changed bool) {
+	h.busyAdd(1)
+	defer h.busyAdd(-1)
 	var fresh []string
 	h.mu.Lock()
-	for _, x := range hubs {
-		if !h.known[x] {
-			h.known[x] = true
-			fresh = append(fresh, x)
+	for _, ad := range ads {
+		cur, known := h.adverts[ad.Hub]
+		if ad.Hub == h.host || known && ad.Seq <= cur.Seq {
+			continue
+		}
+		h.adverts[ad.Hub] = ad
+		changed = true
+		if !known {
+			fresh = append(fresh, ad.Hub)
 		}
 	}
 	h.mu.Unlock()
-	if len(fresh) == 0 {
-		return
-	}
 	for _, x := range fresh {
 		h.ConnectTo(x) // best effort; one-way peers will dial us instead
 	}
-	g := &frame{Kind: kGossip, Hub: h.host, Hubs: h.knownHubs()}
-	h.mu.Lock()
-	targets := make([]string, 0, len(h.conns))
-	for cid := range h.conns {
-		if strings.HasPrefix(cid, "h:") {
-			targets = append(targets, cid)
-		}
-	}
-	h.mu.Unlock()
-	for _, cid := range targets {
-		h.sendTo(cid, g)
+	if changed {
+		h.gossip()
 	}
 }
 
@@ -340,41 +364,50 @@ func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 	}
 }
 
+// dropConn forgets a broken connection. Losing the primary connection to a
+// hub neighbor loses the link: the hub withdraws it from its advertisement,
+// so no hub routes over it any more.
 func (h *Hub) dropConn(id string, conn *vnet.Conn, primary bool) {
 	conn.Close()
 	h.mu.Lock()
 	delete(h.allConns, conn)
-	if primary && h.conns[id] == conn {
+	lost := primary && h.conns[id] == conn
+	if lost {
 		delete(h.conns, id)
-		if strings.HasPrefix(id, "c#") {
-			for addr, cid := range h.clients {
-				if cid == id {
-					delete(h.clients, addr)
-				}
+		for addr, cid := range h.clients {
+			if cid == id {
+				delete(h.clients, addr)
 			}
 		}
 	}
+	_, hub := hubPeer(id)
+	withdraw := lost && hub && !h.closed
+	if withdraw {
+		h.advertiseLocked()
+	}
 	h.mu.Unlock()
+	if withdraw {
+		h.gossip()
+	}
 }
 
 func (h *Hub) handleFrame(origin string, f *frame) {
 	switch f.Kind {
 	case kHello, kGossip:
-		h.mergeHubs(f.Hubs)
+		h.merge(f.Adverts, false)
 	case kRegister:
 		h.mu.Lock()
-		h.clients[Address{f.Host, f.Port}] = origin
-		h.hosts[f.Host] = true
+		h.clients[Address{f.Src.Host, f.Src.Port, h.host}] = origin
 		h.mu.Unlock()
-		h.sendTo(origin, &frame{Kind: kRegisterAck, Host: f.Host, Port: f.Port, sentAt: f.sentAt + hubProcessing})
+		h.sendTo(origin, &frame{Kind: kRegisterAck, Src: f.Src, sentAt: f.sentAt + hubProcessing})
 	case kUnregister:
 		h.mu.Lock()
-		if h.clients[Address{f.Host, f.Port}] == origin {
-			delete(h.clients, Address{f.Host, f.Port})
+		if addr := (Address{f.Src.Host, f.Src.Port, h.host}); h.clients[addr] == origin {
+			delete(h.clients, addr)
 		}
 		h.mu.Unlock()
 	case kReverseReq, kCircuitOpen:
-		h.handleFlood(origin, f)
+		h.forwardOpen(origin, f)
 	case kCircuitAck, kCircuitNak:
 		h.handleBacktrack(origin, f)
 	case kCircuitClose:
@@ -382,174 +415,135 @@ func (h *Hub) handleFrame(origin string, f *frame) {
 	}
 }
 
-// floodKey dedups flooded frames.
-func floodKey(f *frame) string {
-	if f.Kind == kReverseReq {
-		return fmt.Sprintf("rev:%s:%d", f.Src, f.ReqID)
+// forwardOpen moves a reverse request or a circuit open one hop along its
+// route. The dialer's hub picks the whole route; every hub on it adds its
+// processing delay and hands the one copy on, the last one to the client.
+// A hub that cannot — no route, no such client, a broken link — answers
+// with a nak that backtracks the route, so the dialer fails at once.
+func (h *Hub) forwardOpen(origin string, f *frame) {
+	fwd := *f
+	fwd.sentAt = f.sentAt + hubProcessing
+	fwd.Hop++
+	nak := func(reason byte) {
+		h.handleBacktrack(origin, &frame{
+			Kind: kCircuitNak, Src: f.Src, Dst: f.Dst, Circuit: f.Circuit,
+			ReqID: f.ReqID, Route: fwd.Route, Hop: fwd.Hop, Reason: reason, sentAt: fwd.sentAt,
+		})
 	}
-	return "open:" + f.Circuit
+	if f.Hop == 0 {
+		if fwd.Route = h.route(f.Dst.Hub, f.Class); fwd.Route == nil {
+			fwd.Route = []string{h.host} // the nak's whole way back
+			nak(nakNoRoute)
+			return
+		}
+	}
+	switch {
+	case f.Hop < 0 || fwd.Hop > len(fwd.Route) || fwd.Route[f.Hop] != h.host:
+		// not addressed to us; drop
+	case fwd.Hop < len(fwd.Route):
+		if !h.sendTo("h:"+fwd.Route[fwd.Hop], &fwd) {
+			nak(nakNoRoute)
+		}
+	default:
+		h.mu.Lock()
+		dstID := h.clients[f.Dst]
+		h.mu.Unlock()
+		if !h.sendTo(dstID, &fwd) {
+			nak(nakNoListener)
+		}
+	}
 }
 
-// handleFlood forwards reverse requests and circuit opens across the
-// overlay until they reach the hub serving the destination client.
-func (h *Hub) handleFlood(origin string, f *frame) {
-	key := floodKey(f)
+// route returns the hub path from this hub to hub dst for a circuit of the
+// given class, or nil if there is none: a pure function of the link-state
+// database. Lowest sum of link latency and hub processing delay — for
+// class "bulk" among the paths of widest bottleneck bandwidth only — then
+// fewest hops, then the lexicographically smallest path.
+func (h *Hub) route(dst, class string) []string {
 	h.mu.Lock()
-	dstID, local := h.clients[f.Dst]
-	knownHost := h.hosts[f.Dst.Host]
-	seen := h.seen[key]
-	h.seen[key] = true
-	h.mu.Unlock()
-
-	path := append(append([]string(nil), f.Path...), h.host)
-	fwd := *f
-	fwd.Path = path
-	fwd.sentAt = f.sentAt + hubProcessing
-	if f.Class != "" {
-		// Class-tagged opens are routed by bandwidth: fold the bandwidth
-		// of the hop this frame just crossed into the bottleneck estimate.
-		prev := f.Src.Host
-		if strings.HasPrefix(origin, "h:") {
-			prev = strings.TrimPrefix(origin, "h:")
+	defer h.mu.Unlock()
+	if class != "bulk" {
+		return h.shortestLocked(dst, 0)
+	}
+	// The widest bottleneck is one of the advertised bandwidths: try them
+	// in descending order until the links at least that wide connect dst.
+	var widths []float64
+	for _, ad := range h.adverts {
+		for _, l := range ad.Links {
+			widths = append(widths, l.Bandwidth)
 		}
-		if p, err := h.net.Route(prev, h.host); err == nil {
-			if fwd.MinBW == 0 || p.Bandwidth < fwd.MinBW {
-				fwd.MinBW = p.Bandwidth
+	}
+	slices.Sort(widths)
+	widths = slices.Compact(widths)
+	for i := len(widths) - 1; i >= 0; i-- {
+		if p := h.shortestLocked(dst, widths[i]); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// shortestLocked is Dijkstra over the advertised links of bandwidth at
+// least minBW, with whole paths as labels so that ties compare by hop
+// count and then lexicographically. A link counts in the direction its
+// owner advertises it.
+func (h *Hub) shortestLocked(dst string, minBW float64) []string {
+	type label struct {
+		cost time.Duration
+		path []string
+		done bool
+	}
+	better := func(a, b *label) bool {
+		return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(len(a.path), len(b.path)), slices.Compare(a.path, b.path)) < 0
+	}
+	labels := map[string]*label{h.host: {path: []string{h.host}}}
+	for {
+		var cur *label
+		for _, l := range labels {
+			if !l.done && (cur == nil || better(l, cur)) {
+				cur = l
+			}
+		}
+		if cur == nil {
+			return nil
+		}
+		at := cur.path[len(cur.path)-1]
+		if at == dst {
+			return cur.path
+		}
+		cur.done = true
+		for _, l := range h.adverts[at].Links {
+			if l.Bandwidth < minBW {
+				continue
+			}
+			next := &label{cost: cur.cost + l.Latency + hubProcessing, path: append(cur.path[:len(cur.path):len(cur.path)], l.Peer)}
+			if old, ok := labels[l.Peer]; !ok || !old.done && better(next, old) {
+				labels[l.Peer] = next
 			}
 		}
 	}
-
-	if local {
-		if f.Kind == kCircuitOpen {
-			// The destination hub sees every flooded copy (the seen map
-			// gates forwarding, not delivery) and picks the best path.
-			h.collectOpen(dstID, &fwd)
-			return
-		}
-		if seen {
-			return
-		}
-		h.sendTo(dstID, &fwd)
-		return
-	}
-	if seen {
-		return
-	}
-	if knownHost {
-		// The destination host is one of ours but the port is not
-		// registered: refuse so the caller can fail fast.
-		h.handleBacktrack(origin, &frame{
-			Kind: kCircuitNak, Src: f.Src, Dst: f.Dst, Circuit: f.Circuit,
-			ReqID: f.ReqID, Path: path, sentAt: fwd.sentAt,
-		})
-		return
-	}
-	// Forward to all hub neighbors except where it came from — nearest
-	// first. The first open to reach the destination installs the
-	// circuit, so forwarding in ascending link latency biases the race
-	// toward the lowest-latency hub path: a transatlantic detour through
-	// the user's machine must not relay bulk transfers between two sites
-	// that share a fast link.
-	h.mu.Lock()
-	targets := make([]string, 0, len(h.conns))
-	for cid := range h.conns {
-		if strings.HasPrefix(cid, "h:") && cid != origin {
-			targets = append(targets, cid)
-		}
-	}
-	h.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool {
-		return h.linkLatency(targets[i]) < h.linkLatency(targets[j])
-	})
-	for _, cid := range targets {
-		h.sendTo(cid, &fwd)
-	}
 }
 
-// linkLatency estimates the virtual latency to a hub neighbor (by conn
-// id); unknown routes sort last.
-func (h *Hub) linkLatency(cid string) time.Duration {
-	peer := strings.TrimPrefix(cid, "h:")
-	p, err := h.net.Route(h.host, peer)
-	if err != nil {
-		return time.Duration(1<<62 - 1)
-	}
-	return p.Latency
-}
-
-// collectOpen records one flooded copy of a circuit open addressed to a
-// local client, keeping the copy with the earliest virtual arrival. The
-// first copy arms a short real-time settle timer; when it fires the best
-// copy — the lowest-virtual-latency hub path — is delivered.
-func (h *Hub) collectOpen(dstID string, fwd *frame) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	po, ok := h.opens[fwd.Circuit]
-	if ok {
-		if !po.delivered && betterOpen(&po.best, fwd) {
-			po.best = *fwd
-		}
-		h.mu.Unlock()
-		return
-	}
-	po = &pendingOpen{dstID: dstID, best: *fwd}
-	h.opens[fwd.Circuit] = po
-	h.mu.Unlock()
-	circuit := fwd.Circuit
-	time.AfterFunc(openSettle, func() {
-		h.mu.Lock()
-		po.delivered = true
-		best := po.best
-		closed := h.closed
-		h.mu.Unlock()
-		if !closed {
-			h.sendTo(po.dstID, &best)
-		}
-		// Keep the tombstone long enough to absorb any straggler copy
-		// still in flight, then drop it — the map must not grow with
-		// every circuit ever opened.
-		time.AfterFunc(100*openSettle, func() {
-			h.mu.Lock()
-			delete(h.opens, circuit)
-			h.mu.Unlock()
-		})
-	})
-}
-
-// betterOpen decides whether a newly arrived circuit-open copy beats the
-// current best. Bulk-class opens prefer the widest bottleneck bandwidth
-// (ties broken by earliest virtual arrival); every other class keeps the
-// lowest-virtual-latency path.
-func betterOpen(cur, cand *frame) bool {
-	if cand.Class == "bulk" && cand.MinBW != cur.MinBW {
-		return cand.MinBW > cur.MinBW
-	}
-	return cand.sentAt < cur.sentAt
-}
-
-// handleBacktrack walks an ack or nak backwards along the recorded path,
+// handleBacktrack walks an ack or nak backwards along the route,
 // installing circuit relay state for acks.
 func (h *Hub) handleBacktrack(origin string, f *frame) {
-	if len(f.Path) == 0 || f.Path[len(f.Path)-1] != h.host {
+	if f.Hop < 1 || f.Hop > len(f.Route) || f.Route[f.Hop-1] != h.host {
 		return // not addressed to us; drop
 	}
 	back := *f
-	back.Path = f.Path[:len(f.Path)-1]
+	back.Hop--
 	back.sentAt = f.sentAt + hubProcessing
 
 	var nextID string
-	if len(back.Path) == 0 {
+	if back.Hop == 0 {
 		h.mu.Lock()
-		nextID = h.clients[Address{f.Src.Host, f.Src.Port}]
+		nextID = h.clients[f.Src]
 		h.mu.Unlock()
 		if nextID == "" {
 			return // requester vanished
 		}
 	} else {
-		nextID = "h:" + back.Path[len(back.Path)-1]
+		nextID = "h:" + f.Route[back.Hop-1]
 	}
 	if f.Kind == kCircuitAck {
 		h.mu.Lock()
@@ -584,11 +578,16 @@ func (h *Hub) relayData(origin string, circuit []byte, msg vnet.Message) {
 	}
 }
 
-// relayClose forwards a close frame along a circuit, dismantling it.
+// relayClose forwards one end's close frame along a circuit; the second
+// one, from the other end, dismantles it (see routedEnd).
 func (h *Hub) relayClose(origin string, f *frame) {
 	h.mu.Lock()
 	c := h.circuits[f.Circuit]
-	delete(h.circuits, f.Circuit)
+	if c != nil && c.closedBy != "" && c.closedBy != origin {
+		delete(h.circuits, f.Circuit)
+	} else if c != nil {
+		c.closedBy = origin
+	}
 	h.mu.Unlock()
 	if c == nil {
 		return
@@ -598,12 +597,11 @@ func (h *Hub) relayClose(origin string, f *frame) {
 	h.sendTo(c.next(origin), &fwd)
 }
 
-func (h *Hub) sendTo(id string, f *frame) {
+// sendTo sends f to a neighbor and reports whether the neighbor's
+// connection took it; broken neighbors are dropped by their reader.
+func (h *Hub) sendTo(id string, f *frame) bool {
 	h.mu.Lock()
 	conn := h.conns[id]
 	h.mu.Unlock()
-	if conn == nil {
-		return
-	}
-	sendFrame(conn, f) // best effort: broken neighbors are dropped by their reader
+	return conn != nil && sendFrame(conn, f) == nil
 }

@@ -1,6 +1,7 @@
 package smartsockets
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,10 +11,17 @@ import (
 )
 
 // Overlay manages a set of hubs started together, the way IbisDeploy starts
-// one hub per resource before launching jobs.
+// one hub per resource before launching jobs. The zero value is an empty
+// overlay ready for AddHub.
 type Overlay struct {
 	hubs []*Hub
+	// wake holds a token while a change a hub signalled is unseen: what
+	// settle waits on.
+	wake chan struct{}
 }
+
+// ErrNotConverged reports hubs that never reached one link-state view.
+var ErrNotConverged = errors.New("smartsockets: overlay did not converge")
 
 // StartHubs creates a hub on each listed host and links them pairwise. Hub
 // connection attempts are made in both directions so one-way links form
@@ -21,70 +29,88 @@ type Overlay struct {
 func StartHubs(network *vnet.Network, hosts []string) (*Overlay, error) {
 	o := &Overlay{}
 	for _, h := range hosts {
-		hub, err := NewHub(network, h)
-		if err != nil {
+		if _, err := o.AddHub(network, h); err != nil {
 			o.Stop()
 			return nil, err
 		}
-		o.hubs = append(o.hubs, hub)
 	}
-	for _, a := range o.hubs {
-		for _, b := range o.hubs {
-			if a.Host() != b.Host() {
-				a.ConnectTo(b.Host()) // best effort; peer may connect back
-			}
-		}
-	}
-	o.settle()
 	return o, nil
 }
 
-// settle waits (in real time) until the overlay's edge view stops changing,
-// so callers observe a converged hub graph. Hellos and gossip are processed
-// asynchronously by hub reader goroutines.
-func (o *Overlay) settle() {
-	snapshot := func() string {
-		var b strings.Builder
-		for _, e := range o.Edges() {
-			fmt.Fprintf(&b, "%s|%s|%d;", e.A, e.B, e.Type)
+// settle waits until the overlay has converged, so callers observe — and
+// route on — one hub graph. Hubs signal every change, no clock is polled;
+// a view only counts if no hub signalled while it was taken.
+func (o *Overlay) settle() error {
+	watchdog := time.NewTimer(10 * time.Second) // watchdog: a hub that never finishes a handler or never gets an advertisement -> ErrNotConverged
+	defer watchdog.Stop()
+	for {
+		if o.converged() && len(o.wake) == 0 {
+			return nil
 		}
-		return b.String()
-	}
-	prev := snapshot()
-	stable := 0
-	for i := 0; i < 2000 && stable < 5; i++ {
-		time.Sleep(time.Millisecond)
-		cur := snapshot()
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = cur
+		select {
+		case <-o.wake:
+		case <-watchdog.C:
+			return ErrNotConverged
 		}
 	}
+}
+
+// converged is the predicate settle waits for: no hub has link state left
+// to spread (busyAdd; a dial returns only once both sides registered the
+// link) and every hub holds the current advertisement of every hub it can
+// reach. The latter is checked by closure: a hub's own advertisement is
+// current, so if everything it holds is current and names only hubs it
+// also holds, it holds its whole component.
+func (o *Overlay) converged() bool {
+	current := make(map[string]uint64, len(o.hubs))
+	for _, h := range o.hubs {
+		h.mu.Lock()
+		busy, seq := h.busy > 0, h.adverts[h.host].Seq
+		h.mu.Unlock()
+		if busy {
+			return false
+		}
+		current[h.host] = seq
+	}
+	ok := true
+	for _, h := range o.hubs {
+		h.mu.Lock()
+		for _, ad := range h.adverts {
+			if seq, ours := current[ad.Hub]; ours && seq != ad.Seq {
+				ok = false
+			}
+			for _, l := range ad.Links {
+				if _, held := h.adverts[l.Peer]; !held {
+					ok = false
+				}
+			}
+		}
+		h.mu.Unlock()
+	}
+	return ok
 }
 
 // AddHub starts a hub on host and links it with every existing hub (both
 // directions are attempted so one-way links can form), then waits for the
-// edge view to settle. IbisDeploy uses this to start hubs incrementally as
+// overlay to converge. IbisDeploy uses this to start hubs incrementally as
 // resources are added.
 func (o *Overlay) AddHub(network *vnet.Network, host string) (*Hub, error) {
-	for _, h := range o.hubs {
-		if h.Host() == host {
-			return h, nil
-		}
+	if h := o.Hub(host); h != nil {
+		return h, nil
 	}
-	hub, err := NewHub(network, host)
+	if o.wake == nil {
+		o.wake = make(chan struct{}, 1)
+	}
+	hub, err := newHub(network, host, o.wake)
 	if err != nil {
 		return nil, err
 	}
 	for _, h := range o.hubs {
-		hub.ConnectTo(h.Host())
+		hub.ConnectTo(h.Host()) // best effort; the peer may connect back
 		h.ConnectTo(host)
 	}
 	o.hubs = append(o.hubs, hub)
-	o.settle()
-	return hub, nil
+	return hub, o.settle()
 }
 
 // Hubs returns the managed hubs.
@@ -158,29 +184,15 @@ func (o *Overlay) Edges() []OverlayEdge {
 	return out
 }
 
-// Connected reports whether the undirected overlay graph spans all hubs.
+// Connected reports whether the overlay graph spans all hubs: whether the
+// first hub has a route to every other.
 func (o *Overlay) Connected() bool {
-	if len(o.hubs) == 0 {
-		return true
-	}
-	adj := make(map[string][]string)
-	for _, e := range o.Edges() {
-		adj[e.A] = append(adj[e.A], e.B)
-		adj[e.B] = append(adj[e.B], e.A)
-	}
-	seen := map[string]bool{o.hubs[0].Host(): true}
-	stack := []string{o.hubs[0].Host()}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range adj[cur] {
-			if !seen[nb] {
-				seen[nb] = true
-				stack = append(stack, nb)
-			}
+	for _, h := range o.hubs {
+		if o.hubs[0].route(h.host, "") == nil {
+			return false
 		}
 	}
-	return len(seen) == len(o.hubs)
+	return true
 }
 
 // RenderMap renders the Fig. 10-equivalent overlay view: every hub and the

@@ -57,7 +57,7 @@ func TestOwnershipSendFrameClones(t *testing.T) {
 	out, in := loopPair(t)
 	const n = 32
 	for i := 0; i < n; i++ {
-		f := &frame{Kind: kRegister, Host: "host", Port: i, Payload: bytes.Repeat([]byte{byte(i)}, 64)}
+		f := &frame{Kind: kRegister, Src: Address{Host: "host", Port: i}, Payload: bytes.Repeat([]byte{byte(i)}, 64)}
 		if err := sendFrame(out, f); err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +69,8 @@ func TestOwnershipSendFrameClones(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Port != i || !bytes.Equal(f.Payload, bytes.Repeat([]byte{byte(i)}, 64)) {
-			t.Fatalf("frame %d arrived as port %d payload %x…", i, f.Port, f.Payload[:4])
+		if f.Src.Port != i || !bytes.Equal(f.Payload, bytes.Repeat([]byte{byte(i)}, 64)) {
+			t.Fatalf("frame %d arrived as port %d payload %x…", i, f.Src.Port, f.Payload[:4])
 		}
 	}
 }

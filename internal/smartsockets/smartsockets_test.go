@@ -268,7 +268,7 @@ func TestConnectNoListener(t *testing.T) {
 	tn := newTestNet(t, vnet.Open, vnet.Open)
 	fa := newFactory(t, tn.net, tn.clientA, 20000, tn.hubA)
 	newFactory(t, tn.net, tn.clntB, 20000, tn.hubB)
-	_, err := fa.Connect(Address{tn.clntB, 29999}, 0)
+	_, err := fa.Connect(Address{Host: tn.clntB, Port: 29999, Hub: tn.hubB}, 0)
 	if !errors.Is(err, ErrNoListener) {
 		t.Fatalf("err = %v, want ErrNoListener", err)
 	}
@@ -282,7 +282,7 @@ func TestConnectFirewalledNoListener(t *testing.T) {
 	newFactory(t, tn.net, tn.clntB, 20000, tn.hubB)
 	fa.Timeout = 5 * time.Second // NAK must beat this comfortably
 	start := time.Now()
-	_, err := fa.Connect(Address{tn.clntB, 29999}, 0)
+	_, err := fa.Connect(Address{Host: tn.clntB, Port: 29999, Hub: tn.hubB}, 0)
 	if err == nil {
 		t.Fatal("connect to unregistered port succeeded")
 	}
@@ -291,12 +291,27 @@ func TestConnectFirewalledNoListener(t *testing.T) {
 	}
 }
 
-func TestConnectUnknownHostTimesOut(t *testing.T) {
-	tn := newTestNet(t, vnet.Open, vnet.Open)
+// TestConnectUnknownHostFailsFast: a dead address is refused by a frame,
+// not by a timer. An address on a hub nobody advertises is refused by the
+// dialer's own hub, one on a live hub that serves no such client by that
+// hub — with the watchdog set to an hour either way.
+func TestConnectUnknownHostFailsFast(t *testing.T) {
+	tn := newTestNet(t, vnet.OutboundOnly, vnet.OutboundOnly)
 	fa := newFactory(t, tn.net, tn.clientA, 20000, tn.hubA)
-	fa.Timeout = 50 * time.Millisecond
-	if _, err := fa.Connect(Address{"ghost-host", 1}, 0); err == nil {
-		t.Fatal("connect to unknown host succeeded")
+	fa.Timeout = time.Hour
+	for _, c := range []struct {
+		dst  Address
+		want error
+	}{
+		{Address{Host: "ghost-host", Port: 1}, ErrNoRoute},
+		{Address{Host: "ghost-host", Port: 1, Hub: "ghost-hub"}, ErrNoRoute},
+		{Address{Host: "ghost-host", Port: 1, Hub: tn.hubB}, ErrNoListener},
+		{Address{Host: tn.clntB, Port: 1, Hub: tn.hubB}, ErrNoListener},
+	} {
+		_, err := fa.Connect(c.dst, 0)
+		if !errors.Is(err, ErrConnectFailed) || !errors.Is(err, c.want) {
+			t.Errorf("connect to %s: %v, want ErrConnectFailed wrapping %v", c.dst, err, c.want)
+		}
 	}
 }
 

@@ -17,35 +17,30 @@ type frame struct {
 	Circuit string
 	Payload []byte
 
-	// Hub protocol.
-	Hub  string   // sender hub (hello/gossip)
-	Hubs []string // known hubs (gossip)
+	// Hub protocol (hello/gossip): the sender and every advert it holds.
+	Hub     string
+	Adverts []advert
 
-	// Client registration.
-	Host string
-	Port int
-
-	// Overlay routing (flooded frames carry the path of hubs visited; acks
-	// and closes follow the recorded path backwards).
+	// Src is the client registering, or the dialing end of a circuit open
+	// or reverse request; Dst the end being dialed.
 	Src, Dst Address
-	Path     []string
-	// Route is the full hub path of an established circuit, copied into
-	// the kCircuitAck by the accepting factory. Unlike Path it is not
-	// consumed by the backtrack, so the dialer learns which hubs relay
-	// its traffic (Fig. 10's routed lines).
+	// Route is the whole hub path the source hub chose for an open or
+	// reverse request (Hub.route), and Hop how many of its hubs the frame
+	// has crossed: each forwards to Route[Hop]. Acks and naks carry the
+	// same Route back with Hop counting down, so the dialer learns which
+	// hubs relay its traffic (Fig. 10's routed lines).
 	Route []string
+	Hop   int
 
 	// Reverse connection setup.
 	ReqID     uint64
 	ReplyPort int
 
 	// Connection class of a circuit open ("" = default RPC class, routed
-	// by lowest virtual latency). Bulk-class opens are routed by bottleneck
-	// bandwidth instead: each hub folds the bandwidth of the hop the frame
-	// just crossed into MinBW, and the destination hub picks the copy with
-	// the widest bottleneck.
+	// by lowest virtual latency; "bulk" = widest bottleneck first).
 	Class string
-	MinBW float64
+	// Reason says why a kCircuitNak refused (nak* below).
+	Reason byte
 
 	// sentAt is the virtual clock of the sender when the frame is emitted
 	// and, on a received frame, its virtual arrival time; relays re-stamp
@@ -54,19 +49,40 @@ type frame struct {
 	sentAt time.Duration
 }
 
+// advert is one hub's link state: the hub neighbours it holds a connection
+// to, with the modelled latency and bandwidth of each link. Seq rises with
+// every change; hubs keep the newest advert received of every hub.
+type advert struct {
+	Hub   string
+	Seq   uint64
+	Links []link
+}
+
+type link struct {
+	Peer      string
+	Latency   time.Duration
+	Bandwidth float64
+}
+
 const (
-	kHello        byte = iota // hub -> hub: identify + known hubs
-	kGossip                   // hub -> hub: known hub list update
-	kRegister                 // client -> hub: claim (host, port)
-	kUnregister               // client -> hub: release (host, port)
-	kReverseReq               // flooded: ask Dst to dial back Src:ReplyPort
-	kCircuitOpen              // flooded: open a routed circuit to Dst
-	kCircuitAck               // backtracks Path: circuit established
-	kCircuitNak               // backtracks Path: circuit refused
+	kHello        byte = iota // hub -> hub: identify + adverts held; answered by a kGossip
+	kGossip                   // hub -> hub: adverts held
+	kRegister                 // client -> hub: claim Src (at this hub: Src.Hub stays empty)
+	kUnregister               // client -> hub: release Src
+	kReverseReq               // along Route: ask Dst to dial back Src.Host:ReplyPort
+	kCircuitOpen              // along Route: open a routed circuit to Dst
+	kCircuitAck               // backtracks Route: circuit established
+	kCircuitNak               // backtracks Route: refused, see Reason
 	kCircuitData              // follows circuit table
 	kCircuitClose             // follows circuit table, dismantling it
 	kDialbackOK               // first frame on a reverse dial-back conn
-	kRegisterAck              // hub -> client: (host, port) registration stored
+	kRegisterAck              // hub -> client: Src registration stored
+)
+
+// Reasons of a kCircuitNak.
+const (
+	nakNoListener byte = iota // Dst's hub serves no such address, or nothing listens on it
+	nakNoRoute                // the source hub knows no hub path to Dst.Hub
 )
 
 // hubProcessing is the virtual per-hop processing delay a hub adds when

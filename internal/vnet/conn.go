@@ -71,10 +71,13 @@ func (c *Conn) Send(data []byte, sentAt time.Duration) (time.Duration, error) {
 	class := c.class
 	c.mu.Unlock()
 	arrival := sentAt + c.path.TransferTime(len(data))
+	// Recorded before it is delivered: whoever has seen the message (or
+	// anything it caused) finds its bytes in the recorder. A message the
+	// peer's close beats to the queue is counted although it is dropped.
+	c.net.record(c.local, c.remote, class, len(data))
 	if !c.out.Push(Message{Data: data, Arrival: arrival}) {
 		return 0, ErrClosed
 	}
-	c.net.record(c.local, c.remote, class, len(data))
 	return arrival, nil
 }
 

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check gob-check timer-check test test-short race leak-check stress cover bench bench-check ci
+.PHONY: all build vet fmt-check doc-check gob-check timer-check loc loc-check test test-short race leak-check stress cover bench bench-check ci
 
 all: ci
 
@@ -41,17 +41,35 @@ gob-check:
 	  -exec grep -l '"jungle/internal/wiretest"' {} +); \
 	if [ -n "$$bad" ]; then echo "internal/wiretest imported outside tests:" >&2; echo "$$bad" >&2; exit 1; fi
 
-# No timer picks a route: in the transport packages the host's clock may
-# only be a watchdog — a timer that turns a hang into a structured error and
-# decides nothing else. Every time.Sleep/After/AfterFunc/NewTimer/Tick there
-# carries a "// watchdog:" comment on its line saying which hang it turns
-# into which error; DESIGN.md § Overlay routing classifies the timers the
-# packages above them still have.
-TIMER_FREE = internal/vnet internal/smartsockets internal/ipl internal/mpisim internal/fifo internal/wire
+# No timer picks a route, and none brings a model up: in the transport
+# packages and in internal/core the host's clock may only be a watchdog — a
+# timer that turns a hang into a structured error and decides nothing else.
+# Every time.Sleep/After/AfterFunc/NewTimer/Tick there carries a
+# "// watchdog:" comment on its line saying which hang it turns into which
+# error; DESIGN.md § Overlay routing classifies the timers the packages above
+# them still have.
+TIMER_FREE = internal/vnet internal/smartsockets internal/ipl internal/mpisim internal/fifo internal/wire internal/core
 timer-check:
 	@bad=$$(find $(TIMER_FREE) -name '*.go' ! -name '*_test.go' \
 	  -exec grep -nE 'time\.(Sleep|After|AfterFunc|NewTimer|Tick)\b' {} + | grep -v '// watchdog:'); \
 	if [ -n "$$bad" ]; then echo "wall-clock timer without a // watchdog: comment:" >&2; echo "$$bad" >&2; exit 1; fi
+
+# Size ledger: non-test Go lines (wc -l, the ROADMAP's measure) per internal/
+# package, for internal/core without kernel/, and for the repository
+# excluding bench/ (its own module, changed only by [benchmark] PRs).
+# loc-check holds the last two to the numbers the latest PR recorded: a PR
+# that grows them raises the number here, in its diff, and says why.
+LOC_CORE_MAX = 6341
+LOC_TOTAL_MAX = 29124
+LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
+loc:
+	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
+	@printf '%-28s %6d  (max $(LOC_CORE_MAX))\n' 'internal/core w/o kernel/' "$$($(call LOC,internal/core,! -path 'internal/core/kernel/*'))"
+	@printf '%-28s %6d  (max $(LOC_TOTAL_MAX))\n' 'repository w/o bench/' "$$($(call LOC,.))"
+loc-check:
+	@core=$$($(call LOC,internal/core,! -path 'internal/core/kernel/*')); total=$$($(call LOC,.)); \
+	if [ $$core -gt $(LOC_CORE_MAX) ] || [ $$total -gt $(LOC_TOTAL_MAX) ]; then \
+	  echo "loc-check: internal/core $$core (max $(LOC_CORE_MAX)), repository $$total (max $(LOC_TOTAL_MAX))" >&2; exit 1; fi
 
 # Fast suite: unit + protocol + reduced-scale integration (seconds).
 test-short:
@@ -145,4 +163,4 @@ bench-check:
 	rm -f bench.out bench-check.json; exit $$st
 
 # Tier-1 gate: everything a PR must keep green, in one command.
-ci: build vet doc-check gob-check timer-check test-short race leak-check cover
+ci: build vet doc-check gob-check timer-check loc-check test-short race leak-check cover

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"jungle/internal/core/kernel"
 	"jungle/internal/phys/bridge"
 	"jungle/internal/trace"
-	"jungle/internal/vnet"
 	"jungle/internal/vtime"
 )
 
@@ -30,10 +28,6 @@ type Simulation struct {
 	conv   *units.Converter
 	clock  *vtime.Clock
 	ctx    context.Context
-
-	// Trace, when set, receives coupler-level events (worker starts,
-	// replacements); the bridge's own trace covers Fig. 7's call sequence.
-	Trace func(event string)
 
 	// OnTransferFallback, when set, receives the classified direct-path
 	// error each time a state transfer falls back to the coupler hairpin
@@ -168,12 +162,6 @@ func (s *Simulation) sessionAccount(f func(rec *trace.Recorder, id string)) {
 	}
 }
 
-func (s *Simulation) trace(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(fmt.Sprintf(format, args...))
-	}
-}
-
 // TimeQuantity converts a physical time into N-body time using the
 // session converter — the checked conversion AMUSE performs on every
 // boundary crossing.
@@ -196,15 +184,6 @@ func (s *Simulation) Stop() error {
 	models := append([]*modelProxy(nil), s.models...)
 	s.models = nil
 	s.mu.Unlock()
-	for _, m := range models {
-		workers := len(m.WorkerIDs())
-		if workers == 0 {
-			workers = 1
-		}
-		s.sessionAccount(func(rec *trace.Recorder, id string) {
-			rec.SessionWorkerDelta(id, -workers)
-		})
-	}
 	errs := make([]error, len(models))
 	var wg sync.WaitGroup
 	for i, m := range models {
@@ -218,35 +197,39 @@ func (s *Simulation) Stop() error {
 	return errors.Join(errs...)
 }
 
-// modelProxy is the coupler-side endpoint of one worker.
+// modelProxy is the coupler-side endpoint of one worker. How the endpoint
+// comes up, is rebuilt and goes away is in lifecycle.go.
 type modelProxy struct {
 	sim  *Simulation
 	kind Kind
 
-	mu     sync.Mutex
-	spec   WorkerSpec
-	ch     channel
-	worker int
-	// gangWorkers holds every rank's worker id when the model is a gang
-	// (worker is rank 0's id then); empty for solo workers.
-	gangWorkers []int
-	gen         int // bumped per successful replacement
+	mu   sync.Mutex
+	spec WorkerSpec
+	ch   channel // nil while the endpoint is down
+	// workers holds the daemon worker ids behind the model, rank order:
+	// none for an in-process mpi-channel model, one for a solo worker, K
+	// for a gang. The slice is replaced, never written to: a reader may keep
+	// what it took under mu.
+	workers []int
+	gen     int // bumped per successful rebuild
+	// While phase is rebuilding, replayable calls wait in parked — the one
+	// queue — and settled is open; it closes when the episode ends.
+	phase     phase
+	parked    []parkedCall
+	settled   chan struct{}
+	accounted int // the workers the session recorder holds for this model
 
 	n       int
 	lastErr error
-	stopped bool
 	// replacement support (§5 future work, implemented here).
 	replaceable bool
-	setupArgs   any
-	// setupRaw holds the encoded setup payload for models resumed from a
-	// manifest (setupArgs is nil then); encodedSetupLocked prefers it.
-	setupRaw  []byte
-	lastState *kernel.ParticlesPayload
+	setup       []byte // the encoded setup args, replayed by every rebuild
+	lastState   *kernel.ParticlesPayload
 	// stateSeq/snapSeq stamp lastState and lastSnap with the proxy's call
-	// sequence at capture time, so replacement replays whichever is newer.
+	// sequence at capture time, so a rebuild replays whichever is newer.
 	stateSeq uint64
 	// lastSnap is the raw frame of the model's most recent checkpoint
-	// snapshot (kernel.Snapshot codec). Replacement prefers it over
+	// snapshot (kernel.Snapshot codec). A rebuild prefers it over
 	// lastState — it carries the full model state including the kernel's
 	// clock — and it is what makes gangs recoverable. lastBlobRef is the
 	// daemon-store ref the frame is filed under, so the next checkpoint
@@ -254,62 +237,15 @@ type modelProxy struct {
 	lastSnap    []byte
 	snapSeq     uint64
 	lastBlobRef uint64
-	// retries + retrying implement the replacement path: failed calls
-	// queue here, and at most one drainer goroutine per proxy replaces
-	// the worker and re-issues them — that single drainer (plus the gen
-	// check) is what guarantees one replacement per death no matter how
-	// many pipelined calls observe it.
-	retries  []retryItem
-	retrying bool
 
-	// seq numbers calls in issue order so replacement retries can restore
-	// the per-worker FIFO that pipelined callers rely on.
+	// seq numbers calls in issue order so the parked queue can restore the
+	// per-worker FIFO that pipelined callers rely on.
 	seq atomic.Uint64
-
-	// migMu serializes endpoint rebuilds: dead-worker replacement
-	// (ensureReplaced), voluntary migration (Migrate) and gang resize
-	// (Resize) each tear the endpoint down and rebuild it, and exactly
-	// one such operation may run at a time — a drainer restarting the
-	// old ranks while a migration starts new ones would strand workers.
-	// Lock order: migMu strictly before m.mu; never call into migMu
-	// holders while holding m.mu.
-	migMu sync.Mutex
-
-	// rebuilding counts endpoint rebuilds in flight (replacement,
-	// migration, resize). A call that races the rebuild's teardown can
-	// fail on the just-closed channel instead of observing the worker's
-	// death; the counter (plus the generation check in endpointChanging)
-	// lets that failure take the retry path rather than sticking.
-	rebuilding atomic.Int32
 
 	// elastic holds the rebalancer state when EnableRebalance armed it
 	// (rebalance.go); nil means the feature is off — the default, which
 	// keeps every existing session byte-identical.
 	elastic *elasticGang
-}
-
-// endpointChanging reports whether a closed-channel failure on a call
-// issued against generation gen raced an endpoint rebuild: one is still
-// in flight, or one already completed and bumped the generation. Either
-// way the call belongs on the retry queue — the channel was closed by
-// teardown, not by Stop.
-func (m *modelProxy) endpointChanging(gen int) bool {
-	if m.rebuilding.Load() > 0 {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gen != gen && !m.stopped
-}
-
-// retryItem is one failed call awaiting re-issue on a replacement worker.
-type retryItem struct {
-	c      *Call
-	method string
-	args   []byte
-	gen    int
-	seq    uint64
-	cause  error
 }
 
 // newModel starts a worker per spec and opens its channel. ctx bounds the
@@ -323,170 +259,32 @@ func (s *Simulation) newModel(ctx context.Context, kind Kind, spec WorkerSpec, s
 		spec.Channel = ChannelIbis
 	}
 	spec.Session = s.Session()
-	m := &modelProxy{sim: s, kind: kind, spec: spec, setupArgs: setup}
-	if err := m.start(ctx); err != nil {
-		return nil, err
-	}
-	if err := m.Call(ctx, "setup", setup, &kernel.Empty{}); err != nil {
+	m := &modelProxy{sim: s, kind: kind, setup: kernel.Encode(setup)}
+	if err := m.rebuild(ctx, plan{cause: "birth", shape: spec}); err != nil {
 		m.shutdown()
 		return nil, err
 	}
 	s.mu.Lock()
 	s.models = append(s.models, m)
 	s.mu.Unlock()
-	workers := len(m.WorkerIDs())
-	if workers == 0 {
-		workers = 1 // in-process mpi-channel model
-	}
-	s.sessionAccount(func(rec *trace.Recorder, id string) {
-		rec.SessionWorkerDelta(id, workers)
-	})
-	s.trace("worker started kind=%s kernel=%s resource=%s channel=%s",
-		kind, spec.Kernel, m.resource(), spec.Channel)
 	return m, nil
-}
-
-// start launches the worker and opens the channel (used again on
-// replacement).
-func (m *modelProxy) start(ctx context.Context) error {
-	if ctx == nil {
-		ctx = m.sim.ctx
-	}
-	s := m.sim
-	m.mu.Lock()
-	spec := m.spec
-	m.mu.Unlock()
-	if spec.Workers > 1 && spec.Channel != ChannelIbis {
-		return fmt.Errorf("core: gangs require the ibis channel, not %q (ranks exchange halos over their peer planes)", spec.Channel)
-	}
-	if spec.Resource == "" {
-		// Resolve open specs here, through the session's placement policy,
-		// for every channel — the daemon then starts the worker on exactly
-		// the resource the policy picked.
-		resource, err := s.place(spec)
-		if err != nil {
-			return err
-		}
-		spec.Resource = resource
-		m.mu.Lock()
-		m.spec.Resource = resource
-		m.mu.Unlock()
-	}
-	switch spec.Channel {
-	case ChannelMPI:
-		// In-process worker on the local resource (AMUSE's default channel).
-		res, err := s.daemon.Deployment().Resource(spec.Resource)
-		if err != nil {
-			return err
-		}
-		svc, err := newService(m.kind, res, []string{s.daemon.Deployment().LocalHost()}, s.daemon.Env(), nil)
-		if err != nil {
-			return err
-		}
-		m.setEndpoint(spec, newLocalChannel(svc, s.observer(m.kind, spec.Resource, "", 0, -1)), 0)
-		return nil
-	case ChannelSockets:
-		id, err := s.daemon.StartWorker(ctx, spec)
-		if err != nil {
-			return err
-		}
-		host, port, err := s.daemon.workerSocketAddr(id)
-		if err != nil {
-			return err
-		}
-		conn, err := dialRetry(ctx, s, host, port, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		m.setEndpoint(spec, newConnChannel(ChannelSockets, conn, s.observer(m.kind, spec.Resource, host, id, -1)), id)
-		return nil
-	case ChannelIbis:
-		if spec.Workers > 1 {
-			return m.startGang(ctx, spec)
-		}
-		id, err := s.daemon.StartWorker(ctx, spec)
-		if err != nil {
-			return err
-		}
-		local := s.daemon.Deployment().LocalHost()
-		conn, err := s.daemon.Deployment().Net.Dial(local, local, DaemonPort)
-		if err != nil {
-			return err
-		}
-		conn.SetClass("loopback")
-		obs := s.observer(m.kind, spec.Resource, s.workerHost(id, spec.Resource), id, -1)
-		m.setEndpoint(spec, newConnChannel(ChannelIbis, conn, obs), id)
-		return nil
-	default:
-		return fmt.Errorf("core: unknown channel %q", spec.Channel)
-	}
-}
-
-// startGang launches the K rank workers, opens one daemon channel per
-// rank, wires the ranks' peer links (gang_init), and installs the gang
-// channel — all behind this single proxy, so callers see one model.
-func (m *modelProxy) startGang(ctx context.Context, spec WorkerSpec) error {
-	s := m.sim
-	if spec.Resource == "" {
-		resource, err := s.place(spec)
-		if err != nil {
-			return err
-		}
-		spec.Resource = resource
-	}
-	ids, err := s.daemon.StartGang(ctx, spec)
-	if err != nil {
-		return err
-	}
-	stopAll := func() {
-		for _, id := range ids {
-			s.daemon.StopWorker(id)
-		}
-	}
-	local := s.daemon.Deployment().LocalHost()
-	members := make([]channel, len(ids))
-	for i := range ids {
-		conn, err := s.daemon.Deployment().Net.Dial(local, local, DaemonPort)
-		if err != nil {
-			for _, ch := range members[:i] {
-				ch.close()
-			}
-			stopAll()
-			return err
-		}
-		conn.SetClass("loopback")
-		members[i] = newConnChannel(ChannelIbis, conn,
-			s.observer(m.kind, spec.Resource, s.workerHost(ids[i], spec.Resource), ids[i], i))
-	}
-	gch := newGangChannel(members, ids,
-		s.gangObserver(m.kind, spec.Resource, s.workerHost(ids[0], spec.Resource), ids[0]))
-	if err := gch.wireGang(ctx, s); err != nil {
-		gch.close()
-		stopAll()
-		return err
-	}
-	m.mu.Lock()
-	m.gangWorkers = append([]int(nil), ids...)
-	m.mu.Unlock()
-	m.setEndpoint(spec, gch, ids[0])
-	s.trace("gang started kind=%s size=%d resource=%s workers=%v", m.kind, spec.Workers, spec.Resource, ids)
-	return nil
 }
 
 // isGang reports whether this proxy fronts a gang of rank workers.
 func (m *modelProxy) isGang() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.gangWorkers) > 0
+	return len(m.workers) > 1
 }
 
 // GangWorkers returns the daemon worker ids of the model's rank workers
 // in rank order, or nil for a solo worker (diagnostics: which jobs make
 // up this model).
 func (m *modelProxy) GangWorkers() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int(nil), m.gangWorkers...)
+	if ids := m.WorkerIDs(); len(ids) > 1 {
+		return ids
+	}
+	return nil
 }
 
 // WorkerIDs returns the daemon worker ids behind this model: the rank
@@ -496,80 +294,34 @@ func (m *modelProxy) GangWorkers() []int {
 func (m *modelProxy) WorkerIDs() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.gangWorkers) > 0 {
-		return append([]int(nil), m.gangWorkers...)
-	}
-	if m.worker == 0 {
-		return nil
-	}
-	return []int{m.worker}
+	return append([]int(nil), m.workers...)
 }
 
-func (m *modelProxy) setEndpoint(spec WorkerSpec, ch channel, worker int) {
-	m.mu.Lock()
-	m.spec = spec
-	m.ch = ch
-	m.worker = worker
-	m.mu.Unlock()
+// workerCountLocked is what the model counts for in session accounting: an
+// in-process mpi-channel model has no daemon job but is still one worker.
+func (m *modelProxy) workerCountLocked() int { return max(1, len(m.workers)) }
+
+// endpoint is what one call is issued against: the channel, the worker a
+// request is addressed to (rank 0's for a gang, whose channel re-addresses
+// per rank) and the rebuild generation.
+type endpoint struct {
+	ch     channel
+	worker int
+	gen    int
 }
 
-// endpoint snapshots the channel, worker id and replacement generation
-// for one call.
-func (m *modelProxy) endpoint() (channel, int, int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ch, m.worker, m.gen
+func (m *modelProxy) endpointLocked() endpoint {
+	ep := endpoint{ch: m.ch, gen: m.gen}
+	if len(m.workers) > 0 {
+		ep.worker = m.workers[0]
+	}
+	return ep
 }
 
 func (m *modelProxy) resource() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.spec.Resource
-}
-
-// dialRetry dials a loopback worker that may still be starting.
-func dialRetry(ctx context.Context, s *Simulation, host string, port int, budget time.Duration) (conn *vnet.Conn, err error) {
-	net := s.daemon.Deployment().Net
-	deadline := time.Now().Add(budget)
-	for {
-		c, derr := net.Dial(host, host, port)
-		if derr == nil {
-			c.SetClass("loopback")
-			return c, nil
-		}
-		err = derr
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("core: sockets worker never listened: %w", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// shutdown closes the channel and stops the worker (every rank worker
-// for a gang), returning the channel's close error. It also marks the
-// proxy stopped, which vetoes any replacement still in flight.
-func (m *modelProxy) shutdown() error {
-	m.mu.Lock()
-	m.stopped = true
-	ch, worker := m.ch, m.worker
-	gang := append([]int(nil), m.gangWorkers...)
-	m.mu.Unlock()
-	var err error
-	if ch != nil {
-		err = ch.close()
-	}
-	switch {
-	case len(gang) > 0:
-		for _, id := range gang {
-			m.sim.daemon.StopWorker(id)
-		}
-	case worker != 0:
-		m.sim.daemon.StopWorker(worker)
-	}
-	return err
 }
 
 // EnableReplacement turns on transparent worker replacement (§5: "in
@@ -594,16 +346,10 @@ func (m *modelProxy) EnableReplacement() {
 	m.mu.Unlock()
 }
 
-func (m *modelProxy) isReplaceable() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.replaceable {
-		return false
-	}
-	if len(m.gangWorkers) > 0 {
-		return m.lastSnap != nil // gang recovery needs a checkpoint
-	}
-	return true
+func (m *modelProxy) replaceableLocked() bool {
+	// Gang recovery needs a checkpoint. The spec, not the worker list, says
+	// gang: a down endpoint has no workers.
+	return m.replaceable && (m.spec.Workers <= 1 || m.lastSnap != nil)
 }
 
 // Err returns the sticky error, if any.
@@ -636,29 +382,7 @@ func (m *modelProxy) sessionCtx(ctx context.Context) context.Context {
 // sugar over: the AMUSE asynchronous function-call pattern
 // (call.result() ⇔ Call.Wait + Call.Decode).
 func (m *modelProxy) Go(method string, args any) *Call {
-	return m.goRaw(method, kernel.Encode(args), nil)
-}
-
-// goRaw issues a call with pre-encoded args and an optional result hook.
-func (m *modelProxy) goRaw(method string, args []byte, after func([]byte) error) *Call {
-	return m.goRawAt(m.sim.clock.Now(), method, args, after)
-}
-
-// goRawAt is goRaw stamped with the virtual time at, for a continuation
-// issuing at the time the calls it awaited completed (Call.await).
-func (m *modelProxy) goRawAt(at time.Duration, method string, args []byte, after func([]byte) error) *Call {
-	c := newCall(m.sim.clock, m.kind, method, after)
-	c.seq = m.seq.Add(1)
-	if method == "evolve" {
-		if e := m.elasticState(); e != nil {
-			// The rebalancer samples rank loads after evolve steps; the
-			// hook only bumps a counter and possibly spawns the async
-			// measurement round (rebalance.go), so completion stays cheap.
-			c.success = func([]byte) { e.evolveDone() }
-		}
-	}
-	m.startCall(c, method, args, true, at)
-	return c
+	return m.issue(m.sim.clock.Now(), method, kernel.Encode(args), callOpts{class: replayable})
 }
 
 // elasticState returns the armed rebalancer state, or nil.
@@ -666,108 +390,6 @@ func (m *modelProxy) elasticState() *elasticGang {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.elastic
-}
-
-// startCall issues one attempt of a call, stamped with the virtual time
-// at. On worker death with replacement enabled it restarts the worker once
-// and re-issues.
-func (m *modelProxy) startCall(c *Call, method string, args []byte, mayReplace bool, at time.Duration) {
-	ch, worker, gen := m.endpoint()
-	if ch == nil {
-		c.finish(nil, fmt.Errorf("core: %s.%s: %w", m.kind, method, ErrChannelClosed), at)
-		return
-	}
-	m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
-		rec.SessionCall(id)
-	})
-	req := request{
-		ID: reqIDs.Add(1), Worker: worker, Method: method,
-		Args: args, SentAt: at,
-	}
-	ch.start(req, func(resp response, arrival time.Duration, err error) {
-		doneAt := at // a call that got no response ends when it was issued
-		if err == nil {
-			// A response arrived (success or structured failure): its
-			// travel time is real either way.
-			doneAt = arrival
-			if werr := kernel.ResponseError(&resp); werr != nil {
-				err = werr
-			} else {
-				c.finish(resp.Result, nil, doneAt)
-				return
-			}
-		}
-		err = fmt.Errorf("core: %s.%s: %w", m.kind, method, err)
-		retryable := errors.Is(err, ErrWorkerDied) ||
-			(errors.Is(err, ErrChannelClosed) && m.endpointChanging(gen))
-		if mayReplace && retryable && m.isReplaceable() {
-			// Replacement resubmits a job and replays state — far too slow
-			// for a channel delivery goroutine. Queue the retry: a single
-			// drainer replaces the worker once and re-issues every failed
-			// call in original issue order, preserving the per-worker FIFO
-			// pipelined callers rely on.
-			m.enqueueRetry(retryItem{c: c, method: method, args: args, gen: gen, seq: c.seq, cause: err})
-			return
-		}
-		m.setErr(err)
-		c.finish(nil, err, doneAt)
-	})
-}
-
-// enqueueRetry adds a failed call to the retry queue and ensures one
-// drainer goroutine is running.
-func (m *modelProxy) enqueueRetry(it retryItem) {
-	m.mu.Lock()
-	m.retries = append(m.retries, it)
-	spawn := !m.retrying
-	m.retrying = true
-	m.mu.Unlock()
-	if spawn {
-		go m.drainRetries()
-	}
-}
-
-// drainRetries replaces the dead worker (once per generation) and
-// re-issues the queued calls in issue order. When several pipelined
-// calls fail together, the slow replacement runs while the channel's
-// failure path finishes queueing them, so one batch normally covers the
-// whole pipeline. Each pass drains only the generation it replaced:
-// items from a newer generation (the replacement died too) stay queued
-// for the next pass, which replaces again.
-func (m *modelProxy) drainRetries() {
-	for {
-		m.mu.Lock()
-		if len(m.retries) == 0 {
-			m.retrying = false
-			m.mu.Unlock()
-			return
-		}
-		gen := m.retries[0].gen
-		m.mu.Unlock()
-
-		rerr := m.ensureReplaced(gen)
-
-		m.mu.Lock()
-		var batch, rest []retryItem
-		for _, it := range m.retries {
-			if it.gen == gen {
-				batch = append(batch, it)
-			} else {
-				rest = append(rest, it)
-			}
-		}
-		m.retries = rest
-		m.mu.Unlock()
-		sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-		for _, it := range batch {
-			if rerr != nil {
-				m.setErr(rerr)
-				it.c.finish(nil, fmt.Errorf("core: replacement failed: %w (after %v)", rerr, it.cause), 0)
-				continue
-			}
-			m.startCall(it.c, it.method, it.args, false, m.sim.clock.Now())
-		}
-	}
 }
 
 // Call performs one typed RPC against the worker and blocks for the
@@ -781,113 +403,6 @@ func (m *modelProxy) Call(ctx context.Context, method string, args, reply any) e
 		return err
 	}
 	return c.Decode(reply)
-}
-
-// ensureReplaced replaces the worker if no earlier retry pass got there
-// first (gen is the replacement generation the failed call was issued
-// against) and the model has not been stopped. It is only called from
-// the proxy's single drainer goroutine. migMu serializes it against
-// voluntary migrations and resizes: the gen re-check under the lock
-// makes a death observed against the pre-migration endpoint a no-op
-// once the migration has rebuilt it.
-func (m *modelProxy) ensureReplaced(gen int) error {
-	m.migMu.Lock()
-	defer m.migMu.Unlock()
-	m.mu.Lock()
-	current, stopped := m.gen, m.stopped
-	m.mu.Unlock()
-	if stopped {
-		return ErrChannelClosed
-	}
-	if current != gen {
-		return nil // a concurrent call already replaced the worker
-	}
-	return m.replace()
-}
-
-// replace starts a substitute worker (or restarts a gang's dead ranks)
-// and replays state.
-func (m *modelProxy) replace() error {
-	m.rebuilding.Add(1)
-	defer m.rebuilding.Add(-1)
-	if m.isGang() {
-		return m.replaceGangRanks()
-	}
-	m.mu.Lock()
-	oldWorker := m.worker
-	oldCh := m.ch
-	spec := m.spec
-	setup := m.encodedSetupLocked()
-	state := m.lastState
-	stateSeq := m.stateSeq
-	snap := m.lastSnap
-	snapSeq := m.snapSeq
-	m.mu.Unlock()
-
-	m.sim.trace("worker %d died; starting replacement (kind=%s)", oldWorker, m.kind)
-	if oldCh != nil {
-		oldCh.close()
-	}
-	m.sim.daemon.StopWorker(oldWorker) // retire the dead worker's handle
-	// Re-select the resource: the failed one may be gone.
-	spec.Resource = ""
-	resource, err := m.sim.place(spec)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.spec.Resource = resource
-	m.mu.Unlock()
-	if err := m.start(m.sim.ctx); err != nil {
-		return err
-	}
-	if err := m.replay("setup", setup); err != nil {
-		return err
-	}
-	// The checkpoint snapshot carries the full model state including the
-	// kernel's clock; the particle cache only mass/pos/vel. Restore the
-	// snapshot first, then overlay the cache if it is newer (a push or
-	// sync landed after the checkpoint).
-	if snap != nil {
-		if err := m.replayRestore(snap); err != nil {
-			return err
-		}
-	}
-	if state != nil && (snap == nil || stateSeq > snapSeq) {
-		if err := m.replay("set_particles", kernel.Encode(*state)); err != nil {
-			return err
-		}
-	}
-	if err := m.finishReplacement(); err != nil {
-		return err
-	}
-	m.sim.trace("worker replaced on resource %s", resource)
-	return nil
-}
-
-// replay runs one non-replaceable call to completion (replacement and
-// resume plumbing).
-func (m *modelProxy) replay(method string, args []byte) error {
-	c := newCall(m.sim.clock, m.kind, method, nil)
-	c.seq = m.seq.Add(1)
-	m.startCall(c, method, args, false, m.sim.clock.Now())
-	return c.Wait(m.sim.ctx)
-}
-
-// finishReplacement bumps the replacement generation and retires the new
-// endpoint if the model was stopped while the replacement was starting.
-func (m *modelProxy) finishReplacement() error {
-	m.mu.Lock()
-	m.gen++
-	stopped := m.stopped
-	m.mu.Unlock()
-	if stopped {
-		// Simulation.Stop ran while the replacement was starting; it may
-		// have torn down only the old endpoint, so retire the new one too.
-		m.shutdown()
-		return ErrChannelClosed
-	}
-	return nil
 }
 
 // cacheState remembers the last known particle state for replacement.
@@ -922,21 +437,14 @@ func (m *modelProxy) cacheSnapshot(blob []byte, blobRef, seq uint64) (prevRef ui
 	return prevRef
 }
 
-// encodedSetupLocked returns the setup args as wire bytes. Callers hold
-// m.mu.
-func (m *modelProxy) encodedSetupLocked() []byte {
-	if m.setupRaw != nil {
-		return m.setupRaw
-	}
-	return kernel.Encode(m.setupArgs)
-}
+// The bridge.Dynamics surface, defined once on the handle every typed
+// model embeds (StellarModel shadows EvolveTo with the stellar signature).
 
-// Common Dynamics plumbing shared by Gravity and Hydro.
-
-func (m *modelProxy) setParticles(ctx context.Context, p *data.Particles) error {
+// SetParticles uploads the particle set and remembers it for replacement.
+func (m *modelProxy) SetParticles(p *data.Particles) error {
 	pl := kernel.ParticlesToPayload(p)
 	c := m.Go("set_particles", pl)
-	if err := c.Wait(m.sessionCtx(ctx)); err != nil {
+	if err := c.Wait(m.sim.ctx); err != nil {
 		return err
 	}
 	m.cacheState(pl, c.seq)
@@ -953,15 +461,18 @@ func (m *modelProxy) GoKick(dv []data.Vec3) Waiter {
 	return m.Go("kick", kernel.KickArgs{DV: dv})
 }
 
-func (m *modelProxy) evolveTo(ctx context.Context, t float64) error {
+// EvolveTo implements bridge.Dynamics.
+func (m *modelProxy) EvolveTo(ctx context.Context, t float64) error {
 	return m.GoEvolveTo(t).Wait(m.sessionCtx(ctx))
 }
 
-func (m *modelProxy) kick(ctx context.Context, dv []data.Vec3) error {
+// Kick implements bridge.Dynamics.
+func (m *modelProxy) Kick(ctx context.Context, dv []data.Vec3) error {
 	return m.GoKick(dv).Wait(m.sessionCtx(ctx))
 }
 
-func (m *modelProxy) positions() []data.Vec3 {
+// Positions implements bridge.Dynamics (nil on RPC failure; see Err).
+func (m *modelProxy) Positions() []data.Vec3 {
 	st, err := m.GetState(nil, data.AttrPos)
 	if err != nil {
 		return nil
@@ -969,12 +480,21 @@ func (m *modelProxy) positions() []data.Vec3 {
 	return st.Vec(data.AttrPos)
 }
 
-func (m *modelProxy) masses() []float64 {
+// Masses implements bridge.Dynamics.
+func (m *modelProxy) Masses() []float64 {
 	st, err := m.GetState(nil, data.AttrMass)
 	if err != nil {
 		return nil
 	}
 	return st.Float(data.AttrMass)
+}
+
+// N implements bridge.Dynamics: the particle count last uploaded or
+// restored.
+func (m *modelProxy) N() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.n
 }
 
 // defaultStateAttrs is the common dynamics exchange.
@@ -989,13 +509,13 @@ func defaultStateAttrs(attrs []string) []string {
 // decoded payload.
 func (m *modelProxy) goGetState(attrs []string, into func(*kernel.StatePayload) error) *Call {
 	args := kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs})
-	return m.goRaw("get_state", args, func(raw []byte) error {
+	return m.issue(m.sim.clock.Now(), "get_state", args, callOpts{class: replayable, after: func(raw []byte) error {
 		st, err := kernel.UnmarshalState(raw)
 		if err != nil {
 			return err
 		}
 		return into(st)
-	})
+	}})
 }
 
 // GetState pulls whole attribute columns from the worker in one round
@@ -1023,11 +543,8 @@ func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
 	if err != nil {
 		return failedCall(m.kind, "set_state", err)
 	}
-	c := newCall(m.sim.clock, m.kind, "set_state", nil)
-	c.seq = m.seq.Add(1)
-	c.success = func([]byte) { m.mergeCachedState(st, c.seq) }
-	m.startCall(c, "set_state", args, true, m.sim.clock.Now())
-	return c
+	return m.issue(m.sim.clock.Now(), "set_state", args, callOpts{class: replayable,
+		success: func(seq uint64) { m.mergeCachedState(st, seq) }})
 }
 
 // SetState pushes whole attribute columns to the worker in one round
@@ -1105,12 +622,6 @@ func (m *modelProxy) Push(ctx context.Context, p *data.Particles, attrs ...strin
 	return m.GoPush(p, attrs...).Wait(m.sessionCtx(ctx))
 }
 
-func (m *modelProxy) particleCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
 // Gravity is the coupler-side PhiGRAPE model (bridge.AsyncDynamics +
 // bridge.MassSettable).
 type Gravity struct {
@@ -1139,24 +650,6 @@ func (s *Simulation) NewGravity(ctx context.Context, spec WorkerSpec, opt Gravit
 	}
 	return &Gravity{modelProxy: m}, nil
 }
-
-// SetParticles uploads the master set.
-func (g *Gravity) SetParticles(p *data.Particles) error { return g.setParticles(nil, p) }
-
-// EvolveTo implements bridge.Dynamics.
-func (g *Gravity) EvolveTo(ctx context.Context, t float64) error { return g.evolveTo(ctx, t) }
-
-// Kick implements bridge.Dynamics.
-func (g *Gravity) Kick(ctx context.Context, dv []data.Vec3) error { return g.kick(ctx, dv) }
-
-// Positions implements bridge.Dynamics (nil on RPC failure; see Err).
-func (g *Gravity) Positions() []data.Vec3 { return g.positions() }
-
-// Masses implements bridge.Dynamics.
-func (g *Gravity) Masses() []float64 { return g.masses() }
-
-// N implements bridge.Dynamics.
-func (g *Gravity) N() int { return g.particleCount() }
 
 // SetMass implements bridge.MassSettable (errors are sticky; see Err).
 func (g *Gravity) SetMass(i int, mass float64) {
@@ -1223,24 +716,6 @@ func (s *Simulation) NewHydro(ctx context.Context, spec WorkerSpec, opt HydroOpt
 	}
 	return &Hydro{modelProxy: m}, nil
 }
-
-// SetParticles uploads the gas set.
-func (h *Hydro) SetParticles(p *data.Particles) error { return h.setParticles(nil, p) }
-
-// EvolveTo implements bridge.Dynamics.
-func (h *Hydro) EvolveTo(ctx context.Context, t float64) error { return h.evolveTo(ctx, t) }
-
-// Kick implements bridge.Dynamics.
-func (h *Hydro) Kick(ctx context.Context, dv []data.Vec3) error { return h.kick(ctx, dv) }
-
-// Positions implements bridge.Dynamics.
-func (h *Hydro) Positions() []data.Vec3 { return h.positions() }
-
-// Masses implements bridge.Dynamics.
-func (h *Hydro) Masses() []float64 { return h.masses() }
-
-// N implements bridge.Dynamics.
-func (h *Hydro) N() int { return h.particleCount() }
 
 // InjectEnergy implements bridge.EnergyInjector.
 func (h *Hydro) InjectEnergy(center data.Vec3, radius, e float64) int {

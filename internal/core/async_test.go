@@ -277,7 +277,7 @@ func TestReplacementPreservesPipelineOrder(t *testing.T) {
 	}
 	died := make(chan int, 1)
 	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
-	tb.Daemon.KillWorker(g.worker)
+	tb.Daemon.KillWorker(g.workers[0])
 	select {
 	case <-died:
 	case <-time.After(10 * time.Second):

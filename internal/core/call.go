@@ -43,7 +43,7 @@ type Call struct {
 	kind   Kind
 	method string
 	// seq is the issue-order sequence number on the owning proxy; used to
-	// restore FIFO order when replacement retries re-issue failed calls.
+	// restore FIFO order when calls parked behind a rebuild are re-issued.
 	seq uint64
 
 	done chan struct{}
@@ -64,8 +64,9 @@ type Call struct {
 	afterOnce sync.Once
 	// success runs at finish on a successful outcome, even if the call is
 	// never observed — proxy-side bookkeeping (replacement-cache merges)
-	// that must not depend on the caller waiting. It must not block.
-	success func([]byte)
+	// that must not depend on the caller waiting. It gets the call's seq
+	// and must not block.
+	success func(seq uint64)
 }
 
 func newCall(clock *vtime.Clock, kind Kind, method string, after func([]byte) error) *Call {
@@ -85,7 +86,7 @@ func failedCall(kind Kind, method string, err error) *Call {
 func (c *Call) finish(result []byte, err error, at time.Duration) {
 	c.finishOnce.Do(func() {
 		if err == nil && c.success != nil {
-			c.success(result)
+			c.success(c.seq)
 		}
 		c.result, c.err, c.doneAt = result, err, at
 		close(c.done)

@@ -83,9 +83,8 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 		seq    uint64 // seq of the call that produced the blob
 		direct bool
 		blob   []byte
-		err    error
 	}
-	stripes, codec := s.checkpointTuning()
+	stripes, _, codec := s.bulkTuning()
 	pends := make([]*pending, 0, len(models))
 	for _, m := range models {
 		p := &pending{m: m, id: s.daemon.ids.Add(1)}
@@ -97,11 +96,11 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 			base := m.lastBlobRef
 			m.mu.Unlock()
 			p.direct = true
-			p.c = m.goNoReplace(s.clock.Now(), kernel.MethodOfferCheckpoint, kernel.OfferCheckpointArgs{
-				ID: p.id, Peer: daddr.String(), Stripes: stripes, Codec: codec, Base: base})
+			p.c = m.issue(s.clock.Now(), kernel.MethodOfferCheckpoint, kernel.Encode(kernel.OfferCheckpointArgs{
+				ID: p.id, Peer: daddr.String(), Stripes: stripes, Codec: codec, Base: base}), callOpts{class: bound})
 		} else {
 			s.countTransfer(func(t *TransferStats) { t.Hairpin++ })
-			p.c = m.goCheckpointPull(&p.blob)
+			p.c = m.goCheckpointPull(&p.blob, replayable)
 		}
 		p.seq = p.c.seq
 		pends = append(pends, p)
@@ -128,22 +127,20 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 				// Same fallback contract as TransferState: the direct path
 				// failed, the RPC plane carries the frame instead. A worker
 				// torn down under the offer (death, migration, resize) falls
-				// back too — the pull is replaceable, so it rides the retry
-				// queue and completes against the rebuilt endpoint.
+				// back too — the pull is replayable, so it parks and
+				// completes against the rebuilt endpoint.
 				s.countTransfer(func(t *TransferStats) { t.Fallback++ })
-				s.trace("checkpoint %d: direct path failed (%v); pulling over the channel", p.id, err)
 				if hook := s.onTransferFallback(); hook != nil {
 					hook(err)
 				}
-				c := p.m.goCheckpointPull(&p.blob)
+				c := p.m.goCheckpointPull(&p.blob, replayable)
 				p.seq = c.seq
 				err = c.Wait(ctx)
 			}
 		}
 		if err != nil {
-			p.err = fmt.Errorf("core: checkpoint %s: %w", p.m.kind, err)
 			if firstErr == nil {
-				firstErr = p.err
+				firstErr = fmt.Errorf("core: checkpoint %s: %w", p.m.kind, err)
 			}
 		}
 	}
@@ -176,35 +173,22 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 		}
 		p.m.mu.Lock()
 		mc := ModelCheckpoint{
-			Kind: p.m.kind, Spec: p.m.spec, Setup: p.m.encodedSetupLocked(),
+			Kind: p.m.kind, Spec: p.m.spec, Setup: p.m.setup,
 			Blob: p.id, Snapshot: p.blob,
 		}
 		p.m.mu.Unlock()
 		man.Models = append(man.Models, mc)
 	}
-	s.trace("checkpoint complete: %d models, vtime=%v", len(man.Models), man.VTime)
 	return man, nil
 }
 
 // goCheckpointPull issues the snapshot call over the RPC plane and copies
 // the raw frame out when the result is observed.
-func (m *modelProxy) goCheckpointPull(out *[]byte) *Call {
-	return m.goCheckpointPullOpt(out, true)
-}
-
-// goCheckpointPullOpt is goCheckpointPull with replacement control.
-// mayReplace=false is for callers already holding migMu (migration,
-// resize): a worker death during the pull must fail the call directly —
-// queuing it for the retry drainer would deadlock, since the drainer's
-// replacement path blocks on migMu itself.
-func (m *modelProxy) goCheckpointPullOpt(out *[]byte, mayReplace bool) *Call {
-	c := newCall(m.sim.clock, m.kind, kernel.MethodCheckpoint, func(raw []byte) error {
+func (m *modelProxy) goCheckpointPull(out *[]byte, class callClass) *Call {
+	return m.issue(m.sim.clock.Now(), kernel.MethodCheckpoint, nil, callOpts{class: class, after: func(raw []byte) error {
 		*out = append([]byte(nil), raw...)
 		return nil
-	})
-	c.seq = m.seq.Add(1)
-	m.startCall(c, kernel.MethodCheckpoint, nil, mayReplace, m.sim.clock.Now())
-	return c
+	}})
 }
 
 // ResumeSimulation rebuilds a session from a manifest: for every recorded
@@ -238,37 +222,24 @@ func ResumeSessionSimulation(ctx context.Context, d *Daemon, conv *units.Convert
 		// Restarted workers belong to the resuming session, whatever session
 		// (if any) saved the manifest.
 		mc.Spec.Session = session
-		m := &modelProxy{sim: sim, kind: mc.Kind, spec: mc.Spec, setupRaw: mc.Setup}
-		if err := m.start(ctx); err != nil {
-			return fail(fmt.Errorf("core: resume model %d (%s): %w", i, mc.Kind, err))
-		}
-		if err := m.replay("setup", mc.Setup); err != nil {
-			m.shutdown()
-			return fail(fmt.Errorf("core: resume %s setup: %w", mc.Kind, err))
-		}
+		m := &modelProxy{sim: sim, kind: mc.Kind, setup: mc.Setup}
 		if len(mc.Snapshot) > 0 {
-			if err := m.replayRestore(mc.Snapshot); err != nil {
-				m.shutdown()
-				return fail(fmt.Errorf("core: resume %s restore: %w", mc.Kind, err))
-			}
-			m.cacheSnapshot(mc.Snapshot, 0, m.seq.Load())
+			// The manifest's snapshot is the state to come up with: cached
+			// (its frame was never filed in this daemon's store, hence ref
+			// 0), it is what rebuild restores — and what a later death
+			// replays.
+			m.cacheSnapshot(mc.Snapshot, 0, 0)
 			if snap, err := kernel.UnmarshalSnapshot(mc.Snapshot); err == nil && snap.State != nil {
-				m.mu.Lock()
 				m.n = snap.State.N
-				m.mu.Unlock()
 			}
+		}
+		if err := m.rebuild(ctx, plan{cause: "resume", shape: mc.Spec}); err != nil {
+			m.shutdown()
+			return fail(fmt.Errorf("core: resume model %d: %w", i, err))
 		}
 		sim.mu.Lock()
 		sim.models = append(sim.models, m)
 		sim.mu.Unlock()
-		workers := len(m.WorkerIDs())
-		if workers == 0 {
-			workers = 1
-		}
-		sim.sessionAccount(func(rec *trace.Recorder, id string) {
-			rec.SessionWorkerDelta(id, workers)
-		})
-		sim.trace("model resumed kind=%s resource=%s gang=%d", mc.Kind, m.resource(), mc.Spec.Workers)
 		models = append(models, &Model{modelProxy: m})
 	}
 	return sim, models, nil

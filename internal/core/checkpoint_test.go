@@ -180,7 +180,7 @@ func TestSoloRestoreUnderFault(t *testing.T) {
 	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
 	call := g.GoEvolveTo(t2)
 	time.Sleep(20 * time.Millisecond) // let the worker get into the integration
-	tb.Daemon.KillWorker(g.worker)
+	tb.Daemon.KillWorker(g.workers[0])
 	select {
 	case <-died:
 	case <-time.After(10 * time.Second):

@@ -301,7 +301,7 @@ func TestWorkerDeathDetected(t *testing.T) {
 	if err := g.SetParticles(ic.Plummer(16, 6)); err != nil {
 		t.Fatal(err)
 	}
-	tb.Daemon.KillWorker(g.worker)
+	tb.Daemon.KillWorker(g.workers[0])
 	select {
 	case <-died:
 	case <-time.After(10 * time.Second):
@@ -343,7 +343,7 @@ func TestWorkerReplacement(t *testing.T) {
 	}
 	died := make(chan int, 1)
 	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
-	tb.Daemon.KillWorker(g.worker)
+	tb.Daemon.KillWorker(g.workers[0])
 	select {
 	case <-died:
 	case <-time.After(10 * time.Second):

@@ -111,9 +111,9 @@ type workerHandle struct {
 	released bool
 
 	ready chan ipl.Identifier
-	// sockets channel: the worker's direct address instead of IPL state.
-	socketHost string
-	socketPort int
+	// sockets channel: the connection the worker dialled back on, instead
+	// of IPL state.
+	socketConn *vnet.Conn
 }
 
 // WorkerSpec describes a worker to start — the per-worker properties the
@@ -743,29 +743,35 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 		Nodes:      spec.Nodes,
 	}
 
+	// The way back is open before the job is submitted, so a start is a
+	// wait on events — the worker reports in, or its job ends — never a
+	// poll. Sockets channel: what AMUSE's own sockets channel does — the
+	// script opens the server socket and hands the worker its port; the
+	// worker dials back. Ibis channel: the response port.
+	var dialled chan *vnet.Conn // stays nil, never ready, for an ibis worker
 	if spec.Channel == ChannelSockets {
-		job, err := d.deployment.Submit(resource, desc)
+		l, err := d.deployment.Net.Listen(d.deployment.LocalHost(), socketWorkerPort(id))
+		if err != nil {
+			return fail(err)
+		}
+		defer l.Close()
+		dialled = make(chan *vnet.Conn, 1)
+		go func() {
+			if conn, err := l.Accept(); err == nil {
+				dialled <- conn
+			}
+		}()
+	} else {
+		rp, err := d.ibis.CreateReceivePort(ipl.ManyToOne, respPortName(id), func(rm ipl.ReadMessage) {
+			d.onResponse(wh, rm)
+		})
 		if err != nil {
 			return fail(err)
 		}
 		wh.mu.Lock()
-		wh.job = job
-		wh.socketHost = d.deployment.LocalHost()
-		wh.socketPort = socketWorkerPort(id)
+		wh.recvPort = rp
 		wh.mu.Unlock()
-		return id, nil
 	}
-
-	// Ibis channel: response port first, then the job.
-	rp, err := d.ibis.CreateReceivePort(ipl.ManyToOne, respPortName(id), func(rm ipl.ReadMessage) {
-		d.onResponse(wh, rm)
-	})
-	if err != nil {
-		return fail(err)
-	}
-	wh.mu.Lock()
-	wh.recvPort = rp
-	wh.mu.Unlock()
 	job, err := d.deployment.Submit(resource, desc)
 	if err != nil {
 		return fail(err)
@@ -775,6 +781,12 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	wh.mu.Unlock()
 
 	select {
+	case conn := <-dialled:
+		conn.SetClass("loopback")
+		wh.mu.Lock()
+		wh.socketConn = conn
+		wh.mu.Unlock()
+		return id, nil
 	case member := <-wh.ready:
 		sp := d.ibis.CreateSendPort(ipl.OneToOne, reqPortName(id))
 		if err := sp.Connect(member, reqPortName(id), 0); err != nil {
@@ -797,7 +809,7 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 		return fail(fmt.Errorf("core: worker %d failed to start: %w", id, err))
 	case <-ctx.Done():
 		return fail(fmt.Errorf("core: worker %d start: %w", id, ctx.Err()))
-	case <-time.After(d.ReadyTimeout):
+	case <-time.After(d.ReadyTimeout): // watchdog: a job that runs but never reports in becomes a start error
 		return fail(fmt.Errorf("core: worker %d did not announce within %v", id, d.ReadyTimeout))
 	}
 }
@@ -886,18 +898,13 @@ func (d *Daemon) AbortTransfer(addr smartsockets.Address, id uint64) {
 	conn.Send(kernel.AppendTransferAbort(nil, id), 0)
 }
 
-// workerSocketAddr returns host/port for a sockets-channel worker.
-func (d *Daemon) workerSocketAddr(id int) (string, int, error) {
+// workerSocketConn returns the connection the sockets-channel worker that
+// StartWorker just started dialled back on.
+func (d *Daemon) workerSocketConn(id int) *vnet.Conn {
 	d.mu.Lock()
 	wh := d.workers[id]
 	d.mu.Unlock()
-	if wh == nil {
-		return "", 0, fmt.Errorf("core: no worker %d", id)
-	}
 	wh.mu.Lock()
 	defer wh.mu.Unlock()
-	if wh.socketPort == 0 {
-		return "", 0, fmt.Errorf("core: worker %d is not a sockets worker", id)
-	}
-	return wh.socketHost, wh.socketPort, nil
+	return wh.socketConn
 }

@@ -288,7 +288,7 @@ func TestMigrateLiveGang(t *testing.T) {
 
 // TestMigrateWhileCheckpointInFlight races a session checkpoint, a long
 // pipelined evolve and a live migration (run under make race). The FIFO
-// pull and migMu must serialize them: everything completes, nothing
+// pull and the proxy's phase must serialize them: everything completes, nothing
 // deadlocks, and the model still answers afterwards.
 func TestMigrateWhileCheckpointInFlight(t *testing.T) {
 	tb, sim := elasticSim(t)
@@ -337,7 +337,7 @@ func TestMigrateWhileCheckpointInFlight(t *testing.T) {
 // TestKillRankMidMigration kills one of the NEW rank workers while the
 // migration is rebuilding state on the target resource. The migration
 // must fail with the structured ErrMigration (never a hang: the
-// checkpoint pull and replay run non-replaceable under migMu), and the
+// checkpoint pull and replay are the rebuild's own calls, never parked), and the
 // gang must then recover through the ordinary dead-rank path — the
 // snapshot is cached and the spec already names the new resource.
 func TestKillRankMidMigration(t *testing.T) {

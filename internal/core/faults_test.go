@@ -151,7 +151,7 @@ func TestStopWorkerGraceful(t *testing.T) {
 	if err := g.SetParticles(ic.Plummer(8, 5)); err != nil {
 		t.Fatal(err)
 	}
-	tb.Daemon.StopWorker(g.worker)
+	tb.Daemon.StopWorker(g.workers[0])
 	select {
 	case id := <-fired:
 		t.Fatalf("died hook fired for graceful stop of worker %d", id)

@@ -44,18 +44,16 @@ type gangChannel struct {
 	members []channel // one per rank, rank order
 	obs     *chanObs  // merged-completion observer (model label = kind)
 
-	// mu guards workers: rank recovery swaps a dead rank's worker id for
-	// its replacement's while pipelined callers keep issuing.
-	mu      sync.Mutex
-	workers []int // daemon worker ids, rank order
-
 	// issueMu makes the member-by-member issue loop of a broadcast atomic
 	// with respect to other issuers. The proxy's call path is one
 	// goroutine, but the elastic-gang rebalancer issues reshard
 	// broadcasts and per-rank rank_load queries concurrently with it;
 	// without this lock two broadcasts could interleave across member
-	// FIFOs and reach different ranks in different orders.
+	// FIFOs and reach different ranks in different orders. It also guards
+	// workers: rank recovery swaps a dead rank's worker id for its
+	// replacement's while pipelined callers keep issuing.
 	issueMu sync.Mutex
+	workers []int // daemon worker ids, rank order
 }
 
 func newGangChannel(members []channel, workers []int, obs *chanObs) *gangChannel {
@@ -64,20 +62,11 @@ func newGangChannel(members []channel, workers []int, obs *chanObs) *gangChannel
 
 func (g *gangChannel) name() string { return ChannelIbis }
 
-// rankWorkers snapshots the current rank -> worker id mapping.
-func (g *gangChannel) rankWorkers() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]int(nil), g.workers...)
-}
-
-// setWorkers installs a recovered gang's worker ids (rank order). The
-// member channels are daemon connections, not worker connections, so they
-// survive rank replacement unchanged — requests route by worker id.
+// setWorkers installs a recovered gang's worker ids (rank order).
 func (g *gangChannel) setWorkers(ids []int) {
-	g.mu.Lock()
-	g.workers = append(g.workers[:0], ids...)
-	g.mu.Unlock()
+	g.issueMu.Lock()
+	g.workers = ids
+	g.issueMu.Unlock()
 }
 
 // start implements channel. Reads route to rank 0; everything else
@@ -89,7 +78,7 @@ func (g *gangChannel) start(req request, done completion) {
 	done = g.obs.observe(req.Method, req.SentAt, done)
 	g.issueMu.Lock()
 	defer g.issueMu.Unlock()
-	workers := g.rankWorkers()
+	workers := g.workers
 	if !gangFanout(req.Method) {
 		req.Worker = workers[0]
 		g.members[0].start(req, done)
@@ -120,18 +109,44 @@ func (g *gangChannel) start(req request, done completion) {
 	}
 }
 
-// size returns the gang's rank count.
-func (g *gangChannel) size() int { return len(g.members) }
-
-// startRank issues a request on one rank's member FIFO (the worker id is
-// filled in from the current rank mapping). The rebalancer uses it for
-// rank_load queries, which must reach each rank individually — a
-// broadcast would answer with rank 0's numbers K times over.
-func (g *gangChannel) startRank(rank int, req request, done completion) {
+// perRank sends method to every rank individually, on the rank's own member
+// FIFO (a broadcast of a read is answered by rank 0 alone — K times rank 0's
+// numbers), with args(rank), and waits for all the answers; result, if set,
+// gets each rank's. Every rank's request carries the one issue time, and the
+// clock moves when all have answered: a rank that answers while the next
+// one's request is being issued must not change what that request says.
+func (g *gangChannel) perRank(ctx context.Context, s *Simulation, method string, args func(rank int) []byte, result func(rank int, raw []byte) error) error {
+	k := len(g.members)
+	errs := make([]error, k)
+	at, arrivals := s.clock.Now(), make([]time.Duration, k)
+	done := make(chan struct{}, k)
 	g.issueMu.Lock()
-	defer g.issueMu.Unlock()
-	req.Worker = g.rankWorkers()[rank]
-	g.members[rank].start(req, done)
+	workers := g.workers
+	for rank, member := range g.members {
+		req := request{ID: reqIDs.Add(1), Worker: workers[rank], Method: method, Args: args(rank), SentAt: at}
+		member.start(req, func(resp response, arrival time.Duration, err error) {
+			if err == nil {
+				arrivals[rank] = arrival
+				if err = kernel.ResponseError(&resp); err == nil && result != nil {
+					err = result(rank, resp.Result)
+				}
+			}
+			if err != nil {
+				errs[rank] = fmt.Errorf("core: %s rank %d: %w", method, rank, err)
+			}
+			done <- struct{}{}
+		})
+	}
+	g.issueMu.Unlock()
+	for range k {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return fmt.Errorf("core: %s: %w", method, ctx.Err())
+		}
+	}
+	s.clock.AdvanceTo(slices.Max(arrivals))
+	return errors.Join(errs...)
 }
 
 // gangOutcome is one rank's completion of a broadcast call.
@@ -198,13 +213,13 @@ func (g *gangChannel) close() error {
 
 // wireGang sends gang_init to every rank so the ranks dial each other's
 // peer listeners and assemble their communicators, and waits for all of
-// them to finish. Called once, right after the rank workers announced and
-// before the model's setup call.
+// them to finish. Called right after the rank workers announced and before
+// the model's setup call — at start, and again when rank recovery has
+// restarted dead ranks (a fresh gang id keys the new links).
 func (g *gangChannel) wireGang(ctx context.Context, s *Simulation) error {
 	k := len(g.members)
-	workers := g.rankWorkers()
 	peers := make([]string, k)
-	for rank, id := range workers {
+	for rank, id := range g.workers { // only the rebuild calling this ever writes them
 		addr, ok := s.daemon.WorkerPeerAddr(id)
 		if !ok {
 			return fmt.Errorf("core: gang rank %d (worker %d) has no peer address", rank, id)
@@ -212,125 +227,7 @@ func (g *gangChannel) wireGang(ctx context.Context, s *Simulation) error {
 		peers[rank] = addr.String()
 	}
 	gangID := s.daemon.ids.Add(1) // shared with transfer ids: both are just tokens on the peer plane
-	errs := make([]error, k)
-	// Every rank's request carries the one issue time, and the clock moves
-	// when all have answered: a rank that answers while the next one's
-	// request is being issued must not change what that request says.
-	at, arrivals := s.clock.Now(), make([]time.Duration, k)
-	var wg sync.WaitGroup
-	g.issueMu.Lock()
-	for rank := range g.members {
-		args := kernel.Encode(kernel.GangInitArgs{ID: gangID, Rank: rank, Size: k, Peers: peers})
-		req := request{
-			ID: reqIDs.Add(1), Worker: workers[rank],
-			Method: kernel.MethodGangInit, Args: args, SentAt: at,
-		}
-		wg.Add(1)
-		rank := rank
-		g.members[rank].start(req, func(resp response, arrival time.Duration, err error) {
-			defer wg.Done()
-			if err == nil {
-				arrivals[rank] = arrival
-				err = kernel.ResponseError(&resp)
-			}
-			if err != nil {
-				errs[rank] = fmt.Errorf("core: gang_init rank %d: %w", rank, err)
-			}
-		})
-	}
-	g.issueMu.Unlock()
-	wired := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(wired)
-	}()
-	select {
-	case <-wired:
-		s.clock.AdvanceTo(slices.Max(arrivals))
-		return errors.Join(errs...)
-	case <-ctx.Done():
-		return fmt.Errorf("core: gang wiring: %w", ctx.Err())
-	}
-}
-
-// replaceGangRanks is gang rank recovery (dispatched from replace(), on
-// the proxy's single drainer goroutine): restart every dead rank's job on
-// the gang's resource, re-wire all ranks' peer links under a fresh gang
-// id, then rebuild bitwise-identical state everywhere by replaying setup
-// and restoring the last checkpoint on every rank — surviving ranks'
-// state is suspect after the aborted collective, and a restored rank must
-// match its neighbors exactly, so the whole gang resumes from the
-// snapshot. The queued calls that observed the death replay afterwards
-// (drainRetries), so the coupler sees a hiccup, not a failure.
-func (m *modelProxy) replaceGangRanks() error {
-	m.mu.Lock()
-	spec := m.spec
-	ids := append([]int(nil), m.gangWorkers...)
-	snap := m.lastSnap
-	snapSeq := m.snapSeq
-	state := m.lastState
-	stateSeq := m.stateSeq
-	setup := m.encodedSetupLocked()
-	ch := m.ch
-	m.mu.Unlock()
-	if snap == nil {
-		// isReplaceable vetoes this path without a snapshot, but a stale
-		// queue entry could still get here; fail with the old semantics.
-		return fmt.Errorf("core: gang rank died with no checkpoint to restore from: %w", ErrWorkerDied)
-	}
-	gch, ok := ch.(*gangChannel)
-	if !ok {
-		return fmt.Errorf("core: gang proxy without a gang channel: %w", ErrChannelClosed)
-	}
-	s := m.sim
-
-	// Restart dead ranks. The gang stays on its resource — co-location is
-	// a gang invariant (halo traffic rides intra-site links); if the whole
-	// site is gone the rank restart fails and the error is sticky.
-	replaced := 0
-	for r, id := range ids {
-		if s.daemon.WorkerAlive(id) {
-			continue
-		}
-		newID, err := s.daemon.startWorker(s.ctx, spec, r, len(ids))
-		if err != nil {
-			return fmt.Errorf("core: gang rank %d replacement: %w", r, err)
-		}
-		s.trace("gang rank %d (worker %d) died; replacement worker %d started", r, id, newID)
-		s.daemon.StopWorker(id) // retire the dead rank's handle
-		ids[r] = newID
-		replaced++
-	}
-	gch.setWorkers(ids)
-	m.mu.Lock()
-	m.gangWorkers = append(m.gangWorkers[:0], ids...)
-	m.worker = ids[0]
-	m.mu.Unlock()
-
-	// Re-wire the rank links: a fresh gang id keys the new hello
-	// handshakes, every rank (survivors included) rebuilds its
-	// communicator, and SetGang installs it over the closed one.
-	if err := gch.wireGang(s.ctx, s); err != nil {
-		return fmt.Errorf("core: gang re-wiring: %w", err)
-	}
-	// Rebuild state: setup then restore broadcast to all ranks, then —
-	// exactly like the solo replace() path — overlay the particle cache
-	// if a push landed after the checkpoint (the broadcast keeps all K
-	// replicas consistent).
-	if err := m.replay("setup", setup); err != nil {
-		return fmt.Errorf("core: gang setup replay: %w", err)
-	}
-	if err := m.replayRestore(snap); err != nil {
-		return fmt.Errorf("core: gang restore: %w", err)
-	}
-	if state != nil && stateSeq > snapSeq {
-		if err := m.replay("set_particles", kernel.Encode(*state)); err != nil {
-			return fmt.Errorf("core: gang state overlay: %w", err)
-		}
-	}
-	if err := m.finishReplacement(); err != nil {
-		return err
-	}
-	s.trace("gang recovered: %d rank(s) replaced, %d ranks restored from checkpoint", replaced, len(ids))
-	return nil
+	return g.perRank(ctx, s, kernel.MethodGangInit, func(rank int) []byte {
+		return kernel.Encode(kernel.GangInitArgs{ID: gangID, Rank: rank, Size: k, Peers: peers})
+	}, nil)
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"jungle/internal/core/kernel"
 	"jungle/internal/trace"
 )
 
@@ -114,19 +113,6 @@ func (s *Simulation) linkTransfer(from, to, kind string) {
 	if rec := s.Monitor; rec != nil && from != "" && to != "" {
 		rec.RecordLinkTransfer(from, to, kind)
 	}
-}
-
-// replayRestore is replay(restore) plus the store's restore-latency
-// gauge: the virtual time the restore round trip cost this model.
-func (m *modelProxy) replayRestore(snap []byte) error {
-	start := m.sim.clock.Now()
-	err := m.replay(kernel.MethodRestore, snap)
-	if err == nil {
-		if rec := m.sim.Monitor; rec != nil {
-			rec.RecordRestore(string(m.kind), m.sim.clock.Now()-start)
-		}
-	}
-	return err
 }
 
 // peerHost is the host label a proxy contributes to the link-health

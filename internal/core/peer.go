@@ -116,7 +116,7 @@ func (mb *peerMailbox) wait(id uint64, timeout time.Duration) (peerDelivery, err
 	select {
 	case d := <-ch:
 		return d, nil
-	case <-time.After(timeout):
+	case <-time.After(timeout): // watchdog: an accept whose stream and abort both got lost becomes ErrTransport
 		mb.mu.Lock()
 		delete(mb.waiters, id)
 		mb.consumed[id] = true
@@ -350,7 +350,7 @@ func (mb *gangMailbox) wait(key gangKey, timeout time.Duration) (*smartsockets.V
 			return nil, fmt.Errorf("%w: peer plane closed", kernel.ErrTransport)
 		}
 		return conn, nil
-	case <-time.After(timeout):
+	case <-time.After(timeout): // watchdog: a gang link a peer rank never dialled becomes ErrTransport
 		mb.mu.Lock()
 		delete(mb.waiters, key)
 		mb.mu.Unlock()

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -132,30 +130,20 @@ func (e *elasticGang) evolveDone() {
 	}()
 }
 
-// rebalanceOnce runs one measure → decide → act round. The measurement
-// runs under migMu (TryLock: when a migration or replacement is
-// rebuilding the endpoint the round is skipped — the next evolve
-// triggers a fresh one against the new endpoint), but the lock is
-// released before acting: the reshard broadcast and a voluntary
-// migration both ride the normal call machinery, whose failure path
-// (the retry drainer) needs migMu itself.
+// rebalanceOnce runs one measure → decide → act round. A round is skipped
+// unless the proxy is live: while a death, migration or resize rebuilds the
+// endpoint there is nothing to measure — the next evolve triggers a fresh
+// round against the new one. Acting rides the normal call machinery: the
+// reshard is an ordinary replayable call, a migration claims the proxy like
+// any other.
 func (e *elasticGang) rebalanceOnce() {
 	m := e.m
-	if !m.migMu.TryLock() {
-		return
-	}
-	m.mu.Lock()
-	stopped := m.stopped
-	m.mu.Unlock()
-	if stopped || m.elasticState() != e {
-		m.migMu.Unlock()
+	if m.currentPhase() != phaseLive || m.elasticState() != e {
 		return
 	}
 	loads, err := m.measureRankLoads()
-	m.migMu.Unlock()
 	if err != nil {
-		m.sim.trace("rebalance: measurement skipped: %v", err)
-		return
+		return // a rebuild got in between; measured again after the next evolve
 	}
 	sample := trace.GangSample{At: m.sim.clock.Now(), Skew: skewOf(loads)}
 	for _, l := range loads {
@@ -168,11 +156,9 @@ func (e *elasticGang) rebalanceOnce() {
 		sample.Action = "migrate"
 		e.record(sample)
 		// Migrate re-places the gang via SelectLeastLoaded (excluding the
-		// contended resource); failure falls through to the dead-rank
-		// machinery or stays put — either way the gang survives.
-		if err := m.Migrate(nil, ""); err != nil {
-			m.sim.trace("rebalance: migration off contended %s failed: %v", m.resource(), err)
-		}
+		// contended resource); a refusal leaves it where it is — either way
+		// the gang survives.
+		m.Migrate(nil, "")
 	case sample.Skew >= e.policy.threshold():
 		cuts, ok := cutsFromLoads(loads)
 		if !ok {
@@ -181,15 +167,10 @@ func (e *elasticGang) rebalanceOnce() {
 		}
 		sample.Action = "reshard"
 		e.record(sample)
-		// A normal (replaceable) call: if a rank dies mid-reshard the
-		// retry machinery replays it after gang recovery, reapplying the
-		// cuts on the restored (uniform) gang.
-		c := m.Go(kernel.MethodReshard, kernel.ReshardArgs{Cuts: cuts})
-		if err := c.Wait(m.sim.ctx); err != nil {
-			m.sim.trace("rebalance: reshard failed: %v", err)
-			return
-		}
-		m.sim.trace("gang resharded (skew %.2f): cuts %v", sample.Skew, cuts)
+		// A normal (replayable) call: if a rank dies mid-reshard it is
+		// replayed after gang recovery, reapplying the cuts on the restored
+		// (uniform) gang.
+		m.Go(kernel.MethodReshard, kernel.ReshardArgs{Cuts: cuts}).Wait(m.sim.ctx)
 	default:
 		e.record(sample)
 	}
@@ -243,48 +224,19 @@ func cutsFromLoads(loads []kernel.RankLoadResult) ([]int, bool) {
 }
 
 // measureRankLoads queries every rank's rank_load accumulator. The
-// queries ride each rank's member FIFO individually (a broadcast would
-// return rank 0's numbers K times), so they order after any still-queued
-// evolves and the window they report is exactly the evolves since the
-// previous round.
+// queries ride each rank's member FIFO individually, so they order after
+// any still-queued evolves and the window they report is exactly the
+// evolves since the previous round.
 func (m *modelProxy) measureRankLoads() ([]kernel.RankLoadResult, error) {
-	ch, _, _ := m.endpoint()
-	gch, ok := ch.(*gangChannel)
+	m.mu.Lock()
+	gch, ok := m.ch.(*gangChannel)
+	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: rank_load needs a gang channel: %w", ErrChannelClosed)
 	}
-	s := m.sim
-	k := gch.size()
-	loads := make([]kernel.RankLoadResult, k)
-	errs := make([]error, k)
-	done := make(chan int, k)
-	at, arrivals := s.clock.Now(), make([]time.Duration, k) // one issue time; the clock moves when all have answered
-	for rank := 0; rank < k; rank++ {
-		rank := rank
-		req := request{
-			ID: reqIDs.Add(1), Method: kernel.MethodRankLoad,
-			Args: kernel.Encode(kernel.Empty{}), SentAt: at,
-		}
-		gch.startRank(rank, req, func(resp response, arrival time.Duration, err error) {
-			if err == nil {
-				arrivals[rank] = arrival
-				if werr := kernel.ResponseError(&resp); werr != nil {
-					err = werr
-				} else {
-					err = kernel.Decode(resp.Result, &loads[rank])
-				}
-			}
-			errs[rank] = err
-			done <- rank
-		})
-	}
-	for i := 0; i < k; i++ {
-		select {
-		case <-done:
-		case <-s.ctx.Done():
-			return nil, s.ctx.Err()
-		}
-	}
-	s.clock.AdvanceTo(slices.Max(arrivals))
-	return loads, errors.Join(errs...)
+	loads := make([]kernel.RankLoadResult, len(gch.members))
+	err := gch.perRank(m.sim.ctx, m.sim, kernel.MethodRankLoad,
+		func(int) []byte { return kernel.Encode(kernel.Empty{}) },
+		func(rank int, raw []byte) error { return kernel.Decode(raw, &loads[rank]) })
+	return loads, err
 }

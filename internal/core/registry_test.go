@@ -120,7 +120,7 @@ func TestReplacementReplaysPushedState(t *testing.T) {
 
 	died := make(chan int, 1)
 	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
-	tb.Daemon.KillWorker(g.worker)
+	tb.Daemon.KillWorker(g.workers[0])
 	<-died
 
 	got := g.Masses() // triggers replacement + state replay

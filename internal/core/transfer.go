@@ -51,7 +51,7 @@ func (m *modelProxy) stateProxy() *modelProxy { return m }
 func (m *modelProxy) peerAddr() (smartsockets.Address, bool) {
 	m.mu.Lock()
 	ch := m.spec.Channel
-	worker := m.worker
+	worker := m.endpointLocked().worker // rank 0 offers a gang's authoritative copy
 	m.mu.Unlock()
 	if ch != ChannelIbis || worker == 0 {
 		return smartsockets.Address{}, false
@@ -144,15 +144,15 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	}
 
 	id := s.daemon.ids.Add(1)
-	stripes, codec := s.transferTuning()
+	stripes, codec, _ := s.bulkTuning()
 	// Both control RPCs are pipelined; their big cousin — the column
-	// payload — never touches this machine. Transfer ops bypass worker
-	// replacement: a replacement worker has a different peer identity, so
-	// a failed op falls back to the hairpin instead (which replays on the
-	// replacement as usual).
-	accept := dst.goNoReplace(at, kernel.MethodAcceptState, kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot})
-	offer := src.goNoReplace(at, kernel.MethodOfferState, kernel.OfferStateArgs{
-		ID: id, Attrs: attrs, Peer: dstPeer.String(), Stripes: stripes, Codec: codec})
+	// payload — never touches this machine. Transfer ops are bound calls
+	// (lifecycle.go): a replacement worker has a different peer identity,
+	// so a failed op falls back to the hairpin instead (which replays on
+	// the replacement as usual).
+	accept := dst.issue(at, kernel.MethodAcceptState, kernel.Encode(kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot}), callOpts{class: bound})
+	offer := src.issue(at, kernel.MethodOfferState, kernel.Encode(kernel.OfferStateArgs{
+		ID: id, Attrs: attrs, Peer: dstPeer.String(), Stripes: stripes, Codec: codec}), callOpts{class: bound})
 	go func() {
 		at, err := offer.await(s.ctx)
 		if err != nil {
@@ -181,7 +181,6 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 		// Direct path failed: carry the columns over the coupler instead.
 		s.countTransfer(func(t *TransferStats) { t.Fallback++ })
 		s.linkTransfer(src.peerHost(), dstPeer.Host, trace.LinkFallback)
-		s.trace("transfer %d: direct path failed (%v); falling back to coupler hairpin", id, err)
 		if hook := s.onTransferFallback(); hook != nil {
 			hook(err)
 		}
@@ -196,19 +195,12 @@ func (s *Simulation) onTransferFallback() func(error) {
 	return s.OnTransferFallback
 }
 
-// transferTuning reads the bulk-transfer knobs under the session lock.
-func (s *Simulation) transferTuning() (stripes int, codec byte) {
+// bulkTuning reads the bulk-transfer knobs under the session lock: the
+// stripe cap transfers and checkpoint streams share, and the codec of each.
+func (s *Simulation) bulkTuning() (stripes int, transferCodec, checkpointCodec byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.TransferStripes, s.TransferCodec
-}
-
-// checkpointTuning reads the checkpoint-stream knobs under the session
-// lock (striping shares the transfer knob; the codec has its own).
-func (s *Simulation) checkpointTuning() (stripes int, codec byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.TransferStripes, s.CheckpointCodec
+	return s.TransferStripes, s.TransferCodec, s.CheckpointCodec
 }
 
 // recordTransferReport folds a successful offer's TransferReport into the
@@ -238,11 +230,8 @@ func (s *Simulation) recordTransferReport(offer *Call, id uint64, from, to strin
 	}
 	if rep.StripeFallback {
 		s.linkTransfer(from, to, trace.LinkStripeFallback)
-	}
-	if rep.StripeFallback {
 		err := fmt.Errorf("%w: transfer %d: striped path failed (%s); completed over a single stream",
 			ErrTransport, id, rep.StripeErr)
-		s.trace("transfer %d: %v", id, err)
 		if hook := s.onTransferFallback(); hook != nil {
 			hook(err)
 		}
@@ -255,7 +244,7 @@ func (s *Simulation) recordTransferReport(offer *Call, id uint64, from, to strin
 // universal fallback. The coupler never decodes the columns it relays. It
 // finishes c.
 func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slot uint64, attrs []string, at time.Duration) {
-	get := src.goRawAt(at, "get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs}), nil)
+	get := src.issue(at, "get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs}), callOpts{class: replayable})
 	at, err := get.await(s.ctx)
 	if err != nil {
 		c.finish(nil, err, at)
@@ -267,18 +256,8 @@ func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slo
 	if slot != 0 {
 		args = kernel.AppendStaged(nil, slot, args)
 	}
-	at, err = dst.goRawAt(at, apply, args, nil).await(s.ctx)
+	at, err = dst.issue(at, apply, args, callOpts{class: replayable}).await(s.ctx)
 	c.finish(nil, err, at)
-}
-
-// goNoReplace issues, at virtual time at, one RPC that must not be
-// replayed on a replacement worker (transfer ops are bound to a specific
-// peer identity).
-func (m *modelProxy) goNoReplace(at time.Duration, method string, args any) *Call {
-	c := newCall(m.sim.clock, m.kind, method, nil)
-	c.seq = m.seq.Add(1)
-	m.startCall(c, method, kernel.Encode(args), false, at)
-	return c
 }
 
 // NewRemoteChannel mirrors data.NewChannel for particle sets that live on
@@ -355,7 +334,7 @@ func (f *FieldModel) goFieldStaged(src, tgt *modelProxy, n int) bridge.FieldCall
 		}
 		// Both stage applications are queued on the field worker (FIFO),
 		// so the evaluation issued now runs against this slot's state.
-		dc.call = f.goRawAt(max(at1, at2), "field_staged", kernel.Encode(kernel.FieldStagedArgs{Slot: slot}), nil)
+		dc.call = f.issue(max(at1, at2), "field_staged", kernel.Encode(kernel.FieldStagedArgs{Slot: slot}), callOpts{class: replayable})
 	}
 	return dc
 }
@@ -417,12 +396,5 @@ func (dc *directFieldCall) Wait(ctx context.Context) ([]data.Vec3, []float64, fl
 	if dc.err != nil {
 		return zeros(dc.err)
 	}
-	var out kernel.FieldAtResult
-	if err := dc.call.Wait(ctx); err != nil {
-		return zeros(err)
-	}
-	if err := dc.call.Decode(&out); err != nil {
-		return zeros(err)
-	}
-	return out.Acc, out.Pot, 0, nil
+	return fieldCall{call: dc.call, n: dc.n}.Wait(ctx)
 }

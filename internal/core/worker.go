@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
@@ -247,32 +246,18 @@ func socketWorkerMain(env *Env, ctx *gat.Context) error {
 		return err
 	}
 	defer svc.Close()
-	host := ctx.Hosts[0]
-	l, err := env.Net.Listen(host, socketWorkerPort(id))
+	// The coupler side listens before the job is submitted (Daemon.
+	// startWorker): dial back, serve until the connection closes.
+	conn, err := env.Net.Dial(ctx.Hosts[0], env.Deployment.LocalHost(), socketWorkerPort(id))
 	if err != nil {
-		return err
+		return fmt.Errorf("core: socket worker dial-back: %w", err)
 	}
-	defer l.Close()
-	accepted := make(chan *vnet.Conn, 1)
+	conn.SetClass("loopback")
 	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- conn
+		<-ctx.Cancel
+		conn.Close()
 	}()
-	select {
-	case conn := <-accepted:
-		conn.SetClass("loopback")
-		go func() {
-			<-ctx.Cancel
-			conn.Close()
-		}()
-		serveConn(conn, svc)
-	case <-ctx.Cancel:
-	case <-time.After(30 * time.Second):
-		return errors.New("core: socket worker: no connection")
-	}
+	serveConn(conn, svc)
 	if ctx.Canceled() {
 		return gat.ErrCanceled
 	}

@@ -453,76 +453,6 @@ func BenchmarkDirectVsHairpinTransfer(b *testing.B) {
 	})
 }
 
-// BenchmarkStripedTransfer measures the bandwidth-aware data plane on its
-// target regime: a long fat pipe whose single TCP-class stream is capped
-// well below link capacity (the DSL testbed's inter-site lightpath with a
-// 10% per-stream cap). A 100k-particle mass/position/velocity column set
-// moves worker->worker each iteration. "single" is the PR 3 direct path —
-// one stream, so the transfer is bound by the per-stream cap; "striped"
-// opens 8 parallel stripe streams that together fill the link. Compare the
-// virtual-us/transfer metrics: the acceptance bar is the striped path
-// modelling >= 2x faster.
-func BenchmarkStripedTransfer(b *testing.B) {
-	const nStars = 100000
-	setup := func(b *testing.B, stripes int) (*core.Testbed, *core.Simulation, *core.Gravity, *core.Gravity) {
-		b.Helper()
-		tb, err := core.NewDSLTestbed()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tb.Net.SetLinkStreamCap(tb.SiteA, tb.SiteB, 1.25e7); err != nil {
-			b.Fatal(err)
-		}
-		sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
-		sim.TransferStripes = stripes
-		newWorker := func(resource string, seed int64) *core.Gravity {
-			g, err := sim.NewGravity(context.Background(),
-				core.WorkerSpec{Resource: resource, Channel: core.ChannelIbis},
-				core.GravityOptions{Eps: 0.01})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := g.SetParticles(ic.Plummer(nStars, seed)); err != nil {
-				b.Fatal(err)
-			}
-			return g
-		}
-		return tb, sim, newWorker(tb.SiteA, 21), newWorker(tb.SiteB, 22)
-	}
-	run := func(b *testing.B, stripes int, wantStriped bool) {
-		tb, sim, src, dst := setup(b, stripes)
-		defer tb.Close()
-		defer sim.Stop()
-		transfer := func() {
-			if err := sim.TransferState(context.Background(), src, dst,
-				data.AttrMass, data.AttrPos, data.AttrVel); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// The first striped transfer to a peer pays the goodput probe;
-		// measured, it would make the mean a function of b.N.
-		transfer()
-		start := sim.Elapsed()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			transfer()
-		}
-		b.StopTimer()
-		stats := sim.TransferStats()
-		single, striped := b.N+1, 0
-		if wantStriped {
-			single, striped = 0, b.N+1
-		}
-		if stats.Direct != single || stats.Striped != striped ||
-			stats.Fallback != 0 || stats.StripeFallback != 0 {
-			b.Fatalf("transfer stats %+v: wrong path exercised", stats)
-		}
-		b.ReportMetric(float64((sim.Elapsed()-start).Microseconds())/float64(b.N), "virtual-us/transfer")
-	}
-	b.Run("single", func(b *testing.B) { run(b, 0, false) })
-	b.Run("striped-8", func(b *testing.B) { run(b, 8, true) })
-}
-
 // BenchmarkShardedKick measures a coupled step against a gravity model at
 // 4000 particles on the two-site DSL testbed, solo (K=1) versus deployed
 // as a K=4 gang (WorkerSpec.Workers) on site-a. Each iteration is one
@@ -602,7 +532,7 @@ func BenchmarkElasticGang(b *testing.B) {
 			b.Fatal(err)
 		}
 		if rebalance {
-			if err := g.EnableRebalance(core.ElasticPolicy{}); err != nil {
+			if err := g.EnableRebalance(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -79,24 +79,28 @@ func TestCompareGatesExactly(t *testing.T) {
 	}
 }
 
-// TestCompareGatesAllocs: allocs/op is gated at 2% on the benchmarks
-// -allocs-match names and nowhere else, whatever class their virtual
-// metrics are in; B/op and ns/op stay ungated.
+// TestCompareGatesAllocs: allocs/op is gated at 2% plus one allocation on
+// the benchmarks -allocs-match names and nowhere else, whatever class their
+// virtual metrics are in; B/op and ns/op stay ungated.
 func TestCompareGatesAllocs(t *testing.T) {
 	base := map[string]map[string]float64{
-		"BenchmarkSPHStep":     {"allocs/op": 100, "B/op": 1000, "ns/op": 1000},
-		"BenchmarkHermiteStep": {"allocs/op": 100},
-		"BenchmarkConcurrent":  {"allocs/op": 100, "virtual-us/step": 100},
+		"BenchmarkSPHStep":      {"allocs/op": 100, "B/op": 1000, "ns/op": 1000},
+		"BenchmarkHermiteStep":  {"allocs/op": 100},
+		"BenchmarkTreeField":    {"allocs/op": 34},
+		"BenchmarkMPIAllreduce": {"allocs/op": 34},
+		"BenchmarkConcurrent":   {"allocs/op": 100, "virtual-us/step": 100},
 	}
 	cur := map[string]map[string]float64{
-		"BenchmarkSPHStep":     {"allocs/op": 103, "B/op": 9999, "ns/op": 9999}, // +3%: regression
-		"BenchmarkHermiteStep": {"allocs/op": 102},                              // +2%: at the tolerance
-		"BenchmarkConcurrent":  {"allocs/op": 150, "virtual-us/step": 100},      // not named: wanders, ungated
+		"BenchmarkSPHStep":      {"allocs/op": 104, "B/op": 9999, "ns/op": 9999}, // +2% and two more: regression
+		"BenchmarkHermiteStep":  {"allocs/op": 103},                              // +2% and one more: at the tolerance
+		"BenchmarkTreeField":    {"allocs/op": 35},                               // one more where 2% is less than one: the slack
+		"BenchmarkMPIAllreduce": {"allocs/op": 36},                               // two more: regression
+		"BenchmarkConcurrent":   {"allocs/op": 150, "virtual-us/step": 100},      // not named: wanders, ungated
 	}
-	allocs := regexp.MustCompile("SPHStep|HermiteStep")
+	allocs := regexp.MustCompile("SPHStep|HermiteStep|TreeField|MPIAllreduce")
 	regs := compare(cur, base, 0.15, regexp.MustCompile("Concurrent"), allocs)
-	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkSPHStep allocs/op") {
-		t.Fatalf("compare = %v, want exactly the SPHStep allocs/op regression", regs)
+	if len(regs) != 2 || !strings.Contains(regs[0], "BenchmarkMPIAllreduce allocs/op") || !strings.Contains(regs[1], "BenchmarkSPHStep allocs/op") {
+		t.Fatalf("compare = %v, want exactly the MPIAllreduce and SPHStep allocs/op regressions", regs)
 	}
 	if regs := compare(cur, base, 0.15, nil, nil); len(regs) != 0 {
 		t.Fatalf("no -allocs-match: compare = %v, want none", regs)

@@ -4,11 +4,10 @@
 //
 // The repository rebuilds the paper's full software stack from scratch:
 // the Ibis middleware (SmartSockets connectivity, the IPL communication
-// layer, JavaGAT resource access, Zorilla P2P middleware, IbisDeploy), a
-// distributed version of the AMUSE astrophysical coupling framework (the
-// paper's contribution), the physics kernels its evaluation uses (PhiGRAPE,
-// Gadget, SSE, Octgrav/Fi equivalents under internal/phys), and a
-// CESM-style climate exemplar. Physical testbeds (DAS-4 clusters,
+// layer, JavaGAT resource access, IbisDeploy), a distributed version of the
+// AMUSE astrophysical coupling framework (the paper's contribution) and the
+// physics kernels its evaluation uses (PhiGRAPE, Gadget, SSE, Octgrav/Fi
+// equivalents under internal/phys). Physical testbeds (DAS-4 clusters,
 // GPU machines, transatlantic lightpaths, firewalls) are substituted by a
 // virtual network and device model (internal/vnet, internal/vtime): the
 // physics runs for real and bit-identically across kernels and placements,

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("gang: %v", err)
 	}
-	if err := grav.EnableRebalance(core.ElasticPolicy{}); err != nil {
+	if err := grav.EnableRebalance(); err != nil {
 		log.Fatalf("enable rebalance: %v", err)
 	}
 	if err := grav.SetParticles(ic.Plummer(512, 7)); err != nil {

@@ -31,25 +31,9 @@ type Simulation struct {
 
 	// OnTransferFallback, when set, receives the classified direct-path
 	// error each time a state transfer falls back to the coupler hairpin
-	// (errors.Is ErrTransport or ErrWorkerDied), and each time a striped
-	// transfer falls back to a single stream. Set before starting
+	// (errors.Is ErrTransport or ErrWorkerDied). Set before starting
 	// transfers.
 	OnTransferFallback func(err error)
-
-	// Bulk-transfer tuning, read at each transfer/checkpoint issue. The
-	// zero values disable the bandwidth-aware plane entirely: no probes, no
-	// striping, no compression — wire bytes and routing are then identical
-	// to a build without it. Set before starting transfers.
-	//
-	// TransferStripes caps the parallel peer streams a large payload may be
-	// split across (both TransferState and checkpoint streams; 0 or 1
-	// disables striping). TransferCodec/CheckpointCodec select wire
-	// compression for transfer payloads and checkpoint blobs respectively
-	// (kernel.CodecDeltaFlate, or kernel.CodecRefDelta for checkpoints of
-	// slowly-evolving runs).
-	TransferStripes int
-	TransferCodec   byte
-	CheckpointCodec byte
 
 	// Monitor is the observability plane: channel-layer call latency and
 	// queue-depth histograms (trace.RenderCalls), bulk-transfer and store

@@ -84,22 +84,21 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 		direct bool
 		blob   []byte
 	}
-	stripes, _, codec := s.bulkTuning()
+	// Every snapshot lands in the daemon's store: that host is the far end
+	// of each model's transfer in the link-health table, however it got
+	// there.
+	store := s.daemon.Deployment().LocalHost()
 	pends := make([]*pending, 0, len(models))
 	for _, m := range models {
 		p := &pending{m: m, id: s.daemon.ids.Add(1)}
 		if _, ok := m.peerAddr(); ok && storeOK {
 			// Peer path: the proxy snapshots and streams straight to the
-			// daemon's store; the blob never rides the RPC plane. Base names
-			// the previous checkpoint's blob for the ref-delta codec.
-			m.mu.Lock()
-			base := m.lastBlobRef
-			m.mu.Unlock()
+			// daemon's store; the blob never rides the RPC plane.
 			p.direct = true
 			p.c = m.issue(s.clock.Now(), kernel.MethodOfferCheckpoint, kernel.Encode(kernel.OfferCheckpointArgs{
-				ID: p.id, Peer: daddr.String(), Stripes: stripes, Codec: codec, Base: base}), callOpts{class: bound})
+				ID: p.id, Peer: daddr.String()}), callOpts{class: bound})
 		} else {
-			s.countTransfer(func(t *TransferStats) { t.Hairpin++ })
+			s.countTransfer(trace.LinkHairpin, m.peerHost(), store)
 			p.c = m.goCheckpointPull(&p.blob, replayable)
 		}
 		p.seq = p.c.seq
@@ -118,18 +117,17 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 				if !ok {
 					err = fmt.Errorf("%w: checkpoint %d acked but blob missing from store", ErrTransport, p.id)
 				} else {
-					s.recordTransferReport(p.c, p.id, p.m.peerHost(), daddr.Host)
+					s.countTransfer(trace.LinkDirect, p.m.peerHost(), store)
 					p.blob = blob
 				}
 			}
-			if err != nil && (isPeerPathErr(err) ||
-				errors.Is(err, ErrWorkerDied) || errors.Is(err, ErrChannelClosed)) {
+			if err != nil && (isPeerPathErr(err) || errors.Is(err, ErrChannelClosed)) {
 				// Same fallback contract as TransferState: the direct path
 				// failed, the RPC plane carries the frame instead. A worker
 				// torn down under the offer (death, migration, resize) falls
 				// back too — the pull is replayable, so it parks and
 				// completes against the rebuilt endpoint.
-				s.countTransfer(func(t *TransferStats) { t.Fallback++ })
+				s.countTransfer(trace.LinkFallback, p.m.peerHost(), store)
 				if hook := s.onTransferFallback(); hook != nil {
 					hook(err)
 				}
@@ -162,11 +160,7 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 		s.daemon.StoreCheckpoint(p.id, p.blob)
 		s.daemon.TagCheckpoint(p.id, s.Session())
 		if rec := s.Monitor; rec != nil {
-			wire, ok := s.daemon.CheckpointWireBytes(p.id)
-			if !ok {
-				wire = len(p.blob)
-			}
-			rec.RecordCheckpoint(string(p.m.kind), len(p.blob), wire)
+			rec.RecordCheckpoint(string(p.m.kind), len(p.blob))
 		}
 		if prev := p.m.cacheSnapshot(p.blob, p.id, p.seq); prev != 0 {
 			s.daemon.DropCheckpoint(prev)

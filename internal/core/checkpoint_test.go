@@ -289,7 +289,7 @@ func TestGangRankRestoreUnderFault(t *testing.T) {
 // stream that dies mid-flight falls back the same way TransferState does
 // — the checkpoint still completes.
 func TestCheckpointHairpinAndFallback(t *testing.T) {
-	_, sim := labSim(t)
+	tb, sim := labSim(t)
 	// An in-process mpi-channel worker has no peer plane.
 	local, err := sim.NewGravity(context.Background(),
 		WorkerSpec{Resource: "desktop", Channel: ChannelMPI}, GravityOptions{Eps: 0.01})
@@ -303,7 +303,7 @@ func TestCheckpointHairpinAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := sim.TransferStats(); stats.Hairpin != 1 || stats.Direct != 0 {
+	if stats := assertLinksMatchStats(t, tb, sim); stats.Hairpin != 1 || stats.Direct != 0 {
 		t.Fatalf("stats %+v, want 1 hairpin", stats)
 	}
 	if len(man.Models) != 1 || len(man.Models[0].Snapshot) == 0 {
@@ -329,7 +329,7 @@ func TestCheckpointHairpinAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint with dead stream: %v", err)
 	}
-	if stats := sim.TransferStats(); stats.Fallback != 1 {
+	if stats := assertLinksMatchStats(t, tb, sim); stats.Fallback != 1 {
 		t.Fatalf("stats %+v, want 1 fallback", stats)
 	}
 	if fellBack == nil {

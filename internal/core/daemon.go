@@ -69,13 +69,6 @@ type Daemon struct {
 	// evicted or detached session's blobs can be trimmed in one sweep
 	// without touching other tenants' checkpoints.
 	ckptOwner map[uint64]string
-	// ckptWire records, per blob ref, the encoded size that actually
-	// crossed the peer plane (post-compression, pre-decode) — what the
-	// compression codecs are measured by. Hairpinned blobs have no entry.
-	ckptWire map[uint64]int
-	// ckptStripes reassembles striped checkpoint streams arriving on the
-	// store's listener.
-	ckptStripes *stripeBox
 
 	// ReadyTimeout bounds (in real time) how long StartWorker waits for a
 	// worker to announce itself.
@@ -190,16 +183,7 @@ func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 	}
 	d.listener = l
 	d.ckptBlobs = make(map[uint64][]byte)
-	d.ckptWire = make(map[uint64]int)
 	d.ckptOwner = make(map[uint64]string)
-	d.ckptStripes = newStripeBox(func(id uint64, payload []byte, arrival time.Duration, mconn *smartsockets.VirtualConn) {
-		if !d.storeCheckpointWire(id, payload) {
-			mconn.Close() // no ack: the sender falls back to a single stream
-			return
-		}
-		mconn.Send(kernel.AppendTransferAck(nil, id), arrival)
-		mconn.Close()
-	})
 	d.wg.Add(2)
 	go d.acceptLoop()
 	go d.eventLoop()
@@ -242,17 +226,15 @@ func (d *Daemon) Close() {
 	if ckptLis != nil {
 		ckptLis.Close()
 	}
-	d.ckptStripes.close()
 	d.ibis.End()
 	d.registry.Close()
 	d.wg.Wait()
 }
 
 // checkpointLoop accepts snapshot streams on the daemon's peer listener:
-// a transfer-framed blob is decoded, filed in the store and acknowledged
-// at its virtual arrival time; manifest and stripe frames feed the store's
-// striped-transfer reassembler; probe frames get the factory's responder
-// (the store's listener answers goodput probes like any worker's).
+// a transfer-framed blob is filed in the store and acknowledged at its
+// virtual arrival time; probe frames get the factory's responder (the
+// store's listener answers goodput probes like any worker's).
 func (d *Daemon) checkpointLoop(lis *smartsockets.Listener) {
 	defer d.wg.Done()
 	for {
@@ -269,16 +251,8 @@ func (d *Daemon) checkpointLoop(lis *smartsockets.Listener) {
 				conn.Close()
 				return
 			}
-			switch {
-			case smartsockets.IsProbeFrame(msg.Data):
+			if smartsockets.IsProbeFrame(msg.Data) {
 				d.ibis.Factory().ServeProbeConn(conn, msg.Data, msg.Arrival)
-				return
-			case kernel.IsManifest(msg.Data):
-				d.ckptStripes.manifest(conn, msg.Data, msg.Arrival)
-				return
-			case kernel.IsStripe(msg.Data):
-				d.ckptStripes.stripe(msg.Data, msg.Arrival)
-				conn.Close()
 				return
 			}
 			defer conn.Close()
@@ -286,33 +260,12 @@ func (d *Daemon) checkpointLoop(lis *smartsockets.Listener) {
 			if err != nil || abort {
 				return
 			}
-			if !d.storeCheckpointWire(id, blob) {
-				return // undecodable: no ack, the sender's offer fails over
-			}
+			// blob aliases the stream's message, which became this
+			// receiver's alone when it was sent: the store keeps it as it is.
+			d.StoreCheckpoint(id, blob)
 			conn.Send(kernel.AppendTransferAck(nil, id), msg.Arrival)
 		}()
 	}
-}
-
-// storeCheckpointWire decodes an arriving checkpoint payload (compressed
-// frames resolve their ref-delta base against the blobs the store already
-// holds) and files the RAW snapshot under id, recording the wire size.
-// Returns false when the payload does not decode — the stream then goes
-// unacknowledged and the offering side falls back.
-func (d *Daemon) storeCheckpointWire(id uint64, wire []byte) bool {
-	raw, err := kernel.MaybeDecompressState(wire, func(ref uint64) ([]byte, bool) {
-		return d.CheckpointBlob(ref)
-	})
-	if err != nil {
-		return false
-	}
-	// A raw payload aliases the stream's message, which became this
-	// receiver's alone when it was sent: the store keeps it as it is.
-	d.ckptMu.Lock()
-	d.ckptBlobs[id] = raw
-	d.ckptWire[id] = len(wire)
-	d.ckptMu.Unlock()
-	return true
 }
 
 // CheckpointPeerAddr returns the address worker proxies stream checkpoint
@@ -357,22 +310,11 @@ func (d *Daemon) CheckpointBlob(id uint64) ([]byte, bool) {
 	return b, ok
 }
 
-// CheckpointWireBytes returns the encoded size a stored blob had on the
-// peer plane (post-compression). ok is false for blobs that arrived over
-// the RPC hairpin, which never compresses.
-func (d *Daemon) CheckpointWireBytes(id uint64) (int, bool) {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	n, ok := d.ckptWire[id]
-	return n, ok
-}
-
 // DropCheckpoint releases a stored blob (manifests inline the bytes, so
 // long sessions can trim the store after each checkpoint).
 func (d *Daemon) DropCheckpoint(id uint64) {
 	d.ckptMu.Lock()
 	delete(d.ckptBlobs, id)
-	delete(d.ckptWire, id)
 	delete(d.ckptOwner, id)
 	d.ckptMu.Unlock()
 }
@@ -397,7 +339,6 @@ func (d *Daemon) DropSessionCheckpoints(session string) {
 	for id, owner := range d.ckptOwner {
 		if owner == session {
 			delete(d.ckptBlobs, id)
-			delete(d.ckptWire, id)
 			delete(d.ckptOwner, id)
 		}
 	}

@@ -95,7 +95,7 @@ func TestRebalancerConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.EnableRebalance(ElasticPolicy{}); err != nil {
+	if err := g.EnableRebalance(); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.SetParticles(stars); err != nil {
@@ -489,7 +489,7 @@ func TestResizeDisarmsRebalancer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.EnableRebalance(ElasticPolicy{}); err != nil {
+	if err := g.EnableRebalance(); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.SetParticles(ic.Plummer(64, 13)); err != nil {
@@ -507,7 +507,7 @@ func TestResizeDisarmsRebalancer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := solo.EnableRebalance(ElasticPolicy{}); err == nil {
+	if err := solo.EnableRebalance(); err == nil {
 		t.Fatal("EnableRebalance on a solo worker accepted")
 	}
 }

@@ -117,17 +117,6 @@ type OfferCheckpointArgs struct {
 	// Peer is the destination listener's address ("host:port" in the
 	// SmartSockets address space).
 	Peer string
-	// Stripes is the maximum number of parallel peer streams the sender may
-	// split the encoded blob across (0 or 1 disables striping).
-	Stripes int
-	// Codec selects wire compression for the snapshot blob (CodecRaw,
-	// CodecDeltaFlate, or CodecRefDelta when Base names a blob the store
-	// still holds).
-	Codec byte
-	// Base is the blob reference of the previous checkpoint of this model
-	// (0 = none); with CodecRefDelta the worker sends only the XOR residue
-	// against the snapshot bytes it previously streamed under Base.
-	Base uint64
 }
 
 // Snapshot wire framing. The frame embeds an unmodified StatePayload

@@ -19,7 +19,7 @@ var payloads = []any{
 	FieldAtArgs{}, FieldAtResult{}, FieldStagedArgs{}, VecResult{}, FloatsResult{},
 	EnergiesResult{}, StellarEvolveResult{}, StellarEventPayload{}, StatsResult{}, Empty{},
 	GangInitArgs{}, ReshardArgs{}, RankLoadResult{},
-	OfferStateArgs{}, TransferReport{}, AcceptStateArgs{}, OfferCheckpointArgs{},
+	OfferStateArgs{}, AcceptStateArgs{}, OfferCheckpointArgs{},
 }
 
 func TestPayloadsOnTheWire(t *testing.T) {

@@ -43,32 +43,6 @@ type OfferStateArgs struct {
 	// Peer is the destination worker's peer-listener address
 	// ("host:port" in the SmartSockets address space).
 	Peer string
-	// Stripes is the maximum number of parallel peer streams the sender
-	// may split the payload across (0 or 1 disables striping). The sender
-	// clamps the effective count to the payload size.
-	Stripes int
-	// Codec selects wire compression for the streamed payload (CodecRaw,
-	// CodecDeltaFlate). Receivers sniff the frame tag, so any codec
-	// interoperates with any receiver.
-	Codec byte
-}
-
-// TransferReport describes how an offer_state call actually moved the
-// payload; it is the offer call's result, decoded by the coupler to keep
-// TransferStats honest about striped vs single-stream delivery.
-type TransferReport struct {
-	// Streams is the number of parallel stripe streams used (1 for a
-	// single-stream transfer).
-	Streams int
-	// StripeFallback is set when a striped attempt failed and the payload
-	// was re-sent over a single stream.
-	StripeFallback bool
-	// StripeErr carries the striped attempt's failure (empty when none),
-	// for the coupler's OnTransferFallback observer.
-	StripeErr string
-	// WireBytes is the encoded payload size that crossed the peer plane
-	// (after compression).
-	WireBytes int
 }
 
 // AcceptStateArgs asks a worker to wait for a transfer stream and apply it.

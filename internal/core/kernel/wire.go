@@ -140,9 +140,6 @@ const (
 	tagStaged      = 0x47 // 'G' — slot-tagged staged state application
 	tagGangHello   = 0x48 // 'H' — gang link handshake (gang.go)
 	tagSnapshot    = 0x4B // 'K' — worker checkpoint snapshot (checkpoint.go)
-	tagManifest    = 0x4D // 'M' — striped transfer manifest (stripe.go)
-	tagStripe      = 0x58 // 'X' — one stripe of a striped transfer
-	tagStateZ      = 0x5A // 'Z' — compressed state/snapshot frame (compress.go)
 )
 
 // FrameTag returns the leading tag byte of a wire frame (0 for an empty

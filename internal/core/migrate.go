@@ -84,25 +84,3 @@ func (m *modelProxy) reshape(ctx context.Context, ph phase, cause string, change
 	}
 	return m.rebuild(ctx, plan{cause: cause, retire: ids, shape: shape, pull: true})
 }
-
-// resourceContended implements the rebalancer's migrate trigger: the
-// capacity ledger says other sessions occupy too much of the resource,
-// or (optionally) the latest goodput probe from the coupler's host to
-// the resource frontend fell below the policy floor.
-func (s *Simulation) resourceContended(resource string, p ElasticPolicy) bool {
-	d := s.daemon.Deployment()
-	r, err := d.Resource(resource)
-	if err != nil {
-		return false
-	}
-	others := d.OccupiedNodesByOthers(resource, s.Session())
-	if float64(others) >= p.contentionFraction()*float64(r.NodeCount()) {
-		return true
-	}
-	if p.MinGoodput > 0 && s.Monitor != nil {
-		if g, ok := s.Monitor.Goodput(d.LocalHost(), r.Frontend); ok && g.BytesPerSec < p.MinGoodput {
-			return true
-		}
-	}
-	return false
-}

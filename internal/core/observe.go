@@ -107,14 +107,6 @@ func (s *Simulation) workerHost(id int, resource string) string {
 	return ""
 }
 
-// linkTransfer counts one bulk-transfer outcome on the from->to link in
-// the link-health table. kind is a trace.Link* constant.
-func (s *Simulation) linkTransfer(from, to, kind string) {
-	if rec := s.Monitor; rec != nil && from != "" && to != "" {
-		rec.RecordLinkTransfer(from, to, kind)
-	}
-}
-
 // peerHost is the host label a proxy contributes to the link-health
 // table: its peer-plane host when it has one, its resource otherwise
 // (mpi workers run in-process on the client).

@@ -32,22 +32,6 @@ var PeerAcceptTimeout = 10 * time.Second
 // mid-transfer". Set only from tests, before workers start.
 var testPeerStreamFault func() bool
 
-// testStripeFault, when set, kills the numbered stripe connection right
-// after dialing — the fault-injection hook for "one stripe of a striped
-// transfer died". Set only from tests, before workers start.
-var testStripeFault func(index int) bool
-
-// testStripeCorrupt, when set, may replace the bytes of the numbered
-// stripe just before sending (after the manifest digests were computed) —
-// the fault-injection hook for the receiver's digest verification.
-var testStripeCorrupt func(index int, data []byte) []byte
-
-// stripeMin is the smallest stripe worth a dedicated connection: the
-// effective stream count is payload/stripeMin, clamped to the offer's
-// Stripes limit, so small payloads always take the classic single stream
-// (and a build with striping disabled is wire-identical to one without it).
-const stripeMin = 64 << 10
-
 // peerDelivery is one parked transfer stream (or its abort).
 type peerDelivery struct {
 	state   []byte
@@ -55,87 +39,129 @@ type peerDelivery struct {
 	err     error
 }
 
-// peerMailbox parks transfer streams until the matching accept_state
-// arrives; streams and accepts race freely, whichever comes first waits
-// for the other.
-type peerMailbox struct {
+// rendezvous parks values under a key until the matching wait claims them:
+// deposits and waits race freely, whichever comes first waits for the
+// other. The transfer mailbox (streams by transfer id, claimed by
+// accept_state) and the gang mailbox (hello connections by gang and rank,
+// claimed by gang_init) are both one.
+type rendezvous[K comparable, V any] struct {
+	// missing words the watchdog's error: what never arrived under a key.
+	missing func(K) string
+	// drop, when set, releases a value nobody will claim (closes a parked
+	// connection).
+	drop func(V)
+
 	mu      sync.Mutex
-	box     map[uint64]peerDelivery
-	waiters map[uint64]chan peerDelivery
-	// consumed marks ids whose accept already returned (successfully or
-	// by timeout): late streams and redundant aborts for them are dropped
-	// instead of parked forever — accepts are never retried, so a
-	// consumed id can receive nothing anyone will wait for.
-	consumed map[uint64]bool
+	box     map[K]V
+	waiters map[K]chan V
+	// consumed marks keys whose wait already returned (with the value or by
+	// timeout): late deposits for them are dropped instead of parked for the
+	// worker's lifetime — waits are never retried and keys never reused, so
+	// a consumed key can receive nothing anyone will wait for.
+	consumed map[K]bool
 	closed   bool
 }
 
-func newPeerMailbox() *peerMailbox {
-	return &peerMailbox{
-		box:      make(map[uint64]peerDelivery),
-		waiters:  make(map[uint64]chan peerDelivery),
-		consumed: make(map[uint64]bool),
+func newRendezvous[K comparable, V any](missing func(K) string, drop func(V)) *rendezvous[K, V] {
+	return &rendezvous[K, V]{
+		missing: missing, drop: drop,
+		box: make(map[K]V), waiters: make(map[K]chan V), consumed: make(map[K]bool),
 	}
 }
 
-// deposit hands a delivery to a waiting accept, or parks it.
-func (mb *peerMailbox) deposit(id uint64, d peerDelivery) {
-	mb.mu.Lock()
-	if mb.closed || mb.consumed[id] {
-		mb.mu.Unlock()
-		return
+var errPeerPlaneClosed = fmt.Errorf("%w: peer plane closed", kernel.ErrTransport)
+
+func (r *rendezvous[K, V]) release(v V) {
+	if r.drop != nil {
+		r.drop(v)
 	}
-	if ch, ok := mb.waiters[id]; ok {
-		delete(mb.waiters, id)
-		mb.consumed[id] = true
-		mb.mu.Unlock()
-		ch <- d
-		return
-	}
-	mb.box[id] = d
-	mb.mu.Unlock()
 }
 
-// wait blocks (in real time, up to timeout) for the delivery with the
-// given id.
-func (mb *peerMailbox) wait(id uint64, timeout time.Duration) (peerDelivery, error) {
-	mb.mu.Lock()
-	if d, ok := mb.box[id]; ok {
-		delete(mb.box, id)
-		mb.consumed[id] = true
-		mb.mu.Unlock()
-		return d, nil
+// deposit hands v to the wait parked under key, or parks it; a value
+// already parked there is replaced (a duplicate hello supersedes the stale
+// link).
+func (r *rendezvous[K, V]) deposit(key K, v V) {
+	r.mu.Lock()
+	if r.closed || r.consumed[key] {
+		r.mu.Unlock()
+		r.release(v)
+		return
 	}
-	if mb.closed {
-		mb.mu.Unlock()
-		return peerDelivery{}, fmt.Errorf("%w: peer plane closed", kernel.ErrTransport)
+	if ch, ok := r.waiters[key]; ok {
+		delete(r.waiters, key)
+		r.consumed[key] = true
+		// Sent under the lock (the channel is buffered and this is its only
+		// send, so it cannot block): a wait whose watchdog fires now finds
+		// the value when it drains, after taking the lock.
+		ch <- v
+		r.mu.Unlock()
+		return
 	}
-	ch := make(chan peerDelivery, 1)
-	mb.waiters[id] = ch
-	mb.mu.Unlock()
+	old, dup := r.box[key]
+	r.box[key] = v
+	r.mu.Unlock()
+	if dup {
+		r.release(old)
+	}
+}
+
+// wait blocks (in real time, up to timeout) for the value deposited under
+// key.
+func (r *rendezvous[K, V]) wait(key K, timeout time.Duration) (V, error) {
+	var zero V
+	r.mu.Lock()
+	if v, ok := r.box[key]; ok {
+		delete(r.box, key)
+		r.consumed[key] = true
+		r.mu.Unlock()
+		return v, nil
+	}
+	if r.closed {
+		r.mu.Unlock()
+		return zero, errPeerPlaneClosed
+	}
+	ch := make(chan V, 1)
+	r.waiters[key] = ch
+	r.mu.Unlock()
 	select {
-	case d := <-ch:
-		return d, nil
-	case <-time.After(timeout): // watchdog: an accept whose stream and abort both got lost becomes ErrTransport
-		mb.mu.Lock()
-		delete(mb.waiters, id)
-		mb.consumed[id] = true
-		mb.mu.Unlock()
-		return peerDelivery{}, fmt.Errorf("%w: transfer %d: no peer stream within %v",
-			kernel.ErrTransport, id, timeout)
+	case v, ok := <-ch:
+		if !ok { // closed while waiting
+			return zero, errPeerPlaneClosed
+		}
+		return v, nil
+	case <-time.After(timeout): // watchdog: a stream and its abort both lost, or a gang link a peer rank never dialled, becomes ErrTransport
+		r.mu.Lock()
+		delete(r.waiters, key)
+		r.consumed[key] = true
+		r.mu.Unlock()
+		// A deposit (or close) may have raced the timeout: it took the
+		// waiter entry and used the channel, which nothing will read again.
+		// Drain it so a connection is not stranded open for the worker's
+		// lifetime.
+		select {
+		case v, ok := <-ch:
+			if ok {
+				r.release(v)
+			}
+		default:
+		}
+		return zero, fmt.Errorf("%w: %s within %v", kernel.ErrTransport, r.missing(key), timeout)
 	}
 }
 
-// close fails every parked and future wait (worker teardown).
-func (mb *peerMailbox) close() {
-	mb.mu.Lock()
-	mb.closed = true
-	waiters := mb.waiters
-	mb.waiters = make(map[uint64]chan peerDelivery)
-	mb.box = make(map[uint64]peerDelivery)
-	mb.mu.Unlock()
+// close fails every parked and future wait and releases everything parked
+// (worker teardown).
+func (r *rendezvous[K, V]) close() {
+	r.mu.Lock()
+	r.closed = true
+	box, waiters := r.box, r.waiters
+	r.box, r.waiters = make(map[K]V), make(map[K]chan V)
+	r.mu.Unlock()
+	for _, v := range box {
+		r.release(v)
+	}
 	for _, ch := range waiters {
-		ch <- peerDelivery{err: fmt.Errorf("%w: peer plane closed", kernel.ErrTransport)}
+		close(ch)
 	}
 }
 
@@ -145,22 +171,13 @@ func (mb *peerMailbox) close() {
 // until gang_init claims them).
 type peerPlane struct {
 	ib      *ipl.Ibis
-	mailbox *peerMailbox
-	gangBox *gangMailbox
-	stripes *stripeBox
+	mailbox *rendezvous[uint64, peerDelivery]
+	gangBox *rendezvous[gangKey, *smartsockets.VirtualConn]
 	lis     *smartsockets.Listener
 	wg      sync.WaitGroup
 
 	mu   sync.Mutex
 	gang *mpisim.Gang // wired by handleGangInit; closed by stop
-
-	// ckptMu guards the ref-delta base: the raw bytes of the last snapshot
-	// this worker streamed to the checkpoint store, and the blob ref it was
-	// filed under. The next offer_checkpoint whose Base matches sends only
-	// the XOR residue against these bytes (kernel.CompressStateRef).
-	ckptMu   sync.Mutex
-	ckptBase []byte
-	ckptRef  uint64
 }
 
 // newPeerPlane opens the worker's peer listener and starts serving
@@ -170,39 +187,28 @@ func newPeerPlane(ib *ipl.Ibis) (*peerPlane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: peer listener: %w", err)
 	}
-	p := &peerPlane{ib: ib, mailbox: newPeerMailbox(), gangBox: newGangMailbox(), lis: lis}
-	p.stripes = newStripeBox(p.finishStriped)
+	p := &peerPlane{ib: ib, lis: lis,
+		mailbox: newRendezvous[uint64, peerDelivery](func(id uint64) string {
+			return fmt.Sprintf("transfer %d: no peer stream", id)
+		}, nil),
+		gangBox: newRendezvous(func(k gangKey) string {
+			return fmt.Sprintf("gang %d: no link from rank %d", k.id, k.rank)
+		}, func(conn *smartsockets.VirtualConn) { conn.Close() }),
+	}
 	p.wg.Add(1)
 	go p.serve()
 	return p, nil
 }
 
-// finishStriped deposits a verified, reassembled striped payload into the
-// transfer mailbox and acknowledges on the manifest connection. A payload
-// that fails to decode gets no ack, so the sender retries over a single
-// stream (whose deposit then reports the decode error to the accept).
-func (p *peerPlane) finishStriped(id uint64, payload []byte, arrival time.Duration, mconn *smartsockets.VirtualConn) {
-	raw, err := kernel.MaybeDecompressState(payload, nil)
-	if err != nil {
-		mconn.Close()
-		return
-	}
-	p.mailbox.deposit(id, peerDelivery{state: raw, arrival: arrival})
-	mconn.Send(kernel.AppendTransferAck(nil, id), arrival)
-	mconn.Close()
-}
-
 // serve accepts peer connections and routes them by their first frame's
 // tag: a transfer stream carries one state (or abort) frame and is
 // acknowledged at its virtual arrival time; a gang hello hands the whole
-// connection over as a persistent rank link; manifest and stripe frames
-// feed the striped-transfer reassembler; a goodput probe hands the
+// connection over as a persistent rank link; a goodput probe hands the
 // connection to the factory's probe responder.
 func (p *peerPlane) serve() {
 	defer p.wg.Done()
 	defer p.mailbox.close()
 	defer p.gangBox.close()
-	defer p.stripes.close()
 	for {
 		conn, err := p.lis.Accept()
 		if err != nil {
@@ -233,14 +239,6 @@ func (p *peerPlane) serve() {
 				// the connection stays open as a rank link.
 				p.gangBox.deposit(gangKey{id: gangID, rank: fromRank}, conn)
 				return
-			case kernel.IsManifest(msg.Data):
-				// Blocking: the box owns the connection until ack/teardown.
-				p.stripes.manifest(conn, msg.Data, msg.Arrival)
-				return
-			case kernel.IsStripe(msg.Data):
-				p.stripes.stripe(msg.Data, msg.Arrival)
-				conn.Close()
-				return
 			}
 			defer conn.Close()
 			id, state, abort, err := kernel.UnmarshalTransfer(msg.Data)
@@ -253,16 +251,8 @@ func (p *peerPlane) serve() {
 				return
 			}
 			// state aliases msg.Data, which is private to this stream: no
-			// copy needed before the loopback apply. Compressed payloads
-			// (tagStateZ) are restored here, at the plane boundary — raw
-			// frames pass through MaybeDecompressState untouched.
-			raw, derr := kernel.MaybeDecompressState(state, nil)
-			if derr != nil {
-				p.mailbox.deposit(id, peerDelivery{err: fmt.Errorf(
-					"%w: transfer %d: %v", kernel.ErrTransport, id, derr)})
-				return
-			}
-			p.mailbox.deposit(id, peerDelivery{state: raw, arrival: msg.Arrival})
+			// copy needed before the loopback apply.
+			p.mailbox.deposit(id, peerDelivery{state: state, arrival: msg.Arrival})
 			conn.Send(kernel.AppendTransferAck(nil, id), msg.Arrival)
 		}()
 	}
@@ -289,102 +279,6 @@ func (p *peerPlane) stop() {
 type gangKey struct {
 	id   uint64
 	rank int
-}
-
-// gangMailbox parks inbound gang link connections until the local
-// gang_init claims them; hellos and gang_init race freely.
-type gangMailbox struct {
-	mu      sync.Mutex
-	box     map[gangKey]*smartsockets.VirtualConn
-	waiters map[gangKey]chan *smartsockets.VirtualConn
-	closed  bool
-}
-
-func newGangMailbox() *gangMailbox {
-	return &gangMailbox{
-		box:     make(map[gangKey]*smartsockets.VirtualConn),
-		waiters: make(map[gangKey]chan *smartsockets.VirtualConn),
-	}
-}
-
-// deposit hands a hello connection to a waiting gang_init, or parks it.
-func (mb *gangMailbox) deposit(key gangKey, conn *smartsockets.VirtualConn) {
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if ch, ok := mb.waiters[key]; ok {
-		delete(mb.waiters, key)
-		mb.mu.Unlock()
-		ch <- conn
-		return
-	}
-	if old, dup := mb.box[key]; dup {
-		old.Close() // a duplicate hello replaces the stale link
-	}
-	mb.box[key] = conn
-	mb.mu.Unlock()
-}
-
-// wait blocks (in real time, up to timeout) for the hello connection with
-// the given key.
-func (mb *gangMailbox) wait(key gangKey, timeout time.Duration) (*smartsockets.VirtualConn, error) {
-	mb.mu.Lock()
-	if conn, ok := mb.box[key]; ok {
-		delete(mb.box, key)
-		mb.mu.Unlock()
-		return conn, nil
-	}
-	if mb.closed {
-		mb.mu.Unlock()
-		return nil, fmt.Errorf("%w: peer plane closed", kernel.ErrTransport)
-	}
-	ch := make(chan *smartsockets.VirtualConn, 1)
-	mb.waiters[key] = ch
-	mb.mu.Unlock()
-	select {
-	case conn := <-ch:
-		if conn == nil { // mailbox closed while waiting
-			return nil, fmt.Errorf("%w: peer plane closed", kernel.ErrTransport)
-		}
-		return conn, nil
-	case <-time.After(timeout): // watchdog: a gang link a peer rank never dialled becomes ErrTransport
-		mb.mu.Lock()
-		delete(mb.waiters, key)
-		mb.mu.Unlock()
-		// A deposit may have raced the timeout: it already removed the
-		// waiter entry and put the connection into the buffered channel,
-		// which nothing will ever read again. Drain it so the connection
-		// is not stranded open for the worker's lifetime.
-		select {
-		case conn := <-ch:
-			if conn != nil {
-				conn.Close()
-			}
-		default:
-		}
-		return nil, fmt.Errorf("%w: gang %d: no link from rank %d within %v",
-			kernel.ErrTransport, key.id, key.rank, timeout)
-	}
-}
-
-// close parks no more connections and closes everything parked.
-func (mb *gangMailbox) close() {
-	mb.mu.Lock()
-	mb.closed = true
-	box := mb.box
-	mb.box = make(map[gangKey]*smartsockets.VirtualConn)
-	waiters := mb.waiters
-	mb.waiters = make(map[gangKey]chan *smartsockets.VirtualConn)
-	mb.mu.Unlock()
-	for _, conn := range box {
-		conn.Close()
-	}
-	for _, ch := range waiters {
-		close(ch)
-	}
 }
 
 // peerLink adapts a SmartSockets peer connection to mpisim.Link, so the
@@ -560,136 +454,11 @@ func (p *peerPlane) offer(reqID uint64, a *kernel.OfferStateArgs, arrival time.D
 	if got.Code != kernel.CodeOK {
 		return &response{ID: reqID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
 	}
-	payload := got.Result
-	if a.Codec != kernel.CodecRaw {
-		payload = kernel.CompressState(payload)
-	}
-	report := kernel.TransferReport{Streams: 1, WireBytes: len(payload)}
-	ackAt, code, err := p.sendPayload(a.Peer, a.ID, payload, got.DoneAt, a.Stripes, &report)
+	ackAt, code, err := p.streamToPeer(a.Peer, a.ID, got.Result, got.DoneAt)
 	if err != nil {
 		return fail(code, fmt.Errorf("core: offer %d: %w", a.ID, err))
 	}
-	// The report rides the response only when the offer asked for the
-	// bandwidth-aware plane: a default offer's response stays byte-equal to
-	// a build without it (the coupler treats no report as single-stream).
-	var result []byte
-	if a.Stripes > 1 || a.Codec != kernel.CodecRaw {
-		result = kernel.Encode(report)
-	}
-	return &response{ID: reqID, Result: result, DoneAt: ackAt}
-}
-
-// sendPayload delivers one encoded payload to a peer listener: striped
-// across parallel bulk-class circuits when the payload is large enough and
-// the offer allows it, with a fallback to the classic single stream (same
-// transfer id) when the striped attempt fails for any reason — a killed
-// stripe, a digest mismatch on the receiver, an unreachable circuit. The
-// report records which shape actually delivered the bytes.
-func (p *peerPlane) sendPayload(peer string, id uint64, payload []byte, at time.Duration, stripes int, report *kernel.TransferReport) (time.Duration, kernel.Code, error) {
-	if n := stripeCount(len(payload), stripes); n > 1 {
-		ackAt, err := p.streamStriped(peer, id, payload, at, n)
-		if err == nil {
-			report.Streams = n
-			return ackAt, kernel.CodeOK, nil
-		}
-		report.StripeFallback, report.StripeErr = true, err.Error()
-	}
-	return p.streamToPeer(peer, id, payload, at)
-}
-
-// stripeCount returns the number of parallel streams for a payload: one
-// stream per stripeMin bytes, clamped to the offer's limit. 0 or 1 means
-// the classic single stream.
-func stripeCount(size, max int) int {
-	if max < 2 {
-		return 1
-	}
-	n := size / stripeMin
-	if n > max {
-		n = max
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// streamStriped delivers one payload over n parallel bulk-class circuits
-// plus a manifest connection, and waits for the receiver's ack on the
-// manifest connection (sent only after every stripe verified). All stripes
-// are sent at the same virtual time, so the modeled transfer overlaps n
-// streams — the win when per-stream bandwidth, not path bandwidth, is the
-// bottleneck. Any failure closes every connection (the receiver's watcher
-// drops the partial set) and the caller retries single-stream.
-func (p *peerPlane) streamStriped(peer string, id uint64, payload []byte, at time.Duration, n int) (time.Duration, error) {
-	addr, err := smartsockets.ParseAddress(peer)
-	if err != nil {
-		return 0, err
-	}
-	f := p.ib.Factory()
-	// Consult the per-peer goodput cache before committing bulk traffic:
-	// the first striped transfer to a peer pays one probe exchange (and
-	// feeds the per-link health view); later ones hit the cache until the
-	// sample goes stale.
-	if _, doneAt, perr := f.Goodput(addr, at); perr == nil && doneAt > at {
-		at = doneAt
-	}
-	off := kernel.SplitStripes(len(payload), n)
-	m := &kernel.StripeManifest{ID: id, Total: uint32(len(payload))}
-	for i := 0; i < n; i++ {
-		part := payload[off[i]:off[i+1]]
-		m.Stripes = append(m.Stripes, kernel.StripeInfo{
-			Offset: uint32(off[i]), Length: uint32(len(part)), Digest: kernel.Digest64(part),
-		})
-	}
-	var conns []*smartsockets.VirtualConn
-	abort := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	// The manifest goes first: the receiver's cleanup watcher lives on this
-	// connection, so a partial stripe set never outlives an aborted sender.
-	mconn, err := f.ConnectClass(addr, at, "bulk")
-	if err != nil {
-		return 0, fmt.Errorf("peer %s unreachable: %w", peer, err)
-	}
-	conns = append(conns, mconn)
-	mconn.SetClass("peer")
-	if err := mconn.Send(kernel.AppendManifest(nil, m), maxDuration(at, mconn.EstablishedAt())); err != nil {
-		abort()
-		return 0, fmt.Errorf("manifest to %s: %w", peer, err)
-	}
-	for i := 0; i < n; i++ {
-		conn, err := f.ConnectClass(addr, at, "bulk")
-		if err != nil {
-			abort()
-			return 0, fmt.Errorf("stripe %d to %s: %w", i, peer, err)
-		}
-		conns = append(conns, conn)
-		conn.SetClass("peer")
-		if testStripeFault != nil && testStripeFault(i) {
-			conn.Close() // injected fault: this stripe dies under the transfer
-		}
-		part := payload[off[i]:off[i+1]]
-		if testStripeCorrupt != nil {
-			part = testStripeCorrupt(i, part)
-		}
-		if err := conn.Send(kernel.AppendStripe(nil, id, i, part), maxDuration(at, conn.EstablishedAt())); err != nil {
-			abort()
-			return 0, fmt.Errorf("stripe %d to %s: %w", i, peer, err)
-		}
-	}
-	ack, err := mconn.Recv()
-	if err != nil {
-		abort()
-		return 0, fmt.Errorf("no striped ack from %s: %w", peer, err)
-	}
-	abort()
-	if ackID, err := kernel.UnmarshalTransferAck(ack.Data); err != nil || ackID != id {
-		return 0, fmt.Errorf("bad striped ack (id %d, err %v)", ackID, err)
-	}
-	return ack.Arrival, nil
+	return &response{ID: reqID, DoneAt: ackAt}
 }
 
 // streamToPeer dials a peer listener and delivers one transfer-framed
@@ -739,44 +508,11 @@ func (p *peerPlane) offerCheckpoint(reqID uint64, a *kernel.OfferCheckpointArgs,
 	if got.Code != kernel.CodeOK {
 		return &response{ID: reqID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
 	}
-	raw := got.Result
-	payload := raw
-	switch a.Codec {
-	case kernel.CodecRefDelta:
-		// Ref-delta pays off only against the exact bytes the store still
-		// holds under a.Base; anything else (first checkpoint, a hairpinned
-		// predecessor, a replaced worker) degrades to the in-frame delta.
-		p.ckptMu.Lock()
-		base, ref := p.ckptBase, p.ckptRef
-		p.ckptMu.Unlock()
-		if a.Base != 0 && ref == a.Base {
-			payload = kernel.CompressStateRef(raw, base, a.Base)
-		} else {
-			payload = kernel.CompressState(raw)
-		}
-	case kernel.CodecDeltaFlate:
-		payload = kernel.CompressState(raw)
-	}
-	report := kernel.TransferReport{Streams: 1, WireBytes: len(payload)}
-	ackAt, code, err := p.sendPayload(a.Peer, a.ID, payload, got.DoneAt, a.Stripes, &report)
+	ackAt, code, err := p.streamToPeer(a.Peer, a.ID, got.Result, got.DoneAt)
 	if err != nil {
 		return fail(code, fmt.Errorf("core: checkpoint %d: %w", a.ID, err))
 	}
-	if a.Codec == kernel.CodecRefDelta {
-		// The store now holds this snapshot raw under a.ID: it is the next
-		// checkpoint's ref-delta base.
-		p.ckptMu.Lock()
-		p.ckptBase = raw // the loopback reply is the proxy's alone
-		p.ckptRef = a.ID
-		p.ckptMu.Unlock()
-	}
-	// As for offer_state: the report is attached only when the offer asked
-	// for striping or compression, keeping default streams byte-equal.
-	var result []byte
-	if a.Stripes > 1 || a.Codec != kernel.CodecRaw {
-		result = kernel.Encode(report)
-	}
-	return &response{ID: reqID, Result: result, DoneAt: ackAt}
+	return &response{ID: reqID, DoneAt: ackAt}
 }
 
 // accept waits for the announced stream and applies it to the service

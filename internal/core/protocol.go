@@ -14,13 +14,10 @@
 // the staged field path, with transparent hairpin fallback), and a
 // kernel may be deployed as a gang of K rank workers
 // (WorkerSpec.Workers) that domain-decompose one model instance behind a
-// single handle, exchanging halos over those same peer links. The bulk
-// plane is bandwidth-aware on request (all off by default):
-// Simulation.TransferStripes stripes large payloads across parallel peer
-// streams, and TransferCodec/CheckpointCodec compress the columnar
-// frames (delta+flate for transfers, ref-delta against the previous
-// checkpoint for blobs); failed striped attempts retry single-stream,
-// then hairpin, each counted in TransferStats.
+// single handle, exchanging halos over those same peer links. One payload
+// is one acknowledged stream; how each transfer was carried (direct,
+// hairpin, fallback) is counted in TransferStats and, per link, in the
+// link-health table.
 //
 // The session is checkpointable: Simulation.Checkpoint snapshots every
 // model at a FIFO-drained consistency point into a self-contained

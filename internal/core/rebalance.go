@@ -15,84 +15,39 @@ import (
 // every rank's clock to the slowest — so the rebalancer queries each rank
 // directly (rank_load: current slab width plus the virtual compute time
 // accumulated since the previous query, reset on read), derives per-rank
-// throughput, and when the max/min compute-time ratio exceeds the policy
-// threshold broadcasts new slab boundaries (reshard) on the gang
+// throughput, and when the max/min compute-time ratio reaches
+// skewThreshold broadcasts new slab boundaries (reshard) on the gang
 // channel's ordered fan-out. Every rank holds the full replicated
 // particle arrays, so moving a boundary needs no state movement and
 // results stay bit-identical; only the virtual-time distribution changes.
 //
 // Default off: a model without EnableRebalance issues no rank_load
-// queries and no reshards, keeping existing sessions byte-identical —
-// the same contract as TransferStripes and the codecs.
+// queries and no reshards, keeping existing sessions byte-identical.
 
-// ElasticPolicy tunes the rebalancer armed by EnableRebalance.
-type ElasticPolicy struct {
-	// SkewThreshold is the max/min per-rank compute-time ratio above
-	// which the gang is resharded (0 means the default 1.15; a 4× skew
-	// trips either way).
-	SkewThreshold float64
-	// Interval is how many completed evolves separate measurement rounds
-	// (0 means every evolve).
-	Interval int
-	// MigrateOnContention also watches the gang's resource in the
-	// deployment capacity ledger: when other sessions occupy more than
-	// ContentionFraction of its nodes and a strictly less-loaded
-	// resource exists, the whole gang migrates there (migrate.go).
-	MigrateOnContention bool
-	// ContentionFraction is the occupied-by-others node fraction that
-	// counts as contended (0 means the default 0.5).
-	ContentionFraction float64
-	// MinGoodput, when positive, additionally treats the resource as
-	// contended when the monitor's latest goodput probe from the
-	// coupler's host to the resource frontend fell below this (bytes/s).
-	MinGoodput float64
-}
-
-func (p ElasticPolicy) threshold() float64 {
-	if p.SkewThreshold > 0 {
-		return p.SkewThreshold
-	}
-	return 1.15
-}
-
-func (p ElasticPolicy) interval() int {
-	if p.Interval > 0 {
-		return p.Interval
-	}
-	return 1
-}
-
-func (p ElasticPolicy) contentionFraction() float64 {
-	if p.ContentionFraction > 0 {
-		return p.ContentionFraction
-	}
-	return 0.5
-}
+// skewThreshold is the max/min per-rank compute-time ratio at which a gang
+// is resharded.
+const skewThreshold = 1.15
 
 // elasticGang is one model's armed rebalancer state.
 type elasticGang struct {
-	m      *modelProxy
-	policy ElasticPolicy
-	label  string // telemetry key: kind/resource at arming time
+	m     *modelProxy
+	label string // telemetry key: kind/resource at arming time
 
-	evolves atomic.Uint64 // completed evolves since arming
-	busy    atomic.Bool   // one measurement round at a time
-	rounds  atomic.Uint64 // completed measurement rounds (tests)
+	busy   atomic.Bool   // one measurement round at a time
+	rounds atomic.Uint64 // completed measurement rounds (tests)
 }
 
 // EnableRebalance arms skew-driven slab rebalancing on a gang model.
-// After every policy.Interval completed evolves the rebalancer samples
-// per-rank load, records the skew gauge to Simulation.Monitor and the
-// session recorder, and reshards (or migrates, per policy) when the
-// trigger rule fires. Only gangs can rebalance — a solo worker has no
-// slabs to move.
-func (m *modelProxy) EnableRebalance(p ElasticPolicy) error {
+// After every completed evolve the rebalancer samples per-rank load,
+// records the skew gauge to Simulation.Monitor and the session recorder,
+// and reshards when the skew reaches skewThreshold. Only gangs can
+// rebalance — a solo worker has no slabs to move.
+func (m *modelProxy) EnableRebalance() error {
 	if !m.isGang() {
 		return fmt.Errorf("core: EnableRebalance: %s is not a gang", m.kind)
 	}
 	m.mu.Lock()
-	m.elastic = &elasticGang{m: m, policy: p,
-		label: fmt.Sprintf("%s/%s", m.kind, m.spec.Resource)}
+	m.elastic = &elasticGang{m: m, label: fmt.Sprintf("%s/%s", m.kind, m.spec.Resource)}
 	m.mu.Unlock()
 	return nil
 }
@@ -113,13 +68,9 @@ func (m *modelProxy) RebalanceRounds() uint64 {
 	return 0
 }
 
-// evolveDone is the evolve success hook: cheap counter bump, and every
-// interval-th evolve spawns one asynchronous measurement round.
+// evolveDone is the evolve success hook: every evolve spawns one
+// asynchronous measurement round.
 func (e *elasticGang) evolveDone() {
-	n := e.evolves.Add(1)
-	if int(n)%e.policy.interval() != 0 {
-		return
-	}
 	if !e.busy.CompareAndSwap(false, true) {
 		return // previous round still running
 	}
@@ -134,8 +85,7 @@ func (e *elasticGang) evolveDone() {
 // unless the proxy is live: while a death, migration or resize rebuilds the
 // endpoint there is nothing to measure — the next evolve triggers a fresh
 // round against the new one. Acting rides the normal call machinery: the
-// reshard is an ordinary replayable call, a migration claims the proxy like
-// any other.
+// reshard is an ordinary replayable call.
 func (e *elasticGang) rebalanceOnce() {
 	m := e.m
 	if m.currentPhase() != phaseLive || m.elasticState() != e {
@@ -151,29 +101,18 @@ func (e *elasticGang) rebalanceOnce() {
 		sample.Compute = append(sample.Compute, time.Duration(l.ComputeNs))
 	}
 
-	switch {
-	case e.policy.MigrateOnContention && m.sim.resourceContended(m.resource(), e.policy):
-		sample.Action = "migrate"
-		e.record(sample)
-		// Migrate re-places the gang via SelectLeastLoaded (excluding the
-		// contended resource); a refusal leaves it where it is — either way
-		// the gang survives.
-		m.Migrate(nil, "")
-	case sample.Skew >= e.policy.threshold():
-		cuts, ok := cutsFromLoads(loads)
-		if !ok {
+	if sample.Skew >= skewThreshold {
+		if cuts, ok := cutsFromLoads(loads); ok {
+			sample.Action = "reshard"
 			e.record(sample)
+			// A normal (replayable) call: if a rank dies mid-reshard it is
+			// replayed after gang recovery, reapplying the cuts on the
+			// restored (uniform) gang.
+			m.Go(kernel.MethodReshard, kernel.ReshardArgs{Cuts: cuts}).Wait(m.sim.ctx)
 			return
 		}
-		sample.Action = "reshard"
-		e.record(sample)
-		// A normal (replayable) call: if a rank dies mid-reshard it is
-		// replayed after gang recovery, reapplying the cuts on the restored
-		// (uniform) gang.
-		m.Go(kernel.MethodReshard, kernel.ReshardArgs{Cuts: cuts}).Wait(m.sim.ctx)
-	default:
-		e.record(sample)
 	}
+	e.record(sample)
 }
 
 // record publishes a sample to the monitor and the session recorder.

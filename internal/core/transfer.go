@@ -61,13 +61,12 @@ func (m *modelProxy) peerAddr() (smartsockets.Address, bool) {
 
 // TransferStats counts how transfers were carried.
 type TransferStats struct {
-	Direct   int // worker-to-worker single-stream transfers
-	Striped  int // worker-to-worker striped (parallel-stream) transfers
+	Direct   int // worker-to-worker transfers
 	Fallback int // direct path failed, hairpin completed the transfer
 	Hairpin  int // no peer path existed, hairpin from the start
-	// StripeFallback counts striped attempts that completed over a single
-	// stream instead (those transfers are counted under Direct). Unlike
-	// Fallback, the bytes still flowed worker-to-worker.
+	// StripeFallback is always zero: striped transfers are gone, but
+	// bench/jbench/workload_{bulk,coupled}.go read the field and only a
+	// [benchmark] PR may change them.
 	StripeFallback int
 }
 
@@ -78,13 +77,26 @@ func (s *Simulation) TransferStats() TransferStats {
 	return s.transfers
 }
 
-func (s *Simulation) countTransfer(f func(*TransferStats)) {
+// countTransfer records how one transfer from->to was carried — kind is a
+// trace.Link* constant — in the session's TransferStats and on the link's
+// row of the link-health table: one call, so the two cannot disagree.
+func (s *Simulation) countTransfer(kind, from, to string) {
 	s.mu.Lock()
-	f(&s.transfers)
+	switch kind {
+	case trace.LinkDirect:
+		s.transfers.Direct++
+	case trace.LinkHairpin:
+		s.transfers.Hairpin++
+	case trace.LinkFallback:
+		s.transfers.Fallback++
+	}
 	rec, id := s.sessionRec, s.session
 	s.mu.Unlock()
 	if rec != nil && id != "" {
 		rec.SessionTransfer(id)
+	}
+	if mon := s.Monitor; mon != nil {
+		mon.RecordLinkTransfer(from, to, kind)
 	}
 }
 
@@ -137,14 +149,12 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	// very offer_state that feeds it until the accept timed out. The
 	// hairpin handles all three cases at ordinary RPC cost.
 	if !srcOK || !dstOK || src == dst {
-		s.countTransfer(func(t *TransferStats) { t.Hairpin++ })
-		s.linkTransfer(src.peerHost(), dst.peerHost(), trace.LinkHairpin)
+		s.countTransfer(trace.LinkHairpin, src.peerHost(), dst.peerHost())
 		go s.runHairpin(c, src, dst, apply, slot, attrs, at)
 		return c
 	}
 
 	id := s.daemon.ids.Add(1)
-	stripes, codec, _ := s.bulkTuning()
 	// Both control RPCs are pipelined; their big cousin — the column
 	// payload — never touches this machine. Transfer ops are bound calls
 	// (lifecycle.go): a replacement worker has a different peer identity,
@@ -152,7 +162,7 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	// the replacement as usual).
 	accept := dst.issue(at, kernel.MethodAcceptState, kernel.Encode(kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot}), callOpts{class: bound})
 	offer := src.issue(at, kernel.MethodOfferState, kernel.Encode(kernel.OfferStateArgs{
-		ID: id, Attrs: attrs, Peer: dstPeer.String(), Stripes: stripes, Codec: codec}), callOpts{class: bound})
+		ID: id, Attrs: attrs, Peer: dstPeer.String()}), callOpts{class: bound})
 	go func() {
 		at, err := offer.await(s.ctx)
 		if err != nil {
@@ -170,7 +180,7 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 			at = max(at, accepted)
 		}
 		if err == nil {
-			s.recordTransferReport(offer, id, src.peerHost(), dstPeer.Host)
+			s.countTransfer(trace.LinkDirect, src.peerHost(), dstPeer.Host)
 			c.finish(nil, nil, at)
 			return
 		}
@@ -179,8 +189,7 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 			return
 		}
 		// Direct path failed: carry the columns over the coupler instead.
-		s.countTransfer(func(t *TransferStats) { t.Fallback++ })
-		s.linkTransfer(src.peerHost(), dstPeer.Host, trace.LinkFallback)
+		s.countTransfer(trace.LinkFallback, src.peerHost(), dstPeer.Host)
 		if hook := s.onTransferFallback(); hook != nil {
 			hook(err)
 		}
@@ -193,49 +202,6 @@ func (s *Simulation) onTransferFallback() func(error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.OnTransferFallback
-}
-
-// bulkTuning reads the bulk-transfer knobs under the session lock: the
-// stripe cap transfers and checkpoint streams share, and the codec of each.
-func (s *Simulation) bulkTuning() (stripes int, transferCodec, checkpointCodec byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.TransferStripes, s.TransferCodec, s.CheckpointCodec
-}
-
-// recordTransferReport folds a successful offer's TransferReport into the
-// session counters: striped vs single-stream delivery, and the structured
-// stripe-fallback notification (a striped attempt that completed over a
-// single stream — still worker-to-worker, but worth surfacing to the same
-// observer as hairpin fallbacks).
-func (s *Simulation) recordTransferReport(offer *Call, id uint64, from, to string) {
-	var rep kernel.TransferReport
-	if err := kernel.Decode(offer.result, &rep); err != nil {
-		rep = kernel.TransferReport{Streams: 1}
-	}
-	s.countTransfer(func(t *TransferStats) {
-		if rep.Streams > 1 {
-			t.Striped++
-		} else {
-			t.Direct++
-		}
-		if rep.StripeFallback {
-			t.StripeFallback++
-		}
-	})
-	if rep.Streams > 1 {
-		s.linkTransfer(from, to, trace.LinkStriped)
-	} else {
-		s.linkTransfer(from, to, trace.LinkDirect)
-	}
-	if rep.StripeFallback {
-		s.linkTransfer(from, to, trace.LinkStripeFallback)
-		err := fmt.Errorf("%w: transfer %d: striped path failed (%s); completed over a single stream",
-			ErrTransport, id, rep.StripeErr)
-		if hook := s.onTransferFallback(); hook != nil {
-			hook(err)
-		}
-	}
 }
 
 // runHairpin carries the columns through the coupler from virtual time at:

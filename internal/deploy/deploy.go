@@ -6,8 +6,8 @@
 // of Fig. 10.
 //
 // A Resource couples three things the rest of the stack keys on: the
-// middleware adapter jobs are submitted through (local, ssh, pbs, sge,
-// zorilla), the hub host that anchors the resource in the SmartSockets
+// middleware adapter jobs are submitted through (local, ssh, pbs, sge),
+// the hub host that anchors the resource in the SmartSockets
 // overlay, and per-node device models (CPU, optional GPU) that drive
 // virtual-time accounting and the core layer's device-aware worker
 // placement — including co-locating the rank workers of a gang on one
@@ -26,7 +26,6 @@ import (
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
-	"jungle/internal/zorilla"
 )
 
 // Errors.
@@ -38,14 +37,14 @@ var (
 
 // Middleware names accepted in resource descriptions.
 var middlewares = map[string]bool{
-	"local": true, "ssh": true, "pbs": true, "sge": true, "zorilla": true,
+	"local": true, "ssh": true, "pbs": true, "sge": true,
 }
 
 // Resource describes one compute resource, the information the paper's
 // user supplies per resource: "hostname and type of middleware".
 type Resource struct {
 	Name       string
-	Middleware string   // local | ssh | pbs | sge | zorilla
+	Middleware string   // local | ssh | pbs | sge
 	Frontend   string   // submission host (and default hub host)
 	Nodes      []string // compute nodes for batch clusters
 	HubHost    string   // SmartSockets hub host (defaults to Frontend)
@@ -127,11 +126,6 @@ func (d *Deployment) LocalHost() string { return d.localHost }
 
 // Overlay returns the hub overlay (Fig. 10's top-right view).
 func (d *Deployment) Overlay() *smartsockets.Overlay { return d.overlay }
-
-// UseZorilla installs the Zorilla adapter so "zorilla" resources work.
-func (d *Deployment) UseZorilla(o *zorilla.Overlay) {
-	d.Broker.AddAdapter(&zorilla.Adapter{Overlay: o})
-}
 
 // AddResource registers a resource: the cluster scheduler is created for
 // batch middleware and — as IbisDeploy does automatically — a SmartSockets

@@ -10,7 +10,6 @@ import (
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
-	"jungle/internal/zorilla"
 )
 
 // labNet builds a miniature of the paper's Fig. 12 network: a desktop at
@@ -156,49 +155,6 @@ func TestSubmitToSSHResource(t *testing.T) {
 	}
 	d.Catalog.Register("gpu-worker", func(ctx *gat.Context) error { return nil })
 	j, err := d.Submit("lgm", gat.JobDescription{Executable: "gpu-worker"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubmitToZorillaResource(t *testing.T) {
-	n := vnet.New()
-	for _, h := range []string{"a", "b", "c"} {
-		if _, err := n.AddHost(h, "office", vnet.Open); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.AddLink("a", "b", time.Millisecond, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddLink("b", "c", time.Millisecond, 1e9); err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(n, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
-	zo := zorilla.New(n, 3)
-	for i, h := range []string{"a", "b", "c"} {
-		boot := ""
-		if i > 0 {
-			boot = "a"
-		}
-		if _, err := zo.AddPeer(h, boot); err != nil {
-			t.Fatal(err)
-		}
-	}
-	zo.GossipRounds(4)
-	d.UseZorilla(zo)
-	if err := d.AddResource(Resource{Name: "office", Middleware: "zorilla", Frontend: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	d.Catalog.Register("p2p", func(ctx *gat.Context) error { return nil })
-	j, err := d.Submit("office", gat.JobDescription{Executable: "p2p", Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func elasticArm(nStars, steps int, rebalance bool) (time.Duration, float64, erro
 		return 0, 0, err
 	}
 	if rebalance {
-		if err := g.EnableRebalance(core.ElasticPolicy{}); err != nil {
+		if err := g.EnableRebalance(); err != nil {
 			return 0, 0, err
 		}
 	}

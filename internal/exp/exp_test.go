@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -97,10 +98,9 @@ func TestE2TransatlanticPenalty(t *testing.T) {
 	if !strings.Contains(table, "/ 0 fallback") {
 		t.Fatalf("a healthy run fell back to the hairpin:\n%s", table)
 	}
-	// The mix line must distinguish the striped path (off by default, so
-	// zero) from single-stream direct transfers.
-	if !strings.Contains(table, "/ 0 striped") {
-		t.Fatalf("transfer mix does not report the striped path:\n%s", table)
+	// The mix line has exactly the three ways a transfer is carried.
+	if n := len(regexp.MustCompile(`\d+ direct / \d+ hairpin / \d+ fallback\s`).FindAllString(table, -1)); n != 2 {
+		t.Fatalf("%d of 2 rows carry the direct / hairpin / fallback mix:\n%s", n, table)
 	}
 }
 

@@ -94,11 +94,7 @@ func E2(scale float64, iterations int) (string, error) {
 	}
 
 	transferMix := func(t core.TransferStats) string {
-		// Single-stream direct, striped direct, coupler hairpin, and the
-		// two fallback classes (stripe abort -> single stream, direct
-		// failure -> hairpin) each count separately.
-		return fmt.Sprintf("%d direct / %d striped / %d hairpin / %d fallback / %d stripe-fallback",
-			t.Direct, t.Striped, t.Hairpin, t.Fallback, t.StripeFallback)
+		return fmt.Sprintf("%d direct / %d hairpin / %d fallback", t.Direct, t.Hairpin, t.Fallback)
 	}
 	rows := [][]string{
 		{"desktop client (Fig.12)", fmt.Sprintf("%.2f", labRes.PerIteration.Seconds()),

@@ -10,7 +10,7 @@ import (
 )
 
 // Adapter submits a job to one middleware family. Implementations: local,
-// ssh, pbs, sge (here) and zorilla (in the zorilla package).
+// ssh, pbs, sge.
 type Adapter interface {
 	// Scheme returns the URI scheme this adapter serves.
 	Scheme() string
@@ -60,13 +60,6 @@ func (b *Broker) Now() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.now()
-}
-
-// AddAdapter appends an adapter (e.g. zorilla) to the selection order.
-func (b *Broker) AddAdapter(a Adapter) {
-	b.mu.Lock()
-	b.adapters = append(b.adapters, a)
-	b.mu.Unlock()
 }
 
 // RegisterCluster makes a batch cluster known: frontend is the submission
@@ -152,8 +145,8 @@ func splitURI(uri string) (scheme, target string) {
 
 // Execute stages files, runs the process on the allocated hosts, stages
 // out, invokes release (may be nil) and finalizes the job state. It is the
-// adapter-side entry point; external adapters (zorilla) call it on their own
-// goroutine after allocating hosts.
+// adapter-side entry point: adapters call it on their own goroutine after
+// allocating hosts.
 func (b *Broker) Execute(j *Job, hosts []string, release func(), submitOverhead time.Duration) {
 	defer func() {
 		if release != nil {

@@ -2,7 +2,7 @@
 // uniform API over heterogeneous middleware. "Instead of writing software
 // for one specific middleware, applications can use the generic JavaGAT
 // interface" — jobs and files are the core concepts, adapters implement them
-// per middleware (local, ssh, pbs, sge, zorilla here), and the broker
+// per middleware (local, ssh, pbs, sge here), and the broker
 // automatically selects a working adapter for each resource, exactly the
 // paper's usage.
 //

@@ -119,8 +119,6 @@ func queueDelay(scheme string) time.Duration {
 	switch scheme {
 	case "pbs", "sge":
 		return 2 * time.Second
-	case "zorilla":
-		return 500 * time.Millisecond
 	case "ssh":
 		return 200 * time.Millisecond
 	default:

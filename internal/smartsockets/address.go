@@ -20,13 +20,10 @@
 // computes from that graph: the route is a pure function of the graph, no
 // timer and no goroutine race decides it. See DESIGN.md §"Overlay routing".
 //
-// The overlay is bandwidth-aware: Factory.Goodput measures achievable
-// bandwidth to a peer with netio-style sized-payload probes (cached per
-// peer, reported to the network's link-health recorder), and routed
-// circuits opened with ConnectClass(..., "bulk") follow the
-// widest-bottleneck-bandwidth hub path instead of the lowest-latency one —
-// the path bulk state transfers want. See DESIGN.md §"Bandwidth-aware
-// data plane".
+// Factory.Goodput measures achievable bandwidth to a peer with netio-style
+// sized-payload probes and reports it to the network's link-health
+// recorder; Testbed.Calibrate compares it against the configured links.
+// See DESIGN.md §"Goodput probes".
 package smartsockets
 
 import (

@@ -45,18 +45,12 @@ type Factory struct {
 	nextReq     uint64
 	nextCircuit uint64
 	stats       Stats
-	goodput     map[Address]goodputEntry
 	closed      bool
 
 	// Timeout is the real-time watchdog on an overlay round trip. Every
 	// outcome — ack, nak, dial-back — arrives as a frame; the watchdog only
 	// turns a hub that died mid-exchange into ErrTimeout.
 	Timeout time.Duration
-
-	// ProbeTTL is the virtual-time staleness bound for cached goodput
-	// measurements: Goodput re-probes a peer only when the cached sample
-	// is older than this. Default one virtual minute.
-	ProbeTTL time.Duration
 
 	wg sync.WaitGroup
 }
@@ -96,10 +90,8 @@ func NewFactory(network *vnet.Network, host string, base int, hubHost string) (*
 		pendingCirc: make(map[string]chan openResult),
 		pendingReg:  make(map[Address]chan struct{}),
 		circuits:    make(map[string]*routedEnd),
-		goodput:     make(map[Address]goodputEntry),
 		nextPort:    base + 1,
 		Timeout:     2 * time.Second,
-		ProbeTTL:    time.Minute,
 	}
 	f.wg.Add(1)
 	go f.hubReadLoop()
@@ -324,18 +316,6 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 // routed strategies in order. sentAt is the caller's virtual clock; the
 // returned connection's EstablishedAt reports the virtual completion time.
 func (f *Factory) Connect(target Address, sentAt time.Duration) (*VirtualConn, error) {
-	return f.connect(target, sentAt, "")
-}
-
-// ConnectClass is Connect with a connection class. Class "bulk" makes
-// hub-routed circuits follow the widest-bottleneck-bandwidth hub path
-// instead of the lowest-latency one; direct and reverse connections are
-// unaffected (they already use the single best physical path).
-func (f *Factory) ConnectClass(target Address, sentAt time.Duration, class string) (*VirtualConn, error) {
-	return f.connect(target, sentAt, class)
-}
-
-func (f *Factory) connect(target Address, sentAt time.Duration, class string) (*VirtualConn, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -369,7 +349,7 @@ func (f *Factory) connect(target Address, sentAt time.Duration, class string) (*
 	}
 
 	// 3: routed through the hubs.
-	vc, err := f.connectRouted(target, sentAt, class)
+	vc, err := f.connectRouted(target, sentAt)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%w)", ErrConnectFailed, target, err)
 	}
@@ -431,7 +411,7 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 	}
 }
 
-func (f *Factory) connectRouted(target Address, sentAt time.Duration, class string) (*VirtualConn, error) {
+func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualConn, error) {
 	f.mu.Lock()
 	f.nextCircuit++
 	key := fmt.Sprintf("%s:%d/%s", f.host, f.base, strconv.FormatUint(f.nextCircuit, 36)) // on every data frame: no hub name, a dense count
@@ -441,7 +421,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration, class stri
 	f.circuits[key] = end
 	f.mu.Unlock()
 
-	open := &frame{Kind: kCircuitOpen, Src: f.Addr(), Dst: target, Circuit: key, sentAt: sentAt, Class: class}
+	open := &frame{Kind: kCircuitOpen, Src: f.Addr(), Dst: target, Circuit: key, sentAt: sentAt}
 	if err := sendFrame(f.hubConn, open); err != nil {
 		f.dropCircuit(key)
 		return nil, err

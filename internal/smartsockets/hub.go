@@ -187,7 +187,7 @@ func (h *Hub) advertiseLocked() {
 			continue
 		}
 		if p, err := h.net.Route(h.host, peer); err == nil {
-			ad.Links = append(ad.Links, link{Peer: peer, Latency: p.Latency, Bandwidth: p.Bandwidth})
+			ad.Links = append(ad.Links, link{Peer: peer, Latency: p.Latency})
 		}
 	}
 	sort.Slice(ad.Links, func(i, j int) bool { return ad.Links[i].Peer < ad.Links[j].Peer })
@@ -431,7 +431,7 @@ func (h *Hub) forwardOpen(origin string, f *frame) {
 		})
 	}
 	if f.Hop == 0 {
-		if fwd.Route = h.route(f.Dst.Hub, f.Class); fwd.Route == nil {
+		if fwd.Route = h.route(f.Dst.Hub); fwd.Route == nil {
 			fwd.Route = []string{h.host} // the nak's whole way back
 			nak(nakNoRoute)
 			return
@@ -454,40 +454,15 @@ func (h *Hub) forwardOpen(origin string, f *frame) {
 	}
 }
 
-// route returns the hub path from this hub to hub dst for a circuit of the
-// given class, or nil if there is none: a pure function of the link-state
-// database. Lowest sum of link latency and hub processing delay — for
-// class "bulk" among the paths of widest bottleneck bandwidth only — then
-// fewest hops, then the lexicographically smallest path.
-func (h *Hub) route(dst, class string) []string {
+// route returns the hub path from this hub to hub dst, or nil if there is
+// none: a pure function of the link-state database. Lowest sum of link
+// latency and hub processing delay, then fewest hops, then the
+// lexicographically smallest path. It is Dijkstra over the advertised links
+// with whole paths as labels, so that ties compare that way; a link counts
+// in the direction its owner advertises it.
+func (h *Hub) route(dst string) []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if class != "bulk" {
-		return h.shortestLocked(dst, 0)
-	}
-	// The widest bottleneck is one of the advertised bandwidths: try them
-	// in descending order until the links at least that wide connect dst.
-	var widths []float64
-	for _, ad := range h.adverts {
-		for _, l := range ad.Links {
-			widths = append(widths, l.Bandwidth)
-		}
-	}
-	slices.Sort(widths)
-	widths = slices.Compact(widths)
-	for i := len(widths) - 1; i >= 0; i-- {
-		if p := h.shortestLocked(dst, widths[i]); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
-// shortestLocked is Dijkstra over the advertised links of bandwidth at
-// least minBW, with whole paths as labels so that ties compare by hop
-// count and then lexicographically. A link counts in the direction its
-// owner advertises it.
-func (h *Hub) shortestLocked(dst string, minBW float64) []string {
 	type label struct {
 		cost time.Duration
 		path []string
@@ -513,9 +488,6 @@ func (h *Hub) shortestLocked(dst string, minBW float64) []string {
 		}
 		cur.done = true
 		for _, l := range h.adverts[at].Links {
-			if l.Bandwidth < minBW {
-				continue
-			}
 			next := &label{cost: cur.cost + l.Latency + hubProcessing, path: append(cur.path[:len(cur.path):len(cur.path)], l.Peer)}
 			if old, ok := labels[l.Peer]; !ok || !old.done && better(next, old) {
 				labels[l.Peer] = next

@@ -188,7 +188,7 @@ func (o *Overlay) Edges() []OverlayEdge {
 // first hub has a route to every other.
 func (o *Overlay) Connected() bool {
 	for _, h := range o.hubs {
-		if o.hubs[0].route(h.host, "") == nil {
+		if o.hubs[0].route(h.host) == nil {
 			return false
 		}
 	}

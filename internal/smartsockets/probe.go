@@ -39,11 +39,6 @@ const (
 // mismatch, or non-positive timing delta).
 var ErrProbeFailed = errors.New("smartsockets: goodput probe failed")
 
-type goodputEntry struct {
-	bw float64
-	at time.Duration // virtual time of the measurement
-}
-
 // fnv1a64 is the digest used to verify probe payload integrity.
 func fnv1a64(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
@@ -154,33 +149,12 @@ func (f *Factory) ServeGoodput(l *Listener) {
 	}
 }
 
-// Goodput returns the measured goodput (bytes/second) from this factory's
-// host to the peer's probe responder at target. Measurements are cached:
-// a sample younger than ProbeTTL (in virtual time) is returned without
-// network traffic and doneAt == sentAt; otherwise a probe exchange runs
-// over the overlay, costing virtual time and modeled bandwidth, and doneAt
-// reports its virtual completion. Successful measurements are reported to
-// the network's goodput recorder for the per-link health view.
+// Goodput measures the goodput (bytes/second) from this factory's host to
+// the peer's probe responder at target: one two-payload exchange over the
+// overlay, costing virtual time and modeled bandwidth; doneAt reports its
+// virtual completion (sentAt on failure). A successful measurement is
+// reported to the network's goodput recorder for the per-link health view.
 func (f *Factory) Goodput(target Address, sentAt time.Duration) (bw float64, doneAt time.Duration, err error) {
-	f.mu.Lock()
-	e, ok := f.goodput[target]
-	f.mu.Unlock()
-	if ok && sentAt-e.at <= f.ProbeTTL {
-		return e.bw, sentAt, nil
-	}
-	bw, doneAt, err = f.probe(target, sentAt)
-	if err != nil {
-		return 0, sentAt, err
-	}
-	f.mu.Lock()
-	f.goodput[target] = goodputEntry{bw: bw, at: doneAt}
-	f.mu.Unlock()
-	f.net.RecordGoodput(f.host, target.Host, bw, doneAt)
-	return bw, doneAt, nil
-}
-
-// probe runs one two-payload measurement against target's responder.
-func (f *Factory) probe(target Address, sentAt time.Duration) (float64, time.Duration, error) {
 	conn, err := f.Connect(target, sentAt)
 	if err != nil {
 		return 0, sentAt, err
@@ -211,8 +185,7 @@ func (f *Factory) probe(target Address, sentAt time.Duration) (float64, time.Dur
 	// A routed circuit whose endpoint is colocated with its hub attaches
 	// over a loopback leg; its store-and-forward cost is modeled IPC, not
 	// network. Discount the legs the factory can identify from the route, so
-	// the reported goodput is the network path's — the figure bulk-class
-	// routing decides on.
+	// the reported goodput is the network path's.
 	if conn.Type() == Routed {
 		if route := conn.Route(); len(route) > 0 {
 			loop := 0.0
@@ -227,7 +200,9 @@ func (f *Factory) probe(target Address, sentAt time.Duration) (float64, time.Dur
 			}
 		}
 	}
-	return 1 / perByte, t2, nil
+	bw = 1 / perByte
+	f.net.RecordGoodput(f.host, target.Host, bw, t2)
+	return bw, t2, nil
 }
 
 // probeRound sends one data frame at the given virtual time and returns the

@@ -98,25 +98,21 @@ func diamondNet(t *testing.T) *pureNet {
 
 // oracle is the brute-force reference for the overlay's route choice: every
 // simple hub path from src to dst over the overlay's edges, priced from
-// vnet's link data — lowest sum of latency and hub processing, for class
-// bulk among the paths of widest bottleneck only, then fewest hops, then
-// the lexicographically smallest path.
-func (pn *pureNet) oracle(t *testing.T, src, dst, class string) (best []string, cost time.Duration) {
+// vnet's link data — lowest sum of latency and hub processing, then fewest
+// hops, then the lexicographically smallest path.
+func (pn *pureNet) oracle(t *testing.T, src, dst string) (best []string, cost time.Duration) {
 	t.Helper()
 	adj := map[string][]string{}
 	for _, e := range pn.overlay.Edges() {
 		adj[e.A] = append(adj[e.A], e.B)
 		adj[e.B] = append(adj[e.B], e.A)
 	}
-	var bestWidth float64
-	var walk func(path []string, cost time.Duration, width float64)
-	walk = func(path []string, c time.Duration, width float64) {
+	var walk func(path []string, cost time.Duration)
+	walk = func(path []string, c time.Duration) {
 		at := path[len(path)-1]
 		if at == dst {
 			better := best == nil
-			if !better && class == "bulk" && width != bestWidth {
-				better = width > bestWidth
-			} else if !better && c != cost {
+			if !better && c != cost {
 				better = c < cost
 			} else if !better && len(path) != len(best) {
 				better = len(path) < len(best)
@@ -124,7 +120,7 @@ func (pn *pureNet) oracle(t *testing.T, src, dst, class string) (best []string, 
 				better = slices.Compare(path, best) < 0
 			}
 			if better {
-				best, cost, bestWidth = slices.Clone(path), c, width
+				best, cost = slices.Clone(path), c
 			}
 			return
 		}
@@ -136,10 +132,10 @@ func (pn *pureNet) oracle(t *testing.T, src, dst, class string) (best []string, 
 			if err != nil {
 				t.Fatal(err)
 			}
-			walk(append(path, next), c+p.Latency+smartsockets.HubProcessing, min(width, p.Bandwidth))
+			walk(append(path, next), c+p.Latency+smartsockets.HubProcessing)
 		}
 	}
-	walk([]string{src}, 0, 1e30)
+	walk([]string{src}, 0)
 	return best, cost
 }
 
@@ -155,8 +151,8 @@ type outcome struct {
 // reverse request takes, and when the connection is established in virtual
 // time, is a function of the hub graph and the connects made so far — never
 // of the host's scheduler. On the lab and SC11 overlays and on a graph with
-// two hub paths of equal cost, 200 connects per (source, destination,
-// class) all take the route a brute-force search over vnet's link data
+// two hub paths of equal cost, 200 connects per (source, destination) all
+// take the route a brute-force search over vnet's link data
 // picks, and a second, fresh instance of the same graph driven under a
 // different GOMAXPROCS at every connect (1, 2 and 8 in turn, beside a
 // goroutine that keeps the scheduler busy) reproduces every establishment
@@ -209,13 +205,13 @@ func TestRouteChoiceIsAPureFunction(t *testing.T) {
 			}
 		})
 	}
-	if got, _ := diamondNet(t).oracle(t, "a", "d", ""); !slices.Equal(got, []string{"a", "b", "d"}) {
+	if got, _ := diamondNet(t).oracle(t, "a", "d"); !slices.Equal(got, []string{"a", "b", "d"}) {
 		t.Fatalf("diamond oracle route %v: the two equal paths must tie towards b", got)
 	}
 }
 
-// run connects every client to every other, both classes, the given number
-// of times each, holding each connect to the oracle, and returns what every
+// run connects every client to every other, the given number of times
+// each, holding each connect to the oracle, and returns what every
 // connect showed. The connect with sequence number i runs under GOMAXPROCS
 // procs[(i+shift)%3].
 func (pn *pureNet) run(t *testing.T, connects, shift int) []outcome {
@@ -227,32 +223,27 @@ func (pn *pureNet) run(t *testing.T, connects, shift int) []outcome {
 			if src.host == dst.host {
 				continue
 			}
-			for _, class := range []string{"", "bulk"} {
-				want, cost := pn.oracle(t, src.hub, dst.hub, class)
-				// A reverse request crosses the default-class route
-				// whatever the connection's class.
-				_, request := pn.oracle(t, src.hub, dst.hub, "")
-				for i := 0; i < connects; i++ {
-					runtime.GOMAXPROCS([]int{1, 2, 8}[(len(all)+shift)%3])
-					conn, err := src.f.ConnectClass(dst.l.Addr(), sentAt, class)
-					if err != nil {
-						t.Fatalf("%s -> %s %q: %v", src.host, dst.host, class, err)
-					}
-					srv, err := dst.l.Accept()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := outcome{conn.Type(), fmt.Sprint(conn.Route()), conn.EstablishedAt(), srv.EstablishedAt()}
-					conn.Close()
-					srv.Close()
-					switch {
-					case got.typ == smartsockets.Routed && (got.route != fmt.Sprint(want) || got.dialed != sentAt || got.accept < sentAt+cost):
-						t.Fatalf("%s -> %s %q connect %d: %+v, oracle route %v costing %v", src.host, dst.host, class, i, got, want, cost)
-					case got.typ == smartsockets.Reverse && got.dialed < sentAt+request:
-						t.Fatalf("%s -> %s reverse connect %d established %v, the request alone takes %v", src.host, dst.host, i, got.dialed, sentAt+request)
-					}
-					all = append(all, got)
+			want, cost := pn.oracle(t, src.hub, dst.hub)
+			for i := 0; i < connects; i++ {
+				runtime.GOMAXPROCS([]int{1, 2, 8}[(len(all)+shift)%3])
+				conn, err := src.f.Connect(dst.l.Addr(), sentAt)
+				if err != nil {
+					t.Fatalf("%s -> %s: %v", src.host, dst.host, err)
 				}
+				srv, err := dst.l.Accept()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := outcome{conn.Type(), fmt.Sprint(conn.Route()), conn.EstablishedAt(), srv.EstablishedAt()}
+				conn.Close()
+				srv.Close()
+				switch {
+				case got.typ == smartsockets.Routed && (got.route != fmt.Sprint(want) || got.dialed != sentAt || got.accept < sentAt+cost):
+					t.Fatalf("%s -> %s connect %d: %+v, oracle route %v costing %v", src.host, dst.host, i, got, want, cost)
+				case got.typ == smartsockets.Reverse && got.dialed < sentAt+cost:
+					t.Fatalf("%s -> %s reverse connect %d established %v, the request alone takes %v", src.host, dst.host, i, got.dialed, sentAt+cost)
+				}
+				all = append(all, got)
 			}
 		}
 	}

@@ -10,48 +10,43 @@ import (
 )
 
 // TestRouteTieBreaks pins Hub.route on hand-written link state: lowest
-// cost, then fewest hops, then the lexicographically smaller path; widest
-// bottleneck first for class "bulk"; links count in the direction their
-// owner advertises them; nil when nothing connects.
+// cost, then fewest hops, then the lexicographically smaller path; links
+// count in the direction their owner advertises them; nil when nothing
+// connects.
 func TestRouteTieBreaks(t *testing.T) {
 	const ms = time.Millisecond
 	ad := func(hub string, links ...link) advert { return advert{Hub: hub, Seq: 1, Links: links} }
-	to := func(peer string, lat time.Duration, bw float64) link {
-		return link{Peer: peer, Latency: lat, Bandwidth: bw}
-	}
+	to := func(peer string, lat time.Duration) link { return link{Peer: peer, Latency: lat} }
 	h := &Hub{host: "a", adverts: map[string]advert{}}
 	for _, a := range []advert{
 		// a-b-d and a-c-d cost the same: the tie goes to b.
-		ad("a", to("b", ms, 1e9), to("c", ms, 1e9), to("e", 3*ms+2*hubProcessing, 1e9), to("f", ms, 1e6)),
-		ad("b", to("a", ms, 1e9), to("d", ms, 1e9)),
-		ad("c", to("a", ms, 1e9), to("d", ms, 1e9)),
+		ad("a", to("b", ms), to("c", ms), to("e", 3*ms+2*hubProcessing), to("f", ms)),
+		ad("b", to("a", ms), to("d", ms)),
+		ad("c", to("a", ms), to("d", ms)),
 		// a-e costs what a-b-d-e costs: the tie goes to the shorter path.
-		ad("d", to("b", ms, 1e9), to("c", ms, 1e9), to("e", ms, 1e9), to("f", 5*ms, 1e9)),
-		ad("e", to("d", ms, 1e9)),
-		// f is near over a thin link and far over fat ones; g only points
-		// at a, which is no way to reach g.
+		ad("d", to("b", ms), to("c", ms), to("e", ms), to("f", 5*ms)),
+		ad("e", to("d", ms)),
+		// f is near over one link and far over three; g only points at a,
+		// which is no way to reach g.
 		ad("f"),
-		ad("g", to("a", ms, 1e9)),
+		ad("g", to("a", ms)),
 	} {
 		h.adverts[a.Hub] = a
 	}
 	for _, c := range []struct {
-		dst, class string
-		want       []string
+		dst  string
+		want []string
 	}{
-		{"a", "", []string{"a"}},
-		{"d", "", []string{"a", "b", "d"}},
-		{"e", "", []string{"a", "e"}},
-		{"f", "", []string{"a", "f"}},
-		{"f", "bulk", []string{"a", "b", "d", "f"}},
-		{"d", "bulk", []string{"a", "b", "d"}},
-		{"g", "", nil},
-		{"g", "bulk", nil},
-		{"nowhere", "", nil},
-		{"", "", nil},
+		{"a", []string{"a"}},
+		{"d", []string{"a", "b", "d"}},
+		{"e", []string{"a", "e"}},
+		{"f", []string{"a", "f"}},
+		{"g", nil},
+		{"nowhere", nil},
+		{"", nil},
 	} {
-		if got := h.route(c.dst, c.class); !slices.Equal(got, c.want) {
-			t.Errorf("route(%q, %q) = %v, want %v", c.dst, c.class, got, c.want)
+		if got := h.route(c.dst); !slices.Equal(got, c.want) {
+			t.Errorf("route(%q) = %v, want %v", c.dst, got, c.want)
 		}
 	}
 }

@@ -36,9 +36,6 @@ type frame struct {
 	ReqID     uint64
 	ReplyPort int
 
-	// Connection class of a circuit open ("" = default RPC class, routed
-	// by lowest virtual latency; "bulk" = widest bottleneck first).
-	Class string
 	// Reason says why a kCircuitNak refused (nak* below).
 	Reason byte
 
@@ -50,8 +47,8 @@ type frame struct {
 }
 
 // advert is one hub's link state: the hub neighbours it holds a connection
-// to, with the modelled latency and bandwidth of each link. Seq rises with
-// every change; hubs keep the newest advert received of every hub.
+// to, with the modelled latency of each link. Seq rises with every change;
+// hubs keep the newest advert received of every hub.
 type advert struct {
 	Hub   string
 	Seq   uint64
@@ -59,9 +56,8 @@ type advert struct {
 }
 
 type link struct {
-	Peer      string
-	Latency   time.Duration
-	Bandwidth float64
+	Peer    string
+	Latency time.Duration
 }
 
 const (

@@ -10,9 +10,9 @@ import (
 // Gang telemetry: the elastic-gang rebalancer and the human read the same
 // numbers. Each measurement round records per-rank slab widths and compute
 // times plus the derived skew gauge (max/min rank compute time per gang);
-// reshard and migration decisions are stamped on the sample that caused
-// them. This is the first piece of the ROADMAP "production telemetry"
-// item: the rebalancer consumes exactly what RenderGangs shows.
+// a reshard decision is stamped on the sample that caused it. This is the
+// first piece of the ROADMAP "production telemetry" item: the rebalancer
+// consumes exactly what RenderGangs shows.
 
 // GangSample is one rebalancer measurement round for a gang.
 type GangSample struct {
@@ -25,18 +25,17 @@ type GangSample struct {
 	// Skew is max/min rank compute time (1 = perfectly balanced; 0 when
 	// a rank reported no compute, meaning the window was empty).
 	Skew float64
-	// Action records what the rebalancer did with this sample: "",
-	// "reshard" or "migrate".
+	// Action records what the rebalancer did with this sample: "" or
+	// "reshard".
 	Action string
 }
 
 // GangStats aggregates one gang's measurement history.
 type GangStats struct {
-	Samples    []GangSample
-	MaxSkew    float64
-	LastSkew   float64
-	Reshards   int
-	Migrations int
+	Samples  []GangSample
+	MaxSkew  float64
+	LastSkew float64
+	Reshards int
 }
 
 // RecordGangSample appends one measurement round for the named gang
@@ -58,11 +57,8 @@ func (r *Recorder) RecordGangSample(gang string, s GangSample) {
 	if s.Skew > g.MaxSkew {
 		g.MaxSkew = s.Skew
 	}
-	switch s.Action {
-	case "reshard":
+	if s.Action == "reshard" {
 		g.Reshards++
-	case "migrate":
-		g.Migrations++
 	}
 }
 
@@ -109,8 +105,8 @@ func (r *Recorder) GangTable() []GangRow {
 func (r *Recorder) RenderGangs() string {
 	rows := r.GangTable()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %7s %8s %8s %9s %9s  %s\n",
-		"GANG", "ROUNDS", "SKEW", "MAXSKEW", "RESHARDS", "MIGRATES", "ROWS")
+	fmt.Fprintf(&b, "%-28s %7s %8s %8s %9s  %s\n",
+		"GANG", "ROUNDS", "SKEW", "MAXSKEW", "RESHARDS", "ROWS")
 	for _, row := range rows {
 		g := row.Stats
 		rowsStr := "-"
@@ -121,8 +117,8 @@ func (r *Recorder) RenderGangs() string {
 			}
 			rowsStr = strings.Join(parts, "/")
 		}
-		fmt.Fprintf(&b, "%-28s %7d %8.2f %8.2f %9d %9d  %s\n",
-			row.Gang, len(g.Samples), g.LastSkew, g.MaxSkew, g.Reshards, g.Migrations, rowsStr)
+		fmt.Fprintf(&b, "%-28s %7d %8.2f %8.2f %9d  %s\n",
+			row.Gang, len(g.Samples), g.LastSkew, g.MaxSkew, g.Reshards, rowsStr)
 	}
 	return b.String()
 }

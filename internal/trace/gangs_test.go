@@ -20,7 +20,7 @@ func TestGangTelemetry(t *testing.T) {
 		Compute: []time.Duration{120, 120, 120, 118}, Skew: 1.02,
 	})
 	r.RecordGangSample("hydro/site-spare", GangSample{
-		At: 3 * time.Millisecond, Skew: 1.5, Action: "migrate",
+		At: 3 * time.Millisecond, Skew: 1.5,
 	})
 
 	last, max, ok := r.GangSkew("gravity/site-mixed")
@@ -32,10 +32,10 @@ func TestGangTelemetry(t *testing.T) {
 		t.Fatalf("GangTable order: %v", rows)
 	}
 	g := rows[0].Stats
-	if g.Reshards != 1 || g.Migrations != 0 || len(g.Samples) != 2 {
+	if g.Reshards != 1 || len(g.Samples) != 2 {
 		t.Fatalf("gravity stats = %+v", g)
 	}
-	if rows[1].Stats.Migrations != 1 {
+	if rows[1].Stats.Reshards != 0 {
 		t.Fatalf("hydro stats = %+v", rows[1].Stats)
 	}
 

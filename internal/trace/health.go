@@ -16,30 +16,24 @@ import (
 
 // Transfer-outcome kinds recorded per link (see core's transfer paths).
 const (
-	LinkDirect         = "direct"
-	LinkStriped        = "striped"
-	LinkHairpin        = "hairpin"
-	LinkFallback       = "fallback"
-	LinkStripeFallback = "stripe-fallback"
+	LinkDirect   = "direct"
+	LinkHairpin  = "hairpin"
+	LinkFallback = "fallback"
 )
 
 // LinkTransfers counts bulk-transfer outcomes over one directed link.
 type LinkTransfers struct {
-	Direct, Striped, Hairpin, Fallback, StripeFallback int
+	Direct, Hairpin, Fallback int
 }
 
 func (t *LinkTransfers) add(kind string) {
 	switch kind {
 	case LinkDirect:
 		t.Direct++
-	case LinkStriped:
-		t.Striped++
 	case LinkHairpin:
 		t.Hairpin++
 	case LinkFallback:
 		t.Fallback++
-	case LinkStripeFallback:
-		t.StripeFallback++
 	}
 }
 
@@ -111,30 +105,24 @@ func (r *Recorder) LinkHealthTable(now, staleAfter time.Duration) []LinkHealthRo
 }
 
 // StoreStats gauges one model's checkpoint/restore traffic through the
-// daemon store: blob sizes (raw and wire) and restore latencies.
+// daemon store: blob sizes and restore latencies.
 type StoreStats struct {
 	Checkpoints int
-	LastRaw     int   // latest blob's raw (decoded) bytes
-	LastWire    int   // latest blob's wire bytes (post-codec)
-	TotalRaw    int64 // cumulative raw bytes stored
-	TotalWire   int64 // cumulative wire bytes stored
-	WireHist    Histogram
+	LastRaw     int   // latest blob's bytes (snapshots cross the wire raw)
+	TotalRaw    int64 // cumulative bytes stored
 	Restores    int
 	LastRestore time.Duration // latest restore's virtual latency
 	RestoreHist Histogram     // restore latency, nanoseconds
 }
 
 // RecordCheckpoint gauges one checkpoint blob landing in the daemon
-// store: raw is the decoded snapshot size, wire the bytes that crossed
-// the network (equal when no codec is configured).
-func (r *Recorder) RecordCheckpoint(model string, raw, wire int) {
+// store: raw is the snapshot's size.
+func (r *Recorder) RecordCheckpoint(model string, raw int) {
 	r.mu.Lock()
 	st := r.storeStats(model)
 	st.Checkpoints++
-	st.LastRaw, st.LastWire = raw, wire
+	st.LastRaw = raw
 	st.TotalRaw += int64(raw)
-	st.TotalWire += int64(wire)
-	st.WireHist.Record(int64(wire))
 	r.mu.Unlock()
 }
 
@@ -217,7 +205,7 @@ func (r *Recorder) CapacityTable() []CapacityRow {
 func (r *Recorder) RenderHealth(now time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s %6s  %s\n",
-		"FROM", "TO", "GOODPUT(MB/s)", "AT(ms)", "PROBES", "STATE", "TRANSFERS(dir/str/hp/fb/sfb)")
+		"FROM", "TO", "GOODPUT(MB/s)", "AT(ms)", "PROBES", "STATE", "TRANSFERS(dir/hp/fb)")
 	for _, row := range r.LinkHealthTable(now, DefaultStaleAfter) {
 		gp, at, probes, state := "-", "-", "-", "ok"
 		if row.HasGoodput {
@@ -231,18 +219,16 @@ func (r *Recorder) RenderHealth(now time.Duration) string {
 			state = "-"
 		}
 		t := row.Transfers
-		fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s %6s  %d/%d/%d/%d/%d\n",
-			row.From, row.To, gp, at, probes, state,
-			t.Direct, t.Striped, t.Hairpin, t.Fallback, t.StripeFallback)
+		fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s %6s  %d/%d/%d\n",
+			row.From, row.To, gp, at, probes, state, t.Direct, t.Hairpin, t.Fallback)
 	}
 	if rows := r.StoreTable(); len(rows) > 0 {
-		fmt.Fprintf(&b, "\n%-14s %6s %12s %12s %12s %9s %14s\n",
-			"STORE", "CKPTS", "LAST-RAW", "LAST-WIRE", "TOTAL-WIRE", "RESTORES", "RESTORE(p50/p99/max)")
+		fmt.Fprintf(&b, "\n%-14s %6s %12s %9s %14s\n",
+			"STORE", "CKPTS", "LAST-RAW", "RESTORES", "RESTORE(p50/p99/max)")
 		for _, row := range rows {
 			st := row.Stats
-			fmt.Fprintf(&b, "%-14s %6d %12d %12d %12d %9d %14s\n",
-				row.Model, st.Checkpoints, st.LastRaw, st.LastWire, st.TotalWire,
-				st.Restores, st.RestoreHist.summary())
+			fmt.Fprintf(&b, "%-14s %6d %12d %9d %14s\n",
+				row.Model, st.Checkpoints, st.LastRaw, st.Restores, st.RestoreHist.summary())
 		}
 	}
 	if rows := r.CapacityTable(); len(rows) > 0 {

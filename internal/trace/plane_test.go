@@ -29,7 +29,7 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				r.RecordCallError(sess, "hydro", meth)
 				r.RecordQueueDepth("gravity/0@lgm", i%7)
 				r.RecordLinkTransfer("a", "b", LinkDirect)
-				r.RecordCheckpoint("gravity", 1000, 400)
+				r.RecordCheckpoint("gravity", 1000)
 				r.RecordRestore("gravity", time.Millisecond)
 				r.RecordGoodput("a", "b", 1e6, time.Duration(i)*time.Millisecond)
 				r.RecordCapacity("lgm", i%2, 1)
@@ -101,7 +101,8 @@ func TestSnapshotsAreDeepCopies(t *testing.T) {
 	r := New()
 	r.RecordCall("", "gravity", "kick", time.Millisecond, time.Microsecond)
 	r.RecordQueueDepth("w0", 3)
-	r.RecordCheckpoint("gravity", 10, 5)
+	r.RecordCheckpoint("gravity", 10)
+	r.RecordRestore("gravity", time.Millisecond)
 
 	snap := r.CallsSnapshot()
 	key := CallKey{Model: "gravity", Method: "kick"}
@@ -114,7 +115,7 @@ func TestSnapshotsAreDeepCopies(t *testing.T) {
 	qrows := r.QueueTable()
 	qrows[0].Hist.Record(100)
 	srows := r.StoreTable()
-	srows[0].Stats.WireHist.Record(7)
+	srows[0].Stats.RestoreHist.Record(7)
 
 	// Record more and confirm the old snapshot kept its point-in-time view.
 	r.RecordCall("", "gravity", "kick", 2*time.Millisecond, time.Microsecond)
@@ -127,7 +128,7 @@ func TestSnapshotsAreDeepCopies(t *testing.T) {
 	if got := r.QueueTable()[0].Hist.Count; got != 1 {
 		t.Fatalf("mutating a QueueTable row leaked into the recorder: count %d", got)
 	}
-	if got := r.StoreTable()[0].Stats.WireHist.Count; got != 1 {
+	if got := r.StoreTable()[0].Stats.RestoreHist.Count; got != 1 {
 		t.Fatalf("mutating a StoreTable row leaked into the recorder: count %d", got)
 	}
 }
@@ -158,10 +159,10 @@ func TestRenderDeterminism(t *testing.T) {
 		}
 		for _, l := range links {
 			r.RecordGoodput(l[0], l[1], float64(len(l[0]+l[1]))*1e6, time.Duration(len(l[0]))*time.Second)
-			r.RecordLinkTransfer(l[0], l[1], LinkStriped)
+			r.RecordLinkTransfer(l[0], l[1], LinkFallback)
 		}
-		r.RecordCheckpoint("hydro", 2, 1)
-		r.RecordCheckpoint("gravity", 4, 2)
+		r.RecordCheckpoint("hydro", 2)
+		r.RecordCheckpoint("gravity", 4)
 		r.RecordCapacity("vu", 1, 8)
 		r.RecordCapacity("lgm", 0, 1)
 		r.SessionState("s2", "running")

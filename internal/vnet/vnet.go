@@ -79,39 +79,29 @@ type Host struct {
 }
 
 // Link connects two hosts (bidirectionally) with a latency and a bandwidth
-// in bytes/second. StreamCap, when non-zero, limits the bandwidth a single
-// connection (stream) can extract from the link — the classic WAN situation
-// where one TCP stream saturates far below the link capacity and tools like
-// GridFTP open parallel streams to fill the pipe. Zero means a single
-// stream may use the full Bandwidth.
+// in bytes/second. Every connection is priced against the full Bandwidth,
+// alone: connections do not share a link (DESIGN.md § What the network
+// model does not price).
 type Link struct {
 	A, B      string
 	Latency   time.Duration
 	Bandwidth float64
-	StreamCap float64
 }
 
 // Path is the routed property set between two hosts: total latency, the
-// minimum bandwidth along the way, and the hop sequence. StreamBandwidth is
-// the bottleneck per-stream bandwidth (see Link.StreamCap); it equals
-// Bandwidth when no link on the path caps single streams.
+// minimum bandwidth along the way, and the hop sequence.
 type Path struct {
-	Latency         time.Duration
-	Bandwidth       float64
-	StreamBandwidth float64
-	Hops            []string
+	Latency   time.Duration
+	Bandwidth float64
+	Hops      []string
 }
 
 // TransferTime returns the virtual time needed to move n bytes across the
-// path: latency plus serialization at the bottleneck per-stream bandwidth.
+// path: latency plus serialization at the bottleneck bandwidth.
 func (p Path) TransferTime(n int) time.Duration {
 	d := p.Latency
-	bw := p.Bandwidth
-	if p.StreamBandwidth > 0 && p.StreamBandwidth < bw {
-		bw = p.StreamBandwidth
-	}
-	if n > 0 && bw > 0 {
-		d += time.Duration(float64(n) / bw * float64(time.Second))
+	if n > 0 && p.Bandwidth > 0 {
+		d += time.Duration(float64(n) / p.Bandwidth * float64(time.Second))
 	}
 	return d
 }
@@ -233,7 +223,7 @@ func (n *Network) Links() []Link {
 				continue
 			}
 			seen[[2]string{a, b}] = true
-			links = append(links, Link{A: a, B: b, Latency: l.Latency, Bandwidth: l.Bandwidth, StreamCap: l.StreamCap})
+			links = append(links, Link{A: a, B: b, Latency: l.Latency, Bandwidth: l.Bandwidth})
 		}
 	}
 	sort.Slice(links, func(i, j int) bool {
@@ -243,28 +233,6 @@ func (n *Network) Links() []Link {
 		return links[i].B < links[j].B
 	})
 	return links
-}
-
-// SetLinkStreamCap sets the per-stream bandwidth cap on the a<->b link (both
-// directions). cap 0 removes the cap. Routes are recomputed on next use.
-func (n *Network) SetLinkStreamCap(a, b string, cap float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	found := false
-	for _, host := range [2]string{a, b} {
-		for i := range n.adj[host] {
-			l := &n.adj[host][i]
-			if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-				l.StreamCap = cap
-				found = true
-			}
-		}
-	}
-	if !found {
-		return fmt.Errorf("%w: no link %s<->%s", ErrNoRoute, a, b)
-	}
-	n.routes = make(map[[2]string]Path)
-	return nil
 }
 
 // SetHostUp marks a host up or down; dialing a down host (or through it)
@@ -346,8 +314,7 @@ func (n *Network) Route(from, to string) (Path, error) {
 	if from == to {
 		// Loopback: the paper measures >8 Gbit/s and "extremely small
 		// latency" for the daemon's local socket; model 10 µs / 16 Gbit/s.
-		return Path{Latency: 10 * time.Microsecond, Bandwidth: LoopbackBandwidth,
-			StreamBandwidth: LoopbackBandwidth, Hops: []string{from}}, nil
+		return Path{Latency: 10 * time.Microsecond, Bandwidth: LoopbackBandwidth, Hops: []string{from}}, nil
 	}
 	n.mu.RLock()
 	if p, ok := n.routes[[2]string{from, to}]; ok {
@@ -379,11 +346,10 @@ func (n *Network) dijkstraLocked(from, to string) (Path, error) {
 	type state struct {
 		lat  time.Duration
 		bw   float64
-		sbw  float64
 		prev string
 		done bool
 	}
-	st := map[string]*state{from: {bw: 1e30, sbw: 1e30}}
+	st := map[string]*state{from: {bw: 1e30}}
 	for {
 		// Extract the unfinished node with minimal latency (n is small;
 		// linear scan keeps the code simple).
@@ -410,7 +376,7 @@ func (n *Network) dijkstraLocked(from, to string) (Path, error) {
 			for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
 				hops[i], hops[j] = hops[j], hops[i]
 			}
-			return Path{Latency: curSt.lat, Bandwidth: curSt.bw, StreamBandwidth: curSt.sbw, Hops: hops}, nil
+			return Path{Latency: curSt.lat, Bandwidth: curSt.bw, Hops: hops}, nil
 		}
 		curSt.done = true
 		// Down hosts (other than the endpoints' own status, checked at
@@ -424,19 +390,11 @@ func (n *Network) dijkstraLocked(from, to string) (Path, error) {
 			if l.Bandwidth < bw {
 				bw = l.Bandwidth
 			}
-			linkSBW := l.Bandwidth
-			if l.StreamCap > 0 && l.StreamCap < linkSBW {
-				linkSBW = l.StreamCap
-			}
-			sbw := curSt.sbw
-			if linkSBW < sbw {
-				sbw = linkSBW
-			}
 			s, ok := st[l.B]
 			if !ok {
-				st[l.B] = &state{lat: lat, bw: bw, sbw: sbw, prev: cur}
+				st[l.B] = &state{lat: lat, bw: bw, prev: cur}
 			} else if !s.done && lat < s.lat {
-				s.lat, s.bw, s.sbw, s.prev = lat, bw, sbw, cur
+				s.lat, s.bw, s.prev = lat, bw, cur
 			}
 		}
 	}

@@ -60,7 +60,7 @@ timer-check:
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
 LOC_CORE_MAX = 5703
-LOC_TOTAL_MAX = 26799
+LOC_TOTAL_MAX = 27079
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -137,8 +137,8 @@ cover:
 #
 # The scenario benchmarks live in the root package; a layer's own benchmarks
 # live with the layer (BENCH_PKGS).
-BENCH_OUT ?= BENCH_18.json
-BENCH_PKGS = . ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
+BENCH_OUT ?= BENCH_21.json
+BENCH_PKGS = . ./internal/core ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
 BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 $(BENCH_PKGS)
 bench:
 	@$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
@@ -160,7 +160,7 @@ bench-check:
 	$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -o bench-check.json -against $$base \
 	  -loose-match 'ConcurrentSessions|Ensemble' \
-	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip' \
+	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip|BulkRound|LabTestbedBuild' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
 

@@ -366,7 +366,7 @@ func (m *modelProxy) sessionCtx(ctx context.Context) context.Context {
 // sugar over: the AMUSE asynchronous function-call pattern
 // (call.result() ⇔ Call.Wait + Call.Decode).
 func (m *modelProxy) Go(method string, args any) *Call {
-	return m.issue(m.sim.clock.Now(), method, kernel.Encode(args), callOpts{class: replayable})
+	return m.issue(m.sim.clock.Now(), kernel.EncodeRequest(method, args), callOpts{class: replayable})
 }
 
 // elasticState returns the armed rebalancer state, or nil.
@@ -493,7 +493,7 @@ func defaultStateAttrs(attrs []string) []string {
 // decoded payload.
 func (m *modelProxy) goGetState(attrs []string, into func(*kernel.StatePayload) error) *Call {
 	args := kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs})
-	return m.issue(m.sim.clock.Now(), "get_state", args, callOpts{class: replayable, after: func(raw []byte) error {
+	return m.issue(m.sim.clock.Now(), request{Method: "get_state", Args: args}, callOpts{class: replayable, after: func(raw []byte) error {
 		st, err := kernel.UnmarshalState(raw)
 		if err != nil {
 			return err
@@ -518,17 +518,19 @@ func (m *modelProxy) GetState(ctx context.Context, attrs ...string) (*kernel.Sta
 	return out, nil
 }
 
-// GoSetState issues a batched columnar write without waiting. The
-// replacement cache is merged when the call completes, whether or not
-// anyone waits on it — an abandoned-but-applied write must still replay
-// onto a replacement worker.
+// GoSetState issues a batched columnar write without waiting: the columns
+// are encoded here, once, into the request frame that leaves, so the caller
+// may change st as soon as this returns. The replacement cache is merged
+// when the call completes, whether or not anyone waits on it — an
+// abandoned-but-applied write must still replay onto a replacement worker.
 func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
-	args, err := kernel.MarshalState(st)
+	req, err := kernel.NewStateRequest("set_state", st)
 	if err != nil {
 		return failedCall(m.kind, "set_state", err)
 	}
-	return m.issue(m.sim.clock.Now(), "set_state", args, callOpts{class: replayable,
-		success: func(seq uint64) { m.mergeCachedState(st, seq) }})
+	args := req.Args // the columns as they are now, whatever becomes of st
+	return m.issue(m.sim.clock.Now(), req, callOpts{class: replayable,
+		success: func(seq uint64) { m.mergeCachedState(args, seq) }})
 }
 
 // SetState pushes whole attribute columns to the worker in one round
@@ -537,41 +539,43 @@ func (m *modelProxy) SetState(ctx context.Context, st *kernel.StatePayload) erro
 	return m.GoSetState(st).Wait(m.sessionCtx(ctx))
 }
 
-// mergeCachedState folds successfully pushed columns into the
-// worker-replacement cache so a transparent replacement replays them —
-// bulk writes must not silently revert on worker death. seq is the
-// push call's issue-order sequence; it advances the cache's stamp so a
-// post-checkpoint push is recognized as newer than the snapshot.
-func (m *modelProxy) mergeCachedState(st *kernel.StatePayload, seq uint64) {
+// mergeCachedState folds successfully pushed columns — state, the pushed
+// set_state frame — into the worker-replacement cache so a transparent
+// replacement replays them: bulk writes must not silently revert on worker
+// death. seq is the push call's issue-order sequence; it advances the
+// cache's stamp so a post-checkpoint push is recognized as newer than the
+// snapshot.
+func (m *modelProxy) mergeCachedState(state []byte, seq uint64) {
+	v, err := kernel.ViewState(state)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ls := m.lastState
-	if ls == nil || len(ls.Mass) != st.N {
+	if err != nil || ls == nil || len(ls.Mass) != v.N {
 		return
 	}
 	if seq > m.stateSeq {
 		m.stateSeq = seq
 	}
-	for i, a := range st.FloatAttrs {
+	for i, a := range v.FloatAttrs {
 		switch a {
 		case data.AttrMass:
-			copy(ls.Mass, st.FloatCols[i])
+			v.FloatsInto(i, ls.Mass)
 		case data.AttrInternalEnergy:
-			if len(ls.U) == st.N {
-				copy(ls.U, st.FloatCols[i])
+			if len(ls.U) == v.N {
+				v.FloatsInto(i, ls.U)
 			}
 		case data.AttrSmoothingLen:
-			if len(ls.H) == st.N {
-				copy(ls.H, st.FloatCols[i])
+			if len(ls.H) == v.N {
+				v.FloatsInto(i, ls.H)
 			}
 		}
 	}
-	for i, a := range st.VecAttrs {
+	for i, a := range v.VecAttrs {
 		switch a {
 		case data.AttrPos:
-			copy(ls.Pos, st.VecCols[i])
+			v.VecsInto(i, ls.Pos)
 		case data.AttrVel:
-			copy(ls.Vel, st.VecCols[i])
+			v.VecsInto(i, ls.Vel)
 		}
 	}
 }

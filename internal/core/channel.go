@@ -93,7 +93,7 @@ func (c *localChannel) serve() {
 			continue
 		}
 		result, doneAt, err := c.svc.Dispatch(sub.req.Method, sub.req.Args, sub.req.SentAt+c.latency)
-		resp := response{ID: sub.req.ID, Result: result, DoneAt: doneAt}
+		resp := response{ID: sub.req.ID, Result: result.Bytes(), DoneAt: doneAt}
 		if err != nil {
 			resp.Code = kernel.ClassifyErr(err)
 			resp.Err = err.Error()
@@ -192,7 +192,7 @@ func (c *connChannel) start(req request, done completion) {
 	c.pending[req.ID] = done
 	c.mu.Unlock()
 
-	if _, sendErr := c.conn.Send(kernel.AppendRequest(nil, &req), req.SentAt); sendErr != nil {
+	if _, sendErr := c.conn.Send(req.Frame(), req.SentAt); sendErr != nil {
 		// The read loop may have raced us to the pending entry (it fails
 		// everything when the conn dies); only deliver if we still own it.
 		c.mu.Lock()
@@ -238,13 +238,10 @@ func serveConn(conn *vnet.Conn, svc service) {
 		if err := kernel.UnmarshalRequest(msg.Data, &req); err != nil {
 			continue
 		}
+		// The result arrives with the response header's room in front of it:
+		// the frame that answers is the buffer the service encoded into.
 		result, doneAt, derr := svc.Dispatch(req.Method, req.Args, msg.Arrival)
-		resp := response{ID: req.ID, Result: result, DoneAt: doneAt}
-		if derr != nil {
-			resp.Code = kernel.ClassifyErr(derr)
-			resp.Err = derr.Error()
-		}
-		if _, err := conn.Send(kernel.AppendResponse(nil, &resp), doneAt); err != nil {
+		if _, err := conn.Send(kernel.FrameResponse(req.ID, result, doneAt, derr), doneAt); err != nil {
 			return
 		}
 	}

@@ -95,8 +95,8 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 			// Peer path: the proxy snapshots and streams straight to the
 			// daemon's store; the blob never rides the RPC plane.
 			p.direct = true
-			p.c = m.issue(s.clock.Now(), kernel.MethodOfferCheckpoint, kernel.Encode(kernel.OfferCheckpointArgs{
-				ID: p.id, Peer: daddr.String()}), callOpts{class: bound})
+			p.c = m.issue(s.clock.Now(), request{Method: kernel.MethodOfferCheckpoint, Args: kernel.Encode(kernel.OfferCheckpointArgs{
+				ID: p.id, Peer: daddr.String()})}, callOpts{class: bound})
 		} else {
 			s.countTransfer(trace.LinkHairpin, m.peerHost(), store)
 			p.c = m.goCheckpointPull(&p.blob, replayable)
@@ -179,7 +179,7 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 // goCheckpointPull issues the snapshot call over the RPC plane and copies
 // the raw frame out when the result is observed.
 func (m *modelProxy) goCheckpointPull(out *[]byte, class callClass) *Call {
-	return m.issue(m.sim.clock.Now(), kernel.MethodCheckpoint, nil, callOpts{class: class, after: func(raw []byte) error {
+	return m.issue(m.sim.clock.Now(), request{Method: kernel.MethodCheckpoint}, callOpts{class: class, after: func(raw []byte) error {
 		*out = append([]byte(nil), raw...)
 		return nil
 	}})

@@ -90,6 +90,9 @@ func (g *gangChannel) start(req request, done completion) {
 	remaining := n
 	for i := range g.members {
 		r := req
+		if i < n-1 {
+			r = req.Unframed() // one frame cannot go to K ranks: the last takes it, the others copy
+		}
 		r.Worker = workers[i]
 		if i > 0 {
 			r.ID = reqIDs.Add(1)

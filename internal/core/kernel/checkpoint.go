@@ -78,25 +78,26 @@ type Checkpointable interface {
 // ServeCheckpoint serves the two checkpoint dispatch methods for a
 // service: services route their "checkpoint"/"restore" cases here so the
 // frame handling lives in one place.
-func ServeCheckpoint(c Checkpointable, method string, args []byte) ([]byte, error) {
+func ServeCheckpoint(c Checkpointable, method string, args []byte) (Reply, error) {
 	switch method {
 	case MethodCheckpoint:
 		snap, err := c.Snapshot()
 		if err != nil {
-			return nil, err
+			return Reply{}, err
 		}
-		return MarshalSnapshot(snap)
+		frame, err := AppendSnapshot(newReply(snapshotSize(snap)), snap)
+		return Reply{frame}, err
 	case MethodRestore:
 		snap, err := UnmarshalSnapshot(args)
 		if err != nil {
-			return nil, err
+			return Reply{}, err
 		}
 		if err := c.Restore(snap); err != nil {
-			return nil, err
+			return Reply{}, err
 		}
-		return Encode(Empty{}), nil
+		return EncodeReply(Empty{}), nil
 	default:
-		return nil, fmt.Errorf("%w: %s is not a checkpoint method", ErrNoSuchMethod, method)
+		return Reply{}, fmt.Errorf("%w: %s is not a checkpoint method", ErrNoSuchMethod, method)
 	}
 }
 
@@ -141,13 +142,22 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	return wire.AppendBytes32(dst, s.Extra), nil
 }
 
-// MarshalSnapshot marshals s into a fresh slice.
-func MarshalSnapshot(s *Snapshot) ([]byte, error) {
-	return AppendSnapshot(nil, s)
+// snapshotSize is the encoded size of s.
+func snapshotSize(s *Snapshot) int {
+	size := 1 + 2 + len(s.Kind) + 8 + 8 + 8 + 1 + 4 + len(s.Extra)
+	if s.State != nil {
+		size += stateSize(s.State)
+	}
+	return size
 }
 
-// UnmarshalSnapshot parses a frame produced by AppendSnapshot. The state
-// columns and Extra alias b.
+// MarshalSnapshot marshals s into a detached blob, exactly sized.
+func MarshalSnapshot(s *Snapshot) ([]byte, error) {
+	return AppendSnapshot(make([]byte, 0, snapshotSize(s)), s)
+}
+
+// UnmarshalSnapshot parses a frame produced by AppendSnapshot. Extra
+// aliases b; the state columns are decoded into slices of their own.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	r := wire.Reader{B: b}
 	if tag := r.U8("tag"); r.Err == nil && tag != tagSnapshot {
@@ -163,13 +173,13 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		// readState leaves the reader just past the embedded frame, so the
+		// viewState leaves the reader just past the embedded frame, so the
 		// snapshot codec never re-derives the state frame's length.
-		st, err := readState(&r)
+		v, err := viewState(&r)
 		if err != nil {
 			return nil, err
 		}
-		s.State = st
+		s.State = v.Payload()
 	}
 	s.Extra = r.Bytes32("extra")
 	if r.Err != nil {

@@ -67,8 +67,10 @@ var (
 // process.
 type Service interface {
 	// Dispatch runs one call arriving at virtual time `at` and returns the
-	// encoded result plus the worker's clock when the call completed.
-	Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error)
+	// encoded result plus the worker's clock when the call completed. args
+	// alias the request's frame, which is the service's from here on: it may
+	// keep views into it, and must not write to it.
+	Dispatch(method string, args []byte, at time.Duration) (Reply, time.Duration, error)
 	// Close releases resources (MPI worlds).
 	Close()
 }

@@ -17,8 +17,8 @@ import (
 
 type nopService struct{}
 
-func (nopService) Dispatch(string, []byte, time.Duration) ([]byte, time.Duration, error) {
-	return nil, 0, nil
+func (nopService) Dispatch(string, []byte, time.Duration) (Reply, time.Duration, error) {
+	return Reply{}, 0, nil
 }
 func (nopService) Close() {}
 

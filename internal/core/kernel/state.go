@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/wire"
@@ -82,7 +85,10 @@ func (s *StatePayload) check() error {
 }
 
 // AppendState marshals s into dst with the fast codec and returns the
-// extended slice.
+// extended slice. It is the one state encoder: a detached blob
+// (MarshalState), a get_state result (StateReply), a set_state request
+// (NewStateRequest) and a snapshot all append through it, into a buffer
+// sized by stateSize — the frame that leaves.
 func AppendState(dst []byte, s *StatePayload) ([]byte, error) {
 	if err := s.check(); err != nil {
 		return dst, err
@@ -110,8 +116,8 @@ func AppendState(dst []byte, s *StatePayload) ([]byte, error) {
 	return dst, nil
 }
 
-// MarshalState marshals s into a single exactly-sized allocation.
-func MarshalState(s *StatePayload) ([]byte, error) {
+// stateSize is the encoded size of s.
+func stateSize(s *StatePayload) int {
 	size := 1 + 4 + 1 + 8*len(s.Key) + 2 + 2
 	for i, a := range s.FloatAttrs {
 		size += 2 + len(a) + 8*len(s.FloatCols[i])
@@ -119,47 +125,177 @@ func MarshalState(s *StatePayload) ([]byte, error) {
 	for i, a := range s.VecAttrs {
 		size += 2 + len(a) + 24*len(s.VecCols[i])
 	}
-	return AppendState(make([]byte, 0, size), s)
+	return size
 }
 
-// UnmarshalState parses a frame produced by AppendState.
+// MarshalState marshals s into a detached blob, one exactly-sized
+// allocation (setup blobs, shard exchanges; a state on its way to a worker
+// or back is encoded into its frame instead).
+func MarshalState(s *StatePayload) ([]byte, error) {
+	return AppendState(make([]byte, 0, stateSize(s)), s)
+}
+
+// StateReply marshals s as a get_state result: straight behind the
+// response header's room, so the frame that answers is this allocation.
+func StateReply(s *StatePayload) (Reply, error) {
+	frame, err := AppendState(newReply(stateSize(s)), s)
+	return Reply{frame}, err
+}
+
+// UnmarshalState parses a frame produced by AppendState into columns of
+// its own: the one allocation per column of a caller that is handed them.
 func UnmarshalState(b []byte) (*StatePayload, error) {
-	r := wire.Reader{B: b}
-	return readState(&r)
+	v, err := ViewState(b)
+	if err != nil {
+		return nil, err
+	}
+	return v.Payload(), nil
 }
 
-// readState parses a state frame at the reader's offset, leaving the
+// StateView is a received state frame, parsed and checked but not decoded:
+// each column is a byte range of the frame. A worker applies a view
+// straight into the columns its kernel already owns (FloatsInto, VecsInto,
+// KeysInto), so a set_state costs no intermediate []float64 or []Vec3.
+// Columns are not aliased as typed slices: they start at arbitrary offsets
+// behind their names, and padding them into alignment would change the
+// wire.
+//
+// ViewState validates the whole frame — tag, lengths against N, attribute
+// names unique — before returning, so a caller that checks N and the names
+// against its own columns has nothing left that can fail once it starts
+// writing.
+type StateView struct {
+	N          int
+	FloatAttrs []string
+	VecAttrs   []string
+
+	key    []byte // 8 N bytes, or nil
+	floats [][]byte
+	vecs   [][]byte
+}
+
+// ViewState parses a frame produced by AppendState. The view aliases b.
+func ViewState(b []byte) (StateView, error) {
+	r := wire.Reader{B: b}
+	v, err := viewState(&r)
+	if err == nil && r.Len() != 0 {
+		return StateView{}, fmt.Errorf("kernel: %d bytes behind the state frame", r.Len())
+	}
+	return v, err
+}
+
+// viewState parses a state frame at the reader's offset, leaving the
 // offset just past it — embedding frames (snapshots) parse the state
 // and continue without re-deriving its encoded length.
-func readState(r *wire.Reader) (*StatePayload, error) {
+func viewState(r *wire.Reader) (StateView, error) {
 	if tag := r.U8("tag"); r.Err == nil && tag != tagState {
-		return nil, fmt.Errorf("kernel: not a state frame (tag 0x%02x)", tag)
+		return StateView{}, fmt.Errorf("kernel: not a state frame (tag 0x%02x)", tag)
 	}
-	s := &StatePayload{N: int(r.U32("n"))}
-	if r.U8("keyflag") == 1 {
-		if r.Err == nil && r.Off+8*s.N > len(r.B) {
-			r.Fail("key column")
-			return nil, r.Err
-		}
-		s.Key = make([]uint64, s.N)
-		for i := range s.Key {
-			s.Key[i] = r.U64("key")
-		}
+	v := StateView{N: int(r.U32("n"))}
+	switch flag := r.U8("keyflag"); {
+	case flag == 1:
+		v.key = r.Column(v.N, 8, "key column")
+	case flag != 0 && r.Err == nil:
+		return StateView{}, fmt.Errorf("kernel: state frame with key flag 0x%02x", flag)
 	}
-	nf := int(r.U16("nfloat"))
-	for i := 0; i < nf && r.Err == nil; i++ {
-		s.FloatAttrs = append(s.FloatAttrs, r.String16("float attr"))
-		s.FloatCols = append(s.FloatCols, r.Floats(s.N, "float col"))
-	}
-	nv := int(r.U16("nvec"))
-	for i := 0; i < nv && r.Err == nil; i++ {
-		s.VecAttrs = append(s.VecAttrs, r.String16("vec attr"))
-		s.VecCols = append(s.VecCols, wire.Vecs[data.Vec3](r, s.N, "vec col"))
-	}
+	v.FloatAttrs, v.floats = v.columns(r, 8, "float column")
+	v.VecAttrs, v.vecs = v.columns(r, 24, "vec column")
 	if r.Err != nil {
-		return nil, r.Err
+		return StateView{}, r.Err
 	}
-	return s, nil
+	return v, nil
+}
+
+// columns reads one counted list of named columns, width bytes an entry.
+func (v *StateView) columns(r *wire.Reader, width int, what string) (attrs []string, cols [][]byte) {
+	n := int(r.U16(what))
+	if r.Err != nil || n == 0 {
+		return nil, nil
+	}
+	if n > r.Len()/2 { // a name alone takes two bytes
+		r.Fail(what)
+		return nil, nil
+	}
+	attrs, cols = make([]string, 0, n), make([][]byte, 0, n)
+	for i := 0; i < n && r.Err == nil; i++ {
+		a := r.String16(what)
+		if r.Err == nil && (slices.Contains(attrs, a) || slices.Contains(v.FloatAttrs, a)) {
+			r.Err = fmt.Errorf("kernel: state frame carries attribute %q twice", a)
+		}
+		attrs, cols = append(attrs, a), append(cols, r.Column(v.N, width, what))
+	}
+	return attrs, cols
+}
+
+// HasKeys reports whether the frame carries the key column.
+func (v *StateView) HasKeys() bool { return v.key != nil }
+
+// KeysInto decodes the key column into dst, which must hold N entries.
+func (v *StateView) KeysInto(dst []uint64) {
+	key := v.key[:8*len(dst)]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(key[8*i:])
+	}
+}
+
+// FloatAt decodes entry j of scalar column i: what a kind uses to check a
+// column's values before it writes any.
+func (v *StateView) FloatAt(i, j int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(v.floats[i][8*j:]))
+}
+
+// FloatsInto decodes scalar column i into dst, which must hold N entries.
+func (v *StateView) FloatsInto(i int, dst []float64) { wire.DecodeFloats(dst, v.floats[i]) }
+
+// VecsInto decodes vector column i into dst, which must hold N entries.
+func (v *StateView) VecsInto(i int, dst []data.Vec3) { wire.DecodeVecs(dst, v.vecs[i]) }
+
+// Float decodes the named scalar column into a slice of its own, or
+// returns nil.
+func (v *StateView) Float(attr string) []float64 {
+	i := slices.Index(v.FloatAttrs, attr)
+	if i < 0 {
+		return nil
+	}
+	col := make([]float64, v.N)
+	v.FloatsInto(i, col)
+	return col
+}
+
+// Vec decodes the named vector column into a slice of its own, or returns
+// nil.
+func (v *StateView) Vec(attr string) []data.Vec3 {
+	i := slices.Index(v.VecAttrs, attr)
+	if i < 0 {
+		return nil
+	}
+	col := make([]data.Vec3, v.N)
+	v.VecsInto(i, col)
+	return col
+}
+
+// Payload decodes every column into a payload that owns them.
+func (v *StateView) Payload() *StatePayload {
+	s := &StatePayload{N: v.N, FloatAttrs: v.FloatAttrs, VecAttrs: v.VecAttrs}
+	if v.key != nil {
+		s.Key = make([]uint64, v.N)
+		v.KeysInto(s.Key)
+	}
+	if len(v.floats) > 0 {
+		s.FloatCols = make([][]float64, len(v.floats))
+	}
+	for i := range v.floats {
+		s.FloatCols[i] = make([]float64, v.N)
+		v.FloatsInto(i, s.FloatCols[i])
+	}
+	if len(v.vecs) > 0 {
+		s.VecCols = make([][]data.Vec3, len(v.vecs))
+	}
+	for i := range v.vecs {
+		s.VecCols[i] = make([]data.Vec3, v.N)
+		v.VecsInto(i, s.VecCols[i])
+	}
+	return s
 }
 
 // StateRequest selects the columns a "get_state" call should return.

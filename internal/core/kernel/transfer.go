@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 
 	"jungle/internal/wire"
 )
@@ -23,7 +22,9 @@ import (
 // factory), not the model service; the service only ever sees its ordinary
 // get_state/set_state/stage_* dispatch. The stream payload is the columnar
 // StatePayload frame unchanged, so the transfer codec adds a fixed-size
-// header, never a re-encode.
+// header, never a re-encode — and the offering proxy writes that header
+// over the one its service's answer arrived behind (TransferFromResponse),
+// never a copy either.
 
 // Proxy-level transfer methods.
 const (
@@ -51,7 +52,7 @@ type AcceptStateArgs struct {
 	ID uint64
 	// Apply is the worker method the payload is applied with; empty means
 	// MethodApplyState. Staging methods (Slot != 0) receive the payload
-	// wrapped by AppendStaged.
+	// behind its slot tag (NewApplyRequest).
 	Apply string
 	// Slot tags staged applications (stage_sources/stage_targets) so
 	// several staged exchanges can be in flight on one worker.
@@ -60,14 +61,22 @@ type AcceptStateArgs struct {
 
 // Transfer stream framing (worker-to-worker peer connections).
 
-// AppendTransfer frames one state stream message: the transfer id followed
-// by an unmodified StatePayload frame.
-func AppendTransfer(dst []byte, id uint64, state []byte) []byte {
-	dst = slices.Grow(dst, 1+8+1+4+len(state))
-	dst = append(dst, tagTransfer)
-	dst = wire.AppendU64(dst, id)
-	dst = append(dst, 0) // data, not abort
-	return wire.AppendBytes32(dst, state)
+// transferHeader is the size of a transfer frame's header: tag, id, the
+// abort flag and the payload's length.
+const transferHeader = 1 + 8 + 1 + 4
+
+// TransferFromResponse turns a response frame into the transfer frame that
+// streams its result — resultLen bytes, the frame's tail — under id,
+// without moving them: the transfer header is shorter than any response
+// header, so it is written over the end of that one, directly in front of
+// the result. The caller must own frame (a proxy owns its service's loopback
+// reply: it was sent to it alone) and have parsed it (UnmarshalResponse).
+func TransferFromResponse(frame []byte, resultLen int, id uint64) []byte {
+	start := len(frame) - resultLen - transferHeader
+	head := append(frame[start:start], tagTransfer)
+	head = append(wire.AppendU64(head, id), 0) // data, not abort
+	wire.AppendU32(head, uint32(resultLen))
+	return frame[start:]
 }
 
 // AppendTransferAbort frames an abort marker for a transfer id: the peer
@@ -81,7 +90,7 @@ func AppendTransferAbort(dst []byte, id uint64) []byte {
 	return wire.AppendU32(dst, 0)
 }
 
-// UnmarshalTransfer parses a frame produced by AppendTransfer or
+// UnmarshalTransfer parses a frame produced by TransferFromResponse or
 // AppendTransferAbort. state aliases b.
 func UnmarshalTransfer(b []byte) (id uint64, state []byte, abort bool, err error) {
 	r := wire.Reader{B: b}
@@ -135,16 +144,12 @@ func UnmarshalGangHello(b []byte) (gangID uint64, fromRank int, err error) {
 	return gangID, fromRank, r.Err
 }
 
-// AppendStaged wraps a StatePayload frame with its staging slot for the
-// stage_* apply methods (field workers hold several staged inputs at once).
-func AppendStaged(dst []byte, slot uint64, state []byte) []byte {
-	dst = slices.Grow(dst, 1+8+4+len(state))
-	dst = append(dst, tagStaged)
-	dst = wire.AppendU64(dst, slot)
-	return wire.AppendBytes32(dst, state)
-}
+// stagedHeader is the size of the slot tag NewApplyRequest wraps a staged
+// state frame with: tag, slot and the state's length.
+const stagedHeader = 1 + 8 + 4
 
-// UnmarshalStaged parses a frame produced by AppendStaged. state aliases b.
+// UnmarshalStaged parses the args of a staging NewApplyRequest. state
+// aliases b.
 func UnmarshalStaged(b []byte) (slot uint64, state []byte, err error) {
 	r := wire.Reader{B: b}
 	if tag := r.U8("tag"); r.Err == nil && tag != tagStaged {

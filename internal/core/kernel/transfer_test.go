@@ -21,7 +21,7 @@ func sampleStateFrame(t *testing.T) []byte {
 
 func TestTransferFrameRoundTrip(t *testing.T) {
 	state := sampleStateFrame(t)
-	frame := AppendTransfer(nil, 42, state)
+	frame := oracleAppendTransfer(nil, 42, state)
 	id, got, abort, err := UnmarshalTransfer(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +62,7 @@ func TestTransferAckRoundTrip(t *testing.T) {
 
 func TestStagedFrameRoundTrip(t *testing.T) {
 	state := sampleStateFrame(t)
-	frame := AppendStaged(nil, 11, state)
-	slot, got, err := UnmarshalStaged(frame)
+	slot, got, err := UnmarshalStaged(NewApplyRequest("stage_sources", 11, state).Args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestTransferFramesRejectGarbage(t *testing.T) {
 	if _, _, _, err := UnmarshalTransfer([]byte{tagStaged, 0}); err == nil {
 		t.Fatal("transfer accepted a staged tag")
 	}
-	if _, _, _, err := UnmarshalTransfer(AppendTransfer(nil, 1, []byte("x"))[:4]); err == nil {
+	if _, _, _, err := UnmarshalTransfer(oracleAppendTransfer(nil, 1, []byte("x"))[:4]); err == nil {
 		t.Fatal("truncated transfer frame accepted")
 	}
 	if _, err := UnmarshalTransferAck([]byte{tagTransfer}); err == nil {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -18,6 +19,11 @@ type Request struct {
 	Args   []byte
 	// SentAt is the caller's virtual clock at send time.
 	SentAt time.Duration
+
+	// frame, when set, is the request's own frame: the header's room and
+	// behind it Args, which alias it (EncodeRequest, NewStateRequest,
+	// NewApplyRequest).
+	frame []byte
 }
 
 // Response answers one Request.
@@ -156,15 +162,92 @@ func FrameTag(b []byte) byte {
 // IsGangHello reports whether a frame is a gang link handshake.
 func IsGangHello(b []byte) bool { return FrameTag(b) == tagGangHello }
 
+// requestHeader is the size of a request's header in front of its args.
+func requestHeader(method string) int { return 1 + 8 + 8 + 8 + 2 + len(method) + 4 }
+
+// appendRequestHeader appends the header of a request with n bytes of args.
+func appendRequestHeader(dst []byte, id uint64, worker int, sentAt time.Duration, method string, n int) []byte {
+	dst = append(dst, tagRequest)
+	dst = wire.AppendU64(dst, id)
+	dst = wire.AppendU64(dst, uint64(worker))
+	dst = wire.AppendU64(dst, uint64(sentAt))
+	dst = wire.AppendString16(dst, method)
+	return wire.AppendU32(dst, uint32(n))
+}
+
 // AppendRequest marshals req into dst and returns the extended slice.
 func AppendRequest(dst []byte, req *Request) []byte {
-	dst = slices.Grow(dst, 1+8+8+8+2+len(req.Method)+4+len(req.Args))
-	dst = append(dst, tagRequest)
-	dst = wire.AppendU64(dst, req.ID)
-	dst = wire.AppendU64(dst, uint64(req.Worker))
-	dst = wire.AppendU64(dst, uint64(req.SentAt))
-	dst = wire.AppendString16(dst, req.Method)
-	return wire.AppendBytes32(dst, req.Args)
+	dst = slices.Grow(dst, requestHeader(req.Method)+len(req.Args))
+	dst = appendRequestHeader(dst, req.ID, req.Worker, req.SentAt, req.Method, len(req.Args))
+	return append(dst, req.Args...)
+}
+
+// ownFrame returns the frame a request for method owns, for n bytes of args
+// the caller appends: the header is in place but for ID, Worker and SentAt,
+// which Frame fills in when the request leaves.
+func ownFrame(method string, n int) []byte {
+	return appendRequestHeader(make([]byte, 0, requestHeader(method)+n), 0, 0, 0, method, n)
+}
+
+// framed is the request for method whose args are already in frame, behind
+// the header.
+func framed(method string, frame []byte) Request {
+	return Request{Method: method, Args: frame[requestHeader(method):], frame: frame}
+}
+
+// EncodeRequest returns the request that calls method with v — a payload
+// struct, see Encode — as its args, encoded straight behind the request
+// header.
+func EncodeRequest(method string, v any) Request {
+	hdr := requestHeader(method)
+	frame := wire.MarshalBehind(hdr, v)
+	appendRequestHeader(frame[:0], 0, 0, 0, method, len(frame)-hdr)
+	return framed(method, frame)
+}
+
+// NewStateRequest returns the request that applies st with method, encoded
+// once: the columns are marshalled straight behind the request header, into
+// the frame that leaves.
+func NewStateRequest(method string, st *StatePayload) (Request, error) {
+	frame, err := AppendState(ownFrame(method, stateSize(st)), st)
+	return framed(method, frame), err
+}
+
+// NewApplyRequest returns the request that applies an encoded state frame
+// with method. With a staging slot (the stage_* methods: field workers hold
+// several staged inputs at once) the state is copied once, behind its slot
+// tag, into the request's own frame; without one the args are the state as
+// it is, and framing the request is the one copy.
+func NewApplyRequest(method string, slot uint64, state []byte) Request {
+	if slot == 0 {
+		return Request{Method: method, Args: state}
+	}
+	frame := wire.AppendU64(append(ownFrame(method, stagedHeader+len(state)), tagStaged), slot)
+	return framed(method, wire.AppendBytes32(frame, state))
+}
+
+// Frame returns the request's wire frame for the transport to take. A
+// request that owns its frame completes the header in place and hands that
+// frame over — once: whoever keeps the request after that keeps its Method
+// and Args (which still alias the frame, to be read only), not the frame.
+// Any other request is marshalled into a frame of its own.
+func (r *Request) Frame() []byte {
+	if r.frame == nil {
+		return AppendRequest(nil, r)
+	}
+	// The three fields ownFrame left zero, at their fixed places behind the tag.
+	binary.LittleEndian.PutUint64(r.frame[1:], r.ID)
+	binary.LittleEndian.PutUint64(r.frame[9:], uint64(r.Worker))
+	binary.LittleEndian.PutUint64(r.frame[17:], uint64(r.SentAt))
+	return r.frame
+}
+
+// Unframed returns r without a frame of its own: Args still alias the one it
+// had, to be read only, and Frame copies them into a fresh one — what all
+// but one receiver of a fan-out get.
+func (r Request) Unframed() Request {
+	r.frame = nil
+	return r
 }
 
 // UnmarshalRequest parses a frame produced by AppendRequest. req.Args
@@ -179,18 +262,72 @@ func UnmarshalRequest(b []byte, req *Request) error {
 	req.SentAt = time.Duration(r.U64("sentAt"))
 	req.Method = r.String16("method")
 	req.Args = r.Bytes32("args")
+	req.frame = nil
 	return r.Err
+}
+
+// respHeader is the size of a successful response's header — tag, id, code,
+// doneAt, an empty Err and the result's length: the room a Reply keeps in
+// front of its bytes.
+const respHeader = 1 + 8 + 1 + 8 + 2 + 4
+
+// Reply is what Service.Dispatch returns: the encoded result behind room
+// for the response header, so that whoever frames the response fills the
+// header in (FrameResponse) instead of copying the result behind a new one.
+// A kind builds one with EncodeReply or StateReply, fresh for every call and
+// without keeping a reference: the frame is its receiver's alone, to re-head
+// and send on. The zero Reply is the empty result, what a failed dispatch
+// returns.
+type Reply struct {
+	frame []byte // respHeader bytes of room, then the encoding
+}
+
+// newReply returns an empty result with capacity for size bytes, appended
+// to its frame.
+func newReply(size int) []byte { return make([]byte, respHeader, respHeader+size) }
+
+// EncodeReply is Encode for a dispatch result.
+func EncodeReply(v any) Reply { return Reply{wire.MarshalBehind(respHeader, v)} }
+
+// Bytes returns the encoded result.
+func (r Reply) Bytes() []byte {
+	if r.frame == nil {
+		return nil
+	}
+	return r.frame[respHeader:]
+}
+
+// appendResponseHeader appends the header of a response with an n-byte
+// result.
+func appendResponseHeader(dst []byte, id uint64, code Code, doneAt time.Duration, errStr string, n int) []byte {
+	dst = append(dst, tagResponse)
+	dst = wire.AppendU64(dst, id)
+	dst = append(dst, byte(code))
+	dst = wire.AppendU64(dst, uint64(doneAt))
+	dst = wire.AppendString16(dst, errStr)
+	return wire.AppendU32(dst, uint32(n))
+}
+
+// FrameResponse frames the outcome of a dispatch as the response to request
+// id. A success is res itself with its header filled in — no byte of the
+// result moves; a failure is framed afresh around its code and message.
+func FrameResponse(id uint64, res Reply, doneAt time.Duration, err error) []byte {
+	if err == nil && res.frame != nil {
+		appendResponseHeader(res.frame[:0], id, CodeOK, doneAt, "", len(res.frame)-respHeader)
+		return res.frame
+	}
+	resp := Response{ID: id, Result: res.Bytes(), DoneAt: doneAt}
+	if err != nil {
+		resp.Code, resp.Err = ClassifyErr(err), err.Error()
+	}
+	return AppendResponse(nil, &resp)
 }
 
 // AppendResponse marshals resp into dst and returns the extended slice.
 func AppendResponse(dst []byte, resp *Response) []byte {
-	dst = slices.Grow(dst, 1+8+1+8+2+len(resp.Err)+4+len(resp.Result))
-	dst = append(dst, tagResponse)
-	dst = wire.AppendU64(dst, resp.ID)
-	dst = append(dst, byte(resp.Code))
-	dst = wire.AppendU64(dst, uint64(resp.DoneAt))
-	dst = wire.AppendString16(dst, resp.Err)
-	return wire.AppendBytes32(dst, resp.Result)
+	dst = slices.Grow(dst, respHeader+len(resp.Err)+len(resp.Result))
+	dst = appendResponseHeader(dst, resp.ID, resp.Code, resp.DoneAt, resp.Err, len(resp.Result))
+	return append(dst, resp.Result...)
 }
 
 // UnmarshalResponse parses a frame produced by AppendResponse. resp.Result

@@ -74,8 +74,12 @@ type callOpts struct {
 // issue is the one way a call reaches a worker: numbered in issue order,
 // stamped with the virtual time at (the clock's, or for a continuation the
 // time the calls it awaited completed — Call.await), and sent to the
-// current endpoint unless that is being rebuilt.
-func (m *modelProxy) issue(at time.Duration, method string, args []byte, o callOpts) *Call {
+// current endpoint unless that is being rebuilt. req names the method and
+// carries the args — in its own frame, if it was built with one
+// (kernel.NewStateRequest): then that frame is what leaves, and what a
+// parked call keeps.
+func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
+	method := req.Method
 	c := newCall(m.sim.clock, m.kind, method, o.after)
 	c.seq = m.seq.Add(1)
 	c.success = o.success
@@ -88,7 +92,7 @@ func (m *modelProxy) issue(at time.Duration, method string, args []byte, o callO
 	}
 	if m.phase.rebuilding() && o.class != ownCall {
 		if o.class == replayable {
-			m.parked = append(m.parked, parkedCall{c: c, method: method, args: args, gen: neverSent})
+			m.parked = append(m.parked, parkedCall{c: c, req: req, gen: neverSent})
 		}
 		m.mu.Unlock()
 		if o.class == bound {
@@ -98,25 +102,26 @@ func (m *modelProxy) issue(at time.Duration, method string, args []byte, o callO
 	}
 	ep := m.endpointLocked()
 	m.mu.Unlock()
-	m.send(ep, c, method, args, o.class == replayable, at)
+	m.send(ep, c, req, o.class == replayable, at)
 	return c
 }
 
 // send puts one attempt of a call on the endpoint's channel, stamped with
 // the virtual time at.
-func (m *modelProxy) send(ep endpoint, c *Call, method string, args []byte, replayable bool, at time.Duration) {
+func (m *modelProxy) send(ep endpoint, c *Call, req request, replayable bool, at time.Duration) {
 	gen := ep.gen
 	if ep.ch == nil {
-		m.failed(parkedCall{c: c, method: method, args: args, gen: gen, cause: ErrChannelClosed}, replayable, at)
+		m.failed(parkedCall{c: c, req: req, gen: gen, cause: ErrChannelClosed}, replayable, at)
 		return
 	}
 	m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
 		rec.SessionCall(id)
 	})
-	req := request{
-		ID: reqIDs.Add(1), Worker: ep.worker, Method: method,
-		Args: args, SentAt: at,
-	}
+	// What a replay needs, and all the completion keeps of the request: the
+	// channel gives the frame away, a replay copies the args out of it into
+	// a frame of its own.
+	method, args := req.Method, req.Args
+	req.ID, req.Worker, req.SentAt = reqIDs.Add(1), ep.worker, at
 	ep.ch.start(req, func(resp response, arrival time.Duration, err error) {
 		doneAt := at // a call that got no response ends when it was issued
 		if err == nil {
@@ -128,7 +133,7 @@ func (m *modelProxy) send(ep endpoint, c *Call, method string, args []byte, repl
 				return
 			}
 		}
-		m.failed(parkedCall{c: c, method: method, args: args, gen: gen, cause: err}, replayable, doneAt)
+		m.failed(parkedCall{c: c, req: request{Method: method, Args: args}, gen: gen, cause: err}, replayable, doneAt)
 	})
 }
 
@@ -136,7 +141,7 @@ func (m *modelProxy) send(ep endpoint, c *Call, method string, args []byte, repl
 // failure a rebuild cures parks; anything else is the call's error, and the
 // model's sticky one.
 func (m *modelProxy) failed(it parkedCall, replayable bool, doneAt time.Duration) {
-	it.cause = fmt.Errorf("core: %s.%s: %w", m.kind, it.method, it.cause)
+	it.cause = fmt.Errorf("core: %s.%s: %w", m.kind, it.req.Method, it.cause)
 	if replayable && m.park(it) {
 		return
 	}
@@ -146,11 +151,10 @@ func (m *modelProxy) failed(it parkedCall, replayable bool, doneAt time.Duration
 
 // parkedCall is one call waiting out a rebuild.
 type parkedCall struct {
-	c      *Call
-	method string
-	args   []byte
-	gen    int   // the generation it failed against; neverSent if it parked at issue
-	cause  error // what it failed with
+	c     *Call
+	req   request // method and args; the frame too, while it was never sent
+	gen   int     // the generation it failed against; neverSent if it parked at issue
+	cause error   // what it failed with
 }
 
 const neverSent = -1
@@ -245,7 +249,7 @@ func (m *modelProxy) settle() {
 		slices.SortFunc(batch, func(a, b parkedCall) int { return cmp.Compare(a.c.seq, b.c.seq) })
 		for _, it := range batch {
 			if failed == nil {
-				m.send(ep, it.c, it.method, it.args, it.gen == neverSent, m.sim.clock.Now())
+				m.send(ep, it.c, it.req, it.gen == neverSent, m.sim.clock.Now())
 				continue
 			}
 			m.setErr(failed)
@@ -308,7 +312,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 	}
 	// replay runs one of the rebuild's own calls to completion.
 	replay := func(method string, args []byte) error {
-		return m.issue(s.clock.Now(), method, args, callOpts{class: ownCall}).Wait(ctx)
+		return m.issue(s.clock.Now(), request{Method: method, Args: args}, callOpts{class: ownCall}).Wait(ctx)
 	}
 	m.mu.Lock()
 	prev, ids, ch := m.spec, m.workers, m.ch

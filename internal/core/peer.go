@@ -400,7 +400,9 @@ func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vn
 		if err := kernel.Decode(req.Args, &a); err != nil {
 			return fail(kernel.CodeWorkerFault, err)
 		}
-		return p.offer(req.ID, &a, arrival, loop)
+		read := request{ID: req.ID, Method: "get_state", SentAt: arrival,
+			Args: kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: a.Attrs})}
+		return p.offer("offer", a.ID, a.Peer, read, loop)
 	case kernel.MethodAcceptState:
 		var a kernel.AcceptStateArgs
 		if err := kernel.Decode(req.Args, &a); err != nil {
@@ -412,59 +414,64 @@ func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vn
 		if err := kernel.Decode(req.Args, &a); err != nil {
 			return fail(kernel.CodeWorkerFault, err)
 		}
-		return p.offerCheckpoint(req.ID, &a, arrival, loop)
+		// The loopback "checkpoint" call runs, by FIFO order, after everything
+		// already queued; its frame goes to the checkpoint store's listener.
+		return p.offer("checkpoint", a.ID, a.Peer, request{ID: req.ID, Method: kernel.MethodCheckpoint, SentAt: arrival}, loop)
 	default:
 		return fail(kernel.CodeTransport, fmt.Errorf("core: not a transfer op: %q", req.Method))
 	}
 }
 
 // loopCall runs one synthesized RPC against the model service over the
-// proxy's loopback connection. The relay loop is single-threaded, so the
-// loopback never has more than one call in flight.
-func loopCall(loop *vnet.Conn, id uint64, method string, args []byte, at time.Duration) (*response, error) {
-	frame := kernel.AppendRequest(nil, &request{ID: id, Method: method, Args: args, SentAt: at})
-	if _, err := loop.Send(frame, at); err != nil {
-		return nil, err
+// proxy's loopback connection and returns the response with the frame it
+// arrived in — the proxy's own: the service sent it here alone. The relay
+// loop is single-threaded, so the loopback never has more than one call in
+// flight.
+func loopCall(loop *vnet.Conn, req request) (*response, []byte, error) {
+	if _, err := loop.Send(req.Frame(), req.SentAt); err != nil {
+		return nil, nil, err
 	}
 	reply, err := loop.Recv()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp := new(response)
 	if err := kernel.UnmarshalResponse(reply.Data, resp); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp.DoneAt = maxDuration(resp.DoneAt, reply.Arrival)
-	return resp, nil
+	return resp, reply.Data, nil
 }
 
-// offer reads the requested columns from the service and streams them to
-// the peer, waiting for the receipt ack. Any failure on the peer path is
-// a transport fault — the coupler uses the classification to fall back to
-// its hairpin.
-func (p *peerPlane) offer(reqID uint64, a *kernel.OfferStateArgs, arrival time.Duration, loop *vnet.Conn) *response {
+// offer runs read on the service — get_state for an offer_state, checkpoint
+// for an offer_checkpoint — and streams the result to the peer as transfer
+// id, waiting for the receipt ack. The answer is not copied into a transfer
+// frame: its own frame is re-headed as one, in place. Any failure on the
+// peer path is a transport fault — the coupler uses the classification to
+// fall back to its hairpin (or, for a checkpoint, to pulling the snapshot
+// over the RPC plane).
+func (p *peerPlane) offer(what string, id uint64, peer string, read request, loop *vnet.Conn) *response {
 	fail := func(code kernel.Code, err error) *response {
-		return &response{ID: reqID, Code: code, Err: err.Error(), DoneAt: arrival}
+		return &response{ID: read.ID, Code: code, Err: err.Error(), DoneAt: read.SentAt}
 	}
-	stArgs := kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: a.Attrs})
-	got, err := loopCall(loop, reqID, "get_state", stArgs, arrival)
+	got, frame, err := loopCall(loop, read)
 	if err != nil {
-		return fail(kernel.CodeTransport, fmt.Errorf("core: offer %d: read state: %w", a.ID, err))
+		return fail(kernel.CodeTransport, fmt.Errorf("core: %s %d: %s: %w", what, id, read.Method, err))
 	}
 	if got.Code != kernel.CodeOK {
-		return &response{ID: reqID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
+		return &response{ID: read.ID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
 	}
-	ackAt, code, err := p.streamToPeer(a.Peer, a.ID, got.Result, got.DoneAt)
+	ackAt, code, err := p.streamToPeer(peer, id, kernel.TransferFromResponse(frame, len(got.Result), id), got.DoneAt)
 	if err != nil {
-		return fail(code, fmt.Errorf("core: offer %d: %w", a.ID, err))
+		return fail(code, fmt.Errorf("core: %s %d: %w", what, id, err))
 	}
-	return &response{ID: reqID, DoneAt: ackAt}
+	return &response{ID: read.ID, DoneAt: ackAt}
 }
 
-// streamToPeer dials a peer listener and delivers one transfer-framed
-// payload, waiting for the receipt ack. It returns the ack's virtual
-// arrival time, or the failure's wire code.
-func (p *peerPlane) streamToPeer(peer string, id uint64, payload []byte, at time.Duration) (time.Duration, kernel.Code, error) {
+// streamToPeer dials a peer listener and delivers one transfer frame,
+// waiting for the receipt ack. It returns the ack's virtual arrival time,
+// or the failure's wire code.
+func (p *peerPlane) streamToPeer(peer string, id uint64, frame []byte, at time.Duration) (time.Duration, kernel.Code, error) {
 	addr, err := smartsockets.ParseAddress(peer)
 	if err != nil {
 		return 0, kernel.CodeWorkerFault, err
@@ -478,7 +485,6 @@ func (p *peerPlane) streamToPeer(peer string, id uint64, payload []byte, at time
 	if testPeerStreamFault != nil && testPeerStreamFault() {
 		conn.Close() // injected fault: the stream dies under the transfer
 	}
-	frame := kernel.AppendTransfer(nil, id, payload)
 	if err := conn.Send(frame, maxDuration(at, conn.EstablishedAt())); err != nil {
 		return 0, kernel.CodeTransport, fmt.Errorf("stream to %s: %w", peer, err)
 	}
@@ -490,29 +496,6 @@ func (p *peerPlane) streamToPeer(peer string, id uint64, payload []byte, at time
 		return 0, kernel.CodeTransport, fmt.Errorf("bad ack (id %d, err %v)", ackID, err)
 	}
 	return ack.Arrival, kernel.CodeOK, nil
-}
-
-// offerCheckpoint snapshots the model service (a loopback "checkpoint"
-// call, which by FIFO order runs after everything already queued) and
-// streams the frame to the checkpoint store's peer listener. Any failure
-// on the peer path is a transport fault — the coupler falls back to
-// pulling the snapshot over the RPC plane.
-func (p *peerPlane) offerCheckpoint(reqID uint64, a *kernel.OfferCheckpointArgs, arrival time.Duration, loop *vnet.Conn) *response {
-	fail := func(code kernel.Code, err error) *response {
-		return &response{ID: reqID, Code: code, Err: err.Error(), DoneAt: arrival}
-	}
-	got, err := loopCall(loop, reqID, kernel.MethodCheckpoint, nil, arrival)
-	if err != nil {
-		return fail(kernel.CodeTransport, fmt.Errorf("core: checkpoint %d: snapshot: %w", a.ID, err))
-	}
-	if got.Code != kernel.CodeOK {
-		return &response{ID: reqID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
-	}
-	ackAt, code, err := p.streamToPeer(a.Peer, a.ID, got.Result, got.DoneAt)
-	if err != nil {
-		return fail(code, fmt.Errorf("core: checkpoint %d: %w", a.ID, err))
-	}
-	return &response{ID: reqID, DoneAt: ackAt}
 }
 
 // accept waits for the announced stream and applies it to the service
@@ -536,11 +519,9 @@ func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time
 	if apply == "" {
 		apply = kernel.MethodApplyState
 	}
-	args := d.state
-	if a.Slot != 0 {
-		args = kernel.AppendStaged(nil, a.Slot, d.state)
-	}
-	resp, err := loopCall(loop, reqID, apply, args, maxDuration(arrival, d.arrival))
+	req := kernel.NewApplyRequest(apply, a.Slot, d.state)
+	req.ID, req.SentAt = reqID, maxDuration(arrival, d.arrival)
+	resp, _, err := loopCall(loop, req)
 	if err != nil {
 		return fail(fmt.Errorf("%w: accept %d: apply: %v", kernel.ErrTransport, a.ID, err))
 	}

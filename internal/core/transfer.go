@@ -160,9 +160,10 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	// (lifecycle.go): a replacement worker has a different peer identity,
 	// so a failed op falls back to the hairpin instead (which replays on
 	// the replacement as usual).
-	accept := dst.issue(at, kernel.MethodAcceptState, kernel.Encode(kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot}), callOpts{class: bound})
-	offer := src.issue(at, kernel.MethodOfferState, kernel.Encode(kernel.OfferStateArgs{
-		ID: id, Attrs: attrs, Peer: dstPeer.String()}), callOpts{class: bound})
+	accept := dst.issue(at, request{Method: kernel.MethodAcceptState,
+		Args: kernel.Encode(kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot})}, callOpts{class: bound})
+	offer := src.issue(at, request{Method: kernel.MethodOfferState,
+		Args: kernel.Encode(kernel.OfferStateArgs{ID: id, Attrs: attrs, Peer: dstPeer.String()})}, callOpts{class: bound})
 	go func() {
 		at, err := offer.await(s.ctx)
 		if err != nil {
@@ -210,19 +211,16 @@ func (s *Simulation) onTransferFallback() func(error) {
 // universal fallback. The coupler never decodes the columns it relays. It
 // finishes c.
 func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slot uint64, attrs []string, at time.Duration) {
-	get := src.issue(at, "get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs}), callOpts{class: replayable})
+	get := src.issue(at, request{Method: "get_state",
+		Args: kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs})}, callOpts{class: replayable})
 	at, err := get.await(s.ctx)
 	if err != nil {
 		c.finish(nil, err, at)
 		return
 	}
 	// The result aliases the response frame, which the channel handed to
-	// this call alone: the hairpin forwards it without a copy.
-	args := get.result
-	if slot != 0 {
-		args = kernel.AppendStaged(nil, slot, args)
-	}
-	at, err = dst.issue(at, apply, args, callOpts{class: replayable}).await(s.ctx)
+	// this call alone; it is copied once, into the apply request's frame.
+	at, err = dst.issue(at, kernel.NewApplyRequest(apply, slot, get.result), callOpts{class: replayable}).await(s.ctx)
 	c.finish(nil, err, at)
 }
 
@@ -300,7 +298,7 @@ func (f *FieldModel) goFieldStaged(src, tgt *modelProxy, n int) bridge.FieldCall
 		}
 		// Both stage applications are queued on the field worker (FIFO),
 		// so the evaluation issued now runs against this slot's state.
-		dc.call = f.issue(max(at1, at2), "field_staged", kernel.Encode(kernel.FieldStagedArgs{Slot: slot}), callOpts{class: replayable})
+		dc.call = f.issue(max(at1, at2), request{Method: "field_staged", Args: kernel.Encode(kernel.FieldStagedArgs{Slot: slot})}, callOpts{class: replayable})
 	}
 	return dc
 }

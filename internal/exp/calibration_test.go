@@ -12,9 +12,11 @@ import (
 )
 
 // TestCalibrationMeasurements re-measures the per-phase flop counts that
-// core's kernelEfficiency constants were fitted from (see
-// internal/core/calib.go). If kernels change their accounting, this test
-// catches the drift so the calibration can be re-fitted.
+// the adapters' efficiency constants were fitted from (gravityEfficiency in
+// phys/nbody/service.go, hydroEfficiency in phys/sph, fieldEfficiency in
+// phys/tree; DESIGN.md § Kernel efficiency calibration has the fit). If
+// kernels change their accounting, this test catches the drift so the
+// calibration can be re-fitted.
 func TestCalibrationMeasurements(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibration run")
@@ -53,7 +55,7 @@ func TestCalibrationMeasurements(t *testing.T) {
 
 	within := func(name string, got, fitted, tol float64) {
 		if got < fitted*(1-tol) || got > fitted*(1+tol) {
-			t.Errorf("%s flops/iter = %.3e, fitted against %.3e (±%.0f%%): re-fit core/calib.go",
+			t.Errorf("%s flops/iter = %.3e, fitted against %.3e (±%.0f%%): re-fit the adapter's efficiency constant (DESIGN.md § Kernel efficiency calibration)",
 				name, got, fitted, tol*100)
 		}
 	}

@@ -48,7 +48,8 @@ func TestE1ShapeAtSmallScale(t *testing.T) {
 
 // TestE1FullScale verifies the calibrated headline numbers: the paper's
 // 353 / 89 / 84 within tolerance, and the jungle scenario fastest (the
-// reproduction wins by more than the paper's 62.4 — see EXPERIMENTS.md).
+// reproduction wins by more than the paper's 62.4: that row is not fitted,
+// see DESIGN.md § Kernel efficiency calibration and ROADMAP item 1).
 func TestE1FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibrated run")

@@ -94,41 +94,51 @@ func (s *service) Close() {
 	}
 }
 
-func (s *service) Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error) {
+func (s *service) Dispatch(method string, args []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
 	s.clock.AdvanceTo(at)
 	switch method {
 	case "setup":
 		var a SetupArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		dev, err := kernel.PickDevice(s.res, false)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.dev = kernel.NodeDerate(kernel.Derate(dev, abmEfficiency), s.res, s.host)
 		g, err := NewGrid(Params{W: a.W, H: a.H, D: a.D, R: a.R, B: a.B, DT: a.DT})
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.g = g
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "set_state":
-		st, err := kernel.UnmarshalState(args)
+		v, err := kernel.ViewState(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		if err := s.applyState(st); err != nil {
-			return nil, s.clock.Now(), err
+		if err := s.checkState(v.N, v.FloatAttrs, v.VecAttrs); err != nil {
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		// Checked whole, then decoded straight into the colony's columns.
+		if v.HasKeys() {
+			v.KeysInto(s.g.Key)
+		}
+		for i, a := range v.FloatAttrs {
+			v.FloatsInto(i, s.floatColumn(a))
+		}
+		for i := range v.VecAttrs {
+			v.VecsInto(i, s.g.Pos)
+		}
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "get_state":
 		q, err := kernel.UnmarshalStateRequest(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if s.g == nil {
-			return nil, s.clock.Now(), fmt.Errorf("abm: get_state before setup")
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("abm: get_state before setup")
 		}
 		st := kernel.NewState(s.g.N())
 		st.Key = s.g.Key
@@ -141,32 +151,32 @@ func (s *service) Dispatch(method string, args []byte, at time.Duration) ([]byte
 			case AttrPotential:
 				st.AddFloat(a, s.g.Phi)
 			default:
-				return nil, s.clock.Now(), fmt.Errorf("abm: get_state: unknown attribute %q", a)
+				return kernel.Reply{}, s.clock.Now(), fmt.Errorf("abm: get_state: unknown attribute %q", a)
 			}
 		}
-		out, err := kernel.MarshalState(st)
+		out, err := kernel.StateReply(st)
 		return out, s.clock.Now(), err
 	case "step":
 		var a StepArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if err := s.step(a.Steps); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "stats":
 		if s.g == nil {
-			return nil, s.clock.Now(), fmt.Errorf("abm: stats before setup")
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("abm: stats before setup")
 		}
-		return kernel.Encode(kernel.StatsResult{
+		return kernel.EncodeReply(kernel.StatsResult{
 			N: s.g.N(), Time: s.g.Time(), Steps: s.g.Steps(), Flops: s.g.TotalState(),
 		}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err
 	default:
-		return nil, s.clock.Now(), fmt.Errorf("%w: abm.%s", kernel.ErrNoSuchMethod, method)
+		return kernel.Reply{}, s.clock.Now(), fmt.Errorf("%w: abm.%s", kernel.ErrNoSuchMethod, method)
 	}
 }
 
@@ -215,36 +225,55 @@ func (s *service) step(n int) error {
 	return nil
 }
 
-// applyState installs agent columns. The colony membership is fixed by
-// setup (one agent per grid cell), so a payload must match the grid:
-// state/potential columns replace wholesale, keys re-label.
-func (s *service) applyState(st *kernel.StatePayload) error {
+// floatColumn names the grid column a scalar attribute lands in (nil for
+// an attribute the colony does not have).
+func (s *service) floatColumn(a string) []float64 {
+	switch a {
+	case AttrState:
+		return s.g.U
+	case AttrPotential:
+		return s.g.Phi
+	}
+	return nil
+}
+
+// checkState is everything that can refuse agent columns, checked before
+// any is written: the colony membership is fixed by setup (one agent per
+// grid cell), so they must match the grid and name its attributes.
+func (s *service) checkState(n int, floatAttrs, vecAttrs []string) error {
 	if s.g == nil {
 		return fmt.Errorf("abm: set_state before setup")
 	}
-	if st.N != s.g.N() {
-		return fmt.Errorf("abm: state has %d agents, grid holds %d", st.N, s.g.N())
+	if n != s.g.N() {
+		return fmt.Errorf("abm: state has %d agents, grid holds %d", n, s.g.N())
+	}
+	for _, a := range floatAttrs {
+		if a != AttrState && a != AttrPotential {
+			return fmt.Errorf("abm: set_state: unknown attribute %q", a)
+		}
+	}
+	for _, a := range vecAttrs {
+		if a != AttrPos {
+			return fmt.Errorf("abm: set_state: unknown attribute %q", a)
+		}
+	}
+	return nil
+}
+
+// applyState installs a snapshot's agent columns: state/potential columns
+// replace wholesale, keys re-label.
+func (s *service) applyState(st *kernel.StatePayload) error {
+	if err := s.checkState(st.N, st.FloatAttrs, st.VecAttrs); err != nil {
+		return err
 	}
 	if len(st.Key) == st.N {
 		copy(s.g.Key, st.Key)
 	}
 	for i, a := range st.FloatAttrs {
-		switch a {
-		case AttrState:
-			copy(s.g.U, st.FloatCols[i])
-		case AttrPotential:
-			copy(s.g.Phi, st.FloatCols[i])
-		default:
-			return fmt.Errorf("abm: set_state: unknown attribute %q", a)
-		}
+		copy(s.floatColumn(a), st.FloatCols[i])
 	}
-	for i, a := range st.VecAttrs {
-		switch a {
-		case AttrPos:
-			copy(s.g.Pos, st.VecCols[i])
-		default:
-			return fmt.Errorf("abm: set_state: unknown attribute %q", a)
-		}
+	for i := range st.VecAttrs {
+		copy(s.g.Pos, st.VecCols[i])
 	}
 	return nil
 }

@@ -43,36 +43,36 @@ func newService(cfg kernel.Config) (kernel.Service, error) {
 
 func (s *service) Close() {}
 
-func (s *service) Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error) {
+func (s *service) Dispatch(method string, args []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
 	s.clock.AdvanceTo(at)
 	switch method {
 	case "setup":
 		var a SetupArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if a.M <= 0 || a.A <= 0 {
-			return nil, s.clock.Now(), fmt.Errorf("analytic: non-positive mass or scale (M=%v, a=%v)", a.M, a.A)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("analytic: non-positive mass or scale (M=%v, a=%v)", a.M, a.A)
 		}
 		s.pot = Plummer{M: a.M, A: a.A, Center: a.Center}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "field_at":
 		var a kernel.FieldAtArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		acc := make([]data.Vec3, len(a.Targets))
 		pot := make([]float64, len(a.Targets))
 		flops := s.pot.FieldAt(a.Targets, acc, pot)
 		s.clock.Advance(s.dev.Time(flops, 0))
-		return kernel.Encode(kernel.FieldAtResult{Acc: acc, Pot: pot}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.FieldAtResult{Acc: acc, Pot: pot}), s.clock.Now(), nil
 	case "stats":
-		return kernel.Encode(kernel.StatsResult{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.StatsResult{}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err
 	default:
-		return nil, s.clock.Now(), fmt.Errorf("%w: analytic.%s", kernel.ErrNoSuchMethod, method)
+		return kernel.Reply{}, s.clock.Now(), fmt.Errorf("%w: analytic.%s", kernel.ErrNoSuchMethod, method)
 	}
 }
 

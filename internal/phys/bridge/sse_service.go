@@ -34,32 +34,32 @@ func newStellarService(kernel.Config) (kernel.Service, error) {
 
 func (s *stellarService) Close() {}
 
-func (s *stellarService) Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error) {
+func (s *stellarService) Dispatch(method string, args []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
 	s.clock.AdvanceTo(at)
 	switch method {
 	case "setup":
 		var a kernel.SetupStellarArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		pop, err := stellar.NewPopulation(stellar.New(), a.MassesMSun)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		ad, err := NewSSEAdapter(pop, a.MyrPerTime, a.NBodyPerMSun)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.adapter = ad
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "evolve":
 		var a kernel.EvolveArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		events, err := s.adapter.EvolveTo(context.Background(), a.T)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		out := kernel.StellarEvolveResult{}
 		for _, ev := range events {
@@ -68,11 +68,11 @@ func (s *stellarService) Dispatch(method string, args []byte, at time.Duration) 
 			})
 		}
 		s.clock.Advance(time.Duration(len(s.adapter.Pop.Stars)) * 200 * time.Nanosecond)
-		return kernel.Encode(out), s.clock.Now(), nil
+		return kernel.EncodeReply(out), s.clock.Now(), nil
 	case "get_state":
 		q, err := kernel.UnmarshalStateRequest(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		out, err := s.gatherState(q.Attrs)
 		return out, s.clock.Now(), err
@@ -81,12 +81,12 @@ func (s *stellarService) Dispatch(method string, args []byte, at time.Duration) 
 		if s.adapter != nil {
 			n = len(s.adapter.Pop.Stars)
 		}
-		return kernel.Encode(kernel.StatsResult{N: n}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.StatsResult{N: n}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err
 	default:
-		return nil, s.clock.Now(), fmt.Errorf("%w: stellar.%s", kernel.ErrNoSuchMethod, method)
+		return kernel.Reply{}, s.clock.Now(), fmt.Errorf("%w: stellar.%s", kernel.ErrNoSuchMethod, method)
 	}
 }
 
@@ -135,9 +135,9 @@ func (s *stellarService) Restore(snap *kernel.Snapshot) error {
 // gatherState assembles observable columns. Masses come out in N-body
 // units (the adapter's conversion); observables keep their physical units
 // (RSun, LSun, K, Myr).
-func (s *stellarService) gatherState(attrs []string) ([]byte, error) {
+func (s *stellarService) gatherState(attrs []string) (kernel.Reply, error) {
 	if s.adapter == nil {
-		return nil, fmt.Errorf("bridge: stellar get_state before setup")
+		return kernel.Reply{}, fmt.Errorf("bridge: stellar get_state before setup")
 	}
 	stars := s.adapter.Pop.Stars
 	if len(attrs) == 0 {
@@ -172,9 +172,9 @@ func (s *stellarService) gatherState(attrs []string) ([]byte, error) {
 				col[i] = float64(stars[i].Type)
 			}
 		default:
-			return nil, fmt.Errorf("bridge: get_state: unknown attribute %q", a)
+			return kernel.Reply{}, fmt.Errorf("bridge: get_state: unknown attribute %q", a)
 		}
 		st.AddFloat(a, col)
 	}
-	return kernel.MarshalState(st)
+	return kernel.StateReply(st)
 }

@@ -119,6 +119,10 @@ func (s *System) Velocities() []data.Vec3 { return s.vel }
 // Masses exposes the internal mass slice.
 func (s *System) Masses() []float64 { return s.mass }
 
+// Keys exposes the particles' stable identifiers (read-only by
+// convention).
+func (s *System) Keys() []uint64 { return s.keys }
+
 // SetMass updates the mass of particle i (stellar mass loss pushed in by
 // the coupler between dynamical steps).
 func (s *System) SetMass(i int, m float64) {

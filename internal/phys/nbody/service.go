@@ -83,18 +83,18 @@ func (s *gravityService) Close() {
 	}
 }
 
-func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error) {
+func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
 	s.clock.AdvanceTo(at)
 	switch method {
 	case "setup":
 		var a kernel.SetupGravityArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		wantGPU := a.Kernel == "phigrape-gpu"
 		dev, err := kernel.PickDevice(s.res, wantGPU)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.dev = kernel.NodeDerate(kernel.Derate(dev, gravityEfficiency), s.res, s.host)
 		var k Kernel
@@ -107,51 +107,51 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 		if a.Eta > 0 {
 			s.sys.Eta = a.Eta
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "set_particles":
 		var pl kernel.ParticlesPayload
 		if err := kernel.Decode(args, &pl); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.sys.SetParticles(kernel.PayloadToParticles(pl))
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "evolve":
 		var a kernel.EvolveArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if s.gang != nil {
 			// Sharded: EvolveToComm accounts compute and halo exchange
 			// on this clock (bound by SetGang) as they happen.
 			if err := s.sys.EvolveToComm(context.Background(), a.T, s.gang); err != nil {
-				return nil, s.clock.Now(), err
+				return kernel.Reply{}, s.clock.Now(), err
 			}
-			return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+			return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 		}
 		if err := s.sys.EvolveTo(context.Background(), a.T); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.clock.Advance(s.dev.Time(s.sys.ResetFlops(), 0))
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "kick":
 		var a kernel.KickArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if err := s.sys.Kick(context.Background(), a.DV); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "get_positions":
-		return kernel.Encode(kernel.VecResult{V: append([]data.Vec3(nil), s.sys.Positions()...)}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.VecResult{V: append([]data.Vec3(nil), s.sys.Positions()...)}), s.clock.Now(), nil
 	case "get_velocities":
-		return kernel.Encode(kernel.VecResult{V: append([]data.Vec3(nil), s.sys.Velocities()...)}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.VecResult{V: append([]data.Vec3(nil), s.sys.Velocities()...)}), s.clock.Now(), nil
 	case "get_masses":
-		return kernel.Encode(kernel.FloatsResult{X: append([]float64(nil), s.sys.Masses()...)}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.FloatsResult{X: append([]float64(nil), s.sys.Masses()...)}), s.clock.Now(), nil
 	case "get_state":
 		q, err := kernel.UnmarshalStateRequest(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		st := kernel.NewState(s.sys.N())
 		st.Key = s.sys.Keys()
@@ -164,65 +164,65 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 			case data.AttrVel:
 				st.AddVec(a, s.sys.Velocities())
 			default:
-				return nil, s.clock.Now(), fmt.Errorf("nbody: get_state: unknown attribute %q", a)
+				return kernel.Reply{}, s.clock.Now(), fmt.Errorf("nbody: get_state: unknown attribute %q", a)
 			}
 		}
-		out, err := kernel.MarshalState(st)
+		out, err := kernel.StateReply(st)
 		return out, s.clock.Now(), err
 	case "set_state":
-		st, err := kernel.UnmarshalState(args)
+		v, err := kernel.ViewState(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		if err := s.applyState(st); err != nil {
-			return nil, s.clock.Now(), err
+		if err := s.applyState(&v); err != nil {
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "set_mass":
 		var a kernel.SetMassArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if a.Index < 0 || a.Index >= s.sys.N() {
-			return nil, s.clock.Now(), fmt.Errorf("nbody: set_mass index %d out of range", a.Index)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("nbody: set_mass index %d out of range", a.Index)
 		}
 		s.sys.SetMass(a.Index, a.Mass)
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "energies":
 		if s.gang != nil {
 			k, p, err := s.sys.EnergyComm(s.gang)
 			if err != nil {
-				return nil, s.clock.Now(), err
+				return kernel.Reply{}, s.clock.Now(), err
 			}
-			return kernel.Encode(kernel.EnergiesResult{Kinetic: k, Potential: p}), s.clock.Now(), nil
+			return kernel.EncodeReply(kernel.EnergiesResult{Kinetic: k, Potential: p}), s.clock.Now(), nil
 		}
 		k, p := s.sys.Energy()
 		s.clock.Advance(s.dev.Time(s.sys.ResetFlops(), 0))
-		return kernel.Encode(kernel.EnergiesResult{Kinetic: k, Potential: p}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.EnergiesResult{Kinetic: k, Potential: p}), s.clock.Now(), nil
 	case "stats":
-		return kernel.Encode(kernel.StatsResult{N: s.sys.N(), Time: s.sys.Time(), Steps: s.sys.Steps()}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.StatsResult{N: s.sys.N(), Time: s.sys.Time(), Steps: s.sys.Steps()}), s.clock.Now(), nil
 	case kernel.MethodReshard:
 		var a kernel.ReshardArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if err := s.Reshard(a.Cuts); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case kernel.MethodRankLoad:
 		if s.gi == nil || s.sys == nil {
-			return nil, s.clock.Now(), fmt.Errorf("nbody: rank_load needs a gang rank after setup")
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("nbody: rank_load needs a gang rank after setup")
 		}
 		rows, compute := s.sys.TakeLoad(s.gi.Rank, s.gi.Size)
-		return kernel.Encode(kernel.RankLoadResult{
+		return kernel.EncodeReply(kernel.RankLoadResult{
 			Rank: s.gi.Rank, Rows: rows, ComputeNs: compute.Nanoseconds(),
 		}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err
 	default:
-		return nil, s.clock.Now(), fmt.Errorf("%w: gravity.%s", kernel.ErrNoSuchMethod, method)
+		return kernel.Reply{}, s.clock.Now(), fmt.Errorf("%w: gravity.%s", kernel.ErrNoSuchMethod, method)
 	}
 }
 
@@ -271,30 +271,33 @@ func (s *gravityService) Restore(snap *kernel.Snapshot) error {
 	return nil
 }
 
-func (s *gravityService) applyState(st *kernel.StatePayload) error {
-	for i, a := range st.FloatAttrs {
-		switch a {
-		case data.AttrMass:
-			if err := s.sys.SetMasses(st.FloatCols[i]); err != nil {
-				return err
-			}
-		default:
+// applyState decodes a set_state frame's columns straight into the
+// system's own. Everything that can fail is checked before the first write,
+// so a refused frame leaves the state as it was.
+func (s *gravityService) applyState(v *kernel.StateView) error {
+	if v.N != s.sys.N() {
+		return fmt.Errorf("nbody: set_state: columns of %d particles, N %d", v.N, s.sys.N())
+	}
+	for _, a := range v.FloatAttrs {
+		if a != data.AttrMass {
 			return fmt.Errorf("nbody: set_state: unknown attribute %q", a)
 		}
 	}
-	for i, a := range st.VecAttrs {
-		switch a {
-		case data.AttrPos:
-			if err := s.sys.SetPositions(st.VecCols[i]); err != nil {
-				return err
-			}
-		case data.AttrVel:
-			if err := s.sys.SetVelocities(st.VecCols[i]); err != nil {
-				return err
-			}
-		default:
+	for _, a := range v.VecAttrs {
+		if a != data.AttrPos && a != data.AttrVel {
 			return fmt.Errorf("nbody: set_state: unknown attribute %q", a)
 		}
 	}
+	for i := range v.FloatAttrs {
+		v.FloatsInto(i, s.sys.mass)
+	}
+	for i, a := range v.VecAttrs {
+		if a == data.AttrPos {
+			v.VecsInto(i, s.sys.pos)
+		} else {
+			v.VecsInto(i, s.sys.vel)
+		}
+	}
+	s.sys.fresh = false // cached forces are stale, once for the whole frame
 	return nil
 }

@@ -1,13 +1,7 @@
 package sph
 
-import (
-	"fmt"
-
-	"jungle/internal/amuse/data"
-)
-
-// Columnar accessors and bulk setters: the worker-side half of the
-// batched state protocol for the SPH model.
+// Columnar accessors: the worker-side half of the batched state protocol
+// for the SPH model (set_state decodes straight into the columns).
 
 // InternalEnergies exposes the specific internal energy column.
 func (g *Gas) InternalEnergies() []float64 { return g.u }
@@ -17,44 +11,3 @@ func (g *Gas) SmoothingLens() []float64 { return g.h }
 
 // Densities exposes the density column (valid after the first step).
 func (g *Gas) Densities() []float64 { return g.rho }
-
-// SetMasses replaces all particle masses.
-func (g *Gas) SetMasses(m []float64) error {
-	if len(m) != len(g.mass) {
-		return fmt.Errorf("sph: mass column length %d != N %d", len(m), len(g.mass))
-	}
-	copy(g.mass, m)
-	return nil
-}
-
-// SetPositions replaces all particle positions.
-func (g *Gas) SetPositions(p []data.Vec3) error {
-	if len(p) != len(g.pos) {
-		return fmt.Errorf("sph: position column length %d != N %d", len(p), len(g.pos))
-	}
-	copy(g.pos, p)
-	return nil
-}
-
-// SetVelocities replaces all particle velocities.
-func (g *Gas) SetVelocities(v []data.Vec3) error {
-	if len(v) != len(g.vel) {
-		return fmt.Errorf("sph: velocity column length %d != N %d", len(v), len(g.vel))
-	}
-	copy(g.vel, v)
-	return nil
-}
-
-// SetInternalEnergies replaces the specific internal energy column.
-func (g *Gas) SetInternalEnergies(u []float64) error {
-	if len(u) != len(g.u) {
-		return fmt.Errorf("sph: u column length %d != N %d", len(u), len(g.u))
-	}
-	for i, x := range u {
-		if x <= 0 {
-			return fmt.Errorf("sph: particle %d has non-positive internal energy", i)
-		}
-	}
-	copy(g.u, u)
-	return nil
-}

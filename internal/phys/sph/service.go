@@ -98,13 +98,13 @@ func (s *hydroService) Close() {
 	}
 }
 
-func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error) {
+func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
 	s.clock.AdvanceTo(at)
 	switch method {
 	case "setup":
 		var a kernel.SetupHydroArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.gas.SelfGravity = a.SelfGravity
 		if a.EpsGrav > 0 {
@@ -113,20 +113,20 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) ([
 		if a.NTarget > 0 {
 			s.gas.NTarget = a.NTarget
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "set_particles":
 		var pl kernel.ParticlesPayload
 		if err := kernel.Decode(args, &pl); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if err := s.gas.SetParticles(kernel.PayloadToParticles(pl)); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "evolve":
 		var a kernel.EvolveArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		switch {
 		case s.gang != nil:
@@ -135,39 +135,39 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) ([
 			// total is informational only, so discard it rather than
 			// double-charging the clock.
 			if err := s.gas.EvolveToComm(context.Background(), a.T, s.gang, s.dev); err != nil {
-				return nil, s.clock.Now(), err
+				return kernel.Reply{}, s.clock.Now(), err
 			}
 			s.gas.ResetFlops()
 		case s.world != nil:
 			s.world.SyncTo(s.clock.Now())
 			if err := s.gas.EvolveToParallel(context.Background(), a.T, s.world, s.dev); err != nil {
-				return nil, s.clock.Now(), err
+				return kernel.Reply{}, s.clock.Now(), err
 			}
 			s.clock.AdvanceTo(s.world.MaxTime())
 		default:
 			if err := s.gas.EvolveTo(context.Background(), a.T); err != nil {
-				return nil, s.clock.Now(), err
+				return kernel.Reply{}, s.clock.Now(), err
 			}
 			s.clock.Advance(s.dev.Time(s.gas.ResetFlops(), 0))
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "kick":
 		var a kernel.KickArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if err := s.gas.Kick(context.Background(), a.DV); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "get_positions":
-		return kernel.Encode(kernel.VecResult{V: append([]data.Vec3(nil), s.gas.Positions()...)}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.VecResult{V: append([]data.Vec3(nil), s.gas.Positions()...)}), s.clock.Now(), nil
 	case "get_masses":
-		return kernel.Encode(kernel.FloatsResult{X: append([]float64(nil), s.gas.Masses()...)}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.FloatsResult{X: append([]float64(nil), s.gas.Masses()...)}), s.clock.Now(), nil
 	case "get_state":
 		q, err := kernel.UnmarshalStateRequest(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		st := kernel.NewState(s.gas.N())
 		for _, a := range q.Attrs {
@@ -185,55 +185,55 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) ([
 			case data.AttrDensity:
 				st.AddFloat(a, s.gas.Densities())
 			default:
-				return nil, s.clock.Now(), fmt.Errorf("sph: get_state: unknown attribute %q", a)
+				return kernel.Reply{}, s.clock.Now(), fmt.Errorf("sph: get_state: unknown attribute %q", a)
 			}
 		}
-		out, err := kernel.MarshalState(st)
+		out, err := kernel.StateReply(st)
 		return out, s.clock.Now(), err
 	case "set_state":
-		st, err := kernel.UnmarshalState(args)
+		v, err := kernel.ViewState(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		if err := s.applyState(st); err != nil {
-			return nil, s.clock.Now(), err
+		if err := s.applyState(&v); err != nil {
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "inject_energy":
 		var a kernel.InjectArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.gas.InjectEnergy(a.Center, a.Radius, a.E)
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "energies":
 		k, th, p := s.gas.Energy()
 		s.clock.Advance(s.dev.Time(s.gas.ResetFlops(), 0))
-		return kernel.Encode(kernel.EnergiesResult{Kinetic: k, Thermal: th, Potential: p}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.EnergiesResult{Kinetic: k, Thermal: th, Potential: p}), s.clock.Now(), nil
 	case "stats":
-		return kernel.Encode(kernel.StatsResult{N: s.gas.N(), Time: s.gas.Time(), Steps: s.gas.Steps()}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.StatsResult{N: s.gas.N(), Time: s.gas.Time(), Steps: s.gas.Steps()}), s.clock.Now(), nil
 	case kernel.MethodReshard:
 		var a kernel.ReshardArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		if err := s.Reshard(a.Cuts); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case kernel.MethodRankLoad:
 		if s.gi == nil {
-			return nil, s.clock.Now(), fmt.Errorf("sph: rank_load needs a gang rank")
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("sph: rank_load needs a gang rank")
 		}
 		rows, compute := s.gas.TakeLoad(s.gi.Rank, s.gi.Size)
-		return kernel.Encode(kernel.RankLoadResult{
+		return kernel.EncodeReply(kernel.RankLoadResult{
 			Rank: s.gi.Rank, Rows: rows, ComputeNs: compute.Nanoseconds(),
 		}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err
 	default:
-		return nil, s.clock.Now(), fmt.Errorf("%w: hydro.%s", kernel.ErrNoSuchMethod, method)
+		return kernel.Reply{}, s.clock.Now(), fmt.Errorf("%w: hydro.%s", kernel.ErrNoSuchMethod, method)
 	}
 }
 
@@ -277,34 +277,58 @@ func (s *hydroService) Restore(snap *kernel.Snapshot) error {
 	return nil
 }
 
-func (s *hydroService) applyState(st *kernel.StatePayload) error {
-	for i, a := range st.FloatAttrs {
-		var err error
-		switch a {
-		case data.AttrMass:
-			err = s.gas.SetMasses(st.FloatCols[i])
-		case data.AttrInternalEnergy:
-			err = s.gas.SetInternalEnergies(st.FloatCols[i])
-		default:
-			err = fmt.Errorf("sph: set_state: unknown attribute %q", a)
+// floatColumn and vecColumn name the gas column a set_state attribute
+// lands in.
+func (s *hydroService) floatColumn(a string) ([]float64, bool) {
+	switch a {
+	case data.AttrMass:
+		return s.gas.mass, true
+	case data.AttrInternalEnergy:
+		return s.gas.u, true
+	}
+	return nil, false
+}
+
+func (s *hydroService) vecColumn(a string) ([]data.Vec3, bool) {
+	switch a {
+	case data.AttrPos:
+		return s.gas.pos, true
+	case data.AttrVel:
+		return s.gas.vel, true
+	}
+	return nil, false
+}
+
+// applyState decodes a set_state frame's columns straight into the gas's
+// own. Everything that can fail — the particle count, the attribute names,
+// the sign of every internal energy — is checked before the first write, so
+// a refused frame leaves the state as it was.
+func (s *hydroService) applyState(v *kernel.StateView) error {
+	if v.N != s.gas.N() {
+		return fmt.Errorf("sph: set_state: columns of %d particles, N %d", v.N, s.gas.N())
+	}
+	for i, a := range v.FloatAttrs {
+		if _, ok := s.floatColumn(a); !ok {
+			return fmt.Errorf("sph: set_state: unknown attribute %q", a)
 		}
-		if err != nil {
-			return err
+		for j := 0; a == data.AttrInternalEnergy && j < v.N; j++ {
+			if v.FloatAt(i, j) <= 0 {
+				return fmt.Errorf("sph: particle %d has non-positive internal energy", j)
+			}
 		}
 	}
-	for i, a := range st.VecAttrs {
-		var err error
-		switch a {
-		case data.AttrPos:
-			err = s.gas.SetPositions(st.VecCols[i])
-		case data.AttrVel:
-			err = s.gas.SetVelocities(st.VecCols[i])
-		default:
-			err = fmt.Errorf("sph: set_state: unknown attribute %q", a)
+	for _, a := range v.VecAttrs {
+		if _, ok := s.vecColumn(a); !ok {
+			return fmt.Errorf("sph: set_state: unknown attribute %q", a)
 		}
-		if err != nil {
-			return err
-		}
+	}
+	for i, a := range v.FloatAttrs {
+		col, _ := s.floatColumn(a)
+		v.FloatsInto(i, col)
+	}
+	for i, a := range v.VecAttrs {
+		col, _ := s.vecColumn(a)
+		v.VecsInto(i, col)
 	}
 	return nil
 }

@@ -54,30 +54,31 @@ func newFieldService(cfg kernel.Config) (kernel.Service, error) {
 	}, nil
 }
 
-// unstage parses a slot-tagged state frame and returns its columns.
-func unstage(args []byte) (slot uint64, st *kernel.StatePayload, err error) {
+// unstage parses a slot-tagged state frame. The staging methods decode the
+// columns they keep out of the view, once, into the slot.
+func unstage(args []byte) (slot uint64, v kernel.StateView, err error) {
 	slot, raw, err := kernel.UnmarshalStaged(args)
 	if err != nil {
-		return 0, nil, err
+		return 0, v, err
 	}
-	st, err = kernel.UnmarshalState(raw)
-	return slot, st, err
+	v, err = kernel.ViewState(raw)
+	return slot, v, err
 }
 
 func (s *fieldService) Close() {}
 
-func (s *fieldService) Dispatch(method string, args []byte, at time.Duration) ([]byte, time.Duration, error) {
+func (s *fieldService) Dispatch(method string, args []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
 	s.clock.AdvanceTo(at)
 	switch method {
 	case "setup":
 		var a kernel.SetupFieldArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		wantGPU := a.Kernel == "octgrav"
 		dev, err := kernel.PickDevice(s.res, wantGPU)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		s.dev = kernel.Derate(dev, fieldEfficiency)
 		if wantGPU {
@@ -89,75 +90,75 @@ func (s *fieldService) Dispatch(method string, args []byte, at time.Duration) ([
 			s.k.Theta = a.Theta
 		}
 		s.eps = a.Eps
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "field_at":
 		var a kernel.FieldAtArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		acc, pot, flops := s.k.FieldAt(context.Background(), a.SrcMass, a.SrcPos, a.Targets, s.eps)
 		s.clock.Advance(s.dev.Time(flops, 0))
-		return kernel.Encode(kernel.FieldAtResult{Acc: acc, Pot: pot}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.FieldAtResult{Acc: acc, Pot: pot}), s.clock.Now(), nil
 	case "stage_sources":
-		slot, st, err := unstage(args)
+		slot, v, err := unstage(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		mass, pos := st.Float(data.AttrMass), st.Vec(data.AttrPos)
+		mass, pos := v.Float(data.AttrMass), v.Vec(data.AttrPos)
 		if mass == nil {
-			return nil, s.clock.Now(), fmt.Errorf("tree: stage_sources: missing attribute %q", data.AttrMass)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("tree: stage_sources: missing attribute %q", data.AttrMass)
 		}
 		if pos == nil {
-			return nil, s.clock.Now(), fmt.Errorf("tree: stage_sources: missing attribute %q", data.AttrPos)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("tree: stage_sources: missing attribute %q", data.AttrPos)
 		}
 		s.srcStage[slot] = stagedSources{mass: mass, pos: pos}
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "stage_targets":
-		slot, st, err := unstage(args)
+		slot, v, err := unstage(args)
 		if err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
-		pos := st.Vec(data.AttrPos)
+		pos := v.Vec(data.AttrPos)
 		if pos == nil {
-			return nil, s.clock.Now(), fmt.Errorf("tree: stage_targets: missing attribute %q", data.AttrPos)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("tree: stage_targets: missing attribute %q", data.AttrPos)
 		}
 		s.tgtStage[slot] = pos
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "stage_release":
 		// Abandon a slot whose evaluation will never be issued (one of
 		// its staging transfers failed): frees the staged columns.
 		var a kernel.FieldStagedArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		delete(s.srcStage, a.Slot)
 		delete(s.tgtStage, a.Slot)
-		return kernel.Encode(kernel.Empty{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "field_staged":
 		var a kernel.FieldStagedArgs
 		if err := kernel.Decode(args, &a); err != nil {
-			return nil, s.clock.Now(), err
+			return kernel.Reply{}, s.clock.Now(), err
 		}
 		src, ok := s.srcStage[a.Slot]
 		if !ok {
-			return nil, s.clock.Now(), fmt.Errorf("tree: field_staged: no sources staged for slot %d", a.Slot)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("tree: field_staged: no sources staged for slot %d", a.Slot)
 		}
 		tgt, ok := s.tgtStage[a.Slot]
 		if !ok {
-			return nil, s.clock.Now(), fmt.Errorf("tree: field_staged: no targets staged for slot %d", a.Slot)
+			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("tree: field_staged: no targets staged for slot %d", a.Slot)
 		}
 		delete(s.srcStage, a.Slot)
 		delete(s.tgtStage, a.Slot)
 		acc, pot, flops := s.k.FieldAt(context.Background(), src.mass, src.pos, tgt, s.eps)
 		s.clock.Advance(s.dev.Time(flops, 0))
-		return kernel.Encode(kernel.FieldAtResult{Acc: acc, Pot: pot}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.FieldAtResult{Acc: acc, Pot: pot}), s.clock.Now(), nil
 	case "stats":
-		return kernel.Encode(kernel.StatsResult{}), s.clock.Now(), nil
+		return kernel.EncodeReply(kernel.StatsResult{}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err
 	default:
-		return nil, s.clock.Now(), fmt.Errorf("%w: coupling.%s", kernel.ErrNoSuchMethod, method)
+		return kernel.Reply{}, s.clock.Now(), fmt.Errorf("%w: coupling.%s", kernel.ErrNoSuchMethod, method)
 	}
 }
 

@@ -34,7 +34,7 @@ func stage(t *testing.T, svc kernel.Service, method string, slot uint64, st *ker
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Dispatch(method, kernel.AppendStaged(nil, slot, raw), 0); err != nil {
+	if _, _, err := svc.Dispatch(method, kernel.NewApplyRequest(method, slot, raw).Args, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,7 +57,7 @@ func TestFieldStagedMatchesFieldAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var staged kernel.FieldAtResult
-	if err := kernel.Decode(out, &staged); err != nil {
+	if err := kernel.Decode(out.Bytes(), &staged); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +100,7 @@ func TestStagedSlotsAreIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res kernel.FieldAtResult
-		if err := kernel.Decode(out, &res); err != nil {
+		if err := kernel.Decode(out.Bytes(), &res); err != nil {
 			t.Fatal(err)
 		}
 		return res
@@ -131,7 +131,7 @@ func TestStageMissingColumnsNameAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = svc.Dispatch("stage_sources", kernel.AppendStaged(nil, 1, raw), 0)
+	_, _, err = svc.Dispatch("stage_sources", kernel.NewApplyRequest("stage_sources", 1, raw).Args, 0)
 	if err == nil || !strings.Contains(err.Error(), data.AttrMass) {
 		t.Fatalf("stage_sources without mass: %v (want error naming %q)", err, data.AttrMass)
 	}
@@ -140,7 +140,7 @@ func TestStageMissingColumnsNameAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = svc.Dispatch("stage_targets", kernel.AppendStaged(nil, 1, raw), 0)
+	_, _, err = svc.Dispatch("stage_targets", kernel.NewApplyRequest("stage_targets", 1, raw).Args, 0)
 	if err == nil || !strings.Contains(err.Error(), data.AttrPos) {
 		t.Fatalf("stage_targets without position: %v (want error naming %q)", err, data.AttrPos)
 	}

@@ -163,7 +163,14 @@ func (h *Hub) ConnectTo(peerHost string) error {
 			edge = EdgeOneWay
 		}
 	}
-	h.merge(reply.Adverts, h.addPeer(peerHost, conn, edge))
+	fresh := h.addPeer(peerHost, conn, edge)
+	if fresh {
+		// The peer has this hub's database as of the hello: not what arrived
+		// while the hello was under way (floods only reach registered links),
+		// nor the advertisement just re-issued with the link in it.
+		h.sendTo("h:"+peerHost, &frame{Kind: kGossip, Hub: h.host, Adverts: h.database()})
+	}
+	h.merge(reply.Adverts, peerHost, fresh)
 	return nil
 }
 
@@ -194,14 +201,28 @@ func (h *Hub) advertiseLocked() {
 	h.adverts[h.host] = ad
 }
 
-// gossip pushes this hub's database to every hub neighbor.
-func (h *Hub) gossip() {
+// flood forwards ads — advertisements that were news to this hub — to every
+// hub neighbor except from, the one they came from, which holds them. With
+// own, this hub's advertisement was just re-issued (a link gained or lost)
+// and rides along; from, the other end of a new link, has it already — in
+// the hello's answer, or in the database the dialer sends once the link is
+// up. Only those two carry a whole database; a flood carries what changed,
+// so gossip converges and then goes quiet.
+func (h *Hub) flood(ads []advert, from string, own bool) {
 	h.mu.Lock()
-	g := &frame{Kind: kGossip, Hub: h.host, Adverts: slices.Collect(maps.Values(h.adverts))}
-	links := h.adverts[h.host].Links
+	self := h.adverts[h.host]
 	h.mu.Unlock()
-	for _, l := range links {
-		h.sendTo("h:"+l.Peer, g)
+	if own {
+		ads = append(ads[:len(ads):len(ads)], self)
+	}
+	if len(ads) == 0 {
+		return
+	}
+	g := &frame{Kind: kGossip, Hub: h.host, Adverts: ads}
+	for _, l := range self.Links {
+		if l.Peer != from {
+			h.sendTo("h:"+l.Peer, g)
+		}
 	}
 }
 
@@ -291,7 +312,7 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		// The answer, on the connection the hello came in on, tells the
 		// dialer the link is registered here and shares our view with it.
 		sendFrame(conn, &frame{Kind: kGossip, Hub: h.host, Adverts: h.database()})
-		h.merge(f.Adverts, fresh)
+		h.merge(f.Adverts, f.Hub, fresh)
 		h.busyAdd(-1)
 	case kRegister:
 		h.mu.Lock()
@@ -313,14 +334,15 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 	}
 }
 
-// merge stores every advertisement newer than the one held, links to hubs
-// heard of for the first time, and — when the database changed, here or
-// (changed) in the caller — pushes it to all hub neighbors. A push only
-// follows a change, so gossip converges and then goes quiet.
-func (h *Hub) merge(ads []advert, changed bool) {
+// merge stores every advertisement of ads — received from hub from — that
+// is newer than the one held, links to hubs heard of for the first time,
+// and floods the newer ones on (with own, the caller re-issued this hub's
+// advertisement, which goes along).
+func (h *Hub) merge(ads []advert, from string, own bool) {
 	h.busyAdd(1)
 	defer h.busyAdd(-1)
 	var fresh []string
+	newer := ads[:0:0]
 	h.mu.Lock()
 	for _, ad := range ads {
 		cur, known := h.adverts[ad.Hub]
@@ -328,7 +350,7 @@ func (h *Hub) merge(ads []advert, changed bool) {
 			continue
 		}
 		h.adverts[ad.Hub] = ad
-		changed = true
+		newer = append(newer, ad)
 		if !known {
 			fresh = append(fresh, ad.Hub)
 		}
@@ -337,9 +359,7 @@ func (h *Hub) merge(ads []advert, changed bool) {
 	for _, x := range fresh {
 		h.ConnectTo(x) // best effort; one-way peers will dial us instead
 	}
-	if changed {
-		h.gossip()
-	}
+	h.flood(newer, from, own)
 }
 
 // readLoop processes frames arriving from one neighbor (hub or client).
@@ -387,14 +407,15 @@ func (h *Hub) dropConn(id string, conn *vnet.Conn, primary bool) {
 	}
 	h.mu.Unlock()
 	if withdraw {
-		h.gossip()
+		h.flood(nil, "", true)
 	}
 }
 
 func (h *Hub) handleFrame(origin string, f *frame) {
 	switch f.Kind {
 	case kHello, kGossip:
-		h.merge(f.Adverts, false)
+		from, _ := hubPeer(origin)
+		h.merge(f.Adverts, from, false)
 	case kRegister:
 		h.mu.Lock()
 		h.clients[Address{f.Src.Host, f.Src.Port, h.host}] = origin

@@ -100,6 +100,10 @@ func sendFrame(c *vnet.Conn, f *frame) error {
 	return err
 }
 
+// testDecoded, when a test set it (before the hubs it watches started),
+// sees every frame decoded: the package keeps no count of its own.
+var testDecoded func(*frame)
+
 // decodeFrame decodes one received message; the frame's sentAt is its
 // virtual arrival time so handlers can re-stamp relayed copies. Payload
 // aliases the message.
@@ -109,6 +113,9 @@ func decodeFrame(msg vnet.Message) (*frame, error) {
 		return nil, err
 	}
 	f.sentAt = msg.Arrival
+	if testDecoded != nil {
+		testDecoded(f)
+	}
 	return f, nil
 }
 

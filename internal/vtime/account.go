@@ -9,8 +9,8 @@ import (
 )
 
 // Account accumulates virtual time by category, used to break an experiment's
-// per-iteration time into compute / communication / coupler components the
-// way EXPERIMENTS.md reports them.
+// per-iteration time into compute / communication / coupler components
+// (the phases DESIGN.md § Kernel efficiency calibration fits per family).
 type Account struct {
 	mu    sync.Mutex
 	spent map[string]time.Duration

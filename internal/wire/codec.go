@@ -149,9 +149,13 @@ const maxPooled = 64 << 10
 // Marshal encodes v into a slice of its own: a clone, exactly sized, of
 // the pooled scratch it was encoded in — or, for a message that outgrew
 // what the pool keeps, the scratch itself.
-func Marshal(v any) []byte {
+func Marshal(v any) []byte { return MarshalBehind(0, v) }
+
+// MarshalBehind is Marshal with room zero bytes in front of the encoding:
+// the header of the frame v is the body of, which the caller fills in.
+func MarshalBehind(room int, v any) []byte {
 	buf := scratch.Get().(*[]byte)
-	*buf = Append((*buf)[:0], v)
+	*buf = Append(append((*buf)[:0], make([]byte, room)...), v)
 	if cap(*buf) > maxPooled {
 		return *buf
 	}

@@ -169,34 +169,36 @@ func (r *Reader) String16(what string) string {
 	return string(r.take(int(r.U16(what)), what))
 }
 
-// Floats reads n floats written by AppendFloats.
-func (r *Reader) Floats(n int, what string) []float64 {
-	if r.Err != nil || n < 0 || n > r.Len()/8 {
+// Column reads a column of n elements of width bytes each, as written by
+// AppendFloats (width 8) or AppendVecs (24). The result aliases the frame:
+// DecodeFloats / DecodeVecs decode it where the values are to live. A count
+// the frame cannot hold fails before anything is sized by it.
+func (r *Reader) Column(n, width int, what string) []byte {
+	if r.Err != nil || n < 0 || n > r.Len()/width {
 		r.Fail(what)
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.B[r.Off:]))
-		r.Off += 8
-	}
-	return out
+	return r.take(n*width, what)
 }
 
-// Vecs reads n vectors written by AppendVecs.
-func Vecs[V ~[3]float64](r *Reader, n int, what string) []V {
-	if r.Err != nil || n < 0 || n > r.Len()/24 {
-		r.Fail(what)
-		return nil
+// DecodeFloats decodes len(dst) floats from a column written by
+// AppendFloats.
+func DecodeFloats(dst []float64, col []byte) {
+	col = col[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
 	}
-	out := make([]V, n)
-	for i := range out {
-		out[i][0] = math.Float64frombits(binary.LittleEndian.Uint64(r.B[r.Off:]))
-		out[i][1] = math.Float64frombits(binary.LittleEndian.Uint64(r.B[r.Off+8:]))
-		out[i][2] = math.Float64frombits(binary.LittleEndian.Uint64(r.B[r.Off+16:]))
-		r.Off += 24
+}
+
+// DecodeVecs decodes len(dst) vectors from a column written by AppendVecs.
+func DecodeVecs[V ~[3]float64](dst []V, col []byte) {
+	col = col[:24*len(dst)]
+	for i := range dst {
+		c := col[24*i : 24*i+24]
+		dst[i][0] = math.Float64frombits(binary.LittleEndian.Uint64(c))
+		dst[i][1] = math.Float64frombits(binary.LittleEndian.Uint64(c[8:]))
+		dst[i][2] = math.Float64frombits(binary.LittleEndian.Uint64(c[16:]))
 	}
-	return out
 }
 
 // Uint reads a value written by AppendUint.

@@ -120,8 +120,8 @@ func TestFixedWidthReader(t *testing.T) {
 		r.U16("a")
 		r.U64("b")
 		r.Bytes32("c")
-		r.Floats(2, "d")
-		wire.Vecs[vec](&r, 1, "e")
+		r.Column(2, 8, "d")
+		r.Column(1, 24, "e")
 		if r.Err == nil {
 			t.Fatalf("frame cut at %d/%d read without error", cut, len(b))
 		}
@@ -130,13 +130,15 @@ func TestFixedWidthReader(t *testing.T) {
 	if r.U16("a") != 0xbeef || r.U64("b") != 1<<63|5 || string(r.Bytes32("c")) != "payload" {
 		t.Fatal("fixed-width fields came back changed")
 	}
-	fs, vs := r.Floats(2, "d"), wire.Vecs[vec](&r, 1, "e")
+	fs, vs := make([]float64, 2), make([]vec, 1)
+	wire.DecodeFloats(fs, r.Column(2, 8, "d"))
+	wire.DecodeVecs(vs, r.Column(1, 24, "e"))
 	if r.Err != nil || fs[0] != 1.5 || !math.Signbit(fs[1]) || vs[0] != (vec{1, 2, 3}) || r.Len() != 0 {
 		t.Fatalf("floats %v vecs %v err %v", fs, vs, r.Err)
 	}
 	// A count the frame cannot hold fails before it sizes an allocation.
 	r = wire.Reader{B: b}
-	if r.Floats(1<<40, "huge"); r.Err == nil {
+	if r.Column(1<<40, 8, "huge"); r.Err == nil {
 		t.Fatal("huge float count accepted")
 	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check gob-check timer-check loc loc-check test test-short race leak-check stress cover bench bench-check ci
+.PHONY: all build vet fmt-check doc-check gob-check timer-check loc loc-check surface surface-check test test-short race leak-check stress cover bench bench-check ci
 
 all: ci
 
@@ -59,8 +59,8 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-LOC_CORE_MAX = 5703
-LOC_TOTAL_MAX = 27079
+LOC_CORE_MAX = 5619
+LOC_TOTAL_MAX = 26053
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -70,6 +70,52 @@ loc-check:
 	@core=$$($(call LOC,internal/core,! -path 'internal/core/kernel/*')); total=$$($(call LOC,.)); \
 	if [ $$core -gt $(LOC_CORE_MAX) ] || [ $$total -gt $(LOC_TOTAL_MAX) ]; then \
 	  echo "loc-check: internal/core $$core (max $(LOC_CORE_MAX)), repository $$total (max $(LOC_TOTAL_MAX))" >&2; exit 1; fi
+
+# Surface ledger: every exported func or method under internal/ is named by
+# something that is not a test — a non-test .go file anywhere in the
+# repository (cmd/, examples/, bench/ and internal/ itself included) or the
+# root package's bench_test.go — or it is in SURFACE_KEEP below with the
+# reason it has only test callers. The census is a grep, so it goes by name:
+# comments are dropped, a func's own declaration does not count, and a name
+# two packages share counts for both (a type-accurate census finds more;
+# ROADMAP item 5). surface prints the census per package and the keep-list;
+# surface-check fails on a name outside the list and on a list entry the
+# census no longer finds, so the list — its length is the maximum — only
+# gets shorter: a PR that adds a test-only export adds its line here, in its
+# diff, and says why.
+define SURFACE_KEEP
+internal/amuse/data KineticEnergy     diagnostic: internal/amuse/ic's tests check the Plummer sphere's virial ratio with it
+internal/amuse/data PotentialEnergy   diagnostic: the other half of that virial ratio (O(N^2), not for a run)
+internal/amuse/ic UniformSphere       test substrate: the second particle distribution of the sph/tree/nbody oracle tests
+internal/core DecodeManifest          inverse of Manifest.Encode: commands install exp's evictor, so none resumes a bare manifest yet
+internal/core/kernel Unwrap           interface method: errors.Is reaches WireError.Unwrap, nothing names it
+internal/ipl SetFailureHook           fault observation: the registry test watches a member's death through it
+internal/mpisim LocalGangs            test substrate: in-memory gang links for the physics packages' sharded-kernel tests
+internal/sched Unwrap                 interface method: errors.Is reaches BusyError.Unwrap, nothing names it
+internal/vnet CrashHost               fault injection: the paper's hard fault, a machine vanishing
+internal/vnet SetHostUp               fault injection: a host goes down and comes back
+internal/wiretest CheckRegistry       test substrate: holds each package's payload table to its declared structs
+endef
+export SURFACE_KEEP
+SURFACE_SRC = find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'
+SURFACE_DECL = ^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*
+# "dir Name" of every exported func under internal/, then of those no consumer names.
+SURFACE_ALL = find internal -name '*.go' ! -name '*_test.go' -exec grep -HoE '$(SURFACE_DECL)' {} + \
+	| sed -E 's,/[^/]*\.go:func (\([^)]*\) )?, ,' | sort -u
+SURFACE_CENSUS = { { $(SURFACE_SRC); echo ./bench_test.go; } | xargs cat \
+	| sed -E -e 's,//.*,,' -e 's/$(SURFACE_DECL)//' | grep -oE '[A-Z][A-Za-z0-9_]*' | sort -u | sed 's/^/= /'; \
+	$(SURFACE_ALL); } | awk '$$1 == "=" { used[$$2]; next } !($$2 in used)'
+surface:
+	@census=$$($(SURFACE_CENSUS)); \
+	$(SURFACE_ALL) | cut -d' ' -f1 | uniq -c | while read -r n dir; do \
+	  printf '%-28s %4d exported, %2d named by tests only\n' "$$dir" "$$n" "$$(echo "$$census" | grep -c "^$$dir ")"; done; \
+	echo; echo "keep-list ($$(echo "$$SURFACE_KEEP" | wc -l) names, the maximum):"; echo "$$SURFACE_KEEP"
+surface-check:
+	@census=$$($(SURFACE_CENSUS)); keep=$$(echo "$$SURFACE_KEEP" | awk '{print $$1, $$2}'); \
+	extra=$$(echo "$$census" | grep -vxF "$$keep"); stale=$$(echo "$$keep" | grep -vxF "$$census"); \
+	if [ -n "$$extra" ]; then echo "surface-check: exported under internal/, named by no non-test file, not in SURFACE_KEEP:" >&2; echo "$$extra" >&2; fi; \
+	if [ -n "$$stale" ]; then echo "surface-check: in SURFACE_KEEP but reached by a non-test file or gone — delete the line:" >&2; echo "$$stale" >&2; fi; \
+	[ -z "$$extra$$stale" ]
 
 # Fast suite: unit + protocol + reduced-scale integration (seconds).
 test-short:
@@ -165,4 +211,4 @@ bench-check:
 	rm -f bench.out bench-check.json; exit $$st
 
 # Tier-1 gate: everything a PR must keep green, in one command.
-ci: build vet doc-check gob-check timer-check loc-check test-short race leak-check cover
+ci: build vet doc-check gob-check timer-check loc-check surface-check test-short race leak-check cover

@@ -181,7 +181,7 @@ func main() {
 
 // checkpointWritten reports whether the checkpoint file at path was
 // (re)written since the pre-run stat: it exists now and either did not
-// exist before or its identity changed (SaveRunCheckpoint replaces the
+// exist before or its identity changed (the checkpointed run replaces the
 // file wholesale via rename, so size/mtime move on every save).
 func checkpointWritten(path string, before os.FileInfo, beforeErr error) bool {
 	after, err := os.Stat(path)

@@ -1,8 +1,6 @@
 package data
 
-import (
-	"fmt"
-)
+import "errors"
 
 // Attribute names understood by channels.
 const (
@@ -19,83 +17,40 @@ const (
 	AttrAge            = "age"
 )
 
-// Channel copies attributes from one particle set to another, matching
-// particles by key. It is AMUSE's new_channel_to: the coupler keeps a master
-// set and pushes/pulls state to each model's set around every coupled step.
-type Channel struct {
-	from, to *Particles
-	fromIdx  []int // per from-particle index into to
+// ErrNoTransfer is returned by RemoteChannel.Copy when the channel was
+// built without a transfer function.
+var ErrNoTransfer = errors.New("data: remote channel has no transfer function")
+
+// TransferFunc moves the named attribute columns between two
+// worker-resident particle sets. The coupler layer supplies it (core
+// wires RemoteChannels to its TransferState orchestration), keeping this
+// package free of any transport dependency.
+type TransferFunc func(attrs []string) error
+
+// RemoteChannel is AMUSE's new_channel_to for particle sets that live on
+// workers: Copy moves the named attribute columns from the source
+// worker's set to the destination worker's without materializing them on
+// the caller — over a direct worker-to-worker stream when one exists,
+// through the coupler otherwise. Attribute errors name the offending
+// attribute so a miswired script fails diagnosably.
+type RemoteChannel struct {
+	transfer TransferFunc
 }
 
-// NewChannel builds a channel from -> to. Every key in from must exist in
-// to; extra particles in to are allowed and untouched.
-func NewChannel(from, to *Particles) (*Channel, error) {
-	c := &Channel{from: from, to: to}
-	if err := c.Refresh(); err != nil {
-		return nil, err
-	}
-	return c, nil
+// NewRemoteChannel builds a remote channel over a transfer function.
+func NewRemoteChannel(transfer TransferFunc) *RemoteChannel {
+	return &RemoteChannel{transfer: transfer}
 }
 
-// Refresh recomputes the key mapping after either set changed membership.
-func (c *Channel) Refresh() error {
-	c.fromIdx = make([]int, c.from.Len())
-	for i, k := range c.from.Key {
-		j := c.to.IndexOf(k)
-		if j < 0 {
-			return fmt.Errorf("%w: key %d", ErrKeyMismatch, k)
-		}
-		c.fromIdx[i] = j
-	}
-	return nil
-}
-
-// Copy transfers the named attributes for all mapped particles. With no
-// attributes it copies mass, position and velocity (the common dynamics
-// exchange).
-func (c *Channel) Copy(attrs ...string) error {
-	if len(c.fromIdx) != c.from.Len() {
-		if err := c.Refresh(); err != nil {
-			return err
-		}
+// Copy transfers the named attributes between the worker-resident sets.
+// With no attributes it copies mass, position and velocity (the common
+// dynamics exchange).
+func (c *RemoteChannel) Copy(attrs ...string) error {
+	if c.transfer == nil {
+		return ErrNoTransfer
 	}
 	if len(attrs) == 0 {
 		attrs = []string{AttrMass, AttrPos, AttrVel}
 	}
-	for _, a := range attrs {
-		if err := c.copyOne(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// copyOne transfers one attribute column-wise: the attribute is resolved
-// to its backing array once, then a tight index loop moves the values —
-// no per-particle attribute dispatch.
-func (c *Channel) copyOne(attr string) error {
-	f, t := c.from, c.to
-	if fv, err := f.VecColumn(attr); err == nil {
-		tv, _ := t.VecColumn(attr)
-		for i, j := range c.fromIdx {
-			tv[j] = fv[i]
-		}
-		return nil
-	}
-	if ff, err := f.FloatColumn(attr); err == nil {
-		tf, _ := t.FloatColumn(attr)
-		for i, j := range c.fromIdx {
-			tf[j] = ff[i]
-		}
-		return nil
-	}
-	fi, err := f.IntColumn(attr)
-	if err != nil {
-		return err
-	}
-	ti, _ := t.IntColumn(attr)
-	for i, j := range c.fromIdx {
-		ti[j] = fi[i]
-	}
-	return nil
+	return c.transfer(attrs)
 }

@@ -1,20 +1,15 @@
 // Package data implements AMUSE-style particle sets: structure-of-arrays
-// collections with stable keys, plus attribute channels that copy selected
-// attributes between sets sharing keys — the mechanism AMUSE scripts use to
-// move state between the coupler's bookkeeping set and each model's internal
-// set (Fig. 7's "p-kicks" and state exchanges).
+// collections with stable keys and named attribute columns, plus the
+// attribute channel that copies selected columns between two
+// worker-resident sets — the mechanism AMUSE scripts use to move state
+// between models (Fig. 7's "p-kicks" and state exchanges).
 package data
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 )
-
-// ErrKeyMismatch is returned by NewChannel when the target set is missing
-// keys present in the source set.
-var ErrKeyMismatch = errors.New("data: key not present in target set")
 
 // Particles is a structure-of-arrays particle set. All slices have equal
 // length. Keys are stable unique identifiers that survive copies between
@@ -38,7 +33,6 @@ type Particles struct {
 	Age         []float64
 
 	nextKey uint64
-	index   map[uint64]int
 }
 
 // NewParticles returns a set with n particles and fresh sequential keys.
@@ -49,12 +43,8 @@ func NewParticles(n int) *Particles {
 		p.Key[i] = uint64(i + 1)
 	}
 	p.nextKey = uint64(n + 1)
-	p.reindex()
 	return p
 }
-
-// Empty returns a set with zero particles.
-func Empty() *Particles { return NewParticles(0) }
 
 func (p *Particles) grow(n int) {
 	p.Key = append(p.Key, make([]uint64, n)...)
@@ -86,9 +76,6 @@ func (p *Particles) Add(mass float64, pos, vel Vec3) int {
 	p.Mass[i] = mass
 	p.Pos[i] = pos
 	p.Vel[i] = vel
-	if p.index != nil {
-		p.index[p.Key[i]] = i
-	}
 	return i
 }
 
@@ -125,7 +112,6 @@ func (p *Particles) Remove(i int) {
 	p.Temperature = p.Temperature[:last]
 	p.StellarType = p.StellarType[:last]
 	p.Age = p.Age[:last]
-	p.reindex()
 }
 
 // Clone returns a deep copy sharing no storage.
@@ -143,26 +129,7 @@ func (p *Particles) Clone() *Particles {
 	q.Temperature = append([]float64(nil), p.Temperature...)
 	q.StellarType = append([]int(nil), p.StellarType...)
 	q.Age = append([]float64(nil), p.Age...)
-	q.reindex()
 	return q
-}
-
-func (p *Particles) reindex() {
-	p.index = make(map[uint64]int, len(p.Key))
-	for i, k := range p.Key {
-		p.index[k] = i
-	}
-}
-
-// IndexOf returns the index of the particle with the given key, or -1.
-func (p *Particles) IndexOf(key uint64) int {
-	if p.index == nil {
-		p.reindex()
-	}
-	if i, ok := p.index[key]; ok {
-		return i
-	}
-	return -1
 }
 
 // TotalMass returns the summed mass.
@@ -202,7 +169,7 @@ func (p *Particles) CenterOfMassVelocity() Vec3 {
 	return v.Scale(1 / m)
 }
 
-// KineticEnergy returns Σ ½ m v².
+// KineticEnergy returns Σ ½ m v² (a diagnostic: tests only, like PotentialEnergy).
 func (p *Particles) KineticEnergy() float64 {
 	var e float64
 	for i := range p.Mass {
@@ -212,7 +179,7 @@ func (p *Particles) KineticEnergy() float64 {
 }
 
 // PotentialEnergy returns the direct-sum pairwise potential −G Σ mᵢmⱼ/rᵢⱼ
-// with Plummer softening eps. O(N²); intended for diagnostics and tests.
+// with Plummer softening eps. O(N²); a diagnostic: tests only (ic's virial check).
 func (p *Particles) PotentialEnergy(g, eps float64) float64 {
 	var e float64
 	eps2 := eps * eps
@@ -225,15 +192,6 @@ func (p *Particles) PotentialEnergy(g, eps float64) float64 {
 	return e
 }
 
-// ThermalEnergy returns Σ m·u for gas sets.
-func (p *Particles) ThermalEnergy() float64 {
-	var e float64
-	for i := range p.Mass {
-		e += p.Mass[i] * p.InternalEnergy[i]
-	}
-	return e
-}
-
 // MoveToCenter shifts positions and velocities into the center-of-mass
 // frame, as AMUSE's move_to_center does before coupling models.
 func (p *Particles) MoveToCenter() {
@@ -242,42 +200,6 @@ func (p *Particles) MoveToCenter() {
 	for i := range p.Pos {
 		p.Pos[i] = p.Pos[i].Sub(com)
 		p.Vel[i] = p.Vel[i].Sub(cov)
-	}
-}
-
-// ScaleToStandard rescales the set to Heggie–Mathieu standard N-body units:
-// total mass M=1, virial equilibrium 2T=|U|, total energy E=−1/4 (with G=1
-// and softening eps in the rescaled length unit).
-func (p *Particles) ScaleToStandard(eps float64) {
-	m := p.TotalMass()
-	if m <= 0 || p.Len() < 2 {
-		return
-	}
-	for i := range p.Mass {
-		p.Mass[i] /= m
-	}
-	p.MoveToCenter()
-	// First scale velocities to virial equilibrium: 2T = |U|.
-	u := p.PotentialEnergy(1, eps)
-	t := p.KineticEnergy()
-	if t > 0 && u < 0 {
-		f := math.Sqrt(-u / (2 * t))
-		for i := range p.Vel {
-			p.Vel[i] = p.Vel[i].Scale(f)
-		}
-	}
-	// Then scale lengths (and compensate velocities) to E = -1/4.
-	e := p.KineticEnergy() + p.PotentialEnergy(1, eps)
-	if e >= 0 {
-		return
-	}
-	r := e / (-0.25) // current E is r times target
-	for i := range p.Pos {
-		p.Pos[i] = p.Pos[i].Scale(r)
-	}
-	vf := 1 / math.Sqrt(r)
-	for i := range p.Vel {
-		p.Vel[i] = p.Vel[i].Scale(vf)
 	}
 }
 

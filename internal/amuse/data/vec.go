@@ -18,15 +18,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v[0], s * v[1], s * v[2]} 
 // Dot returns the inner product.
 func (v Vec3) Dot(o Vec3) float64 { return v[0]*o[0] + v[1]*o[1] + v[2]*o[2] }
 
-// Cross returns the cross product v×o.
-func (v Vec3) Cross(o Vec3) Vec3 {
-	return Vec3{
-		v[1]*o[2] - v[2]*o[1],
-		v[2]*o[0] - v[0]*o[2],
-		v[0]*o[1] - v[1]*o[0],
-	}
-}
-
 // Norm2 returns |v|².
 func (v Vec3) Norm2() float64 { return v.Dot(v) }
 

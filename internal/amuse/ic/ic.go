@@ -143,7 +143,7 @@ func EmbeddedCluster(spec ClusterSpec) (stars, gas *data.Particles, err error) {
 }
 
 // UniformSphere places n equal-mass particles uniformly inside radius r,
-// at rest; useful as a cold-collapse test workload.
+// at rest: the physics oracle tests' second distribution (tests only).
 func UniformSphere(n int, totalMass, r float64, seed int64) *data.Particles {
 	rng := rand.New(rand.NewSource(seed))
 	p := data.NewParticles(n)

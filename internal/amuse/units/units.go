@@ -35,11 +35,6 @@ func (d Dim) Div(o Dim) Dim {
 	return Dim{d.Mass - o.Mass, d.Length - o.Length, d.Time - o.Time, d.Temp - o.Temp}
 }
 
-// Pow returns the dimension of d raised to an integer power.
-func (d Dim) Pow(n int8) Dim {
-	return Dim{d.Mass * n, d.Length * n, d.Time * n, d.Temp * n}
-}
-
 // String renders the dimension as base-unit factors, e.g. "kg m^2 s^-3".
 func (d Dim) String() string {
 	if d == Dimensionless {
@@ -85,15 +80,6 @@ func Per(a, b Unit) Unit {
 // Times builds the product unit a·b.
 func Times(a, b Unit) Unit {
 	return Unit{Symbol: a.Symbol + "*" + b.Symbol, Dim: a.Dim.Mul(b.Dim), Scale: a.Scale * b.Scale}
-}
-
-// PowUnit raises a unit to an integer power.
-func PowUnit(u Unit, n int8) Unit {
-	return Unit{
-		Symbol: fmt.Sprintf("%s^%d", u.Symbol, n),
-		Dim:    u.Dim.Pow(n),
-		Scale:  math.Pow(u.Scale, float64(n)),
-	}
 }
 
 // SI base and astronomy units.
@@ -157,15 +143,6 @@ func (q Quantity) In(u Unit) (Quantity, error) {
 	return Quantity{Value: q.SI() / u.Scale, Unit: u}, nil
 }
 
-// MustIn converts or panics; for package-internal constants known to match.
-func (q Quantity) MustIn(u Unit) Quantity {
-	out, err := q.In(u)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ValueIn returns the numeric value of the quantity expressed in u.
 func (q Quantity) ValueIn(u Unit) (float64, error) {
 	out, err := q.In(u)
@@ -206,22 +183,6 @@ func (q Quantity) Div(o Quantity) Quantity {
 // Scale multiplies by a dimensionless factor.
 func (q Quantity) Scale(f float64) Quantity {
 	return Quantity{Value: q.Value * f, Unit: q.Unit}
-}
-
-// Cmp compares two quantities of the same dimension: -1, 0 or +1.
-func (q Quantity) Cmp(o Quantity) (int, error) {
-	oc, err := o.In(q.Unit)
-	if err != nil {
-		return 0, err
-	}
-	switch {
-	case q.Value < oc.Value:
-		return -1, nil
-	case q.Value > oc.Value:
-		return 1, nil
-	default:
-		return 0, nil
-	}
 }
 
 // String renders "value symbol".
@@ -270,22 +231,3 @@ func (c *Converter) ToNBody(q Quantity) (float64, error) {
 	}
 	return q.SI() / c.scaleFor(q.Unit.Dim), nil
 }
-
-// ToPhysical converts a dimensionless N-body value of dimension d into the
-// requested unit.
-func (c *Converter) ToPhysical(value float64, u Unit) (Quantity, error) {
-	if u.Dim.Temp != 0 {
-		return Quantity{}, fmt.Errorf("%w: temperature has no N-body scale", ErrDimension)
-	}
-	si := value * c.scaleFor(u.Dim)
-	return Quantity{Value: si / u.Scale, Unit: u}, nil
-}
-
-// MassScale returns the SI mass of one N-body mass unit.
-func (c *Converter) MassScale() Quantity { return Quantity{Value: c.mass, Unit: Kg} }
-
-// LengthScale returns the SI length of one N-body length unit.
-func (c *Converter) LengthScale() Quantity { return Quantity{Value: c.length, Unit: M} }
-
-// TimeScale returns the SI duration of one N-body time unit.
-func (c *Converter) TimeScale() Quantity { return Quantity{Value: c.time, Unit: S} }

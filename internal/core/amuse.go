@@ -81,18 +81,12 @@ func NewSimulation(ctx context.Context, d *Daemon, conv *units.Converter) *Simul
 	return s
 }
 
-// Context returns the session context.
-func (s *Simulation) Context() context.Context { return s.ctx }
-
 // Clock returns the coupler's virtual clock.
 func (s *Simulation) Clock() *vtime.Clock { return s.clock }
 
 // Elapsed returns the coupler's virtual time — the per-iteration wall time
 // the paper reports in §6.2.
 func (s *Simulation) Elapsed() time.Duration { return s.clock.Now() }
-
-// Converter returns the unit converter (may be nil).
-func (s *Simulation) Converter() *units.Converter { return s.conv }
 
 // Daemon returns the daemon this simulation talks to.
 func (s *Simulation) Daemon() *Daemon { return s.daemon }
@@ -315,7 +309,9 @@ func (m *modelProxy) resource() string {
 // replays setup plus the newest known state: the last checkpoint snapshot
 // when one exists (full model state including the kernel's clock,
 // restored via the checkpoint/restore capability), the synchronized
-// particle cache otherwise.
+// particle cache otherwise. Opt-in, per model: no command turns it on today
+// (tests and BenchmarkCheckpointRecovery do); without it a dead worker
+// fails the model's next call with a structured error.
 //
 // Gangs are replaceable once a checkpoint exists: the dead rank's job is
 // restarted on the same resource, gang_init re-wires every rank's peer
@@ -526,7 +522,7 @@ func (m *modelProxy) GetState(ctx context.Context, attrs ...string) (*kernel.Sta
 func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
 	req, err := kernel.NewStateRequest("set_state", st)
 	if err != nil {
-		return failedCall(m.kind, "set_state", err)
+		return failedCall(err)
 	}
 	args := req.Args // the columns as they are now, whatever becomes of st
 	return m.issue(m.sim.clock.Now(), req, callOpts{class: replayable,
@@ -588,17 +584,11 @@ func (m *modelProxy) GoPull(p *data.Particles, attrs ...string) *Call {
 	})
 }
 
-// Pull fetches the named columns (default mass/position/velocity) into
-// the particle set in one round trip. nil ctx means the session context.
-func (m *modelProxy) Pull(ctx context.Context, p *data.Particles, attrs ...string) error {
-	return m.GoPull(p, attrs...).Wait(m.sessionCtx(ctx))
-}
-
 // GoPush issues the batched column write without waiting.
 func (m *modelProxy) GoPush(p *data.Particles, attrs ...string) *Call {
 	st, err := kernel.GatherState(p, attrs...)
 	if err != nil {
-		return failedCall(m.kind, "set_state", err)
+		return failedCall(err)
 	}
 	return m.GoSetState(st)
 }
@@ -728,7 +718,7 @@ type StellarModel struct {
 
 // NewStellar starts a stellar-evolution worker for the given ZAMS masses
 // (in MSun). myrPerTime and nbodyPerMSun are the unit scales the bridge
-// needs; with a session converter use NewStellarFromConverter.
+// needs.
 func (s *Simulation) NewStellar(ctx context.Context, spec WorkerSpec, massesMSun []float64, myrPerTime, nbodyPerMSun float64) (*StellarModel, error) {
 	m, err := s.newModel(ctx, KindStellar, spec, kernel.SetupStellarArgs{
 		MassesMSun: massesMSun, MyrPerTime: myrPerTime, NBodyPerMSun: nbodyPerMSun,
@@ -737,23 +727,6 @@ func (s *Simulation) NewStellar(ctx context.Context, spec WorkerSpec, massesMSun
 		return nil, err
 	}
 	return &StellarModel{modelProxy: m}, nil
-}
-
-// NewStellarFromConverter derives the unit scales from the session
-// converter (checked conversions, as AMUSE requires).
-func (s *Simulation) NewStellarFromConverter(ctx context.Context, spec WorkerSpec, massesMSun []float64) (*StellarModel, error) {
-	if s.conv == nil {
-		return nil, errors.New("core: stellar model needs a unit converter")
-	}
-	myr, err := s.conv.TimeScale().ValueIn(units.Myr)
-	if err != nil {
-		return nil, err
-	}
-	msun, err := s.conv.MassScale().ValueIn(units.MSun)
-	if err != nil {
-		return nil, err
-	}
-	return s.NewStellar(ctx, spec, massesMSun, myr, 1/msun)
 }
 
 // EvolveTo implements bridge.Stellar.

@@ -40,8 +40,6 @@ var ErrInFlight = errors.New("core: call still in flight")
 // Wait, or never waiting) does not disturb the worker or the channel: the
 // response is still received and discarded, and costs the script no time.
 type Call struct {
-	kind   Kind
-	method string
 	// seq is the issue-order sequence number on the owning proxy; used to
 	// restore FIFO order when calls parked behind a rebuild are re-issued.
 	seq uint64
@@ -69,14 +67,14 @@ type Call struct {
 	success func(seq uint64)
 }
 
-func newCall(clock *vtime.Clock, kind Kind, method string, after func([]byte) error) *Call {
-	return &Call{clock: clock, kind: kind, method: method, done: make(chan struct{}), after: after}
+func newCall(clock *vtime.Clock, after func([]byte) error) *Call {
+	return &Call{clock: clock, done: make(chan struct{}), after: after}
 }
 
 // failedCall returns an already-completed Call carrying err (used when a
 // call cannot even be issued).
-func failedCall(kind Kind, method string, err error) *Call {
-	c := newCall(nil, kind, method, nil)
+func failedCall(err error) *Call {
+	c := newCall(nil, nil)
 	c.finish(nil, err, 0)
 	return c
 }
@@ -126,9 +124,6 @@ func (c *Call) await(ctx context.Context) (time.Duration, error) {
 		return 0, ctx.Err()
 	}
 }
-
-// Method returns the RPC method this call performs.
-func (c *Call) Method() string { return c.method }
 
 // Done returns a channel closed when the call completes. Select on it to
 // multiplex calls by hand; Wait and Gather cover the common cases.

@@ -6,12 +6,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"jungle/internal/amuse/units"
 	"jungle/internal/core/kernel"
-	"jungle/internal/deploy"
 	"jungle/internal/trace"
 )
 
@@ -262,25 +260,23 @@ func (m *Model) AsField() *FieldModel {
 	return &FieldModel{modelProxy: m.modelProxy, kernelName: name}
 }
 
-// Save writes the manifest to a file (atomically: temp file + rename), so
-// a killed run's last completed checkpoint is always loadable.
-func (man *Manifest) Save(path string) error {
+// Encode gob-encodes the manifest — a session snapshot as it is, a
+// checkpoint file through deploy.WriteFileAtomic. DecodeManifest inverts it.
+func (man *Manifest) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
-		return fmt.Errorf("core: encode manifest: %w", err)
+		return nil, fmt.Errorf("core: encode manifest: %w", err)
 	}
-	return deploy.WriteFileAtomic(path, buf.Bytes())
+	return buf.Bytes(), nil
 }
 
-// LoadManifest reads a manifest written by Save.
-func LoadManifest(path string) (*Manifest, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// DecodeManifest decodes a manifest produced by Encode. Tests only: every
+// command's sessions install exp's evictor, whose run checkpoint embeds the
+// manifest, so no command resumes a bare one yet.
+func DecodeManifest(b []byte) (*Manifest, error) {
 	man := new(Manifest)
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(man); err != nil {
-		return nil, fmt.Errorf("core: decode manifest %s: %w", path, err)
+		return nil, fmt.Errorf("core: decode manifest: %w", err)
 	}
 	return man, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -101,12 +100,13 @@ func TestCheckpointResumeSimulation(t *testing.T) {
 	}
 	man = man2
 
-	// Manifest round-trips through disk (the amuse-run -resume path).
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := man.Save(path); err != nil {
+	// Manifest round-trips through its encoding (what a session snapshot
+	// and a checkpoint file hold).
+	enc, err := man.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadManifest(path)
+	loaded, err := DecodeManifest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -189,11 +188,11 @@ func TestKindConformanceCheckpointRoundTrip(t *testing.T) {
 			if len(man.Models) != 1 || man.Models[0].Kind != k.kind {
 				t.Fatalf("manifest models = %+v", man.Models)
 			}
-			path := filepath.Join(t.TempDir(), "run.ckpt")
-			if err := man.Save(path); err != nil {
+			enc, err := man.Encode()
+			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadManifest(path)
+			loaded, err := DecodeManifest(enc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -780,7 +780,7 @@ func (d *Daemon) StopWorker(id int) {
 }
 
 // KillWorker abruptly cancels a worker's job (the scheduler-kill fault of
-// §5); the pool observes a death.
+// §5); the pool observes a death. Fault injection: tests and benchmarks only.
 func (d *Daemon) KillWorker(id int) {
 	d.mu.Lock()
 	wh := d.workers[id]

@@ -9,8 +9,6 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/ic"
@@ -204,20 +202,14 @@ func Example_checkpointResume() {
 		fmt.Println(err)
 		return
 	}
-	dir, err := os.MkdirTemp("", "ckpt")
+	enc, err := man.Encode() // what a checkpoint file or a session snapshot holds
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "example.ckpt")
-	if err := man.Save(path); err != nil {
-		fmt.Println(err)
-		return
-	}
-	sim.Stop() // the original session is gone; only the manifest survives
+	sim.Stop() // the original session is gone; only the encoded manifest survives
 
-	loaded, err := core.LoadManifest(path)
+	loaded, err := core.DecodeManifest(enc)
 	if err != nil {
 		fmt.Println(err)
 		return

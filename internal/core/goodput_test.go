@@ -66,8 +66,8 @@ func assertGoodputEdges(t *testing.T, tb *Testbed, edges []struct {
 		}
 		at = doneAt + time.Second
 	}
-	if !strings.Contains(tb.Recorder.RenderGoodput(), "GOODPUT") {
-		t.Error("RenderGoodput output missing header")
+	if !strings.Contains(tb.Recorder.RenderHealth(at), "GOODPUT") {
+		t.Error("RenderHealth output missing the goodput header")
 	}
 }
 

@@ -151,11 +151,6 @@ func snapshotSize(s *Snapshot) int {
 	return size
 }
 
-// MarshalSnapshot marshals s into a detached blob, exactly sized.
-func MarshalSnapshot(s *Snapshot) ([]byte, error) {
-	return AppendSnapshot(make([]byte, 0, snapshotSize(s)), s)
-}
-
 // UnmarshalSnapshot parses a frame produced by AppendSnapshot. Extra
 // aliases b; the state columns are decoded into slices of their own.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {

@@ -23,7 +23,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		State: st,
 		Extra: []byte{0xde, 0xad, 0xbe, 0xef},
 	}
-	frame, err := MarshalSnapshot(in)
+	frame, err := AppendSnapshot(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSnapshotRoundTripNoState(t *testing.T) {
 		{Kind: "stellar", Model: 3.5, Extra: []byte("population")},
 		{Kind: "coupling"},
 	} {
-		frame, err := MarshalSnapshot(in)
+		frame, err := AppendSnapshot(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestSnapshotKindCheck(t *testing.T) {
 func TestSnapshotTruncation(t *testing.T) {
 	st := NewState(2)
 	st.AddFloat(data.AttrMass, []float64{1, 2})
-	frame, err := MarshalSnapshot(&Snapshot{Kind: "gravity", State: st})
+	frame, err := AppendSnapshot(nil, &Snapshot{Kind: "gravity", State: st})
 	if err != nil {
 		t.Fatal(err)
 	}

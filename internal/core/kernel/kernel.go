@@ -21,7 +21,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -123,18 +122,6 @@ func New(kind string, cfg Config) (Service, error) {
 		return nil, fmt.Errorf("%w: %q", ErrBadKind, kind)
 	}
 	return f(cfg)
-}
-
-// Kinds returns the registered kind names, sorted.
-func Kinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for k := range factories {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Registered reports whether a kind has a factory.

@@ -36,15 +36,6 @@ func TestRegisterAndNew(t *testing.T) {
 	if svc == nil {
 		t.Fatal("nil service")
 	}
-	found := false
-	for _, k := range Kinds() {
-		if k == "test-kind" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Kinds() = %v, missing test-kind", Kinds())
-	}
 }
 
 func TestNewUnknownKindReturnsErrBadKind(t *testing.T) {

@@ -103,9 +103,8 @@ func ClassifyErr(err error) Code {
 }
 
 // WireError is a decoded wire failure: the code plus the originating
-// message. It unwraps to the code's sentinel, so
-// errors.Is(err, kernel.ErrBadMethod) (etc.) holds on the coupler side
-// of any channel.
+// message. It unwraps to the code's sentinel, so errors.Is(err,
+// kernel.ErrBadMethod) (etc.) holds on the coupler side of any channel.
 type WireError struct {
 	Code Code
 	Msg  string
@@ -118,6 +117,7 @@ func (e *WireError) Error() string {
 	return e.Code.Sentinel().Error()
 }
 
+// Unwrap is an interface method: errors.Is reaches it, nothing names it.
 func (e *WireError) Unwrap() error { return e.Code.Sentinel() }
 
 // ResponseError converts a decoded Response into the coupler-side error

@@ -80,7 +80,7 @@ type callOpts struct {
 // parked call keeps.
 func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
 	method := req.Method
-	c := newCall(m.sim.clock, m.kind, method, o.after)
+	c := newCall(m.sim.clock, o.after)
 	c.seq = m.seq.Add(1)
 	c.success = o.success
 	m.mu.Lock()

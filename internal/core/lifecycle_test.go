@@ -340,7 +340,7 @@ func TestCallsIssuedDuringRebuildKeepOrder(t *testing.T) {
 		dv[i] = data.Vec3{0.125, 0, 0}
 	}
 	before := stars.Clone()
-	if err := g.Pull(nil, before); err != nil {
+	if err := g.GoPull(before).Wait(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,7 +378,7 @@ func TestCallsIssuedDuringRebuildKeepOrder(t *testing.T) {
 	ref := elasticGravity(t, sim, tb.Mixed, 2, stars)
 	evolveLegs(t, ref, 1.0/8)
 	want := stars.Clone()
-	if err := ref.Pull(nil, want); err != nil {
+	if err := ref.GoPull(want).Wait(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range dv {

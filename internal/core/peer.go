@@ -350,7 +350,7 @@ func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc serv
 		}
 		conn.SetClass("peer")
 		if err := conn.Send(kernel.AppendGangHello(nil, a.ID, a.Rank),
-			maxDuration(arrival, conn.EstablishedAt())); err != nil {
+			max(arrival, conn.EstablishedAt())); err != nil {
 			conn.Close()
 			cleanup()
 			return fail(kernel.CodeTransport, fmt.Errorf("core: gang %d: hello to rank %d: %w", a.ID, j, err))
@@ -439,7 +439,7 @@ func loopCall(loop *vnet.Conn, req request) (*response, []byte, error) {
 	if err := kernel.UnmarshalResponse(reply.Data, resp); err != nil {
 		return nil, nil, err
 	}
-	resp.DoneAt = maxDuration(resp.DoneAt, reply.Arrival)
+	resp.DoneAt = max(resp.DoneAt, reply.Arrival)
 	return resp, reply.Data, nil
 }
 
@@ -485,7 +485,7 @@ func (p *peerPlane) streamToPeer(peer string, id uint64, frame []byte, at time.D
 	if testPeerStreamFault != nil && testPeerStreamFault() {
 		conn.Close() // injected fault: the stream dies under the transfer
 	}
-	if err := conn.Send(frame, maxDuration(at, conn.EstablishedAt())); err != nil {
+	if err := conn.Send(frame, max(at, conn.EstablishedAt())); err != nil {
 		return 0, kernel.CodeTransport, fmt.Errorf("stream to %s: %w", peer, err)
 	}
 	ack, err := conn.Recv()
@@ -520,18 +520,11 @@ func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time
 		apply = kernel.MethodApplyState
 	}
 	req := kernel.NewApplyRequest(apply, a.Slot, d.state)
-	req.ID, req.SentAt = reqID, maxDuration(arrival, d.arrival)
+	req.ID, req.SentAt = reqID, max(arrival, d.arrival)
 	resp, _, err := loopCall(loop, req)
 	if err != nil {
 		return fail(fmt.Errorf("%w: accept %d: apply: %v", kernel.ErrTransport, a.ID, err))
 	}
 	resp.ID = reqID
 	return resp
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

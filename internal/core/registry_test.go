@@ -18,7 +18,7 @@ import (
 func TestSeedKindsRegistered(t *testing.T) {
 	for _, k := range []Kind{KindGravity, KindHydro, KindStellar, KindField} {
 		if !kernel.Registered(string(k)) {
-			t.Fatalf("seed kind %q not registered (kinds: %v)", k, kernel.Kinds())
+			t.Fatalf("seed kind %q not registered", k)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestBatchedStateMatchesPerCall(t *testing.T) {
 
 	// Batched pull == per-attribute getters.
 	out := stars.Clone()
-	if err := batched.Pull(context.Background(), out); err != nil {
+	if err := batched.GoPull(out).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	pos := batched.Positions()

@@ -346,34 +346,6 @@ func NewElasticTestbed() (*Testbed, error) {
 	return tb, nil
 }
 
-// AddSupercomputer registers the §7 scale-up resource: a 64-node
-// PBS-managed machine at SARA ("using the infrastructure that we recently
-// acquired access to ... including a supercomputer"). Returns the resource
-// name. PBS is the one middleware the standard testbeds do not otherwise
-// exercise.
-func (tb *Testbed) AddSupercomputer() (string, error) {
-	sc, err := tb.Net.AddCluster(vnet.ClusterSpec{
-		Name: "huygens", Site: "sara", Nodes: 64,
-		FrontendPolicy: vnet.SSHOnly, NodePolicy: vnet.OutboundOnly,
-		InternalLatency: lanLat, InternalBandwidth: tenG,
-	})
-	if err != nil {
-		return "", err
-	}
-	// The supercomputer hangs off the VU frontend's lightpath hub.
-	vuFE := "das4-vu.fe"
-	if err := tb.Net.AddLink(sc.Frontend, vuFE, metroLat, tenG); err != nil {
-		return "", err
-	}
-	if err := tb.Deployment.AddResource(deploy.Resource{
-		Name: "huygens", Middleware: "pbs", Frontend: sc.Frontend, Nodes: sc.NodeName,
-		CPU: &vtime.Device{Name: "power6", Kind: vtime.CPU, Gflops: 12, Cores: 16},
-	}); err != nil {
-		return "", err
-	}
-	return "huygens", nil
-}
-
 // Close shuts the daemon and deployment down.
 func (tb *Testbed) Close() {
 	if tb.Daemon != nil {

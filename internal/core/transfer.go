@@ -133,7 +133,7 @@ func isPeerPathErr(err error) bool {
 // without touching the clock (Call.await).
 func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64, attrs []string) *Call {
 	attrs = defaultStateAttrs(attrs)
-	c := newCall(s.clock, "transfer", "transfer_state", nil)
+	c := newCall(s.clock, nil)
 	at := s.clock.Now()
 	dstPeer, dstOK := dst.peerAddr()
 	_, srcOK := src.peerAddr()

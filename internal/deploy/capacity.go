@@ -4,21 +4,12 @@ import "sync"
 
 // Capacity accounting. The control plane needs one truthful answer to
 // "how many nodes of this resource are spoken for, and by whom?" — across
-// every live session sharing the deployment. Two books feed that answer:
-//
-//   - commitments: nodes occupied by actually-running worker jobs. The
-//     core daemon commits when it starts a worker and releases exactly
-//     once when the worker stops or dies.
-//   - reservations: nodes promised to an admitted session whose workers
-//     have not all started yet. The session scheduler reserves a whole
-//     session's demand at admission and releases it at eviction/close.
-//
-// A session's workers start against its own reservation, so the two books
-// overlap for the same owner. The per-resource total therefore merges
-// them per owner with max(reserved, committed) — never the sum — while
-// anonymous commitments (owner "", sessionless simulations) simply add
-// up. That keeps admission, placement and SelectResource fairness all
-// reading one consistent occupancy figure with no double counting.
+// every live session sharing the deployment. One book answers it: the
+// nodes occupied by actually-running worker jobs, per resource and owner
+// (the session; "" for sessionless simulations). The core daemon commits
+// when it starts a worker and releases exactly once when the worker stops
+// or dies, so admission, placement and SelectResource fairness all read
+// one occupancy figure.
 
 // CapacityMonitor receives a capacity gauge update whenever a resource's
 // occupancy changes (trace.Recorder satisfies it; see RenderHealth).
@@ -26,11 +17,10 @@ type CapacityMonitor interface {
 	RecordCapacity(resource string, occupied, total int)
 }
 
-// capLedger tracks reserved/committed nodes per resource per owner.
+// capLedger tracks committed nodes per resource per owner.
 type capLedger struct {
 	mu        sync.Mutex
-	reserved  map[string]map[string]int // resource -> owner -> nodes
-	committed map[string]map[string]int
+	committed map[string]map[string]int // resource -> owner -> nodes
 	mon       CapacityMonitor
 }
 
@@ -56,115 +46,60 @@ func (d *Deployment) recordCapacity(m CapacityMonitor, resource string) {
 	m.RecordCapacity(resource, d.OccupiedNodes(resource), total)
 }
 
-func (l *capLedger) add(book map[string]map[string]int, resource, owner string, nodes int) map[string]map[string]int {
-	if book == nil {
-		book = make(map[string]map[string]int)
+// adjust moves one owner's committed nodes on a resource by delta and
+// reports the resource's fresh occupancy to the monitor.
+func (d *Deployment) adjust(resource, owner string, delta int) {
+	d.cap.mu.Lock()
+	if d.cap.committed == nil {
+		d.cap.committed = make(map[string]map[string]int)
 	}
-	m := book[resource]
+	m := d.cap.committed[resource]
 	if m == nil {
 		m = make(map[string]int)
-		book[resource] = m
+		d.cap.committed[resource] = m
 	}
-	m[owner] += nodes
+	m[owner] += delta
 	if m[owner] <= 0 {
 		delete(m, owner)
 	}
-	return book
-}
-
-// ReserveNodes records a capacity reservation for owner on a resource
-// (the scheduler's admission-time claim on a session's whole demand).
-func (d *Deployment) ReserveNodes(resource, owner string, nodes int) {
-	if nodes <= 0 {
-		return
-	}
-	d.cap.mu.Lock()
-	d.cap.reserved = d.cap.add(d.cap.reserved, resource, owner, nodes)
-	m := d.cap.mon
+	mon := d.cap.mon
 	d.cap.mu.Unlock()
-	d.recordCapacity(m, resource)
-}
-
-// ReleaseReserved returns previously reserved nodes.
-func (d *Deployment) ReleaseReserved(resource, owner string, nodes int) {
-	if nodes <= 0 {
-		return
-	}
-	d.cap.mu.Lock()
-	d.cap.reserved = d.cap.add(d.cap.reserved, resource, owner, -nodes)
-	m := d.cap.mon
-	d.cap.mu.Unlock()
-	d.recordCapacity(m, resource)
+	d.recordCapacity(mon, resource)
 }
 
 // CommitNodes records nodes occupied by a running worker job. owner is
 // the session the worker belongs to ("" for sessionless simulations).
 func (d *Deployment) CommitNodes(resource, owner string, nodes int) {
-	if nodes <= 0 {
-		return
+	if nodes > 0 {
+		d.adjust(resource, owner, nodes)
 	}
-	d.cap.mu.Lock()
-	d.cap.committed = d.cap.add(d.cap.committed, resource, owner, nodes)
-	m := d.cap.mon
-	d.cap.mu.Unlock()
-	d.recordCapacity(m, resource)
 }
 
 // ReleaseNodes returns previously committed nodes (worker stopped/died).
 func (d *Deployment) ReleaseNodes(resource, owner string, nodes int) {
-	if nodes <= 0 {
-		return
+	if nodes > 0 {
+		d.adjust(resource, owner, -nodes)
 	}
-	d.cap.mu.Lock()
-	d.cap.committed = d.cap.add(d.cap.committed, resource, owner, -nodes)
-	m := d.cap.mon
-	d.cap.mu.Unlock()
-	d.recordCapacity(m, resource)
 }
 
-// mergedLocked returns one owner's occupancy contribution on a resource.
-func (l *capLedger) ownerLocked(resource, owner string) int {
-	res := l.reserved[resource][owner]
-	com := l.committed[resource][owner]
-	if owner == "" {
-		// Anonymous entries have no session identity to merge under: a
-		// reservation without an owner (which the scheduler never makes)
-		// and sessionless worker commitments are distinct claims.
-		return res + com
-	}
-	if com > res {
-		return com
-	}
-	return res
-}
-
-// occupied sums every owner's merged contribution on a resource,
-// optionally excluding one owner (a caller fitting its OWN work must not
-// count capacity it already holds against itself).
+// occupied sums every owner's committed nodes on a resource, optionally
+// excluding one owner (a caller fitting its OWN work must not count
+// capacity it already holds against itself).
 func (l *capLedger) occupied(resource, except string, useExcept bool) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	owners := make(map[string]bool)
-	for o := range l.reserved[resource] {
-		owners[o] = true
-	}
-	for o := range l.committed[resource] {
-		owners[o] = true
-	}
 	total := 0
-	for o := range owners {
+	for o, n := range l.committed[resource] {
 		if useExcept && o == except {
 			continue
 		}
-		total += l.ownerLocked(resource, o)
+		total += n
 	}
 	return total
 }
 
 // OccupiedNodes returns the total nodes spoken for on a resource across
-// all owners: running workers plus admission reservations, max-merged per
-// session so a session starting against its own reservation is counted
-// once.
+// all owners.
 func (d *Deployment) OccupiedNodes(resource string) int {
 	return d.cap.occupied(resource, "", false)
 }
@@ -174,11 +109,4 @@ func (d *Deployment) OccupiedNodes(resource string) int {
 // owner's work must subtract from the resource's capacity.
 func (d *Deployment) OccupiedNodesByOthers(resource, owner string) int {
 	return d.cap.occupied(resource, owner, true)
-}
-
-// OwnerNodes returns one owner's merged occupancy on a resource.
-func (d *Deployment) OwnerNodes(resource, owner string) int {
-	d.cap.mu.Lock()
-	defer d.cap.mu.Unlock()
-	return d.cap.ownerLocked(resource, owner)
 }

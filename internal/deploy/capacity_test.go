@@ -20,26 +20,17 @@ func capTestDeployment(t *testing.T) *Deployment {
 	return d
 }
 
-// TestCapacityLedgerMaxMerge: a session starting workers against its own
-// admission reservation must be counted once (max-merge), anonymous
-// commitments add up, and releases drain both books back to zero.
-func TestCapacityLedgerMaxMerge(t *testing.T) {
+// TestCapacityLedger: commitments add up per owner and across owners,
+// a caller fitting its own work does not count what it already holds, and
+// releases drain the book back to zero.
+func TestCapacityLedger(t *testing.T) {
 	d := capTestDeployment(t)
 
-	// Session s1 reserved 4 nodes at admission; 3 of its workers started.
-	d.ReserveNodes("cluster", "s1", 4)
+	// Session s1 runs 5 nodes of workers, s2 two, and two anonymous
+	// workers share the cluster.
 	d.CommitNodes("cluster", "s1", 3)
-	if got := d.OwnerNodes("cluster", "s1"); got != 4 {
-		t.Fatalf("s1 merged occupancy = %d, want max(4,3)=4", got)
-	}
-	// Its workers overshoot the reservation: commitments dominate.
 	d.CommitNodes("cluster", "s1", 2)
-	if got := d.OwnerNodes("cluster", "s1"); got != 5 {
-		t.Fatalf("s1 merged occupancy = %d, want max(4,5)=5", got)
-	}
-
-	// A second session and two anonymous workers share the cluster.
-	d.ReserveNodes("cluster", "s2", 2)
+	d.CommitNodes("cluster", "s2", 2)
 	d.CommitNodes("cluster", "", 1)
 	d.CommitNodes("cluster", "", 1)
 	if got := d.OccupiedNodes("cluster"); got != 5+2+2 {
@@ -51,12 +42,15 @@ func TestCapacityLedgerMaxMerge(t *testing.T) {
 	}
 
 	// Releases drain to zero; negative balances never persist.
-	d.ReleaseReserved("cluster", "s1", 4)
 	d.ReleaseNodes("cluster", "s1", 5)
-	d.ReleaseReserved("cluster", "s2", 2)
+	d.ReleaseNodes("cluster", "s2", 3)
 	d.ReleaseNodes("cluster", "", 2)
 	if got := d.OccupiedNodes("cluster"); got != 0 {
 		t.Fatalf("occupied after release = %d, want 0", got)
+	}
+	d.CommitNodes("cluster", "s2", 1)
+	if got := d.OccupiedNodes("cluster"); got != 1 {
+		t.Fatalf("occupied after an over-release = %d, want 1", got)
 	}
 	// Other resources are untouched.
 	if got := d.OccupiedNodes("elsewhere"); got != 0 {

@@ -235,17 +235,6 @@ func (d *Deployment) Jobs() []*gat.Job {
 	return append([]*gat.Job(nil), d.jobs...)
 }
 
-// WaitAll blocks until every job stopped; it returns the first error.
-func (d *Deployment) WaitAll() error {
-	var first error
-	for _, j := range d.Jobs() {
-		if err := j.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // CancelAll cancels all tracked jobs.
 func (d *Deployment) CancelAll() {
 	for _, j := range d.Jobs() {

@@ -49,13 +49,6 @@ func (w Workload) Scaled(f float64) Workload {
 	return w
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Build generates the initial conditions.
 func (w Workload) Build() (stars, gas *data.Particles, err error) {
 	return ic.EmbeddedCluster(ic.ClusterSpec{
@@ -286,22 +279,29 @@ func RunScenario(ctx context.Context, tb *core.Testbed, w Workload, p Placement,
 			return RunResult{}, fmt.Errorf("scenario %s iteration %d: %w", p.Name, i, err)
 		}
 	}
+	res, err := sb.result(p.Name, iterations, setup)
+	// A shared testbed serves many runs; the snapshot diff isolates this
+	// one's calls from whatever the recorder held before.
+	res.Calls = trace.DiffCalls(before, tb.Recorder.CallsSnapshot())
+	return res, err
+}
+
+// result reads a finished run off the bridge; the time per iteration is
+// taken before the digest's read moves the coupler's clock.
+func (sb *scenarioBridge) result(name string, iterations int, setup time.Duration) (RunResult, error) {
 	total := sb.sim.Elapsed() - setup
 	digest, err := sb.stateDigest()
 	if err != nil {
 		return RunResult{}, err
 	}
 	return RunResult{
-		Scenario:     p.Name,
+		Scenario:     name,
 		Iterations:   iterations,
 		PerIteration: total / time.Duration(iterations),
 		Setup:        setup,
 		Supernovae:   sb.bridge.Supernovae(),
 		Transfers:    sb.sim.TransferStats(),
 		StateDigest:  digest,
-		// A shared testbed serves many runs; the snapshot diff isolates
-		// this one's calls from whatever the recorder held before.
-		Calls: trace.DiffCalls(before, tb.Recorder.CallsSnapshot()),
 	}, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
-	"time"
 
 	"jungle/internal/core"
 	"jungle/internal/deploy"
@@ -46,24 +45,31 @@ type RunCheckpoint struct {
 	Core *core.Manifest
 }
 
-// SaveRunCheckpoint writes the run file atomically.
-func SaveRunCheckpoint(path string, rc *RunCheckpoint) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rc); err != nil {
-		return fmt.Errorf("exp: encode run checkpoint: %w", err)
+// checkpoint snapshots the live run into an encoded RunCheckpoint: the core
+// manifest plus the bridge bookkeeping a resume must rewind. A session
+// snapshot is these bytes as they are, a run file the same bytes through
+// deploy.WriteFileAtomic; decodeRunCheckpoint inverts it.
+func (sb *scenarioBridge) checkpoint(ctx context.Context, scenario string, w Workload, iterations, done int) ([]byte, error) {
+	man, err := sb.sim.Checkpoint(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("exp: checkpoint %s after iteration %d: %w", scenario, done, err)
 	}
-	return deploy.WriteFileAtomic(path, buf.Bytes())
+	var buf bytes.Buffer
+	err = gob.NewEncoder(&buf).Encode(&RunCheckpoint{
+		Scenario: scenario, W: w, Iterations: iterations, Done: done,
+		BridgeTime: sb.bridge.Time(), BridgeSteps: sb.bridge.Steps(),
+		Supernovae: sb.bridge.Supernovae(), Core: man,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exp: encode run checkpoint: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
-// LoadRunCheckpoint reads a run file written by SaveRunCheckpoint.
-func LoadRunCheckpoint(path string) (*RunCheckpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+func decodeRunCheckpoint(b []byte) (*RunCheckpoint, error) {
 	rc := new(RunCheckpoint)
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(rc); err != nil {
-		return nil, fmt.Errorf("exp: decode run checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("exp: decode run checkpoint: %w", err)
 	}
 	return rc, nil
 }
@@ -81,20 +87,7 @@ func RunScenarioCheckpointed(ctx context.Context, tb *core.Testbed, w Workload, 
 	if err := runCheckpointedLoop(ctx, sb, p.Name, w, iterations, 0, path); err != nil {
 		return RunResult{}, err
 	}
-	total := sb.sim.Elapsed() - setup
-	digest, err := sb.stateDigest()
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{
-		Scenario:     p.Name,
-		Iterations:   iterations,
-		PerIteration: total / time.Duration(iterations),
-		Setup:        setup,
-		Supernovae:   sb.bridge.Supernovae(),
-		Transfers:    sb.sim.TransferStats(),
-		StateDigest:  digest,
-	}, nil
+	return sb.result(p.Name, iterations, setup)
 }
 
 // runCheckpointedLoop executes bridge iterations done..iterations,
@@ -104,16 +97,11 @@ func runCheckpointedLoop(ctx context.Context, sb *scenarioBridge, scenario strin
 		if err := sb.bridge.Step(ctx); err != nil {
 			return fmt.Errorf("scenario %s iteration %d: %w", scenario, i, err)
 		}
-		man, err := sb.sim.Checkpoint(ctx)
+		b, err := sb.checkpoint(ctx, scenario, w, iterations, i+1)
 		if err != nil {
-			return fmt.Errorf("scenario %s checkpoint after iteration %d: %w", scenario, i, err)
+			return err
 		}
-		rc := &RunCheckpoint{
-			Scenario: scenario, W: w, Iterations: iterations, Done: i + 1,
-			BridgeTime: sb.bridge.Time(), BridgeSteps: sb.bridge.Steps(),
-			Supernovae: sb.bridge.Supernovae(), Core: man,
-		}
-		if err := SaveRunCheckpoint(path, rc); err != nil {
+		if err := deploy.WriteFileAtomic(path, b); err != nil {
 			return err
 		}
 	}
@@ -159,9 +147,13 @@ func rebindScenario(rc *RunCheckpoint, sim *core.Simulation, models []*core.Mode
 // must serve the same deployment the run was checkpointed on (resource
 // names resolve against it).
 func ResumeScenario(ctx context.Context, tb *core.Testbed, path string) (RunResult, error) {
-	rc, err := LoadRunCheckpoint(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return RunResult{}, err
+	}
+	rc, err := decodeRunCheckpoint(b)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if rc.Done >= rc.Iterations {
 		return RunResult{}, fmt.Errorf("exp: run %s already complete (%d/%d iterations)", rc.Scenario, rc.Done, rc.Iterations)
@@ -177,22 +169,8 @@ func ResumeScenario(ctx context.Context, tb *core.Testbed, path string) (RunResu
 	}
 
 	setup := sim.Elapsed()
-	remaining := rc.Iterations - rc.Done
 	if err := runCheckpointedLoop(ctx, sb, rc.Scenario, rc.W, rc.Iterations, rc.Done, path); err != nil {
 		return RunResult{}, err
 	}
-	total := sim.Elapsed() - setup
-	digest, err := sb.stateDigest()
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{
-		Scenario:     rc.Scenario + " (resumed)",
-		Iterations:   remaining,
-		PerIteration: total / time.Duration(remaining),
-		Setup:        setup,
-		Supernovae:   sb.bridge.Supernovae(),
-		Transfers:    sim.TransferStats(),
-		StateDigest:  digest,
-	}, nil
+	return sb.result(rc.Scenario+" (resumed)", rc.Iterations-rc.Done, setup)
 }

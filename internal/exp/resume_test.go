@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -46,7 +49,11 @@ func TestResumeScenarioBitCompatible(t *testing.T) {
 	if _, err := RunScenarioCheckpointed(context.Background(), tb, w, SC11Placement(tb), iters/2, path); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := LoadRunCheckpoint(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := decodeRunCheckpoint(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +61,11 @@ func TestResumeScenarioBitCompatible(t *testing.T) {
 		t.Fatalf("run file Done = %d, want %d", rc.Done, iters/2)
 	}
 	rc.Iterations = iters // the plan the killed run was pursuing
-	if err := SaveRunCheckpoint(path, rc); err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

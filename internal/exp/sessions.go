@@ -49,9 +49,9 @@ func StartSessionScenario(ctx context.Context, sess *sched.Session, w Workload, 
 // manifest under the session's namespace, the bridge rewinds, and
 // stepping continues exactly where the evicted run left off.
 func ResumeSessionScenario(ctx context.Context, sess *sched.Session, snapshot []byte) (*SessionRun, error) {
-	rc := new(RunCheckpoint)
-	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(rc); err != nil {
-		return nil, fmt.Errorf("exp: decode session snapshot: %w", err)
+	rc, err := decodeRunCheckpoint(snapshot)
+	if err != nil {
+		return nil, err
 	}
 	sim, models, err := sess.ResumeSim(ctx, nil, rc.Core)
 	if err != nil {
@@ -70,26 +70,12 @@ func ResumeSessionScenario(ctx context.Context, sess *sched.Session, snapshot []
 	return sr, nil
 }
 
-// evict checkpoints the live run into a self-contained snapshot: the
-// core manifest plus the bridge bookkeeping a resume must rewind.
+// evict checkpoints the live run into a self-contained snapshot.
 func (sr *SessionRun) evict(ctx context.Context) ([]byte, error) {
 	sr.mu.Lock()
 	sb, done := sr.sb, sr.done
 	sr.mu.Unlock()
-	man, err := sb.sim.Checkpoint(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("exp: evict %s: %w", sr.scenario, err)
-	}
-	rc := &RunCheckpoint{
-		Scenario: sr.scenario, W: sr.w, Iterations: done, Done: done,
-		BridgeTime: sb.bridge.Time(), BridgeSteps: sb.bridge.Steps(),
-		Supernovae: sb.bridge.Supernovae(), Core: man,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rc); err != nil {
-		return nil, fmt.Errorf("exp: encode session snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return sb.checkpoint(ctx, sr.scenario, sr.w, done, done)
 }
 
 // Step runs n bridge iterations.

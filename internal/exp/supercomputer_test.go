@@ -3,9 +3,41 @@ package exp
 import (
 	"context"
 	"testing"
+	"time"
 
 	"jungle/internal/core"
+	"jungle/internal/deploy"
+	"jungle/internal/vnet"
+	"jungle/internal/vtime"
 )
+
+// addSupercomputer registers the §7 scale-up resource on a lab testbed: a
+// 64-node PBS-managed machine at SARA ("using the infrastructure that we
+// recently acquired access to ... including a supercomputer"), hanging off
+// the VU frontend's lightpath hub. PBS is the one middleware the standard
+// testbeds do not otherwise exercise. Returns the resource name.
+func addSupercomputer(t *testing.T, tb *core.Testbed) string {
+	t.Helper()
+	const tenG = 1.25e9
+	sc, err := tb.Net.AddCluster(vnet.ClusterSpec{
+		Name: "huygens", Site: "sara", Nodes: 64,
+		FrontendPolicy: vnet.SSHOnly, NodePolicy: vnet.OutboundOnly,
+		InternalLatency: 100 * time.Microsecond, InternalBandwidth: tenG,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Net.AddLink(sc.Frontend, "das4-vu.fe", time.Millisecond, tenG); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Deployment.AddResource(deploy.Resource{
+		Name: "huygens", Middleware: "pbs", Frontend: sc.Frontend, Nodes: sc.NodeName,
+		CPU: &vtime.Device{Name: "power6", Kind: vtime.CPU, Gflops: 12, Cores: 16},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return "huygens"
+}
 
 // TestSupercomputerScaleUp is the §7 direction made concrete: adding the
 // supercomputer to the jungle and moving the SPH worker onto 32 of its
@@ -25,11 +57,7 @@ func TestSupercomputerScaleUp(t *testing.T) {
 		defer tb.Close()
 		p := LabScenarios(tb)[3] // jungle
 		if usesSC {
-			name, err := tb.AddSupercomputer()
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Hydro = core.WorkerSpec{Resource: name, Nodes: 32, Channel: core.ChannelIbis}
+			p.Hydro = core.WorkerSpec{Resource: addSupercomputer(t, tb), Nodes: 32, Channel: core.ChannelIbis}
 			p.Name = "jungle+supercomputer"
 		}
 		res, err := RunScenario(context.Background(), tb, w, p, 1)
@@ -59,9 +87,7 @@ func TestSelectPrefersSupercomputerForWideJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if _, err := tb.AddSupercomputer(); err != nil {
-		t.Fatal(err)
-	}
+	addSupercomputer(t, tb)
 	r, err := core.SelectResource(tb.Deployment, core.WorkerSpec{Kind: core.KindHydro, Nodes: 32})
 	if err != nil {
 		t.Fatal(err)

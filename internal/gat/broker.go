@@ -33,7 +33,6 @@ type Broker struct {
 	mu       sync.Mutex
 	adapters []Adapter
 	clusters map[string]*clusterSched // frontend host -> scheduler
-	now      func() time.Duration     // virtual clock source
 }
 
 // NewBroker returns a broker with the standard adapter stack (local, ssh,
@@ -42,24 +41,9 @@ func NewBroker(network *vnet.Network, fs *FS, catalog *Catalog, submitHost strin
 	b := &Broker{
 		Net: network, FS: fs, Catalog: catalog, SubmitHost: submitHost,
 		clusters: make(map[string]*clusterSched),
-		now:      func() time.Duration { return 0 },
 	}
 	b.adapters = []Adapter{&localAdapter{}, &sshAdapter{}, &sgeAdapter{}, &pbsAdapter{}}
 	return b
-}
-
-// SetClock installs a virtual clock source used to stamp job submit times.
-func (b *Broker) SetClock(now func() time.Duration) {
-	b.mu.Lock()
-	b.now = now
-	b.mu.Unlock()
-}
-
-// Now returns the broker's current virtual time.
-func (b *Broker) Now() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.now()
 }
 
 // RegisterCluster makes a batch cluster known: frontend is the submission
@@ -81,20 +65,9 @@ func (b *Broker) cluster(frontend string) (*clusterSched, error) {
 	return s, nil
 }
 
-// FreeNodes reports the idle node count of a registered cluster.
-func (b *Broker) FreeNodes(frontend string) (int, error) {
-	s, err := b.cluster(frontend)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.freeLocked()), nil
-}
-
 // Submit starts a job on the resource named by uri ("scheme://host" or
 // bare "host" for automatic adapter selection). The returned job is already
-// Scheduled; use Wait or OnState to follow it.
+// Scheduled; use Wait or Done to follow it.
 func (b *Broker) Submit(desc JobDescription, uri string) (*Job, error) {
 	if desc.Nodes < 1 {
 		desc.Nodes = 1
@@ -160,7 +133,7 @@ func (b *Broker) Execute(j *Job, hosts []string, release func(), submitOverhead 
 		return
 	}
 
-	start := b.Now() + submitOverhead
+	start := submitOverhead
 	// Stage in (to the primary node).
 	for _, fp := range j.Desc.StageIn {
 		cost, err := b.FS.Copy(b.SubmitHost, fp.SrcPath, hosts[0], fp.DstPath)
@@ -173,9 +146,9 @@ func (b *Broker) Execute(j *Job, hosts []string, release func(), submitOverhead 
 
 	ctx := &Context{
 		Hosts: hosts, Args: j.Desc.Args, Net: b.Net, FS: b.FS,
-		Cancel: j.cancel, SubmittedAt: b.Now(), StartedAt: start,
+		Cancel: j.cancel, StartedAt: start,
 	}
-	j.setRunning(hosts, start)
+	j.setRunning(hosts)
 	err = proc(ctx)
 
 	select {

@@ -3,7 +3,6 @@ package gat
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,26 +53,6 @@ func (f *FS) Read(host, path string) ([]byte, error) {
 	cp := make([]byte, len(content))
 	copy(cp, content)
 	return cp, nil
-}
-
-// Exists reports whether host:path exists.
-func (f *FS) Exists(host, path string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.files[host][path]
-	return ok
-}
-
-// List returns the sorted paths stored on a host.
-func (f *FS) List(host string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []string
-	for p := range f.files[host] {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Copy moves srcHost:srcPath to dstHost:dstPath across the virtual network,

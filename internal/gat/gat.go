@@ -97,9 +97,9 @@ type Context struct {
 	// Cancel is closed when the job is canceled (the paper's "reservation
 	// ends and the worker is killed by the scheduler").
 	Cancel <-chan struct{}
-	// SubmittedAt is the virtual time the job was submitted; StartedAt the
-	// virtual time execution began (queue waits and staging included).
-	SubmittedAt, StartedAt time.Duration
+	// StartedAt is the virtual time execution began, counted from the
+	// submission (queue waits and staging included).
+	StartedAt time.Duration
 }
 
 // Canceled reports whether cancellation was requested.
@@ -151,12 +151,10 @@ type Job struct {
 	Adapter string // adapter that accepted the job
 	Target  string // resource it was submitted to
 
-	mu        sync.Mutex
-	state     JobState
-	err       error
-	hosts     []string
-	startedAt time.Duration
-	listeners []func(JobState)
+	mu    sync.Mutex
+	state JobState
+	err   error
+	hosts []string
 
 	cancel chan struct{}
 	done   chan struct{}
@@ -192,21 +190,6 @@ func (j *Job) Hosts() []string {
 	return append([]string(nil), j.hosts...)
 }
 
-// StartedAt returns the virtual time execution began.
-func (j *Job) StartedAt() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.startedAt
-}
-
-// OnState registers a listener invoked on every state change (monitoring —
-// requirement 3 of §4.3).
-func (j *Job) OnState(fn func(JobState)) {
-	j.mu.Lock()
-	j.listeners = append(j.listeners, fn)
-	j.mu.Unlock()
-}
-
 // Wait blocks until the job stops and returns its error.
 func (j *Job) Wait() error {
 	<-j.done
@@ -215,17 +198,6 @@ func (j *Job) Wait() error {
 
 // Done returns a channel closed when the job stops.
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Cancellation exposes the cancel channel for external adapters that block
-// while allocating resources.
-func (j *Job) Cancellation() <-chan struct{} { return j.cancel }
-
-// MarkCanceled finalizes a job that an external adapter abandoned before
-// execution (e.g. canceled while waiting for peers).
-func (j *Job) MarkCanceled(err error) { j.setState(Canceled, err) }
-
-// MarkFailed finalizes a job that an external adapter could not start.
-func (j *Job) MarkFailed(err error) { j.setState(Failed, err) }
 
 // Cancel requests cancellation. Processes observe it via Context.Cancel.
 func (j *Job) Cancel() {
@@ -250,20 +222,15 @@ func (j *Job) setState(s JobState, err error) {
 	if err != nil && j.err == nil {
 		j.err = err
 	}
-	fns := append(([]func(JobState))(nil), j.listeners...)
 	j.mu.Unlock()
-	for _, fn := range fns {
-		fn(s)
-	}
 	if s == Stopped || s == Failed || s == Canceled {
 		close(j.done)
 	}
 }
 
-func (j *Job) setRunning(hosts []string, at time.Duration) {
+func (j *Job) setRunning(hosts []string) {
 	j.mu.Lock()
 	j.hosts = append([]string(nil), hosts...)
-	j.startedAt = at
 	j.mu.Unlock()
 	j.setState(Running, nil)
 }

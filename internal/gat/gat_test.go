@@ -54,9 +54,6 @@ func newRig(t *testing.T, nodes int) *testRig {
 func TestFSWriteReadCopy(t *testing.T) {
 	r := newRig(t, 2)
 	r.fs.Write("desktop", "/input.dat", []byte("hello"))
-	if !r.fs.Exists("desktop", "/input.dat") {
-		t.Fatal("file missing")
-	}
 	cost, err := r.fs.Copy("desktop", "/input.dat", r.cluster.Node(0), "/tmp/input.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +70,6 @@ func TestFSWriteReadCopy(t *testing.T) {
 	}
 	if _, err := r.fs.Copy("desktop", "/nope", "lonely", "/x"); err == nil {
 		t.Fatal("copied missing file")
-	}
-	if l := r.fs.List(r.cluster.Node(0)); len(l) != 1 || l[0] != "/tmp/input.dat" {
-		t.Fatalf("list = %v", l)
 	}
 }
 
@@ -165,12 +159,15 @@ func TestSGEMultiNodeJob(t *testing.T) {
 	if len(j.Hosts()) != 4 {
 		t.Fatalf("job hosts = %v", j.Hosts())
 	}
-	free, err := r.broker.FreeNodes(r.cluster.Frontend)
+	// Every node came back: a job asking for the whole cluster runs.
+	r.catalog.Register("all", func(*Context) error { return nil })
+	j, err = r.broker.Submit(JobDescription{Executable: "all", Nodes: 8},
+		"sge://"+r.cluster.Frontend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free != 8 {
-		t.Fatalf("nodes not released: %d free", free)
+	if err := j.Wait(); err != nil || len(j.Hosts()) != 8 {
+		t.Fatalf("nodes not released: hosts %v, err %v", j.Hosts(), err)
 	}
 }
 
@@ -324,28 +321,6 @@ func TestUnknownScheme(t *testing.T) {
 	r.catalog.Register("x", func(*Context) error { return nil })
 	if _, err := r.broker.Submit(JobDescription{Executable: "x"}, "globus://x"); !errors.Is(err, ErrUnknownScheme) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestJobStateListeners(t *testing.T) {
-	r := newRig(t, 1)
-	r.catalog.Register("x", func(*Context) error { return nil })
-	var mu sync.Mutex
-	var states []JobState
-	j, err := r.broker.Submit(JobDescription{Executable: "x"}, "local://")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.OnState(func(s JobState) {
-		mu.Lock()
-		states = append(states, s)
-		mu.Unlock()
-	})
-	j.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(states) == 0 || states[len(states)-1] != Stopped {
-		t.Fatalf("states = %v", states)
 	}
 }
 

@@ -58,7 +58,7 @@ func NewRegistry(network *vnet.Network, host, hubHost string) (*Registry, error)
 // Addr returns the registry's virtual address for members to join.
 func (r *Registry) Addr() smartsockets.Address { return r.listener.Addr() }
 
-// SetFailureHook installs a callback invoked whenever a member dies.
+// SetFailureHook installs a callback invoked when a member dies (tests only).
 func (r *Registry) SetFailureHook(fn func(Identifier)) {
 	r.mu.Lock()
 	r.onFailure = fn

@@ -68,47 +68,6 @@ func fanOut(c Comm, root int, msg []byte, what string) error {
 	return nil
 }
 
-// Barrier blocks until all ranks arrive. Clocks: all ranks leave the barrier
-// at (root receipt of last arrival) + release delivery time to them.
-func Barrier(c Comm) error {
-	const root = 0
-	if c.Size() == 1 {
-		return nil
-	}
-	if c.ID() == root {
-		for p := 1; p < c.Size(); p++ {
-			if _, err := c.Recv(p); err != nil {
-				return fmt.Errorf("mpisim: barrier gather from %d: %w", p, err)
-			}
-		}
-		for p := 1; p < c.Size(); p++ {
-			if err := c.Send(p, nil); err != nil {
-				return fmt.Errorf("mpisim: barrier release to %d: %w", p, err)
-			}
-		}
-		return nil
-	}
-	if err := c.Send(root, nil); err != nil {
-		return err
-	}
-	_, err := c.Recv(root)
-	return err
-}
-
-// Bcast distributes root's buffer to every rank; non-root ranks pass nil (or
-// anything — their argument is ignored) and receive the broadcast value.
-// Root keeps data (it is also root's return value), so what goes out is one
-// clone of it, fanned out.
-func Bcast(c Comm, root int, data []byte) ([]byte, error) {
-	if c.Size() == 1 {
-		return data, nil
-	}
-	if c.ID() == root {
-		return data, fanOut(c, root, bytes.Clone(data), "bcast")
-	}
-	return c.Recv(root)
-}
-
 // BcastFloats broadcasts a float64 slice from root.
 func BcastFloats(c Comm, root int, x []float64) ([]float64, error) {
 	if c.Size() == 1 {
@@ -279,52 +238,12 @@ func unpackBlobs(b []byte) ([][]byte, error) {
 	return parts, nil
 }
 
-// SendRecv exchanges buffers with a partner rank (both sides must call it
-// with each other's rank). Deadlock is avoided by ordering on rank number.
-// data is consumed.
-func SendRecv(c Comm, peer int, data []byte) ([]byte, error) {
-	if peer == c.ID() {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		return cp, nil
-	}
-	if c.ID() < peer {
-		if err := c.Send(peer, data); err != nil {
-			return nil, err
-		}
-		return c.Recv(peer)
-	}
-	in, err := c.Recv(peer)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Send(peer, data); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
 // Rank method sugar: the historical per-rank collective API, now thin
 // wrappers over the generic Comm implementations above.
-
-// Barrier blocks until all ranks arrive.
-func (r *Rank) Barrier() error { return Barrier(r) }
-
-// Bcast distributes root's buffer to every rank.
-func (r *Rank) Bcast(root int, data []byte) ([]byte, error) { return Bcast(r, root, data) }
-
-// BcastFloats broadcasts a float64 slice from root.
-func (r *Rank) BcastFloats(root int, x []float64) ([]float64, error) { return BcastFloats(r, root, x) }
 
 // AllreduceSum element-wise sums x across ranks.
 func (r *Rank) AllreduceSum(x []float64) ([]float64, error) { return AllreduceSum(r, x) }
 
-// AllreduceMax element-wise maximizes x across ranks.
-func (r *Rank) AllreduceMax(x []float64) ([]float64, error) { return AllreduceMax(r, x) }
-
 // AllgatherFloats concatenates every rank's slice in rank order into a new
 // slice.
 func (r *Rank) AllgatherFloats(x []float64) ([]float64, error) { return AllgatherFloats(r, x, nil) }
-
-// SendRecv exchanges buffers with a partner rank.
-func (r *Rank) SendRecv(peer int, data []byte) ([]byte, error) { return SendRecv(r, peer, data) }

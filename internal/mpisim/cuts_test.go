@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-// TestUniformCutsMatchSlab: the cuts form of the uniform decomposition
-// must reproduce Slab exactly, for even and ragged divisions — the
-// never-resharded code path and the cuts path are the same decomposition.
-func TestUniformCutsMatchSlab(t *testing.T) {
-	for _, tc := range []struct{ n, size int }{
-		{12, 4}, {13, 4}, {7, 3}, {1, 1}, {5, 8}, {100, 7},
-	} {
-		cuts := UniformCuts(tc.n, tc.size)
-		if err := ValidCuts(cuts, tc.n, tc.size); err != nil {
-			t.Fatalf("UniformCuts(%d, %d) invalid: %v", tc.n, tc.size, err)
-		}
-		for r := 0; r < tc.size; r++ {
-			wantLo, wantHi := Slab(tc.n, r, tc.size)
-			gotLo, gotHi := CutRange(cuts, r, tc.n, tc.size)
-			if gotLo != wantLo || gotHi != wantHi {
-				t.Fatalf("n=%d size=%d rank %d: cuts [%d,%d), slab [%d,%d)",
-					tc.n, tc.size, r, gotLo, gotHi, wantLo, wantHi)
-			}
-		}
-	}
-}
-
 // TestCutRangeNilFallsBack: a nil cuts vector is the uniform slab — the
 // contract that keeps default gangs byte-identical to pre-elastic runs.
 func TestCutRangeNilFallsBack(t *testing.T) {

@@ -173,9 +173,9 @@ func (g *Gang) Close() {
 }
 
 // LocalGangs wires size gangs with in-memory links of the given fixed
-// virtual latency — the harness physics tests and examples use to
-// exercise sharded kernels without a pool, a daemon or a network. The
-// production links (SmartSockets peer connections) are wired by
+// virtual latency — the harness the physics packages' tests use to
+// exercise sharded kernels without a pool, a daemon or a network (tests
+// only). The production links (SmartSockets peer connections) are wired by
 // internal/core's gang_init instead.
 func LocalGangs(size int, latency time.Duration) []*Gang {
 	links := make([][]Link, size)

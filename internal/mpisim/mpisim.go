@@ -1,7 +1,7 @@
 // Package mpisim provides the intra-model parallelism substrate of the
-// reproduction: MPI-style communicators whose collectives (Barrier, Bcast,
-// AllreduceSum/Max, AllgatherFloats/Bytes, SendRecv) are generic over the
-// Comm interface and run on two kinds of rank:
+// reproduction: MPI-style communicators whose collectives (AllreduceSum/Max,
+// AllgatherFloats/Bytes) are generic over the Comm interface and run on two
+// kinds of rank:
 //
 //   - World/Rank — goroutine ranks pinned to the virtual hosts of one
 //     multi-node worker job (the paper's "Gadget runs on 8 nodes with
@@ -305,20 +305,6 @@ func (r *Rank) Recv(from int) ([]byte, error) {
 	return msg.Data, nil
 }
 
-// SendFloats sends a float64 slice in little-endian wire form.
-func (r *Rank) SendFloats(to int, x []float64) error {
-	return r.Send(to, floatsToBytes(x))
-}
-
-// RecvFloats receives a float64 slice from peer.
-func (r *Rank) RecvFloats(from int) ([]float64, error) {
-	b, err := r.Recv(from)
-	if err != nil {
-		return nil, err
-	}
-	return appendFloats(nil, b)
-}
-
 func floatsToBytes(x []float64) []byte {
 	b := make([]byte, 8*len(x))
 	for i, v := range x {
@@ -362,25 +348,6 @@ func Slab(n, rank, size int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// UniformCuts returns the size+1 slab boundaries of the uniform
-// decomposition, so that CutRange(UniformCuts(n, size), r) == Slab(n, r,
-// size) for every rank r.
-func UniformCuts(n, size int) []int {
-	cuts := make([]int, size+1)
-	for r := 0; r < size; r++ {
-		cuts[r], _ = Slab(n, r, size)
-	}
-	cuts[size] = n
-	return cuts
 }
 
 // CutRange returns rank's half-open row range under an explicit cuts

@@ -82,46 +82,6 @@ func TestSendToSelfRejected(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizesClocks(t *testing.T) {
-	_, w := clusterWorld(t, 4)
-	err := w.Run(func(r *Rank) error {
-		// Rank clocks diverge by compute, then a barrier re-converges them.
-		r.Compute(time.Duration(r.ID()) * time.Second)
-		return r.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// After the barrier every rank must be at >= the slowest rank's time.
-	slowest := 3 * time.Second
-	for i := 0; i < w.Size(); i++ {
-		if now := w.Rank(i).Now(); now < slowest {
-			t.Errorf("rank %d at %v, want >= %v", i, now, slowest)
-		}
-	}
-}
-
-func TestBcast(t *testing.T) {
-	_, w := clusterWorld(t, 3)
-	err := w.Run(func(r *Rank) error {
-		var in []byte
-		if r.ID() == 1 {
-			in = []byte{1, 2, 3}
-		}
-		out, err := r.Bcast(1, in)
-		if err != nil {
-			return err
-		}
-		if len(out) != 3 || out[2] != 3 {
-			t.Errorf("rank %d bcast got %v", r.ID(), out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	_, w := clusterWorld(t, 4)
 	err := w.Run(func(r *Rank) error {
@@ -143,7 +103,7 @@ func TestAllreduceSum(t *testing.T) {
 func TestAllreduceMax(t *testing.T) {
 	_, w := clusterWorld(t, 3)
 	err := w.Run(func(r *Rank) error {
-		m, err := r.AllreduceMax([]float64{float64(-r.ID()), float64(r.ID())})
+		m, err := AllreduceMax(r, []float64{float64(-r.ID()), float64(r.ID())})
 		if err != nil {
 			return err
 		}
@@ -178,24 +138,6 @@ func TestAllgatherUnequalBlocks(t *testing.T) {
 			if v != float64(i)*10 {
 				t.Errorf("rank %d element %d = %v", r.ID(), i, v)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvExchange(t *testing.T) {
-	_, w := clusterWorld(t, 2)
-	err := w.Run(func(r *Rank) error {
-		peer := 1 - r.ID()
-		got, err := r.SendRecv(peer, []byte{byte(r.ID())})
-		if err != nil {
-			return err
-		}
-		if got[0] != byte(peer) {
-			t.Errorf("rank %d exchanged %v", r.ID(), got)
 		}
 		return nil
 	})
@@ -300,7 +242,7 @@ func TestMultipleWorldsCoexist(t *testing.T) {
 	}
 	defer w2.Close()
 	for _, w := range []*World{w1, w2} {
-		if err := w.Run(func(r *Rank) error { return r.Barrier() }); err != nil {
+		if err := w.Run(func(r *Rank) error { _, err := r.AllreduceSum([]float64{1}); return err }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -197,13 +197,6 @@ func SlabRows(h, size, rank int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // splitmix64 is the deterministic seed expander behind InitialState —
 // fixed here rather than borrowed from math/rand so the initial colony
 // for a seed can never drift with a toolchain change.

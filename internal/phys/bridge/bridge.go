@@ -148,7 +148,6 @@ type Bridge struct {
 	cfg   Config
 	time  float64
 	steps int
-	flops float64 // coupling-field flops
 
 	supernovae int
 }
@@ -201,16 +200,6 @@ func (b *Bridge) RestoreClock(t float64, steps, supernovae int) {
 	b.supernovae = supernovae
 }
 
-// CouplerFlops returns the accumulated coupling-field flop count.
-func (b *Bridge) CouplerFlops() float64 { return b.flops }
-
-// ResetCouplerFlops zeroes the counter and returns the prior value.
-func (b *Bridge) ResetCouplerFlops() float64 {
-	f := b.flops
-	b.flops = 0
-	return f
-}
-
 func (b *Bridge) trace(format string, args ...any) {
 	if b.cfg.Trace != nil {
 		b.cfg.Trace(fmt.Sprintf(format, args...))
@@ -258,7 +247,6 @@ func (b *Bridge) kick(ctx context.Context, dt float64) error {
 	}
 
 	var accS, accG []data.Vec3
-	var f1, f2 float64
 	if dcpl, ok := cpl.(DirectField); ok {
 		// Direct data plane: both directions' inputs move worker-to-worker
 		// (gas state to the coupling worker, star positions likewise) and
@@ -269,8 +257,8 @@ func (b *Bridge) kick(ctx context.Context, dt float64) error {
 		b.trace("coupler.field stars->gas (%s, direct)", cpl.Name())
 		c2 := dcpl.GoFieldDirect(stars, gas)
 		var err1, err2 error
-		accS, _, f1, err1 = c1.Wait(ctx)
-		accG, _, f2, err2 = c2.Wait(ctx)
+		accS, _, _, err1 = c1.Wait(ctx)
+		accG, _, _, err2 = c2.Wait(ctx)
 		if err1 != nil {
 			return fmt.Errorf("bridge: field gas->stars: %w", err1)
 		}
@@ -284,8 +272,8 @@ func (b *Bridge) kick(ctx context.Context, dt float64) error {
 		b.trace("coupler.field stars->gas (%s)", cpl.Name())
 		c2 := acpl.GoFieldAt(ss.mass, ss.pos, gs.pos, b.cfg.Eps)
 		var err1, err2 error
-		accS, _, f1, err1 = c1.Wait(ctx)
-		accG, _, f2, err2 = c2.Wait(ctx)
+		accS, _, _, err1 = c1.Wait(ctx)
+		accG, _, _, err2 = c2.Wait(ctx)
 		if err1 != nil {
 			return fmt.Errorf("bridge: field gas->stars: %w", err1)
 		}
@@ -295,11 +283,10 @@ func (b *Bridge) kick(ctx context.Context, dt float64) error {
 	} else {
 		ss, gs := sampleBoth(stars, gas)
 		b.trace("coupler.field gas->stars (%s)", cpl.Name())
-		accS, _, f1 = cpl.FieldAt(ctx, gs.mass, gs.pos, ss.pos, b.cfg.Eps)
+		accS, _, _ = cpl.FieldAt(ctx, gs.mass, gs.pos, ss.pos, b.cfg.Eps)
 		b.trace("coupler.field stars->gas (%s)", cpl.Name())
-		accG, _, f2 = cpl.FieldAt(ctx, ss.mass, ss.pos, gs.pos, b.cfg.Eps)
+		accG, _, _ = cpl.FieldAt(ctx, ss.mass, ss.pos, gs.pos, b.cfg.Eps)
 	}
-	b.flops += f1 + f2
 
 	for i := range accS {
 		accS[i] = accS[i].Scale(dt)
@@ -454,7 +441,7 @@ func (b *Bridge) EvolveTo(ctx context.Context, t float64) error {
 }
 
 // CrossPotential returns the star↔gas interaction energy Σ m_i φ_gas(x_i),
-// used by the energy diagnostics (counted against the coupler's flops).
+// used by the energy diagnostics.
 func (b *Bridge) CrossPotential(ctx context.Context) float64 {
 	if !b.hasGas() {
 		return 0
@@ -463,8 +450,7 @@ func (b *Bridge) CrossPotential(ctx context.Context) float64 {
 		ctx = context.Background()
 	}
 	stars, gas := b.cfg.Stars, b.cfg.Gas
-	_, pot, f := b.cfg.Coupler.FieldAt(ctx, gas.Masses(), gas.Positions(), stars.Positions(), b.cfg.Eps)
-	b.flops += f
+	_, pot, _ := b.cfg.Coupler.FieldAt(ctx, gas.Masses(), gas.Positions(), stars.Positions(), b.cfg.Eps)
 	var u float64
 	masses := stars.Masses()
 	for i := range pot {

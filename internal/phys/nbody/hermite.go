@@ -49,13 +49,6 @@ func NewSystem(kernel Kernel, eps float64) *System {
 	return &System{Eps: eps, Eta: 0.02, DtMax: 1.0 / 64, kernel: kernel}
 }
 
-// Kernel returns the active force kernel.
-func (s *System) Kernel() Kernel { return s.kernel }
-
-// SetKernel swaps the force kernel (Multi-Kernel switching: results are
-// unaffected; the performance model changes).
-func (s *System) SetKernel(k Kernel) { s.kernel = k }
-
 // SetParticles loads mass, position and velocity from the set.
 func (s *System) SetParticles(p *data.Particles) {
 	n := p.Len()

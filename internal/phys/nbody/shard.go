@@ -49,9 +49,6 @@ func (s *System) SetCuts(cuts []int, size int) error {
 	return nil
 }
 
-// Cuts returns the installed slab boundaries (nil = uniform).
-func (s *System) Cuts() []int { return s.cuts }
-
 // slabRange returns rank's row range under the installed cuts.
 func (s *System) slabRange(rank, size int) (lo, hi int) {
 	return mpisim.CutRange(s.cuts, rank, len(s.mass), size)

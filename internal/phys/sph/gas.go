@@ -79,9 +79,6 @@ func (g *Gas) SetCuts(cuts []int, size int) error {
 	return nil
 }
 
-// Cuts returns the installed slab boundaries (nil = uniform).
-func (g *Gas) Cuts() []int { return g.cuts }
-
 // cutsFor returns the installed cuts when they match the communicator
 // size (gang ranks); a multi-node World of a different size keeps the
 // uniform decomposition.
@@ -236,15 +233,6 @@ func (g *Gas) InjectEnergy(center data.Vec3, radius, e float64) int {
 	return len(idx)
 }
 
-// ThermalEnergy returns Σ m·u without touching gravity (cheap diagnostic).
-func (g *Gas) ThermalEnergy() float64 {
-	var e float64
-	for i := range g.mass {
-		e += g.mass[i] * g.u[i]
-	}
-	return e
-}
-
 // Energy returns (kinetic, thermal, potential) energies. Potential is zero
 // unless SelfGravity is on.
 func (g *Gas) Energy() (kin, therm, pot float64) {
@@ -262,18 +250,6 @@ func (g *Gas) Energy() (kin, therm, pot float64) {
 		}
 	}
 	return kin, therm, pot
-}
-
-// maxH returns the largest smoothing length (sets the neighbor search
-// radius).
-func (g *Gas) maxH() float64 {
-	m := g.HMin
-	for _, h := range g.h {
-		if h > m {
-			m = h
-		}
-	}
-	return m
 }
 
 // EvolveTo advances the gas serially to time t. The context is polled

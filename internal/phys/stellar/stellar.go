@@ -47,11 +47,6 @@ func (t Type) String() string {
 	}
 }
 
-// Remnant reports whether the type is a stellar remnant.
-func (t Type) Remnant() bool {
-	return t == WhiteDwarf || t == NeutronStar || t == BlackHole
-}
-
 // FlopsPerStar is the accounted cost of one star state lookup — small, as
 // the paper stresses.
 const FlopsPerStar = 120

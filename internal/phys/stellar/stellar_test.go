@@ -82,9 +82,6 @@ func TestRemnantTypesByMass(t *testing.T) {
 		if st.Type != c.want {
 			t.Fatalf("%v MSun remnant = %v, want %v", c.m, st.Type, c.want)
 		}
-		if !st.Type.Remnant() {
-			t.Fatalf("%v not flagged remnant", st.Type)
-		}
 	}
 }
 

@@ -23,8 +23,7 @@
 //     idle past LeaseTTL is reaped — checkpointed through its evictor
 //     into an opaque snapshot, its workers stopped and capacity
 //     released — and parked as preempted. Re-attaching resumes it from
-//     the snapshot bit-identically. Preempt/Reap are equally available
-//     as explicit eviction primitives.
+//     the snapshot bit-identically.
 //
 // The thin client side (gateway.go, client.go) serves many concurrent
 // connections over the daemon's length-prefixed frame protocol; each
@@ -67,7 +66,7 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("sched: control plane full (%d queued); retry after %v", e.Queued, e.RetryAfter)
 }
 
-// Unwrap keys errors.Is(err, kernel.ErrBusy) / core.ErrBusy.
+// Unwrap keys errors.Is(err, kernel.ErrBusy) / core.ErrBusy: an interface method.
 func (e *BusyError) Unwrap() error { return kernel.ErrBusy }
 
 // RunFunc executes one unit of work for a session. The payload is the
@@ -346,20 +345,6 @@ func (s *Scheduler) lookup(id string) (*Session, error) {
 	return sess, nil
 }
 
-// Preempt evicts one running session: its live work is checkpointed into
-// an opaque snapshot (through the evictor its run handler installed, or
-// the generic whole-simulation manifest), its workers stop, its capacity
-// and checkpoint-store blobs are released, and it parks as preempted. A
-// later Attach resumes it from the snapshot. Preempt on a non-running
-// session is a no-op.
-func (s *Scheduler) Preempt(ctx context.Context, id string) error {
-	sess, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	return s.evict(ctx, sess)
-}
-
 // ReapIdle evicts every running session whose lease expired (no
 // heartbeat for LeaseTTL). It returns the reaped session ids.
 func (s *Scheduler) ReapIdle(ctx context.Context) ([]string, error) {
@@ -387,7 +372,12 @@ func (s *Scheduler) ReapIdle(ctx context.Context) ([]string, error) {
 	return reaped, firstErr
 }
 
-// evict moves one session from running to preempted.
+// evict moves one session from running to preempted: its live work is
+// checkpointed into an opaque snapshot (through the evictor its run handler
+// installed, or the generic whole-simulation manifest), its workers stop,
+// its capacity and checkpoint-store blobs are released, and it parks as
+// preempted. A later Attach resumes it from the snapshot. Evicting a
+// non-running session is a no-op.
 func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 	if ctx == nil {
 		ctx = context.Background()

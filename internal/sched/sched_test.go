@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"jungle/internal/amuse/data"
+	"jungle/internal/amuse/ic"
 	"jungle/internal/core"
 	"jungle/internal/core/kernel"
+	_ "jungle/internal/kernels"
 )
 
 // testPlane builds a scheduler over the lab testbed's daemon.
@@ -268,4 +272,76 @@ func readFull(c net.Conn, b []byte) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// TestGenericSnapshotResumes: a session that installed no evictor is
+// evicted through the generic whole-simulation manifest; the snapshot it
+// parks with decodes, and ResumeSim continues from it to exactly the state
+// an undisturbed run reaches.
+func TestGenericSnapshotResumes(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	_, s := testPlane(t, Config{MaxLive: 1, LeaseTTL: time.Minute, Now: clk.Now})
+	ctx := context.Background()
+	const t1, t2 = 1.0 / 16, 1.0 / 8
+	start := func(id string) (*Session, *core.Gravity) {
+		t.Helper()
+		sess, _, err := s.Attach(ctx, id, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := sess.NewSim(ctx, nil).NewGravity(ctx,
+			core.WorkerSpec{Resource: "desktop", Channel: core.ChannelMPI}, core.GravityOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetParticles(ic.Plummer(64, 7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.EvolveTo(ctx, t1); err != nil {
+			t.Fatal(err)
+		}
+		return sess, g
+	}
+	finish := func(g *core.Gravity) (pos, vel []data.Vec3) {
+		t.Helper()
+		if err := g.EvolveTo(ctx, t2); err != nil {
+			t.Fatal(err)
+		}
+		st, err := g.GetState(ctx, data.AttrPos, data.AttrVel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Vec(data.AttrPos), st.Vec(data.AttrVel)
+	}
+
+	_, g := start("straight")
+	wantPos, wantVel := finish(g)
+	if err := s.Close("straight"); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, _ := start("evicted")
+	clk.Advance(2 * time.Minute)
+	if reaped, err := s.ReapIdle(ctx); err != nil || len(reaped) != 1 {
+		t.Fatalf("reap = %v, %v; want [evicted]", reaped, err)
+	}
+	if sess.Sim() != nil {
+		t.Fatal("evicted session still holds its simulation")
+	}
+	sess, resumed, err := s.Attach(ctx, "evicted", false)
+	if err != nil || !resumed {
+		t.Fatalf("re-attach: resumed=%v err=%v", resumed, err)
+	}
+	man, err := core.DecodeManifest(sess.Snapshot())
+	if err != nil {
+		t.Fatalf("generic snapshot does not decode: %v", err)
+	}
+	_, models, err := sess.ResumeSim(ctx, nil, man)
+	if err != nil || len(models) != 1 {
+		t.Fatalf("resume: %d models, %v", len(models), err)
+	}
+	gotPos, gotVel := finish(models[0].AsGravity())
+	if !slices.Equal(gotPos, wantPos) || !slices.Equal(gotVel, wantVel) {
+		t.Fatal("resumed run diverged from the undisturbed one")
+	}
 }

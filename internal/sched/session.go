@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"fmt"
 	"sync"
 	"time"
 
@@ -150,7 +147,7 @@ func (ss *Session) bind(sim *core.Simulation) {
 }
 
 // genericSnapshot is the default evictor: checkpoint the whole simulation
-// into a self-contained manifest and gob-encode it. Simulations with no
+// into a self-contained manifest and encode it. Simulations with no
 // models produce no snapshot (nothing to resume).
 func genericSnapshot(ctx context.Context, sim *core.Simulation) ([]byte, error) {
 	man, err := sim.Checkpoint(ctx)
@@ -160,24 +157,5 @@ func genericSnapshot(ctx context.Context, sim *core.Simulation) ([]byte, error) 
 	if len(man.Models) == 0 {
 		return nil, nil
 	}
-	return EncodeManifest(man)
-}
-
-// EncodeManifest gob-encodes a core manifest for use as a session
-// snapshot; DecodeManifest inverts it.
-func EncodeManifest(man *core.Manifest) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
-		return nil, fmt.Errorf("sched: encode manifest: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeManifest decodes a snapshot produced by EncodeManifest.
-func DecodeManifest(b []byte) (*core.Manifest, error) {
-	man := new(core.Manifest)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(man); err != nil {
-		return nil, fmt.Errorf("sched: decode manifest: %w", err)
-	}
-	return man, nil
+	return man.Encode()
 }

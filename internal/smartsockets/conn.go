@@ -17,16 +17,12 @@ type VirtualConn struct {
 	typ         ConnType
 	raw         *vnet.Conn
 	end         *routedEnd
-	remote      Address
 	established time.Duration
 	route       []string
 }
 
 // Type reports how the connection was established.
 func (c *VirtualConn) Type() ConnType { return c.typ }
-
-// Remote returns the peer's address (zero port for inbound direct conns).
-func (c *VirtualConn) Remote() Address { return c.remote }
 
 // EstablishedAt returns the virtual time at which the connection became
 // usable at this endpoint (connection setup through the overlay costs

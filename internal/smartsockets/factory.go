@@ -279,7 +279,7 @@ func (f *Factory) handleReverseReq(fr *frame) {
 		conn.Close()
 		return
 	}
-	vc := &VirtualConn{typ: Reverse, raw: conn, remote: fr.Src, established: ok.sentAt}
+	vc := &VirtualConn{typ: Reverse, raw: conn, established: ok.sentAt}
 	if !l.backlog.Push(vc) {
 		conn.Close()
 	}
@@ -305,7 +305,7 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	}
 	sendFrame(f.hubConn, reply)
 	if end != nil {
-		vc := &VirtualConn{typ: Routed, end: end, remote: fr.Src, established: fr.sentAt, route: fr.Route}
+		vc := &VirtualConn{typ: Routed, end: end, established: fr.sentAt, route: fr.Route}
 		if !l.backlog.Push(vc) {
 			end.q.Close()
 		}
@@ -329,10 +329,7 @@ func (f *Factory) Connect(target Address, sentAt time.Duration) (*VirtualConn, e
 		f.mu.Lock()
 		f.stats.Direct++
 		f.mu.Unlock()
-		return &VirtualConn{
-			typ: Direct, raw: conn, remote: target,
-			established: sentAt + conn.Path().Latency,
-		}, nil
+		return &VirtualConn{typ: Direct, raw: conn, established: sentAt + conn.Path().Latency}, nil
 	}
 	if errors.Is(err, vnet.ErrRefused) {
 		// The host is reachable but nothing listens there: no point in
@@ -400,7 +397,7 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 
 	select {
 	case r := <-accepted:
-		return &VirtualConn{typ: Reverse, raw: r.conn, remote: target, established: r.established}, nil
+		return &VirtualConn{typ: Reverse, raw: r.conn, established: r.established}, nil
 	case r := <-ch:
 		if r.err == nil {
 			r.err = ErrConnectFailed
@@ -432,7 +429,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualC
 			f.dropCircuit(key)
 			return nil, r.err
 		}
-		return &VirtualConn{typ: Routed, end: end, remote: target, established: sentAt, route: r.route}, nil
+		return &VirtualConn{typ: Routed, end: end, established: sentAt, route: r.route}, nil
 	case <-time.After(f.Timeout): // watchdog: a hub on the route died with the open in hand -> ErrTimeout
 		f.dropCircuit(key)
 		return nil, ErrTimeout
@@ -474,7 +471,7 @@ func (f *Factory) Listen(port int) (*Listener, error) {
 			if err != nil {
 				return
 			}
-			vc := &VirtualConn{typ: Direct, raw: conn, remote: Address{Host: conn.RemoteHost()}}
+			vc := &VirtualConn{typ: Direct, raw: conn}
 			if !l.backlog.Push(vc) {
 				conn.Close()
 			}

@@ -51,18 +51,22 @@ func TestGossipFloodsWhatChanged(t *testing.T) {
 			before := adverts.Load()
 			pn := testbedNet(t, g.build)
 			built := adverts.Load() - before
-			hubs := pn.overlay.Hubs()
 			var hosts []string
-			for _, h := range hubs {
-				hosts = append(hosts, h.Host())
+			for _, e := range pn.overlay.Edges() {
+				hosts = append(hosts, e.A, e.B)
 			}
 			slices.Sort(hosts)
+			hosts = slices.Compact(hosts)
+			var hubs []*smartsockets.Hub
+			for _, host := range hosts {
+				hubs = append(hubs, pn.overlay.Hub(host))
+			}
 			want := hubs[0].Database()
 			for _, h := range hubs {
-				if got := h.KnownHubs(); !slices.Equal(got, hosts) {
-					t.Errorf("hub %s knows %v, the overlay has %v", h.Host(), got, hosts)
-				}
 				db := h.Database()
+				if len(db) != len(hosts) {
+					t.Errorf("hub %s holds %d advertisements, the overlay has %d hubs", h.Host(), len(db), len(hosts))
+				}
 				if !slices.Equal(db, want) {
 					t.Errorf("hub %s holds\n%s\nhub %s holds\n%s", h.Host(), strings.Join(db, "\n"), hubs[0].Host(), strings.Join(want, "\n"))
 				}

@@ -51,12 +51,8 @@ type HubEdge struct {
 	Type        EdgeType
 }
 
-// NewHub creates a hub on the given host and starts its listeners (the hub
+// newHub creates a hub on the given host and starts its listeners (the hub
 // port and, to emulate tunnelling via sshd, the SSH port).
-func NewHub(network *vnet.Network, host string) (*Hub, error) {
-	return newHub(network, host, nil)
-}
-
 func newHub(network *vnet.Network, host string, changed chan<- struct{}) (*Hub, error) {
 	h := &Hub{
 		host:     host,
@@ -267,14 +263,6 @@ func (h *Hub) Edges() []HubEdge {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
-}
-
-// KnownHubs returns the hub hosts whose advertisement this hub holds
-// (including its own), sorted.
-func (h *Hub) KnownHubs() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return slices.Sorted(maps.Keys(h.adverts))
 }
 
 func (h *Hub) acceptLoop(l *vnet.Listener, port int) {

@@ -113,9 +113,6 @@ func (o *Overlay) AddHub(network *vnet.Network, host string) (*Hub, error) {
 	return hub, o.settle()
 }
 
-// Hubs returns the managed hubs.
-func (o *Overlay) Hubs() []*Hub { return o.hubs }
-
 // Hub returns the hub running on the given host, or nil.
 func (o *Overlay) Hub(host string) *Hub {
 	for _, h := range o.hubs {

@@ -93,7 +93,7 @@ func TestRetentionHubForgetsClosedCircuits(t *testing.T) {
 			}
 			tables := func() int {
 				n := 0
-				for _, h := range tn.overlay.Hubs() {
+				for _, h := range tn.overlay.hubs {
 					h.mu.Lock()
 					n += len(h.circuits)
 					h.mu.Unlock()

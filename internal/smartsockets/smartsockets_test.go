@@ -460,17 +460,17 @@ func TestOverlayGossipDiscovery(t *testing.T) {
 	if err := n.AddLink("hb", "hc", time.Millisecond, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	ha, err := NewHub(n, "ha")
+	ha, err := newHub(n, "ha", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ha.Stop()
-	hb, err := NewHub(n, "hb")
+	hb, err := newHub(n, "hb", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hb.Stop()
-	hc, err := NewHub(n, "hc")
+	hc, err := newHub(n, "hc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,13 +483,12 @@ func TestOverlayGossipDiscovery(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		known := ha.KnownHubs()
-		if len(known) == 3 {
+		if ha.route("hc") != nil {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("gossip did not spread: ha knows %v", ha.KnownHubs())
+	t.Fatalf("gossip did not spread: ha holds %v", ha.Database())
 }
 
 // TestRandomJungleConnectivity is the package's core property test: in any

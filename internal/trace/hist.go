@@ -137,14 +137,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// Mean returns the exact mean of the recorded samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // fmtDur renders a nanosecond histogram value compactly for tables.
 func fmtDur(ns int64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()

@@ -201,19 +201,6 @@ func TestHistSub(t *testing.T) {
 	}
 }
 
-func TestHistMean(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 {
-		t.Fatal("empty mean must be 0")
-	}
-	for _, v := range []int64{1, 2, 3, 6} {
-		h.Record(v)
-	}
-	if got := h.Mean(); got != 3 {
-		t.Fatalf("mean = %v, want 3", got)
-	}
-}
-
 func TestHistQuantileClamps(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 {

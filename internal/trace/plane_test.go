@@ -178,8 +178,6 @@ func TestRenderDeterminism(t *testing.T) {
 		{"RenderCalls", func(r *Recorder) string { return r.RenderCalls() }},
 		{"RenderHealth", func(r *Recorder) string { return r.RenderHealth(5 * time.Second) }},
 		{"RenderSessions", func(r *Recorder) string { return r.RenderSessions() }},
-		{"RenderGoodput", func(r *Recorder) string { return r.RenderGoodput() }},
-		{"RenderTraffic", func(r *Recorder) string { return r.RenderTraffic() }},
 		{"Calibrate", func(r *Recorder) string { return r.Calibrate(specs).Render() }},
 	}
 	for _, v := range views {

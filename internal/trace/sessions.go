@@ -102,7 +102,7 @@ func (r *Recorder) Sessions() map[string]SessionStats {
 }
 
 // RenderSessions renders the control plane's tenancy table — the
-// multi-tenant companion to RenderTraffic/RenderLoad.
+// multi-tenant companion to RenderCalls/RenderHealth.
 func (r *Recorder) RenderSessions() string {
 	stats := r.Sessions()
 	ids := make([]string, 0, len(stats))

@@ -2,7 +2,8 @@
 // paper ("it should be possible to do both performance and correctness
 // monitoring of the system") and regenerates the data behind the IbisDeploy
 // GUI views of Figures 10 and 11: the SmartSockets overlay map, the per-link
-// traffic visualization (IPL vs MPI bytes) and per-node load.
+// traffic visualization (IPL vs MPI bytes). Fig. 11's per-node load bars
+// are not reproduced: nothing in the simulator samples host load.
 //
 // Beyond the paper's views, the package is the system's observability
 // plane, default-on and allocation-light. The channel layer records every
@@ -19,29 +20,18 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Event is a timestamped monitoring record.
-type Event struct {
-	At    time.Duration // virtual time
-	Actor string
-	Kind  string
-	Text  string
-}
-
-// Recorder collects traffic, load and events. It satisfies
+// Recorder collects traffic and goodput here and calls, sessions, gangs
+// and health in the files beside this one. It satisfies
 // vnet.TrafficRecorder. The zero value is not usable; call New.
 type Recorder struct {
 	mu      sync.Mutex
 	traffic map[trafficKey]int
-	load    map[string][]LoadSample
 	goodput map[[2]string]GoodputSample
-	events  []Event
 	// sessions holds per-session control-plane accounting (sessions.go);
 	// created lazily so single-tenant recorders pay nothing.
 	sessions map[string]*SessionStats
@@ -72,17 +62,10 @@ type GoodputSample struct {
 	Probes      int           // how many measurements have been folded in
 }
 
-// LoadSample is a point-in-time CPU load observation for a host.
-type LoadSample struct {
-	At   time.Duration
-	Load float64 // 0..1 per-host CPU utilization
-}
-
 // New returns an empty recorder.
 func New() *Recorder {
 	return &Recorder{
 		traffic: make(map[trafficKey]int),
-		load:    make(map[string][]LoadSample),
 		goodput: make(map[[2]string]GoodputSample),
 	}
 }
@@ -107,71 +90,11 @@ func (r *Recorder) Goodput(from, to string) (GoodputSample, bool) {
 	return s, ok
 }
 
-// GoodputRow is one line of the link-health table.
-type GoodputRow struct {
-	From, To string
-	Sample   GoodputSample
-}
-
-// GoodputTable returns all probed links sorted lexicographically.
-func (r *Recorder) GoodputTable() []GoodputRow {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rows := make([]GoodputRow, 0, len(r.goodput))
-	for k, v := range r.goodput {
-		rows = append(rows, GoodputRow{From: k[0], To: k[1], Sample: v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].From != rows[j].From {
-			return rows[i].From < rows[j].From
-		}
-		return rows[i].To < rows[j].To
-	})
-	return rows
-}
-
-// RenderGoodput renders the per-link health view: measured goodput per
-// directed link with the virtual time of the last probe.
-func (r *Recorder) RenderGoodput() string {
-	rows := r.GoodputTable()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s\n", "FROM", "TO", "GOODPUT(MB/s)", "AT(ms)", "PROBES")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-28s %-28s %14.2f %10.1f %7d\n",
-			row.From, row.To, row.Sample.BytesPerSec/1e6,
-			float64(row.Sample.At.Microseconds())/1e3, row.Sample.Probes)
-	}
-	return b.String()
-}
-
 // RecordTraffic implements vnet.TrafficRecorder.
 func (r *Recorder) RecordTraffic(from, to, class string, bytes int) {
 	r.mu.Lock()
 	r.traffic[trafficKey{from, to, class}] += bytes
 	r.mu.Unlock()
-}
-
-// RecordLoad stores a CPU utilization sample for a host.
-func (r *Recorder) RecordLoad(host string, at time.Duration, load float64) {
-	r.mu.Lock()
-	r.load[host] = append(r.load[host], LoadSample{At: at, Load: load})
-	r.mu.Unlock()
-}
-
-// RecordEvent appends a monitoring event.
-func (r *Recorder) RecordEvent(at time.Duration, actor, kind, text string) {
-	r.mu.Lock()
-	r.events = append(r.events, Event{At: at, Actor: actor, Kind: kind, Text: text})
-	r.mu.Unlock()
-}
-
-// Events returns a copy of all recorded events in insertion order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
 }
 
 // Bytes returns the traffic from->to for a class ("" sums all classes).
@@ -230,57 +153,4 @@ func (r *Recorder) TrafficTable() []TrafficRow {
 		return a.Class < b.Class
 	})
 	return rows
-}
-
-// MeanLoad returns the average recorded load for a host (0 if none).
-func (r *Recorder) MeanLoad(host string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.load[host]
-	if len(s) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range s {
-		sum += x.Load
-	}
-	return sum / float64(len(s))
-}
-
-// LoadHosts returns all hosts with load samples, sorted.
-func (r *Recorder) LoadHosts() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hosts := make([]string, 0, len(r.load))
-	for h := range r.load {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	return hosts
-}
-
-// RenderTraffic renders the Fig. 11-equivalent table: per-link bytes split
-// by class (IPL traffic was shown blue, MPI orange in the GUI).
-func (r *Recorder) RenderTraffic() string {
-	rows := r.TrafficTable()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %-28s %-6s %12s\n", "FROM", "TO", "CLASS", "BYTES")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-28s %-28s %-6s %12d\n", row.From, row.To, row.Class, row.Bytes)
-	}
-	return b.String()
-}
-
-// RenderLoad renders the Fig. 11-equivalent load bars: mean CPU load per
-// host. Hosts running GPU kernels show near-idle CPUs, as the paper notes.
-func (r *Recorder) RenderLoad() string {
-	hosts := r.LoadHosts()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %6s  %s\n", "HOST", "LOAD", "")
-	for _, h := range hosts {
-		l := r.MeanLoad(h)
-		bar := strings.Repeat("#", int(l*20+0.5))
-		fmt.Fprintf(&b, "%-28s %5.1f%%  %s\n", h, l*100, bar)
-	}
-	return b.String()
 }

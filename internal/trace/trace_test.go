@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestTrafficAccumulates(t *testing.T) {
@@ -47,47 +45,6 @@ func TestTrafficTableOrdering(t *testing.T) {
 	}
 }
 
-func TestLoad(t *testing.T) {
-	r := New()
-	r.RecordLoad("gpu-node", 0, 0.05)
-	r.RecordLoad("gpu-node", time.Second, 0.15)
-	r.RecordLoad("cpu-node", 0, 0.9)
-	if got := r.MeanLoad("gpu-node"); got != 0.1 {
-		t.Fatalf("mean load %v, want 0.1", got)
-	}
-	if got := r.MeanLoad("unknown"); got != 0 {
-		t.Fatalf("unknown host load %v, want 0", got)
-	}
-	hosts := r.LoadHosts()
-	if len(hosts) != 2 || hosts[0] != "cpu-node" {
-		t.Fatalf("hosts %v", hosts)
-	}
-}
-
-func TestEvents(t *testing.T) {
-	r := New()
-	r.RecordEvent(time.Second, "daemon", "worker-start", "gadget on das4-vu")
-	r.RecordEvent(2*time.Second, "registry", "died", "node3")
-	ev := r.Events()
-	if len(ev) != 2 || ev[0].Kind != "worker-start" || ev[1].Actor != "registry" {
-		t.Fatalf("events %+v", ev)
-	}
-}
-
-func TestRenderers(t *testing.T) {
-	r := New()
-	r.RecordTraffic("seattle.laptop", "das4-vu.fe", "ipl", 123456)
-	r.RecordLoad("lgm.node00", 0, 0.07)
-	tr := r.RenderTraffic()
-	if !strings.Contains(tr, "seattle.laptop") || !strings.Contains(tr, "123456") {
-		t.Fatalf("traffic render missing data:\n%s", tr)
-	}
-	ld := r.RenderLoad()
-	if !strings.Contains(ld, "lgm.node00") || !strings.Contains(ld, "7.0%") {
-		t.Fatalf("load render missing data:\n%s", ld)
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup
@@ -97,7 +54,6 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				r.RecordTraffic("a", "b", "ipl", 1)
-				r.RecordLoad("h", 0, 0.5)
 			}
 		}()
 	}

@@ -37,12 +37,6 @@ type Conn struct {
 // LocalHost returns the host name of this endpoint.
 func (c *Conn) LocalHost() string { return c.local }
 
-// RemoteHost returns the host name of the peer endpoint.
-func (c *Conn) RemoteHost() string { return c.remote }
-
-// Port returns the listener port this connection was made to.
-func (c *Conn) Port() int { return c.port }
-
 // Path returns the routed path from this endpoint to the peer.
 func (c *Conn) Path() Path { return c.path }
 

@@ -236,7 +236,7 @@ func (n *Network) Links() []Link {
 }
 
 // SetHostUp marks a host up or down; dialing a down host (or through it)
-// fails, and its listeners are unreachable. Used for fault injection.
+// fails, and its listeners are unreachable. Fault injection: tests only.
 func (n *Network) SetHostUp(name string, up bool) error {
 	h := n.Host(name)
 	if h == nil {
@@ -251,7 +251,7 @@ func (n *Network) SetHostUp(name string, up bool) error {
 // CrashHost simulates a machine vanishing: the host goes down, its
 // listeners close and every live connection with an endpoint on it breaks.
 // This is the paper's hard fault ("a machine crashes"), as opposed to a
-// scheduler cancel.
+// scheduler cancel. Fault injection: tests only.
 func (n *Network) CrashHost(name string) error {
 	h := n.Host(name)
 	if h == nil {

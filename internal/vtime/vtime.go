@@ -1,6 +1,5 @@
 // Package vtime provides the virtual-time substrate used by the jungle
-// simulator: per-actor virtual clocks, compute-device performance models, and
-// resource descriptions.
+// simulator: per-actor virtual clocks and compute-device performance models.
 //
 // The paper's experiments ran on real hardware (DAS-4 clusters, the LGM GPU
 // cluster, desktops, transatlantic lightpaths). This repository reproduces
@@ -118,62 +117,3 @@ func (d *Device) Time(flops float64, n int) time.Duration {
 
 // Seconds is a convenience converter from float seconds to time.Duration.
 func Seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-// CoreSet tracks allocation of CPU cores on a shared machine, so that
-// co-located workers contend for cores the way the paper's desktop scenarios
-// do (Gadget and PhiGRAPE sharing a quad-core during the evolve phase).
-type CoreSet struct {
-	mu    sync.Mutex
-	total int
-	used  int
-}
-
-// NewCoreSet returns a core allocator over total cores.
-func NewCoreSet(total int) *CoreSet {
-	if total < 1 {
-		total = 1
-	}
-	return &CoreSet{total: total}
-}
-
-// Total returns the number of cores managed by the set.
-func (s *CoreSet) Total() int { return s.total }
-
-// InUse returns the number of currently allocated cores.
-func (s *CoreSet) InUse() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// Acquire allocates up to want cores (at least one) and returns the number
-// granted. It never blocks: contention is expressed by granting fewer cores.
-func (s *CoreSet) Acquire(want int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if want < 1 {
-		want = 1
-	}
-	free := s.total - s.used
-	if free < 1 {
-		free = 1 // oversubscription: grant a share of one core
-	}
-	if want > free {
-		want = free
-	}
-	s.used += want
-	if s.used > s.total {
-		s.used = s.total
-	}
-	return want
-}
-
-// Release returns n cores to the set.
-func (s *CoreSet) Release(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.used -= n
-	if s.used < 0 {
-		s.used = 0
-	}
-}

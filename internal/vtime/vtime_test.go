@@ -137,58 +137,6 @@ func TestDeviceKindString(t *testing.T) {
 	}
 }
 
-func TestCoreSetContention(t *testing.T) {
-	s := NewCoreSet(4)
-	if got := s.Acquire(2); got != 2 {
-		t.Fatalf("first acquire got %d, want 2", got)
-	}
-	if got := s.Acquire(4); got != 2 {
-		t.Fatalf("second acquire got %d cores, want 2 (only 2 free)", got)
-	}
-	// Set exhausted: a third worker still makes progress on a core share.
-	if got := s.Acquire(1); got != 1 {
-		t.Fatalf("oversubscribed acquire got %d, want 1", got)
-	}
-	s.Release(2)
-	s.Release(2)
-	s.Release(1)
-	if got := s.InUse(); got != 0 {
-		t.Fatalf("in use after release: %d", got)
-	}
-}
-
-func TestCoreSetNeverNegative(t *testing.T) {
-	s := NewCoreSet(2)
-	s.Release(10)
-	if got := s.InUse(); got != 0 {
-		t.Fatalf("in use %d after spurious release", got)
-	}
-	if got := s.Acquire(0); got != 1 {
-		t.Fatalf("acquire(0) granted %d, want 1", got)
-	}
-}
-
-func TestAccount(t *testing.T) {
-	a := NewAccount()
-	a.Add("compute", 2*time.Second)
-	a.Add("comm", time.Second)
-	a.Add("compute", time.Second)
-	a.Add("noop", 0)
-	if got := a.Get("compute"); got != 3*time.Second {
-		t.Fatalf("compute = %v, want 3s", got)
-	}
-	if got := a.Total(); got != 4*time.Second {
-		t.Fatalf("total = %v, want 4s", got)
-	}
-	if s := a.String(); s != "comm=1s compute=3s" {
-		t.Fatalf("string = %q", s)
-	}
-	a.Reset()
-	if got := a.Total(); got != 0 {
-		t.Fatalf("total after reset = %v", got)
-	}
-}
-
 func TestSeconds(t *testing.T) {
 	if got := Seconds(1.5); got != 1500*time.Millisecond {
 		t.Fatalf("Seconds(1.5) = %v", got)

@@ -213,7 +213,7 @@ func Check(t *testing.T, zero any) {
 // CheckRegistry fails for every struct type declared in the non-test files
 // of the package in the current directory whose name matches payloadName
 // and whose zero value is missing from registry — so a payload added to a
-// package cannot be left out of its Check table.
+// package cannot be left out of its Check table. Tests only, like the package.
 func CheckRegistry(t *testing.T, payloadName *regexp.Regexp, registry []any) {
 	t.Helper()
 	listed := map[string]bool{}

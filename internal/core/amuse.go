@@ -202,19 +202,17 @@ type modelProxy struct {
 	// replacement support (§5 future work, implemented here).
 	replaceable bool
 	setup       []byte // the encoded setup args, replayed by every rebuild
-	lastState   *kernel.ParticlesPayload
-	// stateSeq/snapSeq stamp lastState and lastSnap with the proxy's call
-	// sequence at capture time, so a rebuild replays whichever is newer.
-	stateSeq uint64
 	// lastSnap is the raw frame of the model's most recent checkpoint
-	// snapshot (kernel.Snapshot codec). A rebuild prefers it over
-	// lastState — it carries the full model state including the kernel's
-	// clock — and it is what makes gangs recoverable. lastBlobRef is the
-	// daemon-store ref the frame is filed under, so the next checkpoint
-	// can trim the superseded blob from the store.
+	// snapshot (kernel.Snapshot codec) — the full model state including the
+	// kernel's clock, and the one thing a rebuild restores. snapSeq is the
+	// issue-order seq of the call that took it. lastBlobRef is the
+	// daemon-store ref the frame is filed under, so the next checkpoint can
+	// trim the superseded blob from the store.
 	lastSnap    []byte
 	snapSeq     uint64
 	lastBlobRef uint64
+	wroteSeq    uint64 // the latest completed call that changed the state,
+	wroteMethod string // and its method: snapSeq must be no older
 
 	// seq numbers calls in issue order so the parked queue can restore the
 	// per-worker FIFO that pipelined callers rely on.
@@ -305,31 +303,46 @@ func (m *modelProxy) resource() string {
 // EnableReplacement turns on transparent worker replacement (§5: "in
 // theory it should be possible to transparently find a replacement
 // machine" — the prototype could not; this implementation can). On worker
-// death the next call restarts the worker (resource re-selected) and
-// replays setup plus the newest known state: the last checkpoint snapshot
-// when one exists (full model state including the kernel's clock,
-// restored via the checkpoint/restore capability), the synchronized
-// particle cache otherwise. Opt-in, per model: no command turns it on today
-// (tests and BenchmarkCheckpointRecovery do); without it a dead worker
-// fails the model's next call with a structured error.
-//
-// Gangs are replaceable once a checkpoint exists: the dead rank's job is
-// restarted on the same resource, gang_init re-wires every rank's peer
-// links, and all ranks restore the snapshot — surviving ranks' state is
-// suspect after an aborted collective, and the ranks must be bitwise
-// identical, so the whole gang resumes from the checkpoint and the
-// queued calls replay. Without a checkpoint a gang death remains fatal
-// (there is no consistent state to rebuild a rank from).
+// death the next call restarts the worker (resource re-selected; a gang's
+// dead ranks restart on its resource and gang_init re-wires every rank),
+// restores the last checkpoint snapshot — the full model state including
+// the kernel's clock, on every rank — and re-issues the interrupted calls.
+// Only while that snapshot covers every state-changing call that has
+// completed: a death after an uncovered one (evolve, kick, push, transfer
+// in) fails with ErrWorkerDied naming it. Opt-in, per model: no command
+// turns it on today (tests and BenchmarkCheckpointRecovery do).
 func (m *modelProxy) EnableReplacement() {
 	m.mu.Lock()
 	m.replaceable = true
 	m.mu.Unlock()
 }
 
+// replaceableLocked: a rebuild restores the cached snapshot and nothing
+// else, so it is a cure only while that snapshot covers the model.
 func (m *modelProxy) replaceableLocked() bool {
-	// Gang recovery needs a checkpoint. The spec, not the worker list, says
-	// gang: a down endpoint has no workers.
-	return m.replaceable && (m.spec.Workers <= 1 || m.lastSnap != nil)
+	return m.replaceable && m.wroteSeq <= m.snapSeq
+}
+
+// keepsState reports whether a method leaves the model's state as it was.
+// A method missing here counts as a write: a forgotten read costs a
+// structured error on the next death, never a rollback.
+func keepsState(method string) bool {
+	switch method {
+	case "get_state", "get_positions", "get_velocities", "get_masses", "stats", "energies", "field_at",
+		kernel.MethodOfferState, kernel.MethodCheckpoint, kernel.MethodOfferCheckpoint,
+		kernel.MethodRankLoad, kernel.MethodReshard:
+		return true
+	}
+	return false
+}
+
+// wrote stamps a completed call, if it changed the model's state.
+func (m *modelProxy) wrote(seq uint64, method string) {
+	m.mu.Lock()
+	if seq > m.wroteSeq && !keepsState(method) {
+		m.wroteSeq, m.wroteMethod = seq, method
+	}
+	m.mu.Unlock()
 }
 
 // Err returns the sticky error, if any.
@@ -385,25 +398,10 @@ func (m *modelProxy) Call(ctx context.Context, method string, args, reply any) e
 	return c.Decode(reply)
 }
 
-// cacheState remembers the last known particle state for replacement.
-// seq is the issue-order sequence of the call that carried the state:
-// replacement compares it against the snapshot's to decide which is
-// newer, so it must be the originating call's own seq, not the counter
-// at observation time (a checkpoint pipelined just before a sync must
-// not be stamped equal to it).
-func (m *modelProxy) cacheState(pl kernel.ParticlesPayload, seq uint64) {
-	m.mu.Lock()
-	m.lastState = &pl
-	if seq > m.stateSeq {
-		m.stateSeq = seq
-	}
-	m.n = len(pl.Mass)
-	m.mu.Unlock()
-}
-
 // cacheSnapshot remembers the model's latest checkpoint frame for
 // replacement (Simulation.Checkpoint and ResumeSimulation call it). seq
-// is the snapshot call's issue-order sequence (see cacheState). blobRef
+// is the snapshot call's own issue-order sequence, not the counter at
+// observation time: it covers exactly the calls issued before it. blobRef
 // names the frame's daemon-store entry (0 for resumed models, whose
 // frames were never filed); the previous entry is superseded and
 // returned so the caller can trim it from the store.
@@ -420,14 +418,15 @@ func (m *modelProxy) cacheSnapshot(blob []byte, blobRef, seq uint64) (prevRef ui
 // The bridge.Dynamics surface, defined once on the handle every typed
 // model embeds (StellarModel shadows EvolveTo with the stellar signature).
 
-// SetParticles uploads the particle set and remembers it for replacement.
+// SetParticles uploads the particle set. The payload aliases p's columns:
+// Go encodes it into the request frame before it returns.
 func (m *modelProxy) SetParticles(p *data.Particles) error {
-	pl := kernel.ParticlesToPayload(p)
-	c := m.Go("set_particles", pl)
-	if err := c.Wait(m.sim.ctx); err != nil {
+	if err := m.Go("set_particles", kernel.ParticlesToPayload(p)).Wait(m.sim.ctx); err != nil {
 		return err
 	}
-	m.cacheState(pl, c.seq)
+	m.mu.Lock()
+	m.n = p.Len()
+	m.mu.Unlock()
 	return nil
 }
 
@@ -516,64 +515,19 @@ func (m *modelProxy) GetState(ctx context.Context, attrs ...string) (*kernel.Sta
 
 // GoSetState issues a batched columnar write without waiting: the columns
 // are encoded here, once, into the request frame that leaves, so the caller
-// may change st as soon as this returns. The replacement cache is merged
-// when the call completes, whether or not anyone waits on it — an
-// abandoned-but-applied write must still replay onto a replacement worker.
+// may change st as soon as this returns.
 func (m *modelProxy) GoSetState(st *kernel.StatePayload) *Call {
 	req, err := kernel.NewStateRequest("set_state", st)
 	if err != nil {
 		return failedCall(err)
 	}
-	args := req.Args // the columns as they are now, whatever becomes of st
-	return m.issue(m.sim.clock.Now(), req, callOpts{class: replayable,
-		success: func(seq uint64) { m.mergeCachedState(args, seq) }})
+	return m.issue(m.sim.clock.Now(), req, callOpts{class: replayable})
 }
 
 // SetState pushes whole attribute columns to the worker in one round
 // trip. nil ctx means the session context.
 func (m *modelProxy) SetState(ctx context.Context, st *kernel.StatePayload) error {
 	return m.GoSetState(st).Wait(m.sessionCtx(ctx))
-}
-
-// mergeCachedState folds successfully pushed columns — state, the pushed
-// set_state frame — into the worker-replacement cache so a transparent
-// replacement replays them: bulk writes must not silently revert on worker
-// death. seq is the push call's issue-order sequence; it advances the
-// cache's stamp so a post-checkpoint push is recognized as newer than the
-// snapshot.
-func (m *modelProxy) mergeCachedState(state []byte, seq uint64) {
-	v, err := kernel.ViewState(state)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ls := m.lastState
-	if err != nil || ls == nil || len(ls.Mass) != v.N {
-		return
-	}
-	if seq > m.stateSeq {
-		m.stateSeq = seq
-	}
-	for i, a := range v.FloatAttrs {
-		switch a {
-		case data.AttrMass:
-			v.FloatsInto(i, ls.Mass)
-		case data.AttrInternalEnergy:
-			if len(ls.U) == v.N {
-				v.FloatsInto(i, ls.U)
-			}
-		case data.AttrSmoothingLen:
-			if len(ls.H) == v.N {
-				v.FloatsInto(i, ls.H)
-			}
-		}
-	}
-	for i, a := range v.VecAttrs {
-		switch a {
-		case data.AttrPos:
-			v.VecsInto(i, ls.Pos)
-		case data.AttrVel:
-			v.VecsInto(i, ls.Vel)
-		}
-	}
 }
 
 // GoPull issues the batched column read and scatters it into the particle
@@ -644,29 +598,20 @@ func (g *Gravity) Energy(ctx context.Context) (float64, float64, error) {
 }
 
 // GoSync issues the one-round-trip state synchronization without waiting;
-// the columns land in p (and refresh the replacement cache) when the
-// result is first observed.
+// the columns land in p when the result is first observed.
 func (g *Gravity) GoSync(p *data.Particles) *Call {
-	// c is assigned before any caller can Wait, and the hook only runs at
-	// outcome observation, so capturing it for the seq stamp is safe.
-	var c *Call
-	c = g.goGetState([]string{data.AttrMass, data.AttrPos, data.AttrVel},
+	return g.goGetState([]string{data.AttrMass, data.AttrPos, data.AttrVel},
 		func(st *kernel.StatePayload) error {
 			if st.N != p.Len() {
 				return fmt.Errorf("core: sync: worker has %d particles, set has %d", st.N, p.Len())
 			}
-			if err := kernel.ScatterState(p, st); err != nil {
-				return err
-			}
-			g.cacheState(kernel.ParticlesToPayload(p), c.seq)
-			return nil
+			return kernel.ScatterState(p, st)
 		})
-	return c
 }
 
-// Sync pulls masses, positions and velocities into the given master set
-// (and refreshes the replacement cache) — one batched columnar round trip
-// where the prototype paid three RPCs. nil ctx means the session context.
+// Sync pulls masses, positions and velocities into the given master set —
+// one batched columnar round trip where the prototype paid three RPCs. nil
+// ctx means the session context.
 func (g *Gravity) Sync(ctx context.Context, p *data.Particles) error {
 	return g.GoSync(p).Wait(g.sessionCtx(ctx))
 }

@@ -275,6 +275,9 @@ func TestReplacementPreservesPipelineOrder(t *testing.T) {
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sim.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	died := make(chan int, 1)
 	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
 	tb.Daemon.KillWorker(g.workers[0])
@@ -295,8 +298,8 @@ func TestReplacementPreservesPipelineOrder(t *testing.T) {
 	if err := Gather(context.Background(), kick, pull); err != nil {
 		t.Fatalf("pipelined retry: %v", err)
 	}
-	// The replacement replayed the uploaded state, so the pull must see
-	// exactly the replayed velocities plus the kick.
+	// The replacement restored the checkpointed upload, so the pull must
+	// see exactly those velocities plus the kick.
 	for i := range dv {
 		want := stars.Vel[i].Add(dv[i])
 		if out.Vel[i] != want {

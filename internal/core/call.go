@@ -61,10 +61,9 @@ type Call struct {
 	after     func([]byte) error
 	afterOnce sync.Once
 	// success runs at finish on a successful outcome, even if the call is
-	// never observed — proxy-side bookkeeping (replacement-cache merges)
-	// that must not depend on the caller waiting. It gets the call's seq
-	// and must not block.
-	success func(seq uint64)
+	// never observed — the elastic rebalancer's evolve hook, which must not
+	// depend on the caller waiting. It must not block.
+	success func()
 }
 
 func newCall(clock *vtime.Clock, after func([]byte) error) *Call {
@@ -84,7 +83,7 @@ func failedCall(err error) *Call {
 func (c *Call) finish(result []byte, err error, at time.Duration) {
 	c.finishOnce.Do(func() {
 		if err == nil && c.success != nil {
-			c.success(c.seq)
+			c.success()
 		}
 		c.result, c.err, c.doneAt = result, err, at
 		close(c.done)

@@ -336,7 +336,10 @@ func TestWorkerReplacement(t *testing.T) {
 	if err := g.EvolveTo(context.Background(), 1.0/64); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot state, then kill the worker.
+	// Checkpoint after the last write, read the state back, kill the worker.
+	if _, err := sim.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	snap := stars.Clone()
 	if err := g.Sync(context.Background(), snap); err != nil {
 		t.Fatal(err)
@@ -350,7 +353,7 @@ func TestWorkerReplacement(t *testing.T) {
 		t.Fatal("death not detected")
 	}
 	// §5 future work, implemented: the next call transparently restarts
-	// the worker from the last synced state.
+	// the worker from the checkpoint.
 	var out kernel.VecResult
 	if err := g.Call(context.Background(), "get_positions", kernel.Empty{}, &out); err != nil {
 		t.Fatalf("replacement failed: %v", err)

@@ -62,6 +62,9 @@ func TestReplacementAfterHostCrash(t *testing.T) {
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sim.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if err := tb.Net.CrashHost("lgm"); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 
 // bulkPayloads are the state payloads the four kinds put on the wire, at n
 // particles: gravity (mass, position, velocity), hydro (those plus u and h),
-// the agent colony and the SSE observables, each with and without keys.
+// the agent colony and the SSE observables, each without keys and keyed one
+// to five times over.
 func bulkPayloads(n int) map[string]*StatePayload {
 	floats := func(seed float64) []float64 {
 		col := make([]float64, n)
@@ -29,11 +30,14 @@ func bulkPayloads(n int) map[string]*StatePayload {
 		}
 		return col
 	}
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = 1<<63 | uint64(i)*0x9e3779b97f4a7c15
+	keys := func(seed uint64) []uint64 {
+		col := make([]uint64, n)
+		for i := range col {
+			col[i] = 1<<63 | (uint64(i)+seed)*0x9e3779b97f4a7c15
+		}
+		return col
 	}
-	out := map[string]*StatePayload{
+	kinds := map[string]*StatePayload{
 		"gravity": NewState(n).AddFloat(data.AttrMass, floats(1)).AddVec(data.AttrPos, vecs(2)).AddVec(data.AttrVel, vecs(3)),
 		"hydro": NewState(n).AddFloat(data.AttrMass, floats(1)).AddVec(data.AttrPos, vecs(2)).AddVec(data.AttrVel, vecs(3)).
 			AddFloat(data.AttrInternalEnergy, floats(4)).AddFloat(data.AttrSmoothingLen, floats(5)),
@@ -41,10 +45,17 @@ func bulkPayloads(n int) map[string]*StatePayload {
 		"sse": NewState(n).AddFloat(data.AttrMass, floats(9)).AddFloat(data.AttrRadius, floats(10)).AddFloat(data.AttrLuminosity, floats(11)).
 			AddFloat(data.AttrTemperature, floats(12)).AddFloat(data.AttrAge, floats(13)).AddFloat(data.AttrStellarType, floats(14)),
 	}
-	for name, st := range out {
-		keyed := *st
-		keyed.Key = keys
-		out[name+"+keys"] = &keyed
+	// Each further "+keys" re-keys the payload before with a fresh key
+	// column, which the frame must carry in place of the last one.
+	out := make(map[string]*StatePayload, 6*len(kinds))
+	for name, st := range kinds {
+		out[name] = st
+		for seed := range uint64(5) {
+			keyed := *st
+			keyed.Key = keys(seed)
+			name, st = name+"+keys", &keyed
+			out[name] = st
+		}
 	}
 	return out
 }
@@ -55,7 +66,8 @@ func bulkPayloads(n int) map[string]*StatePayload {
 // get_state response, the transfer frame re-headed out of it in place, the
 // set_state request and the staged apply request, for every kind's payload
 // with and without keys at 0, 1 and 1 000 particles; and so is a typed
-// request encoded behind its header.
+// request encoded behind its header, and a set_particles upload whose
+// payload aliases the set instead of copying it.
 func TestBulkFramesByteIdentical(t *testing.T) {
 	const id, xfer, slot, worker = 7, 1 << 40, 99, 3
 	const at = 1234567 * time.Microsecond
@@ -70,6 +82,22 @@ func TestBulkFramesByteIdentical(t *testing.T) {
 		req.ID, req.Worker, req.SentAt = id, worker, at
 		same(t, fmt.Sprintf("typed request %T", args), req.Frame(),
 			oracleAppendRequest(nil, &Request{ID: id, Worker: worker, Method: "kick", Args: Encode(args), SentAt: at}))
+	}
+	sets := []*data.Particles{{}} // no columns at all
+	for _, n := range []int{0, 1, 1000} {
+		p := data.NewParticles(n)
+		for i := range n {
+			x := float64(i)
+			p.Mass[i], p.InternalEnergy[i], p.SmoothingLen[i] = math.Sin(x), math.Cos(x), -x
+			p.Pos[i], p.Vel[i] = data.Vec3{x, -x, math.Copysign(0, -1)}, data.Vec3{math.Sqrt(x), 1 / (x + 1), x * x}
+		}
+		sets = append(sets, p)
+	}
+	for _, p := range sets {
+		req := EncodeRequest("set_particles", ParticlesToPayload(p))
+		req.ID, req.Worker, req.SentAt = id, worker, at
+		same(t, fmt.Sprintf("set_particles request, %d particles", p.Len()), req.Frame(), oracleAppendRequest(nil,
+			&Request{ID: id, Worker: worker, Method: "set_particles", Args: Encode(oracleParticlesToPayload(p)), SentAt: at}))
 	}
 	for _, n := range []int{0, 1, 1000} {
 		for name, st := range bulkPayloads(n) {

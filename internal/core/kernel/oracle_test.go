@@ -3,6 +3,7 @@ package kernel
 import (
 	"slices"
 
+	"jungle/internal/amuse/data"
 	"jungle/internal/wire"
 )
 
@@ -84,4 +85,17 @@ func oracleAppendStaged(dst []byte, slot uint64, state []byte) []byte {
 	dst = append(dst, tagStaged)
 	dst = wire.AppendU64(dst, slot)
 	return wire.AppendBytes32(dst, state)
+}
+
+// oracleParticlesToPayload is ParticlesToPayload as it was while the coupler
+// kept the upload as its particle cache: every column copied.
+func oracleParticlesToPayload(p *data.Particles) ParticlesPayload {
+	return ParticlesPayload{
+		Mass: append([]float64(nil), p.Mass...),
+		Pos:  append([]data.Vec3(nil), p.Pos...),
+		Vel:  append([]data.Vec3(nil), p.Vel...),
+		U:    append([]float64(nil), p.InternalEnergy...),
+		H:    append([]float64(nil), p.SmoothingLen...),
+		Key:  append([]uint64(nil), p.Key...),
+	}
 }

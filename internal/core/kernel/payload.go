@@ -56,15 +56,10 @@ type ParticlesPayload struct {
 	Key  []uint64
 }
 
+// ParticlesToPayload returns the payload that uploads p. It aliases p's
+// columns: encode it before p changes.
 func ParticlesToPayload(p *data.Particles) ParticlesPayload {
-	return ParticlesPayload{
-		Mass: append([]float64(nil), p.Mass...),
-		Pos:  append([]data.Vec3(nil), p.Pos...),
-		Vel:  append([]data.Vec3(nil), p.Vel...),
-		U:    append([]float64(nil), p.InternalEnergy...),
-		H:    append([]float64(nil), p.SmoothingLen...),
-		Key:  append([]uint64(nil), p.Key...),
-	}
+	return ParticlesPayload{Mass: p.Mass, Pos: p.Pos, Vel: p.Vel, U: p.InternalEnergy, H: p.SmoothingLen, Key: p.Key}
 }
 
 func PayloadToParticles(pl ParticlesPayload) *data.Particles {

@@ -59,16 +59,16 @@ const (
 	// wait in the parked queue and are re-issued against the new endpoint.
 	replayable
 	// ownCall marks the rebuild's own calls, the only ones to reach an
-	// endpoint while it is half built. Their failure fails the rebuild.
+	// endpoint while it is half built. Their failure fails the rebuild; their
+	// success puts nothing there the snapshot does not cover.
 	ownCall
 )
 
 // callOpts say how a call is issued. Passed by value: they cost a call no
 // allocation.
 type callOpts struct {
-	class   callClass
-	after   func([]byte) error // Call.after
-	success func(seq uint64)   // Call.success
+	class callClass
+	after func([]byte) error // Call.after
 }
 
 // issue is the one way a call reaches a worker: numbered in issue order,
@@ -82,13 +82,12 @@ func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
 	method := req.Method
 	c := newCall(m.sim.clock, o.after)
 	c.seq = m.seq.Add(1)
-	c.success = o.success
 	m.mu.Lock()
 	if e := m.elastic; e != nil && method == "evolve" {
 		// The rebalancer samples rank loads after evolve steps; the hook
 		// only bumps a counter and possibly spawns the async measurement
 		// round (rebalance.go), so completion stays cheap.
-		c.success = func(uint64) { e.evolveDone() }
+		c.success = e.evolveDone
 	}
 	if m.phase.rebuilding() && o.class != ownCall {
 		if o.class == replayable {
@@ -102,14 +101,15 @@ func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
 	}
 	ep := m.endpointLocked()
 	m.mu.Unlock()
-	m.send(ep, c, req, o.class == replayable, at)
+	m.send(ep, c, req, o.class, at)
 	return c
 }
 
 // send puts one attempt of a call on the endpoint's channel, stamped with
-// the virtual time at.
-func (m *modelProxy) send(ep endpoint, c *Call, req request, replayable bool, at time.Duration) {
-	gen := ep.gen
+// the virtual time at. Success stamps what the call wrote, unless it is the
+// rebuild's own; failure parks a replayable call.
+func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at time.Duration) {
+	gen, replayable := ep.gen, class == replayable
 	if ep.ch == nil {
 		m.failed(parkedCall{c: c, req: req, gen: gen, cause: ErrChannelClosed}, replayable, at)
 		return
@@ -129,6 +129,9 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, replayable bool, at
 			// travel time is real either way.
 			doneAt = arrival
 			if err = kernel.ResponseError(&resp); err == nil {
+				if class != ownCall {
+					m.wrote(c.seq, method)
+				}
 				c.finish(resp.Result, nil, doneAt)
 				return
 			}
@@ -139,12 +142,19 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, replayable bool, at
 
 // failed ends an attempt that did not succeed: a replayable call whose
 // failure a rebuild cures parks; anything else is the call's error, and the
-// model's sticky one.
+// model's sticky one. A death that a replaceable model's snapshot does not
+// cover says which completed call it would roll back.
 func (m *modelProxy) failed(it parkedCall, replayable bool, doneAt time.Duration) {
 	it.cause = fmt.Errorf("core: %s.%s: %w", m.kind, it.req.Method, it.cause)
 	if replayable && m.park(it) {
 		return
 	}
+	m.mu.Lock()
+	if m.replaceable && m.wroteSeq > m.snapSeq && errors.Is(it.cause, ErrWorkerDied) {
+		it.cause = fmt.Errorf("%w; not replaced: %s (call %d) completed after the last checkpoint (call %d), which a replacement would roll back",
+			it.cause, m.wroteMethod, m.wroteSeq, m.snapSeq)
+	}
+	m.mu.Unlock()
 	m.setErr(it.cause)
 	it.c.finish(nil, it.cause, doneAt)
 }
@@ -248,18 +258,23 @@ func (m *modelProxy) settle() {
 		m.mu.Unlock()
 		slices.SortFunc(batch, func(a, b parkedCall) int { return cmp.Compare(a.c.seq, b.c.seq) })
 		for _, it := range batch {
-			if failed == nil {
-				m.send(ep, it.c, it.req, it.gen == neverSent, m.sim.clock.Now())
-				continue
+			switch {
+			case failed != nil:
+				m.setErr(failed)
+				it.c.finish(nil, fmt.Errorf("core: replacement failed: %w", failed), 0)
+			case it.gen == neverSent:
+				m.send(ep, it.c, it.req, replayable, m.sim.clock.Now())
+			default: // its one replay: failing again is its error
+				m.send(ep, it.c, it.req, bound, m.sim.clock.Now())
 			}
-			m.setErr(failed)
-			it.c.finish(nil, fmt.Errorf("core: replacement failed: %w", failed), 0)
 		}
 	}
 }
 
 // plan is all a cause tells rebuild: which workers to retire, which shape
-// to start, and where the snapshot comes from.
+// to start, and where the snapshot comes from. A death is rebuilt only while
+// the cached snapshot covers every state-changing call that has completed
+// (replaceableLocked); otherwise it fails with ErrWorkerDied.
 //
 //	cause         retire            shape                     snapshot
 //	birth         —                 the caller's spec         none
@@ -299,8 +314,8 @@ func (m *modelProxy) deathPlan() plan {
 }
 
 // rebuild brings the proxy's endpoint up per plan and makes it hold the
-// newest known state. It never touches the phase: its callers own the
-// episode (newModel and resume have no one to keep out yet).
+// snapshot. It never touches the phase: its callers own the episode
+// (newModel and resume have no one to keep out yet).
 func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 	ctx = m.sessionCtx(ctx)
 	s := m.sim
@@ -315,7 +330,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 		return m.issue(s.clock.Now(), request{Method: method, Args: args}, callOpts{class: ownCall}).Wait(ctx)
 	}
 	m.mu.Lock()
-	prev, ids, ch := m.spec, m.workers, m.ch
+	prev, ids, ch, snap, snapSeq := m.spec, m.workers, m.ch, m.lastSnap, m.snapSeq
 	m.mu.Unlock()
 
 	if p.pull {
@@ -338,13 +353,13 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 		// untouched here — a checkpoint failure aborts with the model
 		// intact; a rank death fails the pull (not replayable: this rebuild
 		// would be waiting for itself) and is cured when the episode settles.
-		var blob []byte
-		c := m.goCheckpointPull(&blob, ownCall)
+		c := m.goCheckpointPull(&snap, ownCall)
 		if err := c.Wait(ctx); err != nil {
 			return fail("checkpoint", err)
 		}
+		snapSeq = c.seq
 		m.mu.Lock()
-		m.lastSnap, m.snapSeq = blob, c.seq // lastBlobRef still names the store's last checkpoint
+		m.lastSnap, m.snapSeq = snap, snapSeq // lastBlobRef still names the store's last checkpoint
 		m.mu.Unlock()
 	}
 
@@ -413,15 +428,10 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 	// Rebuild bit-identical state, the same way for every cause: setup,
 	// then the snapshot — the full model state including the kernel's
 	// clock, broadcast to every rank of a gang (survivors' state is suspect
-	// after an aborted collective, and ranks must match bit for bit) — then
-	// the particle cache (mass/pos/vel only) over it if a push or sync
-	// landed after the snapshot. A failure here (a rank killed
-	// mid-migration) leaves the generation alone: the next call fails on
-	// this endpoint, and its episode restarts what died.
-	m.mu.Lock()
-	snap, state := m.lastSnap, m.lastState
-	overlay := state != nil && (snap == nil || m.stateSeq > m.snapSeq)
-	m.mu.Unlock()
+	// after an aborted collective, and ranks must match bit for bit). A
+	// failure here (a rank killed mid-migration) leaves the generation
+	// alone: the next call fails on this endpoint, and its episode restarts
+	// what died.
 	if err := replay("setup", m.setup); err != nil {
 		return fail("setup", err)
 	}
@@ -434,17 +444,13 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 			rec.RecordRestore(string(m.kind), s.clock.Now()-start) // the store's restore-latency gauge
 		}
 	}
-	if overlay {
-		if err := replay("set_particles", kernel.Encode(*state)); err != nil {
-			return fail("state overlay", err)
-		}
-	}
 
 	m.mu.Lock()
 	stopped := m.phase == phaseStopped // Stop retired the endpoint it found published
 	delta := 0
 	if !stopped {
 		m.gen++
+		m.wroteSeq = snapSeq // the worker holds the snapshot and nothing newer
 		delta = m.workerCountLocked() - m.accounted
 		m.accounted += delta
 	}

@@ -207,13 +207,13 @@ func TestSocketsWorkerStartFailsFast(t *testing.T) {
 	}
 }
 
-// rebuildCalls reads, passively, how many gang_init / setup / restore /
-// set_particles calls the plane has recorded for the session's models:
-// per-rank keys carry gang_init, the model's own key the rest.
-func rebuildCalls(tb *Testbed) (n [4]uint64) {
+// rebuildCalls reads, passively, how many gang_init / setup / restore calls
+// the plane has recorded for the session's models: per-rank keys carry
+// gang_init, the model's own key the rest.
+func rebuildCalls(tb *Testbed) (n [3]uint64) {
 	for k, st := range tb.Recorder.CallsSnapshot() {
 		perRank := strings.Contains(k.Model, "/r")
-		for i, method := range []string{kernel.MethodGangInit, "setup", kernel.MethodRestore, "set_particles"} {
+		for i, method := range []string{kernel.MethodGangInit, "setup", kernel.MethodRestore} {
 			if k.Method == method && perRank == (i == 0) {
 				n[i] += st.Hist.Count
 			}
@@ -223,42 +223,31 @@ func rebuildCalls(tb *Testbed) (n [4]uint64) {
 }
 
 // TestRebuildReplaysOneSequence: whatever the cause, bringing a model up is
-// one sequence — wire the gang, setup, restore the snapshot, overlay the
-// particle cache if it is newer — so causes that share a plan shape must
-// put the same calls on the wire. A second copy of the sequence that
-// drifts shows up here as a different delta.
+// one sequence — wire the gang, setup, restore the snapshot — so causes
+// that share a plan shape must put the same calls on the wire. A second
+// copy of the sequence that drifts shows up here as a different delta. A
+// death after a push the snapshot does not cover is no rebuild at all, but
+// a structured error.
 func TestRebuildReplaysOneSequence(t *testing.T) {
 	stars := ic.Plummer(48, 47)
 	ctx := context.Background()
-	kill := func(t *testing.T, tb *Testbed, id int) {
-		t.Helper()
-		died := make(chan int, 4)
-		tb.Daemon.OnWorkerDied = func(id int) { died <- id }
-		tb.Daemon.KillWorker(id)
-		select {
-		case <-died:
-		case <-time.After(10 * time.Second):
-			t.Fatal("death not observed")
-		}
-	}
 	causes := []struct {
 		name string
 		k    int // ranks before
 		// rebuild provokes one rebuild and returns the handle to go on with.
 		rebuild func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity
 		kAfter  int
-		// overlays: the cached snapshot is what the rebuild restores, so a
-		// push after the checkpoint is newer than it. (A voluntary rebuild
-		// pulls a fresh snapshot, which no earlier push can be newer than; a
-		// resumed model has no particle cache.)
-		overlays bool
+		// cached: the rebuild would restore the cached snapshot, which a push
+		// after the checkpoint is newer than. (A voluntary rebuild pulls a
+		// fresh snapshot, and a resume checkpoints after the push.)
+		cached bool
 	}{
 		{"solo death", 1, func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity {
-			kill(t, tb, g.WorkerIDs()[0])
+			killWorker(t, tb, g.WorkerIDs()[0])
 			return g
 		}, 1, true},
 		{"gang rank death", 3, func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity {
-			kill(t, tb, g.WorkerIDs()[1])
+			killWorker(t, tb, g.WorkerIDs()[1])
 			return g
 		}, 3, true},
 		{"migrate", 3, func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity {
@@ -306,22 +295,24 @@ func TestRebuildReplaysOneSequence(t *testing.T) {
 				}
 				before := rebuildCalls(tb)
 				g = c.rebuild(t, tb, sim, g)
-				evolveLegs(t, g, 1.0/64) // a death is rebuilt by the call that finds it
-				after := rebuildCalls(tb)
-
-				want := [4]uint64{0, 1, 1, 0}
+				want := [3]uint64{0, 1, 1}
 				if c.kAfter > 1 {
 					want[0] = uint64(c.kAfter)
 				}
-				if push && c.overlays {
-					want[3] = 1
+				if push && c.cached {
+					mustFailUncovered(t, g.EvolveTo(ctx, 1.0/64), "set_particles")
+					want = [3]uint64{}
+				} else {
+					evolveLegs(t, g, 1.0/64) // a death is rebuilt by the call that finds it
 				}
-				var got [4]uint64
+				after := rebuildCalls(tb)
+
+				var got [3]uint64
 				for i := range got {
 					got[i] = after[i] - before[i]
 				}
 				if got != want {
-					t.Fatalf("gang_init/setup/restore/set_particles = %v, want %v", got, want)
+					t.Fatalf("gang_init/setup/restore = %v, want %v", got, want)
 				}
 			})
 		}

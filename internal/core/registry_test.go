@@ -96,8 +96,8 @@ func TestBatchedStateMatchesPerCall(t *testing.T) {
 }
 
 // TestReplacementReplaysPushedState: columns pushed through the batched
-// set_state path must survive a transparent worker replacement — the
-// replay cache is refreshed on bulk writes, not only on set_particles.
+// set_state path and then checkpointed must survive a transparent worker
+// replacement — the snapshot, not the upload, is what a replacement holds.
 func TestReplacementReplaysPushedState(t *testing.T) {
 	tb, sim := labSim(t)
 	g, err := sim.NewGravity(context.Background(), WorkerSpec{Channel: ChannelIbis},
@@ -115,6 +115,9 @@ func TestReplacementReplaysPushedState(t *testing.T) {
 		masses[i] = 0.5 + float64(i)
 	}
 	if err := g.SetState(context.Background(), kernel.NewState(len(masses)).AddFloat(data.AttrMass, masses)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

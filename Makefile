@@ -60,7 +60,7 @@ timer-check:
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
 LOC_CORE_MAX = 5569
-LOC_TOTAL_MAX = 25998
+LOC_TOTAL_MAX = 25896
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -90,7 +90,7 @@ internal/amuse/ic UniformSphere       test substrate: the second particle distri
 internal/core DecodeManifest          inverse of Manifest.Encode: commands install exp's evictor, so none resumes a bare manifest yet
 internal/core/kernel Unwrap           interface method: errors.Is reaches WireError.Unwrap, nothing names it
 internal/ipl SetFailureHook           fault observation: the registry test watches a member's death through it
-internal/mpisim LocalGangs            test substrate: in-memory gang links for the physics packages' sharded-kernel tests
+internal/mpisim LocalGangs            test substrate: a World over in-memory links for the physics packages' sharded-kernel tests
 internal/sched Unwrap                 interface method: errors.Is reaches BusyError.Unwrap, nothing names it
 internal/vnet CrashHost               fault injection: the paper's hard fault, a machine vanishing
 internal/vnet SetHostUp               fault injection: a host goes down and comes back
@@ -142,7 +142,7 @@ race:
 LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core \
 	./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody
 leak-check:
-	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate|Rendezvous' $(LEAK_PKGS)
+	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate|Rendezvous|Abort' $(LEAK_PKGS)
 
 # Recovery gate (DESIGN.md § Stateful replacement): a dead worker comes back
 # bit-identical from the last checkpoint, or fails with a structured error

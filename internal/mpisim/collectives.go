@@ -14,41 +14,22 @@ import (
 // root's clock advances to the latest arrival, and every participant's clock
 // advances to the arrival of the root's release/broadcast message.
 //
-// The collectives are generic over Comm, so they run identically whether
-// the ranks are goroutines of one multi-node worker (World/Rank) or worker
-// processes of a sharded kernel gang exchanging over the overlay (Gang).
-// Every member of the communicator must call the same collective in the
-// same order, as in MPI. Mismatched calls deadlock, also as in MPI.
-
-// Comm is the communicator surface the collectives need: identity, a
-// virtual clock, and ordered point-to-point messaging. *Rank and *Gang
-// both implement it.
-type Comm interface {
-	// ID returns this member's rank number.
-	ID() int
-	// Size returns the communicator size.
-	Size() int
-	// Clock returns the member's virtual clock (sends are stamped with it,
-	// receives advance it).
-	Clock() *vtime.Clock
-	// Send transmits data to a peer rank. Like the connection underneath
-	// it takes ownership of data: a collective that sends one buffer to
-	// several ranks, or hands it back to its caller, sends clones.
-	Send(to int, data []byte) error
-	// Recv blocks for the next message from a peer rank.
-	Recv(from int) ([]byte, error)
-}
+// They run on a Gang whatever its links are: the goroutine ranks of one
+// multi-node worker (World) or the worker processes of a sharded kernel
+// exchanging over the overlay. Every member of the communicator must call
+// the same collective in the same order, as in MPI. Mismatched calls
+// deadlock, also as in MPI.
 
 // ComputeFlops advances a member's clock by the time dev needs for the
 // given flop count using n cores — per-rank compute accounting between
 // exchanges.
-func ComputeFlops(c Comm, dev *vtime.Device, flops float64, n int) {
+func ComputeFlops(c *Gang, dev *vtime.Device, flops float64, n int) {
 	c.Clock().Advance(dev.Time(flops, n))
 }
 
 // fanOut sends msg from root to every other rank and consumes it: the last
 // receiver gets msg itself, the others a clone each (Send takes ownership).
-func fanOut(c Comm, root int, msg []byte, what string) error {
+func fanOut(c *Gang, root int, msg []byte, what string) error {
 	last := c.Size() - 1
 	if last == root {
 		last--
@@ -69,7 +50,7 @@ func fanOut(c Comm, root int, msg []byte, what string) error {
 }
 
 // BcastFloats broadcasts a float64 slice from root.
-func BcastFloats(c Comm, root int, x []float64) ([]float64, error) {
+func BcastFloats(c *Gang, root int, x []float64) ([]float64, error) {
 	if c.Size() == 1 {
 		return x, nil
 	}
@@ -86,7 +67,7 @@ func BcastFloats(c Comm, root int, x []float64) ([]float64, error) {
 // allreduce folds every rank's x into rank 0's copy, part by part in rank
 // order (so the result is bitwise deterministic), and broadcasts the result.
 // fold combines one rank's encoded part into the accumulator.
-func allreduce(c Comm, x []float64, fold func(acc []float64, part []byte)) ([]float64, error) {
+func allreduce(c *Gang, x []float64, fold func(acc []float64, part []byte)) ([]float64, error) {
 	const root = 0
 	if c.Size() == 1 {
 		return append([]float64(nil), x...), nil
@@ -113,7 +94,7 @@ func allreduce(c Comm, x []float64, fold func(acc []float64, part []byte)) ([]fl
 
 // AllreduceSum element-wise sums x across ranks; every rank receives the
 // total. Implemented as reduce-to-0 + bcast.
-func AllreduceSum(c Comm, x []float64) ([]float64, error) {
+func AllreduceSum(c *Gang, x []float64) ([]float64, error) {
 	return allreduce(c, x, func(acc []float64, part []byte) {
 		for i := range acc {
 			acc[i] += floatAt(part, i)
@@ -122,7 +103,7 @@ func AllreduceSum(c Comm, x []float64) ([]float64, error) {
 }
 
 // AllreduceMax element-wise maximizes x across ranks.
-func AllreduceMax(c Comm, x []float64) ([]float64, error) {
+func AllreduceMax(c *Gang, x []float64) ([]float64, error) {
 	return allreduce(c, x, func(acc []float64, part []byte) {
 		for i := range acc {
 			if v := floatAt(part, i); v > acc[i] {
@@ -139,7 +120,7 @@ func AllreduceMax(c Comm, x []float64) ([]float64, error) {
 // whole gather gets it decoded in place and compares the returned length
 // with what it expected. x may be a part of dst: it is encoded (or, on the
 // root, moved to the front) before anything is written.
-func AllgatherFloats(c Comm, x, dst []float64) ([]float64, error) {
+func AllgatherFloats(c *Gang, x, dst []float64) ([]float64, error) {
 	const root = 0
 	dst = dst[:0]
 	if c.Size() == 1 {
@@ -173,7 +154,7 @@ func AllgatherFloats(c Comm, x, dst []float64) ([]float64, error) {
 // kernels: each rank's blob is its boundary columns encoded with the
 // columnar state codec, and the collective never inspects the bytes. b is
 // consumed: it is sent to root, or comes back as root's own part.
-func AllgatherBytes(c Comm, b []byte) ([][]byte, error) {
+func AllgatherBytes(c *Gang, b []byte) ([][]byte, error) {
 	const root = 0
 	if c.Size() == 1 {
 		return [][]byte{append([]byte(nil), b...)}, nil
@@ -238,12 +219,11 @@ func unpackBlobs(b []byte) ([][]byte, error) {
 	return parts, nil
 }
 
-// Rank method sugar: the historical per-rank collective API, now thin
-// wrappers over the generic Comm implementations above.
-
-// AllreduceSum element-wise sums x across ranks.
-func (r *Rank) AllreduceSum(x []float64) ([]float64, error) { return AllreduceSum(r, x) }
+// AllreduceSum element-wise sums x across ranks: the method form bench/
+// jbench's probes call on a World rank (DESIGN.md § Sharded kernels).
+func (g *Gang) AllreduceSum(x []float64) ([]float64, error) { return AllreduceSum(g, x) }
 
 // AllgatherFloats concatenates every rank's slice in rank order into a new
-// slice.
-func (r *Rank) AllgatherFloats(x []float64) ([]float64, error) { return AllgatherFloats(r, x, nil) }
+// slice: the method form bench/jbench's probes call on a World rank
+// (DESIGN.md § Sharded kernels).
+func (g *Gang) AllgatherFloats(x []float64) ([]float64, error) { return AllgatherFloats(g, x, nil) }

@@ -31,19 +31,16 @@ type Link interface {
 	Close() error
 }
 
-// Gang is the communicator of a domain-decomposed multi-worker kernel:
-// one instance lives inside each rank's worker process and connects it to
-// every other rank of the same gang over Link transports (in production,
-// SmartSockets peer connections on the overlay — the same plane PR 3's
-// direct state transfers use). It implements Comm, so the collectives in
-// this package work identically over goroutine ranks (World/Rank) and
-// process ranks (Gang).
+// Gang is the package's one communicator: one rank of a domain-decomposed
+// kernel, connected to every other rank over Link transports. A sharded
+// kernel's rank workers each hold one over SmartSockets peer connections on
+// the overlay (the plane direct state transfers use); a World holds all of
+// a multi-node worker's, over vnet connections between the job's hosts.
 //
-// Unlike World, which owns one clock per goroutine rank, a Gang advances
-// the clock of the service hosting it: Bind installs the worker's virtual
-// clock, sends are stamped with it and receives advance it to the
-// message's arrival — exactly MPI's timing discipline, but across worker
-// processes instead of goroutines.
+// A Gang advances one virtual clock, its own or the one Bind installs:
+// sends are stamped with it and receives advance it to the message's
+// arrival — exactly MPI's timing discipline, whether the ranks are
+// goroutines of one worker or worker processes.
 type Gang struct {
 	rank, size int
 	links      []Link // indexed by peer rank; links[rank] == nil
@@ -54,10 +51,11 @@ type Gang struct {
 }
 
 // NewGang builds the communicator for one rank. links must have one entry
-// per rank of the gang, nil at the rank's own index. The clock defaults
-// to a fresh one; hosts bind their own with Bind.
+// per rank of the gang, nil at the rank's own index; a gang of one has no
+// links, and its collectives return their input. The clock defaults to a
+// fresh one; hosts bind their own with Bind.
 func NewGang(rank, size int, links []Link) (*Gang, error) {
-	if size < 2 || rank < 0 || rank >= size {
+	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("mpisim: gang rank %d of %d", rank, size)
 	}
 	if len(links) != size {
@@ -80,13 +78,13 @@ func (g *Gang) Bind(c *vtime.Clock) {
 	g.mu.Unlock()
 }
 
-// ID returns this member's rank (Comm).
+// ID returns this member's rank.
 func (g *Gang) ID() int { return g.rank }
 
-// Size returns the gang size (Comm).
+// Size returns the gang size.
 func (g *Gang) Size() int { return g.size }
 
-// Clock returns the bound virtual clock (Comm).
+// Clock returns the bound virtual clock.
 func (g *Gang) Clock() *vtime.Clock {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -134,8 +132,10 @@ func (g *Gang) link(peer int) (Link, error) {
 	return g.links[peer], nil
 }
 
-// Send transmits data to the peer rank, stamped with the bound clock
-// (Comm).
+// Send transmits data to the peer rank, stamped with the bound clock. Like
+// the link underneath it takes ownership of data: a collective that sends
+// one buffer to several ranks, or hands it back to its caller, sends
+// clones.
 func (g *Gang) Send(to int, data []byte) error {
 	l, err := g.link(to)
 	if err != nil {
@@ -148,7 +148,7 @@ func (g *Gang) Send(to int, data []byte) error {
 }
 
 // Recv blocks for the next message from the peer rank and advances the
-// bound clock to its arrival (Comm).
+// bound clock to its arrival.
 func (g *Gang) Recv(from int) ([]byte, error) {
 	l, err := g.link(from)
 	if err != nil {
@@ -172,32 +172,19 @@ func (g *Gang) Close() {
 	}
 }
 
-// LocalGangs wires size gangs with in-memory links of the given fixed
-// virtual latency — the harness the physics packages' tests use to
+// LocalGangs wires a world of size gangs with in-memory links of the given
+// fixed virtual latency — the harness the physics packages' tests use to
 // exercise sharded kernels without a pool, a daemon or a network (tests
 // only). The production links (SmartSockets peer connections) are wired by
 // internal/core's gang_init instead.
-func LocalGangs(size int, latency time.Duration) []*Gang {
-	links := make([][]Link, size)
-	for i := range links {
-		links[i] = make([]Link, size)
-	}
+func LocalGangs(size int, latency time.Duration) *World {
+	links := linkTable(size)
 	for i := 0; i < size; i++ {
 		for j := i + 1; j < size; j++ {
-			a, b := localPair(latency)
-			links[i][j] = a
-			links[j][i] = b
+			links[i][j], links[j][i] = localPair(latency)
 		}
 	}
-	gangs := make([]*Gang, size)
-	for i := range gangs {
-		g, err := NewGang(i, size, links[i])
-		if err != nil {
-			panic(err) // impossible: the tables above are well-formed
-		}
-		gangs[i] = g
-	}
-	return gangs
+	return worldOf(links)
 }
 
 // localLink is the in-memory Link behind LocalGangs.

@@ -4,30 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
 
-// runGangs executes f concurrently on every gang rank and joins errors.
-func runGangs(gangs []*Gang, f func(g *Gang) error) error {
-	errs := make([]error, len(gangs))
-	var wg sync.WaitGroup
-	for i, g := range gangs {
-		wg.Add(1)
-		go func(i int, g *Gang) {
-			defer wg.Done()
-			errs[i] = f(g)
-		}(i, g)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 func TestGangCollectives(t *testing.T) {
 	const size = 4
-	gangs := LocalGangs(size, time.Millisecond)
-	err := runGangs(gangs, func(g *Gang) error {
+	w := LocalGangs(size, time.Millisecond)
+	err := w.Run(func(g *Gang) error {
 		sum, err := AllreduceSum(g, []float64{float64(g.ID() + 1)})
 		if err != nil {
 			return err
@@ -53,7 +37,7 @@ func TestGangCollectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The collectives exchanged real messages: every clock advanced.
-	for _, g := range gangs {
+	for _, g := range w.gangs {
 		if g.Clock().Now() == 0 {
 			t.Fatalf("rank %d clock did not advance", g.ID())
 		}
@@ -64,23 +48,20 @@ func TestGangCollectives(t *testing.T) {
 // collective fails immediately with ErrGangBroken instead of deadlocking
 // on the lost peer.
 func TestGangBrokenFailsFast(t *testing.T) {
-	gangs := LocalGangs(2, 0)
-	gangs[0].links[1].Close() // rank 1's worker "dies"
-	if err := gangs[0].Send(1, []byte("x")); err == nil {
+	g := LocalGangs(2, 0).gangs[0]
+	g.links[1].Close() // rank 1's worker "dies"
+	if err := g.Send(1, []byte("x")); err == nil {
 		t.Fatal("send on closed link succeeded")
 	}
-	if err := gangs[0].Err(); !errors.Is(err, ErrGangBroken) {
+	if err := g.Err(); !errors.Is(err, ErrGangBroken) {
 		t.Fatalf("sticky error %v, want ErrGangBroken", err)
 	}
-	if _, err := AllreduceSum(gangs[0], []float64{1}); !errors.Is(err, ErrGangBroken) {
+	if _, err := AllreduceSum(g, []float64{1}); !errors.Is(err, ErrGangBroken) {
 		t.Fatalf("collective after break: %v, want ErrGangBroken", err)
 	}
 }
 
 func TestGangValidation(t *testing.T) {
-	if _, err := NewGang(0, 1, []Link{nil}); err == nil {
-		t.Fatal("size-1 gang accepted")
-	}
 	if _, err := NewGang(2, 2, make([]Link, 2)); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
@@ -98,13 +79,13 @@ func TestGangValidation(t *testing.T) {
 // under -race.
 func TestOwnershipCollectiveFanOut(t *testing.T) {
 	const size = 4
-	gangs := LocalGangs(size, 0) // in-memory links: no copy anywhere below the collective
 	scribble := func(b []byte) {
 		for i := range b {
 			b[i] = 0xFF
 		}
 	}
-	err := runGangs(gangs, func(g *Gang) error {
+	// In-memory links: no copy anywhere below the collective.
+	err := LocalGangs(size, 0).Run(func(g *Gang) error {
 		for round := 0; round < 50; round++ {
 			blobs, err := AllgatherBytes(g, []byte{byte(g.ID()), byte(round)})
 			if err != nil {
@@ -132,7 +113,7 @@ func TestOwnershipCollectiveFanOut(t *testing.T) {
 func TestAllgatherFloatsInPlace(t *testing.T) {
 	for _, cuts := range [][]int{{0, 3, 5, 7}, {0, 0, 4, 4, 9}, {0, 1, 2, 3, 4, 5, 6, 7, 1000}} {
 		size, n := len(cuts)-1, cuts[len(cuts)-1]
-		err := runGangs(LocalGangs(size, 0), func(g *Gang) error {
+		err := LocalGangs(size, 0).Run(func(g *Gang) error {
 			lo, hi := CutRange(cuts, g.ID(), n, size)
 			a := make([]float64, n)
 			for i := range a {
@@ -179,14 +160,14 @@ func TestAllgatherFloatsInPlace(t *testing.T) {
 // collective, summed over the ranks.
 func gatherRounds(tb testing.TB, n, rounds int) float64 {
 	const size = 8
-	gangs := LocalGangs(size, 0)
+	w := LocalGangs(size, 0)
 	arrays := make([][]float64, size)
 	for i := range arrays {
 		arrays[i] = make([]float64, n)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := runGangs(gangs, func(g *Gang) error {
+	err := w.Run(func(g *Gang) error {
 		a := arrays[g.ID()]
 		lo, hi := Slab(n, g.ID(), size)
 		for round := 0; round < rounds; round++ {

@@ -1,21 +1,22 @@
 // Package mpisim provides the intra-model parallelism substrate of the
-// reproduction: MPI-style communicators whose collectives (AllreduceSum/Max,
-// AllgatherFloats/Bytes) are generic over the Comm interface and run on two
-// kinds of rank:
+// reproduction: one MPI-style communicator, Gang, whose collectives
+// (AllreduceSum/Max, AllgatherFloats/Bytes) run over pluggable Link
+// transports. A Gang is one rank of a domain-decomposed kernel, and it is
+// wired two ways:
 //
-//   - World/Rank — goroutine ranks pinned to the virtual hosts of one
-//     multi-node worker job (the paper's "Gadget runs on 8 nodes with
-//     C/MPI"). Every message crosses the virtual network with traffic
-//     class "mpi" and advances per-rank virtual clocks, which is how
-//     Fig. 11 distinguishes intra-model from IPL traffic.
-//   - Gang — process ranks of a domain-decomposed multi-worker kernel
-//     (one kernel sharded across K worker processes, possibly on many
-//     nodes of a site). Rank links are pluggable Link transports; in
-//     production they are SmartSockets peer connections on the overlay,
-//     wired by internal/core's gang_init, and each Gang advances the
-//     virtual clock of the worker service hosting it.
+//   - World — the K ranks of one multi-node worker job (the paper's
+//     "Gadget runs on 8 nodes with C/MPI"), linked pairwise by vnet
+//     connections between the job's hosts. Each rank runs as a goroutine
+//     with its own virtual clock, and every message crosses the virtual
+//     network with traffic class "mpi", which is how Fig. 11 distinguishes
+//     intra-model from IPL traffic.
+//   - A sharded kernel's rank workers (one kernel across K worker
+//     processes, possibly on many nodes of a site) each hold one Gang whose
+//     links are SmartSockets peer connections on the overlay, wired by
+//     internal/core's gang_init; it advances the virtual clock of the
+//     worker service hosting it.
 //
-// Both communicators move real data (kernels are genuinely data-parallel
+// Either way the ranks move real data (kernels are genuinely data-parallel
 // across ranks) and account virtual time from vnet link models, which is
 // the substitution this repository makes for physical clusters.
 package mpisim
@@ -31,14 +32,11 @@ import (
 	"time"
 
 	"jungle/internal/vnet"
-	"jungle/internal/vtime"
 )
 
-// Errors returned by the package.
-var (
-	ErrWorldClosed = errors.New("mpisim: world closed")
-	ErrBadRank     = errors.New("mpisim: rank out of range")
-)
+// ErrBadRank is returned for a peer rank outside the communicator or equal
+// to the caller's own.
+var ErrBadRank = errors.New("mpisim: rank out of range")
 
 // basePortCounter hands out distinct listener port ranges so multiple worlds
 // (and multiple workers per host) can coexist on one network.
@@ -46,32 +44,40 @@ var basePortCounter atomic.Int64
 
 const worldPortStride = 1024
 
-// World is a communicator spanning one rank per entry of hosts. Host names
-// may repeat (several ranks per node, as with multi-core MPI jobs).
+// World is the communicator of one multi-node worker job: one Gang per rank,
+// each with its own clock, linked to every other rank of the world.
 type World struct {
-	net   *vnet.Network
-	hosts []string
-	ranks []*Rank
-
-	mu     sync.Mutex
-	closed bool
-
+	gangs     []*Gang
 	listeners []*vnet.Listener
-	conns     [][]*vnet.Conn // conns[i][j], i<j owns; symmetric entries share
 }
 
-// NewWorld builds a fully connected communicator over the given hosts. All
-// pairwise connections are established eagerly; ports are allocated from a
-// world-private range so worlds never collide.
+// Rank is a World rank as bench/jbench's probes name it; the method forms
+// of AllreduceSum and AllgatherFloats are theirs too (DESIGN.md § Sharded
+// kernels).
+type Rank = Gang
+
+// NewWorld builds a fully connected communicator with one rank per entry of
+// hosts. Host names may repeat (several ranks per node, as with multi-core
+// MPI jobs). All pairwise connections are established eagerly; ports are
+// allocated from a world-private range so worlds never collide.
 func NewWorld(network *vnet.Network, hosts []string) (*World, error) {
 	if len(hosts) == 0 {
 		return nil, errors.New("mpisim: world needs at least one rank")
 	}
 	base := 30000 + int(basePortCounter.Add(1))*worldPortStride
-	w := &World{net: network, hosts: append([]string(nil), hosts...)}
-	w.conns = make([][]*vnet.Conn, len(hosts))
-	for i := range w.conns {
-		w.conns[i] = make([]*vnet.Conn, len(hosts))
+	links := linkTable(len(hosts))
+	var listeners []*vnet.Listener
+	cleanup := func() {
+		for _, l := range listeners {
+			l.Close()
+		}
+		for _, row := range links {
+			for _, l := range row {
+				if l != nil {
+					l.Close()
+				}
+			}
+		}
 	}
 
 	// One listener per rank; rank i dials every rank j>i. Handshakes carry
@@ -80,31 +86,14 @@ func NewWorld(network *vnet.Network, hosts []string) (*World, error) {
 		from int
 		conn *vnet.Conn
 	}
-	var cleanup = func() {
-		for _, l := range w.listeners {
-			l.Close()
-		}
-		for i := range w.conns {
-			for j := range w.conns[i] {
-				if i < j && w.conns[i][j] != nil {
-					w.conns[i][j].Close()
-				}
-			}
-		}
-	}
 	acceptCh := make([]chan accepted, len(hosts))
 	for j := range hosts {
-		if countBefore(hosts, j) > 0 {
-			// A previous rank on the same host already listens on its own
-			// port; each rank gets a distinct port so no sharing is needed.
-			_ = j
-		}
 		l, err := network.Listen(hosts[j], base+j)
 		if err != nil {
 			cleanup()
 			return nil, fmt.Errorf("mpisim: rank %d listen on %s: %w", j, hosts[j], err)
 		}
-		w.listeners = append(w.listeners, l)
+		listeners = append(listeners, l)
 		ch := make(chan accepted, len(hosts))
 		acceptCh[j] = ch
 		go func(l *vnet.Listener, ch chan accepted) {
@@ -138,7 +127,7 @@ func NewWorld(network *vnet.Network, hosts []string) (*World, error) {
 				cleanup()
 				return nil, err
 			}
-			w.conns[i][j] = conn
+			links[i][j] = connLink{conn}
 		}
 	}
 	// Collect the accept-side endpoints.
@@ -149,67 +138,80 @@ func NewWorld(network *vnet.Network, hosts []string) (*World, error) {
 				cleanup()
 				return nil, fmt.Errorf("mpisim: rank %d accept failed", j)
 			}
-			w.conns[j][a.from] = a.conn
+			links[j][a.from] = connLink{a.conn}
 		}
 	}
-
-	for i, h := range hosts {
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, host: h, clock: vtime.NewClock()})
-	}
+	w := worldOf(links)
+	w.listeners = listeners
 	return w, nil
 }
 
-func countBefore(hosts []string, j int) int {
-	n := 0
-	for i := 0; i < j; i++ {
-		if hosts[i] == hosts[j] {
-			n++
-		}
+// linkTable returns an empty size×size table of rank links.
+func linkTable(size int) [][]Link {
+	links := make([][]Link, size)
+	for i := range links {
+		links[i] = make([]Link, size)
 	}
-	return n
+	return links
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
-// Hosts returns the host of each rank.
-func (w *World) Hosts() []string { return append([]string(nil), w.hosts...) }
-
-// Rank returns the handle for rank i.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
-// Close tears down all listeners and connections.
-func (w *World) Close() {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return
+// worldOf builds one Gang per row of a link table that is full but for its
+// diagonal.
+func worldOf(links [][]Link) *World {
+	w := &World{gangs: make([]*Gang, len(links))}
+	for i := range links {
+		g, err := NewGang(i, len(links), links[i])
+		if err != nil {
+			panic(err) // impossible: the callers fill every off-diagonal entry
+		}
+		w.gangs[i] = g
 	}
-	w.closed = true
-	w.mu.Unlock()
+	return w
+}
+
+// connLink is a World's Link: one endpoint of the vnet connection between
+// two ranks' hosts, whose Send and Recv already have the Link shape.
+type connLink struct{ conn *vnet.Conn }
+
+func (l connLink) Send(data []byte, sentAt time.Duration) error {
+	_, err := l.conn.Send(data, sentAt)
+	return err
+}
+
+func (l connLink) Recv() ([]byte, time.Duration, error) {
+	msg, err := l.conn.Recv()
+	return msg.Data, msg.Arrival, err
+}
+
+func (l connLink) Close() error { return l.conn.Close() }
+
+// Size returns the number of ranks.
+func (w *World) Size() int { return len(w.gangs) }
+
+// Close tears down all listeners and connections. Safe to call more than
+// once.
+func (w *World) Close() {
 	for _, l := range w.listeners {
 		l.Close()
 	}
-	for i := range w.conns {
-		for j := range w.conns[i] {
-			if i < j && w.conns[i][j] != nil {
-				w.conns[i][j].Close()
-			}
-		}
+	for _, g := range w.gangs {
+		g.Close()
 	}
 }
 
-// Run executes f concurrently on every rank and waits for all to finish.
-// The first non-nil error is returned (all ranks still run to completion).
-func (w *World) Run(f func(r *Rank) error) error {
-	errs := make([]error, len(w.ranks))
+// Run executes f concurrently on every rank and waits for all to finish,
+// returning every rank's error joined. A rank whose link fails breaks its
+// gang and closes its links, so the others fail too instead of waiting on
+// it.
+func (w *World) Run(f func(g *Gang) error) error {
+	errs := make([]error, len(w.gangs))
 	var wg sync.WaitGroup
-	for i, r := range w.ranks {
+	for i, g := range w.gangs {
 		wg.Add(1)
-		go func(i int, r *Rank) {
+		go func(i int, g *Gang) {
 			defer wg.Done()
-			errs[i] = f(r)
-		}(i, r)
+			errs[i] = f(g)
+		}(i, g)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -219,8 +221,8 @@ func (w *World) Run(f func(r *Rank) error) error {
 // time of the parallel section, which is what the worker reports upstream.
 func (w *World) MaxTime() time.Duration {
 	var max time.Duration
-	for _, r := range w.ranks {
-		if t := r.clock.Now(); t > max {
+	for _, g := range w.gangs {
+		if t := g.Clock().Now(); t > max {
 			max = t
 		}
 	}
@@ -230,79 +232,9 @@ func (w *World) MaxTime() time.Duration {
 // SyncTo advances every rank clock to at least t (used when a worker starts
 // a new request at the coupler-provided virtual time).
 func (w *World) SyncTo(t time.Duration) {
-	for _, r := range w.ranks {
-		r.clock.AdvanceTo(t)
+	for _, g := range w.gangs {
+		g.Clock().AdvanceTo(t)
 	}
-}
-
-// Rank is one member of a World. All methods must be called from the
-// goroutine running this rank (the function passed to Run), matching MPI's
-// single-threaded-per-rank discipline.
-type Rank struct {
-	world *World
-	id    int
-	host  string
-	clock *vtime.Clock
-}
-
-// ID returns the rank number.
-func (r *Rank) ID() int { return r.id }
-
-// Size returns the communicator size.
-func (r *Rank) Size() int { return len(r.world.ranks) }
-
-// Host returns the virtual host this rank runs on.
-func (r *Rank) Host() string { return r.host }
-
-// Clock exposes the rank's virtual clock.
-func (r *Rank) Clock() *vtime.Clock { return r.clock }
-
-// Now returns the rank's current virtual time.
-func (r *Rank) Now() time.Duration { return r.clock.Now() }
-
-// Compute advances the rank's clock by the given computation duration.
-func (r *Rank) Compute(d time.Duration) { r.clock.Advance(d) }
-
-// ComputeFlops advances the rank's clock by the time dev needs for the given
-// flop count using n cores.
-func (r *Rank) ComputeFlops(dev *vtime.Device, flops float64, n int) {
-	r.clock.Advance(dev.Time(flops, n))
-}
-
-func (r *Rank) conn(peer int) (*vnet.Conn, error) {
-	if peer < 0 || peer >= len(r.world.ranks) || peer == r.id {
-		return nil, fmt.Errorf("%w: %d (self %d, size %d)", ErrBadRank, peer, r.id, r.Size())
-	}
-	c := r.world.conns[r.id][peer]
-	if c == nil {
-		return nil, ErrWorldClosed
-	}
-	return c, nil
-}
-
-// Send transmits data to peer, stamped with this rank's virtual time.
-func (r *Rank) Send(to int, data []byte) error {
-	c, err := r.conn(to)
-	if err != nil {
-		return err
-	}
-	_, err = c.Send(data, r.clock.Now())
-	return err
-}
-
-// Recv blocks for the next message from peer and advances this rank's clock
-// to the virtual arrival time.
-func (r *Rank) Recv(from int) ([]byte, error) {
-	c, err := r.conn(from)
-	if err != nil {
-		return nil, err
-	}
-	msg, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	r.clock.AdvanceTo(msg.Arrival)
-	return msg.Data, nil
 }
 
 func floatsToBytes(x []float64) []byte {
@@ -332,14 +264,9 @@ func appendFloats(dst []float64, b []byte) ([]float64, error) {
 	return dst, nil
 }
 
-// Slab returns this rank's half-open index range [lo, hi) of an n-element
-// domain decomposed into near-equal contiguous blocks — the standard slab
+// Slab decomposes n elements over size ranks into near-equal contiguous
+// blocks and returns rank's half-open block [lo, hi) — the standard slab
 // decomposition used by the SPH worker.
-func (r *Rank) Slab(n int) (lo, hi int) {
-	return Slab(n, r.id, r.Size())
-}
-
-// Slab decomposes n elements over size ranks and returns rank's block.
 func Slab(n, rank, size int) (lo, hi int) {
 	q, rem := n/size, n%size
 	lo = rank*q + min(rank, rem)

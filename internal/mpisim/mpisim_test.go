@@ -1,6 +1,8 @@
 package mpisim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -35,15 +37,26 @@ func TestWorldSizeAndHosts(t *testing.T) {
 	if w.Size() != 4 {
 		t.Fatalf("size = %d, want 4", w.Size())
 	}
-	hosts := w.Hosts()
-	if len(hosts) != 4 || hosts[0] != "test.node00" {
-		t.Fatalf("hosts = %v", hosts)
+	// Rank i's links leave from host i.
+	for i, g := range w.gangs {
+		if g.ID() != i || g.Size() != 4 {
+			t.Fatalf("rank %d is %d of %d", i, g.ID(), g.Size())
+		}
+		for p, l := range g.links {
+			if p == i {
+				continue
+			}
+			got, want := l.(connLink).conn.LocalHost(), fmt.Sprintf("test.node%02d", i)
+			if got != want {
+				t.Fatalf("rank %d's link to %d leaves from %s, want %s", i, p, got, want)
+			}
+		}
 	}
 }
 
 func TestPointToPoint(t *testing.T) {
 	_, w := clusterWorld(t, 2)
-	err := w.Run(func(r *Rank) error {
+	err := w.Run(func(r *Gang) error {
 		if r.ID() == 0 {
 			return r.Send(1, []byte("hello"))
 		}
@@ -54,8 +67,8 @@ func TestPointToPoint(t *testing.T) {
 		if string(data) != "hello" {
 			t.Errorf("rank 1 got %q", data)
 		}
-		if r.Now() <= 0 {
-			t.Errorf("receive did not advance the clock: %v", r.Now())
+		if r.Clock().Now() <= 0 {
+			t.Errorf("receive did not advance the clock: %v", r.Clock().Now())
 		}
 		return nil
 	})
@@ -66,7 +79,7 @@ func TestPointToPoint(t *testing.T) {
 
 func TestSendToSelfRejected(t *testing.T) {
 	_, w := clusterWorld(t, 2)
-	err := w.Run(func(r *Rank) error {
+	err := w.Run(func(r *Gang) error {
 		if r.ID() == 0 {
 			if err := r.Send(0, nil); err == nil {
 				t.Error("send to self succeeded")
@@ -84,7 +97,7 @@ func TestSendToSelfRejected(t *testing.T) {
 
 func TestAllreduceSum(t *testing.T) {
 	_, w := clusterWorld(t, 4)
-	err := w.Run(func(r *Rank) error {
+	err := w.Run(func(r *Gang) error {
 		x := []float64{float64(r.ID()), 1}
 		sum, err := r.AllreduceSum(x)
 		if err != nil {
@@ -102,7 +115,7 @@ func TestAllreduceSum(t *testing.T) {
 
 func TestAllreduceMax(t *testing.T) {
 	_, w := clusterWorld(t, 3)
-	err := w.Run(func(r *Rank) error {
+	err := w.Run(func(r *Gang) error {
 		m, err := AllreduceMax(r, []float64{float64(-r.ID()), float64(r.ID())})
 		if err != nil {
 			return err
@@ -120,8 +133,8 @@ func TestAllreduceMax(t *testing.T) {
 func TestAllgatherUnequalBlocks(t *testing.T) {
 	_, w := clusterWorld(t, 3)
 	// 7 elements over 3 ranks: blocks of 3, 2, 2.
-	err := w.Run(func(r *Rank) error {
-		lo, hi := r.Slab(7)
+	err := w.Run(func(r *Gang) error {
+		lo, hi := Slab(7, r.ID(), r.Size())
 		block := make([]float64, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			block = append(block, float64(i)*10)
@@ -150,7 +163,7 @@ func TestTrafficRecordedAsMPI(t *testing.T) {
 	net, w := clusterWorld(t, 2)
 	rec := trace.New()
 	net.SetRecorder(rec)
-	err := w.Run(func(r *Rank) error {
+	err := w.Run(func(r *Gang) error {
 		if r.ID() == 0 {
 			return r.Send(1, make([]byte, 1000))
 		}
@@ -168,7 +181,7 @@ func TestTrafficRecordedAsMPI(t *testing.T) {
 func TestTransferTimeScalesWithSize(t *testing.T) {
 	_, w := clusterWorld(t, 2)
 	var small, large time.Duration
-	err := w.Run(func(r *Rank) error {
+	err := w.Run(func(r *Gang) error {
 		if r.ID() == 0 {
 			if err := r.Send(1, make([]byte, 100)); err != nil {
 				return err
@@ -178,11 +191,11 @@ func TestTransferTimeScalesWithSize(t *testing.T) {
 		if _, err := r.Recv(0); err != nil {
 			return err
 		}
-		small = r.Now()
+		small = r.Clock().Now()
 		if _, err := r.Recv(0); err != nil {
 			return err
 		}
-		large = r.Now()
+		large = r.Clock().Now()
 		return nil
 	})
 	if err != nil {
@@ -196,28 +209,28 @@ func TestTransferTimeScalesWithSize(t *testing.T) {
 func TestComputeFlopsAdvancesClock(t *testing.T) {
 	_, w := clusterWorld(t, 1)
 	dev := &vtime.Device{Name: "cpu", Kind: vtime.CPU, Gflops: 1, Cores: 1}
-	r := w.Rank(0)
-	r.ComputeFlops(dev, 2e9, 1)
-	if got := r.Now(); got < 2*time.Second {
+	r := w.gangs[0]
+	ComputeFlops(r, dev, 2e9, 1)
+	if got := r.Clock().Now(); got < 2*time.Second {
 		t.Fatalf("2 Gflop on 1 Gflop/s device took %v, want >= 2s", got)
 	}
 }
 
 func TestMaxTimeAndSyncTo(t *testing.T) {
 	_, w := clusterWorld(t, 3)
-	w.Rank(1).Compute(5 * time.Second)
+	w.gangs[1].Clock().Advance(5 * time.Second)
 	if got := w.MaxTime(); got != 5*time.Second {
 		t.Fatalf("MaxTime = %v", got)
 	}
 	w.SyncTo(7 * time.Second)
 	for i := 0; i < 3; i++ {
-		if got := w.Rank(i).Now(); got != 7*time.Second {
+		if got := w.gangs[i].Clock().Now(); got != 7*time.Second {
 			t.Fatalf("rank %d at %v after SyncTo", i, got)
 		}
 	}
 	// SyncTo never moves clocks backwards.
 	w.SyncTo(time.Second)
-	if got := w.Rank(0).Now(); got != 7*time.Second {
+	if got := w.gangs[0].Clock().Now(); got != 7*time.Second {
 		t.Fatalf("SyncTo moved clock backwards to %v", got)
 	}
 }
@@ -242,7 +255,7 @@ func TestMultipleWorldsCoexist(t *testing.T) {
 	}
 	defer w2.Close()
 	for _, w := range []*World{w1, w2} {
-		if err := w.Run(func(r *Rank) error { _, err := r.AllreduceSum([]float64{1}); return err }); err != nil {
+		if err := w.Run(func(r *Gang) error { _, err := r.AllreduceSum([]float64{1}); return err }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +271,7 @@ func TestMultipleRanksPerHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	err = w.Run(func(r *Rank) error {
+	err = w.Run(func(r *Gang) error {
 		sum, err := r.AllreduceSum([]float64{1})
 		if err != nil {
 			return err
@@ -270,6 +283,35 @@ func TestMultipleRanksPerHost(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorldLinkDeathAbortsEveryRank: a world whose link dies aborts the job
+// the way a gang does. Rank 3's link to rank 0 is closed before an
+// allreduce: rank 0's gather from rank 3 fails, its break closes its links,
+// and ranks 1 and 2, waiting on rank 0's broadcast, fail too instead of
+// blocking forever.
+func TestWorldLinkDeathAbortsEveryRank(t *testing.T) {
+	_, w := clusterWorld(t, 4)
+	w.gangs[3].links[0].Close()
+	errs := make([]error, w.Size())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(func(r *Gang) error {
+			_, errs[r.ID()] = AllreduceSum(r, []float64{1})
+			return nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("ranks still blocked 3 s after their world lost a link")
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrGangBroken) {
+			t.Errorf("rank %d: %v, want ErrGangBroken", i, err)
+		}
 	}
 }
 
@@ -307,7 +349,7 @@ func TestAllreduceDeterministic(t *testing.T) {
 	run := func() []float64 {
 		_, w := clusterWorld(t, 4)
 		var out []float64
-		err := w.Run(func(r *Rank) error {
+		err := w.Run(func(r *Gang) error {
 			x := []float64{math.Pi * float64(r.ID()+1), 1e-17, 1e17}
 			s, err := r.AllreduceSum(x)
 			if err != nil {

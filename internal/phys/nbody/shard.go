@@ -67,7 +67,7 @@ func (s *System) TakeLoad(rank, size int) (rows int, compute time.Duration) {
 // forcesComm evaluates this rank's slab into out and allgathers the slab
 // columns so every rank holds the full force arrays. Compute is accounted
 // on the communicator's clock; exchange time comes from the link models.
-func (s *System) forcesComm(c mpisim.Comm, lo, hi int, out *Forces) error {
+func (s *System) forcesComm(c *mpisim.Gang, lo, hi int, out *Forces) error {
 	flops := s.kernel.ForcesSlab(s.mass, s.pos, s.vel, s.Eps*s.Eps, lo, hi, out)
 	mpisim.ComputeFlops(c, s.kernel.Device(), flops, 0)
 	s.loadCompute += s.kernel.Device().Time(flops, 0)
@@ -109,7 +109,7 @@ func (s *System) forcesComm(c mpisim.Comm, lo, hi int, out *Forces) error {
 // gang. All ranks must call it with the same t. Compute and exchange time
 // are accounted on the communicator's clock as they happen (callers must
 // not re-account ResetFlops); the flop counter is not touched.
-func (s *System) EvolveToComm(ctx context.Context, t float64, c mpisim.Comm) error {
+func (s *System) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang) error {
 	if c == nil || c.Size() == 1 {
 		// Degenerate gang: fall back to the solo path, but keep this
 		// call's accounting contract (advance the clock here, not via
@@ -158,7 +158,7 @@ func (s *System) EvolveToComm(ctx context.Context, t float64, c mpisim.Comm) err
 
 // advanceComm is one sharded predictor-evaluate-correct Hermite step.
 // s.f0 must hold the full force arrays (forcesComm).
-func (s *System) advanceComm(c mpisim.Comm, lo, hi int, dt float64) error {
+func (s *System) advanceComm(c *mpisim.Gang, lo, hi int, dt float64) error {
 	n := len(s.mass)
 	dt2 := dt * dt / 2
 	dt3 := dt * dt * dt / 6
@@ -204,7 +204,7 @@ func (s *System) advanceComm(c mpisim.Comm, lo, hi int, dt float64) error {
 // rank evaluates its slab's potential and partial sums, and one
 // AllreduceSum over the gang's peer links produces the totals on every
 // rank. Compute is accounted on the communicator's clock.
-func (s *System) EnergyComm(c mpisim.Comm) (kin, pot float64, err error) {
+func (s *System) EnergyComm(c *mpisim.Gang) (kin, pot float64, err error) {
 	if c == nil || c.Size() == 1 {
 		k, p := s.Energy()
 		if c != nil {

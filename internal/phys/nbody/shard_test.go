@@ -2,9 +2,7 @@ package nbody
 
 import (
 	"context"
-	"errors"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -42,23 +40,15 @@ func TestForcesSlabMatchesFull(t *testing.T) {
 func runRanks(t *testing.T, size int, evolveTo float64) []*System {
 	t.Helper()
 	stars := ic.Plummer(64, 11)
-	gangs := mpisim.LocalGangs(size, 50*time.Microsecond)
 	systems := make([]*System, size)
 	for i := range systems {
 		systems[i] = NewSystem(NewCPUKernel(cpuDev()), 0.01)
 		systems[i].SetParticles(stars)
 	}
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for i := range systems {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = systems[i].EvolveToComm(context.Background(), evolveTo, gangs[i])
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := mpisim.LocalGangs(size, 50*time.Microsecond).Run(func(g *mpisim.Gang) error {
+		return systems[g.ID()].EvolveToComm(context.Background(), evolveTo, g)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return systems
@@ -99,22 +89,16 @@ func TestShardedEnergyReduce(t *testing.T) {
 	solo.SetParticles(stars)
 	kin0, pot0 := solo.Energy()
 
-	gangs := mpisim.LocalGangs(size, 50*time.Microsecond)
-	var wg sync.WaitGroup
 	kins := make([]float64, size)
 	pots := make([]float64, size)
-	errs := make([]error, size)
-	for i := 0; i < size; i++ {
+	err := mpisim.LocalGangs(size, 50*time.Microsecond).Run(func(g *mpisim.Gang) error {
 		sys := NewSystem(NewCPUKernel(cpuDev()), 0.01)
 		sys.SetParticles(stars)
-		wg.Add(1)
-		go func(i int, sys *System) {
-			defer wg.Done()
-			kins[i], pots[i], errs[i] = sys.EnergyComm(gangs[i])
-		}(i, sys)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+		var err error
+		kins[g.ID()], pots[g.ID()], err = sys.EnergyComm(g)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < size; i++ {
@@ -137,29 +121,16 @@ func TestShardedClockAdvances(t *testing.T) {
 	const tEnd = 1.0 / 32
 	run := func(size int) time.Duration {
 		stars := ic.Plummer(128, 3)
-		gangs := mpisim.LocalGangs(size, 10*time.Microsecond)
-		var wg sync.WaitGroup
-		errs := make([]error, size)
-		for i := 0; i < size; i++ {
+		w := mpisim.LocalGangs(size, 10*time.Microsecond)
+		err := w.Run(func(g *mpisim.Gang) error {
 			sys := NewSystem(NewCPUKernel(cpuDev()), 0.01)
 			sys.SetParticles(stars)
-			wg.Add(1)
-			go func(i int, sys *System) {
-				defer wg.Done()
-				errs[i] = sys.EvolveToComm(context.Background(), tEnd, gangs[i])
-			}(i, sys)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
+			return sys.EvolveToComm(context.Background(), tEnd, g)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		var max time.Duration
-		for _, g := range gangs {
-			if now := g.Clock().Now(); now > max {
-				max = now
-			}
-		}
-		return max
+		return w.MaxTime()
 	}
 	t2, t4 := run(2), run(4)
 	if t2 == 0 || t4 == 0 {

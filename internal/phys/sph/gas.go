@@ -259,37 +259,38 @@ func (g *Gas) EvolveTo(ctx context.Context, t float64) error {
 	return g.evolve(ctx, t, nil, nil, true)
 }
 
-// EvolveToParallel advances the gas to time t data-parallel over the world:
-// each rank computes a slab of the density and force loops, exchanges
-// results via allgathers (recorded as "mpi" traffic) and accounts its share
-// of the compute on its own clock against dev. The goroutine ranks share
-// this one Gas; rank 0 publishes the (bitwise identical) result.
+// EvolveToParallel advances the gas to time t data-parallel over a
+// multi-node worker's world: each rank computes a slab of the density and
+// force loops, exchanges results via allgathers (recorded as "mpi" traffic)
+// and accounts its share of the compute on its own clock against dev. The
+// goroutine ranks share this one Gas; rank 0 publishes the (bitwise
+// identical) result. The hydro service and bench/jbench's probes call it
+// (DESIGN.md § Sharded kernels).
 func (g *Gas) EvolveToParallel(ctx context.Context, t float64, w *mpisim.World, dev *vtime.Device) error {
 	if w == nil {
 		return g.evolve(ctx, t, nil, dev, true)
 	}
-	return w.Run(func(r *mpisim.Rank) error {
+	return w.Run(func(r *mpisim.Gang) error {
 		return g.evolve(ctx, t, r, dev, r.ID() == 0)
 	})
 }
 
 // EvolveToComm advances the gas to time t as one rank of a gang of worker
-// processes (the same slab/exchange schedule as EvolveToParallel, but the
-// exchanges cross the gang's peer links and the compute is accounted on
-// the communicator's bound clock). Every rank owns its own replicated Gas
-// and publishes the result.
-func (g *Gas) EvolveToComm(ctx context.Context, t float64, c mpisim.Comm, dev *vtime.Device) error {
+// processes (the same slab/exchange schedule as EvolveToParallel, on the
+// gang's bound clock). Every rank owns its own replicated Gas and publishes
+// the result.
+func (g *Gas) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang, dev *vtime.Device) error {
 	return g.evolve(ctx, t, c, dev, true)
 }
 
-// evolve is the shared driver. With c == nil it runs the whole domain
+// evolve is the shared driver. With r == nil it runs the whole domain
 // serially; with a communicator it computes only the rank's slab and
 // allgathers. All ranks execute identical step sequences, so the full
 // arrays remain bitwise identical across ranks after each exchange;
 // publish selects which callers write the canonical result back into g
 // (the serial caller, World rank 0 — whose goroutine ranks share one Gas
-// — and every gang rank, which each own their replica).
-func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.Device, publish bool) error {
+// — and every rank of a gang deployment, which each own their replica).
+func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.Device, publish bool) error {
 	n := len(g.mass)
 	if n == 0 {
 		return ErrNoGas
@@ -394,7 +395,7 @@ func (g *Gas) evolve(ctx context.Context, t float64, r mpisim.Comm, dev *vtime.D
 
 // slabTime prices one rank's slab work for the rank_load accumulator
 // (mirrors account's charge; zero when running serially).
-func slabTime(r mpisim.Comm, dev *vtime.Device, flops float64) stdtime.Duration {
+func slabTime(r *mpisim.Gang, dev *vtime.Device, flops float64) stdtime.Duration {
 	if r == nil || dev == nil {
 		return 0
 	}
@@ -403,14 +404,14 @@ func slabTime(r mpisim.Comm, dev *vtime.Device, flops float64) stdtime.Duration 
 
 // flopScale converts one rank's counted flops into the communicator total
 // (every rank does ~1/size of the work; the publishing rank reports).
-func flopScale(r mpisim.Comm) float64 {
+func flopScale(r *mpisim.Gang) float64 {
 	if r == nil {
 		return 1
 	}
 	return float64(r.Size())
 }
 
-func account(r mpisim.Comm, dev *vtime.Device, flops float64) {
+func account(r *mpisim.Gang, dev *vtime.Device, flops float64) {
 	if r != nil && dev != nil {
 		mpisim.ComputeFlops(r, dev, flops, dev.Cores)
 	}
@@ -619,7 +620,7 @@ func clamp(x, lo, hi float64) float64 {
 
 // gather allgathers this rank's rows into dst and checks that every rank's
 // together come to the whole of it.
-func gather(r mpisim.Comm, what string, slab, dst []float64) error {
+func gather(r *mpisim.Gang, what string, slab, dst []float64) error {
 	full, err := mpisim.AllgatherFloats(r, slab, dst)
 	if err != nil {
 		return fmt.Errorf("sph: %s exchange: %w", what, err)
@@ -632,7 +633,7 @@ func gather(r mpisim.Comm, what string, slab, dst []float64) error {
 }
 
 // exchangeScalars gathers rho, P, cs and h, each straight into its array.
-func (st *state) exchangeScalars(r mpisim.Comm, lo, hi int) error {
+func (st *state) exchangeScalars(r *mpisim.Gang, lo, hi int) error {
 	if r == nil {
 		return nil
 	}
@@ -644,7 +645,7 @@ func (st *state) exchangeScalars(r mpisim.Comm, lo, hi int) error {
 	return nil
 }
 
-func (st *state) exchangeVectors(r mpisim.Comm, lo, hi int) error {
+func (st *state) exchangeVectors(r *mpisim.Gang, lo, hi int) error {
 	if r == nil {
 		return nil
 	}
@@ -665,7 +666,7 @@ func (st *state) exchangeVectors(r mpisim.Comm, lo, hi int) error {
 	return nil
 }
 
-func (st *state) exchangeForces(r mpisim.Comm, lo, hi int) error {
+func (st *state) exchangeForces(r *mpisim.Gang, lo, hi int) error {
 	if r == nil {
 		return nil
 	}

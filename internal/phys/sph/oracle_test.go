@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -397,7 +396,7 @@ func TestEvolveMatchesOracle(t *testing.T) {
 			serial := newGas(t, p, selfGravity)
 			worlds := map[int]*Gas{1: newGas(t, p, selfGravity), 3: newGas(t, p, selfGravity), 8: newGas(t, p, selfGravity)}
 			const gangSize = 3
-			gangs := mpisim.LocalGangs(gangSize, 20*time.Microsecond)
+			gang := mpisim.LocalGangs(gangSize, 20*time.Microsecond)
 			n := p.Len()
 			cuts := []int{0, n / 7, n / 7, n} // an empty slab in the middle
 			ranks := make([]*Gas, gangSize)
@@ -423,17 +422,10 @@ func TestEvolveMatchesOracle(t *testing.T) {
 					}
 					sameGas(t, fmt.Sprintf("%s call %d world of %d", what, call, size), g, want)
 				}
-				errs := make([]error, gangSize)
-				var wg sync.WaitGroup
-				for i := range ranks {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						errs[i] = ranks[i].EvolveToComm(ctx, end, gangs[i], dev)
-					}(i)
-				}
-				wg.Wait()
-				if err := errors.Join(errs...); err != nil {
+				err := gang.Run(func(r *mpisim.Gang) error {
+					return ranks[r.ID()].EvolveToComm(ctx, end, r, dev)
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
 				for i, g := range ranks {
@@ -529,25 +521,22 @@ func TestSupportBoundaryCounts(t *testing.T) {
 	}
 }
 
-// badGather is rank 1 of 2 as seen by an evolve whose root sends back
-// gathers of the wrong length: it swallows sends and answers the k-th
+// badGather is rank 1's link to the root of a 2-rank gang whose root sends
+// back gathers of the wrong length: it swallows sends and answers the k-th
 // receive with sizes[k] zeros.
 type badGather struct {
-	clock *vtime.Clock
 	sizes []int
 	k     int
 }
 
-func (c *badGather) ID() int                { return 1 }
-func (c *badGather) Size() int              { return 2 }
-func (c *badGather) Clock() *vtime.Clock    { return c.clock }
-func (c *badGather) Send(int, []byte) error { return nil }
-func (c *badGather) Recv(from int) ([]byte, error) {
-	if c.k >= len(c.sizes) {
-		return nil, errors.New("script exhausted")
+func (l *badGather) Send([]byte, time.Duration) error { return nil }
+func (l *badGather) Close() error                     { return nil }
+func (l *badGather) Recv() ([]byte, time.Duration, error) {
+	if l.k >= len(l.sizes) {
+		return nil, 0, errors.New("script exhausted")
 	}
-	c.k++
-	return make([]byte, 8*c.sizes[c.k-1]), nil
+	l.k++
+	return make([]byte, 8*l.sizes[l.k-1]), 0, nil
 }
 
 // TestExchangeRejectsBadGather: a gather one float short or one float long —
@@ -573,7 +562,11 @@ func TestExchangeRejectsBadGather(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := append([]data.Vec3(nil), g.pos...)
-			err := g.EvolveToComm(context.Background(), 0.01, &badGather{clock: vtime.NewClock(), sizes: sizes}, dev)
+			rank, err := mpisim.NewGang(1, 2, []mpisim.Link{&badGather{sizes: sizes}, nil})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = g.EvolveToComm(context.Background(), 0.01, rank, dev)
 			if err == nil || !strings.HasPrefix(err.Error(), "sph: "+c.what+" exchange gathered") {
 				t.Fatalf("gather %d off by %+d: error %v, want a sph: %s exchange error", c.at, delta, err, c.what)
 			}

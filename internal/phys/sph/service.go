@@ -26,11 +26,12 @@ func init() {
 	kernel.Register(KindHydro, newHydroService)
 }
 
-// hydroService hosts the Gadget worker. It parallelizes two ways, which
-// are mutually exclusive: a multi-node job opens an mpisim World over its
-// hosts (goroutine ranks inside one worker), and a gang deployment
-// (kernel.Shardable) makes this whole service one process rank of a
-// domain-decomposed kernel exchanging slabs over the gang's peer links.
+// hydroService hosts the Gadget worker. Its ranks are mpisim Gangs, placed
+// one of two mutually exclusive ways: a multi-node job opens an mpisim
+// World over its hosts (goroutine ranks sharing one Gas inside this
+// worker), and a gang deployment (kernel.Shardable) makes this whole
+// service one rank of a domain-decomposed kernel exchanging slabs over the
+// gang's peer links.
 type hydroService struct {
 	res   *deploy.Resource
 	gas   *Gas
@@ -128,12 +129,13 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 		if err := kernel.Decode(args, &a); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
+		// With ranks, compute and slab exchange are accounted on the rank
+		// clocks as they happen (the gang's is this clock, bound by SetGang;
+		// the world's are its own, and this clock takes the latest). The
+		// published flop total is informational only, so it is discarded
+		// rather than charged again by the next energies.
 		switch {
 		case s.gang != nil:
-			// Sharded: compute and slab exchange are accounted on this
-			// clock (bound by SetGang) as they happen; the published flop
-			// total is informational only, so discard it rather than
-			// double-charging the clock.
 			if err := s.gas.EvolveToComm(context.Background(), a.T, s.gang, s.dev); err != nil {
 				return kernel.Reply{}, s.clock.Now(), err
 			}
@@ -144,6 +146,7 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 				return kernel.Reply{}, s.clock.Now(), err
 			}
 			s.clock.AdvanceTo(s.world.MaxTime())
+			s.gas.ResetFlops()
 		default:
 			if err := s.gas.EvolveTo(context.Background(), a.T); err != nil {
 				return kernel.Reply{}, s.clock.Now(), err

@@ -2,9 +2,8 @@ package sph
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -312,24 +311,24 @@ func TestGangMatchesSerial(t *testing.T) {
 	}
 
 	const size = 3
-	gangs := mpisim.LocalGangs(size, 20*time.Microsecond)
 	dev := &vtime.Device{Name: "node", Kind: vtime.CPU, Gflops: 5, Cores: 8}
 	systems := make([]*Gas, size)
-	errs := make([]error, size)
-	var wg sync.WaitGroup
 	for i := range systems {
 		systems[i] = New()
 		if err := systems[i].SetParticles(gas); err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = systems[i].EvolveToComm(context.Background(), 0.02, gangs[i], dev)
-		}(i)
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := mpisim.LocalGangs(size, 20*time.Microsecond).Run(func(g *mpisim.Gang) error {
+		if err := systems[g.ID()].EvolveToComm(context.Background(), 0.02, g, dev); err != nil {
+			return err
+		}
+		if g.Clock().Now() == 0 {
+			return fmt.Errorf("rank %d: no virtual time accounted", g.ID())
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for rank, par := range systems {
@@ -343,9 +342,6 @@ func TestGangMatchesSerial(t *testing.T) {
 			if math.Float64bits(serial.u[i]) != math.Float64bits(par.u[i]) {
 				t.Fatalf("rank %d particle %d internal energy differs", rank, i)
 			}
-		}
-		if gangs[rank].Clock().Now() == 0 {
-			t.Fatalf("rank %d: no virtual time accounted", rank)
 		}
 	}
 }

@@ -94,7 +94,8 @@ func main() {
 			for range time.Tick(*statusEvery) {
 				// Sessions span virtual clocks, so staleness marking is
 				// off (-1): a link probed once by any tenant stays "ok".
-				log.Printf("status:\n%s\n%s\n%s",
+				log.Printf("status: %d worker-id blocks held\n%s\n%s\n%s",
+					tb.Daemon.SessionBlocks(),
 					tb.Recorder.RenderSessions(),
 					tb.Recorder.RenderHealth(-1),
 					tb.Recorder.RenderCalls())

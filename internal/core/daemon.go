@@ -47,9 +47,10 @@ type Daemon struct {
 	// — pool port names, the per-id peer/loopback port block, checkpoint
 	// refs — is namespaced per session. The default session ("") keeps the
 	// plain nextID sequence, so single-tenant daemons number workers
-	// exactly as before.
-	sessionSlots map[string]int // session -> block slot (1-based)
-	sessionSeq   map[string]int // session -> ids handed out in its block
+	// exactly as before. Slots count up from 1 in order of first use and
+	// are never reused.
+	sessionLast map[string]int // session -> the last id handed out in its block
+	lastSlot    int
 
 	// Checkpoint store: snapshot blobs streamed by worker proxies over the
 	// daemon's own peer listener (or deposited directly by the coupler's
@@ -148,8 +149,7 @@ func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 		env: env, deployment: dep, registry: reg,
 		workers:      make(map[int]*workerHandle),
 		byMember:     make(map[string]*workerHandle),
-		sessionSlots: make(map[string]int),
-		sessionSeq:   make(map[string]int),
+		sessionLast:  make(map[string]int),
 		ReadyTimeout: 30 * time.Second,
 	}
 
@@ -529,17 +529,32 @@ func (d *Daemon) nextWorkerIDLocked(session string) (int, error) {
 		d.nextID++
 		return d.nextID, nil
 	}
-	slot, ok := d.sessionSlots[session]
+	id, ok := d.sessionLast[session]
 	if !ok {
-		slot = len(d.sessionSlots) + 1
-		d.sessionSlots[session] = slot
+		d.lastSlot++
+		id = d.lastSlot * sessionIDBlock
 	}
-	seq := d.sessionSeq[session] + 1
-	if seq >= sessionIDBlock {
+	if id%sessionIDBlock == sessionIDBlock-1 {
 		return 0, fmt.Errorf("core: session %q exhausted its %d-worker id block", session, sessionIDBlock-1)
 	}
-	d.sessionSeq[session] = seq
-	return slot*sessionIDBlock + seq, nil
+	d.sessionLast[session] = id + 1
+	return id + 1, nil
+}
+
+// ForgetSession drops a closed session's id block. Its slot is not reused,
+// so no worker id depends on what was forgotten. An evicted session is not
+// over: it resumes in its own block, and must not be forgotten.
+func (d *Daemon) ForgetSession(session string) {
+	d.mu.Lock()
+	delete(d.sessionLast, session)
+	d.mu.Unlock()
+}
+
+// SessionBlocks returns how many sessions hold a worker-id block.
+func (d *Daemon) SessionBlocks() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.sessionLast)
 }
 
 // releaseWorkerCapacity returns a worker's committed nodes to the ledger,

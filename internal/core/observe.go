@@ -38,7 +38,7 @@ func (o *chanObs) observe(method string, sentAt time.Duration, done completion) 
 		return done
 	}
 	depth := int(o.inflight.Add(1))
-	o.rec.RecordQueueDepth(o.worker, depth)
+	o.rec.RecordQueueDepth(o.session, o.worker, depth)
 	return func(resp response, arrival time.Duration, err error) {
 		o.inflight.Add(-1)
 		if err != nil || arrival < sentAt {

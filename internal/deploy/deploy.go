@@ -96,7 +96,12 @@ type Deployment struct {
 	resources map[string]*Resource
 	overlay   *smartsockets.Overlay
 	localHost string
-	jobs      []*gat.Job
+	// jobs holds the submitted jobs that had not finished at the last
+	// sweep, plus those submitted since; kept is its length after that
+	// sweep, and finished counts by end state the jobs sweeps dropped.
+	jobs     []*gat.Job
+	kept     int
+	finished [gat.Canceled + 1]int
 
 	// cap is the multi-tenant capacity ledger (capacity.go): per-resource
 	// reserved/committed nodes per owning session.
@@ -212,7 +217,8 @@ func (r *Resource) uri() string {
 	}
 }
 
-// Submit starts a job on the named resource and tracks it.
+// Submit starts a job on the named resource and tracks it until it
+// finishes.
 func (d *Deployment) Submit(resource string, desc gat.JobDescription) (*gat.Job, error) {
 	r, err := d.Resource(resource)
 	if err != nil {
@@ -224,14 +230,36 @@ func (d *Deployment) Submit(resource string, desc gat.JobDescription) (*gat.Job,
 	}
 	d.mu.Lock()
 	d.jobs = append(d.jobs, j)
+	// Sweeping only once the list has doubled since the last sweep keeps a
+	// submit amortised O(1).
+	if len(d.jobs) > 2*d.kept {
+		d.sweepLocked()
+	}
 	d.mu.Unlock()
 	return j, nil
 }
 
-// Jobs returns all submitted jobs.
+// sweepLocked drops finished jobs from the list and counts them by end
+// state. Caller holds d.mu.
+func (d *Deployment) sweepLocked() {
+	live := d.jobs[:0]
+	for _, j := range d.jobs {
+		switch st := j.State(); st {
+		case gat.Stopped, gat.Failed, gat.Canceled:
+			d.finished[st]++
+		default:
+			live = append(live, j)
+		}
+	}
+	clear(d.jobs[len(live):])
+	d.jobs, d.kept = live, len(live)
+}
+
+// Jobs returns the submitted jobs that have not finished.
 func (d *Deployment) Jobs() []*gat.Job {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.sweepLocked()
 	return append([]*gat.Job(nil), d.jobs...)
 }
 
@@ -249,7 +277,8 @@ func (d *Deployment) Stop() {
 }
 
 // RenderStatus renders the IbisDeploy GUI's data: resources (top-left of
-// Fig. 10), jobs (bottom half) and the overlay map (top-right).
+// Fig. 10), jobs (bottom half: the live ones, then one line counting the
+// finished) and the overlay map (top-right).
 func (d *Deployment) RenderStatus() string {
 	var b strings.Builder
 	b.WriteString("resources:\n")
@@ -267,6 +296,10 @@ func (d *Deployment) RenderStatus() string {
 		fmt.Fprintf(&b, "  #%d %-24s %-8s on %-20s nodes=%d\n",
 			j.ID, j.Desc.Executable, j.State(), j.Target, j.Desc.Nodes)
 	}
+	d.mu.Lock()
+	fmt.Fprintf(&b, "  finished: %d stopped, %d failed, %d canceled\n",
+		d.finished[gat.Stopped], d.finished[gat.Failed], d.finished[gat.Canceled])
+	d.mu.Unlock()
 	b.WriteString(d.overlay.RenderMap())
 	return b.String()
 }

@@ -269,3 +269,48 @@ gpu        = gtx480 350
 		t.Fatal("overlay not connected after config load")
 	}
 }
+
+// TestRetentionFinishedJobs: the job list forgets finished jobs. Beside
+// one long-lived job, 99 jobs stop, fail or are canceled one after another:
+// the list never holds more than twice the two jobs live at its last sweep,
+// Jobs lists only the long-lived one, and RenderStatus counts the others by
+// end state. Job ids count from 1 on every deployment's broker.
+func TestRetentionFinishedJobs(t *testing.T) {
+	d, _, _ := newDeployment(t)
+	if err := d.AddResource(Resource{Name: "desk", Middleware: "local", Frontend: "desktop"}); err != nil {
+		t.Fatal(err)
+	}
+	d.Catalog.Register("ok", func(*gat.Context) error { return nil })
+	d.Catalog.Register("bad", func(*gat.Context) error { return errors.New("boom") })
+	d.Catalog.Register("wait", func(ctx *gat.Context) error { <-ctx.Cancel; return nil })
+	long, err := d.Submit("desk", gat.JobDescription{Executable: "wait"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.ID != 1 {
+		t.Fatalf("first job of a fresh deployment is #%d, want #1", long.ID)
+	}
+	for i := 0; i < 99; i++ {
+		exe := []string{"ok", "bad", "wait"}[i%3]
+		j, err := d.Submit("desk", gat.JobDescription{Executable: exe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exe == "wait" {
+			j.Cancel()
+		}
+		j.Wait()
+		d.mu.Lock()
+		held := len(d.jobs)
+		d.mu.Unlock()
+		if held > 4 {
+			t.Fatalf("after %d submits the job list holds %d jobs, with 2 live at most", i+2, held)
+		}
+	}
+	if jobs := d.Jobs(); len(jobs) != 1 || jobs[0] != long {
+		t.Fatalf("Jobs() = %d jobs, want only the live one", len(jobs))
+	}
+	if s := d.RenderStatus(); !strings.Contains(s, "finished: 33 stopped, 33 failed, 33 canceled") {
+		t.Fatalf("status does not count the finished jobs:\n%s", s)
+	}
+}

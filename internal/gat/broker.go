@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jungle/internal/vnet"
@@ -33,6 +34,10 @@ type Broker struct {
 	mu       sync.Mutex
 	adapters []Adapter
 	clusters map[string]*clusterSched // frontend host -> scheduler
+
+	// jobIDs numbers this broker's jobs, so a status view does not depend
+	// on what else the process ran.
+	jobIDs atomic.Int64
 }
 
 // NewBroker returns a broker with the standard adapter stack (local, ssh,
@@ -86,7 +91,7 @@ func (b *Broker) Submit(desc JobDescription, uri string) (*Job, error) {
 			if a.Scheme() != scheme {
 				continue
 			}
-			j := newJob(desc, scheme, target)
+			j := newJob(b.jobIDs.Add(1), desc, scheme, target)
 			if err := a.Submit(b, j, target); err != nil {
 				return nil, err
 			}
@@ -99,7 +104,7 @@ func (b *Broker) Submit(desc JobDescription, uri string) (*Job, error) {
 	// automatically select the appropriate adapter for each resource".
 	var errs []string
 	for _, a := range adapters {
-		j := newJob(desc, a.Scheme(), target)
+		j := newJob(b.jobIDs.Add(1), desc, a.Scheme(), target)
 		if err := a.Submit(b, j, target); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", a.Scheme(), err))
 			continue

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jungle/internal/vnet"
@@ -141,12 +140,10 @@ func (c *Catalog) Lookup(name string) (Process, error) {
 	return p, nil
 }
 
-var jobIDs atomic.Int64
-
 // Job is a submitted job. State transitions: Scheduled → Running →
 // Stopped/Failed/Canceled.
 type Job struct {
-	ID      int64
+	ID      int64 // numbered from 1 by the broker that took the job
 	Desc    JobDescription
 	Adapter string // adapter that accepted the job
 	Target  string // resource it was submitted to
@@ -160,9 +157,9 @@ type Job struct {
 	done   chan struct{}
 }
 
-func newJob(desc JobDescription, adapter, target string) *Job {
+func newJob(id int64, desc JobDescription, adapter, target string) *Job {
 	return &Job{
-		ID: jobIDs.Add(1), Desc: desc, Adapter: adapter, Target: target,
+		ID: id, Desc: desc, Adapter: adapter, Target: target,
 		state:  Scheduled,
 		cancel: make(chan struct{}),
 		done:   make(chan struct{}),

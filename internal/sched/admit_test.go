@@ -159,11 +159,12 @@ func TestAttachCancelDuringAdmission(t *testing.T) {
 		}
 	}
 
-	// Cancel, then admit under the scheduler lock before the attach
-	// goroutine can observe the cancellation: the waiter leaves the queue
-	// with its admission already decided.
-	cancel()
+	// Cancel under the scheduler lock and admit before releasing it: the
+	// attach goroutine, woken by the cancellation, cannot take the waiter
+	// off the queue first, so the waiter leaves it with its admission
+	// already decided.
 	s.mu.Lock()
+	cancel()
 	s.live--
 	s.pumpLocked()
 	s.mu.Unlock()

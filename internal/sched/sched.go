@@ -429,7 +429,9 @@ func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 
 // Close ends one session for good: workers stop, capacity and checkpoint
 // blobs release, the id is retired, and a queued session (if any) is
-// admitted into the freed slot.
+// admitted into the freed slot. The session leaves nothing behind but its
+// record and its stats row: its call and queue-depth series fold into the
+// recorder's closed aggregate, and the daemon forgets its id block.
 func (s *Scheduler) Close(id string) error {
 	sess, err := s.lookup(id)
 	if err != nil {
@@ -449,6 +451,10 @@ func (s *Scheduler) Close(id string) error {
 		sim.Stop()
 	}
 	s.daemon.DropSessionCheckpoints(id)
+	s.daemon.ForgetSession(id)
+	if rec := s.cfg.Recorder; rec != nil {
+		rec.CloseSession(id)
+	}
 	sess.setState(StateClosed)
 
 	s.mu.Lock()

@@ -8,8 +8,8 @@ import (
 )
 
 // TestRecorderConcurrentPlane hammers one Recorder from many goroutines —
-// every write path of the observability plane racing every render and
-// snapshot path — and then checks the exact totals. Run under -race (the
+// every write path of the observability plane racing every render,
+// snapshot and session fold — and then checks the exact totals. Run under -race (the
 // Makefile's race target) this is the plane's thread-safety proof.
 func TestRecorderConcurrentPlane(t *testing.T) {
 	r := New()
@@ -27,7 +27,7 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				meth := methods[i%len(methods)]
 				r.RecordCall(sess, "gravity", meth, time.Duration(i+1)*time.Microsecond, 2*time.Microsecond)
 				r.RecordCallError(sess, "hydro", meth)
-				r.RecordQueueDepth("gravity/0@lgm", i%7)
+				r.RecordQueueDepth("", "gravity/0@lgm", i%7)
 				r.RecordLinkTransfer("a", "b", LinkDirect)
 				r.RecordCheckpoint("gravity", 1000)
 				r.RecordRestore("gravity", time.Millisecond)
@@ -59,6 +59,9 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				_ = r.Calibrate(specs)
 				_ = r.StoreTable()
 				_ = r.CapacityTable()
+				// Folding s2 while writers still record it must not
+				// lose a count: the totals below include the aggregate.
+				r.CloseSession("s2")
 			}
 		}()
 	}
@@ -100,7 +103,7 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 func TestSnapshotsAreDeepCopies(t *testing.T) {
 	r := New()
 	r.RecordCall("", "gravity", "kick", time.Millisecond, time.Microsecond)
-	r.RecordQueueDepth("w0", 3)
+	r.RecordQueueDepth("", "w0", 3)
 	r.RecordCheckpoint("gravity", 10)
 	r.RecordRestore("gravity", time.Millisecond)
 
@@ -155,7 +158,7 @@ func TestRenderDeterminism(t *testing.T) {
 		// the two recorders hold identical data in different orders.
 		for _, c := range calls {
 			r.RecordCall(c.sess, c.model, c.method, time.Duration(len(c.method))*time.Millisecond, time.Microsecond)
-			r.RecordQueueDepth(c.model+"/0@res", len(c.model))
+			r.RecordQueueDepth(c.sess, c.model+"/0@res", len(c.model))
 		}
 		for _, l := range links {
 			r.RecordGoodput(l[0], l[1], float64(len(l[0]+l[1]))*1e6, time.Duration(len(l[0]))*time.Second)
@@ -318,7 +321,7 @@ func TestDiffCalls(t *testing.T) {
 func TestRenderCallsContent(t *testing.T) {
 	r := New()
 	r.RecordCall("", "gravity", "kick", 4*time.Millisecond, 2*time.Millisecond)
-	r.RecordQueueDepth("gravity/0@lgm", 2)
+	r.RecordQueueDepth("", "gravity/0@lgm", 2)
 	out := r.RenderCalls()
 	for _, want := range []string{"gravity", "kick", "2ms", "gravity/0@lgm", "FLOOR", "WORKER QUEUE"} {
 		if !strings.Contains(out, want) {

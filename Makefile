@@ -62,8 +62,8 @@ timer-check:
 # The latest rise: a closed session leaves nothing behind — the recorder
 # folds its series (trace +118), the deployment sweeps finished jobs
 # (deploy +33) and the daemon forgets its id block (core +15).
-LOC_CORE_MAX = 5584
-LOC_TOTAL_MAX = 26071
+LOC_CORE_MAX = 5572
+LOC_TOTAL_MAX = 26046
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -154,9 +154,12 @@ leak-check:
 # bit-identical from the last checkpoint, or fails with a structured error
 # naming the call that checkpoint does not cover — never a silently different
 # number. The fault tests that hold that contract, three times over under the
-# race detector, like leak-check.
+# race detector, like leak-check — in core, and where users meet it: a
+# checkpointed SC11 run losing each model's worker in turn (exp) and an
+# ensemble member losing its worker (ensemble).
 recovery-check:
 	$(GO) test -race -count=3 -run 'Replac|Restore|Rebuild|Recover|KillRank|Uncovered' ./internal/core
+	$(GO) test -race -count=3 -run 'SurvivesWorkerDeath|FaultIsolation' ./internal/exp ./internal/ensemble
 
 # Determinism under load: the tests that hold virtual time, route choice
 # and the wire to a pure function of the inputs, twenty times over under

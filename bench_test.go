@@ -800,7 +800,6 @@ func BenchmarkCheckpointRecovery(b *testing.B) {
 		var virtual time.Duration
 		for i := 0; i < b.N; i++ {
 			tb, sim, g, died := prep(b)
-			g.EnableReplacement()
 			if _, err := sim.Checkpoint(context.Background()); err != nil {
 				b.Fatal(err)
 			}

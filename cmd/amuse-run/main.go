@@ -7,9 +7,11 @@
 //	amuse-run -config resources.conf -list
 //
 // With -checkpoint the run snapshots every worker after each completed
-// iteration and writes a self-contained run file; a run killed at any
-// point (Ctrl-C, -timeout, a dead machine) is continued bit-compatibly
-// with -resume:
+// iteration and writes a self-contained run file. A worker that dies while
+// the last snapshot still covers its model is replaced in process and the
+// run goes on; a run killed at any other point (Ctrl-C, -timeout, a death
+// after a write no snapshot holds) is continued bit-compatibly with
+// -resume:
 //
 //	amuse-run -testbed sc11 -placement sc11-worst-case -iters 8 -checkpoint run.ckpt
 //	amuse-run -testbed sc11 -resume run.ckpt

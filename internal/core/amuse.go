@@ -199,9 +199,7 @@ type modelProxy struct {
 
 	n       int
 	lastErr error
-	// replacement support (§5 future work, implemented here).
-	replaceable bool
-	setup       []byte // the encoded setup args, replayed by every rebuild
+	setup   []byte // the encoded setup args, replayed by every rebuild
 	// lastSnap is the raw frame of the model's most recent checkpoint
 	// snapshot (kernel.Snapshot codec) — the full model state including the
 	// kernel's clock, and the one thing a rebuild restores. snapSeq is the
@@ -300,27 +298,19 @@ func (m *modelProxy) resource() string {
 	return m.spec.Resource
 }
 
-// EnableReplacement turns on transparent worker replacement (§5: "in
-// theory it should be possible to transparently find a replacement
-// machine" — the prototype could not; this implementation can). On worker
-// death the next call restarts the worker (resource re-selected; a gang's
-// dead ranks restart on its resource and gang_init re-wires every rank),
+// replaceableLocked reports whether a dead worker can be transparently
+// replaced (§5: "in theory it should be possible to transparently find a
+// replacement machine" — the prototype could not; this implementation can).
+// The next call restarts the worker (resource re-selected; a gang's dead
+// ranks restart on its resource and gang_init re-wires every rank),
 // restores the last checkpoint snapshot — the full model state including
 // the kernel's clock, on every rank — and re-issues the interrupted calls.
-// Only while that snapshot covers every state-changing call that has
-// completed: a death after an uncovered one (evolve, kick, push, transfer
-// in) fails with ErrWorkerDied naming it. Opt-in, per model: no command
-// turns it on today (tests and BenchmarkCheckpointRecovery do).
-func (m *modelProxy) EnableReplacement() {
-	m.mu.Lock()
-	m.replaceable = true
-	m.mu.Unlock()
-}
-
-// replaceableLocked: a rebuild restores the cached snapshot and nothing
-// else, so it is a cure only while that snapshot covers the model.
+// That snapshot is all a rebuild restores, so it is a cure only while the
+// snapshot covers every state-changing call that has completed: a death
+// after an uncovered one (evolve, kick, set_state, transfer in) fails with
+// ErrWorkerDied naming it.
 func (m *modelProxy) replaceableLocked() bool {
-	return m.replaceable && m.wroteSeq <= m.snapSeq
+	return m.wroteSeq <= m.snapSeq
 }
 
 // keepsState reports whether a method leaves the model's state as it was.
@@ -536,22 +526,6 @@ func (m *modelProxy) GoPull(p *data.Particles, attrs ...string) *Call {
 	return m.goGetState(defaultStateAttrs(attrs), func(st *kernel.StatePayload) error {
 		return kernel.ScatterState(p, st)
 	})
-}
-
-// GoPush issues the batched column write without waiting.
-func (m *modelProxy) GoPush(p *data.Particles, attrs ...string) *Call {
-	st, err := kernel.GatherState(p, attrs...)
-	if err != nil {
-		return failedCall(err)
-	}
-	return m.GoSetState(st)
-}
-
-// Push sends the named columns (default mass/position/velocity) of the
-// particle set to the worker in one round trip. nil ctx means the session
-// context.
-func (m *modelProxy) Push(ctx context.Context, p *data.Particles, attrs ...string) error {
-	return m.GoPush(p, attrs...).Wait(m.sessionCtx(ctx))
 }
 
 // Gravity is the coupler-side PhiGRAPE model (bridge.AsyncDynamics +

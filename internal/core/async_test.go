@@ -270,7 +270,6 @@ func TestReplacementPreservesPipelineOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	stars := ic.Plummer(16, 22)
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)

@@ -167,7 +167,6 @@ func TestSoloRestoreUnderFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,6 @@ func TestGangRankRestoreUnderFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gang.EnableReplacement()
 	if err := gang.SetParticles(stars); err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,6 @@ func TestKindConformanceRankDeathRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gang.EnableReplacement()
 			k.seed(t, gang)
 			k.leg(t, gang, 1)
 			if _, err := sim.Checkpoint(ctx); err != nil {

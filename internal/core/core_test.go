@@ -328,7 +328,6 @@ func TestWorkerReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	stars := ic.Plummer(32, 7)
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)

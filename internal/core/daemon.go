@@ -677,9 +677,9 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 
 	// The worker's job occupies spec.Nodes nodes on the resource from
 	// submission until stop/death; the ledger entry makes that occupancy
-	// visible to other sessions' placement decisions. Released exactly
-	// once — on any start failure below, on StopWorker, or when the pool
-	// observes the death.
+	// visible to every placement decision, its own session's included.
+	// Released exactly once — on any start failure below, on StopWorker, or
+	// when the pool observes the death.
 	d.deployment.CommitNodes(resource, spec.Session, spec.Nodes)
 	wh.capNodes = spec.Nodes
 	// A failed start is a stop: the job (if submitted) is canceled, the
@@ -795,7 +795,9 @@ func (d *Daemon) StopWorker(id int) {
 }
 
 // KillWorker abruptly cancels a worker's job (the scheduler-kill fault of
-// §5); the pool observes a death. Fault injection: tests and benchmarks only.
+// §5); the pool observes a death, and the model's next call replaces the
+// worker if its last checkpoint covers it. Fault injection: tests and
+// benchmarks only.
 func (d *Daemon) KillWorker(id int) {
 	d.mu.Lock()
 	wh := d.workers[id]

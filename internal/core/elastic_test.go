@@ -297,7 +297,6 @@ func TestMigrateWhileCheckpointInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	if err := g.SetParticles(ic.Plummer(192, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +361,6 @@ func TestKillRankMidMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,6 @@ func TestReplacementAfterHostCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	stars := ic.Plummer(16, 2)
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)

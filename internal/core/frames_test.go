@@ -120,7 +120,7 @@ func TestSetStateAppliesWholeOrNothing(t *testing.T) {
 // TestParkedSetStateReplaysFrame: GoSetState encodes the columns into the
 // request frame before it returns, and that frame — not the caller's
 // payload — is what a call parked behind a rebuild re-sends. With the
-// worker of a replaceable model dead, one push fails against it and parks,
+// worker of a checkpointed model dead, one push fails against it and parks,
 // a second is issued while the endpoint is being rebuilt; the caller
 // scribbles over both payloads as soon as GoSetState has returned. The
 // replacement must hold the columns as they were at issue. The pushes land
@@ -133,7 +133,6 @@ func TestParkedSetStateReplaysFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	const n = 64
 	stars := ic.Plummer(n, 67)
 	if err := g.SetParticles(stars); err != nil {
@@ -166,7 +165,7 @@ func TestParkedSetStateReplaysFrame(t *testing.T) {
 		}
 	}
 
-	killWorker(t, tb, g.WorkerIDs()[0])
+	killWorker(t, tb.Daemon, g.WorkerIDs()[0])
 	vel := kernel.NewState(n).AddVec(data.AttrVel, append([]data.Vec3(nil), want.Vel...))
 	mass := kernel.NewState(n).AddFloat(data.AttrMass, append([]float64(nil), want.Mass...))
 	first := g.GoSetState(vel) // sent to the dead worker: fails, parks, starts the rebuild
@@ -182,7 +181,7 @@ func TestParkedSetStateReplaysFrame(t *testing.T) {
 	}
 	holds("after the replayed pushes")
 
-	killWorker(t, tb, g.WorkerIDs()[0])
+	killWorker(t, tb.Daemon, g.WorkerIDs()[0])
 	_, err = g.GetState(ctx)
 	mustFailUncovered(t, err, "set_state")
 }

@@ -142,15 +142,15 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at
 
 // failed ends an attempt that did not succeed: a replayable call whose
 // failure a rebuild cures parks; anything else is the call's error, and the
-// model's sticky one. A death that a replaceable model's snapshot does not
-// cover says which completed call it would roll back.
+// model's sticky one. A death that the model's snapshot does not cover says
+// which completed call it would roll back.
 func (m *modelProxy) failed(it parkedCall, replayable bool, doneAt time.Duration) {
 	it.cause = fmt.Errorf("core: %s.%s: %w", m.kind, it.req.Method, it.cause)
 	if replayable && m.park(it) {
 		return
 	}
 	m.mu.Lock()
-	if m.replaceable && m.wroteSeq > m.snapSeq && errors.Is(it.cause, ErrWorkerDied) {
+	if !m.replaceableLocked() && errors.Is(it.cause, ErrWorkerDied) {
 		it.cause = fmt.Errorf("%w; not replaced: %s (call %d) completed after the last checkpoint (call %d), which a replacement would roll back",
 			it.cause, m.wroteMethod, m.wroteSeq, m.snapSeq)
 	}
@@ -190,7 +190,7 @@ func (m *modelProxy) park(it parkedCall) bool {
 	case it.gen != m.gen, m.replaceableLocked() && (died || m.ch == nil):
 		// A late failure on an endpoint since replaced needs only the
 		// re-issue; a death, or an endpoint a failed rebuild left down, needs
-		// the rebuild — if the model is replaceable. settle tells which.
+		// the rebuild — if the snapshot covers the model. settle tells which.
 		m.phase, m.settled = phaseDeath, make(chan struct{})
 		go m.settle()
 	default:
@@ -231,9 +231,9 @@ func (m *modelProxy) begin(ctx context.Context, ph phase) error {
 // backlog drains queues behind it instead of overtaking it. If parked calls
 // failed on the endpoint the backlog would go to (a death's episode, a
 // voluntary rebuild that broke down, a replacement that died too) and the
-// model is replaceable, that endpoint is first rebuilt from the cached
-// snapshot. Only a call never sent is re-issued replayable: every call gets
-// one replay, so the loop ends.
+// cached snapshot covers the model, that endpoint is first rebuilt from it.
+// Only a call never sent is re-issued replayable: every call gets one
+// replay, so the loop ends.
 func (m *modelProxy) settle() {
 	for {
 		m.mu.Lock()
@@ -336,16 +336,27 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 	if p.pull {
 		// A shape the target cannot hold is refused while the model still
 		// runs — not found out from jobs that queue until ReadyTimeout once
-		// the old endpoint is gone.
+		// the old endpoint is gone. The live workers this rebuild retires on
+		// the target (a Resize in place) free their nodes before the shape
+		// starts; a dead worker's nodes are free already.
 		dep := s.daemon.Deployment()
 		r, err := dep.Resource(p.shape.Resource)
 		if err != nil {
 			return fail("target", err)
 		}
-		if !fitsResource(dep, r, p.shape) {
+		retired := 0
+		if prev.Resource == r.Name {
+			nodes, _ := specDemand(prev)
+			for _, id := range p.retire {
+				if s.daemon.WorkerAlive(id) {
+					retired += nodes
+				}
+			}
+		}
+		if !fitsResource(dep, r, p.shape, retired) {
 			_, total := specDemand(p.shape)
 			return fail("target", fmt.Errorf("%w: %s has %d free node(s), the new shape needs %d",
-				ErrNoResource, r.Name, r.NodeCount()-dep.OccupiedNodesByOthers(r.Name, p.shape.Session), total))
+				ErrNoResource, r.Name, r.NodeCount()-dep.OccupiedNodes(r.Name)+retired, total))
 		}
 		// Fresh snapshot, pulled through the call FIFO: it completes only
 		// after every in-flight pipelined call ahead of it, so the state it
@@ -417,7 +428,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 			// A refused Migrate or Resize leaves the model running: bring
 			// the previous shape back from the snapshot just pulled. If even
 			// that fails the endpoint stays down, and the next replayable
-			// call of a replaceable model rebuilds it from the cache.
+			// call rebuilds it from that snapshot, which covers the model.
 			refused = fail("start on "+p.shape.Resource, err)
 			if err := m.open(ctx, prev); err != nil {
 				return fmt.Errorf("%w; previous shape on %s: %w", refused, prev.Resource, err)

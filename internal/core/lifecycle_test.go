@@ -81,7 +81,6 @@ func TestRefusedResizeLeavesModelRunning(t *testing.T) {
 
 	tb, sim := elasticSim(t)
 	g := elasticGravity(t, sim, tb.Spare, 2, stars)
-	g.EnableReplacement()
 	evolveLegs(t, g, t1)
 	if _, err := sim.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
@@ -117,7 +116,7 @@ func TestRefusedResizeLeavesModelRunning(t *testing.T) {
 // TestFailedRebuildIsRecoverable: a Migrate or Resize whose new shape fails
 // to start after the old endpoint is gone brings the previous shape back
 // from the snapshot it pulled; if that fails too, the endpoint is down, the
-// proxy live, and the next call of a replaceable model rebuilds it.
+// proxy live, and the next call rebuilds it from that snapshot.
 func TestFailedRebuildIsRecoverable(t *testing.T) {
 	stars := ic.Plummer(96, 43)
 	const t1, t2 = 1.0 / 64, 1.0 / 16
@@ -166,7 +165,6 @@ func TestFailedRebuildIsRecoverable(t *testing.T) {
 	t.Run("endpoint left down is rebuilt by the next call", func(t *testing.T) {
 		tb, sim := elasticSim(t)
 		g := elasticGravity(t, sim, tb.Spare, 2, stars)
-		g.EnableReplacement()
 		evolveLegs(t, g, t1)
 		setHostsUp(t, tb, tb.Spare, false) // neither the new shape nor the old one starts
 		err := g.Resize(nil, 3)
@@ -243,11 +241,11 @@ func TestRebuildReplaysOneSequence(t *testing.T) {
 		cached bool
 	}{
 		{"solo death", 1, func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity {
-			killWorker(t, tb, g.WorkerIDs()[0])
+			killWorker(t, tb.Daemon, g.WorkerIDs()[0])
 			return g
 		}, 1, true},
 		{"gang rank death", 3, func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity {
-			killWorker(t, tb, g.WorkerIDs()[1])
+			killWorker(t, tb.Daemon, g.WorkerIDs()[1])
 			return g
 		}, 3, true},
 		{"migrate", 3, func(t *testing.T, tb *Testbed, sim *Simulation, g *Gravity) *Gravity {
@@ -283,7 +281,6 @@ func TestRebuildReplaysOneSequence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/push=%v", c.name, push), func(t *testing.T) {
 				tb, sim := elasticSim(t)
 				g := elasticGravity(t, sim, tb.Mixed, c.k, stars)
-				g.EnableReplacement()
 				evolveLegs(t, g, 1.0/128)
 				if _, err := sim.Checkpoint(ctx); err != nil {
 					t.Fatal(err)
@@ -380,7 +377,7 @@ func TestCallsIssuedDuringRebuildKeepOrder(t *testing.T) {
 	}
 }
 
-// TestLifecycleLeakUnderConcurrentCauses drives a replaceable K=3 gang
+// TestLifecycleLeakUnderConcurrentCauses drives a K=3 gang
 // through every cause at once: each round pipelines an evolve leg and a
 // pull, runs a Migrate or Resize beside them, and kills a rank of the new
 // endpoint the moment its worker ids appear. Rebuilds must never overlap,
@@ -422,7 +419,6 @@ func TestLifecycleLeakUnderConcurrentCauses(t *testing.T) {
 	ctx := context.Background()
 	sim := NewSimulation(ctx, tb.Daemon, nil)
 	g := elasticGravity(t, sim, tb.Mixed, 3, stars)
-	g.EnableReplacement()
 	structured := func(what string, err error) {
 		t.Helper()
 		if err != nil && !errors.Is(err, ErrMigration) && !errors.Is(err, ErrWorkerDied) {

@@ -16,8 +16,8 @@ import (
 // running: a shape that does not fit its target is turned down before
 // anything is touched, and one that fails to start after teardown gives
 // way to the previous shape, restored from the snapshot just pulled. Only
-// if that fails too is the endpoint left down — snapshot cached, so the
-// next call of a replaceable model rebuilds it.
+// if that fails too is the endpoint left down — snapshot cached and
+// covering the model, so its next call rebuilds it.
 
 // ErrMigration labels voluntary endpoint-rebuild failures. Callers can
 // errors.Is against it (and against the wrapped cause, e.g.

@@ -18,11 +18,11 @@ import (
 // silently rolled back to the snapshot, or restarted at clock 0.
 
 // killWorker kills a worker and waits until the daemon has seen it die.
-func killWorker(t *testing.T, tb *Testbed, id int) {
+func killWorker(t *testing.T, d *Daemon, id int) {
 	t.Helper()
 	died := make(chan int, 4)
-	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
-	tb.Daemon.KillWorker(id)
+	d.OnWorkerDied = func(id int) { died <- id }
+	d.KillWorker(id)
 	select {
 	case <-died:
 	case <-time.After(10 * time.Second):
@@ -46,7 +46,7 @@ func mustFailUncovered(t *testing.T, err error, methods ...string) {
 	t.Fatalf("err = %v, want it to name the uncovered call (one of %v) and both sequence numbers", err, methods)
 }
 
-// TestUncoveredEvolveFailsStructured: a replaceable model evolved past its
+// TestUncoveredEvolveFailsStructured: a model evolved past its
 // last checkpoint (here: it has none) and then killed must not come back at
 // clock 0 from its upload — the next evolve fails, naming the evolve the
 // snapshot does not cover. Reading the state back first (Sync) covers
@@ -64,7 +64,6 @@ func TestUncoveredEvolveFailsStructured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.EnableReplacement()
 			stars := ic.Plummer(64, 71)
 			if err := g.SetParticles(stars); err != nil {
 				t.Fatal(err)
@@ -75,7 +74,7 @@ func TestUncoveredEvolveFailsStructured(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			killWorker(t, tb, g.WorkerIDs()[0])
+			killWorker(t, tb.Daemon, g.WorkerIDs()[0])
 			mustFailUncovered(t, g.EvolveTo(ctx, 2.0/64), "evolve")
 			if !errors.Is(g.Err(), ErrWorkerDied) {
 				t.Fatalf("sticky error = %v, want the death", g.Err())
@@ -85,7 +84,7 @@ func TestUncoveredEvolveFailsStructured(t *testing.T) {
 }
 
 // TestUncoveredTransferFailsStructured: columns transferred into a
-// replaceable model after its checkpoint are a write the snapshot does not
+// model after its checkpoint are a write the snapshot does not
 // hold. Killing the destination must not hand back the pre-transfer columns.
 func TestUncoveredTransferFailsStructured(t *testing.T) {
 	tb, sim := labSim(t)
@@ -98,7 +97,6 @@ func TestUncoveredTransferFailsStructured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.EnableReplacement()
 	if err := src.SetParticles(ic.Plummer(32, 73)); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestUncoveredTransferFailsStructured(t *testing.T) {
 	if err := sim.TransferState(ctx, src, dst); err != nil {
 		t.Fatal(err)
 	}
-	killWorker(t, tb, dst.WorkerIDs()[0])
+	killWorker(t, tb.Daemon, dst.WorkerIDs()[0])
 	_, err = dst.GetState(ctx)
 	mustFailUncovered(t, err, kernel.MethodAcceptState, kernel.MethodApplyState)
 }
@@ -164,7 +162,6 @@ func TestRestoreAfterReadsIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestRestoreAfterReadsIsBitIdentical(t *testing.T) {
 
 	call := g.GoEvolveTo(t2)
 	time.Sleep(20 * time.Millisecond) // let the worker get into the integration
-	killWorker(t, tb, g.WorkerIDs()[0])
+	killWorker(t, tb.Daemon, g.WorkerIDs()[0])
 	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	if err := call.Wait(waitCtx); err != nil {

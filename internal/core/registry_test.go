@@ -105,7 +105,6 @@ func TestReplacementReplaysPushedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableReplacement()
 	stars := ic.Plummer(16, 21)
 	if err := g.SetParticles(stars); err != nil {
 		t.Fatal(err)

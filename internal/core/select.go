@@ -29,14 +29,15 @@ func specDemand(spec WorkerSpec) (nodes, total int) {
 	return nodes, workers * nodes
 }
 
-// fitsResource reports whether a spec fits a resource given the capacity
-// other sessions already hold on it. Batch clusters (resources with
-// enumerated nodes) enforce node counts — both the per-worker node demand
-// and, for gangs, room for every rank's job — against the nodes still
-// free after other live sessions' reservations and running workers.
-// ssh/local resources host workers as co-resident processes and never
-// node-limit.
-func fitsResource(d *deploy.Deployment, r *deploy.Resource, spec WorkerSpec) bool {
+// fitsResource reports whether a spec fits a resource. Batch clusters
+// (resources with enumerated nodes) enforce node counts — both the
+// per-worker node demand and, for gangs, room for every rank's job —
+// against the nodes every live worker's job leaves free, whichever session
+// holds it (a session's models run at the same time, so a cluster its own
+// workers fill cannot start another of its jobs either), plus the retired
+// nodes the caller is about to give back there. ssh/local resources host
+// workers as co-resident processes and never node-limit.
+func fitsResource(d *deploy.Deployment, r *deploy.Resource, spec WorkerSpec, retired int) bool {
 	if wantsGPU(spec.Kernel) && !r.HasGPU() {
 		return false
 	}
@@ -44,7 +45,7 @@ func fitsResource(d *deploy.Deployment, r *deploy.Resource, spec WorkerSpec) boo
 	if len(r.Nodes) == 0 {
 		return r.NodeCount() >= nodes
 	}
-	free := r.NodeCount() - d.OccupiedNodesByOthers(r.Name, spec.Session)
+	free := r.NodeCount() - d.OccupiedNodes(r.Name) + retired
 	return free >= nodes && free >= total
 }
 
@@ -61,19 +62,19 @@ func fitsResource(d *deploy.Deployment, r *deploy.Resource, spec WorkerSpec) boo
 // Batch clusters must have room for every rank's job; ssh/local resources
 // host the ranks as co-resident processes.
 //
-// Fit is capacity-aware across sessions: nodes reserved or committed by
-// OTHER live sessions (spec.Session scopes "other") are subtracted from a
-// batch cluster's count before the fit check, so two sessions racing for
-// one cluster cannot both be placed onto it when only one fits. A
-// session's own holdings are not subtracted — a session fitting its next
-// worker is not competing with itself.
+// Fit is capacity-aware: the nodes every live worker's job holds — any
+// session's, the caller's own included — are subtracted from a batch
+// cluster's count before the fit check. So two sessions racing for one
+// cluster cannot both be placed onto it when only one fits, and a
+// replacement for a dead worker is not placed where the session's other
+// models leave it no room: its job would only queue until ReadyTimeout.
 func SelectResource(d *deploy.Deployment, spec WorkerSpec) (string, error) {
 	var bestName string
 	var bestScore float64
 	needGPU := wantsGPU(spec.Kernel)
 	for _, name := range d.Resources() {
 		r, err := d.Resource(name)
-		if err != nil || !fitsResource(d, r, spec) {
+		if err != nil || !fitsResource(d, r, spec, 0) {
 			continue
 		}
 		score := 0.0
@@ -119,7 +120,7 @@ func selectLeastLoaded(d *deploy.Deployment, spec WorkerSpec, exclude string) (s
 			continue
 		}
 		r, err := d.Resource(name)
-		if err != nil || !fitsResource(d, r, spec) {
+		if err != nil || !fitsResource(d, r, spec, 0) {
 			continue
 		}
 		occupied := d.OccupiedNodes(r.Name)

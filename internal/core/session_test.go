@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"jungle/internal/amuse/ic"
 	"jungle/internal/deploy"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
@@ -97,15 +100,50 @@ func TestSelectResourceRacingGangs(t *testing.T) {
 		t.Fatalf("second gang placed on %q, want the spare cluster annex", r)
 	}
 
-	// A session is not fenced off by its OWN holdings: tenant A's next solo
-	// worker still scores farm as fitting (free nodes exclude only other
-	// sessions), while a third tenant sees both clusters full and has
-	// nowhere to put a gang.
-	if name, err := SelectResource(d.deployment, WorkerSpec{Channel: ChannelIbis, Session: "tenant-a"}); err != nil || name != "farm" {
-		t.Fatalf("same-session solo placement = %q, %v; want farm", name, err)
+	// A session's OWN holdings count too: its models run at the same time,
+	// so tenant A's next solo worker fits neither cluster — a structured
+	// ErrNoResource, not a job queued on farm until ReadyTimeout — and a
+	// third tenant has nowhere to put a gang either.
+	if name, err := SelectResource(d.deployment, WorkerSpec{Channel: ChannelIbis, Session: "tenant-a"}); !errors.Is(err, ErrNoResource) {
+		t.Fatalf("same-session solo placement = %q, %v; want ErrNoResource", name, err)
 	}
-	if _, err := SelectResource(d.deployment, WorkerSpec{Channel: ChannelIbis, Workers: 3, Session: "tenant-c"}); err == nil {
-		t.Fatal("third tenant's gang placed onto a full jungle")
+	if _, err := SelectResource(d.deployment, WorkerSpec{Channel: ChannelIbis, Workers: 3, Session: "tenant-c"}); !errors.Is(err, ErrNoResource) {
+		t.Fatalf("third tenant's gang on a full jungle: %v, want ErrNoResource", err)
+	}
+}
+
+// TestReplacementLandsWhereItCanStart: a dead solo worker's replacement
+// re-selects its resource, and the nodes its own session holds count
+// against a cluster. One session runs a K=3 gang on farm and a solo model
+// on annex; killed after a checkpoint, the solo worker comes back on annex
+// — not on farm, the better-scoring cluster, where its job would queue
+// behind the session's own gang until ReadyTimeout.
+func TestReplacementLandsWhereItCanStart(t *testing.T) {
+	d := racingTestbed(t)
+	d.ReadyTimeout = 3 * time.Second // a replacement queued on farm fails in 3 s, not 30
+	ctx := context.Background()
+	sim := NewSimulation(ctx, d, nil)
+	t.Cleanup(func() { sim.Stop() })
+	sim.SetSession("tenant-a", nil)
+	if _, err := sim.NewGravity(ctx, WorkerSpec{Resource: "farm", Channel: ChannelIbis, Workers: 3}, GravityOptions{Eps: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	solo, err := sim.NewGravity(ctx, WorkerSpec{Resource: "annex", Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := solo.SetParticles(ic.Plummer(16, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	killWorker(t, d, solo.WorkerIDs()[0])
+	if _, err := solo.GetState(ctx); err != nil {
+		t.Fatalf("call after the death: %v", err)
+	}
+	if r := solo.resource(); r != "annex" {
+		t.Fatalf("replacement placed on %q, want annex", r)
 	}
 }
 

@@ -3,13 +3,14 @@ package deploy
 import "sync"
 
 // Capacity accounting. The control plane needs one truthful answer to
-// "how many nodes of this resource are spoken for, and by whom?" — across
-// every live session sharing the deployment. One book answers it: the
-// nodes occupied by actually-running worker jobs, per resource and owner
-// (the session; "" for sessionless simulations). The core daemon commits
-// when it starts a worker and releases exactly once when the worker stops
-// or dies, so admission, placement and SelectResource fairness all read
-// one occupancy figure.
+// "how many nodes of this resource are spoken for?" — across every live
+// session sharing the deployment. One book answers it: the nodes occupied
+// by actually-running worker jobs, per resource and owner (the session; ""
+// for sessionless simulations; the owner keeps one session's over-release
+// from draining another's nodes). The core daemon commits when it starts a
+// worker and releases exactly once when the worker stops or dies, so
+// admission and every placement decision read one occupancy figure,
+// OccupiedNodes.
 
 // CapacityMonitor receives a capacity gauge update whenever a resource's
 // occupancy changes (trace.Recorder satisfies it; see RenderHealth).
@@ -82,31 +83,15 @@ func (d *Deployment) ReleaseNodes(resource, owner string, nodes int) {
 	}
 }
 
-// occupied sums every owner's committed nodes on a resource, optionally
-// excluding one owner (a caller fitting its OWN work must not count
-// capacity it already holds against itself).
-func (l *capLedger) occupied(resource, except string, useExcept bool) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// OccupiedNodes returns the total nodes spoken for on a resource across
+// all owners — what every placement decision subtracts from its capacity,
+// the deciding owner's own nodes included.
+func (d *Deployment) OccupiedNodes(resource string) int {
+	d.cap.mu.Lock()
+	defer d.cap.mu.Unlock()
 	total := 0
-	for o, n := range l.committed[resource] {
-		if useExcept && o == except {
-			continue
-		}
+	for _, n := range d.cap.committed[resource] {
 		total += n
 	}
 	return total
-}
-
-// OccupiedNodes returns the total nodes spoken for on a resource across
-// all owners.
-func (d *Deployment) OccupiedNodes(resource string) int {
-	return d.cap.occupied(resource, "", false)
-}
-
-// OccupiedNodesByOthers returns the nodes spoken for on a resource by
-// every owner except the given one — what a placement decision for that
-// owner's work must subtract from the resource's capacity.
-func (d *Deployment) OccupiedNodesByOthers(resource, owner string) int {
-	return d.cap.occupied(resource, owner, true)
 }

@@ -122,10 +122,12 @@ func TestEnsembleBitReproducible(t *testing.T) {
 	}
 }
 
-// TestEnsembleMemberFaultIsolation kills one member's worker mid-run:
-// that member must report a structured error in the report, and every
-// other member's digest must be unaffected (this test runs under make
-// race).
+// TestEnsembleMemberFaultIsolation kills one member's worker mid-run.
+// After a write no checkpoint covers, that member must report a structured
+// error in the report; with nothing written yet, its worker is replaced and
+// the member finishes as if undisturbed (§5's transparent replacement).
+// Either way every other member's digest is unaffected (this test runs
+// under make race).
 func TestEnsembleMemberFaultIsolation(t *testing.T) {
 	baseline := func() *Report {
 		s := testPlane(t, sched.Config{MaxLive: 3, QueueCap: 8})
@@ -136,53 +138,76 @@ func TestEnsembleMemberFaultIsolation(t *testing.T) {
 		return rep
 	}()
 
-	s := testPlane(t, sched.Config{MaxLive: 3, QueueCap: 8})
 	const victim = 5
-	died := make(chan int, 8)
-	s.Daemon().OnWorkerDied = func(id int) { died <- id }
-	sweep := smokeSweep()
-	sweep.OnModel = func(m Member, model *core.Model) {
-		if m.Index != victim {
-			return
-		}
-		// The member's worker is up and its session mid-run; kill the
-		// worker out from under the remaining member calls, and hold the
-		// member until the pool has observed the death (KillWorker is
-		// asynchronous) so its next call deterministically fails.
-		for _, id := range model.WorkerIDs() {
-			s.Daemon().KillWorker(id)
-		}
-		select {
-		case <-died:
-		case <-time.After(10 * time.Second):
-			t.Error("victim worker death never observed")
-		}
-	}
-	rep, err := sweep.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failures != 1 {
-		t.Fatalf("report counts %d failures, want exactly the victim", rep.Failures)
-	}
-	for i, m := range rep.Members {
-		if i == victim {
-			if m.Err == "" || m.Digest != 0 {
-				t.Fatalf("victim member lacks a structured error: %+v", m)
+	// run kills the victim's worker right after its setup — after one step
+	// no checkpoint covers, if stepFirst — and holds the member until the
+	// pool has observed the death (KillWorker is asynchronous) so its next
+	// call deterministically meets it.
+	run := func(t *testing.T, stepFirst bool) *Report {
+		s := testPlane(t, sched.Config{MaxLive: 3, QueueCap: 8})
+		died := make(chan int, 8)
+		s.Daemon().OnWorkerDied = func(id int) { died <- id }
+		sweep := smokeSweep()
+		sweep.OnModel = func(m Member, model *core.Model) {
+			if m.Index != victim {
+				return
 			}
-			if !strings.Contains(m.Err, fmt.Sprintf("member %d", victim)) {
-				t.Fatalf("victim error %q does not identify the member", m.Err)
+			if stepFirst {
+				if err := model.Call(context.Background(), "step", abm.StepArgs{Steps: 1}, nil); err != nil {
+					t.Error(err)
+				}
 			}
-			continue
+			for _, id := range model.WorkerIDs() {
+				s.Daemon().KillWorker(id)
+			}
+			select {
+			case <-died:
+			case <-time.After(10 * time.Second):
+				t.Error("victim worker death never observed")
+			}
 		}
-		if m.Err != "" {
-			t.Fatalf("member %d failed alongside the victim: %s", i, m.Err)
+		rep, err := sweep.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.Digest != baseline.Members[i].Digest {
-			t.Fatalf("member %d digest perturbed by the victim's death: %x vs %x",
-				i, m.Digest, baseline.Members[i].Digest)
+		for i, m := range rep.Members {
+			if i == victim {
+				continue
+			}
+			if m.Err != "" {
+				t.Fatalf("member %d failed alongside the victim: %s", i, m.Err)
+			}
+			if m.Digest != baseline.Members[i].Digest {
+				t.Fatalf("member %d digest perturbed by the victim's death: %x vs %x",
+					i, m.Digest, baseline.Members[i].Digest)
+			}
 		}
+		return rep
 	}
+
+	t.Run("uncovered death fails the member", func(t *testing.T) {
+		rep := run(t, true)
+		if rep.Failures != 1 {
+			t.Fatalf("report counts %d failures, want exactly the victim", rep.Failures)
+		}
+		m := rep.Members[victim]
+		if m.Err == "" || m.Digest != 0 {
+			t.Fatalf("victim member lacks a structured error: %+v", m)
+		}
+		if !strings.Contains(m.Err, fmt.Sprintf("member %d", victim)) || !strings.Contains(m.Err, "not replaced: step (call ") {
+			t.Fatalf("victim error %q does not identify the member and the uncovered step", m.Err)
+		}
+	})
+
+	t.Run("death with nothing written is replaced", func(t *testing.T) {
+		rep := run(t, false)
+		if rep.Failures != 0 {
+			t.Fatalf("report counts %d failures, want the victim replaced: %+v", rep.Failures, rep.Members[victim])
+		}
+		if got, want := rep.Members[victim].Digest, baseline.Members[victim].Digest; got != want {
+			t.Fatalf("replaced victim digest %x, want the undisturbed %x", got, want)
+		}
+	})
 }
 
 // TestEnsembleRetryAccounting: with one slot and a one-deep queue, the

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"jungle/internal/core"
 )
@@ -89,5 +93,96 @@ func TestResumeScenarioBitCompatible(t *testing.T) {
 	// The finished run file refuses a second resume.
 	if _, err := ResumeScenario(context.Background(), tb, path); err == nil {
 		t.Fatal("resume of a completed run did not fail")
+	}
+}
+
+// TestScenarioSurvivesWorkerDeath is §5's "transparently find a replacement
+// machine" on the run a user makes (amuse-run -checkpoint): the SC11
+// placement, checkpointed after every iteration. After each of the first
+// four checkpoints a different model's worker is killed — gravity, hydro,
+// field, stellar — and the run finishes in process, no -resume, in exactly
+// the uninterrupted run's state, supernovae included. Every replacement
+// must start well inside a lowered ReadyTimeout, so none was placed on a
+// cluster the run's other models fill. A kill after a step no checkpoint
+// covers fails structured, naming the call a replacement would roll back.
+func TestScenarioSurvivesWorkerDeath(t *testing.T) {
+	const iters = 8 // stellar evolves at steps 4 and 8: once more after its restore
+	w := DefaultWorkload().Scaled(0.02)
+	ctx := context.Background()
+
+	base := func() RunResult {
+		tb, err := core.NewSC11Testbed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		res, err := RunScenario(ctx, tb, w, SC11Placement(tb), iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}()
+
+	tb, err := core.NewSC11Testbed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	tb.Daemon.ReadyTimeout = 5 * time.Second
+	died := make(chan int, 8)
+	tb.Daemon.OnWorkerDied = func(id int) { died <- id }
+	kill := func(id int) {
+		t.Helper()
+		tb.Daemon.KillWorker(id)
+		select {
+		case <-died:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("death of worker %d not observed", id)
+		}
+	}
+
+	p := SC11Placement(tb)
+	sb, err := startScenario(ctx, tb, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.sim.Stop()
+	setup := sb.sim.Elapsed()
+	victims := tb.Daemon.SessionWorkers("") // gravity, hydro, field, stellar: start order
+	if len(victims) != 4 {
+		t.Fatalf("SC11 run has workers %v, want one per model", victims)
+	}
+	path := filepath.Join(t.TempDir(), "sc11.run")
+	for i := 0; i < iters; i++ {
+		if err := runCheckpointedLoop(ctx, sb, p.Name, w, i+1, i, path); err != nil {
+			t.Fatal(err)
+		}
+		if i < len(victims) {
+			kill(victims[i])
+		}
+	}
+	res, err := sb.result(p.Name, iters, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := tb.Daemon.SessionWorkers(""); len(live) != 4 || slices.ContainsFunc(victims, func(id int) bool { return slices.Contains(live, id) }) {
+		t.Fatalf("live workers %v, want four replacements of %v", live, victims)
+	}
+	if res.StateDigest != base.StateDigest {
+		t.Fatalf("end state digest %x after four replacements != uninterrupted %x", res.StateDigest, base.StateDigest)
+	}
+	if res.Supernovae != base.Supernovae {
+		t.Fatalf("supernovae %d after four replacements != uninterrupted %d", res.Supernovae, base.Supernovae)
+	}
+
+	// One more step, no checkpoint: the gravity model's snapshot no longer
+	// covers it.
+	if err := sb.bridge.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	kill(sb.grav.WorkerIDs()[0])
+	_, err = sb.grav.GetState(ctx)
+	if !errors.Is(err, core.ErrWorkerDied) || !strings.Contains(err.Error(), "not replaced: kick (call ") {
+		t.Fatalf("death after an uncovered step: %v, want ErrWorkerDied naming the kick", err)
 	}
 }

@@ -161,7 +161,6 @@ func TestPlaneByteIdentityCheckpointRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.EnableReplacement()
 		if err := g.SetParticles(stars); err != nil {
 			t.Fatal(err)
 		}

@@ -59,11 +59,12 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest rise: a closed session leaves nothing behind — the recorder
-# folds its series (trace +118), the deployment sweeps finished jobs
-# (deploy +33) and the daemon forgets its id block (core +15).
-LOC_CORE_MAX = 5572
-LOC_TOTAL_MAX = 26046
+# The latest rise: bulk state frames are recycled — kernel's free list, the
+# response frame it rides on and GoPull's scatter straight from the view
+# (kernel +129), and the three places a frame goes back to it (core +25);
+# the registry's join snapshot sorts its live members (ipl -9).
+LOC_CORE_MAX = 5597
+LOC_TOTAL_MAX = 26191
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -91,6 +92,7 @@ internal/amuse/data KineticEnergy     diagnostic: internal/amuse/ic's tests chec
 internal/amuse/data PotentialEnergy   diagnostic: the other half of that virial ratio (O(N^2), not for a run)
 internal/amuse/ic UniformSphere       test substrate: the second particle distribution of the sph/tree/nbody oracle tests
 internal/core DecodeManifest          inverse of Manifest.Encode: commands install exp's evictor, so none resumes a bare manifest yet
+internal/core/kernel PoisonReleased   use-after-release check: core's and kernel's Ownership tests overwrite every released frame with it on
 internal/core/kernel Unwrap           interface method: errors.Is reaches WireError.Unwrap, nothing names it
 internal/ipl SetFailureHook           fault observation: the registry test watches a member's death through it
 internal/mpisim LocalGangs            test substrate: a World over in-memory links for the physics packages' sharded-kernel tests
@@ -145,8 +147,12 @@ race:
 # sched, trace and deploy are here for what a closed session leaves behind
 # (DESIGN.md § Observability plane): nothing that grows with the sessions
 # served, and a recorder whose hot path and fold allocate nothing per key.
+# core/kernel is here for the free list of state frames (DESIGN.md § Buffer
+# ownership, "Bulk frames are recycled"): core's poisoned re-runs and the
+# per-kind Dispatch contract, and kernel's own, hold every release point to
+# its frame's last reader.
 LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core \
-	./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/sched ./internal/trace ./internal/deploy
+	./internal/core/kernel ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/sched ./internal/trace ./internal/deploy
 leak-check:
 	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate|Rendezvous|Abort' $(LEAK_PKGS)
 

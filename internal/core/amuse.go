@@ -474,16 +474,17 @@ func defaultStateAttrs(attrs []string) []string {
 	return attrs
 }
 
-// goGetState issues a batched columnar read; the hook receives the
-// decoded payload.
-func (m *modelProxy) goGetState(attrs []string, into func(*kernel.StatePayload) error) *Call {
+// goGetState issues a batched columnar read; the hook decodes what it keeps
+// out of the view of the reply, whose frame then goes back to the free list.
+func (m *modelProxy) goGetState(attrs []string, into func(kernel.StateView) error) *Call {
 	args := kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs})
-	return m.issue(m.sim.clock.Now(), request{Method: "get_state", Args: args}, callOpts{class: replayable, after: func(raw []byte) error {
-		st, err := kernel.UnmarshalState(raw)
+	return m.issue(m.sim.clock.Now(), request{Method: "get_state", Args: args}, callOpts{class: replayable, after: func(c *Call) error {
+		defer c.release()
+		v, err := kernel.ViewState(c.result)
 		if err != nil {
 			return err
 		}
-		return into(st)
+		return into(v)
 	}})
 }
 
@@ -493,8 +494,8 @@ func (m *modelProxy) goGetState(attrs []string, into func(*kernel.StatePayload) 
 // mass, position and velocity. nil ctx means the session context.
 func (m *modelProxy) GetState(ctx context.Context, attrs ...string) (*kernel.StatePayload, error) {
 	var out *kernel.StatePayload
-	c := m.goGetState(defaultStateAttrs(attrs), func(st *kernel.StatePayload) error {
-		out = st
+	c := m.goGetState(defaultStateAttrs(attrs), func(v kernel.StateView) error {
+		out = v.Payload()
 		return nil
 	})
 	if err := c.Wait(m.sessionCtx(ctx)); err != nil {
@@ -522,9 +523,10 @@ func (m *modelProxy) SetState(ctx context.Context, st *kernel.StatePayload) erro
 
 // GoPull issues the batched column read and scatters it into the particle
 // set when the result is first observed — pull many models, then Gather.
+// The columns are decoded from the reply straight into p's.
 func (m *modelProxy) GoPull(p *data.Particles, attrs ...string) *Call {
-	return m.goGetState(defaultStateAttrs(attrs), func(st *kernel.StatePayload) error {
-		return kernel.ScatterState(p, st)
+	return m.goGetState(defaultStateAttrs(attrs), func(v kernel.StateView) error {
+		return kernel.ScatterView(p, &v)
 	})
 }
 
@@ -575,11 +577,11 @@ func (g *Gravity) Energy(ctx context.Context) (float64, float64, error) {
 // the columns land in p when the result is first observed.
 func (g *Gravity) GoSync(p *data.Particles) *Call {
 	return g.goGetState([]string{data.AttrMass, data.AttrPos, data.AttrVel},
-		func(st *kernel.StatePayload) error {
-			if st.N != p.Len() {
-				return fmt.Errorf("core: sync: worker has %d particles, set has %d", st.N, p.Len())
+		func(v kernel.StateView) error {
+			if v.N != p.Len() {
+				return fmt.Errorf("core: sync: worker has %d particles, set has %d", v.N, p.Len())
 			}
-			return kernel.ScatterState(p, st)
+			return kernel.ScatterView(p, &v)
 		})
 }
 

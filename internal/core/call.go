@@ -51,6 +51,12 @@ type Call struct {
 	result []byte
 	err    error
 	doneAt time.Duration
+	// frame is the one frame the call hands back to kernel's free list, if
+	// any (DESIGN.md § Buffer ownership, "Bulk frames are recycled"): while
+	// a set_state is in flight its own request frame, which send hands back
+	// once the attempt succeeds; from finish on, the frame result arrived in,
+	// which an after hook hands back once it has decoded it (release).
+	frame []byte
 	// clock is the coupler's clock, advanced to doneAt when the outcome is
 	// observed; nil for a call that failed before it was issued.
 	clock *vtime.Clock
@@ -58,7 +64,7 @@ type Call struct {
 	finishOnce sync.Once
 	// after post-processes the raw result (decode, scatter into a
 	// particle set) the first time the outcome is observed.
-	after     func([]byte) error
+	after     func(*Call) error
 	afterOnce sync.Once
 	// success runs at finish on a successful outcome, even if the call is
 	// never observed — the elastic rebalancer's evolve hook, which must not
@@ -66,7 +72,7 @@ type Call struct {
 	success func()
 }
 
-func newCall(clock *vtime.Clock, after func([]byte) error) *Call {
+func newCall(clock *vtime.Clock, after func(*Call) error) *Call {
 	return &Call{clock: clock, done: make(chan struct{}), after: after}
 }
 
@@ -74,18 +80,18 @@ func newCall(clock *vtime.Clock, after func([]byte) error) *Call {
 // call cannot even be issued).
 func failedCall(err error) *Call {
 	c := newCall(nil, nil)
-	c.finish(nil, err, 0)
+	c.finish(nil, nil, err, 0)
 	return c
 }
 
 // finish completes the call exactly once; at is the virtual time the
 // outcome reached the coupler.
-func (c *Call) finish(result []byte, err error, at time.Duration) {
+func (c *Call) finish(result, frame []byte, err error, at time.Duration) {
 	c.finishOnce.Do(func() {
 		if err == nil && c.success != nil {
 			c.success()
 		}
-		c.result, c.err, c.doneAt = result, err, at
+		c.result, c.frame, c.err, c.doneAt = result, frame, err, at
 		close(c.done)
 	})
 }
@@ -95,10 +101,17 @@ func (c *Call) finish(result []byte, err error, at time.Duration) {
 func (c *Call) outcome() error {
 	c.afterOnce.Do(func() {
 		if c.err == nil && c.after != nil {
-			c.err = c.after(c.result)
+			c.err = c.after(c)
 		}
 	})
 	return c.err
+}
+
+// release hands the frame the result arrived in back to the free list and
+// forgets both: an after hook's last step, once it has decoded all it keeps.
+func (c *Call) release() {
+	kernel.ReleaseFrame(c.frame)
+	c.result, c.frame = nil, nil
 }
 
 // observe is outcome for the script: seeing the outcome is what costs the

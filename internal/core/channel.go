@@ -93,12 +93,7 @@ func (c *localChannel) serve() {
 			continue
 		}
 		result, doneAt, err := c.svc.Dispatch(sub.req.Method, sub.req.Args, sub.req.SentAt+c.latency)
-		resp := response{ID: sub.req.ID, Result: result.Bytes(), DoneAt: doneAt}
-		if err != nil {
-			resp.Code = kernel.ClassifyErr(err)
-			resp.Err = err.Error()
-		}
-		sub.done(resp, doneAt+c.latency, nil)
+		sub.done(kernel.LocalResponse(sub.req.ID, result, doneAt, err), doneAt+c.latency, nil)
 	}
 }
 

@@ -177,8 +177,8 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 // goCheckpointPull issues the snapshot call over the RPC plane and copies
 // the raw frame out when the result is observed.
 func (m *modelProxy) goCheckpointPull(out *[]byte, class callClass) *Call {
-	return m.issue(m.sim.clock.Now(), request{Method: kernel.MethodCheckpoint}, callOpts{class: class, after: func(raw []byte) error {
-		*out = append([]byte(nil), raw...)
+	return m.issue(m.sim.clock.Now(), request{Method: kernel.MethodCheckpoint}, callOpts{class: class, after: func(c *Call) error {
+		*out = append([]byte(nil), c.result...)
 		return nil
 	}})
 }

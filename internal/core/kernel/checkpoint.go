@@ -71,7 +71,8 @@ type Checkpointable interface {
 	Snapshot() (*Snapshot, error)
 	// Restore replaces the model state with the snapshot's. The service
 	// must already be configured (setup dispatched); restoring a snapshot
-	// of a different kind is an error.
+	// of a different kind is an error. Extra aliases the restore request's
+	// frame: decode what you keep out of it, never keep it (Service.Dispatch).
 	Restore(*Snapshot) error
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -67,7 +68,9 @@ func bulkPayloads(n int) map[string]*StatePayload {
 // set_state request and the staged apply request, for every kind's payload
 // with and without keys at 0, 1 and 1 000 particles; and so is a typed
 // request encoded behind its header, and a set_particles upload whose
-// payload aliases the set instead of copying it.
+// payload aliases the set instead of copying it. A pull that scatters the
+// reply's view into a particle set leaves it as scattering a decoded payload
+// did.
 func TestBulkFramesByteIdentical(t *testing.T) {
 	const id, xfer, slot, worker = 7, 1 << 40, 99, 3
 	const at = 1234567 * time.Microsecond
@@ -141,9 +144,43 @@ func TestBulkFramesByteIdentical(t *testing.T) {
 					}
 					same(t, fmt.Sprintf("apply request, slot %d", s), apply.Frame(), oracleAppendRequest(nil, &want))
 				}
+
+				// A pull scatters the reply's view into the caller's set; the
+				// copying path decoded a payload and scattered that.
+				pulled, copied := data.NewParticles(n), data.NewParticles(n)
+				v, err := ViewState(back.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, err := UnmarshalState(state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				errView, errCopy := ScatterView(pulled, &v), ScatterState(copied, payload)
+				if (errView == nil) != (errCopy == nil) {
+					t.Fatalf("scatter from the view: %v; from the payload: %v", errView, errCopy)
+				}
+				if errView == nil {
+					attrs := append(slices.Clone(st.FloatAttrs), st.VecAttrs...)
+					same(t, "pulled columns", gathered(t, pulled, attrs), gathered(t, copied, attrs))
+				}
 			})
 		}
 	}
+}
+
+// gathered is the encoding of p's named columns.
+func gathered(t *testing.T, p *data.Particles, attrs []string) []byte {
+	t.Helper()
+	st, err := GatherState(p, attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MarshalState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func firstDiff(a, b []byte) int {
@@ -280,5 +317,54 @@ func TestStateCodecAllocs(t *testing.T) {
 	}
 	if mass[999] != st.FloatCols[0][999] || pos[999] != st.VecCols[0][999] {
 		t.Fatal("columns decoded wrong")
+	}
+}
+
+// TestOwnershipFrameList: a frame-sized buffer handed back is the next one
+// taken. Buffers round up to a 64 KiB size class, so the one a get_state
+// reply was built in carries the set_state request for the same columns,
+// and a take and a release allocate nothing once the list holds a buffer.
+// Below 64 KiB a buffer is allocated exactly and never kept.
+func TestOwnershipFrameList(t *testing.T) {
+	st := bulkPayloads(3000)["gravity+keys"] // a 192 KB state
+	res, err := StateReply(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(res.frame); c%frameClass != 0 || c < respHeader+stateSize(st) {
+		t.Fatalf("a %d-byte reply in a %d-byte buffer, want a multiple of %d", respHeader+stateSize(st), c, frameClass)
+	}
+	ReleaseFrame(res.frame)
+	req, err := NewStateRequest("set_state", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The race detector makes sync.Pool drop what it is handed now and then.
+	if !raceEnabled && &req.frame[0] != &res.frame[0] {
+		t.Error("the set_state request did not take the buffer its reply handed back")
+	}
+	if small := takeFrame(frameClass - 1); cap(small) != frameClass-1 {
+		t.Errorf("a %d-byte buffer has capacity %d, want it exact", frameClass-1, cap(small))
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { ReleaseFrame(takeFrame(1 << 20)) }); n != 0 {
+			t.Errorf("take and release: %v allocations, want 0", n)
+		}
+	}
+}
+
+// TestOwnershipPoisonedRelease: with the use-after-release check on, a view
+// that outlives the frame it aliases reads 0xA5 — through the whole buffer,
+// and for small frames too, which the list does not keep.
+func TestOwnershipPoisonedRelease(t *testing.T) {
+	PoisonReleased(true)
+	t.Cleanup(func() { PoisonReleased(false) })
+	for _, size := range []int{100, 3 * frameClass} {
+		frame := append(takeFrame(size), bytes.Repeat([]byte{7}, size)...)
+		view := frame[size/2:]
+		ReleaseFrame(frame)
+		if i := slices.IndexFunc(view[:cap(view)], func(b byte) bool { return b != 0xA5 }); i >= 0 {
+			t.Errorf("%d-byte frame: byte %d of a view behind the release reads 0x%02x", size, size/2+i, view[i])
+		}
 	}
 }

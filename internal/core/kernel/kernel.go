@@ -67,8 +67,11 @@ var (
 type Service interface {
 	// Dispatch runs one call arriving at virtual time `at` and returns the
 	// encoded result plus the worker's clock when the call completed. args
-	// alias the request's frame, which is the service's from here on: it may
-	// keep views into it, and must not write to it.
+	// alias the request's frame, which the service reads and must not write
+	// to, and must not keep — not args, not a view into them — once Dispatch
+	// returns: a state frame goes back to the free list then (ReleaseFrame),
+	// and the next one encoded overwrites it. Whatever a kind keeps, it
+	// decodes out.
 	Dispatch(method string, args []byte, at time.Duration) (Reply, time.Duration, error)
 	// Close releases resources (MPI worlds).
 	Close()

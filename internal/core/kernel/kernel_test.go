@@ -99,9 +99,11 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 
 	resp := Response{ID: 42, Result: []byte{9, 8}, Code: CodeWorkerFault, Err: "boom", DoneAt: time.Minute}
 	var gotR Response
-	if err := UnmarshalResponse(AppendResponse(nil, &resp), &gotR); err != nil {
+	frame := AppendResponse(nil, &resp)
+	if err := UnmarshalResponse(frame, &gotR); err != nil {
 		t.Fatal(err)
 	}
+	resp.frame = frame // a decoded response remembers the frame it arrived in
 	if !reflect.DeepEqual(resp, gotR) {
 		t.Fatalf("response round trip: %+v != %+v", gotR, resp)
 	}

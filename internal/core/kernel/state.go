@@ -136,7 +136,8 @@ func MarshalState(s *StatePayload) ([]byte, error) {
 }
 
 // StateReply marshals s as a get_state result: straight behind the
-// response header's room, so the frame that answers is this allocation.
+// response header's room, so the frame that answers is this buffer — taken
+// from the free list, where the coupler hands it back once it has decoded it.
 func StateReply(s *StatePayload) (Reply, error) {
 	frame, err := AppendState(newReply(stateSize(s)), s)
 	return Reply{frame}, err
@@ -360,6 +361,37 @@ func GatherState(p *data.Particles, attrs ...string) (*StatePayload, error) {
 		s.AddFloat(a, col)
 	}
 	return s, nil
+}
+
+// ScatterView decodes a received frame's columns straight into a particle
+// set of the same length and order: ScatterState without the payload in
+// between.
+func ScatterView(p *data.Particles, v *StateView) error {
+	if p.Len() != v.N {
+		return fmt.Errorf("kernel: state has %d particles, set has %d", v.N, p.Len())
+	}
+	for i, a := range v.VecAttrs {
+		col, err := p.VecColumn(a)
+		if err != nil {
+			return err
+		}
+		v.VecsInto(i, col)
+	}
+	for i, a := range v.FloatAttrs {
+		if col, err := p.FloatColumn(a); err == nil {
+			v.FloatsInto(i, col)
+			continue
+		}
+		// Integer attributes (stellar_type) travel as float columns.
+		icol, err := p.IntColumn(a)
+		if err != nil {
+			return err
+		}
+		for j := range icol {
+			icol[j] = int(v.FloatAt(i, j))
+		}
+	}
+	return nil
 }
 
 // ScatterState writes a payload's columns back into a particle set of the

@@ -5,10 +5,81 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"jungle/internal/wire"
 )
+
+// The free list of frame-sized buffers (DESIGN.md § Buffer ownership, "Bulk
+// frames are recycled"). A state frame is taken from it where it is built —
+// a get_state reply (newReply), a request that owns its frame (ownFrame) —
+// and handed back with ReleaseFrame by its one documented last reader: the
+// coupler once it has decoded a get_state reply or its set_state call has
+// succeeded, and the accepting proxy once its loopback apply has returned.
+// A frame nobody hands back is garbage like any other slice. The list is a
+// sync.Pool, so it holds nothing across two collections.
+//
+// frameClass is the smallest buffer the list keeps (smaller ones are
+// allocated exactly, as everywhere else) and the size class larger ones
+// round up to, so a buffer that carried a reply can carry the request for
+// the same columns.
+const frameClass = 64 << 10
+
+var (
+	frames sync.Pool // *[]byte: a released buffer of at least frameClass bytes
+	// boxes are the emptied *[]byte frames handed out, reused so that a
+	// release allocates nothing.
+	boxes  sync.Pool
+	poison atomic.Bool // PoisonReleased
+)
+
+// takeFrame returns an empty buffer with room for n bytes: a released one
+// when n is frame-sized and the list has one that large, else a fresh one —
+// exactly sized below frameClass, rounded up to a multiple of it above.
+func takeFrame(n int) []byte {
+	if n < frameClass {
+		return make([]byte, 0, n)
+	}
+	if box, _ := frames.Get().(*[]byte); box != nil {
+		b := *box
+		*box = nil
+		boxes.Put(box)
+		if cap(b) >= n {
+			return b[:0]
+		}
+	}
+	return make([]byte, 0, (n+frameClass-1)/frameClass*frameClass)
+}
+
+// ReleaseFrame hands a frame back to the free list. Only the frame's last
+// reader may call it, and only with the whole frame as it was built or
+// received — never a view into one: whatever still aliases it sees the next
+// frame's bytes.
+func ReleaseFrame(b []byte) {
+	if poison.Load() {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	if cap(b) < frameClass {
+		return
+	}
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	frames.Put(box)
+}
+
+// PoisonReleased switches the use-after-release check on or off: while it is
+// on, ReleaseFrame overwrites every frame it is handed with 0xA5 before the
+// list can give it out again, so a reader that kept one reads garbage. A test
+// hook; a run never sets it.
+func PoisonReleased(on bool) { poison.Store(on) }
 
 // Request is one RPC over any channel.
 type Request struct {
@@ -40,7 +111,16 @@ type Response struct {
 	// (arrival + compute); the reply's network arrival is added on top by
 	// the transport.
 	DoneAt time.Duration
+
+	// frame is the buffer Result aliases, as it arrived (UnmarshalResponse)
+	// or as the dispatch returned it (LocalResponse): what its last reader
+	// hands back (Frame, ReleaseFrame).
+	frame []byte
 }
+
+// Frame returns the buffer the response arrived in, for its last reader to
+// hand back with ReleaseFrame once it has decoded Result.
+func (r *Response) Frame() []byte { return r.frame }
 
 // Code is the structured wire error class carried by every Response. It
 // survives the hand-rolled codec as a single byte, unlike the Go error
@@ -186,7 +266,7 @@ func AppendRequest(dst []byte, req *Request) []byte {
 // the caller appends: the header is in place but for ID, Worker and SentAt,
 // which Frame fills in when the request leaves.
 func ownFrame(method string, n int) []byte {
-	return appendRequestHeader(make([]byte, 0, requestHeader(method)+n), 0, 0, 0, method, n)
+	return appendRequestHeader(takeFrame(requestHeader(method)+n), 0, 0, 0, method, n)
 }
 
 // framed is the request for method whose args are already in frame, behind
@@ -214,13 +294,12 @@ func NewStateRequest(method string, st *StatePayload) (Request, error) {
 }
 
 // NewApplyRequest returns the request that applies an encoded state frame
-// with method. With a staging slot (the stage_* methods: field workers hold
-// several staged inputs at once) the state is copied once, behind its slot
-// tag, into the request's own frame; without one the args are the state as
-// it is, and framing the request is the one copy.
+// with method: the state copied once into the request's own frame — behind
+// its slot tag with a staging slot (the stage_* methods: field workers hold
+// several staged inputs at once), as it is without one.
 func NewApplyRequest(method string, slot uint64, state []byte) Request {
 	if slot == 0 {
-		return Request{Method: method, Args: state}
+		return framed(method, append(ownFrame(method, len(state)), state...))
 	}
 	frame := wire.AppendU64(append(ownFrame(method, stagedHeader+len(state)), tagStaged), slot)
 	return framed(method, wire.AppendBytes32(frame, state))
@@ -249,6 +328,11 @@ func (r Request) Unframed() Request {
 	r.frame = nil
 	return r
 }
+
+// OwnFrame returns the frame the request was built in (nil if it has none):
+// what the frame's last reader hands back with ReleaseFrame once the call it
+// left with has been served.
+func (r *Request) OwnFrame() []byte { return r.frame }
 
 // UnmarshalRequest parses a frame produced by AppendRequest. req.Args
 // aliases b.
@@ -283,8 +367,8 @@ type Reply struct {
 }
 
 // newReply returns an empty result with capacity for size bytes, appended
-// to its frame.
-func newReply(size int) []byte { return make([]byte, respHeader, respHeader+size) }
+// to its frame — taken from the free list when it is frame-sized.
+func newReply(size int) []byte { return takeFrame(respHeader + size)[:respHeader] }
 
 // EncodeReply is Encode for a dispatch result.
 func EncodeReply(v any) Reply { return Reply{wire.MarshalBehind(respHeader, v)} }
@@ -316,11 +400,19 @@ func FrameResponse(id uint64, res Reply, doneAt time.Duration, err error) []byte
 		appendResponseHeader(res.frame[:0], id, CodeOK, doneAt, "", len(res.frame)-respHeader)
 		return res.frame
 	}
-	resp := Response{ID: id, Result: res.Bytes(), DoneAt: doneAt}
+	resp := LocalResponse(id, res, doneAt, err)
+	return AppendResponse(nil, &resp)
+}
+
+// LocalResponse is the outcome of an in-process dispatch as the response to
+// request id, unframed: Result is res's bytes, and res's frame travels along
+// for the response's last reader to hand back (Frame).
+func LocalResponse(id uint64, res Reply, doneAt time.Duration, err error) Response {
+	resp := Response{ID: id, Result: res.Bytes(), DoneAt: doneAt, frame: res.frame}
 	if err != nil {
 		resp.Code, resp.Err = ClassifyErr(err), err.Error()
 	}
-	return AppendResponse(nil, &resp)
+	return resp
 }
 
 // AppendResponse marshals resp into dst and returns the extended slice.
@@ -331,7 +423,7 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 }
 
 // UnmarshalResponse parses a frame produced by AppendResponse. resp.Result
-// aliases b.
+// aliases b, and b is the response's Frame.
 func UnmarshalResponse(b []byte, resp *Response) error {
 	r := wire.Reader{B: b}
 	if tag := r.U8("tag"); r.Err == nil && tag != tagResponse {
@@ -342,5 +434,6 @@ func UnmarshalResponse(b []byte, resp *Response) error {
 	resp.DoneAt = time.Duration(r.U64("doneAt"))
 	resp.Err = r.String16("err")
 	resp.Result = r.Bytes32("result")
+	resp.frame = b
 	return r.Err
 }

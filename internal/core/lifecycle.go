@@ -68,7 +68,7 @@ const (
 // allocation.
 type callOpts struct {
 	class callClass
-	after func([]byte) error // Call.after
+	after func(*Call) error // Call.after
 }
 
 // issue is the one way a call reaches a worker: numbered in issue order,
@@ -95,7 +95,7 @@ func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
 		}
 		m.mu.Unlock()
 		if o.class == bound {
-			c.finish(nil, fmt.Errorf("%w: %s.%s: the endpoint is being rebuilt", ErrTransport, m.kind, method), at)
+			c.finish(nil, nil, fmt.Errorf("%w: %s.%s: the endpoint is being rebuilt", ErrTransport, m.kind, method), at)
 		}
 		return c
 	}
@@ -119,8 +119,14 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at
 	})
 	// What a replay needs, and all the completion keeps of the request: the
 	// channel gives the frame away, a replay copies the args out of it into
-	// a frame of its own.
+	// a frame of its own. A set_state's own frame goes back to the free list
+	// once this attempt succeeds: the worker's Dispatch has returned, and
+	// nothing will replay it. A replay has no frame of its own, so a frame
+	// that went out with a failed attempt is left to the collector.
 	method, args := req.Method, req.Args
+	if method == kernel.MethodApplyState {
+		c.frame = req.OwnFrame()
+	}
 	req.ID, req.Worker, req.SentAt = reqIDs.Add(1), ep.worker, at
 	ep.ch.start(req, func(resp response, arrival time.Duration, err error) {
 		doneAt := at // a call that got no response ends when it was issued
@@ -132,7 +138,8 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at
 				if class != ownCall {
 					m.wrote(c.seq, method)
 				}
-				c.finish(resp.Result, nil, doneAt)
+				kernel.ReleaseFrame(c.frame)
+				c.finish(resp.Result, resp.Frame(), nil, doneAt)
 				return
 			}
 		}
@@ -156,7 +163,7 @@ func (m *modelProxy) failed(it parkedCall, replayable bool, doneAt time.Duration
 	}
 	m.mu.Unlock()
 	m.setErr(it.cause)
-	it.c.finish(nil, it.cause, doneAt)
+	it.c.finish(nil, nil, it.cause, doneAt)
 }
 
 // parkedCall is one call waiting out a rebuild.
@@ -261,7 +268,7 @@ func (m *modelProxy) settle() {
 			switch {
 			case failed != nil:
 				m.setErr(failed)
-				it.c.finish(nil, fmt.Errorf("core: replacement failed: %w", failed), 0)
+				it.c.finish(nil, nil, fmt.Errorf("core: replacement failed: %w", failed), 0)
 			case it.gen == neverSent:
 				m.send(ep, it.c, it.req, replayable, m.sim.clock.Now())
 			default: // its one replay: failing again is its error

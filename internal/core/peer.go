@@ -32,11 +32,12 @@ var PeerAcceptTimeout = 10 * time.Second
 // mid-transfer". Set only from tests, before workers start.
 var testPeerStreamFault func() bool
 
-// peerDelivery is one parked transfer stream (or its abort).
+// peerDelivery is one parked transfer stream (or its abort): the state and
+// the frame it arrived in, which it aliases.
 type peerDelivery struct {
-	state   []byte
-	arrival time.Duration
-	err     error
+	state, frame []byte
+	arrival      time.Duration
+	err          error
 }
 
 // rendezvous parks values under a key until the matching wait claims them:
@@ -252,7 +253,7 @@ func (p *peerPlane) serve() {
 			}
 			// state aliases msg.Data, which is private to this stream: no
 			// copy needed before the loopback apply.
-			p.mailbox.deposit(id, peerDelivery{state: state, arrival: msg.Arrival})
+			p.mailbox.deposit(id, peerDelivery{state: state, frame: msg.Data, arrival: msg.Arrival})
 			conn.Send(kernel.AppendTransferAck(nil, id), msg.Arrival)
 		}()
 	}
@@ -519,12 +520,18 @@ func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time
 	if apply == "" {
 		apply = kernel.MethodApplyState
 	}
+	// The apply copies the state once, into a request frame of its own: a
+	// request header is longer than the room in front of the state.
 	req := kernel.NewApplyRequest(apply, a.Slot, d.state)
 	req.ID, req.SentAt = reqID, max(arrival, d.arrival)
 	resp, _, err := loopCall(loop, req)
 	if err != nil {
 		return fail(fmt.Errorf("%w: accept %d: apply: %v", kernel.ErrTransport, a.ID, err))
 	}
+	// The service's Dispatch has returned: this proxy is the last reader of
+	// both frames (DESIGN.md § Buffer ownership, "Bulk frames are recycled").
+	kernel.ReleaseFrame(d.frame)
+	kernel.ReleaseFrame(req.OwnFrame())
 	resp.ID = reqID
 	return resp
 }

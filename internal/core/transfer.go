@@ -182,11 +182,11 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 		}
 		if err == nil {
 			s.countTransfer(trace.LinkDirect, src.peerHost(), dstPeer.Host)
-			c.finish(nil, nil, at)
+			c.finish(nil, nil, nil, at)
 			return
 		}
 		if !isPeerPathErr(err) {
-			c.finish(nil, err, at)
+			c.finish(nil, nil, err, at)
 			return
 		}
 		// Direct path failed: carry the columns over the coupler instead.
@@ -215,13 +215,14 @@ func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slo
 		Args: kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: attrs})}, callOpts{class: replayable})
 	at, err := get.await(s.ctx)
 	if err != nil {
-		c.finish(nil, err, at)
+		c.finish(nil, nil, err, at)
 		return
 	}
 	// The result aliases the response frame, which the channel handed to
-	// this call alone; it is copied once, into the apply request's frame.
+	// this call alone; it is copied once, into the apply request's frame
+	// (which send hands back once a set_state apply has succeeded).
 	at, err = dst.issue(at, kernel.NewApplyRequest(apply, slot, get.result), callOpts{class: replayable}).await(s.ctx)
-	c.finish(nil, err, at)
+	c.finish(nil, nil, err, at)
 }
 
 // NewRemoteChannel mirrors data.NewChannel for particle sets that live on

@@ -1,7 +1,10 @@
 package ipl
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,23 +143,9 @@ func (ib *Ibis) DialPeer(addr smartsockets.Address, sentAt time.Duration) (*smar
 func (ib *Ibis) Members() []Identifier {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	out := make([]Identifier, 0, len(ib.members))
-	for i := 0; i <= maxKey(ib.members); i++ {
-		if m, ok := ib.members[i]; ok {
-			out = append(out, m)
-		}
-	}
+	out := slices.Collect(maps.Values(ib.members))
+	slices.SortFunc(out, func(a, b Identifier) int { return cmp.Compare(a.ID, b.ID) })
 	return out
-}
-
-func maxKey(m map[int]Identifier) int {
-	max := -1
-	for k := range m {
-		if k > max {
-			max = k
-		}
-	}
-	return max
 }
 
 // Events returns the membership/election event stream.

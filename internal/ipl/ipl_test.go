@@ -3,6 +3,7 @@ package ipl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -524,6 +525,65 @@ func TestJoinLeaveHammer(t *testing.T) {
 	}
 	if m := tp.registry.Members("amuse"); len(m) != 1 {
 		t.Fatalf("registry's pool after the storm: %v", m)
+	}
+}
+
+// TestJoinSnapshotListsLiveMembers: a join's snapshot and Registry.Members
+// list the pool's live members in ascending id order, at the cost of those
+// members — not of every id the pool ever handed out (a daemon's pool hands
+// out one per worker start). Thousands of members join one pool and leave it again
+// around a few that stay, one of which leaves half way; the last joiner
+// must see exactly the ones still there, and itself.
+func TestJoinSnapshotListsLiveMembers(t *testing.T) {
+	const cycles = 4000
+	tp := newTestPool(t, 5) // four members that stay, one host the others churn on
+	join := func(host int) *Ibis {
+		t.Helper()
+		ib, err := Create(tp.net, Config{
+			Pool: "amuse", Host: tp.hosts[host], BasePort: 20000,
+			HubHost: tp.hub, Registry: tp.registry.Addr(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ib
+	}
+	var stay []*Ibis
+	for i := 0; i < cycles; i++ {
+		if i%(cycles/4) == 0 {
+			ib := join(i / (cycles / 4))
+			t.Cleanup(ib.End)
+			stay = append(stay, ib)
+			continue
+		}
+		if i == cycles*5/8 {
+			stay[1].End()
+			stay = slices.Delete(stay, 1, 2)
+		}
+		join(4).End()
+	}
+	var want []Identifier
+	for _, ib := range stay {
+		want = append(want, ib.Identifier())
+	}
+	// A leave is acknowledged before the registry drops the member.
+	for deadline := time.Now().Add(10 * time.Second); !slices.Equal(tp.registry.Members("amuse"), want); {
+		if time.Now().After(deadline) {
+			t.Fatalf("registry members %v, want %v", tp.registry.Members("amuse"), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	last := join(4)
+	t.Cleanup(last.End)
+	if id := last.Identifier().ID; id != cycles {
+		t.Fatalf("the last joiner got id %d, want %d: one id per join", id, cycles)
+	}
+	want = append(want, last.Identifier())
+	if got := last.Members(); !slices.Equal(got, want) {
+		t.Errorf("join snapshot %v, want %v", got, want)
+	}
+	if got := tp.registry.Members("amuse"); !slices.Equal(got, want) {
+		t.Errorf("registry members %v, want %v", got, want)
 	}
 }
 

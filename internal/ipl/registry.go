@@ -2,7 +2,9 @@ package ipl
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"jungle/internal/smartsockets"
@@ -96,13 +98,7 @@ func (r *Registry) Members(poolName string) []Identifier {
 	if p == nil {
 		return nil
 	}
-	out := make([]Identifier, 0, len(p.members))
-	for i := 0; i < p.nextID; i++ {
-		if m, ok := p.members[i]; ok {
-			out = append(out, m.id)
-		}
-	}
-	return out
+	return p.live()
 }
 
 func (r *Registry) acceptLoop() {
@@ -148,14 +144,8 @@ func (r *Registry) serve(conn *smartsockets.VirtualConn) {
 	id := m.Member
 	id.ID = p.nextID
 	p.nextID++
-	mc := &memberConn{id: id, conn: conn}
-	p.members[id.ID] = mc
-	snapshot := make([]Identifier, 0, len(p.members))
-	for i := 0; i < p.nextID; i++ {
-		if mm, ok := p.members[i]; ok {
-			snapshot = append(snapshot, mm.id)
-		}
-	}
+	p.members[id.ID] = &memberConn{id: id, conn: conn}
+	snapshot := p.live()
 	// The ack is queued while the lock is still held: once it is released
 	// a concurrent broadcast can list this member, and an event overtaking
 	// the ack on the new conn would fail the joiner's Create. Send only
@@ -245,6 +235,18 @@ func (r *Registry) broadcast(poolName string, m *regMsg, skipID int) {
 	}
 	r.mu.Unlock()
 	sendAll(conns, m)
+}
+
+// live returns the pool's members sorted by ID, at the cost of the members
+// there are — not of every ID the pool has handed out; the caller holds the
+// registry lock.
+func (p *pool) live() []Identifier {
+	out := make([]Identifier, 0, len(p.members))
+	for _, m := range p.members {
+		out = append(out, m.id)
+	}
+	slices.SortFunc(out, func(a, b Identifier) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // conns returns the connections of every member except skipID; the caller

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check gob-check timer-check loc loc-check surface surface-check test test-short race leak-check recovery-check stress cover bench bench-check ci
+.PHONY: all build vet fmt-check doc-check gob-check timer-check loc loc-check surface surface-check test test-short race leak-check recovery-check stress cover bench bench-check ab ci
 
 all: ci
 
@@ -59,12 +59,13 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest rise: bulk state frames are recycled — kernel's free list, the
-# response frame it rides on and GoPull's scatter straight from the view
-# (kernel +129), and the three places a frame goes back to it (core +25);
-# the registry's join snapshot sorts its live members (ipl -9).
+# The latest rise: an evolve's priming pass reuses the self-gravity the
+# previous evolve kept, and a write of positions or masses drops what was
+# kept (sph +77), and the octree is threaded, with no stack and no child
+# table (tree -10): +67 together, 27 over the 40 the change was allowed.
+# Counted apart, cmd/ab, the benchmark's A/B runner behind `make ab`: +187.
 LOC_CORE_MAX = 5597
-LOC_TOTAL_MAX = 26191
+LOC_TOTAL_MAX = 26445
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -150,11 +151,13 @@ race:
 # core/kernel is here for the free list of state frames (DESIGN.md § Buffer
 # ownership, "Bulk frames are recycled"): core's poisoned re-runs and the
 # per-kind Dispatch contract, and kernel's own, hold every release point to
-# its frame's last reader.
+# its frame's last reader. Reuse is sph's kept self-gravity (DESIGN.md § Hot
+# loops, "Work done once"), which a World's goroutine ranks take and keep
+# on one shared Gas.
 LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core \
 	./internal/core/kernel ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/sched ./internal/trace ./internal/deploy
 leak-check:
-	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate|Rendezvous|Abort' $(LEAK_PKGS)
+	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate|Rendezvous|Abort|Reuse' $(LEAK_PKGS)
 
 # Recovery gate (DESIGN.md § Stateful replacement): a dead worker comes back
 # bit-identical from the last checkpoint, or fails with a structured error
@@ -206,7 +209,7 @@ cover:
 #
 # The scenario benchmarks live in the root package; a layer's own benchmarks
 # live with the layer (BENCH_PKGS).
-BENCH_OUT ?= BENCH_21.json
+BENCH_OUT ?= BENCH_32.json
 BENCH_PKGS = . ./internal/core ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/trace
 BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 $(BENCH_PKGS)
 bench:
@@ -232,6 +235,19 @@ bench-check:
 	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip|BulkRound|LabTestbedBuild' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
+
+# A/B run of the repository benchmark: the working tree against BASE (a git
+# archive export in a temporary directory), PAIRS pairs of `bash bench/run.sh
+# --seconds 20 --trace 0` on seeds SEED, SEED+1, …, alternating which side
+# goes first. cmd/ab prints every run's end-to-end metrics, then per metric
+# both sides' median [q1–q3], the change's wins and the verdict against
+# BENCHMARK.json's bound, and fails on a regression or a failed run.
+BASE ?= HEAD
+WORKLOAD ?= coupled_step
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	$(GO) run ./cmd/ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # Tier-1 gate: everything a PR must keep green, in one command.
 ci: build vet doc-check gob-check timer-check loc-check surface-check test-short race leak-check recovery-check cover

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	stdtime "time"
 
 	"jungle/internal/amuse/data"
@@ -61,6 +63,55 @@ type Gas struct {
 	// compute-time accumulator behind the rank_load query.
 	cuts        []int
 	loadCompute stdtime.Duration
+
+	// gen numbers the positions and masses: every writer of either calls
+	// invalidate, and the evolve that publishes new positions moves it on
+	// to the generation its ranks kept their gravity at. kept is the
+	// self-gravity each rank's last forces pass computed, which the next
+	// evolve's priming pass takes instead of walking the same tree again.
+	// World ranks share one Gas, so keptMu guards kept and keptHits, the
+	// primes that took it.
+	gen      uint64
+	keptMu   sync.Mutex
+	kept     []keptGravity
+	keptHits int
+}
+
+// keptGravity is the self-gravity of the rows [lo,hi), with the flops
+// tree.Accel counted for it, at generation gen, softening eps and opening
+// angle theta: gravity is a function of exactly those.
+type keptGravity struct {
+	gen        uint64
+	lo, hi     int
+	eps, theta float64
+	acc        []data.Vec3
+	flops      float64
+}
+
+// takeGravity removes and returns the rows' kept self-gravity if it matches
+// the gas as it is. The taker's later passes write over it, so an evolve
+// that fails leaves nothing stale behind.
+func (g *Gas) takeGravity(lo, hi int) (keptGravity, bool) {
+	g.keptMu.Lock()
+	defer g.keptMu.Unlock()
+	for i, k := range g.kept {
+		if k.gen == g.gen && k.lo == lo && k.hi == hi && k.eps == g.EpsGrav && k.theta == g.Theta {
+			g.kept = slices.Delete(g.kept, i, i+1)
+			g.keptHits++
+			return k, true
+		}
+	}
+	return keptGravity{}, false
+}
+
+// invalidate records a write of positions or masses: the generation moves
+// on and everything kept goes, including rows kept by an evolve that never
+// published, which would otherwise match the new generation.
+func (g *Gas) invalidate() {
+	g.keptMu.Lock()
+	defer g.keptMu.Unlock()
+	g.gen++
+	g.kept = nil
 }
 
 // SetCuts installs explicit slab boundaries for sharded evolution (the
@@ -120,6 +171,7 @@ func (g *Gas) SetParticles(p *data.Particles) error {
 		}
 	}
 	n := p.Len()
+	g.invalidate()
 	g.mass = append(g.mass[:0], p.Mass...)
 	g.pos = append(g.pos[:0], p.Pos...)
 	g.vel = append(g.vel[:0], p.Vel...)
@@ -175,13 +227,13 @@ func (g *Gas) ResetFlops() float64 {
 	return f
 }
 
-// Positions exposes internal positions (for coupling field evaluation).
+// Positions exposes internal positions (read-only; for field evaluation).
 func (g *Gas) Positions() []data.Vec3 { return g.pos }
 
 // Velocities exposes internal velocities.
 func (g *Gas) Velocities() []data.Vec3 { return g.vel }
 
-// Masses exposes internal masses.
+// Masses exposes internal masses (read-only).
 func (g *Gas) Masses() []float64 { return g.mass }
 
 // Kick applies external velocity increments (BRIDGE coupling). The kick
@@ -376,8 +428,17 @@ func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.
 		steps++
 	}
 
+	// Keep the last pass's gravity, at the positions published below, and
+	// drop what was kept at others: one evolve's ranks keep disjoint rows.
+	if g.SelfGravity && n > 1 {
+		g.keptMu.Lock()
+		g.kept = append(slices.DeleteFunc(g.kept, func(k keptGravity) bool { return k.gen != st.gen+1 }),
+			keptGravity{st.gen + 1, lo, hi, g.EpsGrav, g.Theta, st.gacc, st.gflops})
+		g.keptMu.Unlock()
+	}
 	// Publish per the caller's ownership rules (see the doc comment).
 	if publish {
+		g.gen = st.gen + 1
 		copy(g.pos, pos)
 		copy(g.vel, vel)
 		copy(g.u, u)
@@ -427,7 +488,10 @@ type state struct {
 	acc      []data.Vec3
 	dudt     []float64
 	cells    cellList    // built by density, reused by forces
-	gacc     []data.Vec3 // the slab's self-gravity
+	gen      uint64      // the gas's generation when the call began
+	gacc     []data.Vec3 // the slab's self-gravity,
+	gflops   float64     // the flops it cost,
+	primed   bool        // and whether it is already at st.pos
 	gpot     []float64
 	slab     []float64 // exchange buffers: this rank's packed rows,
 	full     []float64 // and every rank's
@@ -436,17 +500,22 @@ type state struct {
 // newState allocates everything one evolve call over the rows [lo,hi) needs
 // — rank-local working copies (identical across ranks after exchanges), the
 // cell list, the slab's self-gravity and, for a rank, the exchange buffers —
-// once; it all dies with the call.
+// once; it all dies with the call, except the self-gravity, which it takes
+// from the gas when still valid and evolve keeps again.
 func newState(g *Gas, lo, hi int, exchange bool) *state {
 	n := len(g.mass)
-	st := &state{g: g,
+	st := &state{g: g, gen: g.gen,
 		pos: append([]data.Vec3(nil), g.pos...), vel: append([]data.Vec3(nil), g.vel...),
 		u: append([]float64(nil), g.u...), h: append([]float64(nil), g.h...),
 		rho: make([]float64, n), prs: make([]float64, n), cs: make([]float64, n),
 		acc: make([]data.Vec3, n), dudt: make([]float64, n),
 		cells: newCellList(n)}
 	if g.SelfGravity {
-		st.gacc = make([]data.Vec3, hi-lo)
+		if k, ok := g.takeGravity(lo, hi); ok {
+			st.gacc, st.gflops, st.primed = k.acc, k.flops, true
+		} else {
+			st.gacc = make([]data.Vec3, hi-lo)
+		}
 		st.gpot = make([]float64, hi-lo)
 	}
 	if exchange {
@@ -512,7 +581,8 @@ func (st *state) density(lo, hi int) float64 {
 }
 
 // forces computes acc and dudt for indices [lo,hi): SPH pressure +
-// viscosity, plus optional tree self-gravity.
+// viscosity, plus optional tree self-gravity, which a primed state already
+// holds.
 func (st *state) forces(lo, hi int) float64 {
 	g := st.g
 	cl := &st.cells
@@ -573,8 +643,11 @@ func (st *state) forces(lo, hi int) float64 {
 	flops := flopsPerForcePair * float64(pairs)
 
 	if g.SelfGravity && len(g.mass) > 1 {
-		tr := tree.Build(g.mass, st.pos)
-		flops += tr.Accel(st.pos[lo:hi], g.EpsGrav, g.Theta, st.gacc, st.gpot)
+		if !st.primed {
+			st.gflops = tree.Build(g.mass, st.pos).Accel(st.pos[lo:hi], g.EpsGrav, g.Theta, st.gacc, st.gpot)
+		}
+		st.primed = false
+		flops += st.gflops
 		for i := lo; i < hi; i++ {
 			st.acc[i] = st.acc[i].Add(st.gacc[i-lo])
 		}

@@ -3,6 +3,7 @@ package sph
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"jungle/internal/amuse/data"
@@ -332,6 +333,9 @@ func (s *hydroService) applyState(v *kernel.StateView) error {
 	for i, a := range v.VecAttrs {
 		col, _ := s.vecColumn(a)
 		v.VecsInto(i, col)
+	}
+	if slices.Contains(v.FloatAttrs, data.AttrMass) || slices.Contains(v.VecAttrs, data.AttrPos) {
+		s.gas.invalidate()
 	}
 	return nil
 }

@@ -253,13 +253,15 @@ func exactArithmetic(t *testing.T) {
 
 // sameTopology walks both trees depth first by octant and compares every
 // cell: size, mass, centre of mass (a massless cell's is its geometric
-// centre), which children exist, and a leaf's bodies in order.
+// centre), how many children it has, and a leaf's bodies in order. The flat
+// tree's children of gi are gi+1 and then each one's next, up to gi's next.
 func sameTopology(t *testing.T, got *Tree, want *oracleTree, gi, wi int32) {
 	t.Helper()
 	g, w := &got.nodes[gi], &want.nodes[wi]
-	if g.half != w.half || g.mass != w.mass || g.com != w.com || (g.count > 0) != w.leaf {
-		t.Fatalf("node %d: got half %v mass %v com %v leaf %v, oracle node %d has %v %v %v %v",
-			gi, g.half, g.mass, g.com, g.count > 0, wi, w.half, w.mass, w.com, w.leaf)
+	size := 2 * w.half
+	if g.size2 != size*size || g.mass != w.mass || g.com != w.com || (g.count > 0) != w.leaf {
+		t.Fatalf("node %d: got size² %v mass %v com %v leaf %v, oracle node %d has %v %v %v %v",
+			gi, g.size2, g.mass, g.com, g.count > 0, wi, size*size, w.mass, w.com, w.leaf)
 	}
 	bodies := got.order[g.first : g.first+g.count]
 	if len(bodies) != len(w.bodies) {
@@ -270,14 +272,19 @@ func sameTopology(t *testing.T, got *Tree, want *oracleTree, gi, wi int32) {
 			t.Fatalf("node %d: leaf order %v, oracle %v", gi, bodies, w.bodies)
 		}
 	}
-	for o := 0; o < 8; o++ {
-		gc, wc := g.children[o], w.children[o]
-		if (gc < 0) != (wc < 0) {
-			t.Fatalf("node %d octant %d: child present %v, oracle %v", gi, o, gc >= 0, wc >= 0)
+	gc := gi + 1
+	for _, wc := range w.children {
+		if wc < 0 {
+			continue
 		}
-		if gc >= 0 {
-			sameTopology(t, got, want, gc, wc)
+		if gc >= g.next {
+			t.Fatalf("node %d: fewer children than the oracle's node %d", gi, wi)
 		}
+		sameTopology(t, got, want, gc, wc)
+		gc = got.nodes[gc].next
+	}
+	if gc != g.next {
+		t.Fatalf("node %d: more children than the oracle's node %d", gi, wi)
 	}
 }
 

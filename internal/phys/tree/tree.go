@@ -28,11 +28,15 @@ const maxDepth = 64
 
 // node is one octree cell. A leaf holds the bodies
 // Tree.order[first:first+count], at least one; an internal cell has count 0.
+// The nodes are stored in preorder, octants 0–7 depth first, so a cell's
+// first child is the next node and next is the index just past its subtree:
+// a walk that opens a cell continues at i+1, and one that accepts or skips
+// it jumps to next.
 type node struct {
-	half         float64 // half side length
+	size2        float64 // (side length)², the opening test's left side
 	mass         float64
 	com          data.Vec3 // center of mass
-	children     [8]int32  // -1 when absent
+	next         int32
 	first, count int32
 }
 
@@ -77,7 +81,8 @@ func Build(mass []float64, pos []data.Vec3) *Tree {
 	half *= 1.0001 // keep boundary bodies strictly inside
 
 	n := len(pos)
-	t.order = make([]int32, n)
+	buf := make([]int32, 2*n) // the body order, then the partition scratch
+	t.order = buf[:n:n]
 	for i := range t.order {
 		t.order[i] = int32(i)
 	}
@@ -85,7 +90,7 @@ func Build(mass []float64, pos []data.Vec3) *Tree {
 	// nodes; the rare set above that, and chains of single-child cells over
 	// near-coincident bodies, grow the array.
 	t.nodes = make([]node, 0, n/2+8)
-	t.split(0, n, center, half, 0, make([]int32, n))
+	t.split(0, n, center, half, 0, buf[n:])
 	return t
 }
 
@@ -105,12 +110,13 @@ func octant(center, p data.Vec3) int {
 }
 
 // split appends the cell over the bodies order[lo:hi] and, recursively, its
-// subtree, and returns the cell's index with its mass and mass-weighted
-// position sum. The bodies are partitioned by octant through tmp, keeping
-// their order, so every leaf lists its bodies by ascending index.
-func (t *Tree) split(lo, hi int, center data.Vec3, half float64, depth int, tmp []int32) (int32, float64, data.Vec3) {
+// subtree, and returns the cell's mass and mass-weighted position sum. The
+// bodies are partitioned by octant through tmp, keeping their order, so
+// every leaf lists its bodies by ascending index.
+func (t *Tree) split(lo, hi int, center data.Vec3, half float64, depth int, tmp []int32) (float64, data.Vec3) {
 	ni := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{half: half, children: [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}})
+	size := 2 * half
+	t.nodes = append(t.nodes, node{size2: size * size, next: ni + 1})
 	if hi-lo <= leafCap || depth >= maxDepth {
 		var m float64
 		var com data.Vec3
@@ -126,7 +132,7 @@ func (t *Tree) split(lo, hi int, center data.Vec3, half float64, depth int, tmp 
 		} else {
 			n.com = center
 		}
-		return ni, m, n.com.Scale(m)
+		return m, n.com.Scale(m)
 	}
 
 	var start [9]int
@@ -167,19 +173,19 @@ func (t *Tree) split(lo, hi int, center data.Vec3, half float64, depth int, tmp 
 		} else {
 			cc[2] -= h
 		}
-		ci, cm, cwcom := t.split(lo+start[o], lo+start[o+1], cc, h, depth+1, tmp)
-		t.nodes[ni].children[o] = ci
+		cm, cwcom := t.split(lo+start[o], lo+start[o+1], cc, h, depth+1, tmp)
 		m += cm
 		wcom = wcom.Add(cwcom)
 	}
 	n := &t.nodes[ni]
+	n.next = int32(len(t.nodes))
 	n.mass = m
 	if m > 0 {
 		n.com = wcom.Scale(1 / m)
 	} else {
 		n.com = center
 	}
-	return ni, m, wcom
+	return m, wcom
 }
 
 // Nodes returns the number of tree nodes (diagnostics).
@@ -193,29 +199,19 @@ func (t *Tree) TotalMass() float64 {
 	return t.nodes[0].mass
 }
 
-// maxStack bounds the traversal stack: a cell pops itself and pushes at
-// most eight children, one level deeper each time.
-const maxStack = 7*maxDepth + 8
-
-// accelAt traverses the tree for one target point and returns the
-// acceleration, the potential and the interactions counted. Sums are kept in
-// locals and in the order of the depth-first traversal. stack is the
-// caller's scratch, so that a run of targets clears it once.
-func (t *Tree) accelAt(p data.Vec3, eps2, theta float64, stack *[maxStack]int32) (data.Vec3, float64, int) {
-	if len(t.nodes) == 0 {
-		return data.Vec3{}, 0, 0
-	}
+// accelAt walks the tree for one target point and returns the acceleration,
+// the potential and the interactions counted. Sums are kept in locals and in
+// the order of the depth-first walk, which the preorder layout makes a single
+// forward pass over the node array.
+func (t *Tree) accelAt(p data.Vec3, eps2, theta float64) (data.Vec3, float64, int) {
 	theta2 := theta * theta
 	px, py, pz := p[0], p[1], p[2]
 	var ax, ay, az, pot float64
 	inter := 0
-	// Explicit stack; deterministic depth-first order.
-	stack[0] = 0 // the root
-	sp := 1
-	for sp > 0 {
-		sp--
-		n := &t.nodes[stack[sp]]
+	for i := int32(0); int(i) < len(t.nodes); {
+		n := &t.nodes[i]
 		if n.mass == 0 {
+			i = n.next
 			continue
 		}
 		if n.count > 0 { // leaf
@@ -236,12 +232,12 @@ func (t *Tree) accelAt(p data.Vec3, eps2, theta float64, stack *[maxStack]int32)
 				pot -= mb * rinv
 				inter++
 			}
+			i = n.next
 			continue
 		}
 		dx, dy, dz := n.com[0]-px, n.com[1]-py, n.com[2]-pz
 		r2 := dx*dx + dy*dy + dz*dz
-		size := 2 * n.half
-		if size*size < theta2*r2 {
+		if n.size2 < theta2*r2 {
 			r2e := r2 + eps2
 			r := math.Sqrt(r2e)
 			rinv := 1 / r
@@ -251,15 +247,10 @@ func (t *Tree) accelAt(p data.Vec3, eps2, theta float64, stack *[maxStack]int32)
 			az += mr3 * dz
 			pot -= n.mass * rinv
 			inter++
+			i = n.next
 			continue
 		}
-		// Push children in reverse so traversal visits octant 0 first.
-		for c := 7; c >= 0; c-- {
-			if ci := n.children[c]; ci >= 0 {
-				stack[sp] = ci
-				sp++
-			}
-		}
+		i++ // open the cell: its first child follows it
 	}
 	return data.Vec3{ax, ay, az}, pot, inter
 }
@@ -296,10 +287,9 @@ func (t *Tree) Accel(targets []data.Vec3, eps, theta float64, acc []data.Vec3, p
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			total := 0
-			var stack [maxStack]int32
 			for i := lo; i < hi; i++ {
 				var inter int
-				acc[i], pot[i], inter = t.accelAt(targets[i], eps2, theta, &stack)
+				acc[i], pot[i], inter = t.accelAt(targets[i], eps2, theta)
 				total += inter
 			}
 			interactions[w] = total

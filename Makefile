@@ -59,13 +59,13 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest rise: an evolve's priming pass reuses the self-gravity the
-# previous evolve kept, and a write of positions or masses drops what was
-# kept (sph +77), and the octree is threaded, with no stack and no child
-# table (tree -10): +67 together, 27 over the 40 the change was allowed.
-# Counted apart, cmd/ab, the benchmark's A/B runner behind `make ab`: +187.
+# The latest rise: a bulk column crosses the codec as one copy of its
+# memory each way, and a column of its own is written once (wire +50: the
+# byte view, the big-endian path and the key column's encode and decode),
+# which the state codec and mpisim's float payloads now call instead of
+# their own loops (kernel -16, mpisim -6): +28 together.
 LOC_CORE_MAX = 5597
-LOC_TOTAL_MAX = 26445
+LOC_TOTAL_MAX = 26473
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -153,8 +153,10 @@ race:
 # per-kind Dispatch contract, and kernel's own, hold every release point to
 # its frame's last reader. Reuse is sph's kept self-gravity (DESIGN.md § Hot
 # loops, "Work done once"), which a World's goroutine ranks take and keep
-# on one shared Gas.
-LEAK_PKGS = ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core \
+# on one shared Gas. wire is here for its column views: under -race,
+# checkptr rejects an unsafe view that overruns its allocation, and the
+# test checks the alignment checkptr does not check for pointer-free types.
+LEAK_PKGS = ./internal/wire ./internal/fifo ./internal/vnet ./internal/smartsockets ./internal/ipl ./internal/mpisim ./internal/core \
 	./internal/core/kernel ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/sched ./internal/trace ./internal/deploy
 leak-check:
 	$(GO) test -race -count=3 -run 'Retention|Ownership|Leak|Gate|Rendezvous|Abort|Reuse' $(LEAK_PKGS)
@@ -209,8 +211,8 @@ cover:
 #
 # The scenario benchmarks live in the root package; a layer's own benchmarks
 # live with the layer (BENCH_PKGS).
-BENCH_OUT ?= BENCH_32.json
-BENCH_PKGS = . ./internal/core ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/trace
+BENCH_OUT ?= BENCH_33.json
+BENCH_PKGS = . ./internal/core ./internal/core/kernel ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/trace
 BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 $(BENCH_PKGS)
 bench:
 	@$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
@@ -232,7 +234,7 @@ bench-check:
 	$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -o bench-check.json -against $$base \
 	  -loose-match 'ConcurrentSessions|Ensemble' \
-	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip|BulkRound|LabTestbedBuild' \
+	  -allocs-match 'HermiteStep|TreeField|SPHStep|MPIAllreduce|IbisChannelRoundTrip|BulkRound|LabTestbedBuild|StateCodec' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
 

@@ -12,11 +12,32 @@ import (
 	"jungle/internal/amuse/data"
 )
 
+// specials are the floats whose bits a codec could bend: a NaN with a
+// payload, both infinities, -0 and the smallest subnormal.
+var specials = []float64{math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
+	math.Copysign(0, -1), math.SmallestNonzeroFloat64}
+
 // bulkPayloads are the state payloads the four kinds put on the wire, at n
 // particles: gravity (mass, position, velocity), hydro (those plus u and h),
-// the agent colony and the SSE observables, each without keys and keyed one
-// to five times over.
+// the agent colony and the SSE observables — and "specials", whose columns
+// cycle through specials behind odd-length names, so they start at odd
+// offsets in the frame — each without keys and keyed one to five times over,
+// with keys at and above 2^63.
 func bulkPayloads(n int) map[string]*StatePayload {
+	special := func(seed int) []float64 {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = specials[(seed+i)%len(specials)]
+		}
+		return col
+	}
+	specialVecs := func(seed int) []data.Vec3 {
+		col := make([]data.Vec3, n)
+		for i := range col {
+			col[i] = data.Vec3{specials[(seed+i)%len(specials)], specials[(seed+i+1)%len(specials)], specials[(seed+i+2)%len(specials)]}
+		}
+		return col
+	}
 	floats := func(seed float64) []float64 {
 		col := make([]float64, n)
 		for i := range col {
@@ -45,6 +66,7 @@ func bulkPayloads(n int) map[string]*StatePayload {
 		"abm": NewState(n).AddVec("agent_pos", vecs(6)).AddFloat("agent_state", floats(7)).AddFloat("agent_potential", floats(8)),
 		"sse": NewState(n).AddFloat(data.AttrMass, floats(9)).AddFloat(data.AttrRadius, floats(10)).AddFloat(data.AttrLuminosity, floats(11)).
 			AddFloat(data.AttrTemperature, floats(12)).AddFloat(data.AttrAge, floats(13)).AddFloat(data.AttrStellarType, floats(14)),
+		"specials": NewState(n).AddFloat("odd", special(0)).AddVec("vec", specialVecs(1)).AddFloat("x", special(2)),
 	}
 	// Each further "+keys" re-keys the payload before with a fresh key
 	// column, which the frame must carry in place of the last one.
@@ -317,6 +339,24 @@ func TestStateCodecAllocs(t *testing.T) {
 	}
 	if mass[999] != st.FloatCols[0][999] || pos[999] != st.VecCols[0][999] {
 		t.Fatal("columns decoded wrong")
+	}
+}
+
+// BenchmarkStateCodec: a detached round trip, MarshalState then
+// UnmarshalState, of bulk_state's payload — 50 000 gravity particles with
+// keys, 3.2 MB.
+func BenchmarkStateCodec(b *testing.B) {
+	st := bulkPayloads(50_000)["gravity+keys"]
+	b.SetBytes(int64(stateSize(st)))
+	b.ReportAllocs()
+	for b.Loop() {
+		frame, err := MarshalState(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := UnmarshalState(frame); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

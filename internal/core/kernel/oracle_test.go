@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"slices"
 
 	"jungle/internal/amuse/data"
@@ -12,7 +13,8 @@ import (
 // with that slice copied behind its header. Kept verbatim as the oracle the
 // in-place builders (StateReply + FrameResponse, NewStateRequest,
 // NewApplyRequest, TransferFromResponse) are held to byte for byte: the wire
-// must not know the copies went.
+// must not know the copies went. The columns are written word by word, as
+// the codec wrote them before a column became one copy of its memory.
 
 func oracleMarshalState(s *StatePayload) ([]byte, error) {
 	size := 1 + 4 + 1 + 8*len(s.Key) + 2 + 2
@@ -42,12 +44,18 @@ func oracleAppendState(dst []byte, s *StatePayload) ([]byte, error) {
 	dst = wire.AppendU16(dst, uint16(len(s.FloatAttrs)))
 	for i, a := range s.FloatAttrs {
 		dst = wire.AppendString16(dst, a)
-		dst = wire.AppendFloats(dst, s.FloatCols[i])
+		for _, x := range s.FloatCols[i] {
+			dst = wire.AppendU64(dst, math.Float64bits(x))
+		}
 	}
 	dst = wire.AppendU16(dst, uint16(len(s.VecAttrs)))
 	for i, a := range s.VecAttrs {
 		dst = wire.AppendString16(dst, a)
-		dst = wire.AppendVecs(dst, s.VecCols[i])
+		for _, v := range s.VecCols[i] {
+			for _, x := range v {
+				dst = wire.AppendU64(dst, math.Float64bits(x))
+			}
+		}
 	}
 	return dst, nil
 }

@@ -96,10 +96,7 @@ func AppendState(dst []byte, s *StatePayload) ([]byte, error) {
 	dst = append(dst, tagState)
 	dst = wire.AppendU32(dst, uint32(s.N))
 	if len(s.Key) > 0 {
-		dst = append(dst, 1)
-		for _, k := range s.Key {
-			dst = wire.AppendU64(dst, k)
-		}
+		dst = wire.AppendU64s(append(dst, 1), s.Key)
 	} else {
 		dst = append(dst, 0)
 	}
@@ -232,12 +229,7 @@ func (v *StateView) columns(r *wire.Reader, width int, what string) (attrs []str
 func (v *StateView) HasKeys() bool { return v.key != nil }
 
 // KeysInto decodes the key column into dst, which must hold N entries.
-func (v *StateView) KeysInto(dst []uint64) {
-	key := v.key[:8*len(dst)]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(key[8*i:])
-	}
-}
+func (v *StateView) KeysInto(dst []uint64) { wire.DecodeU64s(dst, v.key) }
 
 // FloatAt decodes entry j of scalar column i: what a kind uses to check a
 // column's values before it writes any.
@@ -254,47 +246,39 @@ func (v *StateView) VecsInto(i int, dst []data.Vec3) { wire.DecodeVecs(dst, v.ve
 // Float decodes the named scalar column into a slice of its own, or
 // returns nil.
 func (v *StateView) Float(attr string) []float64 {
-	i := slices.Index(v.FloatAttrs, attr)
-	if i < 0 {
-		return nil
+	if i := slices.Index(v.FloatAttrs, attr); i >= 0 {
+		return wire.NewColumn[float64](v.floats[i])
 	}
-	col := make([]float64, v.N)
-	v.FloatsInto(i, col)
-	return col
+	return nil
 }
 
 // Vec decodes the named vector column into a slice of its own, or returns
 // nil.
 func (v *StateView) Vec(attr string) []data.Vec3 {
-	i := slices.Index(v.VecAttrs, attr)
-	if i < 0 {
-		return nil
+	if i := slices.Index(v.VecAttrs, attr); i >= 0 {
+		return wire.NewColumn[data.Vec3](v.vecs[i])
 	}
-	col := make([]data.Vec3, v.N)
-	v.VecsInto(i, col)
-	return col
+	return nil
 }
 
-// Payload decodes every column into a payload that owns them.
+// Payload decodes every column into a payload that owns them, each written
+// once (wire.NewColumn).
 func (v *StateView) Payload() *StatePayload {
 	s := &StatePayload{N: v.N, FloatAttrs: v.FloatAttrs, VecAttrs: v.VecAttrs}
 	if v.key != nil {
-		s.Key = make([]uint64, v.N)
-		v.KeysInto(s.Key)
+		s.Key = wire.NewColumn[uint64](v.key)
 	}
 	if len(v.floats) > 0 {
 		s.FloatCols = make([][]float64, len(v.floats))
 	}
-	for i := range v.floats {
-		s.FloatCols[i] = make([]float64, v.N)
-		v.FloatsInto(i, s.FloatCols[i])
+	for i, col := range v.floats {
+		s.FloatCols[i] = wire.NewColumn[float64](col)
 	}
 	if len(v.vecs) > 0 {
 		s.VecCols = make([][]data.Vec3, len(v.vecs))
 	}
-	for i := range v.vecs {
-		s.VecCols[i] = make([]data.Vec3, v.N)
-		v.VecsInto(i, s.VecCols[i])
+	for i, col := range v.vecs {
+		s.VecCols[i] = wire.NewColumn[data.Vec3](col)
 	}
 	return s
 }

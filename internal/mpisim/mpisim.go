@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // ErrBadRank is returned for a peer rank outside the communicator or equal
@@ -237,13 +238,8 @@ func (w *World) SyncTo(t time.Duration) {
 	}
 }
 
-func floatsToBytes(x []float64) []byte {
-	b := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
+// floatsToBytes encodes a float payload into a buffer of its own.
+func floatsToBytes(x []float64) []byte { return wire.AppendFloats(nil, x) }
 
 // floatAt decodes the i-th float of a little-endian payload.
 func floatAt(b []byte, i int) float64 {
@@ -258,9 +254,7 @@ func appendFloats(dst []float64, b []byte) ([]float64, error) {
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, len(b)/8)[:at+len(b)/8]
-	for i := range dst[at:] {
-		dst[at+i] = floatAt(b, i)
-	}
+	wire.DecodeFloats(dst[at:], b)
 	return dst, nil
 }
 

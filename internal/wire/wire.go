@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"unsafe"
 )
 
 func AppendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
@@ -44,22 +46,57 @@ func AppendString16(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// A bulk column — floats, vectors, keys — is a run of 64-bit words, each
+// little-endian (a float as its IEEE bits). On a little-endian host that is
+// exactly the column's memory, so a column crosses the codec as one copy of
+// its bytes each way; the per-word loops are the big-endian path, chosen
+// once here.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// word is an element of a bulk column: one or three 64-bit words, no
+// pointers.
+type word interface {
+	~uint64 | ~float64 | ~[3]float64
+}
+
 // AppendFloats appends each float's IEEE bits, 8 bytes little-endian.
-func AppendFloats(dst []byte, xs []float64) []byte {
-	for _, x := range xs {
-		dst = AppendU64(dst, math.Float64bits(x))
+func AppendFloats(dst []byte, xs []float64) []byte { return appendWords(dst, xs) }
+
+// AppendVecs appends each component's IEEE bits, 24 bytes per vector.
+func AppendVecs[V ~[3]float64](dst []byte, vs []V) []byte { return appendWords(dst, vs) }
+
+// AppendU64s appends each value, 8 bytes little-endian.
+func AppendU64s(dst []byte, xs []uint64) []byte { return appendWords(dst, xs) }
+
+// bytesOf views a column's memory as bytes.
+func bytesOf[E word](s []E) []byte {
+	var e E
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(e)))
+}
+
+func appendWords[E word](dst []byte, s []E) []byte {
+	b := bytesOf(s)
+	if littleEndian {
+		return append(dst, b...)
+	}
+	dst = slices.Grow(dst, len(b))
+	for i := 0; i < len(b); i += 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, binary.NativeEndian.Uint64(b[i:]))
 	}
 	return dst
 }
 
-// AppendVecs appends each component's IEEE bits, 24 bytes per vector.
-func AppendVecs[V ~[3]float64](dst []byte, vs []V) []byte {
-	for _, v := range vs {
-		dst = AppendU64(dst, math.Float64bits(v[0]))
-		dst = AppendU64(dst, math.Float64bits(v[1]))
-		dst = AppendU64(dst, math.Float64bits(v[2]))
+// decodeWords fills dst from a column; col may be dst's own memory.
+func decodeWords[E word](dst []E, col []byte) {
+	b := bytesOf(dst)
+	col = col[:len(b)]
+	if littleEndian {
+		copy(b, col)
+		return
 	}
-	return dst
+	for i := 0; i < len(b); i += 8 {
+		binary.NativeEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(col[i:]))
+	}
 }
 
 // The struct codec's scalars use a trimmed form: a value below 128 is one
@@ -170,9 +207,10 @@ func (r *Reader) String16(what string) string {
 }
 
 // Column reads a column of n elements of width bytes each, as written by
-// AppendFloats (width 8) or AppendVecs (24). The result aliases the frame:
-// DecodeFloats / DecodeVecs decode it where the values are to live. A count
-// the frame cannot hold fails before anything is sized by it.
+// AppendFloats (width 8), AppendVecs (24) or AppendU64s (8). The result
+// aliases the frame: DecodeFloats / DecodeVecs / DecodeU64s decode it where
+// the values are to live, NewColumn into a slice of its own. A count the
+// frame cannot hold fails before anything is sized by it.
 func (r *Reader) Column(n, width int, what string) []byte {
 	if r.Err != nil || n < 0 || n > r.Len()/width {
 		r.Fail(what)
@@ -183,22 +221,34 @@ func (r *Reader) Column(n, width int, what string) []byte {
 
 // DecodeFloats decodes len(dst) floats from a column written by
 // AppendFloats.
-func DecodeFloats(dst []float64, col []byte) {
-	col = col[:8*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
-	}
-}
+func DecodeFloats(dst []float64, col []byte) { decodeWords(dst, col) }
 
 // DecodeVecs decodes len(dst) vectors from a column written by AppendVecs.
-func DecodeVecs[V ~[3]float64](dst []V, col []byte) {
-	col = col[:24*len(dst)]
-	for i := range dst {
-		c := col[24*i : 24*i+24]
-		dst[i][0] = math.Float64frombits(binary.LittleEndian.Uint64(c))
-		dst[i][1] = math.Float64frombits(binary.LittleEndian.Uint64(c[8:]))
-		dst[i][2] = math.Float64frombits(binary.LittleEndian.Uint64(c[16:]))
+func DecodeVecs[V ~[3]float64](dst []V, col []byte) { decodeWords(dst, col) }
+
+// DecodeU64s decodes len(dst) values from a column written by AppendU64s.
+func DecodeU64s(dst []uint64, col []byte) { decodeWords(dst, col) }
+
+// NewColumn decodes a whole column into a slice of its own, writing its
+// memory once: the bytes are appended to a nil []byte, which does not zero
+// what the append overwrites (make then decode writes every byte twice),
+// and that allocation is then viewed as []E. The view is of the new
+// allocation, never of the frame: a column inside a frame sits wherever its
+// name leaves it (at an odd offset behind a three-byte name), while the
+// allocator aligns every object of 8 bytes or more to 8. The allocation is
+// pointer-free, and so is E.
+func NewColumn[E word](col []byte) []E {
+	var e E
+	n := len(col) / int(unsafe.Sizeof(e))
+	if n == 0 {
+		return []E{}
 	}
+	b := append([]byte(nil), col...)
+	s := unsafe.Slice((*E)(unsafe.Pointer(&b[0])), n)
+	if !littleEndian {
+		decodeWords(s, b) // in place: each word is read before it is written
+	}
+	return s
 }
 
 // Uint reads a value written by AppendUint.

@@ -2,11 +2,14 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jungle/internal/wire"
 	"jungle/internal/wiretest"
@@ -140,6 +143,63 @@ func TestFixedWidthReader(t *testing.T) {
 	r = wire.Reader{B: b}
 	if r.Column(1<<40, 8, "huge"); r.Err == nil {
 		t.Fatal("huge float count accepted")
+	}
+}
+
+// TestOwnershipColumns: a column decodes, word by word, to the IEEE bits its
+// bytes spell little-endian, from every offset of a larger buffer (a column
+// in a frame sits wherever its name leaves it), whether into the caller's
+// slice (Decode*) or into one of its own (NewColumn). A column of its own is
+// its own memory, aligned for its element: scribbling over the source leaves
+// it as it was, and it has no room past its end, so an append moves it.
+// Under -race, checkptr rejects a view that overruns its allocation (it
+// checks alignment only for types that hold pointers, so the test does).
+func TestOwnershipColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 1000} {
+		for off := range 8 {
+			buf := make([]byte, off+24*n+8)
+			rng.Read(buf)
+			col := buf[off : off+24*n]
+			want := make([]uint64, 3*n)
+			for i := range want {
+				want[i] = math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:])))
+			}
+			fs, vs, ks := make([]float64, n), make([]vec, n), make([]uint64, n)
+			wire.DecodeFloats(fs, col)
+			wire.DecodeVecs(vs, col)
+			wire.DecodeU64s(ks, col)
+			ownF, ownV, ownK := wire.NewColumn[float64](col[:8*n]), wire.NewColumn[vec](col), wire.NewColumn[uint64](col[:8*n])
+			clear(buf)
+			if n > 0 && (uintptr(unsafe.Pointer(&ownF[0]))|uintptr(unsafe.Pointer(&ownV[0]))|uintptr(unsafe.Pointer(&ownK[0])))%8 != 0 {
+				t.Fatalf("n %d, offset %d: a column of its own is not 8-byte aligned", n, off)
+			}
+			if len(ownF) != n || len(ownV) != n || len(ownK) != n || cap(ownF) != n || cap(ownV) != n || cap(ownK) != n {
+				t.Fatalf("n %d: columns of their own have len/cap %d/%d, %d/%d, %d/%d",
+					n, len(ownF), cap(ownF), len(ownV), cap(ownV), len(ownK), cap(ownK))
+			}
+			ownF, ownK = append(ownF, 1), append(ownK, 1)
+			for i := range n {
+				w := want[i]
+				if math.Float64bits(fs[i]) != w || math.Float64bits(ownF[i]) != w || ks[i] != w || ownK[i] != w {
+					t.Fatalf("n %d, offset %d, word %d: want %#x; DecodeFloats %#x, NewColumn %#x, DecodeU64s %#x, NewColumn %#x",
+						n, off, i, w, math.Float64bits(fs[i]), math.Float64bits(ownF[i]), ks[i], ownK[i])
+				}
+				for k := range 3 {
+					w := want[3*i+k]
+					if math.Float64bits(vs[i][k]) != w || math.Float64bits(ownV[i][k]) != w {
+						t.Fatalf("n %d, offset %d, vector %d[%d]: want %#x; DecodeVecs %#x, NewColumn %#x",
+							n, off, i, k, w, math.Float64bits(vs[i][k]), math.Float64bits(ownV[i][k]))
+					}
+				}
+			}
+			if ownF[n] != 1 || ownK[n] != 1 {
+				t.Fatalf("n %d: appended values read back %v, %v", n, ownF[n], ownK[n])
+			}
+		}
+	}
+	if c := wire.NewColumn[float64](nil); c == nil || len(c) != 0 {
+		t.Errorf("an empty column decodes to %#v, want empty and non-nil", c)
 	}
 }
 

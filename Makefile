@@ -27,18 +27,16 @@ doc-check: fmt-check vet
 	if [ -n "$$bad" ]; then echo "missing package comment:" >&2; echo "$$bad" >&2; exit 1; fi
 	$(GO) run ./cmd/doc-link-check README.md ARCHITECTURE.md DESIGN.md
 
-# One wire codec: encoding/gob stays off every per-message path. It may
-# appear only where a cold artefact is persisted or crosses real TCP
-# (core/checkpoint.go manifests, internal/sched, internal/exp, cmd/) and in
-# tests. internal/wiretest holds the size reference the codec is compared
-# against, so nothing but tests may import it.
-GOB_FREE = internal/smartsockets internal/ipl internal/core internal/phys internal/wire
+# One wire codec: every message, manifest, run file and gateway frame goes
+# through internal/wire, so no non-test file imports encoding/gob — except
+# internal/wiretest, which holds gob as the size reference the codec is
+# compared against, and which nothing but tests may import.
 gob-check:
-	@bad=$$(find $(GOB_FREE) -name '*.go' ! -name '*_test.go' ! -path internal/core/checkpoint.go \
-	  -exec grep -l '"encoding/gob"' {} +); \
-	if [ -n "$$bad" ]; then echo "encoding/gob on a per-message path:" >&2; echo "$$bad" >&2; exit 1; fi
-	@bad=$$(find cmd internal examples -name '*.go' ! -name '*_test.go' \
-	  -exec grep -l '"jungle/internal/wiretest"' {} +); \
+	@bad=$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/wiretest/*' ! -path './.bench_build/*' \
+	  -exec grep -lxE '\s*(import )?(\w+ )?"encoding/gob"' {} +); \
+	if [ -n "$$bad" ]; then echo "encoding/gob outside tests and internal/wiretest:" >&2; echo "$$bad" >&2; exit 1; fi
+	@bad=$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/wiretest/*' ! -path './.bench_build/*' \
+	  -exec grep -lxE '\s*(import )?(\w+ )?"jungle/internal/wiretest"' {} +); \
 	if [ -n "$$bad" ]; then echo "internal/wiretest imported outside tests:" >&2; echo "$$bad" >&2; exit 1; fi
 
 # No timer picks a route, and none brings a model up: in the transport
@@ -59,13 +57,11 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest rise: the SPH density pass finds its candidates in cells sized
-# to each row's smoothing length and sums them in the cell list's order, so
-# no digest moves (sph +213: the search's hashed levels, marks and box +174;
-# the cell list sorted on packed integer keys, with the comparison path kept
-# for positions whose cells do not pack, +24; the pass +15).
-LOC_CORE_MAX = 5597
-LOC_TOTAL_MAX = 26686
+# The latest change lowered both: gob left every non-test file but
+# internal/wiretest, the surface census became cmd/surface-check (+150),
+# and the exports only tests reached were deleted.
+LOC_CORE_MAX = 5555
+LOC_TOTAL_MAX = 26378
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done
@@ -76,51 +72,37 @@ loc-check:
 	if [ $$core -gt $(LOC_CORE_MAX) ] || [ $$total -gt $(LOC_TOTAL_MAX) ]; then \
 	  echo "loc-check: internal/core $$core (max $(LOC_CORE_MAX)), repository $$total (max $(LOC_TOTAL_MAX))" >&2; exit 1; fi
 
-# Surface ledger: every exported func or method under internal/ is named by
+# Surface ledger: every exported func or method under internal/ is used by
 # something that is not a test — a non-test .go file anywhere in the
 # repository (cmd/, examples/, bench/ and internal/ itself included) or the
 # root package's bench_test.go — or it is in SURFACE_KEEP below with the
-# reason it has only test callers. The census is a grep, so it goes by name:
-# comments are dropped, a func's own declaration does not count, and a name
-# two packages share counts for both (a type-accurate census finds more;
-# ROADMAP item 5). surface prints the census per package and the keep-list;
-# surface-check fails on a name outside the list and on a list entry the
-# census no longer finds, so the list — its length is the maximum — only
-# gets shorter: a PR that adds a test-only export adds its line here, in its
-# diff, and says why.
+# reason it has only test callers. The census (cmd/surface-check) resolves
+# uses with go/types, so a name two packages share covers neither; a method
+# whose type implements an interface that has it counts as used, and
+# internal/wiretest is exempt. Methods are listed as Type.Method. surface
+# prints the census and the keep-list; surface-check fails on a census line
+# outside the list and on a list line the census no longer has, so the
+# list — its length is the maximum — only gets shorter: a PR that adds a
+# test-only export adds its line here, in its diff, and says why.
 define SURFACE_KEEP
-internal/amuse/data KineticEnergy     diagnostic: internal/amuse/ic's tests check the Plummer sphere's virial ratio with it
-internal/amuse/data PotentialEnergy   diagnostic: the other half of that virial ratio (O(N^2), not for a run)
-internal/amuse/ic UniformSphere       test substrate: the second particle distribution of the sph/tree/nbody oracle tests
-internal/core DecodeManifest          inverse of Manifest.Encode: commands install exp's evictor, so none resumes a bare manifest yet
-internal/core/kernel PoisonReleased   use-after-release check: core's and kernel's Ownership tests overwrite every released frame with it on
-internal/core/kernel Unwrap           interface method: errors.Is reaches WireError.Unwrap, nothing names it
-internal/ipl SetFailureHook           fault observation: the registry test watches a member's death through it
-internal/mpisim LocalGangs            test substrate: a World over in-memory links for the physics packages' sharded-kernel tests
-internal/sched Unwrap                 interface method: errors.Is reaches BusyError.Unwrap, nothing names it
-internal/vnet CrashHost               fault injection: the paper's hard fault, a machine vanishing
-internal/vnet SetHostUp               fault injection: a host goes down and comes back
-internal/wiretest CheckRegistry       test substrate: holds each package's payload table to its declared structs
+internal/amuse/data Particles.KineticEnergy     diagnostic: internal/amuse/ic's tests check the Plummer sphere's virial ratio with it
+internal/amuse/data Particles.PotentialEnergy   diagnostic: the other half of that virial ratio (O(N^2), not for a run)
+internal/amuse/ic UniformSphere                 test substrate: the second particle distribution of the sph/tree/nbody oracle tests
+internal/core/kernel PoisonReleased             use-after-release check: core's and kernel's Ownership tests overwrite every released frame with it on
+internal/ipl Registry.SetFailureHook            fault observation: the registry test watches a member's death through it
+internal/mpisim LocalGangs                      test substrate: a World over in-memory links for the physics packages' sharded-kernel tests
+internal/vnet Network.CrashHost                 fault injection: the paper's hard fault, a machine vanishing
+internal/vnet Network.SetHostUp                 fault injection: a host goes down and comes back
 endef
 export SURFACE_KEEP
-SURFACE_SRC = find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'
-SURFACE_DECL = ^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*
-# "dir Name" of every exported func under internal/, then of those no consumer names.
-SURFACE_ALL = find internal -name '*.go' ! -name '*_test.go' -exec grep -HoE '$(SURFACE_DECL)' {} + \
-	| sed -E 's,/[^/]*\.go:func (\([^)]*\) )?, ,' | sort -u
-SURFACE_CENSUS = { { $(SURFACE_SRC); echo ./bench_test.go; } | xargs cat \
-	| sed -E -e 's,//.*,,' -e 's/$(SURFACE_DECL)//' | grep -oE '[A-Z][A-Za-z0-9_]*' | sort -u | sed 's/^/= /'; \
-	$(SURFACE_ALL); } | awk '$$1 == "=" { used[$$2]; next } !($$2 in used)'
 surface:
-	@census=$$($(SURFACE_CENSUS)); \
-	$(SURFACE_ALL) | cut -d' ' -f1 | uniq -c | while read -r n dir; do \
-	  printf '%-28s %4d exported, %2d named by tests only\n' "$$dir" "$$n" "$$(echo "$$census" | grep -c "^$$dir ")"; done; \
-	echo; echo "keep-list ($$(echo "$$SURFACE_KEEP" | wc -l) names, the maximum):"; echo "$$SURFACE_KEEP"
+	@echo "used by no non-test file:"; $(GO) run ./cmd/surface-check
+	@echo; echo "keep-list ($$(echo "$$SURFACE_KEEP" | wc -l) names, the maximum):"; echo "$$SURFACE_KEEP"
 surface-check:
-	@census=$$($(SURFACE_CENSUS)); keep=$$(echo "$$SURFACE_KEEP" | awk '{print $$1, $$2}'); \
+	@census=$$($(GO) run ./cmd/surface-check) || exit 1; keep=$$(echo "$$SURFACE_KEEP" | awk '{print $$1, $$2}'); \
 	extra=$$(echo "$$census" | grep -vxF "$$keep"); stale=$$(echo "$$keep" | grep -vxF "$$census"); \
-	if [ -n "$$extra" ]; then echo "surface-check: exported under internal/, named by no non-test file, not in SURFACE_KEEP:" >&2; echo "$$extra" >&2; fi; \
-	if [ -n "$$stale" ]; then echo "surface-check: in SURFACE_KEEP but reached by a non-test file or gone — delete the line:" >&2; echo "$$stale" >&2; fi; \
+	if [ -n "$$extra" ]; then echo "surface-check: exported under internal/, used by no non-test file, not in SURFACE_KEEP:" >&2; echo "$$extra" >&2; fi; \
+	if [ -n "$$stale" ]; then echo "surface-check: in SURFACE_KEEP but used by a non-test file or gone — delete the line:" >&2; echo "$$stale" >&2; fi; \
 	[ -z "$$extra$$stale" ]
 
 # Fast suite: unit + protocol + reduced-scale integration (seconds).

@@ -549,9 +549,11 @@ func BenchmarkElasticGang(b *testing.B) {
 				b.Fatal(err)
 			}
 			if rebalance {
-				deadline := time.Now().Add(20 * time.Second)
-				for g.RebalanceRounds() < uint64(i+1) && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				err := g.WaitRebalanceRounds(ctx, uint64(i+1))
+				cancel()
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 		}

@@ -35,9 +35,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"log"
@@ -51,6 +49,7 @@ import (
 	"jungle/internal/phys/abm"
 	"jungle/internal/sched"
 
+	"jungle/internal/core/kernel"
 	_ "jungle/internal/kernels"
 )
 
@@ -275,16 +274,12 @@ func runAttached(addr, session string, stars, gas, iters int, keep bool) error {
 		W:          exp.Workload{Stars: stars, Gas: gas, GasFrac: 0.9, Seed: 42, DT: 1.0 / 64, Eps: 0.05},
 		Iterations: iters,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(work); err != nil {
-		return err
-	}
-	out, err := c.Run(buf.Bytes())
+	out, err := c.Run(kernel.Encode(work))
 	if err != nil {
 		return err
 	}
 	var rep exp.SessionReport
-	if err := gob.NewDecoder(bytes.NewReader(out)).Decode(&rep); err != nil {
+	if err := kernel.Decode(out, &rep); err != nil {
 		return err
 	}
 	res := rep.Result

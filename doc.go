@@ -23,11 +23,11 @@
 // slow links at once" execution shape.
 //
 // Bulk state moves on a direct worker-to-worker data plane: the coupler
-// orchestrates a transfer by RPC (Simulation.TransferState,
-// data.RemoteChannel), but the column bytes stream between workers over
-// SmartSockets virtual connections through the hub overlay, never
-// crossing the user's machine — with a transparent fallback to the
-// coupler hairpin when no peer path exists. The bridge stages each
+// orchestrates a transfer by RPC (Simulation.TransferState), but the
+// column bytes stream between workers over SmartSockets virtual
+// connections through the hub overlay, never crossing the user's machine
+// — with a transparent fallback to the coupler hairpin when no peer path
+// exists. The bridge stages each
 // p-kick's field inputs on the coupling worker the same way.
 //
 // A kernel can span multiple workers: WorkerSpec.Workers = K deploys it

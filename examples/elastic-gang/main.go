@@ -92,11 +92,9 @@ func main() {
 // waitRounds blocks until the rebalancer has finished at least `want`
 // asynchronous measurement rounds.
 func waitRounds(g *core.Gravity, want uint64) {
-	deadline := time.Now().Add(20 * time.Second)
-	for g.RebalanceRounds() < want {
-		if time.Now().After(deadline) {
-			log.Fatalf("rebalancer stuck at %d rounds", g.RebalanceRounds())
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := g.WaitRebalanceRounds(ctx, want); err != nil {
+		log.Fatal(err)
 	}
 }

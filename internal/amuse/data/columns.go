@@ -2,6 +2,21 @@ package data
 
 import "fmt"
 
+// Attribute names understood by channels.
+const (
+	AttrMass           = "mass"
+	AttrPos            = "position"
+	AttrVel            = "velocity"
+	AttrInternalEnergy = "u"
+	AttrDensity        = "density"
+	AttrSmoothingLen   = "h_smooth"
+	AttrRadius         = "radius"
+	AttrLuminosity     = "luminosity"
+	AttrTemperature    = "temperature"
+	AttrStellarType    = "stellar_type"
+	AttrAge            = "age"
+)
+
 // Columnar attribute access. The set is already structure-of-arrays; these
 // accessors name the arrays so channels and the batched wire protocol can
 // move whole columns generically instead of switching per particle.

@@ -1,11 +1,8 @@
 package data
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,32 +33,6 @@ func TestVecOps(t *testing.T) {
 	}
 	if got := (Vec3{3, 4, 0}).Norm(); got != 5 {
 		t.Fatalf("norm: %v", got)
-	}
-}
-
-func TestAddRemoveKeepsKeysUnique(t *testing.T) {
-	p := NewParticles(3)
-	i := p.Add(1, Vec3{1, 0, 0}, Vec3{})
-	if p.Key[i] != 4 {
-		t.Fatalf("new key = %d, want 4", p.Key[i])
-	}
-	p.Remove(0)
-	if p.Len() != 3 {
-		t.Fatalf("len = %d", p.Len())
-	}
-	seen := map[uint64]bool{}
-	for _, k := range p.Key {
-		if seen[k] {
-			t.Fatalf("duplicate key %d", k)
-		}
-		seen[k] = true
-	}
-	if seen[1] {
-		t.Fatal("removed key still in the set")
-	}
-	j := p.Add(2, Vec3{}, Vec3{})
-	if p.Key[j] == 0 || seen[p.Key[j]] {
-		t.Fatalf("reused key %d", p.Key[j])
 	}
 }
 
@@ -138,42 +109,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if q.Key[1] != p.Key[1] {
 		t.Fatal("clone lost a key")
-	}
-}
-
-// TestRemoteChannelDefaultsAndErrors: the channel defaults to the
-// dynamics exchange and surfaces the transfer's attribute-naming errors
-// unchanged. The real worker-to-worker flavor is
-// exercised in internal/core's transfer tests.
-func TestRemoteChannelDefaultsAndErrors(t *testing.T) {
-	var got [][]string
-	ch := NewRemoteChannel(func(attrs []string) error {
-		got = append(got, attrs)
-		for _, a := range attrs {
-			if a != AttrMass && a != AttrPos && a != AttrVel {
-				return fmt.Errorf("worker: unknown attribute %q", a)
-			}
-		}
-		return nil
-	})
-	if err := ch.Copy(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{AttrMass, AttrPos, AttrVel}
-	if len(got) != 1 || len(got[0]) != len(want) {
-		t.Fatalf("transfer saw %v, want %v", got, want)
-	}
-	for i, a := range want {
-		if got[0][i] != a {
-			t.Fatalf("default attrs %v, want %v", got[0], want)
-		}
-	}
-	err := ch.Copy("vorticity")
-	if err == nil || !strings.Contains(err.Error(), "vorticity") {
-		t.Fatalf("error %v does not name the attribute", err)
-	}
-	if err := NewRemoteChannel(nil).Copy(); !errors.Is(err, ErrNoTransfer) {
-		t.Fatalf("nil transfer: err = %v, want ErrNoTransfer", err)
 	}
 }
 

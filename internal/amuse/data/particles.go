@@ -6,7 +6,6 @@
 package data
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -63,56 +62,6 @@ func (p *Particles) grow(n int) {
 
 // Len returns the number of particles.
 func (p *Particles) Len() int { return len(p.Key) }
-
-// Add appends one particle with a fresh key and returns its index.
-func (p *Particles) Add(mass float64, pos, vel Vec3) int {
-	i := p.Len()
-	p.grow(1)
-	if p.nextKey == 0 {
-		p.nextKey = 1
-	}
-	p.Key[i] = p.nextKey
-	p.nextKey++
-	p.Mass[i] = mass
-	p.Pos[i] = pos
-	p.Vel[i] = vel
-	return i
-}
-
-// Remove deletes the particle at index i (order is not preserved: the last
-// particle moves into slot i, mirroring AMUSE's set semantics where order is
-// incidental and keys are identity).
-func (p *Particles) Remove(i int) {
-	last := p.Len() - 1
-	if i < 0 || i > last {
-		panic(fmt.Sprintf("data: remove index %d out of range [0,%d]", i, last))
-	}
-	p.Key[i] = p.Key[last]
-	p.Mass[i] = p.Mass[last]
-	p.Pos[i] = p.Pos[last]
-	p.Vel[i] = p.Vel[last]
-	p.InternalEnergy[i] = p.InternalEnergy[last]
-	p.Density[i] = p.Density[last]
-	p.SmoothingLen[i] = p.SmoothingLen[last]
-	p.Radius[i] = p.Radius[last]
-	p.Luminosity[i] = p.Luminosity[last]
-	p.Temperature[i] = p.Temperature[last]
-	p.StellarType[i] = p.StellarType[last]
-	p.Age[i] = p.Age[last]
-
-	p.Key = p.Key[:last]
-	p.Mass = p.Mass[:last]
-	p.Pos = p.Pos[:last]
-	p.Vel = p.Vel[:last]
-	p.InternalEnergy = p.InternalEnergy[:last]
-	p.Density = p.Density[:last]
-	p.SmoothingLen = p.SmoothingLen[:last]
-	p.Radius = p.Radius[:last]
-	p.Luminosity = p.Luminosity[:last]
-	p.Temperature = p.Temperature[:last]
-	p.StellarType = p.StellarType[:last]
-	p.Age = p.Age[:last]
-}
 
 // Clone returns a deep copy sharing no storage.
 func (p *Particles) Clone() *Particles {

@@ -25,11 +25,6 @@ type Dim struct {
 // Dimensionless is the zero dimension.
 var Dimensionless = Dim{}
 
-// Mul returns the dimension of a product.
-func (d Dim) Mul(o Dim) Dim {
-	return Dim{d.Mass + o.Mass, d.Length + o.Length, d.Time + o.Time, d.Temp + o.Temp}
-}
-
 // Div returns the dimension of a quotient.
 func (d Dim) Div(o Dim) Dim {
 	return Dim{d.Mass - o.Mass, d.Length - o.Length, d.Time - o.Time, d.Temp - o.Temp}
@@ -75,11 +70,6 @@ func Derived(symbol string, factor float64, base Unit) Unit {
 // Per builds the quotient unit a/b.
 func Per(a, b Unit) Unit {
 	return Unit{Symbol: a.Symbol + "/" + b.Symbol, Dim: a.Dim.Div(b.Dim), Scale: a.Scale / b.Scale}
-}
-
-// Times builds the product unit a·b.
-func Times(a, b Unit) Unit {
-	return Unit{Symbol: a.Symbol + "*" + b.Symbol, Dim: a.Dim.Mul(b.Dim), Scale: a.Scale * b.Scale}
 }
 
 // SI base and astronomy units.
@@ -150,39 +140,6 @@ func (q Quantity) ValueIn(u Unit) (float64, error) {
 		return 0, err
 	}
 	return out.Value, nil
-}
-
-// Add returns q+o (converted to q's unit).
-func (q Quantity) Add(o Quantity) (Quantity, error) {
-	oc, err := o.In(q.Unit)
-	if err != nil {
-		return Quantity{}, fmt.Errorf("add: %w", err)
-	}
-	return Quantity{Value: q.Value + oc.Value, Unit: q.Unit}, nil
-}
-
-// Sub returns q-o (converted to q's unit).
-func (q Quantity) Sub(o Quantity) (Quantity, error) {
-	oc, err := o.In(q.Unit)
-	if err != nil {
-		return Quantity{}, fmt.Errorf("sub: %w", err)
-	}
-	return Quantity{Value: q.Value - oc.Value, Unit: q.Unit}, nil
-}
-
-// Mul returns the product q·o with the combined unit.
-func (q Quantity) Mul(o Quantity) Quantity {
-	return Quantity{Value: q.Value * o.Value, Unit: Times(q.Unit, o.Unit)}
-}
-
-// Div returns the quotient q/o with the combined unit.
-func (q Quantity) Div(o Quantity) Quantity {
-	return Quantity{Value: q.Value / o.Value, Unit: Per(q.Unit, o.Unit)}
-}
-
-// Scale multiplies by a dimensionless factor.
-func (q Quantity) Scale(f float64) Quantity {
-	return Quantity{Value: q.Value * f, Unit: q.Unit}
 }
 
 // String renders "value symbol".

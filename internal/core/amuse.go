@@ -81,15 +81,9 @@ func NewSimulation(ctx context.Context, d *Daemon, conv *units.Converter) *Simul
 	return s
 }
 
-// Clock returns the coupler's virtual clock.
-func (s *Simulation) Clock() *vtime.Clock { return s.clock }
-
 // Elapsed returns the coupler's virtual time — the per-iteration wall time
 // the paper reports in §6.2.
 func (s *Simulation) Elapsed() time.Duration { return s.clock.Now() }
-
-// Daemon returns the daemon this simulation talks to.
-func (s *Simulation) Daemon() *Daemon { return s.daemon }
 
 // SetSession binds the simulation to a control-plane session: id
 // namespaces every worker it starts and labels its capacity in the
@@ -620,16 +614,6 @@ func (s *Simulation) NewHydro(ctx context.Context, spec WorkerSpec, opt HydroOpt
 func (h *Hydro) InjectEnergy(center data.Vec3, radius, e float64) int {
 	h.Call(nil, "inject_energy", kernel.InjectArgs{Center: center, Radius: radius, E: e}, &kernel.Empty{})
 	return 0
-}
-
-// Energy returns (kinetic, thermal, potential). nil ctx means the session
-// context.
-func (h *Hydro) Energy(ctx context.Context) (float64, float64, float64, error) {
-	var out kernel.EnergiesResult
-	if err := h.Call(ctx, "energies", kernel.Empty{}, &out); err != nil {
-		return 0, 0, 0, err
-	}
-	return out.Kinetic, out.Thermal, out.Potential, nil
 }
 
 // StellarModel is the coupler-side SSE model (bridge.Stellar).

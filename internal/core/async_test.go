@@ -68,8 +68,8 @@ func TestGatherJoinsErrors(t *testing.T) {
 	if !errors.Is(err, ErrNoSuchMethod) || !errors.Is(err, ErrBadMethod) {
 		t.Fatalf("joined error %v does not unwrap to ErrBadMethod", err)
 	}
-	if good.Err() != nil {
-		t.Fatalf("good call failed: %v", good.Err())
+	if err := good.Wait(context.Background()); err != nil {
+		t.Fatalf("good call failed: %v", err)
 	}
 }
 

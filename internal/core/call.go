@@ -17,8 +17,8 @@ import (
 // operation a model handle returns.
 type Waiter = bridge.Waiter
 
-// ErrInFlight is returned by Call.Err and Call.Decode while the call has
-// not completed yet.
+// ErrInFlight is returned by Call.Decode while the call has not completed
+// yet.
 var ErrInFlight = errors.New("core: call still in flight")
 
 // Call is one in-flight RPC against a worker — the future returned by
@@ -30,7 +30,7 @@ var ErrInFlight = errors.New("core: call still in flight")
 // not N.
 //
 // The coupler's virtual clock advances when the script observes a call's
-// outcome (Wait, Err, Decode), to the time the response reached it — not
+// outcome (Wait, Decode), to the time the response reached it — not
 // when the response happens to be delivered. A call is stamped with the
 // clock at issue, so what a script reads from the clock depends only on
 // what it has waited for, never on how far the goroutines carrying other
@@ -137,10 +137,6 @@ func (c *Call) await(ctx context.Context) (time.Duration, error) {
 	}
 }
 
-// Done returns a channel closed when the call completes. Select on it to
-// multiplex calls by hand; Wait and Gather cover the common cases.
-func (c *Call) Done() <-chan struct{} { return c.done }
-
 // Wait blocks until the call completes or ctx is done, and returns the
 // call's error (nil on success). A context error abandons only this wait:
 // the RPC stays in flight, a later Wait can still collect it, and the
@@ -160,17 +156,6 @@ func (c *Call) Wait(ctx context.Context) error {
 		return c.observe()
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// Err returns the completed call's error, or ErrInFlight if the call has
-// not finished yet. It never blocks.
-func (c *Call) Err() error {
-	select {
-	case <-c.done:
-		return c.observe()
-	default:
-		return ErrInFlight
 	}
 }
 

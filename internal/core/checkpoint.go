@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -258,25 +256,4 @@ func (m *Model) AsField() *FieldModel {
 	name := m.spec.Kernel
 	m.mu.Unlock()
 	return &FieldModel{modelProxy: m.modelProxy, kernelName: name}
-}
-
-// Encode gob-encodes the manifest — a session snapshot as it is, a
-// checkpoint file through deploy.WriteFileAtomic. DecodeManifest inverts it.
-func (man *Manifest) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
-		return nil, fmt.Errorf("core: encode manifest: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeManifest decodes a manifest produced by Encode. Tests only: every
-// command's sessions install exp's evictor, whose run checkpoint embeds the
-// manifest, so no command resumes a bare one yet.
-func DecodeManifest(b []byte) (*Manifest, error) {
-	man := new(Manifest)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(man); err != nil {
-		return nil, fmt.Errorf("core: decode manifest: %w", err)
-	}
-	return man, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/ic"
+	"jungle/internal/core/kernel"
 )
 
 // evolveStates drives a gravity model through the same two-leg evolve
@@ -102,12 +103,8 @@ func TestCheckpointResumeSimulation(t *testing.T) {
 
 	// Manifest round-trips through its encoding (what a session snapshot
 	// and a checkpoint file hold).
-	enc, err := man.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := DecodeManifest(enc)
-	if err != nil {
+	loaded := new(Manifest)
+	if err := kernel.Decode(kernel.Encode(man), loaded); err != nil {
 		t.Fatal(err)
 	}
 

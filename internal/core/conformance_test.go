@@ -188,12 +188,8 @@ func TestKindConformanceCheckpointRoundTrip(t *testing.T) {
 			if len(man.Models) != 1 || man.Models[0].Kind != k.kind {
 				t.Fatalf("manifest models = %+v", man.Models)
 			}
-			enc, err := man.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := DecodeManifest(enc)
-			if err != nil {
+			loaded := new(Manifest)
+			if err := kernel.Decode(kernel.Encode(man), loaded); err != nil {
 				t.Fatal(err)
 			}
 

@@ -29,12 +29,10 @@ func elasticSim(t *testing.T) (*Testbed, *Simulation) {
 // measurement rounds (they run asynchronously after evolve completions).
 func waitRounds(t *testing.T, g *Gravity, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for g.RebalanceRounds() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("rebalancer stuck at %d rounds, want %d", g.RebalanceRounds(), want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := g.WaitRebalanceRounds(ctx, want); err != nil {
+		t.Fatal(err)
 	}
 }
 

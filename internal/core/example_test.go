@@ -16,6 +16,7 @@ import (
 
 	// Examples start workers of the standard kinds; the adapter packages
 	// must be linked in (the database/sql-driver pattern).
+	"jungle/internal/core/kernel"
 	_ "jungle/internal/kernels"
 )
 
@@ -202,15 +203,11 @@ func Example_checkpointResume() {
 		fmt.Println(err)
 		return
 	}
-	enc, err := man.Encode() // what a checkpoint file or a session snapshot holds
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	sim.Stop() // the original session is gone; only the encoded manifest survives
+	enc := kernel.Encode(man) // what a checkpoint file or a session snapshot holds
+	sim.Stop()                // the original session is gone; only the encoded manifest survives
 
-	loaded, err := core.DecodeManifest(enc)
-	if err != nil {
+	loaded := new(core.Manifest)
+	if err := kernel.Decode(enc, loaded); err != nil {
 		fmt.Println(err)
 		return
 	}

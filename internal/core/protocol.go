@@ -102,7 +102,7 @@ type SessionHeartbeatReply struct{ State string }
 
 // SessionRunArgs submits one unit of work to a session. Payload is opaque
 // to the protocol — the control plane's configured run handler interprets
-// it (jungled: a gob-encoded experiment workload, which crosses real TCP).
+// it (jungled: an exp.SessionWork, which crosses real TCP).
 type SessionRunArgs struct {
 	Session string
 	Payload []byte

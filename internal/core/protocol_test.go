@@ -8,9 +8,8 @@ import (
 )
 
 // sessionPayloads holds the zero value of every session control-plane
-// payload. They reach the gateway inside gob envelopes today (real TCP, see
-// sched/gateway.go), but they are plain structs like every other payload
-// and must cross kernel.Encode/Decode unchanged.
+// payload. They cross real TCP inside the gateway's envelopes (see
+// sched/gateway.go) through kernel.Encode/Decode, like every other payload.
 var sessionPayloads = []any{
 	SessionAttachArgs{}, SessionAttachReply{}, SessionHeartbeatArgs{}, SessionHeartbeatReply{},
 	SessionRunArgs{}, SessionRunReply{}, SessionStatusArgs{}, SessionStatusReply{},
@@ -22,4 +21,10 @@ func TestSessionPayloadsOnTheWire(t *testing.T) {
 	for _, zero := range sessionPayloads {
 		wiretest.Check(t, zero)
 	}
+}
+
+// TestManifestOnTheWire: a manifest is a session snapshot and the core of
+// a run file, encoded with kernel.Encode.
+func TestManifestOnTheWire(t *testing.T) {
+	wiretest.Check(t, Manifest{})
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +35,11 @@ type elasticGang struct {
 	m     *modelProxy
 	label string // telemetry key: kind/resource at arming time
 
-	busy   atomic.Bool   // one measurement round at a time
-	rounds atomic.Uint64 // completed measurement rounds (tests)
+	busy atomic.Bool // one measurement round at a time
+
+	mu     sync.Mutex
+	rounds uint64        // completed measurement rounds
+	round  chan struct{} // closed, and replaced, when a round completes
 }
 
 // EnableRebalance arms skew-driven slab rebalancing on a gang model.
@@ -47,7 +52,7 @@ func (m *modelProxy) EnableRebalance() error {
 		return fmt.Errorf("core: EnableRebalance: %s is not a gang", m.kind)
 	}
 	m.mu.Lock()
-	m.elastic = &elasticGang{m: m, label: fmt.Sprintf("%s/%s", m.kind, m.spec.Resource)}
+	m.elastic = &elasticGang{m: m, label: fmt.Sprintf("%s/%s", m.kind, m.spec.Resource), round: make(chan struct{})}
 	m.mu.Unlock()
 	return nil
 }
@@ -60,12 +65,28 @@ func (m *modelProxy) DisableRebalance() {
 	m.mu.Unlock()
 }
 
-// RebalanceRounds reports completed measurement rounds (diagnostics).
-func (m *modelProxy) RebalanceRounds() uint64 {
-	if e := m.elasticState(); e != nil {
-		return e.rounds.Load()
+// WaitRebalanceRounds blocks until the armed rebalancer has completed n
+// measurement rounds since it was armed, or ctx is done. Rounds run
+// asynchronously after evolve completions, so a caller that needs the
+// rebalancer to have seen an evolve waits here.
+func (m *modelProxy) WaitRebalanceRounds(ctx context.Context, n uint64) error {
+	e := m.elasticState()
+	if e == nil {
+		return fmt.Errorf("core: WaitRebalanceRounds: %s has no armed rebalancer", m.kind)
 	}
-	return 0
+	for {
+		e.mu.Lock()
+		done, round := e.rounds, e.round
+		e.mu.Unlock()
+		if done >= n {
+			return nil
+		}
+		select {
+		case <-round:
+		case <-ctx.Done():
+			return fmt.Errorf("core: rebalancer stuck at %d of %d rounds: %w", done, n, ctx.Err())
+		}
+	}
 }
 
 // evolveDone is the evolve success hook: every evolve spawns one
@@ -77,7 +98,11 @@ func (e *elasticGang) evolveDone() {
 	go func() {
 		defer e.busy.Store(false)
 		e.rebalanceOnce()
-		e.rounds.Add(1)
+		e.mu.Lock()
+		e.rounds++
+		close(e.round)
+		e.round = make(chan struct{})
+		e.mu.Unlock()
 	}()
 }
 

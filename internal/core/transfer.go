@@ -225,19 +225,6 @@ func (s *Simulation) runHairpin(c *Call, src, dst *modelProxy, apply string, slo
 	c.finish(nil, nil, err, at)
 }
 
-// NewRemoteChannel mirrors data.NewChannel for particle sets that live on
-// workers: Copy moves columns from src's worker to dst's worker over the
-// direct data plane (or its fallback) without materializing them on the
-// coupler. nil ctx means the session context.
-func (s *Simulation) NewRemoteChannel(ctx context.Context, src, dst StateEndpoint) *data.RemoteChannel {
-	if ctx == nil {
-		ctx = s.ctx
-	}
-	return data.NewRemoteChannel(func(attrs []string) error {
-		return s.TransferState(ctx, src, dst, attrs...)
-	})
-}
-
 // GoFieldDirect evaluates the field of src's particles at tgt's positions
 // with both inputs staged on the field worker over the direct data plane:
 // the coupler orchestrates three RPCs but never holds the columns

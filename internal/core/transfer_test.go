@@ -317,15 +317,15 @@ func coupledBridge(t *testing.T, sim *Simulation) *bridge.Bridge {
 	return br
 }
 
-// TestRemoteChannelCopy mirrors the data.Channel contract for
+// TestRemoteChannelCopy: TransferState is AMUSE's channel copy for
 // worker-resident sets, including the attribute-error naming guarantee.
 func TestRemoteChannelCopy(t *testing.T) {
 	_, sim := dslSim(t)
 	const n = 32
 	src, dst := transferPair(t, sim, ic.Plummer(n, 21))
 
-	ch := sim.NewRemoteChannel(context.Background(), src, dst)
-	if err := ch.Copy(); err != nil {
+	ctx := context.Background()
+	if err := sim.TransferState(ctx, src, dst); err != nil {
 		t.Fatal(err)
 	}
 	assertStateMatches(t, src, dst, n)
@@ -334,7 +334,7 @@ func TestRemoteChannelCopy(t *testing.T) {
 	// it (satellite: Channel.Copy attribute-missing diagnosability, remote
 	// flavor). "u" is readable from hydro but gravity has no such column —
 	// here neither side is a hydro, so the source read already names it.
-	err := ch.Copy(data.AttrInternalEnergy)
+	err := sim.TransferState(ctx, src, dst, data.AttrInternalEnergy)
 	if err == nil {
 		t.Fatal("copy of unsupported attribute succeeded")
 	}
@@ -370,7 +370,7 @@ func TestRemoteChannelDestinationMissingAttr(t *testing.T) {
 	}
 	// Internal energy is readable from the hydro worker but the gravity
 	// kind has nowhere to put it.
-	err = sim.NewRemoteChannel(context.Background(), h, g).Copy(data.AttrInternalEnergy)
+	err = sim.TransferState(context.Background(), h, g, data.AttrInternalEnergy)
 	if err == nil {
 		t.Fatal("copy of attribute absent from destination succeeded")
 	}

@@ -126,7 +126,8 @@ func TestSubmitToClusterResource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	<-j.Done()
+	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if n := <-got; n != 8 {
@@ -154,7 +155,8 @@ func TestSubmitToSSHResource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	<-j.Done()
+	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,7 +174,7 @@ func TestRenderStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Wait()
+	<-j.Done()
 	s := d.RenderStatus()
 	for _, want := range []string{"das4-vu", "sge", "+gpu:gtx480", "stopped", "SmartSockets overlay"} {
 		if !strings.Contains(s, want) {
@@ -299,7 +301,7 @@ func TestRetentionFinishedJobs(t *testing.T) {
 		if exe == "wait" {
 			j.Cancel()
 		}
-		j.Wait()
+		<-j.Done()
 		d.mu.Lock()
 		held := len(d.jobs)
 		d.mu.Unlock()

@@ -33,7 +33,7 @@ func TestCalibrationMeasurements(t *testing.T) {
 	if err := g.EvolveTo(context.Background(), w.DT); err != nil {
 		t.Fatal(err)
 	}
-	pg := g.Flops()
+	pg := g.ResetFlops()
 
 	h := sph.New()
 	h.EpsGrav = 0.01
@@ -43,7 +43,7 @@ func TestCalibrationMeasurements(t *testing.T) {
 	if err := h.EvolveTo(context.Background(), w.DT); err != nil {
 		t.Fatal(err)
 	}
-	sphF := h.Flops()
+	sphF := h.ResetFlops()
 
 	k := tree.NewFi(cpu)
 	_, _, f1 := k.FieldAt(context.Background(), gas.Mass, gas.Pos, stars.Pos, w.Eps)

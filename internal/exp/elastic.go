@@ -84,9 +84,11 @@ func elasticArm(nStars, steps int, rebalance bool) (time.Duration, float64, erro
 			return 0, 0, err
 		}
 		if rebalance {
-			deadline := time.Now().Add(20 * time.Second)
-			for g.RebalanceRounds() < uint64(i+1) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
+			err := g.WaitRebalanceRounds(wctx, uint64(i+1))
+			cancel()
+			if err != nil {
+				return 0, 0, err
 			}
 		}
 	}

@@ -1,13 +1,12 @@
 package exp
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"os"
 
 	"jungle/internal/core"
+	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
 	"jungle/internal/phys/bridge"
 )
@@ -42,7 +41,7 @@ type RunCheckpoint struct {
 	Supernovae  int
 	// Core is the coupler-level manifest: specs, setup payloads and
 	// snapshot blobs for all four workers.
-	Core *core.Manifest
+	Core core.Manifest
 }
 
 // checkpoint snapshots the live run into an encoded RunCheckpoint: the core
@@ -54,21 +53,16 @@ func (sb *scenarioBridge) checkpoint(ctx context.Context, scenario string, w Wor
 	if err != nil {
 		return nil, fmt.Errorf("exp: checkpoint %s after iteration %d: %w", scenario, done, err)
 	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(&RunCheckpoint{
+	return kernel.Encode(&RunCheckpoint{
 		Scenario: scenario, W: w, Iterations: iterations, Done: done,
 		BridgeTime: sb.bridge.Time(), BridgeSteps: sb.bridge.Steps(),
-		Supernovae: sb.bridge.Supernovae(), Core: man,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: encode run checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
+		Supernovae: sb.bridge.Supernovae(), Core: *man,
+	}), nil
 }
 
 func decodeRunCheckpoint(b []byte) (*RunCheckpoint, error) {
 	rc := new(RunCheckpoint)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(rc); err != nil {
+	if err := kernel.Decode(b, rc); err != nil {
 		return nil, fmt.Errorf("exp: decode run checkpoint: %w", err)
 	}
 	return rc, nil
@@ -158,7 +152,7 @@ func ResumeScenario(ctx context.Context, tb *core.Testbed, path string) (RunResu
 	if rc.Done >= rc.Iterations {
 		return RunResult{}, fmt.Errorf("exp: run %s already complete (%d/%d iterations)", rc.Scenario, rc.Done, rc.Iterations)
 	}
-	sim, models, err := core.ResumeSimulation(ctx, tb.Daemon, nil, rc.Core)
+	sim, models, err := core.ResumeSimulation(ctx, tb.Daemon, nil, &rc.Core)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: resume %s: %w", rc.Scenario, err)
 	}

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"jungle/internal/core"
+	"jungle/internal/core/kernel"
 )
 
 // TestResumeScenarioBitCompatible is the end-to-end resume guarantee on
@@ -65,11 +64,7 @@ func TestResumeScenarioBitCompatible(t *testing.T) {
 		t.Fatalf("run file Done = %d, want %d", rc.Done, iters/2)
 	}
 	rc.Iterations = iters // the plan the killed run was pursuing
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, kernel.Encode(rc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

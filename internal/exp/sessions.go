@@ -1,13 +1,12 @@
 package exp
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
 
+	"jungle/internal/core/kernel"
 	"jungle/internal/sched"
 )
 
@@ -53,7 +52,7 @@ func ResumeSessionScenario(ctx context.Context, sess *sched.Session, snapshot []
 	if err != nil {
 		return nil, err
 	}
-	sim, models, err := sess.ResumeSim(ctx, nil, rc.Core)
+	sim, models, err := sess.ResumeSim(ctx, nil, &rc.Core)
 	if err != nil {
 		return nil, fmt.Errorf("exp: resume session %s: %w", sess.ID(), err)
 	}
@@ -126,7 +125,7 @@ func (sr *SessionRun) Result() (RunResult, error) {
 	}, nil
 }
 
-// SessionWork is the gob payload a thin client (amuse-run -attach) sends
+// SessionWork is the payload a thin client (amuse-run -attach) sends
 // through a session_run op: the workload for this session and how many
 // bridge iterations to advance it. Repeated calls keep stepping the same
 // live run; only the first call's workload matters (a resumed session's
@@ -136,7 +135,7 @@ type SessionWork struct {
 	Iterations int
 }
 
-// SessionReport is the gob reply to a SessionWork: the run's cumulative
+// SessionReport is the reply to a SessionWork: the run's cumulative
 // measurement, including the state digest clients compare across
 // evictions.
 type SessionReport struct {
@@ -154,7 +153,7 @@ func SessionRunner() sched.RunFunc {
 	runs := make(map[string]*SessionRun)
 	return func(ctx context.Context, sess *sched.Session, payload []byte) ([]byte, error) {
 		var work SessionWork
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&work); err != nil {
+		if err := kernel.Decode(payload, &work); err != nil {
 			return nil, fmt.Errorf("exp: decode session work: %w", err)
 		}
 		mu.Lock()
@@ -185,11 +184,7 @@ func SessionRunner() sched.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(SessionReport{Result: res, Resumed: resumed}); err != nil {
-			return nil, fmt.Errorf("exp: encode session report: %w", err)
-		}
-		return buf.Bytes(), nil
+		return kernel.Encode(SessionReport{Result: res, Resumed: resumed}), nil
 	}
 }
 

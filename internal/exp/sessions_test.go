@@ -104,7 +104,7 @@ func TestSessionLifecycleBitCompatible(t *testing.T) {
 	}
 
 	// The trace recorder kept the session's story.
-	st, ok := tb.Recorder.Session("tenant")
+	st, ok := tb.Recorder.Sessions()["tenant"]
 	if !ok || st.Evictions != 1 || st.Resumes != 1 {
 		t.Fatalf("session accounting = %+v, ok=%v; want 1 eviction, 1 resume", st, ok)
 	}

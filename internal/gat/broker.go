@@ -153,7 +153,7 @@ func (b *Broker) Execute(j *Job, hosts []string, release func(), submitOverhead 
 		Hosts: hosts, Args: j.Desc.Args, Net: b.Net, FS: b.FS,
 		Cancel: j.cancel, StartedAt: start,
 	}
-	j.setRunning(hosts)
+	j.setState(Running, nil)
 	err = proc(ctx)
 
 	select {

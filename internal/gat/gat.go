@@ -151,7 +151,6 @@ type Job struct {
 	mu    sync.Mutex
 	state JobState
 	err   error
-	hosts []string
 
 	cancel chan struct{}
 	done   chan struct{}
@@ -178,19 +177,6 @@ func (j *Job) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Hosts returns the allocated nodes (empty until Running).
-func (j *Job) Hosts() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]string(nil), j.hosts...)
-}
-
-// Wait blocks until the job stops and returns its error.
-func (j *Job) Wait() error {
-	<-j.done
-	return j.Err()
 }
 
 // Done returns a channel closed when the job stops.
@@ -223,11 +209,4 @@ func (j *Job) setState(s JobState, err error) {
 	if s == Stopped || s == Failed || s == Canceled {
 		close(j.done)
 	}
-}
-
-func (j *Job) setRunning(hosts []string) {
-	j.mu.Lock()
-	j.hosts = append([]string(nil), hosts...)
-	j.mu.Unlock()
-	j.setState(Running, nil)
 }

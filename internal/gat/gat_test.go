@@ -54,14 +54,14 @@ func newRig(t *testing.T, nodes int) *testRig {
 func TestFSWriteReadCopy(t *testing.T) {
 	r := newRig(t, 2)
 	r.fs.Write("desktop", "/input.dat", []byte("hello"))
-	cost, err := r.fs.Copy("desktop", "/input.dat", r.cluster.Node(0), "/tmp/input.dat")
+	cost, err := r.fs.Copy("desktop", "/input.dat", r.cluster.NodeName[0], "/tmp/input.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost <= 0 {
 		t.Fatal("cross-host copy cost zero virtual time")
 	}
-	got, err := r.fs.Read(r.cluster.Node(0), "/tmp/input.dat")
+	got, err := r.fs.Read(r.cluster.NodeName[0], "/tmp/input.dat")
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("read: %q, %v", got, err)
 	}
@@ -78,10 +78,10 @@ func TestFileStagingRecordsTraffic(t *testing.T) {
 	rec := trace.New()
 	r.net.SetRecorder(rec)
 	r.fs.Write("desktop", "/a", make([]byte, 5000))
-	if _, err := r.fs.Copy("desktop", "/a", r.cluster.Node(0), "/a"); err != nil {
+	if _, err := r.fs.Copy("desktop", "/a", r.cluster.NodeName[0], "/a"); err != nil {
 		t.Fatal(err)
 	}
-	if b := rec.Bytes("desktop", r.cluster.Node(0), "file"); b != 5000 {
+	if b := rec.TotalByClass()["file"]; b != 5000 {
 		t.Fatalf("file traffic = %d", b)
 	}
 }
@@ -100,7 +100,7 @@ func TestLocalJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	if err := wait(j); err != nil {
 		t.Fatal(err)
 	}
 	if !ran.Load() || j.State() != Stopped {
@@ -127,7 +127,7 @@ func TestSSHJobOnStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	if err := wait(j); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,21 +153,23 @@ func TestSGEMultiNodeJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	if err := wait(j); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.Hosts()) != 4 {
-		t.Fatalf("job hosts = %v", j.Hosts())
-	}
 	// Every node came back: a job asking for the whole cluster runs.
-	r.catalog.Register("all", func(*Context) error { return nil })
+	r.catalog.Register("all", func(ctx *Context) error {
+		if len(ctx.Hosts) != 8 {
+			t.Errorf("allocated %d nodes", len(ctx.Hosts))
+		}
+		return nil
+	})
 	j, err = r.broker.Submit(JobDescription{Executable: "all", Nodes: 8},
 		"sge://"+r.cluster.Frontend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil || len(j.Hosts()) != 8 {
-		t.Fatalf("nodes not released: hosts %v, err %v", j.Hosts(), err)
+	if err := wait(j); err != nil {
+		t.Fatalf("nodes not released: %v", err)
 	}
 }
 
@@ -211,10 +213,10 @@ func TestQueueingFIFO(t *testing.T) {
 		t.Fatalf("queued job state = %v", j2.State())
 	}
 	close(release)
-	if err := j1.Wait(); err != nil {
+	if err := wait(j1); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Wait(); err != nil {
+	if err := wait(j2); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -248,11 +250,11 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Cancel()
-	if err := j2.Wait(); !errors.Is(err, ErrCanceled) {
+	if err := wait(j2); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v", err)
 	}
 	close(release)
-	if err := j1.Wait(); err != nil {
+	if err := wait(j1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,7 +276,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("state = %v", j.State())
 	}
 	j.Cancel()
-	if err := j.Wait(); !errors.Is(err, ErrCanceled) {
+	if err := wait(j); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if j.State() != Canceled {
@@ -291,7 +293,7 @@ func TestAutoAdapterSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	if err := wait(j); err != nil {
 		t.Fatal(err)
 	}
 	if j.Adapter != "ssh" {
@@ -305,7 +307,7 @@ func TestAutoAdapterSelection(t *testing.T) {
 	if j2.Adapter != "local" {
 		t.Fatalf("adapter = %q, want local", j2.Adapter)
 	}
-	j2.Wait()
+	wait(j2)
 }
 
 func TestAutoSelectionFailsCleanly(t *testing.T) {
@@ -343,7 +345,7 @@ func TestStageInAndOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(); err != nil {
+	if err := wait(j); err != nil {
 		t.Fatal(err)
 	}
 	out, err := r.fs.Read("desktop", "/results/out.dat")
@@ -357,7 +359,7 @@ func TestFailedProcessMarksJobFailed(t *testing.T) {
 	boom := errors.New("boom")
 	r.catalog.Register("bad", func(*Context) error { return boom })
 	j, _ := r.broker.Submit(JobDescription{Executable: "bad"}, "local://")
-	if err := j.Wait(); !errors.Is(err, boom) {
+	if err := wait(j); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if j.State() != Failed {
@@ -371,4 +373,10 @@ func TestJobStateString(t *testing.T) {
 			t.Fatalf("missing name for state %d", s)
 		}
 	}
+}
+
+// wait blocks until j stops and returns its error.
+func wait(j *Job) error {
+	<-j.Done()
+	return j.Err()
 }

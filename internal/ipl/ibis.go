@@ -1,10 +1,7 @@
 package ipl
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -137,15 +134,6 @@ func (ib *Ibis) ListenPeer() (*smartsockets.Listener, error) {
 // through the overlay. sentAt is the caller's virtual clock.
 func (ib *Ibis) DialPeer(addr smartsockets.Address, sentAt time.Duration) (*smartsockets.VirtualConn, error) {
 	return ib.factory.Connect(addr, sentAt)
-}
-
-// Members returns the current pool membership as known locally.
-func (ib *Ibis) Members() []Identifier {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	out := slices.Collect(maps.Values(ib.members))
-	slices.SortFunc(out, func(a, b Identifier) int { return cmp.Compare(a.ID, b.ID) })
-	return out
 }
 
 // Events returns the membership/election event stream.

@@ -1,8 +1,10 @@
 package ipl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -19,6 +21,25 @@ type testPool struct {
 	registry *Registry
 	hub      string
 	hosts    []string
+}
+
+// members returns ib's pool membership as it knows it, by id.
+func members(ib *Ibis) []Identifier {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	out := slices.Collect(maps.Values(ib.members))
+	slices.SortFunc(out, func(a, b Identifier) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// poolMembers returns the registry's live members of a pool.
+func poolMembers(r *Registry, pool string) []Identifier {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if p := r.pools[pool]; p != nil {
+		return p.live()
+	}
+	return nil
 }
 
 func newTestPool(t *testing.T, n int) *testPool {
@@ -73,7 +94,7 @@ func TestJoinAssignsSequentialIDs(t *testing.T) {
 	if a.Identifier().ID != 0 || b.Identifier().ID != 1 || c.Identifier().ID != 2 {
 		t.Fatalf("ids = %d,%d,%d", a.Identifier().ID, b.Identifier().ID, c.Identifier().ID)
 	}
-	members := tp.registry.Members("amuse")
+	members := poolMembers(tp.registry, "amuse")
 	if len(members) != 3 {
 		t.Fatalf("registry members = %v", members)
 	}
@@ -86,7 +107,7 @@ func TestPoolsAreIsolated(t *testing.T) {
 	if a.Identifier().ID != 0 || b.Identifier().ID != 0 {
 		t.Fatalf("pool-separate ids: %d, %d", a.Identifier().ID, b.Identifier().ID)
 	}
-	if n := len(tp.registry.Members("poolA")); n != 1 {
+	if n := len(poolMembers(tp.registry, "poolA")); n != 1 {
 		t.Fatalf("poolA members = %d", n)
 	}
 }
@@ -104,7 +125,7 @@ func TestJoinEventDelivery(t *testing.T) {
 		t.Fatal("no join event")
 	}
 	// Membership snapshot at joiner includes the earlier member.
-	members := b.Members()
+	members := members(b)
 	if len(members) != 2 {
 		t.Fatalf("b sees %v", members)
 	}
@@ -489,7 +510,7 @@ func TestJoinLeaveHammer(t *testing.T) {
 					t.Errorf("joiner %d round %d: %v", i, r, err)
 					return
 				}
-				if len(ib.Members()) == 0 {
+				if len(members(ib)) == 0 {
 					t.Errorf("joiner %d round %d: empty join snapshot", i, r)
 				}
 				ib.End()
@@ -520,15 +541,15 @@ func TestJoinLeaveHammer(t *testing.T) {
 			t.Fatalf("resident saw %d joins and %d leaves, want %d of each", joined, left, joiners*rounds)
 		}
 	}
-	if m := resident.Members(); len(m) != 1 || m[0] != resident.Identifier() {
+	if m := members(resident); len(m) != 1 || m[0] != resident.Identifier() {
 		t.Fatalf("resident's pool view after the storm: %v", m)
 	}
-	if m := tp.registry.Members("amuse"); len(m) != 1 {
+	if m := poolMembers(tp.registry, "amuse"); len(m) != 1 {
 		t.Fatalf("registry's pool after the storm: %v", m)
 	}
 }
 
-// TestJoinSnapshotListsLiveMembers: a join's snapshot and Registry.Members
+// TestJoinSnapshotListsLiveMembers: a join's snapshot and the registry's pool
 // list the pool's live members in ascending id order, at the cost of those
 // members — not of every id the pool ever handed out (a daemon's pool hands
 // out one per worker start). Thousands of members join one pool and leave it again
@@ -567,9 +588,9 @@ func TestJoinSnapshotListsLiveMembers(t *testing.T) {
 		want = append(want, ib.Identifier())
 	}
 	// A leave is acknowledged before the registry drops the member.
-	for deadline := time.Now().Add(10 * time.Second); !slices.Equal(tp.registry.Members("amuse"), want); {
+	for deadline := time.Now().Add(10 * time.Second); !slices.Equal(poolMembers(tp.registry, "amuse"), want); {
 		if time.Now().After(deadline) {
-			t.Fatalf("registry members %v, want %v", tp.registry.Members("amuse"), want)
+			t.Fatalf("registry members %v, want %v", poolMembers(tp.registry, "amuse"), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -579,10 +600,10 @@ func TestJoinSnapshotListsLiveMembers(t *testing.T) {
 		t.Fatalf("the last joiner got id %d, want %d: one id per join", id, cycles)
 	}
 	want = append(want, last.Identifier())
-	if got := last.Members(); !slices.Equal(got, want) {
+	if got := members(last); !slices.Equal(got, want) {
 		t.Errorf("join snapshot %v, want %v", got, want)
 	}
-	if got := tp.registry.Members("amuse"); !slices.Equal(got, want) {
+	if got := poolMembers(tp.registry, "amuse"); !slices.Equal(got, want) {
 		t.Errorf("registry members %v, want %v", got, want)
 	}
 }

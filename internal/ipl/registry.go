@@ -90,17 +90,6 @@ func (r *Registry) Close() {
 	r.wg.Wait()
 }
 
-// Members returns the current membership of a pool, sorted by ID.
-func (r *Registry) Members(poolName string) []Identifier {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.pools[poolName]
-	if p == nil {
-		return nil
-	}
-	return p.live()
-}
-
 func (r *Registry) acceptLoop() {
 	defer r.wg.Done()
 	for {

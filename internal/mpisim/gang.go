@@ -112,13 +112,6 @@ func (g *Gang) fail(err error) error {
 	return broken
 }
 
-// Err returns the sticky error, if the gang is broken.
-func (g *Gang) Err() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.broken
-}
-
 func (g *Gang) link(peer int) (Link, error) {
 	g.mu.Lock()
 	broken := g.broken

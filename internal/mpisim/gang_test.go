@@ -53,7 +53,10 @@ func TestGangBrokenFailsFast(t *testing.T) {
 	if err := g.Send(1, []byte("x")); err == nil {
 		t.Fatal("send on closed link succeeded")
 	}
-	if err := g.Err(); !errors.Is(err, ErrGangBroken) {
+	g.mu.Lock()
+	err := g.broken
+	g.mu.Unlock()
+	if !errors.Is(err, ErrGangBroken) {
 		t.Fatalf("sticky error %v, want ErrGangBroken", err)
 	}
 	if _, err := AllreduceSum(g, []float64{1}); !errors.Is(err, ErrGangBroken) {

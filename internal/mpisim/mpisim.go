@@ -186,9 +186,6 @@ func (l connLink) Recv() ([]byte, time.Duration, error) {
 
 func (l connLink) Close() error { return l.conn.Close() }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.gangs) }
-
 // Close tears down all listeners and connections. Safe to call more than
 // once.
 func (w *World) Close() {

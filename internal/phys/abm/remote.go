@@ -53,19 +53,6 @@ func (r *Remote) SeedState(ctx context.Context, seed int64) error {
 	return r.c.SetState(ctx, st)
 }
 
-// State fetches the agent state column.
-func (r *Remote) State(ctx context.Context) ([]float64, error) {
-	st, err := r.c.GetState(ctx, AttrState)
-	if err != nil {
-		return nil, err
-	}
-	u := st.Float(AttrState)
-	if u == nil {
-		return nil, fmt.Errorf("abm: worker returned no %s column", AttrState)
-	}
-	return u, nil
-}
-
 // Positions fetches the agent positions (field-kernel targets).
 func (r *Remote) Positions(ctx context.Context) ([]data.Vec3, error) {
 	st, err := r.c.GetState(ctx, AttrPos)

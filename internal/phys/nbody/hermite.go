@@ -92,9 +92,6 @@ func (s *System) Time() float64 { return s.time }
 // Steps returns the number of integrator steps taken.
 func (s *System) Steps() int { return s.steps }
 
-// Flops returns the accumulated accounted flop count.
-func (s *System) Flops() float64 { return s.flops }
-
 // ResetFlops zeroes the flop counter and returns the prior value.
 func (s *System) ResetFlops() float64 {
 	f := s.flops

@@ -161,11 +161,11 @@ func TestFlopAccounting(t *testing.T) {
 	}
 	// One step needs >= 2 force evaluations (initial + corrector).
 	wantMin := 2 * FlopsPerPair * 50.0 * 49.0
-	if s.Flops() < wantMin {
-		t.Fatalf("flops = %v, want >= %v", s.Flops(), wantMin)
+	if s.flops < wantMin {
+		t.Fatalf("flops = %v, want >= %v", s.flops, wantMin)
 	}
 	prev := s.ResetFlops()
-	if prev == 0 || s.Flops() != 0 {
+	if prev == 0 || s.flops != 0 {
 		t.Fatal("ResetFlops broken")
 	}
 }

@@ -216,10 +216,6 @@ func (g *Gas) RestoreClock(t float64, steps int) {
 	g.steps = steps
 }
 
-// Flops returns accumulated accounted flops (per-rank work is accounted on
-// each rank's clock when run under a world; this counter is the total).
-func (g *Gas) Flops() float64 { return g.flops }
-
 // ResetFlops zeroes the counter and returns the prior value.
 func (g *Gas) ResetFlops() float64 {
 	f := g.flops

@@ -145,7 +145,7 @@ func TestEvolveConservesEnergyShortTerm(t *testing.T) {
 	if g.Steps() == 0 {
 		t.Fatal("no steps taken")
 	}
-	if g.Flops() <= 0 {
+	if g.flops <= 0 {
 		t.Fatal("no flops accounted")
 	}
 }
@@ -291,7 +291,7 @@ func TestParallelStepsAccounted(t *testing.T) {
 	if g.Time() < 0.01-1e-12 {
 		t.Fatalf("time = %v", g.Time())
 	}
-	if g.Steps() == 0 || g.Flops() == 0 {
+	if g.Steps() == 0 || g.flops == 0 {
 		t.Fatal("steps/flops not accounted")
 	}
 }

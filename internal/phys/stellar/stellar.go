@@ -47,10 +47,6 @@ func (t Type) String() string {
 	}
 }
 
-// FlopsPerStar is the accounted cost of one star state lookup — small, as
-// the paper stresses.
-const FlopsPerStar = 120
-
 // Star is the evolving state of one star.
 type Star struct {
 	InitialMass float64 // MSun, fixed at birth
@@ -221,7 +217,6 @@ type Population struct {
 	time  float64 // Myr
 
 	supernovae int
-	flops      float64
 }
 
 // NewPopulation creates a population from initial masses in MSun.
@@ -253,16 +248,6 @@ func (p *Population) Restore(stars []Star, timeMyr float64, supernovae int) {
 	p.supernovae = supernovae
 }
 
-// Flops returns the accounted flop count.
-func (p *Population) Flops() float64 { return p.flops }
-
-// ResetFlops zeroes the counter and returns the prior value.
-func (p *Population) ResetFlops() float64 {
-	f := p.flops
-	p.flops = 0
-	return f
-}
-
 // EvolveTo advances every star to age tMyr and returns the per-star mass
 // loss (MSun) since the previous call.
 func (p *Population) EvolveTo(tMyr float64) []float64 {
@@ -273,18 +258,8 @@ func (p *Population) EvolveTo(tMyr float64) []float64 {
 			p.supernovae++
 		}
 	}
-	p.flops += FlopsPerStar * float64(len(p.Stars))
 	if tMyr > p.time {
 		p.time = tMyr
 	}
 	return loss
-}
-
-// TotalMass returns the current summed mass in MSun.
-func (p *Population) TotalMass() float64 {
-	var m float64
-	for i := range p.Stars {
-		m += p.Stars[i].Mass
-	}
-	return m
 }

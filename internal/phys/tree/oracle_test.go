@@ -293,8 +293,8 @@ func TestBuildMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for name, p := range oracleInputs(seed) {
 			got, want := Build(p.Mass, p.Pos), oracleBuild(p.Mass, p.Pos)
-			if got.Nodes() != len(want.nodes) {
-				t.Fatalf("%s seed %d: %d nodes, oracle %d", name, seed, got.Nodes(), len(want.nodes))
+			if len(got.nodes) != len(want.nodes) {
+				t.Fatalf("%s seed %d: %d nodes, oracle %d", name, seed, len(got.nodes), len(want.nodes))
 			}
 			sameTopology(t, got, want, 0, 0)
 			if name == "coincident" {

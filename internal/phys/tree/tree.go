@@ -188,17 +188,6 @@ func (t *Tree) split(lo, hi int, center data.Vec3, half float64, depth int, tmp 
 	return m, wcom
 }
 
-// Nodes returns the number of tree nodes (diagnostics).
-func (t *Tree) Nodes() int { return len(t.nodes) }
-
-// TotalMass returns the summed source mass.
-func (t *Tree) TotalMass() float64 {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return t.nodes[0].mass
-}
-
 // accelAt walks the tree for one target point and returns the acceleration,
 // the potential and the interactions counted. Sums are kept in locals and in
 // the order of the depth-first walk, which the preorder layout makes a single
@@ -322,9 +311,6 @@ func NewFi(dev *vtime.Device) *Kernel {
 
 // Name returns the kernel name.
 func (k *Kernel) Name() string { return k.name }
-
-// Device returns the kernel's performance model.
-func (k *Kernel) Device() *vtime.Device { return k.dev }
 
 // FieldAt builds a tree over the sources and evaluates the field at the
 // targets. It returns the accelerations, potentials and accounted flops

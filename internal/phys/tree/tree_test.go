@@ -44,11 +44,11 @@ func directField(mass []float64, pos []data.Vec3, targets []data.Vec3, eps float
 func TestTreeMassConservation(t *testing.T) {
 	p := ic.Plummer(500, 1)
 	tr := Build(p.Mass, p.Pos)
-	if m := tr.TotalMass(); math.Abs(m-1) > 1e-12 {
+	if m := tr.nodes[0].mass; math.Abs(m-1) > 1e-12 {
 		t.Fatalf("tree mass = %v", m)
 	}
-	if tr.Nodes() < 10 {
-		t.Fatalf("tree too shallow: %d nodes", tr.Nodes())
+	if len(tr.nodes) < 10 {
+		t.Fatalf("tree too shallow: %d nodes", len(tr.nodes))
 	}
 }
 
@@ -130,14 +130,14 @@ func TestOctgravFiIdentical(t *testing.T) {
 	if a.Name() == b.Name() {
 		t.Fatal("kernels share a name")
 	}
-	if a.Device().Kind != vtime.GPU || b.Device().Kind != vtime.CPU {
+	if a.dev.Kind != vtime.GPU || b.dev.Kind != vtime.CPU {
 		t.Fatal("kernel devices wrong")
 	}
 }
 
 func TestEmptyAndSingleBody(t *testing.T) {
 	tr := Build(nil, nil)
-	if tr.TotalMass() != 0 {
+	if len(tr.nodes) != 0 {
 		t.Fatal("empty tree has mass")
 	}
 	acc := make([]data.Vec3, 1)
@@ -175,8 +175,8 @@ func TestCoincidentBodies(t *testing.T) {
 	if math.IsNaN(acc[0].Norm()) || math.IsNaN(pot[0]) {
 		t.Fatal("NaN from coincident bodies")
 	}
-	if math.Abs(tr.TotalMass()-float64(n)) > 1e-12 {
-		t.Fatalf("mass = %v", tr.TotalMass())
+	if math.Abs(tr.nodes[0].mass-float64(n)) > 1e-12 {
+		t.Fatalf("mass = %v", tr.nodes[0].mass)
 	}
 }
 

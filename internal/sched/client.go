@@ -45,20 +45,9 @@ func NewClient(conn io.ReadWriteCloser) *Client {
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Session returns the session id this client is attached to ("" before
-// Attach).
-func (c *Client) Session() string { return c.session }
-
 // do performs one request/response round trip.
 func (c *Client) do(method string, args, reply any) error {
-	body, err := gobEncode(args)
-	if err != nil {
-		return fmt.Errorf("sched: encode %s args: %w", method, err)
-	}
-	out, err := gobEncode(Envelope{Method: method, Body: body})
-	if err != nil {
-		return fmt.Errorf("sched: encode %s envelope: %w", method, err)
-	}
+	out := kernel.Encode(Envelope{Method: method, Body: kernel.Encode(args)})
 	if err := writeFrame(c.w, out); err != nil {
 		return fmt.Errorf("sched: send %s: %w", method, err)
 	}
@@ -71,14 +60,14 @@ func (c *Client) do(method string, args, reply any) error {
 		return fmt.Errorf("sched: %s reply: %w", method, err)
 	}
 	var rf ReplyFrame
-	if err := gobDecode(payload, &rf); err != nil {
+	if err := kernel.Decode(payload, &rf); err != nil {
 		return fmt.Errorf("sched: decode %s reply: %w", method, err)
 	}
 	if rf.Code != 0 {
 		return c.replyErr(method, rf)
 	}
 	if reply != nil {
-		if err := gobDecode(rf.Body, reply); err != nil {
+		if err := kernel.Decode(rf.Body, reply); err != nil {
 			return fmt.Errorf("sched: decode %s result: %w", method, err)
 		}
 	}
@@ -92,7 +81,7 @@ func (c *Client) replyErr(method string, rf ReplyFrame) error {
 	code := kernel.Code(rf.Code)
 	if code == kernel.CodeBusy {
 		var busy core.SessionBusy
-		if err := gobDecode(rf.Body, &busy); err == nil {
+		if err := kernel.Decode(rf.Body, &busy); err == nil {
 			return &BusyError{
 				RetryAfter: time.Duration(busy.RetryAfterMs) * time.Millisecond,
 				Queued:     busy.Queued,
@@ -114,50 +103,12 @@ func (c *Client) Attach(session string, wait bool) (core.SessionAttachReply, err
 	return rep, err
 }
 
-// AttachRetry attaches with busy-backoff: on a BusyError it sleeps the
-// server's retry-after hint and tries again, up to attempts tries.
-func (c *Client) AttachRetry(session string, attempts int) (core.SessionAttachReply, error) {
-	var rep core.SessionAttachReply
-	var err error
-	for i := 0; i < attempts; i++ {
-		rep, err = c.Attach(session, false)
-		var be *BusyError
-		if err == nil || !asBusy(err, &be) {
-			return rep, err
-		}
-		time.Sleep(be.RetryAfter)
-	}
-	return rep, err
-}
-
-func asBusy(err error, out **BusyError) bool {
-	be, ok := err.(*BusyError)
-	if ok {
-		*out = be
-	}
-	return ok
-}
-
-// Heartbeat renews the attached session's lease.
-func (c *Client) Heartbeat() (string, error) {
-	var rep core.SessionHeartbeatReply
-	err := c.do(core.MethodSessionHeartbeat, core.SessionHeartbeatArgs{Session: c.session}, &rep)
-	return rep.State, err
-}
-
 // Run submits one opaque unit of work to the attached session and returns
 // the handler's result.
 func (c *Client) Run(payload []byte) ([]byte, error) {
 	var rep core.SessionRunReply
 	err := c.do(core.MethodSessionRun, core.SessionRunArgs{Session: c.session, Payload: payload}, &rep)
 	return rep.Payload, err
-}
-
-// Status returns the control-plane view of the attached session.
-func (c *Client) Status() (core.SessionStatusReply, error) {
-	var rep core.SessionStatusReply
-	err := c.do(core.MethodSessionStatus, core.SessionStatusArgs{Session: c.session}, &rep)
-	return rep, err
 }
 
 // Detach unbinds the client; close also ends the session and releases

@@ -2,10 +2,8 @@ package sched
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,36 +16,26 @@ import (
 )
 
 // The gateway wire protocol: the daemon channel's length-prefixed framing
-// (4-byte little-endian length + payload) carrying gob-encoded envelopes.
-// Frames that do not decode as envelopes are echoed back verbatim — the
-// §5 loopback measurement (cmd/jungled -selftest, exp.RunE7) keeps
-// working against a gateway-serving daemon.
+// (4-byte little-endian length + payload) carrying envelopes in the wire
+// codec (kernel.Encode). A frame whose method is not a session_ op is
+// echoed back verbatim, whether it fails to decode or decodes to another
+// method — a zero-filled chunk decodes to method "" — so the §5 loopback
+// measurement (cmd/jungled -selftest, exp.RunE7) keeps working against a
+// gateway-serving daemon.
 
 // Envelope is one client request frame.
 type Envelope struct {
 	Method string // core.MethodSession*
-	Body   []byte // gob-encoded args struct
+	Body   []byte // kernel.Encode of the args struct
 }
 
 // ReplyFrame is one gateway response frame. Code is the wire-error
-// taxonomy byte (0 = success); CodeBusy replies carry a gob-encoded
-// core.SessionBusy in Body.
+// taxonomy byte (0 = success); CodeBusy replies carry a core.SessionBusy
+// in Body.
 type ReplyFrame struct {
 	Code byte
 	Err  string
 	Body []byte
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
 // Gateway serves control-plane connections for a scheduler. Every
@@ -102,7 +90,7 @@ func (g *Gateway) ServeConn(conn io.ReadWriter) error {
 			return err
 		}
 		var env Envelope
-		if err := gobDecode(payload, &env); err != nil || !strings.HasPrefix(env.Method, "session_") {
+		if err := kernel.Decode(payload, &env); err != nil || !strings.HasPrefix(env.Method, "session_") {
 			// Not a control-plane frame: echo it (E7 loopback compat).
 			if err := writeFrame(w, payload); err != nil {
 				return err
@@ -121,11 +109,7 @@ func (g *Gateway) ServeConn(conn io.ReadWriter) error {
 				rec.RecordCall(bound, "control", env.Method, time.Since(start), 0)
 			}
 		}
-		out, err := gobEncode(reply)
-		if err != nil {
-			return err
-		}
-		if err := writeFrame(w, out); err != nil {
+		if err := writeFrame(w, kernel.Encode(reply)); err != nil {
 			return err
 		}
 	}
@@ -149,7 +133,7 @@ func (g *Gateway) dispatch(bound *string, env Envelope) ReplyFrame {
 	switch env.Method {
 	case core.MethodSessionAttach:
 		var args core.SessionAttachArgs
-		if err := gobDecode(env.Body, &args); err != nil {
+		if err := kernel.Decode(env.Body, &args); err != nil {
 			return errReply(fmt.Errorf("%w: bad attach args: %v", kernel.ErrBadMethod, err))
 		}
 		sess, resumed, err := g.Sched.Attach(g.ctx(), args.Session, args.Wait)
@@ -162,7 +146,7 @@ func (g *Gateway) dispatch(bound *string, env Envelope) ReplyFrame {
 		})
 	case core.MethodSessionHeartbeat:
 		var args core.SessionHeartbeatArgs
-		if err := gobDecode(env.Body, &args); err != nil {
+		if err := kernel.Decode(env.Body, &args); err != nil {
 			return errReply(fmt.Errorf("%w: bad heartbeat args: %v", kernel.ErrBadMethod, err))
 		}
 		id, err := g.sessionFor(*bound, args.Session)
@@ -176,7 +160,7 @@ func (g *Gateway) dispatch(bound *string, env Envelope) ReplyFrame {
 		return okReply(core.SessionHeartbeatReply{State: string(st)})
 	case core.MethodSessionRun:
 		var args core.SessionRunArgs
-		if err := gobDecode(env.Body, &args); err != nil {
+		if err := kernel.Decode(env.Body, &args); err != nil {
 			return errReply(fmt.Errorf("%w: bad run args: %v", kernel.ErrBadMethod, err))
 		}
 		id, err := g.sessionFor(*bound, args.Session)
@@ -190,7 +174,7 @@ func (g *Gateway) dispatch(bound *string, env Envelope) ReplyFrame {
 		return okReply(core.SessionRunReply{Payload: out})
 	case core.MethodSessionStatus:
 		var args core.SessionStatusArgs
-		if err := gobDecode(env.Body, &args); err != nil {
+		if err := kernel.Decode(env.Body, &args); err != nil {
 			return errReply(fmt.Errorf("%w: bad status args: %v", kernel.ErrBadMethod, err))
 		}
 		id, err := g.sessionFor(*bound, args.Session)
@@ -204,7 +188,7 @@ func (g *Gateway) dispatch(bound *string, env Envelope) ReplyFrame {
 		return okReply(st)
 	case core.MethodSessionDetach:
 		var args core.SessionDetachArgs
-		if err := gobDecode(env.Body, &args); err != nil {
+		if err := kernel.Decode(env.Body, &args); err != nil {
 			return errReply(fmt.Errorf("%w: bad detach args: %v", kernel.ErrBadMethod, err))
 		}
 		id, err := g.sessionFor(*bound, args.Session)
@@ -244,13 +228,7 @@ func (g *Gateway) sessionFor(bound, explicit string) (string, error) {
 }
 
 // okReply encodes a success reply body.
-func okReply(body any) ReplyFrame {
-	b, err := gobEncode(body)
-	if err != nil {
-		return errReply(err)
-	}
-	return ReplyFrame{Body: b}
-}
+func okReply(body any) ReplyFrame { return ReplyFrame{Body: kernel.Encode(body)} }
 
 // errReply classifies an error through the wire taxonomy. BusyErrors
 // carry their structured retry-after hint as a SessionBusy payload.
@@ -259,11 +237,9 @@ func errReply(err error) ReplyFrame {
 	rf := ReplyFrame{Code: byte(code), Err: err.Error()}
 	var be *BusyError
 	if errors.As(err, &be) {
-		if b, encErr := gobEncode(core.SessionBusy{
+		rf.Body = kernel.Encode(core.SessionBusy{
 			RetryAfterMs: be.RetryAfter.Milliseconds(), Queued: be.Queued,
-		}); encErr == nil {
-			rf.Body = b
-		}
+		})
 	}
 	return rf
 }

@@ -70,7 +70,7 @@ func (e *BusyError) Error() string {
 func (e *BusyError) Unwrap() error { return kernel.ErrBusy }
 
 // RunFunc executes one unit of work for a session. The payload is the
-// client's opaque request (jungled: a gob-encoded experiment workload);
+// client's opaque request (jungled: an encoded experiment workload);
 // the returned bytes travel back verbatim. The handler uses the Session
 // to create or resume its session-bound simulation.
 type RunFunc func(ctx context.Context, sess *Session, payload []byte) ([]byte, error)

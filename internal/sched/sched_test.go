@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"slices"
@@ -160,7 +162,7 @@ func TestLeaseReapAndResume(t *testing.T) {
 		t.Fatalf("snapshot = %q, want %q", sess2.Snapshot(), snapshot)
 	}
 	if rec := s.Recorder(); rec != nil {
-		st, ok := rec.Session("tenant")
+		st, ok := rec.Sessions()["tenant"]
 		if !ok || st.Evictions != 1 || st.Resumes != 1 {
 			t.Fatalf("session accounting = %+v, ok=%v; want 1 eviction, 1 resume", st, ok)
 		}
@@ -228,17 +230,19 @@ func TestGatewaySessions(t *testing.T) {
 	if _, err := c3.Attach("gamma", false); err != nil {
 		t.Fatalf("attach gamma after slot freed: %v", err)
 	}
-	st, err := c3.Status()
-	if err != nil || st.State != string(StateRunning) || st.Live != 2 {
+	var st core.SessionStatusReply
+	if err := c3.do(core.MethodSessionStatus, core.SessionStatusArgs{}, &st); err != nil || st.State != string(StateRunning) || st.Live != 2 {
 		t.Fatalf("gamma status = %+v, %v", st, err)
 	}
-	if _, err := c3.Heartbeat(); err != nil {
+	if err := c3.do(core.MethodSessionHeartbeat, core.SessionHeartbeatArgs{}, nil); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
 }
 
 // TestGatewayEcho: frames that are not control-plane envelopes echo back
 // verbatim — the §5 loopback benchmark keeps working against a gateway.
+// Under the wire codec a zero-filled frame decodes (to method ""), so the
+// session_ prefix is what sends it, and any other method, to the echo path.
 func TestGatewayEcho(t *testing.T) {
 	_, s := testPlane(t, Config{})
 	g := &Gateway{Sched: s}
@@ -246,18 +250,32 @@ func TestGatewayEcho(t *testing.T) {
 	defer client.Close()
 	go g.ServeConn(server)
 
-	payload := []byte{0x42, 0x00, 0x13, 0x37}
-	hdr := []byte{4, 0, 0, 0}
-	if _, err := client.Write(append(hdr, payload...)); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 8)
-	if _, err := readFull(client, got); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range append(hdr, payload...) {
-		if got[i] != b {
-			t.Fatalf("echo mismatch at byte %d: frame %v, got %v", i, append(hdr, payload...), got)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"does not decode", []byte{0x42, 0x00, 0x13, 0x37}},
+		{"zero-filled E7 chunk", make([]byte, 1<<20)},
+		{"not a session method", kernel.Encode(Envelope{Method: "get_state", Body: []byte{1, 2, 3}})},
+	} {
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(tc.payload)))
+		frame = append(frame, tc.payload...)
+		if _, err := client.Write(frame); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		hdr := make([]byte, 4)
+		if _, err := readFull(client, hdr); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := binary.LittleEndian.Uint32(hdr); n != uint32(len(tc.payload)) {
+			t.Fatalf("%s: a %d-byte reply, not the %d-byte echo", tc.name, n, len(tc.payload))
+		}
+		got := make([]byte, len(tc.payload))
+		if _, err := readFull(client, got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, tc.payload) {
+			t.Fatalf("%s: echo differs from the frame", tc.name)
 		}
 	}
 }
@@ -332,8 +350,8 @@ func TestGenericSnapshotResumes(t *testing.T) {
 	if err != nil || !resumed {
 		t.Fatalf("re-attach: resumed=%v err=%v", resumed, err)
 	}
-	man, err := core.DecodeManifest(sess.Snapshot())
-	if err != nil {
+	man := new(core.Manifest)
+	if err := kernel.Decode(sess.Snapshot(), man); err != nil {
 		t.Fatalf("generic snapshot does not decode: %v", err)
 	}
 	_, models, err := sess.ResumeSim(ctx, nil, man)

@@ -7,6 +7,7 @@ import (
 
 	"jungle/internal/amuse/units"
 	"jungle/internal/core"
+	"jungle/internal/core/kernel"
 )
 
 // State is a session's control-plane lifecycle state.
@@ -147,7 +148,7 @@ func (ss *Session) bind(sim *core.Simulation) {
 }
 
 // genericSnapshot is the default evictor: checkpoint the whole simulation
-// into a self-contained manifest and encode it. Simulations with no
+// into a self-contained manifest and encode it (kernel.Decode inverts it). Simulations with no
 // models produce no snapshot (nothing to resume).
 func genericSnapshot(ctx context.Context, sim *core.Simulation) ([]byte, error) {
 	man, err := sim.Checkpoint(ctx)
@@ -157,5 +158,5 @@ func genericSnapshot(ctx context.Context, sim *core.Simulation) ([]byte, error) 
 	if len(man.Models) == 0 {
 		return nil, nil
 	}
-	return man.Encode()
+	return kernel.Encode(man), nil
 }

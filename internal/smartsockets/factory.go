@@ -20,11 +20,6 @@ var (
 	ErrFactoryClosed = errors.New("smartsockets: factory closed")
 )
 
-// Stats counts established outbound connections by type.
-type Stats struct {
-	Direct, Reverse, Routed int
-}
-
 // Factory creates virtual sockets for one process. It mirrors SmartSockets'
 // VirtualSocketFactory: it registers with a hub and transparently picks the
 // best connection strategy per Connect call.
@@ -44,7 +39,6 @@ type Factory struct {
 	nextPort    int
 	nextReq     uint64
 	nextCircuit uint64
-	stats       Stats
 	closed      bool
 
 	// Timeout is the real-time watchdog on an overlay round trip. Every
@@ -130,16 +124,6 @@ func (f *Factory) register(a Address) error {
 
 // Addr returns the factory's identity address.
 func (f *Factory) Addr() Address { return Address{Host: f.host, Port: f.base, Hub: f.hubHost} }
-
-// Host returns the host the factory runs on.
-func (f *Factory) Host() string { return f.host }
-
-// Stats returns outbound connection counts by type.
-func (f *Factory) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
-}
 
 // Close shuts down the factory, its listeners and routed circuits.
 func (f *Factory) Close() {
@@ -326,9 +310,6 @@ func (f *Factory) Connect(target Address, sentAt time.Duration) (*VirtualConn, e
 	// 1: direct.
 	conn, err := f.net.Dial(f.host, target.Host, target.Port)
 	if err == nil {
-		f.mu.Lock()
-		f.stats.Direct++
-		f.mu.Unlock()
 		return &VirtualConn{typ: Direct, raw: conn, established: sentAt + conn.Path().Latency}, nil
 	}
 	if errors.Is(err, vnet.ErrRefused) {
@@ -339,9 +320,6 @@ func (f *Factory) Connect(target Address, sentAt time.Duration) (*VirtualConn, e
 
 	// 2: reverse connection setup through the overlay.
 	if vc, err := f.connectReverse(target, sentAt); err == nil {
-		f.mu.Lock()
-		f.stats.Reverse++
-		f.mu.Unlock()
 		return vc, nil
 	}
 
@@ -350,9 +328,6 @@ func (f *Factory) Connect(target Address, sentAt time.Duration) (*VirtualConn, e
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%w)", ErrConnectFailed, target, err)
 	}
-	f.mu.Lock()
-	f.stats.Routed++
-	f.mu.Unlock()
 	return vc, nil
 }
 

@@ -132,9 +132,6 @@ func TestDirectConnection(t *testing.T) {
 		t.Fatalf("established %v, want after 1s", conn.EstablishedAt())
 	}
 	exchange(t, conn, l)
-	if s := fa.Stats(); s.Direct != 1 || s.Reverse != 0 || s.Routed != 0 {
-		t.Fatalf("stats %+v", s)
-	}
 }
 
 func TestReverseConnection(t *testing.T) {
@@ -155,9 +152,6 @@ func TestReverseConnection(t *testing.T) {
 		t.Fatalf("conn type %v, want reverse", conn.Type())
 	}
 	exchange(t, conn, l)
-	if s := fa.Stats(); s.Reverse != 1 {
-		t.Fatalf("stats %+v", s)
-	}
 	// The overlay round trip plus dial-back must cost virtual time beyond
 	// the WAN latency.
 	if conn.EstablishedAt() < time.Second+10*time.Millisecond {
@@ -182,9 +176,6 @@ func TestRoutedConnection(t *testing.T) {
 		t.Fatalf("conn type %v, want routed", conn.Type())
 	}
 	exchange(t, conn, l)
-	if s := fa.Stats(); s.Routed != 1 {
-		t.Fatalf("stats %+v", s)
-	}
 }
 
 func TestRoutedBothDirections(t *testing.T) {

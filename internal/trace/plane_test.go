@@ -89,10 +89,10 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 	if len(st) != 1 || st[0].Stats.Checkpoints != writers*iters || st[0].Stats.Restores != writers*iters {
 		t.Fatalf("store gauges %+v", st)
 	}
-	if s, ok := r.Session("s1"); !ok || s.Calls != writers*iters {
+	if s, ok := r.Sessions()["s1"]; !ok || s.Calls != writers*iters {
 		t.Fatalf("session calls %+v", s)
 	}
-	if got := r.Bytes("a", "b", "ipl"); got != writers*iters {
+	if got := bytesOf(r, "a", "b", "ipl"); got != writers*iters {
 		t.Fatalf("traffic %d, want %d", got, writers*iters)
 	}
 }
@@ -342,11 +342,11 @@ func TestSessionAccounting(t *testing.T) {
 	r.SessionTransfer("s1")
 	r.SessionEviction("s1")
 	r.SessionResume("s1")
-	s, ok := r.Session("s1")
+	s, ok := r.Sessions()["s1"]
 	if !ok || s.State != "running" || s.Workers != 3 || s.Transfers != 1 || s.Evictions != 1 || s.Resumes != 1 {
 		t.Fatalf("session stats %+v", s)
 	}
-	if _, ok := r.Session("nope"); ok {
+	if _, ok := r.Sessions()["nope"]; ok {
 		t.Fatal("unknown session must report ok=false")
 	}
 	all := r.Sessions()

@@ -78,18 +78,6 @@ func (r *Recorder) SessionResume(id string) {
 	r.mu.Unlock()
 }
 
-// Session returns a copy of one session's stats; ok is false when the
-// session was never recorded.
-func (r *Recorder) Session(id string) (SessionStats, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.sessions[id]
-	if !ok {
-		return SessionStats{}, false
-	}
-	return *s, true
-}
-
 // Sessions returns a copy of every session's stats.
 func (r *Recorder) Sessions() map[string]SessionStats {
 	r.mu.Lock()

@@ -97,22 +97,6 @@ func (r *Recorder) RecordTraffic(from, to, class string, bytes int) {
 	r.mu.Unlock()
 }
 
-// Bytes returns the traffic from->to for a class ("" sums all classes).
-func (r *Recorder) Bytes(from, to, class string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if class != "" {
-		return r.traffic[trafficKey{from, to, class}]
-	}
-	total := 0
-	for k, v := range r.traffic {
-		if k.From == from && k.To == to {
-			total += v
-		}
-	}
-	return total
-}
-
 // TotalByClass sums traffic over all host pairs per class.
 func (r *Recorder) TotalByClass() map[string]int {
 	r.mu.Lock()

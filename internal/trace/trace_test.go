@@ -10,13 +10,13 @@ func TestTrafficAccumulates(t *testing.T) {
 	r.RecordTraffic("a", "b", "ipl", 100)
 	r.RecordTraffic("a", "b", "ipl", 50)
 	r.RecordTraffic("a", "b", "mpi", 10)
-	if got := r.Bytes("a", "b", "ipl"); got != 150 {
+	if got := bytesOf(r, "a", "b", "ipl"); got != 150 {
 		t.Fatalf("ipl bytes %d, want 150", got)
 	}
-	if got := r.Bytes("a", "b", ""); got != 160 {
+	if got := bytesOf(r, "a", "b", ""); got != 160 {
 		t.Fatalf("total bytes %d, want 160", got)
 	}
-	if got := r.Bytes("b", "a", "ipl"); got != 0 {
+	if got := bytesOf(r, "b", "a", "ipl"); got != 0 {
 		t.Fatalf("reverse bytes %d, want 0", got)
 	}
 }
@@ -58,7 +58,18 @@ func TestConcurrentRecording(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Bytes("a", "b", "ipl"); got != 4000 {
+	if got := bytesOf(r, "a", "b", "ipl"); got != 4000 {
 		t.Fatalf("bytes %d, want 4000", got)
 	}
+}
+
+// bytesOf returns the traffic from->to for a class ("" sums all classes).
+func bytesOf(r *Recorder, from, to, class string) int {
+	total := 0
+	for _, row := range r.TrafficTable() {
+		if row.From == from && row.To == to && (class == "" || row.Class == class) {
+			total += row.Bytes
+		}
+	}
+	return total
 }

@@ -28,12 +28,6 @@ type Cluster struct {
 	NodeName []string
 }
 
-// Node returns the i-th node host name.
-func (c *Cluster) Node(i int) string { return c.NodeName[i] }
-
-// Size returns the number of compute nodes.
-func (c *Cluster) Size() int { return len(c.NodeName) }
-
 // AddCluster creates a frontend plus spec.Nodes compute nodes, wiring every
 // node to the frontend over the internal switch. The frontend is the
 // cluster's gateway: connect it to the outside world with AddLink.

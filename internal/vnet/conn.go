@@ -34,9 +34,6 @@ type Conn struct {
 	closed bool
 }
 
-// LocalHost returns the host name of this endpoint.
-func (c *Conn) LocalHost() string { return c.local }
-
 // Path returns the routed path from this endpoint to the peer.
 func (c *Conn) Path() Path { return c.path }
 
@@ -155,9 +152,6 @@ func (l *Listener) Close() error {
 	l.host.mu.Unlock()
 	return nil
 }
-
-// Addr returns "host:port".
-func (l *Listener) Addr() string { return fmt.Sprintf("%s:%d", l.host.Name, l.port) }
 
 // Dial opens a connection from host `from` to `to:port`. The destination's
 // firewall policy is enforced: a firewalled destination refuses inbound

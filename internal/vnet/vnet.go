@@ -166,18 +166,6 @@ func (n *Network) Host(name string) *Host {
 	return n.hosts[name]
 }
 
-// Hosts returns all host names, sorted.
-func (n *Network) Hosts() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	names := make([]string, 0, len(n.hosts))
-	for name := range n.hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // AddLink connects hosts a and b bidirectionally.
 func (n *Network) AddLink(a, b string, latency time.Duration, bandwidth float64) error {
 	n.mu.Lock()

@@ -423,21 +423,21 @@ func TestAddCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 4 {
-		t.Fatalf("size %d, want 4", c.Size())
+	if len(c.NodeName) != 4 {
+		t.Fatalf("size %d, want 4", len(c.NodeName))
 	}
 	// Nodes reach the frontend and each other (via frontend switch).
-	if !n.Reachable(c.Node(0), c.Frontend) {
+	if !n.Reachable(c.NodeName[0], c.Frontend) {
 		t.Fatal("node cannot reach frontend")
 	}
-	if !n.Reachable(c.Node(0), c.Node(3)) {
+	if !n.Reachable(c.NodeName[0], c.NodeName[3]) {
 		t.Fatal("node cannot reach sibling node")
 	}
 	// Intra-site dialing works despite OutboundOnly nodes.
-	if _, err := n.Listen(c.Node(3), 80); err != nil {
+	if _, err := n.Listen(c.NodeName[3], 80); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Dial(c.Node(0), c.Node(3), 80); err != nil {
+	if _, err := n.Dial(c.NodeName[0], c.NodeName[3], 80); err != nil {
 		t.Fatalf("intra-cluster dial: %v", err)
 	}
 }

@@ -114,6 +114,3 @@ func (d *Device) Time(flops float64, n int) time.Duration {
 	sec := flops / (d.Gflops * 1e9 * float64(cores))
 	return d.LaunchLatency + time.Duration(sec*float64(time.Second))
 }
-
-// Seconds is a convenience converter from float seconds to time.Duration.
-func Seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

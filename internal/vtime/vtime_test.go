@@ -136,9 +136,3 @@ func TestDeviceKindString(t *testing.T) {
 		t.Fatalf("kind strings: %q %q", CPU.String(), GPU.String())
 	}
 }
-
-func TestSeconds(t *testing.T) {
-	if got := Seconds(1.5); got != 1500*time.Millisecond {
-		t.Fatalf("Seconds(1.5) = %v", got)
-	}
-}

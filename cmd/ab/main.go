@@ -8,11 +8,15 @@
 //
 //	go run ./cmd/ab -base HEAD~1 -workload coupled_step -pairs 10 -seed 701
 //
-// A verdict is "regression" when the change's median is worse than the
-// base's by more than the bound, "gain" when it is better in at least nine
-// pairs in ten and by more than the base's interquartile range, and "ok"
-// otherwise. ab exits 1 on a regression and stops at the first run that
-// fails, an op failing included (bench/run.sh then exits non-zero).
+// -workload takes a comma-separated list, or all for every workload in
+// BENCHMARK.json: they run in turn against the one export, each followed by
+// its table. A verdict is "regression" when the change's median is worse
+// than the base's by more than the bound, "gain" when it is better in at
+// least nine pairs in ten and by more than the base's interquartile range,
+// "identical" for a virtual-time metric that read the same in every pair,
+// and "ok" otherwise. ab exits 1 when any workload regresses, and stops at
+// the first run that fails, an op failing included (bench/run.sh then exits
+// non-zero).
 //
 // The base is a `git archive` export, not a worktree: nothing is registered
 // in the repository, and each checkout builds its own binary into its own
@@ -30,6 +34,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // result is the last line a benchmark run prints.
@@ -64,6 +69,9 @@ func main() {
 
 func run(base, workload string, pairs, seed int) error {
 	var spec struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 		EndToEnd []metric `json:"end_to_end"`
 	}
 	b, err := os.ReadFile("BENCHMARK.json")
@@ -72,6 +80,13 @@ func run(base, workload string, pairs, seed int) error {
 	}
 	if err != nil {
 		return err
+	}
+	workloads := strings.Split(workload, ",")
+	if workload == "all" {
+		workloads = workloads[:0]
+		for _, w := range spec.Workloads {
+			workloads = append(workloads, w.Name)
+		}
 	}
 	rev, err := exec.Command("git", "rev-parse", "--verify", base+"^{commit}").Output()
 	if err != nil {
@@ -90,20 +105,36 @@ func run(base, workload string, pairs, seed int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ab: %s, base %.12s against the working tree, %d pairs from seed %d\n", workload, rev, pairs, seed)
+	var regressed []string
+	for _, w := range workloads {
+		fmt.Printf("ab: %s, base %.12s against the working tree, %d pairs from seed %d\n", w, rev, pairs, seed)
+		bad, err := compare([2]string{dir, root}, w, spec.EndToEnd, pairs, seed)
+		if err != nil {
+			return err
+		}
+		regressed = append(regressed, bad...)
+	}
+	if len(regressed) > 0 {
+		return fmt.Errorf("the change is worse than the base beyond a bound: %s", strings.Join(regressed, ", "))
+	}
+	return nil
+}
 
-	sides, names := [2]string{dir, root}, [2]string{"base", "change"}
+// compare runs one workload's pairs in the two checkouts, prints its table
+// and returns the metrics that regressed, as "workload/metric".
+func compare(sides [2]string, workload string, metrics []metric, pairs, seed int) (regressed []string, err error) {
+	names := [2]string{"base", "change"}
 	var runs [2][]result
 	for i := 0; i < pairs; i++ {
 		for k := 0; k < 2; k++ {
 			side := (i + k) % 2 // base first in even pairs, the change first in odd
 			res, err := benchRun(sides[side], workload, seed+i)
 			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", i, names[side], err)
+				return nil, fmt.Errorf("%s pair %d, %s: %w", workload, i, names[side], err)
 			}
 			runs[side] = append(runs[side], res)
 			fmt.Printf("pair %d %-6s seed %d:", i, names[side], seed+i)
-			for _, m := range spec.EndToEnd {
+			for _, m := range metrics {
 				fmt.Printf(" %s %.6g", m.Name, res.Metrics[m.Name].Value)
 			}
 			fmt.Println()
@@ -111,8 +142,7 @@ func run(base, workload string, pairs, seed int) error {
 	}
 
 	fmt.Printf("%-18s %-34s %-34s %8s %6s  %s\n", "metric", "base median [q1–q3]", "change median [q1–q3]", "change", "wins", "verdict")
-	regressed := false
-	for _, m := range spec.EndToEnd {
+	for _, m := range metrics {
 		var x [2][]float64
 		wins := 0
 		for i := 0; i < pairs; i++ {
@@ -134,17 +164,16 @@ func run(base, workload string, pairs, seed int) error {
 		verdict := "ok"
 		switch {
 		case worse > m.Bound:
-			verdict, regressed = "regression", true
+			verdict, regressed = "regression", append(regressed, workload+"/"+m.Name)
 		case worse < 0 && 10*wins >= 9*pairs && math.Abs(r[1]-q[1]) > q[2]-q[0]:
 			verdict = "gain"
+		case strings.Contains(m.Name, "_virtual_") && slices.Equal(x[0], x[1]):
+			verdict = "identical"
 		}
 		fmt.Printf("%-18s %-34s %-34s %+7.2f%% %3d/%-2d  %s (bound %g%%)\n",
 			m.Name, spread(q), spread(r), 100*move, wins, pairs, verdict, 100*m.Bound)
 	}
-	if regressed {
-		return fmt.Errorf("the change is worse than the base beyond a bound")
-	}
-	return nil
+	return regressed, nil
 }
 
 // benchRun runs the benchmark in one checkout, for the 20 s the repository

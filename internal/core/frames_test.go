@@ -1,14 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/ic"
 	"jungle/internal/core/kernel"
+	"jungle/internal/deploy"
 	"jungle/internal/phys/abm"
+	"jungle/internal/vtime"
 )
 
 // TestSetStateAppliesWholeOrNothing: a worker decodes a set_state frame
@@ -115,6 +121,153 @@ func TestSetStateAppliesWholeOrNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSetParticlesLoadsWhatItWasSent: a worker keeps the columns it
+// decodes from a set_particles upload, so an upload that is not one particle
+// set must be refused before the first write — a frame cut at a column's
+// end (the codec's append-only rule decodes it as one whose last columns are
+// missing), a column of another length, and for hydro a missing u or h. Each
+// is a worker fault that names the column, and the state reads back as it
+// was.
+func TestSetParticlesLoadsWhatItWasSent(t *testing.T) {
+	res := &deploy.Resource{Name: "test", Frontend: "test",
+		CPU: &vtime.Device{Name: "cpu", Kind: vtime.CPU, Gflops: 1, Cores: 4}}
+	const n = 32
+	gas := ic.Plummer(n, 9)
+	for i := range gas.InternalEnergy {
+		gas.InternalEnergy[i], gas.SmoothingLen[i] = 1, 0.1
+	}
+	full := kernel.ParticlesToPayload(gas)
+	// cut is the upload of full cut just behind its first cols columns: the
+	// encoding of those columns, less the length bytes of the empty ones.
+	cut := func(cols int) []byte {
+		pl := full
+		v := reflect.ValueOf(&pl).Elem()
+		for i := cols; i < v.NumField(); i++ {
+			v.Field(i).SetZero()
+		}
+		b := kernel.Encode(pl)
+		return b[:len(b)-(v.NumField()-cols)]
+	}
+	short := func(edit func(*kernel.ParticlesPayload)) []byte {
+		pl := full
+		edit(&pl)
+		return kernel.Encode(pl)
+	}
+	cases := []struct {
+		name, column string
+		args         []byte
+		hydroOnly    bool
+	}{
+		{"cut after mass", "Pos", cut(1), false},
+		{"cut after positions", "Vel", cut(2), false},
+		{"cut after velocities", "U", cut(3), true},
+		{"cut after u", "H", cut(4), true},
+		{"short positions", "Pos", short(func(pl *kernel.ParticlesPayload) { pl.Pos = pl.Pos[1:] }), false},
+		{"short velocities", "Vel", short(func(pl *kernel.ParticlesPayload) { pl.Vel = pl.Vel[1:] }), false},
+		{"long u", "U", short(func(pl *kernel.ParticlesPayload) { pl.U = append(pl.U, 1) }), false},
+		{"short h", "H", short(func(pl *kernel.ParticlesPayload) { pl.H = pl.H[1:] }), false},
+		{"short keys", "Key", short(func(pl *kernel.ParticlesPayload) { pl.Key = pl.Key[1:] }), false},
+	}
+	for _, k := range []struct {
+		kind  Kind
+		setup []byte
+		attrs []string
+	}{
+		{KindGravity, kernel.Encode(kernel.SetupGravityArgs{Kernel: "phigrape-cpu", Eps: 0.01}),
+			[]string{data.AttrMass, data.AttrPos, data.AttrVel}},
+		{KindHydro, kernel.Encode(kernel.SetupHydroArgs{}),
+			[]string{data.AttrMass, data.AttrPos, data.AttrVel, data.AttrInternalEnergy, data.AttrSmoothingLen}},
+	} {
+		t.Run(string(k.kind), func(t *testing.T) {
+			svc, err := newService(k.kind, res, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			digest := func() uint64 {
+				t.Helper()
+				out, _, err := svc.Dispatch("get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: k.attrs}), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := kernel.UnmarshalState(out.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return kernel.DigestState(st)
+			}
+			for _, c := range []struct {
+				method string
+				args   []byte
+			}{{"setup", k.setup}, {"set_particles", kernel.Encode(full)}} {
+				if _, _, err := svc.Dispatch(c.method, c.args, 0); err != nil {
+					t.Fatalf("%s: %v", c.method, err)
+				}
+			}
+			want := digest()
+			for _, c := range cases {
+				if c.hydroOnly && k.kind != KindHydro {
+					continue
+				}
+				_, _, err := svc.Dispatch("set_particles", c.args, 0)
+				if kernel.ClassifyErr(err) != kernel.CodeWorkerFault || !strings.Contains(err.Error(), "column "+c.column+" ") {
+					t.Errorf("%s: %v, want a worker fault naming column %s", c.name, err, c.column)
+				}
+				if got := digest(); got != want {
+					t.Errorf("%s: state digest %016x after the refusal, want %016x", c.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestKeylessUploadIsKeyedOneToN: gravity keys a set that was uploaded, or
+// checkpointed, without a key column 1..N, so get_state, a checkpoint and a
+// restore of that checkpoint all carry those keys.
+func TestKeylessUploadIsKeyedOneToN(t *testing.T) {
+	res := &deploy.Resource{Name: "test", Frontend: "test",
+		CPU: &vtime.Device{Name: "cpu", Kind: vtime.CPU, Gflops: 1, Cores: 4}}
+	const n = 5
+	pl := kernel.ParticlesToPayload(ic.Plummer(n, 3))
+	pl.Key = nil
+	want := []uint64{1, 2, 3, 4, 5}
+	svc, err := newService(KindGravity, res, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	dispatch := func(method string, args []byte) []byte {
+		t.Helper()
+		out, _, err := svc.Dispatch(method, args, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		return bytes.Clone(out.Bytes())
+	}
+	keys := func(what string) {
+		t.Helper()
+		st, err := kernel.UnmarshalState(dispatch("get_state", kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: []string{data.AttrMass}})))
+		if err != nil || !slices.Equal(st.Key, want) {
+			t.Fatalf("get_state after %s: keys %v (%v), want %v", what, st.Key, err, want)
+		}
+	}
+	dispatch("setup", kernel.Encode(kernel.SetupGravityArgs{Kernel: "phigrape-cpu", Eps: 0.01}))
+	dispatch("set_particles", kernel.Encode(pl))
+	keys("a keyless upload")
+	frame := dispatch(kernel.MethodCheckpoint, nil)
+	snap, err := kernel.UnmarshalSnapshot(frame)
+	if err != nil || !slices.Equal(snap.State.Key, want) {
+		t.Fatalf("checkpoint: keys %v (%v), want %v", snap.State.Key, err, want)
+	}
+	snap.State.Key = nil
+	keyless, err := kernel.AppendSnapshot(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatch(kernel.MethodRestore, keyless)
+	keys("a keyless restore")
 }
 
 // TestParkedSetStateReplaysFrame: GoSetState encodes the columns into the

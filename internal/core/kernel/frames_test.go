@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"jungle/internal/amuse/data"
+	"jungle/internal/amuse/ic"
 )
 
 // specials are the floats whose bits a codec could bend: a NaN with a
@@ -342,6 +343,36 @@ func TestStateCodecAllocs(t *testing.T) {
 	}
 }
 
+// TestUploadFrameMatchesPerValueOracle: a set_particles request, whose
+// columns the struct codec writes in one loop each, into one exactly sized
+// frame once it is large, carries the bytes the per-value forms write
+// (oracleEncodeUpload) — for stars and for gas at 1, 1 000 and 50 000
+// particles — and the worker decodes the columns it was sent.
+func TestUploadFrameMatchesPerValueOracle(t *testing.T) {
+	for _, n := range []int{1, 1000, 50_000} {
+		stars, gas, err := ic.EmbeddedCluster(ic.ClusterSpec{Stars: n, Gas: n, GasFrac: 0.5, Seed: 37})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]*data.Particles{"stars": stars, "gas": gas} {
+			pl := ParticlesToPayload(p)
+			req := EncodeRequest("set_particles", pl)
+			frame := req.Frame()
+			want := oracleAppendRequest(nil, &Request{Method: "set_particles", Args: oracleEncodeUpload(pl)})
+			if !bytes.Equal(frame, want) {
+				t.Fatalf("%d %s: %d bytes, the per-value forms %d; first difference at %d", n, name, len(frame), len(want), firstDiff(frame, want))
+			}
+			if n == 50_000 && cap(frame) != len(frame) {
+				t.Errorf("%d %s: a %d-byte upload in a %d-byte frame", n, name, len(frame), cap(frame))
+			}
+			var back ParticlesPayload
+			if err := Decode(req.Args, &back); err != nil || !bytes.Equal(oracleEncodeUpload(back), oracleEncodeUpload(pl)) {
+				t.Fatalf("%d %s: decoded to other columns (%v)", n, name, err)
+			}
+		}
+	}
+}
+
 // BenchmarkStateCodec: a detached round trip, MarshalState then
 // UnmarshalState, of bulk_state's payload — 50 000 gravity particles with
 // keys, 3.2 MB.
@@ -355,6 +386,21 @@ func BenchmarkStateCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := UnmarshalState(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUploadCodec: a set_particles upload of bulk_state's 50 000 stars
+// with keys, 3.3 MB — EncodeRequest, then the worker's Decode.
+func BenchmarkUploadCodec(b *testing.B) {
+	pl := ParticlesToPayload(ic.Plummer(50_000, 1))
+	b.SetBytes(int64(len(Encode(pl))))
+	b.ReportAllocs()
+	for b.Loop() {
+		req := EncodeRequest("set_particles", pl)
+		var back ParticlesPayload
+		if err := Decode(req.Args, &back); err != nil {
 			b.Fatal(err)
 		}
 	}

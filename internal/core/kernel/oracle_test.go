@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -106,4 +107,65 @@ func oracleParticlesToPayload(p *data.Particles) ParticlesPayload {
 		H:    append([]float64(nil), p.SmoothingLen...),
 		Key:  append([]uint64(nil), p.Key...),
 	}
+}
+
+// oracleEncodeUpload is the set_particles payload as the struct codec wrote
+// it value by value, before a column became one loop over its words: each
+// column's length, then each float through AppendFloat and each key through
+// AppendUint.
+func oracleEncodeUpload(pl ParticlesPayload) []byte {
+	var b []byte
+	floats := func(fs []float64) {
+		b = wire.AppendUint(b, uint64(len(fs)))
+		for _, f := range fs {
+			b = wire.AppendFloat(b, f)
+		}
+	}
+	vecs := func(vs []data.Vec3) {
+		b = wire.AppendUint(b, uint64(len(vs)))
+		for _, v := range vs {
+			b = wire.AppendFloat(wire.AppendFloat(wire.AppendFloat(b, v[0]), v[1]), v[2])
+		}
+	}
+	floats(pl.Mass)
+	vecs(pl.Pos)
+	vecs(pl.Vel)
+	floats(pl.U)
+	floats(pl.H)
+	b = wire.AppendUint(b, uint64(len(pl.Key)))
+	for _, k := range pl.Key {
+		b = wire.AppendUint(b, k)
+	}
+	return b
+}
+
+// ScatterState writes a payload's columns back into a particle set of the
+// same length and order: the copy ScatterView replaced, and what a worker's
+// restore did before it took the snapshot's columns as its own.
+func ScatterState(p *data.Particles, s *StatePayload) error {
+	if p.Len() != s.N {
+		return fmt.Errorf("kernel: state has %d particles, set has %d", s.N, p.Len())
+	}
+	for i, a := range s.VecAttrs {
+		col, err := p.VecColumn(a)
+		if err != nil {
+			return err
+		}
+		copy(col, s.VecCols[i])
+	}
+	for i, a := range s.FloatAttrs {
+		if col, err := p.FloatColumn(a); err == nil {
+			copy(col, s.FloatCols[i])
+			continue
+		}
+		// Integer attributes (stellar_type) travel as float columns.
+		icol, err := p.IntColumn(a)
+		if err != nil {
+			return err
+		}
+		for j, v := range s.FloatCols[i] {
+			icol[j] = int(v)
+		}
+	}
+	return nil
 }

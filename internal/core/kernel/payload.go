@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+
 	"jungle/internal/amuse/data"
 	"jungle/internal/wire"
 )
@@ -8,10 +10,10 @@ import (
 // Typed argument/result payloads. One struct per method keeps the wire
 // format explicit. These travel inside Request.Args / Response.Result in
 // internal/wire's positional struct codec: exported fields in declaration
-// order, floats in their trimmed form. A payload struct may therefore only
-// grow fields at its end (see the codec's append-only rule). The bulk
-// state path (StatePayload) has its own fixed-width column codec because
-// it dominates coupled-step traffic.
+// order, floats and keys in their trimmed form. A payload struct may
+// therefore only grow fields at its end (see the codec's append-only rule).
+// The bulk state path (StatePayload) has its own fixed-width column codec
+// because it dominates coupled-step traffic.
 
 // Encode marshals a payload value — a struct or a pointer to one — into a
 // fresh slice (it panics on a type with no wire form: pointers, maps,
@@ -47,6 +49,8 @@ type SetupFieldArgs struct {
 	Eps    float64
 }
 
+// ParticlesPayload is a set_particles upload. The worker keeps the columns
+// it decodes: Decode allocated them, and nothing else holds them.
 type ParticlesPayload struct {
 	Mass []float64
 	Pos  []data.Vec3
@@ -62,21 +66,20 @@ func ParticlesToPayload(p *data.Particles) ParticlesPayload {
 	return ParticlesPayload{Mass: p.Mass, Pos: p.Pos, Vel: p.Vel, U: p.InternalEnergy, H: p.SmoothingLen, Key: p.Key}
 }
 
-func PayloadToParticles(pl ParticlesPayload) *data.Particles {
-	p := data.NewParticles(len(pl.Mass))
-	copy(p.Mass, pl.Mass)
-	copy(p.Pos, pl.Pos)
-	copy(p.Vel, pl.Vel)
-	if len(pl.U) == len(pl.Mass) {
-		copy(p.InternalEnergy, pl.U)
+// Check refuses an upload whose columns are not one particle set: a Pos or
+// Vel whose length differs from Mass's, a U, H or Key present with another
+// length, or, for a kind that needs them (hydro), a missing U or H. A frame
+// cut at a column's end decodes as one whose last columns are missing (the
+// codec's append-only rule). A kind checks before its first write.
+func (pl *ParticlesPayload) Check(needUH bool) error {
+	for i, name := range [...]string{"Pos", "Vel", "U", "H", "Key"} {
+		n := [...]int{len(pl.Pos), len(pl.Vel), len(pl.U), len(pl.H), len(pl.Key)}[i]
+		optional := name == "Key" || !needUH && (name == "U" || name == "H")
+		if n != len(pl.Mass) && !(optional && n == 0) {
+			return fmt.Errorf("kernel: particle set column %s has %d values for %d masses", name, n, len(pl.Mass))
+		}
 	}
-	if len(pl.H) == len(pl.Mass) {
-		copy(p.SmoothingLen, pl.H)
-	}
-	if len(pl.Key) == len(pl.Mass) {
-		copy(p.Key, pl.Key)
-	}
-	return p
+	return nil
 }
 
 type EvolveArgs struct {

@@ -348,8 +348,7 @@ func GatherState(p *data.Particles, attrs ...string) (*StatePayload, error) {
 }
 
 // ScatterView decodes a received frame's columns straight into a particle
-// set of the same length and order: ScatterState without the payload in
-// between.
+// set of the same length and order, with no StatePayload in between.
 func ScatterView(p *data.Particles, v *StateView) error {
 	if p.Len() != v.N {
 		return fmt.Errorf("kernel: state has %d particles, set has %d", v.N, p.Len())
@@ -373,36 +372,6 @@ func ScatterView(p *data.Particles, v *StateView) error {
 		}
 		for j := range icol {
 			icol[j] = int(v.FloatAt(i, j))
-		}
-	}
-	return nil
-}
-
-// ScatterState writes a payload's columns back into a particle set of the
-// same length and order.
-func ScatterState(p *data.Particles, s *StatePayload) error {
-	if p.Len() != s.N {
-		return fmt.Errorf("kernel: state has %d particles, set has %d", s.N, p.Len())
-	}
-	for i, a := range s.VecAttrs {
-		col, err := p.VecColumn(a)
-		if err != nil {
-			return err
-		}
-		copy(col, s.VecCols[i])
-	}
-	for i, a := range s.FloatAttrs {
-		if col, err := p.FloatColumn(a); err == nil {
-			copy(col, s.FloatCols[i])
-			continue
-		}
-		// Integer attributes (stellar_type) travel as float columns.
-		icol, err := p.IntColumn(a)
-		if err != nil {
-			return err
-		}
-		for j, v := range s.FloatCols[i] {
-			icol[j] = int(v)
 		}
 	}
 	return nil

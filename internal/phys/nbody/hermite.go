@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"jungle/internal/amuse/data"
@@ -51,13 +52,20 @@ func NewSystem(kernel Kernel, eps float64) *System {
 
 // SetParticles loads mass, position and velocity from the set.
 func (s *System) SetParticles(p *data.Particles) {
-	n := p.Len()
-	s.mass = append(s.mass[:0], p.Mass...)
-	s.pos = append(s.pos[:0], p.Pos...)
-	s.vel = append(s.vel[:0], p.Vel...)
-	s.keys = append(s.keys[:0], p.Key...)
+	s.load(slices.Clone(p.Mass), slices.Clone(p.Pos), slices.Clone(p.Vel), slices.Clone(p.Key))
+}
+
+// load takes the columns as the system's own: nothing else may hold them.
+// A set that comes without keys is keyed 1..N, as data.NewParticles keys one.
+func (s *System) load(mass []float64, pos, vel []data.Vec3, keys []uint64) {
+	if len(keys) == 0 && len(mass) > 0 {
+		keys = make([]uint64, len(mass))
+		for i := range keys {
+			keys[i] = uint64(i + 1)
+		}
+	}
+	s.mass, s.pos, s.vel, s.keys = mass, pos, vel, keys
 	s.fresh = false
-	_ = n
 }
 
 // GetParticles writes the current state back into the set (by index; the

@@ -3,6 +3,7 @@ package nbody
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"jungle/internal/amuse/data"
@@ -113,7 +114,10 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 		if err := kernel.Decode(args, &pl); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
-		s.sys.SetParticles(kernel.PayloadToParticles(pl))
+		if err := pl.Check(false); err != nil {
+			return kernel.Reply{}, s.clock.Now(), err
+		}
+		s.sys.load(pl.Mass, pl.Pos, pl.Vel, pl.Key)
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "evolve":
 		var a kernel.EvolveArgs
@@ -259,14 +263,8 @@ func (s *gravityService) Restore(snap *kernel.Snapshot) error {
 	if st == nil || st.Float(data.AttrMass) == nil || st.Vec(data.AttrPos) == nil || st.Vec(data.AttrVel) == nil {
 		return fmt.Errorf("nbody: restore: snapshot missing mass/position/velocity columns")
 	}
-	p := data.NewParticles(st.N)
-	if len(st.Key) == st.N {
-		copy(p.Key, st.Key)
-	}
-	if err := kernel.ScatterState(p, st); err != nil {
-		return err
-	}
-	s.sys.SetParticles(p)
+	s.sys.load(slices.Clone(st.Float(data.AttrMass)), slices.Clone(st.Vec(data.AttrPos)), slices.Clone(st.Vec(data.AttrVel)),
+		slices.Clone(st.Key))
 	s.sys.RestoreClock(snap.Model, snap.Steps)
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	stdtime "time"
 
 	"jungle/internal/amuse/data"
+	"jungle/internal/core/kernel"
 	"jungle/internal/mpisim"
 	"jungle/internal/phys/tree"
 	"jungle/internal/vtime"
@@ -162,21 +163,27 @@ func New() *Gas {
 // SetParticles loads gas state from a particle set. Particles must carry
 // positive InternalEnergy and SmoothingLen.
 func (g *Gas) SetParticles(p *data.Particles) error {
-	for i := 0; i < p.Len(); i++ {
-		if p.InternalEnergy[i] <= 0 {
+	return g.load(kernel.ParticlesPayload{Mass: slices.Clone(p.Mass), Pos: slices.Clone(p.Pos), Vel: slices.Clone(p.Vel),
+		U: slices.Clone(p.InternalEnergy), H: slices.Clone(p.SmoothingLen)})
+}
+
+// load takes an upload's columns as the gas's own: nothing else may hold
+// them. It checks them all first, so a refused load changes nothing.
+func (g *Gas) load(pl kernel.ParticlesPayload) error {
+	if err := pl.Check(true); err != nil {
+		return err
+	}
+	for i := range pl.Mass {
+		if pl.U[i] <= 0 {
 			return fmt.Errorf("sph: particle %d has non-positive internal energy", i)
 		}
-		if p.SmoothingLen[i] <= 0 {
+		if pl.H[i] <= 0 {
 			return fmt.Errorf("sph: particle %d has non-positive smoothing length", i)
 		}
 	}
-	n := p.Len()
+	n := len(pl.Mass)
 	g.invalidate()
-	g.mass = append(g.mass[:0], p.Mass...)
-	g.pos = append(g.pos[:0], p.Pos...)
-	g.vel = append(g.vel[:0], p.Vel...)
-	g.u = append(g.u[:0], p.InternalEnergy...)
-	g.h = append(g.h[:0], p.SmoothingLen...)
+	g.mass, g.pos, g.vel, g.u, g.h = pl.Mass, pl.Pos, pl.Vel, pl.U, pl.H
 	g.rho = make([]float64, n)
 	g.prs = make([]float64, n)
 	g.cs = make([]float64, n)

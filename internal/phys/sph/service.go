@@ -121,7 +121,7 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 		if err := kernel.Decode(args, &pl); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
-		if err := s.gas.SetParticles(kernel.PayloadToParticles(pl)); err != nil {
+		if err := s.gas.load(pl); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
@@ -270,12 +270,10 @@ func (s *hydroService) Restore(snap *kernel.Snapshot) error {
 		return nil // empty system checkpointed before particles were set
 	}
 	st := snap.State
-	p := data.NewParticles(st.N)
-	if err := kernel.ScatterState(p, st); err != nil {
-		return err
-	}
-	if err := s.gas.SetParticles(p); err != nil {
-		return err
+	if err := s.gas.load(kernel.ParticlesPayload{Mass: slices.Clone(st.Float(data.AttrMass)), Pos: slices.Clone(st.Vec(data.AttrPos)),
+		Vel: slices.Clone(st.Vec(data.AttrVel)), U: slices.Clone(st.Float(data.AttrInternalEnergy)),
+		H: slices.Clone(st.Float(data.AttrSmoothingLen))}); err != nil {
+		return fmt.Errorf("sph: restore: %w", err)
 	}
 	s.gas.RestoreClock(snap.Model, snap.Steps)
 	return nil

@@ -1,11 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
-	"slices"
 	"sync"
 	"unsafe"
 )
@@ -41,7 +41,7 @@ type plan struct {
 	min int
 	// floats is the number of float64 words a value is made of when it is
 	// made of nothing else (float64, Vec3, [n]Vec3): slices of such
-	// elements are walked as one flat []float64.
+	// elements, like slices of uint64, are walked as one column of words.
 	floats int
 }
 
@@ -120,6 +120,11 @@ func buildPlan(t reflect.Type, building map[reflect.Type]bool) (*plan, error) {
 // the extended slice. It panics on a type with no wire form: that is a bug
 // in the protocol's types, not a property of any input.
 func Append(dst []byte, v any) []byte {
+	p, rv := planFor(v)
+	return p.encode(dst, rv)
+}
+
+func planFor(v any) (*plan, reflect.Value) {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() == reflect.Pointer {
 		rv = rv.Elem()
@@ -131,37 +136,19 @@ func Append(dst []byte, v any) []byte {
 	if err != nil {
 		panic(err.Error())
 	}
-	return p.encode(dst, rv)
+	return p, rv
 }
 
-// scratch is what Marshal encodes into before cloning the result: small
-// control messages only. A bulk frame is built once at its exact size and
-// handed to the transport, so a buffer that grew past maxPooled is never
-// parked (to be regrown by append-doubling after the next collection
-// empties the pool): Marshal hands it out as the message instead.
-var scratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-const maxPooled = 64 << 10
-
-// Marshal encodes v into a slice of its own: a clone, exactly sized, of
-// the pooled scratch it was encoded in — or, for a message that outgrew
-// what the pool keeps, the scratch itself.
+// Marshal encodes v into a slice of its own, exactly sized.
 func Marshal(v any) []byte { return MarshalBehind(0, v) }
 
 // MarshalBehind is Marshal with room zero bytes in front of the encoding:
-// the header of the frame v is the body of, which the caller fills in.
+// the header of the frame v is the body of, which the caller fills in. It
+// sizes the message exactly and encodes it into one allocation of that
+// size, which the caller (the transport) keeps.
 func MarshalBehind(room int, v any) []byte {
-	buf := scratch.Get().(*[]byte)
-	*buf = Append(append((*buf)[:0], make([]byte, room)...), v)
-	if cap(*buf) > maxPooled {
-		return *buf
-	}
-	out := append([]byte(nil), *buf...)
-	scratch.Put(buf)
-	return out
+	p, rv := planFor(v)
+	return p.encode(make([]byte, room, room+p.size(rv)), rv)
 }
 
 func (p *plan) encode(dst []byte, v reflect.Value) []byte {
@@ -186,15 +173,8 @@ func (p *plan) encode(dst []byte, v reflect.Value) []byte {
 		switch {
 		case p.elem.kind == reflect.Uint8:
 			return append(dst, v.Bytes()...)
-		case p.elem.floats > 0:
-			fs := flatFloats(v, n*p.elem.floats)
-			if 9*len(fs) > cap(dst)-len(dst) {
-				dst = slices.Grow(dst, floatsLen(fs)) // one exact growth per column, not one per doubling
-			}
-			for _, f := range fs {
-				dst = AppendFloat(dst, f)
-			}
-			return dst
+		case p.elem.floats > 0 || p.elem.kind == reflect.Uint64:
+			return appendColumn(dst, p.column(v, n), p.elem.floats > 0)
 		}
 		for i := 0; i < n; i++ {
 			dst = p.elem.encode(dst, v.Index(i))
@@ -211,21 +191,93 @@ func (p *plan) encode(dst []byte, v reflect.Value) []byte {
 	return dst
 }
 
-// floatsLen is the number of bytes AppendFloat writes for all of fs.
-func floatsLen(fs []float64) int {
-	n := len(fs)
-	for _, f := range fs {
-		if x := bits.ReverseBytes64(math.Float64bits(f)); x >= 0x80 {
-			n += (bits.Len64(x) + 7) / 8
+// size returns the bytes v encodes to, without encoding anything.
+func (p *plan) size(v reflect.Value) int {
+	s, n := 0, 0 // bytes so far, and elements to add
+	switch p.kind {
+	case reflect.Bool:
+		return 1
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return uintLen(zigzag(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return uintLen(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return uintLen(bits.ReverseBytes64(math.Float64bits(v.Float())))
+	case reflect.String, reflect.Slice:
+		n = v.Len()
+		s = uintLen(uint64(n))
+		if p.kind == reflect.String || p.elem.kind == reflect.Uint8 {
+			return s + n
 		}
+		if p.elem.floats > 0 || p.elem.kind == reflect.Uint64 {
+			for _, x := range p.column(v, n) {
+				if p.elem.floats > 0 {
+					x = bits.ReverseBytes64(x)
+				}
+				s += uintLen(x)
+			}
+			return s
+		}
+	case reflect.Array:
+		n = p.n
 	}
-	return n
+	for i := 0; i < n; i++ {
+		s += p.elem.size(v.Index(i))
+	}
+	for _, f := range p.fields { // a struct's
+		s += f.plan.size(v.Field(f.index))
+	}
+	return s
 }
 
-// flatFloats views the n float64 words behind a slice whose elements
-// consist of float64s only (plan.floats > 0).
-func flatFloats(v reflect.Value, n int) []float64 {
-	return unsafe.Slice((*float64)(v.UnsafePointer()), n)
+// column views the 64-bit words behind a slice of n elements made of
+// float64s only (plan.floats > 0) or of uint64s.
+func (p *plan) column(v reflect.Value, n int) []uint64 {
+	return unsafe.Slice((*uint64)(v.UnsafePointer()), n*max(p.elem.floats, 1))
+}
+
+// appendColumn appends a column — a float or key slice, or a vector slice's
+// flat floats — in one loop over its words, each in AppendFloat's form (a
+// float: its IEEE bits byte-reversed) or AppendUint's (a key): the bytes of
+// the per-value calls exactly. A word of 8 significant bytes, which is any
+// arbitrary float (one whose low mantissa byte is set) and any key from
+// 2^56, takes the 9-byte form: length byte 0xF8, then the 8 bytes
+// big-endian, appended in place into the allocation Marshal sized.
+func appendColumn(dst []byte, ws []uint64, float bool) []byte {
+	for _, x := range ws {
+		if float {
+			x = bits.ReverseBytes64(x)
+		}
+		dst = AppendUint(dst, x)
+	}
+	return dst
+}
+
+// uintLen is the number of bytes AppendUint writes for x.
+func uintLen(x uint64) int {
+	if x < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(x)+7)/8
+}
+
+// column decodes a column written by appendColumn, reading the 9-byte form
+// in place and every other word through Uint.
+func (r *Reader) column(ws []uint64, float bool) {
+	b, o := r.B, r.Off // locals: the loop keeps them in registers
+	for i := range ws {
+		var x uint64
+		if o+9 <= len(b) && b[o] == 0xF8 {
+			x, o = binary.BigEndian.Uint64(b[o+1:o+9]), o+9
+		} else if r.Off = o; r.Err == nil {
+			x, o = r.Uint("column"), r.Off
+		}
+		if float {
+			x = bits.ReverseBytes64(x)
+		}
+		ws[i] = x
+	}
+	r.Off = o
 }
 
 // Unmarshal decodes b into the value v points to, which is zeroed first.
@@ -281,11 +333,8 @@ func (p *plan) decode(r *Reader, v reflect.Value, tail bool) {
 		}
 		v.Grow(n)
 		v.SetLen(n)
-		if p.elem.floats > 0 {
-			fs := flatFloats(v, n*p.elem.floats)
-			for i := range fs {
-				fs[i] = r.Float("float")
-			}
+		if p.elem.floats > 0 || p.elem.kind == reflect.Uint64 {
+			r.column(p.column(v, n), p.elem.floats > 0)
 			return
 		}
 		for i := 0; i < n && r.Err == nil; i++ {

@@ -1,31 +1,37 @@
 package wire
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
-// TestPoolKeepsNoBulkBuffer: a scratch buffer that grew past maxPooled is
-// never parked — Marshal hands it over as the message — so nothing the
-// pool gives out afterwards is larger than that.
+// TestPoolKeepsNoBulkBuffer: Marshal parks no buffer anywhere. A message is
+// sized exactly and encoded into one allocation of that size, whatever its
+// columns (floats, vectors, keys, a string) and the room in front of them,
+// so the capacity the transport is handed is the message's length.
 func TestPoolKeepsNoBulkBuffer(t *testing.T) {
-	type bulk struct{ X []float64 }
-	v := bulk{X: make([]float64, 1<<16)}
-	for i := range v.X {
-		v.X[i] = float64(i) + 0.5
+	type bulk struct {
+		Name string
+		Mass []float64
+		Pos  [][3]float64
+		Key  []uint64
+		N    int
 	}
-	enc := Marshal(&v)
-	var back bulk
-	if err := Unmarshal(enc, &back); err != nil || len(back.X) != len(v.X) || back.X[77] != v.X[77] {
-		t.Fatalf("bulk round trip: %d floats, %v", len(back.X), err)
+	const n = 1 << 14
+	v := bulk{Name: "stars", Mass: make([]float64, n), Pos: make([][3]float64, n), Key: make([]uint64, n), N: n}
+	for i := range n {
+		x := float64(i)
+		v.Mass[i], v.Pos[i], v.Key[i] = x+0.5, [3]float64{math.Sin(x), 0, -x}, uint64(i)<<(i%64)
 	}
-	// The column was grown once, to what its floats (3 to 4 bytes each
-	// here) take, not to the 9-byte worst case and not by doubling.
-	if cap(enc) > len(enc)+len(enc)/8 {
-		t.Errorf("bulk message of %d bytes handed out in a %d-byte buffer", len(enc), cap(enc))
-	}
-	for i := 0; i < 64; i++ {
-		b := scratch.Get().(*[]byte)
-		if cap(*b) > maxPooled {
-			t.Fatalf("pool handed out a %d-byte buffer", cap(*b))
+	for _, room := range []int{0, 39} {
+		enc := MarshalBehind(room, &v)
+		if cap(enc) != len(enc) {
+			t.Errorf("bulk message of %d bytes handed out in a %d-byte buffer", len(enc), cap(enc))
 		}
-		defer scratch.Put(b)
+		var back bulk
+		if err := Unmarshal(enc[room:], &back); err != nil || back.N != n || back.Mass[77] != v.Mass[77] ||
+			back.Pos[n-1] != v.Pos[n-1] || back.Key[n-1] != v.Key[n-1] {
+			t.Fatalf("bulk round trip behind %d bytes: %d floats, %v", room, len(back.Mass), err)
+		}
 	}
 }

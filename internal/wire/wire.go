@@ -110,7 +110,7 @@ func AppendUint(dst []byte, x uint64) []byte {
 		return append(dst, byte(x))
 	}
 	n := (bits.Len64(x) + 7) / 8
-	if n == 8 { // an arbitrary float: skip the variable-length copy
+	if n == 8 { // an arbitrary float or a key from 2^56: no variable-length copy
 		return binary.BigEndian.AppendUint64(append(dst, 0xF8), x)
 	}
 	var tmp [9]byte
@@ -121,12 +121,14 @@ func AppendUint(dst []byte, x uint64) []byte {
 
 // AppendInt appends i with its sign folded into the low bit, so small
 // magnitudes of either sign stay short.
-func AppendInt(dst []byte, i int64) []byte {
+func AppendInt(dst []byte, i int64) []byte { return AppendUint(dst, zigzag(i)) }
+
+func zigzag(i int64) uint64 {
 	x := uint64(i) << 1
 	if i < 0 {
 		x = ^x
 	}
-	return AppendUint(dst, x)
+	return x
 }
 
 // AppendFloat appends f's IEEE bits byte-reversed, so the exponent and

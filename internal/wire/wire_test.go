@@ -89,6 +89,79 @@ func TestScalarForms(t *testing.T) {
 	}
 }
 
+// TestColumnLoopsMatchPerValueForms: a float, vector or key column, which
+// the struct codec encodes and decodes in one loop over its words, is on the
+// wire what AppendFloat / AppendUint write value by value — NaN payloads,
+// infinities, -0, the smallest subnormal, round and arbitrary floats, keys
+// either side of every length boundary — at frame offsets 0–7, through
+// Append and through MarshalBehind (sized exactly above 64 KiB), and it
+// decodes to the same bits. Every proper prefix of a column fails to decode,
+// and none panics; the empty prefix is the append-only rule's field
+// boundary, a nil column.
+func TestColumnLoopsMatchPerValueForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	floats := []float64{math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(0xfff0_0000_0000_0001),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0, 0.5, 1,
+		math.Float64frombits(0x3ff0_0000_0000_0100)} // low mantissa byte zero, the next one not
+	keys := []uint64{0, 127, 128, 1<<56 - 1, 1 << 56, 1 << 63, math.MaxUint64}
+	for range 8 {
+		floats = append(floats, rng.NormFloat64()*math.Exp(20*rng.NormFloat64()))
+		keys = append(keys, rng.Uint64()>>rng.Intn(64))
+	}
+	appendVec := func(dst []byte, v vec) []byte {
+		return wire.AppendFloat(wire.AppendFloat(wire.AppendFloat(dst, v[0]), v[1]), v[2])
+	}
+	for _, n := range []int{0, 1, 2, 1000, 10_000} {
+		for off := range 8 {
+			fs, vs, ks := make([]float64, n), make([]vec, n), make([]uint64, n)
+			for i := range n {
+				f := func(j int) float64 { return floats[(j+off)%len(floats)] }
+				fs[i], vs[i], ks[i] = f(i), vec{f(i + 1), f(3 * i), f(5 * i)}, keys[(i+off)%len(keys)]
+			}
+			// Every prefix where that is cheap: a column of 1 000 is cut at
+			// offset 0 only, and one of 10 000 not at all.
+			prefixes := n <= 2 || n == 1000 && off == 0
+			checkColumn(t, off, fs, wire.AppendFloat, prefixes)
+			checkColumn(t, off, vs, appendVec, prefixes)
+			checkColumn(t, off, ks, wire.AppendUint, prefixes)
+		}
+	}
+}
+
+// checkColumn holds col, encoded at frame offset off, to the per-value
+// encoding one writes.
+func checkColumn[E any](t *testing.T, off int, col []E, one func([]byte, E) []byte, prefixes bool) {
+	t.Helper()
+	oracle := func(col []E) []byte {
+		b := wire.AppendUint(make([]byte, off), uint64(len(col)))
+		for _, e := range col {
+			b = one(b, e)
+		}
+		return b
+	}
+	want := oracle(col)
+	v := struct{ X []E }{col}
+	for how, got := range map[string][]byte{"Append": wire.Append(make([]byte, off), &v), "MarshalBehind": wire.MarshalBehind(off, &v)} {
+		if !bytes.Equal(got, want) {
+			d := 0
+			for d < min(len(got), len(want)) && got[d] == want[d] {
+				d++
+			}
+			t.Fatalf("%T column of %d at offset %d, %s: %d bytes, the per-value forms %d; first difference at %d",
+				col, len(col), off, how, len(got), len(want), d)
+		}
+	}
+	var back struct{ X []E }
+	if err := wire.Unmarshal(want[off:], &back); err != nil || !bytes.Equal(oracle(back.X), want) {
+		t.Fatalf("%T column of %d at offset %d: decoded to other bits (%v)", col, len(col), off, err)
+	}
+	for cut := off + 1; prefixes && cut < len(want); cut++ {
+		if err := wire.Unmarshal(want[off:cut], &back); err == nil {
+			t.Fatalf("%T column of %d: the first %d of its %d bytes decode", col, len(col), cut-off, len(want)-off)
+		}
+	}
+}
+
 func TestBadLengthByte(t *testing.T) {
 	for _, b := range [][]byte{{0x80}, {0xF7, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {0xFE, 1}, {}} {
 		r := wire.Reader{B: b}
@@ -221,6 +294,21 @@ func TestNilAndEmptySlices(t *testing.T) {
 	}
 	if out.Raw != nil || out.Fs != nil || out.Vs != nil || out.Ss != nil || out.Ins != nil {
 		t.Fatalf("empty slices decoded non-nil: %+v", out)
+	}
+}
+
+// TestMarshalSizesExactly: Marshal's size pass agrees with the encoder on
+// every kind, at either sign and at round and arbitrary values, so every
+// message is one allocation whose capacity is its length.
+func TestMarshalSizesExactly(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		for _, fill := range []wiretest.Class{wiretest.Random, wiretest.Round} {
+			v := wiretest.Fill(everything{}, fill, seed)
+			enc := wire.Marshal(v)
+			if cap(enc) != len(enc) || !bytes.Equal(enc, wire.Append(nil, v)) {
+				t.Fatalf("seed %d: Marshal gave %d bytes in a %d-byte buffer, Append %d", seed, len(enc), cap(enc), len(wire.Append(nil, v)))
+			}
+		}
 	}
 }
 

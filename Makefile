@@ -57,14 +57,11 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest change raised the total by 63: the struct codec sizes every
-# message exactly before its one allocation and walks a float, vector or key
-# column in one loop each way, set_particles checks an upload's columns
-# before the worker takes them, and cmd/ab runs several workloads against
-# one export; the codec's pooled scratch and kernel.PayloadToParticles went,
-# and ScatterState moved to the tests once restores took a snapshot's
-# columns directly.
-LOC_CORE_MAX = 5555
+# The latest change lowered internal/core by 15 and held the total: the
+# worker's loopback listener, its accept goroutine and the proxy's dialled
+# conn went (the proxy dispatches in line), the kernel's frame parsers share
+# one tag check, and the coupler's call is its own completer.
+LOC_CORE_MAX = 5540
 LOC_TOTAL_MAX = 26441
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
@@ -197,7 +194,7 @@ cover:
 #
 # The scenario benchmarks live in the root package; a layer's own benchmarks
 # live with the layer (BENCH_PKGS).
-BENCH_OUT ?= BENCH_37.json
+BENCH_OUT ?= BENCH_38.json
 BENCH_PKGS = . ./internal/core ./internal/core/kernel ./internal/mpisim ./internal/phys/sph ./internal/phys/tree ./internal/phys/nbody ./internal/trace
 BENCH_RUN = $(GO) test -run XXX -bench . -benchmem -cpu 1 $(BENCH_PKGS)
 bench:
@@ -220,7 +217,7 @@ bench-check:
 	$(BENCH_RUN) > bench.out || { cat bench.out; rm -f bench.out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -o bench-check.json -against $$base \
 	  -loose-match 'ConcurrentSessions|Ensemble' \
-	  -allocs-match 'HermiteStep|TreeField|SPHStep|DensityPass|ForcesPass|MPIAllreduce|IbisChannelRoundTrip|BulkRound|LabTestbedBuild|StateCodec|UploadCodec' \
+	  -allocs-match 'HermiteStep|TreeField|SPHStep|DensityPass|ForcesPass|MPIAllreduce|IbisChannelRoundTrip|PipelinedKick|BulkRound|LabTestbedBuild|StateCodec|UploadCodec' \
 	  < bench.out; st=$$?; \
 	rm -f bench.out bench-check.json; exit $$st
 

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,9 +182,9 @@ func TestUndecodableResponseFailsChannel(t *testing.T) {
 	defer ch.close()
 
 	done := make(chan error, 1)
-	ch.start(request{ID: reqIDs.Add(1), Method: "ping"}, func(_ response, _ time.Duration, err error) {
+	ch.start(request{ID: reqIDs.Add(1), Method: "ping"}, completion(func(_ response, _ time.Duration, err error) {
 		done <- err
-	})
+	}))
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrTransport) {
@@ -192,9 +195,9 @@ func TestUndecodableResponseFailsChannel(t *testing.T) {
 	}
 	// The channel is dead, and says so immediately for new calls.
 	second := make(chan error, 1)
-	ch.start(request{ID: reqIDs.Add(1), Method: "ping"}, func(_ response, _ time.Duration, err error) {
+	ch.start(request{ID: reqIDs.Add(1), Method: "ping"}, completion(func(_ response, _ time.Duration, err error) {
 		second <- err
-	})
+	}))
 	select {
 	case err := <-second:
 		if err == nil {
@@ -203,6 +206,121 @@ func TestUndecodableResponseFailsChannel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("dead channel did not fail a new call")
 	}
+}
+
+// TestUndecodableRequestIsAnswered: a request frame cut inside its method
+// name, written straight onto the coupler's connection to the daemon and
+// onto a sockets worker's connection, is answered for its ID as a transport
+// fault naming the parse error — no hop skips it and leaves its caller
+// waiting. A frame with no ID to answer closes the connection instead.
+func TestUndecodableRequestIsAnswered(t *testing.T) {
+	tb, sim := labSim(t)
+	req := request{ID: reqIDs.Add(1), Method: "kick"}
+	cut := kernel.AppendRequest(nil, &req)[:1+8+8+8+2+2]
+	answered := func(t *testing.T, recv func() (response, error)) {
+		t.Helper()
+		got := make(chan error, 1)
+		go func() {
+			resp, err := recv()
+			if err == nil && resp.ID != req.ID {
+				err = fmt.Errorf("answered ID %d, want %d", resp.ID, req.ID)
+			} else if err == nil {
+				if err = kernel.ResponseError(&resp); errors.Is(err, ErrTransport) && strings.Contains(err.Error(), "method") {
+					err = nil
+				} else {
+					err = fmt.Errorf("answered with %v, want ErrTransport naming the method", err)
+				}
+			}
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no answer to an undecodable request")
+		}
+	}
+
+	t.Run("daemon", func(t *testing.T) {
+		local := tb.Deployment.LocalHost()
+		conn, err := tb.Net.Dial(local, local, DaemonPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Send(slices.Clone(cut), 0); err != nil {
+			t.Fatal(err)
+		}
+		answered(t, func() (response, error) {
+			var resp response
+			msg, err := conn.Recv()
+			if err == nil {
+				err = kernel.UnmarshalResponse(msg.Data, &resp)
+			}
+			return resp, err
+		})
+		if _, err := conn.Send([]byte{0xde, 0xad}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Recv(); err == nil {
+			t.Fatal("the daemon answered a frame with no ID")
+		}
+	})
+	t.Run("sockets", func(t *testing.T) {
+		g, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "desktop", Channel: ChannelSockets},
+			GravityOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.mu.Lock()
+		ch := g.ch.(*connChannel)
+		g.mu.Unlock()
+		outcome := make(chan response, 1)
+		ch.mu.Lock()
+		ch.pending[req.ID] = pendingCall{done: completion(func(resp response, _ time.Duration, err error) {
+			if err != nil {
+				resp = response{ID: req.ID, Err: err.Error()}
+			}
+			outcome <- resp
+		})}
+		ch.mu.Unlock()
+		if _, err := ch.conn.Send(slices.Clone(cut), 0); err != nil {
+			t.Fatal(err)
+		}
+		answered(t, func() (response, error) { return <-outcome, nil })
+		// The channel still works, and a frame with no ID ends it.
+		if err := g.Kick(context.Background(), make([]data.Vec3, 0)); err != nil && !errors.Is(err, ErrWorkerFault) {
+			t.Fatal(err)
+		}
+		if _, err := ch.conn.Send([]byte{0xde, 0xad}, 0); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-time.After(5 * time.Second):
+			t.Fatal("the worker kept a connection that sent a frame with no ID")
+		case <-closedChannel(ch):
+		}
+	})
+}
+
+// closedChannel is closed once ch has failed.
+func closedChannel(ch *connChannel) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			ch.mu.Lock()
+			closed := ch.closed
+			ch.mu.Unlock()
+			if closed {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	return done
 }
 
 // TestConcurrentCallsOneChannel hammers a single ibis channel from many

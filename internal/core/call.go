@@ -70,6 +70,15 @@ type Call struct {
 	// never observed — the elastic rebalancer's evolve hook, which must not
 	// depend on the caller waiting. It must not block.
 	success func()
+
+	// The attempt in flight (send writes it, complete reads it): how it was
+	// sent, when, and the method and args a replay sends again.
+	m      *modelProxy
+	gen    int
+	class  callClass
+	at     time.Duration
+	method string
+	args   []byte
 }
 
 func newCall(clock *vtime.Clock, after func(*Call) error) *Call {

@@ -10,11 +10,18 @@ import (
 	"jungle/internal/vnet"
 )
 
-// completion receives the outcome of one started call, exactly once: a
+// completer receives the outcome of one started call, exactly once: a
 // decoded response plus its coupler-side virtual arrival time, or a
-// transport-level error. Completions are invoked from channel-internal
-// goroutines and must not block.
+// transport-level error. It runs on a channel's goroutine and must not
+// block. A model's Call is its own completer: starting it allocates nothing.
+type completer interface {
+	complete(resp response, arrival time.Duration, err error)
+}
+
+// completion is a function as a completer: what a gang's merges use.
 type completion func(resp response, arrival time.Duration, err error)
+
+func (f completion) complete(resp response, arrival time.Duration, err error) { f(resp, arrival, err) }
 
 // channel moves RPC round trips between the coupler and one worker. The
 // three implementations mirror AMUSE's channels: "mpi" (in-process, the
@@ -33,7 +40,7 @@ type channel interface {
 	// start issues one call without waiting and later delivers the
 	// outcome to done (exactly once, possibly before start returns if the
 	// channel is already closed).
-	start(req request, done completion)
+	start(req request, done completer)
 	close() error
 }
 
@@ -57,7 +64,7 @@ type localChannel struct {
 
 type localSubmission struct {
 	req  request
-	done completion
+	done completer
 }
 
 // mpiMessageLatency is the per-call cost of the local MPI channel.
@@ -71,10 +78,10 @@ func newLocalChannel(svc service, obs *chanObs) *localChannel {
 
 func (c *localChannel) name() string { return ChannelMPI }
 
-func (c *localChannel) start(req request, done completion) {
-	done = c.obs.observe(req.Method, req.SentAt, done)
+func (c *localChannel) start(req request, done completer) {
+	c.obs.issued()
 	if !c.queue.Push(localSubmission{req: req, done: done}) {
-		done(response{}, 0, ErrChannelClosed)
+		c.obs.deliver(pendingCall{done, req.Method, req.SentAt}, response{}, 0, ErrChannelClosed)
 	}
 }
 
@@ -88,12 +95,13 @@ func (c *localChannel) serve() {
 			c.svc.Close()
 			return
 		}
+		p := pendingCall{sub.done, sub.req.Method, sub.req.SentAt}
 		if c.queue.Closed() {
-			sub.done(response{}, 0, ErrChannelClosed)
+			c.obs.deliver(p, response{}, 0, ErrChannelClosed)
 			continue
 		}
 		result, doneAt, err := c.svc.Dispatch(sub.req.Method, sub.req.Args, sub.req.SentAt+c.latency)
-		sub.done(kernel.LocalResponse(sub.req.ID, result, doneAt, err), doneAt+c.latency, nil)
+		c.obs.deliver(p, kernel.LocalResponse(sub.req.ID, result, doneAt, err), doneAt+c.latency, nil)
 	}
 }
 
@@ -115,13 +123,20 @@ type connChannel struct {
 	obs    *chanObs
 
 	mu      sync.Mutex
-	pending map[uint64]completion
+	pending map[uint64]pendingCall
 	closed  bool
 	readErr error
 }
 
+// pendingCall is a started call until its channel delivers the outcome.
+type pendingCall struct {
+	done   completer
+	method string
+	sentAt time.Duration
+}
+
 func newConnChannel(name string, conn *vnet.Conn, obs *chanObs) *connChannel {
-	c := &connChannel{chName: name, conn: conn, obs: obs, pending: make(map[uint64]completion)}
+	c := &connChannel{chName: name, conn: conn, obs: obs, pending: make(map[uint64]pendingCall)}
 	go c.readLoop()
 	return c
 }
@@ -147,11 +162,11 @@ func (c *connChannel) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		done := c.pending[resp.ID]
+		p, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
-		if done != nil {
-			done(resp, msg.Arrival, nil)
+		if ok {
+			c.obs.deliver(p, resp, msg.Arrival, nil)
 		}
 	}
 }
@@ -165,64 +180,48 @@ func (c *connChannel) fail(err error) {
 	}
 	err = c.readErr
 	pend := c.pending
-	c.pending = make(map[uint64]completion)
+	c.pending = make(map[uint64]pendingCall)
 	c.mu.Unlock()
-	for _, done := range pend {
-		done(response{}, 0, err)
+	for _, p := range pend {
+		c.obs.deliver(p, response{}, 0, err)
 	}
 }
 
-func (c *connChannel) start(req request, done completion) {
-	done = c.obs.observe(req.Method, req.SentAt, done)
+func (c *connChannel) start(req request, done completer) {
+	c.obs.issued()
+	p := pendingCall{done, req.Method, req.SentAt}
 	c.mu.Lock()
 	if c.closed {
-		err := c.readErr
+		err := c.readErr // fail set it
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrChannelClosed
-		}
-		done(response{}, 0, err)
+		c.obs.deliver(p, response{}, 0, err)
 		return
 	}
-	c.pending[req.ID] = done
+	c.pending[req.ID] = p
 	c.mu.Unlock()
 
 	if _, sendErr := c.conn.Send(req.Frame(), req.SentAt); sendErr != nil {
 		// The read loop may have raced us to the pending entry (it fails
 		// everything when the conn dies); only deliver if we still own it.
 		c.mu.Lock()
-		cb, ok := c.pending[req.ID]
+		p, ok := c.pending[req.ID]
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
-		if ok && cb != nil {
-			cb(response{}, 0, fmt.Errorf("%w: %s channel send: %v", kernel.ErrTransport, c.chName, sendErr))
+		if ok {
+			c.obs.deliver(p, response{}, 0, fmt.Errorf("%w: %s channel send: %v", kernel.ErrTransport, c.chName, sendErr))
 		}
 	}
 }
 
 func (c *connChannel) close() error {
-	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	if c.readErr == nil {
-		c.readErr = ErrChannelClosed
-	}
-	err := c.readErr
-	pend := c.pending
-	c.pending = make(map[uint64]completion)
-	c.mu.Unlock()
-	for _, done := range pend {
-		done(response{}, 0, err)
-	}
-	if !already {
-		return c.conn.Close()
-	}
-	return nil
+	c.fail(ErrChannelClosed)
+	return c.conn.Close()
 }
 
-// serveConn is the worker-process side of a conn channel: read requests,
-// dispatch sequentially, reply. Pipelined requests queue on the conn and
-// execute in arrival order. It returns when the connection closes.
+// serveConn is the worker-process side of the sockets channel: read
+// requests, dispatch sequentially, reply, until the connection closes.
+// Pipelined requests execute in arrival order. An undecodable request is
+// answered as a transport fault, or closes the connection if it has no ID.
 func serveConn(conn *vnet.Conn, svc service) {
 	for {
 		msg, err := conn.Recv()
@@ -230,13 +229,19 @@ func serveConn(conn *vnet.Conn, svc service) {
 			return
 		}
 		var req request
-		if err := kernel.UnmarshalRequest(msg.Data, &req); err != nil {
-			continue
+		result, doneAt, err := kernel.Reply{}, msg.Arrival, kernel.UnmarshalRequest(msg.Data, &req)
+		switch {
+		case err != nil && req.ID == 0:
+			conn.Close()
+			return
+		case err != nil:
+			err = fmt.Errorf("%w: worker received an undecodable request: %v", kernel.ErrTransport, err)
+		default:
+			// The result arrives with the response header's room in front of
+			// it: the frame that answers is the buffer the service encoded into.
+			result, doneAt, err = svc.Dispatch(req.Method, req.Args, msg.Arrival)
 		}
-		// The result arrives with the response header's room in front of it:
-		// the frame that answers is the buffer the service encoded into.
-		result, doneAt, derr := svc.Dispatch(req.Method, req.Args, msg.Arrival)
-		if _, err := conn.Send(kernel.FrameResponse(req.ID, result, doneAt, derr), doneAt); err != nil {
+		if _, err := conn.Send(kernel.FrameResponse(req.ID, result, doneAt, err), doneAt); err != nil {
 			return
 		}
 	}

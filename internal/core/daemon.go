@@ -44,8 +44,8 @@ type Daemon struct {
 	closed   bool
 	// Session worker-id blocks: each named session gets a disjoint id
 	// range (slot * sessionIDBlock), so everything keyed on the worker id
-	// — pool port names, the per-id peer/loopback port block, checkpoint
-	// refs — is namespaced per session. The default session ("") keeps the
+	// — pool port names, the per-id port block, checkpoint refs — is
+	// namespaced per session. The default session ("") keeps the
 	// plain nextID sequence, so single-tenant daemons number workers
 	// exactly as before. Slots count up from 1 in order of first use and
 	// are never reused.
@@ -345,12 +345,17 @@ func (d *Daemon) DropSessionCheckpoints(session string) {
 	d.ckptMu.Unlock()
 }
 
+// worker returns the handle of worker id, nil if the daemon has none.
+func (d *Daemon) worker(id int) *workerHandle {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.workers[id]
+}
+
 // WorkerAlive reports whether a worker id is known and not dead — the
 // gang recovery path uses it to find which rank to restart.
 func (d *Daemon) WorkerAlive(id int) bool {
-	d.mu.Lock()
-	wh := d.workers[id]
-	d.mu.Unlock()
+	wh := d.worker(id)
 	if wh == nil {
 		return false
 	}
@@ -396,7 +401,9 @@ func (d *Daemon) acceptLoop() {
 	}
 }
 
-// serveCoupler relays one coupler channel's requests to worker proxies.
+// serveCoupler relays one coupler channel's requests to worker proxies by
+// the ID and worker it reads in place. An undecodable request is answered
+// as a transport fault, or closes the connection if it has no ID.
 func (d *Daemon) serveCoupler(conn *vnet.Conn) {
 	defer d.wg.Done()
 	for {
@@ -404,27 +411,29 @@ func (d *Daemon) serveCoupler(conn *vnet.Conn) {
 		if err != nil {
 			return
 		}
-		var req request
-		if err := kernel.UnmarshalRequest(msg.Data, &req); err != nil {
+		id, worker, err := kernel.RouteRequest(msg.Data)
+		wh := d.worker(worker)
+		switch {
+		case err != nil && id == 0:
+			conn.Close()
+			return
+		case err != nil:
+			d.reply(conn, id, msg.Arrival, kernel.CodeTransport, "core: daemon received an undecodable request: "+err.Error())
 			continue
-		}
-		d.mu.Lock()
-		wh := d.workers[req.Worker]
-		d.mu.Unlock()
-		if wh == nil {
+		case wh == nil:
 			// A routing failure is a transport fault, not a worker death:
 			// no worker with that id exists on this daemon.
-			d.reply(conn, req.ID, msg.Arrival, kernel.CodeTransport, fmt.Sprintf("core: no worker %d", req.Worker))
+			d.reply(conn, id, msg.Arrival, kernel.CodeTransport, fmt.Sprintf("core: no worker %d", worker))
 			continue
 		}
 		wh.mu.Lock()
 		dead, sp := wh.dead, wh.sendPort
 		if !dead && sp != nil {
-			wh.pending[req.ID] = conn
+			wh.pending[id] = conn
 		}
 		wh.mu.Unlock()
 		if dead || sp == nil {
-			d.reply(conn, req.ID, msg.Arrival, kernel.CodeWorkerDied, ErrWorkerDied.Error())
+			d.reply(conn, id, msg.Arrival, kernel.CodeWorkerDied, ErrWorkerDied.Error())
 			continue
 		}
 		if err := sp.Write(msg.Data, msg.Arrival); err != nil {
@@ -799,9 +808,7 @@ func (d *Daemon) StopWorker(id int) {
 // worker if its last checkpoint covers it. Fault injection: tests and
 // benchmarks only.
 func (d *Daemon) KillWorker(id int) {
-	d.mu.Lock()
-	wh := d.workers[id]
-	d.mu.Unlock()
+	wh := d.worker(id)
 	if wh == nil {
 		return
 	}
@@ -828,9 +835,7 @@ func (d *Daemon) WorkerJob(id int) *gat.Job {
 // from its pool identity. It reports false for non-ibis workers, workers
 // still starting, and dead workers.
 func (d *Daemon) WorkerPeerAddr(id int) (smartsockets.Address, bool) {
-	d.mu.Lock()
-	wh := d.workers[id]
-	d.mu.Unlock()
+	wh := d.worker(id)
 	if wh == nil {
 		return smartsockets.Address{}, false
 	}
@@ -859,9 +864,7 @@ func (d *Daemon) AbortTransfer(addr smartsockets.Address, id uint64) {
 // workerSocketConn returns the connection the sockets-channel worker that
 // StartWorker just started dialled back on.
 func (d *Daemon) workerSocketConn(id int) *vnet.Conn {
-	d.mu.Lock()
-	wh := d.workers[id]
-	d.mu.Unlock()
+	wh := d.worker(id)
 	wh.mu.Lock()
 	defer wh.mu.Unlock()
 	return wh.socketConn

@@ -74,14 +74,17 @@ func (g *gangChannel) setWorkers(ids []int) {
 // outcome: rank 0's result, the latest DoneAt/arrival, and the most
 // actionable failure (a dead rank beats a surviving rank's aborted-
 // collective fault, so the coupler sees ErrWorkerDied when a rank died).
-func (g *gangChannel) start(req request, done completion) {
-	done = g.obs.observe(req.Method, req.SentAt, done)
+func (g *gangChannel) start(req request, done completer) {
+	g.obs.issued()
+	merged := pendingCall{done, req.Method, req.SentAt}
 	g.issueMu.Lock()
 	defer g.issueMu.Unlock()
 	workers := g.workers
 	if !gangFanout(req.Method) {
 		req.Worker = workers[0]
-		g.members[0].start(req, done)
+		g.members[0].start(req, completion(func(resp response, arrival time.Duration, err error) {
+			g.obs.deliver(merged, resp, arrival, err)
+		}))
 		return
 	}
 	n := len(g.members)
@@ -98,7 +101,7 @@ func (g *gangChannel) start(req request, done completion) {
 			r.ID = reqIDs.Add(1)
 		}
 		rank := i
-		g.members[i].start(r, func(resp response, arrival time.Duration, err error) {
+		g.members[i].start(r, completion(func(resp response, arrival time.Duration, err error) {
 			mu.Lock()
 			outcomes[rank] = gangOutcome{resp: resp, arrival: arrival, err: err}
 			remaining--
@@ -107,8 +110,9 @@ func (g *gangChannel) start(req request, done completion) {
 			if !last {
 				return
 			}
-			done(mergeGangOutcomes(req.ID, outcomes))
-		})
+			resp, arrival, err = mergeGangOutcomes(req.ID, outcomes)
+			g.obs.deliver(merged, resp, arrival, err)
+		}))
 	}
 }
 
@@ -127,7 +131,7 @@ func (g *gangChannel) perRank(ctx context.Context, s *Simulation, method string,
 	workers := g.workers
 	for rank, member := range g.members {
 		req := request{ID: reqIDs.Add(1), Worker: workers[rank], Method: method, Args: args(rank), SentAt: at}
-		member.start(req, func(resp response, arrival time.Duration, err error) {
+		member.start(req, completion(func(resp response, arrival time.Duration, err error) {
 			if err == nil {
 				arrivals[rank] = arrival
 				if err = kernel.ResponseError(&resp); err == nil && result != nil {
@@ -138,7 +142,7 @@ func (g *gangChannel) perRank(ctx context.Context, s *Simulation, method string,
 				errs[rank] = fmt.Errorf("core: %s rank %d: %w", method, rank, err)
 			}
 			done <- struct{}{}
-		})
+		}))
 	}
 	g.issueMu.Unlock()
 	for range k {

@@ -156,11 +156,9 @@ func snapshotSize(s *Snapshot) int {
 // aliases b; the state columns are decoded into slices of their own.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagSnapshot {
-		return nil, fmt.Errorf("kernel: not a snapshot frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagSnapshot, "snapshot")
 	s := &Snapshot{
-		Kind:  r.String16("kind"),
+		Kind:  string(r.Bytes16("kind")),
 		Model: math.Float64frombits(r.U64("model clock")),
 		Steps: int(r.U64("steps")),
 		VTime: time.Duration(r.U64("vtime")),

@@ -186,9 +186,7 @@ func ViewState(b []byte) (StateView, error) {
 // offset just past it — embedding frames (snapshots) parse the state
 // and continue without re-deriving its encoded length.
 func viewState(r *wire.Reader) (StateView, error) {
-	if tag := r.U8("tag"); r.Err == nil && tag != tagState {
-		return StateView{}, fmt.Errorf("kernel: not a state frame (tag 0x%02x)", tag)
-	}
+	expectTag(r, tagState, "state")
 	v := StateView{N: int(r.U32("n"))}
 	switch flag := r.U8("keyflag"); {
 	case flag == 1:
@@ -216,7 +214,7 @@ func (v *StateView) columns(r *wire.Reader, width int, what string) (attrs []str
 	}
 	attrs, cols = make([]string, 0, n), make([][]byte, 0, n)
 	for i := 0; i < n && r.Err == nil; i++ {
-		a := r.String16(what)
+		a := string(r.Bytes16(what))
 		if r.Err == nil && (slices.Contains(attrs, a) || slices.Contains(v.FloatAttrs, a)) {
 			r.Err = fmt.Errorf("kernel: state frame carries attribute %q twice", a)
 		}
@@ -301,13 +299,11 @@ func AppendStateRequest(dst []byte, q *StateRequest) []byte {
 // UnmarshalStateRequest parses a frame produced by AppendStateRequest.
 func UnmarshalStateRequest(b []byte) (*StateRequest, error) {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagStateReq {
-		return nil, fmt.Errorf("kernel: not a state request frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagStateReq, "state request")
 	q := &StateRequest{}
 	n := int(r.U16("nattrs"))
 	for i := 0; i < n && r.Err == nil; i++ {
-		q.Attrs = append(q.Attrs, r.String16("attr"))
+		q.Attrs = append(q.Attrs, string(r.Bytes16("attr")))
 	}
 	if r.Err != nil {
 		return nil, r.Err

@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-
-	"jungle/internal/wire"
-)
+import "jungle/internal/wire"
 
 // Third-party state transfer: the coupler orchestrates by RPC, the column
 // bytes flow worker-to-worker over a SmartSockets virtual connection — the
@@ -94,9 +90,7 @@ func AppendTransferAbort(dst []byte, id uint64) []byte {
 // AppendTransferAbort. state aliases b.
 func UnmarshalTransfer(b []byte) (id uint64, state []byte, abort bool, err error) {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagTransfer {
-		return 0, nil, false, fmt.Errorf("kernel: not a transfer frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagTransfer, "transfer")
 	id = r.U64("id")
 	abort = r.U8("abort") == 1
 	state = r.Bytes32("state")
@@ -112,9 +106,7 @@ func AppendTransferAck(dst []byte, id uint64) []byte {
 // UnmarshalTransferAck parses a frame produced by AppendTransferAck.
 func UnmarshalTransferAck(b []byte) (uint64, error) {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagTransferAck {
-		return 0, fmt.Errorf("kernel: not a transfer ack frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagTransferAck, "transfer ack")
 	id := r.U64("id")
 	return id, r.Err
 }
@@ -136,9 +128,7 @@ func AppendGangHello(dst []byte, gangID uint64, fromRank int) []byte {
 // UnmarshalGangHello parses a frame produced by AppendGangHello.
 func UnmarshalGangHello(b []byte) (gangID uint64, fromRank int, err error) {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagGangHello {
-		return 0, 0, fmt.Errorf("kernel: not a gang hello frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagGangHello, "gang hello")
 	gangID = r.U64("gang id")
 	fromRank = int(r.U32("from rank"))
 	return gangID, fromRank, r.Err
@@ -152,9 +142,7 @@ const stagedHeader = 1 + 8 + 4
 // aliases b.
 func UnmarshalStaged(b []byte) (slot uint64, state []byte, err error) {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagStaged {
-		return 0, nil, fmt.Errorf("kernel: not a staged frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagStaged, "staged")
 	slot = r.U64("slot")
 	state = r.Bytes32("state")
 	return slot, state, r.Err

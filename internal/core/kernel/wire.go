@@ -161,8 +161,8 @@ func (c Code) Sentinel() error {
 }
 
 // ClassifyErr maps a worker-side dispatch error to its wire code. It is
-// the encode half of the taxonomy: serveConn, the local channel and the
-// daemon run every error through it before framing a Response.
+// the encode half of the taxonomy: every worker, channel and the daemon run
+// every error through it before framing a Response.
 func ClassifyErr(err error) Code {
 	switch {
 	case err == nil:
@@ -228,19 +228,18 @@ const (
 	tagSnapshot    = 0x4B // 'K' — worker checkpoint snapshot (checkpoint.go)
 )
 
-// FrameTag returns the leading tag byte of a wire frame (0 for an empty
-// frame). Peer listeners use it to route an inbound connection's first
-// frame: transfer streams, aborts and gang hellos all arrive on the same
-// listener.
-func FrameTag(b []byte) byte {
-	if len(b) == 0 {
-		return 0
+// expectTag reads a frame's tag and fails r unless it is tag: every read
+// after it returns zero, so a frame of another kind parses as nothing.
+func expectTag(r *wire.Reader, tag byte, what string) {
+	if got := r.U8("tag"); r.Err == nil && got != tag {
+		r.Err = fmt.Errorf("kernel: not a %s frame (tag 0x%02x)", what, got)
 	}
-	return b[0]
 }
 
-// IsGangHello reports whether a frame is a gang link handshake.
-func IsGangHello(b []byte) bool { return FrameTag(b) == tagGangHello }
+// IsGangHello reports whether a frame is a gang link handshake. Peer
+// listeners route an inbound connection by its first frame: transfer
+// streams, aborts and gang hellos all arrive on the same listener.
+func IsGangHello(b []byte) bool { return len(b) > 0 && b[0] == tagGangHello }
 
 // requestHeader is the size of a request's header in front of its args.
 func requestHeader(method string) int { return 1 + 8 + 8 + 8 + 2 + len(method) + 4 }
@@ -334,20 +333,53 @@ func (r Request) Unframed() Request {
 // left with has been served.
 func (r *Request) OwnFrame() []byte { return r.frame }
 
+// Size is the length of the request's wire frame.
+func (r *Request) Size() int { return requestHeader(r.Method) + len(r.Args) }
+
 // UnmarshalRequest parses a frame produced by AppendRequest. req.Args
-// aliases b.
-func UnmarshalRequest(b []byte, req *Request) error {
+// aliases b; req.Method is methodNames' string for a name listed there. On a
+// malformed frame req.ID is the frame's if its tag is a request's and it
+// holds one, else 0: the caller answers that ID, or has no call to answer.
+func UnmarshalRequest(b []byte, req *Request) error { return parseRequest(b, req, true) }
+
+// RouteRequest reads what a relay routes a request frame by, its ID and
+// worker, in place: it checks the frame as UnmarshalRequest does, and never
+// reads the method. Its ID on a malformed frame is UnmarshalRequest's.
+func RouteRequest(b []byte) (id uint64, worker int, err error) {
+	var req Request
+	err = parseRequest(b, &req, false)
+	return req.ID, req.Worker, err
+}
+
+func parseRequest(b []byte, req *Request, method bool) error {
+	*req = Request{}
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagRequest {
-		return fmt.Errorf("kernel: not a request frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagRequest, "request")
 	req.ID = r.U64("id")
 	req.Worker = int(r.U64("worker"))
 	req.SentAt = time.Duration(r.U64("sentAt"))
-	req.Method = r.String16("method")
+	if name := r.Bytes16("method"); method {
+		req.Method = internMethod(name)
+	}
 	req.Args = r.Bytes32("args")
-	req.frame = nil
 	return r.Err
+}
+
+// methodNames are the method names the protocol uses, hot ones first: a
+// parse hands Dispatch one of these strings instead of a copy of its own.
+var methodNames = [...]string{"kick", "evolve", "get_state", MethodApplyState, "field_staged",
+	"stage_sources", "stage_targets", "stage_release", "field_at", "step", "setup", "set_particles",
+	"get_positions", "get_velocities", "get_masses", "set_mass", "energies", "inject_energy", "stats",
+	MethodOfferState, MethodAcceptState, MethodCheckpoint, MethodOfferCheckpoint, MethodRestore,
+	MethodGangInit, MethodReshard, MethodRankLoad}
+
+func internMethod(b []byte) string {
+	for _, name := range methodNames {
+		if string(b) == name { // compares without copying b
+			return name
+		}
+	}
+	return string(b)
 }
 
 // respHeader is the size of a successful response's header — tag, id, code,
@@ -426,13 +458,11 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 // aliases b, and b is the response's Frame.
 func UnmarshalResponse(b []byte, resp *Response) error {
 	r := wire.Reader{B: b}
-	if tag := r.U8("tag"); r.Err == nil && tag != tagResponse {
-		return fmt.Errorf("kernel: not a response frame (tag 0x%02x)", tag)
-	}
+	expectTag(&r, tagResponse, "response")
 	resp.ID = r.U64("id")
 	resp.Code = Code(r.U8("code"))
 	resp.DoneAt = time.Duration(r.U64("doneAt"))
-	resp.Err = r.String16("err")
+	resp.Err = string(r.Bytes16("err"))
 	resp.Result = r.Bytes32("result")
 	resp.frame = b
 	return r.Err

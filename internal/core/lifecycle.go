@@ -106,8 +106,7 @@ func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
 }
 
 // send puts one attempt of a call on the endpoint's channel, stamped with
-// the virtual time at. Success stamps what the call wrote, unless it is the
-// rebuild's own; failure parks a replayable call.
+// the virtual time at; the call is the attempt's completer.
 func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at time.Duration) {
 	gen, replayable := ep.gen, class == replayable
 	if ep.ch == nil {
@@ -123,28 +122,32 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at
 	// once this attempt succeeds: the worker's Dispatch has returned, and
 	// nothing will replay it. A replay has no frame of its own, so a frame
 	// that went out with a failed attempt is left to the collector.
-	method, args := req.Method, req.Args
-	if method == kernel.MethodApplyState {
+	c.m, c.gen, c.class, c.at, c.method, c.args = m, gen, class, at, req.Method, req.Args
+	if req.Method == kernel.MethodApplyState {
 		c.frame = req.OwnFrame()
 	}
 	req.ID, req.Worker, req.SentAt = reqIDs.Add(1), ep.worker, at
-	ep.ch.start(req, func(resp response, arrival time.Duration, err error) {
-		doneAt := at // a call that got no response ends when it was issued
-		if err == nil {
-			// A response arrived (success or structured failure): its
-			// travel time is real either way.
-			doneAt = arrival
-			if err = kernel.ResponseError(&resp); err == nil {
-				if class != ownCall {
-					m.wrote(c.seq, method)
-				}
-				kernel.ReleaseFrame(c.frame)
-				c.finish(resp.Result, resp.Frame(), nil, doneAt)
-				return
+	ep.ch.start(req, c)
+}
+
+// complete ends the attempt in flight: success stamps what the call wrote,
+// unless it is the rebuild's own; failure parks a replayable call.
+func (c *Call) complete(resp response, arrival time.Duration, err error) {
+	doneAt := c.at // a call that got no response ends when it was issued
+	if err == nil {
+		// A response arrived (success or structured failure): its travel
+		// time is real either way.
+		doneAt = arrival
+		if err = kernel.ResponseError(&resp); err == nil {
+			if c.class != ownCall {
+				c.m.wrote(c.seq, c.method)
 			}
+			kernel.ReleaseFrame(c.frame)
+			c.finish(resp.Result, resp.Frame(), nil, doneAt)
+			return
 		}
-		m.failed(parkedCall{c: c, req: request{Method: method, Args: args}, gen: gen, cause: err}, replayable, doneAt)
-	})
+	}
+	c.m.failed(parkedCall{c: c, req: request{Method: c.method, Args: c.args}, gen: c.gen, cause: err}, c.class == replayable, doneAt)
 }
 
 // failed ends an attempt that did not succeed: a replayable call whose

@@ -11,7 +11,7 @@ import (
 // Channel-layer instrumentation for the observability plane. Every
 // channel (mpi, conn, gang) carries an optional *chanObs: issuing a call
 // samples the channel's in-flight depth into the per-worker queue-depth
-// histogram, and the completion records the call's virtual round-trip
+// histogram, and delivering it records the call's virtual round-trip
 // latency under its session/model/method key. Recording is pure
 // observation — it never touches the virtual clock or the wire, so a
 // session runs byte-identical with the plane on or off (the regression
@@ -31,27 +31,30 @@ type chanObs struct {
 	inflight atomic.Int64
 }
 
-// observe wraps a completion with latency/queue-depth recording. Safe on
-// a nil receiver (plane off): the completion passes through untouched.
-func (o *chanObs) observe(method string, sentAt time.Duration, done completion) completion {
+// issued samples the in-flight depth. Safe on a nil receiver (plane off).
+func (o *chanObs) issued() {
 	if o == nil {
-		return done
+		return
 	}
-	depth := int(o.inflight.Add(1))
-	o.rec.RecordQueueDepth(o.session, o.worker, depth)
-	return func(resp response, arrival time.Duration, err error) {
+	o.rec.RecordQueueDepth(o.session, o.worker, int(o.inflight.Add(1)))
+}
+
+// deliver records a started call's latency, or its failure, and hands the
+// outcome to its completer: every issued call, exactly once.
+func (o *chanObs) deliver(p pendingCall, resp response, arrival time.Duration, err error) {
+	if o != nil {
 		o.inflight.Add(-1)
-		if err != nil || arrival < sentAt {
+		if err != nil || arrival < p.sentAt {
 			// No response crossed the wire (transport failure, dead
 			// channel): there is no honest latency to record.
-			o.rec.RecordCallError(o.session, o.model, method)
+			o.rec.RecordCallError(o.session, o.model, p.method)
 		} else {
 			// Structured failures still rode a real round trip; their
 			// latency is as honest as a success's.
-			o.rec.RecordCall(o.session, o.model, method, arrival-sentAt, o.floor)
+			o.rec.RecordCall(o.session, o.model, p.method, arrival-p.sentAt, o.floor)
 		}
-		done(resp, arrival, err)
 	}
+	p.done.complete(resp, arrival, err)
 }
 
 // observer builds the channel observer for one worker endpoint. host is

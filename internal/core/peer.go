@@ -10,7 +10,6 @@ import (
 	"jungle/internal/ipl"
 	"jungle/internal/mpisim"
 	"jungle/internal/smartsockets"
-	"jungle/internal/vnet"
 )
 
 // The worker side of the direct data plane. Each ibis worker's proxy owns
@@ -303,10 +302,6 @@ func (l *peerLink) Recv() ([]byte, time.Duration, error) {
 
 func (l *peerLink) Close() error { return l.conn.Close() }
 
-// isGangMethod reports whether a request is the proxy-level gang wiring
-// op.
-func isGangMethod(method string) bool { return method == kernel.MethodGangInit }
-
 // handleGangInit wires this rank's gang links: dial every higher rank's
 // peer listener (sending the hello frame that names this gang and rank),
 // await hello connections from every lower rank, assemble the
@@ -314,19 +309,16 @@ func isGangMethod(method string) bool { return method == kernel.MethodGangInit }
 // in the proxy relay loop, so the setup call queued behind gang_init
 // cannot reach the service before the gang exists.
 func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc service) *response {
-	fail := func(code kernel.Code, err error) *response {
-		return &response{ID: req.ID, Code: code, Err: err.Error(), DoneAt: arrival}
-	}
 	var a kernel.GangInitArgs
 	if err := kernel.Decode(req.Args, &a); err != nil {
-		return fail(kernel.CodeWorkerFault, err)
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 	}
 	sh, ok := svc.(kernel.Shardable)
 	if !ok {
-		return fail(kernel.CodeWorkerFault, fmt.Errorf("core: service is not shardable"))
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, fmt.Errorf("core: service is not shardable"))
 	}
 	if a.Rank < 0 || a.Rank >= a.Size || len(a.Peers) != a.Size {
-		return fail(kernel.CodeWorkerFault, fmt.Errorf("core: bad gang_init: rank %d size %d peers %d",
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, fmt.Errorf("core: bad gang_init: rank %d size %d peers %d",
 			a.Rank, a.Size, len(a.Peers)))
 	}
 	links := make([]mpisim.Link, a.Size)
@@ -342,19 +334,19 @@ func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc serv
 		addr, err := smartsockets.ParseAddress(a.Peers[j])
 		if err != nil {
 			cleanup()
-			return fail(kernel.CodeWorkerFault, err)
+			return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 		}
 		conn, err := p.ib.DialPeer(addr, arrival)
 		if err != nil {
 			cleanup()
-			return fail(kernel.CodeTransport, fmt.Errorf("core: gang %d: rank %d unreachable: %w", a.ID, j, err))
+			return failure(req.ID, arrival, kernel.CodeTransport, fmt.Errorf("core: gang %d: rank %d unreachable: %w", a.ID, j, err))
 		}
 		conn.SetClass("peer")
 		if err := conn.Send(kernel.AppendGangHello(nil, a.ID, a.Rank),
 			max(arrival, conn.EstablishedAt())); err != nil {
 			conn.Close()
 			cleanup()
-			return fail(kernel.CodeTransport, fmt.Errorf("core: gang %d: hello to rank %d: %w", a.ID, j, err))
+			return failure(req.ID, arrival, kernel.CodeTransport, fmt.Errorf("core: gang %d: hello to rank %d: %w", a.ID, j, err))
 		}
 		links[j] = &peerLink{conn: conn}
 	}
@@ -363,18 +355,18 @@ func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc serv
 		conn, err := p.gangBox.wait(gangKey{id: a.ID, rank: j}, PeerAcceptTimeout)
 		if err != nil {
 			cleanup()
-			return fail(kernel.CodeTransport, err)
+			return failure(req.ID, arrival, kernel.CodeTransport, err)
 		}
 		links[j] = &peerLink{conn: conn}
 	}
 	g, err := mpisim.NewGang(a.Rank, a.Size, links)
 	if err != nil {
 		cleanup()
-		return fail(kernel.CodeWorkerFault, err)
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 	}
 	if err := sh.SetGang(g); err != nil {
 		cleanup()
-		return fail(kernel.CodeWorkerFault, err)
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 	}
 	p.mu.Lock()
 	p.gang = g
@@ -382,24 +374,31 @@ func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc serv
 	return &response{ID: req.ID, DoneAt: arrival}
 }
 
-// isTransferMethod reports whether a request is a proxy-level transfer op.
-func isTransferMethod(method string) bool {
-	return method == kernel.MethodOfferState || method == kernel.MethodAcceptState ||
-		method == kernel.MethodOfferCheckpoint
+// failure is the response that fails request id at virtual time at.
+func failure(id uint64, at time.Duration, code kernel.Code, err error) *response {
+	return &response{ID: id, Code: code, Err: err.Error(), DoneAt: at}
 }
 
-// handleTransfer executes one offer_state/accept_state against the model
-// service behind loop. It returns the response to write back to the
-// daemon and never forwards the op to the worker's dispatch table.
-func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vnet.Conn) *response {
-	fail := func(code kernel.Code, err error) *response {
-		return &response{ID: req.ID, Code: code, Err: err.Error(), DoneAt: arrival}
+// isProxyMethod reports whether a request is one the proxy serves itself:
+// gang wiring or a transfer op.
+func isProxyMethod(method string) bool {
+	switch method {
+	case kernel.MethodGangInit, kernel.MethodOfferState, kernel.MethodAcceptState, kernel.MethodOfferCheckpoint:
+		return true
 	}
+	return false
+}
+
+// handle executes one proxy method against the model service behind loop
+// and returns the response to write back to the daemon.
+func (p *peerPlane) handle(req *request, arrival time.Duration, loop *loopback) *response {
 	switch req.Method {
+	case kernel.MethodGangInit:
+		return p.handleGangInit(req, arrival, loop.svc)
 	case kernel.MethodOfferState:
 		var a kernel.OfferStateArgs
 		if err := kernel.Decode(req.Args, &a); err != nil {
-			return fail(kernel.CodeWorkerFault, err)
+			return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 		}
 		read := request{ID: req.ID, Method: "get_state", SentAt: arrival,
 			Args: kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: a.Attrs})}
@@ -407,41 +406,20 @@ func (p *peerPlane) handleTransfer(req *request, arrival time.Duration, loop *vn
 	case kernel.MethodAcceptState:
 		var a kernel.AcceptStateArgs
 		if err := kernel.Decode(req.Args, &a); err != nil {
-			return fail(kernel.CodeWorkerFault, err)
+			return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 		}
 		return p.accept(req.ID, &a, arrival, loop)
 	case kernel.MethodOfferCheckpoint:
 		var a kernel.OfferCheckpointArgs
 		if err := kernel.Decode(req.Args, &a); err != nil {
-			return fail(kernel.CodeWorkerFault, err)
+			return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 		}
 		// The loopback "checkpoint" call runs, by FIFO order, after everything
 		// already queued; its frame goes to the checkpoint store's listener.
 		return p.offer("checkpoint", a.ID, a.Peer, request{ID: req.ID, Method: kernel.MethodCheckpoint, SentAt: arrival}, loop)
 	default:
-		return fail(kernel.CodeTransport, fmt.Errorf("core: not a transfer op: %q", req.Method))
+		return failure(req.ID, arrival, kernel.CodeTransport, fmt.Errorf("core: not a transfer op: %q", req.Method))
 	}
-}
-
-// loopCall runs one synthesized RPC against the model service over the
-// proxy's loopback connection and returns the response with the frame it
-// arrived in — the proxy's own: the service sent it here alone. The relay
-// loop is single-threaded, so the loopback never has more than one call in
-// flight.
-func loopCall(loop *vnet.Conn, req request) (*response, []byte, error) {
-	if _, err := loop.Send(req.Frame(), req.SentAt); err != nil {
-		return nil, nil, err
-	}
-	reply, err := loop.Recv()
-	if err != nil {
-		return nil, nil, err
-	}
-	resp := new(response)
-	if err := kernel.UnmarshalResponse(reply.Data, resp); err != nil {
-		return nil, nil, err
-	}
-	resp.DoneAt = max(resp.DoneAt, reply.Arrival)
-	return resp, reply.Data, nil
 }
 
 // offer runs read on the service — get_state for an offer_state, checkpoint
@@ -451,20 +429,14 @@ func loopCall(loop *vnet.Conn, req request) (*response, []byte, error) {
 // peer path is a transport fault — the coupler uses the classification to
 // fall back to its hairpin (or, for a checkpoint, to pulling the snapshot
 // over the RPC plane).
-func (p *peerPlane) offer(what string, id uint64, peer string, read request, loop *vnet.Conn) *response {
-	fail := func(code kernel.Code, err error) *response {
-		return &response{ID: read.ID, Code: code, Err: err.Error(), DoneAt: read.SentAt}
-	}
-	got, frame, err := loopCall(loop, read)
-	if err != nil {
-		return fail(kernel.CodeTransport, fmt.Errorf("core: %s %d: %s: %w", what, id, read.Method, err))
-	}
+func (p *peerPlane) offer(what string, id uint64, peer string, read request, loop *loopback) *response {
+	got, frame := loop.call(&read)
 	if got.Code != kernel.CodeOK {
 		return &response{ID: read.ID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
 	}
 	ackAt, code, err := p.streamToPeer(peer, id, kernel.TransferFromResponse(frame, len(got.Result), id), got.DoneAt)
 	if err != nil {
-		return fail(code, fmt.Errorf("core: %s %d: %w", what, id, err))
+		return failure(read.ID, read.SentAt, code, fmt.Errorf("core: %s %d: %w", what, id, err))
 	}
 	return &response{ID: read.ID, DoneAt: ackAt}
 }
@@ -501,7 +473,7 @@ func (p *peerPlane) streamToPeer(peer string, id uint64, frame []byte, at time.D
 
 // accept waits for the announced stream and applies it to the service
 // with the requested method.
-func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time.Duration, loop *vnet.Conn) *response {
+func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time.Duration, loop *loopback) *response {
 	fail := func(err error) *response {
 		code := kernel.CodeTransport
 		if !errors.Is(err, kernel.ErrTransport) {
@@ -524,10 +496,7 @@ func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time
 	// request header is longer than the room in front of the state.
 	req := kernel.NewApplyRequest(apply, a.Slot, d.state)
 	req.ID, req.SentAt = reqID, max(arrival, d.arrival)
-	resp, _, err := loopCall(loop, req)
-	if err != nil {
-		return fail(fmt.Errorf("%w: accept %d: apply: %v", kernel.ErrTransport, a.ID, err))
-	}
+	resp, _ := loop.call(&req)
 	// The service's Dispatch has returned: this proxy is the last reader of
 	// both frames (DESIGN.md § Buffer ownership, "Bulk frames are recycled").
 	kernel.ReleaseFrame(d.frame)

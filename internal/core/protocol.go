@@ -1,10 +1,10 @@
 // Package core implements the paper's contribution: Distributed AMUSE.
 // A Python-style coupler script (here: the Simulation API) talks through a
 // local daemon to workers started on remote resources via IbisDeploy and
-// JavaGAT; wide-area RPC travels over IPL/SmartSockets to a proxy process
-// that forwards requests to the worker over a loopback connection — the
-// exact architecture of Fig. 5. Virtual clocks account compute and
-// communication time end to end.
+// JavaGAT; wide-area RPC travels over IPL/SmartSockets to a proxy in the
+// worker process, which dispatches each request into the model service
+// and prices that hop as Fig. 5's loopback connection. Virtual clocks
+// account compute and communication time end to end.
 //
 // The coupler surface is asynchronous and context-aware: every RPC is a
 // *Call future (Model.Go and the Go* methods; Gather fans pipelined

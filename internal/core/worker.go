@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
@@ -35,7 +36,6 @@ const (
 )
 
 func workerBasePort(id int) int   { return workerPortBase + id*workerPortStride }
-func workerLoopback(id int) int   { return workerBasePort(id) + 8 }
 func socketWorkerPort(id int) int { return workerBasePort(id) + 9 }
 func reqPortName(id int) string   { return fmt.Sprintf("req-%d", id) }
 func respPortName(id int) string  { return fmt.Sprintf("resp-%d", id) }
@@ -69,19 +69,24 @@ func parseWorkerArgs(args []string) (kind Kind, kernelName string, id int, resou
 // electionDaemon is the IPL election naming the daemon instance.
 const electionDaemon = "amuse-daemon"
 
-// workerMain is the "amuse-worker" executable of Fig. 5: it hosts the model
-// service behind a loopback socket (the worker proper) and a proxy that
-// joins the IPL pool and relays RPC between the daemon and the worker.
-func workerMain(env *Env, ctx *gat.Context) error {
+// workerService parses a worker job's arguments and starts its service.
+func workerService(env *Env, ctx *gat.Context) (svc service, kind Kind, id int, res *deploy.Resource, gang *kernel.GangInfo, err error) {
 	kind, _, id, resourceName, gang, err := parseWorkerArgs(ctx.Args)
-	if err != nil {
-		return err
+	if err == nil {
+		res, err = env.Deployment.Resource(resourceName)
 	}
-	res, err := env.Deployment.Resource(resourceName)
-	if err != nil {
-		return err
+	if err == nil {
+		svc, err = newService(kind, res, ctx.Hosts, env, gang)
 	}
-	svc, err := newService(kind, res, ctx.Hosts, env, gang)
+	return svc, kind, id, res, gang, err
+}
+
+// workerMain is the "amuse-worker" executable of Fig. 5: it hosts the model
+// service (the worker proper) and a proxy that joins the IPL pool and relays
+// RPC between the daemon and the worker — over §5's local loopback socket,
+// which the proxy crosses in line and prices as that socket (loopback).
+func workerMain(env *Env, ctx *gat.Context) error {
+	svc, kind, id, res, gang, err := workerService(env, ctx)
 	if err != nil {
 		return err
 	}
@@ -94,23 +99,8 @@ func workerMain(env *Env, ctx *gat.Context) error {
 		}
 	}
 	host := ctx.Hosts[0]
-
-	// Worker side: model service behind a loopback listener.
-	wl, err := env.Net.Listen(host, workerLoopback(id))
-	if err != nil {
-		return fmt.Errorf("core: worker loopback listen: %w", err)
-	}
-	defer wl.Close()
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		conn, err := wl.Accept()
-		if err != nil {
-			return
-		}
-		conn.SetClass("loopback")
-		serveConn(conn, svc)
-	}()
+	path, _ := env.Net.Route(host, host) // a host's route to itself is the loopback path, and cannot fail
+	loop := &loopback{svc: svc, net: env.Net, host: host, path: path}
 
 	// Proxy side: join the pool through the resource's hub.
 	ib, err := ipl.Create(env.Net, ipl.Config{
@@ -121,104 +111,79 @@ func workerMain(env *Env, ctx *gat.Context) error {
 	if err != nil {
 		return fmt.Errorf("core: proxy join: %w", err)
 	}
-
-	// Loopback connection proxy -> worker.
-	loop, err := env.Net.Dial(host, host, workerLoopback(id))
-	if err != nil {
-		ib.End()
-		return fmt.Errorf("core: proxy loopback dial: %w", err)
-	}
-	loop.SetClass("loopback")
+	defer ib.End() // after a Kill, a no-op
 
 	// Direct data plane: peer streams from other workers land on this
 	// listener and never touch the daemon's machine.
 	plane, err := newPeerPlane(ib)
 	if err != nil {
-		ib.End()
 		return err
 	}
 
 	// Find the daemon and open the response path.
 	daemonID, err := ib.Elect(electionDaemon)
 	if err != nil {
-		ib.End()
 		return err
 	}
 	respPort := ib.CreateSendPort(ipl.OneToOne, "resp")
 	if err := respPort.Connect(daemonID, respPortName(id), 0); err != nil {
-		ib.End()
 		return fmt.Errorf("core: proxy response port: %w", err)
 	}
 	// Request path: requests from the daemon arrive here.
 	reqPort, err := ib.CreateReceivePort(ipl.OneToOne, reqPortName(id), nil)
 	if err != nil {
-		ib.End()
 		return err
 	}
 
 	// Announce readiness (response ID 0 is the ready marker).
 	if err := respPort.Write(kernel.AppendResponse(nil, &response{ID: 0, DoneAt: ctx.StartedAt}), ctx.StartedAt); err != nil {
-		ib.End()
 		return err
 	}
 
 	// Watch for cancellation: the paper's "reservation ends, worker killed
 	// by the scheduler" — the proxy dies without a registry leave, so the
-	// pool sees Died.
+	// pool sees Died. Stopping the peer plane closes the gang links, so a
+	// dispatch stuck in a collective returns and the relay can end.
 	relayDone := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Cancel:
 			ib.Kill()
-			loop.Close()
+			plane.stop()
 		case <-relayDone:
 		}
 	}()
 
-	// Relay loop: daemon -> proxy -> worker -> proxy -> daemon. Transfer
-	// ops (offer_state/accept_state) and gang wiring (gang_init) are the
-	// proxy's own: they move state between the peer plane and the worker
-	// without involving the daemon.
+	// Relay loop: daemon -> proxy -> worker -> proxy -> daemon, one call at
+	// a time. Transfer ops and gang wiring are the proxy's own (handle). An
+	// undecodable request is answered as a transport fault; one with no ID
+	// ends the proxy as a crash would, and the daemon fails the worker's calls.
 	var relayErr error
-	for {
+	for relayErr == nil {
 		rm, err := reqPort.Receive()
 		if err != nil {
 			break // port closed: daemon shut us down or we were killed
 		}
 		var req request
-		if err := kernel.UnmarshalRequest(rm.Data, &req); err == nil &&
-			(isTransferMethod(req.Method) || isGangMethod(req.Method)) {
-			var resp *response
-			if isGangMethod(req.Method) {
-				resp = plane.handleGangInit(&req, rm.Arrival, svc)
-			} else {
-				resp = plane.handleTransfer(&req, rm.Arrival, loop)
-			}
-			if err := respPort.Write(kernel.AppendResponse(nil, resp), resp.DoneAt); err != nil {
-				relayErr = err
-				break
-			}
+		var reply []byte
+		at := rm.Arrival
+		switch err := kernel.UnmarshalRequest(rm.Data, &req); {
+		case err != nil && req.ID == 0:
+			relayErr = fmt.Errorf("%w: proxy received an undecodable request: %v", kernel.ErrTransport, err)
+			ib.Kill()
 			continue
+		case err != nil:
+			reply = kernel.FrameResponse(req.ID, kernel.Reply{}, at, fmt.Errorf("%w: proxy received an undecodable request: %v", kernel.ErrTransport, err))
+		case isProxyMethod(req.Method):
+			resp := plane.handle(&req, at, loop)
+			reply, at = kernel.AppendResponse(nil, resp), resp.DoneAt
+		default:
+			reply, at = loop.serve(&req, at)
 		}
-		if _, err := loop.Send(rm.Data, rm.Arrival); err != nil {
-			relayErr = err
-			break
-		}
-		reply, err := loop.Recv()
-		if err != nil {
-			relayErr = err
-			break
-		}
-		if err := respPort.Write(reply.Data, reply.Arrival); err != nil {
-			relayErr = err
-			break
-		}
+		relayErr = respPort.Write(reply, at)
 	}
 	close(relayDone)
-	loop.Close()
 	plane.stop()
-	ib.End()
-	<-serveDone
 	if ctx.Canceled() {
 		return gat.ErrCanceled
 	}
@@ -228,20 +193,44 @@ func workerMain(env *Env, ctx *gat.Context) error {
 	return nil
 }
 
+// loopback is §5's local loopback socket between a worker's proxy and its
+// model service, crossed in line: the relay never had two calls on it, and
+// its only effects were its bytes, recorded under class "loopback", and its
+// arrivals, each its send time plus the path's transfer time for its bytes.
+type loopback struct {
+	svc  service
+	net  *vnet.Network
+	host string
+	path vnet.Path // Route(host, host)
+}
+
+// serve runs req, which reached the proxy at virtual time at, across the
+// hop and back: the response frame (the buffer the service encoded its
+// result into, header filled in) and its arrival at the proxy.
+func (l *loopback) serve(req *request, at time.Duration) ([]byte, time.Duration) {
+	l.net.RecordTransfer(l.host, l.host, "loopback", req.Size())
+	result, doneAt, err := l.svc.Dispatch(req.Method, req.Args, at+l.path.TransferTime(req.Size()))
+	reply := kernel.FrameResponse(req.ID, result, doneAt, err)
+	l.net.RecordTransfer(l.host, l.host, "loopback", len(reply))
+	return reply, doneAt + l.path.TransferTime(len(reply))
+}
+
+// call serves a request the proxy makes itself, sent at req.SentAt: the
+// response, DoneAt its arrival back, and the frame it is in, the proxy's own.
+func (l *loopback) call(req *request) (*response, []byte) {
+	reply, at := l.serve(req, req.SentAt)
+	resp := new(response)
+	kernel.UnmarshalResponse(reply, resp) // the frame FrameResponse just built
+	resp.DoneAt = at
+	return resp, reply
+}
+
 // socketWorkerMain is the "sockets channel" worker: a separate local
 // process serving RPC straight over a loopback connection, no daemon or IPL
 // involved (AMUSE's pre-existing sockets channel).
 func socketWorkerMain(env *Env, ctx *gat.Context) error {
-	kind, _, id, resourceName, _, err := parseWorkerArgs(ctx.Args)
-	if err != nil {
-		return err
-	}
-	res, err := env.Deployment.Resource(resourceName)
-	if err != nil {
-		return err
-	}
-	// Sockets workers are always solo: gangs need the peer plane.
-	svc, err := newService(kind, res, ctx.Hosts, env, nil)
+	// Always solo: the daemon starts gang ranks on the ibis channel only.
+	svc, _, id, _, _, err := workerService(env, ctx)
 	if err != nil {
 		return err
 	}

@@ -261,13 +261,15 @@ func uintLen(x uint64) int {
 	return 1 + (bits.Len64(x)+7)/8
 }
 
-// column decodes a column written by appendColumn, reading the 9-byte form
-// in place and every other word through Uint.
+// column decodes a column written by appendColumn, reading the one-byte and
+// the 9-byte forms in place and every other word through Uint.
 func (r *Reader) column(ws []uint64, float bool) {
 	b, o := r.B, r.Off // locals: the loop keeps them in registers
 	for i := range ws {
 		var x uint64
-		if o+9 <= len(b) && b[o] == 0xF8 {
+		if o < len(b) && b[o] < 0x80 {
+			x, o = uint64(b[o]), o+1
+		} else if o+9 <= len(b) && b[o] == 0xF8 {
 			x, o = binary.BigEndian.Uint64(b[o+1:o+9]), o+9
 		} else if r.Off = o; r.Err == nil {
 			x, o = r.Uint("column"), r.Off

@@ -203,9 +203,10 @@ func (r *Reader) Bytes32(what string) []byte {
 	return r.take(int(r.U32(what)), what)
 }
 
-// String16 reads a string written by AppendString16.
-func (r *Reader) String16(what string) string {
-	return string(r.take(int(r.U16(what)), what))
+// Bytes16 reads a string written by AppendString16. The result aliases the
+// frame: string(...) copies it out.
+func (r *Reader) Bytes16(what string) []byte {
+	return r.take(int(r.U16(what)), what)
 }
 
 // Column reads a column of n elements of width bytes each, as written by

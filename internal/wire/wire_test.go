@@ -92,7 +92,8 @@ func TestScalarForms(t *testing.T) {
 // TestColumnLoopsMatchPerValueForms: a float, vector or key column, which
 // the struct codec encodes and decodes in one loop over its words, is on the
 // wire what AppendFloat / AppendUint write value by value — NaN payloads,
-// infinities, -0, the smallest subnormal, round and arbitrary floats, keys
+// infinities, -0, the smallest subnormal, round and arbitrary floats, the
+// floats and keys whose encoding is one byte (0 and 2.0; 0 and 127), keys
 // either side of every length boundary — at frame offsets 0–7, through
 // Append and through MarshalBehind (sized exactly above 64 KiB), and it
 // decodes to the same bits. Every proper prefix of a column fails to decode,
@@ -101,7 +102,7 @@ func TestScalarForms(t *testing.T) {
 func TestColumnLoopsMatchPerValueForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	floats := []float64{math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(0xfff0_0000_0000_0001),
-		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0, 0.5, 1,
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0, 2, 0.5, 1,
 		math.Float64frombits(0x3ff0_0000_0000_0100)} // low mantissa byte zero, the next one not
 	keys := []uint64{0, 127, 128, 1<<56 - 1, 1 << 56, 1 << 63, math.MaxUint64}
 	for range 8 {
@@ -178,7 +179,7 @@ func TestString16Truncates(t *testing.T) {
 	long := strings.Repeat("x", 70000)
 	b := wire.AppendU32(wire.AppendString16(nil, long), 0xfeedface)
 	r := wire.Reader{B: b}
-	s := r.String16("s")
+	s := string(r.Bytes16("s"))
 	marker := r.U32("marker")
 	if r.Err != nil || len(s) != math.MaxUint16 || marker != 0xfeedface || r.Len() != 0 {
 		t.Fatalf("got %d-byte string, marker %#x, %d bytes left, err %v", len(s), marker, r.Len(), r.Err)

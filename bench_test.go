@@ -749,8 +749,8 @@ func BenchmarkIbisChannelRoundTrip(b *testing.B) {
 	if err := g.SetParticles(ic.Plummer(16, 4)); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	// b.Loop stops the timer before the deferred teardown runs.
+	for b.Loop() {
 		if g.Masses() == nil {
 			b.Fatal(g.Err())
 		}

@@ -108,8 +108,10 @@ func compare(cur, base map[string]map[string]float64, tol float64, loose, allocs
 			default:
 				continue
 			}
+			// A zero baseline gates only an allocation count, through its
+			// slack: a benchmark that allocated nothing may not start to.
 			was, ok := old[unit]
-			if !ok || was <= 0 {
+			if !ok || was < 0 || was == 0 && slack == 0 {
 				continue
 			}
 			now := cur[name][unit]

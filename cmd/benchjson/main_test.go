@@ -106,3 +106,23 @@ func TestCompareGatesAllocs(t *testing.T) {
 		t.Fatalf("no -allocs-match: compare = %v, want none", regs)
 	}
 }
+
+// TestCompareGatesZeroAllocs: a gated benchmark that allocated nothing fails
+// once it allocates more than the slack; a zero virtual-time baseline stays
+// ungated.
+func TestCompareGatesZeroAllocs(t *testing.T) {
+	base := map[string]map[string]float64{
+		"BenchmarkPortRoundTrip":     {"allocs/op": 0, "virtual-us/op": 0},
+		"BenchmarkConnSendRecv/64B":  {"allocs/op": 0},
+		"BenchmarkConnSendRecv/3MiB": {"allocs/op": 0},
+	}
+	cur := map[string]map[string]float64{
+		"BenchmarkPortRoundTrip":     {"allocs/op": 2, "virtual-us/op": 5}, // two: regression
+		"BenchmarkConnSendRecv/64B":  {"allocs/op": 1},                     // one: the slack
+		"BenchmarkConnSendRecv/3MiB": {"allocs/op": 0},
+	}
+	regs := compare(cur, base, 0.15, nil, regexp.MustCompile("PortRoundTrip|ConnSendRecv"))
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkPortRoundTrip allocs/op") {
+		t.Fatalf("compare = %v, want exactly the PortRoundTrip allocs/op regression", regs)
+	}
+}

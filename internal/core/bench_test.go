@@ -53,8 +53,8 @@ func BenchmarkBulkRound(b *testing.B) {
 	round()
 	virtual := sim.Elapsed() - from
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	// b.Loop stops the timer before the deferred teardown runs.
+	for b.Loop() {
 		round()
 	}
 	b.ReportMetric(float64(virtual.Nanoseconds())/1e3, "virtual-us/round")

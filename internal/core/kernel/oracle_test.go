@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
+	"testing"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/wire"
@@ -168,4 +170,39 @@ func ScatterState(p *data.Particles, s *StatePayload) error {
 		}
 	}
 	return nil
+}
+
+// TestApplyInPlaceIsTheCopy: the accepting proxy applies a received transfer
+// frame's state where it lies (ApplyArgs) instead of copying it into a
+// request frame of its own (NewApplyRequest). Its args are the copy's byte
+// for byte, with a staging slot and without one, so the loopback hop is
+// priced by the same Size.
+func TestApplyInPlaceIsTheCopy(t *testing.T) {
+	for _, n := range []int{0, 1000} {
+		for name, st := range bulkPayloads(n) {
+			for _, slot := range []uint64{0, 0x0102030405060708} {
+				res, err := StateReply(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var resp Response
+				if err := UnmarshalResponse(FrameResponse(7, res, 0, nil), &resp); err != nil {
+					t.Fatal(err)
+				}
+				frame := TransferFromResponse(resp.Frame(), len(resp.Result), 9)
+				_, state, _, err := UnmarshalTransfer(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copied := NewApplyRequest("stage_sources", slot, state)
+				inPlace := Request{Method: "stage_sources", Args: ApplyArgs(frame, state, slot)}
+				if !bytes.Equal(inPlace.Args, copied.Args) {
+					t.Errorf("%s/%d, slot %d: in-place args differ from the copy's at byte %d", name, n, slot, firstDiff(inPlace.Args, copied.Args))
+				}
+				if inPlace.Size() != copied.Size() {
+					t.Errorf("%s/%d, slot %d: in-place request is %d bytes, the copy %d", name, n, slot, inPlace.Size(), copied.Size())
+				}
+			}
+		}
+	}
 }

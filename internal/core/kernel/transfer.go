@@ -75,6 +75,18 @@ func TransferFromResponse(frame []byte, resultLen int, id uint64) []byte {
 	return frame[start:]
 }
 
+// ApplyArgs returns NewApplyRequest's args for a received transfer frame's
+// state (UnmarshalTransfer) without moving it: with a slot, the slot tag is
+// written over the end of the transfer header. The caller must own frame.
+func ApplyArgs(frame, state []byte, slot uint64) []byte {
+	const start = uint(transferHeader - stagedHeader) // the tag fits: compile-time check
+	if slot == 0 {
+		return state
+	}
+	wire.AppendU32(wire.AppendU64(append(frame[start:start], tagStaged), slot), uint32(len(state)))
+	return frame[start : transferHeader+len(state)]
+}
+
 // AppendTransferAbort frames an abort marker for a transfer id: the peer
 // stops waiting and fails the matching accept_state with a transport error
 // (sent by the coupler's daemon when the offering side failed, so the

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"jungle/internal/wire"
 )
@@ -18,8 +19,12 @@ import (
 // and handed back with ReleaseFrame by its one documented last reader: the
 // coupler once it has decoded a get_state reply or its set_state call has
 // succeeded, and the accepting proxy once its loopback apply has returned.
-// A frame nobody hands back is garbage like any other slice. The list is a
-// sync.Pool, so it holds nothing across two collections.
+// A frame nobody hands back is garbage like any other slice. The list is
+// one for the process, so a take on any goroutine finds the latest release
+// (a sync.Pool's per-P slot hides it from the other Ps). It reaches a frame
+// only through a weak pointer to the box it is in, so a collection frees
+// whatever is listed, and it keeps the boxes takes empty, so that a release
+// allocates nothing.
 //
 // frameClass is the smallest buffer the list keeps (smaller ones are
 // allocated exactly, as everywhere else) and the size class larger ones
@@ -28,25 +33,37 @@ import (
 const frameClass = 64 << 10
 
 var (
-	frames sync.Pool // *[]byte: a released buffer of at least frameClass bytes
-	// boxes are the emptied *[]byte frames handed out, reused so that a
-	// release allocates nothing.
-	boxes  sync.Pool
+	freeList struct {
+		sync.Mutex
+		frames []weak.Pointer[[]byte] // the released frames' boxes, latest last
+		boxes  []*[]byte              // emptied boxes
+	}
 	poison atomic.Bool // PoisonReleased
 )
 
-// takeFrame returns an empty buffer with room for n bytes: a released one
-// when n is frame-sized and the list has one that large, else a fresh one —
-// exactly sized below frameClass, rounded up to a multiple of it above.
+// maxListed bounds both of the list's slices: a release beyond it drops the
+// oldest frame.
+const maxListed = 8
+
+// takeFrame returns an empty buffer with room for n bytes: the latest
+// released one that large when n is frame-sized and the list has one, else a
+// fresh one — exactly sized below frameClass, rounded up to a multiple of it
+// above.
 func takeFrame(n int) []byte {
 	if n < frameClass {
 		return make([]byte, 0, n)
 	}
-	if box, _ := frames.Get().(*[]byte); box != nil {
-		b := *box
-		*box = nil
-		boxes.Put(box)
-		if cap(b) >= n {
+	l := &freeList
+	l.Lock()
+	defer l.Unlock()
+	for i := len(l.frames) - 1; i >= 0; i-- {
+		if box := l.frames[i].Value(); box == nil { // collected
+			l.frames = slices.Delete(l.frames, i, i+1)
+		} else if b := *box; cap(b) >= n {
+			l.frames, *box = slices.Delete(l.frames, i, i+1), nil
+			if len(l.boxes) < maxListed {
+				l.boxes = append(l.boxes, box)
+			}
 			return b[:0]
 		}
 	}
@@ -54,9 +71,10 @@ func takeFrame(n int) []byte {
 }
 
 // ReleaseFrame hands a frame back to the free list. Only the frame's last
-// reader may call it, and only with the whole frame as it was built or
-// received — never a view into one: whatever still aliases it sees the next
-// frame's bytes.
+// reader may call it, and only with the frame as it was built or received —
+// never a view into one: whatever still aliases it sees the next frame's
+// bytes. A received transfer frame starts 10 bytes into the buffer its reply
+// was built in (TransferFromResponse); the list keeps what is left of it.
 func ReleaseFrame(b []byte) {
 	if poison.Load() {
 		b = b[:cap(b)]
@@ -67,12 +85,21 @@ func ReleaseFrame(b []byte) {
 	if cap(b) < frameClass {
 		return
 	}
-	box, _ := boxes.Get().(*[]byte)
-	if box == nil {
+	l := &freeList
+	l.Lock()
+	defer l.Unlock()
+	var box *[]byte
+	if n := len(l.boxes); n > 0 {
+		box = l.boxes[n-1]
+		l.boxes = slices.Delete(l.boxes, n-1, n) // clears the slot, which would keep the frame alive
+	} else {
 		box = new([]byte)
 	}
 	*box = b[:0]
-	frames.Put(box)
+	if len(l.frames) == maxListed {
+		l.frames = slices.Delete(l.frames, 0, 1)
+	}
+	l.frames = append(l.frames, weak.Make(box))
 }
 
 // PoisonReleased switches the use-after-release check on or off: while it is

@@ -492,15 +492,13 @@ func (p *peerPlane) accept(reqID uint64, a *kernel.AcceptStateArgs, arrival time
 	if apply == "" {
 		apply = kernel.MethodApplyState
 	}
-	// The apply copies the state once, into a request frame of its own: a
-	// request header is longer than the room in front of the state.
-	req := kernel.NewApplyRequest(apply, a.Slot, d.state)
-	req.ID, req.SentAt = reqID, max(arrival, d.arrival)
+	// The apply is dispatched in line and priced by its length, so its args
+	// are the state where the stream delivered it.
+	req := request{ID: reqID, Method: apply, Args: kernel.ApplyArgs(d.frame, d.state, a.Slot), SentAt: max(arrival, d.arrival)}
 	resp, _ := loop.call(&req)
-	// The service's Dispatch has returned: this proxy is the last reader of
-	// both frames (DESIGN.md § Buffer ownership, "Bulk frames are recycled").
+	// The service's Dispatch has returned: this proxy is the frame's last
+	// reader (DESIGN.md § Buffer ownership, "Bulk frames are recycled").
 	kernel.ReleaseFrame(d.frame)
-	kernel.ReleaseFrame(req.OwnFrame())
 	resp.ID = reqID
 	return resp
 }

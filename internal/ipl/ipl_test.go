@@ -42,7 +42,7 @@ func poolMembers(r *Registry, pool string) []Identifier {
 	return nil
 }
 
-func newTestPool(t *testing.T, n int) *testPool {
+func newTestPool(t testing.TB, n int) *testPool {
 	t.Helper()
 	network := vnet.New()
 	if _, err := network.AddHost("hub", "site", vnet.Open); err != nil {
@@ -73,7 +73,7 @@ func newTestPool(t *testing.T, n int) *testPool {
 	return &testPool{net: network, registry: reg, hub: "hub", hosts: hosts}
 }
 
-func (tp *testPool) join(t *testing.T, i int, pool string) *Ibis {
+func (tp *testPool) join(t testing.TB, i int, pool string) *Ibis {
 	t.Helper()
 	ib, err := Create(tp.net, Config{
 		Pool: pool, Host: tp.hosts[i], BasePort: 20000,

@@ -7,7 +7,7 @@ import (
 )
 
 // twoHosts builds a minimal network a--b with the given policy on b.
-func twoHosts(t *testing.T, bPolicy Policy) *Network {
+func twoHosts(t testing.TB, bPolicy Policy) *Network {
 	t.Helper()
 	n := New()
 	mustHost(t, n, "a", "siteA", Open)
@@ -20,7 +20,7 @@ func twoHosts(t *testing.T, bPolicy Policy) *Network {
 	return n
 }
 
-func mustHost(t *testing.T, n *Network, name, site string, p Policy) *Host {
+func mustHost(t testing.TB, n *Network, name, site string, p Policy) *Host {
 	t.Helper()
 	h, err := n.AddHost(name, site, p)
 	if err != nil {

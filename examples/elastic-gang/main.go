@@ -35,7 +35,6 @@ func main() {
 	ctx := context.Background()
 	sim := core.NewSimulation(ctx, tb.Daemon, nil)
 	defer sim.Stop()
-	sim.Monitor = tb.Recorder // feed the gang skew gauge
 
 	grav, err := sim.NewGravity(ctx,
 		core.WorkerSpec{Resource: tb.Mixed, Channel: core.ChannelIbis, Workers: 4},

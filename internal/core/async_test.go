@@ -178,7 +178,7 @@ func TestUndecodableResponseFailsChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := newConnChannel("test", conn, nil)
+	ch := newConnChannel(conn, nil)
 	defer ch.close()
 
 	done := make(chan error, 1)
@@ -209,12 +209,14 @@ func TestUndecodableResponseFailsChannel(t *testing.T) {
 }
 
 // TestUndecodableRequestIsAnswered: a request frame cut inside its method
-// name, written straight onto the coupler's connection to the daemon and
-// onto a sockets worker's connection, is answered for its ID as a transport
-// fault naming the parse error — no hop skips it and leaves its caller
-// waiting. A frame with no ID to answer closes the connection instead.
+// name, written straight onto a sockets worker's connection, is answered for
+// its ID as a transport fault naming the parse error — the worker does not
+// skip it and leave its caller waiting. A frame with no ID to answer closes
+// the connection instead. The ibis worker's proxy answers such a frame the
+// same way, and one with no ID ends the worker. The daemon is handed its
+// requests in line and parses none.
 func TestUndecodableRequestIsAnswered(t *testing.T) {
-	tb, sim := labSim(t)
+	_, sim := labSim(t)
 	req := request{ID: reqIDs.Add(1), Method: "kick"}
 	cut := kernel.AppendRequest(nil, &req)[:1+8+8+8+2+2]
 	answered := func(t *testing.T, recv func() (response, error)) {
@@ -243,29 +245,45 @@ func TestUndecodableRequestIsAnswered(t *testing.T) {
 		}
 	}
 
-	t.Run("daemon", func(t *testing.T) {
-		local := tb.Deployment.LocalHost()
-		conn, err := tb.Net.Dial(local, local, DaemonPort)
+	t.Run("proxy", func(t *testing.T) {
+		g, err := sim.NewGravity(context.Background(), WorkerSpec{Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		if _, err := conn.Send(slices.Clone(cut), 0); err != nil {
-			t.Fatal(err)
-		}
-		answered(t, func() (response, error) {
-			var resp response
-			msg, err := conn.Recv()
-			if err == nil {
-				err = kernel.UnmarshalResponse(msg.Data, &resp)
+		// The cut frame goes straight onto the worker's request port, with
+		// a channel of its own waiting for the answer.
+		ch := sim.daemon.ibisChannel(nil)
+		defer ch.close()
+		outcome := make(chan response, 1)
+		ch.pending[req.ID] = pendingCall{done: completion(func(resp response, _ time.Duration, err error) {
+			if err != nil {
+				resp = response{ID: req.ID, Err: err.Error()}
 			}
-			return resp, err
-		})
-		if _, err := conn.Send([]byte{0xde, 0xad}, 0); err != nil {
+			outcome <- resp
+		})}
+		wh := sim.daemon.worker(g.WorkerIDs()[0])
+		wh.mu.Lock()
+		wh.pending[req.ID] = ch
+		sp := wh.sendPort
+		wh.mu.Unlock()
+		if err := sp.Write(slices.Clone(cut), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Recv(); err == nil {
-			t.Fatal("the daemon answered a frame with no ID")
+		answered(t, func() (response, error) { return <-outcome, nil })
+		// The worker still serves, and a frame with no ID ends it as a
+		// crash would.
+		if err := g.Kick(context.Background(), make([]data.Vec3, 0)); err != nil && !errors.Is(err, ErrWorkerFault) {
+			t.Fatal(err)
+		}
+		died := make(chan int, 1)
+		sim.daemon.OnWorkerDied = func(id int) { died <- id }
+		if err := sp.Write([]byte{0xde, 0xad}, 0); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-time.After(10 * time.Second):
+			t.Fatal("the proxy survived a frame with no ID")
+		case <-died:
 		}
 	})
 	t.Run("sockets", func(t *testing.T) {

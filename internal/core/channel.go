@@ -36,7 +36,6 @@ func (f completion) complete(resp response, arrival time.Duration, err error) { 
 // pipeline many calls onto one slow wide-area link and pay its latency
 // once instead of once per call.
 type channel interface {
-	name() string
 	// start issues one call without waiting and later delivers the
 	// outcome to done (exactly once, possibly before start returns if the
 	// channel is already closed).
@@ -76,8 +75,6 @@ func newLocalChannel(svc service, obs *chanObs) *localChannel {
 	return c
 }
 
-func (c *localChannel) name() string { return ChannelMPI }
-
 func (c *localChannel) start(req request, done completer) {
 	c.obs.issued()
 	if !c.queue.Push(localSubmission{req: req, done: done}) {
@@ -114,12 +111,14 @@ func (c *localChannel) close() error {
 	return nil
 }
 
-// connChannel frames requests over a vnet connection and matches responses
-// by ID; it serves both the sockets channel (conn straight to a worker) and
-// the coupler side of the ibis channel (conn to the local daemon).
+// connChannel matches responses to started calls by ID. The sockets
+// channel frames its requests over a vnet connection straight to the
+// worker; the coupler side of the ibis channel (Daemon.ibisChannel) hands
+// them to the local daemon's relay in line, and the daemon hands back the
+// responses it decodes (answer).
 type connChannel struct {
-	chName string
-	conn   *vnet.Conn
+	conn   *vnet.Conn // sockets: the connection to the worker
+	daemon *Daemon    // ibis: the daemon that relays to the worker
 	obs    *chanObs
 
 	mu      sync.Mutex
@@ -135,13 +134,11 @@ type pendingCall struct {
 	sentAt time.Duration
 }
 
-func newConnChannel(name string, conn *vnet.Conn, obs *chanObs) *connChannel {
-	c := &connChannel{chName: name, conn: conn, obs: obs, pending: make(map[uint64]pendingCall)}
+func newConnChannel(conn *vnet.Conn, obs *chanObs) *connChannel {
+	c := &connChannel{conn: conn, obs: obs, pending: make(map[uint64]pendingCall)}
 	go c.readLoop()
 	return c
 }
-
-func (c *connChannel) name() string { return c.chName }
 
 func (c *connChannel) readLoop() {
 	for {
@@ -156,18 +153,25 @@ func (c *connChannel) readLoop() {
 			// everything behind it on the stream is suspect: fail the
 			// channel (and every pending call) rather than dropping the
 			// frame and leaking the waiter forever.
-			c.fail(fmt.Errorf("%w: %s channel received undecodable response frame: %v",
-				kernel.ErrTransport, c.chName, err))
+			c.fail(fmt.Errorf("%w: sockets channel received undecodable response frame: %v",
+				kernel.ErrTransport, err))
 			c.conn.Close()
 			return
 		}
-		c.mu.Lock()
-		p, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ok {
-			c.obs.deliver(p, resp, msg.Arrival, nil)
-		}
+		c.answer(resp.ID, resp, msg.Arrival, nil)
+	}
+}
+
+// answer delivers the outcome of call id — a response that reached the
+// coupler at virtual time arrival, or err — if the channel still has the
+// call: fail may have taken it first.
+func (c *connChannel) answer(id uint64, resp response, arrival time.Duration, err error) {
+	c.mu.Lock()
+	p, ok := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if ok {
+		c.obs.deliver(p, resp, arrival, err)
 	}
 }
 
@@ -200,21 +204,20 @@ func (c *connChannel) start(req request, done completer) {
 	c.pending[req.ID] = p
 	c.mu.Unlock()
 
-	if _, sendErr := c.conn.Send(req.Frame(), req.SentAt); sendErr != nil {
-		// The read loop may have raced us to the pending entry (it fails
-		// everything when the conn dies); only deliver if we still own it.
-		c.mu.Lock()
-		p, ok := c.pending[req.ID]
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		if ok {
-			c.obs.deliver(p, response{}, 0, fmt.Errorf("%w: %s channel send: %v", kernel.ErrTransport, c.chName, sendErr))
-		}
+	if c.daemon != nil {
+		c.daemon.relay(c, req)
+		return
+	}
+	if _, err := c.conn.Send(req.Frame(), req.SentAt); err != nil {
+		c.answer(req.ID, response{}, 0, fmt.Errorf("%w: sockets channel send: %v", kernel.ErrTransport, err))
 	}
 }
 
 func (c *connChannel) close() error {
 	c.fail(ErrChannelClosed)
+	if c.conn == nil {
+		return nil
+	}
 	return c.conn.Close()
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -435,27 +436,26 @@ func TestUnitCheckedTime(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsUnknownWorkerID: a call an ibis channel routes to a
+// worker the daemon does not have ends in ErrTransport naming the worker.
 func TestDaemonRejectsUnknownWorkerID(t *testing.T) {
-	tb, _ := labSim(t)
-	local := tb.Deployment.LocalHost()
-	conn, err := tb.Net.Dial(local, local, DaemonPort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	_, sim := labSim(t)
+	ch := sim.daemon.ibisChannel(nil)
+	defer ch.close()
+	got := make(chan error, 1)
 	req := request{ID: reqIDs.Add(1), Worker: 999, Method: "evolve", Args: kernel.Encode(kernel.EvolveArgs{})}
-	if _, err := conn.Send(kernel.AppendRequest(nil, &req), 0); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := kernel.UnmarshalResponse(msg.Data, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Fatal("daemon accepted request for unknown worker")
+	ch.start(req, completion(func(resp response, _ time.Duration, err error) {
+		if err == nil {
+			err = kernel.ResponseError(&resp)
+		}
+		got <- err
+	}))
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "worker 999") {
+			t.Fatalf("call to worker 999: %v, want ErrTransport naming the worker", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call to an unknown worker was not answered")
 	}
 }

@@ -18,17 +18,17 @@ import (
 )
 
 // Daemon is the per-user Ibis daemon of Fig. 5: it runs on the user's
-// machine, accepts coupler connections over a local loopback socket, starts
-// workers on remote resources through IbisDeploy/JavaGAT, and relays RPC to
-// each worker's proxy over IPL. "The user must start this daemon on his or
-// her machine before running any simulation, but it can be re-used for all
-// simulations run."
+// machine, where the coupler reaches it over a local loopback socket
+// (crossed in line: relay), starts workers on remote resources through
+// IbisDeploy/JavaGAT, and relays RPC to each worker's proxy over IPL.
+// "The user must start this daemon on his or her machine before running
+// any simulation, but it can be re-used for all simulations run."
 type Daemon struct {
 	env        *Env
 	deployment *deploy.Deployment
 	registry   *ipl.Registry
 	ibis       *ipl.Ibis
-	listener   *vnet.Listener
+	loop       hop // §5's loopback socket between the coupler and the daemon
 
 	// ids allocates transfer stream ids, staging slots, gang ids and
 	// checkpoint blob refs: tokens that must be unique among this daemon's
@@ -95,8 +95,8 @@ type workerHandle struct {
 	mu       sync.Mutex
 	member   ipl.Identifier
 	sendPort *ipl.SendPort
-	recvPort *ipl.ReceivePort      // the worker's response port; closed with the worker
-	pending  map[uint64]*vnet.Conn // request id -> coupler conn awaiting reply
+	recvPort *ipl.ReceivePort        // the worker's response port; closed with the worker
+	pending  map[uint64]*connChannel // request id -> coupler channel awaiting the reply
 	dead     bool
 	// Capacity accounting: the nodes this worker committed on its
 	// resource, released exactly once (released guards the stop/fail/
@@ -136,8 +136,7 @@ type WorkerSpec struct {
 }
 
 // NewDaemon starts the daemon for a deployment: an IPL registry and the
-// daemon's own pool instance on the local host, plus the loopback RPC
-// listener the coupler connects to.
+// daemon's own pool instance on the local host.
 func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 	local := dep.LocalHost()
 	reg, err := ipl.NewRegistry(dep.Net, local, local)
@@ -146,7 +145,7 @@ func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 	}
 	env := &Env{Net: dep.Net, Deployment: dep, Pool: pool, Registry: reg.Addr()}
 	d := &Daemon{
-		env: env, deployment: dep, registry: reg,
+		env: env, deployment: dep, registry: reg, loop: newHop(dep.Net, local),
 		workers:      make(map[int]*workerHandle),
 		byMember:     make(map[string]*workerHandle),
 		sessionLast:  make(map[string]int),
@@ -175,17 +174,9 @@ func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 		return nil, err
 	}
 
-	l, err := dep.Net.Listen(local, DaemonPort)
-	if err != nil {
-		ib.End()
-		reg.Close()
-		return nil, fmt.Errorf("core: daemon listener: %w", err)
-	}
-	d.listener = l
 	d.ckptBlobs = make(map[uint64][]byte)
 	d.ckptOwner = make(map[uint64]string)
-	d.wg.Add(2)
-	go d.acceptLoop()
+	d.wg.Add(1)
 	go d.eventLoop()
 	return d, nil
 }
@@ -218,7 +209,6 @@ func (d *Daemon) Close() {
 			job.Cancel()
 		}
 	}
-	d.listener.Close()
 	d.ckptMu.Lock()
 	d.ckptClosed = true
 	ckptLis := d.ckptLis
@@ -233,8 +223,7 @@ func (d *Daemon) Close() {
 
 // checkpointLoop accepts snapshot streams on the daemon's peer listener:
 // a transfer-framed blob is filed in the store and acknowledged at its
-// virtual arrival time; probe frames get the factory's responder (the
-// store's listener answers goodput probes like any worker's).
+// virtual arrival time.
 func (d *Daemon) checkpointLoop(lis *smartsockets.Listener) {
 	defer d.wg.Done()
 	for {
@@ -245,17 +234,12 @@ func (d *Daemon) checkpointLoop(lis *smartsockets.Listener) {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
+			defer conn.Close()
 			conn.SetClass("peer")
 			msg, err := conn.Recv()
 			if err != nil {
-				conn.Close()
 				return
 			}
-			if smartsockets.IsProbeFrame(msg.Data) {
-				d.ibis.Factory().ServeProbeConn(conn, msg.Data, msg.Arrival)
-				return
-			}
-			defer conn.Close()
 			id, blob, abort, err := kernel.UnmarshalTransfer(msg.Data)
 			if err != nil || abort {
 				return
@@ -387,71 +371,54 @@ func (d *Daemon) SessionWorkers(session string) []int {
 
 var reqIDs atomic.Uint64
 
-// acceptLoop serves coupler connections on the loopback socket.
-func (d *Daemon) acceptLoop() {
-	defer d.wg.Done()
-	for {
-		conn, err := d.listener.Accept()
-		if err != nil {
-			return
-		}
-		conn.SetClass("loopback")
-		d.wg.Add(1)
-		go d.serveCoupler(conn)
+// ibisChannel opens the coupler side of an ibis channel: its calls reach
+// relay in line, and their responses come back from onResponse.
+func (d *Daemon) ibisChannel(obs *chanObs) *connChannel {
+	return &connChannel{daemon: d, obs: obs, pending: make(map[uint64]pendingCall)}
+}
+
+// relay takes a call the coupler's channel ch started across the loopback
+// socket and on to its worker's request port, routed by the request's own
+// ID and worker. A call for a worker that is unknown or dead is answered by
+// the daemon itself.
+func (d *Daemon) relay(ch *connChannel, req request) {
+	frame := req.Frame()
+	at := d.loop.cross(len(frame), req.SentAt)
+	wh := d.worker(req.Worker)
+	if wh == nil {
+		// A routing failure is a transport fault, not a worker death: no
+		// worker with that id exists on this daemon.
+		d.reply(ch, req.ID, at, kernel.CodeTransport, fmt.Sprintf("core: no worker %d", req.Worker))
+		return
+	}
+	wh.mu.Lock()
+	dead, sp := wh.dead, wh.sendPort
+	if !dead && sp != nil {
+		wh.pending[req.ID] = ch
+	}
+	wh.mu.Unlock()
+	if dead || sp == nil {
+		d.reply(ch, req.ID, at, kernel.CodeWorkerDied, ErrWorkerDied.Error())
+		return
+	}
+	if err := sp.Write(frame, at); err != nil {
+		// The proxy closed its request port: the worker is gone, and the
+		// daemon knows it before the pool's Died event says so. Failing it
+		// here (this call included) keeps WorkerAlive in step with what
+		// callers have already been told.
+		d.failWorker(wh)
 	}
 }
 
-// serveCoupler relays one coupler channel's requests to worker proxies by
-// the ID and worker it reads in place. An undecodable request is answered
-// as a transport fault, or closes the connection if it has no ID.
-func (d *Daemon) serveCoupler(conn *vnet.Conn) {
-	defer d.wg.Done()
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		id, worker, err := kernel.RouteRequest(msg.Data)
-		wh := d.worker(worker)
-		switch {
-		case err != nil && id == 0:
-			conn.Close()
-			return
-		case err != nil:
-			d.reply(conn, id, msg.Arrival, kernel.CodeTransport, "core: daemon received an undecodable request: "+err.Error())
-			continue
-		case wh == nil:
-			// A routing failure is a transport fault, not a worker death:
-			// no worker with that id exists on this daemon.
-			d.reply(conn, id, msg.Arrival, kernel.CodeTransport, fmt.Sprintf("core: no worker %d", worker))
-			continue
-		}
-		wh.mu.Lock()
-		dead, sp := wh.dead, wh.sendPort
-		if !dead && sp != nil {
-			wh.pending[id] = conn
-		}
-		wh.mu.Unlock()
-		if dead || sp == nil {
-			d.reply(conn, id, msg.Arrival, kernel.CodeWorkerDied, ErrWorkerDied.Error())
-			continue
-		}
-		if err := sp.Write(msg.Data, msg.Arrival); err != nil {
-			// The proxy closed its request port: the worker is gone, and
-			// the daemon knows it before the pool's Died event says so.
-			// Failing it here (this call included) keeps WorkerAlive in
-			// step with what callers have already been told.
-			d.failWorker(wh)
-		}
-	}
+// reply answers a call on ch with the daemon's own coded error, sent back
+// across the loopback socket at virtual time at.
+func (d *Daemon) reply(ch *connChannel, id uint64, at time.Duration, code kernel.Code, errStr string) {
+	resp := response{ID: id, Code: code, Err: errStr, DoneAt: at}
+	ch.answer(id, resp, d.loop.cross(len(kernel.AppendResponse(nil, &resp)), at), nil)
 }
 
-// reply sends a coded error response back to a coupler connection.
-func (d *Daemon) reply(conn *vnet.Conn, id uint64, at time.Duration, code kernel.Code, errStr string) {
-	conn.Send(kernel.AppendResponse(nil, &response{ID: id, Code: code, Err: errStr, DoneAt: at}), at)
-}
-
-// onResponse handles a proxy's response (or ready announcement).
+// onResponse handles a proxy's response (or ready announcement): it goes
+// back across the loopback socket, decoded, to the channel waiting for it.
 func (d *Daemon) onResponse(wh *workerHandle, rm ipl.ReadMessage) {
 	var resp response
 	if err := kernel.UnmarshalResponse(rm.Data, &resp); err != nil {
@@ -465,11 +432,11 @@ func (d *Daemon) onResponse(wh *workerHandle, rm ipl.ReadMessage) {
 		return
 	}
 	wh.mu.Lock()
-	conn := wh.pending[resp.ID]
+	ch := wh.pending[resp.ID]
 	delete(wh.pending, resp.ID)
 	wh.mu.Unlock()
-	if conn != nil {
-		conn.Send(rm.Data, rm.Arrival)
+	if ch != nil {
+		ch.answer(resp.ID, resp, d.loop.cross(len(rm.Data), rm.Arrival), nil)
 	}
 }
 
@@ -514,11 +481,11 @@ func (d *Daemon) failWorker(wh *workerHandle) {
 	newly := !wh.dead
 	wh.dead = true
 	pend := wh.pending
-	wh.pending = make(map[uint64]*vnet.Conn)
+	wh.pending = make(map[uint64]*connChannel)
 	wh.mu.Unlock()
 	wh.closePorts()
-	for id, conn := range pend {
-		d.reply(conn, id, 0, kernel.CodeWorkerDied, ErrWorkerDied.Error())
+	for id, ch := range pend {
+		d.reply(ch, id, 0, kernel.CodeWorkerDied, ErrWorkerDied.Error())
 	}
 	d.releaseWorkerCapacity(wh)
 	d.mu.Lock()
@@ -678,7 +645,7 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	}
 	wh := &workerHandle{
 		id: id, spec: spec,
-		pending: make(map[uint64]*vnet.Conn),
+		pending: make(map[uint64]*connChannel),
 		ready:   make(chan ipl.Identifier, 1),
 	}
 	d.workers[id] = wh

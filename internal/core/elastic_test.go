@@ -87,7 +87,6 @@ func TestRebalancerConvergence(t *testing.T) {
 	wantPos, wantVel, _, _ := finalState(t, static)
 
 	tb, sim := elasticSim(t)
-	sim.Monitor = tb.Recorder
 	g, err := sim.NewGravity(context.Background(),
 		WorkerSpec{Resource: tb.Mixed, Channel: ChannelIbis, Workers: 4}, GravityOptions{Eps: 0.01})
 	if err != nil {

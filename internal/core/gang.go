@@ -60,8 +60,6 @@ func newGangChannel(members []channel, workers []int, obs *chanObs) *gangChannel
 	return &gangChannel{members: members, workers: workers, obs: obs}
 }
 
-func (g *gangChannel) name() string { return ChannelIbis }
-
 // setWorkers installs a recovered gang's worker ids (rank order).
 func (g *gangChannel) setWorkers(ids []int) {
 	g.issueMu.Lock()

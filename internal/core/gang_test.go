@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -156,6 +157,48 @@ func TestGangRankDeathMidStep(t *testing.T) {
 	// Clean teardown: surviving ranks stop; nothing hangs.
 	if err := sim.Stop(); err != nil {
 		t.Logf("stop after rank death: %v", err) // dead rank may report its abort
+	}
+}
+
+// TestGangDeadRankAnsweredInLine: the daemon answers a call to a dead
+// worker on the goroutine that issues it, so a broadcast to a K = 2 gang
+// with a dead rank completes that rank's share inside the gang channel's
+// issue loop, with its lock held (and, with every rank dead, the whole
+// call). It must still end in ErrWorkerDied, and the next call too, within
+// a wall bound: no completion may wait on the issue lock.
+func TestGangDeadRankAnsweredInLine(t *testing.T) {
+	for _, dead := range [][]int{{0}, {1}, {0, 1}} {
+		t.Run(fmt.Sprintf("ranks %v dead", dead), func(t *testing.T) {
+			tb, sim := labSim(t)
+			ctx := context.Background()
+			g, err := sim.NewGravity(ctx,
+				WorkerSpec{Resource: "das4-vu", Channel: ChannelIbis, Workers: 2}, GravityOptions{Eps: 0.01})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stars := ic.Plummer(32, 5)
+			if err := g.SetParticles(stars); err != nil {
+				t.Fatal(err)
+			}
+			for _, rank := range dead {
+				killWorker(t, tb.Daemon, g.GangWorkers()[rank])
+			}
+			done := make(chan error, 2)
+			go func() {
+				done <- g.Kick(ctx, make([]data.Vec3, stars.Len()))
+				done <- g.Kick(ctx, make([]data.Vec3, stars.Len()))
+			}()
+			for call := 0; call < 2; call++ {
+				select {
+				case err := <-done:
+					if !errors.Is(err, ErrWorkerDied) {
+						t.Fatalf("kick %d: err = %v, want ErrWorkerDied", call, err)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("kick %d to a gang with dead ranks %v did not return", call, dead)
+				}
+			}
+		})
 	}
 }
 

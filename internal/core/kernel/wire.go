@@ -367,27 +367,14 @@ func (r *Request) Size() int { return requestHeader(r.Method) + len(r.Args) }
 // aliases b; req.Method is methodNames' string for a name listed there. On a
 // malformed frame req.ID is the frame's if its tag is a request's and it
 // holds one, else 0: the caller answers that ID, or has no call to answer.
-func UnmarshalRequest(b []byte, req *Request) error { return parseRequest(b, req, true) }
-
-// RouteRequest reads what a relay routes a request frame by, its ID and
-// worker, in place: it checks the frame as UnmarshalRequest does, and never
-// reads the method. Its ID on a malformed frame is UnmarshalRequest's.
-func RouteRequest(b []byte) (id uint64, worker int, err error) {
-	var req Request
-	err = parseRequest(b, &req, false)
-	return req.ID, req.Worker, err
-}
-
-func parseRequest(b []byte, req *Request, method bool) error {
+func UnmarshalRequest(b []byte, req *Request) error {
 	*req = Request{}
 	r := wire.Reader{B: b}
 	expectTag(&r, tagRequest, "request")
 	req.ID = r.U64("id")
 	req.Worker = int(r.U64("worker"))
 	req.SentAt = time.Duration(r.U64("sentAt"))
-	if name := r.Bytes16("method"); method {
-		req.Method = internMethod(name)
-	}
+	req.Method = internMethod(r.Bytes16("method"))
 	req.Args = r.Bytes32("args")
 	return r.Err
 }

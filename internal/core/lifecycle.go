@@ -522,7 +522,7 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 			return err
 		}
 		obs := s.observer(m.kind, spec.Resource, dep.LocalHost(), id, -1)
-		return m.publish(spec, newConnChannel(ChannelSockets, s.daemon.workerSocketConn(id), obs), []int{id})
+		return m.publish(spec, newConnChannel(s.daemon.workerSocketConn(id), obs), []int{id})
 	case ChannelIbis:
 		// A gang is K rank workers, one daemon channel each, wired to each
 		// other (gang_init) behind the gang channel — and behind this single
@@ -538,21 +538,13 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 		if err != nil {
 			return err
 		}
-		local := dep.LocalHost()
 		members := make([]channel, len(ids))
 		for i, id := range ids {
-			conn, err := dep.Net.Dial(local, local, DaemonPort)
-			if err != nil {
-				m.retire(ids, members[:i]...)
-				return err
-			}
-			conn.SetClass("loopback")
 			rank := -1 // a solo worker's observer carries no rank label
 			if len(ids) > 1 {
 				rank = i
 			}
-			members[i] = newConnChannel(ChannelIbis, conn,
-				s.observer(m.kind, spec.Resource, s.workerHost(id, spec.Resource), id, rank))
+			members[i] = s.daemon.ibisChannel(s.observer(m.kind, spec.Resource, s.workerHost(id, spec.Resource), id, rank))
 		}
 		if len(ids) == 1 {
 			return m.publish(spec, members[0], ids)

@@ -14,10 +14,21 @@ import (
 // testbed's recorder as its monitor with no opt-in, and a nil monitor
 // turns the plane off without touching the call path.
 func TestObservabilityDefaultOn(t *testing.T) {
-	tb, sim := labSim(t)
-	if sim.Monitor != tb.Recorder {
-		t.Fatal("simulation did not adopt the deployment recorder by default")
+	for name, build := range map[string]func() (*Testbed, error){
+		"lab": NewLabTestbed, "sc11": NewSC11Testbed, "dsl": NewDSLTestbed, "elastic": NewElasticTestbed,
+	} {
+		tb, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := NewSimulation(context.Background(), tb.Daemon, nil)
+		if tb.Recorder == nil || sim.Monitor != tb.Recorder {
+			t.Errorf("%s testbed: simulation did not adopt the deployment recorder by default", name)
+		}
+		sim.Stop()
+		tb.Close()
 	}
+	tb, sim := labSim(t)
 	sim.Monitor = nil // plane off for workers created from here on
 	g, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "desktop", Channel: ChannelMPI},
 		GravityOptions{Eps: 0.01})

@@ -203,8 +203,7 @@ func newPeerPlane(ib *ipl.Ibis) (*peerPlane, error) {
 // serve accepts peer connections and routes them by their first frame's
 // tag: a transfer stream carries one state (or abort) frame and is
 // acknowledged at its virtual arrival time; a gang hello hands the whole
-// connection over as a persistent rank link; a goodput probe hands the
-// connection to the factory's probe responder.
+// connection over as a persistent rank link.
 func (p *peerPlane) serve() {
 	defer p.wg.Done()
 	defer p.mailbox.close()
@@ -223,13 +222,7 @@ func (p *peerPlane) serve() {
 				conn.Close()
 				return
 			}
-			switch {
-			case smartsockets.IsProbeFrame(msg.Data):
-				// The peer listener doubles as the goodput-probe responder,
-				// so probing a worker needs no extra registration.
-				p.ib.Factory().ServeProbeConn(conn, msg.Data, msg.Arrival)
-				return
-			case kernel.IsGangHello(msg.Data):
+			if kernel.IsGangHello(msg.Data) {
 				gangID, fromRank, err := kernel.UnmarshalGangHello(msg.Data)
 				if err != nil {
 					conn.Close()
@@ -240,20 +233,24 @@ func (p *peerPlane) serve() {
 				p.gangBox.deposit(gangKey{id: gangID, rank: fromRank}, conn)
 				return
 			}
-			defer conn.Close()
 			id, state, abort, err := kernel.UnmarshalTransfer(msg.Data)
-			if err != nil {
-				return
+			if err == nil && !abort {
+				conn.Send(kernel.AppendTransferAck(nil, id), msg.Arrival)
 			}
-			if abort {
+			// The stream closes before its delivery goes on: a routed Close
+			// returns once the offering side has closed too, which waits for
+			// this side's, so a transfer the coupler saw end has no frame left.
+			conn.Close()
+			switch {
+			case err != nil:
+			case abort:
 				p.mailbox.deposit(id, peerDelivery{err: fmt.Errorf(
 					"%w: transfer %d aborted by coupler", kernel.ErrTransport, id)})
-				return
+			default:
+				// state aliases msg.Data, which is private to this stream: no
+				// copy needed before the loopback apply.
+				p.mailbox.deposit(id, peerDelivery{state: state, frame: msg.Data, arrival: msg.Arrival})
 			}
-			// state aliases msg.Data, which is private to this stream: no
-			// copy needed before the loopback apply.
-			p.mailbox.deposit(id, peerDelivery{state: state, frame: msg.Data, arrival: msg.Arrival})
-			conn.Send(kernel.AppendTransferAck(nil, id), msg.Arrival)
 		}()
 	}
 }

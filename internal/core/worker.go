@@ -27,10 +27,6 @@ type Env struct {
 
 // Port layout. Each worker id gets a private port block on its node.
 const (
-	// DaemonPort is the local loopback port the coupler's channels dial —
-	// §5's "connection ... created using a local loopback socket".
-	DaemonPort = 17979
-
 	workerPortBase   = 41000
 	workerPortStride = 16
 )
@@ -99,8 +95,7 @@ func workerMain(env *Env, ctx *gat.Context) error {
 		}
 	}
 	host := ctx.Hosts[0]
-	path, _ := env.Net.Route(host, host) // a host's route to itself is the loopback path, and cannot fail
-	loop := &loopback{svc: svc, net: env.Net, host: host, path: path}
+	loop := &loopback{hop: newHop(env.Net, host), svc: svc}
 
 	// Proxy side: join the pool through the resource's hub.
 	ib, err := ipl.Create(env.Net, ipl.Config{
@@ -193,26 +188,43 @@ func workerMain(env *Env, ctx *gat.Context) error {
 	return nil
 }
 
-// loopback is §5's local loopback socket between a worker's proxy and its
-// model service, crossed in line: the relay never had two calls on it, and
-// its only effects were its bytes, recorded under class "loopback", and its
-// arrivals, each its send time plus the path's transfer time for its bytes.
-type loopback struct {
-	svc  service
+// hop is §5's local loopback socket on one host, crossed in line: the
+// coupler's to the daemon (Daemon.relay) and a proxy's to its model service
+// (loopback). No message on it ever waited for another, so its only
+// effects are its bytes, recorded under class "loopback", and its arrivals,
+// each the send time plus the path's transfer time for the bytes.
+type hop struct {
 	net  *vnet.Network
 	host string
 	path vnet.Path // Route(host, host)
+}
+
+func newHop(net *vnet.Network, host string) hop {
+	path, _ := net.Route(host, host) // a host's route to itself is the loopback path, and cannot fail
+	return hop{net: net, host: host, path: path}
+}
+
+// cross carries n bytes sent at virtual time at over the hop and returns
+// their arrival.
+func (h hop) cross(n int, at time.Duration) time.Duration {
+	h.net.RecordTransfer(h.host, h.host, "loopback", n)
+	return at + h.path.TransferTime(n)
+}
+
+// loopback is the hop between a worker's proxy and its model service: the
+// relay never had two calls on it.
+type loopback struct {
+	hop
+	svc service
 }
 
 // serve runs req, which reached the proxy at virtual time at, across the
 // hop and back: the response frame (the buffer the service encoded its
 // result into, header filled in) and its arrival at the proxy.
 func (l *loopback) serve(req *request, at time.Duration) ([]byte, time.Duration) {
-	l.net.RecordTransfer(l.host, l.host, "loopback", req.Size())
-	result, doneAt, err := l.svc.Dispatch(req.Method, req.Args, at+l.path.TransferTime(req.Size()))
+	result, doneAt, err := l.svc.Dispatch(req.Method, req.Args, l.cross(req.Size(), at))
 	reply := kernel.FrameResponse(req.ID, result, doneAt, err)
-	l.net.RecordTransfer(l.host, l.host, "loopback", len(reply))
-	return reply, doneAt + l.path.TransferTime(len(reply))
+	return reply, l.cross(len(reply), doneAt)
 }
 
 // call serves a request the proxy makes itself, sent at req.SentAt: the

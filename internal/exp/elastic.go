@@ -58,7 +58,6 @@ func elasticArm(nStars, steps int, rebalance bool) (time.Duration, float64, erro
 	ctx := context.Background()
 	sim := core.NewSimulation(ctx, tb.Daemon, nil)
 	defer sim.Stop()
-	sim.Monitor = tb.Recorder
 
 	g, err := sim.NewGravity(ctx,
 		core.WorkerSpec{Resource: tb.Mixed, Channel: core.ChannelIbis, Workers: 4},

@@ -146,7 +146,6 @@ func e10Coupled(steps int) (string, error) {
 	ctx := context.Background()
 	sim := core.NewSimulation(ctx, tb.Daemon, nil)
 	defer sim.Stop()
-	sim.Monitor = tb.Recorder
 
 	p := abm.Params{W: 24, H: 24, D: 0.15, R: 0.6, B: 0.35, DT: 0.01}
 	spec := core.WorkerSpec{Channel: core.ChannelIbis}

@@ -113,9 +113,6 @@ func Create(network *vnet.Network, cfg Config) (*Ibis, error) {
 // Identifier returns this instance's pool identity.
 func (ib *Ibis) Identifier() Identifier { return ib.id }
 
-// Factory exposes the underlying SmartSockets factory (for stats).
-func (ib *Ibis) Factory() *smartsockets.Factory { return ib.factory }
-
 // PeerAddr returns the peer-stream address of a pool member: where its
 // ListenPeer listener accepts direct worker-to-worker transfers.
 func PeerAddr(id Identifier) smartsockets.Address {

@@ -1,6 +1,7 @@
 package smartsockets
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,12 +62,13 @@ func (c *VirtualConn) Recv() (vnet.Message, error) {
 	return c.end.recv()
 }
 
-// Close tears the connection down on both sides.
+// Close tears the connection down on both sides. A routed connection's
+// Close returns once the peer's end has closed too.
 func (c *VirtualConn) Close() error {
 	if c.raw != nil {
 		return c.raw.Close()
 	}
-	return c.end.closeBoth()
+	return c.end.close()
 }
 
 // routedEnd is a factory-local endpoint of a routed circuit. Closing q is
@@ -76,12 +78,25 @@ func (c *VirtualConn) Close() error {
 // one kCircuitClose — when its application closes it, or in answer to the
 // peer's — and every hub forgets the circuit once it has relayed both. (An
 // end sending one only if the peer's had not arrived yet put a different
-// number of frames on the wire from run to run.)
+// number of frames on the wire from run to run.) The application's close
+// returns when the peer's close has reached this end: by then both have
+// crossed every hub, so a caller that has seen both ends closed knows no
+// frame of the circuit is still to be sent.
 type routedEnd struct {
 	factory   *Factory
 	key       string
 	q         fifo.Queue[vnet.Message]
 	closeSent atomic.Bool
+
+	mu         sync.Mutex
+	peerClosed bool      // the peer's close arrived, or the hub connection is gone and none will
+	released   sync.Cond // broadcast when peerClosed is set; L is mu
+}
+
+func newRoutedEnd(f *Factory, key string) *routedEnd {
+	e := &routedEnd{factory: f, key: key}
+	e.released.L = &e.mu
+	return e
 }
 
 func (e *routedEnd) recv() (vnet.Message, error) {
@@ -105,16 +120,44 @@ func (e *routedEnd) send(data []byte, sentAt time.Duration) error {
 	return err
 }
 
-// closeBoth closes the local end and sends this end's close, unless it
-// went out already.
-func (e *routedEnd) closeBoth() error {
+// close is the application's: it closes the local end, sends this end's
+// close unless it went out already, and waits for the peer's — which the
+// peer's factory answers as soon as it reads it, or a hub that cannot reach
+// the peer answers for it (relayClose, dropConn).
+func (e *routedEnd) close() error {
 	e.q.Close()
-	f := e.factory
-	f.mu.Lock()
-	delete(f.circuits, e.key)
-	f.mu.Unlock()
+	err := e.sendClose()
+	if err == nil {
+		e.mu.Lock()
+		for !e.peerClosed {
+			e.released.Wait()
+		}
+		e.mu.Unlock()
+	}
+	e.factory.dropCircuit(e.key)
+	return err
+}
+
+// peerClose is the peer's close reaching this end, on the factory's reader:
+// the end closes and answers, unless its own close went out already.
+func (e *routedEnd) peerClose() {
+	e.q.Close()
+	e.factory.dropCircuit(e.key)
+	e.release()
+	e.sendClose()
+}
+
+// release ends the wait for the peer's close.
+func (e *routedEnd) release() {
+	e.mu.Lock()
+	e.peerClosed = true
+	e.released.Broadcast()
+	e.mu.Unlock()
+}
+
+func (e *routedEnd) sendClose() error {
 	if !e.closeSent.CompareAndSwap(false, true) {
 		return nil
 	}
-	return sendFrame(f.hubConn, &frame{Kind: kCircuitClose, Circuit: e.key})
+	return sendFrame(e.factory.hubConn, &frame{Kind: kCircuitClose, Circuit: e.key})
 }

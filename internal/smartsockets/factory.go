@@ -137,18 +137,11 @@ func (f *Factory) Close() {
 	for _, l := range f.listeners {
 		ls = append(ls, l)
 	}
-	ends := make([]*routedEnd, 0, len(f.circuits))
-	for _, e := range f.circuits {
-		ends = append(ends, e)
-	}
 	f.mu.Unlock()
 	for _, l := range ls {
 		l.Close()
 	}
-	for _, e := range ends {
-		e.q.Close()
-	}
-	f.hubConn.Close()
+	f.hubConn.Close() // hubReadLoop closes the routed ends as it exits
 	f.wg.Wait()
 }
 
@@ -160,12 +153,24 @@ func (f *Factory) allocPort() int {
 	return p
 }
 
-// hubReadLoop dispatches frames arriving from the hub.
+// hubReadLoop dispatches frames arriving from the hub. Once the hub
+// connection is gone no frame can reach a routed end, and no close can
+// arrive for one waiting for it: every end closes.
 func (f *Factory) hubReadLoop() {
 	defer f.wg.Done()
 	for {
 		fr, err := recvFrame(f.hubConn)
 		if err != nil {
+			f.mu.Lock()
+			ends := make([]*routedEnd, 0, len(f.circuits))
+			for _, e := range f.circuits {
+				ends = append(ends, e)
+			}
+			f.mu.Unlock()
+			for _, e := range ends {
+				e.q.Close()
+				e.release()
+			}
 			return
 		}
 		switch fr.Kind {
@@ -202,7 +207,7 @@ func (f *Factory) hubReadLoop() {
 			end := f.circuits[fr.Circuit]
 			f.mu.Unlock()
 			if end != nil {
-				end.closeBoth() // the peer closed: answer with this end's close
+				end.peerClose()
 			}
 		case kRegisterAck:
 			f.mu.Lock()
@@ -275,7 +280,7 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	l := f.listeners[fr.Dst.Port]
 	var end *routedEnd
 	if l != nil && !f.closed {
-		end = &routedEnd{factory: f, key: fr.Circuit}
+		end = newRoutedEnd(f, fr.Circuit)
 		f.circuits[fr.Circuit] = end
 	}
 	f.mu.Unlock()
@@ -389,7 +394,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualC
 	key := fmt.Sprintf("%s:%d/%s", f.host, f.base, strconv.FormatUint(f.nextCircuit, 36)) // on every data frame: no hub name, a dense count
 	ch := make(chan openResult, 1)
 	f.pendingCirc[key] = ch
-	end := &routedEnd{factory: f, key: key}
+	end := newRoutedEnd(f, key)
 	f.circuits[key] = end
 	f.mu.Unlock()
 

@@ -380,11 +380,19 @@ func (h *Hub) dropConn(id string, conn *vnet.Conn, primary bool) {
 	h.mu.Lock()
 	delete(h.allConns, conn)
 	lost := primary && h.conns[id] == conn
+	// A circuit whose first close went out to a lost neighbour waits for an
+	// answer that cannot come back: the hub answers for that side.
+	var orphans []string
 	if lost {
 		delete(h.conns, id)
 		for addr, cid := range h.clients {
 			if cid == id {
 				delete(h.clients, addr)
+			}
+		}
+		for key, c := range h.circuits {
+			if c.closedBy != "" && c.next(c.closedBy) == id {
+				orphans = append(orphans, key)
 			}
 		}
 	}
@@ -394,6 +402,9 @@ func (h *Hub) dropConn(id string, conn *vnet.Conn, primary bool) {
 		h.advertiseLocked()
 	}
 	h.mu.Unlock()
+	for _, key := range orphans {
+		h.relayClose(id, &frame{Kind: kCircuitClose, Circuit: key})
+	}
 	if withdraw {
 		h.flood(nil, "", true)
 	}
@@ -560,11 +571,14 @@ func (h *Hub) relayData(origin string, circuit []byte, msg vnet.Message) {
 }
 
 // relayClose forwards one end's close frame along a circuit; the second
-// one, from the other end, dismantles it (see routedEnd).
+// one, from the other end, dismantles it (see routedEnd). A first close
+// that cannot go on — the far side's connection is gone — is answered as
+// if the far side had closed, so the end that closed is not left waiting.
 func (h *Hub) relayClose(origin string, f *frame) {
 	h.mu.Lock()
 	c := h.circuits[f.Circuit]
-	if c != nil && c.closedBy != "" && c.closedBy != origin {
+	second := c != nil && c.closedBy != "" && c.closedBy != origin
+	if second {
 		delete(h.circuits, f.Circuit)
 	} else if c != nil {
 		c.closedBy = origin
@@ -575,7 +589,9 @@ func (h *Hub) relayClose(origin string, f *frame) {
 	}
 	fwd := *f
 	fwd.sentAt = f.sentAt + hubProcessing
-	h.sendTo(c.next(origin), &fwd)
+	if !h.sendTo(c.next(origin), &fwd) && !second {
+		h.relayClose(c.next(origin), f)
+	}
 }
 
 // sendTo sends f to a neighbor and reports whether the neighbor's

@@ -18,10 +18,8 @@ import (
 // modeled bandwidth and shows up in the traffic recorder under class
 // "probe".
 
-// ProbeFrameTag is the first byte of every probe frame. It is disjoint from
-// the kernel wire tags, so a listener serving mixed traffic (e.g. the peer
-// data plane) can dispatch inbound connections on their first byte.
-const ProbeFrameTag byte = 0x42 // 'B'
+// probeFrameTag is the first byte of every probe frame.
+const probeFrameTag byte = 0x42 // 'B'
 
 const (
 	probeData byte = 0x01 // client -> responder: digest + sized payload
@@ -68,7 +66,7 @@ func probePayload(n int) []byte {
 // payload.
 func appendProbeData(payload []byte) []byte {
 	b := make([]byte, 0, 14+len(payload))
-	b = append(b, ProbeFrameTag, probeData)
+	b = append(b, probeFrameTag, probeData)
 	b = binary.BigEndian.AppendUint64(b, fnv1a64(payload))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
 	return append(b, payload...)
@@ -76,18 +74,13 @@ func appendProbeData(payload []byte) []byte {
 
 func appendProbeAck(digest uint64) []byte {
 	b := make([]byte, 0, 10)
-	b = append(b, ProbeFrameTag, probeAck)
+	b = append(b, probeFrameTag, probeAck)
 	return binary.BigEndian.AppendUint64(b, digest)
-}
-
-// IsProbeFrame reports whether a message opens the probe protocol.
-func IsProbeFrame(data []byte) bool {
-	return len(data) >= 2 && data[0] == ProbeFrameTag
 }
 
 // parseProbeData validates a probe data frame and returns its digest.
 func parseProbeData(b []byte) (uint64, error) {
-	if len(b) < 14 || b[0] != ProbeFrameTag || b[1] != probeData {
+	if len(b) < 14 || b[0] != probeFrameTag || b[1] != probeData {
 		return 0, fmt.Errorf("%w: bad data frame", ErrProbeFailed)
 	}
 	digest := binary.BigEndian.Uint64(b[2:])
@@ -101,51 +94,37 @@ func parseProbeData(b []byte) (uint64, error) {
 	return digest, nil
 }
 
-// ServeProbeConn runs the responder side of the probe protocol on an
-// accepted connection whose first message is first (already read by the
-// caller's dispatcher). It acknowledges each verified payload at its
-// virtual arrival time and returns when the client closes the connection
-// or a frame fails verification. The caller usually runs it in its own
-// goroutine.
-func (f *Factory) ServeProbeConn(conn *VirtualConn, first []byte, arrival time.Duration) {
-	defer conn.Close()
-	data, at := first, arrival
-	for {
-		digest, err := parseProbeData(data)
-		if err != nil {
-			return
-		}
-		if err := conn.Send(appendProbeAck(digest), at); err != nil {
-			return
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		data, at = msg.Data, msg.Arrival
-	}
-}
-
-// ServeGoodput runs a stand-alone goodput responder on a listener: it
-// accepts connections, dispatches those opening the probe protocol to
-// ServeProbeConn and drops anything else, until the listener closes.
-// The peer data plane embeds the same dispatch in its own accept loop;
-// this helper serves hosts that run no peer plane — the calibration
-// pass stands one up per probed host.
+// ServeGoodput runs a goodput responder on a listener, serving the probe
+// protocol on every connection it accepts until the listener closes. The
+// calibration pass stands one up per probed host.
 func (f *Factory) ServeGoodput(l *Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		go func(conn *VirtualConn) {
-			msg, err := conn.Recv()
-			if err != nil || !IsProbeFrame(msg.Data) {
-				conn.Close()
-				return
-			}
-			f.ServeProbeConn(conn, msg.Data, msg.Arrival)
-		}(conn)
+		go serveProbeConn(conn)
+	}
+}
+
+// serveProbeConn is the responder side of the probe protocol: it
+// acknowledges each verified payload at its virtual arrival time, and
+// closes the connection when the client does or a frame fails verification
+// (one that is not a probe frame does).
+func serveProbeConn(conn *VirtualConn) {
+	defer conn.Close()
+	for {
+		msg, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		digest, err := parseProbeData(msg.Data)
+		if err != nil {
+			return
+		}
+		if err := conn.Send(appendProbeAck(digest), msg.Arrival); err != nil {
+			return
+		}
 	}
 }
 
@@ -216,7 +195,7 @@ func (f *Factory) probeRound(conn *VirtualConn, data []byte, at time.Duration) (
 	if err != nil {
 		return 0, err
 	}
-	if len(msg.Data) != 10 || msg.Data[0] != ProbeFrameTag || msg.Data[1] != probeAck ||
+	if len(msg.Data) != 10 || msg.Data[0] != probeFrameTag || msg.Data[1] != probeAck ||
 		binary.BigEndian.Uint64(msg.Data[2:]) != digest {
 		return 0, fmt.Errorf("%w: bad ack", ErrProbeFailed)
 	}

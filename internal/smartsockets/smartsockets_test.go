@@ -21,7 +21,7 @@ type testNet struct {
 	overlay        *Overlay
 }
 
-func newTestNet(t *testing.T, polA, polB vnet.Policy) *testNet {
+func newTestNet(t testing.TB, polA, polB vnet.Policy) *testNet {
 	t.Helper()
 	n := vnet.New()
 	mustAdd := func(name, site string, p vnet.Policy) {
@@ -51,7 +51,7 @@ func newTestNet(t *testing.T, polA, polB vnet.Policy) *testNet {
 	return &testNet{net: n, hubA: "hub-a", hubB: "hub-b", clientA: "client-a", clntB: "client-b", overlay: ov}
 }
 
-func newFactory(t *testing.T, n *vnet.Network, host string, base int, hub string) *Factory {
+func newFactory(t testing.TB, n *vnet.Network, host string, base int, hub string) *Factory {
 	t.Helper()
 	f, err := NewFactory(n, host, base, hub)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/ic"
 	"jungle/internal/core/kernel"
+	"jungle/internal/ipl"
 )
 
 // TestPipelinedCallsPreserveOrder: calls issued back to back on one ibis
@@ -148,73 +149,69 @@ func TestCancelAbandonsWaitNotWorker(t *testing.T) {
 	}
 }
 
-// TestUndecodableResponseFailsChannel: a response frame the codec cannot
-// parse must fail the pending call (and the channel) with a transport
-// fault instead of silently dropping the frame and leaking the waiter —
-// the regression the old readLoop had.
-func TestUndecodableResponseFailsChannel(t *testing.T) {
-	tb, _ := labSim(t)
-	const port = 29999
-	l, err := tb.Net.Listen("desktop", port)
+// TestUndecodableResponseIsAnswered: a response frame the daemon cannot
+// parse ends its call in ErrTransport naming the parse error, instead of
+// leaving the call waiting for a response that will never decode; a frame
+// with no ID to answer fails the worker, and with it every call on it.
+func TestUndecodableResponseIsAnswered(t *testing.T) {
+	_, sim := labSim(t)
+	g, err := sim.NewGravity(context.Background(), WorkerSpec{Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			// Reply with garbage that is not a response frame.
-			conn.Send([]byte{0xde, 0xad, 0xbe, 0xef}, msg.Arrival)
-		}
-	}()
-	conn, err := tb.Net.Dial("desktop", "desktop", port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := newConnChannel(conn, nil)
+	id := g.WorkerIDs()[0]
+	wh := sim.daemon.worker(id)
+	ch := sim.daemon.ibisChannel(nil)
 	defer ch.close()
-
-	done := make(chan error, 1)
-	ch.start(request{ID: reqIDs.Add(1), Method: "ping"}, completion(func(_ response, _ time.Duration, err error) {
-		done <- err
-	}))
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrTransport) {
-			t.Fatalf("pending call failed with %v, want ErrTransport", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending call leaked: no completion after undecodable frame")
+	// pend registers a call as relayed to the worker and returns its ID and
+	// where its outcome, as the coupler reads it, lands.
+	pend := func() (uint64, chan error) {
+		reqID, out := reqIDs.Add(1), make(chan error, 1)
+		ch.mu.Lock()
+		ch.pending[reqID] = pendingCall{done: completion(func(resp response, _ time.Duration, err error) {
+			if err == nil {
+				err = kernel.ResponseError(&resp)
+			}
+			out <- err
+		})}
+		ch.mu.Unlock()
+		wh.mu.Lock()
+		wh.pending[reqID] = ch
+		wh.mu.Unlock()
+		return reqID, out
 	}
-	// The channel is dead, and says so immediately for new calls.
-	second := make(chan error, 1)
-	ch.start(request{ID: reqIDs.Add(1), Method: "ping"}, completion(func(_ response, _ time.Duration, err error) {
-		second <- err
-	}))
+	cutID, cutOut := pend()
+	frame := kernel.FrameResponse(cutID, kernel.EncodeReply(kernel.StatsResult{Time: 1}), 0, nil)
+	sim.daemon.onResponse(wh, ipl.ReadMessage{Data: frame[:len(frame)-2]})
 	select {
-	case err := <-second:
-		if err == nil {
-			t.Fatal("dead channel accepted a new call")
+	case err := <-cutOut:
+		if !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "result") {
+			t.Fatalf("a cut response ended its call with %v, want ErrTransport naming the result", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("dead channel did not fail a new call")
+		t.Fatal("a cut response left its call waiting")
+	}
+	_, out := pend()
+	died := make(chan int, 1)
+	sim.daemon.OnWorkerDied = func(id int) { died <- id }
+	sim.daemon.onResponse(wh, ipl.ReadMessage{Data: []byte{0xde, 0xad}})
+	mustEndWith(t, "a call on the worker", out, ErrWorkerDied)
+	select {
+	case got := <-died:
+		if got != id {
+			t.Fatalf("worker %d reported dead, want %d", got, id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a response with no ID left the worker alive")
 	}
 }
 
 // TestUndecodableRequestIsAnswered: a request frame cut inside its method
-// name, written straight onto a sockets worker's connection, is answered for
-// its ID as a transport fault naming the parse error — the worker does not
-// skip it and leave its caller waiting. A frame with no ID to answer closes
-// the connection instead. The ibis worker's proxy answers such a frame the
-// same way, and one with no ID ends the worker. The daemon is handed its
-// requests in line and parses none.
+// name, written straight onto an ibis worker's request port, is answered for
+// its ID as a transport fault naming the parse error — the proxy does not
+// skip it and leave its caller waiting. A frame with no ID to answer ends
+// the worker instead. The daemon and the mpi and sockets workers are handed
+// their requests in line and parse none.
 func TestUndecodableRequestIsAnswered(t *testing.T) {
 	_, sim := labSim(t)
 	req := request{ID: reqIDs.Add(1), Method: "kick"}
@@ -286,59 +283,6 @@ func TestUndecodableRequestIsAnswered(t *testing.T) {
 		case <-died:
 		}
 	})
-	t.Run("sockets", func(t *testing.T) {
-		g, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "desktop", Channel: ChannelSockets},
-			GravityOptions{Eps: 0.01})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.mu.Lock()
-		ch := g.ch.(*connChannel)
-		g.mu.Unlock()
-		outcome := make(chan response, 1)
-		ch.mu.Lock()
-		ch.pending[req.ID] = pendingCall{done: completion(func(resp response, _ time.Duration, err error) {
-			if err != nil {
-				resp = response{ID: req.ID, Err: err.Error()}
-			}
-			outcome <- resp
-		})}
-		ch.mu.Unlock()
-		if _, err := ch.conn.Send(slices.Clone(cut), 0); err != nil {
-			t.Fatal(err)
-		}
-		answered(t, func() (response, error) { return <-outcome, nil })
-		// The channel still works, and a frame with no ID ends it.
-		if err := g.Kick(context.Background(), make([]data.Vec3, 0)); err != nil && !errors.Is(err, ErrWorkerFault) {
-			t.Fatal(err)
-		}
-		if _, err := ch.conn.Send([]byte{0xde, 0xad}, 0); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-time.After(5 * time.Second):
-			t.Fatal("the worker kept a connection that sent a frame with no ID")
-		case <-closedChannel(ch):
-		}
-	})
-}
-
-// closedChannel is closed once ch has failed.
-func closedChannel(ch *connChannel) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			ch.mu.Lock()
-			closed := ch.closed
-			ch.mu.Unlock()
-			if closed {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	return done
 }
 
 // TestConcurrentCallsOneChannel hammers a single ibis channel from many

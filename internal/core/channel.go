@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"jungle/internal/core/kernel"
 	"jungle/internal/fifo"
-	"jungle/internal/vnet"
 )
 
 // completer receives the outcome of one started call, exactly once: a
@@ -25,9 +23,9 @@ func (f completion) complete(resp response, arrival time.Duration, err error) { 
 
 // channel moves RPC round trips between the coupler and one worker. The
 // three implementations mirror AMUSE's channels: "mpi" (in-process, the
-// default), "sockets" (loopback connection to a local worker process) and
-// "ibis" (via the daemon over IPL to a remote resource — this paper's
-// addition).
+// default), "sockets" (a local worker process) and "ibis" (via the daemon
+// over IPL to a remote resource — this paper's addition). Each is a
+// connChannel; a gang's channel fans calls out over one per rank.
 //
 // The interface is asynchronous: start issues a call and returns
 // immediately; the outcome is delivered to the completion later. Calls
@@ -50,81 +48,19 @@ const (
 	ChannelIbis    = "ibis"
 )
 
-// localChannel calls the service in-process. AMUSE's MPI channel costs a
-// small per-message latency; calls are served by one goroutine in FIFO
-// order, like a single-threaded worker behind a message queue.
-type localChannel struct {
-	svc     service
-	latency time.Duration
-	obs     *chanObs
-	queue   fifo.Queue[localSubmission]
-	stopped chan struct{}
-}
-
-type localSubmission struct {
-	req  request
-	done completer
-}
-
-// mpiMessageLatency is the per-call cost of the local MPI channel.
-const mpiMessageLatency = 5 * time.Microsecond
-
-func newLocalChannel(svc service, obs *chanObs) *localChannel {
-	c := &localChannel{svc: svc, latency: mpiMessageLatency, obs: obs, stopped: make(chan struct{})}
-	go c.serve()
-	return c
-}
-
-func (c *localChannel) start(req request, done completer) {
-	c.obs.issued()
-	if !c.queue.Push(localSubmission{req: req, done: done}) {
-		c.obs.deliver(pendingCall{done, req.Method, req.SentAt}, response{}, 0, ErrChannelClosed)
-	}
-}
-
-// serve is the worker loop: pop one submission, dispatch, deliver. Once
-// the channel is closed, what is still queued fails instead of running.
-func (c *localChannel) serve() {
-	defer close(c.stopped)
-	for {
-		sub, ok := c.queue.Pop()
-		if !ok {
-			c.svc.Close()
-			return
-		}
-		p := pendingCall{sub.done, sub.req.Method, sub.req.SentAt}
-		if c.queue.Closed() {
-			c.obs.deliver(p, response{}, 0, ErrChannelClosed)
-			continue
-		}
-		result, doneAt, err := c.svc.Dispatch(sub.req.Method, sub.req.Args, sub.req.SentAt+c.latency)
-		c.obs.deliver(p, kernel.LocalResponse(sub.req.ID, result, doneAt, err), doneAt+c.latency, nil)
-	}
-}
-
-func (c *localChannel) close() error {
-	if c.queue.Close() {
-		// Wait for the serve loop to finish its in-flight dispatch, fail
-		// anything still queued and release the service.
-		<-c.stopped
-	}
-	return nil
-}
-
-// connChannel matches responses to started calls by ID. The sockets
-// channel frames its requests over a vnet connection straight to the
-// worker; the coupler side of the ibis channel (Daemon.ibisChannel) hands
-// them to the local daemon's relay in line, and the daemon hands back the
-// responses it decodes (answer).
+// connChannel is the coupler's end of every channel: it matches outcomes to
+// started calls by ID. A request leaves it one of two ways: in line to the
+// local daemon's relay (ibis: Daemon.ibisChannel), which hands back the
+// responses it decodes (answer), or onto a localWorker (mpi and sockets),
+// which answers each call itself.
 type connChannel struct {
-	conn   *vnet.Conn // sockets: the connection to the worker
-	daemon *Daemon    // ibis: the daemon that relays to the worker
+	daemon *Daemon      // ibis: the daemon that relays to the worker
+	worker *localWorker // mpi, sockets: the service behind its queue
 	obs    *chanObs
 
 	mu      sync.Mutex
 	pending map[uint64]pendingCall
-	closed  bool
-	readErr error
+	err     error // set once the channel is dead: what fail delivered
 }
 
 // pendingCall is a started call until its channel delivers the outcome.
@@ -132,34 +68,6 @@ type pendingCall struct {
 	done   completer
 	method string
 	sentAt time.Duration
-}
-
-func newConnChannel(conn *vnet.Conn, obs *chanObs) *connChannel {
-	c := &connChannel{conn: conn, obs: obs, pending: make(map[uint64]pendingCall)}
-	go c.readLoop()
-	return c
-}
-
-func (c *connChannel) readLoop() {
-	for {
-		msg, err := c.conn.Recv()
-		if err != nil {
-			c.fail(ErrWorkerDied)
-			return
-		}
-		var resp response
-		if err := kernel.UnmarshalResponse(msg.Data, &resp); err != nil {
-			// An undecodable frame cannot be matched to its waiter, and
-			// everything behind it on the stream is suspect: fail the
-			// channel (and every pending call) rather than dropping the
-			// frame and leaking the waiter forever.
-			c.fail(fmt.Errorf("%w: sockets channel received undecodable response frame: %v",
-				kernel.ErrTransport, err))
-			c.conn.Close()
-			return
-		}
-		c.answer(resp.ID, resp, msg.Arrival, nil)
-	}
 }
 
 // answer delivers the outcome of call id — a response that reached the
@@ -178,13 +86,12 @@ func (c *connChannel) answer(id uint64, resp response, arrival time.Duration, er
 // fail marks the channel dead and delivers err to every pending call.
 func (c *connChannel) fail(err error) {
 	c.mu.Lock()
-	c.closed = true
-	if c.readErr == nil {
-		c.readErr = err
+	if c.err == nil {
+		c.err = err
 	}
-	err = c.readErr
+	err = c.err
 	pend := c.pending
-	c.pending = make(map[uint64]pendingCall)
+	c.pending = nil // a dead channel starts no call
 	c.mu.Unlock()
 	for _, p := range pend {
 		c.obs.deliver(p, response{}, 0, err)
@@ -195,8 +102,8 @@ func (c *connChannel) start(req request, done completer) {
 	c.obs.issued()
 	p := pendingCall{done, req.Method, req.SentAt}
 	c.mu.Lock()
-	if c.closed {
-		err := c.readErr // fail set it
+	if c.err != nil {
+		err := c.err
 		c.mu.Unlock()
 		c.obs.deliver(p, response{}, 0, err)
 		return
@@ -204,48 +111,80 @@ func (c *connChannel) start(req request, done completer) {
 	c.pending[req.ID] = p
 	c.mu.Unlock()
 
-	if c.daemon != nil {
+	if c.worker == nil {
 		c.daemon.relay(c, req)
 		return
 	}
-	if _, err := c.conn.Send(req.Frame(), req.SentAt); err != nil {
-		c.answer(req.ID, response{}, 0, fmt.Errorf("%w: sockets channel send: %v", kernel.ErrTransport, err))
-	}
+	// A closed queue refuses the request only once fail has taken its call:
+	// fail comes first wherever the queue closes.
+	c.worker.queue.Push(req)
 }
 
 func (c *connChannel) close() error {
 	c.fail(ErrChannelClosed)
-	if c.conn == nil {
-		return nil
+	if c.worker != nil {
+		c.worker.stop()
 	}
-	return c.conn.Close()
+	return nil
 }
 
-// serveConn is the worker-process side of the sockets channel: read
-// requests, dispatch sequentially, reply, until the connection closes.
-// Pipelined requests execute in arrival order. An undecodable request is
-// answered as a transport fault, or closes the connection if it has no ID.
-func serveConn(conn *vnet.Conn, svc service) {
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		var req request
-		result, doneAt, err := kernel.Reply{}, msg.Arrival, kernel.UnmarshalRequest(msg.Data, &req)
-		switch {
-		case err != nil && req.ID == 0:
-			conn.Close()
-			return
-		case err != nil:
-			err = fmt.Errorf("%w: worker received an undecodable request: %v", kernel.ErrTransport, err)
-		default:
-			// The result arrives with the response header's room in front of
-			// it: the frame that answers is the buffer the service encoded into.
-			result, doneAt, err = svc.Dispatch(req.Method, req.Args, msg.Arrival)
-		}
-		if _, err := conn.Send(kernel.FrameResponse(req.ID, result, doneAt, err), doneAt); err != nil {
-			return
-		}
+// localWorker is a model service behind a FIFO served by one goroutine,
+// like a single-threaded worker behind its message queue: in the coupler's
+// process for the mpi channel, inside the amuse-socket-worker job for the
+// sockets channel. It answers the one channel it serves itself.
+type localWorker struct {
+	svc service
+	// hop is the sockets channel's loopback socket to the coupler; nil, each
+	// crossing costs the mpi channel's fixed message latency.
+	hop     *hop
+	ch      *connChannel
+	queue   fifo.Queue[request]
+	stopped chan struct{}
+}
+
+// mpiMessageLatency is the per-call cost of the local MPI channel.
+const mpiMessageLatency = 5 * time.Microsecond
+
+// newWorkerChannel returns the channel to svc behind a new localWorker,
+// whose loop the caller runs (serve).
+func newWorkerChannel(svc service, hop *hop, obs *chanObs) *connChannel {
+	c := &connChannel{obs: obs, pending: make(map[uint64]pendingCall)}
+	c.worker = &localWorker{svc: svc, hop: hop, ch: c, stopped: make(chan struct{})}
+	return c
+}
+
+// cross carries n bytes sent at virtual time at between the coupler and the
+// worker and returns their arrival.
+func (w *localWorker) cross(n int, at time.Duration) time.Duration {
+	if w.hop == nil {
+		return at + mpiMessageLatency
 	}
+	return w.hop.cross(n, at)
+}
+
+// serve is the worker loop: pop one request, dispatch, answer. Once the
+// queue is closed, what is still queued does not run — fail has ended its
+// calls — and the loop releases the service.
+func (w *localWorker) serve() {
+	defer close(w.stopped)
+	defer w.svc.Close()
+	for {
+		req, ok := w.queue.Pop()
+		if !ok {
+			return
+		}
+		if w.queue.Closed() {
+			continue
+		}
+		result, doneAt, err := w.svc.Dispatch(req.Method, req.Args, w.cross(req.Size(), req.SentAt))
+		resp := kernel.LocalResponse(req.ID, result, doneAt, err)
+		w.ch.answer(req.ID, resp, w.cross(resp.Size(), doneAt), nil)
+	}
+}
+
+// stop closes the queue and waits for the loop to finish the dispatch in
+// flight and release the service.
+func (w *localWorker) stop() {
+	w.queue.Close()
+	<-w.stopped
 }

@@ -110,22 +110,59 @@ func TestIbisChannelRemoteWorker(t *testing.T) {
 	}
 }
 
+// TestSocketsChannelWorker: a sockets worker is the mpi channel's worker
+// loop in a local process, and each channel prices a crossing as it always
+// did — sockets as the loopback socket (its bytes under class "loopback",
+// each arrival at its send time plus the path's transfer time), mpi at a
+// fixed message latency each way. A scripted session (upload, two pipelined
+// kicks and an unknown method behind them, an evolve, a state read) ends
+// every step at the virtual time the socket gave.
 func TestSocketsChannelWorker(t *testing.T) {
-	_, sim := labSim(t)
-	g, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "desktop", Channel: ChannelSockets},
-		GravityOptions{Eps: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stars := ic.Plummer(32, 3)
-	if err := g.SetParticles(stars); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.EvolveTo(context.Background(), 1.0/64); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Err(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		channel      string
+		want         []time.Duration
+		wantLoopback int
+	}{
+		{ChannelSockets, []time.Duration{20041, 41996, 62122, 62122, 62139, 328420933, 328442267}, 7326},
+		{ChannelMPI, []time.Duration{10000, 20000, 30000, 30000, 30000, 328378762, 328388762}, 0},
+	} {
+		t.Run(tc.channel, func(t *testing.T) {
+			tb, sim := labSim(t)
+			ctx := context.Background()
+			g, err := sim.NewGravity(ctx, WorkerSpec{Resource: "desktop", Channel: tc.channel}, GravityOptions{Eps: 0.01})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := []time.Duration{sim.Elapsed()}
+			stars := ic.Plummer(64, 3)
+			if err := g.SetParticles(stars); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, sim.Elapsed())
+			dv := make([]data.Vec3, stars.Len())
+			calls := []*Call{g.Go("kick", kernel.KickArgs{DV: dv}), g.Go("kick", kernel.KickArgs{DV: dv}), g.Go("bogus", kernel.Empty{})}
+			for i, c := range calls {
+				if err := c.Wait(ctx); (i < 2) != (err == nil) || i == 2 && !errors.Is(err, kernel.ErrNoSuchMethod) {
+					t.Fatalf("call %d: %v", i, err)
+				}
+				got = append(got, c.doneAt)
+			}
+			if err := g.EvolveTo(ctx, 1.0/64); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, sim.Elapsed())
+			st, err := g.GetState(ctx, data.AttrMass, data.AttrPos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.N != stars.Len() || len(st.FloatCols) != 1 || len(st.VecCols) != 1 {
+				t.Fatalf("get_state(mass, pos) returned %d rows, %d float and %d vector columns", st.N, len(st.FloatCols), len(st.VecCols))
+			}
+			got = append(got, sim.Elapsed())
+			if lb := tb.Recorder.TotalByClass()["loopback"]; lb != tc.wantLoopback || !equalDurations(got, tc.want) {
+				t.Fatalf("loopback bytes %d, want %d\nvirtual times %v\nwant          %v", lb, tc.wantLoopback, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"jungle/internal/gat"
 	"jungle/internal/ipl"
 	"jungle/internal/smartsockets"
-	"jungle/internal/vnet"
 )
 
 // Daemon is the per-user Ibis daemon of Fig. 5: it runs on the user's
@@ -105,9 +104,9 @@ type workerHandle struct {
 	released bool
 
 	ready chan ipl.Identifier
-	// sockets channel: the connection the worker dialled back on, instead
-	// of IPL state.
-	socketConn *vnet.Conn
+	// served is where a sockets worker's job hands over the channel to it,
+	// instead of IPL state (nil for an ibis worker).
+	served chan *connChannel
 }
 
 // WorkerSpec describes a worker to start — the per-worker properties the
@@ -156,7 +155,7 @@ func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 		return workerMain(env, ctx)
 	})
 	dep.Catalog.Register("amuse-socket-worker", func(ctx *gat.Context) error {
-		return socketWorkerMain(env, ctx)
+		return d.socketWorkerMain(ctx)
 	})
 
 	ib, err := ipl.Create(dep.Net, ipl.Config{
@@ -419,12 +418,19 @@ func (d *Daemon) reply(ch *connChannel, id uint64, at time.Duration, code kernel
 
 // onResponse handles a proxy's response (or ready announcement): it goes
 // back across the loopback socket, decoded, to the channel waiting for it.
+// A response the daemon cannot parse ends its call as a transport fault; one
+// without an ID to answer fails the worker, as the proxy ends itself on a
+// request without one.
 func (d *Daemon) onResponse(wh *workerHandle, rm ipl.ReadMessage) {
 	var resp response
-	if err := kernel.UnmarshalResponse(rm.Data, &resp); err != nil {
+	err := kernel.UnmarshalResponse(rm.Data, &resp)
+	switch {
+	case err != nil && resp.ID == 0:
+		d.failWorker(wh)
 		return
-	}
-	if resp.ID == 0 { // ready marker
+	case err != nil:
+		err = fmt.Errorf("%w: daemon received an undecodable response: %v", kernel.ErrTransport, err)
+	case resp.ID == 0: // ready marker
 		select {
 		case wh.ready <- rm.From:
 		default:
@@ -436,7 +442,7 @@ func (d *Daemon) onResponse(wh *workerHandle, rm ipl.ReadMessage) {
 	delete(wh.pending, resp.ID)
 	wh.mu.Unlock()
 	if ch != nil {
-		ch.answer(resp.ID, resp, d.loop.cross(len(rm.Data), rm.Arrival), nil)
+		ch.answer(resp.ID, resp, d.loop.cross(len(rm.Data), rm.Arrival), err)
 	}
 }
 
@@ -557,7 +563,8 @@ func (d *Daemon) StartWorker(ctx context.Context, spec WorkerSpec) (int, error) 
 	if spec.Workers > 1 {
 		return 0, fmt.Errorf("core: spec asks for a gang of %d workers; use StartGang", spec.Workers)
 	}
-	return d.startWorker(ctx, spec, 0, 1)
+	id, _, err := d.startWorker(ctx, spec, 0, 1)
+	return id, err
 }
 
 // StartGang launches the spec.Workers rank workers of one gang and
@@ -593,7 +600,7 @@ func (d *Daemon) StartGang(ctx context.Context, spec WorkerSpec) ([]int, error) 
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ids[r], errs[r] = d.startWorker(ctx, spec, r, k)
+			ids[r], _, errs[r] = d.startWorker(ctx, spec, r, k)
 		}(r)
 	}
 	wg.Wait()
@@ -609,8 +616,9 @@ func (d *Daemon) StartGang(ctx context.Context, spec WorkerSpec) ([]int, error) 
 }
 
 // startWorker is the shared launch path; rank/size place the worker in
-// its gang (0/1 for solo workers).
-func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size int) (int, error) {
+// its gang (0/1 for solo workers). A sockets worker comes back with the
+// channel to it, without an observer.
+func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size int) (int, *connChannel, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -625,28 +633,32 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 		var err error
 		resource, err = SelectResource(d.deployment, spec)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		spec.Resource = resource
 	}
 	if _, err := d.deployment.Resource(resource); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return 0, ErrChannelClosed
+		return 0, nil, ErrChannelClosed
 	}
 	id, err := d.nextWorkerIDLocked(spec.Session)
 	if err != nil {
 		d.mu.Unlock()
-		return 0, err
+		return 0, nil, err
 	}
 	wh := &workerHandle{
 		id: id, spec: spec,
 		pending: make(map[uint64]*connChannel),
 		ready:   make(chan ipl.Identifier, 1),
+	}
+	exe := "amuse-worker"
+	if spec.Channel == ChannelSockets {
+		exe, wh.served = "amuse-socket-worker", make(chan *connChannel, 1)
 	}
 	d.workers[id] = wh
 	d.mu.Unlock()
@@ -660,15 +672,11 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	wh.capNodes = spec.Nodes
 	// A failed start is a stop: the job (if submitted) is canceled, the
 	// response port closes, the id leaves the table, the nodes are freed.
-	fail := func(err error) (int, error) {
+	fail := func(err error) (int, *connChannel, error) {
 		d.StopWorker(id)
-		return 0, err
+		return 0, nil, err
 	}
 
-	exe := "amuse-worker"
-	if spec.Channel == ChannelSockets {
-		exe = "amuse-socket-worker"
-	}
 	desc := gat.JobDescription{
 		Executable: exe,
 		Args:       workerJobArgs(spec.Kind, spec.Kernel, id, resource, rank, size),
@@ -677,23 +685,10 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 
 	// The way back is open before the job is submitted, so a start is a
 	// wait on events — the worker reports in, or its job ends — never a
-	// poll. Sockets channel: what AMUSE's own sockets channel does — the
-	// script opens the server socket and hands the worker its port; the
-	// worker dials back. Ibis channel: the response port.
-	var dialled chan *vnet.Conn // stays nil, never ready, for an ibis worker
-	if spec.Channel == ChannelSockets {
-		l, err := d.deployment.Net.Listen(d.deployment.LocalHost(), socketWorkerPort(id))
-		if err != nil {
-			return fail(err)
-		}
-		defer l.Close()
-		dialled = make(chan *vnet.Conn, 1)
-		go func() {
-			if conn, err := l.Accept(); err == nil {
-				dialled <- conn
-			}
-		}()
-	} else {
+	// poll. Sockets channel: the job hands over the channel to it (served,
+	// which stays nil, never ready, for an ibis worker). Ibis channel: the
+	// response port.
+	if wh.served == nil {
 		rp, err := d.ibis.CreateReceivePort(ipl.ManyToOne, respPortName(id), func(rm ipl.ReadMessage) {
 			d.onResponse(wh, rm)
 		})
@@ -713,12 +708,8 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	wh.mu.Unlock()
 
 	select {
-	case conn := <-dialled:
-		conn.SetClass("loopback")
-		wh.mu.Lock()
-		wh.socketConn = conn
-		wh.mu.Unlock()
-		return id, nil
+	case ch := <-wh.served:
+		return id, ch, nil
 	case member := <-wh.ready:
 		sp := d.ibis.CreateSendPort(ipl.OneToOne, reqPortName(id))
 		if err := sp.Connect(member, reqPortName(id), 0); err != nil {
@@ -732,7 +723,7 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 		d.mu.Lock()
 		d.byMember[member.String()] = wh
 		d.mu.Unlock()
-		return id, nil
+		return id, nil, nil
 	case <-job.Done():
 		err := job.Err()
 		if err == nil {
@@ -826,13 +817,4 @@ func (d *Daemon) AbortTransfer(addr smartsockets.Address, id uint64) {
 	defer conn.Close()
 	conn.SetClass("peer")
 	conn.Send(kernel.AppendTransferAbort(nil, id), 0)
-}
-
-// workerSocketConn returns the connection the sockets-channel worker that
-// StartWorker just started dialled back on.
-func (d *Daemon) workerSocketConn(id int) *vnet.Conn {
-	wh := d.worker(id)
-	wh.mu.Lock()
-	defer wh.mu.Unlock()
-	return wh.socketConn
 }

@@ -468,9 +468,15 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return append(dst, resp.Result...)
 }
 
+// Size is the length of the response's wire frame.
+func (r *Response) Size() int { return respHeader + len(r.Err) + len(r.Result) }
+
 // UnmarshalResponse parses a frame produced by AppendResponse. resp.Result
-// aliases b, and b is the response's Frame.
+// aliases b, and b is the response's Frame. On a malformed frame resp.ID is
+// the frame's if its tag is a response's and it holds one, else 0: the
+// caller fails that call, or has no call to fail.
 func UnmarshalResponse(b []byte, resp *Response) error {
+	*resp = Response{}
 	r := wire.Reader{B: b}
 	expectTag(&r, tagResponse, "response")
 	resp.ID = r.U64("id")

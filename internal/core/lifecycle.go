@@ -396,7 +396,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 			if !slices.Contains(p.retire, id) {
 				continue
 			}
-			fresh, err := s.daemon.startWorker(ctx, p.shape, r, len(ids))
+			fresh, _, err := s.daemon.startWorker(ctx, p.shape, r, len(ids))
 			if err != nil {
 				errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
 				continue
@@ -515,14 +515,17 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 		if err != nil {
 			return err
 		}
-		return m.publish(spec, newLocalChannel(svc, s.observer(m.kind, spec.Resource, "", 0, -1)), nil)
+		ch := newWorkerChannel(svc, nil, s.observer(m.kind, spec.Resource, "", 0, -1))
+		go ch.worker.serve()
+		return m.publish(spec, ch, nil)
 	case ChannelSockets:
-		id, err := s.daemon.StartWorker(ctx, spec)
+		id, ch, err := s.daemon.startWorker(ctx, spec, 0, 1)
 		if err != nil {
 			return err
 		}
-		obs := s.observer(m.kind, spec.Resource, dep.LocalHost(), id, -1)
-		return m.publish(spec, newConnChannel(s.daemon.workerSocketConn(id), obs), []int{id})
+		// No call has started: nothing has read the observer yet.
+		ch.obs = s.observer(m.kind, spec.Resource, dep.LocalHost(), id, -1)
+		return m.publish(spec, ch, []int{id})
 	case ChannelIbis:
 		// A gang is K rank workers, one daemon channel each, wired to each
 		// other (gang_init) behind the gang channel — and behind this single

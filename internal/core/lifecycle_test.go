@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,6 +203,131 @@ func TestSocketsWorkerStartFailsFast(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), boom.Error()) {
 		t.Fatalf("err = %v, want the job's own error (%v)", err, boom)
+	}
+}
+
+// dispatchGate holds a "block" call of the blocks-in-dispatch kind in its
+// Dispatch until the test releases it, and counts the service's Closes.
+type dispatchGate struct {
+	entered chan struct{}
+	release chan struct{}
+	closes  atomic.Int32
+}
+
+type gatedService struct{ gate *dispatchGate }
+
+func (s gatedService) Dispatch(method string, _ []byte, at time.Duration) (kernel.Reply, time.Duration, error) {
+	if method == "block" {
+		s.gate.entered <- struct{}{}
+		<-s.gate.release
+	}
+	return kernel.EncodeReply(kernel.Empty{}), at, nil
+}
+
+func (s gatedService) Close() { s.gate.closes.Add(1) }
+
+var currentGate atomic.Pointer[dispatchGate]
+
+// gatedModel starts a model of the blocks-in-dispatch kind on the desktop
+// over channel and returns its channel, its worker id (0 for mpi) and the
+// gate its service answers to.
+func gatedModel(t *testing.T, sim *Simulation, channelName string) (channel, int, *dispatchGate) {
+	t.Helper()
+	const kind = "blocks-in-dispatch"
+	if !kernel.Registered(kind) { // -count > 1 runs this again in one process
+		kernel.Register(kind, func(kernel.Config) (kernel.Service, error) {
+			return gatedService{currentGate.Load()}, nil
+		})
+	}
+	gate := &dispatchGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	currentGate.Store(gate)
+	m, err := sim.NewModel(context.Background(), kind, WorkerSpec{Resource: "desktop", Channel: channelName}, kernel.Empty{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ep := m.endpointLocked()
+	return ep.ch, ep.worker, gate
+}
+
+// startCall starts method on ch and returns where its outcome lands.
+func startCall(ch channel, worker int, method string) chan error {
+	out := make(chan error, 1)
+	ch.start(request{ID: reqIDs.Add(1), Worker: worker, Method: method}, completion(func(_ response, _ time.Duration, err error) {
+		out <- err
+	}))
+	return out
+}
+
+func mustEndWith(t *testing.T, what string, out chan error, want error) {
+	t.Helper()
+	select {
+	case err := <-out:
+		if !errors.Is(err, want) {
+			t.Fatalf("%s ended with %v, want %v", what, err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not end", what)
+	}
+}
+
+// TestKilledSocketsWorkerEndsItsCalls: killing a sockets worker ends the
+// call it is dispatching and every call queued behind it in ErrWorkerDied
+// at once, while the dispatch is still running, and a call started later
+// fails the same way.
+func TestKilledSocketsWorkerEndsItsCalls(t *testing.T) {
+	_, sim := labSim(t)
+	ch, id, gate := gatedModel(t, sim, ChannelSockets)
+	defer close(gate.release)
+	outs := []chan error{startCall(ch, id, "block")}
+	<-gate.entered
+	for i := 0; i < 3; i++ {
+		outs = append(outs, startCall(ch, id, "stats"))
+	}
+	sim.daemon.KillWorker(id)
+	for i, out := range outs {
+		mustEndWith(t, []string{"the dispatching call", "queued call 1", "queued call 2", "queued call 3"}[i], out, ErrWorkerDied)
+	}
+	mustEndWith(t, "a call started after the kill", startCall(ch, id, "stats"), ErrWorkerDied)
+}
+
+// TestClosingMPIChannelEndsDispatchingCall: closing an mpi channel ends the
+// call it is dispatching in ErrChannelClosed at once, as closing an ibis
+// channel does; close itself returns only once the dispatch has, and the
+// service is closed once.
+func TestClosingMPIChannelEndsDispatchingCall(t *testing.T) {
+	_, sim := labSim(t)
+	ch, _, gate := gatedModel(t, sim, ChannelMPI)
+	out := startCall(ch, 0, "block")
+	<-gate.entered
+	closed := make(chan struct{})
+	go func() {
+		ch.close()
+		close(closed)
+	}()
+	mustEndWith(t, "the dispatching call", out, ErrChannelClosed)
+	select {
+	case <-closed:
+		t.Fatal("close returned while the dispatch was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate.release)
+	<-closed
+	sim.Stop()
+	if n := gate.closes.Load(); n != 1 {
+		t.Fatalf("service closed %d times, want once", n)
+	}
+}
+
+// TestSocketsWorkerIsLocal: a sockets worker is a process on the coupler's
+// machine, whose loopback socket the channel prices; its job fails the start
+// on any other host.
+func TestSocketsWorkerIsLocal(t *testing.T) {
+	_, sim := labSim(t)
+	_, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "lgm", Channel: ChannelSockets}, GravityOptions{Eps: 0.01})
+	if err == nil || !strings.Contains(err.Error(), "local host") {
+		t.Fatalf("a sockets worker on lgm: err = %v, want a start failure naming the local host", err)
 	}
 }
 

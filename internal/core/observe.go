@@ -9,7 +9,7 @@ import (
 )
 
 // Channel-layer instrumentation for the observability plane. Every
-// channel (mpi, conn, gang) carries an optional *chanObs: issuing a call
+// channel (conn, gang) carries an optional *chanObs: issuing a call
 // samples the channel's in-flight depth into the per-worker queue-depth
 // histogram, and delivering it records the call's virtual round-trip
 // latency under its session/model/method key. Recording is pure

@@ -16,18 +16,28 @@ import (
 	"jungle/internal/vtime"
 )
 
-// TestLeakWorkerStartStop: a stopped ibis worker leaves nothing behind on
-// the daemon — no handle in the worker table, no response port, no
-// reader goroutine parked on a connection nobody will close. (Each stop
-// used to leak one of each; 16 000 sessions left 16 081 goroutines in
-// ipl.(*ReceivePort).attach.)
+// TestLeakWorkerStartStop: a stopped worker leaves nothing behind on the
+// daemon — no handle in the worker table, no response port, no reader
+// goroutine parked on a connection nobody will close (each ibis stop used to
+// leak one of each; 16 000 sessions left 16 081 goroutines in
+// ipl.(*ReceivePort).attach) — and a stopped sockets worker leaves no job
+// loop or cancel watcher running.
 func TestLeakWorkerStartStop(t *testing.T) {
-	tb, _ := dslSim(t)
-	d := tb.Daemon
+	for _, spec := range []WorkerSpec{
+		{Kind: KindGravity, Resource: "site-a", Channel: ChannelIbis},
+		{Kind: KindGravity, Resource: "home", Channel: ChannelSockets},
+	} {
+		t.Run(spec.Channel, func(t *testing.T) {
+			tb, _ := dslSim(t)
+			leakWorkerStartStop(t, tb.Daemon, spec)
+		})
+	}
+}
+
+func leakWorkerStartStop(t *testing.T, d *Daemon, spec WorkerSpec) {
 	cycle := func() {
 		t.Helper()
-		id, err := d.StartWorker(context.Background(),
-			WorkerSpec{Kind: KindGravity, Resource: "site-a", Channel: ChannelIbis})
+		id, err := d.StartWorker(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

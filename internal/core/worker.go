@@ -31,10 +31,9 @@ const (
 	workerPortStride = 16
 )
 
-func workerBasePort(id int) int   { return workerPortBase + id*workerPortStride }
-func socketWorkerPort(id int) int { return workerBasePort(id) + 9 }
-func reqPortName(id int) string   { return fmt.Sprintf("req-%d", id) }
-func respPortName(id int) string  { return fmt.Sprintf("resp-%d", id) }
+func workerBasePort(id int) int  { return workerPortBase + id*workerPortStride }
+func reqPortName(id int) string  { return fmt.Sprintf("req-%d", id) }
+func respPortName(id int) string { return fmt.Sprintf("resp-%d", id) }
 func workerJobArgs(kind Kind, kernelName string, id int, resource string, rank, size int) []string {
 	return []string{string(kind), kernelName, strconv.Itoa(id), resource,
 		strconv.Itoa(rank), strconv.Itoa(size)}
@@ -189,10 +188,11 @@ func workerMain(env *Env, ctx *gat.Context) error {
 }
 
 // hop is §5's local loopback socket on one host, crossed in line: the
-// coupler's to the daemon (Daemon.relay) and a proxy's to its model service
-// (loopback). No message on it ever waited for another, so its only
-// effects are its bytes, recorded under class "loopback", and its arrivals,
-// each the send time plus the path's transfer time for the bytes.
+// coupler's to the daemon (Daemon.relay) and to a sockets worker
+// (localWorker), and a proxy's to its model service (loopback). No message
+// on it ever waited for another, so its only effects are its bytes,
+// recorded under class "loopback", and its arrivals, each the send time
+// plus the path's transfer time for the bytes.
 type hop struct {
 	net  *vnet.Network
 	host string
@@ -237,28 +237,40 @@ func (l *loopback) call(req *request) (*response, []byte) {
 	return resp, reply
 }
 
-// socketWorkerMain is the "sockets channel" worker: a separate local
-// process serving RPC straight over a loopback connection, no daemon or IPL
-// involved (AMUSE's pre-existing sockets channel).
-func socketWorkerMain(env *Env, ctx *gat.Context) error {
+// socketWorkerMain is the "sockets channel" worker: a separate process on
+// the coupler's machine serving RPC over a loopback socket, no daemon or IPL
+// involved (AMUSE's pre-existing sockets channel). It hands over the channel
+// to it (Daemon.startWorker) and serves that channel's queue, pricing each
+// crossing as the socket (hop), until the channel closes. A cancelled job
+// ends the channel's calls at once, the one in dispatch included: the
+// process they were sent to is gone.
+func (d *Daemon) socketWorkerMain(ctx *gat.Context) error {
+	host := ctx.Hosts[0]
+	if local := d.deployment.LocalHost(); host != local {
+		return fmt.Errorf("core: a sockets worker runs on the local host %s, not on %s", local, host)
+	}
 	// Always solo: the daemon starts gang ranks on the ibis channel only.
-	svc, _, id, _, _, err := workerService(env, ctx)
+	svc, _, id, _, _, err := workerService(d.env, ctx)
 	if err != nil {
 		return err
 	}
-	defer svc.Close()
-	// The coupler side listens before the job is submitted (Daemon.
-	// startWorker): dial back, serve until the connection closes.
-	conn, err := env.Net.Dial(ctx.Hosts[0], env.Deployment.LocalHost(), socketWorkerPort(id))
-	if err != nil {
-		return fmt.Errorf("core: socket worker dial-back: %w", err)
+	wh := d.worker(id)
+	if wh == nil { // stopped before it came up
+		svc.Close()
+		return gat.ErrCanceled
 	}
-	conn.SetClass("loopback")
+	loop := newHop(d.env.Net, host)
+	ch := newWorkerChannel(svc, &loop, nil)
+	wh.served <- ch
 	go func() {
-		<-ctx.Cancel
-		conn.Close()
+		select {
+		case <-ctx.Cancel:
+			ch.fail(ErrWorkerDied)
+			ch.worker.queue.Close()
+		case <-ch.worker.stopped:
+		}
 	}()
-	serveConn(conn, svc)
+	ch.worker.serve()
 	if ctx.Canceled() {
 		return gat.ErrCanceled
 	}

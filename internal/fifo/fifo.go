@@ -1,11 +1,12 @@
 // Package fifo is the jungle's one queue: an unbounded, blocking,
 // closable FIFO. Every layer that parks messages or connections between a
 // producer and a consumer goroutine — vnet conns and listeners,
-// SmartSockets circuit ends and listeners, IPL receive ports, the local
-// channel — uses it, so "a popped element is forgotten" is implemented
-// once: Pop zeroes the slot it vacates and an emptied queue rewinds onto
-// the same array, so the queue never keeps a delivered payload reachable
-// and a steady producer/consumer pair stops allocating.
+// SmartSockets circuit ends and listeners, IPL receive ports, the mpi and
+// sockets channels' worker loop — uses it, so "a popped element is
+// forgotten" is implemented once: Pop zeroes the slot it vacates and an
+// emptied queue rewinds onto the same array, so the queue never keeps a
+// delivered payload reachable and a steady producer/consumer pair stops
+// allocating.
 package fifo
 
 import "sync"

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Channel-layer call telemetry: every RPC any channel (mpi, conn, gang)
+// Channel-layer call telemetry: every RPC any channel (conn, gang)
 // completes records its virtual round-trip latency under a
 // session/model/method key, and every issue records the channel's
 // in-flight depth under a session/worker key. Recording is lock-striped —

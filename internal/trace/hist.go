@@ -108,10 +108,10 @@ func (h *Histogram) Sub(prev *Histogram) {
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) of the recorded
-// samples: the upper bound of the bucket containing the rank, which is
-// within a factor of two above the exact sample quantile. The overflow
-// bucket reports Max (exact for the stream maximum). Returns 0 for an
-// empty histogram.
+// samples: the upper bound of the bucket containing the rank, capped at
+// Max, which is at or above the exact sample quantile and within a factor
+// of two of it. The overflow bucket reports Max (exact for the stream
+// maximum). Returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.Count == 0 {
 		return 0
@@ -131,7 +131,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 			if i == histOverflow {
 				return h.Max
 			}
-			return BucketBound(i)
+			return min(BucketBound(i), h.Max)
 		}
 	}
 	return h.Max

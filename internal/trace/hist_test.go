@@ -42,7 +42,8 @@ func exactQuantile(sorted []int64, q float64) int64 {
 // TestHistQuantileBounds is the core histogram property: for any stream,
 // the quantile estimate equals the exact nearest-rank quantile when that
 // is 0, and otherwise lies in [exact, 2*exact) — the power-of-two bucket
-// bound. Values in the overflow bucket only promise estimate >= exact.
+// bound — and never above the stream's Max. Values in the overflow bucket
+// only promise estimate >= exact.
 func TestHistQuantileBounds(t *testing.T) {
 	quantiles := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -65,6 +66,9 @@ func TestHistQuantileBounds(t *testing.T) {
 			}
 			if est < exact || est >= 2*exact {
 				t.Fatalf("seed %d q=%v: estimate %d outside [%d, %d)", seed, q, est, exact, 2*exact)
+			}
+			if est > h.Max {
+				t.Fatalf("seed %d q=%v: estimate %d above the stream's max %d", seed, q, est, h.Max)
 			}
 		}
 	}

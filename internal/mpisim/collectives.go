@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"jungle/internal/vtime"
+	"jungle/internal/wire"
 )
 
 // Collective operations. All are implemented over the point-to-point layer
@@ -113,40 +114,66 @@ func AllreduceMax(c *Gang, x []float64) ([]float64, error) {
 	})
 }
 
-// AllgatherFloats concatenates every rank's slice in rank order; all ranks
-// receive the full concatenation. Slices may have different lengths (the
-// slab decomposition's remainder blocks differ by one). The result is
-// appended to dst[:0] and returned, so a caller that passes room for the
-// whole gather gets it decoded in place and compares the returned length
-// with what it expected. x may be a part of dst: it is encoded (or, on the
-// root, moved to the front) before anything is written.
-func AllgatherFloats(c *Gang, x, dst []float64) ([]float64, error) {
-	const root = 0
-	dst = dst[:0]
+// AllgatherFloats concatenates every rank's slice in rank order, hands
+// every rank the concatenation and returns its length. Slices may have
+// different lengths (the slab decomposition's remainder blocks differ by
+// one). A gather that fits in dst is decoded into its front, so a caller
+// that passes its whole array compares the length with what it expected; x
+// may be a part of dst: it is encoded before anything is written. A nil dst
+// asks for the length alone, which is all the goroutine ranks of a World
+// need: they share the arrays a gather would fill. The root forwards the
+// parts' bytes as they came.
+func AllgatherFloats(c *Gang, x, dst []float64) (int, error) {
 	if c.Size() == 1 {
-		return append(dst, x...), nil
-	}
-	if c.ID() == root {
-		dst = append(dst, x...)
-		for p := 1; p < c.Size(); p++ {
-			part, err := c.Recv(p)
-			if err != nil {
-				return nil, fmt.Errorf("mpisim: allgather from %d: %w", p, err)
-			}
-			if dst, err = appendFloats(dst, part); err != nil {
-				return nil, err
-			}
+		if len(x) <= len(dst) {
+			copy(dst, x)
 		}
-		return dst, fanOut(c, root, floatsToBytes(dst), "allgather bcast")
+		return len(x), nil
 	}
-	if err := c.Send(root, floatsToBytes(x)); err != nil {
-		return nil, err
+	n := 0
+	err := allgather(c, x, func(all []byte) error {
+		if n = len(all) / 8; n <= len(dst) {
+			wire.DecodeFloats(dst[:n], all)
+		}
+		return nil
+	})
+	return n, err
+}
+
+// allgather sends x to the root, which appends every rank's encoded part in
+// rank order and broadcasts the result; every rank hands it, a whole number
+// of floats, to read, the root before it lets go of it.
+func allgather(c *Gang, x []float64, read func(all []byte) error) error {
+	const root = 0
+	if c.ID() != root {
+		if err := c.Send(root, floatsToBytes(x)); err != nil {
+			return err
+		}
+		all, err := c.Recv(root)
+		if err != nil {
+			return err
+		}
+		if err := wholeFloats(all); err != nil {
+			return err
+		}
+		return read(all)
 	}
-	all, err := c.Recv(root)
-	if err != nil {
-		return nil, err
+	// Room for slabs that differ by one row, as Slab cuts them.
+	all := wire.AppendFloats(make([]byte, 0, 8*(len(x)+1)*c.Size()), x)
+	for p := 1; p < c.Size(); p++ {
+		part, err := c.Recv(p)
+		if err != nil {
+			return fmt.Errorf("mpisim: allgather from %d: %w", p, err)
+		}
+		if err := wholeFloats(part); err != nil {
+			return err
+		}
+		all = append(all, part...)
 	}
-	return appendFloats(dst, all)
+	if err := read(all); err != nil {
+		return err
+	}
+	return fanOut(c, root, all, "allgather bcast")
 }
 
 // AllgatherBytes gathers every rank's opaque blob; all ranks receive the
@@ -226,4 +253,11 @@ func (g *Gang) AllreduceSum(x []float64) ([]float64, error) { return AllreduceSu
 // AllgatherFloats concatenates every rank's slice in rank order into a new
 // slice: the method form bench/jbench's probes call on a World rank
 // (DESIGN.md § Sharded kernels).
-func (g *Gang) AllgatherFloats(x []float64) ([]float64, error) { return AllgatherFloats(g, x, nil) }
+func (g *Gang) AllgatherFloats(x []float64) ([]float64, error) {
+	var all []float64
+	err := allgather(g, x, func(b []byte) (err error) {
+		all, err = appendFloats(nil, b)
+		return err
+	})
+	return all, err
+}

@@ -113,26 +113,31 @@ func TestOwnershipCollectiveFanOut(t *testing.T) {
 // TestAllgatherFloatsInPlace: every rank holds the full array with only its
 // own slab current, passes the slab as x and the array as dst, and ends with
 // the whole array current in the same memory — for uneven and empty slabs.
+// A nil dst gets the gather's length and nothing is decoded.
 func TestAllgatherFloatsInPlace(t *testing.T) {
 	for _, cuts := range [][]int{{0, 3, 5, 7}, {0, 0, 4, 4, 9}, {0, 1, 2, 3, 4, 5, 6, 7, 1000}} {
 		size, n := len(cuts)-1, cuts[len(cuts)-1]
 		err := LocalGangs(size, 0).Run(func(g *Gang) error {
 			lo, hi := CutRange(cuts, g.ID(), n, size)
 			a := make([]float64, n)
-			for i := range a {
-				a[i] = -1 // stale
+			stale := func() {
+				for i := range a {
+					if i < lo || i >= hi {
+						a[i] = -1
+					}
+				}
 			}
+			stale()
 			for i := lo; i < hi; i++ {
 				a[i] = float64(i) * 0.5
 			}
 			for round := 0; round < 3; round++ {
-				full, err := AllgatherFloats(g, a[lo:hi], a)
+				got, err := AllgatherFloats(g, a[lo:hi], a)
 				if err != nil {
 					return err
 				}
-				if len(full) != n || (n > 0 && &full[0] != &a[0]) {
-					t.Errorf("cuts %v rank %d: gathered %d floats in place %v, want %d in the caller's array",
-						cuts, g.ID(), len(full), n > 0 && &full[0] == &a[0], n)
+				if got != n {
+					t.Errorf("cuts %v rank %d: gathered %d floats, want %d", cuts, g.ID(), got, n)
 					return nil
 				}
 				for i, v := range a {
@@ -142,13 +147,19 @@ func TestAllgatherFloatsInPlace(t *testing.T) {
 					}
 				}
 			}
-			// Without room the result is a new slice and dst is not grown into.
-			full, err := AllgatherFloats(g, a[lo:hi], nil)
+			stale()
+			got, err := AllgatherFloats(g, a[lo:hi], nil)
 			if err != nil {
 				return err
 			}
-			if len(full) != n {
-				t.Errorf("cuts %v rank %d: gathered %d floats into nil, want %d", cuts, g.ID(), len(full), n)
+			if got != n {
+				t.Errorf("cuts %v rank %d: gathered %d floats into nil, want %d", cuts, g.ID(), got, n)
+			}
+			for i, v := range a {
+				if (i < lo || i >= hi) && v != -1 {
+					t.Errorf("cuts %v rank %d: a length-only gather wrote element %d", cuts, g.ID(), i)
+					return nil
+				}
 			}
 			return nil
 		})
@@ -174,12 +185,12 @@ func gatherRounds(tb testing.TB, n, rounds int) float64 {
 		a := arrays[g.ID()]
 		lo, hi := Slab(n, g.ID(), size)
 		for round := 0; round < rounds; round++ {
-			full, err := AllgatherFloats(g, a[lo:hi], a)
+			got, err := AllgatherFloats(g, a[lo:hi], a)
 			if err != nil {
 				return err
 			}
-			if len(full) != n {
-				return fmt.Errorf("rank %d gathered %d floats, want %d", g.ID(), len(full), n)
+			if got != n {
+				return fmt.Errorf("rank %d gathered %d floats, want %d", g.ID(), got, n)
 			}
 		}
 		return nil

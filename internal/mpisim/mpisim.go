@@ -243,11 +243,19 @@ func floatAt(b []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 }
 
+// wholeFloats checks that a payload holds a whole number of floats.
+func wholeFloats(b []byte) error {
+	if len(b)%8 != 0 {
+		return fmt.Errorf("mpisim: float payload length %d not a multiple of 8", len(b))
+	}
+	return nil
+}
+
 // appendFloats decodes a little-endian payload onto the end of dst, which
 // grows only when it has no room.
 func appendFloats(dst []float64, b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("mpisim: float payload length %d not a multiple of 8", len(b))
+	if err := wholeFloats(b); err != nil {
+		return nil, err
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, len(b)/8)[:at+len(b)/8]

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"jungle/internal/amuse/ic"
+	"jungle/internal/vtime"
 )
 
 // TestSPHStepAllocGate: one serial step at N = 1000 allocates its working
 // set and cell list once and one flat octree, for the step's own forces
-// pass; the priming pass takes the self-gravity the previous call kept. 22
-// allocations, where two octrees made 32 and the map-of-slices cell list and
-// the node-by-node octree 1850.
+// pass; the priming pass takes the self-gravity the previous call kept. 19
+// allocations, where one per working array made 22, two octrees 32 and the
+// map-of-slices cell list and the node-by-node octree 1850.
 func TestSPHStepAllocGate(t *testing.T) {
 	g := New()
 	if err := g.SetParticles(gasSphere(t, 1000)); err != nil {
@@ -26,13 +27,13 @@ func TestSPHStepAllocGate(t *testing.T) {
 			t.Fatalf("EvolveTo: %v, %d steps", err, g.steps-steps)
 		}
 	})
-	if allocs > 26 {
-		t.Fatalf("one SPH step at N=1000: %.0f allocations, want at most 26", allocs)
+	if allocs > 23 {
+		t.Fatalf("one SPH step at N=1000: %.0f allocations, want at most 23", allocs)
 	}
 }
 
-// benchState is a primed state over the benchmark-sized gas.
-func benchState(b *testing.B) (*state, int) {
+// benchState is a primed slab over the whole of the benchmark-sized gas.
+func benchState(b *testing.B) (*slab, int) {
 	_, gas, err := ic.EmbeddedCluster(ic.ClusterSpec{Stars: 1, Gas: 1000, GasFrac: 0.9, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
@@ -42,10 +43,10 @@ func benchState(b *testing.B) (*state, int) {
 		b.Fatal(err)
 	}
 	n := gas.Len()
-	st := newState(g, 0, n, false)
+	st := newSlab(g, 0, n)
 	// Two passes settle the smoothing lengths near their adapted values.
-	st.density(0, n)
-	st.density(0, n)
+	st.density()
+	st.density()
 	return st, n
 }
 
@@ -53,11 +54,11 @@ func benchState(b *testing.B) (*state, int) {
 // it starts from: every particle in the buckets of the cells the search
 // visits for the rows it serves, and every particle in the 27 cells of the
 // cell list for the rows it leaves to them, which it counts as well.
-func (st *state) candidates() (total, fallback int) {
+func (st *slab) candidates() (total, fallback int) {
 	s, cl := &st.search, &st.cells
 	var runs [27][]int32
 	for i, p := range st.pos {
-		if lv := s.levelFor(octave(st.h[i]), cl); lv != nil {
+		if lv := s.levelFor(octave(st.h[i])); lv != nil {
 			if from, to, ok := s.box(lv, p, 2*st.h[i], rejectAbove(2*st.h[i]), cl); ok {
 				for kx := from[0]; kx <= to[0]; kx++ {
 					for ky := from[1]; ky <= to[1]; ky++ {
@@ -86,7 +87,7 @@ func BenchmarkDensityPass(b *testing.B) {
 	var flops float64
 	for i := 0; i < b.N; i++ {
 		copy(st.h, h)
-		flops = st.density(0, n)
+		flops = st.density()
 	}
 	b.StopTimer()
 	copy(st.h, h)
@@ -104,7 +105,7 @@ func BenchmarkForcesPass(b *testing.B) {
 	b.ResetTimer()
 	var flops float64
 	for i := 0; i < b.N; i++ {
-		flops = st.forces(0, n)
+		flops = st.forces()
 	}
 	var runs [27][]int32
 	total := -n
@@ -114,4 +115,43 @@ func BenchmarkForcesPass(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(total)/(flops/flopsPerForcePair), "candidates/accepted")
+}
+
+// BenchmarkWorldEvolve: one EvolveToParallel step of the coupled step's gas
+// (the embedded cluster of seed 1, N = 1000, h settled) over a World of 8,
+// whose ranks share one state: each pass builds one cell list, one search
+// index and, but in the priming pass, which takes the gravity the previous
+// step kept, one octree.
+func BenchmarkWorldEvolve(b *testing.B) {
+	_, gas, err := ic.EmbeddedCluster(ic.ClusterSpec{Stars: 100, Gas: 1000, GasFrac: 0.9, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := New()
+	if err := g.SetParticles(gas); err != nil {
+		b.Fatal(err)
+	}
+	w := testWorld(b, 8)
+	dev := &vtime.Device{Name: "node", Kind: vtime.CPU, Gflops: 5, Cores: 8}
+	ctx := context.Background()
+	end := 1e-3 // a few steps settle the smoothing lengths
+	if err := g.EvolveToParallel(ctx, end, w, dev); err != nil {
+		b.Fatal(err)
+	}
+	steps := g.steps
+	stop := countBuilds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end += 1e-6 // far below any timestep: exactly one step per call
+		if err := g.EvolveToParallel(ctx, end, w, dev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	built := stop()
+	passes := float64(g.steps - steps + b.N)
+	b.ReportMetric(float64(built["cells"])/passes, "cell-lists/pass")
+	b.ReportMetric(float64(built["search"])/passes, "searches/pass")
+	b.ReportMetric(float64(built["octree"])/passes, "octrees/pass")
 }

@@ -311,22 +311,23 @@ func (g *Gas) Energy() (kin, therm, pot float64) {
 // between SPH steps, so cancellation aborts a long integration at the
 // next step boundary.
 func (g *Gas) EvolveTo(ctx context.Context, t float64) error {
-	return g.evolve(ctx, t, nil, nil, true)
+	return g.evolve(ctx, t, nil, nil)
 }
 
 // EvolveToParallel advances the gas to time t data-parallel over a
 // multi-node worker's world: each rank computes a slab of the density and
 // force loops, exchanges results via allgathers (recorded as "mpi" traffic)
 // and accounts its share of the compute on its own clock against dev. The
-// goroutine ranks share this one Gas; rank 0 publishes the (bitwise
-// identical) result. The hydro service and bench/jbench's probes call it
-// (DESIGN.md § Sharded kernels).
+// goroutine ranks share this one Gas and one state, in which each writes
+// only its own rows, and rank 0 publishes the result. The hydro service and
+// bench/jbench's probes call it (DESIGN.md § Sharded kernels).
 func (g *Gas) EvolveToParallel(ctx context.Context, t float64, w *mpisim.World, dev *vtime.Device) error {
 	if w == nil {
-		return g.evolve(ctx, t, nil, dev, true)
+		return g.evolve(ctx, t, nil, dev)
 	}
+	st := newState(g, true)
 	return w.Run(func(r *mpisim.Gang) error {
-		return g.evolve(ctx, t, r, dev, r.ID() == 0)
+		return st.evolve(ctx, t, r, dev, r.ID() == 0)
 	})
 }
 
@@ -335,17 +336,24 @@ func (g *Gas) EvolveToParallel(ctx context.Context, t float64, w *mpisim.World, 
 // gang's bound clock). Every rank owns its own replicated Gas and publishes
 // the result.
 func (g *Gas) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang, dev *vtime.Device) error {
-	return g.evolve(ctx, t, c, dev, true)
+	return g.evolve(ctx, t, c, dev)
 }
 
-// evolve is the shared driver. With r == nil it runs the whole domain
-// serially; with a communicator it computes only the rank's slab and
-// allgathers. All ranks execute identical step sequences, so the full
-// arrays remain bitwise identical across ranks after each exchange;
-// publish selects which callers write the canonical result back into g
-// (the serial caller, World rank 0 — whose goroutine ranks share one Gas
-// — and every rank of a gang deployment, which each own their replica).
-func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.Device, publish bool) error {
+// evolve runs an evolve on a state of its own: serially with r == nil, or
+// as one gang rank over a replica.
+func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.Device) error {
+	return newState(g, false).evolve(ctx, t, r, dev, true)
+}
+
+// evolve is the shared driver: one rank's part of an evolve over st, or all
+// of it with r == nil. A rank computes only its slab and allgathers. All
+// ranks execute identical step sequences, so after each exchange every rank
+// reads the same full arrays: the ones every rank of a World wrote its rows
+// into, or a gang rank's replica, which the gathers fill. publish selects
+// which callers write the result back into g (the serial caller, World rank
+// 0 and every rank of a gang deployment, which each own their replica).
+func (st *state) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.Device, publish bool) error {
+	g := st.g
 	n := len(g.mass)
 	if n == 0 {
 		return ErrNoGas
@@ -354,21 +362,20 @@ func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.
 	if r != nil {
 		lo, hi = mpisim.CutRange(g.cutsFor(r.Size()), r.ID(), n, r.Size())
 	}
+	s := st.slab(lo, hi, r != nil)
+	pos, vel, u, acc, dudt := st.pos, st.vel, st.u, s.acc, s.dudt
 	var load stdtime.Duration
 	time := g.time
 	steps := 0
 	var flops float64
 
-	st := newState(g, lo, hi, r != nil)
-	pos, vel, u, acc, dudt := st.pos, st.vel, st.u, st.acc, st.dudt
-
 	// Prime density and forces.
-	f := st.density(lo, hi)
-	if err := st.exchangeScalars(r, lo, hi); err != nil {
+	f := s.density()
+	if err := s.exchangeScalars(r); err != nil {
 		return err
 	}
-	f += st.forces(lo, hi)
-	if err := st.exchangeForces(r, lo, hi); err != nil {
+	f += s.forces()
+	if err := s.exchangeForces(r); err != nil {
 		return err
 	}
 	account(r, dev, f)
@@ -384,7 +391,7 @@ func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.
 				return err
 			}
 		}
-		dt := st.timestep(lo, hi)
+		dt := s.timestep()
 		if r != nil {
 			m, err := mpisim.AllreduceMax(r, []float64{-dt})
 			if err != nil {
@@ -398,30 +405,30 @@ func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.
 
 		// KDK leapfrog: half kick + drift.
 		for i := lo; i < hi; i++ {
-			vel[i] = vel[i].Add(acc[i].Scale(dt / 2))
-			u[i] = math.Max(u[i]+dudt[i]*dt/2, 1e-12)
+			vel[i] = vel[i].Add(acc[i-lo].Scale(dt / 2))
+			u[i] = math.Max(u[i]+dudt[i-lo]*dt/2, 1e-12)
 			pos[i] = pos[i].Add(vel[i].Scale(dt))
 		}
-		if err := st.exchangeVectors(r, lo, hi); err != nil {
+		if err := s.exchangeVectors(r); err != nil {
 			return err
 		}
 
 		// New densities and forces at the drifted state.
-		f = st.density(lo, hi)
-		if err := st.exchangeScalars(r, lo, hi); err != nil {
+		f = s.density()
+		if err := s.exchangeScalars(r); err != nil {
 			return err
 		}
-		f += st.forces(lo, hi)
-		if err := st.exchangeForces(r, lo, hi); err != nil {
+		f += s.forces()
+		if err := s.exchangeForces(r); err != nil {
 			return err
 		}
 
 		// Second half kick.
 		for i := lo; i < hi; i++ {
-			vel[i] = vel[i].Add(acc[i].Scale(dt / 2))
-			u[i] = math.Max(u[i]+dudt[i]*dt/2, 1e-12)
+			vel[i] = vel[i].Add(acc[i-lo].Scale(dt / 2))
+			u[i] = math.Max(u[i]+dudt[i-lo]*dt/2, 1e-12)
 		}
-		if err := st.exchangeVectors(r, lo, hi); err != nil {
+		if err := s.exchangeVectors(r); err != nil {
 			return err
 		}
 		account(r, dev, f)
@@ -436,7 +443,7 @@ func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.
 	if g.SelfGravity && n > 1 {
 		g.keptMu.Lock()
 		g.kept = append(slices.DeleteFunc(g.kept, func(k keptGravity) bool { return k.gen != st.gen+1 }),
-			keptGravity{st.gen + 1, lo, hi, g.EpsGrav, g.Theta, st.gacc, st.gflops})
+			keptGravity{st.gen + 1, lo, hi, g.EpsGrav, g.Theta, s.gacc, s.gflops})
 		g.keptMu.Unlock()
 	}
 	// Publish per the caller's ownership rules (see the doc comment).
@@ -481,52 +488,130 @@ func account(r *mpisim.Gang, dev *vtime.Device, flops float64) {
 	}
 }
 
-// state bundles one evolve call's working slices for the physics loops.
+// testBuilt, when a test set it, is told of each structure a pass builds.
+var testBuilt func(what string)
+
+func built(what string) {
+	if testBuilt != nil {
+		testBuilt(what)
+	}
+}
+
+// state is one evolve's working set: the full arrays every rank of the
+// evolve reads, and the structures a pass builds over them once for all of
+// its ranks — a serial run's or a gang rank's alone, every rank's of a
+// World (DESIGN.md § Hot loops, "One pass for a World's ranks"). A rank
+// writes only the rows of its slab into the arrays.
 type state struct {
 	g        *Gas
 	pos, vel []data.Vec3
 	u, h     []float64
 	rho, prs []float64
 	cs       []float64
-	acc      []data.Vec3
-	dudt     []float64
-	cells    cellList    // built by density, reused by forces
-	search   search      // density's, reset with the cell list
-	gen      uint64      // the gas's generation when the call began
-	gacc     []data.Vec3 // the slab's self-gravity,
-	gflops   float64     // the flops it cost,
-	primed   bool        // and whether it is already at st.pos
-	gpot     []float64
-	slab     []float64 // exchange buffers: this rank's packed rows,
-	full     []float64 // and every rank's
+	gen      uint64 // the gas's generation when the call began
+	shared   bool   // its ranks are a World's: gathers only check lengths
+
+	mu        sync.Mutex
+	cellsPass int         // the density pass the cell list and the search were built for,
+	treePass  int         // and the forces pass the octree was
+	cells     cellList    // built by density, reused by forces
+	index     searchIndex // density's, built with the cell list
+	tree      *tree.Tree
 }
 
-// newState allocates everything one evolve call over the rows [lo,hi) needs
-// — rank-local working copies (identical across ranks after exchanges), the
-// cell list, the slab's self-gravity and, for a rank, the exchange buffers —
-// once; it all dies with the call, except the self-gravity, which it takes
-// from the gas when still valid and evolve keeps again.
-func newState(g *Gas, lo, hi int, exchange bool) *state {
+// newState copies the gas into the working arrays of one evolve, and
+// allocates the cell list and the search index, all once; it all dies with
+// the call. The scalars share one allocation, as do positions and
+// velocities.
+func newState(g *Gas, shared bool) *state {
 	n := len(g.mass)
-	st := &state{g: g, gen: g.gen,
-		pos: append([]data.Vec3(nil), g.pos...), vel: append([]data.Vec3(nil), g.vel...),
-		u: append([]float64(nil), g.u...), h: append([]float64(nil), g.h...),
-		rho: make([]float64, n), prs: make([]float64, n), cs: make([]float64, n),
-		acc: make([]data.Vec3, n), dudt: make([]float64, n),
-		cells: newCellList(n), search: newSearch(n)}
+	vecs := make([]data.Vec3, 2*n)
+	scalars := make([]float64, 5*n)
+	col := func(k int) []float64 { return scalars[k*n : (k+1)*n : (k+1)*n] }
+	st := &state{g: g, gen: g.gen, shared: shared,
+		pos: vecs[:n:n], vel: vecs[n:],
+		u: col(0), h: col(1), rho: col(2), prs: col(3), cs: col(4),
+		cells: newCellList(n), index: newSearchIndex(n)}
+	copy(st.pos, g.pos)
+	copy(st.vel, g.vel)
+	copy(st.u, g.u)
+	copy(st.h, g.h)
+	return st
+}
+
+// slab is one rank's view of a state: its rows [lo,hi), what it computes
+// for them alone — forces and self-gravity, indexed from lo — and its
+// scratch.
+type slab struct {
+	*state
+	lo, hi int
+	pass   int // density passes begun
+	search search
+	acc    []data.Vec3
+	dudt   []float64
+	gacc   []data.Vec3 // the slab's self-gravity,
+	gflops float64     // the flops it cost,
+	primed bool        // and whether it is already at st.pos
+	gpot   []float64
+	pack   []float64 // exchange buffers: this rank's packed rows,
+	full   []float64 // and, on a state of its own, every rank's
+}
+
+// slab makes the rank's view of the rows [lo,hi), taking their kept
+// self-gravity from the gas when it is still valid; a rank that exchanges
+// gets the buffers.
+func (st *state) slab(lo, hi int, exchange bool) *slab {
+	g, n := st.g, len(st.pos)
+	s := &slab{state: st, lo: lo, hi: hi, search: newSearch(&st.index, n),
+		acc: make([]data.Vec3, hi-lo), dudt: make([]float64, hi-lo)}
 	if g.SelfGravity {
 		if k, ok := g.takeGravity(lo, hi); ok {
-			st.gacc, st.gflops, st.primed = k.acc, k.flops, true
+			s.gacc, s.gflops, s.primed = k.acc, k.flops, true
 		} else {
-			st.gacc = make([]data.Vec3, hi-lo)
+			s.gacc = make([]data.Vec3, hi-lo)
 		}
-		st.gpot = make([]float64, hi-lo)
+		s.gpot = make([]float64, hi-lo)
 	}
 	if exchange {
-		st.slab = make([]float64, 7*(hi-lo))
-		st.full = make([]float64, 7*n)
+		s.pack = make([]float64, 7*(hi-lo))
+		if !st.shared {
+			s.full = make([]float64, 7*n)
+		}
 	}
-	return st
+	return s
+}
+
+// buildCells builds the cell list and the search index for density pass
+// pass, unless a rank sharing the state already has. The search picks its
+// levels from the octaves of the rows whose smoothing lengths h lists.
+func (st *state) buildCells(pass int, h []float64, out []int32) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.cellsPass == pass {
+		return
+	}
+	st.cellsPass = pass
+	hmax := 0.0
+	for _, hh := range st.h {
+		if hh > hmax {
+			hmax = hh
+		}
+	}
+	st.cells.build(st.pos, 2*hmax)
+	built("cells")
+	st.index.reset(&st.cells, h, out)
+}
+
+// octree returns the self-gravity tree of forces pass pass, which the first
+// rank that needs it builds.
+func (st *state) octree(pass int) *tree.Tree {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.treePass != pass {
+		st.tree, st.treePass = tree.Build(st.g.mass, st.pos), pass
+		built("octree")
+	}
+	return st.tree
 }
 
 // The two pair loops below walk each particle's candidates directly (the
@@ -536,29 +621,27 @@ func newState(g *Gas, lo, hi int, exchange bool) *state {
 // order and every floating-point expression are those of the loops in
 // oracle_test.go, which the results are held to bit for bit.
 
-// density computes rho, P, cs and updates h for indices [lo,hi).
-func (st *state) density(lo, hi int) float64 {
-	g := st.g
-	hmax := 0.0
-	for _, hh := range st.h {
-		if hh > hmax {
-			hmax = hh
-		}
+// density begins a pass: it computes rho, P, cs and updates h for the
+// slab's rows.
+func (s *slab) density() float64 {
+	g := s.g
+	s.pass++
+	pos, mass, h := s.pos, g.mass, s.h
+	if s.shared {
+		s.buildCells(s.pass, h, s.search.out) // the levels every rank's rows need
+	} else {
+		s.buildCells(s.pass, h[s.lo:s.hi], s.search.out)
 	}
-	cl := &st.cells
-	cl.build(st.pos, 2*hmax)
-	st.search.reset(cl, st.h, lo, hi)
-	pos, mass := st.pos, g.mass
 	var runs [27][]int32
 	pairs := 0
-	for i := lo; i < hi; i++ {
+	for i := s.lo; i < s.hi; i++ {
 		var sum float64
 		count := 0
 		pix, piy, piz := pos[i][0], pos[i][1], pos[i][2]
-		hh := st.h[i]
+		hh := h[i]
 		support := 2 * hh
 		far := rejectAbove(support)
-		for _, run := range st.densityRuns(i, support, far, &runs) {
+		for _, run := range s.densityRuns(i, support, far, &runs) {
 			for _, j := range run {
 				pj := &pos[j]
 				x, y, z := pj[0]-pix, pj[1]-piy, pj[2]-piz
@@ -573,31 +656,31 @@ func (st *state) density(lo, hi int) float64 {
 			}
 		}
 		pairs += count
-		st.rho[i] = sum
-		if st.rho[i] <= 0 {
-			st.rho[i] = g.mass[i] * W(0, hh)
+		s.rho[i] = sum
+		if s.rho[i] <= 0 {
+			s.rho[i] = g.mass[i] * W(0, hh)
 		}
 		// Adaptive smoothing toward the target neighbor count.
 		ratio := float64(g.NTarget) / math.Max(float64(count), 1)
-		st.h[i] = clamp(hh*0.5*(1+math.Cbrt(ratio)), g.HMin, g.HMax)
-		st.prs[i] = (g.Gamma - 1) * st.rho[i] * st.u[i]
-		st.cs[i] = math.Sqrt(g.Gamma * st.prs[i] / st.rho[i])
+		h[i] = clamp(hh*0.5*(1+math.Cbrt(ratio)), g.HMin, g.HMax)
+		s.prs[i] = (g.Gamma - 1) * s.rho[i] * s.u[i]
+		s.cs[i] = math.Sqrt(g.Gamma * s.prs[i] / s.rho[i])
 	}
 	return flopsPerDensityPair * float64(pairs)
 }
 
-// forces computes acc and dudt for indices [lo,hi): SPH pressure +
-// viscosity, plus optional tree self-gravity, which a primed state already
+// forces computes acc and dudt for the slab's rows: SPH pressure +
+// viscosity, plus optional tree self-gravity, which a primed slab already
 // holds.
-func (st *state) forces(lo, hi int) float64 {
-	g := st.g
-	cl := &st.cells
-	pos, vel, mass := st.pos, st.vel, g.mass
-	h, rho, prs, cs := st.h, st.rho, st.prs, st.cs
+func (s *slab) forces() float64 {
+	g, lo := s.g, s.lo
+	cl := &s.cells
+	pos, vel, mass := s.pos, s.vel, g.mass
+	h, rho, prs, cs := s.h, s.rho, s.prs, s.cs
 	alpha, beta := g.Alpha, g.Beta
 	var runs [27][]int32
 	pairs := 0
-	for i := lo; i < hi; i++ {
+	for i := lo; i < s.hi; i++ {
 		var ax, ay, az, du float64
 		pix, piy, piz := pos[i][0], pos[i][1], pos[i][2]
 		vix, viy, viz := vel[i][0], vel[i][1], vel[i][2]
@@ -622,8 +705,8 @@ func (st *state) forces(lo, hi int) float64 {
 				}
 				vj := &vel[j]
 				dvx, dvy, dvz := vix-vj[0], viy-vj[1], viz-vj[2]
-				s := DW(rij, hm) / rij
-				gx, gy, gz := s*x, s*y, s*z // gradW
+				dw := DW(rij, hm) / rij
+				gx, gy, gz := dw*x, dw*y, dw*z // gradW
 
 				// Monaghan viscosity for approaching pairs.
 				var visc float64
@@ -643,19 +726,19 @@ func (st *state) forces(lo, hi int) float64 {
 				pairs++
 			}
 		}
-		st.acc[i] = data.Vec3{ax, ay, az}
-		st.dudt[i] = du
+		s.acc[i-lo] = data.Vec3{ax, ay, az}
+		s.dudt[i-lo] = du
 	}
 	flops := flopsPerForcePair * float64(pairs)
 
 	if g.SelfGravity && len(g.mass) > 1 {
-		if !st.primed {
-			st.gflops = tree.Build(g.mass, st.pos).Accel(st.pos[lo:hi], g.EpsGrav, g.Theta, st.gacc, st.gpot)
+		if !s.primed {
+			s.gflops = s.octree(s.pass).Accel(pos[lo:s.hi], g.EpsGrav, g.Theta, s.gacc, s.gpot)
 		}
-		st.primed = false
-		flops += st.gflops
-		for i := lo; i < hi; i++ {
-			st.acc[i] = st.acc[i].Add(st.gacc[i-lo])
+		s.primed = false
+		flops += s.gflops
+		for i := range s.acc {
+			s.acc[i] = s.acc[i].Add(s.gacc[i])
 		}
 	}
 	return flops
@@ -663,27 +746,27 @@ func (st *state) forces(lo, hi int) float64 {
 
 // densityRuns returns row i's density candidates: the search's, or else
 // the cell list's 27 cells.
-func (st *state) densityRuns(i int, support, far float64, runs *[27][]int32) [][]int32 {
-	cl, p := &st.cells, st.pos[i]
-	if lv := st.search.levelFor(octave(st.h[i]), cl); lv != nil {
-		if found, ok := st.search.mark(lv, p, support, far, cl, runs); ok {
+func (s *slab) densityRuns(i int, support, far float64, runs *[27][]int32) [][]int32 {
+	cl, p := &s.cells, s.pos[i]
+	if lv := s.search.levelFor(octave(s.h[i])); lv != nil {
+		if found, ok := s.search.mark(lv, p, support, far, cl, runs); ok {
 			return found
 		}
 	}
 	return cl.around(cl.key(p), runs)
 }
 
-// timestep returns the local CFL-limited step over [lo,hi).
-func (st *state) timestep(lo, hi int) float64 {
-	g := st.g
+// timestep returns the CFL-limited step over the slab's rows.
+func (s *slab) timestep() float64 {
+	g := s.g
 	dt := g.DtMax
-	for i := lo; i < hi; i++ {
-		denom := st.cs[i] + st.vel[i].Norm() + 1e-12
-		if d := g.CFL * st.h[i] / denom; d < dt {
+	for i := s.lo; i < s.hi; i++ {
+		denom := s.cs[i] + s.vel[i].Norm() + 1e-12
+		if d := g.CFL * s.h[i] / denom; d < dt {
 			dt = d
 		}
-		if an := st.acc[i].Norm(); an > 0 {
-			if d := 0.3 * math.Sqrt(st.h[i]/an); d < dt {
+		if an := s.acc[i-s.lo].Norm(); an > 0 {
+			if d := 0.3 * math.Sqrt(s.h[i]/an); d < dt {
 				dt = d
 			}
 		}
@@ -704,51 +787,59 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Exchange helpers: allgather the rank's slab so every rank holds the full
-// updated arrays. nil rank = serial no-op. Every rank must contribute the
-// rows the others expect of it: a gather that comes to anything but n rows
-// (a rank holding other cuts, a short message) is an error, not state.
+// Exchange helpers: allgather the rank's slab so every rank can read the
+// full updated arrays. nil rank = serial no-op. On a state of its own a
+// rank decodes the gather into its replica; the ranks of a World wrote
+// their rows into the arrays they share, so the gather, which still prices
+// every message, is only counted. Every rank must contribute the rows the
+// others expect of it: a gather that comes to anything but n rows (a rank
+// holding other cuts, a short message) is an error, not state.
 
-// gather allgathers this rank's rows into dst and checks that every rank's
-// together come to the whole of it.
-func gather(r *mpisim.Gang, what string, slab, dst []float64) error {
-	full, err := mpisim.AllgatherFloats(r, slab, dst)
+// gather allgathers this rank's rows, into dst when it is not nil, and
+// checks that every rank's together come to want values.
+func gather(r *mpisim.Gang, what string, slab, dst []float64, want int) error {
+	got, err := mpisim.AllgatherFloats(r, slab, dst)
 	if err != nil {
 		return fmt.Errorf("sph: %s exchange: %w", what, err)
 	}
-	if len(full) != len(dst) {
+	if got != want {
 		return fmt.Errorf("sph: %s exchange gathered %d values, want %d: ranks disagree on the slab cuts or a message was cut short",
-			what, len(full), len(dst))
+			what, got, want)
 	}
 	return nil
 }
 
-// exchangeScalars gathers rho, P, cs and h, each straight into its array.
-func (st *state) exchangeScalars(r *mpisim.Gang, lo, hi int) error {
+// exchangeScalars gathers rho, P, cs and h, each straight into its array
+// when the state is the rank's own.
+func (s *slab) exchangeScalars(r *mpisim.Gang) error {
 	if r == nil {
 		return nil
 	}
-	for _, a := range [...][]float64{st.rho, st.prs, st.cs, st.h} {
-		if err := gather(r, "scalar", a[lo:hi], a); err != nil {
+	for _, a := range [...][]float64{s.rho, s.prs, s.cs, s.h} {
+		dst := a
+		if s.shared {
+			dst = nil
+		}
+		if err := gather(r, "scalar", a[s.lo:s.hi], dst, len(a)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (st *state) exchangeVectors(r *mpisim.Gang, lo, hi int) error {
+func (s *slab) exchangeVectors(r *mpisim.Gang) error {
 	if r == nil {
 		return nil
 	}
-	pos, vel, u := st.pos, st.vel, st.u
-	slab := st.slab[:0]
-	for i := lo; i < hi; i++ {
-		slab = append(slab, pos[i][0], pos[i][1], pos[i][2], vel[i][0], vel[i][1], vel[i][2], u[i])
+	pos, vel, u := s.pos, s.vel, s.u
+	pack := s.pack[:0]
+	for i := s.lo; i < s.hi; i++ {
+		pack = append(pack, pos[i][0], pos[i][1], pos[i][2], vel[i][0], vel[i][1], vel[i][2], u[i])
 	}
-	full := st.full[:7*len(pos)]
-	if err := gather(r, "state", slab, full); err != nil {
+	if err := gather(r, "state", pack, s.full, 7*len(pos)); err != nil || s.shared {
 		return err
 	}
+	full := s.full
 	for i := range pos {
 		pos[i] = data.Vec3{full[i*7], full[i*7+1], full[i*7+2]}
 		vel[i] = data.Vec3{full[i*7+3], full[i*7+4], full[i*7+5]}
@@ -757,22 +848,15 @@ func (st *state) exchangeVectors(r *mpisim.Gang, lo, hi int) error {
 	return nil
 }
 
-func (st *state) exchangeForces(r *mpisim.Gang, lo, hi int) error {
+// exchangeForces prices the forces' exchange: no rank reads another's acc
+// or dudt, so every rank only counts the gather.
+func (s *slab) exchangeForces(r *mpisim.Gang) error {
 	if r == nil {
 		return nil
 	}
-	acc, dudt := st.acc, st.dudt
-	slab := st.slab[:0]
-	for i := lo; i < hi; i++ {
-		slab = append(slab, acc[i][0], acc[i][1], acc[i][2], dudt[i])
+	pack := s.pack[:0]
+	for i, a := range s.acc {
+		pack = append(pack, a[0], a[1], a[2], s.dudt[i])
 	}
-	full := st.full[:4*len(acc)]
-	if err := gather(r, "force", slab, full); err != nil {
-		return err
-	}
-	for i := range acc {
-		acc[i] = data.Vec3{full[i*4], full[i*4+1], full[i*4+2]}
-		dudt[i] = full[i*4+3]
-	}
-	return nil
+	return gather(r, "force", pack, nil, 4*len(s.pos))
 }

@@ -164,39 +164,49 @@ func rejectAbove(r float64) float64 {
 // searchLevels is how many cell sizes one density pass's search builds.
 const searchLevels = 3
 
-// search finds a density row's candidates in cells sized to its smoothing
-// length, where the cell list's are 2·max h wide (DESIGN.md § Hot loops,
-// "The neighbour search"), and hands them over in rank order.
-type search struct {
-	rank   []int32  // rank[j]: j's position in the cell list's idx
-	marks  []uint64 // a row's candidates, one bit per rank
-	out    []int32  // scratch for a fill, a bucket and a row
-	shift  uint     // a hash's top bits pick the bucket
+// searchIndex finds a density row's candidates in cells sized to its
+// smoothing length, where the cell list's are 2·max h wide (DESIGN.md § Hot
+// loops, "The neighbour search"): built once per pass, it is read by every
+// rank that shares the pass.
+type searchIndex struct {
+	rank   []int32 // rank[j]: j's position in the cell list's idx
+	shift  uint    // a hash's top bits pick the bucket
 	levels [searchLevels]level
 	pos    []data.Vec3
 	ok     bool // the keys pack, so the cell list's order is rank order
+}
+
+// search is one rank's use of an index, which hands a row's candidates over
+// in rank order.
+type search struct {
+	*searchIndex
+	marks []uint64 // a row's candidates, one bit per rank
+	out   []int32  // scratch for a level's fill, a bucket and a row
 }
 
 // level holds every particle by a hash of its cell 2^exp wide: bucket b is
 // ents[head[b]:head[b+1]], shared by every cell that hashes to it.
 type level struct {
 	exp        int
-	built      bool
 	head, ents []int32
 }
 
-func newSearch(n int) search {
+func newSearchIndex(n int) searchIndex {
 	buckets := 1 << bits.Len(uint(n/2))
-	mem := make([]int32, 2*n+searchLevels*(n+buckets+1))
+	mem := make([]int32, n+searchLevels*(n+buckets+1))
 	take := func(k int) (s []int32) {
 		s, mem = mem[:k:k], mem[k:]
 		return s
 	}
-	s := search{rank: take(n), out: take(n), marks: make([]uint64, (n+63)/64), shift: uint(65 - bits.Len(uint(buckets)))}
-	for l := range s.levels {
-		s.levels[l].head, s.levels[l].ents = take(buckets+1), take(n)
+	ix := searchIndex{rank: take(n), shift: uint(65 - bits.Len(uint(buckets)))}
+	for l := range ix.levels {
+		ix.levels[l].head, ix.levels[l].ents = take(buckets+1), take(n)
 	}
-	return s
+	return ix
+}
+
+func newSearch(ix *searchIndex, n int) search {
+	return search{searchIndex: ix, marks: make([]uint64, (n+63)/64), out: make([]int32, n)}
 }
 
 // pow2 is 2^e for the exponents of normal numbers.
@@ -206,65 +216,69 @@ func pow2(e int) float64 { return math.Float64frombits(uint64(1023+e) << 52) }
 // outside the levels' range for anything else.
 func octave(x float64) int { return int(math.Float64bits(x)>>52) - 1022 }
 
-func (s *search) bucket(kx, ky, kz int64, e int) int32 {
+func (ix *searchIndex) bucket(kx, ky, kz int64, e int) int32 {
 	return int32((uint64(kx)*0x9E3779B97F4A7C15 ^ uint64(ky)*0xC2B2AE3D27D4EB4F ^
-		uint64(kz)*0x165667B19E3779F9 ^ uint64(e)*0xD6E8FEB86659FD93) >> s.shift)
+		uint64(kz)*0x165667B19E3779F9 ^ uint64(e)*0xD6E8FEB86659FD93) >> ix.shift)
 }
 
-// reset readies the search for a density pass over the rows [lo,hi), on the
-// positions the cell list was just built on: the ranks, and the cell sizes
-// the most rows need, each built when a row first takes it.
-func (s *search) reset(cl *cellList, h []float64, lo, hi int) {
-	if s.pos, s.ok = cl.pos, cl.packed; !s.ok {
+// reset builds the index for a density pass on the positions the cell list
+// was just built on: the ranks, and the levels of the cell sizes the most
+// of the rows whose smoothing lengths h lists need, narrower than the cell
+// list's cells. out is scratch for n entries.
+func (ix *searchIndex) reset(cl *cellList, h []float64, out []int32) {
+	if ix.pos, ix.ok = cl.pos, cl.packed; !ix.ok {
 		return
 	}
 	for r, j := range cl.idx {
-		s.rank[j] = int32(r)
+		ix.rank[j] = int32(r)
 	}
 	var count [64]int
-	for _, hh := range h[lo:hi] {
+	for _, hh := range h {
 		if c := octave(hh); c >= -32 && c < 32 {
 			count[c+32]++
 		}
 	}
-	for l := range s.levels {
+	for l := range ix.levels {
 		k := slices.Index(count[:], slices.Max(count[:]))
-		s.levels[l] = level{exp: k - 31, head: s.levels[l].head, ents: s.levels[l].ents}
-		if count[k] <= 0 {
-			s.levels[l].exp = math.MaxInt
+		lv := &ix.levels[l]
+		lv.exp = k - 31
+		if count[k] <= 0 || pow2(lv.exp) >= 1/cl.inv {
+			lv.exp = math.MaxInt
+		} else {
+			ix.fill(lv, out)
 		}
 		count[k] = -1
 	}
+	built("search")
 }
 
-// levelFor returns, filled, the level for a row with h in [2^(c−1), 2^c):
-// the smallest built from 2^(c+1), which holds its support 2h, to 2^(c+3),
-// narrower than the cell list's cells; or nil.
-func (s *search) levelFor(c int, cl *cellList) *level {
+// fill buckets every particle by its cell in lv.
+func (ix *searchIndex) fill(lv *level, out []int32) {
+	inv, n := pow2(-lv.exp), len(ix.pos)
+	clear(lv.head)
+	for j, p := range ix.pos {
+		out[j] = ix.bucket(int64(math.Floor(p[0]*inv)), int64(math.Floor(p[1]*inv)), int64(math.Floor(p[2]*inv)), lv.exp)
+		lv.head[out[j]]++
+	}
+	for b := 1; b < len(lv.head); b++ {
+		lv.head[b] += lv.head[b-1]
+	}
+	for j := n - 1; j >= 0; j-- {
+		lv.head[out[j]]--
+		lv.ents[lv.head[out[j]]] = int32(j)
+	}
+	lv.head[len(lv.head)-1] = int32(n)
+}
+
+// levelFor returns the level for a row with h in [2^(c−1), 2^c): the
+// smallest built from 2^(c+1), which holds its support 2h, to 2^(c+3); or
+// nil.
+func (ix *searchIndex) levelFor(c int) *level {
 	var pick *level
-	for l := range s.levels {
-		if lv := &s.levels[l]; s.ok && lv.exp > c && lv.exp <= c+3 && (pick == nil || lv.exp < pick.exp) {
+	for l := range ix.levels {
+		if lv := &ix.levels[l]; ix.ok && lv.exp > c && lv.exp <= c+3 && (pick == nil || lv.exp < pick.exp) {
 			pick = lv
 		}
-	}
-	if pick == nil || pow2(pick.exp) >= 1/cl.inv {
-		return nil
-	}
-	if !pick.built {
-		inv, n := pow2(-pick.exp), len(s.pos)
-		clear(pick.head)
-		for j, p := range s.pos {
-			s.out[j] = s.bucket(int64(math.Floor(p[0]*inv)), int64(math.Floor(p[1]*inv)), int64(math.Floor(p[2]*inv)), pick.exp)
-			pick.head[s.out[j]]++
-		}
-		for b := 1; b < len(pick.head); b++ {
-			pick.head[b] += pick.head[b-1]
-		}
-		for j := n - 1; j >= 0; j-- {
-			pick.head[s.out[j]]--
-			pick.ents[pick.head[s.out[j]]] = int32(j)
-		}
-		pick.head[len(pick.head)-1], pick.built = int32(n), true
 	}
 	return pick
 }
@@ -274,7 +288,7 @@ func (s *search) levelFor(c int, cl *cellList) *level {
 // every particle within √far of p. It reports false when far is not finite,
 // or the box leaves the 27 cells of p's cell in the cell list or spans more
 // than four cells a side.
-func (s *search) box(lv *level, p data.Vec3, r, far float64, cl *cellList) (from, to [3]int64, ok bool) {
+func (ix *searchIndex) box(lv *level, p data.Vec3, r, far float64, cl *cellList) (from, to [3]int64, ok bool) {
 	inv := pow2(-lv.exp)
 	for d := 0; d < 3; d++ {
 		rm := r + (math.Abs(p[d])+r)*0x1p-40

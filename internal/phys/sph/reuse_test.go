@@ -3,6 +3,7 @@ package sph
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -34,16 +35,16 @@ func reuseRuns(t *testing.T, p *data.Particles) map[string]*reuseRun {
 	dev := &vtime.Device{Name: "node", Kind: vtime.CPU, Gflops: 5, Cores: 8}
 	ctx := context.Background()
 	ranked := func(w *mpisim.World, gases []*Gas, size int, end float64) ([]time.Duration, error) {
+		var err error
+		if len(gases) == 1 { // a World's ranks share one Gas
+			err = gases[0].EvolveToParallel(ctx, end, w, dev)
+		} else {
+			err = w.Run(func(r *mpisim.Gang) error { return gases[r.ID()].EvolveToComm(ctx, end, r, dev) })
+		}
 		clocks := make([]time.Duration, size)
-		err := w.Run(func(r *mpisim.Gang) error {
-			var err error
-			if len(gases) == 1 { // EvolveToParallel's ranks, whose clocks it does not return
-				err = gases[0].evolve(ctx, end, r, dev, r.ID() == 0)
-			} else {
-				err = gases[r.ID()].EvolveToComm(ctx, end, r, dev)
-			}
+		w.Run(func(r *mpisim.Gang) error {
 			clocks[r.ID()] = r.Clock().Now()
-			return err
+			return nil
 		})
 		return clocks, err
 	}
@@ -307,7 +308,8 @@ func TestEvolveReuseDropsUnpublishedKeep(t *testing.T) {
 			if size > 1 {
 				w = testWorld(t, size)
 			}
-			unpublished := func(r *mpisim.Gang) error { return g.evolve(ctx, 0.004, r, dev, false) }
+			st := newState(g, w != nil)
+			unpublished := func(r *mpisim.Gang) error { return st.evolve(ctx, 0.004, r, dev, false) }
 			if w == nil {
 				if err := unpublished(nil); err != nil {
 					t.Fatal(err)
@@ -329,6 +331,39 @@ func TestEvolveReuseDropsUnpublishedKeep(t *testing.T) {
 				g.flops = want.flops // rank 0 reports its own flops times the size
 			}
 			sameGas(t, what, g, want)
+		}
+	}
+}
+
+// TestWorldBuildsOncePerPass: the ranks of a World share one state, and
+// each pass builds its cell list, its search index and its octree once,
+// whichever rank gets there first; a serial run and every rank of a gang of
+// 3 build their own, once per pass each. The second evolve primes from the
+// gravity the first kept, so its first pass builds no octree. Under the race
+// detector (make leak-check) it also holds each World rank to its own rows: a
+// rank that wrote another's — a gather decoded into the shared arrays —
+// races the others.
+func TestWorldBuildsOncePerPass(t *testing.T) {
+	p := gasSphere(t, 300)
+	for name, run := range reuseRuns(t, p) {
+		states := len(run.gases) // one per Gas: a World's ranks share theirs
+		for call := 1; call <= 2; call++ {
+			steps := run.gases[0].steps
+			stop := countBuilds()
+			_, err := run.evolve(float64(call) * 0.05)
+			got := stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes := run.gases[0].steps - steps + 1
+			primed := 0
+			if call > 1 {
+				primed = 1
+			}
+			want := map[string]int{"cells": states * passes, "search": states * passes, "octree": states * (passes - primed)}
+			if passes < 3 || !maps.Equal(got, want) {
+				t.Fatalf("%s call %d: %d passes built %v, want %v", name, call, passes, got, want)
+			}
 		}
 	}
 }

@@ -100,8 +100,8 @@ func TestDensityUniformLattice(t *testing.T) {
 	if err := g.SetParticles(p); err != nil {
 		t.Fatal(err)
 	}
-	st := newState(g, 0, n, false)
-	st.density(0, n)
+	st := newSlab(g, 0, n)
+	st.density()
 	// Center particle index: (5,5,5).
 	ci := 5*side*side + 5*side + 5
 	if math.Abs(st.rho[ci]-1) > 0.1 {

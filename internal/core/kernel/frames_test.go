@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -278,8 +279,10 @@ func FuzzStateView(f *testing.F) {
 	for _, frame := range stateFaults(f) {
 		f.Add(frame)
 	}
-	for _, st := range bulkPayloads(2) {
-		frame, err := MarshalState(st)
+	// In name order, so that seed#N names one payload in every run.
+	payloads := bulkPayloads(2)
+	for _, name := range slices.Sorted(maps.Keys(payloads)) {
+		frame, err := MarshalState(payloads[name])
 		if err != nil {
 			f.Fatal(err)
 		}

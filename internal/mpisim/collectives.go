@@ -1,7 +1,6 @@
 package mpisim
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -20,6 +19,13 @@ import (
 // exchanging over the overlay. Every member of the communicator must call
 // the same collective in the same order, as in MPI. Mismatched calls
 // deadlock, also as in MPI.
+//
+// The float collectives are both ends of every message they send, so they
+// copy no byte that nobody writes (DESIGN.md § Buffer ownership): a
+// non-root rank sends its x as a view, which the root appends or folds
+// before it answers, and returns only once that answer has arrived; the
+// root's one answer goes to every rank as the same buffer, which each only
+// decodes or counts.
 
 // ComputeFlops advances a member's clock by the time dev needs for the
 // given flop count using n cores — per-rank compute accounting between
@@ -28,35 +34,27 @@ func ComputeFlops(c *Gang, dev *vtime.Device, flops float64, n int) {
 	c.Clock().Advance(dev.Time(flops, n))
 }
 
-// fanOut sends msg from root to every other rank and consumes it: the last
-// receiver gets msg itself, the others a clone each (Send takes ownership).
+// fanOut sends root's message to every other rank, each the same buffer.
 func fanOut(c *Gang, root int, msg []byte, what string) error {
-	last := c.Size() - 1
-	if last == root {
-		last--
-	}
-	for p := 0; p <= last; p++ {
+	for p := 0; p < c.Size(); p++ {
 		if p == root {
 			continue
 		}
-		out := msg
-		if p != last {
-			out = bytes.Clone(msg)
-		}
-		if err := c.Send(p, out); err != nil {
+		if err := c.Send(p, msg); err != nil {
 			return fmt.Errorf("mpisim: %s to %d: %w", what, p, err)
 		}
 	}
 	return nil
 }
 
-// BcastFloats broadcasts a float64 slice from root.
+// BcastFloats broadcasts a float64 slice from root, which encodes x once:
+// its caller may write x as soon as it returns.
 func BcastFloats(c *Gang, root int, x []float64) ([]float64, error) {
 	if c.Size() == 1 {
 		return x, nil
 	}
 	if c.ID() == root {
-		return x, fanOut(c, root, floatsToBytes(x), "bcast")
+		return x, fanOut(c, root, wire.AppendFloats(nil, x), "bcast")
 	}
 	b, err := c.Recv(root)
 	if err != nil {
@@ -87,7 +85,7 @@ func allreduce(c *Gang, x []float64, fold func(acc []float64, part []byte)) ([]f
 		}
 		return BcastFloats(c, root, acc)
 	}
-	if err := c.Send(root, floatsToBytes(x)); err != nil {
+	if err := c.Send(root, wire.FloatsView(x)); err != nil {
 		return nil, err
 	}
 	return BcastFloats(c, root, nil)
@@ -119,10 +117,10 @@ func AllreduceMax(c *Gang, x []float64) ([]float64, error) {
 // different lengths (the slab decomposition's remainder blocks differ by
 // one). A gather that fits in dst is decoded into its front, so a caller
 // that passes its whole array compares the length with what it expected; x
-// may be a part of dst: it is encoded before anything is written. A nil dst
-// asks for the length alone, which is all the goroutine ranks of a World
-// need: they share the arrays a gather would fill. The root forwards the
-// parts' bytes as they came.
+// may be a part of dst: every part is in the root's gathered message before
+// anything is written. A nil dst asks for the length alone, which is all
+// the goroutine ranks of a World need: they share the arrays a gather would
+// fill. The root forwards the parts' bytes as they came.
 func AllgatherFloats(c *Gang, x, dst []float64) (int, error) {
 	if c.Size() == 1 {
 		if len(x) <= len(dst) {
@@ -146,7 +144,7 @@ func AllgatherFloats(c *Gang, x, dst []float64) (int, error) {
 func allgather(c *Gang, x []float64, read func(all []byte) error) error {
 	const root = 0
 	if c.ID() != root {
-		if err := c.Send(root, floatsToBytes(x)); err != nil {
+		if err := c.Send(root, wire.FloatsView(x)); err != nil {
 			return err
 		}
 		all, err := c.Recv(root)
@@ -180,11 +178,12 @@ func allgather(c *Gang, x []float64, read func(all []byte) error) error {
 // full rank-ordered set. This is the halo-exchange primitive of sharded
 // kernels: each rank's blob is its boundary columns encoded with the
 // columnar state codec, and the collective never inspects the bytes. b is
-// consumed: it is sent to root, or comes back as root's own part.
+// consumed: it is sent to root, or comes back as root's own part. Every
+// rank owns what it gets back: the root packs the set once per receiver.
 func AllgatherBytes(c *Gang, b []byte) ([][]byte, error) {
 	const root = 0
 	if c.Size() == 1 {
-		return [][]byte{append([]byte(nil), b...)}, nil
+		return [][]byte{b}, nil
 	}
 	if c.ID() == root {
 		parts := make([][]byte, c.Size())
@@ -196,7 +195,12 @@ func AllgatherBytes(c *Gang, b []byte) ([][]byte, error) {
 			}
 			parts[p] = part
 		}
-		return parts, fanOut(c, root, packBlobs(parts), "allgather bcast")
+		for p := 1; p < c.Size(); p++ {
+			if err := c.Send(p, packBlobs(parts)); err != nil {
+				return nil, fmt.Errorf("mpisim: allgather bcast to %d: %w", p, err)
+			}
+		}
+		return parts, nil
 	}
 	if err := c.Send(root, b); err != nil {
 		return nil, err

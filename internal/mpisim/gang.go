@@ -22,7 +22,8 @@ var ErrGangBroken = errors.New("mpisim: gang broken")
 // in-memory links.
 type Link interface {
 	// Send transmits one message stamped with the sender's virtual time.
-	// It takes ownership of data (the vnet.Conn.Send contract).
+	// It takes ownership of data (the vnet.Conn.Send contract), but for
+	// the float collectives' parts and broadcasts, which it must not write.
 	Send(data []byte, sentAt time.Duration) error
 	// Recv blocks for the next message and returns it with its virtual
 	// arrival time.
@@ -126,9 +127,9 @@ func (g *Gang) link(peer int) (Link, error) {
 }
 
 // Send transmits data to the peer rank, stamped with the bound clock. Like
-// the link underneath it takes ownership of data: a collective that sends
-// one buffer to several ranks, or hands it back to its caller, sends
-// clones.
+// the link underneath it takes ownership of data, but for the float
+// collectives' parts and broadcasts, which are still their senders' and
+// which no receiver writes (DESIGN.md § Buffer ownership).
 func (g *Gang) Send(to int, data []byte) error {
 	l, err := g.link(to)
 	if err != nil {

@@ -235,9 +235,6 @@ func (w *World) SyncTo(t time.Duration) {
 	}
 }
 
-// floatsToBytes encodes a float payload into a buffer of its own.
-func floatsToBytes(x []float64) []byte { return wire.AppendFloats(nil, x) }
-
 // floatAt decodes the i-th float of a little-endian payload.
 func floatAt(b []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))

@@ -12,6 +12,7 @@ import (
 	"jungle/internal/trace"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
+	"jungle/internal/wire"
 )
 
 // clusterWorld builds an n-rank world over an n-node virtual cluster.
@@ -383,7 +384,7 @@ func TestAllreduceDeterministic(t *testing.T) {
 
 func TestFloatsRoundTrip(t *testing.T) {
 	f := func(x []float64) bool {
-		y, err := appendFloats(nil, floatsToBytes(x))
+		y, err := appendFloats(nil, wire.AppendFloats(nil, x))
 		if err != nil || len(y) != len(x) {
 			return false
 		}

@@ -51,8 +51,9 @@ func (c *Conn) SetClass(class string) {
 // Send transmits data; sentAt is the sender's virtual time. It returns the
 // virtual arrival time at the receiver. Send takes ownership of data: the
 // slice itself is what the receiver gets, so the caller must neither read
-// nor write it afterwards (a caller that keeps or fans out a buffer sends
-// a clone).
+// nor write it afterwards. A caller that keeps or fans out a buffer sends
+// a clone, unless it is both ends of the message, as mpisim's float
+// collectives are (their parts are views, their broadcasts shared).
 func (c *Conn) Send(data []byte, sentAt time.Duration) (time.Duration, error) {
 	c.mu.Lock()
 	if c.closed {

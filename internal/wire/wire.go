@@ -68,6 +68,16 @@ func AppendVecs[V ~[3]float64](dst []byte, vs []V) []byte { return appendWords(d
 // AppendU64s appends each value, 8 bytes little-endian.
 func AppendU64s(dst []byte, xs []uint64) []byte { return appendWords(dst, xs) }
 
+// FloatsView returns xs as AppendFloats would encode it: on a little-endian
+// host xs's own memory, which the caller must not write while the bytes are
+// read; on a big-endian one a copy.
+func FloatsView(xs []float64) []byte {
+	if littleEndian {
+		return bytesOf(xs)
+	}
+	return AppendFloats(nil, xs)
+}
+
 // bytesOf views a column's memory as bytes.
 func bytesOf[E word](s []E) []byte {
 	var e E

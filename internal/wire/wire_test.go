@@ -129,6 +129,22 @@ func TestColumnLoopsMatchPerValueForms(t *testing.T) {
 	}
 }
 
+// TestFloatsView: the view is the bytes AppendFloats writes, and on a
+// little-endian host it is the floats' own memory.
+func TestFloatsView(t *testing.T) {
+	xs := []float64{math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(-1), math.Copysign(0, -1), 0.5}
+	v := wire.FloatsView(xs)
+	if want := wire.AppendFloats(nil, xs); !bytes.Equal(v, want) {
+		t.Fatalf("view %x, encoding %x", v, want)
+	}
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && unsafe.Pointer(&v[0]) != unsafe.Pointer(&xs[0]) {
+		t.Fatal("a little-endian view copied the floats")
+	}
+	if len(wire.FloatsView(nil)) != 0 {
+		t.Fatal("a view of no floats has bytes")
+	}
+}
+
 // checkColumn holds col, encoded at frame offset off, to the per-value
 // encoding one writes.
 func checkColumn[E any](t *testing.T, off int, col []E, one func([]byte, E) []byte, prefixes bool) {

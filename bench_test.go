@@ -509,88 +509,81 @@ func BenchmarkShardedKick(b *testing.B) {
 	b.Run("gang-4", func(b *testing.B) { run(b, 4) })
 }
 
-// BenchmarkElasticGang measures what skew-driven rebalancing buys on a
+// BenchmarkElasticGang measures what a gang's self-balancing buys on a
 // heterogeneous site: a K=4 gravity gang at 1024 particles on the elastic
-// testbed's site-mixed cluster, where one node runs at quarter speed. With
-// static uniform slabs every step waits for the straggler (its quarter-
-// rank costs 4x, so a step costs ~N rows of compute); with the rebalancer
-// armed the slabs converge to throughput-proportional widths and a step
-// costs ~0.31 N — the virtual-us/step ratio should approach 3.25x, and
-// the acceptance bar is >= 2x. The trajectories are bit-identical: the
-// first fixed warm-up segment is state-compared across the two arms.
+// testbed's site-mixed cluster, where one node runs at quarter speed. A
+// gang starts on uniform slabs, so its first leg — one step — waits for the
+// straggler (its quarter-rank costs 4x, so a step costs ~N rows of
+// compute): virtual-us/first-step. At the end of every evolve the ranks
+// reshard toward throughput-proportional widths, and after a warm-up a
+// step costs ~0.31 N: virtual-us/step, over b.N settled steps. Their ratio
+// should approach 3.25x; the acceptance bar is >= 2x. Resharding moves no
+// state: the warm-up's end state is compared bit for bit with an
+// in-process solo integrator's, whose slabs never moved.
 func BenchmarkElasticGang(b *testing.B) {
 	const nStars = 1024
 	const warmupLegs = 4
 	stars := ic.Plummer(nStars, 27)
-	var refPos []data.Vec3 // warm-up state of the first arm, for bit-compat
-
-	run := func(b *testing.B, rebalance bool) {
-		tb, err := core.NewElasticTestbed()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tb.Close()
-		sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
-		defer sim.Stop()
-		g, err := sim.NewGravity(context.Background(),
-			core.WorkerSpec{Resource: tb.Mixed, Channel: core.ChannelIbis, Workers: 4},
-			core.GravityOptions{Eps: 0.01})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rebalance {
-			if err := g.EnableRebalance(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := g.SetParticles(stars); err != nil {
-			b.Fatal(err)
-		}
-		// Warm-up: a fixed segment that (for the elastic arm) lets the
-		// rebalancer observe the skew and reshard, and that pins the
-		// bit-compat contract between the arms.
-		target := 0.0
-		for i := 0; i < warmupLegs; i++ {
-			target += 1e-4
-			if err := g.EvolveTo(context.Background(), target); err != nil {
-				b.Fatal(err)
-			}
-			if rebalance {
-				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				err := g.WaitRebalanceRounds(ctx, uint64(i+1))
-				cancel()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		st, err := g.GetState(nil, data.AttrPos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if refPos == nil {
-			refPos = append([]data.Vec3(nil), st.Vec(data.AttrPos)...)
-		} else {
-			for i, p := range st.Vec(data.AttrPos) {
-				if p != refPos[i] {
-					b.Fatalf("particle %d: rebalanced arm diverged from static arm", i)
-				}
-			}
-		}
-
-		start := sim.Elapsed()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			target += 1e-6
-			if err := g.EvolveTo(context.Background(), target); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64((sim.Elapsed()-start).Microseconds())/float64(b.N), "virtual-us/step")
+	legs := []float64{1e-6}
+	for i := 0; i < warmupLegs; i++ {
+		legs = append(legs, legs[len(legs)-1]+1e-4)
 	}
-	b.Run("static", func(b *testing.B) { run(b, false) })
-	b.Run("rebalanced", func(b *testing.B) { run(b, true) })
+	solo := nbody.NewSystem(nbody.NewCPUKernel(&vtime.Device{Name: "ref", Kind: vtime.CPU, Gflops: 1, Cores: 1}), 0.01)
+	solo.SetParticles(stars)
+	for _, t := range legs {
+		if err := solo.EvolveTo(context.Background(), t); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	tb, err := core.NewElasticTestbed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tb.Close()
+	sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
+	defer sim.Stop()
+	g, err := sim.NewGravity(context.Background(),
+		core.WorkerSpec{Resource: tb.Mixed, Channel: core.ChannelIbis, Workers: 4},
+		core.GravityOptions{Eps: 0.01})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := g.SetParticles(stars); err != nil {
+		b.Fatal(err)
+	}
+	var first time.Duration
+	for i, t := range legs {
+		start := sim.Elapsed()
+		if err := g.EvolveTo(context.Background(), t); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			first = sim.Elapsed() - start
+		}
+	}
+	st, err := g.GetState(nil, data.AttrPos)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, p := range st.Vec(data.AttrPos) {
+		if p != solo.Positions()[i] {
+			b.Fatalf("particle %d: the self-balancing gang diverged from the solo integrator", i)
+		}
+	}
+
+	target := legs[len(legs)-1]
+	start := sim.Elapsed()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		target += 1e-6
+		if err := g.EvolveTo(context.Background(), target); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(first.Microseconds()), "virtual-us/first-step")
+	b.ReportMetric(float64((sim.Elapsed()-start).Microseconds())/float64(b.N), "virtual-us/step")
 }
 
 // BenchmarkConcurrentSessions measures what the multi-tenant control
@@ -823,7 +816,7 @@ func BenchmarkCheckpointRecovery(b *testing.B) {
 			sim.Stop()
 			tb.Close()
 		}
-		b.ReportMetric(float64(virtual.Milliseconds())/float64(b.N), "virtual-ms/recovery")
+		b.ReportMetric(float64(virtual)/float64(time.Millisecond)/float64(b.N), "virtual-ms/recovery")
 	})
 
 	b.Run("full-restart", func(b *testing.B) {
@@ -853,6 +846,6 @@ func BenchmarkCheckpointRecovery(b *testing.B) {
 			sim.Stop()
 			tb.Close()
 		}
-		b.ReportMetric(float64(virtual.Milliseconds())/float64(b.N), "virtual-ms/recovery")
+		b.ReportMetric(float64(virtual)/float64(time.Millisecond)/float64(b.N), "virtual-ms/recovery")
 	})
 }

@@ -1,20 +1,19 @@
 // Elastic gang: a K=4 gravity gang lands on a cluster where one node
 // runs at quarter speed, so uniform slabs leave three ranks idling while
 // the straggler finishes — the classic skew tax of gang scheduling on
-// shared hardware. With rebalancing enabled the coupler samples per-rank
-// compute time after each evolve, reshards the slab boundaries toward
-// throughput-proportional widths (state never moves: every rank holds the
-// full replicated arrays, so results stay bit-identical), and the skew
-// gauge converges to ~1. The program then migrates the whole gang onto a
-// clean uniform cluster mid-run via checkpoint/restore and shrinks it to
-// K=2, showing the same handle surviving both moves.
+// shared hardware. The gang balances itself: its ranks share their compute
+// times on every evolve's last exchange and reshard the slab boundaries
+// toward throughput-proportional widths (state never moves: every rank
+// holds the full replicated arrays, so results stay bit-identical), and
+// the skew gauge converges to ~1. The program then migrates the whole gang
+// onto a clean uniform cluster mid-run via checkpoint/restore and shrinks
+// it to K=2, showing the same handle surviving both moves.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"jungle/internal/amuse/ic"
 	"jungle/internal/core"
@@ -43,20 +42,16 @@ func main() {
 	if err != nil {
 		log.Fatalf("gang: %v", err)
 	}
-	if err := grav.EnableRebalance(); err != nil {
-		log.Fatalf("enable rebalance: %v", err)
-	}
 	if err := grav.SetParticles(ic.Plummer(512, 7)); err != nil {
 		log.Fatalf("set particles: %v", err)
 	}
 
-	// Evolve in legs; after each one the rebalancer runs a measurement
-	// round, sees the straggler's 4x compute time, and reshards.
+	// Evolve in legs; the first one's ranks see the straggler's 4x compute
+	// time and reshard before the second.
 	for i := 1; i <= 4; i++ {
 		if err := grav.EvolveTo(ctx, float64(i)/256); err != nil {
 			log.Fatalf("evolve: %v", err)
 		}
-		waitRounds(grav, uint64(i))
 	}
 
 	label := "gravity/" + tb.Mixed
@@ -86,14 +81,4 @@ func main() {
 	}
 	fmt.Printf("finished on %d ranks at t=%.4f, E=%.6f\n",
 		len(grav.GangWorkers()), 5.0/256, k+u)
-}
-
-// waitRounds blocks until the rebalancer has finished at least `want`
-// asynchronous measurement rounds.
-func waitRounds(g *core.Gravity, want uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := g.WaitRebalanceRounds(ctx, want); err != nil {
-		log.Fatal(err)
-	}
 }

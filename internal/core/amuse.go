@@ -209,11 +209,6 @@ type modelProxy struct {
 	// seq numbers calls in issue order so the parked queue can restore the
 	// per-worker FIFO that pipelined callers rely on.
 	seq atomic.Uint64
-
-	// elastic holds the rebalancer state when EnableRebalance armed it
-	// (rebalance.go); nil means the feature is off — the default, which
-	// keeps every existing session byte-identical.
-	elastic *elasticGang
 }
 
 // newModel starts a worker per spec and opens its channel. ctx bounds the
@@ -313,8 +308,7 @@ func (m *modelProxy) replaceableLocked() bool {
 func keepsState(method string) bool {
 	switch method {
 	case "get_state", "get_positions", "get_velocities", "get_masses", "stats", "energies", "field_at",
-		kernel.MethodOfferState, kernel.MethodCheckpoint, kernel.MethodOfferCheckpoint,
-		kernel.MethodRankLoad, kernel.MethodReshard:
+		kernel.MethodOfferState, kernel.MethodCheckpoint, kernel.MethodOfferCheckpoint:
 		return true
 	}
 	return false
@@ -360,13 +354,6 @@ func (m *modelProxy) sessionCtx(ctx context.Context) context.Context {
 // (call.result() ⇔ Call.Wait + Call.Decode).
 func (m *modelProxy) Go(method string, args any) *Call {
 	return m.issue(m.sim.clock.Now(), kernel.EncodeRequest(method, args), callOpts{class: replayable})
-}
-
-// elasticState returns the armed rebalancer state, or nil.
-func (m *modelProxy) elasticState() *elasticGang {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.elastic
 }
 
 // Call performs one typed RPC against the worker and blocks for the

@@ -66,10 +66,6 @@ type Call struct {
 	// particle set) the first time the outcome is observed.
 	after     func(*Call) error
 	afterOnce sync.Once
-	// success runs at finish on a successful outcome, even if the call is
-	// never observed — the elastic rebalancer's evolve hook, which must not
-	// depend on the caller waiting. It must not block.
-	success func()
 
 	// The attempt in flight (send writes it, complete reads it): how it was
 	// sent, when, and the method and args a replay sends again.
@@ -97,9 +93,6 @@ func failedCall(err error) *Call {
 // outcome reached the coupler.
 func (c *Call) finish(result, frame []byte, err error, at time.Duration) {
 	c.finishOnce.Do(func() {
-		if err == nil && c.success != nil {
-			c.success()
-		}
 		c.result, c.frame, c.err, c.doneAt = result, frame, err, at
 		close(c.done)
 	})

@@ -13,7 +13,9 @@ import (
 // evolveStates drives a gravity model through the same two-leg evolve
 // (t1, then t2) every checkpoint test uses, and returns the final
 // phase-space state and energies.
-func evolveLegs(t *testing.T, g *Gravity, legs ...float64) {
+func evolveLegs(t *testing.T, g interface {
+	EvolveTo(context.Context, float64) error
+}, legs ...float64) {
 	t.Helper()
 	for _, tEnd := range legs {
 		if err := g.EvolveTo(context.Background(), tEnd); err != nil {

@@ -570,11 +570,16 @@ func (d *Daemon) StartWorker(ctx context.Context, spec WorkerSpec) (int, error) 
 // StartGang launches the spec.Workers rank workers of one gang and
 // returns their ids in rank order. All ranks are co-located on one
 // resource (selected once if the spec leaves it open) so the gang's halo
-// traffic rides the site's internal links; the jobs are submitted
-// concurrently. On any failure the already-started ranks are stopped. The
-// ranks come back wired to the pool but not yet to each other — the
-// coupler's gang_init (sent per rank over the ordinary channel) completes
-// the link wiring.
+// traffic rides the site's internal links. The jobs are submitted in rank
+// order, and a cluster scheduler places a job as it is submitted, so rank r
+// lands on the same node on every run — on a heterogeneous site, where the
+// slow node sits in the gang decides its virtual times. The ranks report in
+// concurrently, so a start waits for the slowest rank, not for the sum;
+// their request ports are then dialled in rank order, as the overlay's
+// connection setup depends on the order of the dials. On any failure the
+// already-started ranks are stopped. The ranks come back wired to the pool
+// but not yet to each other — the coupler's gang_init (sent per rank over
+// the ordinary channel) completes the link wiring.
 func (d *Daemon) StartGang(ctx context.Context, spec WorkerSpec) ([]int, error) {
 	k := spec.Workers
 	if k < 2 {
@@ -593,24 +598,37 @@ func (d *Daemon) StartGang(ctx context.Context, spec WorkerSpec) ([]int, error) 
 		}
 		spec.Resource = resource
 	}
-	ids := make([]int, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ids[r], _, errs[r] = d.startWorker(ctx, spec, r, k)
-		}(r)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	ids, whs := make([]int, 0, k), make([]*workerHandle, 0, k)
+	stop := func(err error) ([]int, error) {
 		for _, id := range ids {
-			if id != 0 {
-				d.StopWorker(id)
-			}
+			d.StopWorker(id)
 		}
 		return nil, fmt.Errorf("core: gang start: %w", err)
+	}
+	for r := 0; r < k; r++ {
+		wh, err := d.submitWorker(spec, r, k)
+		if err != nil {
+			return stop(fmt.Errorf("rank %d: %w", r, err))
+		}
+		ids, whs = append(ids, wh.id), append(whs, wh)
+	}
+	members := make([]ipl.Identifier, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for r, wh := range whs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			members[r], _, errs[r] = d.awaitWorker(ctx, wh)
+		}()
+	}
+	wg.Wait()
+	err := errors.Join(errs...)
+	for r := 0; r < k && err == nil; r++ {
+		err = d.connectWorker(whs[r], members[r])
+	}
+	if err != nil {
+		return stop(err)
 	}
 	return ids, nil
 }
@@ -619,9 +637,23 @@ func (d *Daemon) StartGang(ctx context.Context, spec WorkerSpec) ([]int, error) 
 // its gang (0/1 for solo workers). A sockets worker comes back with the
 // channel to it, without an observer.
 func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size int) (int, *connChannel, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	wh, err := d.submitWorker(spec, rank, size)
+	if err != nil {
+		return 0, nil, err
 	}
+	member, ch, err := d.awaitWorker(ctx, wh)
+	if err == nil && ch == nil {
+		err = d.connectWorker(wh, member)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return wh.id, ch, nil
+}
+
+// submitWorker registers a worker and submits its job; awaitWorker waits
+// for it to report in. A failed submit has stopped the worker.
+func (d *Daemon) submitWorker(spec WorkerSpec, rank, size int) (*workerHandle, error) {
 	if spec.Channel == "" {
 		spec.Channel = ChannelIbis
 	}
@@ -633,23 +665,23 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 		var err error
 		resource, err = SelectResource(d.deployment, spec)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		spec.Resource = resource
 	}
 	if _, err := d.deployment.Resource(resource); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return 0, nil, ErrChannelClosed
+		return nil, ErrChannelClosed
 	}
 	id, err := d.nextWorkerIDLocked(spec.Session)
 	if err != nil {
 		d.mu.Unlock()
-		return 0, nil, err
+		return nil, err
 	}
 	wh := &workerHandle{
 		id: id, spec: spec,
@@ -672,9 +704,9 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	wh.capNodes = spec.Nodes
 	// A failed start is a stop: the job (if submitted) is canceled, the
 	// response port closes, the id leaves the table, the nodes are freed.
-	fail := func(err error) (int, *connChannel, error) {
+	fail := func(err error) (*workerHandle, error) {
 		d.StopWorker(id)
-		return 0, nil, err
+		return nil, err
 	}
 
 	desc := gat.JobDescription{
@@ -706,35 +738,56 @@ func (d *Daemon) startWorker(ctx context.Context, spec WorkerSpec, rank, size in
 	wh.mu.Lock()
 	wh.job = job
 	wh.mu.Unlock()
+	return wh, nil
+}
 
+// awaitWorker waits for a submitted worker to report in: a sockets worker
+// with the channel to it, an ibis worker with its pool identity, which
+// connectWorker dials. On any failure it stops the worker.
+func (d *Daemon) awaitWorker(ctx context.Context, wh *workerHandle) (ipl.Identifier, *connChannel, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	wh.mu.Lock()
+	job := wh.job
+	wh.mu.Unlock()
+	var err error
 	select {
 	case ch := <-wh.served:
-		return id, ch, nil
+		return ipl.Identifier{}, ch, nil
 	case member := <-wh.ready:
-		sp := d.ibis.CreateSendPort(ipl.OneToOne, reqPortName(id))
-		if err := sp.Connect(member, reqPortName(id), 0); err != nil {
-			sp.Close()
-			return fail(fmt.Errorf("core: connect to worker %d: %w", id, err))
-		}
-		wh.mu.Lock()
-		wh.member = member
-		wh.sendPort = sp
-		wh.mu.Unlock()
-		d.mu.Lock()
-		d.byMember[member.String()] = wh
-		d.mu.Unlock()
-		return id, nil, nil
+		return member, nil, nil
 	case <-job.Done():
-		err := job.Err()
-		if err == nil {
+		if err = job.Err(); err == nil {
 			err = errors.New("core: worker job stopped before announcing")
 		}
-		return fail(fmt.Errorf("core: worker %d failed to start: %w", id, err))
+		err = fmt.Errorf("core: worker %d failed to start: %w", wh.id, err)
 	case <-ctx.Done():
-		return fail(fmt.Errorf("core: worker %d start: %w", id, ctx.Err()))
+		err = fmt.Errorf("core: worker %d start: %w", wh.id, ctx.Err())
 	case <-time.After(d.ReadyTimeout): // watchdog: a job that runs but never reports in becomes a start error
-		return fail(fmt.Errorf("core: worker %d did not announce within %v", id, d.ReadyTimeout))
+		err = fmt.Errorf("core: worker %d did not announce within %v", wh.id, d.ReadyTimeout)
 	}
+	d.StopWorker(wh.id)
+	return ipl.Identifier{}, nil, err
+}
+
+// connectWorker opens the request port to an ibis worker that reported in
+// as member; on failure it stops the worker.
+func (d *Daemon) connectWorker(wh *workerHandle, member ipl.Identifier) error {
+	sp := d.ibis.CreateSendPort(ipl.OneToOne, reqPortName(wh.id))
+	if err := sp.Connect(member, reqPortName(wh.id), 0); err != nil {
+		sp.Close()
+		d.StopWorker(wh.id)
+		return fmt.Errorf("core: connect to worker %d: %w", wh.id, err)
+	}
+	wh.mu.Lock()
+	wh.member = member
+	wh.sendPort = sp
+	wh.mu.Unlock()
+	d.mu.Lock()
+	d.byMember[member.String()] = wh
+	d.mu.Unlock()
+	return nil
 }
 
 // StopWorker shuts one worker down gracefully (its ports close, the job

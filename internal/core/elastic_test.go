@@ -3,11 +3,20 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/ic"
+	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
+	"jungle/internal/mpisim"
+	"jungle/internal/trace"
 	"jungle/internal/vnet"
 )
 
@@ -23,17 +32,6 @@ func elasticSim(t *testing.T) (*Testbed, *Simulation) {
 	sim := NewSimulation(context.Background(), tb.Daemon, nil)
 	t.Cleanup(func() { sim.Stop() })
 	return tb, sim
-}
-
-// waitRounds blocks until the rebalancer has completed at least `want`
-// measurement rounds (they run asynchronously after evolve completions).
-func waitRounds(t *testing.T, g *Gravity, want uint64) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := g.WaitRebalanceRounds(ctx, want); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestElasticTestbedNodeSpeed: the testbed really registers the straggler
@@ -61,11 +59,11 @@ func TestElasticTestbedNodeSpeed(t *testing.T) {
 // TestRebalancerConvergence is the elastic-gang smoke: a K=4 gang on
 // site-mixed starts with uniform slabs, so the rank on the quarter-speed
 // node takes ~4x the compute time per step and the whole gang waits for
-// it. The rebalancer must observe that skew through the per-rank
-// rank_load samples, reshard toward throughput-proportional slabs, and
-// converge below the trigger threshold — while the trajectory stays
-// bit-identical to a never-resharded gang (every rank holds the full
-// replicated arrays; boundaries move, state does not).
+// it. At the end of each evolve the ranks must see that skew in the load
+// they gather, reshard toward throughput-proportional slabs, and converge
+// below the trigger threshold — while the trajectory stays bit-identical
+// to a gang on a uniform site, whose slabs never move (every rank holds the
+// full replicated arrays; boundaries move, state does not).
 func TestRebalancerConvergence(t *testing.T) {
 	stars := ic.Plummer(256, 17)
 	legs := make([]float64, 6)
@@ -73,40 +71,18 @@ func TestRebalancerConvergence(t *testing.T) {
 		legs[i] = float64(i+1) / 128
 	}
 
-	// Static reference on an identical (separate) testbed.
+	// Reference on an identical (separate) testbed's uniform site.
 	tbS, simS := elasticSim(t)
-	static, err := simS.NewGravity(context.Background(),
-		WorkerSpec{Resource: tbS.Mixed, Channel: ChannelIbis, Workers: 4}, GravityOptions{Eps: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := static.SetParticles(stars); err != nil {
-		t.Fatal(err)
-	}
+	static := elasticGravity(t, simS, tbS.Spare, 4, stars)
 	evolveLegs(t, static, legs...)
 	wantPos, wantVel, _, _ := finalState(t, static)
+	if n := reshards(gangSamples(tbS, static.modelProxy)); n != 0 {
+		t.Fatalf("a gang on uniform nodes resharded %d times", n)
+	}
 
 	tb, sim := elasticSim(t)
-	g, err := sim.NewGravity(context.Background(),
-		WorkerSpec{Resource: tb.Mixed, Channel: ChannelIbis, Workers: 4}, GravityOptions{Eps: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.EnableRebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetParticles(stars); err != nil {
-		t.Fatal(err)
-	}
-	// One leg at a time, waiting out each measurement round, so every
-	// rank_load window covers exactly the evolves since the last round.
-	for i, tEnd := range legs {
-		if err := g.EvolveTo(context.Background(), tEnd); err != nil {
-			t.Fatal(err)
-		}
-		waitRounds(t, g, uint64(i+1))
-	}
-
+	g := elasticGravity(t, sim, tb.Mixed, 4, stars)
+	evolveLegs(t, g, legs...)
 	label := string(g.kind) + "/" + tb.Mixed
 	last, maxSkew, ok := tb.Recorder.GangSkew(label)
 	if !ok {
@@ -120,44 +96,23 @@ func TestRebalancerConvergence(t *testing.T) {
 	if last >= 1.15 {
 		t.Fatalf("final skew %.2f, want < threshold 1.15 (did not converge)", last)
 	}
-	var stats *GangRowStats
-	for _, row := range tb.Recorder.GangTable() {
-		if row.Gang == label {
-			s := row.Stats
-			stats = &GangRowStats{Reshards: s.Reshards, Rows: s.Samples[len(s.Samples)-1].Rows}
-		}
-	}
-	if stats == nil || stats.Reshards < 1 {
+	samples := gangSamples(tb, g.modelProxy)
+	if reshards(samples) < 1 {
 		t.Fatalf("no reshard recorded; table:\n%s", tb.Recorder.RenderGangs())
-	}
-	minRows, maxRows := stats.Rows[0], stats.Rows[0]
-	for _, w := range stats.Rows {
-		if w < minRows {
-			minRows = w
-		}
-		if w > maxRows {
-			maxRows = w
-		}
 	}
 	// Throughput-proportional slabs: the straggler's slab must be roughly
 	// a quarter of a fast rank's (ideal 256/3.25 ≈ 79 vs ≈ 20).
-	if minRows == maxRows || minRows > maxRows/2 {
-		t.Fatalf("slabs not rebalanced: per-rank rows %v", stats.Rows)
+	rows := samples[len(samples)-1].Rows
+	if minRows, maxRows := slices.Min(rows), slices.Max(rows); minRows == maxRows || minRows > maxRows/2 {
+		t.Fatalf("slabs not rebalanced: per-rank rows %v", rows)
 	}
 
 	gotPos, gotVel, _, _ := finalState(t, g)
 	for i := range wantPos {
 		if wantPos[i] != gotPos[i] || wantVel[i] != gotVel[i] {
-			t.Fatalf("particle %d: rebalanced gang diverged from static gang", i)
+			t.Fatalf("particle %d: rebalanced gang diverged from the uniform site's gang", i)
 		}
 	}
-}
-
-// GangRowStats is a test-local view of the bits of gang telemetry the
-// convergence assertions need.
-type GangRowStats struct {
-	Reshards int
-	Rows     []int
 }
 
 // TestSelectLeastLoadedTieBreak is the determinism regression: two
@@ -474,35 +429,276 @@ func TestResizeGrowShrinkBitCompat(t *testing.T) {
 	}
 }
 
-// TestResizeDisarmsRebalancer: a resize under an armed rebalancer must
-// disarm it (its cuts vectors are sized to the old K) rather than let a
-// stale reshard poison the new gang.
-func TestResizeDisarmsRebalancer(t *testing.T) {
-	tb, sim := elasticSim(t)
-	g, err := sim.NewGravity(context.Background(),
-		WorkerSpec{Resource: tb.Mixed, Channel: ChannelIbis, Workers: 4}, GravityOptions{Eps: 0.01})
+// elasticKind is a kind whose gang ranks keep slab cuts, with a load small
+// enough for the race detector: how to start it, the legs to evolve, the
+// columns that make up its trajectory, and a smaller and a larger set of
+// particles to load in its place.
+type elasticKind struct {
+	name            string
+	legs            []float64
+	attrs           []string
+	start           func(t *testing.T, sim *Simulation, resource string, k int) *modelProxy
+	smaller, larger *data.Particles
+}
+
+func elasticKinds(t *testing.T) []elasticKind {
+	t.Helper()
+	stars := ic.Plummer(192, 23)
+	gases := make([]*data.Particles, 3)
+	for i, n := range []int{160, 96, 240} {
+		var err error
+		if _, gases[i], err = ic.EmbeddedCluster(ic.ClusterSpec{Stars: 8, Gas: n, GasFrac: 0.5, Seed: 5 + int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gas := gases[0]
+	return []elasticKind{
+		{name: "gravity", legs: []float64{1.0 / 128, 2.0 / 128, 3.0 / 128}, attrs: []string{data.AttrPos, data.AttrVel},
+			start: func(t *testing.T, sim *Simulation, resource string, k int) *modelProxy {
+				return elasticGravity(t, sim, resource, k, stars).modelProxy
+			},
+			smaller: ic.Plummer(100, 29), larger: ic.Plummer(300, 31)},
+		{name: "hydro", legs: []float64{0.002, 0.004, 0.006}, attrs: []string{data.AttrPos, data.AttrVel, data.AttrInternalEnergy},
+			smaller: gases[1], larger: gases[2],
+			start: func(t *testing.T, sim *Simulation, resource string, k int) *modelProxy {
+				t.Helper()
+				h, err := sim.NewHydro(context.Background(),
+					WorkerSpec{Resource: resource, Channel: ChannelIbis, Workers: k}, HydroOptions{SelfGravity: true, EpsGrav: 0.01})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.SetParticles(gas); err != nil {
+					t.Fatal(err)
+				}
+				return h.modelProxy
+			}},
+	}
+}
+
+// trajectory is m's state: the kind's columns, bit for bit.
+func (k elasticKind) trajectory(t *testing.T, m *modelProxy) *kernel.StatePayload {
+	t.Helper()
+	st, err := m.GetState(nil, k.attrs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.EnableRebalance(); err != nil {
-		t.Fatal(err)
+	return st
+}
+
+// mustMatchTrajectory fails unless got holds want's columns bit for bit.
+func (k elasticKind) mustMatchTrajectory(t *testing.T, what string, want, got *kernel.StatePayload) {
+	t.Helper()
+	for _, a := range k.attrs {
+		if !slices.Equal(want.Vec(a), got.Vec(a)) || !slices.Equal(want.Float(a), got.Float(a)) {
+			t.Fatalf("%s: %s diverged from the undisturbed run", what, a)
+		}
 	}
-	if err := g.SetParticles(ic.Plummer(64, 13)); err != nil {
-		t.Fatal(err)
+}
+
+// gangSamples are the loads the monitor recorded for m on its resource.
+func gangSamples(tb *Testbed, m *modelProxy) []trace.GangSample {
+	label := string(m.kind) + "/" + m.resource()
+	for _, row := range tb.Recorder.GangTable() {
+		if row.Gang == label {
+			return row.Stats.Samples
+		}
 	}
-	if err := g.Resize(nil, 2); err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// reshards counts the samples on which the ranks resharded.
+func reshards(samples []trace.GangSample) int {
+	n := 0
+	for _, s := range samples {
+		if s.Action == "reshard" {
+			n++
+		}
 	}
-	if g.elasticState() != nil {
-		t.Fatal("rebalancer still armed after resize")
+	return n
+}
+
+// mustStartUniform fails unless the first of samples, a rebuilt gang's
+// first evolve, ran on the uniform slabs of n rows.
+func mustStartUniform(t *testing.T, what string, samples []trace.GangSample, n int) {
+	t.Helper()
+	if len(samples) == 0 {
+		t.Fatalf("%s: no load recorded", what)
 	}
-	// A solo model cannot arm at all.
-	solo, err := sim.NewGravity(context.Background(),
-		WorkerSpec{Resource: tb.Spare, Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
-	if err != nil {
-		t.Fatal(err)
+	k := len(samples[0].Rows)
+	for r, rows := range samples[0].Rows {
+		if lo, hi := mpisim.Slab(n, r, k); rows != hi-lo {
+			t.Fatalf("%s: first evolve ran on rows %v, not the uniform slabs", what, samples[0].Rows)
+		}
 	}
-	if err := solo.EnableRebalance(); err == nil {
-		t.Fatal("EnableRebalance on a solo worker accepted")
+}
+
+// TestKillRankAfterReshard: a rank dies after its gang has resharded. The
+// replacement knows only the uniform slabs, so every rank — the survivors
+// too — must start the rebuilt gang from them (a hydro gang whose ranks
+// disagree fails its first exchange). The recovered gang reshards again on
+// its own, and its trajectory matches an undisturbed run bit for bit.
+func TestKillRankAfterReshard(t *testing.T) {
+	for _, k := range elasticKinds(t) {
+		t.Run(k.name, func(t *testing.T) {
+			tbR, simR := elasticSim(t)
+			ref := k.start(t, simR, tbR.Mixed, 4)
+			evolveLegs(t, ref, k.legs...)
+			want := k.trajectory(t, ref)
+
+			tb, sim := elasticSim(t)
+			m := k.start(t, sim, tb.Mixed, 4)
+			evolveLegs(t, m, k.legs[0])
+			if reshards(gangSamples(tb, m)) == 0 {
+				t.Fatalf("no reshard after the first leg: %+v", gangSamples(tb, m))
+			}
+			if _, err := sim.Checkpoint(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			before, ids := len(gangSamples(tb, m)), m.WorkerIDs()
+			killWorker(t, tb.Daemon, ids[1])
+			evolveLegs(t, m, k.legs[1:]...)
+			if now := m.WorkerIDs(); now[1] == ids[1] {
+				t.Fatalf("rank 1 not replaced: workers %v -> %v", ids, now)
+			}
+			after := gangSamples(tb, m)[before:]
+			mustStartUniform(t, "after recovery", after, m.n)
+			if reshards(after) == 0 {
+				t.Fatalf("the recovered gang never resharded on its own: %+v", after)
+			}
+			k.mustMatchTrajectory(t, "after recovery", want, k.trajectory(t, m))
+		})
+	}
+}
+
+// TestNewParticleCountResetsCuts: a resharded gang loads a smaller set of
+// particles, then a larger one. Cuts are for one particle count — over a
+// smaller set a rank would read past its end, over a larger one rows would
+// belong to no rank — so every load puts the ranks back on the uniform
+// slabs of the new count, and each evolve after it matches a solo worker's
+// bit for bit.
+func TestNewParticleCountResetsCuts(t *testing.T) {
+	for _, k := range elasticKinds(t) {
+		t.Run(k.name, func(t *testing.T) {
+			tb, sim := elasticSim(t)
+			solo, m := k.start(t, sim, tb.Spare, 1), k.start(t, sim, tb.Mixed, 4)
+			evolveLegs(t, solo, k.legs[0])
+			evolveLegs(t, m, k.legs[0])
+			if reshards(gangSamples(tb, m)) == 0 {
+				t.Fatalf("no reshard after the first leg: %+v", gangSamples(tb, m))
+			}
+			for i, set := range []*data.Particles{k.smaller, k.larger} {
+				before := len(gangSamples(tb, m))
+				for _, x := range []*modelProxy{solo, m} {
+					if err := x.SetParticles(set); err != nil {
+						t.Fatal(err)
+					}
+					evolveLegs(t, x, k.legs[1+i])
+				}
+				what := fmt.Sprintf("after loading %d particles", set.Len())
+				mustStartUniform(t, what, gangSamples(tb, m)[before:], set.Len())
+				k.mustMatchTrajectory(t, what, k.trajectory(t, solo), k.trajectory(t, m))
+			}
+		})
+	}
+}
+
+// TestRebuildResizedGangReshards: a resharded gang shrinks and grows back.
+// Each new shape starts from the uniform slabs of its own K, the regrown
+// gang reshards again on its own, and the trajectory matches an undisturbed
+// run bit for bit.
+func TestRebuildResizedGangReshards(t *testing.T) {
+	for _, k := range elasticKinds(t) {
+		t.Run(k.name, func(t *testing.T) {
+			tbR, simR := elasticSim(t)
+			ref := k.start(t, simR, tbR.Mixed, 4)
+			evolveLegs(t, ref, k.legs...)
+			want := k.trajectory(t, ref)
+
+			tb, sim := elasticSim(t)
+			m := k.start(t, sim, tb.Mixed, 4)
+			evolveLegs(t, m, k.legs[0])
+			if reshards(gangSamples(tb, m)) == 0 {
+				t.Fatalf("no reshard after the first leg: %+v", gangSamples(tb, m))
+			}
+			var samples []trace.GangSample
+			for i, workers := range []int{2, 4} {
+				if err := m.Resize(nil, workers); err != nil {
+					t.Fatalf("resize to %d: %v", workers, err)
+				}
+				before := len(gangSamples(tb, m))
+				evolveLegs(t, m, k.legs[1+i])
+				samples = gangSamples(tb, m)[before:]
+				what := fmt.Sprintf("after resizing to %d", workers)
+				if mustStartUniform(t, what, samples, m.n); len(samples[0].Rows) != workers {
+					t.Fatalf("%s: loads of %d ranks", what, len(samples[0].Rows))
+				}
+			}
+			if reshards(samples) == 0 {
+				t.Fatalf("the regrown gang never resharded on its own: %+v", samples)
+			}
+			k.mustMatchTrajectory(t, "after resizing", want, k.trajectory(t, m))
+		})
+	}
+}
+
+// TestSelfBalancingGangRepeats: which node each rank lands on, where a gang
+// reshards, and so every virtual time, are a function of the inputs alone.
+// A K=4 gravity gang on site-mixed evolves eight legs back to back and a
+// ninth pipelined with a pull, three times on fresh testbeds under
+// GOMAXPROCS 1, 2 and 8 beside a goroutine that keeps the scheduler busy;
+// every run ends each leg at the same virtual time and records the same
+// loads.
+func TestSelfBalancingGangRepeats(t *testing.T) {
+	var stop atomic.Bool
+	spun := make(chan struct{})
+	go func() {
+		defer close(spun)
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-spun
+	}()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	stars := ic.Plummer(128, 19)
+	type outcome struct {
+		elapsed []time.Duration
+		samples []trace.GangSample
+	}
+	run := func(procs int) outcome {
+		runtime.GOMAXPROCS(procs)
+		tb, sim := elasticSim(t)
+		g := elasticGravity(t, sim, tb.Mixed, 4, stars)
+		var o outcome
+		for i := 1; i <= 8; i++ {
+			evolveLegs(t, g, float64(i)/512)
+			o.elapsed = append(o.elapsed, sim.Elapsed())
+		}
+		evolve, pull := g.GoEvolveTo(9.0/512), g.GoPull(stars.Clone())
+		if err := evolve.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := pull.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		o.elapsed = append(o.elapsed, sim.Elapsed())
+		o.samples = gangSamples(tb, g.modelProxy)
+		return o
+	}
+	first := run(1)
+	if len(first.samples) != 9 || reshards(first.samples) == 0 {
+		t.Fatalf("%d loads, %d reshards: the gang exercises nothing", len(first.samples), reshards(first.samples))
+	}
+	for _, procs := range []int{2, 8} {
+		got := run(procs)
+		if !slices.Equal(got.elapsed, first.elapsed) {
+			t.Fatalf("GOMAXPROCS %d: legs ended at %v, under 1 at %v", procs, got.elapsed, first.elapsed)
+		}
+		if !reflect.DeepEqual(got.samples, first.samples) {
+			t.Fatalf("GOMAXPROCS %d: loads %+v, under 1 %+v", procs, got.samples, first.samples)
+		}
 	}
 }

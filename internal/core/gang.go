@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"jungle/internal/core/kernel"
+	"jungle/internal/mpisim"
+	"jungle/internal/trace"
 )
 
 // Coupler-side gang support. A kernel started with WorkerSpec.Workers = K
@@ -45,13 +47,12 @@ type gangChannel struct {
 	obs     *chanObs  // merged-completion observer (model label = kind)
 
 	// issueMu makes the member-by-member issue loop of a broadcast atomic
-	// with respect to other issuers. The proxy's call path is one
-	// goroutine, but the elastic-gang rebalancer issues reshard
-	// broadcasts and per-rank rank_load queries concurrently with it;
-	// without this lock two broadcasts could interleave across member
-	// FIFOs and reach different ranks in different orders. It also guards
-	// workers: rank recovery swaps a dead rank's worker id for its
-	// replacement's while pipelined callers keep issuing.
+	// with respect to other issuers — goroutines of one script issuing to
+	// one model, and a rebuild's per-rank gang_init — so two broadcasts
+	// never interleave across member FIFOs and reach different ranks in
+	// different orders. It also guards workers: rank recovery swaps a dead
+	// rank's worker id for its replacement's while pipelined callers keep
+	// issuing.
 	issueMu sync.Mutex
 	workers []int // daemon worker ids, rank order
 }
@@ -152,6 +153,31 @@ func (g *gangChannel) perRank(ctx context.Context, s *Simulation, method string,
 	}
 	s.clock.AdvanceTo(slices.Max(arrivals))
 	return errors.Join(errs...)
+}
+
+// recordLoad records a gang's agreed load — its evolve reply, rank 0's
+// (mpisim.Rebalance) — to the monitor and the session recorder, stamped with
+// the time the merged evolve reached the coupler. A solo worker's evolve
+// reply is no load, and a kind whose ranks keep no cuts replies Empty.
+func (m *modelProxy) recordLoad(result []byte, at time.Duration) {
+	m.mu.Lock()
+	gang, resource := len(m.workers) > 1, m.spec.Resource
+	m.mu.Unlock()
+	var load mpisim.Load
+	if !gang || kernel.Decode(result, &load) != nil || len(load.Rows) == 0 {
+		return
+	}
+	s := trace.GangSample{At: at, Rows: load.Rows, Compute: load.Compute, Skew: load.Skew()}
+	if load.Resharded {
+		s.Action = "reshard"
+	}
+	label := string(m.kind) + "/" + resource
+	if rec := m.sim.Monitor; rec != nil {
+		rec.RecordGangSample(label, s)
+	}
+	m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
+		rec.RecordGangSample(id+"/"+label, s)
+	})
 }
 
 // gangOutcome is one rank's completion of a broadcast call.

@@ -45,7 +45,10 @@ func NeighborsOf(rank, size int) []int {
 // gang. SetGang is called exactly once by the worker host, after the
 // gang's peer links are wired and before any model call is dispatched;
 // the service binds its virtual clock to the communicator and uses the
-// mpisim collectives for halo exchange and reductions during evolve.
+// mpisim collectives for halo exchange and reductions during evolve. A
+// kind whose ranks balance their slabs among themselves (mpisim.Rebalance)
+// answers a gang evolve with the mpisim.Load they agreed on; a solo or
+// World evolve answers Empty.
 type Shardable interface {
 	SetGang(g *mpisim.Gang) error
 }
@@ -69,49 +72,3 @@ type GangInitArgs struct {
 
 // MethodGangInit is the proxy-level gang wiring op.
 const MethodGangInit = "gang_init"
-
-// Reshardable is implemented by Shardable services whose slab boundaries
-// can be moved between steps. Reshard installs a new cuts vector (size+1
-// monotone row boundaries, see mpisim.CutRange); the service applies it
-// before its next evolve. Because every rank holds the full replicated
-// particle arrays and force assembly copies rows from the allgathered
-// peer slabs, moving a boundary requires no state movement and produces
-// bit-identical results — only the distribution of virtual compute time
-// across ranks changes. The coupler broadcasts the same cuts to every
-// rank on the gang channel's ordered fan-out, so all ranks switch
-// between the same pair of steps (the gang epoch).
-type Reshardable interface {
-	Shardable
-	Reshard(cuts []int) error
-}
-
-// ReshardArgs carries a new cuts vector to every rank of a gang.
-type ReshardArgs struct {
-	// Cuts are the size+1 slab boundaries: rank r owns rows
-	// [Cuts[r], Cuts[r+1]).
-	Cuts []int
-}
-
-// MethodReshard installs new slab boundaries on a Reshardable service.
-const MethodReshard = "reshard"
-
-// RankLoadResult is one rank's answer to a rank_load query: how many
-// rows it currently owns and how much virtual compute time its slab
-// work has consumed since the previous query (the accumulator resets on
-// read). The rebalancer derives per-rank throughput (rows/compute) from
-// consecutive samples; merged evolve completions cannot reveal this
-// because the collectives synchronize all rank clocks to the slowest.
-type RankLoadResult struct {
-	// Rank echoes the responding rank.
-	Rank int
-	// Rows is the current slab width, in particle rows.
-	Rows int
-	// ComputeNs is the virtual compute time (nanoseconds) spent in slab
-	// work since the last rank_load query.
-	ComputeNs int64
-}
-
-// MethodRankLoad queries one rank's slab width and compute-time
-// accumulator. The coupler issues it per-rank (not as a gang
-// broadcast), so each rank's own numbers come back rather than rank 0's.
-const MethodRankLoad = "rank_load"

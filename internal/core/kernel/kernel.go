@@ -166,7 +166,7 @@ func Derate(dev *vtime.Device, efficiency float64) *vtime.Device {
 // NodeDerate applies the resource's per-node speed factor for host to a
 // device model (see deploy.Resource.NodeSpeed). Services call it after
 // Derate so a slow cluster node slows exactly the rank placed on it —
-// the heterogeneity the elastic-gang rebalancer measures and corrects.
+// the heterogeneity a gang measures and balances its slabs against.
 func NodeDerate(dev *vtime.Device, res *deploy.Resource, host string) *vtime.Device {
 	f := res.NodeSpeedOf(host)
 	if f == 1 {

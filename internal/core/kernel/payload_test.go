@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jungle/internal/amuse/data"
+	"jungle/internal/mpisim"
 	"jungle/internal/wiretest"
 )
 
@@ -18,7 +19,7 @@ var payloads = []any{
 	ParticlesPayload{}, EvolveArgs{}, KickArgs{}, SetMassArgs{}, InjectArgs{},
 	FieldAtArgs{}, FieldAtResult{}, FieldStagedArgs{}, VecResult{}, FloatsResult{},
 	EnergiesResult{}, StellarEvolveResult{}, StellarEventPayload{}, StatsResult{}, Empty{},
-	GangInitArgs{}, ReshardArgs{}, RankLoadResult{},
+	GangInitArgs{}, mpisim.Load{},
 	OfferStateArgs{}, AcceptStateArgs{}, OfferCheckpointArgs{},
 }
 

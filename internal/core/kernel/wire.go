@@ -385,7 +385,7 @@ var methodNames = [...]string{"kick", "evolve", "get_state", MethodApplyState, "
 	"stage_sources", "stage_targets", "stage_release", "field_at", "step", "setup", "set_particles",
 	"get_positions", "get_velocities", "get_masses", "set_mass", "energies", "inject_energy", "stats",
 	MethodOfferState, MethodAcceptState, MethodCheckpoint, MethodOfferCheckpoint, MethodRestore,
-	MethodGangInit, MethodReshard, MethodRankLoad}
+	MethodGangInit}
 
 func internMethod(b []byte) string {
 	for _, name := range methodNames {

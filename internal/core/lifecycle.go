@@ -83,12 +83,6 @@ func (m *modelProxy) issue(at time.Duration, req request, o callOpts) *Call {
 	c := newCall(m.sim.clock, o.after)
 	c.seq = m.seq.Add(1)
 	m.mu.Lock()
-	if e := m.elastic; e != nil && method == "evolve" {
-		// The rebalancer samples rank loads after evolve steps; the hook
-		// only bumps a counter and possibly spawns the async measurement
-		// round (rebalance.go), so completion stays cheap.
-		c.success = e.evolveDone
-	}
 	if m.phase.rebuilding() && o.class != ownCall {
 		if o.class == replayable {
 			m.parked = append(m.parked, parkedCall{c: c, req: req, gen: neverSent})
@@ -141,6 +135,9 @@ func (c *Call) complete(resp response, arrival time.Duration, err error) {
 		if err = kernel.ResponseError(&resp); err == nil {
 			if c.class != ownCall {
 				c.m.wrote(c.seq, c.method)
+			}
+			if c.method == "evolve" {
+				c.m.recordLoad(resp.Result, doneAt)
 			}
 			kernel.ReleaseFrame(c.frame)
 			c.finish(resp.Result, resp.Frame(), nil, doneAt)

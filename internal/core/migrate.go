@@ -50,14 +50,13 @@ func (m *modelProxy) Migrate(ctx context.Context, target string) error {
 // gang: all ranks stop, workers new-K start on the same resource,
 // gang_init re-wires them under a fresh gang id, and every rank restores
 // the pre-resize snapshot — which is exactly why the results stay
-// bit-identical to a run that used the new K from the start. The
-// rebalancer (if armed) is disarmed first: its cuts vectors are sized to
-// the old K. nil ctx means the session context.
+// bit-identical to a run that used the new K from the start. Like every
+// rebuilt gang, the new one starts from the uniform cuts and balances
+// itself from its own first evolve on. nil ctx means the session context.
 func (m *modelProxy) Resize(ctx context.Context, workers int) error {
 	if workers < 1 {
 		return fmt.Errorf("%w: resize to %d workers", ErrMigration, workers)
 	}
-	m.DisableRebalance()
 	return m.reshape(ctx, phaseResize, "resize", func(shape *WorkerSpec) error {
 		shape.Workers = workers
 		return nil

@@ -26,13 +26,13 @@
 // recoverable — and ResumeSimulation rebuilds a whole session from a
 // saved manifest bit-compatibly.
 //
-// Gangs are elastic (default off): EnableRebalance arms a skew-driven
-// rebalancer that samples per-rank compute time (the rank_load dispatch
-// method) and reshards slab boundaries (reshard) toward
-// throughput-proportional widths with bit-identical results; Migrate
-// moves a whole gang to another resource live via checkpoint/restore,
-// and Resize grows or shrinks the rank count mid-run. The skew gauge
-// and rebalancer actions are visible in trace.Recorder.RenderGangs.
+// Gangs are elastic: a gang's ranks share their slab compute times on the
+// last exchange of every evolve and, past a skew threshold, agree new
+// throughput-proportional slab boundaries (mpisim.Rebalance) with
+// bit-identical results; the evolve reply carries what they agreed on, and
+// trace.Recorder.RenderGangs shows it. Migrate moves a whole gang to
+// another resource live via checkpoint/restore, and Resize grows or
+// shrinks the rank count mid-run; a rebuilt gang starts from uniform slabs.
 //
 // The wire protocol — request/response framing, typed payloads, the
 // batched columnar state codec, transfer and gang-link frames, and the

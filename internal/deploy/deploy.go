@@ -58,7 +58,7 @@ type Resource struct {
 	// batch cluster relative to the resource's device model: a factor of
 	// 0.25 means the node computes at a quarter of CPU/GPU Gflops. Nodes
 	// absent from the map run at factor 1. This is the jungle
-	// heterogeneity input the elastic-gang rebalancer reacts to.
+	// heterogeneity input a gang balances its slabs against.
 	NodeSpeed map[string]float64
 }
 

@@ -218,8 +218,8 @@ func (a *sshAdapter) Submit(b *Broker, j *Job, target string) error {
 	return nil
 }
 
-// batchSubmit is shared by the PBS and SGE adapters: allocate nodes from
-// the cluster scheduler (queueing FIFO), then run.
+// batchSubmit is shared by the PBS and SGE adapters: queue for nodes with
+// the cluster scheduler (FIFO, in submission order), then run.
 func batchSubmit(b *Broker, j *Job, frontend, scheme string) error {
 	sched, err := b.cluster(frontend)
 	if err != nil {
@@ -231,8 +231,12 @@ func batchSubmit(b *Broker, j *Job, frontend, scheme string) error {
 	if ok, err := b.Net.AllowsInboundFrom(frontend, b.SubmitHost, vnet.SSHPort); err != nil || !ok {
 		return fmt.Errorf("gat: %s: frontend %s not reachable from %s", scheme, frontend, b.SubmitHost)
 	}
+	granted, w := sched.enqueue(j.Desc.Nodes)
 	go func() {
-		hosts, err := sched.acquire(j.Desc.Nodes, j.cancel)
+		hosts, err := granted, error(nil)
+		if w != nil {
+			hosts, err = sched.wait(w, j.cancel)
+		}
 		if err != nil {
 			j.setState(Canceled, err)
 			return

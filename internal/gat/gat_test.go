@@ -226,6 +226,43 @@ func TestQueueingFIFO(t *testing.T) {
 	}
 }
 
+// TestPlacementAtSubmission: a batch job takes its place in the queue as it
+// is submitted, not when its goroutine gets to run, so jobs submitted one
+// after another land on the cluster's nodes in submission order.
+func TestPlacementAtSubmission(t *testing.T) {
+	r := newRig(t, 4)
+	release := make(chan struct{}) // every job holds its node until all are placed
+	var mu sync.Mutex
+	ran := make(map[string]string)
+	r.catalog.Register("where", func(ctx *Context) error {
+		mu.Lock()
+		ran[ctx.Args[0]] = ctx.Hosts[0]
+		mu.Unlock()
+		<-release
+		return nil
+	})
+	var jobs []*Job
+	for i := range r.cluster.NodeName {
+		j, err := r.broker.Submit(JobDescription{Executable: "where", Args: []string{fmt.Sprint(i)}},
+			"sge://"+r.cluster.Frontend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	close(release)
+	for _, j := range jobs {
+		if err := wait(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, node := range r.cluster.NodeName {
+		if got := ran[fmt.Sprint(i)]; got != node {
+			t.Fatalf("job %d ran on %s, want %s (placements %v)", i, got, node, ran)
+		}
+	}
+}
+
 func TestTooManyNodes(t *testing.T) {
 	r := newRig(t, 2)
 	r.catalog.Register("x", func(*Context) error { return nil })

@@ -43,32 +43,31 @@ func (s *clusterSched) freeLocked() []string {
 	return out
 }
 
-// acquire blocks until n nodes are allocated or cancel fires. FIFO order:
-// a big job at the head blocks smaller later jobs (no backfill), the
-// conservative batch model.
-func (s *clusterSched) acquire(n int, cancel <-chan struct{}) ([]string, error) {
-	if n < 1 {
-		n = 1
-	}
+// enqueue places a request for n nodes in the FIFO queue as the job is
+// submitted, so jobs are placed in submission order whatever goroutine
+// waits for them: it grants free nodes at once when no job queues ahead
+// (no backfill — a big job at the head blocks smaller later jobs, the
+// conservative batch model), and otherwise queues a waiter for them. n
+// must fit the cluster.
+func (s *clusterSched) enqueue(n int) ([]string, *waiter) {
 	s.mu.Lock()
-	if n > len(s.nodes) {
-		s.mu.Unlock()
-		return nil, ErrTooManyNodes
-	}
+	defer s.mu.Unlock()
 	if len(s.waiters) == 0 {
 		if free := s.freeLocked(); len(free) >= n {
 			got := free[:n]
 			for _, h := range got {
 				s.busy[h] = true
 			}
-			s.mu.Unlock()
 			return got, nil
 		}
 	}
 	w := &waiter{n: n, ch: make(chan []string, 1)}
 	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
+	return nil, w
+}
 
+// wait blocks until w's nodes are granted or cancel fires.
+func (s *clusterSched) wait(w *waiter, cancel <-chan struct{}) ([]string, error) {
 	select {
 	case hosts := <-w.ch:
 		return hosts, nil

@@ -25,7 +25,8 @@ import (
 // non-root rank sends its x as a view, which the root appends or folds
 // before it answers, and returns only once that answer has arrived; the
 // root's one answer goes to every rank as the same buffer, which each only
-// decodes or counts.
+// decodes or counts. The one part copied is the last of an evolve, whose
+// rank's load goes on its end (Gang.CarryLoad).
 
 // ComputeFlops advances a member's clock by the time dev needs for the
 // given flop count using n cores — per-rank compute accounting between
@@ -144,10 +145,13 @@ func AllgatherFloats(c *Gang, x, dst []float64) (int, error) {
 func allgather(c *Gang, x []float64, read func(all []byte) error) error {
 	const root = 0
 	if c.ID() != root {
-		if err := c.Send(root, wire.FloatsView(x)); err != nil {
+		if err := c.Send(root, c.carryPart(wire.FloatsView(x))); err != nil {
 			return err
 		}
 		all, err := c.Recv(root)
+		if err == nil {
+			all, err = c.takeAll(all)
+		}
 		if err != nil {
 			return err
 		}
@@ -160,6 +164,9 @@ func allgather(c *Gang, x []float64, read func(all []byte) error) error {
 	all := wire.AppendFloats(make([]byte, 0, 8*(len(x)+1)*c.Size()), x)
 	for p := 1; p < c.Size(); p++ {
 		part, err := c.Recv(p)
+		if err == nil {
+			part, err = c.takePart(p, part)
+		}
 		if err != nil {
 			return fmt.Errorf("mpisim: allgather from %d: %w", p, err)
 		}
@@ -171,7 +178,7 @@ func allgather(c *Gang, x []float64, read func(all []byte) error) error {
 	if err := read(all); err != nil {
 		return err
 	}
-	return fanOut(c, root, all, "allgather bcast")
+	return fanOut(c, root, c.carryAll(all), "allgather bcast")
 }
 
 // AllgatherBytes gathers every rank's opaque blob; all ranks receive the
@@ -190,22 +197,29 @@ func AllgatherBytes(c *Gang, b []byte) ([][]byte, error) {
 		parts[root] = b
 		for p := 1; p < c.Size(); p++ {
 			part, err := c.Recv(p)
+			if err == nil {
+				part, err = c.takePart(p, part)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("mpisim: allgather from %d: %w", p, err)
 			}
 			parts[p] = part
 		}
+		loads := c.carryAll(nil)
 		for p := 1; p < c.Size(); p++ {
-			if err := c.Send(p, packBlobs(parts)); err != nil {
+			if err := c.Send(p, packBlobs(parts, loads)); err != nil {
 				return nil, fmt.Errorf("mpisim: allgather bcast to %d: %w", p, err)
 			}
 		}
 		return parts, nil
 	}
-	if err := c.Send(root, b); err != nil {
+	if err := c.Send(root, c.carryPart(b)); err != nil {
 		return nil, err
 	}
 	packed, err := c.Recv(root)
+	if err == nil {
+		packed, err = c.takeAll(packed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -213,9 +227,9 @@ func AllgatherBytes(c *Gang, b []byte) ([][]byte, error) {
 }
 
 // packBlobs concatenates length-prefixed blobs for the allgather
-// broadcast.
-func packBlobs(parts [][]byte) []byte {
-	size := 4
+// broadcast, and the carried loads (Gang.CarryLoad) after them.
+func packBlobs(parts [][]byte, loads []byte) []byte {
+	size := 4 + len(loads)
 	for _, p := range parts {
 		size += 4 + len(p)
 	}
@@ -225,7 +239,7 @@ func packBlobs(parts [][]byte) []byte {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
 		out = append(out, p...)
 	}
-	return out
+	return append(out, loads...)
 }
 
 func unpackBlobs(b []byte) ([][]byte, error) {

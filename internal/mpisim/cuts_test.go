@@ -1,8 +1,12 @@
 package mpisim
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestCutRangeNilFallsBack: a nil cuts vector is the uniform slab — the
@@ -113,5 +117,68 @@ func TestValidCutsRejects(t *testing.T) {
 	}
 	if err := ValidCuts([]int{0, 5, 10}, 10, 2); err != nil {
 		t.Fatalf("valid cuts rejected: %v", err)
+	}
+}
+
+// TestCarriedLoadRebalances: a load armed by CarryLoad rides the next
+// allgather of either kind without touching what it gathers, every rank
+// ends with the same loads and cuts, and an unarmed gather carries none.
+func TestCarriedLoadRebalances(t *testing.T) {
+	const n = 12
+	compute := []time.Duration{time.Millisecond, time.Millisecond, 4 * time.Millisecond}
+	w := LocalGangs(3, time.Microsecond)
+	defer w.Close()
+	var mu sync.Mutex
+	got := make([][]int, 3)
+	err := w.Run(func(r *Gang) error {
+		r.CarryLoad(compute[r.ID()])
+		blob := []byte{byte(r.ID()), 7, 7} // not a whole number of floats
+		blobs, err := AllgatherBytes(r, blob)
+		if err != nil {
+			return err
+		}
+		for p, b := range blobs {
+			if len(b) != 3 || b[0] != byte(p) {
+				return fmt.Errorf("rank %d: blob %d = %v", r.ID(), p, b)
+			}
+		}
+		cuts, l, err := Rebalance(r, nil, n)
+		if err != nil {
+			return err
+		}
+		if !l.Resharded || !slices.Equal(l.Compute, compute) || !slices.Equal(l.Rows, []int{4, 4, 4}) {
+			return fmt.Errorf("rank %d: load %+v", r.ID(), l)
+		}
+		r.CarryLoad(compute[r.ID()])
+		lo, hi := CutRange(cuts, r.ID(), n, r.Size())
+		x := make([]float64, hi-lo)
+		all := make([]float64, n)
+		if k, err := AllgatherFloats(r, x, all); err != nil || k != n {
+			return fmt.Errorf("rank %d: gathered %d floats: %v", r.ID(), k, err)
+		}
+		if _, l, err = Rebalance(r, cuts, n); err != nil {
+			return err
+		}
+		mu.Lock()
+		got[r.ID()] = append(cuts, l.Rows...)
+		mu.Unlock()
+		if k, err := AllgatherFloats(r, x, all); err != nil || k != n {
+			return fmt.Errorf("rank %d: an unarmed gather gathered %d floats: %v", r.ID(), k, err)
+		}
+		if _, _, err := Rebalance(r, cuts, n); err == nil {
+			return fmt.Errorf("rank %d: rebalanced on loads no gather carried", r.ID())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range got {
+		if !slices.Equal(got[r], got[0]) {
+			t.Fatalf("rank %d agreed %v, rank 0 %v", r, got[r], got[0])
+		}
+	}
+	if got[0][3] != n || got[0][4]+got[0][5]+got[0][6] != n || got[0][6] >= 4 {
+		t.Fatalf("cuts and rows %v: the slow rank kept its slab", got[0])
 	}
 }

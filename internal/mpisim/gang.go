@@ -49,6 +49,13 @@ type Gang struct {
 	mu     sync.Mutex
 	clock  *vtime.Clock
 	broken error
+
+	// The load a gang balances on rides an allgather the evolve makes
+	// anyway (CarryLoad): armed marks the next one, carry is this rank's
+	// part, and loads gets every rank's, which Rebalance takes.
+	armed bool
+	carry time.Duration
+	loads []time.Duration
 }
 
 // NewGang builds the communicator for one rank. links must have one entry

@@ -276,13 +276,134 @@ func Slab(n, rank, size int) (lo, hi int) {
 // CutRange returns rank's half-open row range under an explicit cuts
 // vector (size+1 monotone boundaries with cuts[0] == 0). It is the
 // cuts-aware generalization of Slab: a nil cuts vector falls back to the
-// uniform decomposition, which keeps default (never-resharded) gangs on
-// exactly the code path they used before elastic gangs existed.
+// uniform decomposition every gang starts from.
 func CutRange(cuts []int, rank, n, size int) (lo, hi int) {
 	if cuts == nil {
 		return Slab(n, rank, size)
 	}
 	return cuts[rank], cuts[rank+1]
+}
+
+// skewThreshold is the max/min per-rank compute-time ratio at which a gang
+// reshards.
+const skewThreshold = 1.15
+
+// Load is what a gang's ranks agree on at the end of an evolve (Rebalance):
+// every rank's slab rows and slab compute time in that evolve, rank order,
+// and whether they resharded on them. A gang rank's evolve reply carries it.
+type Load struct {
+	Rows      []int
+	Compute   []time.Duration
+	Resharded bool
+}
+
+// Skew is the trigger gauge: max/min per-rank compute time; 0 when a rank
+// computed nothing, which leaves nothing to balance on.
+func (l Load) Skew() float64 {
+	if len(l.Compute) == 0 || slices.Min(l.Compute) <= 0 {
+		return 0
+	}
+	return float64(slices.Max(l.Compute)) / float64(slices.Min(l.Compute))
+}
+
+// CarryLoad arms this rank's next allgather (AllgatherFloats or
+// AllgatherBytes) to carry its slab compute: every rank calls it before the
+// last exchange of an evolve, whose messages then bring the root every
+// rank's compute and take the root's gathered set to every rank, so the
+// decision costs no message of its own. A gang of one has nothing to send.
+func (g *Gang) CarryLoad(compute time.Duration) {
+	if g.size == 1 {
+		g.loads = []time.Duration{compute}
+		return
+	}
+	g.carry, g.armed = compute, true
+}
+
+// carryPart appends this rank's armed compute to its part of a gather (a
+// copy: part may be a view of the caller's rows).
+func (g *Gang) carryPart(part []byte) []byte {
+	if !g.armed {
+		return part
+	}
+	return wire.AppendFloats(part[:len(part):len(part)], []float64{float64(g.carry)})
+}
+
+// takePart, at the root of an armed gather, takes rank p's compute off the
+// end of its part.
+func (g *Gang) takePart(p int, part []byte) ([]byte, error) {
+	if !g.armed {
+		return part, nil
+	}
+	if len(part) < 8 {
+		return nil, fmt.Errorf("mpisim: rank %d's part carries no load", p)
+	}
+	if len(g.loads) != g.size {
+		g.loads = make([]time.Duration, g.size)
+	}
+	g.loads[p] = time.Duration(floatAt(part[len(part)-8:], 0))
+	return part[:len(part)-8], nil
+}
+
+// carryAll, at the root of an armed gather, appends every rank's compute,
+// its own included, to the answer, and disarms.
+func (g *Gang) carryAll(all []byte) []byte {
+	if !g.armed {
+		return all
+	}
+	g.armed = false
+	g.loads[g.rank] = g.carry
+	for _, l := range g.loads {
+		all = wire.AppendFloats(all, []float64{float64(l)})
+	}
+	return all
+}
+
+// takeAll, at a non-root rank of an armed gather, takes every rank's
+// compute off the end of the answer, and disarms.
+func (g *Gang) takeAll(all []byte) ([]byte, error) {
+	if !g.armed {
+		return all, nil
+	}
+	g.armed = false
+	cut := len(all) - 8*g.size
+	if cut < 0 {
+		return nil, fmt.Errorf("mpisim: a gather's answer carries no loads")
+	}
+	g.loads = make([]time.Duration, g.size)
+	for r := range g.loads {
+		g.loads[r] = time.Duration(floatAt(all[cut:], r))
+	}
+	return all[:cut], nil
+}
+
+// Rebalance is the decision every rank of a gang makes at the end of an
+// evolve over n rows cut by cuts, from every rank's compute that the
+// evolve's last exchange carried (CarryLoad): each rank applies the same
+// rule to the same loads. At a skew of skewThreshold or more the new cuts
+// give each rank rows in proportion to its throughput, rows/compute
+// (WeightedCuts); below it the cuts come back as they were. The cuts are a
+// function of the gathered loads alone, so every rank returns the same
+// ones, and since every rank holds the full replicated arrays installing
+// them moves no state.
+func Rebalance(c *Gang, cuts []int, n int) ([]int, Load, error) {
+	l := Load{Rows: make([]int, c.Size()), Compute: c.loads}
+	c.loads = nil
+	if len(l.Compute) != c.Size() {
+		return cuts, Load{}, fmt.Errorf("mpisim: rebalance: the evolve carried no loads")
+	}
+	weights := make([]float64, c.Size())
+	for r := range l.Rows {
+		lo, hi := CutRange(cuts, r, n, c.Size())
+		l.Rows[r] = hi - lo
+		if l.Compute[r] > 0 {
+			weights[r] = float64(l.Rows[r]) / float64(l.Compute[r])
+		}
+	}
+	if l.Skew() < skewThreshold {
+		return cuts, l, nil
+	}
+	l.Resharded = true
+	return WeightedCuts(n, weights), l, nil
 }
 
 // WeightedCuts builds a cuts vector assigning each rank a row count

@@ -38,11 +38,13 @@ type System struct {
 	flops float64
 	steps int
 
-	// Sharded-evolution state (shard.go): explicit slab boundaries set by
-	// the elastic-gang rebalancer (nil = uniform decomposition) and the
-	// per-rank slab compute-time accumulator behind the rank_load query.
+	// Sharded-evolution state (shard.go): the slab boundaries the gang's
+	// ranks agreed on (nil = uniform decomposition, which a new System, a
+	// (re)wired rank and every load of a set start from: cuts are for one
+	// particle count) and the slab compute time of the evolve in progress,
+	// which the next agreement weighs.
 	cuts        []int
-	loadCompute time.Duration
+	slabCompute time.Duration
 }
 
 // NewSystem returns an empty system using the given kernel.
@@ -66,6 +68,7 @@ func (s *System) load(mass []float64, pos, vel []data.Vec3, keys []uint64) {
 	}
 	s.mass, s.pos, s.vel, s.keys = mass, pos, vel, keys
 	s.fresh = false
+	s.cuts = nil
 }
 
 // GetParticles writes the current state back into the set (by index; the

@@ -49,19 +49,6 @@ func newGravityService(cfg kernel.Config) (kernel.Service, error) {
 	return s, nil
 }
 
-// Reshard implements kernel.Reshardable: install new slab boundaries.
-// The coupler broadcasts the same cuts to every rank between evolves, so
-// all ranks switch decomposition at the same gang epoch.
-func (s *gravityService) Reshard(cuts []int) error {
-	if s.gi == nil {
-		return fmt.Errorf("nbody: reshard on a solo worker")
-	}
-	if s.sys == nil {
-		return fmt.Errorf("nbody: reshard before setup")
-	}
-	return s.sys.SetCuts(cuts, s.gi.Size)
-}
-
 // SetGang implements kernel.Shardable: the worker host installs the wired
 // communicator, which binds this service's clock so halo exchanges and
 // reductions advance it like any other worker activity.
@@ -75,6 +62,9 @@ func (s *gravityService) SetGang(g *mpisim.Gang) error {
 	}
 	g.Bind(s.clock)
 	s.gang = g
+	if s.sys != nil {
+		s.sys.cuts = nil // a (re)wired gang starts from the uniform cuts: a replacement rank knows no other
+	}
 	return nil
 }
 
@@ -126,11 +116,13 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 		}
 		if s.gang != nil {
 			// Sharded: EvolveToComm accounts compute and halo exchange
-			// on this clock (bound by SetGang) as they happen.
-			if err := s.sys.EvolveToComm(context.Background(), a.T, s.gang); err != nil {
+			// on this clock (bound by SetGang) as they happen, and the
+			// reply carries the load the ranks agreed their cuts on.
+			load, err := s.sys.EvolveToComm(context.Background(), a.T, s.gang)
+			if err != nil {
 				return kernel.Reply{}, s.clock.Now(), err
 			}
-			return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
+			return kernel.EncodeReply(load), s.clock.Now(), nil
 		}
 		if err := s.sys.EvolveTo(context.Background(), a.T); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
@@ -205,23 +197,6 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 		return kernel.EncodeReply(kernel.EnergiesResult{Kinetic: k, Potential: p}), s.clock.Now(), nil
 	case "stats":
 		return kernel.EncodeReply(kernel.StatsResult{N: s.sys.N(), Time: s.sys.Time(), Steps: s.sys.Steps()}), s.clock.Now(), nil
-	case kernel.MethodReshard:
-		var a kernel.ReshardArgs
-		if err := kernel.Decode(args, &a); err != nil {
-			return kernel.Reply{}, s.clock.Now(), err
-		}
-		if err := s.Reshard(a.Cuts); err != nil {
-			return kernel.Reply{}, s.clock.Now(), err
-		}
-		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
-	case kernel.MethodRankLoad:
-		if s.gi == nil || s.sys == nil {
-			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("nbody: rank_load needs a gang rank after setup")
-		}
-		rows, compute := s.sys.TakeLoad(s.gi.Rank, s.gi.Size)
-		return kernel.EncodeReply(kernel.RankLoadResult{
-			Rank: s.gi.Rank, Rows: rows, ComputeNs: compute.Nanoseconds(),
-		}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err

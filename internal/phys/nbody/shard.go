@@ -3,7 +3,6 @@ package nbody
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/core/kernel"
@@ -32,45 +31,23 @@ const (
 	haloPot  = "pot"
 )
 
-// SetCuts installs explicit slab boundaries for sharded evolution (the
-// elastic-gang reshard hook). cuts must be a valid size+1 boundary
-// vector over the current particle count; nil restores the uniform
-// decomposition. Because every rank holds full replicated arrays,
-// moving a boundary needs no state movement and cannot change results.
-func (s *System) SetCuts(cuts []int, size int) error {
-	if cuts == nil {
-		s.cuts = nil
-		return nil
-	}
-	if err := mpisim.ValidCuts(cuts, len(s.mass), size); err != nil {
-		return fmt.Errorf("nbody: reshard: %w", err)
-	}
-	s.cuts = append([]int(nil), cuts...)
-	return nil
-}
-
-// slabRange returns rank's row range under the installed cuts.
+// slabRange returns rank's row range under the cuts the gang agreed on.
 func (s *System) slabRange(rank, size int) (lo, hi int) {
 	return mpisim.CutRange(s.cuts, rank, len(s.mass), size)
-}
-
-// TakeLoad returns this rank's current slab width and the virtual
-// compute time accumulated by slab force work since the previous call,
-// resetting the accumulator (the rank_load query).
-func (s *System) TakeLoad(rank, size int) (rows int, compute time.Duration) {
-	lo, hi := s.slabRange(rank, size)
-	compute = s.loadCompute
-	s.loadCompute = 0
-	return hi - lo, compute
 }
 
 // forcesComm evaluates this rank's slab into out and allgathers the slab
 // columns so every rank holds the full force arrays. Compute is accounted
 // on the communicator's clock; exchange time comes from the link models.
-func (s *System) forcesComm(c *mpisim.Gang, lo, hi int, out *Forces) error {
+// The evolve's last exchange (last) also carries the slab compute the
+// ranks balance on (mpisim.Gang.CarryLoad).
+func (s *System) forcesComm(c *mpisim.Gang, lo, hi int, out *Forces, last bool) error {
 	flops := s.kernel.ForcesSlab(s.mass, s.pos, s.vel, s.Eps*s.Eps, lo, hi, out)
 	mpisim.ComputeFlops(c, s.kernel.Device(), flops, 0)
-	s.loadCompute += s.kernel.Device().Time(flops, 0)
+	s.slabCompute += s.kernel.Device().Time(flops, 0)
+	if last {
+		c.CarryLoad(s.slabCompute)
+	}
 
 	st := kernel.NewState(hi - lo)
 	st.AddVec(haloAcc, out.Acc[lo:hi]).
@@ -108,57 +85,71 @@ func (s *System) forcesComm(c *mpisim.Gang, lo, hi int, out *Forces) error {
 // EvolveToComm advances the system to model time t as rank c.ID() of a
 // gang. All ranks must call it with the same t. Compute and exchange time
 // are accounted on the communicator's clock as they happen (callers must
-// not re-account ResetFlops); the flop counter is not touched.
-func (s *System) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang) error {
+// not re-account ResetFlops); the flop counter is not touched. The ranks
+// end it agreeing the cuts of the next evolve from this one's slab compute,
+// which its last halo exchange carries (mpisim.Rebalance), and it returns
+// the load they agreed them on.
+func (s *System) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang) (mpisim.Load, error) {
 	if c == nil || c.Size() == 1 {
 		// Degenerate gang: fall back to the solo path, but keep this
 		// call's accounting contract (advance the clock here, not via
 		// ResetFlops in the caller).
 		if err := s.EvolveTo(ctx, t); err != nil {
-			return err
+			return mpisim.Load{}, err
 		}
 		if c != nil {
 			mpisim.ComputeFlops(c, s.kernel.Device(), s.ResetFlops(), 0)
 		}
-		return nil
+		return mpisim.Load{}, nil
 	}
 	n := len(s.mass)
 	if n == 0 {
-		return ErrNoParticles
+		return mpisim.Load{}, ErrNoParticles
 	}
+	lo, hi := s.slabRange(c.ID(), c.Size())
+	s.slabCompute = 0
+	steps := s.steps
 	for s.time < t-1e-15 {
 		// All ranks poll the same ctx: worker services evolve under
 		// Background, and a test cancelling a gang cancels every rank's
 		// context, so the collective schedule stays aligned.
 		if err := ctx.Err(); err != nil {
-			return err
+			return mpisim.Load{}, err
 		}
-		// Re-read the slab range every step: a reshard lands between
-		// evolve calls, but re-reading here keeps the range honest if a
-		// future caller ever reshards inside a long evolve window.
-		lo, hi := s.slabRange(c.ID(), c.Size())
 		// Refresh forces at the current state (the solo path's fresh
 		// cache does not span decompositions), mirroring EvolveTo's
 		// refresh-evaluate pair so step counts and results match the
 		// solo integrator exactly.
-		if err := s.forcesComm(c, lo, hi, &s.f0); err != nil {
-			return err
+		if err := s.forcesComm(c, lo, hi, &s.f0, false); err != nil {
+			return mpisim.Load{}, err
 		}
 		dt := s.sharedTimestep() // full arrays: identical on every rank
 		if s.time+dt > t {
 			dt = t - s.time
 		}
-		if err := s.advanceComm(c, lo, hi, dt); err != nil {
-			return err
+		// The loop's test on the time this step ends at: every rank
+		// agrees which step is the evolve's last.
+		last := !(s.time+dt < t-1e-15)
+		if err := s.advanceComm(c, lo, hi, dt, last); err != nil {
+			return mpisim.Load{}, err
 		}
 	}
 	s.fresh = false
-	return nil
+	if s.steps == steps {
+		// Every rank took no step (a replay of an evolve the snapshot
+		// already covers): there is no work to balance on.
+		return mpisim.Load{}, nil
+	}
+	var load mpisim.Load
+	var err error
+	s.cuts, load, err = mpisim.Rebalance(c, s.cuts, n)
+	return load, err
 }
 
-// advanceComm is one sharded predictor-evaluate-correct Hermite step.
-// s.f0 must hold the full force arrays (forcesComm).
-func (s *System) advanceComm(c *mpisim.Gang, lo, hi int, dt float64) error {
+// advanceComm is one sharded predictor-evaluate-correct Hermite step, the
+// evolve's last when last is set. s.f0 must hold the full force arrays
+// (forcesComm).
+func (s *System) advanceComm(c *mpisim.Gang, lo, hi int, dt float64, last bool) error {
 	n := len(s.mass)
 	dt2 := dt * dt / 2
 	dt3 := dt * dt * dt / 6
@@ -179,7 +170,7 @@ func (s *System) advanceComm(c *mpisim.Gang, lo, hi int, dt float64) error {
 	}
 
 	// Evaluate at prediction: slab + halo exchange (O(N²/K) + columns).
-	if err := s.forcesComm(c, lo, hi, &s.f1); err != nil {
+	if err := s.forcesComm(c, lo, hi, &s.f1, last); err != nil {
 		return err
 	}
 

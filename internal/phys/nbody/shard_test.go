@@ -46,7 +46,8 @@ func runRanks(t *testing.T, size int, evolveTo float64) []*System {
 		systems[i].SetParticles(stars)
 	}
 	err := mpisim.LocalGangs(size, 50*time.Microsecond).Run(func(g *mpisim.Gang) error {
-		return systems[g.ID()].EvolveToComm(context.Background(), evolveTo, g)
+		_, err := systems[g.ID()].EvolveToComm(context.Background(), evolveTo, g)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,8 @@ func TestShardedClockAdvances(t *testing.T) {
 		err := w.Run(func(g *mpisim.Gang) error {
 			sys := NewSystem(NewCPUKernel(cpuDev()), 0.01)
 			sys.SetParticles(stars)
-			return sys.EvolveToComm(context.Background(), tEnd, g)
+			_, err := sys.EvolveToComm(context.Background(), tEnd, g)
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)

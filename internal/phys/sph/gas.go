@@ -59,11 +59,10 @@ type Gas struct {
 	flops float64
 	steps int
 
-	// Sharded-evolution state: explicit slab boundaries from the
-	// elastic-gang rebalancer (nil = uniform) and the per-rank slab
-	// compute-time accumulator behind the rank_load query.
-	cuts        []int
-	loadCompute stdtime.Duration
+	// cuts are the slab boundaries a gang's ranks agreed on (nil =
+	// uniform); SetGang puts a (re)wired rank back on the uniform ones, and
+	// so does every load: cuts are for one particle count.
+	cuts []int
 
 	// gen numbers the positions and masses: every writer of either calls
 	// invalidate, and the evolve that publishes new positions moves it on
@@ -115,17 +114,17 @@ func (g *Gas) invalidate() {
 	g.kept = nil
 }
 
-// SetCuts installs explicit slab boundaries for sharded evolution (the
-// elastic-gang reshard hook); nil restores the uniform decomposition.
-// The SPH exchanges allgather variable-length rank slabs in rank order,
-// so only the local row ranges change — results are unaffected.
-func (g *Gas) SetCuts(cuts []int, size int) error {
+// setCuts installs explicit slab boundaries for sharded evolution; nil
+// restores the uniform decomposition. The SPH exchanges allgather
+// variable-length rank slabs in rank order, so only the local row ranges
+// change — results are unaffected.
+func (g *Gas) setCuts(cuts []int, size int) error {
 	if cuts == nil {
 		g.cuts = nil
 		return nil
 	}
 	if err := mpisim.ValidCuts(cuts, len(g.mass), size); err != nil {
-		return fmt.Errorf("sph: reshard: %w", err)
+		return fmt.Errorf("sph: cuts: %w", err)
 	}
 	g.cuts = append([]int(nil), cuts...)
 	return nil
@@ -139,16 +138,6 @@ func (g *Gas) cutsFor(size int) []int {
 		return g.cuts
 	}
 	return nil
-}
-
-// TakeLoad returns this rank's current slab width and the virtual
-// compute time accumulated by slab work since the previous call,
-// resetting the accumulator (the rank_load query).
-func (g *Gas) TakeLoad(rank, size int) (rows int, compute stdtime.Duration) {
-	lo, hi := mpisim.CutRange(g.cutsFor(size), rank, len(g.mass), size)
-	compute = g.loadCompute
-	g.loadCompute = 0
-	return hi - lo, compute
 }
 
 // New returns an empty gas system with default parameters.
@@ -183,6 +172,7 @@ func (g *Gas) load(pl kernel.ParticlesPayload) error {
 	}
 	n := len(pl.Mass)
 	g.invalidate()
+	g.cuts = nil
 	g.mass, g.pos, g.vel, g.u, g.h = pl.Mass, pl.Pos, pl.Vel, pl.U, pl.H
 	g.rho = make([]float64, n)
 	g.prs = make([]float64, n)
@@ -334,9 +324,17 @@ func (g *Gas) EvolveToParallel(ctx context.Context, t float64, w *mpisim.World, 
 // EvolveToComm advances the gas to time t as one rank of a gang of worker
 // processes (the same slab/exchange schedule as EvolveToParallel, on the
 // gang's bound clock). Every rank owns its own replicated Gas and publishes
-// the result.
-func (g *Gas) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang, dev *vtime.Device) error {
-	return g.evolve(ctx, t, c, dev)
+// the result. The ranks end it agreeing the cuts of the next evolve from
+// this one's slab compute, which its last exchange carries
+// (mpisim.Rebalance), and it returns the load they agreed them on.
+func (g *Gas) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang, dev *vtime.Device) (mpisim.Load, error) {
+	if err := g.evolve(ctx, t, c, dev); err != nil || c == nil {
+		return mpisim.Load{}, err
+	}
+	var load mpisim.Load
+	var err error
+	g.cuts, load, err = mpisim.Rebalance(c, g.cutsFor(c.Size()), len(g.mass))
+	return load, err
 }
 
 // evolve runs an evolve on a state of its own: serially with r == nil, or
@@ -351,7 +349,8 @@ func (g *Gas) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.
 // reads the same full arrays: the ones every rank of a World wrote its rows
 // into, or a gang rank's replica, which the gathers fill. publish selects
 // which callers write the result back into g (the serial caller, World rank
-// 0 and every rank of a gang deployment, which each own their replica).
+// 0 and every rank of a gang deployment, which each own their replica). A
+// gang rank's last exchange carries its slab compute (mpisim.Gang.CarryLoad).
 func (st *state) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vtime.Device, publish bool) error {
 	g := st.g
 	n := len(g.mass)
@@ -368,6 +367,13 @@ func (st *state) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vti
 	time := g.time
 	steps := 0
 	var flops float64
+	// carryIfLast arms the exchange that ends at model time end when it is
+	// the evolve's last: the loop's own test, so every rank agrees.
+	carryIfLast := func(end float64) {
+		if r != nil && !st.shared && !(end < t-1e-15) {
+			r.CarryLoad(load)
+		}
+	}
 
 	// Prime density and forces.
 	f := s.density()
@@ -375,11 +381,12 @@ func (st *state) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vti
 		return err
 	}
 	f += s.forces()
+	load += slabTime(r, dev, f)
+	carryIfLast(time)
 	if err := s.exchangeForces(r); err != nil {
 		return err
 	}
 	account(r, dev, f)
-	load += slabTime(r, dev, f)
 	flops += f
 
 	for time < t-1e-15 {
@@ -428,11 +435,12 @@ func (st *state) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vti
 			vel[i] = vel[i].Add(acc[i-lo].Scale(dt / 2))
 			u[i] = math.Max(u[i]+dudt[i-lo]*dt/2, 1e-12)
 		}
+		load += slabTime(r, dev, f)
+		carryIfLast(time + dt)
 		if err := s.exchangeVectors(r); err != nil {
 			return err
 		}
 		account(r, dev, f)
-		load += slabTime(r, dev, f)
 		flops += f
 		time += dt
 		steps++
@@ -459,12 +467,11 @@ func (st *state) evolve(ctx context.Context, t float64, r *mpisim.Gang, dev *vti
 		g.time = time
 		g.steps += steps
 		g.flops += flops * flopScale(r)
-		g.loadCompute += load
 	}
 	return nil
 }
 
-// slabTime prices one rank's slab work for the rank_load accumulator
+// slabTime prices one rank's slab work for the load its gang balances on
 // (mirrors account's charge; zero when running serially).
 func slabTime(r *mpisim.Gang, dev *vtime.Device, flops float64) stdtime.Duration {
 	if r == nil || dev == nil {

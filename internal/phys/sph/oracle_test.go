@@ -450,7 +450,7 @@ func TestEvolveMatchesOracle(t *testing.T) {
 			ranks := make([]*Gas, gangSize)
 			for i := range ranks {
 				ranks[i] = newGas(t, p, selfGravity)
-				if err := ranks[i].SetCuts(cuts, gangSize); err != nil {
+				if err := ranks[i].setCuts(cuts, gangSize); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -471,7 +471,8 @@ func TestEvolveMatchesOracle(t *testing.T) {
 					sameGas(t, fmt.Sprintf("%s call %d world of %d", what, call, size), g, want)
 				}
 				err := gang.Run(func(r *mpisim.Gang) error {
-					return ranks[r.ID()].EvolveToComm(ctx, end, r, dev)
+					_, err := ranks[r.ID()].EvolveToComm(ctx, end, r, dev)
+					return err
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -614,7 +615,7 @@ func TestExchangeRejectsBadGather(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = g.EvolveToComm(context.Background(), 0.01, rank, dev)
+			_, err = g.EvolveToComm(context.Background(), 0.01, rank, dev)
 			if err == nil || !strings.HasPrefix(err.Error(), "sph: "+c.what+" exchange gathered") {
 				t.Fatalf("gather %d off by %+d: error %v, want a sph: %s exchange error", c.at, delta, err, c.what)
 			}

@@ -39,7 +39,10 @@ func reuseRuns(t *testing.T, p *data.Particles) map[string]*reuseRun {
 		if len(gases) == 1 { // a World's ranks share one Gas
 			err = gases[0].EvolveToParallel(ctx, end, w, dev)
 		} else {
-			err = w.Run(func(r *mpisim.Gang) error { return gases[r.ID()].EvolveToComm(ctx, end, r, dev) })
+			err = w.Run(func(r *mpisim.Gang) error {
+				_, err := gases[r.ID()].EvolveToComm(ctx, end, r, dev)
+				return err
+			})
 		}
 		clocks := make([]time.Duration, size)
 		w.Run(func(r *mpisim.Gang) error {
@@ -51,7 +54,7 @@ func reuseRuns(t *testing.T, p *data.Particles) map[string]*reuseRun {
 	serial, world := newGas(t, p, true), newGas(t, p, true)
 	gang := []*Gas{newGas(t, p, true), newGas(t, p, true), newGas(t, p, true)}
 	for _, g := range gang {
-		if err := g.SetCuts(gangCuts(p.Len()), len(gang)); err != nil {
+		if err := g.setCuts(gangCuts(p.Len()), len(gang)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +166,7 @@ func TestEvolveReuseMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}}},
-		{name: "SetCuts and back", shardedOnly: true, writes: []write{
+		{name: "setCuts and back", shardedOnly: true, writes: []write{
 			func(t *testing.T, g *Gas, size int) {
 				if size == 1 {
 					return
@@ -172,7 +175,7 @@ func TestEvolveReuseMatchesOracle(t *testing.T) {
 				for i := range cuts {
 					cuts[i] = n * i * i / (size * size)
 				}
-				if err := g.SetCuts(cuts, size); err != nil {
+				if err := g.setCuts(cuts, size); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -184,7 +187,7 @@ func TestEvolveReuseMatchesOracle(t *testing.T) {
 				if size == 3 {
 					cuts = gangCuts(n)
 				}
-				if err := g.SetCuts(cuts, size); err != nil {
+				if err := g.setCuts(cuts, size); err != nil {
 					t.Fatal(err)
 				}
 			}}},

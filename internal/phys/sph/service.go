@@ -78,17 +78,8 @@ func (s *hydroService) SetGang(g *mpisim.Gang) error {
 	}
 	g.Bind(s.clock)
 	s.gang = g
+	s.gas.cuts = nil // a (re)wired gang starts from the uniform cuts: a replacement rank knows no other
 	return nil
-}
-
-// Reshard implements kernel.Reshardable: install new slab boundaries on
-// the gas. The SPH exchanges allgather variable-length slabs in rank
-// order, so only the local row range changes; results are unaffected.
-func (s *hydroService) Reshard(cuts []int) error {
-	if s.gi == nil {
-		return fmt.Errorf("sph: reshard on a solo worker")
-	}
-	return s.gas.SetCuts(cuts, s.gi.Size)
 }
 
 func (s *hydroService) Close() {
@@ -137,10 +128,12 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 		// rather than charged again by the next energies.
 		switch {
 		case s.gang != nil:
-			if err := s.gas.EvolveToComm(context.Background(), a.T, s.gang, s.dev); err != nil {
+			load, err := s.gas.EvolveToComm(context.Background(), a.T, s.gang, s.dev)
+			if err != nil {
 				return kernel.Reply{}, s.clock.Now(), err
 			}
 			s.gas.ResetFlops()
+			return kernel.EncodeReply(load), s.clock.Now(), nil
 		case s.world != nil:
 			s.world.SyncTo(s.clock.Now())
 			if err := s.gas.EvolveToParallel(context.Background(), a.T, s.world, s.dev); err != nil {
@@ -216,23 +209,6 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 		return kernel.EncodeReply(kernel.EnergiesResult{Kinetic: k, Thermal: th, Potential: p}), s.clock.Now(), nil
 	case "stats":
 		return kernel.EncodeReply(kernel.StatsResult{N: s.gas.N(), Time: s.gas.Time(), Steps: s.gas.Steps()}), s.clock.Now(), nil
-	case kernel.MethodReshard:
-		var a kernel.ReshardArgs
-		if err := kernel.Decode(args, &a); err != nil {
-			return kernel.Reply{}, s.clock.Now(), err
-		}
-		if err := s.Reshard(a.Cuts); err != nil {
-			return kernel.Reply{}, s.clock.Now(), err
-		}
-		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
-	case kernel.MethodRankLoad:
-		if s.gi == nil {
-			return kernel.Reply{}, s.clock.Now(), fmt.Errorf("sph: rank_load needs a gang rank")
-		}
-		rows, compute := s.gas.TakeLoad(s.gi.Rank, s.gi.Size)
-		return kernel.EncodeReply(kernel.RankLoadResult{
-			Rank: s.gi.Rank, Rows: rows, ComputeNs: compute.Nanoseconds(),
-		}), s.clock.Now(), nil
 	case kernel.MethodCheckpoint, kernel.MethodRestore:
 		out, err := kernel.ServeCheckpoint(s, method, args)
 		return out, s.clock.Now(), err

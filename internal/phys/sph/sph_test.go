@@ -320,7 +320,7 @@ func TestGangMatchesSerial(t *testing.T) {
 		}
 	}
 	err := mpisim.LocalGangs(size, 20*time.Microsecond).Run(func(g *mpisim.Gang) error {
-		if err := systems[g.ID()].EvolveToComm(context.Background(), 0.02, g, dev); err != nil {
+		if _, err := systems[g.ID()].EvolveToComm(context.Background(), 0.02, g, dev); err != nil {
 			return err
 		}
 		if g.Clock().Now() == 0 {

@@ -7,25 +7,24 @@ import (
 	"time"
 )
 
-// Gang telemetry: the elastic-gang rebalancer and the human read the same
-// numbers. Each measurement round records per-rank slab widths and compute
-// times plus the derived skew gauge (max/min rank compute time per gang);
-// a reshard decision is stamped on the sample that caused it. This is the
-// first piece of the ROADMAP "production telemetry" item: the rebalancer
-// consumes exactly what RenderGangs shows.
+// Gang telemetry: a gang's ranks and the human read the same numbers.
+// Every gang evolve ends with its ranks agreeing a load — per-rank slab
+// widths and compute times — and whether to reshard on it; the coupler
+// records each as a sample here, with the derived skew gauge (max/min rank
+// compute time), and RenderGangs shows exactly what the ranks decided on.
 
-// GangSample is one rebalancer measurement round for a gang.
+// GangSample is one gang evolve's agreed load.
 type GangSample struct {
-	// At is the coupler's virtual time when the round completed.
+	// At is the coupler's virtual time when the merged evolve completed.
 	At time.Duration
-	// Rows and Compute are per-rank (rank order): current slab width and
-	// virtual compute time spent in slab work since the previous round.
+	// Rows and Compute are per-rank (rank order): slab width and virtual
+	// compute time spent in slab work during the evolve.
 	Rows    []int
 	Compute []time.Duration
 	// Skew is max/min rank compute time (1 = perfectly balanced; 0 when
 	// a rank reported no compute, meaning the window was empty).
 	Skew float64
-	// Action records what the rebalancer did with this sample: "" or
+	// Action records what the ranks did with this sample: "" or
 	// "reshard".
 	Action string
 }
@@ -38,9 +37,8 @@ type GangStats struct {
 	Reshards int
 }
 
-// RecordGangSample appends one measurement round for the named gang
-// (models are named kind/resource by the rebalancer; any stable label
-// works).
+// RecordGangSample appends one agreed load for the named gang (the
+// coupler names models kind/resource; any stable label works).
 func (r *Recorder) RecordGangSample(gang string, s GangSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -101,12 +99,12 @@ func (r *Recorder) GangTable() []GangRow {
 
 // RenderGangs renders the skew-gauge view: one line per gang with the
 // latest per-rank row counts, the latest and worst skew, and how often
-// the rebalancer acted.
+// the ranks resharded.
 func (r *Recorder) RenderGangs() string {
 	rows := r.GangTable()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %7s %8s %8s %9s  %s\n",
-		"GANG", "ROUNDS", "SKEW", "MAXSKEW", "RESHARDS", "ROWS")
+		"GANG", "EVOLVES", "SKEW", "MAXSKEW", "RESHARDS", "ROWS")
 	for _, row := range rows {
 		g := row.Stats
 		rowsStr := "-"

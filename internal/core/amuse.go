@@ -29,22 +29,15 @@ type Simulation struct {
 	clock  *vtime.Clock
 	ctx    context.Context
 
-	// OnTransferFallback, when set, receives the classified direct-path
-	// error each time a state transfer falls back to the coupler hairpin
-	// (errors.Is ErrTransport or ErrWorkerDied). Set before starting
-	// transfers.
-	OnTransferFallback func(err error)
-
-	// Monitor is the observability plane: channel-layer call latency and
+	// rec is the observability plane: the network's recorder when that is
+	// a *trace.Recorder (every testbed installs one), nil when the network
+	// records nothing. It receives channel-layer call latency and
 	// queue-depth histograms (trace.RenderCalls), bulk-transfer and store
-	// gauges (trace.RenderHealth) and elastic-gang telemetry
-	// (trace.RenderGangs). NewSimulation defaults it to the network's
-	// recorder when that is a *trace.Recorder — every testbed installs
-	// one, so the plane is on by default; set nil to switch it off.
-	// Recording is passive (it never touches the clock or the wire), so
-	// results are byte-identical either way. Independent of the
-	// per-session recorder so standalone simulations are covered too.
-	Monitor *trace.Recorder
+	// gauges (trace.RenderHealth), elastic-gang telemetry
+	// (trace.RenderGangs) and, for a session, its accounting
+	// (trace.RenderSessions). Recording is passive (it never touches the
+	// clock or the wire), so results are byte-identical with the plane off.
+	rec *trace.Recorder
 
 	mu        sync.Mutex
 	models    []*modelProxy
@@ -56,9 +49,6 @@ type Simulation struct {
 	// labels its capacity in the deployment ledger. Empty for standalone
 	// simulations — the seed single-tenant behavior.
 	session string
-	// sessionRec, when set with a session id, receives per-session call,
-	// transfer and worker accounting (trace.RenderSessions).
-	sessionRec *trace.Recorder
 	// placer, when set, resolves WorkerSpecs that leave Resource open —
 	// the scheduler installs its capacity-aware fair-share policy here.
 	// nil means SelectResource, the single-session default.
@@ -74,11 +64,8 @@ func NewSimulation(ctx context.Context, d *Daemon, conv *units.Converter) *Simul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Simulation{daemon: d, conv: conv, clock: vtime.NewClock(), ctx: ctx}
-	if rec, ok := d.Deployment().Net.Recorder().(*trace.Recorder); ok {
-		s.Monitor = rec
-	}
-	return s
+	rec, _ := d.Deployment().Net.Recorder().(*trace.Recorder)
+	return &Simulation{daemon: d, conv: conv, clock: vtime.NewClock(), ctx: ctx, rec: rec}
 }
 
 // Elapsed returns the coupler's virtual time — the per-iteration wall time
@@ -87,12 +74,11 @@ func (s *Simulation) Elapsed() time.Duration { return s.clock.Now() }
 
 // SetSession binds the simulation to a control-plane session: id
 // namespaces every worker it starts and labels its capacity in the
-// deployment ledger; rec (optional) receives per-session accounting.
-// Call before starting models.
-func (s *Simulation) SetSession(id string, rec *trace.Recorder) {
+// deployment ledger and the plane's per-session accounting. Call before
+// starting models.
+func (s *Simulation) SetSession(id string) {
 	s.mu.Lock()
 	s.session = id
-	s.sessionRec = rec
 	s.mu.Unlock()
 }
 
@@ -121,17 +107,6 @@ func (s *Simulation) place(spec WorkerSpec) (string, error) {
 		return p(spec)
 	}
 	return SelectResource(s.daemon.Deployment(), spec)
-}
-
-// sessionAccount runs f against the recorder when the simulation belongs
-// to a session with accounting enabled.
-func (s *Simulation) sessionAccount(f func(rec *trace.Recorder, id string)) {
-	s.mu.Lock()
-	rec, id := s.sessionRec, s.session
-	s.mu.Unlock()
-	if rec != nil && id != "" {
-		f(rec, id)
-	}
 }
 
 // TimeQuantity converts a physical time into N-body time using the
@@ -189,7 +164,7 @@ type modelProxy struct {
 	phase     phase
 	parked    []parkedCall
 	settled   chan struct{}
-	accounted int // the workers the session recorder holds for this model
+	accounted int // the workers the session's accounting holds for this model
 
 	n       int
 	lastErr error

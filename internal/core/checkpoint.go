@@ -124,9 +124,6 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 				// back too — the pull is replayable, so it parks and
 				// completes against the rebuilt endpoint.
 				s.countTransfer(trace.LinkFallback, p.m.peerHost(), store)
-				if hook := s.onTransferFallback(); hook != nil {
-					hook(err)
-				}
 				c := p.m.goCheckpointPull(&p.blob, replayable)
 				p.seq = c.seq
 				err = c.Wait(ctx)
@@ -155,7 +152,7 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 		// not one per checkpoint.
 		s.daemon.StoreCheckpoint(p.id, p.blob)
 		s.daemon.TagCheckpoint(p.id, s.Session())
-		if rec := s.Monitor; rec != nil {
+		if rec := s.rec; rec != nil {
 			rec.RecordCheckpoint(string(p.m.kind), len(p.blob))
 		}
 		if prev := p.m.cacheSnapshot(p.blob, p.id, p.seq); prev != 0 {
@@ -184,21 +181,15 @@ func (m *modelProxy) goCheckpointPull(out *[]byte, class callClass) *Call {
 // ResumeSimulation rebuilds a session from a manifest: for every recorded
 // model it starts a fresh worker (or gang) per the saved spec, replays
 // the saved setup, restores the snapshot, and advances the coupler's
-// clock to the manifest's. The returned models are in manifest order;
-// wrap them with AsGravity/AsHydro/AsStellar/AsField to recover typed
-// handles. On any failure the partially resumed session is stopped.
-func ResumeSimulation(ctx context.Context, d *Daemon, conv *units.Converter, man *Manifest) (*Simulation, []*Model, error) {
-	return ResumeSessionSimulation(ctx, d, conv, man, "", nil)
-}
-
-// ResumeSessionSimulation is ResumeSimulation for a control-plane
-// session: the resumed simulation is bound to the session id (every
-// restarted worker is stamped with it, so id blocks, ports and capacity
-// accounting stay namespaced) and, when rec is non-nil, to per-session
-// accounting. Empty session and nil rec give exactly ResumeSimulation.
-func ResumeSessionSimulation(ctx context.Context, d *Daemon, conv *units.Converter, man *Manifest, session string, rec *trace.Recorder) (*Simulation, []*Model, error) {
+// clock to the manifest's. session binds the resumed simulation to a
+// control-plane session (SetSession; "" for a standalone run), so every
+// restarted worker is stamped with it. The returned models are in
+// manifest order; wrap them with AsGravity/AsHydro/AsStellar/AsField to
+// recover typed handles. On any failure the partially resumed session is
+// stopped.
+func ResumeSimulation(ctx context.Context, d *Daemon, conv *units.Converter, man *Manifest, session string) (*Simulation, []*Model, error) {
 	sim := NewSimulation(ctx, d, conv)
-	sim.SetSession(session, rec)
+	sim.SetSession(session)
 	sim.clock.AdvanceTo(man.VTime)
 	models := make([]*Model, 0, len(man.Models))
 	fail := func(err error) (*Simulation, []*Model, error) {

@@ -199,7 +199,7 @@ func TestKindConformanceCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sim2, models, err := ResumeSimulation(ctx, tb.Daemon, nil, loaded)
+			sim2, models, err := ResumeSimulation(ctx, tb.Daemon, nil, loaded, "")
 			if err != nil {
 				t.Fatal(err)
 			}

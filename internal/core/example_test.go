@@ -211,7 +211,7 @@ func Example_checkpointResume() {
 		fmt.Println(err)
 		return
 	}
-	sim2, models, err := core.ResumeSimulation(context.Background(), tb.Daemon, nil, loaded)
+	sim2, models, err := core.ResumeSimulation(context.Background(), tb.Daemon, nil, loaded, "")
 	if err != nil {
 		fmt.Println(err)
 		return

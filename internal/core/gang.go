@@ -156,15 +156,17 @@ func (g *gangChannel) perRank(ctx context.Context, s *Simulation, method string,
 }
 
 // recordLoad records a gang's agreed load — its evolve reply, rank 0's
-// (mpisim.Rebalance) — to the monitor and the session recorder, stamped with
-// the time the merged evolve reached the coupler. A solo worker's evolve
-// reply is no load, and a kind whose ranks keep no cuts replies Empty.
+// (mpisim.Rebalance) — to the plane as one sample, stamped with the time the
+// merged evolve reached the coupler. A session's gangs are labelled under
+// its id, so two tenants' gangs on one resource stay apart. A solo
+// worker's evolve reply is no load, and a kind whose ranks keep no cuts
+// replies Empty.
 func (m *modelProxy) recordLoad(result []byte, at time.Duration) {
 	m.mu.Lock()
 	gang, resource := len(m.workers) > 1, m.spec.Resource
 	m.mu.Unlock()
 	var load mpisim.Load
-	if !gang || kernel.Decode(result, &load) != nil || len(load.Rows) == 0 {
+	if !gang || m.sim.rec == nil || kernel.Decode(result, &load) != nil || len(load.Rows) == 0 {
 		return
 	}
 	s := trace.GangSample{At: at, Rows: load.Rows, Compute: load.Compute, Skew: load.Skew()}
@@ -172,12 +174,10 @@ func (m *modelProxy) recordLoad(result []byte, at time.Duration) {
 		s.Action = "reshard"
 	}
 	label := string(m.kind) + "/" + resource
-	if rec := m.sim.Monitor; rec != nil {
-		rec.RecordGangSample(label, s)
+	if id := m.sim.Session(); id != "" {
+		label = id + "/" + label
 	}
-	m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
-		rec.RecordGangSample(id+"/"+label, s)
-	})
+	m.sim.rec.RecordGangSample(label, s)
 }
 
 // gangOutcome is one rank's completion of a broadcast call.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"jungle/internal/core/kernel"
-	"jungle/internal/trace"
 )
 
 // Model lifecycle (DESIGN.md § Model lifecycle). One function, rebuild,
@@ -107,9 +106,9 @@ func (m *modelProxy) send(ep endpoint, c *Call, req request, class callClass, at
 		m.failed(parkedCall{c: c, req: req, gen: gen, cause: ErrChannelClosed}, replayable, at)
 		return
 	}
-	m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
-		rec.SessionCall(id)
-	})
+	if id := m.sim.Session(); id != "" && m.sim.rec != nil {
+		m.sim.rec.SessionCall(id)
+	}
 	// What a replay needs, and all the completion keeps of the request: the
 	// channel gives the frame away, a replay copies the args out of it into
 	// a frame of its own. A set_state's own frame goes back to the free list
@@ -458,7 +457,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 		if err := replay(kernel.MethodRestore, snap); err != nil {
 			return fail("restore", err)
 		}
-		if rec := s.Monitor; rec != nil {
+		if rec := s.rec; rec != nil {
 			rec.RecordRestore(string(m.kind), s.clock.Now()-start) // the store's restore-latency gauge
 		}
 	}
@@ -476,10 +475,8 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 	if stopped {
 		return ErrChannelClosed
 	}
-	if delta != 0 {
-		s.sessionAccount(func(rec *trace.Recorder, id string) {
-			rec.SessionWorkerDelta(id, delta)
-		})
+	if id := s.Session(); delta != 0 && id != "" && s.rec != nil {
+		s.rec.SessionWorkerDelta(id, delta)
 	}
 	return refused
 }
@@ -596,10 +593,8 @@ func (m *modelProxy) shutdown() error {
 	ch, ids, n := m.ch, m.workers, m.accounted
 	m.accounted = 0
 	m.mu.Unlock()
-	if n != 0 {
-		m.sim.sessionAccount(func(rec *trace.Recorder, id string) {
-			rec.SessionWorkerDelta(id, -n)
-		})
+	if id := m.sim.Session(); n != 0 && id != "" && m.sim.rec != nil {
+		m.sim.rec.SessionWorkerDelta(id, -n)
 	}
 	var err error
 	if ch != nil {

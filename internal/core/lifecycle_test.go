@@ -394,7 +394,7 @@ func TestRebuildReplaysOneSequence(t *testing.T) {
 			if err := sim.Stop(); err != nil {
 				t.Fatal(err)
 			}
-			sim2, models, err := ResumeSimulation(ctx, tb.Daemon, nil, man)
+			sim2, models, err := ResumeSimulation(ctx, tb.Daemon, nil, man, "")
 			if err != nil {
 				t.Fatal(err)
 			}

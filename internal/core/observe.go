@@ -60,9 +60,9 @@ func (o *chanObs) deliver(p pendingCall, resp response, arrival time.Duration, e
 // observer builds the channel observer for one worker endpoint. host is
 // the worker's vnet host ("" for an in-process mpi worker); worker is
 // the daemon worker id (0 for mpi); rank >= 0 labels a gang member.
-// Returns nil when the simulation has no monitor.
+// Returns nil when the plane is off.
 func (s *Simulation) observer(kind Kind, resource, host string, worker, rank int) *chanObs {
-	rec := s.Monitor
+	rec := s.rec
 	if rec == nil {
 		return nil
 	}

@@ -10,9 +10,10 @@ import (
 	"jungle/internal/trace"
 )
 
-// TestObservabilityDefaultOn: a simulation built on any testbed wires the
-// testbed's recorder as its monitor with no opt-in, and a nil monitor
-// turns the plane off without touching the call path.
+// TestObservabilityDefaultOn: a simulation built on any testbed finds the
+// plane on the network — the testbed's recorder — with no opt-in, and a
+// network with no recorder turns the plane off without touching the call
+// path.
 func TestObservabilityDefaultOn(t *testing.T) {
 	for name, build := range map[string]func() (*Testbed, error){
 		"lab": NewLabTestbed, "sc11": NewSC11Testbed, "dsl": NewDSLTestbed, "elastic": NewElasticTestbed,
@@ -22,14 +23,20 @@ func TestObservabilityDefaultOn(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := NewSimulation(context.Background(), tb.Daemon, nil)
-		if tb.Recorder == nil || sim.Monitor != tb.Recorder {
-			t.Errorf("%s testbed: simulation did not adopt the deployment recorder by default", name)
+		if tb.Recorder == nil || sim.rec != tb.Recorder {
+			t.Errorf("%s testbed: simulation did not adopt the network's recorder", name)
 		}
 		sim.Stop()
 		tb.Close()
 	}
-	tb, sim := labSim(t)
-	sim.Monitor = nil // plane off for workers created from here on
+	tb, err := NewLabTestbed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	tb.Net.SetRecorder(nil) // plane off
+	sim := NewSimulation(context.Background(), tb.Daemon, nil)
+	t.Cleanup(func() { sim.Stop() })
 	g, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "desktop", Channel: ChannelMPI},
 		GravityOptions{Eps: 0.01})
 	if err != nil {
@@ -40,6 +47,9 @@ func TestObservabilityDefaultOn(t *testing.T) {
 	}
 	if rows := tb.Recorder.CallTable(); len(rows) != 0 {
 		t.Fatalf("plane off but %d call rows recorded: %+v", len(rows), rows)
+	}
+	if rows := tb.Recorder.CapacityTable(); len(rows) != 0 {
+		t.Fatalf("plane off but %d capacity rows recorded: %+v", len(rows), rows)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestSelectResourceRacingGangs(t *testing.T) {
 
 	simA := NewSimulation(ctx, d, nil)
 	t.Cleanup(func() { simA.Stop() })
-	simA.SetSession("tenant-a", nil)
+	simA.SetSession("tenant-a")
 	gangA, err := simA.NewGravity(ctx, gangSpec, GravityOptions{Eps: 0.01})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestSelectResourceRacingGangs(t *testing.T) {
 	// sessions, so the gang must land on the spare.
 	simB := NewSimulation(ctx, d, nil)
 	t.Cleanup(func() { simB.Stop() })
-	simB.SetSession("tenant-b", nil)
+	simB.SetSession("tenant-b")
 	gangB, err := simB.NewGravity(ctx, gangSpec, GravityOptions{Eps: 0.01})
 	if err != nil {
 		t.Fatalf("second gang: %v", err)
@@ -124,7 +124,7 @@ func TestReplacementLandsWhereItCanStart(t *testing.T) {
 	ctx := context.Background()
 	sim := NewSimulation(ctx, d, nil)
 	t.Cleanup(func() { sim.Stop() })
-	sim.SetSession("tenant-a", nil)
+	sim.SetSession("tenant-a")
 	if _, err := sim.NewGravity(ctx, WorkerSpec{Resource: "farm", Channel: ChannelIbis, Workers: 3}, GravityOptions{Eps: 0.01}); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSessionWorkerNamespaces(t *testing.T) {
 	for _, id := range []string{"red", "blue"} {
 		sim := NewSimulation(ctx, d, nil)
 		t.Cleanup(func() { sim.Stop() })
-		sim.SetSession(id, nil)
+		sim.SetSession(id)
 		sims[id] = sim
 		if _, err := sim.NewGravity(ctx, WorkerSpec{Channel: ChannelIbis}, GravityOptions{Eps: 0.01}); err != nil {
 			t.Fatal(err)
@@ -186,5 +186,20 @@ func TestSessionWorkerNamespaces(t *testing.T) {
 	}
 	if left := d.SessionWorkers("blue"); len(left) != 1 {
 		t.Fatalf("blue workers after red stopped: %v", left)
+	}
+}
+
+// TestSessionGangSampledOnce: a session's gang records each evolve's load
+// once, on the plane, under the session's label — not once bare and once
+// more under the session.
+func TestSessionGangSampledOnce(t *testing.T) {
+	tb, sim := elasticSim(t)
+	sim.SetSession("tenant-a")
+	g := elasticGravity(t, sim, tb.Mixed, 2, ic.Plummer(64, 5))
+	evolveLegs(t, g, 1.0/512)
+	rows := tb.Recorder.GangTable()
+	want := "tenant-a/gravity/" + tb.Mixed
+	if len(rows) != 1 || rows[0].Gang != want || len(rows[0].Stats.Samples) != 1 {
+		t.Fatalf("gang table %+v, want one row %q with one sample", rows, want)
 	}
 }

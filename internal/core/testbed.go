@@ -154,7 +154,6 @@ func NewLabTestbed() (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep.SetMonitor(rec)
 	tb := &Testbed{Net: n, Recorder: rec, Deployment: dep, Client: "desktop"}
 	if err := dep.AddResource(deploy.Resource{
 		Name: "desktop", Middleware: "local", Frontend: "desktop",
@@ -206,7 +205,6 @@ func NewSC11Testbed() (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep.SetMonitor(rec)
 	tb := &Testbed{Net: n, Recorder: rec, Deployment: dep, Client: "laptop"}
 	if err := dep.AddResource(deploy.Resource{
 		Name: "laptop", Middleware: "local", Frontend: "laptop", CPU: laptopCPU(),
@@ -254,7 +252,6 @@ func NewDSLTestbed() (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep.SetMonitor(rec)
 	tb := &Testbed{Net: n, Recorder: rec, Deployment: dep, Client: "home",
 		SiteA: "site-a", SiteB: "site-b"}
 	resources := []deploy.Resource{
@@ -320,7 +317,6 @@ func NewElasticTestbed() (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep.SetMonitor(rec)
 	tb := &Testbed{Net: n, Recorder: rec, Deployment: dep, Client: "desktop",
 		Mixed: "site-mixed", Spare: "site-spare"}
 	resources := []deploy.Resource{

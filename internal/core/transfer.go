@@ -23,9 +23,9 @@ import (
 // costs one inter-site leg plus small control RPCs. When the peer path is
 // unreachable (local workers, sockets channel, a dead stream) the
 // transfer falls back to exactly that Pull/Push hairpin, so TransferState
-// is always safe to call; the direct-path failure that triggered the
-// fallback is classified under ErrTransport/ErrWorkerDied and reported
-// through OnTransferFallback.
+// is always safe to call. Only a direct-path failure classified under
+// ErrTransport/ErrWorkerDied falls back, and each fallback is counted in
+// TransferStats and on the link's row of the link-health table.
 
 // storeRefs allocates NewStoreRef's ids.
 var storeRefs atomic.Uint64
@@ -90,14 +90,15 @@ func (s *Simulation) countTransfer(kind, from, to string) {
 	case trace.LinkFallback:
 		s.transfers.Fallback++
 	}
-	rec, id := s.sessionRec, s.session
+	id := s.session
 	s.mu.Unlock()
-	if rec != nil && id != "" {
-		rec.SessionTransfer(id)
+	if s.rec == nil {
+		return
 	}
-	if mon := s.Monitor; mon != nil {
-		mon.RecordLinkTransfer(from, to, kind)
+	if id != "" {
+		s.rec.SessionTransfer(id)
 	}
+	s.rec.RecordLinkTransfer(from, to, kind)
 }
 
 // GoTransferState starts moving the named attribute columns (default
@@ -191,18 +192,9 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 		}
 		// Direct path failed: carry the columns over the coupler instead.
 		s.countTransfer(trace.LinkFallback, src.peerHost(), dstPeer.Host)
-		if hook := s.onTransferFallback(); hook != nil {
-			hook(err)
-		}
 		s.runHairpin(c, src, dst, apply, slot, attrs, at)
 	}()
 	return c
-}
-
-func (s *Simulation) onTransferFallback() func(error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.OnTransferFallback
 }
 
 // runHairpin carries the columns through the coupler from virtual time at:

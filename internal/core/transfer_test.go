@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -194,8 +193,9 @@ func TestTransferStateHairpinForLocalWorkers(t *testing.T) {
 
 // TestTransferFaultFallsBackToHairpin is the fault-injection satellite:
 // the peer stream dies mid-transfer, the coupler observes a structured
-// transport-class error (no hang), falls back to the hairpin, and the
-// transfer still completes with correct state.
+// transport-class error (no hang), falls back to the hairpin — counted
+// once in TransferStats and on the link-health row — and the transfer
+// still completes with correct state.
 func TestTransferFaultFallsBackToHairpin(t *testing.T) {
 	oldTimeout := PeerAcceptTimeout
 	PeerAcceptTimeout = 500 * time.Millisecond
@@ -205,9 +205,7 @@ func TestTransferFaultFallsBackToHairpin(t *testing.T) {
 		testPeerStreamFault = nil
 	})
 
-	_, sim := dslSim(t)
-	var classified []error
-	sim.OnTransferFallback = func(err error) { classified = append(classified, err) }
+	tb, sim := dslSim(t)
 
 	const n = 128
 	src, dst := transferPair(t, sim, ic.Plummer(n, 5))
@@ -223,13 +221,9 @@ func TestTransferFaultFallsBackToHairpin(t *testing.T) {
 		t.Fatal("transfer hung after mid-stream fault")
 	}
 
-	if len(classified) != 1 {
-		t.Fatalf("fallback hook fired %d times, want 1", len(classified))
-	}
-	if !errors.Is(classified[0], ErrTransport) && !errors.Is(classified[0], ErrWorkerDied) {
-		t.Fatalf("direct-path error %v not classified as ErrTransport/ErrWorkerDied", classified[0])
-	}
-	if st := sim.TransferStats(); st.Fallback != 1 {
+	// Only a classified direct-path failure falls back (isPeerPathErr), so
+	// the link-health row's fallback count is the classified one.
+	if st := assertLinksMatchStats(t, tb, sim); st.Fallback != 1 {
 		t.Fatalf("transfer stats %+v, want one fallback", st)
 	}
 	assertStateMatches(t, src, dst, n)

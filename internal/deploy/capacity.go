@@ -13,7 +13,9 @@ import "sync"
 // OccupiedNodes.
 
 // CapacityMonitor receives a capacity gauge update whenever a resource's
-// occupancy changes (trace.Recorder satisfies it; see RenderHealth).
+// occupancy changes. The gauge goes to the network's recorder when it
+// implements this (trace.Recorder does; see RenderHealth): the plane is
+// the network's recorder, and a network with none records nothing.
 type CapacityMonitor interface {
 	RecordCapacity(resource string, occupied, total int)
 }
@@ -22,22 +24,14 @@ type CapacityMonitor interface {
 type capLedger struct {
 	mu        sync.Mutex
 	committed map[string]map[string]int // resource -> owner -> nodes
-	mon       CapacityMonitor
 }
 
-// SetMonitor installs the capacity gauge observer. Every ledger mutation
-// afterwards reports the resource's fresh occupancy to it.
-func (d *Deployment) SetMonitor(m CapacityMonitor) {
-	d.cap.mu.Lock()
-	d.cap.mon = m
-	d.cap.mu.Unlock()
-}
-
-// recordCapacity pushes one resource's current occupancy to the monitor.
-// Called after the ledger mutation's unlock — OccupiedNodes retakes the
-// ledger lock.
-func (d *Deployment) recordCapacity(m CapacityMonitor, resource string) {
-	if m == nil {
+// recordCapacity pushes one resource's current occupancy to the network's
+// recorder. Called after the ledger mutation's unlock — OccupiedNodes
+// retakes the ledger lock.
+func (d *Deployment) recordCapacity(resource string) {
+	m, ok := d.Net.Recorder().(CapacityMonitor)
+	if !ok {
 		return
 	}
 	total := 0
@@ -48,7 +42,7 @@ func (d *Deployment) recordCapacity(m CapacityMonitor, resource string) {
 }
 
 // adjust moves one owner's committed nodes on a resource by delta and
-// reports the resource's fresh occupancy to the monitor.
+// reports the resource's fresh occupancy to the network's recorder.
 func (d *Deployment) adjust(resource, owner string, delta int) {
 	d.cap.mu.Lock()
 	if d.cap.committed == nil {
@@ -63,9 +57,8 @@ func (d *Deployment) adjust(resource, owner string, delta int) {
 	if m[owner] <= 0 {
 		delete(m, owner)
 	}
-	mon := d.cap.mon
 	d.cap.mu.Unlock()
-	d.recordCapacity(mon, resource)
+	d.recordCapacity(resource)
 }
 
 // CommitNodes records nodes occupied by a running worker job. owner is

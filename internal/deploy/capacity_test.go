@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"jungle/internal/vnet"
@@ -50,5 +52,47 @@ func TestCapacityLedger(t *testing.T) {
 	// Other resources are untouched.
 	if got := d.OccupiedNodes("elsewhere"); got != 0 {
 		t.Fatalf("untouched resource occupied = %d", got)
+	}
+}
+
+// gaugeRecorder is a network recorder that also takes capacity gauges.
+type gaugeRecorder struct {
+	gauges []string
+}
+
+func (r *gaugeRecorder) RecordTraffic(from, to, class string, n int) {}
+
+func (r *gaugeRecorder) RecordCapacity(resource string, occupied, total int) {
+	r.gauges = append(r.gauges, fmt.Sprintf("%s %d/%d", resource, occupied, total))
+}
+
+// trafficOnly is a network recorder with no capacity gauge.
+type trafficOnly struct{}
+
+func (trafficOnly) RecordTraffic(from, to, class string, n int) {}
+
+// TestCapacityGaugeFollowsNetworkRecorder: every ledger mutation reaches
+// the network's recorder with no setup call, and a recorder that takes no
+// capacity gauge is skipped.
+func TestCapacityGaugeFollowsNetworkRecorder(t *testing.T) {
+	d := capTestDeployment(t)
+	rec := &gaugeRecorder{}
+	d.Net.SetRecorder(rec)
+	d.CommitNodes("cluster", "s1", 3)
+	d.CommitNodes("cluster", "s2", 2)
+	d.ReleaseNodes("cluster", "s1", 3)
+	want := []string{"cluster 3/0", "cluster 5/0", "cluster 2/0"}
+	if !slices.Equal(rec.gauges, want) {
+		t.Fatalf("capacity gauges %q, want %q", rec.gauges, want)
+	}
+
+	d.Net.SetRecorder(trafficOnly{})
+	d.CommitNodes("cluster", "s1", 1)
+	d.ReleaseNodes("cluster", "s2", 2)
+	if len(rec.gauges) != len(want) {
+		t.Fatalf("gauges recorded past the network's recorder: %q", rec.gauges)
+	}
+	if got := d.OccupiedNodes("cluster"); got != 1 {
+		t.Fatalf("occupied = %d, want 1", got)
 	}
 }

@@ -152,7 +152,7 @@ func ResumeScenario(ctx context.Context, tb *core.Testbed, path string) (RunResu
 	if rc.Done >= rc.Iterations {
 		return RunResult{}, fmt.Errorf("exp: run %s already complete (%d/%d iterations)", rc.Scenario, rc.Done, rc.Iterations)
 	}
-	sim, models, err := core.ResumeSimulation(ctx, tb.Daemon, nil, &rc.Core)
+	sim, models, err := core.ResumeSimulation(ctx, tb.Daemon, nil, &rc.Core, "")
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: resume %s: %w", rc.Scenario, err)
 	}

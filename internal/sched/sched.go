@@ -77,12 +77,16 @@ type RunFunc func(ctx context.Context, sess *Session, payload []byte) ([]byte, e
 
 // Config tunes a Scheduler. Zero values select the defaults.
 type Config struct {
-	MaxLive    int             // concurrent running sessions (default 4)
-	QueueCap   int             // admission queue bound (default 8)
-	LeaseTTL   time.Duration   // idle-reap threshold (default 30s)
-	RetryAfter time.Duration   // hint in busy rejections (default 500ms)
-	Recorder   *trace.Recorder // per-session accounting sink (optional)
-	Run        RunFunc         // run handler for gateway session_run ops
+	MaxLive    int           // concurrent running sessions (default 4)
+	QueueCap   int           // admission queue bound (default 8)
+	LeaseTTL   time.Duration // idle-reap threshold (default 30s)
+	RetryAfter time.Duration // hint in busy rejections (default 500ms)
+	// Recorder is the scheduler's own sink for its session lifecycle rows
+	// and the CloseSession fold (optional). It must be the deployment's
+	// recorder, the one its network carries: a session's simulations
+	// account there, and CloseSession folds what they recorded.
+	Recorder *trace.Recorder
+	Run      RunFunc // run handler for gateway session_run ops
 	// Now is the lease clock (default time.Now); tests inject one to
 	// expire leases deterministically.
 	Now func() time.Time

@@ -117,7 +117,7 @@ func (ss *Session) NewSim(ctx context.Context, conv *units.Converter) *core.Simu
 // (setup replayed, snapshots restored, clock advanced) under this
 // session's namespace and placement policy.
 func (ss *Session) ResumeSim(ctx context.Context, conv *units.Converter, man *core.Manifest) (*core.Simulation, []*core.Model, error) {
-	sim, models, err := core.ResumeSessionSimulation(ctx, ss.s.daemon, conv, man, ss.id, ss.s.cfg.Recorder)
+	sim, models, err := core.ResumeSimulation(ctx, ss.s.daemon, conv, man, ss.id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,7 +135,7 @@ func (ss *Session) Sim() *core.Simulation {
 // bind registers a simulation as the session's live coupler and installs
 // the session namespace and the fair-share placer.
 func (ss *Session) bind(sim *core.Simulation) {
-	sim.SetSession(ss.id, ss.s.cfg.Recorder)
+	sim.SetSession(ss.id)
 	d := ss.s.daemon.Deployment()
 	sim.SetPlacer(func(spec core.WorkerSpec) (string, error) {
 		return core.SelectLeastLoaded(d, spec)

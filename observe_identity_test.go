@@ -41,8 +41,9 @@ func gravityDigest(t *testing.T, g *core.Gravity) uint64 {
 }
 
 // runArms executes one scenario twice — plane on (the default), plane off
-// (Monitor nilled before any worker starts) — and requires equal virtual
-// elapsed times and state digests.
+// (the network's recorder removed before the simulation is built, so no
+// call, traffic, goodput or capacity is recorded) — and requires equal
+// virtual elapsed times and state digests.
 func runArms(t *testing.T, scenario func(t *testing.T, observed bool) (time.Duration, uint64)) {
 	t.Helper()
 	onTime, onDigest := scenario(t, true)
@@ -66,11 +67,11 @@ func TestPlaneByteIdentityPipelinedKick(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tb.Close()
+		if !observed {
+			tb.Net.SetRecorder(nil)
+		}
 		sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
 		defer sim.Stop()
-		if !observed {
-			sim.Monitor = nil
-		}
 		var models []*core.Gravity
 		for _, r := range []string{"lgm", "das4-vu", "das4-uva", "das4-tud"} {
 			g, err := sim.NewGravity(context.Background(),
@@ -109,11 +110,11 @@ func TestPlaneByteIdentityShardedKick(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tb.Close()
+		if !observed {
+			tb.Net.SetRecorder(nil)
+		}
 		sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
 		defer sim.Stop()
-		if !observed {
-			sim.Monitor = nil
-		}
 		g, err := sim.NewGravity(context.Background(),
 			core.WorkerSpec{Resource: tb.SiteA, Channel: core.ChannelIbis, Workers: 4},
 			core.GravityOptions{Eps: 0.01})
@@ -150,11 +151,11 @@ func TestPlaneByteIdentityCheckpointRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tb.Close()
+		if !observed {
+			tb.Net.SetRecorder(nil)
+		}
 		sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
 		defer sim.Stop()
-		if !observed {
-			sim.Monitor = nil
-		}
 		g, err := sim.NewGravity(context.Background(),
 			core.WorkerSpec{Resource: "lgm", Channel: core.ChannelIbis},
 			core.GravityOptions{Kernel: "phigrape-gpu", Eps: 0.01})

@@ -9,6 +9,7 @@ import (
 
 	"jungle/internal/core"
 	"jungle/internal/sched"
+	"jungle/internal/trace"
 )
 
 func sessionPlane(t *testing.T, cfg sched.Config) (*core.Testbed, *sched.Scheduler) {
@@ -103,12 +104,13 @@ func TestSessionLifecycleBitCompatible(t *testing.T) {
 		t.Fatalf("resumed supernovae %d != straight-through %d", res.Supernovae, base.Supernovae)
 	}
 
-	// The trace recorder kept the session's story.
-	st, ok := tb.Recorder.Sessions()["tenant"]
-	if !ok || st.Evictions != 1 || st.Resumes != 1 {
-		t.Fatalf("session accounting = %+v, ok=%v; want 1 eviction, 1 resume", st, ok)
+	// The trace recorder kept the session's story: closed, it is folded
+	// into the (closed) row, the plane's only session on this testbed.
+	st, ok := tb.Recorder.Sessions()[trace.ClosedSession]
+	if !ok || st.Closed != 1 || st.Evictions != 1 || st.Resumes != 1 {
+		t.Fatalf("session accounting = %+v, ok=%v; want 1 closed session, 1 eviction, 1 resume", st, ok)
 	}
-	if view := tb.Recorder.RenderSessions(); !strings.Contains(view, "tenant") {
+	if view := tb.Recorder.RenderSessions(); !strings.Contains(view, trace.ClosedSession) {
 		t.Fatalf("RenderSessions lost the session:\n%s", view)
 	}
 }

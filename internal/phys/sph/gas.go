@@ -559,9 +559,8 @@ type slab struct {
 	gacc   []data.Vec3 // the slab's self-gravity,
 	gflops float64     // the flops it cost,
 	primed bool        // and whether it is already at st.pos
-	gpot   []float64
-	pack   []float64 // exchange buffers: this rank's packed rows,
-	full   []float64 // and, on a state of its own, every rank's
+	pack   []float64   // exchange buffers: this rank's packed rows,
+	full   []float64   // and, on a state of its own, every rank's
 }
 
 // slab makes the rank's view of the rows [lo,hi), taking their kept
@@ -577,7 +576,6 @@ func (st *state) slab(lo, hi int, exchange bool) *slab {
 		} else {
 			s.gacc = make([]data.Vec3, hi-lo)
 		}
-		s.gpot = make([]float64, hi-lo)
 	}
 	if exchange {
 		s.pack = make([]float64, 7*(hi-lo))
@@ -740,7 +738,7 @@ func (s *slab) forces() float64 {
 
 	if g.SelfGravity && len(g.mass) > 1 {
 		if !s.primed {
-			s.gflops = s.octree(s.pass).Accel(pos[lo:s.hi], g.EpsGrav, g.Theta, s.gacc, s.gpot)
+			s.gflops = s.octree(s.pass).Accel(pos[lo:s.hi], g.EpsGrav, g.Theta, s.gacc, nil)
 		}
 		s.primed = false
 		flops += s.gflops

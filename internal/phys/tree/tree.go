@@ -245,9 +245,9 @@ func (t *Tree) accelAt(p data.Vec3, eps2, theta float64) (data.Vec3, float64, in
 }
 
 // Accel evaluates acceleration and potential at every target point with
-// opening angle theta and Plummer softening eps. Targets are processed in
-// parallel; each target's traversal is deterministic. Returns the accounted
-// flop count.
+// opening angle theta and Plummer softening eps; a nil pot skips storing
+// the potential. Targets are processed in parallel; each target's
+// traversal is deterministic. Returns the accounted flop count.
 func (t *Tree) Accel(targets []data.Vec3, eps, theta float64, acc []data.Vec3, pot []float64) float64 {
 	n := len(targets)
 	if n == 0 {
@@ -277,8 +277,11 @@ func (t *Tree) Accel(targets []data.Vec3, eps, theta float64, acc []data.Vec3, p
 			defer wg.Done()
 			total := 0
 			for i := lo; i < hi; i++ {
-				var inter int
-				acc[i], pot[i], inter = t.accelAt(targets[i], eps2, theta)
+				a, p, inter := t.accelAt(targets[i], eps2, theta)
+				acc[i] = a
+				if pot != nil {
+					pot[i] = p
+				}
 				total += inter
 			}
 			interactions[w] = total

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -184,35 +185,81 @@ func TestAttachCancelDuringAdmission(t *testing.T) {
 	}
 }
 
-// TestSchedulerAttachRetry: a busy plane rejects, the retry loop absorbs
-// the rejection with the structured hint, and the attach lands once the
-// slot frees.
+// TestSchedulerAttachRetry: a busy plane rejects, the retry loop waits on
+// the scheduler's own event, not on the RetryAfter hint (an hour here), and
+// the attach lands as soon as the slot frees. Exhausted attempts surface
+// the busy error, each retry woken by a queue place freeing.
 func TestSchedulerAttachRetry(t *testing.T) {
-	_, s := testPlane(t, Config{MaxLive: 1, RetryAfter: 5 * time.Millisecond})
+	_, s := testPlane(t, Config{MaxLive: 1, RetryAfter: time.Hour})
 	ctx := context.Background()
 
 	if _, _, err := s.Attach(ctx, "holder", false); err != nil {
 		t.Fatalf("holder attach: %v", err)
 	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		s.Close("holder")
-	}()
-	sess, _, retries, err := s.AttachRetry(ctx, "member", false, 100)
-	if err != nil {
-		t.Fatalf("AttachRetry: %v", err)
+	type result struct {
+		retries int
+		err     error
 	}
-	if sess == nil || retries == 0 {
-		t.Fatalf("AttachRetry absorbed %d rejections (want >0) sess=%v", retries, sess)
+	retry := func(id string, attempts int) <-chan result {
+		out := make(chan result, 1)
+		go func() {
+			_, _, retries, err := s.AttachRetry(ctx, id, false, attempts)
+			out <- result{retries, err}
+		}()
+		return out
+	}
+	// refused waits until a rejected AttachRetry waits for the next freeing.
+	refused := func() {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for {
+			s.mu.Lock()
+			waiting := s.freed != nil
+			s.mu.Unlock()
+			if waiting {
+				return
+			}
+			select {
+			case <-deadline:
+				t.Fatal("AttachRetry never waited on a refusal")
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	outcome := func(got <-chan result) result {
+		t.Helper()
+		select {
+		case r := <-got:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("AttachRetry still waiting 10 s after the plane freed")
+			return result{}
+		}
 	}
 
-	// Exhausted attempts surface the busy error ("member" still holds the
-	// plane's only slot).
-	_, _, retries, err = s.AttachRetry(ctx, "late", false, 3)
-	if err == nil {
-		t.Fatal("AttachRetry succeeded past MaxLive with no slot freed")
+	got := retry("member", 100)
+	refused()
+	if err := s.Close("holder"); err != nil {
+		t.Fatal(err)
 	}
-	if retries != 2 {
-		t.Fatalf("AttachRetry absorbed %d rejections before giving up, want 2", retries)
+	if r := outcome(got); r.err != nil || r.retries != 1 {
+		t.Fatalf("AttachRetry after the slot freed: %d retries, %v; want 1 and success", r.retries, r.err)
+	}
+
+	// "member" keeps the only slot; two queued sessions close, and each
+	// close wakes the loop for one more refused attempt.
+	got = retry("late", 3)
+	for i := 0; i < 2; i++ {
+		refused()
+		id := fmt.Sprintf("queued-%d", i)
+		parkWaiter(t, s, id, 1, make(chan string, 1))
+		if err := s.Close(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := outcome(got)
+	var be *BusyError
+	if !errors.As(r.err, &be) || r.retries != 2 {
+		t.Fatalf("AttachRetry past MaxLive: %d retries, %v; want 2 and a busy error", r.retries, r.err)
 	}
 }

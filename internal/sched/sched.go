@@ -47,7 +47,8 @@ var (
 	// ErrUnknownSession is returned for operations on a session id that
 	// was never attached (or was closed and forgotten).
 	ErrUnknownSession = errors.New("sched: unknown session")
-	// ErrSessionClosed is returned for operations on a closed session.
+	// ErrSessionClosed is returned for operations on a session closed
+	// within the last trace.RetiredWindow closes.
 	ErrSessionClosed = errors.New("sched: session closed")
 	// ErrSchedulerClosed is returned once the scheduler shut down.
 	ErrSchedulerClosed = errors.New("sched: scheduler closed")
@@ -56,7 +57,7 @@ var (
 // BusyError is an admission-control rejection: the plane has no capacity
 // for the session right now. It unwraps to kernel.ErrBusy, so callers
 // branch with errors.Is; RetryAfter is the structured backoff hint that
-// travels in the CodeBusy response payload.
+// travels in the CodeBusy response payload for remote clients.
 type BusyError struct {
 	RetryAfter time.Duration
 	Queued     int // sessions already waiting for admission
@@ -133,11 +134,17 @@ type Scheduler struct {
 	daemon *core.Daemon
 	cfg    Config
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// sessions holds the sessions not closed; a closed id leaves it for
+	// retired, so what closed sessions hold is one fixed window.
 	sessions map[string]*Session
+	retired  trace.Retired
 	live     int
 	queue    []*waiter
 	closed   bool
+	// freed, once a busy rejection made it, closes when a live slot or a
+	// queue place next frees (AttachRetry waits on it).
+	freed chan struct{}
 }
 
 // waiter is one attach parked in the admission queue.
@@ -163,19 +170,32 @@ func (s *Scheduler) Recorder() *trace.Recorder { return s.cfg.Recorder }
 // resumed reports that the session came back from preemption and has a
 // snapshot to resume from.
 func (s *Scheduler) Attach(ctx context.Context, id string, wait bool) (sess *Session, resumed bool, err error) {
+	sess, resumed, _, err = s.attach(ctx, id, wait)
+	return sess, resumed, err
+}
+
+// attach is Attach. On a busy rejection it also returns the channel that
+// closes when a live slot or a queue place next frees, taken under the
+// lock that decided the rejection, so no wake-up falls between them.
+func (s *Scheduler) attach(ctx context.Context, id string, wait bool) (sess *Session, resumed bool, freed <-chan struct{}, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if id == "" {
-		return nil, false, errors.New("sched: empty session id")
+		return nil, false, nil, errors.New("sched: empty session id")
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, false, ErrSchedulerClosed
+		return nil, false, nil, ErrSchedulerClosed
 	}
 	sess = s.sessions[id]
-	if sess == nil {
+	created := sess == nil
+	if created {
+		if s.retired.Has(id) {
+			s.mu.Unlock()
+			return nil, false, nil, fmt.Errorf("%w: %q", ErrSessionClosed, id)
+		}
 		sess = newSession(s, id)
 		s.sessions[id] = sess
 	}
@@ -183,10 +203,7 @@ func (s *Scheduler) Attach(ctx context.Context, id string, wait bool) (sess *Ses
 	case StateRunning:
 		sess.touch(s.cfg.now())
 		s.mu.Unlock()
-		return sess, false, nil
-	case StateClosed:
-		s.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: %q", ErrSessionClosed, id)
+		return sess, false, nil, nil
 	case StateQueued:
 		// Another attach is already parked for this session; fall through
 		// to park this one too (both resolve when the session is admitted).
@@ -195,12 +212,20 @@ func (s *Scheduler) Attach(ctx context.Context, id string, wait bool) (sess *Ses
 	if s.live < s.cfg.maxLive() {
 		s.admitLocked(sess, resumed)
 		s.mu.Unlock()
-		return sess, resumed, nil
+		return sess, resumed, nil, nil
 	}
 	if !wait || len(s.queue) >= s.cfg.queueCap() {
+		if created {
+			// A refused new id leaves no record behind.
+			delete(s.sessions, id)
+		}
 		berr := &BusyError{RetryAfter: s.cfg.retryAfter(), Queued: len(s.queue)}
+		if s.freed == nil {
+			s.freed = make(chan struct{})
+		}
+		freed = s.freed
 		s.mu.Unlock()
-		return nil, false, berr
+		return nil, false, freed, berr
 	}
 	w := &waiter{sess: sess, ready: make(chan error, 1)}
 	s.queue = append(s.queue, w)
@@ -210,9 +235,9 @@ func (s *Scheduler) Attach(ctx context.Context, id string, wait bool) (sess *Ses
 	select {
 	case err := <-w.ready:
 		if err != nil {
-			return nil, false, err
+			return nil, false, nil, err
 		}
-		return sess, resumed, nil
+		return sess, resumed, nil, nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		found := false
@@ -220,6 +245,7 @@ func (s *Scheduler) Attach(ctx context.Context, id string, wait bool) (sess *Ses
 			if q == w {
 				s.queue = append(s.queue[:i], s.queue[i+1:]...)
 				found = true
+				s.wakeLocked()
 				break
 			}
 		}
@@ -230,11 +256,20 @@ func (s *Scheduler) Attach(ctx context.Context, id string, wait bool) (sess *Ses
 			// that outcome instead of the context — returning ctx.Err()
 			// here would leak the admitted session's live slot.
 			if err := <-w.ready; err != nil {
-				return nil, false, err
+				return nil, false, nil, err
 			}
-			return sess, resumed, nil
+			return sess, resumed, nil, nil
 		}
-		return nil, false, ctx.Err()
+		return nil, false, nil, ctx.Err()
+	}
+}
+
+// wakeLocked wakes every AttachRetry waiting for a live slot or a queue
+// place: one of them just freed. Caller holds s.mu.
+func (s *Scheduler) wakeLocked() {
+	if s.freed != nil {
+		close(s.freed)
+		s.freed = nil
 	}
 }
 
@@ -254,8 +289,10 @@ func (s *Scheduler) admitLocked(sess *Session, resumed bool) {
 // free. A session can be parked more than once (two attaches racing while
 // it was queued); only the first waiter claims a slot — later waiters for
 // the same session find it already running and share it, so one session
-// can never consume two live slots. Caller holds s.mu.
+// can never consume two live slots. A pump follows every freed slot, so it
+// wakes the AttachRetry waiters too. Caller holds s.mu.
 func (s *Scheduler) pumpLocked() {
+	s.wakeLocked()
 	for i := 0; i < len(s.queue); {
 		w := s.queue[i]
 		st := w.sess.getState()
@@ -286,23 +323,25 @@ func (s *Scheduler) pumpLocked() {
 func (s *Scheduler) MaxLive() int { return s.cfg.maxLive() }
 
 // AttachRetry attaches like Attach but absorbs busy rejections: on a
-// *BusyError it sleeps the structured RetryAfter hint and tries again,
-// up to attempts tries in total (attempts <= 1 behaves like Attach). It
-// reports how many busy rejections it absorbed — ensemble runs account
-// retries per member.
+// *BusyError it waits until a live slot or a queue place frees (a close,
+// an eviction, an admission from the queue or a parked attach giving up)
+// and tries again, up to attempts tries in total (attempts <= 1 behaves
+// like Attach); ctx bounds the wait. The RetryAfter hint is for remote
+// clients, which cannot see the event. It reports how many busy
+// rejections it absorbed — ensemble runs account retries per member.
 func (s *Scheduler) AttachRetry(ctx context.Context, id string, wait bool, attempts int) (sess *Session, resumed bool, retries int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
-		sess, resumed, err = s.Attach(ctx, id, wait)
-		var be *BusyError
-		if err == nil || !errors.As(err, &be) || retries+1 >= attempts {
+		var freed <-chan struct{}
+		sess, resumed, freed, err = s.attach(ctx, id, wait)
+		if freed == nil || retries+1 >= attempts {
 			return sess, resumed, retries, err
 		}
 		retries++
 		select {
-		case <-time.After(be.RetryAfter):
+		case <-freed:
 		case <-ctx.Done():
 			return nil, false, retries, ctx.Err()
 		}
@@ -339,14 +378,22 @@ func (s *Scheduler) Status(id string) (core.SessionStatusReply, error) {
 // Session returns a live handle for an attached session id.
 func (s *Scheduler) Session(id string) (*Session, error) { return s.lookup(id) }
 
+// lookup returns the session id names: ErrSessionClosed for an id in the
+// retired window, ErrUnknownSession for one never attached or forgotten.
 func (s *Scheduler) lookup(id string) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess := s.sessions[id]
-	if sess == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
+	return s.lookupLocked(id)
+}
+
+func (s *Scheduler) lookupLocked(id string) (*Session, error) {
+	if sess := s.sessions[id]; sess != nil {
+		return sess, nil
 	}
-	return sess, nil
+	if s.retired.Has(id) {
+		return nil, fmt.Errorf("%w: %q", ErrSessionClosed, id)
+	}
+	return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 }
 
 // ReapIdle evicts every running session whose lease expired (no
@@ -413,14 +460,20 @@ func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 	s.daemon.DropSessionCheckpoints(sess.id)
 
 	sess.mu.Lock()
+	if sess.state != StateRunning {
+		// Closed while it was checkpointed: Close freed its slot.
+		sess.mu.Unlock()
+		return nil
+	}
+	sess.state = StatePreempted
 	sess.sim = nil
 	sess.evictor = nil
 	if snap != nil {
 		sess.snapshot = snap
 	}
 	sess.mu.Unlock()
-	sess.setState(StatePreempted)
 	if rec := s.cfg.Recorder; rec != nil {
+		rec.SessionState(sess.id, string(StatePreempted))
 		rec.SessionEviction(sess.id)
 	}
 
@@ -433,24 +486,33 @@ func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 
 // Close ends one session for good: workers stop, capacity and checkpoint
 // blobs release, the id is retired, and a queued session (if any) is
-// admitted into the freed slot. The session leaves nothing behind but its
-// record and its stats row: its call and queue-depth series fold into the
-// recorder's closed aggregate, and the daemon forgets its id block.
+// admitted into the freed slot. The session leaves nothing behind that
+// grows: its record goes, its id joins the fixed window of retired ids
+// (closing it again is a no-op, attaching it is ErrSessionClosed), its
+// stats row and call and queue-depth series fold into the recorder's
+// (closed) aggregates, and the daemon forgets its id block.
 func (s *Scheduler) Close(id string) error {
-	sess, err := s.lookup(id)
+	s.mu.Lock()
+	sess, err := s.lookupLocked(id)
 	if err != nil {
+		s.mu.Unlock()
+		if errors.Is(err, ErrSessionClosed) {
+			return nil
+		}
 		return err
 	}
+	delete(s.sessions, id)
+	s.retired.Add(id)
 	sess.mu.Lock()
 	state := sess.state
+	sess.state = StateClosed
 	sim := sess.sim
 	sess.sim = nil
 	sess.evictor = nil
 	sess.snapshot = nil
 	sess.mu.Unlock()
-	if state == StateClosed {
-		return nil
-	}
+	s.mu.Unlock()
+
 	if sim != nil {
 		sim.Stop()
 	}
@@ -459,7 +521,6 @@ func (s *Scheduler) Close(id string) error {
 	if rec := s.cfg.Recorder; rec != nil {
 		rec.CloseSession(id)
 	}
-	sess.setState(StateClosed)
 
 	s.mu.Lock()
 	if state == StateRunning {
@@ -484,6 +545,7 @@ func (s *Scheduler) Shutdown() {
 	}
 	queue := s.queue
 	s.queue = nil
+	s.wakeLocked()
 	s.mu.Unlock()
 	for _, w := range queue {
 		w.ready <- ErrSchedulerClosed

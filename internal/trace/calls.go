@@ -167,14 +167,18 @@ func (r *Recorder) RecordQueueDepth(session, worker string, depth int) {
 
 // CloseSession ends a session's series: each of its call keys folds into
 // {ClosedSession, model, method} and each queue key into {ClosedSession,
-// kind@resource}, and the session's own keys are deleted. Counts move and
-// are never dropped, so the totals over CallsSnapshot do not change. A key
-// whose aggregate does not exist yet becomes it; otherwise the fold merges
-// in place. The default session "" is never closed.
+// kind@resource}, its SessionStats row into the ClosedSession row, and the
+// session's own keys and row are deleted. Counts move and are never
+// dropped, so the totals over CallsSnapshot and Sessions do not change. A
+// key whose aggregate does not exist yet becomes it; otherwise the fold
+// merges in place. A later session event for the id, within the last
+// RetiredWindow folds, lands in the ClosedSession row. The default session
+// "" is never closed.
 func (r *Recorder) CloseSession(id string) {
 	if id == "" || id == ClosedSession {
 		return
 	}
+	r.closeSessionStats(id)
 	for i := range r.callShards {
 		s := &r.callShards[i]
 		s.mu.Lock()

@@ -74,6 +74,69 @@ func TestCloseSessionFolds(t *testing.T) {
 	}
 }
 
+// TestRetentionFoldedSessions: CloseSession folds a session's stats row
+// into the (closed) row, so the table holds the live sessions and one row
+// more; totals over Sessions() do not change across a fold, and a late
+// event for a folded id lands in the (closed) row instead of reviving its
+// own.
+func TestRetentionFoldedSessions(t *testing.T) {
+	r := New()
+	type totals struct{ workers, calls, transfers, evictions, resumes, closed int }
+	sum := func() (s totals) {
+		for _, st := range r.Sessions() {
+			s.workers += st.Workers
+			s.calls += st.Calls
+			s.transfers += st.Transfers
+			s.evictions += st.Evictions
+			s.resumes += st.Resumes
+			s.closed += st.Closed
+		}
+		return s
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("s%02d", i)
+		r.SessionState(id, "running")
+		r.SessionWorkerDelta(id, 2)
+		r.SessionCall(id)
+		r.SessionTransfer(id)
+		r.SessionEviction(id)
+		r.SessionResume(id)
+		r.SessionWorkerDelta(id, -1) // one worker still live at the fold
+	}
+	before := sum()
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			r.CloseSession(fmt.Sprintf("s%02d", i))
+		}
+	}
+	after := sum()
+	after.closed = 0
+	if after != before {
+		t.Fatalf("totals across the fold: %+v, want %+v", after, before)
+	}
+	if got := len(r.Sessions()); got != n/2+1 {
+		t.Fatalf("%d rows with %d sessions live, want %d", got, n/2, n/2+1)
+	}
+
+	r.SessionCall("s00")
+	r.SessionState("s00", "running")
+	r.SessionWorkerDelta("s00", -1)
+	rows := r.Sessions()
+	if _, ok := rows["s00"]; ok || len(rows) != n/2+1 {
+		t.Fatalf("a late event revived the folded row: %d rows", len(rows))
+	}
+	agg := rows[ClosedSession]
+	if agg.State != "closed" || agg.Closed != n/2 || agg.Calls != n/2+1 || agg.Workers != n/2-1 || agg.Resumes != n/2 {
+		t.Fatalf("(closed) row %+v: want state closed, %d sessions, %d calls, %d workers, %d resumes",
+			agg, n/2, n/2+1, n/2-1, n/2)
+	}
+	r.CloseSession("s00") // already folded: counted once
+	if got := r.Sessions()[ClosedSession].Closed; got != n/2 {
+		t.Fatalf("closing a folded id again counted %d sessions, want %d", got, n/2)
+	}
+}
+
 // TestDiffCallsAcrossSessionClose: a session that closes between two
 // snapshots folds into the aggregate, and the diff still counts only the
 // calls made between the snapshots — not the closed session's earlier

@@ -35,6 +35,9 @@ type Recorder struct {
 	// sessions holds per-session control-plane accounting (sessions.go);
 	// created lazily so single-tenant recorders pay nothing.
 	sessions map[string]*SessionStats
+	// folded is the window of ids whose rows CloseSession folded into the
+	// ClosedSession row; their later events land there.
+	folded Retired
 	// gangs holds elastic-gang skew telemetry (gangs.go); lazy like
 	// sessions.
 	gangs map[string]*GangStats

@@ -20,7 +20,7 @@ import (
 // session. It owns the virtual clock, a unit converter for checked
 // conversions at the API boundary, and the workers it started. Models
 // created here implement the bridge interfaces (including the async
-// AsyncDynamics/AsyncField ones), so phys/bridge composes them exactly
+// AsyncDynamics/DirectField ones), so phys/bridge composes them exactly
 // like Fig. 7 — whether the model is in-process or a continent away behind
 // the ibis channel — and pipelines its per-phase calls across all of them.
 type Simulation struct {
@@ -172,12 +172,9 @@ type modelProxy struct {
 	// lastSnap is the raw frame of the model's most recent checkpoint
 	// snapshot (kernel.Snapshot codec) — the full model state including the
 	// kernel's clock, and the one thing a rebuild restores. snapSeq is the
-	// issue-order seq of the call that took it. lastBlobRef is the
-	// daemon-store ref the frame is filed under, so the next checkpoint can
-	// trim the superseded blob from the store.
+	// issue-order seq of the call that took it.
 	lastSnap    []byte
 	snapSeq     uint64
-	lastBlobRef uint64
 	wroteSeq    uint64 // the latest completed call that changed the state,
 	wroteMethod string // and its method: snapSeq must be no older
 
@@ -283,7 +280,7 @@ func (m *modelProxy) replaceableLocked() bool {
 func keepsState(method string) bool {
 	switch method {
 	case "get_state", "get_positions", "get_velocities", "get_masses", "stats", "energies", "field_at",
-		kernel.MethodOfferState, kernel.MethodCheckpoint, kernel.MethodOfferCheckpoint:
+		kernel.MethodOfferState, kernel.MethodCheckpoint:
 		return true
 	}
 	return false
@@ -347,18 +344,12 @@ func (m *modelProxy) Call(ctx context.Context, method string, args, reply any) e
 // cacheSnapshot remembers the model's latest checkpoint frame for
 // replacement (Simulation.Checkpoint and ResumeSimulation call it). seq
 // is the snapshot call's own issue-order sequence, not the counter at
-// observation time: it covers exactly the calls issued before it. blobRef
-// names the frame's daemon-store entry (0 for resumed models, whose
-// frames were never filed); the previous entry is superseded and
-// returned so the caller can trim it from the store.
-func (m *modelProxy) cacheSnapshot(blob []byte, blobRef, seq uint64) (prevRef uint64) {
+// observation time: it covers exactly the calls issued before it.
+func (m *modelProxy) cacheSnapshot(blob []byte, seq uint64) {
 	m.mu.Lock()
 	m.lastSnap = blob
 	m.snapSeq = seq
-	prevRef = m.lastBlobRef
-	m.lastBlobRef = blobRef
 	m.mu.Unlock()
-	return prevRef
 }
 
 // The bridge.Dynamics surface, defined once on the handle every typed
@@ -609,7 +600,7 @@ func (st *StellarModel) EvolveTo(ctx context.Context, t float64) ([]bridge.Stell
 	return events, nil
 }
 
-// FieldModel is the coupler-side coupling model (bridge.AsyncField):
+// FieldModel is the coupler-side coupling model (bridge.DirectField):
 // Octgrav or Fi.
 type FieldModel struct {
 	*modelProxy
@@ -659,10 +650,9 @@ func (fc fieldCall) Wait(ctx context.Context) ([]data.Vec3, []float64, float64, 
 	return out.Acc, out.Pot, 0, nil
 }
 
-// GoFieldAt issues a field evaluation without waiting
-// (bridge.AsyncField): the bridge puts both p-kick directions on the wire
-// back to back. The eps argument is fixed at setup; the worker applies
-// the configured one.
+// GoFieldAt issues a field evaluation of sampled columns without waiting;
+// FieldAt waits on it. The eps argument is fixed at setup; the worker
+// applies the configured one.
 func (f *FieldModel) GoFieldAt(srcMass []float64, srcPos, targets []data.Vec3, eps float64) bridge.FieldCall {
 	c := f.Go("field_at", kernel.FieldAtArgs{SrcMass: srcMass, SrcPos: srcPos, Targets: targets})
 	return fieldCall{call: c, n: len(targets)}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // model at a consistent point and returns a Manifest — everything needed
 // to rebuild the session: per-model kinds, worker specs (including gang
 // shapes), encoded setup args, the coupler's virtual clock, and the
-// snapshot blobs themselves. ResumeSimulation inverts it: fresh workers,
+// snapshot frames themselves. ResumeSimulation inverts it: fresh workers,
 // setup replayed, snapshots restored, clock advanced — the resumed run
 // continues bit-compatibly with the one that checkpointed.
 //
@@ -25,12 +24,10 @@ import (
 // state those calls left behind. Checkpoint is therefore safe to issue
 // between bridge steps without any global barrier.
 //
-// The blob bytes travel the same two paths as bulk state: workers with a
-// peer plane stream their snapshot directly to the daemon's checkpoint
-// store (offer_checkpoint, never crossing the coupler's RPC plane), and
-// everything else — or a direct path that fails mid-flight, classified
-// exactly like TransferState — falls back to pulling the frame over the
-// ordinary channel. Both paths count in TransferStats.
+// A snapshot reaches the coupler one way: as the checkpoint call's reply,
+// counted as a hairpin in TransferStats. The daemon relays every worker's
+// RPC (§5), so a snapshot bound for it crosses the same worker→daemon link
+// whatever carries it; a peer stream would only add a dial and an ack.
 
 // ModelCheckpoint is one model's entry in a Manifest.
 type ModelCheckpoint struct {
@@ -42,7 +39,9 @@ type ModelCheckpoint struct {
 	// Setup is the encoded setup-args payload, replayed verbatim on
 	// resume before the snapshot is restored.
 	Setup []byte
-	// Blob is the daemon-store ref the snapshot was filed under.
+	// Blob is always 0: the snapshot is inlined below and filed nowhere
+	// else. The field keeps its place because a persisted struct only
+	// grows at its end.
 	Blob uint64
 	// Snapshot is the snapshot frame itself (kernel.Snapshot codec),
 	// inlined so a saved manifest is self-contained.
@@ -70,101 +69,31 @@ func (s *Simulation) Checkpoint(ctx context.Context) (*Manifest, error) {
 	s.mu.Lock()
 	models := append([]*modelProxy(nil), s.models...)
 	s.mu.Unlock()
-	daddr, storeOK := s.daemon.CheckpointPeerAddr()
 
-	type pending struct {
-		m      *modelProxy
-		c      *Call
-		id     uint64
-		seq    uint64 // seq of the call that produced the blob
-		direct bool
-		blob   []byte
+	// The coupler stands on the daemon's host: that host is the far end of
+	// each snapshot's transfer in the link-health table.
+	coupler := s.daemon.Deployment().LocalHost()
+	blobs := make([][]byte, len(models))
+	calls := make([]*Call, len(models))
+	for i, m := range models {
+		s.countTransfer(trace.LinkHairpin, m.peerHost(), coupler)
+		calls[i] = m.goCheckpointPull(&blobs[i], replayable)
 	}
-	// Every snapshot lands in the daemon's store: that host is the far end
-	// of each model's transfer in the link-health table, however it got
-	// there.
-	store := s.daemon.Deployment().LocalHost()
-	pends := make([]*pending, 0, len(models))
-	for _, m := range models {
-		p := &pending{m: m, id: s.daemon.ids.Add(1)}
-		if _, ok := m.peerAddr(); ok && storeOK {
-			// Peer path: the proxy snapshots and streams straight to the
-			// daemon's store; the blob never rides the RPC plane.
-			p.direct = true
-			p.c = m.issue(s.clock.Now(), request{Method: kernel.MethodOfferCheckpoint, Args: kernel.Encode(kernel.OfferCheckpointArgs{
-				ID: p.id, Peer: daddr.String()})}, callOpts{class: bound})
-		} else {
-			s.countTransfer(trace.LinkHairpin, m.peerHost(), store)
-			p.c = m.goCheckpointPull(&p.blob, replayable)
+	for i, c := range calls {
+		if err := c.Wait(ctx); err != nil {
+			return nil, fmt.Errorf("core: checkpoint %s: %w", models[i].kind, err)
 		}
-		p.seq = p.c.seq
-		pends = append(pends, p)
-	}
-	// Wait for EVERY model before acting on any failure: a stream's blob
-	// is deposited (and acked) before its offer call completes, so once
-	// all calls have finished, all deposits this attempt will ever make
-	// are in the store — a failed attempt can then be trimmed completely.
-	var firstErr error
-	for _, p := range pends {
-		err := p.c.Wait(ctx)
-		if p.direct {
-			if err == nil {
-				blob, ok := s.daemon.CheckpointBlob(p.id)
-				if !ok {
-					err = fmt.Errorf("%w: checkpoint %d acked but blob missing from store", ErrTransport, p.id)
-				} else {
-					s.countTransfer(trace.LinkDirect, p.m.peerHost(), store)
-					p.blob = blob
-				}
-			}
-			if err != nil && (isPeerPathErr(err) || errors.Is(err, ErrChannelClosed)) {
-				// Same fallback contract as TransferState: the direct path
-				// failed, the RPC plane carries the frame instead. A worker
-				// torn down under the offer (death, migration, resize) falls
-				// back too — the pull is replayable, so it parks and
-				// completes against the rebuilt endpoint.
-				s.countTransfer(trace.LinkFallback, p.m.peerHost(), store)
-				c := p.m.goCheckpointPull(&p.blob, replayable)
-				p.seq = c.seq
-				err = c.Wait(ctx)
-			}
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: checkpoint %s: %w", p.m.kind, err)
-			}
-		}
-	}
-	if firstErr != nil {
-		// The attempt failed as a whole: trim whatever it deposited so
-		// repeated failing checkpoints cannot grow the store.
-		for _, p := range pends {
-			s.daemon.DropCheckpoint(p.id)
-		}
-		return nil, firstErr
 	}
 
 	man := &Manifest{VTime: s.clock.Now()}
-	for _, p := range pends {
-		// The store holds every blob (hairpinned ones included) so a later
-		// diagnostic can find it by ref; the blob it supersedes is trimmed
-		// so a long checkpointing session holds one snapshot per model,
-		// not one per checkpoint.
-		s.daemon.StoreCheckpoint(p.id, p.blob)
-		s.daemon.TagCheckpoint(p.id, s.Session())
+	for i, m := range models {
 		if rec := s.rec; rec != nil {
-			rec.RecordCheckpoint(string(p.m.kind), len(p.blob))
+			rec.RecordCheckpoint(string(m.kind), len(blobs[i]))
 		}
-		if prev := p.m.cacheSnapshot(p.blob, p.id, p.seq); prev != 0 {
-			s.daemon.DropCheckpoint(prev)
-		}
-		p.m.mu.Lock()
-		mc := ModelCheckpoint{
-			Kind: p.m.kind, Spec: p.m.spec, Setup: p.m.setup,
-			Blob: p.id, Snapshot: p.blob,
-		}
-		p.m.mu.Unlock()
-		man.Models = append(man.Models, mc)
+		m.cacheSnapshot(blobs[i], calls[i].seq)
+		m.mu.Lock()
+		man.Models = append(man.Models, ModelCheckpoint{Kind: m.kind, Spec: m.spec, Setup: m.setup, Snapshot: blobs[i]})
+		m.mu.Unlock()
 	}
 	return man, nil
 }
@@ -205,11 +134,9 @@ func ResumeSimulation(ctx context.Context, d *Daemon, conv *units.Converter, man
 		mc.Spec.Session = session
 		m := &modelProxy{sim: sim, kind: mc.Kind, setup: mc.Setup}
 		if len(mc.Snapshot) > 0 {
-			// The manifest's snapshot is the state to come up with: cached
-			// (its frame was never filed in this daemon's store, hence ref
-			// 0), it is what rebuild restores — and what a later death
-			// replays.
-			m.cacheSnapshot(mc.Snapshot, 0, 0)
+			// The manifest's snapshot is the state to come up with: cached,
+			// it is what rebuild restores — and what a later death replays.
+			m.cacheSnapshot(mc.Snapshot, 0)
 			if snap, err := kernel.UnmarshalSnapshot(mc.Snapshot); err == nil && snap.State != nil {
 				m.n = snap.State.N
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -83,25 +84,10 @@ func TestCheckpointResumeSimulation(t *testing.T) {
 	if man.VTime <= 0 {
 		t.Fatalf("manifest vtime = %v", man.VTime)
 	}
-	// The blob traveled the direct path into the daemon store.
-	if stats := sim.TransferStats(); stats.Direct != 1 || stats.Fallback != 0 {
-		t.Fatalf("checkpoint transfer stats %+v, want 1 direct", stats)
+	// The snapshot came back as the checkpoint call's reply.
+	if stats := sim.TransferStats(); stats.Hairpin != 1 || stats.Direct != 0 {
+		t.Fatalf("checkpoint transfer stats %+v, want 1 hairpin", stats)
 	}
-
-	// A second checkpoint supersedes the first blob in the daemon store
-	// (one snapshot per model, not one per checkpoint — long runs must
-	// not accumulate).
-	man2, err := sim.Checkpoint(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tb.Daemon.CheckpointBlob(man.Models[0].Blob); ok {
-		t.Fatalf("superseded blob %d still in the store", man.Models[0].Blob)
-	}
-	if _, ok := tb.Daemon.CheckpointBlob(man2.Models[0].Blob); !ok {
-		t.Fatalf("current blob %d missing from the store", man2.Models[0].Blob)
-	}
-	man = man2
 
 	// Manifest round-trips through its encoding (what a session snapshot
 	// and a checkpoint file hold).
@@ -281,58 +267,71 @@ func TestGangRankRestoreUnderFault(t *testing.T) {
 	}
 }
 
-// TestCheckpointHairpinAndFallback: workers without a peer plane
-// checkpoint over the RPC channel from the start (hairpin), and a direct
-// stream that dies mid-flight falls back the same way TransferState does
-// — the checkpoint still completes.
-func TestCheckpointHairpinAndFallback(t *testing.T) {
+// TestCheckpointTakesOnePath: every model's snapshot reaches the coupler
+// as its checkpoint call's reply — ibis workers on two sites, which have a
+// peer plane, and an in-process mpi worker, which has none, alike. The
+// checkpoint is one checkpoint call per model and no other call; each
+// counts once as a hairpin, in TransferStats and in the link-health rows;
+// the daemon opens no peer listener and files nothing in its store; and
+// every snapshot is in the manifest and cached for replacement.
+func TestCheckpointTakesOnePath(t *testing.T) {
 	tb, sim := labSim(t)
-	// An in-process mpi-channel worker has no peer plane.
-	local, err := sim.NewGravity(context.Background(),
-		WorkerSpec{Resource: "desktop", Channel: ChannelMPI}, GravityOptions{Eps: 0.01})
+	ctx := context.Background()
+	specs := []WorkerSpec{
+		{Resource: "desktop", Channel: ChannelMPI},
+		{Resource: "das4-uva", Channel: ChannelIbis},
+		{Resource: "lgm", Channel: ChannelIbis},
+	}
+	for i, spec := range specs {
+		g, err := sim.NewGravity(ctx, spec, GravityOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetParticles(ic.Plummer(16, int64(3+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tb.Recorder.CallsSnapshot()
+	man, err := sim.Checkpoint(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := local.SetParticles(ic.Plummer(16, 3)); err != nil {
-		t.Fatal(err)
-	}
-	man, err := sim.Checkpoint(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats := assertLinksMatchStats(t, tb, sim); stats.Hairpin != 1 || stats.Direct != 0 {
-		t.Fatalf("stats %+v, want 1 hairpin", stats)
-	}
-	if len(man.Models) != 1 || len(man.Models[0].Snapshot) == 0 {
-		t.Fatalf("hairpin checkpoint produced no blob: %+v", man.Models)
 	}
 
-	// Remote worker with an injected stream fault: direct path fails, the
-	// fallback pull completes the checkpoint.
-	remote, err := sim.NewGravity(context.Background(),
-		WorkerSpec{Resource: "das4-uva", Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
+	calls := map[string]uint64{}
+	for k, st := range tb.Recorder.CallsSnapshot() {
+		if n := st.Hist.Count - before[k].Hist.Count; n > 0 {
+			calls[k.Method] += n
+		}
+	}
+	if len(calls) != 1 || calls[kernel.MethodCheckpoint] != uint64(len(specs)) {
+		t.Fatalf("the checkpoint made calls %v, want %d %s calls and nothing else", calls, len(specs), kernel.MethodCheckpoint)
+	}
+	if st := assertLinksMatchStats(t, tb, sim); st != (TransferStats{Hairpin: len(specs)}) {
+		t.Fatalf("stats %+v, want %d hairpins", st, len(specs))
+	}
+	tb.Daemon.ckptMu.Lock()
+	stored := len(tb.Daemon.ckptBlobs)
+	tb.Daemon.ckptMu.Unlock()
+	if stored != 0 {
+		t.Fatalf("the daemon's store holds %d blobs after a checkpoint, want none", stored)
+	}
+	lis, err := tb.Daemon.ibis.ListenPeer()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the daemon's peer port is taken after a checkpoint: %v", err)
 	}
-	if err := remote.SetParticles(ic.Plummer(16, 4)); err != nil {
-		t.Fatal(err)
-	}
-	testPeerStreamFault = func() bool { return true }
-	defer func() { testPeerStreamFault = nil }()
-	man, err = sim.Checkpoint(context.Background())
-	testPeerStreamFault = nil
-	if err != nil {
-		t.Fatalf("checkpoint with dead stream: %v", err)
-	}
-	if stats := assertLinksMatchStats(t, tb, sim); stats.Fallback != 1 {
-		t.Fatalf("stats %+v, want 1 fallback", stats)
-	}
-	if len(man.Models) != 2 {
-		t.Fatalf("manifest models = %d, want 2", len(man.Models))
+	lis.Close()
+
+	if len(man.Models) != len(specs) {
+		t.Fatalf("manifest models = %d, want %d", len(man.Models), len(specs))
 	}
 	for i, mc := range man.Models {
-		if len(mc.Snapshot) == 0 {
-			t.Fatalf("model %d has empty snapshot", i)
+		m := sim.models[i]
+		m.mu.Lock()
+		cached := m.lastSnap
+		m.mu.Unlock()
+		if len(mc.Snapshot) == 0 || mc.Blob != 0 || !bytes.Equal(cached, mc.Snapshot) {
+			t.Fatalf("model %d: snapshot of %d bytes, blob ref %d, cached snapshot equal %v; want a snapshot, ref 0, the same one cached",
+				i, len(mc.Snapshot), mc.Blob, bytes.Equal(cached, mc.Snapshot))
 		}
 	}
 }

@@ -29,11 +29,11 @@ type Daemon struct {
 	ibis       *ipl.Ibis
 	loop       hop // §5's loopback socket between the coupler and the daemon
 
-	// ids allocates transfer stream ids, staging slots, gang ids and
-	// checkpoint blob refs: tokens that must be unique among this daemon's
-	// workers and in its store. They cross the wire in a variable-width
-	// encoding, so a per-daemon sequence keeps a fresh testbed's virtual
-	// time independent of what the process ran before.
+	// ids allocates transfer stream ids, staging slots and gang ids:
+	// tokens that must be unique among this daemon's workers. They cross
+	// the wire in a variable-width encoding, so a per-daemon sequence keeps
+	// a fresh testbed's virtual time independent of what the process ran
+	// before.
 	ids atomic.Uint64
 
 	mu       sync.Mutex
@@ -43,32 +43,17 @@ type Daemon struct {
 	closed   bool
 	// Session worker-id blocks: each named session gets a disjoint id
 	// range (slot * sessionIDBlock), so everything keyed on the worker id
-	// — pool port names, the per-id port block, checkpoint refs — is
-	// namespaced per session. The default session ("") keeps the
-	// plain nextID sequence, so single-tenant daemons number workers
-	// exactly as before. Slots count up from 1 in order of first use and
-	// are never reused.
+	// — pool port names, the per-id port block — is namespaced per
+	// session. The default session ("") keeps the plain nextID sequence,
+	// so single-tenant daemons number workers exactly as before. Slots
+	// count up from 1 in order of first use and are never reused.
 	sessionLast map[string]int // session -> the last id handed out in its block
 	lastSlot    int
 
-	// Checkpoint store: snapshot blobs streamed by worker proxies over the
-	// daemon's own peer listener (or deposited directly by the coupler's
-	// hairpin path) land here, keyed by blob ref. The store is in-memory;
-	// persistence is the manifest's job (Manifest.Save inlines the blobs).
-	// The listener opens lazily on the first checkpoint: its overlay port
-	// registration is real virtual traffic, and sessions that never
-	// checkpoint must stay timing-identical to pre-checkpoint builds.
-	// ckptClosed is set (under ckptMu) by Close before it waits on wg, so
-	// a racing first checkpoint cannot open the listener after teardown
-	// already passed it by.
-	ckptMu     sync.Mutex
-	ckptLis    *smartsockets.Listener
-	ckptClosed bool
-	ckptBlobs  map[uint64][]byte
-	// ckptOwner tags store entries with the session that made them, so an
-	// evicted or detached session's blobs can be trimmed in one sweep
-	// without touching other tenants' checkpoints.
-	ckptOwner map[uint64]string
+	// Checkpoint store: blobs staged by ref (NewStoreRef; ensemble.Run
+	// files one per distinct setup), in memory.
+	ckptMu    sync.Mutex
+	ckptBlobs map[uint64][]byte
 
 	// ReadyTimeout bounds (in real time) how long StartWorker waits for a
 	// worker to announce itself.
@@ -127,10 +112,10 @@ type WorkerSpec struct {
 	Workers int
 	// Session names the control-plane session the worker belongs to ("" =
 	// the daemon's default session). Sessions namespace everything derived
-	// from the worker id — pool identities, peer-plane ports, checkpoint
-	// refs — and scope capacity accounting, so concurrent sessions on one
-	// daemon cannot collide. Simulations stamp it automatically from their
-	// own session label; only direct Daemon users set it by hand.
+	// from the worker id — pool identities, peer-plane ports — and scope
+	// capacity accounting, so concurrent sessions on one daemon cannot
+	// collide. Simulations stamp it automatically from their own session
+	// label; only direct Daemon users set it by hand.
 	Session string
 }
 
@@ -174,7 +159,6 @@ func NewDaemon(dep *deploy.Deployment, pool string) (*Daemon, error) {
 	}
 
 	d.ckptBlobs = make(map[uint64][]byte)
-	d.ckptOwner = make(map[uint64]string)
 	d.wg.Add(1)
 	go d.eventLoop()
 	return d, nil
@@ -208,84 +192,20 @@ func (d *Daemon) Close() {
 			job.Cancel()
 		}
 	}
-	d.ckptMu.Lock()
-	d.ckptClosed = true
-	ckptLis := d.ckptLis
-	d.ckptMu.Unlock()
-	if ckptLis != nil {
-		ckptLis.Close()
-	}
 	d.ibis.End()
 	d.registry.Close()
 	d.wg.Wait()
 }
 
-// checkpointLoop accepts snapshot streams on the daemon's peer listener:
-// a transfer-framed blob is filed in the store and acknowledged at its
-// virtual arrival time.
-func (d *Daemon) checkpointLoop(lis *smartsockets.Listener) {
-	defer d.wg.Done()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer conn.Close()
-			conn.SetClass("peer")
-			msg, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			id, blob, abort, err := kernel.UnmarshalTransfer(msg.Data)
-			if err != nil || abort {
-				return
-			}
-			// blob aliases the stream's message, which became this
-			// receiver's alone when it was sent: the store keeps it as it is.
-			d.StoreCheckpoint(id, blob)
-			conn.Send(kernel.AppendTransferAck(nil, id), msg.Arrival)
-		}()
-	}
-}
-
-// CheckpointPeerAddr returns the address worker proxies stream checkpoint
-// blobs to — the daemon's own peer listener on the overlay — opening the
-// listener on first use. ok is false if the daemon is closed or the
-// listener cannot open (callers fall back to the RPC-plane pull).
-func (d *Daemon) CheckpointPeerAddr() (smartsockets.Address, bool) {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	// The closed flag and the lazy open are serialized by ckptMu: either
-	// Close set the flag first (no listener opens), or the listener and
-	// its wg.Add exist before Close reaches them (clean teardown).
-	if d.ckptClosed {
-		return smartsockets.Address{}, false
-	}
-	if d.ckptLis == nil {
-		lis, err := d.ibis.ListenPeer()
-		if err != nil {
-			return smartsockets.Address{}, false
-		}
-		d.ckptLis = lis
-		d.wg.Add(1)
-		go d.checkpointLoop(lis)
-	}
-	return ipl.PeerAddr(d.ibis.Identifier()), true
-}
-
-// StoreCheckpoint files a snapshot blob under a ref (the coupler's
-// hairpin path deposits directly; the peer path arrives via
-// checkpointLoop). The blob must not be mutated afterwards.
+// StoreCheckpoint files a blob under a ref. The blob must not be mutated
+// afterwards.
 func (d *Daemon) StoreCheckpoint(id uint64, blob []byte) {
 	d.ckptMu.Lock()
 	d.ckptBlobs[id] = blob
 	d.ckptMu.Unlock()
 }
 
-// CheckpointBlob returns a stored snapshot blob.
+// CheckpointBlob returns a stored blob.
 func (d *Daemon) CheckpointBlob(id uint64) ([]byte, bool) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
@@ -293,38 +213,10 @@ func (d *Daemon) CheckpointBlob(id uint64) ([]byte, bool) {
 	return b, ok
 }
 
-// DropCheckpoint releases a stored blob (manifests inline the bytes, so
-// long sessions can trim the store after each checkpoint).
+// DropCheckpoint releases a stored blob.
 func (d *Daemon) DropCheckpoint(id uint64) {
 	d.ckptMu.Lock()
 	delete(d.ckptBlobs, id)
-	delete(d.ckptOwner, id)
-	d.ckptMu.Unlock()
-}
-
-// TagCheckpoint records which session owns a stored blob so the control
-// plane can trim an evicted session's checkpoints in one sweep.
-func (d *Daemon) TagCheckpoint(id uint64, session string) {
-	if session == "" {
-		return
-	}
-	d.ckptMu.Lock()
-	d.ckptOwner[id] = session
-	d.ckptMu.Unlock()
-}
-
-// DropSessionCheckpoints releases every blob the session owns.
-func (d *Daemon) DropSessionCheckpoints(session string) {
-	if session == "" {
-		return
-	}
-	d.ckptMu.Lock()
-	for id, owner := range d.ckptOwner {
-		if owner == session {
-			delete(d.ckptBlobs, id)
-			delete(d.ckptOwner, id)
-		}
-	}
 	d.ckptMu.Unlock()
 }
 
@@ -504,8 +396,8 @@ func (d *Daemon) failWorker(wh *workerHandle) {
 
 // nextWorkerIDLocked allocates a worker id. The default session ("") uses
 // the plain counter; a named session draws from its own disjoint id block
-// so its pool port names, peer-plane ports and checkpoint refs never
-// collide with another tenant's. Caller holds d.mu.
+// so its pool port names and peer-plane ports never collide with another
+// tenant's. Caller holds d.mu.
 func (d *Daemon) nextWorkerIDLocked(session string) (int, error) {
 	if session == "" {
 		d.nextID++

@@ -32,7 +32,7 @@ func gangFanout(method string) bool {
 	switch method {
 	case "get_state", "get_positions", "get_velocities", "get_masses", "stats",
 		kernel.MethodOfferState, kernel.MethodAcceptState,
-		kernel.MethodCheckpoint, kernel.MethodOfferCheckpoint:
+		kernel.MethodCheckpoint:
 		return false
 	}
 	return true

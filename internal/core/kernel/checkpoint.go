@@ -31,16 +31,10 @@ import (
 // the FIFO drain point is the snapshot's consistency rule (see DESIGN.md
 // "Checkpoint & recovery").
 
-// Checkpoint/restore dispatch methods (served by the model service), and
-// the proxy-level op that streams a snapshot over the peer plane.
+// Checkpoint/restore dispatch methods, served by the model service.
 const (
 	MethodCheckpoint = "checkpoint"
 	MethodRestore    = "restore"
-	// MethodOfferCheckpoint is handled by the worker's proxy, like
-	// offer_state: take a snapshot (a loopback "checkpoint" call) and
-	// stream the frame to the Peer address — normally the daemon's
-	// checkpoint store — without the bytes visiting the coupler.
-	MethodOfferCheckpoint = "offer_checkpoint"
 )
 
 // Snapshot is one worker's complete model state at a quiescent point.
@@ -109,16 +103,6 @@ func (s *Snapshot) CheckKind(kind string) error {
 		return fmt.Errorf("kernel: restore: snapshot of kind %q onto a %q worker", s.Kind, kind)
 	}
 	return nil
-}
-
-// OfferCheckpointArgs asks a worker's proxy to snapshot its service and
-// stream the frame to a peer listener (the daemon's checkpoint store).
-type OfferCheckpointArgs struct {
-	// ID names the stream; the store files the blob under it.
-	ID uint64
-	// Peer is the destination listener's address ("host:port" in the
-	// SmartSockets address space).
-	Peer string
 }
 
 // Snapshot wire framing. The frame embeds an unmodified StatePayload

@@ -20,7 +20,7 @@ var payloads = []any{
 	FieldAtArgs{}, FieldAtResult{}, FieldStagedArgs{}, VecResult{}, FloatsResult{},
 	EnergiesResult{}, StellarEvolveResult{}, StellarEventPayload{}, StatsResult{}, Empty{},
 	GangInitArgs{}, mpisim.Load{},
-	OfferStateArgs{}, AcceptStateArgs{}, OfferCheckpointArgs{},
+	OfferStateArgs{}, AcceptStateArgs{},
 }
 
 func TestPayloadsOnTheWire(t *testing.T) {

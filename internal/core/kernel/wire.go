@@ -384,7 +384,7 @@ func UnmarshalRequest(b []byte, req *Request) error {
 var methodNames = [...]string{"kick", "evolve", "get_state", MethodApplyState, "field_staged",
 	"stage_sources", "stage_targets", "stage_release", "field_at", "step", "setup", "set_particles",
 	"get_positions", "get_velocities", "get_masses", "set_mass", "energies", "inject_energy", "stats",
-	MethodOfferState, MethodAcceptState, MethodCheckpoint, MethodOfferCheckpoint, MethodRestore,
+	MethodOfferState, MethodAcceptState, MethodCheckpoint, MethodRestore,
 	MethodGangInit}
 
 func internMethod(b []byte) string {

@@ -375,9 +375,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 			return fail("checkpoint", err)
 		}
 		snapSeq = c.seq
-		m.mu.Lock()
-		m.lastSnap, m.snapSeq = snap, snapSeq // lastBlobRef still names the store's last checkpoint
-		m.mu.Unlock()
+		m.cacheSnapshot(snap, snapSeq)
 	}
 
 	var refused error

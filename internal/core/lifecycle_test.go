@@ -529,8 +529,7 @@ func TestLifecycleLeakUnderConcurrentCauses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	tb.Daemon.CheckpointPeerAddr() // the store's listener opens on first use and stays
-	baseGoroutines := -1           // two equal readings: the testbeds' start-up has wound down
+	baseGoroutines := -1 // two equal readings: the testbeds' start-up has wound down
 	for n := runtime.NumGoroutine(); n != baseGoroutines; n = runtime.NumGoroutine() {
 		baseGoroutines = n
 		time.Sleep(50 * time.Millisecond)

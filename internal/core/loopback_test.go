@@ -17,7 +17,7 @@ import (
 // scripted session on one ibis worker crosses the hop every way the proxy
 // uses it: relayed calls (set_particles, an awaited kick, a pipelined kick,
 // get_state), a transfer into the worker (accept's apply) and one out of it
-// (offer's get_state), and a checkpoint (offer's checkpoint). The session's
+// (offer's get_state), and a checkpoint (relayed too). The session's
 // elapsed time, every call's virtual completion time and the loopback
 // class's bytes are the numbers the socket gave.
 func TestLoopbackHopPricedAsSocket(t *testing.T) {
@@ -76,8 +76,8 @@ func TestLoopbackHopPricedAsSocket(t *testing.T) {
 
 	// Read from the loopback socket the hop replaced.
 	want := []time.Duration{3577017, 6276419, 8939203, 8939203, 11601987, 9381471, 11601987,
-		14300359, 14300359, 17802728, 23525424, 29522240}
-	const wantLoopback = 51828
+		14300359, 14300359, 17802728, 23525424, 26223866}
+	const wantLoopback = 60112
 	if lb := tb.Recorder.TotalByClass()["loopback"]; lb != wantLoopback || !equalDurations(got, want) {
 		t.Fatalf("loopback bytes %d, want %d\nvirtual times %#v\nwant          %#v", lb, wantLoopback, got, want)
 	}

@@ -103,8 +103,8 @@ func TestObservabilityHonesty(t *testing.T) {
 	if err := br.EvolveTo(context.Background(), 2.0/32); err != nil {
 		t.Fatal(err)
 	}
-	// One model without a peer plane, so the checkpoint below takes both
-	// ways into the store: three streamed, this one hairpinned.
+	// One model without a peer plane besides the three with one: the
+	// checkpoint below pulls every snapshot through the coupler alike.
 	local, err := sim.NewGravity(context.Background(), WorkerSpec{Resource: "laptop", Channel: ChannelMPI},
 		GravityOptions{Eps: 0.01})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestObservabilityHonesty(t *testing.T) {
 				row.CallKey, min, row.Stats.Floor)
 		}
 	}
-	for _, want := range []string{"setup", "set_particles", "kick", "evolve", "offer_state", "accept_state", "offer_checkpoint"} {
+	for _, want := range []string{"setup", "set_particles", "kick", "evolve", "offer_state", "accept_state", "checkpoint"} {
 		if !methods[want] {
 			t.Fatalf("method %q exercised but missing from the call table (have %v)", want, methods)
 		}

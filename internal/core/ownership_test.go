@@ -165,7 +165,7 @@ func TestOwnershipPoisonedFrames(t *testing.T) {
 		{"KindConformanceCheckpointRoundTrip", TestKindConformanceCheckpointRoundTrip},
 		{"KindConformanceRankDeathRecovery", TestKindConformanceRankDeathRecovery},
 		{"CheckpointResumeSimulation", TestCheckpointResumeSimulation},
-		{"CheckpointHairpinAndFallback", TestCheckpointHairpinAndFallback},
+		{"CheckpointTakesOnePath", TestCheckpointTakesOnePath},
 		{"SoloRestoreUnderFault", TestSoloRestoreUnderFault},
 		{"GangRankRestoreUnderFault", TestGangRankRestoreUnderFault},
 	} {

@@ -380,7 +380,7 @@ func failure(id uint64, at time.Duration, code kernel.Code, err error) *response
 // gang wiring or a transfer op.
 func isProxyMethod(method string) bool {
 	switch method {
-	case kernel.MethodGangInit, kernel.MethodOfferState, kernel.MethodAcceptState, kernel.MethodOfferCheckpoint:
+	case kernel.MethodGangInit, kernel.MethodOfferState, kernel.MethodAcceptState:
 		return true
 	}
 	return false
@@ -399,41 +399,31 @@ func (p *peerPlane) handle(req *request, arrival time.Duration, loop *loopback) 
 		}
 		read := request{ID: req.ID, Method: "get_state", SentAt: arrival,
 			Args: kernel.AppendStateRequest(nil, &kernel.StateRequest{Attrs: a.Attrs})}
-		return p.offer("offer", a.ID, a.Peer, read, loop)
+		return p.offer(a.ID, a.Peer, read, loop)
 	case kernel.MethodAcceptState:
 		var a kernel.AcceptStateArgs
 		if err := kernel.Decode(req.Args, &a); err != nil {
 			return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 		}
 		return p.accept(req.ID, &a, arrival, loop)
-	case kernel.MethodOfferCheckpoint:
-		var a kernel.OfferCheckpointArgs
-		if err := kernel.Decode(req.Args, &a); err != nil {
-			return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
-		}
-		// The loopback "checkpoint" call runs, by FIFO order, after everything
-		// already queued; its frame goes to the checkpoint store's listener.
-		return p.offer("checkpoint", a.ID, a.Peer, request{ID: req.ID, Method: kernel.MethodCheckpoint, SentAt: arrival}, loop)
 	default:
 		return failure(req.ID, arrival, kernel.CodeTransport, fmt.Errorf("core: not a transfer op: %q", req.Method))
 	}
 }
 
-// offer runs read on the service — get_state for an offer_state, checkpoint
-// for an offer_checkpoint — and streams the result to the peer as transfer
-// id, waiting for the receipt ack. The answer is not copied into a transfer
-// frame: its own frame is re-headed as one, in place. Any failure on the
-// peer path is a transport fault — the coupler uses the classification to
-// fall back to its hairpin (or, for a checkpoint, to pulling the snapshot
-// over the RPC plane).
-func (p *peerPlane) offer(what string, id uint64, peer string, read request, loop *loopback) *response {
+// offer runs read (an offer_state's get_state) on the service and streams
+// the result to the peer as transfer id, waiting for the receipt ack. The
+// answer is not copied into a transfer frame: its own frame is re-headed as
+// one, in place. Any failure on the peer path is a transport fault — the
+// coupler uses the classification to fall back to its hairpin.
+func (p *peerPlane) offer(id uint64, peer string, read request, loop *loopback) *response {
 	got, frame := loop.call(&read)
 	if got.Code != kernel.CodeOK {
 		return &response{ID: read.ID, Code: got.Code, Err: got.Err, DoneAt: got.DoneAt}
 	}
 	ackAt, code, err := p.streamToPeer(peer, id, kernel.TransferFromResponse(frame, len(got.Result), id), got.DoneAt)
 	if err != nil {
-		return failure(read.ID, read.SentAt, code, fmt.Errorf("core: %s %d: %w", what, id, err))
+		return failure(read.ID, read.SentAt, code, fmt.Errorf("core: offer %d: %w", id, err))
 	}
 	return &response{ID: read.ID, DoneAt: ackAt}
 }

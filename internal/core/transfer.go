@@ -63,7 +63,7 @@ func (m *modelProxy) peerAddr() (smartsockets.Address, bool) {
 type TransferStats struct {
 	Direct   int // worker-to-worker transfers
 	Fallback int // direct path failed, hairpin completed the transfer
-	Hairpin  int // no peer path existed, hairpin from the start
+	Hairpin  int // through the coupler from the start: no peer path, or a checkpoint
 	// StripeFallback is always zero: striped transfers are gone, but
 	// bench/jbench/workload_{bulk,coupled}.go read the field and only a
 	// [benchmark] PR may change them.

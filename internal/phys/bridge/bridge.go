@@ -9,7 +9,7 @@
 //
 // The integrator is latency-aware in the way the paper's distributed AMUSE
 // daemon is: every model method takes a context, and models that expose the
-// asynchronous interfaces (AsyncDynamics, AsyncField — core's remote worker
+// asynchronous interfaces (AsyncDynamics, DirectField — core's remote worker
 // proxies do) have their per-phase calls issued to all models before the
 // bridge waits on any of them. A kick phase over K remote models then costs
 // about one wide-area round trip instead of K.
@@ -83,14 +83,6 @@ type Field interface {
 // FieldCall is a pending field evaluation.
 type FieldCall interface {
 	Wait(ctx context.Context) (acc []data.Vec3, pot []float64, flops float64, err error)
-}
-
-// AsyncField is implemented by coupling models that can pipeline field
-// evaluations (core's remote field proxy): both p-kick directions are
-// issued back to back and travel the wide-area link together.
-type AsyncField interface {
-	Field
-	GoFieldAt(srcMass []float64, srcPos, targets []data.Vec3, eps float64) FieldCall
 }
 
 // DirectField is implemented by coupling models that can pull both field
@@ -256,21 +248,6 @@ func (b *Bridge) kick(ctx context.Context, dt float64) error {
 		c1 := dcpl.GoFieldDirect(gas, stars)
 		b.trace("coupler.field stars->gas (%s, direct)", cpl.Name())
 		c2 := dcpl.GoFieldDirect(stars, gas)
-		var err1, err2 error
-		accS, _, _, err1 = c1.Wait(ctx)
-		accG, _, _, err2 = c2.Wait(ctx)
-		if err1 != nil {
-			return fmt.Errorf("bridge: field gas->stars: %w", err1)
-		}
-		if err2 != nil {
-			return fmt.Errorf("bridge: field stars->gas: %w", err2)
-		}
-	} else if acpl, ok := cpl.(AsyncField); ok {
-		ss, gs := sampleBoth(stars, gas)
-		b.trace("coupler.field gas->stars (%s)", cpl.Name())
-		c1 := acpl.GoFieldAt(gs.mass, gs.pos, ss.pos, b.cfg.Eps)
-		b.trace("coupler.field stars->gas (%s)", cpl.Name())
-		c2 := acpl.GoFieldAt(ss.mass, ss.pos, gs.pos, b.cfg.Eps)
 		var err1, err2 error
 		accS, _, _, err1 = c1.Wait(ctx)
 		accG, _, _, err2 = c2.Wait(ctx)

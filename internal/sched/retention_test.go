@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"jungle/internal/amuse/ic"
 	"jungle/internal/core"
@@ -181,5 +182,96 @@ func TestRetentionRetiredWindow(t *testing.T) {
 	sess, resumed, err := s.Attach(ctx, "first", false)
 	if err != nil || resumed || sess.State() != StateRunning {
 		t.Fatalf("attach of an id closed a window ago: %v, resumed %v; want a fresh running session", err, resumed)
+	}
+}
+
+// TestRetentionAbandonedAttaches: an attach parked behind a full plane that
+// gives up leaves nothing behind. After 100 attaches of new ids gave up in
+// the queue, the scheduler holds one record and the recorder one stats
+// row, the holder's; a preempted session whose parked attach gives up goes
+// back to preempted with its snapshot.
+func TestRetentionAbandonedAttaches(t *testing.T) {
+	tb, s := testPlane(t, Config{MaxLive: 1})
+	ctx := context.Background()
+	giveUp := func(id string) {
+		t.Helper()
+		wctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		defer cancel()
+		if _, _, err := s.Attach(wctx, id, true); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("parked attach of %s: %v, want the context's deadline", id, err)
+		}
+	}
+	records := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.sessions)
+	}
+
+	holder, _, err := s.Attach(ctx, "holder", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		giveUp(fmt.Sprintf("waiter-%03d", i))
+	}
+	if n, rows := records(), tb.Recorder.Sessions(); n != 1 || len(rows) != 1 || rows["holder"].State != string(StateRunning) {
+		t.Fatalf("after 100 abandoned attaches: %d records, %d rows (holder's %+v); want 1 and 1, the holder's",
+			n, len(rows), rows["holder"])
+	}
+
+	holder.SetEvictor(func(context.Context) ([]byte, error) { return []byte("snapshot"), nil })
+	if err := s.evict(ctx, holder); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Attach(ctx, "next", false); err != nil {
+		t.Fatal(err)
+	}
+	giveUp("holder")
+	if st, snap, n := holder.State(), string(holder.Snapshot()), records(); st != StatePreempted || snap != "snapshot" || n != 2 {
+		t.Fatalf("preempted session after its attach gave up: %s, snapshot %q, %d records; want preempted, its snapshot, 2",
+			st, snap, n)
+	}
+	if row := tb.Recorder.Sessions()["holder"]; row.State != string(StatePreempted) || row.Evictions != 1 {
+		t.Fatalf("preempted session's row %+v, want preempted with its eviction", row)
+	}
+
+	// Two attaches park for it; the one that found it preempted gives up
+	// first, and the one that found it queued, last, still puts it back.
+	errs := make(chan error, 2)
+	park := func(wctx context.Context, want int) {
+		t.Helper()
+		go func() {
+			_, _, err := s.Attach(wctx, "holder", true)
+			errs <- err
+		}()
+		deadline := time.After(5 * time.Second)
+		for {
+			s.mu.Lock()
+			queued := len(s.queue)
+			s.mu.Unlock()
+			if queued >= want {
+				return
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("attach %d never parked", want)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	first, cancelFirst := context.WithCancel(ctx)
+	defer cancelFirst()
+	last, cancelLast := context.WithCancel(ctx)
+	defer cancelLast()
+	park(first, 1)
+	park(last, 2)
+	for i, cancel := range []context.CancelFunc{cancelFirst, cancelLast} {
+		cancel()
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("parked attach %d: %v, want canceled", i, err)
+		}
+		if want := []State{StateQueued, StatePreempted}[i]; holder.State() != want {
+			t.Fatalf("after %d of 2 parked attaches gave up: %s, want %s", i+1, holder.State(), want)
+		}
 	}
 }

@@ -12,8 +12,8 @@
 //     structured retry-after hint (kernel.CodeBusy on the wire).
 //   - Isolation: each admitted session is bound to a session id that
 //     namespaces everything it touches — disjoint worker-id blocks (and
-//     with them pool port names and peer-plane ports), capacity-ledger
-//     entries, and checkpoint-store ownership tags.
+//     with them pool port names and peer-plane ports) and capacity-ledger
+//     entries.
 //   - Placement: sessions resolve open WorkerSpecs through the
 //     capacity-aware fair-share policy (core.SelectLeastLoaded), which
 //     reads the same deployment ledger the daemon commits running
@@ -151,6 +151,9 @@ type Scheduler struct {
 type waiter struct {
 	sess  *Session
 	ready chan error
+	// from is the state the session held before its first parked attach:
+	// preempted, or queued for a session that never ran.
+	from State
 }
 
 // New creates a scheduler over a running daemon.
@@ -227,7 +230,13 @@ func (s *Scheduler) attach(ctx context.Context, id string, wait bool) (sess *Ses
 		s.mu.Unlock()
 		return nil, false, freed, berr
 	}
-	w := &waiter{sess: sess, ready: make(chan error, 1)}
+	w := &waiter{sess: sess, ready: make(chan error, 1), from: sess.getState()}
+	for _, q := range s.queue {
+		if q.sess == sess {
+			w.from = q.from
+			break
+		}
+	}
 	s.queue = append(s.queue, w)
 	sess.setState(StateQueued)
 	s.mu.Unlock()
@@ -249,6 +258,9 @@ func (s *Scheduler) attach(ctx context.Context, id string, wait bool) (sess *Ses
 				break
 			}
 		}
+		if found {
+			s.unparkLocked(w)
+		}
 		s.mu.Unlock()
 		if !found {
 			// The pump (or shutdown) already took this waiter off the
@@ -261,6 +273,30 @@ func (s *Scheduler) attach(ctx context.Context, id string, wait bool) (sess *Ses
 			return sess, resumed, nil, nil
 		}
 		return nil, false, nil, ctx.Err()
+	}
+}
+
+// unparkLocked settles the session of a waiter that just gave up, once no
+// other waiter holds it: a preempted one goes back to preempted with its
+// snapshot, and one that never ran leaves no record and no stats row.
+// Caller holds s.mu.
+func (s *Scheduler) unparkLocked(w *waiter) {
+	sess := w.sess
+	if sess.getState() != StateQueued {
+		return
+	}
+	for _, q := range s.queue {
+		if q.sess == sess {
+			return
+		}
+	}
+	if w.from == StatePreempted {
+		sess.setState(StatePreempted)
+		return
+	}
+	delete(s.sessions, sess.id)
+	if rec := s.cfg.Recorder; rec != nil {
+		rec.SessionState(sess.id, "")
 	}
 }
 
@@ -426,9 +462,8 @@ func (s *Scheduler) ReapIdle(ctx context.Context) ([]string, error) {
 // evict moves one session from running to preempted: its live work is
 // checkpointed into an opaque snapshot (through the evictor its run handler
 // installed, or the generic whole-simulation manifest), its workers stop,
-// its capacity and checkpoint-store blobs are released, and it parks as
-// preempted. A later Attach resumes it from the snapshot. Evicting a
-// non-running session is a no-op.
+// its capacity is released, and it parks as preempted. A later Attach
+// resumes it from the snapshot. Evicting a non-running session is a no-op.
 func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -455,9 +490,6 @@ func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 	if sim != nil {
 		sim.Stop()
 	}
-	// The snapshot inlines everything a resume needs; the daemon store's
-	// per-session blobs are now redundant.
-	s.daemon.DropSessionCheckpoints(sess.id)
 
 	sess.mu.Lock()
 	if sess.state != StateRunning {
@@ -484,9 +516,9 @@ func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 	return nil
 }
 
-// Close ends one session for good: workers stop, capacity and checkpoint
-// blobs release, the id is retired, and a queued session (if any) is
-// admitted into the freed slot. The session leaves nothing behind that
+// Close ends one session for good: workers stop, capacity releases, the
+// id is retired, and a queued session (if any) is admitted into the freed
+// slot. The session leaves nothing behind that
 // grows: its record goes, its id joins the fixed window of retired ids
 // (closing it again is a no-op, attaching it is ErrSessionClosed), its
 // stats row and call and queue-depth series fold into the recorder's
@@ -516,7 +548,6 @@ func (s *Scheduler) Close(id string) error {
 	if sim != nil {
 		sim.Stop()
 	}
-	s.daemon.DropSessionCheckpoints(id)
 	s.daemon.ForgetSession(id)
 	if rec := s.cfg.Recorder; rec != nil {
 		rec.CloseSession(id)

@@ -40,20 +40,25 @@ type CallKey struct {
 type CallStats struct {
 	Hist   Histogram // virtual round-trip latency, nanoseconds
 	Errors uint64    // transport-level failures (no response arrived)
-	// Floor is the configured vtime round-trip minimum for the channel
-	// that recorded the calls (2x the routed path latency; the mpi
-	// message cost for in-process channels). Calibrate compares observed
-	// latency against it.
+	// Floor is the least configured vtime round-trip minimum of the
+	// channels that recorded the calls (2x the routed path latency; the
+	// mpi message cost for in-process channels), so no call is faster.
+	// Calibrate compares observed latency against it.
 	Floor time.Duration
 }
 
-// merge folds another key's stats into c; the later floor wins, as it
-// does when recording.
+// merge folds another key's stats into c, keeping the least floor, as
+// recording does.
 func (c *CallStats) merge(o *CallStats) {
 	c.Hist.Merge(&o.Hist)
 	c.Errors += o.Errors
-	if o.Floor > 0 {
-		c.Floor = o.Floor
+	c.lowerFloor(o.Floor)
+}
+
+// lowerFloor takes floor if it is known (positive) and below c's.
+func (c *CallStats) lowerFloor(floor time.Duration) {
+	if floor > 0 && (c.Floor == 0 || floor < c.Floor) {
+		c.Floor = floor
 	}
 }
 
@@ -125,16 +130,14 @@ func (s *callShard) callLocked(key CallKey) *CallStats {
 }
 
 // RecordCall records one completed call's virtual round-trip latency.
-// floor is the channel's configured minimum round trip (kept with the
-// stats for calibration; pass 0 when unknown).
+// floor is the channel's configured minimum round trip (the least one a
+// key sees is kept with its stats for calibration; pass 0 when unknown).
 func (r *Recorder) RecordCall(session, model, method string, latency, floor time.Duration) {
 	s := r.callShard(model, method)
 	s.mu.Lock()
 	st := s.callLocked(CallKey{Session: session, Model: model, Method: method})
 	st.Hist.Record(int64(latency))
-	if floor > 0 {
-		st.Floor = floor
-	}
+	st.lowerFloor(floor)
 	s.mu.Unlock()
 }
 

@@ -104,8 +104,8 @@ func (r *Recorder) LinkHealthTable(now, staleAfter time.Duration) []LinkHealthRo
 	return rows
 }
 
-// StoreStats gauges one model's checkpoint/restore traffic through the
-// daemon store: blob sizes and restore latencies.
+// StoreStats gauges one model's checkpoint/restore traffic: snapshot sizes
+// and restore latencies.
 type StoreStats struct {
 	Checkpoints int
 	LastRaw     int   // latest blob's bytes (snapshots cross the wire raw)
@@ -115,8 +115,8 @@ type StoreStats struct {
 	RestoreHist Histogram     // restore latency, nanoseconds
 }
 
-// RecordCheckpoint gauges one checkpoint blob landing in the daemon
-// store: raw is the snapshot's size.
+// RecordCheckpoint gauges one checkpoint snapshot reaching the coupler:
+// raw is the snapshot's size.
 func (r *Recorder) RecordCheckpoint(model string, raw int) {
 	r.mu.Lock()
 	st := r.storeStats(model)
@@ -126,8 +126,8 @@ func (r *Recorder) RecordCheckpoint(model string, raw int) {
 	r.mu.Unlock()
 }
 
-// RecordRestore gauges one model restore from the daemon store: latency
-// is the virtual time the restore took end to end.
+// RecordRestore gauges one model restore from its snapshot: latency is
+// the virtual time the restore took end to end.
 func (r *Recorder) RecordRestore(model string, latency time.Duration) {
 	r.mu.Lock()
 	st := r.storeStats(model)

@@ -285,6 +285,34 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
+// TestCallFloorIsLeast: a key that two channels record into — a WAN
+// worker's 82 ms floor and an in-process worker's 10 µs — keeps the lesser
+// floor whatever the order, so no recorded call is faster than it; folding
+// two sessions' rows into (closed) keeps it the same way.
+func TestCallFloorIsLeast(t *testing.T) {
+	const wan, local = 82 * time.Millisecond, 10 * time.Microsecond
+	for _, floors := range [][2]time.Duration{{wan, local}, {local, wan}} {
+		r := New()
+		for i, f := range floors {
+			r.RecordCall("", "gravity", "checkpoint", f, f)
+			r.RecordCall([]string{"s0", "s1"}[i], "gravity", "checkpoint", f, f)
+		}
+		r.CloseSession("s0")
+		r.CloseSession("s1")
+		snap := r.CallsSnapshot()
+		for _, key := range []CallKey{
+			{Model: "gravity", Method: "checkpoint"},
+			{Session: ClosedSession, Model: "gravity", Method: "checkpoint"},
+		} {
+			st := snap[key]
+			if st.Floor != local || time.Duration(st.Hist.Min) < st.Floor {
+				t.Fatalf("floors %v into %v: floor %v, min %v; want floor %v, min at or above it",
+					floors, key, st.Floor, time.Duration(st.Hist.Min), local)
+			}
+		}
+	}
+}
+
 // TestDiffCalls: the snapshot diff isolates exactly the calls recorded
 // between the snapshots, across keys, including errors.
 func TestDiffCalls(t *testing.T) {

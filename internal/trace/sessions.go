@@ -104,10 +104,15 @@ func (r *Recorder) closeSessionStats(id string) {
 }
 
 // SessionState records a session's control-plane lifecycle state. The
-// ClosedSession row's state stays "closed".
+// ClosedSession row's state stays "closed". The empty state forgets a row
+// that holds nothing but its state: a session that never ran.
 func (r *Recorder) SessionState(id, state string) {
 	r.mu.Lock()
-	if s := r.sessionLocked(id); s.Closed == 0 {
+	if state == "" {
+		if s := r.sessions[id]; s != nil && *s == (SessionStats{State: s.State}) {
+			delete(r.sessions, id)
+		}
+	} else if s := r.sessionLocked(id); s.Closed == 0 {
 		s.State = state
 	}
 	r.mu.Unlock()

@@ -20,12 +20,16 @@ fmt-check:
 
 # Documentation gate: formatting (covers the runnable Example_* files),
 # vet, a package comment on every internal/ package — godoc is part of
-# the contract, so an undocumented package fails CI — and no broken
-# relative links in the top-level documents (cmd/doc-link-check).
+# the contract, so an undocumented package fails CI — a test file in every
+# examples/ program, so what a reader runs is what go test runs and pins,
+# and no broken relative link or `go run ./<path>` command in the
+# top-level documents or the verify skill (cmd/doc-link-check).
 doc-check: fmt-check vet
 	@bad=$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/...); \
 	if [ -n "$$bad" ]; then echo "missing package comment:" >&2; echo "$$bad" >&2; exit 1; fi
-	$(GO) run ./cmd/doc-link-check README.md ARCHITECTURE.md DESIGN.md
+	@bad=$$($(GO) list -f '{{if not .TestGoFiles}}{{.ImportPath}}{{end}}' ./examples/...); \
+	if [ -n "$$bad" ]; then echo "example without a test:" >&2; echo "$$bad" >&2; exit 1; fi
+	$(GO) run ./cmd/doc-link-check README.md ARCHITECTURE.md DESIGN.md .claude/skills/verify/SKILL.md
 
 # One wire codec: every message, manifest, run file and gateway frame goes
 # through internal/wire, so no non-test file imports encoding/gob — except
@@ -56,12 +60,13 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest change lowered both: a snapshot reaches the coupler one way,
-# as the checkpoint call's reply, so offer_checkpoint, the daemon's
-# checkpoint listener, the stream-then-fallback branch and the store's
-# snapshot copies and session tags are gone.
-LOC_CORE_MAX = 5038
-LOC_TOTAL_MAX = 26307
+# The latest change lowered both: the five examples that repeated an
+# experiment or a test (embedded-cluster, sc11-demo, ensemble,
+# multi-kernel, multi-tenant) are gone, the three left are pinned by go
+# test, and Gravity.Sync went with its last non-test caller, taking
+# Gravity.GoSync (GoPull of mass, position and velocity) with it.
+LOC_CORE_MAX = 5019
+LOC_TOTAL_MAX = 25791
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done

@@ -1,12 +1,15 @@
 // Command doc-link-check verifies the relative links in the repository's
 // markdown documentation: every [text](target) whose target is a local
 // path must point at a file or directory that exists (anchors are
-// stripped; absolute URLs and mailto: links are skipped). It exits
-// non-zero listing each broken link — `make doc-check` runs it over the
-// top-level documents so a renamed file cannot silently orphan the docs
-// that reference it.
+// stripped; absolute URLs and mailto: links are skipped). Every
+// `go run ./<path>` command must name a directory that exists; commands
+// run from the module root, so their paths resolve against the directory
+// the tool runs in, not the document's. It exits non-zero listing each
+// broken link and command — `make doc-check` runs it over the top-level
+// documents and the verify skill, so a renamed or deleted program cannot
+// silently orphan the docs that reference it.
 //
-//	doc-link-check README.md ARCHITECTURE.md DESIGN.md
+//	doc-link-check README.md ARCHITECTURE.md DESIGN.md .claude/skills/verify/SKILL.md
 package main
 
 import (
@@ -20,6 +23,9 @@ import (
 // linkRE matches inline markdown links: [text](target). Reference-style
 // links and autolinks are not used in this repository's docs.
 var linkRE = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
+
+// runRE matches a `go run` of a local package path: go run ./cmd/amuse-run.
+var runRE = regexp.MustCompile(`go run (\./[\w./-]*)`)
 
 func main() {
 	if len(os.Args) < 2 {
@@ -54,10 +60,16 @@ func main() {
 					broken++
 				}
 			}
+			for _, m := range runRE.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+					fmt.Fprintf(os.Stderr, "%s:%d: go run of a missing directory %q\n", doc, lineNo+1, m[1])
+					broken++
+				}
+			}
 		}
 	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "doc-link-check: %d broken link(s)\n", broken)
+		fmt.Fprintf(os.Stderr, "doc-link-check: %d broken link(s) or command(s)\n", broken)
 		os.Exit(1)
 	}
 }

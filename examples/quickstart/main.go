@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"jungle/internal/amuse/ic"
 	"jungle/internal/amuse/units"
@@ -51,7 +52,7 @@ func main() {
 	}
 
 	// 4. A Plummer-sphere cluster, uploaded to the worker.
-	stars := ic.Plummer(256, 42)
+	stars := ic.Plummer(128, 42)
 	if err := grav.SetParticles(stars); err != nil {
 		log.Fatalf("set particles: %v", err)
 	}
@@ -77,13 +78,6 @@ func main() {
 
 	fmt.Printf("evolved %d stars to t = 1 Myr (%.4f N-body times)\n", stars.Len(), tEnd)
 	fmt.Printf("energy: E0 = %.6f, E1 = %.6f, |dE/E| = %.2e\n",
-		k0+u0, k1+u1, abs((k1+u1-k0-u0)/(k0+u0)))
+		k0+u0, k1+u1, math.Abs((k1+u1-k0-u0)/(k0+u0)))
 	fmt.Printf("virtual wall time on the desktop worker: %v\n", sim.Elapsed())
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

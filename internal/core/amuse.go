@@ -520,25 +520,6 @@ func (g *Gravity) Energy(ctx context.Context) (float64, float64, error) {
 	return out.Kinetic, out.Potential, nil
 }
 
-// GoSync issues the one-round-trip state synchronization without waiting;
-// the columns land in p when the result is first observed.
-func (g *Gravity) GoSync(p *data.Particles) *Call {
-	return g.goGetState([]string{data.AttrMass, data.AttrPos, data.AttrVel},
-		func(v kernel.StateView) error {
-			if v.N != p.Len() {
-				return fmt.Errorf("core: sync: worker has %d particles, set has %d", v.N, p.Len())
-			}
-			return kernel.ScatterView(p, &v)
-		})
-}
-
-// Sync pulls masses, positions and velocities into the given master set —
-// one batched columnar round trip where the prototype paid three RPCs. nil
-// ctx means the session context.
-func (g *Gravity) Sync(ctx context.Context, p *data.Particles) error {
-	return g.GoSync(p).Wait(g.sessionCtx(ctx))
-}
-
 // Hydro is the coupler-side Gadget model (bridge.AsyncDynamics +
 // bridge.EnergyInjector).
 type Hydro struct {

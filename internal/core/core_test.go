@@ -82,7 +82,7 @@ func TestIbisChannelRemoteWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stars.Clone()
-	if err := g.Sync(context.Background(), out); err != nil {
+	if err := g.GoPull(out).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	moved := false
@@ -185,7 +185,7 @@ func TestChannelsProduceIdenticalPhysics(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := stars.Clone()
-		if err := g.Sync(context.Background(), out); err != nil {
+		if err := g.GoPull(out).Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -298,7 +298,7 @@ func TestDistributedBridgeMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := stars.Clone()
-		if err := g.Sync(context.Background(), out); err != nil {
+		if err := g.GoPull(out).Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return out, sim.Elapsed()
@@ -378,7 +378,7 @@ func TestWorkerReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := stars.Clone()
-	if err := g.Sync(context.Background(), snap); err != nil {
+	if err := g.GoPull(snap).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	died := make(chan int, 1)

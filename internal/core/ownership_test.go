@@ -218,7 +218,7 @@ func bulkRoundDigests(t *testing.T) {
 		if err := dst.GoPull(pulled, attrs...).Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.Sync(ctx, synced); err != nil {
+		if err := src.GoPull(synced).Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if p, s := gathered(pulled), gathered(synced); p != want || s != want {

@@ -70,7 +70,7 @@ func TestUncoveredEvolveFailsStructured(t *testing.T) {
 			}
 			evolveLegs(t, g, 1.0/64)
 			if sync {
-				if err := g.Sync(ctx, stars.Clone()); err != nil {
+				if err := g.GoPull(stars.Clone()).Wait(ctx); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -126,7 +126,7 @@ func TestRestoreAfterReadsIsBitIdentical(t *testing.T) {
 	stars := ic.Plummer(256, 83)
 	reads := func(g *Gravity) {
 		t.Helper()
-		if err := g.Sync(ctx, stars.Clone()); err != nil {
+		if err := g.GoPull(stars.Clone()).Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := g.GetState(ctx); err != nil {

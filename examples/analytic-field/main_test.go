@@ -10,5 +10,5 @@ func Example() {
 	// 128-star cluster orbiting a Plummer galaxy (M=100, a=1) at R=3, v_circ=5.335
 	// after t=0.250: cluster center at (2.740, 1.304, -0.003), orbit angle 0.444 rad (expect ~0.445)
 	// galactocentric radius 3.035 (started at 3)
-	// virtual wall time: 1.55474016s
+	// virtual wall time: 1.520154866s
 }

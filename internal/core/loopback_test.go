@@ -8,6 +8,7 @@ import (
 	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/ic"
 	"jungle/internal/core/kernel"
+	"jungle/internal/trace"
 )
 
 // TestLoopbackHopPricedAsSocket: a worker's proxy dispatches into its model
@@ -75,11 +76,70 @@ func TestLoopbackHopPricedAsSocket(t *testing.T) {
 	mark()
 
 	// Read from the loopback socket the hop replaced.
-	want := []time.Duration{3577017, 6276419, 8939203, 8939203, 11601987, 9381471, 11601987,
-		14300359, 14300359, 17802728, 23525424, 26223866}
+	want := []time.Duration{3156679, 5431895, 7674163, 7674163, 9916431, 8116431, 9916431,
+		12194455, 12194455, 15696824, 20999142, 23277264}
 	const wantLoopback = 60112
 	if lb := tb.Recorder.TotalByClass()["loopback"]; lb != wantLoopback || !equalDurations(got, want) {
 		t.Fatalf("loopback bytes %d, want %d\nvirtual times %#v\nwant          %#v", lb, wantLoopback, got, want)
+	}
+}
+
+// TestRequestPortsReverse: the daemon reaches each of four solo workers
+// (LGM, VU, UvA, TUD) over a raw connection, so a call's request crosses
+// the daemon-worker host pair as class "ipl" and no byte of a round of
+// calls crosses a hub. The desktop sits at VU, so VU's port is direct; the
+// three firewalled sites' ports are reverse (the worker dials back), the
+// first one dialled included.
+func TestRequestPortsReverse(t *testing.T) {
+	tb, sim := labSim(t)
+	ctx := context.Background()
+	var gs []*Gravity
+	for _, res := range []string{"lgm", "das4-vu", "das4-uva", "das4-tud"} {
+		g, err := sim.NewGravity(ctx, WorkerSpec{Resource: res, Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	d := tb.Daemon
+	daemonHost := d.ibis.Identifier().Host
+	before := tb.Recorder.TrafficTable()
+	for _, g := range gs {
+		if err := g.SetParticles(ic.Plummer(16, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ipl, hub := make(map[string]int), 0
+	for i, rows := range [][]trace.TrafficRow{before, tb.Recorder.TrafficTable()} {
+		sign := 2*i - 1
+		for _, row := range rows {
+			switch {
+			case row.Class == "hub":
+				hub += sign * row.Bytes
+			case row.From == daemonHost && row.Class == "ipl":
+				ipl[row.To] += sign * row.Bytes
+			}
+		}
+	}
+	if hub != 0 {
+		t.Errorf("a round of calls moved %d hub-class bytes: some port is routed through the hubs", hub)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var reverse []string
+	for id, wh := range d.workers {
+		host := wh.member.Host
+		if ipl[host] == 0 {
+			t.Errorf("worker %d (%s): the call's request did not cross %s -> %s", id, wh.spec.Resource, daemonHost, host)
+		}
+		if direct, err := tb.Net.AllowsInboundFrom(host, daemonHost, wh.member.Port+1); err != nil {
+			t.Fatal(err)
+		} else if !direct {
+			reverse = append(reverse, wh.spec.Resource)
+		}
+	}
+	if len(d.workers) != 4 || len(reverse) != 3 {
+		t.Fatalf("%d workers, reverse on %v; want 4 workers, reverse on lgm, das4-uva and das4-tud", len(d.workers), reverse)
 	}
 }
 

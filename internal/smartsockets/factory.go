@@ -32,11 +32,10 @@ type Factory struct {
 
 	mu          sync.Mutex
 	listeners   map[int]*Listener
-	pendingRev  map[uint64]chan revResult
+	pendingRev  map[uint64]chan error // a reverse request's nak
 	pendingCirc map[string]chan openResult
 	pendingReg  map[Address]chan struct{}
 	circuits    map[string]*routedEnd
-	nextPort    int
 	nextReq     uint64
 	nextCircuit uint64
 	closed      bool
@@ -49,12 +48,6 @@ type Factory struct {
 	wg sync.WaitGroup
 }
 
-type revResult struct {
-	conn        *vnet.Conn
-	established time.Duration
-	err         error
-}
-
 // openResult completes a routed circuit open: the error, and on success
 // the hub route the circuit was installed along.
 type openResult struct {
@@ -63,8 +56,8 @@ type openResult struct {
 }
 
 // NewFactory connects a factory on host to the hub at hubHost. base is this
-// process's identity port; listeners and ephemeral ports are allocated above
-// it.
+// process's identity port; its listeners take the ports the caller names,
+// and a reverse connect's reply listener takes vnet's ephemeral range.
 func NewFactory(network *vnet.Network, host string, base int, hubHost string) (*Factory, error) {
 	conn, err := network.Dial(host, hubHost, HubPort)
 	if err != nil {
@@ -80,11 +73,10 @@ func NewFactory(network *vnet.Network, host string, base int, hubHost string) (*
 	f := &Factory{
 		net: network, host: host, base: base, hubHost: hubHost, hubConn: conn,
 		listeners:   make(map[int]*Listener),
-		pendingRev:  make(map[uint64]chan revResult),
+		pendingRev:  make(map[uint64]chan error),
 		pendingCirc: make(map[string]chan openResult),
 		pendingReg:  make(map[Address]chan struct{}),
 		circuits:    make(map[string]*routedEnd),
-		nextPort:    base + 1,
 		Timeout:     2 * time.Second,
 	}
 	f.wg.Add(1)
@@ -145,14 +137,6 @@ func (f *Factory) Close() {
 	f.wg.Wait()
 }
 
-func (f *Factory) allocPort() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p := f.nextPort
-	f.nextPort++
-	return p
-}
-
 // hubReadLoop dispatches frames arriving from the hub. Once the hub
 // connection is gone no frame can reach a routed end, and no close can
 // arrive for one waiting for it: every end closes.
@@ -193,7 +177,7 @@ func (f *Factory) hubReadLoop() {
 				f.completeOpen(fr.Circuit, openResult{err: err})
 			}
 			if fr.ReqID != 0 {
-				f.completeRev(fr.ReqID, revResult{err: err})
+				f.completeRev(fr.ReqID, err)
 			}
 		case kCircuitData:
 			f.mu.Lock()
@@ -233,13 +217,13 @@ func (f *Factory) completeOpen(circuit string, r openResult) {
 	}
 }
 
-func (f *Factory) completeRev(id uint64, r revResult) {
+func (f *Factory) completeRev(id uint64, err error) {
 	f.mu.Lock()
 	ch := f.pendingRev[id]
 	delete(f.pendingRev, id)
 	f.mu.Unlock()
 	if ch != nil {
-		ch <- r
+		ch <- err
 	}
 }
 
@@ -337,8 +321,7 @@ func (f *Factory) Connect(target Address, sentAt time.Duration) (*VirtualConn, e
 }
 
 func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*VirtualConn, error) {
-	replyPort := f.allocPort()
-	vl, err := f.net.Listen(f.host, replyPort)
+	vl, err := f.net.Listen(f.host, 0) // an ephemeral port: no listener of ours can hold it
 	if err != nil {
 		return nil, err
 	}
@@ -347,21 +330,21 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 	f.mu.Lock()
 	f.nextReq++
 	id := f.nextReq
-	ch := make(chan revResult, 1)
+	ch := make(chan error, 1)
 	f.pendingRev[id] = ch
 	f.mu.Unlock()
-	defer f.completeRev(id, revResult{}) // drop registration if still pending
+	defer f.completeRev(id, nil) // drop registration if still pending
 
 	req := &frame{
 		Kind: kReverseReq, Src: f.Addr(), Dst: target,
-		ReqID: id, ReplyPort: replyPort, sentAt: sentAt,
+		ReqID: id, ReplyPort: vl.Port(), sentAt: sentAt,
 	}
 	if err := sendFrame(f.hubConn, req); err != nil {
 		return nil, err
 	}
 
 	// The dial-back arrives on our ephemeral listener.
-	accepted := make(chan revResult, 1)
+	accepted := make(chan *VirtualConn, 1)
 	go func() {
 		conn, err := vl.Accept()
 		if err != nil {
@@ -372,17 +355,14 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 			conn.Close()
 			return
 		}
-		accepted <- revResult{conn: conn, established: fr.sentAt}
+		accepted <- &VirtualConn{typ: Reverse, raw: conn, established: fr.sentAt}
 	}()
 
 	select {
-	case r := <-accepted:
-		return &VirtualConn{typ: Reverse, raw: r.conn, established: r.established}, nil
-	case r := <-ch:
-		if r.err == nil {
-			r.err = ErrConnectFailed
-		}
-		return nil, r.err
+	case vc := <-accepted:
+		return vc, nil
+	case err := <-ch: // a nak: ErrNoListener or ErrNoRoute
+		return nil, err
 	case <-time.After(f.Timeout): // watchdog: a hub on the route died with the request in hand -> ErrTimeout
 		return nil, ErrTimeout
 	}

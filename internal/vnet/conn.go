@@ -115,7 +115,14 @@ type Listener struct {
 	backlog fifo.Queue[*Conn]
 }
 
-// Listen opens a listener on host:port.
+// EphemeralFirst is the port Listen(host, 0) tries first. Ephemeral ports
+// count down from it to -1<<23 and no explicit Listen may take one, so no
+// port a caller names stands in an ephemeral port's way; each crosses the
+// wire in the same 4 bytes (wire's zig-zag int).
+const EphemeralFirst = -1 << 20
+
+// Listen opens a listener on host:port; port 0 takes the first free
+// ephemeral port (Listener.Port reports it).
 func (n *Network) Listen(host string, port int) (*Listener, error) {
 	h := n.Host(host)
 	if h == nil {
@@ -126,6 +133,15 @@ func (n *Network) Listen(host string, port int) (*Listener, error) {
 	if !h.up {
 		return nil, ErrHostDown
 	}
+	if port < 0 {
+		return nil, fmt.Errorf("%w: %s:%d is an ephemeral port", ErrPortInUse, host, port)
+	}
+	if port == 0 {
+		port = EphemeralFirst
+		for h.listeners[port] != nil && port > -1<<23 {
+			port--
+		}
+	}
 	if _, ok := h.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: %s:%d", ErrPortInUse, host, port)
 	}
@@ -133,6 +149,9 @@ func (n *Network) Listen(host string, port int) (*Listener, error) {
 	h.listeners[port] = l
 	return l, nil
 }
+
+// Port returns the port the listener holds.
+func (l *Listener) Port() int { return l.port }
 
 // Accept blocks until an inbound connection arrives.
 func (l *Listener) Accept() (*Conn, error) {

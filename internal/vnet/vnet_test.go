@@ -526,3 +526,30 @@ func TestCrashHostBreaksConnections(t *testing.T) {
 		t.Fatalf("crash unknown host: %v", err)
 	}
 }
+
+// TestListenEphemeral: Listen(host, 0) takes the first free port counting
+// down from EphemeralFirst, a closed one is handed out again, and an
+// explicit Listen on an ephemeral port is refused.
+func TestListenEphemeral(t *testing.T) {
+	n := twoHosts(t, Open)
+	ephemeral := func() *Listener {
+		t.Helper()
+		l, err := n.Listen("a", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	first, second := ephemeral(), ephemeral()
+	second.Close()
+	if third := ephemeral(); first.Port() != EphemeralFirst || second.Port() != EphemeralFirst-1 || third.Port() != second.Port() {
+		t.Fatalf("ephemeral ports %d, %d, then %d after closing the second; want %d, %d, %d",
+			first.Port(), second.Port(), third.Port(), EphemeralFirst, EphemeralFirst-1, EphemeralFirst-1)
+	}
+	if _, err := n.Listen("a", EphemeralFirst-5); !errors.Is(err, ErrPortInUse) {
+		t.Fatalf("explicit Listen on an ephemeral port: %v, want %v", err, ErrPortInUse)
+	}
+	if _, err := n.Dial("b", "a", EphemeralFirst); err != nil {
+		t.Fatalf("dial an ephemeral listener: %v", err)
+	}
+}

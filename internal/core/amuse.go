@@ -279,7 +279,7 @@ func (m *modelProxy) replaceableLocked() bool {
 // structured error on the next death, never a rollback.
 func keepsState(method string) bool {
 	switch method {
-	case "get_state", "get_positions", "get_velocities", "get_masses", "stats", "energies", "field_at",
+	case "get_state", "stats", "energies", "field_at",
 		kernel.MethodOfferState, kernel.MethodCheckpoint:
 		return true
 	}

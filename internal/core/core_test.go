@@ -391,15 +391,16 @@ func TestWorkerReplacement(t *testing.T) {
 	}
 	// §5 future work, implemented: the next call transparently restarts
 	// the worker from the checkpoint.
-	var out kernel.VecResult
-	if err := g.Call(context.Background(), "get_positions", kernel.Empty{}, &out); err != nil {
+	st, err := g.GetState(context.Background(), data.AttrPos)
+	if err != nil {
 		t.Fatalf("replacement failed: %v", err)
 	}
-	if len(out.V) != snap.Len() {
-		t.Fatalf("replacement state: %d particles, want %d", len(out.V), snap.Len())
+	pos := st.Vec(data.AttrPos)
+	if len(pos) != snap.Len() {
+		t.Fatalf("replacement state: %d particles, want %d", len(pos), snap.Len())
 	}
-	for i := range out.V {
-		if out.V[i] != snap.Pos[i] {
+	for i := range pos {
+		if pos[i] != snap.Pos[i] {
 			t.Fatalf("replacement lost state at particle %d", i)
 		}
 	}

@@ -30,8 +30,7 @@ import (
 // (every rank must load the snapshot), checkpoint reads from rank 0.
 func gangFanout(method string) bool {
 	switch method {
-	case "get_state", "get_positions", "get_velocities", "get_masses", "stats",
-		kernel.MethodOfferState, kernel.MethodAcceptState,
+	case "get_state", "stats", kernel.MethodOfferState, kernel.MethodAcceptState,
 		kernel.MethodCheckpoint:
 		return false
 	}

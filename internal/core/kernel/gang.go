@@ -6,12 +6,12 @@ import (
 
 // Gang support: a kernel may be deployed as a gang of K workers running a
 // domain-decomposed instance of the same service. Each rank's service is
-// constructed with its GangInfo (rank, size, neighbor table) in Config,
-// and — once every rank has joined the pool and the peer links are wired
-// by the proxy's gang_init op — receives the live communicator through
-// the Shardable interface. Services that do not implement Shardable
-// cannot be started with Workers > 1; the worker host fails the job with
-// a clear error instead of running K divergent solo instances.
+// constructed with its GangInfo (rank and size) in Config, and — once
+// every rank has joined the pool and the peer links are wired by the
+// proxy's gang_init op — receives the live communicator through the
+// Shardable interface. Services that do not implement Shardable cannot be
+// started with Workers > 1; the worker host fails the job with a clear
+// error instead of running K divergent solo instances.
 
 // GangInfo describes one rank's place in a gang. It is available at
 // service construction time (the communicator arrives later, via
@@ -22,30 +22,15 @@ type GangInfo struct {
 	Rank int
 	// Size is the gang size (K).
 	Size int
-	// Neighbors are the adjacent ranks of the slab decomposition — the
-	// neighbor table kernels with local ghost-region exchange key their
-	// halo traffic on. For the contiguous slab decomposition these are
-	// Rank-1 and Rank+1 where they exist.
-	Neighbors []int
-}
-
-// NeighborsOf returns the slab-decomposition neighbor table for a rank.
-func NeighborsOf(rank, size int) []int {
-	var n []int
-	if rank > 0 {
-		n = append(n, rank-1)
-	}
-	if rank < size-1 {
-		n = append(n, rank+1)
-	}
-	return n
 }
 
 // Shardable is implemented by services that can run as one rank of a
-// gang. SetGang is called exactly once by the worker host, after the
-// gang's peer links are wired and before any model call is dispatched;
-// the service binds its virtual clock to the communicator and uses the
-// mpisim collectives for halo exchange and reductions during evolve. A
+// gang. The worker host calls SetGang after the gang's peer links are
+// wired and before any model call is dispatched, and only with a
+// communicator whose rank and size match the worker's GangInfo: it
+// refuses gang_init on a solo worker and on a mismatch, so no kind checks
+// either. The service binds its virtual clock to the communicator and uses
+// the mpisim collectives for halo exchange and reductions during evolve. A
 // kind whose ranks balance their slabs among themselves (mpisim.Rebalance)
 // answers a gang evolve with the mpisim.Load they agreed on; a solo or
 // World evolve answers Empty.

@@ -119,14 +119,6 @@ type FieldStagedArgs struct {
 	Slot uint64
 }
 
-type VecResult struct {
-	V []data.Vec3
-}
-
-type FloatsResult struct {
-	X []float64
-}
-
 type EnergiesResult struct {
 	Kinetic   float64
 	Potential float64

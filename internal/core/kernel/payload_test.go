@@ -17,7 +17,7 @@ import (
 var payloads = []any{
 	SetupGravityArgs{}, SetupHydroArgs{}, SetupStellarArgs{}, SetupFieldArgs{},
 	ParticlesPayload{}, EvolveArgs{}, KickArgs{}, SetMassArgs{}, InjectArgs{},
-	FieldAtArgs{}, FieldAtResult{}, FieldStagedArgs{}, VecResult{}, FloatsResult{},
+	FieldAtArgs{}, FieldAtResult{}, FieldStagedArgs{},
 	EnergiesResult{}, StellarEvolveResult{}, StellarEventPayload{}, StatsResult{}, Empty{},
 	GangInitArgs{}, mpisim.Load{},
 	OfferStateArgs{}, AcceptStateArgs{},

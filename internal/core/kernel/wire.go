@@ -383,9 +383,8 @@ func UnmarshalRequest(b []byte, req *Request) error {
 // parse hands Dispatch one of these strings instead of a copy of its own.
 var methodNames = [...]string{"kick", "evolve", "get_state", MethodApplyState, "field_staged",
 	"stage_sources", "stage_targets", "stage_release", "field_at", "step", "setup", "set_particles",
-	"get_positions", "get_velocities", "get_masses", "set_mass", "energies", "inject_energy", "stats",
-	MethodOfferState, MethodAcceptState, MethodCheckpoint, MethodRestore,
-	MethodGangInit}
+	"set_mass", "energies", "inject_energy", "stats", MethodOfferState, MethodAcceptState,
+	MethodCheckpoint, MethodRestore, MethodGangInit}
 
 func internMethod(b []byte) string {
 	for _, name := range methodNames {

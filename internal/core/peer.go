@@ -299,24 +299,29 @@ func (l *peerLink) Recv() ([]byte, time.Duration, error) {
 
 func (l *peerLink) Close() error { return l.conn.Close() }
 
-// handleGangInit wires this rank's gang links: dial every higher rank's
-// peer listener (sending the hello frame that names this gang and rank),
-// await hello connections from every lower rank, assemble the
+// handleGangInit admits a gang_init only on a gang rank whose job args
+// (gi, nil solo) name its rank and size — the one gang check: SetGang
+// only binds — then wires this rank's gang links: dial every higher
+// rank's peer listener (sending the hello frame that names this gang and
+// rank), await hello connections from every lower rank, assemble the
 // communicator and install it in the service via kernel.Shardable. Runs
 // in the proxy relay loop, so the setup call queued behind gang_init
 // cannot reach the service before the gang exists.
-func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc service) *response {
+func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc service, gi *kernel.GangInfo) *response {
 	var a kernel.GangInitArgs
 	if err := kernel.Decode(req.Args, &a); err != nil {
 		return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 	}
-	sh, ok := svc.(kernel.Shardable)
-	if !ok {
-		return failure(req.ID, arrival, kernel.CodeWorkerFault, fmt.Errorf("core: service is not shardable"))
+	if gi == nil { // a gang rank's service is Shardable: workerMain refuses to start it otherwise
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, fmt.Errorf("core: SetGang on a solo worker"))
 	}
 	if a.Rank < 0 || a.Rank >= a.Size || len(a.Peers) != a.Size {
 		return failure(req.ID, arrival, kernel.CodeWorkerFault, fmt.Errorf("core: bad gang_init: rank %d size %d peers %d",
 			a.Rank, a.Size, len(a.Peers)))
+	}
+	if a.Rank != gi.Rank || a.Size != gi.Size {
+		return failure(req.ID, arrival, kernel.CodeWorkerFault, fmt.Errorf("core: gang %d/%d does not match configured rank %d/%d",
+			a.Rank, a.Size, gi.Rank, gi.Size))
 	}
 	links := make([]mpisim.Link, a.Size)
 	cleanup := func() {
@@ -361,7 +366,7 @@ func (p *peerPlane) handleGangInit(req *request, arrival time.Duration, svc serv
 		cleanup()
 		return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 	}
-	if err := sh.SetGang(g); err != nil {
+	if err := svc.(kernel.Shardable).SetGang(g); err != nil {
 		cleanup()
 		return failure(req.ID, arrival, kernel.CodeWorkerFault, err)
 	}
@@ -387,11 +392,12 @@ func isProxyMethod(method string) bool {
 }
 
 // handle executes one proxy method against the model service behind loop
-// and returns the response to write back to the daemon.
-func (p *peerPlane) handle(req *request, arrival time.Duration, loop *loopback) *response {
+// (a rank of gang gi, nil solo) and returns the response to write back to
+// the daemon.
+func (p *peerPlane) handle(req *request, arrival time.Duration, loop *loopback, gi *kernel.GangInfo) *response {
 	switch req.Method {
 	case kernel.MethodGangInit:
-		return p.handleGangInit(req, arrival, loop.svc)
+		return p.handleGangInit(req, arrival, loop.svc, gi)
 	case kernel.MethodOfferState:
 		var a kernel.OfferStateArgs
 		if err := kernel.Decode(req.Args, &a); err != nil {

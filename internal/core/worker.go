@@ -56,7 +56,7 @@ func parseWorkerArgs(args []string) (kind Kind, kernelName string, id int, resou
 		return "", "", 0, "", nil, fmt.Errorf("core: worker gang size: %w", err)
 	}
 	if size > 1 {
-		gang = &kernel.GangInfo{Rank: rank, Size: size, Neighbors: kernel.NeighborsOf(rank, size)}
+		gang = &kernel.GangInfo{Rank: rank, Size: size}
 	}
 	return Kind(args[0]), args[1], id, args[3], gang, nil
 }
@@ -86,12 +86,10 @@ func workerMain(env *Env, ctx *gat.Context) error {
 		return err
 	}
 	defer svc.Close()
-	if gang != nil {
-		// Fail at startup, not at gang_init time: a kind without gang
-		// support must not come up as K divergent solo instances.
-		if _, ok := svc.(kernel.Shardable); !ok {
-			return fmt.Errorf("core: kind %q cannot run as a gang rank (service does not implement kernel.Shardable)", kind)
-		}
+	// Fail at startup, not at gang_init time: a kind without gang support
+	// must not come up as K divergent solo instances.
+	if _, ok := svc.(kernel.Shardable); gang != nil && !ok {
+		return fmt.Errorf("core: kind %q cannot run as a gang rank (service does not implement kernel.Shardable)", kind)
 	}
 	host := ctx.Hosts[0]
 	loop := &loopback{hop: newHop(env.Net, host), svc: svc}
@@ -169,7 +167,7 @@ func workerMain(env *Env, ctx *gat.Context) error {
 		case err != nil:
 			reply = kernel.FrameResponse(req.ID, kernel.Reply{}, at, fmt.Errorf("%w: proxy received an undecodable request: %v", kernel.ErrTransport, err))
 		case isProxyMethod(req.Method):
-			resp := plane.handle(&req, at, loop)
+			resp := plane.handle(&req, at, loop, gang)
 			reply, at = kernel.AppendResponse(nil, resp), resp.DoneAt
 		default:
 			reply, at = loop.serve(&req, at)

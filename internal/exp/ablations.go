@@ -135,10 +135,10 @@ type ChannelRow struct {
 	PerCall time.Duration
 }
 
-// AblateChannels measures one small RPC (get_masses on a 64-star worker)
-// through each channel — what each hop of Fig. 5 costs in virtual time:
-// mpi (in-process), sockets (local process, loopback), ibis to a same-site
-// cluster, ibis to the remote LGM.
+// AblateChannels measures one small RPC (a one-column get_state of a
+// 64-star worker) through each channel — what each hop of Fig. 5 costs in
+// virtual time: mpi (in-process), sockets (local process, loopback), ibis
+// to a same-site cluster, ibis to the remote LGM.
 func AblateChannels() (string, []ChannelRow, error) {
 	tb, err := core.NewLabTestbed()
 	if err != nil {

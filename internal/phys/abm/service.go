@@ -60,12 +60,11 @@ type service struct {
 	clock *vtime.Clock
 	dev   *vtime.Device
 	g     *Grid
-	gi    *kernel.GangInfo
 	gang  *mpisim.Gang
 }
 
 func newService(cfg kernel.Config) (kernel.Service, error) {
-	s := &service{res: cfg.Res, clock: vtime.NewClock(), gi: cfg.Gang}
+	s := &service{res: cfg.Res, clock: vtime.NewClock()}
 	if len(cfg.Hosts) > 0 {
 		s.host = cfg.Hosts[0]
 	}
@@ -76,13 +75,6 @@ func newService(cfg kernel.Config) (kernel.Service, error) {
 // communicator, which binds this service's clock so slab exchanges
 // advance it like any other worker activity.
 func (s *service) SetGang(g *mpisim.Gang) error {
-	if s.gi == nil {
-		return fmt.Errorf("abm: SetGang on a solo worker")
-	}
-	if g.ID() != s.gi.Rank || g.Size() != s.gi.Size {
-		return fmt.Errorf("abm: gang %d/%d does not match configured rank %d/%d",
-			g.ID(), g.Size(), s.gi.Rank, s.gi.Size)
-	}
 	g.Bind(s.clock)
 	s.gang = g
 	return nil
@@ -180,7 +172,12 @@ func (s *service) Dispatch(method string, args []byte, at time.Duration) (kernel
 	}
 }
 
-// step advances n generations — solo, or as one gang rank.
+// step advances n generations — solo, or as one gang rank. A rank
+// computes its row slab (all H rows solo), charges the compute on the
+// service clock (which a gang binds), and in a gang allgathers the slabs
+// and splices the others' in before all ranks commit. Every agent's next
+// state is computed by exactly one rank with the solo formula, so the
+// assembled generation is bit-identical to solo.
 func (s *service) step(n int) error {
 	if s.g == nil {
 		return fmt.Errorf("abm: step before setup")
@@ -188,36 +185,30 @@ func (s *service) step(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("abm: step count %d", n)
 	}
-	if s.gang == nil {
-		for i := 0; i < n; i++ {
-			s.clock.Advance(s.dev.Time(s.g.Step(), 0))
-		}
-		return nil
+	size, rank := 1, 0
+	if s.gang != nil {
+		size, rank = s.gang.Size(), s.gang.ID()
 	}
-	// Gang path: compute this rank's row slab, account the compute on the
-	// gang-bound clock, allgather the slabs, splice and commit. Every
-	// agent's next state is computed by exactly one rank with the solo
-	// formula, so the assembled generation is bit-identical to solo.
-	size := s.gang.Size()
+	lo, hi := SlabRows(s.g.P.H, size, rank)
 	for i := 0; i < n; i++ {
-		lo, hi := SlabRows(s.g.P.H, size, s.gang.ID())
-		flops := s.g.StepRows(lo, hi)
-		mpisim.ComputeFlops(s.gang, s.dev, flops, 0)
-		parts, err := mpisim.AllgatherBytes(s.gang, packFloats(s.g.NextRows(lo, hi)))
-		if err != nil {
-			return fmt.Errorf("abm: slab exchange: %w", err)
-		}
-		for rank, part := range parts {
-			if rank == s.gang.ID() {
-				continue
-			}
-			plo, phi := SlabRows(s.g.P.H, size, rank)
-			u, err := unpackFloats(part)
+		s.clock.Advance(s.dev.Time(s.g.StepRows(lo, hi), 0))
+		if s.gang != nil {
+			parts, err := mpisim.AllgatherBytes(s.gang, packFloats(s.g.NextRows(lo, hi)))
 			if err != nil {
-				return fmt.Errorf("abm: slab from rank %d: %w", rank, err)
+				return fmt.Errorf("abm: slab exchange: %w", err)
 			}
-			if err := s.g.SpliceRows(plo, phi, u); err != nil {
-				return err
+			for p, part := range parts {
+				if p == rank {
+					continue
+				}
+				plo, phi := SlabRows(s.g.P.H, size, p)
+				u, err := unpackFloats(part)
+				if err != nil {
+					return fmt.Errorf("abm: slab from rank %d: %w", p, err)
+				}
+				if err := s.g.SpliceRows(plo, phi, u); err != nil {
+					return err
+				}
 			}
 		}
 		s.g.Commit()

@@ -35,6 +35,6 @@ func BenchmarkPairForces(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Forces(p.Mass, p.Pos, p.Vel, 1e-4, &out)
+		k.ForcesSlab(p.Mass, p.Pos, p.Vel, 1e-4, 0, p.Len(), &out)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jungle/internal/amuse/data"
+	"jungle/internal/mpisim"
 )
 
 // ErrNoParticles is returned when evolving an empty system.
@@ -149,22 +150,11 @@ func (s *System) Kick(ctx context.Context, dv []data.Vec3) error {
 }
 
 // Energy returns (kinetic, potential) at the current state. The potential
-// is computed with the force kernel (counted in flops).
+// is computed with the force kernel (counted in flops), and the forces stay
+// cached for the next step.
 func (s *System) Energy() (kin, pot float64) {
-	s.refreshForces()
-	for i := range s.mass {
-		kin += 0.5 * s.mass[i] * s.vel[i].Norm2()
-		pot += 0.5 * s.mass[i] * s.f0.Pot[i]
-	}
+	kin, pot, _ = s.energy(nil) // solo: no collective to fail
 	return kin, pot
-}
-
-func (s *System) refreshForces() {
-	if s.fresh {
-		return
-	}
-	s.flops += s.kernel.Forces(s.mass, s.pos, s.vel, s.Eps*s.Eps, &s.f0)
-	s.fresh = true
 }
 
 // sharedTimestep returns the Aarseth-style shared step
@@ -192,10 +182,7 @@ func (s *System) Step() (float64, error) {
 	if len(s.mass) == 0 {
 		return 0, ErrNoParticles
 	}
-	s.refreshForces()
-	dt := s.sharedTimestep()
-	s.advance(dt)
-	return dt, nil
+	return s.step(nil, math.Inf(1))
 }
 
 // EvolveTo advances the system to model time t (it does not step past t:
@@ -203,26 +190,53 @@ func (s *System) Step() (float64, error) {
 // between shared steps, so cancellation aborts a long integration at the
 // next step boundary with the state consistent.
 func (s *System) EvolveTo(ctx context.Context, t float64) error {
+	return s.evolve(ctx, t, nil)
+}
+
+// evolve is the one evolve loop: solo with c == nil, or as rank c.ID() of a
+// gang, whose ranks all run it with the same t and take the same steps.
+func (s *System) evolve(ctx context.Context, t float64, c *mpisim.Gang) error {
 	if len(s.mass) == 0 {
 		return ErrNoParticles
 	}
 	for s.time < t-1e-15 {
+		// A gang's ranks poll the same ctx: worker services evolve under
+		// Background, and a test cancelling a gang cancels every rank's
+		// context, so the collective schedule stays aligned.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.refreshForces()
-		dt := s.sharedTimestep()
-		if s.time+dt > t {
-			dt = t - s.time
+		if _, err := s.step(c, t); err != nil {
+			return err
 		}
-		s.advance(dt)
 	}
 	return nil
 }
 
+// step takes one shared Hermite step, shortened to land on t, and returns
+// the dt taken. f0 is evaluated first unless it is cached at the current
+// state (fresh: a solo Energy leaves it so).
+func (s *System) step(c *mpisim.Gang, t float64) (float64, error) {
+	if !s.fresh {
+		if err := s.forces(c, &s.f0, false); err != nil {
+			return 0, err
+		}
+		s.fresh = true
+	}
+	dt := s.sharedTimestep() // full arrays: identical on every rank
+	if s.time+dt > t {
+		dt = t - s.time
+	}
+	// The loop's test on the time this step ends at: every rank agrees
+	// which step is the evolve's last.
+	last := !(s.time+dt < t-1e-15)
+	return dt, s.advance(c, dt, last)
+}
+
 // advance performs one predictor-evaluate-correct Hermite update with step
-// dt. s.f0 must be fresh.
-func (s *System) advance(dt float64) {
+// dt, the evolve's last when last is set. s.f0 must hold the full force
+// arrays.
+func (s *System) advance(c *mpisim.Gang, dt float64, last bool) error {
 	n := len(s.mass)
 	dt2 := dt * dt / 2
 	dt3 := dt * dt * dt / 6
@@ -230,7 +244,7 @@ func (s *System) advance(dt float64) {
 	oldPos := append([]data.Vec3(nil), s.pos...)
 	oldVel := append([]data.Vec3(nil), s.vel...)
 
-	// Predict.
+	// Predict all particles (O(N), replicated on every rank).
 	for i := 0; i < n; i++ {
 		a, j := s.f0.Acc[i], s.f0.Jerk[i]
 		s.pos[i] = s.pos[i].
@@ -243,7 +257,9 @@ func (s *System) advance(dt float64) {
 	}
 
 	// Evaluate at prediction.
-	s.flops += s.kernel.Forces(s.mass, s.pos, s.vel, s.Eps*s.Eps, &s.f1)
+	if err := s.forces(c, &s.f1, last); err != nil {
+		return err
+	}
 
 	// Correct (Hermite 4th order, Makino & Aarseth 1992 form).
 	for i := 0; i < n; i++ {
@@ -262,4 +278,5 @@ func (s *System) advance(dt float64) {
 	s.time += dt
 	s.steps++
 	s.fresh = false
+	return nil
 }

@@ -55,13 +55,11 @@ type Kernel interface {
 	Name() string
 	// Device returns the performance model used for virtual-time accounting.
 	Device() *vtime.Device
-	// Forces computes acc, jerk and potential for every particle.
-	// It returns the accounted flop count.
-	Forces(mass []float64, pos, vel []data.Vec3, eps2 float64, out *Forces) float64
-	// ForcesSlab computes rows [lo, hi) of the interaction matrix only —
-	// the per-rank share of a domain-decomposed gang. The out slices are
-	// sized for the full system; rows outside the slab are left as they
-	// were. It returns the accounted flop count for the slab.
+	// ForcesSlab computes acc, jerk and potential for rows [lo, hi) of the
+	// interaction matrix: [0, N) for a solo evaluation, the per-rank share
+	// of a domain-decomposed gang. The out slices are sized for the full
+	// system; rows outside the slab are left as they were. It returns the
+	// accounted flop count for the slab.
 	ForcesSlab(mass []float64, pos, vel []data.Vec3, eps2 float64, lo, hi int, out *Forces) float64
 }
 
@@ -136,11 +134,6 @@ func (k *CPUKernel) Name() string { return "phigrape-cpu" }
 // Device implements Kernel.
 func (k *CPUKernel) Device() *vtime.Device { return k.dev }
 
-// Forces implements Kernel.
-func (k *CPUKernel) Forces(mass []float64, pos, vel []data.Vec3, eps2 float64, out *Forces) float64 {
-	return k.ForcesSlab(mass, pos, vel, eps2, 0, len(mass), out)
-}
-
 // ForcesSlab implements Kernel: rows [lo, hi) are split across cores;
 // each row accumulates over all j in ascending order, so slab results
 // equal the full evaluation's bit for bit.
@@ -202,11 +195,6 @@ func (k *GPUKernel) Name() string { return "phigrape-gpu" }
 
 // Device implements Kernel.
 func (k *GPUKernel) Device() *vtime.Device { return k.dev }
-
-// Forces implements Kernel.
-func (k *GPUKernel) Forces(mass []float64, pos, vel []data.Vec3, eps2 float64, out *Forces) float64 {
-	return k.ForcesSlab(mass, pos, vel, eps2, 0, len(mass), out)
-}
 
 // ForcesSlab implements Kernel: rows [lo, hi) iterate the j-tiles in
 // ascending order, so slab results equal the full evaluation's bit for

@@ -98,8 +98,8 @@ func TestKernelsBitIdentical(t *testing.T) {
 	var fc, fg Forces
 	cpu := NewCPUKernel(cpuDev())
 	gpu := NewGPUKernel(gpuDev())
-	cpu.Forces(stars.Mass, stars.Pos, stars.Vel, 1e-4, &fc)
-	gpu.Forces(stars.Mass, stars.Pos, stars.Vel, 1e-4, &fg)
+	cpu.ForcesSlab(stars.Mass, stars.Pos, stars.Vel, 1e-4, 0, stars.Len(), &fc)
+	gpu.ForcesSlab(stars.Mass, stars.Pos, stars.Vel, 1e-4, 0, stars.Len(), &fg)
 	for i := range fc.Acc {
 		for d := 0; d < 3; d++ {
 			if math.Float64bits(fc.Acc[i][d]) != math.Float64bits(fg.Acc[i][d]) {
@@ -143,8 +143,8 @@ func TestCPUParallelismDeterministic(t *testing.T) {
 	k8 := NewCPUKernel(cpuDev())
 	k8.Goroutines = 8
 	var f1, f8 Forces
-	k1.Forces(stars.Mass, stars.Pos, stars.Vel, 1e-4, &f1)
-	k8.Forces(stars.Mass, stars.Pos, stars.Vel, 1e-4, &f8)
+	k1.ForcesSlab(stars.Mass, stars.Pos, stars.Vel, 1e-4, 0, stars.Len(), &f1)
+	k8.ForcesSlab(stars.Mass, stars.Pos, stars.Vel, 1e-4, 0, stars.Len(), &f8)
 	for i := range f1.Acc {
 		if f1.Acc[i] != f8.Acc[i] {
 			t.Fatalf("worker count changed acc[%d]", i)
@@ -226,7 +226,7 @@ func TestSofteningLimitsForce(t *testing.T) {
 	p.Mass[0], p.Mass[1] = 1, 1
 	p.Pos[1] = data.Vec3{1e-8, 0, 0}
 	var f Forces
-	NewCPUKernel(cpuDev()).Forces(p.Mass, p.Pos, p.Vel, 0.01*0.01, &f)
+	NewCPUKernel(cpuDev()).ForcesSlab(p.Mass, p.Pos, p.Vel, 0.01*0.01, 0, p.Len(), &f)
 	if a := f.Acc[0].Norm(); a > 1/(0.01*0.01) {
 		t.Fatalf("softened acc = %v exceeds m/eps²", a)
 	}

@@ -100,7 +100,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 				n := p.Len()
 				for _, k := range []Kernel{NewCPUKernel(cpuDev()), &CPUKernel{dev: cpuDev(), Goroutines: 3}, NewGPUKernel(gpuDev())} {
 					var full, slabs Forces
-					flops := k.Forces(p.Mass, p.Pos, p.Vel, eps2, &full)
+					flops := k.ForcesSlab(p.Mass, p.Pos, p.Vel, eps2, 0, n, &full)
 					if flops != wantFlops {
 						t.Fatalf("%s seed %d %s: %v flops, oracle %v", name, seed, k.Name(), flops, wantFlops)
 					}

@@ -37,12 +37,11 @@ type gravityService struct {
 	clock *vtime.Clock
 	sys   *System
 	dev   *vtime.Device
-	gi    *kernel.GangInfo
 	gang  *mpisim.Gang
 }
 
 func newGravityService(cfg kernel.Config) (kernel.Service, error) {
-	s := &gravityService{res: cfg.Res, clock: vtime.NewClock(), gi: cfg.Gang}
+	s := &gravityService{res: cfg.Res, clock: vtime.NewClock()}
 	if len(cfg.Hosts) > 0 {
 		s.host = cfg.Hosts[0]
 	}
@@ -53,13 +52,6 @@ func newGravityService(cfg kernel.Config) (kernel.Service, error) {
 // communicator, which binds this service's clock so halo exchanges and
 // reductions advance it like any other worker activity.
 func (s *gravityService) SetGang(g *mpisim.Gang) error {
-	if s.gi == nil {
-		return fmt.Errorf("nbody: SetGang on a solo worker")
-	}
-	if g.ID() != s.gi.Rank || g.Size() != s.gi.Size {
-		return fmt.Errorf("nbody: gang %d/%d does not match configured rank %d/%d",
-			g.ID(), g.Size(), s.gi.Rank, s.gi.Size)
-	}
 	g.Bind(s.clock)
 	s.gang = g
 	if s.sys != nil {
@@ -138,12 +130,6 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 			return kernel.Reply{}, s.clock.Now(), err
 		}
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
-	case "get_positions":
-		return kernel.EncodeReply(kernel.VecResult{V: append([]data.Vec3(nil), s.sys.Positions()...)}), s.clock.Now(), nil
-	case "get_velocities":
-		return kernel.EncodeReply(kernel.VecResult{V: append([]data.Vec3(nil), s.sys.Velocities()...)}), s.clock.Now(), nil
-	case "get_masses":
-		return kernel.EncodeReply(kernel.FloatsResult{X: append([]float64(nil), s.sys.Masses()...)}), s.clock.Now(), nil
 	case "get_state":
 		q, err := kernel.UnmarshalStateRequest(args)
 		if err != nil {

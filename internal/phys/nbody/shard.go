@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"jungle/internal/amuse/data"
 	"jungle/internal/core/kernel"
 	"jungle/internal/mpisim"
 )
@@ -31,19 +30,32 @@ const (
 	haloPot  = "pot"
 )
 
-// slabRange returns rank's row range under the cuts the gang agreed on.
-func (s *System) slabRange(rank, size int) (lo, hi int) {
-	return mpisim.CutRange(s.cuts, rank, len(s.mass), size)
+// slab evaluates into out the rows this caller computes: all of them with
+// c == nil, their flops added to s.flops, or rank c.ID()'s slab under the
+// cuts the gang agreed on, its compute charged on the communicator's clock.
+func (s *System) slab(c *mpisim.Gang, out *Forces) (lo, hi int, flops float64) {
+	lo, hi = 0, len(s.mass)
+	if c != nil {
+		lo, hi = mpisim.CutRange(s.cuts, c.ID(), hi, c.Size())
+	}
+	flops = s.kernel.ForcesSlab(s.mass, s.pos, s.vel, s.Eps*s.Eps, lo, hi, out)
+	if c == nil {
+		s.flops += flops
+	} else {
+		mpisim.ComputeFlops(c, s.kernel.Device(), flops, 0)
+	}
+	return lo, hi, flops
 }
 
-// forcesComm evaluates this rank's slab into out and allgathers the slab
-// columns so every rank holds the full force arrays. Compute is accounted
-// on the communicator's clock; exchange time comes from the link models.
-// The evolve's last exchange (last) also carries the slab compute the
-// ranks balance on (mpisim.Gang.CarryLoad).
-func (s *System) forcesComm(c *mpisim.Gang, lo, hi int, out *Forces, last bool) error {
-	flops := s.kernel.ForcesSlab(s.mass, s.pos, s.vel, s.Eps*s.Eps, lo, hi, out)
-	mpisim.ComputeFlops(c, s.kernel.Device(), flops, 0)
+// forces is one force evaluation into out. In a gang it allgathers the slab
+// columns so every rank holds the full force arrays; exchange time comes
+// from the link models. The evolve's last exchange (last) also carries the
+// slab compute the ranks balance on (mpisim.Gang.CarryLoad).
+func (s *System) forces(c *mpisim.Gang, out *Forces, last bool) error {
+	lo, hi, flops := s.slab(c, out)
+	if c == nil {
+		return nil
+	}
 	s.slabCompute += s.kernel.Device().Time(flops, 0)
 	if last {
 		c.CarryLoad(s.slabCompute)
@@ -88,13 +100,11 @@ func (s *System) forcesComm(c *mpisim.Gang, lo, hi int, out *Forces, last bool) 
 // not re-account ResetFlops); the flop counter is not touched. The ranks
 // end it agreeing the cuts of the next evolve from this one's slab compute,
 // which its last halo exchange carries (mpisim.Rebalance), and it returns
-// the load they agreed them on.
+// the load they agreed them on. A gang of one is a solo evolve, charged
+// once for all its flops, as a solo worker's is.
 func (s *System) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang) (mpisim.Load, error) {
 	if c == nil || c.Size() == 1 {
-		// Degenerate gang: fall back to the solo path, but keep this
-		// call's accounting contract (advance the clock here, not via
-		// ResetFlops in the caller).
-		if err := s.EvolveTo(ctx, t); err != nil {
+		if err := s.evolve(ctx, t, nil); err != nil {
 			return mpisim.Load{}, err
 		}
 		if c != nil {
@@ -102,39 +112,11 @@ func (s *System) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang) (m
 		}
 		return mpisim.Load{}, nil
 	}
-	n := len(s.mass)
-	if n == 0 {
-		return mpisim.Load{}, ErrNoParticles
-	}
-	lo, hi := s.slabRange(c.ID(), c.Size())
 	s.slabCompute = 0
 	steps := s.steps
-	for s.time < t-1e-15 {
-		// All ranks poll the same ctx: worker services evolve under
-		// Background, and a test cancelling a gang cancels every rank's
-		// context, so the collective schedule stays aligned.
-		if err := ctx.Err(); err != nil {
-			return mpisim.Load{}, err
-		}
-		// Refresh forces at the current state (the solo path's fresh
-		// cache does not span decompositions), mirroring EvolveTo's
-		// refresh-evaluate pair so step counts and results match the
-		// solo integrator exactly.
-		if err := s.forcesComm(c, lo, hi, &s.f0, false); err != nil {
-			return mpisim.Load{}, err
-		}
-		dt := s.sharedTimestep() // full arrays: identical on every rank
-		if s.time+dt > t {
-			dt = t - s.time
-		}
-		// The loop's test on the time this step ends at: every rank
-		// agrees which step is the evolve's last.
-		last := !(s.time+dt < t-1e-15)
-		if err := s.advanceComm(c, lo, hi, dt, last); err != nil {
-			return mpisim.Load{}, err
-		}
+	if err := s.evolve(ctx, t, c); err != nil {
+		return mpisim.Load{}, err
 	}
-	s.fresh = false
 	if s.steps == steps {
 		// Every rank took no step (a replay of an evolve the snapshot
 		// already covers): there is no work to balance on.
@@ -142,53 +124,8 @@ func (s *System) EvolveToComm(ctx context.Context, t float64, c *mpisim.Gang) (m
 	}
 	var load mpisim.Load
 	var err error
-	s.cuts, load, err = mpisim.Rebalance(c, s.cuts, n)
+	s.cuts, load, err = mpisim.Rebalance(c, s.cuts, len(s.mass))
 	return load, err
-}
-
-// advanceComm is one sharded predictor-evaluate-correct Hermite step, the
-// evolve's last when last is set. s.f0 must hold the full force arrays
-// (forcesComm).
-func (s *System) advanceComm(c *mpisim.Gang, lo, hi int, dt float64, last bool) error {
-	n := len(s.mass)
-	dt2 := dt * dt / 2
-	dt3 := dt * dt * dt / 6
-
-	oldPos := append([]data.Vec3(nil), s.pos...)
-	oldVel := append([]data.Vec3(nil), s.vel...)
-
-	// Predict all particles (O(N), replicated on every rank).
-	for i := 0; i < n; i++ {
-		a, j := s.f0.Acc[i], s.f0.Jerk[i]
-		s.pos[i] = s.pos[i].
-			Add(oldVel[i].Scale(dt)).
-			Add(a.Scale(dt2)).
-			Add(j.Scale(dt3))
-		s.vel[i] = s.vel[i].
-			Add(a.Scale(dt)).
-			Add(j.Scale(dt2))
-	}
-
-	// Evaluate at prediction: slab + halo exchange (O(N²/K) + columns).
-	if err := s.forcesComm(c, lo, hi, &s.f1, last); err != nil {
-		return err
-	}
-
-	// Correct all particles (Hermite 4th order, Makino & Aarseth 1992).
-	for i := 0; i < n; i++ {
-		a0, j0 := s.f0.Acc[i], s.f0.Jerk[i]
-		a1, j1 := s.f1.Acc[i], s.f1.Jerk[i]
-		s.vel[i] = oldVel[i].
-			Add(a0.Add(a1).Scale(dt / 2)).
-			Add(j0.Sub(j1).Scale(dt * dt / 12))
-		s.pos[i] = oldPos[i].
-			Add(oldVel[i].Add(s.vel[i]).Scale(dt / 2)).
-			Add(a0.Sub(a1).Scale(dt * dt / 12))
-	}
-
-	s.time += dt
-	s.steps++
-	return nil
 }
 
 // EnergyComm returns (kinetic, potential) computed cooperatively: each
@@ -197,28 +134,43 @@ func (s *System) advanceComm(c *mpisim.Gang, lo, hi int, dt float64, last bool) 
 // rank. Compute is accounted on the communicator's clock.
 func (s *System) EnergyComm(c *mpisim.Gang) (kin, pot float64, err error) {
 	if c == nil || c.Size() == 1 {
-		k, p := s.Energy()
+		kin, pot, _ = s.energy(nil)
 		if c != nil {
 			mpisim.ComputeFlops(c, s.kernel.Device(), s.ResetFlops(), 0)
 		}
-		return k, p, nil
+		return kin, pot, nil
 	}
-	n := len(s.mass)
-	if n == 0 {
+	if len(s.mass) == 0 {
 		return 0, 0, ErrNoParticles
 	}
-	lo, hi := s.slabRange(c.ID(), c.Size())
-	flops := s.kernel.ForcesSlab(s.mass, s.pos, s.vel, s.Eps*s.Eps, lo, hi, &s.f0)
-	mpisim.ComputeFlops(c, s.kernel.Device(), flops, 0)
-	partial := make([]float64, 2)
-	for i := lo; i < hi; i++ {
-		partial[0] += 0.5 * s.mass[i] * s.vel[i].Norm2()
-		partial[1] += 0.5 * s.mass[i] * s.f0.Pot[i]
+	return s.energy(c)
+}
+
+// energy is Energy's and EnergyComm's one body: the energies summed over
+// the rows slab evaluates. Solo, the forces stay cached for the next step;
+// a gang rank holds only its slab's, and one AllreduceSum totals the
+// ranks' partial sums.
+func (s *System) energy(c *mpisim.Gang) (kin, pot float64, err error) {
+	lo, hi := 0, len(s.mass)
+	if c == nil {
+		if !s.fresh {
+			s.slab(nil, &s.f0)
+			s.fresh = true
+		}
+	} else {
+		lo, hi, _ = s.slab(c, &s.f0)
+		s.fresh = false
 	}
-	total, err := mpisim.AllreduceSum(c, partial)
+	for i := lo; i < hi; i++ {
+		kin += 0.5 * s.mass[i] * s.vel[i].Norm2()
+		pot += 0.5 * s.mass[i] * s.f0.Pot[i]
+	}
+	if c == nil {
+		return kin, pot, nil
+	}
+	total, err := mpisim.AllreduceSum(c, []float64{kin, pot})
 	if err != nil {
 		return 0, 0, fmt.Errorf("nbody: energy reduce: %w", err)
 	}
-	s.fresh = false // f0 holds only this rank's slab
 	return total[0], total[1], nil
 }

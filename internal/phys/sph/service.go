@@ -39,7 +39,6 @@ type hydroService struct {
 	world *mpisim.World
 	dev   *vtime.Device
 	clock *vtime.Clock
-	gi    *kernel.GangInfo
 	gang  *mpisim.Gang
 }
 
@@ -49,7 +48,7 @@ func newHydroService(cfg kernel.Config) (kernel.Service, error) {
 		return nil, err
 	}
 	s := &hydroService{res: cfg.Res, gas: New(), dev: kernel.Derate(dev, hydroEfficiency),
-		clock: vtime.NewClock(), gi: cfg.Gang}
+		clock: vtime.NewClock()}
 	if len(cfg.Hosts) > 0 {
 		s.dev = kernel.NodeDerate(s.dev, cfg.Res, cfg.Hosts[0])
 	}
@@ -69,13 +68,6 @@ func newHydroService(cfg kernel.Config) (kernel.Service, error) {
 // SetGang implements kernel.Shardable: the worker host installs the wired
 // communicator, which binds this service's clock.
 func (s *hydroService) SetGang(g *mpisim.Gang) error {
-	if s.gi == nil {
-		return fmt.Errorf("sph: SetGang on a solo worker")
-	}
-	if g.ID() != s.gi.Rank || g.Size() != s.gi.Size {
-		return fmt.Errorf("sph: gang %d/%d does not match configured rank %d/%d",
-			g.ID(), g.Size(), s.gi.Rank, s.gi.Size)
-	}
 	g.Bind(s.clock)
 	s.gang = g
 	s.gas.cuts = nil // a (re)wired gang starts from the uniform cuts: a replacement rank knows no other
@@ -157,10 +149,6 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 			return kernel.Reply{}, s.clock.Now(), err
 		}
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
-	case "get_positions":
-		return kernel.EncodeReply(kernel.VecResult{V: append([]data.Vec3(nil), s.gas.Positions()...)}), s.clock.Now(), nil
-	case "get_masses":
-		return kernel.EncodeReply(kernel.FloatsResult{X: append([]float64(nil), s.gas.Masses()...)}), s.clock.Now(), nil
 	case "get_state":
 		q, err := kernel.UnmarshalStateRequest(args)
 		if err != nil {

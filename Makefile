@@ -21,19 +21,20 @@ fmt-check:
 # Documentation gate: formatting (covers the runnable Example_* files),
 # vet, a package comment on every internal/ package — godoc is part of
 # the contract, so an undocumented package fails CI — a test file in every
-# examples/ program, so what a reader runs is what go test runs and pins,
-# and no broken relative link or `go run ./<path>` command in the
-# top-level documents or the verify skill (cmd/doc-link-check), and
-# DESIGN.md within its line budget: DOC_MAX, like LOC_TOTAL_MAX, only
-# falls — a PR that adds to DESIGN.md takes as many lines out of it.
-DOC_MAX = 2931
+# examples/ and cmd/ program, so what a reader runs is what go test runs
+# and pins, and no broken relative link or `go run ./<path>` command —
+# a missing program, or a flag it does not declare — in the top-level
+# documents or the verify skill (cmd/doc-link-check), and DESIGN.md
+# within its line budget: DOC_MAX, like LOC_TOTAL_MAX, only falls — a PR
+# that adds to DESIGN.md takes as many lines out of it.
+DOC_MAX = 2926
 doc-check: fmt-check vet
 	@n=$$(wc -l < DESIGN.md); if [ $$n -gt $(DOC_MAX) ]; then \
 	  echo "doc-check: DESIGN.md has $$n lines (max $(DOC_MAX))" >&2; exit 1; fi
 	@bad=$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/...); \
 	if [ -n "$$bad" ]; then echo "missing package comment:" >&2; echo "$$bad" >&2; exit 1; fi
-	@bad=$$($(GO) list -f '{{if not .TestGoFiles}}{{.ImportPath}}{{end}}' ./examples/...); \
-	if [ -n "$$bad" ]; then echo "example without a test:" >&2; echo "$$bad" >&2; exit 1; fi
+	@bad=$$($(GO) list -f '{{if not .TestGoFiles}}{{.ImportPath}}{{end}}' ./examples/... ./cmd/...); \
+	if [ -n "$$bad" ]; then echo "example or command without a test:" >&2; echo "$$bad" >&2; exit 1; fi
 	$(GO) run ./cmd/doc-link-check README.md ARCHITECTURE.md DESIGN.md .claude/skills/verify/SKILL.md
 
 # One wire codec: every message, manifest, run file and gateway frame goes
@@ -65,13 +66,13 @@ timer-check:
 # excluding bench/ (its own module, changed only by [benchmark] PRs).
 # loc-check holds the last two to the numbers the latest PR recorded: a PR
 # that grows them raises the number here, in its diff, and says why.
-# The latest change lowered the total by 99: nbody has one Hermite
-# integrator and abm one step loop for solo and gang runs, and the
-# per-attribute reads are gone. internal/core grew by three: the gang
-# admission check the three kinds' SetGang each made is now made once,
-# in peerPlane.handleGangInit.
-LOC_CORE_MAX = 5022
-LOC_TOTAL_MAX = 25691
+# The latest change lowered the total by 18 and internal/core by 7:
+# amuse-run -sweep, jungled -selftest, the gateway's echo path and the
+# plane's per-worker queue-depth series went, and StopWorker now waits for
+# its job to end; doc-link-check's flag check and surface-check's test
+# module (a testdata module the census runs on) came in.
+LOC_CORE_MAX = 5015
+LOC_TOTAL_MAX = 25673
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' $(2) -exec cat {} + | wc -l
 loc:
 	@for p in internal/*/; do printf '%-28s %6d\n' "$${p%/}" "$$($(call LOC,$$p))"; done

@@ -25,28 +25,21 @@
 //	jungled &
 //	amuse-run -attach 127.0.0.1:17979 -session mine -stars 200 -gas 2000 -iters 2 -keep
 //	amuse-run -attach 127.0.0.1:17979 -session mine -iters 2
-//
-// With -sweep N the runner is an ensemble campaign instead of one
-// simulation: N agent-based colonies (4 initial-condition streams crossed
-// with N/4 couplings) fan through a local control plane's admission queue
-// and the aggregate report is printed:
-//
-//	amuse-run -sweep 32 -sweep-steps 24 -sweep-slots 8
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
 
 	"jungle/internal/core"
 	"jungle/internal/deploy"
-	"jungle/internal/ensemble"
 	"jungle/internal/exp"
-	"jungle/internal/phys/abm"
 	"jungle/internal/sched"
 
 	"jungle/internal/core/kernel"
@@ -54,40 +47,40 @@ import (
 )
 
 func main() {
-	configPath := flag.String("config", "", "IbisDeploy resource config to add to the testbed")
-	testbed := flag.String("testbed", "lab", "lab | sc11 (the SC11 demo topology: coupler in Seattle, models in NL)")
-	placement := flag.String("placement", "jungle", "cpu-only | local-gpu | remote-gpu | jungle | sc11-worst-case")
-	stars := flag.Int("stars", 100, "number of stars")
-	gas := flag.Int("gas", 1000, "number of gas particles")
-	iters := flag.Int("iters", 1, "bridge iterations")
-	list := flag.Bool("list", false, "list resources and exit")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run; cancellation aborts in-flight worker calls (0 = none)")
-	checkpoint := flag.String("checkpoint", "", "write a resumable run checkpoint to this file after every iteration")
-	resume := flag.String("resume", "", "continue a killed run from its checkpoint file (ignores -placement/-stars/-gas/-iters)")
-	attach := flag.String("attach", "", "run through a jungled control plane at this address instead of a local testbed")
-	session := flag.String("session", "", "session id to attach (required with -attach)")
-	keep := flag.Bool("keep", false, "with -attach: detach without closing, so the session can be re-attached later")
-	observe := flag.Bool("observe", false, "after the run, print the observability plane: per-method call histograms and link health")
-	sweepN := flag.Int("sweep", 0, "run an ensemble sweep of this many agent-based members instead of one simulation (multiple of 4)")
-	sweepSteps := flag.Int("sweep-steps", 24, "generations per sweep member")
-	sweepSlots := flag.Int("sweep-slots", 8, "control-plane admission slots the sweep fans over")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	if *sweepN > 0 {
-		if err := runSweep(*sweepN, *sweepSteps, *sweepSlots); err != nil {
-			log.Fatalf("sweep: %v", err)
-		}
-		return
+// run parses args as the command line and runs it, printing to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("amuse-run", flag.ContinueOnError)
+	configPath := fs.String("config", "", "IbisDeploy resource config to add to the testbed")
+	testbed := fs.String("testbed", "lab", "lab | sc11 (the SC11 demo topology: coupler in Seattle, models in NL)")
+	placement := fs.String("placement", "jungle", "cpu-only | local-gpu | remote-gpu | jungle | sc11-worst-case")
+	stars := fs.Int("stars", 100, "number of stars")
+	gas := fs.Int("gas", 1000, "number of gas particles")
+	iters := fs.Int("iters", 1, "bridge iterations")
+	list := fs.Bool("list", false, "list resources and exit")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run; cancellation aborts in-flight worker calls (0 = none)")
+	checkpoint := fs.String("checkpoint", "", "write a resumable run checkpoint to this file after every iteration")
+	resume := fs.String("resume", "", "continue a killed run from its checkpoint file (ignores -placement/-stars/-gas/-iters)")
+	attach := fs.String("attach", "", "run through a jungled control plane at this address instead of a local testbed")
+	session := fs.String("session", "", "session id to attach (required with -attach)")
+	keep := fs.Bool("keep", false, "with -attach: detach without closing, so the session can be re-attached later")
+	observe := fs.Bool("observe", false, "after the run, print the observability plane: per-method call histograms and link health")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *attach != "" {
 		if *session == "" {
-			log.Fatal("-attach requires -session")
+			return errors.New("-attach requires -session")
 		}
-		if err := runAttached(*attach, *session, *stars, *gas, *iters, *keep); err != nil {
-			log.Fatalf("attach: %v", err)
+		if err := runAttached(out, *attach, *session, *stars, *gas, *iters, *keep); err != nil {
+			return fmt.Errorf("attach: %w", err)
 		}
-		return
+		return nil
 	}
 
 	// The run context bounds everything downstream: worker start-up waits,
@@ -107,33 +100,33 @@ func main() {
 	case "sc11":
 		tb, err = core.NewSC11Testbed()
 	default:
-		log.Fatalf("unknown testbed %q (want lab or sc11)", *testbed)
+		return fmt.Errorf("unknown testbed %q (want lab or sc11)", *testbed)
 	}
 	if err != nil {
-		log.Fatalf("testbed: %v", err)
+		return fmt.Errorf("testbed: %w", err)
 	}
 	defer tb.Close()
 
 	if *configPath != "" {
 		text, err := os.ReadFile(*configPath)
 		if err != nil {
-			log.Fatalf("config: %v", err)
+			return fmt.Errorf("config: %w", err)
 		}
 		resources, err := deploy.ParseConfig(string(text))
 		if err != nil {
-			log.Fatalf("config: %v", err)
+			return fmt.Errorf("config: %w", err)
 		}
 		for _, r := range resources {
 			if err := tb.Deployment.AddResource(r); err != nil {
-				log.Fatalf("add resource %s: %v", r.Name, err)
+				return fmt.Errorf("add resource %s: %w", r.Name, err)
 			}
-			fmt.Printf("added resource %s (%s on %s)\n", r.Name, r.Middleware, r.Frontend)
+			fmt.Fprintf(out, "added resource %s (%s on %s)\n", r.Name, r.Middleware, r.Frontend)
 		}
 	}
 
 	if *list {
-		fmt.Println(tb.Deployment.RenderStatus())
-		return
+		fmt.Fprintln(out, tb.Deployment.RenderStatus())
+		return nil
 	}
 
 	if *resume != "" {
@@ -141,10 +134,10 @@ func main() {
 		// workload, the bridge clock and every worker's snapshot.
 		res, err := exp.ResumeScenario(ctx, tb, *resume)
 		if err != nil {
-			log.Fatalf("resume: %v", err)
+			return fmt.Errorf("resume: %w", err)
 		}
-		report(tb, res, *observe)
-		return
+		report(out, tb, res, *observe)
+		return nil
 	}
 
 	scenarios := append(exp.LabScenarios(tb), exp.SC11Placement(tb))
@@ -156,7 +149,7 @@ func main() {
 		}
 	}
 	if chosen == nil {
-		log.Fatalf("unknown placement %q (want cpu-only, local-gpu, remote-gpu, jungle or sc11-worst-case)", *placement)
+		return fmt.Errorf("unknown placement %q (want cpu-only, local-gpu, remote-gpu, jungle or sc11-worst-case)", *placement)
 	}
 
 	w := exp.Workload{Stars: *stars, Gas: *gas, GasFrac: 0.9, Seed: 42, DT: 1.0 / 64, Eps: 0.05}
@@ -173,11 +166,12 @@ func main() {
 		// resume, and a failure before the first completed iteration
 		// leaves nothing of this run on disk.
 		if *checkpoint != "" && checkpointWritten(*checkpoint, before, beforeErr) {
-			log.Fatalf("run: %v (last completed iteration is checkpointed in %s; continue with -resume)", err, *checkpoint)
+			return fmt.Errorf("run: %w (last completed iteration is checkpointed in %s; continue with -resume)", err, *checkpoint)
 		}
-		log.Fatalf("run: %v", err)
+		return fmt.Errorf("run: %w", err)
 	}
-	report(tb, res, *observe)
+	report(out, tb, res, *observe)
+	return nil
 }
 
 // checkpointWritten reports whether the checkpoint file at path was
@@ -195,67 +189,10 @@ func checkpointWritten(path string, before os.FileInfo, beforeErr error) bool {
 	return after.Size() != before.Size() || !after.ModTime().Equal(before.ModTime())
 }
 
-// runSweep is the ensemble path: expand a members-sized campaign (4
-// initial-condition streams crossed with members/4 couplings), fan it
-// through a local control plane over slots admission slots, and print
-// the aggregate report.
-func runSweep(members, steps, slots int) error {
-	const nIC = 4
-	if members%nIC != 0 {
-		return fmt.Errorf("-sweep %d must be a multiple of %d", members, nIC)
-	}
-	ics := make([]float64, nIC)
-	for i := range ics {
-		ics[i] = float64(i)
-	}
-	bs := make([]float64, members/nIC)
-	for i := range bs {
-		bs[i] = 0.05 + 0.02*float64(i)
-	}
-	sweep := &ensemble.ABMSweep{
-		Plan: &ensemble.Plan{
-			Name:     "amuse-run",
-			BaseSeed: 42,
-			Axes: []ensemble.Axis{
-				{Name: ensemble.AxisIC, Values: ics},
-				{Name: ensemble.AxisB, Values: bs},
-			},
-			SetupAxes: []string{ensemble.AxisIC},
-		},
-		Base:  abm.Params{W: 24, H: 24, D: 0.15, R: 0.6, B: 0.2, DT: 0.01},
-		Steps: steps,
-		Spec:  core.WorkerSpec{Channel: core.ChannelIbis},
-	}
-	tb, err := core.NewLabTestbed()
-	if err != nil {
-		return err
-	}
-	defer tb.Close()
-	s := sched.New(tb.Daemon, sched.Config{
-		MaxLive: slots, QueueCap: members,
-		RetryAfter: 2 * time.Millisecond, Recorder: tb.Recorder,
-	})
-	defer s.Shutdown()
-	rep, err := sweep.Run(context.Background(), s)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Render())
-	for _, m := range rep.Members {
-		if m.Err != "" {
-			fmt.Printf("  member %04d FAILED: %s\n", m.Index, m.Err)
-		}
-	}
-	if rep.Failures > 0 {
-		return fmt.Errorf("%d of %d members failed", rep.Failures, len(rep.Members))
-	}
-	return nil
-}
-
 // runAttached is the thin-client path: attach a session on a running
 // jungled (waiting in its admission queue if the plane is full), submit
 // the workload as one session_run op, report, and detach.
-func runAttached(addr, session string, stars, gas, iters int, keep bool) error {
+func runAttached(out io.Writer, addr, session string, stars, gas, iters int, keep bool) error {
 	c, err := sched.Dial(addr)
 	if err != nil {
 		return err
@@ -266,42 +203,42 @@ func runAttached(addr, session string, stars, gas, iters int, keep bool) error {
 		return err
 	}
 	if att.Resumed {
-		fmt.Printf("session %s resumed from its eviction snapshot\n", att.Session)
+		fmt.Fprintf(out, "session %s resumed from its eviction snapshot\n", att.Session)
 	} else {
-		fmt.Printf("session %s attached (%s)\n", att.Session, att.State)
+		fmt.Fprintf(out, "session %s attached (%s)\n", att.Session, att.State)
 	}
 	work := exp.SessionWork{
 		W:          exp.Workload{Stars: stars, Gas: gas, GasFrac: 0.9, Seed: 42, DT: 1.0 / 64, Eps: 0.05},
 		Iterations: iters,
 	}
-	out, err := c.Run(kernel.Encode(work))
+	reply, err := c.Run(kernel.Encode(work))
 	if err != nil {
 		return err
 	}
 	var rep exp.SessionReport
-	if err := kernel.Decode(out, &rep); err != nil {
+	if err := kernel.Decode(reply, &rep); err != nil {
 		return err
 	}
 	res := rep.Result
-	fmt.Printf("session %s: %d iterations, %v per iteration (setup %v, %d supernovae, state %016x)\n",
+	fmt.Fprintf(out, "session %s: %d iterations, %v per iteration (setup %v, %d supernovae, state %016x)\n",
 		session, res.Iterations, res.PerIteration, res.Setup, res.Supernovae, res.StateDigest)
 	st, err := c.Detach(!keep)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("detached (session %s)\n", st)
+	fmt.Fprintf(out, "detached (session %s)\n", st)
 	return nil
 }
 
-func report(tb *core.Testbed, res exp.RunResult, observe bool) {
-	fmt.Printf("placement %s: %v per iteration (setup %v, %d supernovae, %s)\n",
+func report(out io.Writer, tb *core.Testbed, res exp.RunResult, observe bool) {
+	fmt.Fprintf(out, "placement %s: %v per iteration (setup %v, %d supernovae, %s)\n",
 		res.Scenario, res.PerIteration, res.Setup, res.Supernovae, res.Calls.String())
-	fmt.Println()
-	fmt.Println(tb.Deployment.RenderStatus())
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, tb.Deployment.RenderStatus())
 	if observe {
 		// The run just ended, so "now" is its final virtual time — links
 		// probed more than a staleness window before it are marked STALE.
-		fmt.Println(tb.Recorder.RenderCalls())
-		fmt.Println(tb.Recorder.RenderHealth(res.Setup + res.PerIteration*time.Duration(res.Iterations)))
+		fmt.Fprintln(out, tb.Recorder.RenderCalls())
+		fmt.Fprintln(out, tb.Recorder.RenderHealth(res.Setup+res.PerIteration*time.Duration(res.Iterations)))
 	}
 }

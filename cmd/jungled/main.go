@@ -8,20 +8,21 @@
 // placement and lease-based idle reaping between them.
 //
 // Clients attach with amuse-run -attach <addr> -session <id>. The wire
-// protocol stays the daemon channel's length-prefixed framing: control
-// envelopes drive sessions, and frames that are not envelopes still echo,
-// so the §5 loopback benchmark (-selftest reproduces its "over 8
-// Gbit/second even on a modest laptop" measurement) runs unchanged
-// against a multi-tenant daemon.
+// protocol is the daemon channel's length-prefixed framing carrying
+// control envelopes (sched.Gateway); a frame that is not one is answered
+// with a structured error. The §5 loopback measurement is jungle-bench
+// -e e7.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"jungle/internal/core"
@@ -30,26 +31,30 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:17979", "loopback address to serve")
-	selftest := flag.Bool("selftest", false, "run the §5 loopback benchmark and exit")
-	testbed := flag.String("testbed", "lab", "lab | sc11 (resources the sessions share)")
-	maxLive := flag.Int("max-sessions", 4, "concurrent running sessions (admission control)")
-	queueCap := flag.Int("queue", 8, "admission queue bound")
-	leaseTTL := flag.Duration("lease", 30*time.Second, "idle-session lease; expired sessions are checkpointed and preempted")
-	reapEvery := flag.Duration("reap-every", 5*time.Second, "how often to sweep for expired leases (0 disables)")
-	statusEvery := flag.Duration("status-every", 0, "how often to log the observability plane (sessions, link health, call histograms; 0 disables)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	if *selftest {
-		res, err := exp.RunE7(256<<20, 1<<20, 500)
-		if err != nil {
-			log.Fatalf("selftest: %v", err)
-		}
-		fmt.Print(exp.E7Report(res))
-		if res.ThroughputGbit < 8 {
-			os.Exit(1)
-		}
-		return
+// run parses args as the command line and serves the control plane on
+// -listen until the listener fails.
+func run(args []string, out io.Writer) error {
+	return serve(args, out, nil)
+}
+
+// serve is run on listener l, or on -listen when l is nil. It returns
+// when the listener is closed or fails.
+func serve(args []string, out io.Writer, l net.Listener) error {
+	fs := flag.NewFlagSet("jungled", flag.ContinueOnError)
+	listen := fs.String("listen", "127.0.0.1:17979", "loopback address to serve")
+	testbed := fs.String("testbed", "lab", "lab | sc11 (resources the sessions share)")
+	maxLive := fs.Int("max-sessions", 4, "concurrent running sessions (admission control)")
+	queueCap := fs.Int("queue", 8, "admission queue bound")
+	leaseTTL := fs.Duration("lease", 30*time.Second, "idle-session lease; expired sessions are checkpointed and preempted")
+	reapEvery := fs.Duration("reap-every", 5*time.Second, "how often to sweep for expired leases (0 disables)")
+	statusEvery := fs.Duration("status-every", 0, "how often to log the observability plane (sessions, link health, call histograms; 0 disables)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	var tb *core.Testbed
@@ -60,10 +65,10 @@ func main() {
 	case "sc11":
 		tb, err = core.NewSC11Testbed()
 	default:
-		log.Fatalf("unknown testbed %q (want lab or sc11)", *testbed)
+		return fmt.Errorf("unknown testbed %q (want lab or sc11)", *testbed)
 	}
 	if err != nil {
-		log.Fatalf("testbed: %v", err)
+		return fmt.Errorf("testbed: %w", err)
 	}
 	defer tb.Close()
 
@@ -76,41 +81,57 @@ func main() {
 	})
 	defer s.Shutdown()
 
-	ctx := context.Background()
-	if *reapEvery > 0 {
+	// The housekeeping goroutines end, and are waited for, before the
+	// scheduler shuts down.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	every := func(d time.Duration, f func()) {
+		if d <= 0 {
+			return
+		}
+		wg.Add(1)
 		go func() {
-			for range time.Tick(*reapEvery) {
-				if reaped, err := s.ReapIdle(ctx); err != nil {
-					log.Printf("reap: %v", err)
-				} else if len(reaped) > 0 {
-					log.Printf("reaped idle sessions %v", reaped)
+			defer wg.Done()
+			t := time.NewTicker(d)
+			defer t.Stop()
+			for {
+				select {
+				case <-t.C:
+					f()
+				case <-ctx.Done():
+					return
 				}
 			}
 		}()
 	}
+	every(*reapEvery, func() {
+		if reaped, err := s.ReapIdle(ctx); err != nil {
+			log.Printf("reap: %v", err)
+		} else if len(reaped) > 0 {
+			log.Printf("reaped idle sessions %v", reaped)
+		}
+	})
+	every(*statusEvery, func() {
+		// Sessions span virtual clocks, so staleness marking is off (-1):
+		// a link probed once by any tenant stays "ok".
+		log.Printf("status: %d worker-id blocks held\n%s\n%s\n%s",
+			tb.Daemon.SessionBlocks(),
+			tb.Recorder.RenderSessions(),
+			tb.Recorder.RenderHealth(-1),
+			tb.Recorder.RenderCalls())
+	})
 
-	if *statusEvery > 0 {
-		go func() {
-			for range time.Tick(*statusEvery) {
-				// Sessions span virtual clocks, so staleness marking is
-				// off (-1): a link probed once by any tenant stays "ok".
-				log.Printf("status: %d worker-id blocks held\n%s\n%s\n%s",
-					tb.Daemon.SessionBlocks(),
-					tb.Recorder.RenderSessions(),
-					tb.Recorder.RenderHealth(-1),
-					tb.Recorder.RenderCalls())
-			}
-		}()
+	if l == nil {
+		if l, err = net.Listen("tcp", *listen); err != nil {
+			return fmt.Errorf("listen: %w", err)
+		}
 	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	log.Printf("jungled: control plane on %s (max %d sessions, lease %v)",
-		l.Addr(), *maxLive, *leaseTTL)
+	fmt.Fprintf(out, "jungled: control plane on %s (max %d sessions, lease %v)\n", l.Addr(), *maxLive, *leaseTTL)
 	g := &sched.Gateway{Sched: s, Ctx: ctx}
 	if err := g.Serve(l); err != nil {
-		log.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	}
+	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 )
@@ -30,14 +31,23 @@ i interface{ Is(error) bool }; a interface{ As(any) bool })`
 var fset, used = token.NewFileSet(), map[string]bool{}
 
 func main() {
+	for _, line := range census(".") {
+		fmt.Println(line)
+	}
+}
+
+// census returns the ledger's lines for the module at root, whose bench/
+// directory holds the benchmark module.
+func census(root string) []string {
+	clear(used)
 	args := []string{"./..."} // and bench_test.go's imports: it joins the root package
-	f, err := parser.ParseFile(fset, "bench_test.go", nil, parser.ImportsOnly)
+	f, err := parser.ParseFile(fset, filepath.Join(root, "bench_test.go"), nil, parser.ImportsOnly)
 	must(err)
 	for _, im := range f.Imports {
 		args = append(args, strings.Trim(im.Path.Value, `"`))
 	}
-	exports, imp := load(".", args...)
-	load("bench", "./...")
+	exports, imp := load(root, args...)
+	load(filepath.Join(root, "bench"), "./...")
 	f, err = parser.ParseFile(fset, "dynamic.go", dynamic, 0)
 	must(err)
 	dp, err := new(types.Config).Check("p", fset, []*ast.File{f}, nil)
@@ -59,7 +69,7 @@ func main() {
 		}
 	}
 
-	var census []string
+	var lines []string
 	for _, tp := range decls {
 		var funcs []*types.Func
 		for _, name := range tp.Scope().Names() {
@@ -75,14 +85,12 @@ func main() {
 		for _, fn := range funcs {
 			if fn.Exported() && !used[fn.FullName()] && !viaInterface(fn, ifaces) {
 				name := strings.NewReplacer("(", "", ")", "", "*", "", tp.Path()+".", "").Replace(fn.FullName())
-				census = append(census, strings.TrimPrefix(tp.Path(), "jungle/")+" "+name)
+				lines = append(lines, strings.TrimPrefix(tp.Path(), "jungle/")+" "+name)
 			}
 		}
 	}
-	slices.Sort(census)
-	for _, line := range census {
-		fmt.Println(line)
-	}
+	slices.Sort(lines)
+	return lines
 }
 
 // load lists the packages args name in the module at dir and their

@@ -31,12 +31,12 @@ type Simulation struct {
 
 	// rec is the observability plane: the network's recorder when that is
 	// a *trace.Recorder (every testbed installs one), nil when the network
-	// records nothing. It receives channel-layer call latency and
-	// queue-depth histograms (trace.RenderCalls), bulk-transfer and store
-	// gauges (trace.RenderHealth), elastic-gang telemetry
-	// (trace.RenderGangs) and, for a session, its accounting
-	// (trace.RenderSessions). Recording is passive (it never touches the
-	// clock or the wire), so results are byte-identical with the plane off.
+	// records nothing. It receives channel-layer call latency histograms
+	// (trace.RenderCalls), bulk-transfer and store gauges
+	// (trace.RenderHealth), elastic-gang telemetry (trace.RenderGangs)
+	// and, for a session, its accounting (trace.RenderSessions). Recording
+	// is passive (it never touches the clock or the wire), so results are
+	// byte-identical with the plane off.
 	rec *trace.Recorder
 
 	mu        sync.Mutex
@@ -124,8 +124,8 @@ func (s *Simulation) TimeQuantity(q units.Quantity) (float64, error) {
 
 // Stop shuts down all models concurrently (workers stop in parallel, like
 // every other fan-out in this API; the daemon survives for the next
-// simulation, as the paper prescribes) and returns the joined shutdown
-// errors.
+// simulation, as the paper prescribes). It returns once every worker's
+// job has ended, with the joined shutdown errors.
 func (s *Simulation) Stop() error {
 	s.mu.Lock()
 	models := append([]*modelProxy(nil), s.models...)

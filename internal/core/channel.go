@@ -99,7 +99,6 @@ func (c *connChannel) fail(err error) {
 }
 
 func (c *connChannel) start(req request, done completer) {
-	c.obs.issued()
 	p := pendingCall{done, req.Method, req.SentAt}
 	c.mu.Lock()
 	if c.err != nil {

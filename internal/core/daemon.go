@@ -682,15 +682,22 @@ func (d *Daemon) connectWorker(wh *workerHandle, member ipl.Identifier) error {
 	return nil
 }
 
-// StopWorker shuts one worker down gracefully (its ports close, the job
-// finishes) and forgets it: the id leaves the worker table.
-func (d *Daemon) StopWorker(id int) {
+// stopTimeout bounds (in real time) how long StopWorker waits for a
+// canceled job to end.
+const stopTimeout = 30 * time.Second
+
+// StopWorker shuts one worker down gracefully and forgets it: its ports
+// close, the id leaves the worker table, and it returns once the job has
+// ended, so what a caller reads after it — the job table, the traffic —
+// no longer changes. A job still running stopTimeout after its cancel is
+// an error naming it.
+func (d *Daemon) StopWorker(id int) error {
 	d.mu.Lock()
 	wh := d.workers[id]
 	delete(d.workers, id)
 	d.mu.Unlock()
 	if wh == nil {
-		return
+		return nil
 	}
 	wh.mu.Lock()
 	job, member := wh.job, wh.member
@@ -704,6 +711,17 @@ func (d *Daemon) StopWorker(id int) {
 		job.Cancel() // the proxy observes Cancel and tears itself down
 	}
 	d.releaseWorkerCapacity(wh)
+	if job == nil {
+		return nil
+	}
+	t := time.NewTimer(stopTimeout) // watchdog: a canceled job that never ends becomes a stop error
+	defer t.Stop()
+	select {
+	case <-job.Done():
+		return nil
+	case <-t.C:
+		return fmt.Errorf("core: worker %d: job %d still %s %v after its cancel", id, job.ID, job.State(), stopTimeout)
+	}
 }
 
 // KillWorker abruptly cancels a worker's job (the scheduler-kill fault of

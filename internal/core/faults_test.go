@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -158,5 +159,41 @@ func TestStopWorkerGraceful(t *testing.T) {
 	case id := <-fired:
 		t.Fatalf("died hook fired for graceful stop of worker %d", id)
 	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// TestStopReturnsWhenJobsEnd: Simulation.Stop returns once its workers'
+// jobs have ended — a solo ibis worker, a sockets worker and a gang — so
+// the job table a script reads after it lists no job still running, at
+// GOMAXPROCS 1, 2 and 8.
+func TestStopReturnsWhenJobsEnd(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for run := 0; run < 6; run++ {
+		procs := []int{1, 2, 8}[run%3]
+		runtime.GOMAXPROCS(procs)
+		tb, sim := labSim(t)
+		ctx := context.Background()
+		for _, spec := range []WorkerSpec{
+			{Resource: "lgm", Channel: ChannelIbis},
+			{Resource: "desktop", Channel: ChannelSockets},
+			{Resource: "das4-vu", Channel: ChannelIbis, Workers: 2},
+		} {
+			g, err := sim.NewGravity(ctx, spec, GravityOptions{Eps: 0.01})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.SetParticles(ic.Plummer(16, 3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.EvolveTo(ctx, 1.0/64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sim.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range tb.Deployment.Jobs() {
+			t.Errorf("run %d (GOMAXPROCS %d): job #%d %s is still %s after Stop", run, procs, j.ID, j.Desc.Executable, j.State())
+		}
 	}
 }

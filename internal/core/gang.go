@@ -73,7 +73,6 @@ func (g *gangChannel) setWorkers(ids []int) {
 // actionable failure (a dead rank beats a surviving rank's aborted-
 // collective fault, so the coupler sees ErrWorkerDied when a rank died).
 func (g *gangChannel) start(req request, done completer) {
-	g.obs.issued()
 	merged := pendingCall{done, req.Method, req.SentAt}
 	g.issueMu.Lock()
 	defer g.issueMu.Unlock()

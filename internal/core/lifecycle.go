@@ -507,7 +507,7 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 		if err != nil {
 			return err
 		}
-		ch := newWorkerChannel(svc, nil, s.observer(m.kind, spec.Resource, "", 0, -1))
+		ch := newWorkerChannel(svc, nil, s.observer(m.kind, "", -1))
 		go ch.worker.serve()
 		return m.publish(spec, ch, nil)
 	case ChannelSockets:
@@ -516,7 +516,7 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 			return err
 		}
 		// No call has started: nothing has read the observer yet.
-		ch.obs = s.observer(m.kind, spec.Resource, dep.LocalHost(), id, -1)
+		ch.obs = s.observer(m.kind, dep.LocalHost(), -1)
 		return m.publish(spec, ch, []int{id})
 	case ChannelIbis:
 		// A gang is K rank workers, one daemon channel each, wired to each
@@ -539,13 +539,14 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 			if len(ids) > 1 {
 				rank = i
 			}
-			members[i] = s.daemon.ibisChannel(s.observer(m.kind, spec.Resource, s.workerHost(id, spec.Resource), id, rank))
+			members[i] = s.daemon.ibisChannel(s.observer(m.kind, s.workerHost(id, spec.Resource), rank))
 		}
 		if len(ids) == 1 {
 			return m.publish(spec, members[0], ids)
 		}
-		gch := newGangChannel(members, ids,
-			s.gangObserver(m.kind, spec.Resource, s.workerHost(ids[0], spec.Resource), ids[0]))
+		// The merged completions' floor is rank 0's: all ranks share the
+		// resource.
+		gch := newGangChannel(members, ids, s.observer(m.kind, s.workerHost(ids[0], spec.Resource), -1))
 		if err := gch.wireGang(ctx, s); err != nil {
 			m.retire(ids, gch)
 			return err
@@ -557,14 +558,16 @@ func (m *modelProxy) open(ctx context.Context, spec WorkerSpec) error {
 }
 
 // retire closes channels and stops workers that were started but never
-// published (or that Stop missed).
-func (m *modelProxy) retire(ids []int, chs ...channel) {
+// published (or that Stop missed), and returns once their jobs have ended.
+func (m *modelProxy) retire(ids []int, chs ...channel) error {
 	for _, ch := range chs {
 		ch.close()
 	}
+	var errs []error
 	for _, id := range ids {
-		m.sim.daemon.StopWorker(id)
+		errs = append(errs, m.sim.daemon.StopWorker(id))
 	}
+	return errors.Join(errs...)
 }
 
 // publish installs a started endpoint — unless the model was stopped
@@ -584,7 +587,8 @@ func (m *modelProxy) publish(spec WorkerSpec, ch channel, ids []int) error {
 }
 
 // shutdown marks the proxy stopped — vetoing any rebuild still in flight —
-// closes the channel and stops every worker; it returns the close error.
+// closes the channel and stops every worker, and returns once their jobs
+// have ended.
 func (m *modelProxy) shutdown() error {
 	m.mu.Lock()
 	m.phase = phaseStopped
@@ -598,6 +602,5 @@ func (m *modelProxy) shutdown() error {
 	if ch != nil {
 		err = ch.close()
 	}
-	m.retire(ids)
-	return err
+	return errors.Join(err, m.retire(ids))
 }

@@ -2,48 +2,35 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"jungle/internal/trace"
 )
 
 // Channel-layer instrumentation for the observability plane. Every
-// channel (conn, gang) carries an optional *chanObs: issuing a call
-// samples the channel's in-flight depth into the per-worker queue-depth
-// histogram, and delivering it records the call's virtual round-trip
-// latency under its session/model/method key. Recording is pure
-// observation — it never touches the virtual clock or the wire, so a
-// session runs byte-identical with the plane on or off (the regression
-// test in observe_identity_test.go holds the headline benchmarks to
-// that).
+// channel (conn, gang) carries an optional *chanObs: delivering a call
+// records its virtual round-trip latency under its session/model/method
+// key. Recording is pure observation — it never touches the virtual clock
+// or the wire, so a session runs byte-identical with the plane on or off
+// (the regression test in observe_identity_test.go holds the headline
+// benchmarks to that).
 
 // chanObs instruments one channel endpoint.
 type chanObs struct {
 	rec     *trace.Recorder
 	session string // "" for standalone simulations
 	model   string // kind, with /r<rank> suffix for gang members
-	worker  string // queue-depth label: kind/<worker-id>@resource
 	// floor is the configured vtime round-trip minimum for this channel
 	// (2x routed path latency; 2x the mpi message cost in-process) — the
 	// constant Calibrate compares observed latencies against.
-	floor    time.Duration
-	inflight atomic.Int64
-}
-
-// issued samples the in-flight depth. Safe on a nil receiver (plane off).
-func (o *chanObs) issued() {
-	if o == nil {
-		return
-	}
-	o.rec.RecordQueueDepth(o.session, o.worker, int(o.inflight.Add(1)))
+	floor time.Duration
 }
 
 // deliver records a started call's latency, or its failure, and hands the
-// outcome to its completer: every issued call, exactly once.
+// outcome to its completer: every issued call, exactly once. Safe on a
+// nil receiver (plane off).
 func (o *chanObs) deliver(p pendingCall, resp response, arrival time.Duration, err error) {
 	if o != nil {
-		o.inflight.Add(-1)
 		if err != nil || arrival < p.sentAt {
 			// No response crossed the wire (transport failure, dead
 			// channel): there is no honest latency to record.
@@ -57,11 +44,11 @@ func (o *chanObs) deliver(p pendingCall, resp response, arrival time.Duration, e
 	p.done.complete(resp, arrival, err)
 }
 
-// observer builds the channel observer for one worker endpoint. host is
-// the worker's vnet host ("" for an in-process mpi worker); worker is
-// the daemon worker id (0 for mpi); rank >= 0 labels a gang member.
-// Returns nil when the plane is off.
-func (s *Simulation) observer(kind Kind, resource, host string, worker, rank int) *chanObs {
+// observer builds the channel observer for one endpoint. host is the
+// worker's vnet host ("" for an in-process mpi worker); rank >= 0 labels a
+// gang member, and a gang channel's merged completions take rank -1, like
+// a solo worker's. Returns nil when the plane is off.
+func (s *Simulation) observer(kind Kind, host string, rank int) *chanObs {
 	rec := s.rec
 	if rec == nil {
 		return nil
@@ -74,25 +61,12 @@ func (s *Simulation) observer(kind Kind, resource, host string, worker, rank int
 		rec:     rec,
 		session: s.Session(),
 		model:   model,
-		worker:  fmt.Sprintf("%s/%d@%s", kind, worker, resource),
 	}
 	dep := s.daemon.Deployment()
 	if host == "" {
 		o.floor = 2 * mpiMessageLatency
 	} else if p, err := dep.Net.Route(dep.LocalHost(), host); err == nil {
 		o.floor = 2 * p.Latency
-	}
-	return o
-}
-
-// gangObserver builds the observer for a gang channel's merged
-// completions: model label without a rank suffix, one queue-depth line
-// for the whole gang. The floor is rank 0's (all ranks share the
-// resource).
-func (s *Simulation) gangObserver(kind Kind, resource, host string, worker int) *chanObs {
-	o := s.observer(kind, resource, host, worker, -1)
-	if o != nil {
-		o.worker = fmt.Sprintf("%s/gang@%s", kind, resource)
 	}
 	return o
 }

@@ -164,11 +164,6 @@ func TestObservabilityHonesty(t *testing.T) {
 			t.Fatalf("store gauges for %s not honest: %+v", row.Model, row.Stats)
 		}
 	}
-
-	// Queue depths were sampled for every worker the run started.
-	if len(tb.Recorder.QueueTable()) == 0 {
-		t.Fatal("no queue-depth telemetry recorded")
-	}
 }
 
 // assertLinksMatchStats: the per-link transfer counters of the testbed's

@@ -294,10 +294,14 @@ func (sb *scenarioBridge) result(name string, iterations int, setup time.Duratio
 	if err != nil {
 		return RunResult{}, err
 	}
+	per := time.Duration(0)
+	if iterations > 0 {
+		per = total / time.Duration(iterations)
+	}
 	return RunResult{
 		Scenario:     name,
 		Iterations:   iterations,
-		PerIteration: total / time.Duration(iterations),
+		PerIteration: per,
 		Setup:        setup,
 		Supernovae:   sb.bridge.Supernovae(),
 		Transfers:    sb.sim.TransferStats(),

@@ -9,6 +9,7 @@ import (
 	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
 	"jungle/internal/phys/bridge"
+	"jungle/internal/trace"
 )
 
 // Resumable scenario runs. RunScenarioCheckpointed behaves like
@@ -72,6 +73,7 @@ func decodeRunCheckpoint(b []byte) (*RunCheckpoint, error) {
 // run checkpoint to path after every completed iteration, so the run can
 // be killed at any point and resumed with ResumeScenario.
 func RunScenarioCheckpointed(ctx context.Context, tb *core.Testbed, w Workload, p Placement, iterations int, path string) (RunResult, error) {
+	before := tb.Recorder.CallsSnapshot()
 	sb, err := startScenario(ctx, tb, w, p)
 	if err != nil {
 		return RunResult{}, err
@@ -81,7 +83,9 @@ func RunScenarioCheckpointed(ctx context.Context, tb *core.Testbed, w Workload, 
 	if err := runCheckpointedLoop(ctx, sb, p.Name, w, iterations, 0, path); err != nil {
 		return RunResult{}, err
 	}
-	return sb.result(p.Name, iterations, setup)
+	res, err := sb.result(p.Name, iterations, setup)
+	res.Calls = trace.DiffCalls(before, tb.Recorder.CallsSnapshot())
+	return res, err
 }
 
 // runCheckpointedLoop executes bridge iterations done..iterations,
@@ -152,6 +156,7 @@ func ResumeScenario(ctx context.Context, tb *core.Testbed, path string) (RunResu
 	if rc.Done >= rc.Iterations {
 		return RunResult{}, fmt.Errorf("exp: run %s already complete (%d/%d iterations)", rc.Scenario, rc.Done, rc.Iterations)
 	}
+	before := tb.Recorder.CallsSnapshot()
 	sim, models, err := core.ResumeSimulation(ctx, tb.Daemon, nil, &rc.Core, "")
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: resume %s: %w", rc.Scenario, err)
@@ -166,5 +171,7 @@ func ResumeScenario(ctx context.Context, tb *core.Testbed, path string) (RunResu
 	if err := runCheckpointedLoop(ctx, sb, rc.Scenario, rc.W, rc.Iterations, rc.Done, path); err != nil {
 		return RunResult{}, err
 	}
-	return sb.result(rc.Scenario+" (resumed)", rc.Iterations-rc.Done, setup)
+	res, err := sb.result(rc.Scenario+" (resumed)", rc.Iterations-rc.Done, setup)
+	res.Calls = trace.DiffCalls(before, tb.Recorder.CallsSnapshot())
+	return res, err
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"time"
 
 	"jungle/internal/core"
@@ -17,11 +16,9 @@ import (
 
 // The gateway wire protocol: the daemon channel's length-prefixed framing
 // (4-byte little-endian length + payload) carrying envelopes in the wire
-// codec (kernel.Encode). A frame whose method is not a session_ op is
-// echoed back verbatim, whether it fails to decode or decodes to another
-// method — a zero-filled chunk decodes to method "" — so the §5 loopback
-// measurement (cmd/jungled -selftest, exp.RunE7) keeps working against a
-// gateway-serving daemon.
+// codec (kernel.Encode). Every frame gets one reply frame: a frame that
+// does not decode is answered kernel.ErrBadMethod, and one whose method is
+// not a session_ op kernel.ErrNoSuchMethod.
 
 // Envelope is one client request frame.
 type Envelope struct {
@@ -89,16 +86,14 @@ func (g *Gateway) ServeConn(conn io.ReadWriter) error {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return err
 		}
-		var env Envelope
-		if err := kernel.Decode(payload, &env); err != nil || !strings.HasPrefix(env.Method, "session_") {
-			// Not a control-plane frame: echo it (E7 loopback compat).
-			if err := writeFrame(w, payload); err != nil {
-				return err
-			}
-			continue
-		}
 		start := time.Now()
-		reply := g.dispatch(&bound, env)
+		var env Envelope
+		var reply ReplyFrame
+		if err := kernel.Decode(payload, &env); err != nil {
+			reply = errReply(fmt.Errorf("%w: undecodable envelope: %v", kernel.ErrBadMethod, err))
+		} else {
+			reply = g.dispatch(&bound, env)
+		}
 		// Control ops run on the wall clock (the gateway fronts a real
 		// listener), so their latency histograms are wall time — model
 		// "control" keeps them apart from the virtual-time call rows.
@@ -195,13 +190,13 @@ func (g *Gateway) dispatch(bound *string, env Envelope) ReplyFrame {
 		if err != nil {
 			return errReply(err)
 		}
+		st := StatePreempted
 		if args.Close {
 			if err := g.Sched.Close(id); err != nil {
 				return errReply(err)
 			}
-		}
-		st := StatePreempted
-		if sess, err := g.Sched.Session(id); err == nil {
+			st = StateClosed
+		} else if sess, err := g.Sched.Session(id); err == nil {
 			st = sess.State()
 		}
 		*bound = ""

@@ -16,8 +16,8 @@ import (
 
 // TestRetentionClosedSessions: a closed session leaves nothing behind that
 // grows with the number of sessions. After 64 tenants that each started a
-// worker, made calls and closed, the call and queue tables name none of
-// them and are no longer than after the 16th, the deployment lists only
+// worker, made calls and closed, the call table names none of them and
+// is no longer than after the 16th, the deployment lists only
 // live jobs, the daemon holds no id block, the scheduler no session record
 // and the recorder only the (closed) stats row — while the next tenant's
 // first worker id is still the one a daemon that forgot nothing assigns.
@@ -48,7 +48,7 @@ func TestRetentionClosedSessions(t *testing.T) {
 	}
 
 	const n = 64
-	var callRows, queueRows int
+	var callRows int
 	for i := 1; i <= n; i++ {
 		id := tenant(i)
 		job := tb.Daemon.WorkerJob(id)
@@ -57,24 +57,18 @@ func TestRetentionClosedSessions(t *testing.T) {
 		}
 		<-job.Done()
 		if i == 16 {
-			callRows, queueRows = len(tb.Recorder.CallTable()), len(tb.Recorder.QueueTable())
+			callRows = len(tb.Recorder.CallTable())
 		}
 	}
 
-	calls, queues := tb.Recorder.CallTable(), tb.Recorder.QueueTable()
+	calls := tb.Recorder.CallTable()
 	for _, row := range calls {
 		if strings.HasPrefix(row.Session, "tenant-") {
 			t.Fatalf("call table keeps closed session %q (%s %s)", row.Session, row.Model, row.Method)
 		}
 	}
-	for _, row := range queues {
-		if strings.HasPrefix(row.Session, "tenant-") {
-			t.Fatalf("queue table keeps closed session %q (%s)", row.Session, row.Worker)
-		}
-	}
-	if len(calls) != callRows || len(queues) != queueRows {
-		t.Fatalf("tables grew from session 16 to %d: calls %d -> %d rows, queues %d -> %d",
-			n, callRows, len(calls), queueRows, len(queues))
+	if len(calls) != callRows {
+		t.Fatalf("call table grew from session 16 to %d: %d -> %d rows", n, callRows, len(calls))
 	}
 	if jobs := dep.Jobs(); len(jobs) != 0 {
 		t.Fatalf("deployment lists %d jobs with no worker live", len(jobs))

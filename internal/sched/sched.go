@@ -521,7 +521,7 @@ func (s *Scheduler) evict(ctx context.Context, sess *Session) error {
 // slot. The session leaves nothing behind that
 // grows: its record goes, its id joins the fixed window of retired ids
 // (closing it again is a no-op, attaching it is ErrSessionClosed), its
-// stats row and call and queue-depth series fold into the recorder's
+// stats row and call series fold into the recorder's
 // (closed) aggregates, and the daemon forgets its id block.
 func (s *Scheduler) Close(id string) error {
 	s.mu.Lock()

@@ -1,12 +1,13 @@
 package sched
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,9 +224,9 @@ func TestGatewaySessions(t *testing.T) {
 		t.Fatal("cross-session op through a bound connection succeeded")
 	}
 
-	// Close through the wire frees the slot for gamma.
-	if _, err := c1.Detach(true); err != nil {
-		t.Fatalf("detach alpha: %v", err)
+	// Close through the wire frees the slot for gamma, and says so.
+	if st, err := c1.Detach(true); err != nil || st != string(StateClosed) {
+		t.Fatalf("detach alpha = %q, %v; want %q", st, err, StateClosed)
 	}
 	if _, err := c3.Attach("gamma", false); err != nil {
 		t.Fatalf("attach gamma after slot freed: %v", err)
@@ -239,57 +240,49 @@ func TestGatewaySessions(t *testing.T) {
 	}
 }
 
-// TestGatewayEcho: frames that are not control-plane envelopes echo back
-// verbatim — the §5 loopback benchmark keeps working against a gateway.
-// Under the wire codec a zero-filled frame decodes (to method ""), so the
-// session_ prefix is what sends it, and any other method, to the echo path.
-func TestGatewayEcho(t *testing.T) {
+// TestGatewayAnswersEveryFrame: every frame gets a structured reply, and
+// the connection serves on. A frame that does not decode is a bad method;
+// one that decodes to a method that is not a session_ op — a zero-filled
+// frame decodes to method "" — reaches dispatch's no-such-method default.
+func TestGatewayAnswersEveryFrame(t *testing.T) {
 	_, s := testPlane(t, Config{})
 	g := &Gateway{Sched: s}
 	client, server := net.Pipe()
-	defer client.Close()
 	go g.ServeConn(server)
+	c := NewClient(client)
+	defer c.Close()
 
 	for _, tc := range []struct {
 		name    string
 		payload []byte
+		want    string
 	}{
-		{"does not decode", []byte{0x42, 0x00, 0x13, 0x37}},
-		{"zero-filled E7 chunk", make([]byte, 1<<20)},
-		{"not a session method", kernel.Encode(Envelope{Method: "get_state", Body: []byte{1, 2, 3}})},
+		{"does not decode", []byte{0x42, 0x00, 0x13, 0x37}, "undecodable envelope"},
+		{"zero-filled frame", make([]byte, 1<<10), `no such method: ""`},
+		{"not a session method", kernel.Encode(Envelope{Method: "get_state", Body: []byte{1, 2, 3}}), `no such method: "get_state"`},
 	} {
-		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(tc.payload)))
-		frame = append(frame, tc.payload...)
-		if _, err := client.Write(frame); err != nil {
+		if err := writeFrame(c.w, tc.payload); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		hdr := make([]byte, 4)
-		if _, err := readFull(client, hdr); err != nil {
+		var hdr [4]byte
+		if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if n := binary.LittleEndian.Uint32(hdr); n != uint32(len(tc.payload)) {
-			t.Fatalf("%s: a %d-byte reply, not the %d-byte echo", tc.name, n, len(tc.payload))
-		}
-		got := make([]byte, len(tc.payload))
-		if _, err := readFull(client, got); err != nil {
+		payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(c.r, payload); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !bytes.Equal(got, tc.payload) {
-			t.Fatalf("%s: echo differs from the frame", tc.name)
+		var rf ReplyFrame
+		if err := kernel.Decode(payload, &rf); err != nil {
+			t.Fatalf("%s: the reply is not a reply frame: %v", tc.name, err)
+		}
+		if kernel.Code(rf.Code) != kernel.CodeBadMethod || !strings.Contains(rf.Err, tc.want) {
+			t.Fatalf("%s: reply code %d %q, want %d naming %q", tc.name, rf.Code, rf.Err, kernel.CodeBadMethod, tc.want)
 		}
 	}
-}
-
-func readFull(c net.Conn, b []byte) (int, error) {
-	n := 0
-	for n < len(b) {
-		m, err := c.Read(b[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
+	if _, err := c.Attach("after", false); err != nil {
+		t.Fatalf("attach after the refused frames: %v", err)
 	}
-	return n, nil
 }
 
 // TestGenericSnapshotResumes: a session that installed no evictor is

@@ -10,23 +10,21 @@ import (
 
 // Channel-layer call telemetry: every RPC any channel (conn, gang)
 // completes records its virtual round-trip latency under a
-// session/model/method key, and every issue records the channel's
-// in-flight depth under a session/worker key. Recording is lock-striped —
-// a fixed shard array keyed by a hash of the label — so many channels
-// hammering one Recorder contend only per shard, and the hot path
-// allocates nothing once a key's histogram exists.
+// session/model/method key. Recording is lock-striped — a fixed shard
+// array keyed by a hash of the label — so many channels hammering one
+// Recorder contend only per shard, and the hot path allocates nothing once
+// a key's histogram exists.
 //
 // A session's series end with the session: CloseSession folds them into
 // the ClosedSession aggregate. The stripe hash leaves out what the fold
-// drops from a key — the session, and a queue label's worker id — so a
-// key and its aggregate share a stripe and the fold is done in place,
-// under one lock.
+// drops from a key — the session — so a key and its aggregate share a
+// stripe and the fold is done in place, under one lock.
 
-// callStripes is the number of lock stripes for call/queue recording.
+// callStripes is the number of lock stripes for call recording.
 const callStripes = 16
 
 // ClosedSession is the session label of the aggregate that closed
-// sessions' call and queue-depth series fold into (see CloseSession).
+// sessions' call series fold into (see CloseSession).
 const ClosedSession = "(closed)"
 
 // CallKey labels one call-latency histogram.
@@ -62,15 +60,9 @@ func (c *CallStats) lowerFloor(floor time.Duration) {
 	}
 }
 
-// queueKey labels one queue-depth histogram.
-type queueKey struct {
-	Session, Worker string
-}
-
 type callShard struct {
-	mu     sync.Mutex
-	calls  map[CallKey]*CallStats
-	queues map[queueKey]*Histogram
+	mu    sync.Mutex
+	calls map[CallKey]*CallStats
 }
 
 // FNV-1a, inline over the strings: no hasher value, no []byte copies.
@@ -92,28 +84,6 @@ func fnvAdd(h uint32, s string) uint32 {
 func (r *Recorder) callShard(model, method string) *callShard {
 	h := fnvAdd(fnvOffset32, model) * fnvPrime32
 	return &r.callShards[fnvAdd(h, method)%callStripes]
-}
-
-// splitWorkerID splits a queue label "kind/<id>@resource" around its
-// worker id into "kind" and "@resource". A label without a "/" before its
-// "@" has no id: it comes back whole, with an empty tail.
-func splitWorkerID(label string) (head, tail string) {
-	at := strings.LastIndexByte(label, '@')
-	if at < 0 {
-		at = len(label)
-	}
-	slash := strings.LastIndexByte(label[:at], '/')
-	if slash < 0 {
-		return label, ""
-	}
-	return label[:slash], label[at:]
-}
-
-// queueShard is a queue key's stripe: a hash of its label without the
-// worker id, never of its session.
-func (r *Recorder) queueShard(worker string) *callShard {
-	head, tail := splitWorkerID(worker)
-	return &r.callShards[fnvAdd(fnvAdd(fnvOffset32, head), tail)%callStripes]
 }
 
 // callLocked returns (creating if needed) a key's stats. Callers hold s.mu.
@@ -150,28 +120,9 @@ func (r *Recorder) RecordCallError(session, model, method string) {
 	s.mu.Unlock()
 }
 
-// RecordQueueDepth records a channel's in-flight call count, sampled at
-// issue time, under the session's worker label (kind/<id>@resource).
-func (r *Recorder) RecordQueueDepth(session, worker string, depth int) {
-	key := queueKey{Session: session, Worker: worker}
-	s := r.queueShard(worker)
-	s.mu.Lock()
-	h := s.queues[key]
-	if h == nil {
-		if s.queues == nil {
-			s.queues = make(map[queueKey]*Histogram)
-		}
-		h = &Histogram{}
-		s.queues[key] = h
-	}
-	h.Record(int64(depth))
-	s.mu.Unlock()
-}
-
 // CloseSession ends a session's series: each of its call keys folds into
-// {ClosedSession, model, method} and each queue key into {ClosedSession,
-// kind@resource}, its SessionStats row into the ClosedSession row, and the
-// session's own keys and row are deleted. Counts move and are never
+// {ClosedSession, model, method}, its SessionStats row into the
+// ClosedSession row, and the session's own keys and row are deleted. Counts move and are never
 // dropped, so the totals over CallsSnapshot and Sessions do not change. A
 // key whose aggregate does not exist yet becomes it; otherwise the fold
 // merges in place. A later session event for the id, within the last
@@ -197,19 +148,6 @@ func (r *Recorder) CloseSession(id string) {
 				agg.merge(st)
 			} else {
 				s.calls[k] = st
-			}
-		}
-		for k, h := range s.queues {
-			if k.Session != id {
-				continue
-			}
-			delete(s.queues, k)
-			head, tail := splitWorkerID(k.Worker)
-			k = queueKey{Session: ClosedSession, Worker: head + tail}
-			if agg := s.queues[k]; agg != nil {
-				agg.Merge(h)
-			} else {
-				s.queues[k] = h
 			}
 		}
 		s.mu.Unlock()
@@ -260,34 +198,6 @@ func (r *Recorder) CallsSnapshot() map[CallKey]CallStats {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// QueueRow is one line of the per-worker queue-depth table.
-type QueueRow struct {
-	Session string
-	Worker  string
-	Hist    Histogram
-}
-
-// QueueTable returns every worker's queue-depth histogram (deep copies),
-// sorted by session, then worker label.
-func (r *Recorder) QueueTable() []QueueRow {
-	var rows []QueueRow
-	for i := range r.callShards {
-		s := &r.callShards[i]
-		s.mu.Lock()
-		for k, h := range s.queues {
-			rows = append(rows, QueueRow{Session: k.Session, Worker: k.Worker, Hist: *h})
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Session != rows[j].Session {
-			return rows[i].Session < rows[j].Session
-		}
-		return rows[i].Worker < rows[j].Worker
-	})
-	return rows
 }
 
 // CallSummary aggregates a set of call stats into one line.
@@ -348,8 +258,7 @@ func DiffCalls(before, after map[CallKey]CallStats) CallSummary {
 }
 
 // RenderCalls renders the channel-layer telemetry: per-method latency
-// histograms (count, errors, p50/p90/p99/max, and the configured floor)
-// followed by the per-worker queue-depth table.
+// histograms (count, errors, p50/p90/p99/max, and the configured floor).
 func (r *Recorder) RenderCalls() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %-14s %-18s %8s %6s %10s %10s %10s %10s %10s\n",
@@ -360,11 +269,6 @@ func (r *Recorder) RenderCalls() string {
 			sessionLabel(row.Session), row.Model, row.Method, h.Count, row.Stats.Errors,
 			fmtDur(h.Quantile(0.5)), fmtDur(h.Quantile(0.9)), fmtDur(h.Quantile(0.99)),
 			fmtDur(h.Max), row.Stats.Floor.Round(time.Microsecond))
-	}
-	fmt.Fprintf(&b, "\n%-12s %-40s %10s %8s %8s %8s\n", "SESSION", "WORKER QUEUE", "SAMPLES", "P50", "P99", "MAX")
-	for _, row := range r.QueueTable() {
-		fmt.Fprintf(&b, "%-12s %-40s %10d %8d %8d %8d\n", sessionLabel(row.Session),
-			row.Worker, row.Hist.Count, row.Hist.Quantile(0.5), row.Hist.Quantile(0.99), row.Hist.Max)
 	}
 	return b.String()
 }

@@ -6,26 +6,23 @@ import (
 	"time"
 )
 
-// recordSession records one tenant's series: three call keys (one with an
-// error) and the queue depth of its worker.
-func recordSession(r *Recorder, session, worker string) {
+// recordSession records one tenant's series: three call keys, one with an
+// error.
+func recordSession(r *Recorder, session string) {
 	r.RecordCall(session, "abm", "setup", time.Millisecond, 2*time.Microsecond)
 	r.RecordCall(session, "abm", "step", 3*time.Millisecond, 2*time.Microsecond)
 	r.RecordCall(session, "abm", "get_state", 2*time.Millisecond, 2*time.Microsecond)
 	r.RecordCallError(session, "abm", "step")
-	r.RecordQueueDepth(session, worker, 1)
 }
 
-// TestCloseSessionFolds: a closed session's keys leave both tables, their
+// TestCloseSessionFolds: a closed session's keys leave the table, their
 // counts land in the (closed) aggregate and never vanish, and closing the
 // default session, the aggregate itself or an unknown id changes nothing.
 func TestCloseSessionFolds(t *testing.T) {
 	r := New()
-	recordSession(r, "s1", "abm/4097@lgm")
-	recordSession(r, "s2", "abm/8193@lgm")
-	recordSession(r, "", "abm/1@lgm")
-	r.RecordQueueDepth("s2", "abm/gang@lgm", 2)
-	r.RecordQueueDepth("s2", "w0", 3)
+	recordSession(r, "s1")
+	recordSession(r, "s2")
+	recordSession(r, "")
 	total := func() (calls, errs uint64) {
 		for _, st := range r.CallsSnapshot() {
 			calls += st.Hist.Count
@@ -53,24 +50,6 @@ func TestCloseSessionFolds(t *testing.T) {
 	}
 	if got := snap[CallKey{Model: "abm", Method: "step"}].Hist.Count; got != 1 {
 		t.Fatalf("default session's abm/step count %d, want 1: it is never closed", got)
-	}
-
-	want := []QueueRow{
-		{Session: "", Worker: "abm/1@lgm"},
-		{Session: ClosedSession, Worker: "abm@lgm"}, // 4097, 8193 and the gang
-		{Session: ClosedSession, Worker: "w0"},      // no worker id to drop
-	}
-	qt := r.QueueTable()
-	if len(qt) != len(want) {
-		t.Fatalf("queue table %+v, want %d rows", qt, len(want))
-	}
-	for i, w := range want {
-		if qt[i].Session != w.Session || qt[i].Worker != w.Worker {
-			t.Fatalf("queue row %d = %s %s, want %s %s", i, qt[i].Session, qt[i].Worker, w.Session, w.Worker)
-		}
-	}
-	if qt[1].Hist.Count != 3 || qt[1].Hist.Max != 2 {
-		t.Fatalf("closed abm@lgm aggregate %+v, want 3 samples, max 2", qt[1].Hist)
 	}
 }
 
@@ -143,13 +122,13 @@ func TestRetentionFoldedSessions(t *testing.T) {
 // calls a second time as the aggregate's growth.
 func TestDiffCallsAcrossSessionClose(t *testing.T) {
 	r := New()
-	recordSession(r, "old", "abm/4097@lgm") // closed before either snapshot
+	recordSession(r, "old") // closed before either snapshot
 	r.CloseSession("old")
-	recordSession(r, "s1", "abm/8193@lgm")
+	recordSession(r, "s1")
 	before := r.CallsSnapshot()
 	r.RecordCall("s1", "abm", "step", 5*time.Millisecond, 0)
 	r.RecordCallError("s1", "abm", "step")
-	recordSession(r, "s2", "abm/12289@lgm")
+	recordSession(r, "s2")
 	r.CloseSession("s1")
 	r.CloseSession("s2")
 	sum := DiffCalls(before, r.CallsSnapshot())
@@ -159,33 +138,31 @@ func TestDiffCallsAcrossSessionClose(t *testing.T) {
 }
 
 // TestRecorderAllocGate: recording on an existing key allocates nothing,
-// and a close whose aggregates exist allocates nothing per call key and at
-// most one string (the aggregate label) per queue key.
+// and neither does a close whose aggregates exist.
 func TestRecorderAllocGate(t *testing.T) {
 	r := New()
-	recordSession(r, "s", "abm/4097@lgm")
+	recordSession(r, "s")
 	for name, f := range map[string]func(){
-		"RecordCall":       func() { r.RecordCall("s", "abm", "step", time.Millisecond, time.Microsecond) },
-		"RecordCallError":  func() { r.RecordCallError("s", "abm", "step") },
-		"RecordQueueDepth": func() { r.RecordQueueDepth("s", "abm/4097@lgm", 2) },
+		"RecordCall":      func() { r.RecordCall("s", "abm", "step", time.Millisecond, time.Microsecond) },
+		"RecordCallError": func() { r.RecordCallError("s", "abm", "step") },
 	} {
 		if a := testing.AllocsPerRun(100, f); a != 0 {
 			t.Errorf("%s on an existing key: %v allocs, want 0", name, a)
 		}
 	}
 
-	// Each run closes a fresh four-key session (three call keys, one queue
-	// key); the first close made the aggregates.
+	// Each run closes a fresh three-key session; the first close made the
+	// aggregates.
 	const runs = 50
 	ids := make([]string, runs+2)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("t%d", i)
-		recordSession(r, ids[i], fmt.Sprintf("abm/%d@lgm", (i+2)*4096+1))
+		recordSession(r, ids[i])
 	}
 	r.CloseSession(ids[0])
 	next := 1
-	if a := testing.AllocsPerRun(runs, func() { r.CloseSession(ids[next]); next++ }); a > 1 {
-		t.Errorf("CloseSession of a four-key session: %v allocs, want at most 1", a)
+	if a := testing.AllocsPerRun(runs, func() { r.CloseSession(ids[next]); next++ }); a != 0 {
+		t.Errorf("CloseSession of a three-key session: %v allocs, want 0", a)
 	}
 }
 
@@ -199,8 +176,8 @@ func BenchmarkRecordCall(b *testing.B) {
 }
 
 // BenchmarkCloseSession is one tenant's life in the recorder, as on a
-// daemon that runs one session at a time: three call keys and a queue key
-// recorded, then folded into the (closed) aggregate.
+// daemon that runs one session at a time: three call keys recorded, then
+// folded into the (closed) aggregate.
 func BenchmarkCloseSession(b *testing.B) {
 	r := New()
 	ids := make([]string, 64)
@@ -210,7 +187,7 @@ func BenchmarkCloseSession(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := ids[i%len(ids)]
-		recordSession(r, id, "abm/4097@lgm")
+		recordSession(r, id)
 		r.CloseSession(id)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // The observability plane's histogram core: a streaming fixed-bucket
 // histogram over non-negative int64 samples (latencies in nanoseconds,
-// queue depths, blob sizes). Buckets are powers of two, so recording is a
+// blob sizes). Buckets are powers of two, so recording is a
 // bits.Len64 — no floating point, no allocation — and two histograms
 // recorded anywhere in the system merge by adding counts bucket-wise.
 // Quantile estimates return the upper bound of the bucket holding the

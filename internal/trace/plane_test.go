@@ -27,7 +27,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				meth := methods[i%len(methods)]
 				r.RecordCall(sess, "gravity", meth, time.Duration(i+1)*time.Microsecond, 2*time.Microsecond)
 				r.RecordCallError(sess, "hydro", meth)
-				r.RecordQueueDepth("", "gravity/0@lgm", i%7)
 				r.RecordLinkTransfer("a", "b", LinkDirect)
 				r.RecordCheckpoint("gravity", 1000)
 				r.RecordRestore("gravity", time.Millisecond)
@@ -55,7 +54,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				_ = r.RenderHealth(-1)
 				_ = r.RenderSessions()
 				_ = r.CallsSnapshot()
-				_ = r.QueueTable()
 				_ = r.Calibrate(specs)
 				_ = r.StoreTable()
 				_ = r.CapacityTable()
@@ -76,10 +74,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 	}
 	if want := uint64(writers * iters); calls != want || errs != want {
 		t.Fatalf("calls/errors = %d/%d, want %d each", calls, errs, want)
-	}
-	qt := r.QueueTable()
-	if len(qt) != 1 || qt[0].Hist.Count != writers*iters {
-		t.Fatalf("queue table %+v, want one worker with %d samples", qt, writers*iters)
 	}
 	rows := r.LinkHealthTable(-1, DefaultStaleAfter)
 	if len(rows) != 1 || rows[0].Transfers.Direct != writers*iters {
@@ -103,7 +97,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 func TestSnapshotsAreDeepCopies(t *testing.T) {
 	r := New()
 	r.RecordCall("", "gravity", "kick", time.Millisecond, time.Microsecond)
-	r.RecordQueueDepth("", "w0", 3)
 	r.RecordCheckpoint("gravity", 10)
 	r.RecordRestore("gravity", time.Millisecond)
 
@@ -115,8 +108,6 @@ func TestSnapshotsAreDeepCopies(t *testing.T) {
 	rows := r.CallTable()
 	rows[0].Stats.Hist.Record(1)
 	rows[0].Stats.Errors = 99
-	qrows := r.QueueTable()
-	qrows[0].Hist.Record(100)
 	srows := r.StoreTable()
 	srows[0].Stats.RestoreHist.Record(7)
 
@@ -127,9 +118,6 @@ func TestSnapshotsAreDeepCopies(t *testing.T) {
 	}
 	if got := r.CallTable()[0].Stats; got.Errors != 0 || got.Hist.Count != 2 {
 		t.Fatalf("mutating a CallTable row leaked into the recorder: %+v", got)
-	}
-	if got := r.QueueTable()[0].Hist.Count; got != 1 {
-		t.Fatalf("mutating a QueueTable row leaked into the recorder: count %d", got)
 	}
 	if got := r.StoreTable()[0].Stats.RestoreHist.Count; got != 1 {
 		t.Fatalf("mutating a StoreTable row leaked into the recorder: count %d", got)
@@ -158,7 +146,6 @@ func TestRenderDeterminism(t *testing.T) {
 		// the two recorders hold identical data in different orders.
 		for _, c := range calls {
 			r.RecordCall(c.sess, c.model, c.method, time.Duration(len(c.method))*time.Millisecond, time.Microsecond)
-			r.RecordQueueDepth(c.sess, c.model+"/0@res", len(c.model))
 		}
 		for _, l := range links {
 			r.RecordGoodput(l[0], l[1], float64(len(l[0]+l[1]))*1e6, time.Duration(len(l[0]))*time.Second)
@@ -344,14 +331,13 @@ func TestDiffCalls(t *testing.T) {
 	}
 }
 
-// TestRenderCallsContent: the rendered table carries the floor and the
-// queue section, with "-" for the empty session label.
+// TestRenderCallsContent: the rendered table carries the floor, with "-"
+// for the empty session label.
 func TestRenderCallsContent(t *testing.T) {
 	r := New()
 	r.RecordCall("", "gravity", "kick", 4*time.Millisecond, 2*time.Millisecond)
-	r.RecordQueueDepth("", "gravity/0@lgm", 2)
 	out := r.RenderCalls()
-	for _, want := range []string{"gravity", "kick", "2ms", "gravity/0@lgm", "FLOOR", "WORKER QUEUE"} {
+	for _, want := range []string{"gravity", "kick", "2ms", "FLOOR"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("RenderCalls missing %q:\n%s", want, out)
 		}

@@ -7,13 +7,12 @@
 //
 // Beyond the paper's views, the package is the system's observability
 // plane, default-on and allocation-light. The channel layer records every
-// RPC's virtual round-trip latency and every worker's in-flight queue
-// depth into lock-striped fixed-bucket histograms (hist.go, calls.go;
-// RenderCalls). The SmartSockets goodput probes and the bulk-transfer
-// outcome counters roll up into a per-link health table with staleness
-// marking, alongside the daemon store's checkpoint-size and
-// restore-latency gauges and the deployment's capacity gauges (health.go;
-// RenderHealth). Calibrate (calibrate.go) closes the loop: it compares
+// RPC's virtual round-trip latency into lock-striped fixed-bucket
+// histograms (hist.go, calls.go; RenderCalls). The SmartSockets goodput
+// probes and the bulk-transfer outcome counters roll up into a per-link
+// health table with staleness marking, alongside the daemon store's
+// checkpoint-size and restore-latency gauges and the deployment's
+// capacity gauges (health.go; RenderHealth). Calibrate (calibrate.go) closes the loop: it compares
 // the observed goodput and latency against the configured vnet/vtime
 // constants and reports drift, keeping the virtual-time model honest as
 // the system grows.
@@ -48,7 +47,7 @@ type Recorder struct {
 	store    map[string]*StoreStats
 	capacity map[string][2]int
 
-	// callShards stripe the channel-layer call/queue-depth histograms
+	// callShards stripe the channel-layer call histograms
 	// (calls.go) so concurrent channels contend per shard, not on mu.
 	callShards [callStripes]callShard
 }

@@ -750,6 +750,94 @@ func BenchmarkIbisChannelRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkPlaneOverhead is the observability plane's own price on the
+// control plane: IbisChannelRoundTrip's round trip and PipelinedKick's
+// pipelined round, each on two lab testbeds built alike, one with the
+// plane on (the default) and one with it off (the network's recorder
+// removed before the simulation is built, as TestPlaneByteIdentity*
+// does). The arms alternate op by op in one process, so both see the same
+// host; on/off is the ratio of their wall times. The plane is passive, so
+// the two arms' virtual times must be identical.
+func BenchmarkPlaneOverhead(b *testing.B) {
+	arm := func(b *testing.B, observed bool, resources []string, stars int) (*core.Simulation, []*core.Gravity) {
+		tb, err := core.NewLabTestbed()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { tb.Close() })
+		if !observed {
+			tb.Net.SetRecorder(nil)
+		}
+		sim := core.NewSimulation(context.Background(), tb.Daemon, nil)
+		b.Cleanup(func() { sim.Stop() })
+		var models []*core.Gravity
+		for i, r := range resources {
+			g, err := sim.NewGravity(context.Background(), core.WorkerSpec{Resource: r, Channel: core.ChannelIbis},
+				core.GravityOptions{Eps: 0.01})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := g.SetParticles(ic.Plummer(stars, int64(i+30))); err != nil {
+				b.Fatal(err)
+			}
+			models = append(models, g)
+		}
+		return sim, models
+	}
+	dv := make([]data.Vec3, 64) // zero kick: pure channel-stack cost
+	calls := make([]core.Waiter, 4)
+	for _, sc := range []struct {
+		name      string
+		resources []string
+		stars     int
+		op        func(models []*core.Gravity) error
+	}{
+		{"round-trip", []string{"lgm"}, 16, func(models []*core.Gravity) error {
+			if models[0].Masses() == nil {
+				return models[0].Err()
+			}
+			return nil
+		}},
+		{"pipelined-kick", []string{"lgm", "das4-vu", "das4-uva", "das4-tud"}, 64, func(models []*core.Gravity) error {
+			for j, g := range models {
+				calls[j] = g.GoKick(dv)
+			}
+			return core.Gather(context.Background(), calls...)
+		}},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			var sims [2]*core.Simulation // on, off
+			var models [2][]*core.Gravity
+			var start [2]time.Duration
+			var wall [2]time.Duration
+			for a, observed := range []bool{true, false} {
+				sims[a], models[a] = arm(b, observed, sc.resources, sc.stars)
+				start[a] = sims[a].Elapsed()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range 2 {
+					a := (i + k) % 2 // alternate which arm goes first
+					t0 := time.Now()
+					if err := sc.op(models[a]); err != nil {
+						b.Fatal(err)
+					}
+					wall[a] += time.Since(t0)
+				}
+			}
+			b.StopTimer()
+			on, off := sims[0].Elapsed()-start[0], sims[1].Elapsed()-start[1]
+			if on != off {
+				b.Fatalf("virtual time diverged: plane on %v, plane off %v", on, off)
+			}
+			b.ReportMetric(float64(on.Microseconds())/float64(b.N), "virtual-us/op")
+			b.ReportMetric(float64(wall[0].Nanoseconds())/float64(b.N), "on-ns/op")
+			b.ReportMetric(float64(wall[1].Nanoseconds())/float64(b.N), "off-ns/op")
+			b.ReportMetric(float64(wall[0])/float64(wall[1]), "on/off")
+		})
+	}
+}
+
 // BenchmarkCheckpointRecovery measures what the checkpoint subsystem
 // buys on the SC11 topology (transatlantic coupler, worker in Leiden)
 // when the worker is killed partway through a run: recovering via the

@@ -192,20 +192,19 @@ func workerMain(env *Env, ctx *gat.Context) error {
 // recorded under class "loopback", and its arrivals, each the send time
 // plus the path's transfer time for the bytes.
 type hop struct {
-	net  *vnet.Network
-	host string
-	path vnet.Path // Route(host, host)
+	bytes *vnet.Cell // (host, host, "loopback")
+	path  vnet.Path  // Route(host, host)
 }
 
 func newHop(net *vnet.Network, host string) hop {
 	path, _ := net.Route(host, host) // a host's route to itself is the loopback path, and cannot fail
-	return hop{net: net, host: host, path: path}
+	return hop{bytes: net.Cell(host, host, "loopback"), path: path}
 }
 
 // cross carries n bytes sent at virtual time at over the hop and returns
 // their arrival.
 func (h hop) cross(n int, at time.Duration) time.Duration {
-	h.net.RecordTransfer(h.host, h.host, "loopback", n)
+	h.bytes.Add(n)
 	return at + h.path.TransferTime(n)
 }
 

@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"jungle/internal/vnet"
@@ -60,7 +61,7 @@ type gaugeRecorder struct {
 	gauges []string
 }
 
-func (r *gaugeRecorder) RecordTraffic(from, to, class string, n int) {}
+func (r *gaugeRecorder) TrafficCounter(from, to, class string) *atomic.Int64 { return nil }
 
 func (r *gaugeRecorder) RecordCapacity(resource string, occupied, total int) {
 	r.gauges = append(r.gauges, fmt.Sprintf("%s %d/%d", resource, occupied, total))
@@ -69,7 +70,7 @@ func (r *gaugeRecorder) RecordCapacity(resource string, occupied, total int) {
 // trafficOnly is a network recorder with no capacity gauge.
 type trafficOnly struct{}
 
-func (trafficOnly) RecordTraffic(from, to, class string, n int) {}
+func (trafficOnly) TrafficCounter(from, to, class string) *atomic.Int64 { return nil }
 
 // TestCapacityGaugeFollowsNetworkRecorder: every ledger mutation reaches
 // the network's recorder with no setup call, and a recorder that takes no

@@ -69,7 +69,7 @@ func (f *FS) Copy(srcHost, srcPath, dstHost, dstPath string) (time.Duration, err
 			return 0, fmt.Errorf("gat: copy %s:%s -> %s:%s: %w", srcHost, srcPath, dstHost, dstPath, err)
 		}
 		cost = path.TransferTime(len(content))
-		f.net.RecordTransfer(srcHost, dstHost, "file", len(content))
+		f.net.Cell(srcHost, dstHost, "file").Add(len(content))
 	}
 	f.Write(dstHost, dstPath, content)
 	return cost, nil

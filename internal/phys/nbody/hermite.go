@@ -36,6 +36,12 @@ type System struct {
 	f0, f1 Forces
 	fresh  bool // f0 matches current state
 
+	// oldPos and oldVel are a step's copies of pos and vel from before its
+	// predictor, kept from one step to the next. They are sized by the
+	// first step, not by load: a system that never steps (a worker that
+	// only holds and moves state) keeps no scratch.
+	oldPos, oldVel []data.Vec3
+
 	flops float64
 	steps int
 
@@ -241,8 +247,8 @@ func (s *System) advance(c *mpisim.Gang, dt float64, last bool) error {
 	dt2 := dt * dt / 2
 	dt3 := dt * dt * dt / 6
 
-	oldPos := append([]data.Vec3(nil), s.pos...)
-	oldVel := append([]data.Vec3(nil), s.vel...)
+	s.oldPos, s.oldVel = append(s.oldPos[:0], s.pos...), append(s.oldVel[:0], s.vel...)
+	oldPos, oldVel := s.oldPos, s.oldVel
 
 	// Predict all particles (O(N), replicated on every rank).
 	for i := 0; i < n; i++ {

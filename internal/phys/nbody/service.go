@@ -38,6 +38,7 @@ type gravityService struct {
 	sys   *System
 	dev   *vtime.Device
 	gang  *mpisim.Gang
+	kick  kernel.KickArgs // every kick decodes into it: Dispatch is never concurrent, Kick keeps no DV
 }
 
 func newGravityService(cfg kernel.Config) (kernel.Service, error) {
@@ -122,11 +123,10 @@ func (s *gravityService) Dispatch(method string, args []byte, at time.Duration) 
 		s.clock.Advance(s.dev.Time(s.sys.ResetFlops(), 0))
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "kick":
-		var a kernel.KickArgs
-		if err := kernel.Decode(args, &a); err != nil {
+		if err := kernel.Decode(args, &s.kick); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
-		if err := s.sys.Kick(context.Background(), a.DV); err != nil {
+		if err := s.sys.Kick(context.Background(), s.kick.DV); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil

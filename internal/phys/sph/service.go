@@ -40,6 +40,7 @@ type hydroService struct {
 	dev   *vtime.Device
 	clock *vtime.Clock
 	gang  *mpisim.Gang
+	kick  kernel.KickArgs // every kick decodes into it: Dispatch is never concurrent, Kick keeps no DV
 }
 
 func newHydroService(cfg kernel.Config) (kernel.Service, error) {
@@ -141,11 +142,10 @@ func (s *hydroService) Dispatch(method string, args []byte, at time.Duration) (k
 		}
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil
 	case "kick":
-		var a kernel.KickArgs
-		if err := kernel.Decode(args, &a); err != nil {
+		if err := kernel.Decode(args, &s.kick); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
-		if err := s.gas.Kick(context.Background(), a.DV); err != nil {
+		if err := s.gas.Kick(context.Background(), s.kick.DV); err != nil {
 			return kernel.Reply{}, s.clock.Now(), err
 		}
 		return kernel.EncodeReply(kernel.Empty{}), s.clock.Now(), nil

@@ -2,6 +2,7 @@ package smartsockets
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ type goodputSink struct {
 	samples map[[2]string]float64
 }
 
-func (s *goodputSink) RecordTraffic(from, to, class string, bytes int) {}
+func (s *goodputSink) TrafficCounter(from, to, class string) *atomic.Int64 { return nil }
 
 func (s *goodputSink) RecordGoodput(from, to string, bw float64, at time.Duration) {
 	s.mu.Lock()

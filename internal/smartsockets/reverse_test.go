@@ -14,10 +14,11 @@ import (
 // hubBytes is a vnet traffic recorder that sums the hub class's bytes.
 type hubBytes struct{ n atomic.Int64 }
 
-func (c *hubBytes) RecordTraffic(_, _, class string, bytes int) {
+func (c *hubBytes) TrafficCounter(_, _, class string) *atomic.Int64 {
 	if class == "hub" {
-		c.n.Add(int64(bytes))
+		return &c.n
 	}
+	return nil
 }
 
 // connectSeq makes n sequential connects from client A to a listener on

@@ -56,7 +56,7 @@ func TestCircuitOf(t *testing.T) {
 // byteCounter is a vnet traffic recorder that sums every byte sent.
 type byteCounter struct{ n atomic.Int64 }
 
-func (c *byteCounter) RecordTraffic(from, to, class string, bytes int) { c.n.Add(int64(bytes)) }
+func (c *byteCounter) TrafficCounter(from, to, class string) *atomic.Int64 { return &c.n }
 
 // TestRoutedPingPongGates: one 256-byte ping-pong over a hub-routed
 // circuit (client, hub, hub, client and back: six vnet sends) cost 1 612

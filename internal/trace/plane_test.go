@@ -33,7 +33,7 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				r.RecordGoodput("a", "b", 1e6, time.Duration(i)*time.Millisecond)
 				r.RecordCapacity("lgm", i%2, 1)
 				r.SessionCall("s1")
-				r.RecordTraffic("a", "b", "ipl", 1)
+				r.TrafficCounter("a", "b", "ipl").Add(1)
 			}
 		}(w)
 	}

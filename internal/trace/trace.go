@@ -21,6 +21,7 @@ package trace
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,8 +29,11 @@ import (
 // and health in the files beside this one. It satisfies
 // vnet.TrafficRecorder. The zero value is not usable; call New.
 type Recorder struct {
-	mu      sync.Mutex
-	traffic map[trafficKey]int
+	mu sync.Mutex
+	// traffic holds one counter per (from, to, class), handed out once
+	// to the network, whose senders add to it without taking mu.
+	traffic map[trafficKey]*atomic.Int64
+	spare   []atomic.Int64 // made in blocks: a new key costs no allocation of its own
 	goodput map[[2]string]GoodputSample
 	// sessions holds per-session control-plane accounting (sessions.go);
 	// created lazily so single-tenant recorders pay nothing.
@@ -67,7 +71,7 @@ type GoodputSample struct {
 // New returns an empty recorder.
 func New() *Recorder {
 	return &Recorder{
-		traffic: make(map[trafficKey]int),
+		traffic: make(map[trafficKey]*atomic.Int64),
 		goodput: make(map[[2]string]GoodputSample),
 	}
 }
@@ -92,11 +96,22 @@ func (r *Recorder) Goodput(from, to string) (GoodputSample, bool) {
 	return s, ok
 }
 
-// RecordTraffic implements vnet.TrafficRecorder.
-func (r *Recorder) RecordTraffic(from, to, class string, bytes int) {
+// TrafficCounter implements vnet.TrafficRecorder: the counter of the
+// bytes sent from -> to under class, made on its first request. A key
+// whose counter reads 0 is not in the views below.
+func (r *Recorder) TrafficCounter(from, to, class string) *atomic.Int64 {
+	k := trafficKey{from, to, class}
 	r.mu.Lock()
-	r.traffic[trafficKey{from, to, class}] += bytes
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	c := r.traffic[k]
+	if c == nil {
+		if len(r.spare) == 0 {
+			r.spare = make([]atomic.Int64, 64)
+		}
+		c, r.spare = &r.spare[0], r.spare[1:]
+		r.traffic[k] = c
+	}
+	return c
 }
 
 // TotalByClass sums traffic over all host pairs per class.
@@ -104,8 +119,10 @@ func (r *Recorder) TotalByClass() map[string]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]int)
-	for k, v := range r.traffic {
-		out[k.Class] += v
+	for k, c := range r.traffic {
+		if v := c.Load(); v != 0 {
+			out[k.Class] += int(v)
+		}
 	}
 	return out
 }
@@ -122,8 +139,10 @@ func (r *Recorder) TrafficTable() []TrafficRow {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rows := make([]TrafficRow, 0, len(r.traffic))
-	for k, v := range r.traffic {
-		rows = append(rows, TrafficRow{From: k.From, To: k.To, Class: k.Class, Bytes: v})
+	for k, c := range r.traffic {
+		if v := c.Load(); v != 0 {
+			rows = append(rows, TrafficRow{From: k.From, To: k.To, Class: k.Class, Bytes: int(v)})
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Bytes != rows[j].Bytes {

@@ -7,9 +7,9 @@ import (
 
 func TestTrafficAccumulates(t *testing.T) {
 	r := New()
-	r.RecordTraffic("a", "b", "ipl", 100)
-	r.RecordTraffic("a", "b", "ipl", 50)
-	r.RecordTraffic("a", "b", "mpi", 10)
+	r.TrafficCounter("a", "b", "ipl").Add(100)
+	r.TrafficCounter("a", "b", "ipl").Add(50)
+	r.TrafficCounter("a", "b", "mpi").Add(10)
 	if got := bytesOf(r, "a", "b", "ipl"); got != 150 {
 		t.Fatalf("ipl bytes %d, want 150", got)
 	}
@@ -23,9 +23,9 @@ func TestTrafficAccumulates(t *testing.T) {
 
 func TestTotalByClass(t *testing.T) {
 	r := New()
-	r.RecordTraffic("a", "b", "ipl", 100)
-	r.RecordTraffic("c", "d", "ipl", 1)
-	r.RecordTraffic("a", "b", "mpi", 10)
+	r.TrafficCounter("a", "b", "ipl").Add(100)
+	r.TrafficCounter("c", "d", "ipl").Add(1)
+	r.TrafficCounter("a", "b", "mpi").Add(10)
 	totals := r.TotalByClass()
 	if totals["ipl"] != 101 || totals["mpi"] != 10 {
 		t.Fatalf("totals = %v", totals)
@@ -34,8 +34,9 @@ func TestTotalByClass(t *testing.T) {
 
 func TestTrafficTableOrdering(t *testing.T) {
 	r := New()
-	r.RecordTraffic("a", "b", "ipl", 1)
-	r.RecordTraffic("c", "d", "mpi", 100)
+	r.TrafficCounter("a", "b", "ipl").Add(1)
+	r.TrafficCounter("c", "d", "mpi").Add(100)
+	r.TrafficCounter("e", "f", "ipl") // handed out, never added to: no row
 	rows := r.TrafficTable()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
@@ -53,7 +54,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				r.RecordTraffic("a", "b", "ipl", 1)
+				r.TrafficCounter("a", "b", "ipl").Add(1)
 			}
 		}()
 	}

@@ -23,7 +23,6 @@ type Conn struct {
 	local, remote string // host names
 	port          int
 	path          Path // from local to remote
-	class         string
 	net           *Network
 
 	out  *fifo.Queue[Message]
@@ -32,20 +31,22 @@ type Conn struct {
 
 	mu     sync.Mutex
 	closed bool
+	cell   *Cell // where Send counts; nil until SetClass or, for class "", the first Send
 }
 
 // Path returns the routed path from this endpoint to the peer.
 func (c *Conn) Path() Path { return c.path }
 
 // SetClass tags the connection's traffic (e.g. "ipl", "mpi") for the
-// recorder on both endpoints.
+// recorder on both endpoints: each resolves the cell of its direction
+// here, once.
 func (c *Conn) SetClass(class string) {
-	c.mu.Lock()
-	c.class = class
-	c.mu.Unlock()
-	c.peer.mu.Lock()
-	c.peer.class = class
-	c.peer.mu.Unlock()
+	for _, end := range [2]*Conn{c, c.peer} {
+		cell := c.net.Cell(end.local, end.remote, class)
+		end.mu.Lock()
+		end.cell = cell
+		end.mu.Unlock()
+	}
 }
 
 // Send transmits data; sentAt is the sender's virtual time. It returns the
@@ -60,13 +61,16 @@ func (c *Conn) Send(data []byte, sentAt time.Duration) (time.Duration, error) {
 		c.mu.Unlock()
 		return 0, ErrClosed
 	}
-	class := c.class
+	if c.cell == nil {
+		c.cell = c.net.Cell(c.local, c.remote, "")
+	}
+	cell := c.cell
 	c.mu.Unlock()
 	arrival := sentAt + c.path.TransferTime(len(data))
 	// Recorded before it is delivered: whoever has seen the message (or
 	// anything it caused) finds its bytes in the recorder. A message the
 	// peer's close beats to the queue is counted although it is dropped.
-	c.net.record(c.local, c.remote, class, len(data))
+	cell.Add(len(data))
 	if !c.out.Push(Message{Data: data, Arrival: arrival}) {
 		return 0, ErrClosed
 	}

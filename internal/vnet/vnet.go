@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -106,11 +107,31 @@ func (p Path) TransferTime(n int) time.Duration {
 	return d
 }
 
-// TrafficRecorder observes bytes moved between hosts, used by the trace
-// package to regenerate the Fig. 11 traffic visualization.
+// TrafficRecorder counts bytes moved between hosts, used by the trace
+// package to regenerate the Fig. 11 traffic visualization. It hands out
+// the counter of one (from, to, class), the same counter for every
+// request of a key; nil counts nothing.
 type TrafficRecorder interface {
-	RecordTraffic(from, to, class string, bytes int)
+	TrafficCounter(from, to, class string) *atomic.Int64
 }
+
+// Cell is where one (from, to, class)'s bytes are counted: the installed
+// recorder's counter for the key, or nowhere. A network keeps one cell
+// per key and SetRecorder re-points them all, so a sender resolves its
+// cell once (a Conn when its class is set) and counts each message with
+// one atomic add, taking no lock.
+type Cell struct {
+	ctr atomic.Pointer[atomic.Int64]
+}
+
+// Add counts n bytes.
+func (c *Cell) Add(n int) {
+	if ctr := c.ctr.Load(); ctr != nil {
+		ctr.Add(int64(n))
+	}
+}
+
+type cellKey struct{ from, to, class string }
 
 // GoodputRecorder is optionally implemented by a TrafficRecorder to receive
 // measured per-link goodput samples (bytes/second) from the SmartSockets
@@ -127,6 +148,8 @@ type Network struct {
 	routes   map[[2]string]Path            // cache, invalidated on topology change
 	conns    map[string]map[*Conn]struct{} // live dialer-side conns by endpoint host (for CrashHost)
 	recorder TrafficRecorder
+	cells    map[cellKey]*Cell // every key Cell resolved, re-pointed by SetRecorder
+	spare    []Cell            // made in blocks: a new key costs no allocation of its own
 }
 
 // New returns an empty network.
@@ -136,14 +159,50 @@ func New() *Network {
 		adj:    make(map[string][]Link),
 		routes: make(map[[2]string]Path),
 		conns:  make(map[string]map[*Conn]struct{}),
+		cells:  make(map[cellKey]*Cell),
 	}
 }
 
-// SetRecorder installs a traffic recorder; nil disables recording.
+// SetRecorder installs a traffic recorder; nil disables recording. Every
+// cell is re-pointed at once: bytes sent after it returns go to r, and
+// the old recorder keeps what it had.
 func (n *Network) SetRecorder(r TrafficRecorder) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.recorder = r
-	n.mu.Unlock()
+	for k, c := range n.cells {
+		c.ctr.Store(n.counterLocked(k))
+	}
+}
+
+// Cell returns the cell that counts the bytes sent from -> to under
+// class, made on the key's first request.
+func (n *Network) Cell(from, to, class string) *Cell {
+	k := cellKey{from, to, class}
+	n.mu.RLock()
+	c := n.cells[k]
+	n.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if c = n.cells[k]; c == nil {
+		if len(n.spare) == 0 {
+			n.spare = make([]Cell, 64)
+		}
+		c, n.spare = &n.spare[0], n.spare[1:]
+		c.ctr.Store(n.counterLocked(k))
+		n.cells[k] = c
+	}
+	return c
+}
+
+func (n *Network) counterLocked(k cellKey) *atomic.Int64 {
+	if n.recorder == nil {
+		return nil
+	}
+	return n.recorder.TrafficCounter(k.from, k.to, k.class)
 }
 
 // AddHost creates a host at the given site with the given firewall policy.
@@ -426,12 +485,6 @@ func (n *Network) AllowsInboundFrom(dst, from string, port int) (bool, error) {
 	return allowsInbound(d, f.Site, port), nil
 }
 
-// RecordTransfer reports an out-of-band transfer (e.g. file staging, which
-// bypasses Conn) to the installed traffic recorder.
-func (n *Network) RecordTransfer(from, to, class string, bytes int) {
-	n.record(from, to, class, bytes)
-}
-
 // RecordGoodput reports a measured goodput sample to the installed recorder,
 // if it implements GoodputRecorder.
 func (n *Network) RecordGoodput(from, to string, bytesPerSec float64, at time.Duration) {
@@ -440,14 +493,5 @@ func (n *Network) RecordGoodput(from, to string, bytesPerSec float64, at time.Du
 	n.mu.RUnlock()
 	if g, ok := r.(GoodputRecorder); ok {
 		g.RecordGoodput(from, to, bytesPerSec, at)
-	}
-}
-
-func (n *Network) record(from, to, class string, bytes int) {
-	n.mu.RLock()
-	r := n.recorder
-	n.mu.RUnlock()
-	if r != nil {
-		r.RecordTraffic(from, to, class, bytes)
 	}
 }

@@ -2,6 +2,8 @@ package vnet
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -369,21 +371,39 @@ func TestMessageOrdering(t *testing.T) {
 	}
 }
 
+// countingRecorder hands out one counter per "from->to/class".
 type countingRecorder struct {
-	mu    chan struct{}
-	bytes map[string]int
+	mu     sync.Mutex
+	counts map[string]*atomic.Int64
 }
 
-func (r *countingRecorder) RecordTraffic(from, to, class string, n int) {
-	<-r.mu
-	r.bytes[from+"->"+to+"/"+class] += n
-	r.mu <- struct{}{}
+func newCountingRecorder() *countingRecorder {
+	return &countingRecorder{counts: make(map[string]*atomic.Int64)}
+}
+
+func (r *countingRecorder) TrafficCounter(from, to, class string) *atomic.Int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := from + "->" + to + "/" + class
+	if r.counts[k] == nil {
+		r.counts[k] = new(atomic.Int64)
+	}
+	return r.counts[k]
+}
+
+// bytes reads the count of one key without making its counter.
+func (r *countingRecorder) bytes(key string) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c := r.counts[key]; c != nil {
+		return c.Load()
+	}
+	return 0
 }
 
 func TestTrafficRecording(t *testing.T) {
 	n := twoHosts(t, Open)
-	rec := &countingRecorder{mu: make(chan struct{}, 1), bytes: make(map[string]int)}
-	rec.mu <- struct{}{}
+	rec := newCountingRecorder()
 	n.SetRecorder(rec)
 	l, err := n.Listen("b", 80)
 	if err != nil {
@@ -404,13 +424,11 @@ func TestTrafficRecording(t *testing.T) {
 	if _, err := server.Send(make([]byte, 7), 0); err != nil {
 		t.Fatal(err)
 	}
-	<-rec.mu
-	defer func() { rec.mu <- struct{}{} }()
-	if rec.bytes["a->b/ipl"] != 42 {
-		t.Fatalf("a->b bytes = %d, want 42", rec.bytes["a->b/ipl"])
+	if got := rec.bytes("a->b/ipl"); got != 42 {
+		t.Fatalf("a->b bytes = %d, want 42", got)
 	}
-	if rec.bytes["b->a/ipl"] != 7 {
-		t.Fatalf("b->a bytes = %d, want 7 (class should propagate to peer)", rec.bytes["b->a/ipl"])
+	if got := rec.bytes("b->a/ipl"); got != 7 {
+		t.Fatalf("b->a bytes = %d, want 7 (class should propagate to peer)", got)
 	}
 }
 

@@ -24,6 +24,13 @@ import (
 // Pointers, maps, interfaces, channels and functions have no wire form.
 // Nil and empty slices are both length 0 and both decode as nil.
 //
+// Decoding resets the destination rather than zeroing it first: every
+// exported field is written — the ones past a cut or an error to zero —
+// and a non-byte slice that already has the capacity keeps its backing
+// array, each element decoded over. A value that starts zero decodes as
+// if it had been zeroed; one that is decoded into again reuses its
+// slices, so whoever decodes into a value must not keep them elsewhere.
+//
 // Compatibility is append-only: a struct may grow fields at its end. A
 // decoder that reaches the end of the input at a field boundary leaves the
 // remaining fields zero, and one that has filled its last field ignores
@@ -282,8 +289,9 @@ func (r *Reader) column(ws []uint64, float bool) {
 	r.Off = o
 }
 
-// Unmarshal decodes b into the value v points to, which is zeroed first.
-// Byte-slice fields alias b; everything else is copied out.
+// Unmarshal decodes b into the value v points to, which it resets (see
+// the codec's comment above). Byte-slice fields alias b; everything else
+// is copied out.
 func Unmarshal(b []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -294,7 +302,6 @@ func Unmarshal(b []byte, v any) error {
 	if err != nil {
 		return err
 	}
-	rv.SetZero()
 	r := Reader{B: b}
 	p.decode(&r, rv, true)
 	return r.Err
@@ -326,29 +333,38 @@ func (p *plan) decode(r *Reader, v reflect.Value, tail bool) {
 		if p.elem.kind == reflect.Uint8 {
 			if b := r.Bytes("bytes"); len(b) > 0 {
 				v.SetBytes(b)
+			} else {
+				v.SetZero()
 			}
 			return
 		}
 		n := r.length(p.elem.min, "slice length")
 		if n == 0 {
+			v.SetZero()
 			return
 		}
-		v.Grow(n)
+		v.SetLen(0)
+		v.Grow(n) // keeps the backing array when it has the capacity
 		v.SetLen(n)
 		if p.elem.floats > 0 || p.elem.kind == reflect.Uint64 {
 			r.column(p.column(v, n), p.elem.floats > 0)
 			return
 		}
-		for i := 0; i < n && r.Err == nil; i++ {
+		// After an error every read returns zero, so the rest of the
+		// elements decode to zero; n is bounded by the input's length.
+		for i := 0; i < n; i++ {
 			p.elem.decode(r, v.Index(i), false)
 		}
 	case reflect.Array:
-		for i := 0; i < p.n && r.Err == nil; i++ {
+		for i := 0; i < p.n; i++ {
 			p.elem.decode(r, v.Index(i), false)
 		}
 	case reflect.Struct:
-		for _, f := range p.fields {
+		for i, f := range p.fields {
 			if r.Err != nil || tail && r.Len() == 0 {
+				for _, g := range p.fields[i:] {
+					v.Field(g.index).SetZero()
+				}
 				return
 			}
 			f.plan.decode(r, v.Field(f.index), tail)

@@ -173,6 +173,9 @@ func GobSize(t *testing.T, v any) int {
 //   - a round trip returns the same payload, bit for bit;
 //   - input cut at any offset never panics, and either fails or decodes to
 //     the fields before the cut with every later field zero;
+//   - decoding, whole or cut, into a value that holds another decoded
+//     message fails alike and gives the same payload as into a new value:
+//     nothing of the old message shows through the reused slices;
 //   - the encoding is no longer than GobSize.
 func Check(t *testing.T, zero any) {
 	t.Helper()
@@ -193,9 +196,19 @@ func Check(t *testing.T, zero any) {
 			if !Same(reflect.ValueOf(v), back) {
 				t.Errorf("%v %s/%d: round trip changed the value\n sent %+v\n got  %+v", typ, c.name, seed, v, back.Interface())
 			}
-			for cut := 0; cut < len(enc); cut++ {
+			other := wire.Marshal(Fill(zero, Random, int64(seed)+1000))
+			for cut := 0; cut <= len(enc); cut++ {
 				short := reflect.New(typ)
-				if wire.Unmarshal(enc[:cut:cut], short.Interface()) != nil {
+				err := wire.Unmarshal(enc[:cut:cut], short.Interface())
+				reused := reflect.New(typ)
+				if wire.Unmarshal(other, reused.Interface()) != nil {
+					t.Fatalf("%v: decode of a random payload failed", typ)
+				}
+				if again := wire.Unmarshal(enc[:cut:cut], reused.Interface()); (again == nil) != (err == nil) || !Same(short, reused) {
+					t.Errorf("%v %s/%d: input cut at %d/%d decoded into a used value as %+v (error %v), into a new one as %+v (error %v)",
+						typ, c.name, seed, cut, len(enc), reused.Interface(), again, short.Interface(), err)
+				}
+				if err != nil || cut == len(enc) {
 					continue
 				}
 				re := wire.Marshal(short.Interface())

@@ -70,11 +70,11 @@ func Example_placement() {
 	// placement jungle: 74.698752ms per iteration (setup 10.652288ms, 0 supernovae, 33 calls, rpc p50 4.194ms / p99 16.777ms)
 	//
 	// resources:
-	//   das4-tud     sge      das4-tud.fe            nodes=2 +gpu:gtx480
-	//   das4-uva     sge      das4-uva.fe            nodes=1
-	//   das4-vu      sge      das4-vu.fe             nodes=8
-	//   desktop      local    desktop                nodes=1 +gpu:9600gt
-	//   lgm          ssh      lgm                    nodes=1 +gpu:c2050
+	//   das4-tud     sge      das4-tud.fe            nodes=2 occupied=0 +gpu:gtx480
+	//   das4-uva     sge      das4-uva.fe            nodes=1 occupied=0
+	//   das4-vu      sge      das4-vu.fe             nodes=8 occupied=0
+	//   desktop      local    desktop                nodes=1 occupied=0 +gpu:9600gt
+	//   lgm          ssh      lgm                    nodes=1 occupied=0 +gpu:c2050
 	// jobs:
 	//   finished: 0 stopped, 0 failed, 4 canceled
 	// SmartSockets overlay
@@ -98,7 +98,7 @@ func Example_placement() {
 }
 
 // The same run with -observe: the plane's per-method call latencies and
-// the link-health and capacity tables, all in virtual time.
+// the link-health table, all in virtual time.
 func Example_observe() {
 	pin(func(out io.Writer) {
 		invoke(out, "-placement", "jungle", "-stars", "50", "-gas", "500", "-iters", "1", "-observe")
@@ -107,11 +107,11 @@ func Example_observe() {
 	// placement jungle: 74.698752ms per iteration (setup 10.652288ms, 0 supernovae, 33 calls, rpc p50 4.194ms / p99 16.777ms)
 	//
 	// resources:
-	//   das4-tud     sge      das4-tud.fe            nodes=2 +gpu:gtx480
-	//   das4-uva     sge      das4-uva.fe            nodes=1
-	//   das4-vu      sge      das4-vu.fe             nodes=8
-	//   desktop      local    desktop                nodes=1 +gpu:9600gt
-	//   lgm          ssh      lgm                    nodes=1 +gpu:c2050
+	//   das4-tud     sge      das4-tud.fe            nodes=2 occupied=0 +gpu:gtx480
+	//   das4-uva     sge      das4-uva.fe            nodes=1 occupied=0
+	//   das4-vu      sge      das4-vu.fe             nodes=8 occupied=0
+	//   desktop      local    desktop                nodes=1 occupied=0 +gpu:9600gt
+	//   lgm          ssh      lgm                    nodes=1 occupied=0 +gpu:c2050
 	// jobs:
 	//   finished: 0 stopped, 0 failed, 4 canceled
 	// SmartSockets overlay
@@ -153,12 +153,6 @@ func Example_observe() {
 	// FROM                         TO                            GOODPUT(MB/s)     AT(ms)  PROBES  STATE  TRANSFERS(dir/hp/fb)
 	// das4-vu.node00               das4-tud.node00                           -          -       -      -  4/0/0
 	// lgm                          das4-tud.node00                           -          -       -      -  4/0/0
-	//
-	// CAPACITY                      OCCUPIED  TOTAL
-	// das4-tud                             0      2
-	// das4-uva                             0      1
-	// das4-vu                              0      8
-	// lgm                                  0      1
 }
 
 // killedAfter rewrites the run file at path to the one a run asked for
@@ -198,11 +192,11 @@ func Example_checkpointResume() {
 	// placement sc11-worst-case: 722.259331ms per iteration (setup 494.474423ms, 0 supernovae, 37 calls, rpc p50 118.722ms / p99 118.722ms)
 	//
 	// resources:
-	//   das4-tud     sge      das4-tud.fe            nodes=2 +gpu:gtx480
-	//   das4-uva     sge      das4-uva.fe            nodes=1
-	//   das4-vu      sge      das4-vu.fe             nodes=8
-	//   laptop       local    laptop                 nodes=1
-	//   lgm          ssh      lgm                    nodes=1 +gpu:c2050
+	//   das4-tud     sge      das4-tud.fe            nodes=2 occupied=0 +gpu:gtx480
+	//   das4-uva     sge      das4-uva.fe            nodes=1 occupied=0
+	//   das4-vu      sge      das4-vu.fe             nodes=8 occupied=0
+	//   laptop       local    laptop                 nodes=1 occupied=0
+	//   lgm          ssh      lgm                    nodes=1 occupied=0 +gpu:c2050
 	// jobs:
 	//   finished: 0 stopped, 0 failed, 4 canceled
 	// SmartSockets overlay
@@ -227,11 +221,11 @@ func Example_checkpointResume() {
 	// placement sc11-worst-case (resumed): 729.866571ms per iteration (setup 1.877298891s, 0 supernovae, 39 calls, rpc p50 126.316ms / p99 126.316ms)
 	//
 	// resources:
-	//   das4-tud     sge      das4-tud.fe            nodes=2 +gpu:gtx480
-	//   das4-uva     sge      das4-uva.fe            nodes=1
-	//   das4-vu      sge      das4-vu.fe             nodes=8
-	//   laptop       local    laptop                 nodes=1
-	//   lgm          ssh      lgm                    nodes=1 +gpu:c2050
+	//   das4-tud     sge      das4-tud.fe            nodes=2 occupied=0 +gpu:gtx480
+	//   das4-uva     sge      das4-uva.fe            nodes=1 occupied=0
+	//   das4-vu      sge      das4-vu.fe             nodes=8 occupied=0
+	//   laptop       local    laptop                 nodes=1 occupied=0
+	//   lgm          ssh      lgm                    nodes=1 occupied=0 +gpu:c2050
 	// jobs:
 	//   finished: 0 stopped, 0 failed, 4 canceled
 	// SmartSockets overlay
@@ -274,12 +268,12 @@ func Example_configList() {
 	// Output:
 	// added resource vu-half (sge on das4-vu.fe)
 	// resources:
-	//   das4-tud     sge      das4-tud.fe            nodes=2 +gpu:gtx480
-	//   das4-uva     sge      das4-uva.fe            nodes=1
-	//   das4-vu      sge      das4-vu.fe             nodes=8
-	//   desktop      local    desktop                nodes=1 +gpu:9600gt
-	//   lgm          ssh      lgm                    nodes=1 +gpu:c2050
-	//   vu-half      sge      das4-vu.fe             nodes=2
+	//   das4-tud     sge      das4-tud.fe            nodes=2 occupied=0 +gpu:gtx480
+	//   das4-uva     sge      das4-uva.fe            nodes=1 occupied=0
+	//   das4-vu      sge      das4-vu.fe             nodes=8 occupied=0
+	//   desktop      local    desktop                nodes=1 occupied=0 +gpu:9600gt
+	//   lgm          ssh      lgm                    nodes=1 occupied=0 +gpu:c2050
+	//   vu-half      sge      das4-vu.fe             nodes=2 occupied=0
 	// jobs:
 	//   finished: 0 stopped, 0 failed, 0 canceled
 	// SmartSockets overlay

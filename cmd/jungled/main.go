@@ -3,9 +3,9 @@
 // on his or her machine before running any simulation, but it can be
 // re-used for all simulations run" — and here the re-use is concurrent.
 // One jungled serves many attached clients at once, each bound to an
-// isolated session (disjoint worker-id blocks, per-session capacity
-// accounting and checkpoint stores), with admission control, fair-share
-// placement and lease-based idle reaping between them.
+// isolated session (disjoint worker-id blocks, per-session accounting and
+// checkpoint stores), with admission control, fair-share placement and
+// lease-based idle reaping between them.
 //
 // Clients attach with amuse-run -attach <addr> -session <id>. The wire
 // protocol is the daemon channel's length-prefixed framing carrying
@@ -52,7 +52,7 @@ func serve(args []string, out io.Writer, l net.Listener) error {
 	queueCap := fs.Int("queue", 8, "admission queue bound")
 	leaseTTL := fs.Duration("lease", 30*time.Second, "idle-session lease; expired sessions are checkpointed and preempted")
 	reapEvery := fs.Duration("reap-every", 5*time.Second, "how often to sweep for expired leases (0 disables)")
-	statusEvery := fs.Duration("status-every", 0, "how often to log the observability plane (sessions, link health, call histograms; 0 disables)")
+	statusEvery := fs.Duration("status-every", 0, "how often to log the deployment status and the observability plane (sessions, link health, call histograms; 0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,10 +114,12 @@ func serve(args []string, out io.Writer, l net.Listener) error {
 		}
 	})
 	every(*statusEvery, func() {
+		// The deployment's resource lines show the nodes its jobs occupy.
 		// Sessions span virtual clocks, so staleness marking is off (-1):
 		// a link probed once by any tenant stays "ok".
-		log.Printf("status: %d worker-id blocks held\n%s\n%s\n%s",
+		log.Printf("status: %d worker-id blocks held\n%s\n%s\n%s\n%s",
 			tb.Daemon.SessionBlocks(),
+			tb.Deployment.RenderStatus(),
 			tb.Recorder.RenderSessions(),
 			tb.Recorder.RenderHealth(-1),
 			tb.Recorder.RenderCalls())

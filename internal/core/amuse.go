@@ -45,9 +45,8 @@ type Simulation struct {
 
 	// Session identity for multi-tenant control planes: the id namespaces
 	// every worker this simulation starts (disjoint worker-id blocks, and
-	// with them pool port names, peer-plane ports and checkpoint refs) and
-	// labels its capacity in the deployment ledger. Empty for standalone
-	// simulations — the seed single-tenant behavior.
+	// with them pool port names, peer-plane ports and checkpoint refs).
+	// Empty for standalone simulations — the seed single-tenant behavior.
 	session string
 	// placer, when set, resolves WorkerSpecs that leave Resource open —
 	// the scheduler installs its capacity-aware fair-share policy here.
@@ -73,9 +72,8 @@ func NewSimulation(ctx context.Context, d *Daemon, conv *units.Converter) *Simul
 func (s *Simulation) Elapsed() time.Duration { return s.clock.Now() }
 
 // SetSession binds the simulation to a control-plane session: id
-// namespaces every worker it starts and labels its capacity in the
-// deployment ledger and the plane's per-session accounting. Call before
-// starting models.
+// namespaces every worker it starts and labels its rows in the plane's
+// per-session accounting. Call before starting models.
 func (s *Simulation) SetSession(id string) {
 	s.mu.Lock()
 	s.session = id

@@ -82,11 +82,6 @@ type workerHandle struct {
 	recvPort *ipl.ReceivePort        // the worker's response port; closed with the worker
 	pending  map[uint64]*connChannel // request id -> coupler channel awaiting the reply
 	dead     bool
-	// Capacity accounting: the nodes this worker committed on its
-	// resource, released exactly once (released guards the stop/fail/
-	// error-path races) when the worker goes away.
-	capNodes int
-	released bool
 
 	ready chan ipl.Identifier
 	// served is where a sockets worker's job hands over the channel to it,
@@ -112,10 +107,10 @@ type WorkerSpec struct {
 	Workers int
 	// Session names the control-plane session the worker belongs to ("" =
 	// the daemon's default session). Sessions namespace everything derived
-	// from the worker id — pool identities, peer-plane ports — and scope
-	// capacity accounting, so concurrent sessions on one daemon cannot
-	// collide. Simulations stamp it automatically from their own session
-	// label; only direct Daemon users set it by hand.
+	// from the worker id — pool identities, peer-plane ports — so
+	// concurrent sessions on one daemon cannot collide. Simulations stamp
+	// it automatically from their own session label; only direct Daemon
+	// users set it by hand.
 	Session string
 }
 
@@ -237,6 +232,27 @@ func (d *Daemon) WorkerAlive(id int) bool {
 	wh.mu.Lock()
 	defer wh.mu.Unlock()
 	return !wh.dead
+}
+
+// holdsNodes reports whether worker id's job has not ended, dead worker or
+// not: until it ends, its nodes count in the deployment's OccupiedNodes.
+func (d *Daemon) holdsNodes(id int) bool {
+	wh := d.worker(id)
+	if wh == nil {
+		return false
+	}
+	wh.mu.Lock()
+	job := wh.job
+	wh.mu.Unlock()
+	if job == nil {
+		return false
+	}
+	select {
+	case <-job.Done():
+		return false
+	default:
+		return true
+	}
 }
 
 // SessionWorkers returns the live worker ids owned by a session, sorted.
@@ -385,7 +401,6 @@ func (d *Daemon) failWorker(wh *workerHandle) {
 	for id, ch := range pend {
 		d.reply(ch, id, 0, kernel.CodeWorkerDied, ErrWorkerDied.Error())
 	}
-	d.releaseWorkerCapacity(wh)
 	d.mu.Lock()
 	hook := d.OnWorkerDied
 	d.mu.Unlock()
@@ -429,20 +444,6 @@ func (d *Daemon) SessionBlocks() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.sessionLast)
-}
-
-// releaseWorkerCapacity returns a worker's committed nodes to the ledger,
-// exactly once across the stop/fail/start-error races.
-func (d *Daemon) releaseWorkerCapacity(wh *workerHandle) {
-	wh.mu.Lock()
-	done := wh.released || wh.capNodes == 0
-	wh.released = true
-	nodes := wh.capNodes
-	wh.mu.Unlock()
-	if done {
-		return
-	}
-	d.deployment.ReleaseNodes(wh.spec.Resource, wh.spec.Session, nodes)
 }
 
 // StartWorker launches a worker per spec and returns its id. For the ibis
@@ -587,15 +588,9 @@ func (d *Daemon) submitWorker(spec WorkerSpec, rank, size int) (*workerHandle, e
 	d.workers[id] = wh
 	d.mu.Unlock()
 
-	// The worker's job occupies spec.Nodes nodes on the resource from
-	// submission until stop/death; the ledger entry makes that occupancy
-	// visible to every placement decision, its own session's included.
-	// Released exactly once — on any start failure below, on StopWorker, or
-	// when the pool observes the death.
-	d.deployment.CommitNodes(resource, spec.Session, spec.Nodes)
-	wh.capNodes = spec.Nodes
 	// A failed start is a stop: the job (if submitted) is canceled, the
-	// response port closes, the id leaves the table, the nodes are freed.
+	// response port closes, the id leaves the table, and it returns once
+	// the job has ended, so its nodes no longer count (OccupiedNodes).
 	fail := func(err error) (*workerHandle, error) {
 		d.StopWorker(id)
 		return nil, err
@@ -688,9 +683,9 @@ const stopTimeout = 30 * time.Second
 
 // StopWorker shuts one worker down gracefully and forgets it: its ports
 // close, the id leaves the worker table, and it returns once the job has
-// ended, so what a caller reads after it — the job table, the traffic —
-// no longer changes. A job still running stopTimeout after its cancel is
-// an error naming it.
+// ended, so what a caller reads after it — the job table, the nodes the
+// resource has occupied, the traffic — no longer changes. A job still
+// running stopTimeout after its cancel is an error naming it.
 func (d *Daemon) StopWorker(id int) error {
 	d.mu.Lock()
 	wh := d.workers[id]
@@ -707,13 +702,10 @@ func (d *Daemon) StopWorker(id int) error {
 	delete(d.byMember, member.String())
 	d.mu.Unlock()
 	wh.closePorts()
-	if job != nil {
-		job.Cancel() // the proxy observes Cancel and tears itself down
-	}
-	d.releaseWorkerCapacity(wh)
 	if job == nil {
 		return nil
 	}
+	job.Cancel()                    // the proxy observes Cancel and tears itself down
 	t := time.NewTimer(stopTimeout) // watchdog: a canceled job that never ends becomes a stop error
 	defer t.Stop()
 	select {

@@ -118,7 +118,7 @@ func TestRebalancerConvergence(t *testing.T) {
 // TestSelectLeastLoadedTieBreak is the determinism regression: two
 // byte-identical idle resources must always resolve to the
 // lexicographically smallest name, independent of registration order or
-// map iteration — placement is a pure function of the ledger.
+// map iteration — placement is a pure function of the job table.
 func TestSelectLeastLoadedTieBreak(t *testing.T) {
 	n := vnet.New()
 	if _, err := n.AddHost("client", "hq", vnet.Open); err != nil {

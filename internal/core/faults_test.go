@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jungle/internal/amuse/ic"
+	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
 	"jungle/internal/vnet"
 	"jungle/internal/vtime"
@@ -195,5 +196,113 @@ func TestStopReturnsWhenJobsEnd(t *testing.T) {
 		for _, j := range tb.Deployment.Jobs() {
 			t.Errorf("run %d (GOMAXPROCS %d): job #%d %s is still %s after Stop", run, procs, j.ID, j.Desc.Executable, j.State())
 		}
+	}
+}
+
+// TestOccupancyFollowsWorkerJobs: after every way a worker goes away — a
+// start whose job ends before it announces, StopWorker, a killed solo
+// worker on a batch cluster and its replacement, a gang rank's death and
+// its restart in place — each resource's occupied nodes are the nodes of
+// the daemon's live workers: nothing leaks, nothing is freed twice. A dead
+// worker's nodes count until its job ends, so each check after a kill
+// waits for that. At GOMAXPROCS 1, 2 and 8.
+func TestOccupancyFollowsWorkerJobs(t *testing.T) {
+	const kind = "fails-before-announcing"
+	if !kernel.Registered(kind) { // -count > 1 runs this again in one process
+		kernel.Register(kind, func(kernel.Config) (kernel.Service, error) {
+			return nil, errors.New("no licence for this kernel")
+		})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		tb, sim := labSim(t)
+		d, ctx := tb.Daemon, context.Background()
+		check := func(after string) {
+			t.Helper()
+			live := make(map[string]int)
+			d.mu.Lock()
+			for _, wh := range d.workers {
+				wh.mu.Lock()
+				if !wh.dead {
+					live[wh.spec.Resource] += wh.spec.Nodes
+				}
+				wh.mu.Unlock()
+			}
+			d.mu.Unlock()
+			for _, r := range tb.Deployment.Resources() {
+				if got := tb.Deployment.OccupiedNodes(r); got != live[r] {
+					t.Fatalf("GOMAXPROCS %d, after %s: %s has %d node(s) occupied, its live workers %d",
+						procs, after, r, got, live[r])
+				}
+			}
+		}
+		// kill kills worker id and waits until its job has ended.
+		kill := func(id int) {
+			t.Helper()
+			job := d.worker(id).job
+			killWorker(t, d, id)
+			<-job.Done()
+		}
+
+		if _, err := d.StartWorker(ctx, WorkerSpec{Kind: kind, Resource: "das4-vu", Nodes: 2}); err == nil {
+			t.Fatal("a worker whose job ends before announcing started")
+		}
+		check("a start whose job ended before announcing")
+
+		id, err := d.StartWorker(ctx, WorkerSpec{Kind: KindGravity, Kernel: "phigrape-cpu", Resource: "das4-vu", Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("a start")
+		if err := d.StopWorker(id); err != nil {
+			t.Fatal(err)
+		}
+		check("StopWorker")
+
+		solo, err := sim.NewGravity(ctx, WorkerSpec{Resource: "das4-vu", Nodes: 2, Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gang, err := sim.NewGravity(ctx, WorkerSpec{Resource: "das4-vu", Channel: ChannelIbis, Workers: 2}, GravityOptions{Eps: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*Gravity{solo, gang} {
+			if err := g.SetParticles(ic.Plummer(16, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sim.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+		check("a solo worker's and a gang's starts")
+
+		old := solo.WorkerIDs()[0]
+		kill(old)
+		check("a solo worker's kill")
+		if _, err := solo.GetState(ctx); err != nil {
+			t.Fatalf("call after the death: %v", err)
+		}
+		if solo.WorkerIDs()[0] == old {
+			t.Fatal("the killed solo worker was not replaced")
+		}
+		check("its replacement")
+
+		victim := gang.GangWorkers()[1]
+		kill(victim)
+		check("a gang rank's kill")
+		if err := gang.EvolveTo(ctx, 1.0/64); err != nil { // reaches every rank
+			t.Fatalf("evolve after the rank death: %v", err)
+		}
+		if gang.GangWorkers()[1] == victim {
+			t.Fatal("the killed rank was not restarted")
+		}
+		check("the rank's restart in place")
+
+		if err := sim.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		check("Stop")
 	}
 }

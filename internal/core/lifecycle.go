@@ -342,9 +342,10 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 	if p.pull {
 		// A shape the target cannot hold is refused while the model still
 		// runs — not found out from jobs that queue until ReadyTimeout once
-		// the old endpoint is gone. The live workers this rebuild retires on
-		// the target (a Resize in place) free their nodes before the shape
-		// starts; a dead worker's nodes are free already.
+		// the old endpoint is gone. The workers this rebuild retires on the
+		// target (a Resize in place) free their nodes before the shape
+		// starts: each whose job has not ended, dead or alive, since until
+		// then its nodes count as occupied.
 		dep := s.daemon.Deployment()
 		r, err := dep.Resource(p.shape.Resource)
 		if err != nil {
@@ -354,7 +355,7 @@ func (m *modelProxy) rebuild(ctx context.Context, p plan) error {
 		if prev.Resource == r.Name {
 			nodes, _ := specDemand(prev)
 			for _, id := range p.retire {
-				if s.daemon.WorkerAlive(id) {
+				if s.daemon.holdsNodes(id) {
 					retired += nodes
 				}
 			}

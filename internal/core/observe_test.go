@@ -48,9 +48,6 @@ func TestObservabilityDefaultOn(t *testing.T) {
 	if rows := tb.Recorder.CallTable(); len(rows) != 0 {
 		t.Fatalf("plane off but %d call rows recorded: %+v", len(rows), rows)
 	}
-	if rows := tb.Recorder.CapacityTable(); len(rows) != 0 {
-		t.Fatalf("plane off but %d capacity rows recorded: %+v", len(rows), rows)
-	}
 }
 
 // TestObservabilityHonesty is the E2E honesty check: run the SC11

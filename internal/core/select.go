@@ -32,10 +32,10 @@ func specDemand(spec WorkerSpec) (nodes, total int) {
 // fitsResource reports whether a spec fits a resource. Batch clusters
 // (resources with enumerated nodes) enforce node counts — both the
 // per-worker node demand and, for gangs, room for every rank's job —
-// against the nodes every live worker's job leaves free, whichever session
-// holds it (a session's models run at the same time, so a cluster its own
-// workers fill cannot start another of its jobs either), plus the retired
-// nodes the caller is about to give back there. ssh/local resources host
+// against the nodes the deployment's jobs that have not ended leave free,
+// whichever session holds them (a session's models run at the same time,
+// so a cluster its own workers fill cannot start another of its jobs
+// either), plus the retired nodes the caller is about to give back there. ssh/local resources host
 // workers as co-resident processes and never node-limit.
 func fitsResource(d *deploy.Deployment, r *deploy.Resource, spec WorkerSpec, retired int) bool {
 	if wantsGPU(spec.Kernel) && !r.HasGPU() {
@@ -62,8 +62,8 @@ func fitsResource(d *deploy.Deployment, r *deploy.Resource, spec WorkerSpec, ret
 // Batch clusters must have room for every rank's job; ssh/local resources
 // host the ranks as co-resident processes.
 //
-// Fit is capacity-aware: the nodes every live worker's job holds — any
-// session's, the caller's own included — are subtracted from a batch
+// Fit is capacity-aware: the nodes every job that has not ended holds —
+// any session's, the caller's own included — are subtracted from a batch
 // cluster's count before the fit check. So two sessions racing for one
 // cluster cannot both be placed onto it when only one fits, and a
 // replacement for a dead worker is not placed where the session's other
@@ -99,10 +99,10 @@ func SelectResource(d *deploy.Deployment, spec WorkerSpec) (string, error) {
 // SelectLeastLoaded is the scheduler-level placement policy: among the
 // resources a spec fits (same device and capacity constraints as
 // SelectResource), pick the one with the most free capacity — batch
-// clusters by free-node fraction, ssh/local hosts by how few workers the
-// requesting plane already placed there (tracked through the same
-// ledger). Ties break toward SelectResource's compute score, so an idle
-// jungle places exactly like the single-session policy.
+// clusters by free-node fraction, ssh/local hosts by how few workers'
+// jobs already run there (the same job table, OccupiedNodes). Ties break
+// toward SelectResource's compute score, so an idle jungle places exactly
+// like the single-session policy.
 func SelectLeastLoaded(d *deploy.Deployment, spec WorkerSpec) (string, error) {
 	return selectLeastLoaded(d, spec, "")
 }
@@ -143,7 +143,7 @@ func selectLeastLoaded(d *deploy.Deployment, spec WorkerSpec, exclude string) (s
 		// score; a full tie breaks on the lexicographically smallest name.
 		// The explicit name clause pins the choice even if the candidate
 		// iteration order ever stops being sorted — placement must be a
-		// pure function of the ledger, never of map iteration order.
+		// pure function of the job table, never of map iteration order.
 		better := free > bestFree ||
 			(free == bestFree && score > bestScore) ||
 			(free == bestFree && score == bestScore && name < bestName)

@@ -99,13 +99,21 @@ type Deployment struct {
 	// jobs holds the submitted jobs that had not finished at the last
 	// sweep, plus those submitted since; kept is its length after that
 	// sweep, and finished counts by end state the jobs sweeps dropped.
-	jobs     []*gat.Job
+	jobs     []placedJob
 	kept     int
 	finished [gat.Canceled + 1]int
+}
 
-	// cap is the multi-tenant capacity ledger (capacity.go): per-resource
-	// reserved/committed nodes per owning session.
-	cap capLedger
+// placedJob is a submitted job beside the resource it went to: Job.Target
+// names the frontend host, or nothing for local://.
+type placedJob struct {
+	*gat.Job
+	resource string
+}
+
+// ended reports whether a job state is final.
+func ended(st gat.JobState) bool {
+	return st == gat.Stopped || st == gat.Failed || st == gat.Canceled
 }
 
 // New creates a deployment submitting from localHost. A hub is started on
@@ -229,7 +237,7 @@ func (d *Deployment) Submit(resource string, desc gat.JobDescription) (*gat.Job,
 		return nil, fmt.Errorf("deploy: submit to %s: %w", resource, err)
 	}
 	d.mu.Lock()
-	d.jobs = append(d.jobs, j)
+	d.jobs = append(d.jobs, placedJob{j, resource})
 	// Sweeping only once the list has doubled since the last sweep keeps a
 	// submit amortised O(1).
 	if len(d.jobs) > 2*d.kept {
@@ -244,10 +252,9 @@ func (d *Deployment) Submit(resource string, desc gat.JobDescription) (*gat.Job,
 func (d *Deployment) sweepLocked() {
 	live := d.jobs[:0]
 	for _, j := range d.jobs {
-		switch st := j.State(); st {
-		case gat.Stopped, gat.Failed, gat.Canceled:
+		if st := j.State(); ended(st) {
 			d.finished[st]++
-		default:
+		} else {
 			live = append(live, j)
 		}
 	}
@@ -260,7 +267,29 @@ func (d *Deployment) Jobs() []*gat.Job {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.sweepLocked()
-	return append([]*gat.Job(nil), d.jobs...)
+	jobs := make([]*gat.Job, len(d.jobs))
+	for i, j := range d.jobs {
+		jobs[i] = j.Job
+	}
+	return jobs
+}
+
+// OccupiedNodes returns the nodes a resource's jobs hold: the sum of
+// Desc.Nodes over the jobs submitted there that have not ended, queued
+// ones included, whichever session started them. It is what every
+// placement decision subtracts from the resource's node count, the
+// deciding session's own jobs included. A worker's nodes count from its
+// submission until its job ends — exactly while gat holds them.
+func (d *Deployment) OccupiedNodes(resource string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, j := range d.jobs {
+		if j.resource == resource && !ended(j.State()) {
+			n += j.Desc.Nodes
+		}
+	}
+	return n
 }
 
 // CancelAll cancels all tracked jobs.
@@ -277,8 +306,9 @@ func (d *Deployment) Stop() {
 }
 
 // RenderStatus renders the IbisDeploy GUI's data: resources (top-left of
-// Fig. 10), jobs (bottom half: the live ones, then one line counting the
-// finished) and the overlay map (top-right).
+// Fig. 10) with the nodes their jobs occupy, jobs (bottom half: the live
+// ones, then one line counting the finished) and the overlay map
+// (top-right).
 func (d *Deployment) RenderStatus() string {
 	var b strings.Builder
 	b.WriteString("resources:\n")
@@ -288,8 +318,8 @@ func (d *Deployment) RenderStatus() string {
 		if r.HasGPU() {
 			gpu = " +gpu:" + r.GPU.Name
 		}
-		fmt.Fprintf(&b, "  %-12s %-8s %-22s nodes=%d%s\n",
-			name, r.Middleware, r.Frontend, r.NodeCount(), gpu)
+		fmt.Fprintf(&b, "  %-12s %-8s %-22s nodes=%d occupied=%d%s\n",
+			name, r.Middleware, r.Frontend, r.NodeCount(), d.OccupiedNodes(name), gpu)
 	}
 	b.WriteString("jobs:\n")
 	for _, j := range d.Jobs() {

@@ -316,3 +316,66 @@ func TestRetentionFinishedJobs(t *testing.T) {
 		t.Fatalf("status does not count the finished jobs:\n%s", s)
 	}
 }
+
+// TestOccupancyIsTheJobTable: a resource's occupied nodes are the nodes of
+// its jobs that have not ended — queued ones included, co-resident ones
+// each — and RenderStatus prints them on the resource's line.
+func TestOccupancyIsTheJobTable(t *testing.T) {
+	d, _, tud := newDeployment(t)
+	for _, r := range []Resource{
+		{Name: "tud", Middleware: "pbs", Frontend: tud.Frontend, Nodes: tud.NodeName},
+		{Name: "desk", Middleware: "local", Frontend: "desktop"},
+		{Name: "lgm", Middleware: "ssh", Frontend: "lgm"},
+	} {
+		if err := d.AddResource(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Catalog.Register("wait", func(ctx *gat.Context) error { <-ctx.Cancel; return nil })
+	submit := func(resource string, nodes int) *gat.Job {
+		t.Helper()
+		j, err := d.Submit(resource, gat.JobDescription{Executable: "wait", Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	want := func(resource string, n int) {
+		t.Helper()
+		if got := d.OccupiedNodes(resource); got != n {
+			t.Fatalf("OccupiedNodes(%s) = %d, want %d", resource, got, n)
+		}
+	}
+
+	first := submit("tud", 1)
+	want("tud", 1)
+	second := submit("tud", 2) // queues behind the first: 1 of 2 nodes is free
+	if st := second.State(); st != gat.Scheduled {
+		t.Fatalf("2-node job behind a 1-node job on a 2-node cluster is %s, want scheduled", st)
+	}
+	want("tud", 3)
+	first.Cancel()
+	<-first.Done()
+	want("tud", 2)
+	want("desk", 0)
+	want("lgm", 0)
+
+	submit("desk", 1)
+	submit("desk", 1)
+	submit("lgm", 1)
+	want("desk", 2)
+	want("lgm", 1)
+	if s := d.RenderStatus(); !strings.Contains(s, "nodes=2 occupied=2") || !strings.Contains(s, "nodes=1 occupied=2") {
+		t.Fatalf("status does not print occupancy on the resource lines:\n%s", s)
+	}
+
+	second.Cancel()
+	<-second.Done()
+	want("tud", 0)
+	d.CancelAll()
+	for _, j := range d.Jobs() {
+		<-j.Done()
+	}
+	want("desk", 0)
+	want("lgm", 0)
+}

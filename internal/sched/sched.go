@@ -12,13 +12,12 @@
 //     structured retry-after hint (kernel.CodeBusy on the wire).
 //   - Isolation: each admitted session is bound to a session id that
 //     namespaces everything it touches — disjoint worker-id blocks (and
-//     with them pool port names and peer-plane ports) and capacity-ledger
-//     entries.
+//     with them pool port names and peer-plane ports).
 //   - Placement: sessions resolve open WorkerSpecs through the
 //     capacity-aware fair-share policy (core.SelectLeastLoaded), which
-//     reads the same deployment ledger the daemon commits running
-//     workers to — two sessions racing for one cluster cannot both land
-//     on it when only one fits.
+//     reads the nodes the deployment's worker jobs occupy until they end
+//     (deploy.OccupiedNodes) — two sessions racing for one cluster cannot
+//     both land on it when only one fits.
 //   - Leases: clients renew their session with heartbeats; a session
 //     idle past LeaseTTL is reaped — checkpointed through its evictor
 //     into an opaque snapshot, its workers stopped and capacity

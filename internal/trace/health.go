@@ -10,9 +10,9 @@ import (
 // Per-link overlay health: the goodput samples the SmartSockets prober
 // already reports (trace.RecordGoodput) joined with the bulk-transfer
 // outcome counters per directed host pair, plus the daemon store's
-// checkpoint-size and restore-latency gauges and the deployment's
-// capacity gauges. RenderHealth is the roll-up view; rows whose last
-// probe is older than the staleness horizon are marked STALE.
+// checkpoint-size and restore-latency gauges. RenderHealth is the roll-up
+// view; rows whose last probe is older than the staleness horizon are
+// marked STALE.
 
 // Transfer-outcome kinds recorded per link (see core's transfer paths).
 const (
@@ -169,39 +169,9 @@ func (r *Recorder) StoreTable() []StoreRow {
 	return rows
 }
 
-// RecordCapacity gauges a resource's node occupancy (the deployment
-// ledger reports it on every reserve/commit/release).
-func (r *Recorder) RecordCapacity(resource string, occupied, total int) {
-	r.mu.Lock()
-	if r.capacity == nil {
-		r.capacity = make(map[string][2]int)
-	}
-	r.capacity[resource] = [2]int{occupied, total}
-	r.mu.Unlock()
-}
-
-// CapacityRow is one resource's occupancy gauge.
-type CapacityRow struct {
-	Resource        string
-	Occupied, Total int
-}
-
-// CapacityTable returns the latest occupancy per resource, sorted.
-func (r *Recorder) CapacityTable() []CapacityRow {
-	r.mu.Lock()
-	rows := make([]CapacityRow, 0, len(r.capacity))
-	for res, v := range r.capacity {
-		rows = append(rows, CapacityRow{Resource: res, Occupied: v[0], Total: v[1]})
-	}
-	r.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Resource < rows[j].Resource })
-	return rows
-}
-
 // RenderHealth renders the overlay health roll-up: per-link goodput with
-// staleness marking and transfer outcomes, then the store gauges, then
-// the capacity gauges. now is the caller's virtual clock (negative
-// disables staleness marking).
+// staleness marking and transfer outcomes, then the store gauges. now is
+// the caller's virtual clock (negative disables staleness marking).
 func (r *Recorder) RenderHealth(now time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s %6s  %s\n",
@@ -229,12 +199,6 @@ func (r *Recorder) RenderHealth(now time.Duration) string {
 			st := row.Stats
 			fmt.Fprintf(&b, "%-14s %6d %12d %9d %14s\n",
 				row.Model, st.Checkpoints, st.LastRaw, st.Restores, st.RestoreHist.summary())
-		}
-	}
-	if rows := r.CapacityTable(); len(rows) > 0 {
-		fmt.Fprintf(&b, "\n%-28s %9s %6s\n", "CAPACITY", "OCCUPIED", "TOTAL")
-		for _, row := range rows {
-			fmt.Fprintf(&b, "%-28s %9d %6d\n", row.Resource, row.Occupied, row.Total)
 		}
 	}
 	return b.String()

@@ -31,7 +31,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				r.RecordCheckpoint("gravity", 1000)
 				r.RecordRestore("gravity", time.Millisecond)
 				r.RecordGoodput("a", "b", 1e6, time.Duration(i)*time.Millisecond)
-				r.RecordCapacity("lgm", i%2, 1)
 				r.SessionCall("s1")
 				r.TrafficCounter("a", "b", "ipl").Add(1)
 			}
@@ -56,7 +55,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				_ = r.CallsSnapshot()
 				_ = r.Calibrate(specs)
 				_ = r.StoreTable()
-				_ = r.CapacityTable()
 				// Folding s2 while writers still record it must not
 				// lose a count: the totals below include the aggregate.
 				r.CloseSession("s2")
@@ -153,8 +151,6 @@ func TestRenderDeterminism(t *testing.T) {
 		}
 		r.RecordCheckpoint("hydro", 2)
 		r.RecordCheckpoint("gravity", 4)
-		r.RecordCapacity("vu", 1, 8)
-		r.RecordCapacity("lgm", 0, 1)
 		r.SessionState("s2", "running")
 		r.SessionState("s1", "queued")
 		return r

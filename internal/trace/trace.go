@@ -11,11 +11,11 @@
 // histograms (hist.go, calls.go; RenderCalls). The SmartSockets goodput
 // probes and the bulk-transfer outcome counters roll up into a per-link
 // health table with staleness marking, alongside the daemon store's
-// checkpoint-size and restore-latency gauges and the deployment's
-// capacity gauges (health.go; RenderHealth). Calibrate (calibrate.go) closes the loop: it compares
-// the observed goodput and latency against the configured vnet/vtime
-// constants and reports drift, keeping the virtual-time model honest as
-// the system grows.
+// checkpoint-size and restore-latency gauges (health.go; RenderHealth).
+// Calibrate (calibrate.go) closes the loop: it compares the observed
+// goodput and latency against the configured vnet/vtime constants and
+// reports drift, keeping the virtual-time model honest as the system
+// grows.
 package trace
 
 import (
@@ -45,11 +45,9 @@ type Recorder struct {
 	// sessions.
 	gangs map[string]*GangStats
 	// linkXfer counts bulk-transfer outcomes per directed link, store
-	// holds per-model checkpoint/restore gauges and capacity the latest
-	// per-resource occupancy (health.go); all lazy.
+	// holds per-model checkpoint/restore gauges (health.go); both lazy.
 	linkXfer map[[2]string]*LinkTransfers
 	store    map[string]*StoreStats
-	capacity map[string][2]int
 
 	// callShards stripe the channel-layer call histograms
 	// (calls.go) so concurrent channels contend per shard, not on mu.

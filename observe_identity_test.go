@@ -42,7 +42,7 @@ func gravityDigest(t *testing.T, g *core.Gravity) uint64 {
 
 // runArms executes one scenario twice — plane on (the default), plane off
 // (the network's recorder removed before the simulation is built, so no
-// call, traffic, goodput or capacity is recorded) — and requires equal
+// call, traffic or goodput is recorded) — and requires equal
 // virtual elapsed times and state digests.
 func runArms(t *testing.T, scenario func(t *testing.T, observed bool) (time.Duration, uint64)) {
 	t.Helper()

@@ -35,7 +35,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"time"
 
 	"jungle/internal/core"
 	"jungle/internal/deploy"
@@ -236,9 +235,7 @@ func report(out io.Writer, tb *core.Testbed, res exp.RunResult, observe bool) {
 	fmt.Fprintln(out)
 	fmt.Fprintln(out, tb.Deployment.RenderStatus())
 	if observe {
-		// The run just ended, so "now" is its final virtual time — links
-		// probed more than a staleness window before it are marked STALE.
 		fmt.Fprintln(out, tb.Recorder.RenderCalls())
-		fmt.Fprintln(out, tb.Recorder.RenderHealth(res.Setup+res.PerIteration*time.Duration(res.Iterations)))
+		fmt.Fprintln(out, tb.Recorder.RenderHealth())
 	}
 }

@@ -150,9 +150,9 @@ func Example_observe() {
 	// -            hydro          setup                     1      0      441µs      441µs      441µs      441µs      400µs
 	// -            stellar        setup                     1      0    2.445ms    2.445ms    2.445ms    2.445ms      2.4ms
 	//
-	// FROM                         TO                            GOODPUT(MB/s)     AT(ms)  PROBES  STATE  TRANSFERS(dir/hp/fb)
-	// das4-vu.node00               das4-tud.node00                           -          -       -      -  4/0/0
-	// lgm                          das4-tud.node00                           -          -       -      -  4/0/0
+	// FROM                         TO                            TRANSFERS(dir/hp/fb)
+	// das4-vu.node00               das4-tud.node00               4/0/0
+	// lgm                          das4-tud.node00               4/0/0
 }
 
 // killedAfter rewrites the run file at path to the one a run asked for

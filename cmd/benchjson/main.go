@@ -8,22 +8,31 @@
 //	go test -bench . | benchjson -o BENCH_6.json
 //
 // With -against it additionally compares the run to an earlier JSON file
-// and exits 1 when any shared virtual-time metric regressed. Virtual time
-// is a function of the inputs, so the gate is exact: any rise fails.
+// and exits 1 when any shared virtual-time metric moved. Virtual time is a
+// function of the inputs, so the gate is exact and two-sided: any change
+// fails, a fall as much as a rise — a fall is as likely a bug that drops
+// work from the model as a gain, and a PR that means it re-baselines.
 // -loose-match names the benchmarks that are the exception — several
 // sessions race for admission, so their virtual makespan depends on how
-// goroutines interleave — and gates those at -tolerance (default 15%)
-// instead. Wall-clock ns/op varies with the host and would flake, so it is
-// never gated:
+// goroutines interleave — and gates those at -tolerance (default 15%),
+// in both directions, instead. Wall-clock ns/op varies with the host and
+// would flake, so it is never gated:
 //
 //	go test -bench . | benchjson -o BENCH_8.json -against BENCH_7.json
 //
 // -allocs-match names the benchmarks whose allocs/op is gated too, at
-// allocsTolerance plus allocsSlack: single-process benchmarks whose
-// allocation count repeats exactly from run to run, so any growth is a
-// change in the code. Like -loose-match it exists for one caller, `make
-// bench-check`, which holds the list of names; the tool stays ignorant of
-// which benchmarks the repo has.
+// allocsTolerance plus allocsSlack and upwards only: single-process
+// benchmarks whose allocation count repeats exactly from run to run, so
+// any growth is a change in the code. Like -loose-match it exists for one
+// caller, `make bench-check`, which holds the list of names; the tool
+// stays ignorant of which benchmarks the repo has.
+//
+// -diff reads no benchmark output: it prints every virtual-* entry two
+// JSON files share whose value differs, old -> new with the change in
+// percent (`make bench` prints it against the previous file):
+//
+//	benchjson -diff BENCH_7.json BENCH_8.json
+
 package main
 
 import (
@@ -31,6 +40,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -71,58 +82,109 @@ const allocsTolerance = 0.02
 const allocsSlack = 1
 
 // compare checks cur against base: every benchmark/metric pair present in
-// both, whose unit names a virtual-time quantity, must not exceed the
-// baseline at all — or, on the benchmarks loose names, by more than tol
-// (fractional) — and neither must allocs/op, by more than allocsTolerance
-// and allocsSlack, on the benchmarks allocs names. It returns one line per
-// regression; an empty slice means the gate passes. Benchmarks or metrics
-// present on only one side are ignored — adding a benchmark must not fail
-// the gate, and neither must retiring one. A nil loose gates every virtual
-// metric exactly; a nil allocs gates no allocation count.
+// both whose unit names a virtual-time quantity must equal the baseline —
+// or, on the benchmarks loose names, stay within tol (fractional) of it
+// either way — and allocs/op, on the benchmarks allocs names, must not
+// exceed it by more than allocsTolerance and allocsSlack. It returns one
+// line per failure; an empty slice means the gate passes. Benchmarks or
+// metrics present on only one side are ignored — adding a benchmark must
+// not fail the gate, and neither must retiring one. A nil loose gates
+// every virtual metric exactly; a nil allocs gates no allocation count.
 func compare(cur, base map[string]map[string]float64, tol float64, loose, allocs *regexp.Regexp) []string {
-	var regressions []string
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
+	var failures []string
+	for _, e := range shared(cur, base) {
+		switch {
+		case e.was < 0:
+		case strings.HasPrefix(e.unit, "virtual-"):
+			limit := 0.0
+			if loose != nil && loose.MatchString(e.name) {
+				limit = tol
+			}
+			// A zero baseline is not gated: a change from it has no size.
+			if e.was > 0 && math.Abs(e.now-e.was) > e.was*limit {
+				failures = append(failures, fmt.Sprintf("%s %s moved: %v -> %v (%+.2g%%, tolerance %.0f%%)",
+					e.name, e.unit, e.was, e.now, (e.now/e.was-1)*100, limit*100))
+			}
+		case e.unit == "allocs/op" && allocs != nil && allocs.MatchString(e.name):
+			// A zero baseline is gated through the slack: a benchmark
+			// that allocated nothing may not start to.
+			if e.now > e.was*(1+allocsTolerance)+allocsSlack {
+				failures = append(failures, fmt.Sprintf("%s %s rose: %v -> %v (+%.2g%%, tolerance %.0f%% + %v)",
+					e.name, e.unit, e.was, e.now, (e.now/e.was-1)*100, allocsTolerance*100, allocsSlack))
+			}
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		old, ok := base[name]
-		if !ok {
+	return failures
+}
+
+// entry is one benchmark/metric pair both runs have.
+type entry struct {
+	name, unit string
+	was, now   float64
+}
+
+// shared lists the benchmark/metric pairs of cur that base has too, sorted
+// by name and unit.
+func shared(cur, base map[string]map[string]float64) []entry {
+	var out []entry
+	for name, metrics := range cur {
+		for unit, now := range metrics {
+			was, ok := base[name][unit]
+			if !ok {
+				continue
+			}
+			out = append(out, entry{name, unit, was, now})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].name != out[j].name {
+			return out[i].name < out[j].name
+		}
+		return out[i].unit < out[j].unit
+	})
+	return out
+}
+
+// diff lists, one line each, the virtual-* entries old and cur share whose
+// values differ: old -> new and the change in percent (none from zero).
+func diff(old, cur map[string]map[string]float64) []string {
+	var lines []string
+	for _, e := range shared(cur, old) {
+		if !strings.HasPrefix(e.unit, "virtual-") || e.now == e.was {
 			continue
 		}
-		metrics := make([]string, 0, len(cur[name]))
-		for unit := range cur[name] {
-			metrics = append(metrics, unit)
+		line := fmt.Sprintf("%s %s: %v -> %v", e.name, e.unit, e.was, e.now)
+		if e.was != 0 {
+			line += fmt.Sprintf(" (%+.2f%%)", (e.now/e.was-1)*100)
 		}
-		sort.Strings(metrics)
-		for _, unit := range metrics {
-			limit, slack := 0.0, 0.0
-			switch {
-			case strings.HasPrefix(unit, "virtual-"):
-				if loose != nil && loose.MatchString(name) {
-					limit = tol
-				}
-			case unit == "allocs/op" && allocs != nil && allocs.MatchString(name):
-				limit, slack = allocsTolerance, allocsSlack
-			default:
-				continue
-			}
-			// A zero baseline gates only an allocation count, through its
-			// slack: a benchmark that allocated nothing may not start to.
-			was, ok := old[unit]
-			if !ok || was < 0 || was == 0 && slack == 0 {
-				continue
-			}
-			now := cur[name][unit]
-			if now > was*(1+limit)+slack {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s %s: %v -> %v (+%.2g%%, tolerance %.0f%% + %v)",
-					name, unit, was, now, (now/was-1)*100, limit*100, slack))
-			}
-		}
+		lines = append(lines, line)
 	}
-	return regressions
+	return lines
+}
+
+// readJSON reads one BENCH_*.json file.
+func readJSON(path string) (map[string]map[string]float64, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	m := map[string]map[string]float64{}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+// printDiff writes diff's lines under a header naming both files.
+func printDiff(w io.Writer, old, cur string, lines []string) {
+	if len(lines) == 0 {
+		fmt.Fprintf(w, "benchjson: no virtual-* entry moved from %s to %s\n", old, cur)
+		return
+	}
+	fmt.Fprintf(w, "benchjson: %d virtual-* entries moved from %s to %s:\n", len(lines), old, cur)
+	for _, l := range lines {
+		fmt.Fprintf(w, "  %s\n", l)
+	}
 }
 
 func main() {
@@ -131,7 +193,25 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression for the virtual-* metrics of -loose-match benchmarks")
 	looseExpr := flag.String("loose-match", "", "regexp naming the benchmarks whose virtual-* metrics are gated at -tolerance, not exactly (empty: none)")
 	allocsExpr := flag.String("allocs-match", "", "regexp naming the benchmarks whose allocs/op is gated as well (empty gates none)")
+	diffMode := flag.Bool("diff", false, "read no benchmark output: print the virtual-* entries that moved from the first JSON file argument to the second")
 	flag.Parse()
+
+	if *diffMode {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -diff takes two JSON files, OLD and NEW")
+			os.Exit(2)
+		}
+		old, err := readJSON(flag.Arg(0))
+		if err == nil {
+			var cur map[string]map[string]float64
+			if cur, err = readJSON(flag.Arg(1)); err == nil {
+				printDiff(os.Stdout, flag.Arg(0), flag.Arg(1), diff(old, cur))
+				return
+			}
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: -diff: %v\n", err)
+		os.Exit(1)
+	}
 
 	results := map[string]map[string]float64{}
 	sc := bufio.NewScanner(os.Stdin)
@@ -176,14 +256,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks -> %s\n", len(results), *out)
 
 	if *against != "" {
-		raw, err := os.ReadFile(*against)
+		base, err := readJSON(*against)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: baseline: %v\n", err)
-			os.Exit(1)
-		}
-		base := map[string]map[string]float64{}
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", *against, err)
 			os.Exit(1)
 		}
 		var loose, allocs *regexp.Regexp
@@ -199,13 +274,13 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if regressions := compare(results, base, *tolerance, loose, allocs); len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) vs %s:\n", len(regressions), *against)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
+		if failures := compare(results, base, *tolerance, loose, allocs); len(failures) > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d gated change(s) vs %s:\n", len(failures), *against)
+			for _, f := range failures {
+				fmt.Fprintf(os.Stderr, "  %s\n", f)
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: no gated regressions vs %s\n", *against)
+		fmt.Fprintf(os.Stderr, "benchjson: no gated changes vs %s\n", *against)
 	}
 }

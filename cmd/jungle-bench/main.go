@@ -4,7 +4,7 @@
 //	jungle-bench -e e1 -scale 1 -iters 1     # §6.2 lab table at full scale
 //	jungle-bench -e e3,e6,e7                 # overlay, call sequence, loopback
 //	jungle-bench -e all -scale 0.1           # everything, reduced workload
-//	jungle-bench calibrate                   # vnet/vtime calibration report
+//	jungle-bench ablations                   # design ablations (DESIGN.md §6)
 //
 // An id it does not know is an error that lists the ones it does, and
 // nothing runs.
@@ -64,10 +64,6 @@ var experiments = []experiment{
 	{id: "e8", run: func(_ float64, iters int) (string, error) { return exp.E8(iters) }},
 	{id: "e9", run: func(float64, int) (string, error) { return exp.E9(512, 8) }},
 	{id: "e10", run: func(float64, int) (string, error) { return exp.E10(64, 24) }},
-	// The calibration loop (DESIGN.md "Observability plane"): probe every
-	// configured edge of the DSL and SC11 testbeds and hold the measured
-	// goodput to within 10% of the configured bandwidths.
-	{id: "calibrate", explicit: true, run: func(float64, int) (string, error) { return exp.CalibrateReport() }},
 	// Design ablations (DESIGN.md §6).
 	{id: "ablations", explicit: true, run: func(float64, int) (string, error) {
 		var tables []string
@@ -86,11 +82,11 @@ var experiments = []experiment{
 
 // run parses args as the command line and runs the experiments it names,
 // printing their reports to out. Positional ids work too (`jungle-bench
-// calibrate`); naming any replaces the -e default, so that runs the
-// calibration alone, not "all" plus it.
+// ablations`); naming any replaces the -e default, so that runs the
+// ablations alone, not "all" plus them.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("jungle-bench", flag.ContinueOnError)
-	ids := fs.String("e", "all", "comma-separated experiment ids (e1..e10, calibrate, ablations, all)")
+	ids := fs.String("e", "all", "comma-separated experiment ids (e1..e10, ablations, all)")
 	scale := fs.Float64("scale", 1.0, "workload scale (1.0 = calibrated paper workload)")
 	iters := fs.Int("iters", 1, "bridge iterations per measurement")
 	if err := fs.Parse(args); err != nil {

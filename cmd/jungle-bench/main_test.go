@@ -81,8 +81,8 @@ func Example_unknownID() {
 	pin("-e", "e3,bogus")
 	pin("-e", "e11")
 	// Output:
-	// error: unknown experiment id "bogus" (want e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, calibrate, ablations or all)
-	// error: unknown experiment id "e11" (want e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, calibrate, ablations or all)
+	// error: unknown experiment id "bogus" (want e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, ablations or all)
+	// error: unknown experiment id "e11" (want e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, ablations or all)
 }
 
 func trimLines(s string) string {

@@ -115,13 +115,11 @@ func serve(args []string, out io.Writer, l net.Listener) error {
 	})
 	every(*statusEvery, func() {
 		// The deployment's resource lines show the nodes its jobs occupy.
-		// Sessions span virtual clocks, so staleness marking is off (-1):
-		// a link probed once by any tenant stays "ok".
 		log.Printf("status: %d worker-id blocks held\n%s\n%s\n%s\n%s",
 			tb.Daemon.SessionBlocks(),
 			tb.Deployment.RenderStatus(),
 			tb.Recorder.RenderSessions(),
-			tb.Recorder.RenderHealth(-1),
+			tb.Recorder.RenderHealth(),
 			tb.Recorder.RenderCalls())
 	})
 

@@ -21,8 +21,8 @@ type chanObs struct {
 	session string // "" for standalone simulations
 	model   string // kind, with /r<rank> suffix for gang members
 	// floor is the configured vtime round-trip minimum for this channel
-	// (2x routed path latency; 2x the mpi message cost in-process) — the
-	// constant Calibrate compares observed latencies against.
+	// (2x routed path latency; 2x the mpi message cost in-process), which
+	// RenderCalls prints beside the observed latencies.
 	floor time.Duration
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"jungle/internal/amuse/ic"
 	"jungle/internal/phys/bridge"
-	"jungle/internal/trace"
 )
 
 // TestObservabilityDefaultOn: a simulation built on any testbed finds the
@@ -170,7 +169,7 @@ func assertLinksMatchStats(t *testing.T, tb *Testbed, sim *Simulation) TransferS
 	t.Helper()
 	st := sim.TransferStats()
 	var link TransferStats
-	for _, row := range tb.Recorder.LinkHealthTable(-1, trace.DefaultStaleAfter) {
+	for _, row := range tb.Recorder.LinkHealthTable() {
 		link.Direct += row.Transfers.Direct
 		link.Hairpin += row.Transfers.Hairpin
 		link.Fallback += row.Transfers.Fallback
@@ -179,40 +178,4 @@ func assertLinksMatchStats(t *testing.T, tb *Testbed, sim *Simulation) TransferS
 		t.Fatalf("link transfer counters %+v != session TransferStats %+v", link, st)
 	}
 	return st
-}
-
-// TestCalibrateDrift is the calibration loop's acceptance bar: on both
-// multi-site testbeds, probing every configured directed edge measures a
-// goodput within 10% of the configured vnet bandwidth.
-func TestCalibrateDrift(t *testing.T) {
-	for name, build := range map[string]func() (*Testbed, error){
-		"dsl":  NewDSLTestbed,
-		"sc11": NewSC11Testbed,
-	} {
-		t.Run(name, func(t *testing.T) {
-			tb, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(tb.Close)
-			specs := tb.LinkSpecs()
-			if len(specs) == 0 {
-				t.Fatal("no configured edges to calibrate")
-			}
-			cal, _, err := tb.Calibrate(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cal.Links) != len(specs) {
-				t.Fatalf("calibration covered %d edges, configured %d", len(cal.Links), len(specs))
-			}
-			worst, all := cal.MaxLinkDrift()
-			if !all {
-				t.Fatalf("unmeasured edges in the calibration:\n%s", cal.Render())
-			}
-			if worst >= 0.10 {
-				t.Fatalf("worst link drift %.2f%% breaches the 10%% bar:\n%s", worst*100, cal.Render())
-			}
-		})
-	}
 }

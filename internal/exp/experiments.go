@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"jungle/internal/amuse/ic"
 	"jungle/internal/core"
@@ -399,43 +398,3 @@ func E8(iterations int) (string, error) {
 	table += fmt.Sprintf("projected jungle advantage at 100x: %.1fx\n", dProj/jProj)
 	return table, nil
 }
-
-// CalibrateReport runs the observability plane's calibration loop on the
-// DSL and SC11 testbeds: probe every configured network edge in both
-// directions (Testbed.Calibrate) and compare the measured goodput against
-// the configured vnet bandwidths, plus any recorded call floors. It
-// errors when an edge is unmeasured or drifts 10% or more — the honesty
-// bar the virtual network model is held to.
-func CalibrateReport() (string, error) {
-	var b strings.Builder
-	testbeds := []struct {
-		name  string
-		build func() (*core.Testbed, error)
-	}{
-		{"dsl", core.NewDSLTestbed},
-		{"sc11", core.NewSC11Testbed},
-	}
-	for _, t := range testbeds {
-		tb, err := t.build()
-		if err != nil {
-			return "", err
-		}
-		cal, _, err := tb.Calibrate(0)
-		tb.Close()
-		if err != nil {
-			return "", fmt.Errorf("calibrate %s: %w", t.name, err)
-		}
-		worst, all := cal.MaxLinkDrift()
-		fmt.Fprintf(&b, "== calibrate %s: %d directed edges, worst drift %.2f%% ==\n%s\n",
-			t.name, len(cal.Links), worst*100, cal.Render())
-		if !all {
-			return b.String(), fmt.Errorf("calibrate %s: unmeasured edges in the report", t.name)
-		}
-		if worst >= 0.10 {
-			return b.String(), fmt.Errorf("calibrate %s: worst link drift %.1f%% breaches the 10%% bar", t.name, worst*100)
-		}
-	}
-	return b.String(), nil
-}
-
-var _ = time.Second

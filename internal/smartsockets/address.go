@@ -19,11 +19,6 @@
 // routes one copy of a reverse request or a circuit open along the path it
 // computes from that graph: the route is a pure function of the graph, no
 // timer and no goroutine race decides it. See DESIGN.md §"Overlay routing".
-//
-// Factory.Goodput measures achievable bandwidth to a peer with netio-style
-// sized-payload probes and reports it to the network's link-health
-// recorder; Testbed.Calibrate compares it against the configured links.
-// See DESIGN.md §"Goodput probes".
 package smartsockets
 
 import (

@@ -30,11 +30,6 @@ func (c *VirtualConn) Type() ConnType { return c.typ }
 // virtual time).
 func (c *VirtualConn) EstablishedAt() time.Duration { return c.established }
 
-// Route returns the hub hosts relaying a routed connection, in order from
-// the dialer's hub to the acceptor's. Direct and reverse connections
-// return nil: no hub touches their payload bytes.
-func (c *VirtualConn) Route() []string { return c.route }
-
 // SetClass tags the underlying traffic for the recorder. Routed circuits
 // ride hub connections, whose class is "hub".
 func (c *VirtualConn) SetClass(class string) {

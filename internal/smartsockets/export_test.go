@@ -24,6 +24,11 @@ func (h *Hub) Database() []string {
 // RouteTo is the hub's route choice to hub dst.
 func (h *Hub) RouteTo(dst string) []string { return h.route(dst) }
 
+// Route returns the hub hosts relaying a routed connection, in order from
+// the dialer's hub to the acceptor's. Direct and reverse connections
+// return nil: no hub touches their payload bytes.
+func (c *VirtualConn) Route() []string { return c.route }
+
 // WatchAdverts installs f to be told how many advertisements each hello or
 // gossip frame decoded from here on carried; nil removes it. Install before
 // the hubs to watch start, remove after they stopped.

@@ -41,7 +41,7 @@ type CallStats struct {
 	// Floor is the least configured vtime round-trip minimum of the
 	// channels that recorded the calls (2x the routed path latency; the
 	// mpi message cost for in-process channels), so no call is faster.
-	// Calibrate compares observed latency against it.
+	// RenderCalls prints it beside the observed latency.
 	Floor time.Duration
 }
 
@@ -101,7 +101,7 @@ func (s *callShard) callLocked(key CallKey) *CallStats {
 
 // RecordCall records one completed call's virtual round-trip latency.
 // floor is the channel's configured minimum round trip (the least one a
-// key sees is kept with its stats for calibration; pass 0 when unknown).
+// key sees is kept with its stats; pass 0 when unknown).
 func (r *Recorder) RecordCall(session, model, method string, latency, floor time.Duration) {
 	s := r.callShard(model, method)
 	s.mu.Lock()

@@ -7,12 +7,9 @@ import (
 	"time"
 )
 
-// Per-link overlay health: the goodput samples the SmartSockets prober
-// already reports (trace.RecordGoodput) joined with the bulk-transfer
-// outcome counters per directed host pair, plus the daemon store's
-// checkpoint-size and restore-latency gauges. RenderHealth is the roll-up
-// view; rows whose last probe is older than the staleness horizon are
-// marked STALE.
+// Per-link overlay health: the bulk-transfer outcome counters per directed
+// host pair, plus the daemon store's checkpoint-size and restore-latency
+// gauges. RenderHealth is the roll-up view.
 
 // Transfer-outcome kinds recorded per link (see core's transfer paths).
 const (
@@ -53,46 +50,19 @@ func (r *Recorder) RecordLinkTransfer(from, to, kind string) {
 	r.mu.Unlock()
 }
 
-// DefaultStaleAfter is the staleness horizon RenderHealth applies: a
-// link whose last goodput probe is older than this (in virtual time) is
-// marked STALE — its measurement may no longer describe the link.
-const DefaultStaleAfter = time.Minute
-
-// LinkHealthRow is one directed link's health: the latest goodput sample
-// (HasGoodput false when the link was never probed), staleness against
-// the caller's clock, and the transfer-outcome counters.
+// LinkHealthRow is one directed link's transfer-outcome counters.
 type LinkHealthRow struct {
-	From, To   string
-	Goodput    GoodputSample
-	HasGoodput bool
-	Stale      bool
-	Transfers  LinkTransfers
+	From, To  string
+	Transfers LinkTransfers
 }
 
-// LinkHealthTable joins goodput samples and transfer counters over the
-// union of observed links, sorted by (from, to). now is the caller's
-// virtual clock; a negative now disables staleness marking (callers
-// without a clock, e.g. a multi-session daemon).
-func (r *Recorder) LinkHealthTable(now, staleAfter time.Duration) []LinkHealthRow {
+// LinkHealthTable returns the transfer counters of every observed link,
+// sorted by (from, to).
+func (r *Recorder) LinkHealthTable() []LinkHealthRow {
 	r.mu.Lock()
-	keys := make(map[[2]string]bool, len(r.goodput)+len(r.linkXfer))
-	for k := range r.goodput {
-		keys[k] = true
-	}
-	for k := range r.linkXfer {
-		keys[k] = true
-	}
-	rows := make([]LinkHealthRow, 0, len(keys))
-	for k := range keys {
-		row := LinkHealthRow{From: k[0], To: k[1]}
-		if s, ok := r.goodput[k]; ok {
-			row.Goodput, row.HasGoodput = s, true
-			row.Stale = now >= 0 && now-s.At > staleAfter
-		}
-		if t := r.linkXfer[k]; t != nil {
-			row.Transfers = *t
-		}
-		rows = append(rows, row)
+	rows := make([]LinkHealthRow, 0, len(r.linkXfer))
+	for k, t := range r.linkXfer {
+		rows = append(rows, LinkHealthRow{From: k[0], To: k[1], Transfers: *t})
 	}
 	r.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool {
@@ -169,28 +139,14 @@ func (r *Recorder) StoreTable() []StoreRow {
 	return rows
 }
 
-// RenderHealth renders the overlay health roll-up: per-link goodput with
-// staleness marking and transfer outcomes, then the store gauges. now is
-// the caller's virtual clock (negative disables staleness marking).
-func (r *Recorder) RenderHealth(now time.Duration) string {
+// RenderHealth renders the overlay health roll-up: per-link transfer
+// outcomes, then the store gauges.
+func (r *Recorder) RenderHealth() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s %6s  %s\n",
-		"FROM", "TO", "GOODPUT(MB/s)", "AT(ms)", "PROBES", "STATE", "TRANSFERS(dir/hp/fb)")
-	for _, row := range r.LinkHealthTable(now, DefaultStaleAfter) {
-		gp, at, probes, state := "-", "-", "-", "ok"
-		if row.HasGoodput {
-			gp = fmt.Sprintf("%.2f", row.Goodput.BytesPerSec/1e6)
-			at = fmt.Sprintf("%.1f", float64(row.Goodput.At.Microseconds())/1e3)
-			probes = fmt.Sprintf("%d", row.Goodput.Probes)
-			if row.Stale {
-				state = "STALE"
-			}
-		} else {
-			state = "-"
-		}
+	fmt.Fprintf(&b, "%-28s %-28s  %s\n", "FROM", "TO", "TRANSFERS(dir/hp/fb)")
+	for _, row := range r.LinkHealthTable() {
 		t := row.Transfers
-		fmt.Fprintf(&b, "%-28s %-28s %14s %10s %7s %6s  %d/%d/%d\n",
-			row.From, row.To, gp, at, probes, state, t.Direct, t.Hairpin, t.Fallback)
+		fmt.Fprintf(&b, "%-28s %-28s  %d/%d/%d\n", row.From, row.To, t.Direct, t.Hairpin, t.Fallback)
 	}
 	if rows := r.StoreTable(); len(rows) > 0 {
 		fmt.Fprintf(&b, "\n%-14s %6s %12s %9s %14s\n",

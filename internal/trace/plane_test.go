@@ -13,7 +13,6 @@ import (
 // Makefile's race target) this is the plane's thread-safety proof.
 func TestRecorderConcurrentPlane(t *testing.T) {
 	r := New()
-	specs := []LinkSpec{{From: "a", To: "b", Bandwidth: 1e6}, {From: "b", To: "a", Bandwidth: 1e6}}
 	const writers, iters = 8, 300
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -30,7 +29,6 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				r.RecordLinkTransfer("a", "b", LinkDirect)
 				r.RecordCheckpoint("gravity", 1000)
 				r.RecordRestore("gravity", time.Millisecond)
-				r.RecordGoodput("a", "b", 1e6, time.Duration(i)*time.Millisecond)
 				r.SessionCall("s1")
 				r.TrafficCounter("a", "b", "ipl").Add(1)
 			}
@@ -50,10 +48,9 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 				default:
 				}
 				_ = r.RenderCalls()
-				_ = r.RenderHealth(-1)
+				_ = r.RenderHealth()
 				_ = r.RenderSessions()
 				_ = r.CallsSnapshot()
-				_ = r.Calibrate(specs)
 				_ = r.StoreTable()
 				// Folding s2 while writers still record it must not
 				// lose a count: the totals below include the aggregate.
@@ -73,7 +70,7 @@ func TestRecorderConcurrentPlane(t *testing.T) {
 	if want := uint64(writers * iters); calls != want || errs != want {
 		t.Fatalf("calls/errors = %d/%d, want %d each", calls, errs, want)
 	}
-	rows := r.LinkHealthTable(-1, DefaultStaleAfter)
+	rows := r.LinkHealthTable()
 	if len(rows) != 1 || rows[0].Transfers.Direct != writers*iters {
 		t.Fatalf("link health %+v, want %d direct transfers", rows, writers*iters)
 	}
@@ -146,7 +143,6 @@ func TestRenderDeterminism(t *testing.T) {
 			r.RecordCall(c.sess, c.model, c.method, time.Duration(len(c.method))*time.Millisecond, time.Microsecond)
 		}
 		for _, l := range links {
-			r.RecordGoodput(l[0], l[1], float64(len(l[0]+l[1]))*1e6, time.Duration(len(l[0]))*time.Second)
 			r.RecordLinkTransfer(l[0], l[1], LinkFallback)
 		}
 		r.RecordCheckpoint("hydro", 2)
@@ -156,15 +152,13 @@ func TestRenderDeterminism(t *testing.T) {
 		return r
 	}
 	a, b := build(false), build(true)
-	specs := []LinkSpec{{From: "b", To: "a", Bandwidth: 1e6}, {From: "a", To: "b", Bandwidth: 2e6}}
 	views := []struct {
 		name string
 		fn   func(*Recorder) string
 	}{
 		{"RenderCalls", func(r *Recorder) string { return r.RenderCalls() }},
-		{"RenderHealth", func(r *Recorder) string { return r.RenderHealth(5 * time.Second) }},
+		{"RenderHealth", func(r *Recorder) string { return r.RenderHealth() }},
 		{"RenderSessions", func(r *Recorder) string { return r.RenderSessions() }},
-		{"Calibrate", func(r *Recorder) string { return r.Calibrate(specs).Render() }},
 	}
 	for _, v := range views {
 		first := v.fn(a)
@@ -183,88 +177,11 @@ func TestRenderDeterminism(t *testing.T) {
 			t.Fatalf("CallTable unsorted at %d: %+v", i, ct)
 		}
 	}
-	lh := a.LinkHealthTable(-1, DefaultStaleAfter)
+	lh := a.LinkHealthTable()
 	for i := 1; i < len(lh); i++ {
 		if lh[i-1].From > lh[i].From {
 			t.Fatalf("LinkHealthTable unsorted: %+v", lh)
 		}
-	}
-}
-
-// TestLinkHealthStaleness: rows age out against the caller's clock, and a
-// negative clock disables marking entirely.
-func TestLinkHealthStaleness(t *testing.T) {
-	r := New()
-	r.RecordGoodput("a", "b", 1e6, time.Second)
-	r.RecordGoodput("a", "c", 1e6, 10*time.Minute)
-	r.RecordLinkTransfer("a", "d", LinkFallback) // transfers but never probed
-	rows := r.LinkHealthTable(10*time.Minute, time.Minute)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if !rows[0].Stale || rows[1].Stale {
-		t.Fatalf("staleness wrong: %+v", rows)
-	}
-	if rows[2].HasGoodput || rows[2].Transfers.Fallback != 1 {
-		t.Fatalf("unprobed link row wrong: %+v", rows[2])
-	}
-	for _, row := range r.LinkHealthTable(-1, time.Minute) {
-		if row.Stale {
-			t.Fatalf("negative now must disable staleness: %+v", row)
-		}
-	}
-	out := r.RenderHealth(10 * time.Minute)
-	if !strings.Contains(out, "STALE") {
-		t.Fatalf("render missing STALE marker:\n%s", out)
-	}
-}
-
-// TestCalibrate: drift math against configured bandwidths and floors,
-// unmeasured-edge reporting, and the roll-up MaxLinkDrift.
-func TestCalibrate(t *testing.T) {
-	r := New()
-	r.RecordGoodput("a", "b", 0.95e6, time.Second) // 5% low
-	r.RecordGoodput("b", "a", 1.2e6, time.Second)  // 20% high
-	r.RecordCall("", "gravity", "kick", 110*time.Microsecond, 100*time.Microsecond)
-	r.RecordCall("", "mpi", "kick", time.Millisecond, 0) // no floor: excluded
-	specs := []LinkSpec{
-		{From: "a", To: "b", Bandwidth: 1e6},
-		{From: "b", To: "a", Bandwidth: 1e6},
-		{From: "c", To: "d", Bandwidth: 1e6}, // never probed
-	}
-	cal := r.Calibrate(specs)
-	if len(cal.Links) != 3 {
-		t.Fatalf("links = %d, want 3", len(cal.Links))
-	}
-	byEdge := map[[2]string]LinkDrift{}
-	for _, d := range cal.Links {
-		byEdge[[2]string{d.From, d.To}] = d
-	}
-	if d := byEdge[[2]string{"a", "b"}]; !d.Measured || d.Drift < 0.049 || d.Drift > 0.051 {
-		t.Fatalf("a->b drift %+v, want ~5%%", d)
-	}
-	if d := byEdge[[2]string{"b", "a"}]; d.Drift < 0.199 || d.Drift > 0.201 {
-		t.Fatalf("b->a drift %+v, want ~20%% (absolute value of +20%%)", d)
-	}
-	if byEdge[[2]string{"c", "d"}].Measured {
-		t.Fatal("unprobed edge must report Measured=false")
-	}
-	worst, all := cal.MaxLinkDrift()
-	if all {
-		t.Fatal("allMeasured must be false with an unprobed edge")
-	}
-	if worst < 0.199 || worst > 0.201 {
-		t.Fatalf("worst drift %v, want ~0.2", worst)
-	}
-	if len(cal.Calls) != 1 || cal.Calls[0].Model != "gravity" {
-		t.Fatalf("call drift rows %+v, want only the floored gravity key", cal.Calls)
-	}
-	if d := cal.Calls[0].Drift; d < 0.099 || d > 0.101 {
-		t.Fatalf("call drift %v, want ~10%%", d)
-	}
-	out := cal.Render()
-	if !strings.Contains(out, "unmeas") || !strings.Contains(out, "gravity") {
-		t.Fatalf("calibration render incomplete:\n%s", out)
 	}
 }
 

@@ -7,34 +7,28 @@
 //
 // Beyond the paper's views, the package is the system's observability
 // plane, default-on and allocation-light. The channel layer records every
-// RPC's virtual round-trip latency into lock-striped fixed-bucket
-// histograms (hist.go, calls.go; RenderCalls). The SmartSockets goodput
-// probes and the bulk-transfer outcome counters roll up into a per-link
-// health table with staleness marking, alongside the daemon store's
-// checkpoint-size and restore-latency gauges (health.go; RenderHealth).
-// Calibrate (calibrate.go) closes the loop: it compares the observed
-// goodput and latency against the configured vnet/vtime constants and
-// reports drift, keeping the virtual-time model honest as the system
-// grows.
+// RPC's virtual round-trip latency, with the channel's configured floor,
+// into lock-striped fixed-bucket histograms (hist.go, calls.go;
+// RenderCalls). The bulk-transfer outcome counters roll up into a per-link
+// health table, alongside the daemon store's checkpoint-size and
+// restore-latency gauges (health.go; RenderHealth).
 package trace
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Recorder collects traffic and goodput here and calls, sessions, gangs
-// and health in the files beside this one. It satisfies
-// vnet.TrafficRecorder. The zero value is not usable; call New.
+// Recorder collects traffic here and calls, sessions, gangs and health in
+// the files beside this one. It satisfies vnet.TrafficRecorder. The zero
+// value is not usable; call New.
 type Recorder struct {
 	mu sync.Mutex
 	// traffic holds one counter per (from, to, class), handed out once
 	// to the network, whose senders add to it without taking mu.
 	traffic map[trafficKey]*atomic.Int64
 	spare   []atomic.Int64 // made in blocks: a new key costs no allocation of its own
-	goodput map[[2]string]GoodputSample
 	// sessions holds per-session control-plane accounting (sessions.go);
 	// created lazily so single-tenant recorders pay nothing.
 	sessions map[string]*SessionStats
@@ -58,40 +52,11 @@ type trafficKey struct {
 	From, To, Class string
 }
 
-// GoodputSample is the most recent measured goodput for a directed link,
-// as reported by the SmartSockets prober.
-type GoodputSample struct {
-	BytesPerSec float64
-	At          time.Duration // virtual time of the measurement
-	Probes      int           // how many measurements have been folded in
-}
-
 // New returns an empty recorder.
 func New() *Recorder {
 	return &Recorder{
 		traffic: make(map[trafficKey]*atomic.Int64),
-		goodput: make(map[[2]string]GoodputSample),
 	}
-}
-
-// RecordGoodput implements vnet.GoodputRecorder: it stores the latest
-// measured goodput for the directed from->to link.
-func (r *Recorder) RecordGoodput(from, to string, bytesPerSec float64, at time.Duration) {
-	r.mu.Lock()
-	s := r.goodput[[2]string{from, to}]
-	s.BytesPerSec, s.At = bytesPerSec, at
-	s.Probes++
-	r.goodput[[2]string{from, to}] = s
-	r.mu.Unlock()
-}
-
-// Goodput returns the latest goodput sample for from->to; ok is false when
-// the link has never been probed.
-func (r *Recorder) Goodput(from, to string) (GoodputSample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.goodput[[2]string{from, to}]
-	return s, ok
 }
 
 // TrafficCounter implements vnet.TrafficRecorder: the counter of the

@@ -12,7 +12,6 @@ package vnet
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,10 +62,9 @@ func (p Policy) String() string {
 // SSHPort is the well-known port that SSHOnly hosts still accept.
 const SSHPort = 22
 
-// LoopbackBandwidth is the modeled bandwidth of a same-host connection
-// (bytes/second); see Route. Exported so overlay-aware consumers (the
-// goodput prober) can discount loopback legs from path measurements.
-const LoopbackBandwidth = 2e9
+// loopbackBandwidth is the modeled bandwidth of a same-host connection
+// (bytes/second); see Route.
+const loopbackBandwidth = 2e9
 
 // Host is a machine in the virtual network.
 type Host struct {
@@ -132,13 +130,6 @@ func (c *Cell) Add(n int) {
 }
 
 type cellKey struct{ from, to, class string }
-
-// GoodputRecorder is optionally implemented by a TrafficRecorder to receive
-// measured per-link goodput samples (bytes/second) from the SmartSockets
-// prober, feeding the per-link health view.
-type GoodputRecorder interface {
-	RecordGoodput(from, to string, bytesPerSec float64, at time.Duration)
-}
 
 // Network is the virtual fabric: hosts, links and routes.
 type Network struct {
@@ -251,37 +242,6 @@ func (n *Network) Recorder() TrafficRecorder {
 	return n.recorder
 }
 
-// Links returns every configured link once (undirected, in insertion
-// order per host, deduplicated), sorted by (A, B) with A < B. The
-// calibration pass enumerates them to compare configured bandwidth
-// against measured goodput edge by edge.
-func (n *Network) Links() []Link {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	seen := make(map[[2]string]bool)
-	var links []Link
-	for _, adj := range n.adj {
-		for _, l := range adj {
-			a, b := l.A, l.B
-			if a > b {
-				a, b = b, a
-			}
-			if seen[[2]string{a, b}] {
-				continue
-			}
-			seen[[2]string{a, b}] = true
-			links = append(links, Link{A: a, B: b, Latency: l.Latency, Bandwidth: l.Bandwidth})
-		}
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].A != links[j].A {
-			return links[i].A < links[j].A
-		}
-		return links[i].B < links[j].B
-	})
-	return links
-}
-
 // SetHostUp marks a host up or down; dialing a down host (or through it)
 // fails, and its listeners are unreachable. Fault injection: tests only.
 func (n *Network) SetHostUp(name string, up bool) error {
@@ -361,7 +321,7 @@ func (n *Network) Route(from, to string) (Path, error) {
 	if from == to {
 		// Loopback: the paper measures >8 Gbit/s and "extremely small
 		// latency" for the daemon's local socket; model 10 µs / 16 Gbit/s.
-		return Path{Latency: 10 * time.Microsecond, Bandwidth: LoopbackBandwidth, Hops: []string{from}}, nil
+		return Path{Latency: 10 * time.Microsecond, Bandwidth: loopbackBandwidth, Hops: []string{from}}, nil
 	}
 	n.mu.RLock()
 	if p, ok := n.routes[[2]string{from, to}]; ok {
@@ -483,15 +443,4 @@ func (n *Network) AllowsInboundFrom(dst, from string, port int) (bool, error) {
 		return false, fmt.Errorf("%w: %q", ErrUnknownHost, from)
 	}
 	return allowsInbound(d, f.Site, port), nil
-}
-
-// RecordGoodput reports a measured goodput sample to the installed recorder,
-// if it implements GoodputRecorder.
-func (n *Network) RecordGoodput(from, to string, bytesPerSec float64, at time.Duration) {
-	n.mu.RLock()
-	r := n.recorder
-	n.mu.RUnlock()
-	if g, ok := r.(GoodputRecorder); ok {
-		g.RecordGoodput(from, to, bytesPerSec, at)
-	}
 }

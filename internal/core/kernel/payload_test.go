@@ -2,12 +2,14 @@ package kernel
 
 import (
 	"math"
+	"math/rand/v2"
 	"regexp"
 	"strings"
 	"testing"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/mpisim"
+	"jungle/internal/wire"
 	"jungle/internal/wiretest"
 )
 
@@ -94,6 +96,45 @@ func TestCodecAllocGates(t *testing.T) {
 		if req.Method != method || got != want {
 			t.Errorf("%s header read: %q, %v allocs, want %v", method, req.Method, got, want)
 		}
+	}
+}
+
+// BenchmarkMarshal: the struct codec's encode of the per-op messages, each
+// through wire.MarshalBehind behind a response header's room — a kick of
+// 64 and of 1 000 random vectors, one of 64 zero vectors (rpc_kick's) and
+// a 50-event stellar evolve reply, a list of structs. Each is one
+// allocation, the message.
+func BenchmarkMarshal(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	kick := func(n int, random bool) KickArgs {
+		dv := make([]data.Vec3, n)
+		for i := range dv {
+			if random {
+				dv[i] = data.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			}
+		}
+		return KickArgs{DV: dv}
+	}
+	events := StellarEvolveResult{Events: make([]StellarEventPayload, 50)}
+	for i := range events.Events {
+		events.Events[i] = StellarEventPayload{Index: 17 * i, MassLoss: rng.Float64(), SN: i%7 == 0}
+	}
+	for _, bc := range []struct {
+		name string
+		v    any
+	}{
+		{"kick-64", kick(64, true)},
+		{"kick-1000", kick(1000, true)},
+		{"kick-64-zero", kick(64, false)},
+		{"stellar-50-events", events},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(Encode(bc.v))))
+			b.ReportAllocs()
+			for b.Loop() {
+				wire.MarshalBehind(respHeader, bc.v)
+			}
+		})
 	}
 }
 

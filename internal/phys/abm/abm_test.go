@@ -3,6 +3,8 @@ package abm
 import (
 	"math"
 	"testing"
+
+	"jungle/internal/wire"
 )
 
 func testParams() Params {
@@ -110,26 +112,35 @@ func TestSlabStepMatchesSolo(t *testing.T) {
 	}
 }
 
+// TestPackFloatsRoundTrip: a peer's slab crosses bit for bit in
+// wire.AppendFloats's bytes, and a truncated float is refused.
 func TestPackFloatsRoundTrip(t *testing.T) {
-	in := []float64{0, 1, -1, math.Pi, math.Inf(1), math.Copysign(0, -1), 1e-308}
-	out, err := unpackFloats(packFloats(in))
-	if err != nil {
-		t.Fatalf("unpackFloats: %v", err)
+	p := testParams()
+	g := seededGrid(t, p, 1)
+	row := make([]float64, p.W)
+	copy(row, []float64{0, 1, -1, math.Pi, math.Inf(1), math.Copysign(0, -1), 1e-308, math.NaN()})
+	if err := g.SpliceRows(2, 3, wire.AppendFloats(nil, row)); err != nil {
+		t.Fatalf("SpliceRows: %v", err)
 	}
-	for i := range in {
-		if math.Float64bits(in[i]) != math.Float64bits(out[i]) {
-			t.Fatalf("bit pattern %d changed: %x vs %x", i, math.Float64bits(in[i]), math.Float64bits(out[i]))
+	for i, x := range g.NextRows(2, 3) {
+		if math.Float64bits(x) != math.Float64bits(row[i]) {
+			t.Fatalf("bit pattern %d changed: %x vs %x", i, math.Float64bits(row[i]), math.Float64bits(x))
 		}
 	}
-	if _, err := unpackFloats(make([]byte, 7)); err == nil {
-		t.Fatal("unpackFloats accepted a truncated column")
+	if err := g.SpliceRows(2, 3, make([]byte, 7)); err == nil {
+		t.Fatal("SpliceRows accepted a truncated column")
 	}
 }
 
+// TestSpliceRowsValidates: a part that is not exactly the slab's rows — a
+// float short, a row long — is refused.
 func TestSpliceRowsValidates(t *testing.T) {
-	g := seededGrid(t, testParams(), 1)
-	if err := g.SpliceRows(0, 2, make([]float64, 5)); err == nil {
-		t.Fatal("SpliceRows accepted a wrong-sized slab")
+	p := testParams()
+	g := seededGrid(t, p, 1)
+	for _, n := range []int{8 * (p.W - 1), 8 * 2 * p.W} {
+		if err := g.SpliceRows(2, 3, make([]byte, n)); err == nil {
+			t.Errorf("SpliceRows accepted a %d-byte part for a %d-float row", n, p.W)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"jungle/internal/amuse/data"
+	"jungle/internal/wire"
 )
 
 // Params are the colony's fixed dynamics parameters (the "setup" call).
@@ -147,13 +148,13 @@ func (g *Grid) NextRows(lo, hi int) []float64 {
 	return g.next[lo*g.P.W : hi*g.P.W]
 }
 
-// SpliceRows writes a peer rank's slab of the next generation into rows
-// [lo,hi).
-func (g *Grid) SpliceRows(lo, hi int, u []float64) error {
-	if len(u) != (hi-lo)*g.P.W {
-		return fmt.Errorf("abm: slab rows [%d,%d) want %d values, got %d", lo, hi, (hi-lo)*g.P.W, len(u))
+// SpliceRows decodes a peer rank's slab of the next generation, as
+// wire.AppendFloats wrote it, into rows [lo,hi).
+func (g *Grid) SpliceRows(lo, hi int, part []byte) error {
+	if len(part) != 8*(hi-lo)*g.P.W {
+		return fmt.Errorf("abm: slab rows [%d,%d) want %d bytes, got %d", lo, hi, 8*(hi-lo)*g.P.W, len(part))
 	}
-	copy(g.next[lo*g.P.W:hi*g.P.W], u)
+	wire.DecodeFloats(g.next[lo*g.P.W:hi*g.P.W], part)
 	return nil
 }
 

@@ -1,15 +1,14 @@
 package abm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
 	"jungle/internal/mpisim"
 	"jungle/internal/vtime"
+	"jungle/internal/wire"
 )
 
 // Kind is the worker kind this package registers. It does not exist in
@@ -193,7 +192,9 @@ func (s *service) step(n int) error {
 	for i := 0; i < n; i++ {
 		s.clock.Advance(s.dev.Time(s.g.StepRows(lo, hi), 0))
 		if s.gang != nil {
-			parts, err := mpisim.AllgatherBytes(s.gang, packFloats(s.g.NextRows(lo, hi)))
+			// A copy, not a view: AllgatherBytes takes the slice, and the
+			// next step overwrites these rows.
+			parts, err := mpisim.AllgatherBytes(s.gang, wire.AppendFloats(nil, s.g.NextRows(lo, hi)))
 			if err != nil {
 				return fmt.Errorf("abm: slab exchange: %w", err)
 			}
@@ -202,12 +203,8 @@ func (s *service) step(n int) error {
 					continue
 				}
 				plo, phi := SlabRows(s.g.P.H, size, p)
-				u, err := unpackFloats(part)
-				if err != nil {
+				if err := s.g.SpliceRows(plo, phi, part); err != nil {
 					return fmt.Errorf("abm: slab from rank %d: %w", p, err)
-				}
-				if err := s.g.SpliceRows(plo, phi, u); err != nil {
-					return err
 				}
 			}
 		}
@@ -306,25 +303,4 @@ func (s *service) Restore(snap *kernel.Snapshot) error {
 	}
 	s.g.RestoreClock(snap.Model, snap.Steps)
 	return nil
-}
-
-// packFloats encodes a float column for the slab exchange (bit patterns,
-// little endian — the exchange must be bit-transparent).
-func packFloats(x []float64) []byte {
-	b := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-func unpackFloats(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("abm: float column of %d bytes", len(b))
-	}
-	x := make([]float64, len(b)/8)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return x, nil
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -51,12 +50,8 @@ func (c *Client) do(method string, args, reply any) error {
 	if err := writeFrame(c.w, out); err != nil {
 		return fmt.Errorf("sched: send %s: %w", method, err)
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return fmt.Errorf("sched: %s reply: %w", method, err)
-	}
-	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(c.r, payload); err != nil {
+	payload, err := readFrame(c.r)
+	if err != nil {
 		return fmt.Errorf("sched: %s reply: %w", method, err)
 	}
 	var rf ReplyFrame

@@ -73,17 +73,12 @@ func (g *Gateway) ServeConn(conn io.ReadWriter) error {
 	r := bufio.NewReaderSize(conn, 1<<20)
 	w := bufio.NewWriterSize(conn, 1<<20)
 	bound := "" // session this connection attached
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
+		payload, err := readFrame(r)
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if err != nil {
 			return err
 		}
 		start := time.Now()
@@ -108,6 +103,24 @@ func (g *Gateway) ServeConn(conn io.ReadWriter) error {
 			return err
 		}
 	}
+}
+
+// readFrame reads one frame writeFrame wrote. The body grows as its bytes
+// arrive, so a forged length fails at the end of the stream before it sizes
+// an allocation — the rule wire.Reader's lengths keep. A stream that ends
+// at a frame boundary reads io.EOF, one that ends inside a frame
+// io.ErrUnexpectedEOF.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[:]))
+	body, err := io.ReadAll(io.LimitReader(r, n))
+	if err == nil && int64(len(body)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return body, err
 }
 
 func writeFrame(w *bufio.Writer, payload []byte) error {

@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -264,12 +266,8 @@ func TestGatewayAnswersEveryFrame(t *testing.T) {
 		if err := writeFrame(c.w, tc.payload); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(c.r, payload); err != nil {
+		payload, err := readFrame(c.r)
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		var rf ReplyFrame
@@ -282,6 +280,28 @@ func TestGatewayAnswersEveryFrame(t *testing.T) {
 	}
 	if _, err := c.Attach("after", false); err != nil {
 		t.Fatalf("attach after the refused frames: %v", err)
+	}
+}
+
+// TestGatewayForgedLengthSizesNoAllocation: a header that claims 256 MiB,
+// then the end of the stream, is an error, and the gateway allocates as the
+// body's bytes arrive, not what the header claims.
+func TestGatewayForgedLengthSizesNoAllocation(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], 256<<20)
+	conn := struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(hdr[:]), io.Discard}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := (&Gateway{}).ServeConn(conn)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a frame cut short after its header served as a clean end of stream")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 16<<20 {
+		t.Errorf("a forged 256 MiB length cost %d MiB of allocation, want under 16", n>>20)
 	}
 }
 

@@ -92,9 +92,9 @@ const hubProcessing = 200 * time.Microsecond
 // wrong frame (TestRoutedSendAllocGate).
 const frameOverhead = 64
 
-// sendFrame transmits f over c at f.sentAt. wire.Marshal sizes the frame
-// and encodes it into one allocation of that size, so what vnet takes is
-// the frame's own exactly sized slice.
+// sendFrame transmits f over c at f.sentAt. wire.Marshal encodes the frame
+// into its pooled scratch and copies it into one allocation of exactly its
+// size, so what vnet takes is the frame's own slice, never the scratch.
 func sendFrame(c *vnet.Conn, f *frame) error {
 	_, err := c.Send(wire.Marshal(f), f.sentAt)
 	return err

@@ -3,9 +3,9 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -149,13 +149,57 @@ func planFor(v any) (*plan, reflect.Value) {
 // Marshal encodes v into a slice of its own, exactly sized.
 func Marshal(v any) []byte { return MarshalBehind(0, v) }
 
+// scratchCap is the largest scratch the pool keeps: kernel's frameClass,
+// 64 KiB, which holds every per-op struct message the workloads send (the
+// largest, a field_staged result for 1 000 targets, is about 36 KB), while
+// a large set_particles or Snapshot pins nothing.
+const scratchCap = 64 << 10
+
+// scratch holds the buffers messages are encoded into. A collection empties
+// it; a new one starts at 1 KiB, which holds a control message whole.
+var scratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1<<10)
+	return &b
+}}
+
 // MarshalBehind is Marshal with room zero bytes in front of the encoding:
 // the header of the frame v is the body of, which the caller fills in. It
-// sizes the message exactly and encodes it into one allocation of that
-// size, which the caller (the transport) keeps.
+// encodes v once, into a scratch, and copies that behind the room into one
+// allocation of exactly room+len, which the caller (the transport) keeps.
+// The scratch is pooled and goes back unless it grew past scratchCap; a
+// message whose columns alone may outgrow the cap takes one nothing keeps.
 func MarshalBehind(room int, v any) []byte {
 	p, rv := planFor(v)
-	return p.encode(make([]byte, room, room+p.size(rv)), rv)
+	n := p.columnBound(rv)
+	var s *[]byte
+	var buf []byte
+	if n <= scratchCap {
+		s = scratch.Get().(*[]byte)
+		buf = (*s)[:0]
+	}
+	enc := p.encode(slices.Grow(buf, n), rv)
+	out := make([]byte, room+len(enc))
+	copy(out[room:], enc)
+	if s != nil {
+		if cap(enc) <= scratchCap {
+			*s = enc
+		}
+		scratch.Put(s)
+	}
+	return out
+}
+
+// columnBound is the most bytes v's column fields encode to, 9 a word and 9
+// for each length, so that they cost the scratch one growth, not one per
+// append-doubling: a 50 000-star upload grows it once, not 34 times.
+func (p *plan) columnBound(v reflect.Value) int {
+	n := 0
+	for _, f := range p.fields {
+		if e := f.plan.elem; f.plan.kind == reflect.Slice && (e.floats > 0 || e.kind == reflect.Uint64) {
+			n += 9 * (1 + v.Field(f.index).Len()*max(e.floats, 1))
+		}
+	}
+	return n
 }
 
 func (p *plan) encode(dst []byte, v reflect.Value) []byte {
@@ -198,45 +242,6 @@ func (p *plan) encode(dst []byte, v reflect.Value) []byte {
 	return dst
 }
 
-// size returns the bytes v encodes to, without encoding anything.
-func (p *plan) size(v reflect.Value) int {
-	s, n := 0, 0 // bytes so far, and elements to add
-	switch p.kind {
-	case reflect.Bool:
-		return 1
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return uintLen(zigzag(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return uintLen(v.Uint())
-	case reflect.Float32, reflect.Float64:
-		return uintLen(bits.ReverseBytes64(math.Float64bits(v.Float())))
-	case reflect.String, reflect.Slice:
-		n = v.Len()
-		s = uintLen(uint64(n))
-		if p.kind == reflect.String || p.elem.kind == reflect.Uint8 {
-			return s + n
-		}
-		if p.elem.floats > 0 || p.elem.kind == reflect.Uint64 {
-			for _, x := range p.column(v, n) {
-				if p.elem.floats > 0 {
-					x = bits.ReverseBytes64(x)
-				}
-				s += uintLen(x)
-			}
-			return s
-		}
-	case reflect.Array:
-		n = p.n
-	}
-	for i := 0; i < n; i++ {
-		s += p.elem.size(v.Index(i))
-	}
-	for _, f := range p.fields { // a struct's
-		s += f.plan.size(v.Field(f.index))
-	}
-	return s
-}
-
 // column views the 64-bit words behind a slice of n elements made of
 // float64s only (plan.floats > 0) or of uint64s.
 func (p *plan) column(v reflect.Value, n int) []uint64 {
@@ -249,7 +254,7 @@ func (p *plan) column(v reflect.Value, n int) []uint64 {
 // the per-value calls exactly. A word of 8 significant bytes, which is any
 // arbitrary float (one whose low mantissa byte is set) and any key from
 // 2^56, takes the 9-byte form: length byte 0xF8, then the 8 bytes
-// big-endian, appended in place into the allocation Marshal sized.
+// big-endian.
 func appendColumn(dst []byte, ws []uint64, float bool) []byte {
 	for _, x := range ws {
 		if float {
@@ -258,14 +263,6 @@ func appendColumn(dst []byte, ws []uint64, float bool) []byte {
 		dst = AppendUint(dst, x)
 	}
 	return dst
-}
-
-// uintLen is the number of bytes AppendUint writes for x.
-func uintLen(x uint64) int {
-	if x < 0x80 {
-		return 1
-	}
-	return 1 + (bits.Len64(x)+7)/8
 }
 
 // column decodes a column written by appendColumn, reading the one-byte and

@@ -215,8 +215,11 @@ func BenchmarkSPHStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSmartSocketsConnect measures virtual connection setup through
-// the overlay (reverse connection to a firewalled host).
+// BenchmarkSmartSocketsConnect times a bare vnet dial and close from the
+// desktop to the VU front-end's SSH port on the lab testbed: the tunnel a
+// hub opens to a front-end's hub, with no overlay frame on the way. The
+// overlay's cascade (direct refused, reverse nak, routed open) is
+// internal/smartsockets' BenchmarkConnectCascade.
 func BenchmarkSmartSocketsConnect(b *testing.B) {
 	tb, err := core.NewLabTestbed()
 	if err != nil {

@@ -58,3 +58,36 @@ func BenchmarkVirtualConnRoundTrip(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConnectCascade: the connect a coupled step's peer plane makes
+// between two firewalled clients of two sites — the direct dial is
+// firewalled, the reverse request comes back as a nak (the target cannot
+// dial back either), the routed open is acked by the target's factory —
+// then both ends close the circuit. Every step is frames through both
+// sites' hubs; the first connect, which routes and sizes the queues, runs
+// before the timer starts.
+func BenchmarkConnectCascade(b *testing.B) {
+	tn := newTestNet(b, vnet.OutboundOnly, vnet.OutboundOnly)
+	fa := newFactory(b, tn.net, tn.clientA, 20000, tn.hubA)
+	fb := newFactory(b, tn.net, tn.clntB, 20000, tn.hubB)
+	l, err := fb.Listen(21000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i == 0 || b.Loop(); i++ {
+		conn, err := fa.Connect(l.Addr(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if conn.Type() != Routed {
+			b.Fatalf("conn type %v, want routed", conn.Type())
+		}
+		srv, err := l.Accept()
+		if err != nil {
+			b.Fatal(err)
+		}
+		conn.Close() // returns once the peer's close arrived
+		srv.Close()
+	}
+}

@@ -3,6 +3,7 @@ package smartsockets
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -137,13 +138,28 @@ func (f *Factory) Close() {
 	f.wg.Wait()
 }
 
-// hubReadLoop dispatches frames arriving from the hub. Once the hub
-// connection is gone no frame can reach a routed end, and no close can
-// arrive for one waiting for it: every end closes.
+// hubReadLoop dispatches frames arriving from the hub. Circuit data is
+// read in place; every other frame is decoded into fr, which the loop
+// keeps, so a handler that keeps its Route past its return clones it.
+// Once the hub connection is gone no frame can reach a routed end, and no
+// close can arrive for one waiting for it: every end closes.
 func (f *Factory) hubReadLoop() {
 	defer f.wg.Done()
+	var fr frame
 	for {
-		fr, err := recvFrame(f.hubConn)
+		msg, err := f.hubConn.Recv()
+		if err == nil {
+			if kind, circuit, payload, ok := circuitOf(msg.Data); ok && kind == kCircuitData {
+				f.mu.Lock()
+				end := f.circuits[string(circuit)]
+				f.mu.Unlock()
+				if end != nil {
+					end.q.Push(vnet.Message{Data: payload, Arrival: msg.Arrival})
+				}
+				continue
+			}
+			err = decodeFrame(msg, &fr)
+		}
 		if err != nil {
 			f.mu.Lock()
 			ends := make([]*routedEnd, 0, len(f.circuits))
@@ -159,15 +175,17 @@ func (f *Factory) hubReadLoop() {
 		}
 		switch fr.Kind {
 		case kReverseReq:
+			req := fr
+			req.Route = slices.Clone(fr.Route) // the next decode writes over fr's
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
-				f.handleReverseReq(fr)
+				f.handleReverseReq(&req)
 			}()
 		case kCircuitOpen:
-			f.handleCircuitOpen(fr)
+			f.handleCircuitOpen(&fr)
 		case kCircuitAck:
-			f.completeOpen(fr.Circuit, openResult{route: fr.Route})
+			f.completeOpen(fr.Circuit, openResult{route: slices.Clone(fr.Route)})
 		case kCircuitNak:
 			err := ErrNoListener
 			if fr.Reason == nakNoRoute {
@@ -178,13 +196,6 @@ func (f *Factory) hubReadLoop() {
 			}
 			if fr.ReqID != 0 {
 				f.completeRev(fr.ReqID, err)
-			}
-		case kCircuitData:
-			f.mu.Lock()
-			end := f.circuits[fr.Circuit]
-			f.mu.Unlock()
-			if end != nil {
-				end.q.Push(vnet.Message{Data: fr.Payload, Arrival: fr.sentAt})
 			}
 		case kCircuitClose:
 			f.mu.Lock()
@@ -278,7 +289,7 @@ func (f *Factory) handleCircuitOpen(fr *frame) {
 	}
 	sendFrame(f.hubConn, reply)
 	if end != nil {
-		vc := &VirtualConn{typ: Routed, end: end, established: fr.sentAt, route: fr.Route}
+		vc := &VirtualConn{typ: Routed, end: end, established: fr.sentAt, route: slices.Clone(fr.Route)}
 		if !l.backlog.Push(vc) {
 			end.q.Close()
 		}

@@ -30,6 +30,7 @@ type Hub struct {
 	edges      map[string]EdgeType     // peer hub host -> edge type
 	dialed     map[string]bool         // peer hub hosts this hub has dialed (or is dialing) itself
 	adverts    map[string]advert       // hub host -> newest advertisement received, this hub's own included
+	routes     map[string][]string     // hub host -> route (see route), made on first use; cleared whenever adverts changes
 	clients    map[Address]string      // registered service address -> client identity
 	circuits   map[string]*circuit
 	nextClient int
@@ -195,6 +196,7 @@ func (h *Hub) advertiseLocked() {
 	}
 	sort.Slice(ad.Links, func(i, j int) bool { return ad.Links[i].Peer < ad.Links[j].Peer })
 	h.adverts[h.host] = ad
+	clear(h.routes)
 }
 
 // flood forwards ads — advertisements that were news to this hub — to every
@@ -338,6 +340,7 @@ func (h *Hub) merge(ads []advert, from string, own bool) {
 			continue
 		}
 		h.adverts[ad.Hub] = ad
+		clear(h.routes)
 		newer = append(newer, ad)
 		if !known {
 			fresh = append(fresh, ad.Hub)
@@ -351,24 +354,26 @@ func (h *Hub) merge(ads []advert, from string, own bool) {
 }
 
 // readLoop processes frames arriving from one neighbor (hub or client).
+// Every control frame is decoded into f, which the loop keeps: a handler
+// keeps nothing of it but strings, and merge takes the adverts.
 func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 	defer h.wg.Done()
+	var f frame
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
 			h.dropConn(id, conn, primary)
 			return
 		}
-		if kind, circuit, ok := circuitOf(msg.Data); ok && kind == kCircuitData {
+		if kind, circuit, _, ok := circuitOf(msg.Data); ok && kind == kCircuitData {
 			h.relayData(id, circuit, msg)
 			continue
 		}
-		f, err := decodeFrame(msg)
-		if err != nil {
+		if err := decodeFrame(msg, &f); err != nil {
 			h.dropConn(id, conn, primary)
 			return
 		}
-		h.handleFrame(id, f)
+		h.handleFrame(id, &f)
 	}
 }
 
@@ -414,7 +419,9 @@ func (h *Hub) handleFrame(origin string, f *frame) {
 	switch f.Kind {
 	case kHello, kGossip:
 		from, _ := hubPeer(origin)
-		h.merge(f.Adverts, from, false)
+		ads := f.Adverts
+		f.Adverts = nil // merge stores them: the reader's next decode must not write over them
+		h.merge(ads, from, false)
 	case kRegister:
 		h.mu.Lock()
 		h.clients[Address{f.Src.Host, f.Src.Port, h.host}] = origin
@@ -479,10 +486,24 @@ func (h *Hub) forwardOpen(origin string, f *frame) {
 // latency and hub processing delay, then fewest hops, then the
 // lexicographically smallest path. It is Dijkstra over the advertised links
 // with whole paths as labels, so that ties compare that way; a link counts
-// in the direction its owner advertises it.
+// in the direction its owner advertises it. The answer is computed once per
+// database: h.routes keeps it until adverts changes, and every caller
+// shares the slice, which nobody writes.
 func (h *Hub) route(dst string) []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	p, ok := h.routes[dst]
+	if !ok {
+		p = h.dijkstraLocked(dst)
+		if h.routes == nil {
+			h.routes = make(map[string][]string)
+		}
+		h.routes[dst] = p
+	}
+	return p
+}
+
+func (h *Hub) dijkstraLocked(dst string) []string {
 	type label struct {
 		cost time.Duration
 		path []string

@@ -2,7 +2,9 @@ package smartsockets
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,5 +195,203 @@ func TestRetentionRoutedConnForgetsDelivered(t *testing.T) {
 	}
 	if err := conn.Send([]byte("still open"), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hubPlayedByTest starts a factory of client-a whose hub connection's
+// other end the test holds, and a listener of it on port 21000: the test
+// writes the frames a hub would and reads what the factory answers.
+func hubPlayedByTest(t *testing.T) (*Factory, *Listener, *vnet.Conn) {
+	t.Helper()
+	n := vnet.New()
+	for _, h := range []string{"hub-a", "client-a"} {
+		if _, err := n.AddHost(h, "siteA", vnet.Open); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.AddLink("hub-a", "client-a", time.Millisecond, 1.25e9); err != nil {
+		t.Fatal(err)
+	}
+	hl, err := n.Listen("hub-a", HubPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := n.Dial("client-a", "hub-a", HubPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := hl.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := n.Listen("client-a", 21000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Factory{
+		net: n, host: "client-a", base: 20000, hubHost: "hub-a", hubConn: conn,
+		listeners:   make(map[int]*Listener),
+		pendingRev:  make(map[uint64]chan error),
+		pendingCirc: make(map[string]chan openResult),
+		pendingReg:  make(map[Address]chan struct{}),
+		circuits:    make(map[string]*routedEnd),
+		Timeout:     2 * time.Second,
+	}
+	l := &Listener{factory: f, port: 21000, raw: raw}
+	f.listeners[21000] = l
+	f.wg.Add(1)
+	go f.hubReadLoop()
+	t.Cleanup(f.Close)
+	return f, l, hub
+}
+
+// mustSend and mustRecv move one frame over the played hub's connection.
+func mustSend(t *testing.T, c *vnet.Conn, f *frame) {
+	t.Helper()
+	if err := sendFrame(c, f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustRecv(t *testing.T, c *vnet.Conn, kind byte) *frame {
+	t.Helper()
+	f, err := recvFrame(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != kind {
+		t.Fatalf("frame of kind %d, want %d", f.Kind, kind)
+	}
+	return f
+}
+
+// TestOwnershipKeptFrameRoutes: the factory's reader decodes every control
+// frame into the one it keeps, so the route of a routed VirtualConn — the
+// inbound circuit's, from its open, and the dialled one's, from its ack —
+// must be the connection's own: frames decoded after them, whose routes
+// name other hubs, leave both as they were.
+func TestOwnershipKeptFrameRoutes(t *testing.T) {
+	f, l, hub := hubPlayedByTest(t)
+	peer := Address{Host: "client-b", Port: 21000, Hub: "hub-b"}
+	inRoute, outRoute := []string{"hub-b", "hub-m", "hub-a"}, []string{"hub-a", "hub-n", "hub-b"}
+
+	mustSend(t, hub, &frame{Kind: kCircuitOpen, Src: peer, Dst: l.Addr(), Circuit: "client-b:20000/1", Route: inRoute, Hop: 3})
+	mustRecv(t, hub, kCircuitAck)
+	dialled := make(chan *VirtualConn, 1)
+	go func() {
+		vc, err := f.connectRouted(peer, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		dialled <- vc
+	}()
+	open := mustRecv(t, hub, kCircuitOpen)
+	mustSend(t, hub, &frame{Kind: kCircuitAck, Src: open.Src, Dst: open.Dst, Circuit: open.Circuit, Route: outRoute})
+	out := <-dialled
+	if out == nil {
+		t.FailNow()
+	}
+	// Frames whose routes are as long and name other hubs, then an open
+	// nobody listens for: its nak says the reader got past all of them.
+	for i := range 4 {
+		other := []string{fmt.Sprint("x", i), fmt.Sprint("y", i), fmt.Sprint("z", i)}
+		mustSend(t, hub, &frame{Kind: kCircuitNak, Circuit: "gone", Route: other, Hop: 1})
+	}
+	mustSend(t, hub, &frame{Kind: kCircuitOpen, Src: peer, Dst: Address{Host: "client-a", Port: 1}, Circuit: "client-b:20000/2", Route: []string{"q", "r", "s"}, Hop: 3})
+	mustRecv(t, hub, kCircuitNak)
+
+	in, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(in.Route(), inRoute) || !slices.Equal(out.Route(), outRoute) {
+		t.Fatalf("routes read inbound %v, dialled %v after later frames; want %v, %v", in.Route(), out.Route(), inRoute, outRoute)
+	}
+}
+
+// TestOwnershipKeptFrameReverseRequest: a reverse request is served on a
+// goroutine of its own while the reader decodes the next frames into the
+// frame it keeps, so the request it serves must be its own copy: each of
+// 64 requests sent back to back (to a port nobody listens on) is answered
+// by a nak that carries its own id and route.
+func TestOwnershipKeptFrameReverseRequest(t *testing.T) {
+	_, _, hub := hubPlayedByTest(t)
+	const n = 64
+	route := func(id uint64) []string {
+		return []string{fmt.Sprint("hub-", id), fmt.Sprint("via-", id), "hub-a"}
+	}
+	for id := uint64(1); id <= n; id++ {
+		mustSend(t, hub, &frame{
+			Kind: kReverseReq, Src: Address{Host: "client-b", Port: 20000, Hub: "hub-b"},
+			Dst: Address{Host: "client-a", Port: 1}, ReqID: id, ReplyPort: -1, Route: route(id), Hop: 3,
+		})
+	}
+	seen := make(map[uint64]bool)
+	for range n {
+		nak := mustRecv(t, hub, kCircuitNak)
+		if seen[nak.ReqID] || !slices.Equal(nak.Route, route(nak.ReqID)) {
+			t.Fatalf("nak for request %d (seen before: %v) carries route %v, want %v", nak.ReqID, seen[nak.ReqID], nak.Route, route(nak.ReqID))
+		}
+		seen[nak.ReqID] = true
+	}
+}
+
+// TestOwnershipKeptFrameAdverts: a hub's reader decodes every frame into
+// the one it keeps, and merge stores the adverts of a gossip frame: the
+// stored adverts must be the hub's own, so a later gossip frame of the
+// same shape, naming other hubs, leaves the table as it was.
+func TestOwnershipKeptFrameAdverts(t *testing.T) {
+	n := vnet.New()
+	for _, h := range []string{"hub-a", "hub-p", "hub-s"} {
+		if _, err := n.AddHost(h, h, vnet.Open); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"hub-p", "hub-s"} {
+		if err := n.AddLink("hub-a", p, time.Millisecond, 1.25e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := newHub(n, "hub-a", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Stop)
+	// The test plays hub-p and hub-s: each hello registers a link. hub-p's
+	// gossip then reaches the hub's reader, and what was news is flooded on
+	// to hub-s.
+	hello := func(name string) *vnet.Conn {
+		c, err := n.Dial(name, "hub-a", HubPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSend(t, c, &frame{Kind: kHello, Hub: name, Adverts: []advert{{Hub: name, Seq: 1, Links: []link{{Peer: "hub-a", Latency: time.Millisecond}}}}})
+		mustRecv(t, c, kGossip)
+		return c
+	}
+	p, s := hello("hub-p"), hello("hub-s")
+	ad := func(hub string, peers ...string) advert {
+		a := advert{Hub: hub, Seq: 1}
+		for i, p := range peers {
+			a.Links = append(a.Links, link{Peer: p, Latency: time.Duration(i+1) * time.Millisecond})
+		}
+		return a
+	}
+	first := ad("hub-x", "hub-y", "hub-z")
+	mustSend(t, p, &frame{Kind: kGossip, Hub: "hub-p", Adverts: []advert{first}})
+	mustSend(t, p, &frame{Kind: kGossip, Hub: "hub-p", Adverts: []advert{ad("hub-w", "hub-q", "hub-r")}})
+	// hub-w's advert reaching hub-s says both frames were merged.
+	for done := false; !done; {
+		g, err := recvFrame(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = slices.ContainsFunc(g.Adverts, func(a advert) bool { return a.Hub == "hub-w" })
+	}
+	h.mu.Lock()
+	got := h.adverts["hub-x"]
+	h.mu.Unlock()
+	if !slices.Equal(got.Links, first.Links) {
+		t.Fatalf("stored advert of hub-x reads %v after a later gossip frame, want %v", got.Links, first.Links)
 	}
 }

@@ -10,8 +10,9 @@ import (
 // frame is the single wire format used on hub-hub and client-hub
 // connections, in internal/wire's positional struct codec. Kind selects
 // which fields are meaningful; unused fields cross as one zero byte each.
-// Kind and Circuit lead so that a hub relaying circuit data reads those two
-// and forwards the message as it came (see circuitOf).
+// Kind, Circuit and Payload lead so that circuit data is read in place: a
+// hub relaying it reads the first two and forwards the message as it came,
+// the factory at its end reads the payload too (see circuitOf).
 type frame struct {
 	Kind    byte
 	Circuit string
@@ -104,34 +105,40 @@ func sendFrame(c *vnet.Conn, f *frame) error {
 // sees every frame decoded: the package keeps no count of its own.
 var testDecoded func(*frame)
 
-// decodeFrame decodes one received message; the frame's sentAt is its
-// virtual arrival time so handlers can re-stamp relayed copies. Payload
-// aliases the message.
-func decodeFrame(msg vnet.Message) (*frame, error) {
-	f := new(frame)
+// decodeFrame decodes one received message into f; the frame's sentAt is
+// its virtual arrival time so handlers can re-stamp relayed copies.
+// Payload aliases the message. A reader that decodes every frame into the
+// one it keeps reuses its Route and Adverts slices: a handler that keeps
+// either past its return clones it, or takes it (sets the field to nil).
+func decodeFrame(msg vnet.Message, f *frame) error {
 	if err := wire.Unmarshal(msg.Data, f); err != nil {
-		return nil, err
+		return err
 	}
 	f.sentAt = msg.Arrival
 	if testDecoded != nil {
 		testDecoded(f)
 	}
-	return f, nil
+	return nil
 }
 
-// recvFrame receives and decodes one frame.
+// recvFrame receives and decodes one frame of its own.
 func recvFrame(c *vnet.Conn) (*frame, error) {
 	msg, err := c.Recv()
 	if err != nil {
 		return nil, err
 	}
-	return decodeFrame(msg)
+	f := new(frame)
+	if err := decodeFrame(msg, f); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-// circuitOf reads the two leading fields of an encoded frame: its kind
-// and, aliasing data, its circuit key. ok is false on a malformed head.
-func circuitOf(data []byte) (kind byte, circuit []byte, ok bool) {
+// circuitOf reads the three leading fields of an encoded frame: its kind
+// and, aliasing data, its circuit key and payload. ok is false on a
+// malformed head.
+func circuitOf(data []byte) (kind byte, circuit, payload []byte, ok bool) {
 	r := wire.Reader{B: data}
-	kind, circuit = r.U8("kind"), r.Bytes("circuit")
-	return kind, circuit, r.Err == nil
+	kind, circuit, payload = r.U8("kind"), r.Bytes("circuit"), r.Bytes("payload")
+	return kind, circuit, payload, r.Err == nil
 }

@@ -24,8 +24,8 @@ func TestFrameOnTheWire(t *testing.T) {
 
 func TestFrameDecodeAliasesMessage(t *testing.T) {
 	enc := wire.Marshal(&frame{Kind: kCircuitData, Circuit: "c/1", Payload: []byte("payload")})
-	f, err := decodeFrame(vnet.Message{Data: enc, Arrival: 7})
-	if err != nil {
+	f := new(frame)
+	if err := decodeFrame(vnet.Message{Data: enc, Arrival: 7}, f); err != nil {
 		t.Fatal(err)
 	}
 	if f.sentAt != 7 || f.Circuit != "c/1" || string(f.Payload) != "payload" {
@@ -39,16 +39,16 @@ func TestFrameDecodeAliasesMessage(t *testing.T) {
 
 func TestCircuitOf(t *testing.T) {
 	enc := wire.Marshal(&frame{Kind: kCircuitData, Circuit: "client-a:20000/12", Payload: []byte{1, 2, 3}})
-	kind, circuit, ok := circuitOf(enc)
-	if !ok || kind != kCircuitData || string(circuit) != "client-a:20000/12" {
-		t.Fatalf("circuitOf = %d %q %v", kind, circuit, ok)
+	kind, circuit, payload, ok := circuitOf(enc)
+	if !ok || kind != kCircuitData || string(circuit) != "client-a:20000/12" || !bytes.Equal(payload, []byte{1, 2, 3}) {
+		t.Fatalf("circuitOf = %d %q %v %v", kind, circuit, payload, ok)
 	}
-	for cut := 0; cut < 1+1+len("client-a:20000/12"); cut++ {
-		if _, _, ok := circuitOf(enc[:cut]); ok {
+	for cut := 0; cut < 1+1+len("client-a:20000/12")+1+3; cut++ {
+		if _, _, _, ok := circuitOf(enc[:cut]); ok {
 			t.Fatalf("head cut at %d accepted", cut)
 		}
 	}
-	if _, _, ok := circuitOf(append([]byte{kCircuitData}, wire.AppendUint(nil, 1<<50)...)); ok {
+	if _, _, _, ok := circuitOf(append([]byte{kCircuitData}, wire.AppendUint(nil, 1<<50)...)); ok {
 		t.Fatal("forged circuit length accepted")
 	}
 }

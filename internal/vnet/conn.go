@@ -193,7 +193,7 @@ func (n *Network) Dial(from, to string, port int) (*Conn, error) {
 		return nil, ErrHostDown
 	}
 	if !allowsInbound(th, fh.Site, port) {
-		return nil, fmt.Errorf("%w: %s -> %s:%d (%s)", ErrFirewalled, from, to, port, th.Policy)
+		return nil, &firewallError{from, to, port, th.Policy}
 	}
 	fwd, err := n.Route(from, to)
 	if err != nil {
@@ -221,3 +221,18 @@ func (n *Network) Dial(from, to string, port int) (*Conn, error) {
 	}
 	return local, nil
 }
+
+// firewallError is a dial the destination's policy refused. SmartSockets'
+// cascade meets one on every direct attempt at a firewalled host and drops
+// it, so its text is built only when somebody reads it.
+type firewallError struct {
+	from, to string
+	port     int
+	policy   Policy
+}
+
+func (e *firewallError) Error() string {
+	return fmt.Sprintf("%v: %s -> %s:%d (%s)", ErrFirewalled, e.from, e.to, e.port, e.policy)
+}
+
+func (e *firewallError) Unwrap() error { return ErrFirewalled }

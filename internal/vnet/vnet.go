@@ -358,15 +358,17 @@ func (n *Network) dijkstraLocked(from, to string) (Path, error) {
 	}
 	st := map[string]*state{from: {bw: 1e30}}
 	for {
-		// Extract the unfinished node with minimal latency (n is small;
-		// linear scan keeps the code simple).
+		// Extract the unfinished node with minimal (latency, name): n is
+		// small, and a linear scan keeps the code simple. The name breaks
+		// ties, so between equal-latency paths the one taken — and with it
+		// the path's bandwidth and hops — does not depend on map order.
 		var cur string
 		var curSt *state
 		for name, s := range st {
 			if s.done {
 				continue
 			}
-			if curSt == nil || s.lat < curSt.lat {
+			if curSt == nil || s.lat < curSt.lat || s.lat == curSt.lat && name < cur {
 				cur, curSt = name, s
 			}
 		}

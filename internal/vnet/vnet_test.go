@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,6 +92,34 @@ func TestRoutePicksLowestLatency(t *testing.T) {
 	}
 	if len(p.Hops) != 3 || p.Hops[1] != "m" {
 		t.Fatalf("hops %v, want via m", p.Hops)
+	}
+}
+
+// TestRouteTiesBreakByName: a diamond whose two paths have the same
+// latency, one of them through a slow link. Every fresh network takes the
+// path through the host whose name sorts first (b), so the bottleneck
+// bandwidth a transfer is priced at does not depend on map order.
+func TestRouteTiesBreakByName(t *testing.T) {
+	for i := range 200 {
+		n := New()
+		for _, h := range []string{"a", "b", "c", "d"} {
+			mustHost(t, n, h, "s", Open)
+		}
+		for _, l := range []struct {
+			a, b string
+			bw   float64
+		}{{"a", "b", 1e9}, {"b", "d", 1e9}, {"a", "c", 1e6}, {"c", "d", 1e9}} {
+			if err := n.AddLink(l.a, l.b, time.Millisecond, l.bw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := n.Route("a", "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Latency != 2*time.Millisecond || p.Bandwidth != 1e9 || !slices.Equal(p.Hops, []string{"a", "b", "d"}) {
+			t.Fatalf("network %d routed a->d over %v at %v (%v B/s), want over b at 1e9", i, p.Hops, p.Latency, p.Bandwidth)
+		}
 	}
 }
 
@@ -221,8 +250,16 @@ func TestDialFirewalled(t *testing.T) {
 	if _, err := n.Listen("b", 80); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Dial("a", "b", 80); !errors.Is(err, ErrFirewalled) {
+	_, err := n.Dial("a", "b", 80)
+	if !errors.Is(err, ErrFirewalled) {
 		t.Fatalf("err = %v, want ErrFirewalled", err)
+	}
+	if want := "vnet: connection blocked by firewall: a -> b:80 (outbound-only)"; err.Error() != want {
+		t.Fatalf("err reads %q, want %q", err, want)
+	}
+	// The refusal is one allocation: its text is built when it is read.
+	if allocs := testing.AllocsPerRun(100, func() { n.Dial("a", "b", 80) }); allocs != 1 {
+		t.Errorf("a firewalled dial: %v allocations, want 1", allocs)
 	}
 	// But b can dial out to a.
 	if _, err := n.Listen("a", 81); err != nil {

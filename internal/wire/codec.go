@@ -30,6 +30,9 @@ import (
 // array, each element decoded over. A value that starts zero decodes as
 // if it had been zeroed; one that is decoded into again reuses its
 // slices, so whoever decodes into a value must not keep them elsewhere.
+// A string that already holds the bytes decoded is kept, not copied again:
+// a reader decoding one kind of frame over and over pays for the names
+// that changed, not for every name.
 //
 // Compatibility is append-only: a struct may grow fields at its end. A
 // decoder that reaches the end of the input at a field boundary leaves the
@@ -325,7 +328,9 @@ func (p *plan) decode(r *Reader, v reflect.Value, tail bool) {
 	case reflect.Float32, reflect.Float64:
 		v.SetFloat(r.Float("float"))
 	case reflect.String:
-		v.SetString(string(r.Bytes("string")))
+		if b := r.Bytes("string"); v.String() != string(b) {
+			v.SetString(string(b))
+		}
 	case reflect.Slice:
 		if p.elem.kind == reflect.Uint8 {
 			if b := r.Bytes("bytes"); len(b) > 0 {

@@ -346,6 +346,39 @@ func TestUnmarshalZeroesDestination(t *testing.T) {
 	}
 }
 
+// TestUnmarshalKeepsEqualStrings: a string field that already holds the
+// bytes decoded keeps its value and costs no allocation; one that holds
+// something else is replaced, and a string taken from it before keeps what
+// it read.
+func TestUnmarshalKeepsEqualStrings(t *testing.T) {
+	type names struct {
+		Hub   string
+		Route []string
+	}
+	enc := wire.Marshal(names{Hub: "das4-vu.fe", Route: []string{"das4-vu.fe", "lgm.fe"}})
+	var out names
+	if err := wire.Unmarshal(enc, &out); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := wire.Unmarshal(enc, &out); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding equal strings again: %v allocations, want 0", allocs)
+	}
+	kept, hop := out.Hub, out.Route[1]
+	if err := wire.Unmarshal(wire.Marshal(names{Hub: "das4-uva.fe", Route: []string{"das4-vu.fe", "tud.fe"}}), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Hub != "das4-uva.fe" || out.Route[1] != "tud.fe" {
+		t.Fatalf("decoded %+v, want the second message's names", out)
+	}
+	if kept != "das4-vu.fe" || hop != "lgm.fe" {
+		t.Fatalf("strings read before the second decode changed to %q, %q", kept, hop)
+	}
+}
+
 func TestByteSlicesAliasInput(t *testing.T) {
 	enc := wire.Marshal(everything{Raw: []byte("abc")})
 	var out everything

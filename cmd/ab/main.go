@@ -18,6 +18,15 @@
 // the first run that fails, an op failing included (bench/run.sh then exits
 // non-zero).
 //
+// Around every run ab times a fixed scalar loop in its own process, once
+// before and once after (the reference: about 150 ms on a 2-core Xeon
+// host). A pair is flagged when one side's two readings, or the two sides'
+// means, differ by more than slowFraction: the host changed speed during
+// the pair, as in its slow mode, where set-up wall time moves by up to 70 %
+// with every virtual and allocation metric flat. Each workload's table is
+// printed over all pairs, then over the unflagged pairs; the exit status
+// follows the first. No metric is divided by the reference.
+//
 // The base is a `git archive` export, not a worktree: nothing is registered
 // in the repository, and each checkout builds its own binary into its own
 // .bench_build/.
@@ -35,6 +44,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // result is the last line a benchmark run prints.
@@ -120,33 +130,62 @@ func run(base, workload string, pairs, seed int) error {
 	return nil
 }
 
-// compare runs one workload's pairs in the two checkouts, prints its table
-// and returns the metrics that regressed, as "workload/metric".
+// pair is one seed's run on each side, base first, and the reference
+// loop's readings before and after each.
+type pair struct {
+	res [2]result
+	ref [2][2]time.Duration
+}
+
+// compare runs one workload's pairs in the two checkouts, prints its tables
+// and returns the metrics that regressed over all pairs, as
+// "workload/metric".
 func compare(sides [2]string, workload string, metrics []metric, pairs, seed int) (regressed []string, err error) {
 	names := [2]string{"base", "change"}
-	var runs [2][]result
-	for i := 0; i < pairs; i++ {
+	all := make([]pair, pairs)
+	var steady []pair
+	for i := range all {
+		p := &all[i]
 		for k := 0; k < 2; k++ {
 			side := (i + k) % 2 // base first in even pairs, the change first in odd
+			p.ref[side][0] = reference()
 			res, err := benchRun(sides[side], workload, seed+i)
+			p.ref[side][1] = reference()
 			if err != nil {
 				return nil, fmt.Errorf("%s pair %d, %s: %w", workload, i, names[side], err)
 			}
-			runs[side] = append(runs[side], res)
+			p.res[side] = res
 			fmt.Printf("pair %d %-6s seed %d:", i, names[side], seed+i)
 			for _, m := range metrics {
 				fmt.Printf(" %s %.6g", m.Name, res.Metrics[m.Name].Value)
 			}
-			fmt.Println()
+			fmt.Printf(" reference %v/%v\n", p.ref[side][0].Round(time.Millisecond), p.ref[side][1].Round(time.Millisecond))
+		}
+		if slow(p.ref, slowFraction) {
+			fmt.Printf("pair %d flagged: the reference loop's readings differ by more than %g%%\n", i, 100*slowFraction)
+		} else {
+			steady = append(steady, *p)
 		}
 	}
+	fmt.Printf("%s, all %d pairs:\n", workload, pairs)
+	regressed = table(workload, metrics, all)
+	fmt.Printf("%s, the %d unflagged pairs:\n", workload, len(steady))
+	if len(steady) > 0 {
+		table(workload, metrics, steady)
+	}
+	return regressed, nil
+}
 
+// table prints, per metric, both sides' median [q1–q3] over pairs, the
+// change's wins and the verdict, and returns the metrics that regressed.
+func table(workload string, metrics []metric, pairs []pair) (regressed []string) {
+	n := len(pairs)
 	fmt.Printf("%-18s %-34s %-34s %8s %6s  %s\n", "metric", "base median [q1–q3]", "change median [q1–q3]", "change", "wins", "verdict")
 	for _, m := range metrics {
 		var x [2][]float64
 		wins := 0
-		for i := 0; i < pairs; i++ {
-			p, c := runs[0][i].Metrics[m.Name].Value, runs[1][i].Metrics[m.Name].Value
+		for _, pr := range pairs {
+			p, c := pr.res[0].Metrics[m.Name].Value, pr.res[1].Metrics[m.Name].Value
 			x[0], x[1] = append(x[0], p), append(x[1], c)
 			if (m.Better == "lower" && c < p) || (m.Better == "higher" && c > p) {
 				wins++
@@ -165,15 +204,45 @@ func compare(sides [2]string, workload string, metrics []metric, pairs, seed int
 		switch {
 		case worse > m.Bound:
 			verdict, regressed = "regression", append(regressed, workload+"/"+m.Name)
-		case worse < 0 && 10*wins >= 9*pairs && math.Abs(r[1]-q[1]) > q[2]-q[0]:
+		case worse < 0 && 10*wins >= 9*n && math.Abs(r[1]-q[1]) > q[2]-q[0]:
 			verdict = "gain"
 		case strings.Contains(m.Name, "_virtual_") && slices.Equal(x[0], x[1]):
 			verdict = "identical"
 		}
 		fmt.Printf("%-18s %-34s %-34s %+7.2f%% %3d/%-2d  %s (bound %g%%)\n",
-			m.Name, spread(q), spread(r), 100*move, wins, pairs, verdict, 100*m.Bound)
+			m.Name, spread(q), spread(r), 100*move, wins, n, verdict, 100*m.Bound)
 	}
-	return regressed, nil
+	return regressed
+}
+
+// slowFraction is how far a pair's reference readings may differ before
+// the pair is flagged. Back-to-back readings on a quiet 2-core host differ
+// by up to 10 %; two busy processes started beside the loop lengthen it by
+// 25–95 %.
+const slowFraction = 0.15
+
+// slow reports whether a pair's reference readings, [side][before, after],
+// differ by more than frac: one side's two readings, or the two sides'
+// means.
+func slow(ref [2][2]time.Duration, frac float64) bool {
+	differ := func(a, b time.Duration) bool { return float64(max(a, b)) > (1+frac)*float64(min(a, b)) }
+	return differ(ref[0][0], ref[0][1]) || differ(ref[1][0], ref[1][1]) ||
+		differ(ref[0][0]+ref[0][1], ref[1][0]+ref[1][1])
+}
+
+// referenceSink keeps reference's loop from being optimised away.
+var referenceSink uint64
+
+// reference times a fixed scalar loop — one dependent multiply-add per
+// step, no memory traffic — in this process: the host's speed between runs.
+func reference() time.Duration {
+	t0 := time.Now()
+	x := uint64(1)
+	for i := 0; i < 100_000_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	referenceSink = x
+	return time.Since(t0)
 }
 
 // benchRun runs the benchmark in one checkout, for the 20 s the repository

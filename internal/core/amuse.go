@@ -11,6 +11,7 @@ import (
 	"jungle/internal/amuse/data"
 	"jungle/internal/amuse/units"
 	"jungle/internal/core/kernel"
+	"jungle/internal/gostack"
 	"jungle/internal/phys/bridge"
 	"jungle/internal/trace"
 	"jungle/internal/vtime"
@@ -135,6 +136,7 @@ func (s *Simulation) Stop() error {
 		wg.Add(1)
 		go func(i int, m *modelProxy) {
 			defer wg.Done()
+			gostack.Grow()
 			errs[i] = m.shutdown()
 		}(i, m)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"jungle/internal/amuse/data"
@@ -73,5 +74,35 @@ func BenchmarkLabTestbedBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		tb.Close()
+	}
+}
+
+// BenchmarkWorkerStartStop is the worker lifecycle a session pays once per
+// model — bench/'s session_churn pays it every op: a solo ibis-channel
+// gravity worker started on the lab testbed (job, pool join, elections,
+// both ports), one call, and Stop, which returns once the worker's job has
+// ended. The testbed is built, and one cycle run, before the timer.
+func BenchmarkWorkerStartStop(b *testing.B) {
+	tb, err := NewLabTestbed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tb.Close()
+	ctx := context.Background()
+	stars := ic.Plummer(16, 1)
+	cycle := func() {
+		sim := NewSimulation(ctx, tb.Daemon, nil)
+		g, err := sim.NewGravity(ctx, WorkerSpec{Channel: ChannelIbis}, GravityOptions{Eps: 0.01})
+		if err == nil {
+			err = g.SetParticles(stars)
+		}
+		if err := errors.Join(err, sim.Stop()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle()
+	b.ReportAllocs()
+	for b.Loop() {
+		cycle()
 	}
 }

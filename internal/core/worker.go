@@ -9,6 +9,7 @@ import (
 	"jungle/internal/core/kernel"
 	"jungle/internal/deploy"
 	"jungle/internal/gat"
+	"jungle/internal/gostack"
 	"jungle/internal/ipl"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
@@ -138,6 +139,7 @@ func workerMain(env *Env, ctx *gat.Context) error {
 	// dispatch stuck in a collective returns and the relay can end.
 	relayDone := make(chan struct{})
 	go func() {
+		gostack.Grow() // the kill it makes runs deep
 		select {
 		case <-ctx.Cancel:
 			ib.Kill()

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jungle/internal/gostack"
 	"jungle/internal/vnet"
 )
 
@@ -233,6 +234,7 @@ func batchSubmit(b *Broker, j *Job, frontend, scheme string) error {
 	}
 	granted, w := sched.enqueue(j.Desc.Nodes)
 	go func() {
+		gostack.Grow() // the job runs here: a worker's runs deep
 		hosts, err := granted, error(nil)
 		if w != nil {
 			hosts, err = sched.wait(w, j.cancel)

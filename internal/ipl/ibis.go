@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"jungle/internal/gostack"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
 )
@@ -206,6 +207,7 @@ func (ib *Ibis) shutdown(leave bool) bool {
 
 func (ib *Ibis) registryLoop() {
 	defer ib.wg.Done()
+	gostack.Grow()
 	// The loop is the only event producer; consumers ranging over Events()
 	// terminate when the instance ends or is killed.
 	defer close(ib.events)
@@ -277,9 +279,11 @@ func (ib *Ibis) dataAcceptLoop() {
 }
 
 // handleData reads the handshake and attaches the connection to the target
-// receive port.
+// receive port, whose reader it then runs: the goroutine keeps the stack
+// it grew for the handshake, and End's wait covers the readers.
 func (ib *Ibis) handleData(conn *smartsockets.VirtualConn) {
 	defer ib.wg.Done()
+	gostack.Grow()
 	msg, err := conn.Recv()
 	if err != nil {
 		conn.Close()

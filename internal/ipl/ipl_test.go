@@ -1,10 +1,12 @@
 package ipl
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -736,4 +738,62 @@ func TestLeakPortsCloseWithTheirOwner(t *testing.T) {
 	_, rp = connect("closed-by-sender-exit")
 	a.End() // never closed the send port itself
 	waitFor("the reader of the ended sender's connection to exit", func() bool { return attached(rp) == 0 })
+}
+
+// TestLeakShutdownWithIdleRemoteSender: an accepted connection's reader runs
+// on the goroutine that read its handshake, which End waits for. With a
+// remote send port connected and idle, End returns — the receive port's
+// Close closes the connection before the wait — and so does Kill, and
+// neither leaves a reader behind.
+func TestLeakShutdownWithIdleRemoteSender(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		call func(*Ibis)
+	}{{"End", (*Ibis).End}, {"Kill", (*Ibis).Kill}} {
+		t.Run(stop.name, func(t *testing.T) {
+			tp := newTestPool(t, 2)
+			a, b := tp.join(t, 0, "amuse"), tp.join(t, 1, "amuse")
+			rp, err := b.CreateReceivePort(OneToOne, "req", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.CreateSendPort(OneToOne, "req").Connect(b.Identifier(), "req", 0); err != nil {
+				t.Fatal(err)
+			}
+			// b's readers, by the receiver their goroutines' stacks show.
+			readers := func() int {
+				buf := make([]byte, 1<<20)
+				buf = buf[:runtime.Stack(buf, true)]
+				return bytes.Count(buf, fmt.Appendf(nil, "ipl.(*Ibis).handleData(%p", b))
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				rp.mu.Lock()
+				n := len(rp.conns)
+				rp.mu.Unlock()
+				if n == 1 && readers() == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the connection never attached: %d attached, %d readers", n, readers())
+				}
+			}
+			done := make(chan struct{})
+			go func() {
+				stop.call(b)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s did not return within 5 s while a remote send port stayed connected", stop.name)
+			}
+			// A reader End waited for may still be returning from its last
+			// deferred call.
+			for deadline := time.Now().Add(5 * time.Second); readers() != 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d readers still running 5 s after %s", readers(), stop.name)
+				}
+			}
+		})
+	}
 }

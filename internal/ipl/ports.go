@@ -141,36 +141,33 @@ func (sp *SendPort) Close() {
 	sp.ibis.mu.Unlock()
 }
 
-// attach wires an accepted connection into the receive port and starts its
-// reader, which runs until the connection closes — by the sender, or by
-// the port's Close.
+// attach wires an accepted connection into the receive port and runs its
+// reader on the calling goroutine until the connection closes — by the
+// sender, or by the port's Close.
 func (rp *ReceivePort) attach(from Identifier, conn *smartsockets.VirtualConn) {
+	defer conn.Close()
 	rp.mu.Lock()
 	if rp.closed {
 		rp.mu.Unlock()
-		conn.Close()
 		return
 	}
 	rp.conns[conn] = struct{}{}
 	rp.mu.Unlock()
-	go func() {
-		defer conn.Close()
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				rp.mu.Lock()
-				delete(rp.conns, conn)
-				rp.mu.Unlock()
-				return
-			}
-			rm := ReadMessage{From: from, Data: msg.Data, Arrival: msg.Arrival}
-			if rp.upcall != nil {
-				rp.upcall(rm)
-			} else {
-				rp.queue.Push(rm)
-			}
+	for {
+		msg, err := conn.Recv()
+		if err != nil {
+			rp.mu.Lock()
+			delete(rp.conns, conn)
+			rp.mu.Unlock()
+			return
 		}
-	}()
+		rm := ReadMessage{From: from, Data: msg.Data, Arrival: msg.Arrival}
+		if rp.upcall != nil {
+			rp.upcall(rm)
+		} else {
+			rp.queue.Push(rm)
+		}
+	}
 }
 
 // Receive blocks for the next message (explicit receive mode).

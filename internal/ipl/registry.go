@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"jungle/internal/gostack"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
 )
@@ -107,6 +108,7 @@ func (r *Registry) acceptLoop() {
 // connection without a prior leave is a death.
 func (r *Registry) serve(conn *smartsockets.VirtualConn) {
 	defer r.wg.Done()
+	gostack.Grow()
 	msg, err := conn.Recv()
 	if err != nil {
 		conn.Close()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jungle/internal/fifo"
+	"jungle/internal/gostack"
 	"jungle/internal/vnet"
 )
 
@@ -145,6 +146,7 @@ func (f *Factory) Close() {
 // close can arrive for one waiting for it: every end closes.
 func (f *Factory) hubReadLoop() {
 	defer f.wg.Done()
+	gostack.Grow()
 	var fr frame
 	for {
 		msg, err := f.hubConn.Recv()

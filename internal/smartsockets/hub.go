@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"jungle/internal/gostack"
 	"jungle/internal/vnet"
 )
 
@@ -281,9 +282,11 @@ func (h *Hub) acceptLoop(l *vnet.Listener, port int) {
 }
 
 // handleInbound classifies a new connection by its first frame: a hub hello
-// or a client registration.
+// or a client registration. A client's reader runs on this goroutine, which
+// keeps the stack it grew decoding the registration.
 func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 	defer h.wg.Done()
+	gostack.Grow()
 	f, err := recvFrame(conn)
 	if err != nil {
 		conn.Close()
@@ -317,8 +320,8 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		h.allConns[conn] = struct{}{}
 		h.mu.Unlock()
 		h.handleFrame(id, f) // stores the registration and acks it
-		h.wg.Add(1)
-		go h.readLoop(id, conn, true)
+		h.wg.Add(1)          // readLoop counts itself out, like every reader
+		h.readLoop(id, conn, true)
 	default:
 		conn.Close()
 	}

@@ -1,9 +1,12 @@
 package smartsockets
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -565,5 +568,58 @@ func TestRandomJungleConnectivity(t *testing.T) {
 			f.Close()
 		}
 		ov.Stop()
+	}
+}
+
+// TestLeakHubStopWithIdleClient: a registered client's reader runs on the
+// goroutine that read its registration. Stop closes the client's
+// connection, so it returns with the client connected and idle, and leaves
+// no goroutine of the hub behind.
+func TestLeakHubStopWithIdleClient(t *testing.T) {
+	tn := newTestNet(t, vnet.Open, vnet.Open)
+	h := tn.overlay.Hub(tn.hubA)
+	// running returns the stacks of the goroutines in one of h's methods.
+	frame := regexp.MustCompile(fmt.Sprintf(`smartsockets\.\(\*Hub\)\.\w+\(%p`, h))
+	running := func() (gs [][]byte) {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		for _, g := range bytes.Split(buf, []byte("\n\n")) {
+			if frame.Match(g) {
+				gs = append(gs, g)
+			}
+		}
+		return gs
+	}
+	newFactory(t, tn.net, tn.clientA, 7000, tn.hubA)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		h.mu.Lock()
+		n := len(h.clients)
+		h.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client never registered")
+		}
+	}
+	if len(running()) == 0 {
+		t.Fatal("no goroutine of the hub found before Stop")
+	}
+	done := make(chan struct{})
+	go func() {
+		h.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return within 5 s while a client stayed connected")
+	}
+	// A goroutine Stop waited for may still be returning from its last
+	// deferred call.
+	for deadline := time.Now().Add(5 * time.Second); len(running()) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a goroutine of the hub outlived Stop by 5 s:\n%s", running()[0])
+		}
 	}
 }

@@ -19,13 +19,15 @@
 // non-zero).
 //
 // Around every run ab times a fixed scalar loop in its own process, once
-// before and once after (the reference: about 150 ms on a 2-core Xeon
-// host). A pair is flagged when one side's two readings, or the two sides'
-// means, differ by more than slowFraction: the host changed speed during
-// the pair, as in its slow mode, where set-up wall time moves by up to 70 %
-// with every virtual and allocation metric flat. Each workload's table is
-// printed over all pairs, then over the unflagged pairs; the exit status
-// follows the first. No metric is divided by the reference.
+// before and once after, on as many goroutines as the host has cores, and
+// takes the slowest reading (the reference: about 150 ms on a 2-core Xeon
+// host), so that one busy process on any core shows. A pair is flagged
+// when one side's two readings, or the two sides' means, differ by more
+// than slowFraction: the host changed speed during the pair, as in its
+// slow mode, where set-up wall time moves by up to 70 % with every virtual
+// and allocation metric flat. Each workload's table is printed over all
+// pairs, then over the unflagged pairs; the exit status follows the first.
+// No metric is divided by the reference.
 //
 // The base is a `git archive` export, not a worktree: nothing is registered
 // in the repository, and each checkout builds its own binary into its own
@@ -41,9 +43,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -216,9 +221,9 @@ func table(workload string, metrics []metric, pairs []pair) (regressed []string)
 }
 
 // slowFraction is how far a pair's reference readings may differ before
-// the pair is flagged. Back-to-back readings on a quiet 2-core host differ
-// by up to 10 %; two busy processes started beside the loop lengthen it by
-// 25–95 %.
+// the pair is flagged. On a quiet 2-core host, 48 readings spanned 135–167
+// ms and back-to-back ones differed by up to 14 %; one busy process started
+// beside the loop lengthened it by 35–70 %.
 const slowFraction = 0.15
 
 // slow reports whether a pair's reference readings, [side][before, after],
@@ -231,18 +236,30 @@ func slow(ref [2][2]time.Duration, frac float64) bool {
 }
 
 // referenceSink keeps reference's loop from being optimised away.
-var referenceSink uint64
+var referenceSink atomic.Uint64
 
 // reference times a fixed scalar loop — one dependent multiply-add per
-// step, no memory traffic — in this process: the host's speed between runs.
+// step, no memory traffic — on runtime.NumCPU() goroutines at once in this
+// process, and returns the slowest: the speed of the host's slowest core
+// between runs.
 func reference() time.Duration {
-	t0 := time.Now()
-	x := uint64(1)
-	for i := 0; i < 100_000_000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
+	times := make([]time.Duration, runtime.NumCPU())
+	var wg sync.WaitGroup
+	for i := range times {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			x := uint64(1)
+			for j := 0; j < 100_000_000; j++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			referenceSink.Add(x)
+			times[i] = time.Since(t0)
+		}()
 	}
-	referenceSink = x
-	return time.Since(t0)
+	wg.Wait()
+	return slices.Max(times)
 }
 
 // benchRun runs the benchmark in one checkout, for the 20 s the repository

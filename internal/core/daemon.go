@@ -78,6 +78,7 @@ type workerHandle struct {
 
 	mu       sync.Mutex
 	member   ipl.Identifier
+	peer     workerPeer // an ibis worker's, set with member
 	sendPort *ipl.SendPort
 	recvPort *ipl.ReceivePort        // the worker's response port; closed with the worker
 	pending  map[uint64]*connChannel // request id -> coupler channel awaiting the reply
@@ -669,6 +670,8 @@ func (d *Daemon) connectWorker(wh *workerHandle, member ipl.Identifier) error {
 	}
 	wh.mu.Lock()
 	wh.member = member
+	wh.peer.Address = ipl.PeerAddr(member)
+	wh.peer.name = wh.peer.String()
 	wh.sendPort = sp
 	wh.mu.Unlock()
 	d.mu.Lock()
@@ -743,21 +746,27 @@ func (d *Daemon) WorkerJob(id int) *gat.Job {
 	return nil
 }
 
-// WorkerPeerAddr resolves an ibis worker's peer-stream address — where
-// other workers dial it for direct worker-to-worker state transfers —
-// from its pool identity. It reports false for non-ibis workers, workers
-// still starting, and dead workers.
-func (d *Daemon) WorkerPeerAddr(id int) (smartsockets.Address, bool) {
+// workerPeer is an ibis worker's peer-stream address (ipl.PeerAddr), where
+// other workers dial it for direct state transfers, and its rendering, which
+// every transfer to it carries: both made once, when the worker reports in.
+type workerPeer struct {
+	smartsockets.Address
+	name string // Address.String()
+}
+
+// workerPeer resolves an ibis worker's peer-stream address. It reports
+// false for non-ibis workers, workers still starting, and dead workers.
+func (d *Daemon) workerPeer(id int) (workerPeer, bool) {
 	wh := d.worker(id)
 	if wh == nil {
-		return smartsockets.Address{}, false
+		return workerPeer{}, false
 	}
 	wh.mu.Lock()
 	defer wh.mu.Unlock()
 	if wh.dead || wh.member.Host == "" {
-		return smartsockets.Address{}, false
+		return workerPeer{}, false
 	}
-	return ipl.PeerAddr(wh.member), true
+	return wh.peer, true
 }
 
 // AbortTransfer streams an abort marker for a transfer id to a worker's

@@ -249,11 +249,11 @@ func (g *gangChannel) wireGang(ctx context.Context, s *Simulation) error {
 	k := len(g.members)
 	peers := make([]string, k)
 	for rank, id := range g.workers { // only the rebuild calling this ever writes them
-		addr, ok := s.daemon.WorkerPeerAddr(id)
+		addr, ok := s.daemon.workerPeer(id)
 		if !ok {
 			return fmt.Errorf("core: gang rank %d (worker %d) has no peer address", rank, id)
 		}
-		peers[rank] = addr.String()
+		peers[rank] = addr.name
 	}
 	gangID := s.daemon.ids.Add(1) // shared with transfer ids: both are just tokens on the peer plane
 	return g.perRank(ctx, s, kernel.MethodGangInit, func(rank int) []byte {

@@ -310,10 +310,11 @@ func FuzzStateView(f *testing.F) {
 	})
 }
 
-// TestStateCodecAllocs: a detached round trip costs what it did before the
-// view existed (bench/: kernel.state_codec_allocs), and applying a view
+// TestStateCodecAllocs: a detached round trip costs no more than it did
+// before the view existed (bench/: kernel.state_codec_allocs) less the
+// attribute names, which decode as data's own strings, and applying a view
 // into columns the caller owns costs the view's own bookkeeping and nothing
-// per particle.
+// per particle or per name.
 func TestStateCodecAllocs(t *testing.T) {
 	st := bulkPayloads(1000)["gravity+keys"]
 	frame, err := MarshalState(st)
@@ -327,8 +328,8 @@ func TestStateCodecAllocs(t *testing.T) {
 		if _, err := UnmarshalState(frame); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 15 {
-		t.Errorf("MarshalState + UnmarshalState: %v allocations, 15 before views", got)
+	}); got > 12 {
+		t.Errorf("MarshalState + UnmarshalState: %v allocations, gate 12 (15 before views, 3 of them names)", got)
 	}
 	mass, pos := make([]float64, st.N), make([]data.Vec3, st.N)
 	if got := testing.AllocsPerRun(50, func() {
@@ -338,8 +339,8 @@ func TestStateCodecAllocs(t *testing.T) {
 		}
 		v.FloatsInto(0, mass)
 		v.VecsInto(0, pos)
-	}); got > 7 { // two name lists, two column lists and a string per name
-		t.Errorf("view and apply into owned columns: %v allocations, gate 7", got)
+	}); got > 4 { // two name lists and two column lists
+		t.Errorf("view and apply into owned columns: %v allocations, gate 4", got)
 	}
 	if mass[999] != st.FloatCols[0][999] || pos[999] != st.VecCols[0][999] {
 		t.Fatal("columns decoded wrong")

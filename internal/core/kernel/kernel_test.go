@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jungle/internal/amuse/data"
 	"jungle/internal/deploy"
@@ -251,6 +252,41 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("state round trip:\n%+v\n!=\n%+v", got, st)
+	}
+}
+
+// TestStateAttrsOutsideTheVocabulary: a state frame and a state request
+// carry any attribute name, not only data's: one outside the vocabulary
+// round-trips as a copy, one inside decodes as data's own string.
+func TestStateAttrsOutsideTheVocabulary(t *testing.T) {
+	st := NewState(2)
+	st.AddFloat("spin", []float64{0.5, -0.5})
+	st.AddFloat(data.AttrMass, []float64{1, 2})
+	st.AddVec("magnetic_moment", []data.Vec3{{1, 0, 0}, {0, 0, 1}})
+	b, err := MarshalState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalState(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, got) {
+		t.Fatalf("state round trip:\n%+v\n!=\n%+v", got, st)
+	}
+	if unsafe.StringData(got.FloatAttrs[1]) != unsafe.StringData(data.AttrMass) {
+		t.Error("a state frame's mass column is named by a copy, not by data.AttrMass")
+	}
+	q := StateRequest{Attrs: []string{"spin", data.AttrPos}}
+	gq, err := UnmarshalStateRequest(AppendStateRequest(nil, &q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&q, gq) {
+		t.Fatalf("state request round trip: %+v != %+v", gq, q)
+	}
+	if unsafe.StringData(gq.Attrs[1]) != unsafe.StringData(data.AttrPos) {
+		t.Error("a state request's position is named by a copy, not by data.AttrPos")
 	}
 }
 

@@ -214,7 +214,7 @@ func (v *StateView) columns(r *wire.Reader, width int, what string) (attrs []str
 	}
 	attrs, cols = make([]string, 0, n), make([][]byte, 0, n)
 	for i := 0; i < n && r.Err == nil; i++ {
-		a := string(r.Bytes16(what))
+		a := intern(r.Bytes16(what), attrNames[:])
 		if r.Err == nil && (slices.Contains(attrs, a) || slices.Contains(v.FloatAttrs, a)) {
 			r.Err = fmt.Errorf("kernel: state frame carries attribute %q twice", a)
 		}
@@ -281,6 +281,12 @@ func (v *StateView) Payload() *StatePayload {
 	return s
 }
 
+// attrNames are the attribute names state frames and state requests carry
+// (data.Attr*), the ones the workloads move first.
+var attrNames = [...]string{data.AttrMass, data.AttrPos, data.AttrVel, data.AttrInternalEnergy,
+	data.AttrDensity, data.AttrSmoothingLen, data.AttrRadius, data.AttrLuminosity,
+	data.AttrTemperature, data.AttrStellarType, data.AttrAge}
+
 // StateRequest selects the columns a "get_state" call should return.
 type StateRequest struct {
 	Attrs []string
@@ -303,7 +309,7 @@ func UnmarshalStateRequest(b []byte) (*StateRequest, error) {
 	q := &StateRequest{}
 	n := int(r.U16("nattrs"))
 	for i := 0; i < n && r.Err == nil; i++ {
-		q.Attrs = append(q.Attrs, string(r.Bytes16("attr")))
+		q.Attrs = append(q.Attrs, intern(r.Bytes16("attr"), attrNames[:]))
 	}
 	if r.Err != nil {
 		return nil, r.Err

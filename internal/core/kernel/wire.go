@@ -374,7 +374,7 @@ func UnmarshalRequest(b []byte, req *Request) error {
 	req.ID = r.U64("id")
 	req.Worker = int(r.U64("worker"))
 	req.SentAt = time.Duration(r.U64("sentAt"))
-	req.Method = internMethod(r.Bytes16("method"))
+	req.Method = intern(r.Bytes16("method"), methodNames[:])
 	req.Args = r.Bytes32("args")
 	return r.Err
 }
@@ -386,8 +386,10 @@ var methodNames = [...]string{"kick", "evolve", "get_state", MethodApplyState, "
 	"set_mass", "energies", "inject_energy", "stats", MethodOfferState, MethodAcceptState,
 	MethodCheckpoint, MethodRestore, MethodGangInit}
 
-func internMethod(b []byte) string {
-	for _, name := range methodNames {
+// intern returns the string of names that b spells, or a copy of b: a
+// parse hands out the protocol's own method and attribute names.
+func intern(b []byte, names []string) string {
+	for _, name := range names {
 		if string(b) == name { // compares without copying b
 			return name
 		}

@@ -75,7 +75,7 @@ func (s *Simulation) observer(kind Kind, host string, rank int) *chanObs {
 // floor computation: its peer-plane address when it has one, the
 // resource's frontend otherwise.
 func (s *Simulation) workerHost(id int, resource string) string {
-	if addr, ok := s.daemon.WorkerPeerAddr(id); ok {
+	if addr, ok := s.daemon.workerPeer(id); ok {
 		return addr.Host
 	}
 	if res, err := s.daemon.Deployment().Resource(resource); err == nil {

@@ -11,7 +11,6 @@ import (
 	"jungle/internal/amuse/data"
 	"jungle/internal/core/kernel"
 	"jungle/internal/phys/bridge"
-	"jungle/internal/smartsockets"
 	"jungle/internal/trace"
 )
 
@@ -48,15 +47,15 @@ func (m *modelProxy) stateProxy() *modelProxy { return m }
 // peerAddr resolves the worker's direct-transfer address; ok is false
 // when the worker has no peer plane (mpi and sockets channels, or a
 // worker that is gone).
-func (m *modelProxy) peerAddr() (smartsockets.Address, bool) {
+func (m *modelProxy) peerAddr() (workerPeer, bool) {
 	m.mu.Lock()
 	ch := m.spec.Channel
 	worker := m.endpointLocked().worker // rank 0 offers a gang's authoritative copy
 	m.mu.Unlock()
 	if ch != ChannelIbis || worker == 0 {
-		return smartsockets.Address{}, false
+		return workerPeer{}, false
 	}
-	return m.sim.daemon.WorkerPeerAddr(worker)
+	return m.sim.daemon.workerPeer(worker)
 }
 
 // TransferStats counts how transfers were carried.
@@ -164,7 +163,7 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 	accept := dst.issue(at, request{Method: kernel.MethodAcceptState,
 		Args: kernel.Encode(kernel.AcceptStateArgs{ID: id, Apply: apply, Slot: slot})}, callOpts{class: bound})
 	offer := src.issue(at, request{Method: kernel.MethodOfferState,
-		Args: kernel.Encode(kernel.OfferStateArgs{ID: id, Attrs: attrs, Peer: dstPeer.String()})}, callOpts{class: bound})
+		Args: kernel.Encode(kernel.OfferStateArgs{ID: id, Attrs: attrs, Peer: dstPeer.name})}, callOpts{class: bound})
 	go func() {
 		at, err := offer.await(s.ctx)
 		if err != nil {
@@ -172,12 +171,12 @@ func (s *Simulation) goTransfer(src, dst *modelProxy, apply string, slot uint64,
 			// fault like an unknown attribute included): unblock the
 			// accept so it does not hold the destination's relay loop —
 			// and every RPC queued behind it — for the accept timeout.
-			s.daemon.AbortTransfer(dstPeer, id)
+			s.daemon.AbortTransfer(dstPeer.Address, id)
 		} else {
 			var accepted time.Duration
 			if accepted, err = accept.await(s.ctx); err != nil && isPeerPathErr(err) {
 				// The accept may still be parked (its stream died en route).
-				s.daemon.AbortTransfer(dstPeer, id)
+				s.daemon.AbortTransfer(dstPeer.Address, id)
 			}
 			at = max(at, accepted)
 		}

@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"jungle/internal/wire"
@@ -46,7 +47,11 @@ type Identifier struct {
 func (id Identifier) hub() string { return cmp.Or(id.Hub, id.Host) }
 
 // String renders "pool/id@host".
-func (id Identifier) String() string { return fmt.Sprintf("%s/%d@%s", id.Pool, id.ID, id.Host) }
+func (id Identifier) String() string {
+	var b [64]byte
+	s := strconv.AppendInt(append(append(b[:0], id.Pool...), '/'), int64(id.ID), 10)
+	return string(append(append(s, '@'), id.Host...))
+}
 
 // Port layout relative to an instance's identity port: identity+1 is the
 // IPL data listener (port connections), identity+PeerPortOffset the peer

@@ -1,6 +1,8 @@
 package ipl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"jungle/internal/wiretest"
@@ -33,5 +35,20 @@ func TestRegistryCodecAllocGates(t *testing.T) {
 		}
 	}); got > 6 {
 		t.Errorf("dataHeader round trip: %v allocs, gate 6", got)
+	}
+}
+
+// TestIdentifierStringMatchesSprintf: a member's rendering, the daemon's
+// key for it, reads as fmt.Sprintf rendered it.
+func TestIdentifierStringMatchesSprintf(t *testing.T) {
+	long := strings.Repeat("das4-vu.", 10) // past the rendering's 64-byte buffer
+	for _, id := range []Identifier{
+		{Pool: "amuse", ID: 3, Host: "das4-vu.n07", Port: 20000},
+		{},
+		{Pool: long, ID: -1, Host: long},
+	} {
+		if got, want := id.String(), fmt.Sprintf("%s/%d@%s", id.Pool, id.ID, id.Host); got != want {
+			t.Errorf("Identifier.String() = %q, want %q", got, want)
+		}
 	}
 }

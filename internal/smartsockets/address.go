@@ -39,10 +39,12 @@ type Address struct {
 
 // String renders "host:port@hub" ("host:port" when no hub is named).
 func (a Address) String() string {
-	if a.Hub == "" {
-		return fmt.Sprintf("%s:%d", a.Host, a.Port)
+	var b [64]byte
+	s := strconv.AppendInt(append(append(b[:0], a.Host...), ':'), int64(a.Port), 10)
+	if a.Hub != "" {
+		s = append(append(s, '@'), a.Hub...)
 	}
-	return fmt.Sprintf("%s:%d@%s", a.Host, a.Port, a.Hub)
+	return string(s)
 }
 
 // ParseAddress parses "host:port@hub" or "host:port".

@@ -147,7 +147,7 @@ func (f *Factory) Close() {
 func (f *Factory) hubReadLoop() {
 	defer f.wg.Done()
 	gostack.Grow()
-	var fr frame
+	var fr keptFrame
 	for {
 		msg, err := f.hubConn.Recv()
 		if err == nil {
@@ -160,7 +160,7 @@ func (f *Factory) hubReadLoop() {
 				}
 				continue
 			}
-			err = decodeFrame(msg, &fr)
+			err = fr.decode(msg)
 		}
 		if err != nil {
 			f.mu.Lock()
@@ -177,7 +177,7 @@ func (f *Factory) hubReadLoop() {
 		}
 		switch fr.Kind {
 		case kReverseReq:
-			req := fr
+			req := fr.frame
 			req.Route = slices.Clone(fr.Route) // the next decode writes over fr's
 			f.wg.Add(1)
 			go func() {
@@ -185,7 +185,7 @@ func (f *Factory) hubReadLoop() {
 				f.handleReverseReq(&req)
 			}()
 		case kCircuitOpen:
-			f.handleCircuitOpen(&fr)
+			f.handleCircuitOpen(&fr.frame)
 		case kCircuitAck:
 			f.completeOpen(fr.Circuit, openResult{route: slices.Clone(fr.Route)})
 		case kCircuitNak:
@@ -384,7 +384,7 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualConn, error) {
 	f.mu.Lock()
 	f.nextCircuit++
-	key := fmt.Sprintf("%s:%d/%s", f.host, f.base, strconv.FormatUint(f.nextCircuit, 36)) // on every data frame: no hub name, a dense count
+	key := circuitKey(f.host, f.base, f.nextCircuit)
 	ch := make(chan openResult, 1)
 	f.pendingCirc[key] = ch
 	end := newRoutedEnd(f, key)
@@ -407,6 +407,15 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualC
 		f.dropCircuit(key)
 		return nil, ErrTimeout
 	}
+}
+
+// circuitKey names a factory's n-th circuit "host:base/n", n in base 36.
+// Every data frame carries it, so it names no hub and counts densely.
+func circuitKey(host string, base int, n uint64) string {
+	var b [64]byte
+	k := append(append(b[:0], host...), ':')
+	k = append(strconv.AppendInt(k, int64(base), 10), '/')
+	return string(strconv.AppendUint(k, n, 36))
 }
 
 func (f *Factory) dropCircuit(key string) {

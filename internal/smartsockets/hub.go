@@ -361,7 +361,7 @@ func (h *Hub) merge(ads []advert, from string, own bool) {
 // keeps nothing of it but strings, and merge takes the adverts.
 func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 	defer h.wg.Done()
-	var f frame
+	var f keptFrame
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -372,11 +372,11 @@ func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 			h.relayData(id, circuit, msg)
 			continue
 		}
-		if err := decodeFrame(msg, &f); err != nil {
+		if err := f.decode(msg); err != nil {
 			h.dropConn(id, conn, primary)
 			return
 		}
-		h.handleFrame(id, &f)
+		h.handleFrame(id, &f.frame)
 	}
 }
 

@@ -395,3 +395,70 @@ func TestOwnershipKeptFrameAdverts(t *testing.T) {
 		t.Fatalf("stored advert of hub-x reads %v after a later gossip frame, want %v", got.Links, first.Links)
 	}
 }
+
+// TestOwnershipKeptRouteArray: the factory's reader keeps its frame's route
+// array across frames that carry no route and decodes the next route into
+// it, so every route it hands on must be a clone — a reverse request's
+// (served on its own goroutine), a dialled circuit's (from its ack) and an
+// inbound circuit's (from its open). Each is followed by a close that
+// carries no route, then by frames whose routes, as long, name other hubs:
+// all three still read as they were sent.
+func TestOwnershipKeptRouteArray(t *testing.T) {
+	f, l, hub := hubPlayedByTest(t)
+	peer := Address{Host: "client-b", Port: 20000, Hub: "hub-b"}
+	refill := func(i int) {
+		mustSend(t, hub, &frame{Kind: kCircuitClose, Circuit: "gone"})
+		other := []string{fmt.Sprint("x", i), fmt.Sprint("y", i), fmt.Sprint("z", i)}
+		mustSend(t, hub, &frame{Kind: kCircuitNak, Circuit: "gone", Route: other, Hop: 1})
+		// An open nobody listens for: its nak says the reader got this far.
+		mustSend(t, hub, &frame{Kind: kCircuitOpen, Src: peer, Dst: Address{Host: "client-a", Port: 1}, Circuit: "none", Route: other, Hop: 3})
+		mustRecv(t, hub, kCircuitNak)
+	}
+
+	inRoute := []string{"hub-b", "hub-m", "hub-a"}
+	mustSend(t, hub, &frame{Kind: kCircuitOpen, Src: peer, Dst: l.Addr(), Circuit: "client-b:20000/1", Route: inRoute, Hop: 3})
+	mustRecv(t, hub, kCircuitAck)
+	refill(0)
+
+	outRoute := []string{"hub-a", "hub-n", "hub-b"}
+	dialled := make(chan *VirtualConn, 1)
+	go func() {
+		vc, err := f.connectRouted(peer, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		dialled <- vc
+	}()
+	open := mustRecv(t, hub, kCircuitOpen)
+	mustSend(t, hub, &frame{Kind: kCircuitAck, Src: open.Src, Dst: open.Dst, Circuit: open.Circuit, Route: outRoute})
+	out := <-dialled
+	if out == nil {
+		t.FailNow()
+	}
+	refill(1)
+
+	// Reverse requests to a port nobody listens on: each nak, built on the
+	// request's goroutine while the reader decodes on, carries its route.
+	const reqs = 16
+	revRoute := func(id uint64) []string { return []string{fmt.Sprint("rev-", id), "hub-m", "hub-a"} }
+	for id := uint64(1); id <= reqs; id++ {
+		mustSend(t, hub, &frame{Kind: kReverseReq, Src: peer, Dst: Address{Host: "client-a", Port: 1}, ReqID: id, ReplyPort: -1, Route: revRoute(id), Hop: 3})
+		mustSend(t, hub, &frame{Kind: kCircuitClose, Circuit: "gone"})
+		mustSend(t, hub, &frame{Kind: kCircuitNak, Circuit: "gone", Route: []string{"p", "q", "r"}, Hop: 1})
+	}
+	for range reqs {
+		nak := mustRecv(t, hub, kCircuitNak)
+		if !slices.Equal(nak.Route, revRoute(nak.ReqID)) {
+			t.Fatalf("nak for reverse request %d carries route %v, want %v", nak.ReqID, nak.Route, revRoute(nak.ReqID))
+		}
+	}
+	refill(2)
+
+	in, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(in.Route(), inRoute) || !slices.Equal(out.Route(), outRoute) {
+		t.Fatalf("routes read inbound %v, dialled %v after later frames; want %v, %v", in.Route(), out.Route(), inRoute, outRoute)
+	}
+}

@@ -105,13 +105,11 @@ func sendFrame(c *vnet.Conn, f *frame) error {
 // sees every frame decoded: the package keeps no count of its own.
 var testDecoded func(*frame)
 
-// decodeFrame decodes one received message into f; the frame's sentAt is
-// its virtual arrival time so handlers can re-stamp relayed copies.
-// Payload aliases the message. A reader that decodes every frame into the
-// one it keeps reuses its Route and Adverts slices: a handler that keeps
-// either past its return clones it, or takes it (sets the field to nil).
-func decodeFrame(msg vnet.Message, f *frame) error {
-	if err := wire.Unmarshal(msg.Data, f); err != nil {
+// decodeFrame decodes one received message into f, taking changed strings
+// from names (nil: none); the frame's sentAt is its virtual arrival time so
+// handlers can re-stamp relayed copies. Payload aliases the message.
+func decodeFrame(msg vnet.Message, f *frame, names *wire.Names) error {
+	if err := names.Unmarshal(msg.Data, f); err != nil {
 		return err
 	}
 	f.sentAt = msg.Arrival
@@ -128,10 +126,34 @@ func recvFrame(c *vnet.Conn) (*frame, error) {
 		return nil, err
 	}
 	f := new(frame)
-	if err := decodeFrame(msg, f); err != nil {
+	if err := decodeFrame(msg, f, nil); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// keptFrame is the frame an overlay reader (Hub.readLoop,
+// Factory.hubReadLoop) decodes every control frame into, one allocation
+// for the reader's life, with what its decodes keep from frame to frame:
+// the names they copied or displaced, and Route's backing array while
+// frames carry no route (the codec decodes an empty Route as nil). The
+// frame's Route and Adverts are the reader's: a handler that keeps Route
+// past its return clones it, and one that keeps Adverts takes them (sets
+// the field to nil).
+type keptFrame struct {
+	frame
+	names wire.Names
+	route []string // Route's backing array, held across frames without one
+}
+
+// decode decodes one received message into k.
+func (k *keptFrame) decode(msg vnet.Message) error {
+	k.Route = k.route
+	err := decodeFrame(msg, &k.frame, &k.names)
+	if k.Route != nil {
+		k.route = k.Route
+	}
+	return err
 }
 
 // circuitOf reads the three leading fields of an encoded frame: its kind

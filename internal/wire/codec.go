@@ -32,7 +32,8 @@ import (
 // slices, so whoever decodes into a value must not keep them elsewhere.
 // A string that already holds the bytes decoded is kept, not copied again:
 // a reader decoding one kind of frame over and over pays for the names
-// that changed, not for every name.
+// that changed, not for every name. Decoding through a Names ring also
+// takes a changed string from the ring when it holds one.
 //
 // Compatibility is append-only: a struct may grow fields at its end. A
 // decoder that reaches the end of the input at a field boundary leaves the
@@ -292,7 +293,28 @@ func (r *Reader) column(ws []uint64, float bool) {
 // Unmarshal decodes b into the value v points to, which it resets (see
 // the codec's comment above). Byte-slice fields alias b; everything else
 // is copied out.
-func Unmarshal(b []byte, v any) error {
+func Unmarshal(b []byte, v any) error { return (*Names)(nil).Unmarshal(b, v) }
+
+// namesLen is how many strings a Names ring holds.
+const namesLen = 8
+
+// Names is a fixed ring of the last namesLen non-empty strings that
+// decodes through it copied out or displaced. Its zero value is empty, and
+// its owner decodes through it one message at a time: a reader that keeps
+// one beside the value it decodes every message into pays once for each
+// name its messages come back to, where they alternate between set and
+// empty names or carry names in elements the reader does not keep.
+type Names struct {
+	ring [namesLen]string
+	next int
+}
+
+// Unmarshal is the package's Unmarshal, except that a string field whose
+// value changes takes the ring's string when the ring holds the bytes
+// decoded; a string it copies, and the one the field held, go into the
+// ring. Every decoded value is the package's Unmarshal's. A nil n is the
+// package's Unmarshal.
+func (n *Names) Unmarshal(b []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("wire: decode into %T, want a non-nil pointer", v)
@@ -302,9 +324,38 @@ func Unmarshal(b []byte, v any) error {
 	if err != nil {
 		return err
 	}
-	r := Reader{B: b}
+	r := Reader{B: b, names: n}
 	p.decode(&r, rv, true)
 	return r.Err
+}
+
+// take returns the string b spells, the ring's when it holds one, and puts
+// a copy it makes and old, the string it displaces, into the ring.
+func (n *Names) take(b []byte, old string) string {
+	if n == nil {
+		return string(b)
+	}
+	var s string
+	for _, x := range n.ring[:] {
+		if x == string(b) { // compares without copying b
+			s = x
+			break
+		}
+	}
+	if s == "" && len(b) > 0 {
+		s = string(b)
+		n.put(s)
+	}
+	n.put(old)
+	return s
+}
+
+// put writes a non-empty s over the ring's oldest entry.
+func (n *Names) put(s string) {
+	if s != "" {
+		n.ring[n.next] = s
+		n.next = (n.next + 1) % namesLen
+	}
 }
 
 // decode fills v from r. tail is set while every enclosing value is the
@@ -328,8 +379,8 @@ func (p *plan) decode(r *Reader, v reflect.Value, tail bool) {
 	case reflect.Float32, reflect.Float64:
 		v.SetFloat(r.Float("float"))
 	case reflect.String:
-		if b := r.Bytes("string"); v.String() != string(b) {
-			v.SetString(string(b))
+		if b, old := r.Bytes("string"), v.String(); old != string(b) {
+			v.SetString(r.names.take(b, old))
 		}
 	case reflect.Slice:
 		if p.elem.kind == reflect.Uint8 {

@@ -156,6 +156,8 @@ type Reader struct {
 	B   []byte // the frame
 	Off int    // next unread byte
 	Err error
+
+	names *Names // the struct codec's ring of displaced strings, if any
 }
 
 // Len returns the number of unread bytes.

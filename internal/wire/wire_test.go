@@ -379,6 +379,47 @@ func TestUnmarshalKeepsEqualStrings(t *testing.T) {
 	}
 }
 
+// TestNamesDecodeWhatUnmarshalDecodes: decoding a run of messages into one
+// kept value through a Names ring gives, message by message, what
+// Unmarshal gives into a fresh value; and a name that comes back after an
+// empty one is the ring's, where Unmarshal copies it again.
+func TestNamesDecodeWhatUnmarshalDecodes(t *testing.T) {
+	var msgs [][]byte
+	for seed := int64(0); seed < 8; seed++ {
+		msgs = append(msgs, wire.Marshal(wiretest.Fill(everything{}, wiretest.Random, seed)),
+			wire.Marshal(everything{}), wire.Marshal(everything{S: "lgm", Ss: []string{"lgm", ""}}))
+	}
+	var names wire.Names
+	var kept everything
+	for i, b := range msgs {
+		var want everything
+		if err := wire.Unmarshal(b, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := names.Unmarshal(b, &kept); err != nil {
+			t.Fatal(err)
+		}
+		if !wiretest.Same(reflect.ValueOf(kept), reflect.ValueOf(want)) {
+			t.Fatalf("message %d through the ring:\n %+v\nwant\n %+v", i, kept, want)
+		}
+	}
+
+	type named struct{ Hub string }
+	set, empty := wire.Marshal(named{Hub: "das4-vu.fe"}), wire.Marshal(named{})
+	for _, c := range []struct {
+		names *wire.Names
+		want  float64
+	}{{nil, 1}, {new(wire.Names), 0}} {
+		var out named
+		if allocs := testing.AllocsPerRun(100, func() {
+			c.names.Unmarshal(set, &out)
+			c.names.Unmarshal(empty, &out)
+		}); allocs != c.want {
+			t.Errorf("a name set, then empty (ring %v): %v allocations, want %v", c.names != nil, allocs, c.want)
+		}
+	}
+}
+
 func TestByteSlicesAliasInput(t *testing.T) {
 	enc := wire.Marshal(everything{Raw: []byte("abc")})
 	var out everything

@@ -14,6 +14,7 @@ import (
 	"jungle/internal/gat"
 	"jungle/internal/ipl"
 	"jungle/internal/smartsockets"
+	"jungle/internal/watchdog"
 )
 
 // Daemon is the per-user Ibis daemon of Fig. 5: it runs on the user's
@@ -640,6 +641,8 @@ func (d *Daemon) awaitWorker(ctx context.Context, wh *workerHandle) (ipl.Identif
 	job := wh.job
 	wh.mu.Unlock()
 	var err error
+	t := watchdog.Start(d.ReadyTimeout) // watchdog: a job that runs but never reports in becomes a start error
+	defer watchdog.Stop(t)
 	select {
 	case ch := <-wh.served:
 		return ipl.Identifier{}, ch, nil
@@ -652,7 +655,7 @@ func (d *Daemon) awaitWorker(ctx context.Context, wh *workerHandle) (ipl.Identif
 		err = fmt.Errorf("core: worker %d failed to start: %w", wh.id, err)
 	case <-ctx.Done():
 		err = fmt.Errorf("core: worker %d start: %w", wh.id, ctx.Err())
-	case <-time.After(d.ReadyTimeout): // watchdog: a job that runs but never reports in becomes a start error
+	case <-t.C:
 		err = fmt.Errorf("core: worker %d did not announce within %v", wh.id, d.ReadyTimeout)
 	}
 	d.StopWorker(wh.id)
@@ -708,9 +711,9 @@ func (d *Daemon) StopWorker(id int) error {
 	if job == nil {
 		return nil
 	}
-	job.Cancel()                    // the proxy observes Cancel and tears itself down
-	t := time.NewTimer(stopTimeout) // watchdog: a canceled job that never ends becomes a stop error
-	defer t.Stop()
+	job.Cancel()                     // the proxy observes Cancel and tears itself down
+	t := watchdog.Start(stopTimeout) // watchdog: a canceled job that never ends becomes a stop error
+	defer watchdog.Stop(t)
 	select {
 	case <-job.Done():
 		return nil

@@ -10,6 +10,7 @@ import (
 	"jungle/internal/ipl"
 	"jungle/internal/mpisim"
 	"jungle/internal/smartsockets"
+	"jungle/internal/watchdog"
 )
 
 // The worker side of the direct data plane. Each ibis worker's proxy owns
@@ -123,13 +124,15 @@ func (r *rendezvous[K, V]) wait(key K, timeout time.Duration) (V, error) {
 	ch := make(chan V, 1)
 	r.waiters[key] = ch
 	r.mu.Unlock()
+	t := watchdog.Start(timeout) // watchdog: a stream and its abort both lost, or a gang link a peer rank never dialled, becomes ErrTransport
+	defer watchdog.Stop(t)
 	select {
 	case v, ok := <-ch:
 		if !ok { // closed while waiting
 			return zero, errPeerPlaneClosed
 		}
 		return v, nil
-	case <-time.After(timeout): // watchdog: a stream and its abort both lost, or a gang link a peer rank never dialled, becomes ErrTransport
+	case <-t.C:
 		r.mu.Lock()
 		delete(r.waiters, key)
 		r.consumed[key] = true

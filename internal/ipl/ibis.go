@@ -8,6 +8,7 @@ import (
 	"jungle/internal/gostack"
 	"jungle/internal/smartsockets"
 	"jungle/internal/vnet"
+	"jungle/internal/watchdog"
 )
 
 // Ibis is one IPL instance: a pool member able to create send and receive
@@ -150,10 +151,12 @@ func (ib *Ibis) Elect(name string) (Identifier, error) {
 	if err := ib.regConn.Send(encodeReg(&regMsg{Kind: rElect, Election: name}), 0); err != nil {
 		return Identifier{}, err
 	}
+	t := watchdog.Start(5 * time.Second) // watchdog: the registry died before answering -> election timed out
+	defer watchdog.Stop(t)
 	select {
 	case w := <-ch:
 		return w, nil
-	case <-time.After(5 * time.Second): // watchdog: the registry died before answering -> election timed out
+	case <-t.C:
 		return Identifier{}, fmt.Errorf("ipl: election %q timed out", name)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"jungle/internal/fifo"
 	"jungle/internal/gostack"
 	"jungle/internal/vnet"
+	"jungle/internal/watchdog"
 )
 
 // Errors returned by Connect.
@@ -108,10 +109,12 @@ func (f *Factory) register(a Address) error {
 	if err := sendFrame(f.hubConn, &frame{Kind: kRegister, Src: a}); err != nil {
 		return err
 	}
+	t := watchdog.Start(f.Timeout) // watchdog: hub died before acking the registration -> ErrTimeout
+	defer watchdog.Stop(t)
 	select {
 	case <-ch:
 		return nil
-	case <-time.After(f.Timeout): // watchdog: hub died before acking the registration -> ErrTimeout
+	case <-t.C:
 		return ErrTimeout
 	}
 }
@@ -371,12 +374,14 @@ func (f *Factory) connectReverse(target Address, sentAt time.Duration) (*Virtual
 		accepted <- &VirtualConn{typ: Reverse, raw: conn, established: fr.sentAt}
 	}()
 
+	t := watchdog.Start(f.Timeout) // watchdog: a hub on the route died with the request in hand -> ErrTimeout
+	defer watchdog.Stop(t)
 	select {
 	case vc := <-accepted:
 		return vc, nil
 	case err := <-ch: // a nak: ErrNoListener or ErrNoRoute
 		return nil, err
-	case <-time.After(f.Timeout): // watchdog: a hub on the route died with the request in hand -> ErrTimeout
+	case <-t.C:
 		return nil, ErrTimeout
 	}
 }
@@ -396,6 +401,8 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualC
 		f.dropCircuit(key)
 		return nil, err
 	}
+	t := watchdog.Start(f.Timeout) // watchdog: a hub on the route died with the open in hand -> ErrTimeout
+	defer watchdog.Stop(t)
 	select {
 	case r := <-ch:
 		if r.err != nil {
@@ -403,7 +410,7 @@ func (f *Factory) connectRouted(target Address, sentAt time.Duration) (*VirtualC
 			return nil, r.err
 		}
 		return &VirtualConn{typ: Routed, end: end, established: sentAt, route: r.route}, nil
-	case <-time.After(f.Timeout): // watchdog: a hub on the route died with the open in hand -> ErrTimeout
+	case <-t.C:
 		f.dropCircuit(key)
 		return nil, ErrTimeout
 	}

@@ -12,6 +12,7 @@ import (
 
 	"jungle/internal/gostack"
 	"jungle/internal/vnet"
+	"jungle/internal/wire"
 )
 
 // Hub is one node of the SmartSockets overlay network. Hubs run on
@@ -27,13 +28,14 @@ type Hub struct {
 
 	mu         sync.Mutex
 	conns      map[string]*vnet.Conn   // identity -> primary conn ("h:<host>" or "c#<n>")
+	hubIDs     map[string]string       // peer hub host -> its identity "h:<host>", made once by addPeer and kept
 	allConns   map[*vnet.Conn]struct{} // every conn with a live readLoop, incl. non-primary duplicates
 	edges      map[string]EdgeType     // peer hub host -> edge type
 	dialed     map[string]bool         // peer hub hosts this hub has dialed (or is dialing) itself
 	adverts    map[string]advert       // hub host -> newest advertisement received, this hub's own included
 	routes     map[string][]string     // hub host -> route (see route), made on first use; cleared whenever adverts changes
 	clients    map[Address]string      // registered service address -> client identity
-	circuits   map[string]*circuit
+	circuits   map[string]circuit
 	nextClient int
 	busy       int // merges in progress (busyAdd)
 	closed     bool
@@ -61,12 +63,13 @@ func newHub(network *vnet.Network, host string, changed chan<- struct{}) (*Hub, 
 		net:      network,
 		changed:  changed,
 		conns:    make(map[string]*vnet.Conn),
+		hubIDs:   make(map[string]string),
 		allConns: make(map[*vnet.Conn]struct{}),
 		edges:    make(map[string]EdgeType),
 		dialed:   make(map[string]bool),
 		adverts:  map[string]advert{host: {Hub: host, Seq: 1}},
 		clients:  make(map[Address]string),
-		circuits: make(map[string]*circuit),
+		circuits: make(map[string]circuit),
 	}
 	for _, port := range []int{HubPort, vnet.SSHPort} {
 		l, err := network.Listen(host, port)
@@ -230,12 +233,16 @@ func (h *Hub) flood(ads []advert, from string, own bool) {
 // link, so the hub's own advertisement changes, which addPeer reports for
 // the caller to gossip.
 func (h *Hub) addPeer(peerHost string, conn *vnet.Conn, edge EdgeType) (fresh bool) {
-	id := "h:" + peerHost
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		conn.Close()
 		return false
+	}
+	id, ok := h.hubIDs[peerHost]
+	if !ok {
+		id = "h:" + peerHost
+		h.hubIDs[peerHost] = id
 	}
 	_, dup := h.conns[id]
 	if !dup {
@@ -319,8 +326,8 @@ func (h *Hub) handleInbound(conn *vnet.Conn, port int) {
 		h.conns[id] = conn
 		h.allConns[conn] = struct{}{}
 		h.mu.Unlock()
-		h.handleFrame(id, f) // stores the registration and acks it
-		h.wg.Add(1)          // readLoop counts itself out, like every reader
+		h.handleFrame(id, f, nil) // stores the registration and acks it
+		h.wg.Add(1)               // readLoop counts itself out, like every reader
 		h.readLoop(id, conn, true)
 	default:
 		conn.Close()
@@ -358,7 +365,8 @@ func (h *Hub) merge(ads []advert, from string, own bool) {
 
 // readLoop processes frames arriving from one neighbor (hub or client).
 // Every control frame is decoded into f, which the loop keeps: a handler
-// keeps nothing of it but strings, and merge takes the adverts.
+// keeps nothing of it but strings, and merge takes the adverts. The
+// message is the handler's: a relay passes it on.
 func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 	defer h.wg.Done()
 	var f keptFrame
@@ -376,7 +384,7 @@ func (h *Hub) readLoop(id string, conn *vnet.Conn, primary bool) {
 			h.dropConn(id, conn, primary)
 			return
 		}
-		h.handleFrame(id, &f.frame)
+		h.handleFrame(id, &f.frame, msg.Data)
 	}
 }
 
@@ -411,14 +419,17 @@ func (h *Hub) dropConn(id string, conn *vnet.Conn, primary bool) {
 	}
 	h.mu.Unlock()
 	for _, key := range orphans {
-		h.relayClose(id, &frame{Kind: kCircuitClose, Circuit: key})
+		f := &frame{Kind: kCircuitClose, Circuit: key}
+		h.relayClose(id, f, wire.Marshal(f))
 	}
 	if withdraw {
 		h.flood(nil, "", true)
 	}
 }
 
-func (h *Hub) handleFrame(origin string, f *frame) {
+// handleFrame acts on f, decoded from data as received from neighbor
+// origin.
+func (h *Hub) handleFrame(origin string, f *frame, data []byte) {
 	switch f.Kind {
 	case kHello, kGossip:
 		from, _ := hubPeer(origin)
@@ -437,50 +448,49 @@ func (h *Hub) handleFrame(origin string, f *frame) {
 		}
 		h.mu.Unlock()
 	case kReverseReq, kCircuitOpen:
-		h.forwardOpen(origin, f)
+		h.forwardOpen(origin, f, data)
 	case kCircuitAck, kCircuitNak:
-		h.handleBacktrack(origin, f)
+		h.handleBacktrack(origin, f, data)
 	case kCircuitClose:
-		h.relayClose(origin, f)
+		h.relayClose(origin, f, data)
 	}
 }
 
 // forwardOpen moves a reverse request or a circuit open one hop along its
-// route. The dialer's hub picks the whole route; every hub on it adds its
-// processing delay and hands the one copy on, the last one to the client.
+// route. The dialer's hub picks the whole route and encodes the frame with
+// it; every hub on it forwards the one copy, the last one to the client.
 // A hub that cannot — no route, no such client, a broken link — answers
 // with a nak that backtracks the route, so the dialer fails at once.
-func (h *Hub) forwardOpen(origin string, f *frame) {
-	fwd := *f
-	fwd.sentAt = f.sentAt + hubProcessing
-	fwd.Hop++
+func (h *Hub) forwardOpen(origin string, f *frame, data []byte) {
+	hop := f.Hop + 1
 	nak := func(reason byte) {
-		h.handleBacktrack(origin, &frame{
+		n := &frame{
 			Kind: kCircuitNak, Src: f.Src, Dst: f.Dst, Circuit: f.Circuit,
-			ReqID: f.ReqID, Route: fwd.Route, Hop: fwd.Hop, Reason: reason, sentAt: fwd.sentAt,
-		})
+			ReqID: f.ReqID, Route: f.Route, Hop: hop, Reason: reason, sentAt: f.sentAt + hubProcessing,
+		}
+		h.handleBacktrack(origin, n, wire.Marshal(n))
 	}
 	if f.Hop == 0 {
-		if fwd.Route = h.route(f.Dst.Hub); fwd.Route == nil {
-			fwd.Route = []string{h.host} // the nak's whole way back
+		// The source hub fills in the route: the frame grows, so it is
+		// encoded anew (f is the reader's to write).
+		if f.Route = h.route(f.Dst.Hub); f.Route == nil {
+			f.Route = []string{h.host} // the nak's whole way back
 			nak(nakNoRoute)
 			return
 		}
+		data = wire.Marshal(f)
 	}
-	switch {
-	case f.Hop < 0 || fwd.Hop > len(fwd.Route) || fwd.Route[f.Hop] != h.host:
-		// not addressed to us; drop
-	case fwd.Hop < len(fwd.Route):
-		if !h.sendTo("h:"+fwd.Route[fwd.Hop], &fwd) {
-			nak(nakNoRoute)
-		}
-	default:
-		h.mu.Lock()
-		dstID := h.clients[f.Dst]
-		h.mu.Unlock()
-		if !h.sendTo(dstID, &fwd) {
-			nak(nakNoListener)
-		}
+	if f.Hop < 0 || hop > len(f.Route) || f.Route[f.Hop] != h.host {
+		return // not addressed to us; drop
+	}
+	h.mu.Lock()
+	next, reason := h.clients[f.Dst], nakNoListener // the last hub delivers
+	if hop < len(f.Route) {
+		next, reason = h.hubIDs[f.Route[hop]], nakNoRoute
+	}
+	h.mu.Unlock()
+	if !h.forward(next, f, data, hop) {
+		nak(reason)
 	}
 }
 
@@ -489,15 +499,18 @@ func (h *Hub) forwardOpen(origin string, f *frame) {
 // latency and hub processing delay, then fewest hops, then the
 // lexicographically smallest path. It is Dijkstra over the advertised links
 // with whole paths as labels, so that ties compare that way; a link counts
-// in the direction its owner advertises it. The answer is computed once per
-// database: h.routes keeps it until adverts changes, and every caller
-// shares the slice, which nobody writes.
+// in the direction its owner advertises it. A path of more than maxRoute
+// hubs counts as none. The answer is computed once per database: h.routes
+// keeps it until adverts changes, and every caller shares the slice, which
+// nobody writes.
 func (h *Hub) route(dst string) []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	p, ok := h.routes[dst]
 	if !ok {
-		p = h.dijkstraLocked(dst)
+		if p = h.dijkstraLocked(dst); len(p) > maxRoute {
+			p = nil // its Hop cursor would outgrow the byte relays rewrite (setHop)
+		}
 		if h.routes == nil {
 			h.routes = make(map[string][]string)
 		}
@@ -542,36 +555,32 @@ func (h *Hub) dijkstraLocked(dst string) []string {
 
 // handleBacktrack walks an ack or nak backwards along the route,
 // installing circuit relay state for acks.
-func (h *Hub) handleBacktrack(origin string, f *frame) {
+func (h *Hub) handleBacktrack(origin string, f *frame, data []byte) {
 	if f.Hop < 1 || f.Hop > len(f.Route) || f.Route[f.Hop-1] != h.host {
 		return // not addressed to us; drop
 	}
-	back := *f
-	back.Hop--
-	back.sentAt = f.sentAt + hubProcessing
-
-	var nextID string
-	if back.Hop == 0 {
-		h.mu.Lock()
-		nextID = h.clients[f.Src]
+	hop := f.Hop - 1
+	h.mu.Lock()
+	next := h.clients[f.Src] // the first hub hands it to the requester
+	if hop > 0 {
+		// Route[hop-1] advertises a link to this hub, so this hub's
+		// addPeer has made its id.
+		next = h.hubIDs[f.Route[hop-1]]
+	}
+	if next == "" {
 		h.mu.Unlock()
-		if nextID == "" {
-			return // requester vanished
-		}
-	} else {
-		nextID = "h:" + f.Route[back.Hop-1]
+		return // the requester vanished, or the route is none of ours
 	}
 	if f.Kind == kCircuitAck {
-		h.mu.Lock()
-		h.circuits[f.Circuit] = &circuit{aID: nextID, bID: origin}
-		h.mu.Unlock()
+		h.circuits[f.Circuit] = circuit{aID: next, bID: origin}
 	}
-	h.sendTo(nextID, &back)
+	h.mu.Unlock()
+	h.forward(next, f, data, hop)
 }
 
 // next returns the neighbor a circuit frame arriving from origin is
 // forwarded to.
-func (c *circuit) next(origin string) string {
+func (c circuit) next(origin string) string {
 	if origin == c.aID {
 		return c.bID
 	}
@@ -583,9 +592,8 @@ func (c *circuit) next(origin string) string {
 // frame around the payload.
 func (h *Hub) relayData(origin string, circuit []byte, msg vnet.Message) {
 	h.mu.Lock()
-	c := h.circuits[string(circuit)]
 	var conn *vnet.Conn
-	if c != nil {
+	if c, ok := h.circuits[string(circuit)]; ok {
 		conn = h.conns[c.next(origin)]
 	}
 	h.mu.Unlock()
@@ -598,28 +606,64 @@ func (h *Hub) relayData(origin string, circuit []byte, msg vnet.Message) {
 // one, from the other end, dismantles it (see routedEnd). A first close
 // that cannot go on — the far side's connection is gone — is answered as
 // if the far side had closed, so the end that closed is not left waiting.
-func (h *Hub) relayClose(origin string, f *frame) {
+func (h *Hub) relayClose(origin string, f *frame, data []byte) {
 	h.mu.Lock()
-	c := h.circuits[f.Circuit]
-	second := c != nil && c.closedBy != "" && c.closedBy != origin
+	c, ok := h.circuits[f.Circuit]
+	second := ok && c.closedBy != "" && c.closedBy != origin
 	if second {
 		delete(h.circuits, f.Circuit)
-	} else if c != nil {
+	} else if ok {
 		c.closedBy = origin
+		h.circuits[f.Circuit] = c
 	}
 	h.mu.Unlock()
-	if c == nil {
+	if !ok {
 		return
 	}
-	fwd := *f
-	fwd.sentAt = f.sentAt + hubProcessing
-	if !h.sendTo(c.next(origin), &fwd) && !second {
-		h.relayClose(c.next(origin), f)
+	if !h.forward(c.next(origin), f, data, f.Hop) && !second {
+		h.relayClose(c.next(origin), f, data)
 	}
 }
 
-// sendTo sends f to a neighbor and reports whether the neighbor's
-// connection took it; broken neighbors are dropped by their reader.
+// maxRoute bounds a route's hubs (Hub.route), so that a Hop cursor, at
+// most maxRoute, encodes to one byte: zig-zag 2·Hop < 128.
+const maxRoute = 63
+
+// setHop rewrites in place the Hop cursor of data, f's encoding, to hop,
+// and reports whether data holds f's cursor where the codec puts it. Only
+// ReqID, ReplyPort and Reason follow Hop, so its byte is found from the
+// end by their encoded widths.
+func setHop(data []byte, f *frame, hop int) bool {
+	i := len(data) - 1 - wire.UintLen(f.ReqID) - wire.IntLen(int64(f.ReplyPort)) - wire.UintLen(uint64(f.Reason))
+	if f.Hop < 0 || f.Hop > maxRoute || hop < 0 || hop > maxRoute || i < 0 || data[i] != byte(2*f.Hop) {
+		return false
+	}
+	data[i] = byte(2 * hop)
+	return true
+}
+
+// forward relays a control frame to neighbor id, its Hop cursor set to
+// hop, at f's arrival plus processing, and reports whether the neighbor's
+// connection took it. data is f's encoding — as received, or as this hub
+// built or grew the frame — and goes to the neighbor, which owns it from
+// then on. Broken neighbors are dropped by their reader.
+func (h *Hub) forward(id string, f *frame, data []byte, hop int) bool {
+	if !setHop(data, f, hop) {
+		return false
+	}
+	h.mu.Lock()
+	conn := h.conns[id]
+	h.mu.Unlock()
+	if conn == nil {
+		return false
+	}
+	_, err := conn.Send(data, f.sentAt+hubProcessing)
+	return err == nil
+}
+
+// sendTo sends f, a frame this hub built, to a neighbor and reports
+// whether the neighbor's connection took it; broken neighbors are dropped
+// by their reader.
 func (h *Hub) sendTo(id string, f *frame) bool {
 	h.mu.Lock()
 	conn := h.conns[id]

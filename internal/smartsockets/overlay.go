@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jungle/internal/vnet"
+	"jungle/internal/watchdog"
 )
 
 // Overlay manages a set of hubs started together, the way IbisDeploy starts
@@ -41,15 +42,15 @@ func StartHubs(network *vnet.Network, hosts []string) (*Overlay, error) {
 // route on — one hub graph. Hubs signal every change, no clock is polled;
 // a view only counts if no hub signalled while it was taken.
 func (o *Overlay) settle() error {
-	watchdog := time.NewTimer(10 * time.Second) // watchdog: a hub that never finishes a handler or never gets an advertisement -> ErrNotConverged
-	defer watchdog.Stop()
+	t := watchdog.Start(10 * time.Second) // watchdog: a hub that never finishes a handler or never gets an advertisement -> ErrNotConverged
+	defer watchdog.Stop(t)
 	for {
 		if o.converged() && len(o.wake) == 0 {
 			return nil
 		}
 		select {
 		case <-o.wake:
-		case <-watchdog.C:
+		case <-t.C:
 			return ErrNotConverged
 		}
 	}

@@ -133,6 +133,17 @@ func AppendUint(dst []byte, x uint64) []byte {
 // magnitudes of either sign stay short.
 func AppendInt(dst []byte, i int64) []byte { return AppendUint(dst, zigzag(i)) }
 
+// UintLen is how many bytes AppendUint appends for x.
+func UintLen(x uint64) int {
+	if x < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(x)+7)/8
+}
+
+// IntLen is how many bytes AppendInt appends for i.
+func IntLen(i int64) int { return UintLen(zigzag(i)) }
+
 func zigzag(i int64) uint64 {
 	x := uint64(i) << 1
 	if i < 0 {

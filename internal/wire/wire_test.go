@@ -76,12 +76,18 @@ func TestScalarForms(t *testing.T) {
 		if got := r.Uint("u"); got != x || r.Err != nil || r.Len() != 0 {
 			t.Errorf("uint %d came back as %d (err %v)", x, got, r.Err)
 		}
+		if n := wire.UintLen(x); n != len(b) {
+			t.Errorf("UintLen(%d) = %d, AppendUint wrote %d bytes", x, n, len(b))
+		}
 	}
 	for _, x := range []int64{0, 1, -1, 63, -64, 64, -65, math.MaxInt64, math.MinInt64} {
 		b := wire.AppendInt(nil, x)
 		r := wire.Reader{B: b}
 		if got := r.Int("i"); got != x || r.Err != nil || r.Len() != 0 {
 			t.Errorf("int %d came back as %d (err %v)", x, got, r.Err)
+		}
+		if n := wire.IntLen(x); n != len(b) {
+			t.Errorf("IntLen(%d) = %d, AppendInt wrote %d bytes", x, n, len(b))
 		}
 	}
 	if n := len(wire.AppendInt(nil, -64)); n != 1 {
